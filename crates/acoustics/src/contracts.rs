@@ -22,6 +22,8 @@
 use lift::arith::{ArithExpr, SymRange};
 use lift::kast::Kernel;
 use lift::verify::{Assumptions, BufferFacts};
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 use crate::handwritten;
 
@@ -143,8 +145,20 @@ pub const GRID_BUFFERS: &[&str] = &["next", "curr", "prev", "nbrs", "out"];
 /// [`GRID_BUFFERS`] beyond its own cell, derived from the kernel's static
 /// access footprints (`lift::footprint`). Errs when any grid-buffer site
 /// has no per-axis footprint — such a kernel must not be sharded.
+///
+/// The proof is a function of the kernel text and its contract alone, and
+/// every sharded sim asks for it at construction, so it is made once per
+/// process per (kernel, contract).
 pub fn grid_halo(kernel: &Kernel, asm: &Assumptions) -> Result<(usize, usize), String> {
-    lift::verify::verify_kernel(kernel, asm).footprints.required_halo(GRID_BUFFERS, 2)
+    type Proofs = Mutex<HashMap<String, Result<(usize, usize), String>>>;
+    static PROVEN: OnceLock<Proofs> = OnceLock::new();
+    let proofs = PROVEN.get_or_init(Default::default);
+    let key = format!("{kernel:?}{asm:?}");
+    if let Some(known) = proofs.lock().expect("no panic under this lock").get(&key) {
+        return known.clone();
+    }
+    let proof = lift::verify::verify_kernel(kernel, asm).footprints.required_halo(GRID_BUFFERS, 2);
+    proofs.lock().expect("no panic under this lock").entry(key).or_insert(proof).clone()
 }
 
 /// Shard-time gate: proves `kernel`'s z-reach and checks it against the

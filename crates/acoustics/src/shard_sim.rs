@@ -546,7 +546,9 @@ impl ShardedSim {
 
     /// Pressure at a point.
     pub fn sample(&self, x: usize, y: usize, z: usize) -> f64 {
-        self.read_curr()[self.setup.dims().idx(x, y, z)]
+        let d = self.owner_of_plane(z);
+        let local = self.part.to_local(d, self.plane, self.setup.dims().idx(x, y, z));
+        self.devices[d].read_region(self.slabs[d].curr, local, 1).get(0).as_f64()
     }
 
     /// Field energy proxy (see [`field_energy`]).

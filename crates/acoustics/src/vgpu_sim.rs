@@ -352,7 +352,7 @@ impl HandwrittenSim {
     /// Pressure at a point.
     pub fn sample(&self, x: usize, y: usize, z: usize) -> f64 {
         let idx = self.setup.dims().idx(x, y, z);
-        self.device.read(self.curr).get(idx).as_f64()
+        self.device.read_region(self.curr, idx, 1).get(0).as_f64()
     }
 
     /// Field energy proxy (see [`field_energy`]).

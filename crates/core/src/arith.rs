@@ -13,6 +13,7 @@
 //! system — it only needs to keep index expressions compact and to prove the
 //! simple equalities the allocator relies on (e.g. `N * 1 == N`).
 
+use crate::scalar::BinOp;
 use std::collections::BTreeMap;
 use std::fmt;
 // `Arc`, not `Rc`: expressions travel inside `verify::Assumptions` values
@@ -26,7 +27,7 @@ use std::sync::Arc as Rc;
 /// …) or the `std::ops` impls, which normalise as they build. `Cst`, `Var`
 /// and the composite nodes are immutable and cheaply clonable (shared
 /// pointers inside composite nodes).
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ArithExpr {
     /// Integer constant.
     Cst(i64),
@@ -336,9 +337,43 @@ impl ArithExpr {
         out
     }
 
+    /// The constant coefficient of a sum term: the constant itself, the
+    /// trailing constant factor of a product, else 1.
+    pub fn coeff(&self) -> i64 {
+        match self {
+            ArithExpr::Cst(c) => *c,
+            ArithExpr::Prod(fs) => match fs.last() {
+                Some(ArithExpr::Cst(c)) => *c,
+                _ => 1,
+            },
+            _ => 1,
+        }
+    }
+
+    /// True if the variable `name` occurs in the expression.
+    pub fn mentions(&self, name: &str) -> bool {
+        match self {
+            ArithExpr::Cst(_) => false,
+            ArithExpr::Var(n) => &**n == name,
+            ArithExpr::Sum(ts) | ArithExpr::Prod(ts) => ts.iter().any(|t| t.mentions(name)),
+            ArithExpr::Div(a, b)
+            | ArithExpr::Mod(a, b)
+            | ArithExpr::Min(a, b)
+            | ArithExpr::Max(a, b) => a.mentions(name) || b.mentions(name),
+        }
+    }
+
     /// True if the expression contains no variables.
     pub fn is_const(&self) -> bool {
-        self.as_cst().is_some() || self.free_vars().is_empty()
+        match self {
+            ArithExpr::Cst(_) => true,
+            ArithExpr::Var(_) => false,
+            ArithExpr::Sum(ts) | ArithExpr::Prod(ts) => ts.iter().all(|t| t.is_const()),
+            ArithExpr::Div(a, b)
+            | ArithExpr::Mod(a, b)
+            | ArithExpr::Min(a, b)
+            | ArithExpr::Max(a, b) => a.is_const() && b.is_const(),
+        }
     }
 }
 
@@ -622,31 +657,21 @@ impl RangeEnv {
             ArithExpr::Sum(ts) => ts.iter().collect(),
             other => vec![other],
         };
-        fn coeff(t: &ArithExpr) -> i64 {
-            match t {
-                ArithExpr::Cst(c) => *c,
-                ArithExpr::Prod(fs) => match fs.last() {
-                    Some(ArithExpr::Cst(c)) => *c,
-                    _ => 1,
-                },
-                _ => 1,
-            }
-        }
         for v in e.free_vars() {
             if applied.contains(&v) {
                 continue;
             }
             let Some(r) = self.ranges.get(&v) else { continue };
-            let neg = terms.iter().any(|t| coeff(t) < 0 && t.free_vars().contains(&v));
+            let neg = terms.iter().any(|t| t.coeff() < 0 && t.mentions(&v));
             if neg {
                 if let Some(hi) = &r.hi {
-                    if !hi.free_vars().contains(&v) {
+                    if !hi.mentions(&v) {
                         return Some((v, true));
                     }
                 }
             }
             if let Some(lo) = &r.lo {
-                if lo != &ArithExpr::Cst(0) && !lo.free_vars().contains(&v) {
+                if lo != &ArithExpr::Cst(0) && !lo.mentions(&v) {
                     return Some((v, false));
                 }
             }
@@ -704,6 +729,71 @@ impl RangeEnv {
             _ => None,
         };
         SymRange { lo, hi }
+    }
+
+    /// Records what `a op b` (under `truth`) implies: an interval update
+    /// for every variable accepted by `refinable` that occurs affinely with
+    /// coefficient ±1 in `a − b`. Conservative: facts that can't be turned
+    /// into single-variable interval updates are dropped.
+    pub fn assume(
+        &mut self,
+        op: BinOp,
+        truth: bool,
+        a: &ArithExpr,
+        b: &ArithExpr,
+        refinable: &dyn Fn(&str) -> bool,
+    ) {
+        // Normalize to constraints over d = a − b.
+        let d = expand(&(a.clone() - b.clone()));
+        // `le`: an offset o with d + o ≤ 0; `ge`: an offset o with d − o ≥ 0.
+        let (le, ge): (Option<i64>, Option<i64>) = match (op, truth) {
+            (BinOp::Lt, true) => (Some(1), None),    // a ≤ b − 1
+            (BinOp::Lt, false) => (None, Some(0)),   // a ≥ b
+            (BinOp::Le, true) => (Some(0), None),    // a ≤ b
+            (BinOp::Le, false) => (None, Some(1)),   // a ≥ b + 1
+            (BinOp::Gt, true) => (None, Some(1)),    // a ≥ b + 1
+            (BinOp::Gt, false) => (Some(0), None),   // a ≤ b
+            (BinOp::Ge, true) => (None, Some(0)),    // a ≥ b
+            (BinOp::Ge, false) => (Some(1), None),   // a ≤ b − 1
+            (BinOp::Eq, true) => (Some(0), Some(0)), // a == b
+            _ => (None, None),
+        };
+        for v in d.free_vars() {
+            if !refinable(&v) {
+                continue;
+            }
+            // The net coefficient must be the constant ±1 (affine, unit
+            // stride); the residue after zeroing the variable must not
+            // mention it.
+            let c = expand(&(d.subst(&v, &ArithExpr::one()) - d.subst(&v, &ArithExpr::zero())));
+            let rest = d.subst(&v, &ArithExpr::zero());
+            let c = match c {
+                ArithExpr::Cst(c) if c == 1 || c == -1 => c,
+                _ => continue,
+            };
+            if rest.mentions(&v) {
+                continue;
+            }
+            let mut r = self.var_range(&v);
+            // The constraint is c·v + rest + o ≤ 0 and/or c·v + rest − o ≥ 0.
+            if let Some(off) = le {
+                let bound = ArithExpr::Cst(-off) - rest.clone();
+                r = if c == 1 {
+                    self.intersect(&r, &SymRange { lo: None, hi: Some(bound) })
+                } else {
+                    self.intersect(&r, &SymRange { lo: Some(ArithExpr::Cst(0) - bound), hi: None })
+                };
+            }
+            if let Some(off) = ge {
+                let bound = ArithExpr::Cst(off) - rest.clone();
+                r = if c == 1 {
+                    self.intersect(&r, &SymRange { lo: Some(bound), hi: None })
+                } else {
+                    self.intersect(&r, &SymRange { lo: None, hi: Some(ArithExpr::Cst(0) - bound) })
+                };
+            }
+            self.set_range(v, r);
+        }
     }
 
     fn mul_range(&self, a: &SymRange, b: &SymRange) -> SymRange {
@@ -840,12 +930,40 @@ impl RangeEnv {
     }
 }
 
+/// The order [`expand`] gives the factors of a product: symbols before the
+/// constant, by printed form (variables print as their names, so the
+/// common case compares without formatting).
+fn factor_order(a: &ArithExpr, b: &ArithExpr) -> std::cmp::Ordering {
+    a.is_const().cmp(&b.is_const()).then_with(|| match (a, b) {
+        (ArithExpr::Var(x), ArithExpr::Var(y)) => x.cmp(y),
+        _ => a.to_string().cmp(&b.to_string()),
+    })
+}
+
+/// True for what [`expand`] leaves unchanged: a constant, a variable, or a
+/// product of variables (and a trailing constant) already in
+/// [`factor_order`].
+fn is_expanded_term(t: &ArithExpr) -> bool {
+    match t {
+        ArithExpr::Cst(_) | ArithExpr::Var(_) => true,
+        ArithExpr::Prod(fs) => {
+            fs.iter().all(|f| matches!(f, ArithExpr::Cst(_) | ArithExpr::Var(_)))
+                && fs.windows(2).all(|w| factor_order(&w[0], &w[1]).is_le())
+        }
+        _ => false,
+    }
+}
+
 /// Fully distributes products over sums (recursively), so that the
 /// normalising `add` can cancel like terms across polynomial identities.
 /// `Div`/`Mod`/`Min`/`Max` stay opaque (their operands are expanded).
 pub fn expand(e: &ArithExpr) -> ArithExpr {
     match e {
         ArithExpr::Cst(_) | ArithExpr::Var(_) => e.clone(),
+        // Already a polynomial in normal form (the usual input: indices are
+        // re-expanded at every proof step).
+        ArithExpr::Sum(ts) if ts.iter().all(is_expanded_term) => e.clone(),
+        ArithExpr::Prod(_) if is_expanded_term(e) => e.clone(),
         ArithExpr::Sum(ts) => ArithExpr::add(ts.iter().map(expand).collect()),
         ArithExpr::Prod(fs) => {
             // Cross-multiply the terms of every (expanded) factor.
@@ -872,7 +990,7 @@ pub fn expand(e: &ArithExpr) -> ArithExpr {
                 .map(|t| {
                     if let ArithExpr::Prod(fs) = &t {
                         let mut fs = fs.to_vec();
-                        fs.sort_by_key(|f| (f.is_const(), format!("{f}")));
+                        fs.sort_by(factor_order);
                         ArithExpr::Prod(Rc::new(fs))
                     } else {
                         t

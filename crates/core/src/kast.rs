@@ -12,6 +12,7 @@
 //! [`ScalarKind::Real`], resolved against a concrete precision when the
 //! kernel is printed or executed.
 
+use crate::arith::ArithExpr;
 use crate::scalar::{BinOp, Intrinsic, Lit, UnOp};
 use crate::types::ScalarKind;
 use std::fmt;
@@ -108,6 +109,15 @@ pub enum KExpr {
     Cast(ScalarKind, Box<KExpr>),
 }
 
+/// [`KExpr::builtin_atom`] names by builtin and NDRange dimension.
+const BUILTIN_ATOMS: [[&str; 3]; 5] = [
+    ["%gid0", "%gid1", "%gid2"],
+    ["%gsz0", "%gsz1", "%gsz2"],
+    ["%lid0", "%lid1", "%lid2"],
+    ["%lsz0", "%lsz1", "%lsz2"],
+    ["%grp0", "%grp1", "%grp2"],
+];
+
 impl KExpr {
     /// i32 literal.
     pub fn int(v: i32) -> KExpr {
@@ -144,23 +154,103 @@ impl KExpr {
         KExpr::Cast(kind, Box::new(e))
     }
 
-    /// Converts a symbolic size/index expression into kernel code. Variables
-    /// become [`KExpr::Var`]s, which must be bound as scalar kernel
-    /// parameters or loop variables.
-    pub fn from_arith(a: &crate::arith::ArithExpr) -> KExpr {
-        use crate::arith::ArithExpr as A;
+    /// The variable a work-item builtin becomes inside an [`ArithExpr`]
+    /// (`%gid0`, `%lid0`, …). `%` cannot start a kernel identifier, so the
+    /// atoms never collide with parameters or locals; the static verifier
+    /// uses the same `%gid` spelling.
+    pub(crate) fn builtin_atom(&self) -> Option<&'static str> {
+        let (kind, d) = match self {
+            KExpr::GlobalId(d) => (0, d),
+            KExpr::GlobalSize(d) => (1, d),
+            KExpr::LocalId(d) => (2, d),
+            KExpr::LocalSize(d) => (3, d),
+            KExpr::GroupId(d) => (4, d),
+            _ => return None,
+        };
+        BUILTIN_ATOMS[kind].get(*d as usize).copied()
+    }
+
+    /// Inverse of [`KExpr::builtin_atom`].
+    fn from_builtin_atom(name: &str) -> Option<KExpr> {
+        let make =
+            [KExpr::GlobalId, KExpr::GlobalSize, KExpr::LocalId, KExpr::LocalSize, KExpr::GroupId];
+        BUILTIN_ATOMS
+            .iter()
+            .zip(make)
+            .find_map(|(names, make)| names.iter().position(|n| *n == name).map(|d| make(d as u8)))
+    }
+
+    /// Converts a symbolic size/index expression into kernel code in one
+    /// canonical shape, so equal expressions print (and compare) equal.
+    /// Variables become [`KExpr::Var`]s, which must be bound as scalar
+    /// kernel parameters or loop variables; `%` atoms become the work-item
+    /// builtins they stand for.
+    ///
+    /// Sums put work-item-dependent terms first (widest product first), then
+    /// size terms, then the constant, and subtract negative terms; products
+    /// put size factors first. Index expressions of one stencil therefore
+    /// share their linear base `(Nx·Ny)·z + Nx·y + x` and the plane stride
+    /// `Nx·Ny` as common left sub-trees.
+    pub fn from_arith(a: &ArithExpr) -> KExpr {
+        use ArithExpr as A;
+        fn has_atom(e: &A) -> bool {
+            match e {
+                A::Cst(_) => false,
+                A::Var(n) => n.starts_with('%'),
+                A::Sum(xs) | A::Prod(xs) => xs.iter().any(has_atom),
+                A::Div(x, y) | A::Mod(x, y) | A::Min(x, y) | A::Max(x, y) => {
+                    has_atom(x) || has_atom(y)
+                }
+            }
+        }
+        // (is negative, magnitude) of a sum term.
+        fn split_sign(t: &A) -> (bool, A) {
+            if t.coeff() < 0 {
+                (true, A::zero() - t.clone())
+            } else {
+                (false, t.clone())
+            }
+        }
         match a {
             A::Cst(v) => KExpr::int(*v as i32),
-            A::Var(n) => KExpr::var(&**n),
+            A::Var(n) => KExpr::from_builtin_atom(n).unwrap_or_else(|| KExpr::var(&**n)),
             A::Sum(ts) => {
-                let mut it = ts.iter();
-                let first = KExpr::from_arith(it.next().expect("non-empty sum"));
-                it.fold(first, |acc, t| KExpr::bin(BinOp::Add, acc, KExpr::from_arith(t)))
+                let mut terms: Vec<(bool, A)> = ts.iter().map(split_sign).collect();
+                terms.sort_by_cached_key(|(neg, t)| {
+                    let class = if t.as_cst().is_some() { 2 } else { !has_atom(t) as u8 };
+                    let width = if let A::Prod(fs) = t { fs.len() } else { 1 };
+                    (*neg, class, std::cmp::Reverse(width), t.clone())
+                });
+                let mut it = terms.iter();
+                let (neg, first) = it.next().expect("non-empty sum");
+                let first = KExpr::from_arith(first);
+                let first = if *neg { -first } else { first };
+                it.fold(first, |acc, (neg, t)| {
+                    KExpr::bin(
+                        if *neg { BinOp::Sub } else { BinOp::Add },
+                        acc,
+                        KExpr::from_arith(t),
+                    )
+                })
             }
-            A::Prod(fs) => {
-                let mut it = fs.iter();
-                let first = KExpr::from_arith(it.next().expect("non-empty product"));
-                it.fold(first, |acc, t| KExpr::bin(BinOp::Mul, acc, KExpr::from_arith(t)))
+            A::Prod(_) => {
+                let (neg, mag) = split_sign(a);
+                let prod = match &mag {
+                    A::Prod(fs) => {
+                        let mut fs = fs.to_vec();
+                        fs.sort_by_cached_key(|f| (f.as_cst().is_some(), has_atom(f), f.clone()));
+                        fs.iter()
+                            .map(KExpr::from_arith)
+                            .reduce(|acc, f| KExpr::bin(BinOp::Mul, acc, f))
+                            .expect("non-empty product")
+                    }
+                    other => KExpr::from_arith(other),
+                };
+                if neg {
+                    -prod
+                } else {
+                    prod
+                }
             }
             A::Div(x, y) => KExpr::bin(BinOp::Div, KExpr::from_arith(x), KExpr::from_arith(y)),
             A::Mod(x, y) => KExpr::bin(BinOp::Rem, KExpr::from_arith(x), KExpr::from_arith(y)),
@@ -170,6 +260,52 @@ impl KExpr {
             A::Max(x, y) => {
                 KExpr::Call(Intrinsic::Max, vec![KExpr::from_arith(x), KExpr::from_arith(y)])
             }
+        }
+    }
+
+    /// Rebuilds the expression bottom-up: `f` sees every node after its
+    /// children were rebuilt, left to right.
+    pub fn rewrite(&self, f: &mut dyn FnMut(KExpr) -> KExpr) -> KExpr {
+        let node = match self {
+            KExpr::Lit(_)
+            | KExpr::Var(_)
+            | KExpr::GlobalId(_)
+            | KExpr::GlobalSize(_)
+            | KExpr::LocalId(_)
+            | KExpr::LocalSize(_)
+            | KExpr::GroupId(_) => self.clone(),
+            KExpr::Load { mem, idx } => KExpr::load(mem.clone(), idx.rewrite(f)),
+            KExpr::Bin(op, a, b) => KExpr::bin(*op, a.rewrite(f), b.rewrite(f)),
+            KExpr::Un(op, a) => KExpr::Un(*op, Box::new(a.rewrite(f))),
+            KExpr::Select(c, t, e) => KExpr::select(c.rewrite(f), t.rewrite(f), e.rewrite(f)),
+            KExpr::Call(i, args) => KExpr::Call(*i, args.iter().map(|a| a.rewrite(f)).collect()),
+            KExpr::Cast(k, a) => KExpr::cast(*k, a.rewrite(f)),
+        };
+        f(node)
+    }
+
+    /// Calls `f` on this node and every sub-expression, parents first.
+    pub fn visit(&self, f: &mut dyn FnMut(&KExpr)) {
+        f(self);
+        match self {
+            KExpr::Lit(_)
+            | KExpr::Var(_)
+            | KExpr::GlobalId(_)
+            | KExpr::GlobalSize(_)
+            | KExpr::LocalId(_)
+            | KExpr::LocalSize(_)
+            | KExpr::GroupId(_) => {}
+            KExpr::Load { idx: a, .. } | KExpr::Un(_, a) | KExpr::Cast(_, a) => a.visit(f),
+            KExpr::Bin(_, a, b) => {
+                a.visit(f);
+                b.visit(f);
+            }
+            KExpr::Select(c, t, e) => {
+                c.visit(f);
+                t.visit(f);
+                e.visit(f);
+            }
+            KExpr::Call(_, args) => args.iter().for_each(|a| a.visit(f)),
         }
     }
 }
@@ -290,6 +426,71 @@ impl KStmt {
     pub fn return_if(cond: KExpr) -> KStmt {
         KStmt::If { cond, then_: vec![KStmt::Return], else_: vec![] }
     }
+
+    /// True for the guard idiom `if (cond) return;`.
+    pub fn is_return_guard(&self) -> bool {
+        matches!(self, KStmt::If { then_, else_, .. }
+            if else_.is_empty() && matches!(then_.as_slice(), [KStmt::Return]))
+    }
+
+    /// Rebuilds the statement, nested blocks included, with `f` applied to
+    /// every expression it holds (in evaluation order).
+    pub fn map_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a KExpr) -> KExpr) -> KStmt {
+        let block = |b: &'a [KStmt], f: &mut dyn FnMut(&'a KExpr) -> KExpr| -> Vec<KStmt> {
+            b.iter().map(|s| s.map_exprs(f)).collect()
+        };
+        match self {
+            KStmt::DeclScalar { name, kind, init } => {
+                KStmt::DeclScalar { name: name.clone(), kind: *kind, init: init.as_ref().map(f) }
+            }
+            KStmt::DeclPrivArray { name, kind, len } => {
+                KStmt::DeclPrivArray { name: name.clone(), kind: *kind, len: f(len) }
+            }
+            KStmt::DeclLocalArray { name, kind, len } => {
+                KStmt::DeclLocalArray { name: name.clone(), kind: *kind, len: f(len) }
+            }
+            KStmt::Assign { name, value } => KStmt::Assign { name: name.clone(), value: f(value) },
+            KStmt::Store { mem, idx, value } => {
+                let idx = f(idx);
+                KStmt::Store { mem: mem.clone(), idx, value: f(value) }
+            }
+            KStmt::For { var, begin, end, step, body } => {
+                let (begin, end, step) = (f(begin), f(end), f(step));
+                KStmt::For { var: var.clone(), begin, end, step, body: block(body, f) }
+            }
+            KStmt::If { cond, then_, else_ } => {
+                let cond = f(cond);
+                let then_ = block(then_, f);
+                KStmt::If { cond, then_, else_: block(else_, f) }
+            }
+            KStmt::Barrier | KStmt::Return | KStmt::Comment(_) => self.clone(),
+        }
+    }
+
+    /// Calls `f` on every expression the statement holds, nested blocks
+    /// included (in evaluation order).
+    pub fn for_each_expr<'a>(&'a self, f: &mut dyn FnMut(&'a KExpr)) {
+        match self {
+            KStmt::DeclScalar { init, .. } => init.iter().for_each(f),
+            KStmt::DeclPrivArray { len, .. } | KStmt::DeclLocalArray { len, .. } => f(len),
+            KStmt::Assign { value, .. } => f(value),
+            KStmt::Store { idx, value, .. } => {
+                f(idx);
+                f(value);
+            }
+            KStmt::For { begin, end, step, body, .. } => {
+                f(begin);
+                f(end);
+                f(step);
+                body.iter().for_each(|s| s.for_each_expr(f));
+            }
+            KStmt::If { cond, then_, else_ } => {
+                f(cond);
+                then_.iter().chain(else_).for_each(|s| s.for_each_expr(f));
+            }
+            KStmt::Barrier | KStmt::Return | KStmt::Comment(_) => {}
+        }
+    }
 }
 
 /// A complete kernel.
@@ -313,67 +514,32 @@ impl Kernel {
 
     /// Returns a copy with all `Real` scalar kinds resolved to `real`.
     pub fn resolve_real(&self, real: ScalarKind) -> Kernel {
-        fn rx(e: &KExpr, real: ScalarKind) -> KExpr {
-            match e {
+        fn resolve_decls(body: &mut [KStmt], real: ScalarKind) {
+            for s in body {
+                match s {
+                    KStmt::DeclScalar { kind, .. }
+                    | KStmt::DeclPrivArray { kind, .. }
+                    | KStmt::DeclLocalArray { kind, .. } => *kind = kind.resolve_real(real),
+                    KStmt::For { body, .. } => resolve_decls(body, real),
+                    KStmt::If { then_, else_, .. } => {
+                        resolve_decls(then_, real);
+                        resolve_decls(else_, real);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut rx = |e: &KExpr| {
+            e.rewrite(&mut |n| match n {
                 KExpr::Lit(l) => {
                     KExpr::Lit(Lit { value: l.value, kind: l.kind.resolve_real(real) })
                 }
-                KExpr::Var(_)
-                | KExpr::GlobalId(_)
-                | KExpr::GlobalSize(_)
-                | KExpr::LocalId(_)
-                | KExpr::LocalSize(_)
-                | KExpr::GroupId(_) => e.clone(),
-                KExpr::Load { mem, idx } => {
-                    KExpr::Load { mem: mem.clone(), idx: Box::new(rx(idx, real)) }
-                }
-                KExpr::Bin(op, a, b) => KExpr::bin(*op, rx(a, real), rx(b, real)),
-                KExpr::Un(op, a) => KExpr::Un(*op, Box::new(rx(a, real))),
-                KExpr::Select(c, t, f) => KExpr::select(rx(c, real), rx(t, real), rx(f, real)),
-                KExpr::Call(i, args) => KExpr::Call(*i, args.iter().map(|a| rx(a, real)).collect()),
-                KExpr::Cast(k, a) => KExpr::Cast(k.resolve_real(real), Box::new(rx(a, real))),
-            }
-        }
-        fn rs(s: &KStmt, real: ScalarKind) -> KStmt {
-            match s {
-                KStmt::DeclScalar { name, kind, init } => KStmt::DeclScalar {
-                    name: name.clone(),
-                    kind: kind.resolve_real(real),
-                    init: init.as_ref().map(|e| rx(e, real)),
-                },
-                KStmt::DeclPrivArray { name, kind, len } => KStmt::DeclPrivArray {
-                    name: name.clone(),
-                    kind: kind.resolve_real(real),
-                    len: rx(len, real),
-                },
-                KStmt::DeclLocalArray { name, kind, len } => KStmt::DeclLocalArray {
-                    name: name.clone(),
-                    kind: kind.resolve_real(real),
-                    len: rx(len, real),
-                },
-                KStmt::Barrier => KStmt::Barrier,
-                KStmt::Assign { name, value } => {
-                    KStmt::Assign { name: name.clone(), value: rx(value, real) }
-                }
-                KStmt::Store { mem, idx, value } => {
-                    KStmt::Store { mem: mem.clone(), idx: rx(idx, real), value: rx(value, real) }
-                }
-                KStmt::For { var, begin, end, step, body } => KStmt::For {
-                    var: var.clone(),
-                    begin: rx(begin, real),
-                    end: rx(end, real),
-                    step: rx(step, real),
-                    body: body.iter().map(|s| rs(s, real)).collect(),
-                },
-                KStmt::If { cond, then_, else_ } => KStmt::If {
-                    cond: rx(cond, real),
-                    then_: then_.iter().map(|s| rs(s, real)).collect(),
-                    else_: else_.iter().map(|s| rs(s, real)).collect(),
-                },
-                KStmt::Return => KStmt::Return,
-                KStmt::Comment(c) => KStmt::Comment(c.clone()),
-            }
-        }
+                KExpr::Cast(k, a) => KExpr::Cast(k.resolve_real(real), a),
+                other => other,
+            })
+        };
+        let mut body: Vec<KStmt> = self.body.iter().map(|s| s.map_exprs(&mut rx)).collect();
+        resolve_decls(&mut body, real);
         Kernel {
             name: self.name.clone(),
             params: self
@@ -381,7 +547,7 @@ impl Kernel {
                 .iter()
                 .map(|p| KernelParam { kind: p.kind.resolve_real(real), ..p.clone() })
                 .collect(),
-            body: self.body.iter().map(|s| rs(s, real)).collect(),
+            body,
             work_dim: self.work_dim,
         }
     }
@@ -396,79 +562,22 @@ impl Kernel {
     /// substitution is uniform — guards comparing `get_global_id(dim)`
     /// against a size scalar shift with it, so callers must bind that
     /// scalar to the *local* extent (owned planes + halo).
+    ///
+    /// `offset` must not be negative: generated kernels are simplified
+    /// under `get_global_id(dim) ≥ 0` (see [`crate::simplify`]), which the
+    /// shifted id `get_global_id(dim) + offset` keeps satisfying only then.
     pub fn shift_gid(&self, dim: u8, offset: i32, suffix: &str) -> Kernel {
-        fn sx(e: &KExpr, dim: u8, offset: i32) -> KExpr {
-            match e {
-                KExpr::GlobalId(d) if *d == dim => {
-                    KExpr::bin(BinOp::Add, KExpr::GlobalId(dim), KExpr::int(offset))
-                }
-                KExpr::Lit(_)
-                | KExpr::Var(_)
-                | KExpr::GlobalId(_)
-                | KExpr::GlobalSize(_)
-                | KExpr::LocalId(_)
-                | KExpr::LocalSize(_)
-                | KExpr::GroupId(_) => e.clone(),
-                KExpr::Load { mem, idx } => {
-                    KExpr::Load { mem: mem.clone(), idx: Box::new(sx(idx, dim, offset)) }
-                }
-                KExpr::Bin(op, a, b) => KExpr::bin(*op, sx(a, dim, offset), sx(b, dim, offset)),
-                KExpr::Un(op, a) => KExpr::Un(*op, Box::new(sx(a, dim, offset))),
-                KExpr::Select(c, t, f) => {
-                    KExpr::select(sx(c, dim, offset), sx(t, dim, offset), sx(f, dim, offset))
-                }
-                KExpr::Call(i, args) => {
-                    KExpr::Call(*i, args.iter().map(|a| sx(a, dim, offset)).collect())
-                }
-                KExpr::Cast(k, a) => KExpr::Cast(*k, Box::new(sx(a, dim, offset))),
-            }
-        }
-        fn ss(s: &KStmt, dim: u8, offset: i32) -> KStmt {
-            match s {
-                KStmt::DeclScalar { name, kind, init } => KStmt::DeclScalar {
-                    name: name.clone(),
-                    kind: *kind,
-                    init: init.as_ref().map(|e| sx(e, dim, offset)),
-                },
-                KStmt::DeclPrivArray { name, kind, len } => KStmt::DeclPrivArray {
-                    name: name.clone(),
-                    kind: *kind,
-                    len: sx(len, dim, offset),
-                },
-                KStmt::DeclLocalArray { name, kind, len } => KStmt::DeclLocalArray {
-                    name: name.clone(),
-                    kind: *kind,
-                    len: sx(len, dim, offset),
-                },
-                KStmt::Barrier => KStmt::Barrier,
-                KStmt::Assign { name, value } => {
-                    KStmt::Assign { name: name.clone(), value: sx(value, dim, offset) }
-                }
-                KStmt::Store { mem, idx, value } => KStmt::Store {
-                    mem: mem.clone(),
-                    idx: sx(idx, dim, offset),
-                    value: sx(value, dim, offset),
-                },
-                KStmt::For { var, begin, end, step, body } => KStmt::For {
-                    var: var.clone(),
-                    begin: sx(begin, dim, offset),
-                    end: sx(end, dim, offset),
-                    step: sx(step, dim, offset),
-                    body: body.iter().map(|s| ss(s, dim, offset)).collect(),
-                },
-                KStmt::If { cond, then_, else_ } => KStmt::If {
-                    cond: sx(cond, dim, offset),
-                    then_: then_.iter().map(|s| ss(s, dim, offset)).collect(),
-                    else_: else_.iter().map(|s| ss(s, dim, offset)).collect(),
-                },
-                KStmt::Return => KStmt::Return,
-                KStmt::Comment(c) => KStmt::Comment(c.clone()),
-            }
-        }
+        assert!(offset >= 0, "shift_gid: a negative offset would break the id ≥ 0 fact");
+        let mut sx = |e: &KExpr| {
+            e.rewrite(&mut |n| match n {
+                KExpr::GlobalId(d) if d == dim => KExpr::GlobalId(dim) + KExpr::int(offset),
+                other => other,
+            })
+        };
         Kernel {
             name: format!("{}{suffix}", self.name),
             params: self.params.clone(),
-            body: self.body.iter().map(|s| ss(s, dim, offset)).collect(),
+            body: self.body.iter().map(|s| s.map_exprs(&mut sx)).collect(),
             work_dim: self.work_dim,
         }
     }

@@ -57,6 +57,7 @@ pub mod memory;
 pub mod opencl;
 pub mod rewrite;
 pub mod scalar;
+pub mod simplify;
 pub mod typecheck;
 pub mod types;
 pub mod verify;

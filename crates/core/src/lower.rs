@@ -19,9 +19,10 @@ use crate::ir::{ExprKind, ExprRef, Lambda, MapKind, ParamDef, ParamId};
 use crate::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use crate::memory::{self, MemError, NameGen, OutputPlan};
 use crate::scalar::{BinOp, SExpr, UserFun};
+use crate::simplify::simplify_kernel;
 use crate::typecheck::{check, TypeError, Typed};
 use crate::types::{ScalarKind, Type};
-use crate::view::{kadd, View, ViewError};
+use crate::view::{View, ViewError};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -469,7 +470,7 @@ impl<'a> Ctx<'a> {
                 for p in parts {
                     if let ExprKind::Skip { len, .. } = &p.kind {
                         let l = self.gen_scalar(len, out)?;
-                        offset = kadd(offset, l);
+                        offset = offset + l;
                         continue;
                     }
                     let pv = View::Gather {
@@ -482,7 +483,7 @@ impl<'a> Ctx<'a> {
                         Type::Array(_, n) => n.clone(),
                         other => return err(format!("concat part is not an array: {other}")),
                     };
-                    offset = kadd(offset, KExpr::from_arith(&n));
+                    offset = offset + KExpr::from_arith(&n);
                 }
                 Ok(())
             }
@@ -749,7 +750,34 @@ fn size_vars_of_type(t: &Type, out: &mut Vec<String>) {
 /// `params` are the program inputs (buffers and scalars); `body` must be a
 /// parallel `map`/`map3`, optionally wrapped in `WriteTo` and `let`s.
 /// `real` resolves the precision-generic `Real` scalar kind.
+///
+/// The collapsed views are simplified before the kernel is returned
+/// ([`crate::simplify`]): every consumer — the OpenCL printer, the static
+/// verifier, the virtual device — sees the simplified form only.
 pub fn lower_kernel(
+    name: &str,
+    params: &[Rc<ParamDef>],
+    body: &ExprRef,
+    real: ScalarKind,
+) -> Result<LoweredKernel, LowerError> {
+    let mut lowered = lower_kernel_raw(name, params, body, real)?;
+    let size_vars: Vec<String> = lowered
+        .args
+        .iter()
+        .filter_map(|a| match a {
+            ArgSpec::Size(v) => Some(v.clone()),
+            _ => None,
+        })
+        .collect();
+    lowered.kernel = simplify_kernel(&lowered.kernel, &size_vars);
+    Ok(lowered)
+}
+
+/// [`lower_kernel`] without its final simplification: the collapsed views
+/// exactly as the view system emits them. Exposed as the input of the
+/// simplifier's equivalence tests; nothing executes or prints this form.
+#[doc(hidden)]
+pub fn lower_kernel_raw(
     name: &str,
     params: &[Rc<ParamDef>],
     body: &ExprRef,

@@ -1,0 +1,520 @@
+//! Range-aware index and guard simplification — the last step of lowering.
+//!
+//! Views collapse into index arithmetic and pad guards mechanically, so a
+//! freshly lowered stencil reads `curr[((gid2+1)-1)*(Nx*Ny) + …]` behind
+//! `(gid2+1) < 1 || (gid2+1) >= 1+Nz || …`. LIFT proper makes views
+//! zero-cost by simplifying that arithmetic with range information
+//! (Steuwer et al., *Patterns and Rewrite Rules for Systematic Code
+//! Generation*); this pass does the same over the kernel AST with the
+//! prover the static verifier already uses ([`RangeEnv`]):
+//!
+//! 1. every integer sub-expression is canonicalised through [`ArithExpr`]
+//!    and printed back in one shape ([`KExpr::from_arith`]);
+//! 2. integer comparisons are decided against range facts; decided
+//!    operands fold out of `||`/`&&` chains and a select whose condition
+//!    is decided becomes the live arm;
+//! 3. integer sub-expressions over work-item ids and size parameters that
+//!    occur more than once are hoisted into `int` declarations after the
+//!    NDRange guards.
+//!
+//! # Facts
+//!
+//! Only what the kernel text itself licenses: `get_global_id(d) ≥ 0`; the
+//! negation of every early-return guard (`if (gid(d) >= N) return;`) for
+//! the rest of its block; and `≥ 1` for the size parameters the caller
+//! names (array extents — no work-item runs over an empty one). Index
+//! arithmetic is treated as exact integers, the assumption
+//! [`crate::verify`] documents.
+//!
+//! Every fact about `get_global_id(d)` holds for all ids in `[0, N)`, so a
+//! simplified kernel stays correct under the uniform substitution
+//! `gid(d) → gid(d) + o`, `o ≥ 0` ([`Kernel::shift_gid`]): past the
+//! shifted guard the shifted id lies in that same interval.
+//!
+//! # What never changes
+//!
+//! Loads and stores are neither added, dropped, duplicated nor reordered,
+//! so access-site numbering is that of the input. Floating-point
+//! expressions are not touched. Hoisted names come from a counter.
+
+use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
+use crate::kast::{KExpr, KStmt, Kernel, MemRef};
+use crate::scalar::{BinOp, Intrinsic, Lit, UnOp};
+use crate::types::ScalarKind;
+use crate::verify::is_gid_atom;
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
+
+/// Simplifies `kernel`; `size_vars` names the scalar parameters that are
+/// array extents (assumed `≥ 1`). See the module docs.
+pub fn simplify_kernel(kernel: &Kernel, size_vars: &[String]) -> Kernel {
+    let mut env = RangeEnv::new();
+    for v in size_vars {
+        env.set_range(v.clone(), SymRange::at_least(ArithExpr::one()));
+    }
+    for d in 0..kernel.work_dim {
+        let gid = KExpr::GlobalId(d).builtin_atom().expect("builtin");
+        env.set_range(gid, SymRange::at_least(ArithExpr::zero()));
+    }
+    let int_params: BTreeSet<String> = kernel
+        .params
+        .iter()
+        .filter(|p| !p.is_buffer && p.kind == ScalarKind::I32)
+        .map(|p| p.name.clone())
+        .collect();
+    let ints = int_params.clone();
+    let mut cx = Cx { kernel, env, ints, int_arrays: BTreeSet::new(), compared: Vec::new() };
+    let mut body = cx.block(&kernel.body);
+    hoist(kernel, &int_params, &mut body);
+    Kernel {
+        name: kernel.name.clone(),
+        params: kernel.params.clone(),
+        body,
+        work_dim: kernel.work_dim,
+    }
+}
+
+fn bool_lit(v: bool) -> KExpr {
+    KExpr::Lit(Lit { value: v as i32 as f64, kind: ScalarKind::Bool })
+}
+
+fn as_bool(e: &KExpr) -> Option<bool> {
+    match e {
+        KExpr::Lit(l) if l.kind == ScalarKind::Bool => Some(l.value != 0.0),
+        _ => None,
+    }
+}
+
+fn is_cmp(op: BinOp) -> bool {
+    op.is_predicate() && !matches!(op, BinOp::And | BinOp::Or)
+}
+
+/// True when `e` evaluates to a boolean whatever its operands are, so it
+/// can stand in for the `||`/`&&` it was an operand of.
+fn is_pred(e: &KExpr) -> bool {
+    match e {
+        KExpr::Bin(op, ..) => op.is_predicate(),
+        KExpr::Un(UnOp::Not, _) => true,
+        _ => as_bool(e).is_some(),
+    }
+}
+
+fn has_load(e: &KExpr) -> bool {
+    let mut found = false;
+    e.visit(&mut |n| found |= matches!(n, KExpr::Load { .. }));
+    found
+}
+
+/// Placeholder variable of the `k`-th opaque operand of an integer
+/// expression (see [`Cx::arith`]).
+fn opaque_atom(k: usize) -> String {
+    format!("%op{k}")
+}
+
+/// Substitutes the opaque operands back into a rendered expression.
+/// `None` when rendering dropped, duplicated or reordered one of them —
+/// they may hold loads, whose sequence must not change.
+fn restore(rendered: KExpr, opaque: &[KExpr]) -> Option<KExpr> {
+    if opaque.is_empty() {
+        return Some(rendered);
+    }
+    let mut seen = Vec::with_capacity(opaque.len());
+    let out = rendered.rewrite(&mut |n| match &n {
+        KExpr::Var(v) => match v.strip_prefix("%op").and_then(|k| k.parse::<usize>().ok()) {
+            Some(k) => {
+                seen.push(k);
+                opaque[k].clone()
+            }
+            None => n,
+        },
+        _ => n,
+    });
+    seen.iter().copied().eq(0..opaque.len()).then_some(out)
+}
+
+struct Cx<'k> {
+    kernel: &'k Kernel,
+    env: RangeEnv,
+    /// `int` scalars in scope: parameters, declarations, loop variables
+    /// (lowered names are unique, so scopes never need popping).
+    ints: BTreeSet<String>,
+    /// Private/local arrays of `int` elements.
+    int_arrays: BTreeSet<String>,
+    /// Integer comparisons already simplified under the current facts (a
+    /// pad guard repeats the same few for every load).
+    compared: Vec<(&'k KExpr, KExpr)>,
+}
+
+impl<'k> Cx<'k> {
+    fn is_int(&self, e: &KExpr) -> bool {
+        match e {
+            KExpr::Lit(l) => l.kind == ScalarKind::I32,
+            KExpr::Var(n) => self.ints.contains(n),
+            KExpr::GlobalId(_)
+            | KExpr::GlobalSize(_)
+            | KExpr::LocalId(_)
+            | KExpr::LocalSize(_)
+            | KExpr::GroupId(_) => true,
+            KExpr::Load { mem, .. } => match mem {
+                MemRef::Param(i) => self.kernel.params[*i].kind == ScalarKind::I32,
+                MemRef::Priv(n) | MemRef::Local(n) => self.int_arrays.contains(n),
+            },
+            KExpr::Bin(BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem, a, b) => {
+                self.is_int(a) && self.is_int(b)
+            }
+            KExpr::Bin(..) | KExpr::Un(UnOp::Not, _) => false,
+            KExpr::Un(UnOp::Neg, a) => self.is_int(a),
+            KExpr::Select(_, t, f) => self.is_int(t) && self.is_int(f),
+            KExpr::Call(Intrinsic::Min | Intrinsic::Max, args) => {
+                args.iter().all(|a| self.is_int(a))
+            }
+            KExpr::Call(..) => false,
+            KExpr::Cast(k, _) => *k == ScalarKind::I32,
+        }
+    }
+
+    /// The symbolic value of the integer expression `e`. Operands that
+    /// are not integer arithmetic (loads, selects, casts from float,
+    /// divisions whose divisor is not provably positive) are simplified
+    /// on their own, pushed onto `opaque` and stand in as placeholder
+    /// variables.
+    fn arith(&mut self, e: &'k KExpr, opaque: &mut Vec<KExpr>) -> ArithExpr {
+        if let Some(atom) = e.builtin_atom() {
+            return ArithExpr::var(atom);
+        }
+        match e {
+            KExpr::Lit(l) => ArithExpr::Cst(l.value as i64),
+            KExpr::Var(n) => ArithExpr::var(n.as_str()),
+            KExpr::Bin(BinOp::Add, a, b) => self.arith(a, opaque) + self.arith(b, opaque),
+            KExpr::Bin(BinOp::Sub, a, b) => self.arith(a, opaque) - self.arith(b, opaque),
+            KExpr::Bin(BinOp::Mul, a, b) => self.arith(a, opaque) * self.arith(b, opaque),
+            KExpr::Bin(op @ (BinOp::Div | BinOp::Rem), a, b) => {
+                let mark = opaque.len();
+                let (x, y) = (self.arith(a, opaque), self.arith(b, opaque));
+                // The folds of `ArithExpr::div`/`rem` (`x / x`, `x % x`)
+                // need a non-zero divisor.
+                if self.env.prove_pos(&y) {
+                    return if *op == BinOp::Div { x / y } else { x % y };
+                }
+                opaque.truncate(mark);
+                self.opaque(e, opaque)
+            }
+            KExpr::Un(UnOp::Neg, a) => ArithExpr::zero() - self.arith(a, opaque),
+            KExpr::Call(Intrinsic::Min, args) => {
+                ArithExpr::min(self.arith(&args[0], opaque), self.arith(&args[1], opaque))
+            }
+            KExpr::Call(Intrinsic::Max, args) => {
+                ArithExpr::max(self.arith(&args[0], opaque), self.arith(&args[1], opaque))
+            }
+            KExpr::Cast(_, a) if self.is_int(a) => self.arith(a, opaque),
+            _ => self.opaque(e, opaque),
+        }
+    }
+
+    fn opaque(&mut self, e: &'k KExpr, opaque: &mut Vec<KExpr>) -> ArithExpr {
+        let simplified = self.descend(e);
+        opaque.push(simplified);
+        ArithExpr::var(opaque_atom(opaque.len() - 1))
+    }
+
+    fn expr(&mut self, e: &'k KExpr) -> KExpr {
+        let arithmetic =
+            matches!(e, KExpr::Bin(..) | KExpr::Un(..) | KExpr::Call(..) | KExpr::Cast(..));
+        if !arithmetic || !self.is_int(e) {
+            return self.descend(e);
+        }
+        let mut opaque = Vec::new();
+        let a = self.arith(e, &mut opaque);
+        restore(KExpr::from_arith(&expand(&a)), &opaque).unwrap_or_else(|| self.descend(e))
+    }
+
+    /// Simplifies the operands of `e` and folds decided conditions; `e`
+    /// itself is not integer arithmetic.
+    fn descend(&mut self, e: &'k KExpr) -> KExpr {
+        match e {
+            KExpr::Lit(_)
+            | KExpr::Var(_)
+            | KExpr::GlobalId(_)
+            | KExpr::GlobalSize(_)
+            | KExpr::LocalId(_)
+            | KExpr::LocalSize(_)
+            | KExpr::GroupId(_) => e.clone(),
+            KExpr::Load { mem, idx } => KExpr::load(mem.clone(), self.expr(idx)),
+            KExpr::Bin(op, a, b) if is_cmp(*op) && self.is_int(a) && self.is_int(b) => {
+                if let Some((_, done)) = self.compared.iter().find(|(seen, _)| *seen == e) {
+                    return done.clone();
+                }
+                let done = self.compare(*op, a, b);
+                self.compared.push((e, done.clone()));
+                done
+            }
+            KExpr::Bin(op @ (BinOp::And | BinOp::Or), a, b) => {
+                let (x, y) = (self.expr(a), self.expr(b));
+                // The operand that decides the chain on its own…
+                let absorbing = *op == BinOp::Or;
+                match (as_bool(&x), as_bool(&y)) {
+                    // …drops the other one, unless that would drop a load.
+                    (Some(v), _) if v == absorbing && !has_load(&y) => x,
+                    (_, Some(v)) if v == absorbing && !has_load(&x) => y,
+                    // The neutral literal drops out when a predicate remains.
+                    (Some(v), _) if v != absorbing && is_pred(&y) => y,
+                    (_, Some(v)) if v != absorbing && is_pred(&x) => x,
+                    _ => KExpr::bin(*op, x, y),
+                }
+            }
+            KExpr::Bin(op, a, b) => KExpr::bin(*op, self.expr(a), self.expr(b)),
+            KExpr::Un(UnOp::Not, a) => {
+                let x = self.expr(a);
+                as_bool(&x).map_or_else(|| KExpr::Un(UnOp::Not, Box::new(x)), |v| bool_lit(!v))
+            }
+            KExpr::Un(op, a) => KExpr::Un(*op, Box::new(self.expr(a))),
+            KExpr::Select(c, t, f) => {
+                let (c, t, f) = (self.expr(c), self.expr(t), self.expr(f));
+                match as_bool(&c) {
+                    Some(true) if !has_load(&f) => t,
+                    Some(false) if !has_load(&t) => f,
+                    _ => KExpr::select(c, t, f),
+                }
+            }
+            KExpr::Call(i, args) => KExpr::Call(*i, args.iter().map(|a| self.expr(a)).collect()),
+            KExpr::Cast(k, a) => KExpr::cast(*k, self.expr(a)),
+        }
+    }
+
+    /// `a op b` over integers: a literal when the facts decide it, else the
+    /// normal form with the positive terms of `a − b` on the left and the
+    /// negative ones on the right (`(gid0+2) >= (1+Nx)` → `gid0+1 >= Nx`).
+    fn compare(&mut self, op: BinOp, a: &'k KExpr, b: &'k KExpr) -> KExpr {
+        let mut opaque = Vec::new();
+        let d = expand(&(self.arith(a, &mut opaque) - self.arith(b, &mut opaque)));
+        if opaque.is_empty() {
+            if let Some(v) = self.decide(op, &d) {
+                return bool_lit(v);
+            }
+        }
+        let terms = match &d {
+            ArithExpr::Sum(ts) => ts.to_vec(),
+            other => vec![other.clone()],
+        };
+        let (neg, pos): (Vec<_>, Vec<_>) = terms.into_iter().partition(|t| t.coeff() < 0);
+        let rhs = ArithExpr::zero() - ArithExpr::add(neg);
+        let out = KExpr::bin(op, KExpr::from_arith(&ArithExpr::add(pos)), KExpr::from_arith(&rhs));
+        restore(out, &opaque).unwrap_or_else(|| KExpr::bin(op, self.expr(a), self.expr(b)))
+    }
+
+    /// Decides `d op 0` under the current facts. Guards are mostly false
+    /// (that is why they can go), so refutation is tried first.
+    fn decide(&self, op: BinOp, d: &ArithExpr) -> Option<bool> {
+        let env = &self.env;
+        let nonneg = || env.prove_nonneg(d);
+        let nonpos = || env.prove_nonneg(&(ArithExpr::zero() - d.clone()));
+        let pos = || env.prove_nonneg(&(d.clone() - ArithExpr::one()));
+        let neg = || env.prove_nonneg(&(ArithExpr::zero() - d.clone() - ArithExpr::one()));
+        let zero = || *d == ArithExpr::zero();
+        let nonzero = || pos() || neg();
+        let verdict = |no: &dyn Fn() -> bool, yes: &dyn Fn() -> bool| {
+            if no() {
+                Some(false)
+            } else {
+                yes().then_some(true)
+            }
+        };
+        match op {
+            BinOp::Lt => verdict(&nonneg, &neg),
+            BinOp::Le => verdict(&pos, &nonpos),
+            BinOp::Gt => verdict(&nonpos, &pos),
+            BinOp::Ge => verdict(&neg, &nonneg),
+            BinOp::Eq => verdict(&nonzero, &zero),
+            BinOp::Ne => verdict(&zero, &nonzero),
+            _ => None,
+        }
+    }
+
+    /// Records `!cond` for the rest of the current block: `cond` guarded
+    /// an early return. Only work-item ids take facts — they cannot be
+    /// reassigned.
+    fn assume_not(&mut self, cond: &'k KExpr) {
+        match cond {
+            KExpr::Bin(BinOp::Or, a, b) => {
+                self.assume_not(a);
+                self.assume_not(b);
+            }
+            KExpr::Bin(op, a, b) if is_cmp(*op) && self.is_int(a) && self.is_int(b) => {
+                let mut opaque = Vec::new();
+                let (x, y) = (self.arith(a, &mut opaque), self.arith(b, &mut opaque));
+                if opaque.is_empty() {
+                    self.env.assume(*op, false, &x, &y, &is_gid_atom);
+                    self.compared.clear();
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn block(&mut self, stmts: &'k [KStmt]) -> Vec<KStmt> {
+        // Early-return facts hold to the end of the block they are in.
+        let outer = self.env.clone();
+        let out = stmts.iter().map(|s| self.stmt(s)).collect();
+        self.env = outer;
+        self.compared.clear();
+        out
+    }
+
+    fn stmt(&mut self, s: &'k KStmt) -> KStmt {
+        match s {
+            KStmt::For { var, begin, end, step, body } => {
+                let (begin, end, step) = (self.expr(begin), self.expr(end), self.expr(step));
+                self.ints.insert(var.clone());
+                KStmt::For { var: var.clone(), begin, end, step, body: self.block(body) }
+            }
+            KStmt::If { cond, then_, else_ } => {
+                let out = KStmt::If {
+                    cond: self.expr(cond),
+                    then_: self.block(then_),
+                    else_: self.block(else_),
+                };
+                if out.is_return_guard() {
+                    self.assume_not(cond);
+                }
+                out
+            }
+            _ => {
+                // Lowered names are unique, so a declaration may enter the
+                // scope before its own initialiser is simplified.
+                match s {
+                    KStmt::DeclScalar { name, kind: ScalarKind::I32, .. } => {
+                        self.ints.insert(name.clone());
+                    }
+                    KStmt::DeclPrivArray { name, kind: ScalarKind::I32, .. }
+                    | KStmt::DeclLocalArray { name, kind: ScalarKind::I32, .. } => {
+                        self.int_arrays.insert(name.clone());
+                    }
+                    _ => {}
+                }
+                s.map_exprs(&mut |e| self.expr(e))
+            }
+        }
+    }
+}
+
+// ---- hoisting ----
+
+/// What [`scan`] learned about one hoistable sub-expression.
+struct Candidate<'e> {
+    expr: &'e KExpr,
+    count: usize,
+    /// Node count; larger candidates are hoisted first.
+    size: usize,
+    /// Discovery order, the deterministic tie-break.
+    order: usize,
+}
+
+fn hash_of(x: impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    x.hash(&mut h);
+    h.finish()
+}
+
+/// Walks `e` bottom-up and counts every hoistable operation in it: `+`,
+/// `-`, `*` over literals, work-item builtins and `uniform` scalars only
+/// (nothing that can trap or that is declared later). Returns the
+/// structural hash and node count of `e` when `e` itself is hoistable.
+fn scan<'e>(
+    e: &'e KExpr,
+    uniform: &BTreeSet<String>,
+    found: &mut HashMap<u64, Candidate<'e>>,
+) -> Option<(u64, usize)> {
+    match e {
+        KExpr::Lit(l) if l.kind == ScalarKind::I32 => Some((hash_of((0u8, l.value as i64)), 1)),
+        KExpr::Var(n) if uniform.contains(n) => Some((hash_of((1u8, n)), 1)),
+        KExpr::Lit(_) | KExpr::Var(_) => None,
+        KExpr::Bin(op, a, b) => {
+            let (ha, hb) = (scan(a, uniform, found), scan(b, uniform, found));
+            if !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul) {
+                return None;
+            }
+            let ((ha, sa), (hb, sb)) = (ha?, hb?);
+            let (hash, size) = (hash_of((2u8, op, ha, hb)), sa + sb + 1);
+            let order = found.len();
+            match found.entry(hash) {
+                Entry::Occupied(mut c) if c.get().expr == e => c.get_mut().count += 1,
+                // A hash collision: leave the newcomer uncounted.
+                Entry::Occupied(_) => {}
+                Entry::Vacant(v) => {
+                    v.insert(Candidate { expr: e, count: 1, size, order });
+                }
+            }
+            Some((hash, size))
+        }
+        KExpr::Load { idx: a, .. } | KExpr::Un(_, a) | KExpr::Cast(_, a) => {
+            scan(a, uniform, found);
+            None
+        }
+        KExpr::Select(c, t, f) => {
+            for x in [c, t, f] {
+                scan(x, uniform, found);
+            }
+            None
+        }
+        KExpr::Call(_, args) => {
+            for x in args {
+                scan(x, uniform, found);
+            }
+            None
+        }
+        _ => Some((hash_of((3u8, e.builtin_atom())), 1)),
+    }
+}
+
+/// Hoists repeated integer sub-expressions over work-item ids and scalar
+/// parameters into `int` declarations after the leading NDRange guards,
+/// largest first, so a stencil's loads share one linear base index.
+fn hoist(kernel: &Kernel, uniform: &BTreeSet<String>, body: &mut Vec<KStmt>) {
+    let at = body.iter().take_while(|s| s.is_return_guard()).count();
+    // Discovery order; a later declaration may occur inside an earlier
+    // one, never the other way round, so they are emitted reversed.
+    let mut decls: Vec<KStmt> = Vec::new();
+    let mut next = 0;
+    loop {
+        let mut found = HashMap::new();
+        for s in body[at..].iter().chain(&decls) {
+            s.for_each_expr(&mut |e| {
+                scan(e, uniform, &mut found);
+            });
+        }
+        let best = found
+            .values()
+            .filter(|c| c.count >= 2)
+            .max_by_key(|c| (c.size, std::cmp::Reverse(c.order)))
+            .map(|c| c.expr.clone());
+        let Some(best) = best else { break };
+        // `ix_<counter>`, skipping names the kernel already uses.
+        let name = loop {
+            let n = format!("ix_{next}");
+            next += 1;
+            if kernel.params.iter().all(|p| p.name != n) && !declares(body, &n) {
+                break n;
+            }
+        };
+        let mut replace =
+            |e: &KExpr| e.rewrite(&mut |n| if n == best { KExpr::var(name.as_str()) } else { n });
+        for s in body[at..].iter_mut().chain(&mut decls) {
+            *s = s.map_exprs(&mut replace);
+        }
+        decls.push(KStmt::DeclScalar { name, kind: ScalarKind::I32, init: Some(best) });
+    }
+    body.splice(at..at, decls.into_iter().rev());
+}
+
+/// True when `body` declares `name` (scalar, array or loop variable).
+fn declares(body: &[KStmt], name: &str) -> bool {
+    body.iter().any(|s| match s {
+        KStmt::DeclScalar { name: n, .. }
+        | KStmt::DeclPrivArray { name: n, .. }
+        | KStmt::DeclLocalArray { name: n, .. } => n == name,
+        KStmt::For { var, body, .. } => var == name || declares(body, name),
+        KStmt::If { then_, else_, .. } => declares(then_, name) || declares(else_, name),
+        _ => false,
+    })
+}

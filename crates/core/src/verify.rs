@@ -305,7 +305,7 @@ pub fn dedupe_races(races: Vec<RaceReport>) -> Vec<RaceReport> {
 // unify.
 
 fn gid_atom(d: u8) -> String {
-    format!("%gid{d}")
+    KExpr::GlobalId(d).builtin_atom().expect("NDRange dimension").to_string()
 }
 
 fn is_atom(name: &str) -> bool {
@@ -700,7 +700,7 @@ fn refine(cond: &KExpr, truth: bool, st: &mut St, out: &mut Out) {
             let sa = eval(a, st, out, false);
             let sb = eval(b, st, out, false);
             if let (Some(sa), Some(sb)) = (sa, sb) {
-                apply_rel(*op, truth, &sa, &sb, st);
+                st.renv.assume(*op, truth, &sa, &sb, &is_atom);
             }
         }
         _ => {}
@@ -728,61 +728,6 @@ fn interior_trigger(x: &KExpr, st: &mut St, out: &mut Out) -> bool {
     let arg = info.arg.clone();
     let lin = canonical_lin(&out.asm.interior_dims, out.asm);
     st.renv.prove_eq(&arg, &lin)
-}
-
-/// Turns `a REL b` (under `truth`) into interval updates for every atom
-/// occurring affinely with coefficient ±1 in `a − b`.
-fn apply_rel(op: BinOp, truth: bool, sa: &ArithExpr, sb: &ArithExpr, st: &mut St) {
-    // Normalize to constraints over d = a − b.
-    let d = expand(&(sa.clone() - sb.clone()));
-    // `le`: an offset o with d + o ≤ 0; `ge`: an offset o with d − o ≥ 0.
-    let (le, ge): (Option<i64>, Option<i64>) = match (op, truth) {
-        (BinOp::Lt, true) => (Some(1), None),    // a ≤ b − 1
-        (BinOp::Lt, false) => (None, Some(0)),   // a ≥ b
-        (BinOp::Le, true) => (Some(0), None),    // a ≤ b
-        (BinOp::Le, false) => (None, Some(1)),   // a ≥ b + 1
-        (BinOp::Gt, true) => (None, Some(1)),    // a ≥ b + 1
-        (BinOp::Gt, false) => (Some(0), None),   // a ≤ b
-        (BinOp::Ge, true) => (None, Some(0)),    // a ≥ b
-        (BinOp::Ge, false) => (Some(1), None),   // a ≤ b − 1
-        (BinOp::Eq, true) => (Some(0), Some(0)), // a == b
-        _ => (None, None),
-    };
-    for v in d.free_vars() {
-        if !is_atom(&v) {
-            continue;
-        }
-        // The net coefficient must be the constant ±1 (affine, unit
-        // stride); the residue after zeroing the atom must not mention it.
-        let c = expand(&(d.subst(&v, &ArithExpr::one()) - d.subst(&v, &ArithExpr::zero())));
-        let rest = d.subst(&v, &ArithExpr::zero());
-        let c = match c {
-            ArithExpr::Cst(c) if c == 1 || c == -1 => c,
-            _ => continue,
-        };
-        if rest.free_vars().contains(&v) {
-            continue;
-        }
-        let mut r = st.renv.var_range(&v);
-        // The constraint is c·v + rest + o ≤ 0 and/or c·v + rest − o ≥ 0.
-        if let Some(off) = le {
-            let bound = ArithExpr::Cst(-off) - rest.clone();
-            r = if c == 1 {
-                st.renv.intersect(&r, &SymRange { lo: None, hi: Some(bound) })
-            } else {
-                st.renv.intersect(&r, &SymRange { lo: Some(ArithExpr::Cst(0) - bound), hi: None })
-            };
-        }
-        if let Some(off) = ge {
-            let bound = ArithExpr::Cst(off) - rest.clone();
-            r = if c == 1 {
-                st.renv.intersect(&r, &SymRange { lo: Some(bound), hi: None })
-            } else {
-                st.renv.intersect(&r, &SymRange { lo: None, hi: Some(ArithExpr::Cst(0) - bound) })
-            };
-        }
-        st.renv.set_range(v, r);
-    }
 }
 
 // ---- statement traversal ----

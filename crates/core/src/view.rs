@@ -33,81 +33,6 @@ impl fmt::Display for ViewError {
 
 impl std::error::Error for ViewError {}
 
-/// Folds `a + b` over kernel expressions, simplifying literal zeros.
-pub fn kadd(a: KExpr, b: KExpr) -> KExpr {
-    match (&a, &b) {
-        (KExpr::Lit(x), KExpr::Lit(y))
-            if x.kind == ScalarKind::I32 && y.kind == ScalarKind::I32 =>
-        {
-            KExpr::int((x.value as i32) + (y.value as i32))
-        }
-        (KExpr::Lit(x), _) if x.value == 0.0 && x.kind == ScalarKind::I32 => b,
-        (_, KExpr::Lit(y)) if y.value == 0.0 && y.kind == ScalarKind::I32 => a,
-        _ => KExpr::bin(BinOp::Add, a, b),
-    }
-}
-
-/// Folds `a - b` over kernel expressions.
-pub fn ksub(a: KExpr, b: KExpr) -> KExpr {
-    match (&a, &b) {
-        (KExpr::Lit(x), KExpr::Lit(y))
-            if x.kind == ScalarKind::I32 && y.kind == ScalarKind::I32 =>
-        {
-            KExpr::int((x.value as i32) - (y.value as i32))
-        }
-        (_, KExpr::Lit(y)) if y.value == 0.0 && y.kind == ScalarKind::I32 => a,
-        _ => KExpr::bin(BinOp::Sub, a, b),
-    }
-}
-
-/// Folds `a * b` over kernel expressions, simplifying literal zero/one.
-pub fn kmul(a: KExpr, b: KExpr) -> KExpr {
-    match (&a, &b) {
-        (KExpr::Lit(x), KExpr::Lit(y))
-            if x.kind == ScalarKind::I32 && y.kind == ScalarKind::I32 =>
-        {
-            KExpr::int((x.value as i32) * (y.value as i32))
-        }
-        (KExpr::Lit(x), _) if x.kind == ScalarKind::I32 => match x.value as i32 {
-            0 => KExpr::int(0),
-            1 => b,
-            _ => KExpr::bin(BinOp::Mul, a, b),
-        },
-        (_, KExpr::Lit(y)) if y.kind == ScalarKind::I32 => match y.value as i32 {
-            0 => KExpr::int(0),
-            1 => a,
-            _ => KExpr::bin(BinOp::Mul, a, b),
-        },
-        _ => KExpr::bin(BinOp::Mul, a, b),
-    }
-}
-
-/// Folds `a / b` over kernel expressions (literal ints and `x / 1`).
-pub fn kdiv(a: KExpr, b: KExpr) -> KExpr {
-    match (&a, &b) {
-        (KExpr::Lit(x), KExpr::Lit(y))
-            if x.kind == ScalarKind::I32 && y.kind == ScalarKind::I32 && y.value != 0.0 =>
-        {
-            KExpr::int((x.value as i32) / (y.value as i32))
-        }
-        (_, KExpr::Lit(y)) if y.kind == ScalarKind::I32 && y.value == 1.0 => a,
-        _ => KExpr::bin(BinOp::Div, a, b),
-    }
-}
-
-/// Folds `a % b` over kernel expressions (literal ints and `x % 1`).
-pub fn krem(a: KExpr, b: KExpr) -> KExpr {
-    match (&a, &b) {
-        (KExpr::Lit(x), KExpr::Lit(y))
-            if x.kind == ScalarKind::I32 && y.kind == ScalarKind::I32 && y.value != 0.0 =>
-        {
-            KExpr::int((x.value as i32) % (y.value as i32))
-        }
-        (_, KExpr::Lit(y)) if y.kind == ScalarKind::I32 && y.value == 1.0 => KExpr::int(0),
-        _ => KExpr::bin(BinOp::Rem, a, b),
-    }
-}
-
 /// A view of data. See the module docs.
 #[derive(Clone, Debug)]
 pub enum View {
@@ -232,7 +157,7 @@ impl View {
             View::Mem { mem, ty, offset } => match ty {
                 Type::Array(elem, _) => {
                     let stride = KExpr::from_arith(&elem.scalar_count());
-                    let offset = kadd(offset, kmul(i, stride));
+                    let offset = offset + i * stride;
                     Ok(View::Mem { mem, ty: *elem, offset })
                 }
                 other => {
@@ -254,7 +179,7 @@ impl View {
             }
             View::SlideV { base, step, dims, mut ws, mut ds } => {
                 if (ws.len() as u8) < dims {
-                    ws.push(kmul(i, KExpr::int(step as i32)));
+                    ws.push(i * KExpr::int(step as i32));
                     Ok(View::SlideV { base, step, dims, ws, ds })
                 } else {
                     ds.push(i);
@@ -262,7 +187,7 @@ impl View {
                         // Fully selected: apply combined indices to the base.
                         let mut v = *base;
                         for k in 0..dims as usize {
-                            v = v.access(kadd(ws[k].clone(), ds[k].clone()))?;
+                            v = v.access(ws[k].clone() + ds[k].clone())?;
                         }
                         Ok(v)
                     } else {
@@ -281,12 +206,12 @@ impl View {
                         let mut v = *base;
                         for (k, idx) in idxs.iter().enumerate() {
                             let n = KExpr::from_arith(&lens[k]);
-                            let shifted = ksub(idx.clone(), l.clone());
+                            let shifted = idx.clone() - l.clone();
                             let clamped = KExpr::Call(
                                 Intrinsic::Min,
                                 vec![
                                     KExpr::Call(Intrinsic::Max, vec![shifted, KExpr::int(0)]),
-                                    ksub(n, KExpr::int(1)),
+                                    n - KExpr::int(1),
                                 ],
                             );
                             v = v.access(clamped)?;
@@ -300,13 +225,13 @@ impl View {
                         for (k, idx) in idxs.iter().enumerate() {
                             let n = KExpr::from_arith(&lens[k]);
                             let below = KExpr::bin(BinOp::Lt, idx.clone(), l.clone());
-                            let above = KExpr::bin(BinOp::Ge, idx.clone(), kadd(l.clone(), n));
+                            let above = KExpr::bin(BinOp::Ge, idx.clone(), l.clone() + n);
                             let outside = KExpr::bin(BinOp::Or, below, above);
                             cond = Some(match cond {
                                 None => outside,
                                 Some(c0) => KExpr::bin(BinOp::Or, c0, outside),
                             });
-                            v = v.access(ksub(idx.clone(), l.clone()))?;
+                            v = v.access(idx.clone() - l.clone())?;
                         }
                         Ok(View::Guard {
                             cond: cond.expect("pad has at least one dim"),
@@ -317,7 +242,7 @@ impl View {
                 }
             }
             View::CropV { base, margin, remaining } => {
-                let shifted = kadd(i, KExpr::int(margin as i32));
+                let shifted = i + KExpr::int(margin as i32);
                 let b2 = base.access(shifted)?;
                 if remaining <= 1 {
                     Ok(b2)
@@ -325,15 +250,15 @@ impl View {
                     Ok(View::CropV { base: Box::new(b2), margin, remaining: remaining - 1 })
                 }
             }
-            View::Gather { base, start, stride } => base.access(kadd(start, kmul(i, stride))),
+            View::Gather { base, start, stride } => base.access(start + i * stride),
             View::JoinV { base, inner } => {
                 let m = KExpr::from_arith(&inner);
-                let outer = kdiv(i.clone(), m.clone());
-                let inner_i = krem(i, m);
+                let outer = i.clone() / m.clone();
+                let inner_i = KExpr::bin(BinOp::Rem, i, m);
                 base.access(outer)?.access(inner_i)
             }
             View::SplitV { base, chunk } => {
-                let start = kmul(i, KExpr::from_arith(&chunk));
+                let start = i * KExpr::from_arith(&chunk);
                 Ok(View::Gather { base, start, stride: KExpr::int(1) })
             }
             View::Guard { cond, fallback, inside } => Ok(View::Guard {
@@ -408,10 +333,32 @@ impl View {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kast::MemRef;
+    use crate::kast::{Kernel, KernelParam, MemRef};
+    use crate::simplify::simplify_kernel;
 
     fn mem1d(name_idx: usize, n: i64) -> View {
         View::mem(MemRef::Param(name_idx), Type::array(Type::f32(), n))
+    }
+
+    /// The collapsed scalar read as lowering leaves it: views emit plain
+    /// arithmetic and the simplifier folds it (`i`, `b` are `int`s).
+    fn collapsed(v: &View) -> KExpr {
+        let buf = |n: &str| KernelParam::global_buf(n, ScalarKind::F32);
+        let int = |n: &str| KernelParam::scalar(n, ScalarKind::I32);
+        let k = Kernel {
+            name: "t".into(),
+            params: vec![buf("p0"), buf("p1"), int("i"), int("b")],
+            body: vec![KStmt::DeclScalar {
+                name: "x".into(),
+                kind: ScalarKind::F32,
+                init: Some(v.as_scalar().unwrap()),
+            }],
+            work_dim: 1,
+        };
+        match simplify_kernel(&k, &[]).body.pop() {
+            Some(KStmt::DeclScalar { init: Some(e), .. }) => e,
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     fn gid() -> KExpr {
@@ -421,8 +368,7 @@ mod tests {
     #[test]
     fn mem_access_is_linear() {
         let v = mem1d(0, 16).access(KExpr::int(3)).unwrap();
-        let e = v.as_scalar().unwrap();
-        assert_eq!(e, KExpr::load(MemRef::Param(0), KExpr::int(3)));
+        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(3)));
     }
 
     #[test]
@@ -434,7 +380,7 @@ mod tests {
             .unwrap()
             .access(KExpr::int(1))
             .unwrap();
-        assert_eq!(v.as_scalar().unwrap(), KExpr::load(MemRef::Param(0), KExpr::int(9)));
+        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(9)));
     }
 
     #[test]
@@ -443,8 +389,8 @@ mod tests {
         let b = mem1d(1, 8);
         let z = View::ZipV { parts: vec![a, b], levels: 1 };
         let elem = z.access(gid()).unwrap();
-        let first = elem.clone().tuple_get(0).unwrap().as_scalar().unwrap();
-        let second = elem.tuple_get(1).unwrap().as_scalar().unwrap();
+        let first = collapsed(&elem.clone().tuple_get(0).unwrap());
+        let second = collapsed(&elem.tuple_get(1).unwrap());
         assert_eq!(first, KExpr::load(MemRef::Param(0), gid()));
         assert_eq!(second, KExpr::load(MemRef::Param(1), gid()));
     }
@@ -456,7 +402,7 @@ mod tests {
         let s = View::SlideV { base: Box::new(base), step: 1, dims: 1, ws: vec![], ds: vec![] };
         let w = s.access(KExpr::int(4)).unwrap();
         let v = w.access(KExpr::int(2)).unwrap();
-        assert_eq!(v.as_scalar().unwrap(), KExpr::load(MemRef::Param(0), KExpr::int(6)));
+        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(6)));
     }
 
     #[test]
@@ -490,9 +436,9 @@ mod tests {
             kind: PadKind::Clamp,
             idxs: vec![],
         };
-        let v = p.access(KExpr::int(0)).unwrap();
-        // index 0 → clamp(0-2) = 0 → min(max(-2,0), 9)
-        match v.as_scalar().unwrap() {
+        let v = p.access(KExpr::var("i")).unwrap();
+        // index i → min(max(i-2, 0), 9)
+        match collapsed(&v) {
             KExpr::Load { idx, .. } => match *idx {
                 KExpr::Call(Intrinsic::Min, _) => {}
                 other => panic!("expected clamped index, got {other:?}"),
@@ -508,7 +454,7 @@ mod tests {
         let c = View::CropV { base: Box::new(base), margin: 1, remaining: 2 };
         let v = c.access(KExpr::int(0)).unwrap().access(KExpr::int(0)).unwrap();
         // (0+1)*10 + (0+1) = 11
-        assert_eq!(v.as_scalar().unwrap(), KExpr::load(MemRef::Param(0), KExpr::int(11)));
+        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(11)));
     }
 
     #[test]
@@ -518,7 +464,7 @@ mod tests {
             View::Gather { base: Box::new(base), start: KExpr::var("i"), stride: KExpr::int(25) };
         let v = g.access(KExpr::int(2)).unwrap();
         // i + 2*25 = i + 50
-        match v.as_scalar().unwrap() {
+        match collapsed(&v) {
             KExpr::Load { idx, .. } => match *idx {
                 KExpr::Bin(BinOp::Add, _, b) => assert_eq!(*b, KExpr::int(50)),
                 other => panic!("unexpected index {other:?}"),
@@ -534,7 +480,7 @@ mod tests {
         let j = View::JoinV { base: Box::new(base), inner: ArithExpr::cst(4) };
         let v = j.access(KExpr::int(6)).unwrap();
         // 6/4=1, 6%4=2 → offset 1*4+2 = 6
-        assert_eq!(v.as_scalar().unwrap(), KExpr::load(MemRef::Param(0), KExpr::int(6)));
+        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(6)));
     }
 
     #[test]
@@ -542,7 +488,7 @@ mod tests {
         let base = mem1d(0, 12);
         let s = View::SplitV { base: Box::new(base), chunk: ArithExpr::cst(4) };
         let v = s.access(KExpr::int(2)).unwrap().access(KExpr::int(1)).unwrap();
-        assert_eq!(v.as_scalar().unwrap(), KExpr::load(MemRef::Param(0), KExpr::int(9)));
+        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(9)));
     }
 
     #[test]
@@ -587,6 +533,6 @@ mod tests {
             .unwrap()
             .access(KExpr::int(2))
             .unwrap();
-        assert_eq!(v.as_scalar().unwrap(), KExpr::load(MemRef::Param(0), KExpr::int(38)));
+        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(38)));
     }
 }

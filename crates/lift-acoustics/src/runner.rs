@@ -9,11 +9,12 @@
 
 use crate::programs::{self, Program};
 use lift::lower::{ArgSpec, LoweredKernel};
-use lift::prelude::Value;
+use lift::prelude::{ScalarKind, Value};
 use room_acoustics::reference::FdArrays;
 use room_acoustics::sim::SimSetup;
 use room_acoustics::vgpu_sim::Precision;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 use vgpu::telemetry::{self, HOST_TRACK};
 use vgpu::{Arg, BufId, Device, ExecMode, LaunchStats, Prepared};
 
@@ -32,6 +33,29 @@ pub struct CompiledKernel {
     pub lowered: LoweredKernel,
     /// Prepared for the interpreter.
     pub prepared: Prepared,
+}
+
+impl CompiledKernel {
+    /// `program` lowered and prepared at precision `real`, once per process:
+    /// the generated kernels are size-generic, so every room of a given
+    /// boundary model and precision launches the same artifact. The
+    /// prepared form goes through [`vgpu::compile_cached`], as the
+    /// hand-written kernels' does, so launch plans are shared too.
+    pub fn cached(program: &Program, real: ScalarKind) -> Arc<CompiledKernel> {
+        type Cache = Mutex<HashMap<(&'static str, ScalarKind), Arc<CompiledKernel>>>;
+        static CACHE: OnceLock<Cache> = OnceLock::new();
+        let cache = CACHE.get_or_init(Default::default);
+        let key = (program.name, real);
+        if let Some(hit) = cache.lock().expect("no panic under this lock").get(&key) {
+            return hit.clone();
+        }
+        // Compile outside the lock; when two threads race the first insert
+        // wins, so every sim still shares one artifact.
+        let lowered = program.lower(real).unwrap_or_else(|e| panic!("{}: {e}", program.name));
+        let prepared = (*vgpu::compile_cached(&lowered.kernel).expect("kernel prepares")).clone();
+        let compiled = Arc::new(CompiledKernel { lowered, prepared });
+        cache.lock().expect("no panic under this lock").entry(key).or_insert(compiled).clone()
+    }
 }
 
 /// Binds a lowered kernel's arguments by name.
@@ -83,8 +107,8 @@ pub struct LiftSim {
     pub device: Device,
     setup: SimSetup,
     precision: Precision,
-    volume: CompiledKernel,
-    boundary: CompiledKernel,
+    volume: Arc<CompiledKernel>,
+    boundary: Arc<CompiledKernel>,
     boundary_kind: LiftBoundary,
     prev: BufId,
     curr: BufId,
@@ -120,15 +144,10 @@ impl LiftSim {
         let real = precision.kind();
         let n = setup.dims().total();
         let nb = setup.num_b();
-        let compile = |device: &Device, p: &Program| -> CompiledKernel {
-            let lowered = p.lower(real).unwrap_or_else(|e| panic!("{}: {e}", p.name));
-            let prepared = device.compile(&lowered.kernel).expect("kernel prepares");
-            CompiledKernel { lowered, prepared }
-        };
-        let volume = compile(&device, &programs::volume_program());
+        let volume = CompiledKernel::cached(&programs::volume_program(), real);
         let boundary = match boundary_kind {
-            LiftBoundary::FiMm => compile(&device, &programs::fimm_program()),
-            LiftBoundary::FdMm => compile(&device, &programs::fdmm_program()),
+            LiftBoundary::FiMm => CompiledKernel::cached(&programs::fimm_program(), real),
+            LiftBoundary::FdMm => CompiledKernel::cached(&programs::fdmm_program(), real),
         };
         let prev = device.create_buffer_zeroed(real, n);
         let curr = device.create_buffer_zeroed(real, n);
@@ -218,11 +237,39 @@ impl LiftSim {
         }
     }
 
+    /// Launches the boundary kernel (in place on `next`).
+    fn launch_boundary(&mut self, mode: ExecMode) -> LaunchStats {
+        let sizes = self.size_env();
+        let mut bufs: HashMap<&str, BufId> = [
+            ("boundaryIndices", self.bidx),
+            ("bnbrs", self.bnbrs),
+            ("material", self.material),
+            ("beta", self.beta),
+            ("next", self.next),
+            ("prev", self.prev),
+        ]
+        .into();
+        if let Some(fd) = &self.fd {
+            bufs.extend([
+                ("BI", fd.bi),
+                ("D", fd.d),
+                ("DI", fd.di),
+                ("F", fd.f),
+                ("g1", fd.g1),
+                ("v1", fd.v1),
+                ("v2", fd.v2),
+            ]);
+        }
+        let scalars: HashMap<&str, Value> = [("l", self.precision.val(self.setup.l))].into();
+        let args = bind_args(&self.boundary.lowered, &bufs, &scalars, &sizes, None);
+        let global = global_size(&self.boundary.lowered, &sizes);
+        self.device.launch(&self.boundary.prepared, &args, &global, mode).expect("boundary launch")
+    }
+
     /// Advances one step; returns (volume, boundary) launch stats.
     pub fn step(&mut self, mode: ExecMode) -> (LaunchStats, LaunchStats) {
         let _span = telemetry::span(HOST_TRACK, "LiftSim::step");
         let sizes = self.size_env();
-        let l = self.precision.val(self.setup.l);
         let l2 = self.precision.val(self.setup.l2);
 
         // volume kernel: allocated output bound to our `next` buffer
@@ -236,32 +283,7 @@ impl LiftSim {
             .launch(&self.volume.prepared, &vargs, &vglobal, mode)
             .expect("volume launch");
 
-        // boundary kernel (in-place)
-        let mut bbufs: HashMap<&str, BufId> = [
-            ("boundaryIndices", self.bidx),
-            ("bnbrs", self.bnbrs),
-            ("material", self.material),
-            ("beta", self.beta),
-            ("next", self.next),
-            ("prev", self.prev),
-        ]
-        .into();
-        if let Some(fd) = &self.fd {
-            bbufs.insert("BI", fd.bi);
-            bbufs.insert("D", fd.d);
-            bbufs.insert("DI", fd.di);
-            bbufs.insert("F", fd.f);
-            bbufs.insert("g1", fd.g1);
-            bbufs.insert("v1", fd.v1);
-            bbufs.insert("v2", fd.v2);
-        }
-        let bscalars: HashMap<&str, Value> = [("l", l)].into();
-        let bargs = bind_args(&self.boundary.lowered, &bbufs, &bscalars, &sizes, None);
-        let bglobal = global_size(&self.boundary.lowered, &sizes);
-        let bstats = self
-            .device
-            .launch(&self.boundary.prepared, &bargs, &bglobal, mode)
-            .expect("boundary launch");
+        let bstats = self.launch_boundary(mode);
 
         if let Some(fd) = &mut self.fd {
             std::mem::swap(&mut fd.v1, &mut fd.v2);
@@ -279,32 +301,7 @@ impl LiftSim {
     /// [`room_acoustics::HandwrittenSim::boundary_step_only`].
     pub fn boundary_step_only(&mut self, mode: ExecMode) -> LaunchStats {
         let _span = telemetry::span(HOST_TRACK, "LiftSim::boundary_step_only");
-        let sizes = self.size_env();
-        let l = self.precision.val(self.setup.l);
-        let mut bbufs: HashMap<&str, BufId> = [
-            ("boundaryIndices", self.bidx),
-            ("bnbrs", self.bnbrs),
-            ("material", self.material),
-            ("beta", self.beta),
-            ("next", self.next),
-            ("prev", self.prev),
-        ]
-        .into();
-        if let Some(fd) = &self.fd {
-            bbufs.insert("BI", fd.bi);
-            bbufs.insert("D", fd.d);
-            bbufs.insert("DI", fd.di);
-            bbufs.insert("F", fd.f);
-            bbufs.insert("g1", fd.g1);
-            bbufs.insert("v1", fd.v1);
-            bbufs.insert("v2", fd.v2);
-        }
-        let bscalars: HashMap<&str, Value> = [("l", l)].into();
-        let bargs = bind_args(&self.boundary.lowered, &bbufs, &bscalars, &sizes, None);
-        let bglobal = global_size(&self.boundary.lowered, &sizes);
-        self.device
-            .launch(&self.boundary.prepared, &bargs, &bglobal, mode)
-            .expect("boundary launch")
+        self.launch_boundary(mode)
     }
 
     /// Runs `n` fast steps.
@@ -323,7 +320,7 @@ impl LiftSim {
     /// Pressure at a point.
     pub fn sample(&self, x: usize, y: usize, z: usize) -> f64 {
         let idx = self.setup.dims().idx(x, y, z);
-        self.device.read(self.curr).get(idx).as_f64()
+        self.device.read_region(self.curr, idx, 1).get(0).as_f64()
     }
 
     /// Steps executed.
@@ -339,7 +336,7 @@ pub struct FiSingleLift {
     pub device: Device,
     setup: SimSetup,
     precision: Precision,
-    kernel: CompiledKernel,
+    kernel: Arc<CompiledKernel>,
     prev: BufId,
     curr: BufId,
     next: BufId,
@@ -353,24 +350,12 @@ impl FiSingleLift {
         let _span = telemetry::span(HOST_TRACK, "FiSingleLift::new");
         let real = precision.kind();
         let n = setup.dims().total();
-        let p = programs::fi_single_program();
-        let lowered = p.lower(real).expect("fi program lowers");
-        let prepared = device.compile(&lowered.kernel).expect("fi kernel prepares");
+        let kernel = CompiledKernel::cached(&programs::fi_single_program(), real);
         let prev = device.create_buffer_zeroed(real, n);
         let curr = device.create_buffer_zeroed(real, n);
         let next = device.create_buffer_zeroed(real, n);
         let nbrs = device.upload(vgpu::BufData::from(setup.room.nbrs.clone()));
-        FiSingleLift {
-            device,
-            setup,
-            precision,
-            kernel: CompiledKernel { lowered, prepared },
-            prev,
-            curr,
-            next,
-            nbrs,
-            beta,
-        }
+        FiSingleLift { device, setup, precision, kernel, prev, curr, next, nbrs, beta }
     }
 
     /// The shared setup.

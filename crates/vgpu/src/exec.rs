@@ -243,6 +243,12 @@ impl Prepared {
         self.tape.is_some()
     }
 
+    /// Ops every work-item steps through on the bytecode tape (`None`
+    /// without a tape) — the size of the code, not of a run.
+    pub fn tape_len(&self) -> Option<usize> {
+        self.tape.as_ref().map(|t| t.ops.len())
+    }
+
     /// The process-unique prepared-kernel id. Clones (including clones of a
     /// shared [`crate::artifact::compile_cached`] artifact) share it, which
     /// is what lets launch-plan and verdict caches line up across devices.

@@ -1,0 +1,249 @@
+//! The index and guard simplification pass (`lift::simplify`) against its
+//! own input.
+//!
+//! `lower_kernel_raw` is lowering up to, but not including, the pass: the
+//! collapsed views as the view system emits them. Every test here runs or
+//! inspects that form and the shipped form of the same program side by
+//! side — nothing else in the repository executes the raw form.
+
+use lift::funs;
+use lift::ir::{self, ParamDef};
+use lift::lower::{lower_kernel, lower_kernel_raw, ArgSpec, LoweredKernel};
+use lift::prelude::*;
+use lift_acoustics::programs::{self, Program};
+use proptest::prelude::*;
+use room_acoustics::handwritten;
+use std::collections::HashMap;
+use std::rc::Rc;
+use vgpu::{Arg, BufData, Device, Engine, ExecMode};
+
+/// A small deterministic generator for buffer contents.
+fn lcg(state: &mut u64) -> u64 {
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+/// Runs `kernel` (a form of `lk`'s kernel with the same parameter list) on
+/// the tree-walker over seeded inputs and returns every buffer afterwards,
+/// in argument order. Integer buffers hold neighbour counts `0..=6`.
+fn run_on_oracle(
+    kernel: &Kernel,
+    lk: &LoweredKernel,
+    params: &[Rc<ParamDef>],
+    sizes: &HashMap<&str, i64>,
+    global: &[usize],
+    seed: u64,
+) -> Vec<BufData> {
+    let mut dev = Device::gtx780();
+    dev.set_engine(Engine::Tree);
+    let prep = dev.compile(kernel).expect("kernel prepares");
+    let eval = |a: ArithExpr| a.eval(&|n| sizes.get(n).copied()).expect("size bound") as usize;
+    let mut state = seed;
+    let mut bufs = Vec::new();
+    let args: Vec<Arg> = lk
+        .args
+        .iter()
+        .zip(&kernel.params)
+        .map(|(spec, kp)| match spec {
+            ArgSpec::Input(_, name) if kp.is_buffer => {
+                let ty = params.iter().find(|p| p.name == *name).and_then(|p| p.ty.clone());
+                let len = eval(ty.expect("typed input").scalar_count());
+                let data = match kp.kind {
+                    ScalarKind::I32 => BufData::from(
+                        (0..len).map(|_| (lcg(&mut state) % 7) as i32).collect::<Vec<_>>(),
+                    ),
+                    _ => BufData::from(
+                        (0..len)
+                            .map(|_| (lcg(&mut state) % 64) as f32 / 8.0 - 4.0)
+                            .collect::<Vec<_>>(),
+                    ),
+                };
+                let id = dev.upload(data);
+                bufs.push(id);
+                Arg::Buf(id)
+            }
+            ArgSpec::Input(..) => Arg::Val(Value::F32(0.25 + (lcg(&mut state) % 4) as f32 / 16.0)),
+            ArgSpec::Size(n) => Arg::Val(Value::I32(sizes[n.as_str()] as i32)),
+            ArgSpec::Output(_, ty) => {
+                let id = dev.create_buffer_zeroed(kp.kind, eval(ty.scalar_count()));
+                bufs.push(id);
+                Arg::Buf(id)
+            }
+        })
+        .collect();
+    dev.launch(&prep, &args, global, ExecMode::Fast).expect("launch");
+    bufs.into_iter().map(|b| dev.read(b)).collect()
+}
+
+/// Lowers `p` both ways, applies `place` to both kernels, and checks the
+/// two forms leave bit-identical buffers behind.
+fn assert_forms_agree(
+    name: &str,
+    params: &[Rc<ParamDef>],
+    body: &ExprRef,
+    sizes: &HashMap<&str, i64>,
+    global: &[usize],
+    place: impl Fn(&Kernel) -> Kernel,
+    seed: u64,
+) {
+    let raw = lower_kernel_raw(name, params, body, ScalarKind::F32).expect("lowers");
+    let shipped = lower_kernel(name, params, body, ScalarKind::F32).expect("lowers");
+    assert_eq!(raw.args, shipped.args);
+    let a = run_on_oracle(&place(&raw.kernel), &raw, params, sizes, global, seed);
+    let b = run_on_oracle(&place(&shipped.kernel), &shipped, params, sizes, global, seed);
+    assert_eq!(a, b, "{name} @ {sizes:?}: simplified form diverges from its input");
+}
+
+fn grid_sizes(nx: usize, ny: usize, nz: usize) -> HashMap<&'static str, i64> {
+    [("Nx", nx as i64), ("Ny", ny as i64), ("Nz", nz as i64)].into()
+}
+
+/// The 2-D shapes of `tests/patterns_2d.rs`: a 3×3 box blur over a clamped
+/// pad, and a two-field zip.
+fn blur2d() -> (Vec<Rc<ParamDef>>, ExprRef) {
+    let img = ParamDef::typed("img", Type::array2(Type::real(), "Nx", "Ny"));
+    let add = funs::add();
+    let body =
+        ir::map2_glb(ir::slide2(3, 1, ir::pad2(1, PadKind::Clamp, img.to_expr())), "w", move |w| {
+            let row_sums = ir::map_seq(w, "row", {
+                let add = add.clone();
+                move |row| {
+                    ir::reduce_seq(ir::lit(Lit::real(0.0)), row, |acc, x| {
+                        ir::call(&add, vec![acc, x])
+                    })
+                }
+            });
+            ir::reduce_seq(ir::lit(Lit::real(0.0)), ir::to_private(row_sums), |acc, x| {
+                ir::call(&add, vec![acc, x])
+            })
+        });
+    (vec![img], body)
+}
+
+fn zip2d() -> (Vec<Rc<ParamDef>>, ExprRef) {
+    let a = ParamDef::typed("a", Type::array2(Type::real(), "Nx", "Ny"));
+    let b = ParamDef::typed("b", Type::array2(Type::real(), "Nx", "Ny"));
+    let sub = funs::sub();
+    let body = ir::map2_glb(ir::zip2(vec![a.to_expr(), b.to_expr()]), "t", move |t| {
+        ir::call(&sub, vec![ir::get(t.clone(), 0), ir::get(t, 1)])
+    });
+    (vec![a, b], body)
+}
+
+/// A 1-D three-point sum over a clamped pad of width 2 (the clamp index
+/// `min(max(i − 2, 0), N − 1)` must survive canonicalisation).
+fn clamp1d() -> (Vec<Rc<ParamDef>>, ExprRef) {
+    let a = ParamDef::typed("a", Type::array(Type::real(), "Nx"));
+    let add = funs::add();
+    let body = ir::map_glb(ir::slide(3, 1, ir::pad(2, 2, PadKind::Clamp, a.to_expr())), "w", {
+        move |w| ir::reduce_seq(ir::lit(Lit::real(0.0)), w, |acc, x| ir::call(&add, vec![acc, x]))
+    });
+    (vec![a], body)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn stencil_programs_agree_with_their_raw_form(
+        nx in 1usize..7, ny in 1usize..7, nz in 1usize..6, seed in 0u64..1000,
+    ) {
+        let sizes = grid_sizes(nx, ny, nz);
+        for Program { name, params, body } in [programs::volume_program(), programs::fi_single_program()] {
+            assert_forms_agree(name, &params, &body, &sizes, &[nx, ny, nz], Kernel::clone, seed);
+        }
+    }
+
+    #[test]
+    fn planar_and_clamped_shapes_agree_with_their_raw_form(
+        nx in 1usize..9, ny in 1usize..7, seed in 0u64..1000,
+    ) {
+        let sizes = grid_sizes(nx, ny, 1);
+        let (params, body) = blur2d();
+        assert_forms_agree("blur2d", &params, &body, &sizes, &[nx, ny], Kernel::clone, seed);
+        let (params, body) = zip2d();
+        assert_forms_agree("diff2d", &params, &body, &sizes, &[nx, ny], Kernel::clone, seed);
+        let (params, body) = clamp1d();
+        // pad(2,2) then slide(3,1): Nx + 2 windows.
+        assert_forms_agree("clamp1d", &params, &body, &sizes, &[nx + 2], Kernel::clone, seed);
+    }
+
+    /// The sharded host program shifts the *simplified* volume kernel
+    /// (`shift_gid(2, 1)`) and re-binds `Nz` to the slab's local plane
+    /// count: `owned` work-item planes over `owned + 2` allocated ones.
+    #[test]
+    fn slab_placed_volume_kernel_agrees_with_its_raw_form(
+        nx in 1usize..7, ny in 1usize..7, owned in 1usize..5, seed in 0u64..1000,
+    ) {
+        let sizes = grid_sizes(nx, ny, owned + 2);
+        let Program { name, params, body } = programs::volume_program();
+        let slab = |k: &Kernel| k.shift_gid(2, 1, "_slab");
+        assert_forms_agree(name, &params, &body, &sizes, &[nx, ny, owned], slab, seed);
+    }
+}
+
+/// Splits `e` into the comparisons of its `||` chain.
+fn disjuncts<'e>(e: &'e KExpr, out: &mut Vec<&'e KExpr>) {
+    match e {
+        KExpr::Bin(BinOp::Or, a, b) => {
+            disjuncts(a, out);
+            disjuncts(b, out);
+        }
+        other => out.push(other),
+    }
+}
+
+/// The paper's parity claim as a structural fact about the generated volume
+/// kernel: six one-sided pad guards, an unguarded centre load, and a tape
+/// within 2× of the hand-written kernel's.
+#[test]
+fn generated_volume_kernel_has_hand_written_shape() {
+    let lk = programs::volume_program().lower(ScalarKind::F32).unwrap();
+    let curr = lk.kernel.param_index("curr").unwrap();
+    let is_curr_load =
+        |e: &KExpr| matches!(e, KExpr::Load { mem: MemRef::Param(p), .. } if *p == curr);
+    let (mut guarded, mut loads) = (Vec::new(), 0);
+    for s in &lk.kernel.body {
+        s.for_each_expr(&mut |e| {
+            e.visit(&mut |n| {
+                loads += is_curr_load(n) as usize;
+                if let KExpr::Select(cond, _, live) = n {
+                    if is_curr_load(live) {
+                        guarded.push(cond.as_ref().clone());
+                    }
+                }
+            })
+        });
+    }
+    assert_eq!(loads, 7, "six neighbours and the centre");
+    assert_eq!(guarded.len(), 6, "the centre load is unguarded");
+    for cond in &guarded {
+        let mut parts = Vec::new();
+        disjuncts(cond, &mut parts);
+        assert_eq!(parts.len(), 1, "guard is not one-sided: {cond:?}");
+        assert!(
+            matches!(parts[0], KExpr::Bin(BinOp::Lt | BinOp::Ge, ..)),
+            "guard is not a single bound check: {cond:?}"
+        );
+    }
+
+    let tape = |k: &Kernel| vgpu::exec::prepare(k).unwrap().tape_len().expect("compiles to a tape");
+    let (gen, hand) =
+        (tape(&lk.kernel), tape(&handwritten::volume_kernel().resolve_real(ScalarKind::F32)));
+    assert!(gen <= 2 * hand, "generated tape {gen} ops vs hand-written {hand}");
+}
+
+/// Hoisted names come from a counter and no ordering depends on hashing:
+/// lowering twice prints the same bytes.
+#[test]
+fn lowering_twice_emits_identical_opencl() {
+    for real in [ScalarKind::F32, ScalarKind::F64] {
+        let emit = || -> Vec<String> {
+            programs::all_programs()
+                .iter()
+                .map(|p| opencl::emit_kernel(&p.lower(real).unwrap().kernel))
+                .collect()
+        };
+        assert_eq!(emit(), emit());
+    }
+}
