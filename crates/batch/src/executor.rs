@@ -260,7 +260,8 @@ fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
     let energy = sim.energy();
     let launches = sim.device.events().len();
     let sidecar = cfg.sidecar_dir.as_ref().and_then(|dir| {
-        write_sidecar(dir, sc, &sim, energy, wall_ms, verifier_clean)
+        let devices = std::slice::from_ref(&sim.device);
+        write_sidecar(dir, sc, devices, energy, wall_ms, verifier_clean)
             .map_err(|e| eprintln!("sidecar for {}: {e}", sc.label()))
             .ok()
     });
@@ -270,9 +271,8 @@ fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
 
 /// The sharded leg of [`run_sim`]: the same scenario over `shards` Z-slab
 /// devices ([`room_acoustics::ShardedSim`]). The verifier gate covers the
-/// gid-shifted slab volume kernel instead of the whole-grid one; sidecars
-/// are skipped (per-kernel attribution spans several devices — the
-/// process-wide profiler still sees every launch).
+/// gid-shifted slab volume kernel instead of the whole-grid one; the
+/// sidecar sums the job's launches over its devices.
 fn run_sim_sharded(cfg: &BatchConfig, sc: &Scenario, shards: usize) -> Result<JobOutput, String> {
     let setup = SimSetup::new(&sc.config());
     let devices: Vec<Device> = (0..shards)
@@ -319,16 +319,22 @@ fn run_sim_sharded(cfg: &BatchConfig, sc: &Scenario, shards: usize) -> Result<Jo
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let energy = sim.energy();
     let launches = sim.devices().iter().map(|d| d.events().len()).sum();
-    Ok(JobOutput { impulse_response, energy, wall_ms, launches, verifier_clean, sidecar: None })
+    let sidecar = cfg.sidecar_dir.as_ref().and_then(|dir| {
+        write_sidecar(dir, sc, sim.devices(), energy, wall_ms, verifier_clean)
+            .map_err(|e| eprintln!("sidecar for {}: {e}", sc.label()))
+            .ok()
+    });
+    Ok(JobOutput { impulse_response, energy, wall_ms, launches, verifier_clean, sidecar })
 }
 
 /// Writes the per-job telemetry sidecar: scenario parameters, per-kernel
-/// launch totals from this job's device event log, and the process-wide
-/// artifact-cache occupancy at completion time.
+/// launch totals from the event logs of this job's devices (one, or one
+/// per shard), and the process-wide artifact-cache occupancy at completion
+/// time.
 fn write_sidecar(
     dir: &std::path::Path,
     sc: &Scenario,
-    sim: &HandwrittenSim,
+    devices: &[Device],
     energy: f64,
     wall_ms: f64,
     verifier_clean: bool,
@@ -343,7 +349,7 @@ fn write_sidecar(
         modeled_us: f64,
     }
     let mut kernels: BTreeMap<String, KernelAgg> = BTreeMap::new();
-    for ev in sim.device.events() {
+    for ev in devices.iter().flat_map(|d| d.events()) {
         let agg = kernels.entry(ev.name.clone()).or_default();
         agg.launches += 1;
         agg.wall_us += ev.stats.wall.as_secs_f64() * 1e6;
@@ -356,15 +362,17 @@ fn write_sidecar(
     // Job-scoped trace attribution: the process-wide telemetry buffer mixes
     // events from every concurrently-running job, but each job's device
     // records on its own tracks — filter to them so a sidecar never carries
-    // another job's kernel events. Empty when tracing is off (the device
+    // another job's kernel events. Empty when tracing is off (the devices
     // then allocated no tracks).
-    let tracks = sim.device.telemetry_tracks();
-    let trace_events: Vec<vgpu::telemetry::Event> = match tracks {
-        Some(tracks) => vgpu::telemetry::events_snapshot()
+    let tracks: Vec<vgpu::telemetry::TrackId> =
+        devices.iter().filter_map(|d| d.telemetry_tracks()).flatten().collect();
+    let trace_events: Vec<vgpu::telemetry::Event> = if tracks.is_empty() {
+        Vec::new()
+    } else {
+        vgpu::telemetry::events_snapshot()
             .into_iter()
             .filter(|ev| ev.track().is_some_and(|t| tracks.contains(&t)))
-            .collect(),
-        None => Vec::new(),
+            .collect()
     };
     let doc = json!({
         "job": sc.id,
@@ -401,8 +409,7 @@ fn write_sidecar(
         // Only this job's tracks: events from concurrently-running jobs are
         // filtered out (they live on their own devices' tracks).
         "trace": {
-            "tracks": tracks.map(|ts| ts.iter().map(|t| t.0).collect::<Vec<u32>>())
-                .unwrap_or_default(),
+            "tracks": tracks.iter().map(|t| t.0).collect::<Vec<u32>>(),
             "kernel_events": trace_events
                 .iter()
                 .filter(|e| matches!(e, vgpu::telemetry::Event::Kernel { .. }))

@@ -2,10 +2,10 @@
 //!
 //! The paper's claim lives in the leap-frog step loop (§VI): thousands of
 //! launches of the same two kernels against the same buffers. This bench
-//! pins the wall-clock cost of that loop on both tape engines (scalar and
-//! warp-vectorized) for the FI cube workload — the launch-plan cache,
-//! chunked warp dispatch, tape peephole optimizer, and SIMT lane
-//! vectorization all land here. `step_loop/fast/*` is the headline number
+//! pins the wall-clock cost of that loop on the tree-walker oracle and on
+//! the default engine for the FI cube workload — the launch-plan cache,
+//! chunked warp dispatch, tape peephole optimizer, SIMT lane vectorization
+//! and block fusion all land here. `step_loop/fast/*` is the headline number
 //! recorded in EXPERIMENTS.md; `step_loop/model/*` additionally runs the
 //! warp transaction model, and `boundary_small/*` stresses pure dispatch
 //! overhead with a tiny NDRange where per-launch setup dominates.
@@ -76,7 +76,7 @@ fn bench_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("dispatch_overhead");
     group.sample_size(20);
 
-    for (label, engine) in [("tape", Engine::Tape), ("vector", Engine::Vector)] {
+    for (label, engine) in [("tree", Engine::Tree), ("fast", Engine::Fast)] {
         let mut run = fi_run(32, engine);
         group.bench_function(format!("step_loop/fast/{label}"), |b| {
             b.iter(|| run.steps(STEPS, ExecMode::Fast))

@@ -63,19 +63,15 @@ fn bench_fi(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warp-vectorized tape vs scalar tape vs reference tree-walker on the same
-/// hand-written FI kernel — the speedup each compile/execute stage buys on
-/// the interpreter substrate.
+/// The default engine vs the reference tree-walker on the same hand-written
+/// FI kernel — what the tape and its executors buy on the interpreter
+/// substrate.
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("fi_stencil_engine");
     group.sample_size(10);
     let dims = GridDims::cube(40);
     let setup = fi_setup(dims);
-    for (label, engine) in [
-        ("vector", vgpu::Engine::Vector),
-        ("tape", vgpu::Engine::Tape),
-        ("tree", vgpu::Engine::Tree),
-    ] {
+    for (label, engine) in [("fast", vgpu::Engine::Fast), ("tree", vgpu::Engine::Tree)] {
         let mut device = Device::gtx780();
         device.set_engine(engine);
         let kernel = room_acoustics::handwritten::fi_single_kernel()

@@ -75,7 +75,7 @@ fn main() {
 
     // Instrumented side: the Device entry point.
     let mut device = Device::gtx780();
-    device.set_engine(Engine::Tape);
+    device.set_engine(Engine::Fast);
     let prep = device.compile(&kernel).unwrap();
     let prev = device.create_buffer_zeroed(ScalarKind::F32, total);
     let curr = device.create_buffer_zeroed(ScalarKind::F32, total);
@@ -115,7 +115,7 @@ fn main() {
             ExecMode::Fast,
             false,
             128,
-            Engine::Tape,
+            Engine::Fast,
         )
         .unwrap();
     };
@@ -194,7 +194,7 @@ fn main() {
     // ratio lands in the log next to the off-mode numbers.
     vgpu::sanitize::force_shadow();
     let mut sdev = Device::gtx780();
-    sdev.set_engine(Engine::Tape);
+    sdev.set_engine(Engine::Fast);
     let sprep = sdev.compile(&kernel).unwrap();
     let sbufs: Vec<_> = (0..3).map(|_| sdev.create_buffer_zeroed(ScalarKind::F32, total)).collect();
     let mut sargs = args;

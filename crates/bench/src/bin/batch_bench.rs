@@ -34,7 +34,6 @@ fn main() {
     let seed: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
 
     let engine = bench::provenance::engine_label();
-    let ladder = bench::provenance::ladder_leg();
     let vgpu_threads = bench::provenance::threads();
     let plan_cache = bench::provenance::plan_cache_state();
     let devices = bench::provenance::device_count();
@@ -46,9 +45,7 @@ fn main() {
     let art_misses0 = counter("vgpu.artifact.misses");
     let plan_misses0 = counter("vgpu.plan.misses");
     let shared0 = counter("vgpu.plan.shared_hits");
-    let fallbacks0 = counter("vgpu.tape.fallbacks")
-        + counter("vgpu.vector.fallbacks")
-        + counter("vgpu.compiled.fallbacks");
+    let fallbacks0 = counter("vgpu.tape.fallbacks") + counter("vgpu.compiled.fallbacks");
 
     let scenarios = ScenarioGen::new(seed).take(rooms);
     let exec = BatchExecutor::new(BatchConfig {
@@ -72,14 +69,12 @@ fn main() {
     let art_hits = counter("vgpu.artifact.hits") - art_hits0;
     let art_misses = counter("vgpu.artifact.misses") - art_misses0;
     let hit_rate = art_hits as f64 / (art_hits + art_misses).max(1) as f64;
-    let fallbacks = counter("vgpu.tape.fallbacks")
-        + counter("vgpu.vector.fallbacks")
-        + counter("vgpu.compiled.fallbacks")
-        - fallbacks0;
+    let fallbacks =
+        counter("vgpu.tape.fallbacks") + counter("vgpu.compiled.fallbacks") - fallbacks0;
 
     let record = format!(
         "{{\"bench\":\"batch\",\"rooms\":{rooms},\"threads\":{threads},\"seed\":{seed},\
-         \"engine\":\"{engine}\",\"ladder\":\"{ladder}\",\
+         \"engine\":\"{engine}\",\
          \"vgpu_threads\":{vgpu_threads},\"devices\":{devices},\
          \"plan_cache\":\"{plan_cache}\",\"sanitize\":\"{sanitize}\",\
          \"wall_s\":{wall_s:.3},\"rooms_per_sec\":{:.2},\

@@ -1,12 +1,12 @@
-//! Wall-clock step-loop timing for the FI cube workload on the tape engines.
+//! Wall-clock step-loop timing for the FI cube workload on `tree` and `fast`.
 //!
 //! Criterion benches don't time under the offline stub harness, so this bin
 //! is the measurement behind the dispatch-overhead numbers in
 //! EXPERIMENTS.md: it runs the same leap-frog launch loop the sims run and
-//! prints ms/step for fast and modeled execution on the scalar tape, the
-//! warp-vectorized engine, and the compiled superinstruction engine, plus
-//! the launch-plan cache hit counters and the divergent-warp /
-//! compiled-fallback audits, as one JSON record.
+//! prints ms/step for fast and modeled execution on the tree-walker oracle
+//! and on the default engine (fused blocks when unmodeled, the warp
+//! interpreter when modeled), plus the launch-plan cache hit counters and
+//! the divergent-warp / fallback audits, as one JSON record.
 //!
 //! Usage: `dispatch_bench [cube-edge] [steps]` (defaults 32, 60).
 
@@ -86,38 +86,38 @@ fn main() {
     let steps: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(60);
 
     // Provenance: captured before any launch so the snapshot records what
-    // the measured loops actually saw (this bin drives both tape engines
+    // the measured loops actually saw (this bin drives both engines
     // explicitly, so the engine field is fixed, not `VGPU_ENGINE`).
     let plan_cache = bench::provenance::plan_cache_state();
     let threads = bench::provenance::threads();
     let devices = bench::provenance::device_count();
     let sanitize = bench::provenance::sanitize_label();
 
-    let fast = fi_run(n, Engine::Tape).measure(steps, ExecMode::Fast);
-    let model = fi_run(n, Engine::Tape).measure(steps, ExecMode::Model { sample_stride: 1 });
+    let model_mode = ExecMode::Model { sample_stride: 1 };
+    let tree_fast = fi_run(n, Engine::Tree).measure(steps, ExecMode::Fast);
+    let tree_model = fi_run(n, Engine::Tree).measure(steps, model_mode);
     let reg = telemetry::registry();
     let divergent0 = reg.counter("vgpu.warp.divergent").get();
-    let vfast = fi_run(n, Engine::Vector).measure(steps, ExecMode::Fast);
-    let vmodel = fi_run(n, Engine::Vector).measure(steps, ExecMode::Model { sample_stride: 1 });
+    // `fast` must cover the FI kernel outright: a fallback means the
+    // measurement below is not what it claims.
+    let fallbacks =
+        || reg.counter("vgpu.tape.fallbacks").get() + reg.counter("vgpu.compiled.fallbacks").get();
+    let fallbacks0 = fallbacks();
+    let fast = fi_run(n, Engine::Fast).measure(steps, ExecMode::Fast);
+    let model = fi_run(n, Engine::Fast).measure(steps, model_mode);
     let divergent = reg.counter("vgpu.warp.divergent").get() - divergent0;
-    // The compiled engine must cover the FI kernel outright: any fallback
-    // to a lower rung means the measurement below is not what it claims.
-    let cfallback0 = reg.counter("vgpu.compiled.fallbacks").get();
-    let cfast = fi_run(n, Engine::Compiled).measure(steps, ExecMode::Fast);
-    let cmodel = fi_run(n, Engine::Compiled).measure(steps, ExecMode::Model { sample_stride: 1 });
-    let cfallbacks = reg.counter("vgpu.compiled.fallbacks").get() - cfallback0;
-    if cfallbacks > 0 {
-        eprintln!("dispatch_bench: {cfallbacks} compiled-engine fallbacks during measurement");
+    let fell_back = fallbacks() - fallbacks0;
+    if fell_back > 0 {
+        eprintln!("dispatch_bench: {fell_back} engine fallbacks during measurement");
         std::process::exit(1);
     }
     let record = format!(
         "{{\"bench\":\"dispatch\",\"cube\":{n},\"steps\":{steps},\
-         \"engine\":\"tape+vector+compiled\",\"ladder\":\"compiled\",\
+         \"engine\":\"tree+fast\",\
          \"threads\":{threads},\"devices\":{devices},\
          \"plan_cache\":\"{plan_cache}\",\"sanitize\":\"{sanitize}\",\
          \"fast_ms_per_step\":{fast:.4},\"model_ms_per_step\":{model:.4},\
-         \"vector_fast_ms_per_step\":{vfast:.4},\"vector_model_ms_per_step\":{vmodel:.4},\
-         \"compiled_fast_ms_per_step\":{cfast:.4},\"compiled_model_ms_per_step\":{cmodel:.4},\
+         \"tree_fast_ms_per_step\":{tree_fast:.4},\"tree_model_ms_per_step\":{tree_model:.4},\
          \"divergent_warps\":{divergent},\
          \"sites_proven\":{},\"sites_checked\":{},\
          \"plan_hits\":{},\"plan_misses\":{}}}",

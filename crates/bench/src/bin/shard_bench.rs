@@ -105,7 +105,6 @@ fn main() {
     let plan_cache = bench::provenance::plan_cache_state();
     let threads = bench::provenance::threads();
     let engine = bench::provenance::engine_label();
-    let ladder = bench::provenance::ladder_leg();
     let sanitize = bench::provenance::sanitize_label();
 
     let mut rows = Vec::new();
@@ -149,7 +148,7 @@ fn main() {
 
     let record = format!(
         "{{\"bench\":\"shard\",\"cube\":{n},\"steps\":{steps},\
-         \"engine\":\"{engine}\",\"ladder\":\"{ladder}\",\
+         \"engine\":\"{engine}\",\
          \"threads\":{threads},\"devices_swept\":[1,2,4],\"plan_cache\":\"{plan_cache}\",\
          \"sanitize\":\"{sanitize}\",\"scaling\":{curve}}}"
     );

@@ -7,25 +7,12 @@
 
 use vgpu::telemetry;
 
-/// The engine label this process resolves from `VGPU_ENGINE` (the default
-/// is the warp-vectorized tape).
+/// The engine this process resolves from `VGPU_ENGINE`: `fast` (the
+/// default), `tree` or `differential`. Which tape executor `fast` puts a
+/// launch on is decided per launch and reported per launch
+/// (`LaunchStats::backend`, the `vgpu.launches.*` counters).
 pub fn engine_label() -> String {
     format!("{:?}", vgpu::Engine::from_env()).to_lowercase()
-}
-
-/// The engine-ladder leg (`tree|tape|vector|compiled`) flat launches
-/// execute on under the resolved engine. The differential engine runs
-/// every leg and returns the top rung's stats, so it records `compiled` —
-/// the leg whose numbers the record actually carries. Grouped (barrier)
-/// launches cap out at `tape` regardless; records describe the flat
-/// steady-state loops the benches time.
-pub fn ladder_leg() -> &'static str {
-    match vgpu::Engine::from_env() {
-        vgpu::Engine::Tree => "tree",
-        vgpu::Engine::Tape => "tape",
-        vgpu::Engine::Vector => "vector",
-        vgpu::Engine::Compiled | vgpu::Engine::Differential => "compiled",
-    }
 }
 
 /// Interpreter threads: the `VGPU_THREADS` override when set, otherwise

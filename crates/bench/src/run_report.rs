@@ -32,10 +32,6 @@ pub struct RunReport {
     pub name: String,
     /// Resolved engine label (`VGPU_ENGINE`).
     pub engine: String,
-    /// Engine-ladder leg the run's flat launches executed on
-    /// (`tree|tape|vector|compiled`; empty in pre-ladder reports).
-    #[serde(default = "String::new")]
-    pub ladder: String,
     /// Interpreter threads the run used.
     pub threads: usize,
     /// `"cold"`/`"warm"` launch-plan cache at emission time.
@@ -83,7 +79,6 @@ pub fn build(name: &str, record: Value) -> RunReport {
         schema_version: SCHEMA_VERSION,
         name: name.to_string(),
         engine: provenance::engine_label(),
-        ladder: provenance::ladder_leg().to_string(),
         threads: provenance::threads(),
         plan_cache: provenance::plan_cache_state().to_string(),
         devices: provenance::device_count(),
@@ -100,13 +95,11 @@ pub fn build(name: &str, record: Value) -> RunReport {
 /// per-kernel/hotspot/residual tables when profiling ran, and a metric
 /// digest.
 pub fn render(report: &RunReport) -> String {
-    let ladder = if report.ladder.is_empty() { "?" } else { &report.ladder };
     let mut out = format!(
-        "== run report: {} (engine {}, ladder leg {}, {} threads, {} device(s), plan cache {}, \
-         profile {}, sanitize {}) ==\n",
+        "== run report: {} (engine {}, {} threads, {} device(s), plan cache {}, profile {}, \
+         sanitize {}) ==\n",
         report.name,
         report.engine,
-        ladder,
         report.threads,
         report.devices,
         report.plan_cache,

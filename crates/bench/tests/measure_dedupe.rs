@@ -33,7 +33,7 @@ fn fallback_kernel() -> Kernel {
 
 fn trigger_fallback() {
     let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Tape);
+    dev.set_engine(Engine::Fast);
     let prep = dev.compile(&fallback_kernel()).unwrap();
     let x = dev.upload(BufData::from(vec![1.0f64, 2.0]));
     let out = dev.upload(BufData::from(vec![0.0f64; 2]));

@@ -97,7 +97,7 @@ fn racy_fixture_flagged_statically_and_dynamically() {
     assert!(msg.contains("site(s) [0]"), "dynamic report names the site: {msg}");
 }
 
-/// The compiled engine must *refuse* proof-licensed elision for the OOB
+/// The fused-block executor must *refuse* proof-licensed elision for the OOB
 /// fixture: no contract is registered for it, the launch-concrete facts
 /// cannot prove the off-the-end store, so the site stays on the checked
 /// path (`vgpu.compiled.sites_checked` grows) and the overrun dies on the
@@ -111,7 +111,7 @@ fn oob_fixture_refuses_proof_licensed_elision() {
     let proven0 = reg.counter("vgpu.compiled.sites_proven").get();
 
     let mut dev = Device::gtx780();
-    dev.set_engine(vgpu::Engine::Compiled);
+    dev.set_engine(vgpu::Engine::Fast);
     let prep = dev.compile(&oob.kernel).expect("fixture compiles");
     let out = dev.create_buffer(ScalarKind::F32, 32);
     // gid 31 survives the `gid >= N` guard and stores out[32] — one past

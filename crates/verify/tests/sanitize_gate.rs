@@ -11,7 +11,7 @@
 //! * both deliberately broken fixtures are flagged by the static layer
 //!   (`fixture_uninit_read` by the host audit, `fixture_stale_halo` by
 //!   the halo-width proof), and the shipped kernels stay PROVEN;
-//! * the full 4-leg differential suite over the sharded simulator runs
+//! * the full differential suite over the sharded simulator runs
 //!   bit-identical to a single device with the sanitizer on — zero
 //!   findings on any shipped kernel.
 //!
@@ -49,10 +49,10 @@ fn dynamic_uninit_findings_are_contained_in_static_predictions() {
     );
 
     // Dynamic side: actually run the program under the shadow sanitizer.
-    // The default (vector) engine reports findings without failing the
-    // launch, so the run completes and we can inspect the registry.
+    // The `fast` engine reports findings without failing the launch, so
+    // the run completes and we can inspect the registry.
     let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Vector);
+    dev.set_engine(Engine::Fast);
     let prog = verify::fixtures::uninit_host_program();
     let env = HostEnv::new().size("N", 16);
     run_host_program(&prog, &env, &mut dev, ScalarKind::F32, ExecMode::Fast)
@@ -92,7 +92,7 @@ fn stale_halo_fixture_fails_static_proof_and_shipped_kernels_stay_proven() {
     }
 }
 
-/// Acceptance gate: the 4-leg differential suite over the sharded
+/// Acceptance gate: the differential suite over the sharded
 /// simulator is bit-identical to a single device under
 /// `VGPU_SANITIZE=shadow`, and the shadow sanitizer stays silent for
 /// every shipped kernel (halo exchanges keep the seams fresh).

@@ -82,7 +82,7 @@ impl BufData {
     }
 
     /// Reads element `i` (bounds-checked) as its raw register bit pattern
-    /// (f32/i32 zero-extended to 64 bits): the same bits the tape VM's
+    /// (f32/i32 zero-extended to 64 bits): the same bits the tape executors'
     /// register encoding assigns to `get(i)`, without the `Value`
     /// round-trip.
     pub fn get_bits(&self, i: usize) -> u64 {
@@ -149,8 +149,8 @@ impl From<Vec<i32>> for BufData {
     }
 }
 
-/// Raw typed base pointer of a buffer's storage, for the compiled engine's
-/// gather/scatter lane loops: the element-kind dispatch happens once per
+/// Raw typed base pointer of a buffer's storage, for the fused-block
+/// executor's gather/scatter lane loops: the element-kind dispatch happens once per
 /// superinstruction instead of once per lane, and element access compiles
 /// to a plain indexed load/store. Every dereference must satisfy both the
 /// bounds discipline of the access site (asserted, or statically proven)

@@ -335,11 +335,10 @@ pub(crate) fn op_index(op: &Op) -> usize {
     }
 }
 
-// ---- superinstructions (the compiled engine's fused op set) ----
+// ---- superinstructions (the fused-block executor's op set) ----
 //
-// The compiled engine (`VGPU_ENGINE=compiled`, see `compile.rs`) re-lowers a
-// validated tape into basic blocks of *superinstructions*: the op sequences
-// the acoustics kernels actually emit — index-arithmetic → `AsI64` → `LdG`
+// `compile::lower` re-lowers a validated tape into basic blocks of
+// *superinstructions*: the op sequences the acoustics kernels actually emit — index-arithmetic → `AsI64` → `LdG`
 // stencil gathers with a trailing accumulate, `Bin`·`Bin` multiply-add
 // chains, and the compare → `Sel` / compare → `Jz` diamonds produced by
 // if-conversion — each collapsed into one fused op. A fused op skips the
@@ -347,7 +346,7 @@ pub(crate) fn op_index(op: &Op) -> usize {
 // reader is the fused op itself), which is what makes fusion profitable on
 // the SoA register file: every elided intermediate saves a 32-lane column
 // round-trip. Arithmetic inside fused ops goes through the exact same
-// bit-level helpers as the interpreters ([`bin_bits`], [`to_i64`], …) in the
+// bit-level helpers as the interpreter ([`bin_bits`], [`to_i64`], …) in the
 // exact same operand order, so results stay bit-identical lane for lane.
 
 /// The accumulate tail of a fused global load: `dst = src ⊕ loaded` (or
@@ -361,7 +360,7 @@ pub(crate) struct Acc {
     pub(crate) rev: bool,
 }
 
-/// One superinstruction of the compiled engine. Every variant's observable
+/// One superinstruction of the fused-block executor. Every variant's observable
 /// effects (registers written, counters bumped) equal the op sequence it
 /// replaced, minus the writes of fused-away single-use intermediates.
 #[derive(Debug, Clone)]
@@ -422,9 +421,9 @@ pub(crate) fn fop_index(fop: &FOp) -> Option<usize> {
 /// Profiler index of the fused compare-branch block terminator.
 pub(crate) const FOP_CMPJZ: usize = 4;
 
-/// A basic-block terminator of the compiled engine. Conditional terminators
+/// A basic-block terminator of the fused-block executor. Conditional terminators
 /// carry the pc of the first op they fused (`orig_pc`): when the active
-/// lanes disagree, the whole warp is delegated to the vector interpreter
+/// lanes disagree, the whole warp is delegated to the warp interpreter
 /// *at that pc*, which re-evaluates the (pure) condition and handles
 /// divergence with its mask/reconvergence machinery.
 #[derive(Debug, Clone, Copy)]
@@ -502,7 +501,7 @@ pub struct Compiled {
     /// model are unaffected.
     pub(crate) pre: Vec<Op>,
     /// Deduplicated launch-context reads (`Gid`/`Lid`/`Lsz`/`Grp`), one per
-    /// distinct (op, dim): executed once per work-item by [`exec_item_pre`]
+    /// distinct (op, dim): executed once per work-item by [`exec_item_pre_warp`]
     /// instead of at every use site. Pure register writes only.
     pub(crate) item_pre: Vec<Op>,
     /// Ops eliminated by the peephole optimizer: constant folds, dead ops
@@ -1000,7 +999,7 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
 
 /// `joins[pc]` value for ops that are not conditional branches (or whose
 /// join could not be established): the warp interpreter must finish the
-/// affected lanes on the scalar interpreter instead of reconverging.
+/// affected lanes one at a time instead of reconverging.
 pub(crate) const NO_JOIN: u32 = u32::MAX;
 
 /// Immediate postdominators of the tape's conditional branches — the warp
@@ -1102,13 +1101,13 @@ fn compute_joins(ops: &[Op]) -> Vec<u32> {
 
 /// One-time structural check run at compile time: every register operand in
 /// the main tape and the prelude is below `nregs`, every jump target and
-/// phase entry is inside the tape, and the tape is non-empty. `exec_phase`
-/// relies on this to elide per-access register bounds checks.
+/// phase entry is inside the tape, and the tape is non-empty. The warp
+/// executors rely on this to elide per-access register bounds checks.
 fn validate(c: &Compiled) -> bool {
     // The tape must end in a terminator: `pc` only moves past non-final ops
     // (a fall-through at the final op would run off the end) or to a
     // validated jump target, so the program counter can never leave the
-    // tape. `exec_phase` elides the fetch bounds check on this basis.
+    // tape. `WarpExec::run` elides the fetch bounds check on this basis.
     let mut ok = matches!(c.ops.last(), Some(Op::Ret | Op::Halt));
     for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
         if let Some(d) = op_dst(op) {
@@ -1331,7 +1330,7 @@ fn count_writers(ops: &[Op], nregs: usize) -> Vec<u32> {
 }
 
 /// Folds one op whose operands are all known constants into its result
-/// bits, reproducing `exec_phase` arithmetic exactly. Returns `None` for
+/// bits, reproducing the executors' arithmetic exactly. Returns `None` for
 /// non-foldable ops, unknown operands, and i32 `Div`/`Rem` cases that would
 /// trap at runtime (those must keep trapping at their original site).
 fn try_fold(op: &Op, constv: &[Option<u64>]) -> Option<(R, u64)> {
@@ -1864,35 +1863,6 @@ fn optimize(c: &mut Compiled, nslots: usize) {
 /// Executes the hoisted prelude once into a freshly initialised register
 /// file (scalar slots must already hold their launch values). Contains only
 /// pure register ops, so it touches no counters, traces, or memory.
-/// Executes the per-item context prelude: one deduplicated `Gid`/`Lid`/
-/// `Lsz`/`Grp` read per distinct (op, dim), mirroring the corresponding
-/// [`exec_phase`] arms bit for bit. Run once per work-item, after slot
-/// initialisation and before any phase.
-pub(crate) fn exec_item_pre(
-    c: &Compiled,
-    regs: &mut [u64],
-    gid: [usize; 3],
-    lid: usize,
-    lsize: usize,
-    group: usize,
-) {
-    for op in &c.item_pre {
-        match *op {
-            Op::Gid { dst, dim } => regs[dst as usize] = bi32(gid[dim as usize] as i32),
-            Op::Lid { dst, dim } => {
-                regs[dst as usize] = bi32(if dim == 0 { lid as i32 } else { 0 })
-            }
-            Op::Lsz { dst, dim } => {
-                regs[dst as usize] = bi32(if dim == 0 { lsize as i32 } else { 1 })
-            }
-            Op::Grp { dst, dim } => {
-                regs[dst as usize] = bi32(if dim == 0 { group as i32 } else { 0 })
-            }
-            _ => unreachable!("non-context op in item prelude"),
-        }
-    }
-}
-
 pub(crate) fn exec_pre(c: &Compiled, regs: &mut [u64], gsize: [usize; 3]) {
     for op in &c.pre {
         match *op {
@@ -1962,28 +1932,6 @@ pub(crate) fn exec_pre(c: &Compiled, regs: &mut [u64], gsize: [usize; 3]) {
     }
 }
 
-/// Mutable per-item/per-launch state threaded through tape execution.
-pub(crate) struct TapeCtx<'a> {
-    pub bufs: &'a [Option<&'a SharedBuf>],
-    pub gsize: [usize; 3],
-    pub counters: &'a mut Counters,
-    pub trace: &'a mut Vec<(u32, u32, u64)>,
-    pub trace_on: bool,
-    pub writes: &'a mut Vec<WriteRec>,
-    pub race_on: bool,
-    pub item: u64,
-    pub gid: [usize; 3],
-    pub lid: usize,
-    pub group: usize,
-    pub lsize: usize,
-    /// Per-opcode time tally (`VGPU_PROFILE=op` only). `None` selects the
-    /// unprofiled interpreter instantiation — the hot loop is unchanged.
-    pub prof: Option<&'a mut OpProf>,
-    /// Kernel identity for shadow-sanitizer findings (`None` when the
-    /// sanitizer is off — the per-access cost is then one shadow test).
-    pub san: Option<crate::sanitize::SanCtx<'a>>,
-}
-
 /// Closes a pending per-op attribution: charges `pending`'s opcode with the
 /// time elapsed since its dispatch started. Called at every interpreter exit
 /// point of a profiled (`PROF = true`) run.
@@ -1994,311 +1942,15 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
     }
 }
 
-/// Executes one phase of a compiled tape for one work-item. Returns `true`
-/// when the item executed `Ret` (early exit).
-/// Unchecked register read. The tape passed [`validate`] at compile time
-/// (every operand `< nregs`) and `exec_phase` asserts the register file is
-/// at least `nregs` long, so the index is always in bounds.
-#[inline(always)]
-fn rg(regs: &[u64], r: R) -> u64 {
-    debug_assert!((r as usize) < regs.len());
-    // SAFETY: see doc comment — `validate` + the `exec_phase` entry assert.
-    unsafe { *regs.get_unchecked(r as usize) }
-}
-
-/// Unchecked register write; same justification as [`rg`].
-#[inline(always)]
-fn wr(regs: &mut [u64], r: R, v: u64) {
-    debug_assert!((r as usize) < regs.len());
-    // SAFETY: see doc comment on `rg`.
-    unsafe { *regs.get_unchecked_mut(r as usize) = v }
-}
-
-pub(crate) fn exec_phase(
-    c: &Compiled,
-    phase: usize,
-    regs: &mut [u64],
-    privs: &mut [Vec<u64>],
-    locals: &mut [Vec<u64>],
-    t: &mut TapeCtx<'_>,
-) -> bool {
-    exec_phase_from(c, c.phase_starts[phase] as usize, regs, privs, locals, t)
-}
-
-/// How a (possibly bounded) scalar tape run ended.
-#[derive(PartialEq, Eq)]
-enum ScalarRun {
-    /// The item executed `Ret` (early exit).
-    Ret,
-    /// The item ran off the end of the phase (`Halt`).
-    Halt,
-    /// Bounded run only: the item reached the `until` pc without executing
-    /// it — it is parked at a reconvergence point, not finished.
-    Until,
-}
-
-/// [`exec_phase`] starting at an arbitrary instruction. The vectorized warp
-/// interpreter uses this to continue individual lanes from a divergent
-/// branch: the branch op itself re-evaluates its condition from the lane's
-/// registers (a pure read), so resuming *at* the branch reproduces scalar
-/// control flow exactly without duplicating any side effect.
-pub(crate) fn exec_phase_from(
-    c: &Compiled,
-    entry: usize,
-    regs: &mut [u64],
-    privs: &mut [Vec<u64>],
-    locals: &mut [Vec<u64>],
-    t: &mut TapeCtx<'_>,
-) -> bool {
-    let run = if t.prof.is_some() {
-        exec_scalar::<false, true>(c, entry, usize::MAX, regs, privs, locals, t)
-    } else {
-        exec_scalar::<false, false>(c, entry, usize::MAX, regs, privs, locals, t)
-    };
-    run == ScalarRun::Ret
-}
-
-/// The scalar interpreter loop. `BOUNDED` is a compile-time switch: `false`
-/// instantiates the unbounded hot path (no per-op `until` compare), `true`
-/// the warp interpreter's per-lane continuation, which stops *before*
-/// executing the op at `until` so the lane can rejoin vectorized execution
-/// there. `PROF` switches per-opcode time attribution on: like `BOUNDED` it
-/// is a const generic, so the unprofiled instantiation carries no timing
-/// code at all — the same licensing discipline structural validation uses
-/// for unchecked register access.
-#[inline(never)] // keep the two PROF instantiations from inlining side by side
-fn exec_scalar<const BOUNDED: bool, const PROF: bool>(
-    c: &Compiled,
-    entry: usize,
-    until: usize,
-    regs: &mut [u64],
-    privs: &mut [Vec<u64>],
-    locals: &mut [Vec<u64>],
-    t: &mut TapeCtx<'_>,
-) -> ScalarRun {
-    assert!(regs.len() >= c.nregs, "register file smaller than tape nregs");
-    assert!(entry < c.ops.len(), "entry pc outside the tape");
-    let ops = &c.ops[..];
-    let mut pc = entry;
-    // Pending per-op attribution: the opcode whose dispatch started at
-    // `Instant`. One timer read per iteration both closes the previous op's
-    // span and opens the next — control-flow ops are charged until their
-    // target's first dispatch, which is exactly their interpretation cost.
-    let mut pending: Option<(usize, Instant)> = None;
-    loop {
-        if BOUNDED && pc == until {
-            if PROF {
-                flush_pending(&mut t.prof, &mut pending);
-            }
-            return ScalarRun::Until;
-        }
-        if PROF {
-            let now = Instant::now();
-            if let (Some((idx, start)), Some(p)) = (pending.take(), t.prof.as_deref_mut()) {
-                p.add(idx, now - start);
-            }
-            // SAFETY: as for the fetch below — `pc` is in bounds.
-            pending = Some((op_index(unsafe { ops.get_unchecked(pc) }), now));
-        }
-        // SAFETY: `validate` checked that every jump target and phase entry
-        // is inside the tape and that the tape ends in `Ret`/`Halt`, so by
-        // induction `pc` stays in bounds (a non-terminator is never final,
-        // hence `pc + 1` lands on an op; jumps land on validated targets).
-        match *unsafe { ops.get_unchecked(pc) } {
-            Op::Const { dst, bits } => wr(regs, dst, bits),
-            Op::Gid { dst, dim } => wr(regs, dst, bi32(t.gid[dim as usize] as i32)),
-            Op::Gsz { dst, dim } => wr(regs, dst, bi32(t.gsize[dim as usize] as i32)),
-            Op::Lid { dst, dim } => wr(regs, dst, bi32(if dim == 0 { t.lid as i32 } else { 0 })),
-            Op::Lsz { dst, dim } => wr(regs, dst, bi32(if dim == 0 { t.lsize as i32 } else { 1 })),
-            Op::Grp { dst, dim } => wr(regs, dst, bi32(if dim == 0 { t.group as i32 } else { 0 })),
-            Op::Mov { dst, src } => wr(regs, dst, rg(regs, src)),
-            Op::Cast { dst, src, from, to } => wr(regs, dst, cast_bits(from, to, rg(regs, src))),
-            Op::AsI64 { dst, src, from } => wr(regs, dst, bi64(to_i64(from, rg(regs, src)))),
-            Op::MaxOne { dst } => {
-                wr(regs, dst, bi64(i64v(rg(regs, dst)).max(1)));
-            }
-            Op::I64ToI32 { dst, src } => wr(regs, dst, bi32(i64v(rg(regs, src)) as i32)),
-            Op::AddI64 { dst, a, b } => wr(regs, dst, bi64(i64v(rg(regs, a)) + i64v(rg(regs, b)))),
-            Op::JgeI64 { a, b, target } => {
-                if i64v(rg(regs, a)) >= i64v(rg(regs, b)) {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::Neg { dst, src, k } => {
-                let s = rg(regs, src);
-                let v = match k {
-                    K::F32 => b32(-f32v(s)),
-                    K::F64 => b64(-f64v(s)),
-                    K::I32 => bi32(-i32v(s)),
-                    K::Bool => bi32(-((s != 0) as i32)),
-                };
-                wr(regs, dst, v);
-            }
-            Op::Not { dst, src, k } => {
-                wr(regs, dst, bb(!truthy(k, rg(regs, src))));
-            }
-            Op::Bin { dst, a, b, op, k } => {
-                wr(regs, dst, bin_bits(op, k, rg(regs, a), rg(regs, b)));
-            }
-            Op::Logic { dst, a, b, ka, kb, or } => {
-                let (x, y) = (truthy(ka, rg(regs, a)), truthy(kb, rg(regs, b)));
-                wr(regs, dst, bb(if or { x || y } else { x && y }));
-            }
-            Op::MinMax { dst, a, b, k, max } => {
-                let (x, y) = (rg(regs, a), rg(regs, b));
-                let v = match k {
-                    K::F32 => {
-                        let (p, q) = (f32v(x) as f64, f32v(y) as f64);
-                        b32((if max { p.max(q) } else { p.min(q) }) as f32)
-                    }
-                    K::F64 => {
-                        let (p, q) = (f64v(x), f64v(y));
-                        b64(if max { p.max(q) } else { p.min(q) })
-                    }
-                    K::I32 => {
-                        let (p, q) = (i32v(x) as i64, i32v(y) as i64);
-                        bi32((if max { p.max(q) } else { p.min(q) }) as i32)
-                    }
-                    K::Bool => unreachable!("min/max never promotes to bool"),
-                };
-                wr(regs, dst, v);
-            }
-            Op::Intr1 { dst, src, intr, k } => {
-                let s = rg(regs, src);
-                let v = match k {
-                    K::F32 => b32(intr1_f32(intr, f32v(s))),
-                    _ => b64(intr1_f64(intr, f64v(s))),
-                };
-                wr(regs, dst, v);
-            }
-            Op::Sel { dst, cond, ck, t: tr, f: fr } => {
-                let v = if truthy(ck, rg(regs, cond)) { rg(regs, tr) } else { rg(regs, fr) };
-                wr(regs, dst, v);
-            }
-            Op::LdG { dst, buf, idx, site, constant } => {
-                let i = i64v(rg(regs, idx));
-                let b = t.bufs[buf as usize].expect("buffer bound");
-                if constant {
-                    t.counters.loads_constant += 1;
-                } else {
-                    let eb = b.elem_bytes() as u64;
-                    t.counters.loads_global += 1;
-                    t.counters.bytes_loaded += eb;
-                    if t.trace_on {
-                        t.trace.push((site, 0, ((buf as u64) << 40) | ((i as u64) * eb)));
-                    }
-                }
-                debug_assert!(
-                    i >= 0 && (i as usize) < b.len(),
-                    "load out of bounds: param {buf}[{i}] (len {})",
-                    b.len()
-                );
-                if let Some(sh) = b.shadow() {
-                    if let Some(kind) = sh.classify_load(i as usize) {
-                        crate::sanitize::report_load_fault(
-                            kind,
-                            t.san.as_ref(),
-                            buf as usize,
-                            site,
-                            i as u64,
-                            "tape",
-                        );
-                    }
-                }
-                // SAFETY: launch contract — no concurrent writer of this
-                // element (same contract as the tree-walker).
-                wr(regs, dst, unsafe { b.get_bits(i as usize) });
-            }
-            Op::StG { buf, idx, val, vk, site } => {
-                let i = i64v(rg(regs, idx));
-                let b = t.bufs[buf as usize].expect("buffer bound");
-                let eb = b.elem_bytes() as u64;
-                t.counters.stores_global += 1;
-                t.counters.bytes_stored += eb;
-                if t.trace_on {
-                    t.trace.push((site, 0, ((buf as u64) << 40) | ((i as u64) * eb)));
-                }
-                if t.race_on {
-                    t.writes.push((buf as u32, i as u64, t.item, site));
-                }
-                debug_assert!(
-                    i >= 0 && (i as usize) < b.len(),
-                    "store out of bounds: param {buf}[{i}] (len {})",
-                    b.len()
-                );
-                if let Some(sh) = b.shadow() {
-                    sh.note_store(i as usize);
-                }
-                // SAFETY: launch contract — element disjointness across
-                // work-items (verified by race-check mode).
-                unsafe { b.set(i as usize, bits_value(vk, rg(regs, val))) };
-            }
-            Op::LdP { dst, arr, idx } => {
-                wr(regs, dst, privs[arr as usize][i64v(rg(regs, idx)) as usize]);
-            }
-            Op::StP { arr, idx, val, vk, k } => {
-                let i = i64v(rg(regs, idx)) as usize;
-                privs[arr as usize][i] = cast_bits(vk, k, rg(regs, val));
-            }
-            Op::LdL { dst, arr, idx } => {
-                wr(regs, dst, locals[arr as usize][i64v(rg(regs, idx)) as usize]);
-            }
-            Op::StL { arr, idx, val, vk, k } => {
-                let i = i64v(rg(regs, idx)) as usize;
-                locals[arr as usize][i] = cast_bits(vk, k, rg(regs, val));
-            }
-            Op::DeclPriv { arr, len } => {
-                let n = i64v(rg(regs, len)) as usize;
-                let p = &mut privs[arr as usize];
-                p.clear();
-                p.resize(n, 0);
-            }
-            Op::DeclLocal { arr, len } => {
-                let n = i64v(rg(regs, len)) as usize;
-                let l = &mut locals[arr as usize];
-                if l.len() != n {
-                    l.clear();
-                    l.resize(n, 0);
-                }
-            }
-            Op::Flops { n } => t.counters.flops += n as u64,
-            Op::Jmp { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Op::Jz { cond, k, target } => {
-                if !truthy(k, rg(regs, cond)) {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::Ret => {
-                if PROF {
-                    flush_pending(&mut t.prof, &mut pending);
-                }
-                return ScalarRun::Ret;
-            }
-            Op::Halt => {
-                if PROF {
-                    flush_pending(&mut t.prof, &mut pending);
-                }
-                return ScalarRun::Halt;
-            }
-        }
-        pc += 1;
-    }
-}
-
-// ---- warp-vectorized execution ----
+// ---- warp execution ----
 //
-// The scalar interpreter above re-dispatches every op once per work-item:
-// 32 fetch/decode cycles per warp per op. The warp interpreter decodes each
-// op *once* and applies it to the active lanes through a structure-of-arrays
-// register file (`vregs[r * WARP + lane]`), the software analogue of SIMT
-// instruction issue on the paper's GPUs. Lanes of one warp are consecutive
-// work-items; the active set is a lane bitmask, initially the prefix
-// `0..nact` (only the final warp of an NDRange is partial).
+// The warp interpreter decodes each op *once* and applies it to the active
+// lanes through a structure-of-arrays register file
+// (`vregs[r * WARP + lane]`), the software analogue of SIMT instruction
+// issue on the paper's GPUs. Lanes of one warp are consecutive work-items;
+// the active set is a lane bitmask — the prefix `0..nact` of a fresh warp
+// (only the final warp of an NDRange or workgroup is partial), minus the
+// lanes that returned in an earlier barrier phase of a grouped launch.
 //
 // Branches follow the hardware's reconvergence discipline. A branch whose
 // active lanes agree takes a single jump. When lanes *diverge*, the
@@ -2307,17 +1959,17 @@ fn exec_scalar<const BOUNDED: bool, const PROF: bool>(
 // compile time) — exactly the stack-based reconvergence real SIMT hardware
 // performs, which keeps warps vectorized across the per-lane boundary
 // conditions that dominate the acoustics kernels. Lanes that `Ret` inside a
-// masked region simply drop out of the mask. Only when no join is usable (a
-// branch whose paths never meet again, or reconvergence nested past
-// `MAX_DIVERGE_DEPTH`) does a lane finish on the scalar interpreter — run
-// *until the join*, so even that path rejoins vector execution. Divergence
-// is therefore a performance event, never a correctness one, and
-// `vgpu.warp.divergent` counts the warps that actually paid for it.
+// masked region simply drop out of the mask. Only when a branch has no join
+// (`NO_JOIN`) do its lanes continue one at a time — a warp with a one-bit
+// mask never diverges, so it *is* a scalar interpreter — and still only
+// *until the enclosing join*, so even that path rejoins vector execution. Divergence is therefore a performance event, never a
+// correctness one, and `vgpu.warp.divergent` counts the warps that actually
+// paid for it.
 
-/// Unchecked SoA register read: lane `l` of register `r`. Same license as
-/// [`rg`] — `validate` bounds every operand below `nregs`, and
-/// [`exec_phase_warp`] asserts the SoA file holds `nregs * WARP` lanes with
-/// `l < WARP`.
+/// Unchecked SoA register read: lane `l` of register `r`. The tape passed
+/// [`validate`] at compile time (every operand `< nregs`), and
+/// [`exec_phase_warp`]/[`exec_fused_warp`] assert the SoA file holds
+/// `nregs * WARP` lanes with `l < WARP`.
 #[inline(always)]
 fn vg(vregs: &[u64], r: R, l: usize) -> u64 {
     debug_assert!(r as usize * WARP + l < vregs.len());
@@ -2338,7 +1990,7 @@ const FULL_MASK: u32 = u32::MAX;
 
 /// The active mask of a fresh warp: lanes `0..nact`.
 #[inline(always)]
-fn prefix_mask(nact: usize) -> u32 {
+pub(crate) fn prefix_mask(nact: usize) -> u32 {
     debug_assert!((1..=WARP).contains(&nact));
     if nact == WARP {
         FULL_MASK
@@ -2397,52 +2049,25 @@ macro_rules! for_mask {
     }};
 }
 
-/// Lane-wise unary register op over the active mask. Contiguous masks — the
-/// overwhelmingly common case, see [`contiguous`] — get a dense loop that
-/// LLVM can autovectorize.
+/// Lane-wise unary register op over the active mask; the [`for_mask!`] lane
+/// loops stay dense — and autovectorizable — for the overwhelmingly common
+/// full and contiguous masks (see [`contiguous`]).
 #[inline(always)]
 fn vmap1(vregs: &mut [u64], dst: R, src: R, mask: u32, f: impl Fn(u64) -> u64) {
-    if mask == FULL_MASK {
-        // Constant trip count: LLVM unrolls/vectorizes with no remainder.
-        for l in 0..WARP {
-            let x = vg(vregs, src, l);
-            vs(vregs, dst, l, f(x));
-        }
-    } else if let Some((lo, hi)) = contiguous(mask) {
-        for l in lo..hi {
-            let x = vg(vregs, src, l);
-            vs(vregs, dst, l, f(x));
-        }
-    } else {
-        for_lanes!(mask, l, {
-            let x = vg(vregs, src, l);
-            vs(vregs, dst, l, f(x));
-        });
-    }
+    for_mask!(mask, l, {
+        let x = vg(vregs, src, l);
+        vs(vregs, dst, l, f(x));
+    });
 }
 
 /// Lane-wise binary register op over the active mask; see [`vmap1`].
 #[inline(always)]
 fn vmap2(vregs: &mut [u64], dst: R, a: R, b: R, mask: u32, f: impl Fn(u64, u64) -> u64) {
-    if mask == FULL_MASK {
-        for l in 0..WARP {
-            let x = vg(vregs, a, l);
-            let y = vg(vregs, b, l);
-            vs(vregs, dst, l, f(x, y));
-        }
-    } else if let Some((lo, hi)) = contiguous(mask) {
-        for l in lo..hi {
-            let x = vg(vregs, a, l);
-            let y = vg(vregs, b, l);
-            vs(vregs, dst, l, f(x, y));
-        }
-    } else {
-        for_lanes!(mask, l, {
-            let x = vg(vregs, a, l);
-            let y = vg(vregs, b, l);
-            vs(vregs, dst, l, f(x, y));
-        });
-    }
+    for_mask!(mask, l, {
+        let x = vg(vregs, a, l);
+        let y = vg(vregs, b, l);
+        vs(vregs, dst, l, f(x, y));
+    });
 }
 
 /// Lane-wise ternary register op over the active mask; see [`vmap1`].
@@ -2498,56 +2123,54 @@ pub(crate) fn warp_init_regs(c: &Compiled, nslots: usize) -> (Vec<R>, Vec<R>) {
     (once, per_warp)
 }
 
-/// Vectorized [`exec_item_pre`]: one deduplicated context read per distinct
-/// (op, dim), written to every active lane. Flat dispatch passes `lid = 0`,
-/// `lsize = 1` and per-lane groups, exactly as the scalar path does.
+/// What a launch-context read (`Gid`/`Lid`/`Lsz`/`Grp`) yields for one
+/// work-item, as i32 register bits. `lsize` is the workgroup size of a
+/// grouped launch (1-D: `item = group * lsize + lid`); flat dispatch passes
+/// `None` and reads local id 0, local size 1 and group = warp id, exactly as
+/// the tree-walker does.
+#[inline(always)]
+fn context_bits(op: &Op, gid: &[usize; 3], item: u64, lsize: Option<usize>) -> u64 {
+    // (local id, local size, group id) along dimension 0.
+    let local = || match lsize {
+        Some(n) => (item % n as u64, n as u64, item / n as u64),
+        None => (0, 1, item / WARP as u64),
+    };
+    bi32(match *op {
+        Op::Gid { dim, .. } => gid[dim as usize] as i32,
+        Op::Lid { dim: 0, .. } => local().0 as i32,
+        Op::Lsz { dim: 0, .. } => local().1 as i32,
+        Op::Grp { dim: 0, .. } => local().2 as i32,
+        Op::Lid { .. } | Op::Grp { .. } => 0,
+        Op::Lsz { .. } => 1,
+        _ => unreachable!("not a launch-context read"),
+    })
+}
+
+/// Executes the per-item context prelude for a fresh warp: one deduplicated
+/// `Gid`/`Lid`/`Lsz`/`Grp` read per distinct (op, dim), written to lanes
+/// `0..nact`. Run once per warp, after slot initialisation and before any
+/// phase.
 pub(crate) fn exec_item_pre_warp(
     c: &Compiled,
     vregs: &mut [u64],
     nact: usize,
     gids: &[[usize; 3]],
     items: &[u64],
+    lsize: Option<usize>,
 ) {
     for op in &c.item_pre {
-        match *op {
-            Op::Gid { dst, dim } => {
-                for (l, gid) in gids.iter().enumerate().take(nact) {
-                    vs(vregs, dst, l, bi32(gid[dim as usize] as i32));
-                }
-            }
-            Op::Lid { dst, .. } => {
-                for l in 0..nact {
-                    vs(vregs, dst, l, bi32(0));
-                }
-            }
-            Op::Lsz { dst, .. } => {
-                for l in 0..nact {
-                    vs(vregs, dst, l, bi32(1));
-                }
-            }
-            Op::Grp { dst, dim } => {
-                for (l, item) in items.iter().enumerate().take(nact) {
-                    let g = if dim == 0 { (item / WARP as u64) as i32 } else { 0 };
-                    vs(vregs, dst, l, bi32(g));
-                }
-            }
-            _ => unreachable!("non-context op in item prelude"),
+        let dst = op_dst(op).expect("context reads write a register");
+        for l in 0..nact {
+            vs(vregs, dst, l, context_bits(op, &gids[l], items[l], lsize));
         }
     }
 }
 
-/// Reconvergence recursion bound: one level per simultaneously-open masked
-/// region (nested `If`s, or one level per divergent loop-exit event — at
-/// most one per lane). Far above anything structured kernels produce; past
-/// it the affected lanes finish on the bounded scalar interpreter, which is
-/// a performance valve, not a correctness limit.
-const MAX_DIVERGE_DEPTH: u32 = 64;
-
 /// Per-warp launch state threaded through [`exec_phase_warp`]. Counters and
 /// race records are shared across lanes (bulk-added per op); transaction
-/// traces stay per-lane so the existing warp coalescing model
+/// traces stay per-lane so the warp coalescing model
 /// (`warp_transaction_bytes`) sees the same per-item access sequences the
-/// scalar interpreter produces.
+/// tree-walker produces.
 pub(crate) struct WarpCtx<'a> {
     /// Buffer bindings (by parameter index).
     pub bufs: &'a [Option<&'a SharedBuf>],
@@ -2567,6 +2190,12 @@ pub(crate) struct WarpCtx<'a> {
     pub gids: &'a [[usize; 3]],
     /// Global NDRange sizes.
     pub gsize: [usize; 3],
+    /// Workgroup size of a grouped launch; `None` for flat dispatch (see
+    /// [`context_bits`]).
+    pub lsize: Option<usize>,
+    /// The workgroup's local-memory arena, shared by every warp of the
+    /// group (empty for flat dispatch, whose tapes carry no local ops).
+    pub locals: &'a mut [Vec<u64>],
     /// Per-opcode time tally (`VGPU_PROFILE=op` only); `None` selects the
     /// unprofiled warp-interpreter instantiation.
     pub prof: Option<&'a mut OpProf>,
@@ -2575,44 +2204,69 @@ pub(crate) struct WarpCtx<'a> {
     pub san: Option<crate::sanitize::SanCtx<'a>>,
 }
 
-/// Executes one phase of a compiled tape for a whole warp at once: `nact`
-/// active lanes (initially a prefix; the last warp of an NDRange may be
-/// partial) advance through the tape in lockstep over the SoA register file
-/// `vregs`, diverging and reconverging per the SIMT mask discipline in the
-/// section comment above. Arithmetic reuses the exact bit-level helpers of
-/// the scalar interpreter ([`bin_bits`], [`cast_bits`],
-/// [`intr1_f32`]/[`intr1_f64`]), so results are bit-identical lane for
-/// lane. Returns `true` when any branch diverged — the warp still ran to
-/// completion; the flag feeds `vgpu.warp.divergent`.
+/// How one warp's run of a phase ended.
+pub(crate) struct PhaseRun {
+    /// Some branch saw its active lanes disagree — the warp still ran to
+    /// completion; the flag feeds `vgpu.warp.divergent`.
+    pub diverged: bool,
+    /// Lanes that executed `Ret`: a grouped launch masks them off for the
+    /// remaining barrier phases.
+    pub returned: u32,
+}
+
+/// Executes one phase of a compiled tape for a whole warp at once: the
+/// lanes of `mask` advance through the tape in lockstep over the SoA
+/// register file `vregs`, diverging and reconverging per the SIMT mask
+/// discipline in the section comment above. Arithmetic goes through one set
+/// of bit-level helpers ([`bin_bits`], [`cast_bits`],
+/// [`intr1_f32`]/[`intr1_f64`]) that reproduce the tree-walker's `Value`
+/// semantics, so results are bit-identical lane for lane.
 pub(crate) fn exec_phase_warp(
     c: &Compiled,
     phase: usize,
-    nact: usize,
+    mask: u32,
     vregs: &mut [u64],
     lane_privs: &mut [Vec<Vec<u64>>],
     w: &mut WarpCtx<'_>,
-) -> bool {
+) -> PhaseRun {
     assert!(vregs.len() >= c.nregs * WARP, "SoA register file smaller than tape nregs");
-    assert!((1..=WARP).contains(&nact), "active lanes out of range");
-    assert!(lane_privs.len() >= nact && w.items.len() >= nact && w.gids.len() >= nact);
+    assert!(mask != 0, "no active lane");
+    let lanes = WARP - mask.leading_zeros() as usize;
+    assert!(lane_privs.len() >= lanes && w.traces.len() >= lanes);
+    assert!(w.items.len() >= lanes && w.gids.len() >= lanes);
+    exec_warp_from(c, c.phase_starts[phase] as usize, mask, vregs, lane_privs, w)
+}
+
+/// Runs the warp interpreter from tape pc `pc` under the given active mask
+/// to the end of the phase. Entry of [`exec_phase_warp`], and the fused
+/// executor's hand-off for control-flow shapes it does not resolve in place
+/// (divergent loop trip counts, multi-block diamond arms).
+fn exec_warp_from(
+    c: &Compiled,
+    pc: usize,
+    mask: u32,
+    vregs: &mut [u64],
+    lane_privs: &mut [Vec<Vec<u64>>],
+    w: &mut WarpCtx<'_>,
+) -> PhaseRun {
+    assert!(pc < c.ops.len(), "entry pc outside the tape");
     assert_eq!(c.joins.len(), c.ops.len(), "tape compiled without join metadata");
     let prof_on = w.prof.is_some();
-    let mut ex =
-        WarpExec { c, vregs, lane_privs, w, scratch: Vec::new(), diverged: false, pending: None };
-    let (entry, end, mask) = (c.phase_starts[phase] as usize, c.ops.len(), prefix_mask(nact));
+    let mut ex = WarpExec { c, vregs, lane_privs, w, diverged: false, returned: 0, pending: None };
+    let end = c.ops.len();
     if prof_on {
-        ex.run::<true>(entry, end, mask, 0);
+        ex.run::<true>(pc, end, mask);
         // Close the final op's span (the `Ret`/`Halt` that ended the phase).
         ex.flush_pending();
     } else {
-        ex.run::<false>(entry, end, mask, 0);
+        ex.run::<false>(pc, end, mask);
     }
-    ex.diverged
+    PhaseRun { diverged: ex.diverged, returned: ex.returned }
 }
 
-// ---- fused-block executor (the compiled engine's inner loop) ----
+// ---- fused-block executor ----
 //
-// `exec_fused_warp` is the compiled counterpart of `exec_phase_warp`: it
+// `exec_fused_warp` is the fast-path counterpart of `exec_phase_warp`: it
 // walks superinstruction basic blocks instead of decoding one op at a time,
 // under a lane mask. Uniform terminators just pick the next block.
 // Divergent terminators resolve in place where the block graph allows it:
@@ -2620,7 +2274,7 @@ pub(crate) fn exec_phase_warp(
 // mask, and single-block diamond/triangle arms run if-converted under
 // complementary masks before reconverging at the join. Only shapes outside
 // those patterns — divergent loop trip counts, multi-block arms — hand the
-// warp to the vector interpreter at the terminator's original tape pc
+// warp to the warp interpreter at the terminator's original tape pc
 // (`exec_warp_from`), whose general reconvergence machinery finishes the
 // phase. Conditions are pure register reads, so re-evaluating them after
 // the hand-off neither skips nor doubles any effect. All lane loops go
@@ -2630,35 +2284,10 @@ pub(crate) fn exec_phase_warp(
 // Bounds discipline: the executor receives a per-site `checked` table
 // (true ⇒ keep the dynamic check). Sites the static verifier proved in
 // bounds for every work-item run raw unchecked pointer accesses
-// ([`BufPtr`]) — the proof-licensed elision the compiled engine exists
+// ([`BufPtr`]) — the proof-licensed elision the fused executor exists
 // for, audited by a debug-build assert pass; POTENTIAL sites keep a
 // release-mode `assert!` and fail with a clean panic instead of undefined
 // behaviour.
-
-/// Resumes the vector interpreter at tape pc `pc` under the given active
-/// mask and runs the phase to completion. Divergence-delegation entry for
-/// the compiled engine — the fallback for control-flow shapes the masked
-/// fused executor does not handle in place (divergent loop trip counts,
-/// multi-block diamond arms).
-fn exec_warp_from(
-    c: &Compiled,
-    pc: usize,
-    mask: u32,
-    vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-) {
-    let prof_on = w.prof.is_some();
-    let mut ex =
-        WarpExec { c, vregs, lane_privs, w, scratch: Vec::new(), diverged: false, pending: None };
-    let end = c.ops.len();
-    if prof_on {
-        ex.run::<true>(pc, end, mask, 0);
-        ex.flush_pending();
-    } else {
-        ex.run::<false>(pc, end, mask, 0);
-    }
-}
 
 /// Executes one phase of a fused tape for a whole warp: the active lanes
 /// advance block by block under a lane mask. Divergent branches are
@@ -2666,12 +2295,12 @@ fn exec_warp_from(
 /// retire their lanes from the mask, and single-block diamond/triangle
 /// arms run if-converted under complementary masks — so the monomorphic
 /// superinstruction loops keep running; only shapes outside those patterns
-/// (divergent loop trips, nested arms) delegate the warp to the vector
+/// (divergent loop trips, nested arms) delegate the warp to the warp
 /// interpreter. Returns `true` when the warp diverged — the same condition
-/// ([`WarpExec::branch`]'s lanes-disagree test) the vector engine reports,
-/// so `vgpu.warp.divergent` stays bit-identical across engine legs. The
-/// caller must have tracing and race recording off; those modes run the
-/// vector engine wholesale instead.
+/// ([`WarpExec::branch`]'s lanes-disagree test) the interpreter reports,
+/// so `vgpu.warp.divergent` is the same whichever executor ran. The caller
+/// must have tracing and race recording off; those launches run the warp
+/// interpreter wholesale instead.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_fused_warp(
     f: &Fused,
@@ -2686,7 +2315,7 @@ pub(crate) fn exec_fused_warp(
     assert!(vregs.len() >= c.nregs * WARP, "SoA register file smaller than tape nregs");
     assert!((1..=WARP).contains(&nact), "active lanes out of range");
     assert!(lane_privs.len() >= nact && w.items.len() >= nact && w.gids.len() >= nact);
-    debug_assert!(!w.trace_on && !w.race_on, "tracing/race modes run the vector engine");
+    debug_assert!(!w.trace_on && !w.race_on, "tracing/race modes run the warp interpreter");
     if w.prof.is_some() {
         run_fused::<true>(f, c, phase, nact, vregs, lane_privs, w, checked)
     } else {
@@ -3191,9 +2820,9 @@ fn exec_fop(
     }
 }
 
-/// Masked execution of an unfused op: the vector interpreter's arms under
-/// the fused executor's lane mask, plus the compiled engine's per-site
-/// bounds discipline on `LdG`/`StG`. The hot arms of the acoustics tapes
+/// Masked execution of an unfused op: the warp interpreter's arms under
+/// the fused executor's lane mask, plus the per-site bounds discipline on
+/// `LdG`/`StG`. The hot arms of the acoustics tapes
 /// (i32 index arithmetic, comparisons, `AsI64` from i32, bool logic/select)
 /// are monomorphised so the lane loops carry no per-lane kind dispatch.
 /// Control-flow ops never appear here — they are block terminators.
@@ -3211,31 +2840,15 @@ fn exec_base_dense(
                 vs(vregs, dst, l, bits);
             });
         }
-        Op::Gid { dst, dim } => {
-            for_mask!(mask, l, {
-                vs(vregs, dst, l, bi32(w.gids[l][dim as usize] as i32));
-            });
-        }
         Op::Gsz { dst, dim } => {
             let bits = bi32(w.gsize[dim as usize] as i32);
             for_mask!(mask, l, {
                 vs(vregs, dst, l, bits);
             });
         }
-        Op::Lid { dst, .. } => {
+        Op::Gid { dst, .. } | Op::Lid { dst, .. } | Op::Lsz { dst, .. } | Op::Grp { dst, .. } => {
             for_mask!(mask, l, {
-                vs(vregs, dst, l, bi32(0));
-            });
-        }
-        Op::Lsz { dst, .. } => {
-            for_mask!(mask, l, {
-                vs(vregs, dst, l, bi32(1));
-            });
-        }
-        Op::Grp { dst, dim } => {
-            for_mask!(mask, l, {
-                let g = if dim == 0 { (w.items[l] / WARP as u64) as i32 } else { 0 };
-                vs(vregs, dst, l, bi32(g));
+                vs(vregs, dst, l, context_bits(op, &w.gids[l], w.items[l], w.lsize));
             });
         }
         Op::Mov { dst, src } => vmap1(vregs, dst, src, mask, |x| x),
@@ -3423,9 +3036,9 @@ struct WarpExec<'e, 'w> {
     vregs: &'e mut [u64],
     lane_privs: &'e mut [Vec<Vec<u64>>],
     w: &'e mut WarpCtx<'w>,
-    /// Scalar register file for the per-lane bailout; sized on first use.
-    scratch: Vec<u64>,
     diverged: bool,
+    /// Lanes that executed `Ret` (see [`PhaseRun::returned`]).
+    returned: u32,
     /// Profiled runs only: the opcode whose warp-wide dispatch is open and
     /// its start time. A *field* (not a `run` local) so reconvergence
     /// recursion attributes seamlessly: a child region's first iteration
@@ -3444,15 +3057,12 @@ impl WarpExec<'_, '_> {
     /// reconvergence pc `until` (`c.ops.len()` means "run to `Ret`/`Halt`").
     /// Returns the mask of lanes parked at `until`, without executing it;
     /// lanes that hit `Ret`/`Halt` first are dropped. `mask` starts
-    /// non-empty. `PROF` compiles per-opcode time attribution in; see
-    /// [`exec_scalar`].
-    fn run<const PROF: bool>(
-        &mut self,
-        mut pc: usize,
-        until: usize,
-        mut mask: u32,
-        depth: u32,
-    ) -> u32 {
+    /// non-empty. `PROF` is a const generic so the unprofiled instantiation
+    /// carries no timing code at all: one timer read per op both closes the
+    /// previous op's span and opens the next, and control-flow ops are
+    /// charged until their target's first dispatch — their interpretation
+    /// cost.
+    fn run<const PROF: bool>(&mut self, mut pc: usize, until: usize, mut mask: u32) -> u32 {
         let ops = &self.c.ops[..];
         loop {
             if pc == until {
@@ -3469,18 +3079,16 @@ impl WarpExec<'_, '_> {
                 self.pending = Some((op_index(unsafe { ops.get_unchecked(pc) }), now));
             }
             let vregs = &mut *self.vregs;
-            // SAFETY: same induction as `exec_phase` — `validate` bounds
-            // every jump target and guarantees a trailing terminator, and
-            // `until` is checked before the fetch.
+            // SAFETY: `exec_warp_from` asserts the entry pc is inside the
+            // tape, and `validate` checked that every jump target and phase
+            // entry is too and that the tape ends in `Ret`/`Halt`; by
+            // induction `pc` stays in bounds (a non-terminator is never
+            // final, hence `pc + 1` lands on an op; jumps land on validated
+            // targets), and `until` is checked before the fetch.
             match *unsafe { ops.get_unchecked(pc) } {
                 Op::Const { dst, bits } => {
                     for_lanes!(mask, l, {
                         vs(vregs, dst, l, bits);
-                    });
-                }
-                Op::Gid { dst, dim } => {
-                    for_lanes!(mask, l, {
-                        vs(vregs, dst, l, bi32(self.w.gids[l][dim as usize] as i32));
                     });
                 }
                 Op::Gsz { dst, dim } => {
@@ -3489,21 +3097,13 @@ impl WarpExec<'_, '_> {
                         vs(vregs, dst, l, bits);
                     });
                 }
-                // Flat dispatch: local id 0, local size 1, group = warp id.
-                Op::Lid { dst, .. } => {
+                ref op @ (Op::Gid { dst, .. }
+                | Op::Lid { dst, .. }
+                | Op::Lsz { dst, .. }
+                | Op::Grp { dst, .. }) => {
+                    let w = &*self.w;
                     for_lanes!(mask, l, {
-                        vs(vregs, dst, l, bi32(0));
-                    });
-                }
-                Op::Lsz { dst, .. } => {
-                    for_lanes!(mask, l, {
-                        vs(vregs, dst, l, bi32(1));
-                    });
-                }
-                Op::Grp { dst, dim } => {
-                    for_lanes!(mask, l, {
-                        let g = if dim == 0 { (self.w.items[l] / WARP as u64) as i32 } else { 0 };
-                        vs(vregs, dst, l, bi32(g));
+                        vs(vregs, dst, l, context_bits(op, &w.gids[l], w.items[l], w.lsize));
                     });
                 }
                 Op::Mov { dst, src } => vmap1(vregs, dst, src, mask, |x| x),
@@ -3525,7 +3125,7 @@ impl WarpExec<'_, '_> {
                             jmask |= 1 << l;
                         }
                     });
-                    match self.branch::<PROF>(pc, target as usize, jmask, mask, until, depth) {
+                    match self.branch::<PROF>(pc, target as usize, jmask, mask, until) {
                         Branch::Goto(p, m) => {
                             pc = p;
                             mask = m;
@@ -3590,22 +3190,10 @@ impl WarpExec<'_, '_> {
                     _ => vmap1(vregs, dst, src, mask, |x| b64(intr1_f64(intr, f64v(x)))),
                 },
                 Op::Sel { dst, cond, ck, t, f } => {
-                    if mask == FULL_MASK {
-                        for l in 0..WARP {
-                            let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
-                            vs(vregs, dst, l, vg(vregs, pick, l));
-                        }
-                    } else if let Some((lo, hi)) = contiguous(mask) {
-                        for l in lo..hi {
-                            let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
-                            vs(vregs, dst, l, vg(vregs, pick, l));
-                        }
-                    } else {
-                        for_lanes!(mask, l, {
-                            let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
-                            vs(vregs, dst, l, vg(vregs, pick, l));
-                        });
-                    }
+                    for_mask!(mask, l, {
+                        let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
+                        vs(vregs, dst, l, vg(vregs, pick, l));
+                    });
                 }
                 Op::LdG { dst, buf, idx, site, constant } => {
                     let b = self.w.bufs[buf as usize].expect("buffer bound");
@@ -3725,10 +3313,27 @@ impl WarpExec<'_, '_> {
                         self.lane_privs[l][arr as usize][i] = cast_bits(vk, k, vg(vregs, val, l));
                     });
                 }
-                Op::LdL { .. } | Op::StL { .. } | Op::DeclLocal { .. } => {
-                    unreachable!(
-                        "local-memory op in flat vector dispatch (grouped launches fall back)"
-                    )
+                Op::LdL { dst, arr, idx } => {
+                    for_lanes!(mask, l, {
+                        let i = i64v(vg(vregs, idx, l)) as usize;
+                        vs(vregs, dst, l, self.w.locals[arr as usize][i]);
+                    });
+                }
+                Op::StL { arr, idx, val, vk, k } => {
+                    for_lanes!(mask, l, {
+                        let i = i64v(vg(vregs, idx, l)) as usize;
+                        self.w.locals[arr as usize][i] = cast_bits(vk, k, vg(vregs, val, l));
+                    });
+                }
+                // Allocated (zeroed) by the first warp of the group to get
+                // here; the length is uniform across the group.
+                Op::DeclLocal { arr, len } => {
+                    let n = i64v(vg(vregs, len, mask.trailing_zeros() as usize)) as usize;
+                    let a = &mut self.w.locals[arr as usize];
+                    if a.len() != n {
+                        a.clear();
+                        a.resize(n, 0);
+                    }
                 }
                 Op::DeclPriv { arr, len } => {
                     for_lanes!(mask, l, {
@@ -3752,7 +3357,7 @@ impl WarpExec<'_, '_> {
                             jmask |= 1 << l;
                         }
                     });
-                    match self.branch::<PROF>(pc, target as usize, jmask, mask, until, depth) {
+                    match self.branch::<PROF>(pc, target as usize, jmask, mask, until) {
                         Branch::Goto(p, m) => {
                             pc = p;
                             mask = m;
@@ -3761,7 +3366,11 @@ impl WarpExec<'_, '_> {
                         Branch::Reached(m) => return m,
                     }
                 }
-                Op::Ret | Op::Halt => return 0,
+                Op::Ret => {
+                    self.returned |= mask;
+                    return 0;
+                }
+                Op::Halt => return 0,
             }
             pc += 1;
         }
@@ -3771,8 +3380,10 @@ impl WarpExec<'_, '_> {
     /// lanes that take the jump to `target`. Uniform masks are a single
     /// jump. Divergent masks execute both sides under complementary masks
     /// and reconverge at the branch's join (its immediate postdominator);
-    /// when no join is usable the lanes finish on the bounded scalar
-    /// interpreter instead, parked at the enclosing region's `until`.
+    /// when the branch has no join the lanes continue one at a time
+    /// instead, parked at the enclosing region's `until`. Each side of a
+    /// divergent branch holds strictly fewer lanes than `mask`, so the
+    /// reconvergence recursion is at most `WARP - 1` frames deep.
     fn branch<const PROF: bool>(
         &mut self,
         pc: usize,
@@ -3780,7 +3391,6 @@ impl WarpExec<'_, '_> {
         jmask: u32,
         mask: u32,
         until: usize,
-        depth: u32,
     ) -> Branch {
         if jmask == 0 {
             return Branch::Goto(pc + 1, mask);
@@ -3790,10 +3400,10 @@ impl WarpExec<'_, '_> {
         }
         self.diverged = true;
         let join = self.c.joins[pc];
-        if join != NO_JOIN && depth < MAX_DIVERGE_DEPTH {
+        if join != NO_JOIN {
             let j = join as usize;
-            let fell = self.run::<PROF>(pc + 1, j, mask & !jmask, depth + 1);
-            let jumped = self.run::<PROF>(target, j, jmask, depth + 1);
+            let fell = self.run::<PROF>(pc + 1, j, mask & !jmask);
+            let jumped = self.run::<PROF>(target, j, jmask);
             let m = fell | jumped;
             // The join may lie past `until` when one arm returns early (the
             // sides then ran to `Ret` inside the recursion): no lane is left
@@ -3803,77 +3413,17 @@ impl WarpExec<'_, '_> {
             }
             return Branch::Goto(j, m);
         }
-        if PROF {
-            // The scalar bailout attributes per op itself; close the branch
-            // op's span first so its time is not double-counted.
-            self.flush_pending();
-        }
-        Branch::Reached(self.scalar_lanes(pc, until, mask))
-    }
-
-    /// Performance valve for branches without a usable join: finishes each
-    /// lane of `mask` on the bounded scalar interpreter, resumed *at* the
-    /// divergent branch (whose condition re-reads lane registers — a pure
-    /// operation, so nothing is skipped or doubled) and stopped at `until`.
-    /// Returns the lanes that reached `until`; their register columns are
-    /// copied back so vectorized execution resumes seamlessly.
-    fn scalar_lanes(&mut self, pc: usize, until: usize, mask: u32) -> u32 {
-        let WarpExec { c, vregs, lane_privs, w, scratch, .. } = self;
-        let nregs = c.nregs;
-        if scratch.len() < nregs {
-            scratch.resize(nregs, 0);
-        }
+        // Performance valve for branches without a usable join: each lane
+        // continues on its own, resumed *at* the divergent branch (whose
+        // condition re-reads lane registers — a pure operation, so nothing
+        // is skipped or doubled) and parked at `until`. A one-bit mask
+        // never diverges, so each run is a plain scalar interpretation of
+        // the tape over the lane's register column.
         let mut reached = 0u32;
         for_lanes!(mask, l, {
-            for r in 0..nregs {
-                scratch[r] = vregs[r * WARP + l];
-            }
-            let no_locals: &mut [Vec<u64>] = &mut [];
-            let mut t = TapeCtx {
-                bufs: w.bufs,
-                gsize: w.gsize,
-                counters: &mut *w.counters,
-                trace: &mut w.traces[l],
-                trace_on: w.trace_on,
-                writes: &mut *w.writes,
-                race_on: w.race_on,
-                item: w.items[l],
-                gid: w.gids[l],
-                lid: 0,
-                group: (w.items[l] / WARP as u64) as usize,
-                lsize: 1,
-                prof: w.prof.as_deref_mut(),
-                san: w.san,
-            };
-            let lane_run = if t.prof.is_some() {
-                exec_scalar::<true, true>(
-                    c,
-                    pc,
-                    until,
-                    scratch,
-                    &mut lane_privs[l],
-                    no_locals,
-                    &mut t,
-                )
-            } else {
-                exec_scalar::<true, false>(
-                    c,
-                    pc,
-                    until,
-                    scratch,
-                    &mut lane_privs[l],
-                    no_locals,
-                    &mut t,
-                )
-            };
-            if lane_run == ScalarRun::Until {
-                reached |= 1 << l;
-                for r in 0..nregs {
-                    vregs[r * WARP + l] = scratch[r];
-                }
-            }
+            reached |= self.run::<PROF>(pc, until, 1 << l);
         });
-        reached
+        Branch::Reached(reached)
     }
 }
 
@@ -3987,7 +3537,7 @@ mod tests {
         .resolve_real(ScalarKind::F32)
     }
 
-    /// Launches on the differential engine (tree vs tape bit-equality is
+    /// Launches on the differential engine (tree vs warp-interpreter bit-equality is
     /// asserted inside) and returns the output buffer.
     fn run_diff(k: &Kernel, n: usize, a: f32) -> Vec<f64> {
         let prep = prepare(k).unwrap();
@@ -4162,7 +3712,7 @@ mod tests {
             ExecMode::Fast,
             true,
             128,
-            Engine::Vector,
+            Engine::Fast,
         )
         .unwrap();
         assert_eq!(stats.divergent_warps, 0, "selects execute fully converged");

@@ -1,5 +1,5 @@
-//! Tape → superinstruction lowering for the compiled engine
-//! (`VGPU_ENGINE=compiled`).
+//! Tape → superinstruction lowering for the fused-block executor, the fast
+//! path of `Engine::Fast`.
 //!
 //! [`lower`] re-shapes a validated tape ([`Compiled`]) into basic blocks of
 //! fused ops ([`Fused`]), in three steps:
@@ -10,7 +10,7 @@
 //! 2. **Use counting** — a register is a fusable *intermediate* only when it
 //!    has exactly one reader in the whole tape (main ops + both preludes).
 //!    Skipping its write is then unobservable: nothing reads it later, not
-//!    even after a divergence hand-off to the vector interpreter or across
+//!    even after a divergence hand-off to the warp interpreter or across
 //!    loop iterations.
 //! 3. **Peephole fusion** — longest-match-first within each block body:
 //!    fused global loads (`Bin`·`AsI64`·`LdG`[·`Bin` accumulate]), fused
@@ -18,16 +18,18 @@
 //!    (`Bin`·`Sel`), and compare-branch block terminators (`Bin`·`Jz`).
 //!
 //! Lowering is best-effort and total: unmatched ops pass through as
-//! [`FOp::Base`]. It *fails* (and the launch path falls back to the vector
-//! engine, counting `vgpu.compiled.fallbacks`) only on structural grounds:
-//! local-memory tapes (grouped-only; the flat compiled engine never runs
-//! them) and malformed control flow the validator should have rejected.
+//! [`FOp::Base`]. It *fails* only on structural grounds: local-memory tapes
+//! (their launches are grouped, which the flat fused executor never runs)
+//! and malformed control flow the validator should have rejected. A flat
+//! launch of a tape that failed runs the warp interpreter and counts
+//! `vgpu.compiled.fallbacks`.
 //!
 //! Bit-identity contract: a fused op performs the exact same arithmetic in
 //! the exact same operand order as the sequence it replaced — multiply-add
 //! stays two roundings (never an FMA), i32 index math wraps like
-//! `bin_bits`, compare-select picks the same register. The 4-leg
-//! differential suite (tree → tape → vector → compiled) enforces this.
+//! `bin_bits`, compare-select picks the same register.
+//! `Engine::Differential` (tree → warp interpreter → fused blocks) enforces
+//! this.
 
 use crate::bytecode::{visit_srcs, Acc, Compiled, FBlock, FOp, FTerm, Fused, Op, K, R};
 use lift::prelude::BinOp;

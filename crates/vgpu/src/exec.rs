@@ -21,7 +21,7 @@
 //!   contract of the in-place primitives.
 
 use crate::buffer::{BufData, SharedBuf};
-use crate::bytecode::{self, Compiled, TapeCtx};
+use crate::bytecode::{self, Compiled};
 use crate::telemetry;
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef, MemSpace};
 use lift::prelude::{BinOp, Intrinsic, ScalarKind, UnOp, Value};
@@ -223,14 +223,14 @@ pub struct Prepared {
     /// Why the tape compiler rejected the kernel (`None` when `tape` is
     /// `Some`). Surfaced through the telemetry fallback record.
     pub(crate) tape_err: Option<String>,
-    /// Superinstruction lowering of `tape` for the compiled engine
-    /// (`VGPU_ENGINE=compiled`); `None` when the tape is absent or failed
-    /// structural lowering (see `fused_err`).
+    /// Superinstruction lowering of `tape` for the fused-block executor;
+    /// `None` when the tape is absent or failed structural lowering (see
+    /// `fused_err`).
     pub(crate) fused: Option<bytecode::Fused>,
     /// Why superinstruction lowering was rejected. Surfaced through the
     /// `compiled_fallback` telemetry record.
     pub(crate) fused_err: Option<String>,
-    /// The source kernel AST, retained so the compiled engine can run the
+    /// The source kernel AST, retained so the fused-block executor can run the
     /// static bounds verifier against the concrete shape of each launch
     /// (the per-site PROVEN/POTENTIAL table that licenses check elision).
     pub(crate) source: Option<std::sync::Arc<Kernel>>,
@@ -590,83 +590,89 @@ pub enum ExecMode {
     },
 }
 
-/// Which interpreter backend executes a launch.
-///
-/// The default is chosen by the `VGPU_ENGINE` environment variable:
-/// `tree` selects the tree-walker, `tape` the scalar bytecode tape, `diff`
-/// (or `differential`) runs the oracle plus the fast engines and asserts
-/// bit-identical buffers and identical stats, anything else selects the
-/// warp-vectorized tape.
+/// How a launch is executed — the one user-facing execution knob
+/// (`VGPU_ENGINE`, see [`Engine::parse`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Warp-vectorized bytecode tape: each op is decoded once per warp and
-    /// applied to all 32 lanes through a structure-of-arrays register file.
-    /// Warps whose lanes disagree at a branch execute both sides under
-    /// complementary lane masks and reconverge at the branch's join
-    /// (counted by `vgpu.warp.divergent`); grouped (barrier) launches run
-    /// the scalar tape, and kernels the tape compiler rejects fall back to
-    /// the tree-walker — both transparently.
+    /// The tape executors; which one runs is decided per launch from what
+    /// the code can observe, never by an option. A flat NDRange whose tape
+    /// lowered to fused blocks (`compile::lower`), launched without the
+    /// transaction model or the race check, runs the fused-block executor
+    /// ([`Backend::Compiled`]): superinstructions over fixed-width lane
+    /// loops, bounds checks elided at sites the static verifier proves safe
+    /// for the concrete launch shape. Every other launch with a usable tape
+    /// — modeled, race-checked, grouped (barriers / local memory), or a
+    /// tape that did not fuse — runs the masked warp interpreter
+    /// ([`Backend::Vector`]): one decode per warp over a structure-of-arrays
+    /// register file, divergent branches executed under complementary lane
+    /// masks and reconverged at the branch's join (`vgpu.warp.divergent`).
+    /// Kernels the tape compiler rejects run the tree-walker
+    /// (`vgpu.tape.fallbacks`).
     #[default]
-    Vector,
-    /// Superinstruction engine: the validated tape is re-lowered into basic
-    /// blocks of fused ops (`compile::lower`) executed through dense
-    /// fixed-width lane-chunk kernels, with per-access bounds checks elided
-    /// at sites the static verifier proves safe for the concrete launch
-    /// shape (POTENTIAL sites keep a release-mode check). Tapes that fail
-    /// structural lowering fall back to the vector engine
-    /// (`vgpu.compiled.fallbacks`); grouped launches and traced/race-checked
-    /// modes run the vector path as on [`Engine::Vector`]. Divergent warps
-    /// are delegated wholesale to the vector interpreter at the branch pc.
-    Compiled,
-    /// Flat bytecode tape, one lane at a time (kernels the compiler rejects
-    /// fall back to the tree-walker transparently).
-    Tape,
-    /// Reference tree-walking interpreter.
+    Fast,
+    /// The reference tree-walking interpreter — the oracle.
     Tree,
-    /// Run the tree-walker, snapshot its outputs, restore inputs, run the
-    /// scalar tape, the vector engine, and — when the tape lowered — the
-    /// compiled engine, and fail unless buffers are bit-identical and
-    /// counters and transaction bytes are equal.
+    /// The oracle, then every tape executor that can run the launch: the
+    /// tree-walker's outputs are snapshotted, the inputs restored, and the
+    /// warp interpreter — then, on launches [`Engine::Fast`] would run
+    /// fused, the fused-block executor — must reproduce bit-identical
+    /// buffers and equal counters and transaction bytes. Any new shadow-
+    /// sanitizer finding on the kernel is a launch error too.
     Differential,
 }
 
 impl Engine {
-    /// Reads the `VGPU_ENGINE` environment variable (see type docs).
-    pub fn from_env() -> Engine {
-        match std::env::var("VGPU_ENGINE").as_deref() {
-            Ok("tree") => Engine::Tree,
-            Ok("tape") => Engine::Tape,
-            Ok("compiled") => Engine::Compiled,
-            Ok("diff") | Ok("differential") => Engine::Differential,
-            _ => Engine::Vector,
+    /// Parses a `VGPU_ENGINE` value: `fast`, `tree`, `diff` or
+    /// `differential`. Anything else — including the retired `tape`,
+    /// `vector` and `compiled` — is an error naming the accepted values.
+    pub fn parse(s: &str) -> Result<Engine, String> {
+        match s {
+            "fast" => Ok(Engine::Fast),
+            "tree" => Ok(Engine::Tree),
+            "diff" | "differential" => Ok(Engine::Differential),
+            other => Err(format!(
+                "unrecognised VGPU_ENGINE value `{other}` (accepted: fast, tree, diff, differential)"
+            )),
         }
+    }
+
+    /// The engine `VGPU_ENGINE` selects; [`Engine::Fast`] when it is unset.
+    /// A value [`Engine::parse`] rejects also runs `Fast`, after one stderr
+    /// line per process saying so — a typo in a CI `diff` leg must not pass
+    /// silently without differencing.
+    pub fn from_env() -> Engine {
+        let Ok(v) = std::env::var("VGPU_ENGINE") else {
+            return Engine::Fast;
+        };
+        Engine::parse(&v).unwrap_or_else(|e| {
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| eprintln!("vgpu: {e}; running `fast`"));
+            Engine::Fast
+        })
     }
 }
 
-/// The interpreter backend that actually executed a launch (as opposed to
-/// [`Engine`], the *requested* policy — `Engine::Tape` still runs the
-/// tree-walker when the kernel has no usable tape).
+/// The executor that actually ran a launch (as opposed to [`Engine`], the
+/// *requested* policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The fused-superinstruction engine (basic blocks of fused ops over
-    /// the SoA register file, proof-licensed bounds elision).
+    /// The fused-block executor (basic blocks of superinstructions over the
+    /// SoA register file, proof-licensed bounds elision).
     Compiled,
-    /// The warp-vectorized tape VM (SoA register file, one decode per warp).
+    /// The masked warp interpreter over the tape (SoA register file, one
+    /// decode per warp).
     Vector,
-    /// The flat bytecode tape VM.
-    Tape,
     /// The reference tree-walking interpreter.
     Tree,
 }
 
 impl Backend {
-    /// Display label (`"compiled"` / `"vector"` / `"tape"` / `"tree"`), as
-    /// used in telemetry events.
+    /// Display label (`"compiled"` / `"vector"` / `"tree"`), as used in
+    /// telemetry events and the `vgpu.launches.*` counters.
     pub fn label(self) -> &'static str {
         match self {
             Backend::Compiled => "compiled",
             Backend::Vector => "vector",
-            Backend::Tape => "tape",
             Backend::Tree => "tree",
         }
     }
@@ -687,9 +693,9 @@ pub struct LaunchStats {
     /// Which backend executed the launch.
     pub backend: Backend,
     /// Warps whose active lanes disagreed at one or more branches and ran
-    /// them under divergence masks (reconverging at each branch's join).
-    /// Always 0 outside [`Backend::Vector`] and [`Backend::Compiled`]
-    /// (whose divergent warps are delegated to the vector interpreter).
+    /// them under divergence masks (reconverging at each branch's join);
+    /// each such warp counts once, however many branches or barrier phases
+    /// diverged. Always 0 on [`Backend::Tree`].
     pub divergent_warps: u64,
     /// Wall-clock time of the tree-walker *oracle* leg when the launch ran
     /// under [`Engine::Differential`] (`wall` then covers only the tape
@@ -698,8 +704,8 @@ pub struct LaunchStats {
     /// folding it into the reported launch.
     pub oracle_wall: Option<std::time::Duration>,
     /// Per-opcode time attribution merged across the launch's interpreter
-    /// chunks. Populated by the tape/vector backends under `VGPU_PROFILE=op`
-    /// only; never part of differential comparison (timing is not a result).
+    /// chunks. Populated by the tape executors under `VGPU_PROFILE=op` only;
+    /// never part of differential comparison (timing is not a result).
     pub op_profile: Option<Box<crate::profiler::OpProf>>,
 }
 
@@ -1116,11 +1122,6 @@ fn tape_fallback_reason(prep: &Prepared, bufs: &[Option<&SharedBuf>]) -> Option<
     None
 }
 
-/// True when the tape can run this launch exactly.
-fn tape_usable(prep: &Prepared, bufs: &[Option<&SharedBuf>]) -> bool {
-    tape_fallback_reason(prep, bufs).is_none()
-}
-
 /// One reported fallback/divergence cause: (event, kernel, reason).
 type FallbackKey = (&'static str, String, String);
 
@@ -1169,7 +1170,6 @@ fn note_fallback_record(ev: &'static str, kernel: &str, reason: &str) {
         eprintln!("{{\"ev\":{ev:?},\"kernel\":{kernel:?},\"reason\":{reason:?}}}");
         let (kernel, reason) = (kernel.to_string(), reason.to_string());
         telemetry::record(match ev {
-            "vector_fallback" => telemetry::Event::VectorFallback { kernel, reason, ts_us },
             "compiled_fallback" => telemetry::Event::CompiledFallback { kernel, reason, ts_us },
             "warp_divergence" => telemetry::Event::WarpDivergence { kernel, reason, ts_us },
             _ => telemetry::Event::TapeFallback { kernel, reason, ts_us },
@@ -1177,7 +1177,8 @@ fn note_fallback_record(ev: &'static str, kernel: &str, reason: &str) {
     }
 }
 
-/// Audits one tape→tree fallback: bumps the `vgpu.tape.fallbacks` counter
+/// Audits one tape→tree fallback ([`Engine::Fast`] requested, the
+/// tree-walker ran): bumps the `vgpu.tape.fallbacks` counter
 /// unconditionally (once per launch — the audit total stays truthful), and
 /// emits a deduplicated stderr/trace record via [`note_fallback_record`].
 fn note_tape_fallback(kernel: &str, reason: &str) {
@@ -1185,15 +1186,7 @@ fn note_tape_fallback(kernel: &str, reason: &str) {
     note_fallback_record("tape_fallback", kernel, reason);
 }
 
-/// Audits one vector→tape fallback (the whole launch, e.g. a grouped
-/// NDRange the vector engine does not cover): bumps
-/// `vgpu.vector.fallbacks` once per launch, deduped record as above.
-fn note_vector_fallback(kernel: &str, reason: &str) {
-    telemetry::registry().counter("vgpu.vector.fallbacks").inc();
-    note_fallback_record("vector_fallback", kernel, reason);
-}
-
-/// Audits warp divergence inside a vector (or compiled) launch:
+/// Audits warp divergence inside a tape-executor launch:
 /// `vgpu.warp.divergent` counts every divergent warp, while the
 /// stderr/trace record is deduped per kernel. Called exactly once per
 /// launch from [`run_launch`], off the backend's reported
@@ -1209,16 +1202,16 @@ fn note_warp_divergence(kernel: &str, warps: u64) {
     );
 }
 
-/// Audits one compiled-engine fallback (a tape that failed structural
-/// lowering reroutes to the vector engine; a grouped NDRange outside the
-/// flat fused executor's coverage reroutes to the scalar tape): bumps
+/// Audits one fused-executor fallback — a launch the fused-block executor
+/// covers (flat, unmodeled, not race-checked) whose tape failed structural
+/// lowering ran the warp interpreter instead: bumps
 /// `vgpu.compiled.fallbacks` once per launch, deduped record as above.
 fn note_compiled_fallback(kernel: &str, reason: &str) {
     telemetry::registry().counter("vgpu.compiled.fallbacks").inc();
     note_fallback_record("compiled_fallback", kernel, reason);
 }
 
-// ---- proof-licensed bounds elision (the compiled engine's check table) ----
+// ---- proof-licensed bounds elision (the fused executor's check table) ----
 
 type ContractMap = HashMap<String, lift::verify::Assumptions>;
 
@@ -1231,7 +1224,7 @@ fn launch_contracts() -> &'static std::sync::Mutex<ContractMap> {
 /// Registers the documented launch contract for `kernel`: the
 /// [`lift::verify::Assumptions`] every shipped launch of that kernel
 /// satisfies (buffer-length relations, interior guards, gather-table value
-/// facts). The compiled engine merges the contract with the concrete shape
+/// facts). The fused-block executor merges the contract with the concrete shape
 /// of each launch and elides per-access bounds checks only at sites the
 /// static verifier then returns PROVEN for.
 ///
@@ -1257,7 +1250,7 @@ fn proof_cache() -> &'static std::sync::Mutex<HashMap<ProofKey, std::sync::Arc<V
     CACHE.get_or_init(|| std::sync::Mutex::new(HashMap::new()))
 }
 
-/// The compiled engine's per-site check table for one launch shape:
+/// The fused-block executor's per-site check table for one launch shape:
 /// `checked[site]` keeps the dynamic bounds check, `!checked[site]` means
 /// the static verifier proved the access in bounds for every work-item of
 /// *this* shape. Memoized process-wide per [`ProofKey`]; each distinct
@@ -1359,10 +1352,6 @@ pub struct LaunchPlan {
     /// Why the tape cannot run launches with this signature (`None` when it
     /// can). Cached so per-step launches skip re-walking the params.
     tape_fallback: Option<String>,
-    /// Why the *vector* engine cannot run launches with this signature
-    /// (`None` when it can). Only meaningful when `tape_fallback` is `None`
-    /// — a tape-less kernel already reroutes to the tree-walker.
-    vector_fallback: Option<String>,
 }
 
 /// Validates the binding shape against the kernel's parameter list and
@@ -1396,22 +1385,10 @@ pub fn plan_launch(prep: &Prepared, bindings: &[ArgBind<'_>]) -> Result<LaunchPl
             }
         }
     }
-    let tape_fallback = tape_fallback_reason(prep, &bufs);
-    let vector_fallback = if tape_fallback.is_some() {
-        None
-    } else if prep.uses_groups {
-        Some(
-            "kernel uses workgroup features (barriers/local memory); \
-             the vector engine covers flat NDRanges only"
-                .to_string(),
-        )
-    } else {
-        None
-    };
-    Ok(LaunchPlan { scalar_args, tape_fallback, vector_fallback })
+    Ok(LaunchPlan { scalar_args, tape_fallback: tape_fallback_reason(prep, &bufs) })
 }
 
-/// [`launch_wg`] with an explicit backend selection.
+/// [`launch_wg`] with an explicit engine selection.
 #[allow(clippy::too_many_arguments)]
 pub fn launch_wg_engine(
     prep: &Prepared,
@@ -1427,9 +1404,39 @@ pub fn launch_wg_engine(
     launch_planned(prep, &plan, bindings, global, local, mode, race_check, transaction_size, engine)
 }
 
+/// One validated launch: everything a runner needs except which executor
+/// runs it.
+struct Launch<'a> {
+    prep: &'a Prepared,
+    bufs: &'a [Option<&'a SharedBuf>],
+    /// Scalar arguments, cast to their declared kinds: (slot, value).
+    init_slots: &'a [(usize, Value)],
+    gsize: [usize; 3],
+    total: u64,
+    /// Workgroup size — `Some` exactly when the kernel uses workgroup
+    /// features (barriers, local memory, local/group ids).
+    lsize: Option<usize>,
+    /// Execute every `stride`-th warp (flat) or group and scale the counts.
+    stride: usize,
+    /// Run the warp transaction model ([`ExecMode::Model`]).
+    trace_on: bool,
+    race_check: bool,
+    transaction_size: u64,
+}
+
+impl Launch<'_> {
+    /// True when the fused-block executor covers this launch: a flat
+    /// NDRange, with neither the transaction model nor the race check on
+    /// (those need the per-lane access records only the warp interpreter
+    /// keeps, and modeled launches are sampled/infrequent by construction).
+    fn fused_eligible(&self) -> bool {
+        self.lsize.is_none() && !self.trace_on && !self.race_check
+    }
+}
+
 /// Launches with a previously resolved [`LaunchPlan`]. Performs only the
 /// per-launch work: scalar-value casts, NDRange/workgroup validation, and
-/// backend dispatch. The bindings must have the shape and buffer kinds the
+/// executor selection. The bindings must have the shape and buffer kinds the
 /// plan was made for (checked in debug builds).
 #[allow(clippy::too_many_arguments)]
 pub fn launch_planned(
@@ -1505,336 +1512,134 @@ pub fn launch_planned(
         None
     };
 
-    let backend = match engine {
-        Engine::Tree => Backend::Tree,
-        Engine::Tape => {
-            if let Some(reason) = &plan.tape_fallback {
-                note_tape_fallback(&prep.name, reason);
-                Backend::Tree
-            } else {
-                Backend::Tape
-            }
-        }
-        Engine::Vector => {
-            if let Some(reason) = &plan.tape_fallback {
-                note_tape_fallback(&prep.name, reason);
-                Backend::Tree
-            } else if let Some(reason) = &plan.vector_fallback {
-                note_vector_fallback(&prep.name, reason);
-                Backend::Tape
-            } else {
-                Backend::Vector
-            }
-        }
-        Engine::Compiled => {
-            if let Some(reason) = &plan.tape_fallback {
-                note_tape_fallback(&prep.name, reason);
-                Backend::Tree
-            } else if let Some(reason) = &plan.vector_fallback {
-                // Grouped launches: same coverage boundary as the vector
-                // engine, but audited as a compiled fallback so the
-                // `vgpu.compiled.fallbacks` counter reflects it.
-                note_compiled_fallback(&prep.name, reason);
-                Backend::Tape
-            } else if prep.fused.is_none() {
-                let reason = prep
-                    .fused_err
-                    .clone()
-                    .unwrap_or_else(|| "tape failed superinstruction lowering".to_string());
-                note_compiled_fallback(&prep.name, &reason);
-                Backend::Vector
-            } else {
-                Backend::Compiled
-            }
-        }
-        Engine::Differential => {
-            return run_differential(
-                prep,
-                &bufs,
-                &init_slots,
-                gsize,
-                total,
-                lsize,
-                mode,
-                race_check,
-                transaction_size,
-            )
-        }
-    };
-    run_launch(
+    let l = Launch {
         prep,
-        &bufs,
-        &init_slots,
+        bufs: &bufs,
+        init_slots: &init_slots,
         gsize,
         total,
         lsize,
-        mode,
+        stride: match mode {
+            ExecMode::Fast => 1,
+            ExecMode::Model { sample_stride } => sample_stride.max(1),
+        },
+        trace_on: matches!(mode, ExecMode::Model { .. }),
         race_check,
         transaction_size,
-        backend,
-    )
+    };
+    let backend = match engine {
+        Engine::Tree => Backend::Tree,
+        Engine::Differential => return run_differential(&l),
+        Engine::Fast => {
+            if let Some(reason) = &plan.tape_fallback {
+                note_tape_fallback(&prep.name, reason);
+                Backend::Tree
+            } else if !l.fused_eligible() {
+                Backend::Vector
+            } else if prep.fused.is_some() {
+                Backend::Compiled
+            } else {
+                let reason = prep.fused_err.as_deref().unwrap_or("tape failed fused lowering");
+                note_compiled_fallback(&prep.name, reason);
+                Backend::Vector
+            }
+        }
+    };
+    run_launch(&l, backend)
 }
 
-/// Dispatches a validated launch to one backend.
-#[allow(clippy::too_many_arguments)]
-fn run_launch(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    total: u64,
-    lsize: Option<usize>,
-    mode: ExecMode,
-    race_check: bool,
-    transaction_size: u64,
-    backend: Backend,
-) -> Result<LaunchStats, ExecError> {
-    let trace_on = matches!(mode, ExecMode::Model { .. });
-    let stride = match mode {
-        ExecMode::Fast => 1usize,
-        ExecMode::Model { sample_stride } => sample_stride.max(1),
-    };
-    let result = match (lsize, backend) {
-        (Some(lsize), Backend::Tree) => {
-            let exec = Exec { prep, bufs, gsize };
-            run_grouped(
-                &exec,
-                prep,
-                init_slots,
-                total,
-                lsize,
-                stride,
-                trace_on,
-                race_check,
-                transaction_size,
-            )
+/// Runs a validated launch on one executor.
+fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError> {
+    let result = match (backend, l.lsize) {
+        (Backend::Tree, None) => run_flat_tree(l),
+        (Backend::Tree, Some(lsize)) => run_grouped_tree(l, lsize),
+        (Backend::Vector, None) => run_flat_warps(l, false),
+        (Backend::Compiled, None) => run_flat_warps(l, true),
+        (Backend::Vector, Some(lsize)) => run_grouped_warps(l, lsize),
+        (Backend::Compiled, Some(_)) => {
+            unreachable!("the fused executor is never selected for grouped launches")
         }
-        (Some(lsize), Backend::Tape) => run_grouped_tape(
-            prep,
-            bufs,
-            init_slots,
-            total,
-            lsize,
-            stride,
-            trace_on,
-            race_check,
-            transaction_size,
-        ),
-        (Some(_), Backend::Vector | Backend::Compiled) => {
-            unreachable!("vector/compiled backends are never selected for grouped launches")
-        }
-        (None, Backend::Tree) => run_flat_tree(
-            prep,
-            bufs,
-            init_slots,
-            gsize,
-            total,
-            stride,
-            trace_on,
-            race_check,
-            transaction_size,
-        ),
-        (None, Backend::Tape) => run_flat_tape(
-            prep,
-            bufs,
-            init_slots,
-            gsize,
-            total,
-            stride,
-            trace_on,
-            race_check,
-            transaction_size,
-        ),
-        (None, Backend::Vector) => run_flat_vector(
-            prep,
-            bufs,
-            init_slots,
-            gsize,
-            total,
-            stride,
-            trace_on,
-            race_check,
-            transaction_size,
-        ),
-        (None, Backend::Compiled) => run_flat_compiled(
-            prep,
-            bufs,
-            init_slots,
-            gsize,
-            total,
-            stride,
-            trace_on,
-            race_check,
-            transaction_size,
-        ),
     };
     result.map(|mut stats| {
         stats.backend = backend;
         if stats.divergent_warps > 0 {
-            note_warp_divergence(&prep.name, stats.divergent_warps);
+            note_warp_divergence(&l.prep.name, stats.divergent_warps);
         }
         stats
     })
 }
 
-/// Runs the tree-walker, snapshots its output, then for each fast engine
-/// (scalar tape, then — on flat NDRanges — the warp-vectorized tape, then
-/// — when lowering succeeded — the compiled superinstruction engine)
-/// restores the inputs, re-runs the launch, and fails unless the engine
-/// produced bit-identical buffers and identical counters and transaction
-/// bytes. Returns the last (fastest) leg's stats, tagged with the oracle's
-/// wall time.
-#[allow(clippy::too_many_arguments)]
-fn run_differential(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    total: u64,
-    lsize: Option<usize>,
-    mode: ExecMode,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    // The differential engine doubles as the sanitizer gate: under
-    // `VGPU_SANITIZE=shadow` any *new* shadow finding on this kernel
-    // (the count is per-kernel, so concurrent launches of other kernels
-    // cannot trip it) turns the launch into a hard error — the CI
-    // `diff`+`shadow` leg fails on the first stale or uninit read.
-    let findings_before = crate::sanitize::findings_for(&prep.name);
-    let stats = run_differential_legs(
-        prep,
-        bufs,
-        init_slots,
-        gsize,
-        total,
-        lsize,
-        mode,
-        race_check,
-        transaction_size,
-    )?;
-    let new = crate::sanitize::findings_for(&prep.name) - findings_before;
+/// [`Engine::Differential`]: the legs of [`run_differential_legs`], plus the
+/// sanitizer gate — under `VGPU_SANITIZE=shadow` any *new* shadow finding
+/// on this kernel (the count is per-kernel, so concurrent launches of other
+/// kernels cannot trip it) turns the launch into a hard error, so the CI
+/// `diff`+`shadow` leg fails on the first stale or uninit read.
+fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
+    let name = &l.prep.name;
+    let findings_before = crate::sanitize::findings_for(name);
+    let stats = run_differential_legs(l)?;
+    let new = crate::sanitize::findings_for(name) - findings_before;
     if new > 0 {
         let detail: Vec<String> = crate::sanitize::findings()
             .into_iter()
-            .filter(|f| f.kernel == prep.name)
+            .filter(|f| &f.kernel == name)
             .map(|f| f.to_string())
             .collect();
         return err(format!(
-            "shadow sanitizer flagged {new} finding(s) during differential launch of `{}`: {}",
-            prep.name,
+            "shadow sanitizer flagged {new} finding(s) during differential launch of `{name}`: {}",
             detail.join("; ")
         ));
     }
     Ok(stats)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_differential_legs(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    total: u64,
-    lsize: Option<usize>,
-    mode: ExecMode,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    let usable = tape_usable(prep, bufs);
-    let snaps: Vec<Option<BufData>> = bufs.iter().map(|b| b.map(|b| b.data().clone())).collect();
-    let tree = run_launch(
-        prep,
-        bufs,
-        init_slots,
-        gsize,
-        total,
-        lsize,
-        mode,
-        race_check,
-        transaction_size,
-        Backend::Tree,
-    )?;
-    if !usable {
+/// Runs the tree-walker, snapshots its output, then for every tape executor
+/// that can run this launch — the warp interpreter, then the fused-block
+/// executor on launches [`Engine::Fast`] would run fused — restores the
+/// inputs, re-runs the launch, and fails unless the executor produced
+/// bit-identical buffers and identical counters and transaction bytes.
+/// Returns the last (fastest) leg's stats, tagged with the oracle's wall
+/// time; the oracle's own stats when the kernel has no usable tape.
+fn run_differential_legs(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
+    let snapshot =
+        || -> Vec<Option<BufData>> { l.bufs.iter().map(|b| b.map(|b| b.data().clone())).collect() };
+    let inputs = snapshot();
+    let tree = run_launch(l, Backend::Tree)?;
+    if tape_fallback_reason(l.prep, l.bufs).is_some() {
         return Ok(tree);
     }
-    let tree_out: Vec<Option<BufData>> = bufs.iter().map(|b| b.map(|b| b.data().clone())).collect();
-    let restore = |snaps: &[Option<BufData>]| {
-        for (b, s) in bufs.iter().zip(snaps) {
+    let expect = snapshot();
+    let legs: &[Backend] = if l.fused_eligible() && l.prep.fused.is_some() {
+        &[Backend::Vector, Backend::Compiled]
+    } else {
+        &[Backend::Vector]
+    };
+    let mut last = None;
+    for &backend in legs {
+        for (b, s) in l.bufs.iter().zip(&inputs) {
             if let (Some(b), Some(s)) = (b, s) {
                 b.restore(s.clone());
             }
         }
-    };
-    restore(&snaps);
-    let mut tape = run_launch(
-        prep,
-        bufs,
-        init_slots,
-        gsize,
-        total,
-        lsize,
-        mode,
-        race_check,
-        transaction_size,
-        Backend::Tape,
-    )?;
-    tape.oracle_wall = Some(tree.wall);
-    diff_check(prep, bufs, &tree_out, &tree, &tape, "tape")?;
-    if lsize.is_some() {
-        // Grouped (barrier) launches are outside the vector engine's
-        // coverage; the scalar tape is the fast leg there.
-        return Ok(tape);
+        let mut got = run_launch(l, backend)?;
+        got.oracle_wall = Some(tree.wall);
+        diff_check(l, &expect, &tree, &got, backend.label())?;
+        last = Some(got);
     }
-    restore(&snaps);
-    let mut vector = run_launch(
-        prep,
-        bufs,
-        init_slots,
-        gsize,
-        total,
-        lsize,
-        mode,
-        race_check,
-        transaction_size,
-        Backend::Vector,
-    )?;
-    vector.oracle_wall = Some(tree.wall);
-    diff_check(prep, bufs, &tree_out, &tree, &vector, "vector")?;
-    if prep.fused.is_none() {
-        // Structural lowering rejected the tape; the vector engine is the
-        // fastest leg that exists for this kernel.
-        return Ok(vector);
-    }
-    restore(&snaps);
-    let mut compiled = run_launch(
-        prep,
-        bufs,
-        init_slots,
-        gsize,
-        total,
-        lsize,
-        mode,
-        race_check,
-        transaction_size,
-        Backend::Compiled,
-    )?;
-    compiled.oracle_wall = Some(tree.wall);
-    diff_check(prep, bufs, &tree_out, &tree, &compiled, "compiled")?;
-    Ok(compiled)
+    Ok(last.expect("the warp-interpreter leg always runs"))
 }
 
 /// One differential-leg comparison: current buffer contents against the
 /// oracle's outputs (bitwise), plus counters and transaction bytes.
 fn diff_check(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
+    l: &Launch<'_>,
     expect: &[Option<BufData>],
     oracle: &LaunchStats,
     got: &LaunchStats,
     label: &str,
 ) -> Result<(), ExecError> {
-    for (i, (b, e)) in bufs.iter().zip(expect).enumerate() {
+    let prep = l.prep;
+    for (i, (b, e)) in l.bufs.iter().zip(expect).enumerate() {
         if let (Some(b), Some(e)) = (b, e) {
             if !bits_eq(b.data(), e) {
                 return err(format!(
@@ -1887,41 +1692,62 @@ fn flat_sample_scale(total: u64, warp_ids: &[u64]) -> f64 {
     }
 }
 
-/// Per-launch aggregation shared by every backend: sums warp/group results,
+/// What one rayon task (a chunk of warps or groups) contributes to a
+/// launch; [`finish`] sums these.
+#[derive(Default)]
+struct ChunkAcc {
+    counters: Counters,
+    /// Transaction-model bytes ([`warp_transaction_bytes`]).
+    tbytes: u64,
+    /// Race-check store records.
+    writes: Vec<WriteRec>,
+    /// Warps that diverged (tape executors only).
+    divergent: u64,
+    /// Per-op time tally (tape executors under `VGPU_PROFILE=op` only):
+    /// one per chunk, merged after the parallel section — no shared state
+    /// inside the hot loop.
+    prof: Option<Box<crate::profiler::OpProf>>,
+}
+
+/// Per-launch aggregation shared by every runner: sums the chunk results,
 /// runs the race check, and applies the sampling scale.
 fn finish(
-    prep: &Prepared,
-    results: Vec<(Counters, u64, Vec<WriteRec>)>,
-    race_check: bool,
-    trace_on: bool,
+    l: &Launch<'_>,
+    chunks: Vec<ChunkAcc>,
     scale: f64,
     wall: std::time::Duration,
-    total: u64,
 ) -> Result<LaunchStats, ExecError> {
     let mut counters = Counters::default();
     let mut tbytes = 0u64;
+    let mut divergent_warps = 0u64;
     let mut all_writes: Vec<WriteRec> = Vec::new();
-    for (c, t, mut w) in results {
-        counters.add(&c);
-        tbytes += t;
-        all_writes.append(&mut w);
+    let mut op_profile: Option<Box<crate::profiler::OpProf>> = None;
+    for mut c in chunks {
+        counters.add(&c.counters);
+        tbytes += c.tbytes;
+        divergent_warps += c.divergent;
+        all_writes.append(&mut c.writes);
+        if let Some(p) = c.prof {
+            match op_profile.as_deref_mut() {
+                Some(m) => m.merge(&p),
+                None => op_profile = Some(p),
+            }
+        }
     }
-    if race_check {
-        check_write_races(&prep.name, all_writes)?;
+    if l.race_check {
+        check_write_races(&l.prep.name, all_writes)?;
     }
     Ok(LaunchStats {
         counters: counters.scaled(scale),
-        transaction_bytes: trace_on.then(|| (tbytes as f64 * scale).round() as u64),
+        transaction_bytes: l.trace_on.then(|| (tbytes as f64 * scale).round() as u64),
         wall,
-        global_work_items: total,
+        global_work_items: l.total,
         // Overwritten by `run_launch`, which knows which backend ran.
         backend: Backend::Tree,
-        // Set by `run_flat_vector`; 0 everywhere else.
-        divergent_warps: 0,
-        // Set by `run_differential` when an oracle leg also ran.
+        divergent_warps,
+        // Set by `run_differential_legs` when an oracle leg also ran.
         oracle_wall: None,
-        // Set by `run_flat_tape` / `run_flat_vector` when `VGPU_PROFILE=op`.
-        op_profile: None,
+        op_profile,
     })
 }
 
@@ -1967,25 +1793,15 @@ fn check_write_races(name: &str, mut all: Vec<WriteRec>) -> Result<(), ExecError
 }
 
 /// Tree-walker execution of a barrier-free NDRange, parallel over warps.
-#[allow(clippy::too_many_arguments)]
-fn run_flat_tree(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    total: u64,
-    stride: usize,
-    trace_on: bool,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    let exec = Exec { prep, bufs, gsize };
+fn run_flat_tree(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
+    let (prep, total) = (l.prep, l.total);
+    let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize };
     let warps_total = total.div_ceil(WARP as u64);
-    let warp_ids: Vec<u64> = (0..warps_total).step_by(stride).collect();
+    let warp_ids: Vec<u64> = (0..warps_total).step_by(l.stride).collect();
     let chunk = dispatch_chunk(warp_ids.len());
 
     let start = std::time::Instant::now();
-    let results: Vec<(Counters, u64, Vec<WriteRec>)> = warp_ids
+    let results: Vec<ChunkAcc> = warp_ids
         .par_chunks(chunk)
         .map(|ws| {
             // One rayon task per chunk of warps; the scratch state below is
@@ -1997,14 +1813,13 @@ fn run_flat_tree(
                 counters: Counters::default(),
                 trace: Vec::new(),
                 writes: Vec::new(),
-                trace_on,
-                race_on: race_check,
+                trace_on: l.trace_on,
+                race_on: l.race_check,
                 item: 0,
             };
             let mut no_locals: Vec<Vec<Value>> = Vec::new();
             let mut ends: Vec<usize> = Vec::new();
-            let mut writes: Vec<WriteRec> = Vec::new();
-            let mut tbytes = 0u64;
+            let mut acc = ChunkAcc::default();
             for &w in ws {
                 for s in st.slots.iter_mut() {
                     *s = Value::I32(0);
@@ -2015,611 +1830,323 @@ fn run_flat_tree(
                 let begin = w * WARP as u64;
                 let end = (begin + WARP as u64).min(total);
                 for item in begin..end {
-                    for (slot, v) in init_slots {
+                    for (slot, v) in l.init_slots {
                         st.slots[*slot] = *v;
                     }
                     exec.run_item(item, &mut st, &mut no_locals);
-                    if trace_on {
+                    if l.trace_on {
                         ends.push(st.trace.len());
                     }
-                    if race_check {
-                        writes.append(&mut st.writes);
+                    if l.race_check {
+                        acc.writes.append(&mut st.writes);
                     }
                 }
-                if trace_on {
-                    tbytes += warp_transaction_bytes_flat(&mut st.trace, &ends, transaction_size);
+                if l.trace_on {
+                    acc.tbytes +=
+                        warp_transaction_bytes_flat(&mut st.trace, &ends, l.transaction_size);
                     st.trace.clear();
                     ends.clear();
                 }
             }
-            (st.counters, tbytes, writes)
+            acc.counters = st.counters;
+            acc
         })
         .collect();
     let wall = start.elapsed();
-    let scale = flat_sample_scale(total, &warp_ids);
-    finish(prep, results, race_check, trace_on, scale, wall, total)
+    finish(l, results, flat_sample_scale(total, &warp_ids), wall)
 }
 
-/// Bytecode execution of a barrier-free NDRange, parallel over warps. The
-/// warp loop mirrors [`run_flat_tree`] exactly so counters, traces, and
-/// race records are item-for-item identical.
-#[allow(clippy::too_many_arguments)]
-fn run_flat_tape(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    total: u64,
-    stride: usize,
-    trace_on: bool,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    let tape = prep.tape.as_ref().expect("tape checked by caller");
-    let init_bits: Vec<(usize, u64)> =
-        init_slots.iter().map(|(s, v)| (*s, bytecode::bits_of_value(*v))).collect();
-    let warps_total = total.div_ceil(WARP as u64);
-    let warp_ids: Vec<u64> = (0..warps_total).step_by(stride).collect();
-    let chunk = dispatch_chunk(warp_ids.len());
-    let gx = gsize[0] as u64;
-    let gy = gsize[1] as u64;
-
-    // Per-op profiling allocates one tally per rayon chunk, merged after the
-    // parallel section — no shared state inside the hot loop.
-    let prof_on = crate::profiler::op_enabled();
-    let start = std::time::Instant::now();
-    let results: Vec<ProfChunkResult> = warp_ids
-        .par_chunks(chunk)
-        .map(|ws| {
-            // One rayon task per chunk of warps: the register file, private
-            // arrays, and trace storage are allocated once and reset per
-            // warp instead of reallocated per warp.
-            let mut regs = vec![0u64; tape.nregs];
-            let mut privs: Vec<Vec<u64>> = vec![Vec::new(); prep.npriv];
-            let mut no_locals: Vec<Vec<u64>> = Vec::new();
-            let mut counters = Counters::default();
-            let mut trace: Vec<(u32, u32, u64)> = Vec::new();
-            let mut ends: Vec<usize> = Vec::new();
-            let mut writes: Vec<WriteRec> = Vec::new();
-            let mut tbytes = 0u64;
-            let mut prof: Option<Box<crate::profiler::OpProf>> =
-                prof_on.then(Box::<crate::profiler::OpProf>::default);
-            for &w in ws {
-                regs.fill(0);
-                for (slot, b) in &init_bits {
-                    regs[*slot] = *b;
-                }
-                bytecode::exec_pre(tape, &mut regs, gsize);
-                for p in privs.iter_mut() {
-                    p.clear();
-                }
-                let begin = w * WARP as u64;
-                let end = (begin + WARP as u64).min(total);
-                for item in begin..end {
-                    for (slot, b) in &init_bits {
-                        regs[*slot] = *b;
-                    }
-                    let gid = [
-                        (item % gx) as usize,
-                        ((item / gx) % gy) as usize,
-                        (item / (gx * gy)) as usize,
-                    ];
-                    counters.work_items += 1;
-                    let group = (item / WARP as u64) as usize;
-                    bytecode::exec_item_pre(tape, &mut regs, gid, 0, 1, group);
-                    let mut t = TapeCtx {
-                        bufs,
-                        gsize,
-                        counters: &mut counters,
-                        trace: &mut trace,
-                        trace_on,
-                        writes: &mut writes,
-                        race_on: race_check,
-                        item,
-                        gid,
-                        lid: 0,
-                        group,
-                        lsize: 1,
-                        prof: prof.as_deref_mut(),
-                        san: Some(crate::sanitize::SanCtx {
-                            kernel: &prep.name,
-                            params: &prep.params,
-                        }),
-                    };
-                    bytecode::exec_phase(tape, 0, &mut regs, &mut privs, &mut no_locals, &mut t);
-                    if trace_on {
-                        ends.push(trace.len());
-                    }
-                }
-                if trace_on {
-                    tbytes += warp_transaction_bytes_flat(&mut trace, &ends, transaction_size);
-                    trace.clear();
-                    ends.clear();
-                }
-            }
-            (counters, tbytes, writes, prof)
-        })
-        .collect();
-    let wall = start.elapsed();
-    let (results, op_profile) = merge_op_profiles(results);
-    let scale = flat_sample_scale(total, &warp_ids);
-    let mut stats = finish(prep, results, race_check, trace_on, scale, wall, total)?;
-    stats.op_profile = op_profile;
-    Ok(stats)
+/// The launch-invariant register state of the warp runners: the zeroed
+/// file + scalar arguments + the optimizer's hoisted prelude, computed once
+/// per *launch* and broadcast into each warp's SoA file (see
+/// [`bytecode::warp_init_regs`] for which registers need it when).
+struct WarpInit {
+    regs0: Vec<u64>,
+    /// Registers broadcast once per register-file allocation.
+    once: Vec<bytecode::R>,
+    /// Registers re-broadcast for every fresh warp.
+    per_warp: Vec<bytecode::R>,
 }
 
-/// The per-chunk result triple [`finish`] aggregates.
-type ChunkResult = (Counters, u64, Vec<WriteRec>);
-
-/// [`ChunkResult`] plus the chunk's op-profile tally (present only when
-/// `VGPU_PROFILE=op` was active for the launch).
-type ProfChunkResult = (Counters, u64, Vec<WriteRec>, Option<Box<crate::profiler::OpProf>>);
-
-/// Strips per-chunk op-profile tallies off backend results, merging them
-/// into one launch-wide [`crate::profiler::OpProf`] (`None` when profiling
-/// was off for the launch).
-fn merge_op_profiles(
-    results: Vec<ProfChunkResult>,
-) -> (Vec<ChunkResult>, Option<Box<crate::profiler::OpProf>>) {
-    let mut merged: Option<Box<crate::profiler::OpProf>> = None;
-    let results = results
-        .into_iter()
-        .map(|(c, t, w, p)| {
-            if let Some(p) = p {
-                match merged.as_deref_mut() {
-                    Some(m) => m.merge(&p),
-                    None => merged = Some(p),
-                }
-            }
-            (c, t, w)
-        })
-        .collect();
-    (results, merged)
-}
-
-/// Warp-vectorized execution of a barrier-free NDRange: each tape op is
-/// decoded once per warp and applied to all active lanes through a
-/// structure-of-arrays register file ([`bytecode::exec_phase_warp`]).
-/// Arithmetic, counters, per-lane access traces, and race records reproduce
-/// the scalar runners bit for bit. Warps whose lanes disagree at a branch
-/// stay vectorized: both sides execute under complementary lane masks and
-/// reconverge at the branch's immediate postdominator, the same mask/stack
-/// discipline real SIMT hardware applies (per-lane scalar continuation
-/// remains only as a valve for unstructured control flow).
-#[allow(clippy::too_many_arguments)]
-fn run_flat_vector(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    total: u64,
-    stride: usize,
-    trace_on: bool,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    let tape = prep.tape.as_ref().expect("tape checked by caller");
-    let init_bits: Vec<(usize, u64)> =
-        init_slots.iter().map(|(s, v)| (*s, bytecode::bits_of_value(*v))).collect();
-    let warps_total = total.div_ceil(WARP as u64);
-    let warp_ids: Vec<u64> = (0..warps_total).step_by(stride).collect();
-    let chunk = dispatch_chunk(warp_ids.len());
-    let gx = gsize[0] as u64;
-    let gy = gsize[1] as u64;
-
-    // The launch-invariant register state (zeroed file + scalar arguments +
-    // the optimizer's hoisted prelude) is computed once per *launch* and
-    // broadcast into each warp's SoA file — every other register is written
-    // before it is read within one item (the same single-writer property
-    // the hoisting pass relies on), so its lanes may start as garbage.
-    let mut regs0 = vec![0u64; tape.nregs];
-    for (slot, b) in &init_bits {
-        regs0[*slot] = *b;
+impl WarpInit {
+    fn new(l: &Launch<'_>, tape: &Compiled) -> WarpInit {
+        let mut regs0 = vec![0u64; tape.nregs];
+        for (slot, v) in l.init_slots {
+            regs0[*slot] = bytecode::bits_of_value(*v);
+        }
+        bytecode::exec_pre(tape, &mut regs0, l.gsize);
+        let (once, per_warp) = bytecode::warp_init_regs(tape, l.prep.nslots);
+        WarpInit { regs0, once, per_warp }
     }
-    bytecode::exec_pre(tape, &mut regs0, gsize);
-    let (bcast_once, bcast_warp) = bytecode::warp_init_regs(tape, prep.nslots);
+
+    fn broadcast(&self, vregs: &mut [u64], regs: &[bytecode::R]) {
+        for &r in regs {
+            let row = r as usize * WARP;
+            vregs[row..row + WARP].fill(self.regs0[r as usize]);
+        }
+    }
+}
+
+/// One warp's execution state, allocated once per rayon task and re-aimed
+/// at each warp it runs ([`WarpState::load`]).
+struct WarpState {
+    /// SoA register file (`vregs[r * WARP + lane]`).
+    vregs: Vec<u64>,
+    /// Per-lane private arrays.
+    privs: Vec<Vec<Vec<u64>>>,
+    /// Per-lane access traces for the transaction model.
+    traces: Vec<Vec<(u32, u32, u64)>>,
+    /// Per-lane linear work-item ids and global ids of the loaded warp.
+    items: Vec<u64>,
+    gids: Vec<[usize; 3]>,
+}
+
+impl WarpState {
+    fn new(l: &Launch<'_>, tape: &Compiled, init: &WarpInit) -> WarpState {
+        let mut vregs = vec![0u64; tape.nregs * WARP];
+        init.broadcast(&mut vregs, &init.once);
+        WarpState {
+            vregs,
+            privs: vec![vec![Vec::new(); l.prep.npriv]; WARP],
+            traces: vec![Vec::new(); WARP],
+            items: Vec::with_capacity(WARP),
+            gids: Vec::with_capacity(WARP),
+        }
+    }
+
+    /// Aims the state at the fresh warp of work-items `begin..end` (at most
+    /// [`WARP`], consecutive): launch-initial registers, empty private
+    /// arrays, and the per-item context prelude. Returns the lane count.
+    fn load(
+        &mut self,
+        l: &Launch<'_>,
+        tape: &Compiled,
+        init: &WarpInit,
+        begin: u64,
+        end: u64,
+    ) -> usize {
+        let (gx, gy) = (l.gsize[0] as u64, l.gsize[1] as u64);
+        self.items.clear();
+        self.gids.clear();
+        // One division per warp; lanes advance the 3-D id incrementally.
+        let mut gid =
+            [(begin % gx) as usize, ((begin / gx) % gy) as usize, (begin / (gx * gy)) as usize];
+        for item in begin..end {
+            self.items.push(item);
+            self.gids.push(gid);
+            gid[0] += 1;
+            if gid[0] as u64 == gx {
+                gid[0] = 0;
+                gid[1] += 1;
+                if gid[1] as u64 == gy {
+                    gid[1] = 0;
+                    gid[2] += 1;
+                }
+            }
+        }
+        let nact = self.items.len();
+        init.broadcast(&mut self.vregs, &init.per_warp);
+        if l.prep.npriv > 0 {
+            for p in self.privs[..nact].iter_mut().flatten() {
+                p.clear();
+            }
+        }
+        bytecode::exec_item_pre_warp(tape, &mut self.vregs, nact, &self.gids, &self.items, l.lsize);
+        nact
+    }
+
+    /// Splits the state into what a warp executor call takes: the register
+    /// file, the private arrays, and the [`bytecode::WarpCtx`] recording
+    /// into `acc`. `locals` is the workgroup's local arena (empty for flat
+    /// launches).
+    fn ctx<'a>(
+        &'a mut self,
+        l: &'a Launch<'_>,
+        acc: &'a mut ChunkAcc,
+        locals: &'a mut [Vec<u64>],
+    ) -> (&'a mut [u64], &'a mut [Vec<Vec<u64>>], bytecode::WarpCtx<'a>) {
+        let wc = bytecode::WarpCtx {
+            bufs: l.bufs,
+            counters: &mut acc.counters,
+            traces: &mut self.traces,
+            trace_on: l.trace_on,
+            writes: &mut acc.writes,
+            race_on: l.race_check,
+            items: &self.items,
+            gids: &self.gids,
+            gsize: l.gsize,
+            lsize: l.lsize,
+            locals,
+            prof: acc.prof.as_deref_mut(),
+            san: Some(crate::sanitize::SanCtx { kernel: &l.prep.name, params: &l.prep.params }),
+        };
+        (&mut self.vregs, &mut self.privs, wc)
+    }
+
+    /// The transaction-model bytes of the accesses traced since the last
+    /// call (lanes that traced nothing contribute nothing).
+    fn take_transaction_bytes(&mut self, txn: u64) -> u64 {
+        let bytes = warp_transaction_bytes(&mut self.traces, txn);
+        for t in self.traces.iter_mut() {
+            t.clear();
+        }
+        bytes
+    }
+}
+
+/// A fresh [`ChunkAcc`] for a tape-executor task, with a per-op tally when
+/// `VGPU_PROFILE=op` is on.
+fn warp_chunk_acc(prof_on: bool) -> ChunkAcc {
+    ChunkAcc { prof: prof_on.then(Box::default), ..ChunkAcc::default() }
+}
+
+/// Tape execution of a barrier-free NDRange, one warp of consecutive
+/// work-items at a time, parallel over warps. `fused` selects the per-warp
+/// executor: the fused-block executor ([`bytecode::exec_fused_warp`]) over
+/// the pre-lowered basic-block form, with per-access bounds checks elided
+/// at sites the static verifier proved in bounds for this launch shape (see
+/// [`compiled_checked_sites`]), or the warp interpreter
+/// ([`bytecode::exec_phase_warp`]), which additionally keeps the per-lane
+/// access traces and race records modeled and race-checked launches need.
+/// Arithmetic, counters, traces, and race records reproduce the tree-walker
+/// bit for bit.
+fn run_flat_warps(l: &Launch<'_>, fused: bool) -> Result<LaunchStats, ExecError> {
+    let (prep, total) = (l.prep, l.total);
+    let tape = prep.tape.as_ref().expect("tape checked by caller");
+    let fused = fused.then(|| {
+        let f = prep.fused.as_ref().expect("fused form checked by caller");
+        (f, compiled_checked_sites(prep, l.bufs, l.init_slots, l.gsize, f.nsites))
+    });
+    let init = WarpInit::new(l, tape);
+    let warps_total = total.div_ceil(WARP as u64);
+    let warp_ids: Vec<u64> = (0..warps_total).step_by(l.stride).collect();
+    let chunk = dispatch_chunk(warp_ids.len());
 
     let prof_on = crate::profiler::op_enabled();
     let start = std::time::Instant::now();
-    type VecChunk = (Counters, u64, Vec<WriteRec>, u64, Option<Box<crate::profiler::OpProf>>);
-    let results: Vec<VecChunk> = warp_ids
+    let results: Vec<ChunkAcc> = warp_ids
         .par_chunks(chunk)
         .map(|ws| {
-            // One rayon task per chunk of warps; the SoA register file and
-            // the per-lane private arrays and traces are allocated once and
-            // reset per warp.
-            let mut vregs = vec![0u64; tape.nregs * WARP];
-            for &r in &bcast_once {
-                let row = r as usize * WARP;
-                vregs[row..row + WARP].fill(regs0[r as usize]);
-            }
-            let mut lane_privs: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); prep.npriv]; WARP];
-            let mut lane_traces: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); WARP];
-            let mut counters = Counters::default();
-            let mut writes: Vec<WriteRec> = Vec::new();
-            let mut tbytes = 0u64;
-            let mut divergent = 0u64;
-            let mut prof: Option<Box<crate::profiler::OpProf>> =
-                prof_on.then(Box::<crate::profiler::OpProf>::default);
-            let mut items: Vec<u64> = Vec::with_capacity(WARP);
-            let mut gids: Vec<[usize; 3]> = Vec::with_capacity(WARP);
+            let mut acc = warp_chunk_acc(prof_on);
+            let mut warp = WarpState::new(l, tape, &init);
             for &w in ws {
                 let begin = w * WARP as u64;
-                let end = (begin + WARP as u64).min(total);
-                let nact = (end - begin) as usize;
-                items.clear();
-                gids.clear();
-                // One division per warp; lanes advance the 3-D id
-                // incrementally (items within a warp are consecutive).
-                let mut gid = [
-                    (begin % gx) as usize,
-                    ((begin / gx) % gy) as usize,
-                    (begin / (gx * gy)) as usize,
-                ];
-                for item in begin..end {
-                    items.push(item);
-                    gids.push(gid);
-                    gid[0] += 1;
-                    if gid[0] as u64 == gx {
-                        gid[0] = 0;
-                        gid[1] += 1;
-                        if gid[1] as u64 == gy {
-                            gid[1] = 0;
-                            gid[2] += 1;
-                        }
+                let nact = warp.load(l, tape, &init, begin, (begin + WARP as u64).min(total));
+                acc.counters.work_items += nact as u64;
+                let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut []);
+                let diverged = match &fused {
+                    Some((f, checked)) => {
+                        bytecode::exec_fused_warp(f, tape, 0, nact, vregs, privs, &mut wc, checked)
                     }
-                }
-                for &r in &bcast_warp {
-                    let row = r as usize * WARP;
-                    vregs[row..row + WARP].fill(regs0[r as usize]);
-                }
-                if prep.npriv > 0 {
-                    for lp in lane_privs[..nact].iter_mut() {
-                        for p in lp.iter_mut() {
-                            p.clear();
-                        }
+                    None => {
+                        let mask = bytecode::prefix_mask(nact);
+                        bytecode::exec_phase_warp(tape, 0, mask, vregs, privs, &mut wc).diverged
                     }
-                }
-                counters.work_items += nact as u64;
-                bytecode::exec_item_pre_warp(tape, &mut vregs, nact, &gids, &items);
-                let mut wc = bytecode::WarpCtx {
-                    bufs,
-                    counters: &mut counters,
-                    traces: &mut lane_traces,
-                    trace_on,
-                    writes: &mut writes,
-                    race_on: race_check,
-                    items: &items,
-                    gids: &gids,
-                    gsize,
-                    prof: prof.as_deref_mut(),
-                    san: Some(crate::sanitize::SanCtx { kernel: &prep.name, params: &prep.params }),
                 };
-                if bytecode::exec_phase_warp(tape, 0, nact, &mut vregs, &mut lane_privs, &mut wc) {
-                    divergent += 1;
-                }
-                if trace_on {
-                    tbytes += warp_transaction_bytes(&mut lane_traces[..nact], transaction_size);
-                    for tr in lane_traces[..nact].iter_mut() {
-                        tr.clear();
-                    }
+                acc.divergent += diverged as u64;
+                if l.trace_on {
+                    acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
                 }
             }
-            (counters, tbytes, writes, divergent, prof)
+            acc
         })
         .collect();
     let wall = start.elapsed();
-    let mut divergent = 0u64;
-    let results: Vec<ProfChunkResult> = results
-        .into_iter()
-        .map(|(c, t, w, d, p)| {
-            divergent += d;
-            (c, t, w, p)
-        })
-        .collect();
-    let (results, op_profile) = merge_op_profiles(results);
-    let scale = flat_sample_scale(total, &warp_ids);
-    let mut stats = finish(prep, results, race_check, trace_on, scale, wall, total)?;
-    stats.op_profile = op_profile;
-    stats.divergent_warps = divergent;
-    Ok(stats)
+    finish(l, results, flat_sample_scale(total, &warp_ids), wall)
 }
 
-/// Compiled superinstruction execution of a barrier-free NDRange
-/// (`VGPU_ENGINE=compiled`): the warp loop of [`run_flat_vector`] driving
-/// [`bytecode::exec_fused_warp`] over the pre-lowered basic-block form,
-/// with per-access bounds checks elided at sites the static verifier
-/// proved in bounds for this launch shape (see [`compiled_checked_sites`]).
-/// Modeled/traced and race-checked launches need the per-lane access
-/// traces only the vector interpreter produces, so those run
-/// [`run_flat_vector`] wholesale — the engines are bit-identical, and
-/// tracing launches are sampled/infrequent by construction.
-#[allow(clippy::too_many_arguments)]
-fn run_flat_compiled(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    total: u64,
-    stride: usize,
-    trace_on: bool,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    if trace_on || race_check {
-        return run_flat_vector(
-            prep,
-            bufs,
-            init_slots,
-            gsize,
-            total,
-            stride,
-            trace_on,
-            race_check,
-            transaction_size,
-        );
+/// Sampled grouped-launch scale factor: all groups over the sampled ones
+/// (groups are whole, so counting them is exact).
+fn group_sample_scale(groups_total: usize, sampled: usize, stride: usize) -> f64 {
+    if stride > 1 {
+        groups_total as f64 / sampled as f64
+    } else {
+        1.0
     }
-    let tape = prep.tape.as_ref().expect("tape checked by caller");
-    let fused = prep.fused.as_ref().expect("fused form checked by caller");
-    let checked = compiled_checked_sites(prep, bufs, init_slots, gsize, fused.nsites);
-    let init_bits: Vec<(usize, u64)> =
-        init_slots.iter().map(|(s, v)| (*s, bytecode::bits_of_value(*v))).collect();
-    let warps_total = total.div_ceil(WARP as u64);
-    let warp_ids: Vec<u64> = (0..warps_total).step_by(stride).collect();
-    let chunk = dispatch_chunk(warp_ids.len());
-    let gx = gsize[0] as u64;
-    let gy = gsize[1] as u64;
-
-    let mut regs0 = vec![0u64; tape.nregs];
-    for (slot, b) in &init_bits {
-        regs0[*slot] = *b;
-    }
-    bytecode::exec_pre(tape, &mut regs0, gsize);
-    let (bcast_once, bcast_warp) = bytecode::warp_init_regs(tape, prep.nslots);
-
-    let prof_on = crate::profiler::op_enabled();
-    let start = std::time::Instant::now();
-    type VecChunk = (Counters, u64, Vec<WriteRec>, u64, Option<Box<crate::profiler::OpProf>>);
-    let results: Vec<VecChunk> = warp_ids
-        .par_chunks(chunk)
-        .map(|ws| {
-            let mut vregs = vec![0u64; tape.nregs * WARP];
-            for &r in &bcast_once {
-                let row = r as usize * WARP;
-                vregs[row..row + WARP].fill(regs0[r as usize]);
-            }
-            let mut lane_privs: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); prep.npriv]; WARP];
-            let mut lane_traces: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); WARP];
-            let mut counters = Counters::default();
-            let mut writes: Vec<WriteRec> = Vec::new();
-            let mut divergent = 0u64;
-            let mut prof: Option<Box<crate::profiler::OpProf>> =
-                prof_on.then(Box::<crate::profiler::OpProf>::default);
-            let mut items: Vec<u64> = Vec::with_capacity(WARP);
-            let mut gids: Vec<[usize; 3]> = Vec::with_capacity(WARP);
-            for &w in ws {
-                let begin = w * WARP as u64;
-                let end = (begin + WARP as u64).min(total);
-                let nact = (end - begin) as usize;
-                items.clear();
-                gids.clear();
-                let mut gid = [
-                    (begin % gx) as usize,
-                    ((begin / gx) % gy) as usize,
-                    (begin / (gx * gy)) as usize,
-                ];
-                for item in begin..end {
-                    items.push(item);
-                    gids.push(gid);
-                    gid[0] += 1;
-                    if gid[0] as u64 == gx {
-                        gid[0] = 0;
-                        gid[1] += 1;
-                        if gid[1] as u64 == gy {
-                            gid[1] = 0;
-                            gid[2] += 1;
-                        }
-                    }
-                }
-                for &r in &bcast_warp {
-                    let row = r as usize * WARP;
-                    vregs[row..row + WARP].fill(regs0[r as usize]);
-                }
-                if prep.npriv > 0 {
-                    for lp in lane_privs[..nact].iter_mut() {
-                        for p in lp.iter_mut() {
-                            p.clear();
-                        }
-                    }
-                }
-                counters.work_items += nact as u64;
-                bytecode::exec_item_pre_warp(tape, &mut vregs, nact, &gids, &items);
-                let mut wc = bytecode::WarpCtx {
-                    bufs,
-                    counters: &mut counters,
-                    traces: &mut lane_traces,
-                    trace_on: false,
-                    writes: &mut writes,
-                    race_on: false,
-                    items: &items,
-                    gids: &gids,
-                    gsize,
-                    prof: prof.as_deref_mut(),
-                    san: Some(crate::sanitize::SanCtx { kernel: &prep.name, params: &prep.params }),
-                };
-                if bytecode::exec_fused_warp(
-                    fused,
-                    tape,
-                    0,
-                    nact,
-                    &mut vregs,
-                    &mut lane_privs,
-                    &mut wc,
-                    &checked,
-                ) {
-                    divergent += 1;
-                }
-            }
-            (counters, 0u64, writes, divergent, prof)
-        })
-        .collect();
-    let wall = start.elapsed();
-    let mut divergent = 0u64;
-    let results: Vec<ProfChunkResult> = results
-        .into_iter()
-        .map(|(c, t, w, d, p)| {
-            divergent += d;
-            (c, t, w, p)
-        })
-        .collect();
-    let (results, op_profile) = merge_op_profiles(results);
-    let scale = flat_sample_scale(total, &warp_ids);
-    let mut stats = finish(prep, results, race_check, trace_on, scale, wall, total)?;
-    stats.op_profile = op_profile;
-    stats.divergent_warps = divergent;
-    Ok(stats)
 }
 
-/// Bytecode execution of a grouped (barrier-synchronised) NDRange; mirrors
-/// [`run_grouped`] phase for phase.
-#[allow(clippy::too_many_arguments)]
-fn run_grouped_tape(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    total: u64,
-    lsize: usize,
-    stride: usize,
-    trace_on: bool,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
+/// Warp-interpreter execution of a grouped (barrier-synchronised) NDRange;
+/// mirrors [`run_grouped_tree`] phase for phase. A group is ⌈lsize/32⌉
+/// warps (the last one partial) sharing one local-memory arena; each
+/// barrier phase runs warp by warp over the lanes still alive — a lane that
+/// returned is masked off for the remaining phases — with register files
+/// persisting across phases.
+fn run_grouped_warps(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecError> {
+    let prep = l.prep;
     let tape = prep.tape.as_ref().expect("tape checked by caller");
-    let init_bits: Vec<(usize, u64)> =
-        init_slots.iter().map(|(s, v)| (*s, bytecode::bits_of_value(*v))).collect();
-    let gsize = [total as usize, 1, 1];
-    let groups_total = (total / lsize as u64) as usize;
-    let group_ids: Vec<usize> = (0..groups_total).step_by(stride).collect();
+    let init = WarpInit::new(l, tape);
+    let groups_total = (l.total / lsize as u64) as usize;
+    let group_ids: Vec<usize> = (0..groups_total).step_by(l.stride).collect();
     let chunk = dispatch_chunk(group_ids.len());
+    let nwarps = lsize.div_ceil(WARP);
+
+    let prof_on = crate::profiler::op_enabled();
     let start = std::time::Instant::now();
-    let results: Vec<(Counters, u64, Vec<WriteRec>)> = group_ids
+    let results: Vec<ChunkAcc> = group_ids
         .par_chunks(chunk)
         .map(|gs| {
-            // One rayon task per chunk of groups; per-item register files,
-            // private arrays, and traces are allocated once and reset to
-            // fresh-group state for each group in the chunk.
+            let mut acc = warp_chunk_acc(prof_on);
+            let mut warps: Vec<WarpState> =
+                (0..nwarps).map(|_| WarpState::new(l, tape, &init)).collect();
             let mut locals: Vec<Vec<u64>> = vec![Vec::new(); prep.local_kinds.len()];
-            let mut regss: Vec<Vec<u64>> = vec![vec![0u64; tape.nregs]; lsize];
-            let mut privss: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); prep.npriv]; lsize];
-            let mut counterss: Vec<Counters> = vec![Counters::default(); lsize];
-            let mut tracess: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); lsize];
-            let mut active = vec![true; lsize];
-            let mut counters = Counters::default();
-            let mut tbytes = 0u64;
-            let mut writes: Vec<WriteRec> = Vec::new();
+            // Per warp: lanes that have not returned, and whether any phase
+            // diverged (a warp counts once in `vgpu.warp.divergent`).
+            let mut alive = vec![0u32; nwarps];
+            let mut diverged = vec![false; nwarps];
             for &g in gs {
-                for l in locals.iter_mut() {
+                for a in locals.iter_mut() {
                     // Emptied so the group's first DeclLocal re-zeros it.
-                    l.clear();
+                    a.clear();
                 }
-                for lid in 0..lsize {
-                    regss[lid].fill(0);
-                    for (slot, b) in &init_bits {
-                        regss[lid][*slot] = *b;
-                    }
-                    bytecode::exec_pre(tape, &mut regss[lid], gsize);
-                    let linear = g * lsize + lid;
-                    bytecode::exec_item_pre(tape, &mut regss[lid], [linear, 0, 0], lid, lsize, g);
-                    for p in privss[lid].iter_mut() {
-                        p.clear();
-                    }
-                    counterss[lid] = Counters::default();
-                    tracess[lid].clear();
-                    active[lid] = true;
+                let first = (g * lsize) as u64;
+                for (wi, warp) in warps.iter_mut().enumerate() {
+                    let begin = first + (wi * WARP) as u64;
+                    let end = (begin + WARP as u64).min(first + lsize as u64);
+                    alive[wi] = bytecode::prefix_mask(warp.load(l, tape, &init, begin, end));
+                    diverged[wi] = false;
                 }
+                acc.counters.work_items += lsize as u64;
                 for phase in 0..tape.phases() {
-                    for lid in 0..lsize {
-                        if !active[lid] {
+                    for (wi, warp) in warps.iter_mut().enumerate() {
+                        if alive[wi] == 0 {
                             continue;
                         }
-                        let linear = (g * lsize + lid) as u64;
-                        counterss[lid].work_items += 1;
-                        let mut t = TapeCtx {
-                            bufs,
-                            gsize,
-                            counters: &mut counterss[lid],
-                            trace: &mut tracess[lid],
-                            trace_on,
-                            writes: &mut writes,
-                            race_on: race_check,
-                            item: linear,
-                            gid: [linear as usize, 0, 0],
-                            lid,
-                            group: g,
-                            lsize,
-                            // Grouped (barrier) launches profile at kernel
-                            // granularity only; the flat runners carry the
-                            // per-op tallies.
-                            prof: None,
-                            san: Some(crate::sanitize::SanCtx {
-                                kernel: &prep.name,
-                                params: &prep.params,
-                            }),
-                        };
-                        if bytecode::exec_phase(
-                            tape,
-                            phase,
-                            &mut regss[lid],
-                            &mut privss[lid],
-                            &mut locals,
-                            &mut t,
-                        ) {
-                            active[lid] = false;
-                        }
+                        let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut locals);
+                        let run = bytecode::exec_phase_warp(
+                            tape, phase, alive[wi], vregs, privs, &mut wc,
+                        );
+                        alive[wi] &= !run.returned;
+                        diverged[wi] |= run.diverged;
                     }
                 }
-                for cs in counterss.iter_mut().take(lsize) {
-                    // work_items was incremented once per phase; normalise
-                    cs.work_items = 1;
-                    counters.add(cs);
-                }
-                if trace_on {
-                    // Same warp-granular partition as the per-group code:
+                acc.divergent += diverged.iter().filter(|&&d| d).count() as u64;
+                if l.trace_on {
+                    // The same warp-granular partition as the tree-walker's:
                     // consecutive runs of WARP work-items, last one partial.
-                    for warp in tracess.chunks_mut(WARP) {
-                        tbytes += warp_transaction_bytes(warp, transaction_size);
+                    for warp in warps.iter_mut() {
+                        acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
                     }
                 }
             }
-            (counters, tbytes, writes)
+            acc
         })
         .collect();
     let wall = start.elapsed();
-    let scale = if stride > 1 { groups_total as f64 / group_ids.len() as f64 } else { 1.0 };
-    finish(prep, results, race_check, trace_on, scale, wall, total)
+    finish(l, results, group_sample_scale(groups_total, group_ids.len(), l.stride), wall)
 }
 
-/// Group-mode execution: groups run independently (parallel via rayon);
-/// within one group, work-items execute each barrier-delimited phase in
-/// turn, sharing local memory. This is the standard sequential-consistency
-/// model for barrier-synchronised OpenCL kernels.
-#[allow(clippy::too_many_arguments)]
-fn run_grouped(
-    exec: &Exec<'_>,
-    prep: &Prepared,
-    init_slots: &[(usize, Value)],
-    total: u64,
-    lsize: usize,
-    stride: usize,
-    trace_on: bool,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    let groups_total = (total / lsize as u64) as usize;
-    let group_ids: Vec<usize> = (0..groups_total).step_by(stride).collect();
+/// Tree-walker group-mode execution: groups run independently (parallel via
+/// rayon); within one group, work-items execute each barrier-delimited
+/// phase in turn, sharing local memory. This is the standard
+/// sequential-consistency model for barrier-synchronised OpenCL kernels.
+fn run_grouped_tree(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecError> {
+    let prep = l.prep;
+    let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize };
+    let groups_total = (l.total / lsize as u64) as usize;
+    let group_ids: Vec<usize> = (0..groups_total).step_by(l.stride).collect();
     let chunk = dispatch_chunk(group_ids.len());
     let start = std::time::Instant::now();
-    let results: Vec<(Counters, u64, Vec<WriteRec>)> = group_ids
+    let results: Vec<ChunkAcc> = group_ids
         .par_chunks(chunk)
         .map(|gs| {
             // One rayon task per chunk of groups with per-item states
@@ -2632,25 +2159,23 @@ fn run_grouped(
                     counters: Counters::default(),
                     trace: Vec::new(),
                     writes: Vec::new(),
-                    trace_on,
-                    race_on: race_check,
+                    trace_on: l.trace_on,
+                    race_on: l.race_check,
                     item: 0,
                 })
                 .collect();
             let mut active = vec![true; lsize];
-            let mut counters = Counters::default();
-            let mut writes = Vec::new();
-            let mut tbytes = 0u64;
+            let mut acc = ChunkAcc::default();
             for &g in gs {
-                for l in locals.iter_mut() {
+                for a in locals.iter_mut() {
                     // Emptied so the group's first DeclLocal re-allocates.
-                    l.clear();
+                    a.clear();
                 }
                 for (lid, st) in states.iter_mut().enumerate() {
                     for s in st.slots.iter_mut() {
                         *s = Value::I32(0);
                     }
-                    for (slot, v) in init_slots {
+                    for (slot, v) in l.init_slots {
                         st.slots[*slot] = *v;
                     }
                     for p in st.privs.iter_mut() {
@@ -2680,30 +2205,28 @@ fn run_grouped(
                 for st in states.iter_mut() {
                     // work_items was incremented once per phase; normalise
                     st.counters.work_items = 1;
-                    counters.add(&st.counters);
-                    writes.append(&mut st.writes);
+                    acc.counters.add(&st.counters);
+                    acc.writes.append(&mut st.writes);
                 }
-                if trace_on {
-                    // Same warp-granular partition as the per-group code:
-                    // consecutive runs of WARP work-items, last one partial.
+                if l.trace_on {
+                    // Consecutive runs of WARP work-items, last one partial.
                     let mut traces: Vec<Vec<(u32, u32, u64)>> = Vec::new();
                     for st in states.iter_mut() {
                         traces.push(std::mem::take(&mut st.trace));
                     }
                     for warp in traces.chunks_mut(WARP) {
-                        tbytes += warp_transaction_bytes(warp, transaction_size);
+                        acc.tbytes += warp_transaction_bytes(warp, l.transaction_size);
                     }
                     for (st, t) in states.iter_mut().zip(traces) {
                         st.trace = t;
                     }
                 }
             }
-            (counters, tbytes, writes)
+            acc
         })
         .collect();
     let wall = start.elapsed();
-    let scale = if stride > 1 { groups_total as f64 / group_ids.len() as f64 } else { 1.0 };
-    finish(prep, results, race_check, trace_on, scale, wall, total)
+    finish(l, results, group_sample_scale(groups_total, group_ids.len(), l.stride), wall)
 }
 
 #[cfg(test)]
@@ -2999,11 +2522,11 @@ mod tests {
     }
 
     #[test]
-    fn tape_matches_tree_on_saxpy() {
+    fn fast_matches_tree_on_saxpy() {
         let (ts, to) =
             saxpy_launch_engine(100, 128, ExecMode::Model { sample_stride: 1 }, Engine::Tree);
         let (ps, po) =
-            saxpy_launch_engine(100, 128, ExecMode::Model { sample_stride: 1 }, Engine::Tape);
+            saxpy_launch_engine(100, 128, ExecMode::Model { sample_stride: 1 }, Engine::Fast);
         assert_eq!(to, po);
         assert_eq!(ts.counters, ps.counters);
         assert_eq!(ts.transaction_bytes, ps.transaction_bytes);
@@ -3016,7 +2539,7 @@ mod tests {
         // 48 items = a full warp + a half warp. Weighting by warp *count*
         // would scale 48/(2·32) = 0.75× and under-report; weighting by the
         // items the sampled warps covered keeps full sampling exact.
-        for engine in [Engine::Tree, Engine::Tape, Engine::Vector] {
+        for engine in [Engine::Tree, Engine::Fast] {
             let (stats, _) =
                 saxpy_launch_engine(48, 48, ExecMode::Model { sample_stride: 1 }, engine);
             assert_eq!(stats.counters.flops, 2 * 48, "{engine:?}");
@@ -3052,7 +2575,7 @@ mod tests {
             work_dim: 1,
         };
         let prep = prepare(&k).unwrap();
-        for engine in [Engine::Tree, Engine::Tape, Engine::Vector] {
+        for engine in [Engine::Tree, Engine::Fast] {
             let y = SharedBuf::new(BufData::from(vec![0.0f32; 4]));
             let msg = launch_wg_engine(
                 &prep,
@@ -3071,33 +2594,6 @@ mod tests {
             assert!(msg.contains("element 1"), "{engine:?}: {msg}");
             assert!(msg.contains("site(s) [0]"), "{engine:?}: {msg}");
         }
-    }
-
-    #[test]
-    fn tape_skips_kind_mismatched_buffers() {
-        // Binding an f64 buffer to an f32 parameter is legal for the
-        // tree-walker (Value-level casts); the tape bakes kinds in, so the
-        // launch must transparently fall back and still compute correctly.
-        let prep = prepare(&saxpy_kernel()).unwrap();
-        let x = SharedBuf::new(BufData::from(vec![3.0f64; 8]));
-        let y = SharedBuf::new(BufData::from(vec![1.0f64; 8]));
-        launch_wg_engine(
-            &prep,
-            &[
-                ArgBind::Buf(&x),
-                ArgBind::Buf(&y),
-                ArgBind::Val(Value::F32(2.0)),
-                ArgBind::Val(Value::I32(8)),
-            ],
-            &[8],
-            None,
-            ExecMode::Fast,
-            true,
-            128,
-            Engine::Tape,
-        )
-        .unwrap();
-        assert_eq!(y.data().to_f64_vec(), vec![7.0; 8]);
     }
 
     #[test]
@@ -3151,7 +2647,8 @@ mod tests {
     fn grouped_sampled_launches_scale_counters() {
         // 8 groups of 32; stride 2 executes groups {0, 2, 4, 6} and must
         // scale counters and transaction bytes back to full-launch totals
-        // (all groups do identical work here), on both engines.
+        // (all groups do identical work here), on the oracle and on the warp
+        // interpreter.
         let prep = prepare(&two_phase_lid_kernel()).unwrap();
         let run = |stride: usize, engine: Engine| {
             let out = SharedBuf::new(BufData::from(vec![0i32; 256]));
@@ -3168,9 +2665,7 @@ mod tests {
             .unwrap()
         };
         let full_tree = run(1, Engine::Tree);
-        // Vector is included even though grouped launches fall back to the
-        // scalar tape: the fallback must preserve counters too.
-        for engine in [Engine::Tree, Engine::Tape, Engine::Vector] {
+        for engine in [Engine::Tree, Engine::Fast] {
             let full = run(1, engine);
             let sampled = run(2, engine);
             assert_eq!(full.counters, sampled.counters, "{engine:?}");
@@ -3188,7 +2683,7 @@ mod tests {
     fn planned_launch_matches_unplanned_launch() {
         let prep = prepare(&saxpy_kernel()).unwrap();
         let mode = ExecMode::Model { sample_stride: 1 };
-        let (unplanned, expected) = saxpy_launch_engine(100, 128, mode, Engine::Tape);
+        let (unplanned, expected) = saxpy_launch_engine(100, 128, mode, Engine::Fast);
 
         let x = SharedBuf::new(BufData::from((0..100).map(|i| i as f32).collect::<Vec<_>>()));
         let y = SharedBuf::new(BufData::from(vec![1.0f32; 100]));
@@ -3201,7 +2696,7 @@ mod tests {
         let plan = plan_launch(&prep, &binds).unwrap();
         assert!(plan.tape_fallback.is_none(), "f32 buffers are tape-compatible");
         let planned =
-            launch_planned(&prep, &plan, &binds, &[128], None, mode, true, 128, Engine::Tape)
+            launch_planned(&prep, &plan, &binds, &[128], None, mode, true, 128, Engine::Fast)
                 .unwrap();
         assert_eq!(planned.counters, unplanned.counters);
         assert_eq!(planned.transaction_bytes, unplanned.transaction_bytes);
@@ -3223,7 +2718,7 @@ mod tests {
         let plan = plan_launch(&prep, &binds).unwrap();
         assert!(plan.tape_fallback.is_some(), "kind mismatch must be resolved at plan time");
         let mode = ExecMode::Fast;
-        launch_planned(&prep, &plan, &binds, &[8], None, mode, true, 128, Engine::Tape).unwrap();
+        launch_planned(&prep, &plan, &binds, &[8], None, mode, true, 128, Engine::Fast).unwrap();
         assert_eq!(y.data().to_f64_vec(), vec![7.0; 8]);
     }
 
@@ -3240,7 +2735,7 @@ mod tests {
             ExecMode::Fast,
             false,
             128,
-            Engine::Tape,
+            Engine::Fast,
         )
         .unwrap_err()
         .to_string();
@@ -3255,7 +2750,7 @@ mod tests {
             ExecMode::Fast,
             false,
             128,
-            Engine::Tape,
+            Engine::Fast,
         )
         .unwrap_err()
         .to_string();
@@ -3265,12 +2760,12 @@ mod tests {
     }
 
     #[test]
-    fn vector_matches_tree_on_partial_final_warp() {
+    fn warp_interpreter_matches_tree_on_partial_final_warp() {
         // 100 items = 3 full warps + a 4-lane partial warp: the masked tail
         // must produce bit-identical values, counters, and transactions.
         let mode = ExecMode::Model { sample_stride: 1 };
         let (ts, to) = saxpy_launch_engine(100, 100, mode, Engine::Tree);
-        let (vs, vo) = saxpy_launch_engine(100, 100, mode, Engine::Vector);
+        let (vs, vo) = saxpy_launch_engine(100, 100, mode, Engine::Fast);
         assert_eq!(vs.backend, Backend::Vector);
         assert_eq!(to, vo);
         assert_eq!(ts.counters, vs.counters);
@@ -3282,7 +2777,7 @@ mod tests {
         // global 96, N = 64: warps 0–1 have the guard false on every lane,
         // warp 2 has it true on every lane. Uniform either way — the branch
         // must not count as divergence.
-        let (stats, out) = saxpy_launch_engine(64, 96, ExecMode::Fast, Engine::Vector);
+        let (stats, out) = saxpy_launch_engine(64, 96, ExecMode::Fast, Engine::Fast);
         assert_eq!(stats.backend, Backend::Vector);
         assert_eq!(stats.divergent_warps, 0, "uniform warps must not count");
         assert_eq!(out[63], 2.0 * 63.0 + 1.0);
@@ -3337,7 +2832,7 @@ mod tests {
             (stats, y.data().to_f64_vec())
         };
         let (ts, to) = run(Engine::Tree);
-        let (vs, vo) = run(Engine::Vector);
+        let (vs, vo) = run(Engine::Fast);
         assert_eq!(vs.backend, Backend::Vector);
         assert_eq!(vs.divergent_warps, 2, "both mixed warps must count");
         assert_eq!(to, vo);
@@ -3396,16 +2891,16 @@ mod tests {
             (stats, out.data().to_f64_vec())
         };
         let (_, to) = run(Engine::Tree);
-        let (vs, vo) = run(Engine::Vector);
+        let (vs, vo) = run(Engine::Fast);
         assert_eq!(vs.backend, Backend::Vector);
         assert_eq!(to, vo);
         assert_eq!(vo[13], 39.0);
     }
 
     #[test]
-    fn grouped_launch_under_vector_falls_back_to_scalar_tape() {
-        // The vector engine covers flat NDRanges only; a barrier kernel must
-        // transparently run on the scalar tape with identical results.
+    fn grouped_launch_runs_on_the_warp_interpreter() {
+        // A barrier kernel runs phase by phase on the warp interpreter — no
+        // fallback — with real local ids.
         let prep = prepare(&two_phase_lid_kernel()).unwrap();
         let out = SharedBuf::new(BufData::from(vec![0i32; 64]));
         let stats = launch_wg_engine(
@@ -3416,10 +2911,10 @@ mod tests {
             ExecMode::Fast,
             false,
             128,
-            Engine::Vector,
+            Engine::Fast,
         )
         .unwrap();
-        assert_eq!(stats.backend, Backend::Tape, "grouped launches fall back");
+        assert_eq!(stats.backend, Backend::Vector);
         assert_eq!(stats.divergent_warps, 0);
         let o = out.data().to_f64_vec();
         assert_eq!(o[5], 6.0);
@@ -3427,9 +2922,10 @@ mod tests {
     }
 
     #[test]
-    fn vector_replans_kind_mismatched_buffers_to_tree() {
-        // f64 buffers on f32 params: neither tape engine covers the launch,
-        // so the plan routes it all the way back to the tree-walker.
+    fn kind_mismatched_buffers_run_on_the_tree_walker() {
+        // Binding an f64 buffer to an f32 parameter is legal for the
+        // tree-walker (Value-level casts); the tape bakes kinds in, so the
+        // launch must transparently fall back and still compute correctly.
         let prep = prepare(&saxpy_kernel()).unwrap();
         let x = SharedBuf::new(BufData::from(vec![3.0f64; 8]));
         let y = SharedBuf::new(BufData::from(vec![1.0f64; 8]));
@@ -3446,10 +2942,160 @@ mod tests {
             ExecMode::Fast,
             true,
             128,
-            Engine::Vector,
+            Engine::Fast,
         )
         .unwrap();
         assert_eq!(stats.backend, Backend::Tree, "kind mismatch must replan");
         assert_eq!(y.data().to_f64_vec(), vec![7.0; 8]);
+    }
+
+    #[test]
+    fn engine_parse_accepts_three_names_and_rejects_the_rest() {
+        assert_eq!(Engine::parse("fast"), Ok(Engine::Fast));
+        assert_eq!(Engine::parse("tree"), Ok(Engine::Tree));
+        assert_eq!(Engine::parse("diff"), Ok(Engine::Differential));
+        assert_eq!(Engine::parse("differential"), Ok(Engine::Differential));
+        assert_eq!(Engine::default(), Engine::Fast);
+        // A typo, and the retired rung names, are errors naming what is
+        // accepted — never a silent default.
+        for bad in ["dif", "", "Fast", "tape", "vector", "compiled"] {
+            let e = Engine::parse(bad).unwrap_err();
+            assert!(e.contains(&format!("`{bad}`")), "{e}");
+            assert!(e.contains("fast, tree, diff, differential"), "{e}");
+        }
+    }
+
+    /// ```text
+    /// if (gid % 2 == 0) { for (i = 0; i < gid % 5; i++) acc += x[gid]; out[gid] = acc; }
+    /// else              { out[gid] = -x[gid]; }
+    /// out[gid] = out[gid] + 1;
+    /// ```
+    /// An outer store-bearing diamond (every warp diverges) around a loop
+    /// whose trip count depends on the lane, then a converged tail.
+    fn diamond_around_lane_dependent_loop() -> Kernel {
+        let gid = || KExpr::GlobalId(0);
+        let x = || KExpr::load(MemRef::Param(0), gid());
+        let out = |value: KExpr| KStmt::Store { mem: MemRef::Param(1), idx: gid(), value };
+        Kernel {
+            name: "valve".into(),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::F32),
+                KernelParam::global_buf("out", ScalarKind::F32),
+            ],
+            body: vec![
+                KStmt::DeclScalar {
+                    name: "acc".into(),
+                    kind: ScalarKind::F32,
+                    init: Some(KExpr::Lit(Lit::f32(0.0))),
+                },
+                KStmt::If {
+                    cond: KExpr::bin(
+                        BinOp::Eq,
+                        KExpr::bin(BinOp::Rem, gid(), KExpr::int(2)),
+                        KExpr::int(0),
+                    ),
+                    then_: vec![
+                        KStmt::For {
+                            var: "i".into(),
+                            begin: KExpr::int(0),
+                            end: KExpr::bin(BinOp::Rem, gid(), KExpr::int(5)),
+                            step: KExpr::int(1),
+                            body: vec![KStmt::Assign {
+                                name: "acc".into(),
+                                value: KExpr::var("acc") + x(),
+                            }],
+                        },
+                        out(KExpr::var("acc")),
+                    ],
+                    else_: vec![out(KExpr::Lit(Lit::f32(0.0)) - x())],
+                },
+                out(KExpr::load(MemRef::Param(1), gid()) + KExpr::Lit(Lit::f32(1.0))),
+            ],
+            work_dim: 1,
+        }
+    }
+
+    #[test]
+    fn branches_without_a_join_run_one_lane_at_a_time_and_match_the_oracle() {
+        // No compiled tape has a reachable branch without a join (only a
+        // branch that cannot reach the exit lacks one), so strip the joins
+        // by hand: first from the loop branches only — the single-lane runs
+        // then park at the outer diamond's join and the tail runs converged
+        // again — then from every branch, so lanes run to the end alone.
+        for all_branches in [false, true] {
+            let mut prep = prepare(&diamond_around_lane_dependent_loop()).unwrap();
+            // The interpreter is the leg under test.
+            prep.fused = None;
+            let tape = prep.tape.as_mut().unwrap();
+            let mut stripped = 0;
+            for (pc, op) in tape.ops.iter().enumerate() {
+                let strip = match op {
+                    bytecode::Op::JgeI64 { .. } => true,
+                    bytecode::Op::Jz { .. } => all_branches,
+                    _ => false,
+                };
+                if strip {
+                    tape.joins[pc] = bytecode::NO_JOIN;
+                    stripped += 1;
+                }
+            }
+            assert!(stripped >= if all_branches { 2 } else { 1 }, "{:?}", tape.ops);
+            for (mode, race) in
+                [(ExecMode::Fast, false), (ExecMode::Model { sample_stride: 1 }, true)]
+            {
+                let n = 80; // two full warps and a 16-lane one
+                let x = SharedBuf::new(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
+                let out = SharedBuf::new(BufData::from(vec![0.0f32; n]));
+                // Differential: buffers, counters and transaction bytes
+                // bit-identical to the tree oracle, or the launch errors.
+                let stats = launch_wg_engine(
+                    &prep,
+                    &[ArgBind::Buf(&x), ArgBind::Buf(&out)],
+                    &[n],
+                    None,
+                    mode,
+                    race,
+                    128,
+                    Engine::Differential,
+                )
+                .unwrap();
+                assert_eq!(stats.backend, Backend::Vector);
+                assert_eq!(stats.divergent_warps, 3, "each warp diverges, and counts once");
+                let o = out.data().to_f64_vec();
+                assert_eq!(o[8], 3.0 * 8.0 + 1.0, "8 % 5 = 3 trips");
+                assert_eq!(o[9], -9.0 + 1.0);
+            }
+        }
+    }
+
+    #[test]
+    fn an_eligible_launch_whose_tape_did_not_fuse_counts_a_compiled_fallback() {
+        // Every flat tape fuses today (only local-memory tapes do not, and
+        // those launch grouped), so drop the fused form by hand. No other
+        // unit test can move this counter.
+        let mut prep = prepare(&saxpy_kernel()).unwrap();
+        prep.fused = None;
+        prep.fused_err = Some("dropped by the test".into());
+        let counter = telemetry::registry().counter("vgpu.compiled.fallbacks");
+        let before = counter.get();
+        let x = SharedBuf::new(BufData::from(vec![3.0f32; 8]));
+        let y = SharedBuf::new(BufData::from(vec![1.0f32; 8]));
+        let binds = [
+            ArgBind::Buf(&x),
+            ArgBind::Buf(&y),
+            ArgBind::Val(Value::F32(2.0)),
+            ArgBind::Val(Value::I32(8)),
+        ];
+        let launch = |mode, race| {
+            launch_wg_engine(&prep, &binds, &[8], None, mode, race, 128, Engine::Fast).unwrap()
+        };
+        let stats = launch(ExecMode::Fast, false);
+        assert_eq!(stats.backend, Backend::Vector, "the interpreter covers it");
+        assert_eq!(counter.get() - before, 1);
+        // Modeled and race-checked launches run the interpreter by design:
+        // not a fallback.
+        launch(ExecMode::Model { sample_stride: 1 }, false);
+        launch(ExecMode::Fast, true);
+        assert_eq!(counter.get() - before, 1);
     }
 }

@@ -226,7 +226,22 @@ pub fn run_host_program_on(
                     .scalar_kind()
                     .ok_or_else(|| ExecError(format!("cannot allocate non-uniform type {ty}")))?;
                 let len = eval_len(&rty, &env.sizes)?;
-                let id = devices[d].create_buffer(kind, len);
+                // A slot the program fills piecewise is a slab: the owned
+                // planes arrive by region `CopyIn`, the seam planes by
+                // `DevCopy`, and the outermost halo planes are never
+                // written — the sharded rewrite promises them zero-filled,
+                // and the slab kernel reads them. A slot no host command
+                // writes into stays unpromised: reading it before a kernel
+                // has stored to it is the bug `check_host_init` predicts.
+                let slab = prog.cmds.iter().any(|c| {
+                    matches!(c, HostCmd::CopyIn { dev: s, device: sd, dst_off: Some(_), .. }
+                        if s == dev && sd == device)
+                });
+                let id = if slab {
+                    devices[d].create_buffer_zeroed(kind, len)
+                } else {
+                    devices[d].create_buffer(kind, len)
+                };
                 slots.insert((d, dev.clone()), id);
             }
             HostCmd::Launch { kernel, args, global_size, device } => {

@@ -10,14 +10,16 @@
 //! * [`device::Device`] — buffers + in-order queue with profiling events;
 //! * [`exec`] — kernel preparation and the interpreter (counters, traces,
 //!   race detection);
-//! * [`bytecode`] — flat register-based tapes that kernels compile to. The
-//!   default engine executes the tape *warp-vectorized*: each op is decoded
-//!   once per 32-lane warp and applied across a structure-of-arrays register
-//!   file under an active-lane mask, with divergent branches running both
-//!   sides under complementary masks (`VGPU_ENGINE=vector`). The scalar
-//!   tape (`VGPU_ENGINE=tape`) and the tree-walker reference oracle
-//!   (`VGPU_ENGINE=tree`) remain selectable, and `VGPU_ENGINE=diff` runs
-//!   all of them and asserts bit-identical results (see [`exec::Engine`]);
+//! * [`bytecode`] — flat register-based tapes that kernels compile to, and
+//!   the two executors that run them a 32-lane warp at a time over a
+//!   structure-of-arrays register file: the masked warp interpreter (one
+//!   decode per warp, divergent branches running both sides under
+//!   complementary lane masks; grouped launches too) and the fused-block
+//!   fast path over the [`compile`]d form of the tape. The default engine
+//!   (`VGPU_ENGINE=fast`) picks between them per launch; the tree-walker
+//!   reference oracle (`VGPU_ENGINE=tree`) remains selectable, and
+//!   `VGPU_ENGINE=diff` runs the oracle and then the tape executors and
+//!   asserts bit-identical results (see [`exec::Engine`]);
 //! * [`profile::DeviceProfile`] — the four Table III GPUs;
 //! * [`perfmodel`] — transactions/flops → modeled seconds;
 //! * [`host_exec`] — runs LIFT host programs (`ToGPU`/`OclKernel`/`ToHost`).

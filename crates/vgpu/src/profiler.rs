@@ -8,14 +8,13 @@
 //! |----------|---------------------|---------------------------------------|
 //! | `off`    | one relaxed load    | nothing (default)                     |
 //! | `kernel` | one map update per launch | wall/modeled time per (kernel, engine, precision) |
-//! | `op`     | two timer reads per tape op | everything above **plus** per-opcode time inside the tape and vector engines |
+//! | `op`     | two timer reads per tape op | everything above **plus** per-opcode time inside the tape executors |
 //!
 //! Like the trace mode, the profile mode is sampled from the environment
 //! once, lazily, and overridable by tests ([`set_mode`]); when profiling is
 //! off every instrumentation site reduces to one relaxed atomic load — the
-//! interpreter hot loops carry `PROF` as a const generic next to the
-//! structural-validation `BOUNDED` switch, so the unprofiled instantiation
-//! is bit-for-bit the unchecked fast path.
+//! executors' hot loops carry `PROF` as a const generic, so the unprofiled
+//! instantiation holds no timing code at all.
 //!
 //! Attribution is keyed by *(kernel, engine backend, float precision)* —
 //! the same axes [`crate::perfmodel::modeled_time_s`] models — so the
@@ -43,7 +42,7 @@ pub enum ProfileMode {
     Off = 0,
     /// Per-(kernel, engine, precision) launch/wall/modeled accumulation.
     Kernel = 1,
-    /// [`ProfileMode::Kernel`] plus per-opcode time inside the tape VMs.
+    /// [`ProfileMode::Kernel`] plus per-opcode time inside the tape executors.
     Op = 2,
 }
 
@@ -116,14 +115,14 @@ pub fn set_mode(m: ProfileMode) {
 }
 
 /// Number of attribution slots: base opcodes first
-/// ([`crate::bytecode::op_index`]), then the compiled engine's
+/// ([`crate::bytecode::op_index`]), then the fused-block executor's
 /// superinstructions at `NOPCODES + fop index`.
 const NSLOTS: usize = NOPCODES + NFOPS;
 
 /// Per-opcode execution tally for one launch (or one interpreter chunk):
 /// dispatch counts and attributed nanoseconds, indexed by
 /// [`crate::bytecode::op_index`] (base tape ops) or `NOPCODES +` the fused
-/// superinstruction index (compiled engine). Cheap to allocate per rayon
+/// superinstruction index (fused-block executor). Cheap to allocate per rayon
 /// chunk and to merge per launch — two fixed `u64` arrays, no heap.
 #[derive(Debug, Clone)]
 pub struct OpProf {
@@ -252,7 +251,7 @@ pub struct OpEntry {
 pub struct KernelProfileSnapshot {
     /// Kernel name.
     pub kernel: String,
-    /// Backend that executed (`compiled` / `vector` / `tape` / `tree`).
+    /// Backend that executed (`compiled` / `vector` / `tree`).
     pub engine: String,
     /// Float precision of the kernel's buffer traffic (`f32` / `f64`).
     pub precision: String,
@@ -509,7 +508,7 @@ mod tests {
         ops.add(3, Duration::from_nanos(10));
         record_launch(
             "k",
-            "tape",
+            "vector",
             "f32",
             Duration::from_micros(500),
             Some(1e-6),
@@ -517,13 +516,13 @@ mod tests {
             Some(4096),
             Some(&ops),
         );
-        record_launch("k", "tape", "f32", Duration::from_micros(300), None, 1000, None, None);
+        record_launch("k", "vector", "f32", Duration::from_micros(300), None, 1000, None, None);
         let snap = take();
         assert_eq!(snap.len(), 1);
         let s = &snap[0];
         assert_eq!(
             (s.kernel.as_str(), s.engine.as_str(), s.precision.as_str()),
-            ("k", "tape", "f32")
+            ("k", "vector", "f32")
         );
         assert_eq!(s.launches, 2);
         assert_eq!(s.modeled_launches, 1);
@@ -546,7 +545,7 @@ mod tests {
         let snaps = vec![
             KernelProfileSnapshot {
                 kernel: "a".into(),
-                engine: "tape".into(),
+                engine: "vector".into(),
                 precision: "f32".into(),
                 launches: 1,
                 wall_us: 2000.0,
@@ -559,7 +558,7 @@ mod tests {
             },
             KernelProfileSnapshot {
                 kernel: "b".into(),
-                engine: "tape".into(),
+                engine: "vector".into(),
                 precision: "f32".into(),
                 launches: 1,
                 wall_us: 5000.0,

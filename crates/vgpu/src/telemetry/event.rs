@@ -105,7 +105,7 @@ pub enum Event {
         track: TrackId,
         /// Kernel name.
         name: String,
-        /// Backend that executed the launch (`"vector"`, `"tape"`, or
+        /// Backend that executed the launch (`"compiled"`, `"vector"`, or
         /// `"tree"`).
         engine: String,
         /// Start of the interpreter run, µs since the epoch.
@@ -172,32 +172,21 @@ pub enum Event {
         /// Time of the launch, µs since the epoch.
         ts_us: f64,
     },
-    /// The vector engine did not cover a launch (e.g. a grouped NDRange)
-    /// and the scalar tape executed it instead. Deduplicated per
-    /// (kernel, reason); `vgpu.vector.fallbacks` counts every launch.
-    VectorFallback {
-        /// Kernel name.
-        kernel: String,
-        /// Why the vector engine was unusable.
-        reason: String,
-        /// Time of the launch, µs since the epoch.
-        ts_us: f64,
-    },
-    /// The compiled superinstruction engine did not cover a launch (the
-    /// tape failed structural lowering, or a grouped NDRange) and the
-    /// vector engine or scalar tape executed it instead. Deduplicated per
-    /// (kernel, reason); `vgpu.compiled.fallbacks` counts every launch.
+    /// A launch the fused-block executor covers (flat, unmodeled, not
+    /// race-checked) ran the warp interpreter instead because the tape
+    /// failed structural lowering. Deduplicated per (kernel, reason);
+    /// `vgpu.compiled.fallbacks` counts every launch.
     CompiledFallback {
         /// Kernel name.
         kernel: String,
-        /// Why the compiled engine was unusable.
+        /// Why the tape did not lower to fused blocks.
         reason: String,
         /// Time of the launch, µs since the epoch.
         ts_us: f64,
     },
-    /// Warps inside a vector launch diverged (active lanes disagreed at a
-    /// branch) and ran the branch sides under divergence masks, reconverging
-    /// at the branch's join. Deduplicated per kernel; `vgpu.warp.divergent`
+    /// Warps inside a tape-executor launch diverged (active lanes disagreed
+    /// at a branch) and ran the branch sides under divergence masks,
+    /// reconverging at the branch's join. Deduplicated per kernel; `vgpu.warp.divergent`
     /// counts every divergent warp.
     WarpDivergence {
         /// Kernel name.
@@ -224,7 +213,6 @@ impl Event {
             Event::Alloc { .. }
             | Event::Free { .. }
             | Event::TapeFallback { .. }
-            | Event::VectorFallback { .. }
             | Event::CompiledFallback { .. }
             | Event::WarpDivergence { .. } => None,
         }
@@ -241,7 +229,6 @@ impl Event {
             | Event::Alloc { ts_us, .. }
             | Event::Free { ts_us, .. }
             | Event::TapeFallback { ts_us, .. }
-            | Event::VectorFallback { ts_us, .. }
             | Event::CompiledFallback { ts_us, .. }
             | Event::WarpDivergence { ts_us, .. } => Some(*ts_us),
         }

@@ -40,7 +40,7 @@ fn repeated_fallback_launches_emit_one_record_but_count_every_launch() {
     let _ = telemetry::take_events();
 
     let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Tape);
+    dev.set_engine(Engine::Fast);
     let prep = dev.compile(&saxpy_ish()).unwrap();
     // f64 buffers against a tape specialized for f32 → per-launch fallback
     // to the tree-walker, with the same (kernel, reason) pair every time.
@@ -85,7 +85,7 @@ fn back_to_back_jobs_each_emit_their_own_record() {
     for _job in 0..2 {
         vgpu::exec::reset_fallback_dedupe();
         let mut dev = Device::gtx780();
-        dev.set_engine(Engine::Tape);
+        dev.set_engine(Engine::Fast);
         let prep = dev.compile(&saxpy_ish()).unwrap();
         let x = dev.upload(BufData::from(vec![1.0f64, 2.0, 3.0, 4.0]));
         let out = dev.upload(BufData::from(vec![0.0f64; 4]));
@@ -152,7 +152,7 @@ fn repeated_divergence_emits_one_record_but_counts_every_warp() {
     let _ = telemetry::take_events();
 
     let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Vector);
+    dev.set_engine(Engine::Fast);
     let prep = dev.compile(&div_kernel()).unwrap();
     let x = dev.upload(BufData::from(vec![1.0f32; 64]));
     let out = dev.upload(BufData::from(vec![0.0f32; 64]));
@@ -173,5 +173,57 @@ fn repeated_divergence_emits_one_record_but_counts_every_warp() {
         .filter(|e| matches!(e, Event::WarpDivergence { kernel, .. } if kernel == "dedupe_div"))
         .collect();
     assert_eq!(events.len(), 1, "one WarpDivergence event per kernel: {events:?}");
+    telemetry::set_mode(TraceMode::Off);
+}
+
+/// A grouped (barrier / local-memory) launch is covered by the warp
+/// interpreter, so it is not a fallback: neither fallback counter moves and
+/// no fallback record is emitted, while `vgpu.warp.divergent` counts each of
+/// its divergent warps once per launch.
+#[test]
+fn grouped_launches_are_not_a_fallback() {
+    let _guard = TELEMETRY.lock().unwrap();
+    telemetry::set_mode(TraceMode::Chrome);
+    let reg = telemetry::registry();
+    let counters = ["vgpu.tape.fallbacks", "vgpu.compiled.fallbacks", "vgpu.warp.divergent"];
+    let before = counters.map(|c| reg.counter(c).get());
+    let _ = telemetry::take_events();
+
+    // tile[lid] = x[gid]; barrier; even lanes double, odd lanes copy.
+    let lid = KExpr::LocalId(0);
+    let tile = || MemRef::Local("tile".into());
+    let mut body = vec![
+        KStmt::DeclLocalArray { name: "tile".into(), kind: ScalarKind::F32, len: KExpr::int(32) },
+        KStmt::Store {
+            mem: tile(),
+            idx: lid.clone(),
+            value: KExpr::load(MemRef::Param(0), KExpr::GlobalId(0)),
+        },
+        KStmt::Barrier,
+    ];
+    body.extend(div_kernel().body);
+    let k = Kernel { name: "dedupe_grouped".into(), body, ..div_kernel() };
+
+    let mut dev = Device::gtx780();
+    dev.set_engine(Engine::Fast);
+    let prep = dev.compile(&k).unwrap();
+    let x = dev.upload(BufData::from(vec![1.0f32; 64]));
+    let out = dev.upload(BufData::from(vec![0.0f32; 64]));
+    for _ in 0..2 {
+        dev.launch_wg(&prep, &[Arg::Buf(x), Arg::Buf(out)], &[64], Some(32), ExecMode::Fast)
+            .unwrap();
+    }
+    let want: Vec<f64> = (0..64).map(|i| if i % 2 == 0 { 2.0 } else { 1.0 }).collect();
+    assert_eq!(dev.read(out).to_f64_vec(), want);
+
+    let after = counters.map(|c| reg.counter(c).get());
+    assert_eq!(after[0] - before[0], 0, "the tape ran: no tape fallback");
+    assert_eq!(after[1] - before[1], 0, "grouped launches are not fused-eligible: no fallback");
+    assert_eq!(after[2] - before[2], 4, "2 warps x 2 launches, once per warp");
+    let fallbacks: Vec<_> = telemetry::take_events()
+        .into_iter()
+        .filter(|e| matches!(e, Event::TapeFallback { .. } | Event::CompiledFallback { .. }))
+        .collect();
+    assert!(fallbacks.is_empty(), "no fallback record: {fallbacks:?}");
     telemetry::set_mode(TraceMode::Off);
 }

@@ -38,28 +38,32 @@ fn copy_kernel(name: &str) -> Kernel {
 }
 
 #[test]
-fn uninit_read_is_flagged_with_provenance_on_every_engine() {
+fn uninit_read_is_flagged_with_provenance_on_every_executor() {
     force_on();
-    for (engine, label) in [
-        (Engine::Tree, "tree"),
-        (Engine::Tape, "tape"),
-        (Engine::Vector, "vector"),
-        (Engine::Compiled, "compiled"),
+    // `Fast` runs this flat launch on the fused-block executor; with the
+    // race check on it runs the warp interpreter.
+    for (engine, race_check, label) in [
+        (Engine::Tree, false, "tree"),
+        (Engine::Fast, true, "vector"),
+        (Engine::Fast, false, "compiled"),
     ] {
         let name = format!("san_uninit_{label}");
         let mut dev = Device::gtx780();
         dev.set_engine(engine);
+        dev.set_race_check(race_check);
         let prep = dev.compile(&copy_kernel(&name)).unwrap();
         // `create_buffer` contents are not promised — reading them is the bug.
         let src = dev.create_buffer(ScalarKind::F32, 32);
         let out = dev.create_buffer(ScalarKind::F32, 32);
-        dev.launch(
-            &prep,
-            &[Arg::Buf(src), Arg::Buf(out), Arg::Val(Value::I32(32))],
-            &[32],
-            ExecMode::Fast,
-        )
-        .unwrap();
+        let stats = dev
+            .launch(
+                &prep,
+                &[Arg::Buf(src), Arg::Buf(out), Arg::Val(Value::I32(32))],
+                &[32],
+                ExecMode::Fast,
+            )
+            .unwrap();
+        assert_eq!(stats.backend.label(), label);
         let hits: Vec<_> = sanitize::findings().into_iter().filter(|f| f.kernel == name).collect();
         assert_eq!(hits.len(), 1, "{label}: exactly one deduped finding, got {hits:?}");
         assert_eq!(hits[0].kind, FaultKind::UninitRead);
@@ -129,7 +133,7 @@ fn stale_halo_schedule(exchange_each_step: bool, kname: &str) -> Vec<vgpu::Findi
         // Pin a single-leg engine: under VGPU_ENGINE=diff the stale seam
         // would (correctly) fail the launch instead of recording findings,
         // and this helper wants to inspect the registry afterwards.
-        d.set_engine(Engine::Vector);
+        d.set_engine(Engine::Fast);
     }
     // increment kernel: bumps the *owned* planes only (indices are shifted
     // past the bottom halo plane), exactly like a volume update — halo

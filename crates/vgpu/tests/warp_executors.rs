@@ -1,0 +1,345 @@
+//! The two tape executors behind `Engine::Fast`, each against the tree
+//! oracle: the fused-block executor on the control-flow shapes it resolves
+//! in place (partial final warps, divergent early-return guards,
+//! if-converted diamonds), lane-dependent private indexing and the
+//! POTENTIAL-site checked path; and the warp interpreter on grouped
+//! (barrier / local-memory) launches — ⌈lsize/32⌉ warps per group sharing
+//! one local arena, with lanes that returned masked off.
+//!
+//! Assertions read the launch's own `LaunchStats` (or a counter that only
+//! this binary's uniquely named kernels can move in the asserted
+//! direction), never deltas of process-global counters other tests bump.
+
+use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
+use lift::prelude::{BinOp, Lit, ScalarKind, Value};
+use vgpu::{Arg, Backend, BufData, Device, Engine, ExecMode};
+
+fn gid() -> KExpr {
+    KExpr::GlobalId(0)
+}
+
+/// Guard + diamond, the acoustics boundary shape: items past `N` return
+/// early; survivors split on parity, both arms storing.
+///
+/// ```text
+/// if (gid >= N) return;
+/// if (gid % 2 == 0) out[gid] = x[gid] * 2; else out[gid] = x[gid] + 1;
+/// ```
+fn guard_diamond_kernel() -> Kernel {
+    let even = KExpr::bin(BinOp::Eq, KExpr::bin(BinOp::Rem, gid(), KExpr::int(2)), KExpr::int(0));
+    let ld = || KExpr::load(MemRef::Param(0), gid());
+    Kernel {
+        name: "ce_guard_diamond".into(),
+        params: vec![
+            KernelParam::global_buf("x", ScalarKind::F32),
+            KernelParam::global_buf("out", ScalarKind::F32),
+            KernelParam::scalar("N", ScalarKind::I32),
+        ],
+        body: vec![
+            KStmt::return_if(KExpr::bin(BinOp::Ge, gid(), KExpr::var("N"))),
+            KStmt::If {
+                cond: even,
+                then_: vec![KStmt::Store {
+                    mem: MemRef::Param(1),
+                    idx: gid(),
+                    value: ld() * KExpr::Lit(Lit::f32(2.0)),
+                }],
+                else_: vec![KStmt::Store {
+                    mem: MemRef::Param(1),
+                    idx: gid(),
+                    value: ld() + KExpr::Lit(Lit::f32(1.0)),
+                }],
+            },
+        ],
+        work_dim: 1,
+    }
+}
+
+/// Runs `kernel` on a fresh device under `engine` and returns the output
+/// buffer plus the launch stats. `x` seeds param 0; params are
+/// `(x, out, N)` with `out` zero-filled at `x`'s length. `race_check` on
+/// keeps an `Engine::Fast` launch on the warp interpreter.
+fn run_guard_diamond(
+    engine: Engine,
+    race_check: bool,
+    n: i32,
+    gsize: usize,
+    mode: ExecMode,
+) -> (BufData, vgpu::LaunchStats) {
+    let mut dev = Device::gtx780();
+    dev.set_engine(engine);
+    dev.set_race_check(race_check);
+    let prep = dev.compile(&guard_diamond_kernel()).unwrap();
+    let xs: Vec<f32> = (0..gsize).map(|i| i as f32 * 0.25 - 3.0).collect();
+    let x = dev.upload(BufData::from(xs));
+    let out = dev.upload(BufData::from(vec![0.0f32; gsize]));
+    let stats = dev
+        .launch(&prep, &[Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::I32(n))], &[gsize], mode)
+        .unwrap();
+    (dev.read(out), stats)
+}
+
+/// A partial final warp (45 items over 2 warps: 32 + 13) with the guard
+/// diverging inside the last warp and the diamond diverging in every warp:
+/// the fused executor must report the same divergent-warp count as the warp
+/// interpreter, and both must produce the oracle's buffers and counters.
+#[test]
+fn partial_final_warp_and_divergence_bit_identical() {
+    let (tree, tstats) = run_guard_diamond(Engine::Tree, false, 45, 64, ExecMode::Fast);
+    let (interp, istats) = run_guard_diamond(Engine::Fast, true, 45, 64, ExecMode::Fast);
+    let (fused, fstats) = run_guard_diamond(Engine::Fast, false, 45, 64, ExecMode::Fast);
+    assert_eq!(fused, tree, "fused buffers must match the tree oracle");
+    assert_eq!(fused, interp);
+    assert_eq!(fstats.counters, tstats.counters);
+    assert_eq!(istats.counters, tstats.counters);
+    assert_eq!(fstats.backend, Backend::Compiled, "an eligible launch runs fused");
+    assert_eq!(istats.backend, Backend::Vector, "a race-checked launch runs the interpreter");
+    // Both warps diverge (warp 0 at the diamond, warp 1 at guard and
+    // diamond), and the fused executor's lanes-disagree test must agree
+    // with the interpreter's warp for warp.
+    assert_eq!(istats.divergent_warps, 2);
+    assert_eq!(fstats.divergent_warps, istats.divergent_warps);
+}
+
+/// What `Engine::Differential` runs after the oracle, on a partial-warp
+/// divergent launch: interpreter then fused block executor when the launch
+/// is one `Fast` would run fused, the interpreter alone when modeled
+/// (counters + warp transaction bytes cross-checked internally).
+#[test]
+fn differential_runs_every_executor_that_covers_the_launch() {
+    let (_, stats) = run_guard_diamond(Engine::Differential, false, 45, 64, ExecMode::Fast);
+    assert_eq!(stats.backend, Backend::Compiled, "last leg of an eligible launch");
+    assert!(stats.oracle_wall.is_some());
+    let model = ExecMode::Model { sample_stride: 1 };
+    let (_, stats) = run_guard_diamond(Engine::Differential, false, 45, 64, model);
+    assert_eq!(stats.backend, Backend::Vector, "modeled launches have one tape leg");
+    assert!(stats.transaction_bytes.is_some());
+}
+
+/// Lane-dependent private indexing: each lane fills a private array in a
+/// loop, then reads it back at a lane-dependent index.
+///
+/// ```text
+/// int t[4];
+/// for (int i = 0; i < 4; i++) t[i] = gid * 4 + i;
+/// out[gid] = t[gid % 4];
+/// ```
+#[test]
+fn lane_dependent_private_indexing_matches_tree() {
+    let k = Kernel {
+        name: "ce_priv_idx".into(),
+        params: vec![KernelParam::global_buf("out", ScalarKind::I32)],
+        body: vec![
+            KStmt::DeclPrivArray { name: "t".into(), kind: ScalarKind::I32, len: KExpr::int(4) },
+            KStmt::For {
+                var: "i".into(),
+                begin: KExpr::int(0),
+                end: KExpr::int(4),
+                step: KExpr::int(1),
+                body: vec![KStmt::Store {
+                    mem: MemRef::Priv("t".into()),
+                    idx: KExpr::var("i"),
+                    value: gid() * KExpr::int(4) + KExpr::var("i"),
+                }],
+            },
+            KStmt::Store {
+                mem: MemRef::Param(0),
+                idx: gid(),
+                value: KExpr::load(
+                    MemRef::Priv("t".into()),
+                    KExpr::bin(BinOp::Rem, gid(), KExpr::int(4)),
+                ),
+            },
+        ],
+        work_dim: 1,
+    };
+    let run = |engine: Engine| {
+        let mut dev = Device::gtx780();
+        dev.set_engine(engine);
+        let prep = dev.compile(&k).unwrap();
+        let out = dev.upload(BufData::from(vec![0i32; 50]));
+        let stats = dev.launch(&prep, &[Arg::Buf(out)], &[50], ExecMode::Fast).unwrap();
+        (dev.read(out), stats)
+    };
+    let (tree, _) = run(Engine::Tree);
+    let (comp, cstats) = run(Engine::Fast);
+    assert_eq!(comp, tree);
+    assert_eq!(cstats.backend, Backend::Compiled, "must not fall back");
+    let want: Vec<f64> = (0..50).map(|g| (g * 4 + g % 4) as f64).collect();
+    assert_eq!(comp.to_f64_vec(), want);
+}
+
+/// A data-dependent gather (`out[gid] = x[t[gid]]`) has no static proof —
+/// the table's *values* are unknown to the verifier — so its site must stay
+/// on the checked path while results stay bit-identical to the tree oracle.
+/// `vgpu.compiled.sites_checked` only ever grows, so "it grew across this
+/// launch" holds whatever concurrent tests add to it.
+#[test]
+fn potential_site_keeps_dynamic_check() {
+    let k = Kernel {
+        name: "ce_gather".into(),
+        params: vec![
+            KernelParam::global_buf("t", ScalarKind::I32),
+            KernelParam::global_buf("x", ScalarKind::F32),
+            KernelParam::global_buf("out", ScalarKind::F32),
+        ],
+        body: vec![KStmt::Store {
+            mem: MemRef::Param(2),
+            idx: gid(),
+            value: KExpr::load(MemRef::Param(1), KExpr::load(MemRef::Param(0), gid())),
+        }],
+        work_dim: 1,
+    };
+    let reg = vgpu::telemetry::registry();
+    let checked0 = reg.counter("vgpu.compiled.sites_checked").get();
+    let run = |engine: Engine| {
+        let mut dev = Device::gtx780();
+        dev.set_engine(engine);
+        let prep = dev.compile(&k).unwrap();
+        let t = dev.upload(BufData::from((0..32).rev().collect::<Vec<i32>>()));
+        let x = dev.upload(BufData::from((0..32).map(|i| i as f32 * 1.5).collect::<Vec<f32>>()));
+        let out = dev.upload(BufData::from(vec![0.0f32; 32]));
+        let stats = dev
+            .launch(&prep, &[Arg::Buf(t), Arg::Buf(x), Arg::Buf(out)], &[32], ExecMode::Fast)
+            .unwrap();
+        (dev.read(out), stats)
+    };
+    let (tree, _) = run(Engine::Tree);
+    let (comp, cstats) = run(Engine::Fast);
+    assert_eq!(comp, tree);
+    assert_eq!(cstats.backend, Backend::Compiled);
+    let checked = reg.counter("vgpu.compiled.sites_checked").get() - checked0;
+    assert!(checked > 0, "the value-dependent gather site must stay checked");
+}
+
+/// Rotates each group's elements by one through local memory, guarded so
+/// the items past `N` return *before* the barrier:
+///
+/// ```text
+/// __local float tile[lsz];
+/// if (gid >= N) return;
+/// tile[lid] = x[gid];
+/// barrier();
+/// out[gid] = tile[(lid + 1) % lsz] + grp;
+/// ```
+///
+/// The neighbour a lane reads may live in another warp of its group, and
+/// the neighbour of the last surviving lane returned early — its slot reads
+/// the arena's zero fill.
+fn local_rotate_kernel() -> Kernel {
+    let (lid, lsz) = (KExpr::LocalId(0), KExpr::LocalSize(0));
+    let tile = || MemRef::Local("tile".into());
+    Kernel {
+        name: "we_local_rotate".into(),
+        params: vec![
+            KernelParam::global_buf("x", ScalarKind::F32),
+            KernelParam::global_buf("out", ScalarKind::F32),
+            KernelParam::scalar("N", ScalarKind::I32),
+        ],
+        body: vec![
+            KStmt::DeclLocalArray { name: "tile".into(), kind: ScalarKind::F32, len: lsz.clone() },
+            KStmt::return_if(KExpr::bin(BinOp::Ge, gid(), KExpr::var("N"))),
+            KStmt::Store {
+                mem: tile(),
+                idx: lid.clone(),
+                value: KExpr::load(MemRef::Param(0), gid()),
+            },
+            KStmt::Barrier,
+            KStmt::Store {
+                mem: MemRef::Param(1),
+                idx: gid(),
+                value: KExpr::load(tile(), KExpr::bin(BinOp::Rem, lid + KExpr::int(1), lsz))
+                    + KExpr::Cast(ScalarKind::F32, Box::new(KExpr::GroupId(0))),
+            },
+        ],
+        work_dim: 1,
+    }
+}
+
+/// Grouped launches on the warp interpreter against the tree oracle under
+/// `Engine::Differential` (buffers, counters and transaction bytes
+/// bit-identical, or the launch errors), race check on: workgroup sizes of
+/// one warp, one and a half (partial last warp of every group) and two, in
+/// `Fast` mode and sampled `Model` mode, with the tail of the last group
+/// returning before the barrier.
+#[test]
+fn grouped_launches_match_the_oracle_across_group_shapes() {
+    for lsize in [32usize, 48, 64] {
+        let groups = 4;
+        let total = groups * lsize;
+        // The last group keeps only its first 5 items.
+        let n = total - lsize + 5;
+        for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 2 }] {
+            let mut dev = Device::gtx780();
+            dev.set_engine(Engine::Differential);
+            dev.set_race_check(true);
+            let prep = dev.compile(&local_rotate_kernel()).unwrap();
+            let x = dev.upload(BufData::from((0..total).map(|i| i as f32).collect::<Vec<_>>()));
+            let out = dev.upload(BufData::from(vec![-1.0f32; total]));
+            let args = [Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::I32(n as i32))];
+            let stats = dev
+                .launch_wg(&prep, &args, &[total], Some(lsize), mode)
+                .unwrap_or_else(|e| panic!("lsize {lsize}, {mode:?}: {e}"));
+            assert_eq!(stats.backend, Backend::Vector, "lsize {lsize}: grouped runs on warps");
+            assert_eq!(stats.counters.work_items, total as u64, "lsize {lsize}, {mode:?}");
+            if mode != ExecMode::Fast {
+                // Sampled: groups 0 and 2 ran; the rest keep their fill.
+                assert!(stats.transaction_bytes.is_some());
+                continue;
+            }
+            let got = dev.read(out).to_f64_vec();
+            let want: Vec<f64> = (0..total)
+                .map(|g| {
+                    let (grp, lid) = (g / lsize, g % lsize);
+                    let nb = grp * lsize + (lid + 1) % lsize;
+                    match (g < n, nb < n) {
+                        (false, _) => -1.0,
+                        (true, true) => (nb + grp) as f64,
+                        (true, false) => grp as f64,
+                    }
+                })
+                .collect();
+            assert_eq!(got, want, "lsize {lsize}");
+        }
+    }
+}
+
+/// Both barrier phases branch on lane parity with storing arms, so every
+/// warp diverges twice — and is counted once: 2 groups × 48 items is four
+/// warps (32 + 16 lanes per group).
+#[test]
+fn a_grouped_warp_that_diverges_in_two_phases_counts_once() {
+    let even =
+        || KExpr::bin(BinOp::Eq, KExpr::bin(BinOp::Rem, gid(), KExpr::int(2)), KExpr::int(0));
+    let ld = || KExpr::load(MemRef::Param(0), gid());
+    let st = |value: KExpr| KStmt::Store { mem: MemRef::Param(0), idx: gid(), value };
+    let k = Kernel {
+        name: "we_grouped_div".into(),
+        params: vec![KernelParam::global_buf("out", ScalarKind::I32)],
+        body: vec![
+            KStmt::If {
+                cond: even(),
+                then_: vec![st(KExpr::LocalId(0))],
+                else_: vec![st(KExpr::LocalId(0) + KExpr::int(100))],
+            },
+            KStmt::Barrier,
+            KStmt::If {
+                cond: even(),
+                then_: vec![st(ld() * KExpr::int(2))],
+                else_: vec![st(ld() + KExpr::int(1))],
+            },
+        ],
+        work_dim: 1,
+    };
+    let mut dev = Device::gtx780();
+    dev.set_engine(Engine::Differential);
+    dev.set_race_check(true);
+    let prep = dev.compile(&k).unwrap();
+    let out = dev.upload(BufData::from(vec![0i32; 96]));
+    let stats = dev.launch_wg(&prep, &[Arg::Buf(out)], &[96], Some(48), ExecMode::Fast).unwrap();
+    assert_eq!(stats.backend, Backend::Vector);
+    assert_eq!(stats.divergent_warps, 4, "one count per warp, not per phase");
+    let want: Vec<f64> =
+        (0..96).map(|g| if g % 2 == 0 { (g % 48) * 2 } else { g % 48 + 101 } as f64).collect();
+    assert_eq!(dev.read(out).to_f64_vec(), want);
+}
