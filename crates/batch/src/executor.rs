@@ -193,21 +193,28 @@ fn record_job_latency(sc: &Scenario, elapsed: std::time::Duration) {
     .record(us);
 }
 
-/// Runs one job on the calling worker thread, converting panics (e.g. the
-/// differential engine's bit-exactness assertion) into job errors.
+/// Runs one job on the calling worker thread.
 fn run_job(cfg: &BatchConfig, scenario: Scenario) -> JobResult {
     // Job-scoped audit dedupe: this job's fallback/divergence records are
     // fresh even if an earlier job on this worker reported the same cause.
     vgpu::exec::reset_fallback_dedupe();
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_sim(cfg, &scenario))).unwrap_or_else(|p| {
+    let outcome = catch_job(|| run_sim(cfg, &scenario));
+    JobResult { scenario, outcome }
+}
+
+/// Runs `job`, converting a panic (e.g. the differential engine's
+/// bit-exactness assertion, or a lane task's bounds assert, which the rayon
+/// pool re-raises here with its own payload) into a job error that carries
+/// the panic's message.
+fn catch_job<T>(job: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|p| {
         let msg = p
             .downcast_ref::<String>()
             .cloned()
             .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_else(|| "job panicked".to_string());
         Err(format!("panic: {msg}"))
-    });
-    JobResult { scenario, outcome }
+    })
 }
 
 fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
@@ -342,6 +349,10 @@ fn write_sidecar(
     #[derive(Default)]
     struct KernelAgg {
         launches: u64,
+        /// Launches that ran as one task on the worker thread, and tasks
+        /// over all launches: whether this job's launches fanned out.
+        inline_launches: u64,
+        tasks: u64,
         wall_us: f64,
         flops: u64,
         bytes_loaded: u64,
@@ -352,6 +363,8 @@ fn write_sidecar(
     for ev in devices.iter().flat_map(|d| d.events()) {
         let agg = kernels.entry(ev.name.clone()).or_default();
         agg.launches += 1;
+        agg.inline_launches += (ev.stats.tasks <= 1) as u64;
+        agg.tasks += ev.stats.tasks as u64;
         agg.wall_us += ev.stats.wall.as_secs_f64() * 1e6;
         agg.flops += ev.stats.counters.flops;
         agg.bytes_loaded += ev.stats.counters.bytes_loaded;
@@ -395,6 +408,8 @@ fn write_sidecar(
         "kernels": kernels.iter().map(|(name, a)| json!({
             "name": name,
             "launches": a.launches,
+            "inline_launches": a.inline_launches,
+            "tasks": a.tasks,
             "wall_us": a.wall_us,
             "flops": a.flops,
             "bytes_loaded": a.bytes_loaded,
@@ -422,4 +437,61 @@ fn write_sidecar(
     let text = serde_json::to_string_pretty(&doc).map_err(std::io::Error::from)?;
     std::fs::write(&path, text)?;
     Ok(path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ScenarioGen;
+    use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
+    use lift::prelude::{BinOp, ScalarKind, Value};
+    use vgpu::{Arg, BufData};
+
+    /// `if (gid >= N) return; out[gid + 1] = 1;` — the last work-item stores
+    /// one element past the end.
+    fn overrun_kernel() -> Kernel {
+        Kernel {
+            name: "batch_test_overrun".into(),
+            params: vec![
+                KernelParam::global_buf("out", ScalarKind::F32),
+                KernelParam::scalar("N", ScalarKind::I32),
+            ],
+            body: vec![
+                KStmt::return_if(KExpr::bin(BinOp::Ge, KExpr::GlobalId(0), KExpr::var("N"))),
+                KStmt::Store {
+                    mem: MemRef::Param(0),
+                    idx: KExpr::GlobalId(0) + KExpr::int(1),
+                    value: KExpr::Lit(lift::prelude::Lit::f32(1.0)),
+                },
+            ],
+            work_dim: 1,
+        }
+    }
+
+    /// No scenario can make a shipped kernel overrun, so the failing job
+    /// here is an overrunning launch handed to [`catch_job`] directly, on a
+    /// thread standing in for a batch worker. The launch is wide enough to
+    /// fan out over the pool, and the overrun sits in its last task: the
+    /// job error must still name the cause, and a real job must then
+    /// succeed on the same thread.
+    #[test]
+    fn a_lane_panic_names_its_cause_and_the_worker_runs_the_next_job() {
+        let worker = std::thread::spawn(|| {
+            let n = 16 * 4096;
+            let failed = catch_job(|| {
+                let mut dev = Device::gtx780();
+                dev.set_engine(Engine::Fast);
+                let prep = dev.compile(&overrun_kernel()).map_err(|e| format!("{e:?}"))?;
+                let out = dev.upload(BufData::from(vec![0.0f32; n]));
+                let args = [Arg::Buf(out), Arg::Val(Value::I32(n as i32))];
+                dev.launch(&prep, &args, &[n], ExecMode::Fast).map_err(|e| format!("{e:?}"))
+            });
+            let next = run_job(&BatchConfig::default(), ScenarioGen::new(3).take(1).remove(0));
+            (failed, next)
+        });
+        let (failed, next) = worker.join().expect("the worker thread survives a failed job");
+        let err = failed.expect_err("the overrun must fail its job");
+        assert!(err.starts_with("panic: ") && err.contains("store out of bounds"), "{err}");
+        assert!(next.outcome.is_ok(), "next job on the same worker: {:?}", next.outcome);
+    }
 }

@@ -5,8 +5,9 @@
 //! EXPERIMENTS.md: it runs the same leap-frog launch loop the sims run and
 //! prints ms/step for fast and modeled execution on the tree-walker oracle
 //! and on the default engine (fused blocks when unmodeled, the warp
-//! interpreter when modeled), plus the launch-plan cache hit counters and
-//! the divergent-warp / fallback audits, as one JSON record.
+//! interpreter when modeled), the wall of a one-warp launch
+//! (`launch_fixed_us`), plus the launch-plan cache hit counters and the
+//! divergent-warp / fallback audits, as one JSON record.
 //!
 //! Usage: `dispatch_bench [cube-edge] [steps]` (defaults 32, 60).
 
@@ -105,6 +106,9 @@ fn main() {
     let fallbacks0 = fallbacks();
     let fast = fi_run(n, Engine::Fast).measure(steps, ExecMode::Fast);
     let model = fi_run(n, Engine::Fast).measure(steps, model_mode);
+    // What a launch costs before any lane runs: the smallest grid is 27
+    // work-items, one partial warp, run inline on this thread.
+    let launch_fixed_us = fi_run(3, Engine::Fast).measure(2000, ExecMode::Fast) * 1e3;
     let divergent = reg.counter("vgpu.warp.divergent").get() - divergent0;
     let fell_back = fallbacks() - fallbacks0;
     if fell_back > 0 {
@@ -118,6 +122,7 @@ fn main() {
          \"plan_cache\":\"{plan_cache}\",\"sanitize\":\"{sanitize}\",\
          \"fast_ms_per_step\":{fast:.4},\"model_ms_per_step\":{model:.4},\
          \"tree_fast_ms_per_step\":{tree_fast:.4},\"tree_model_ms_per_step\":{tree_model:.4},\
+         \"launch_fixed_us\":{launch_fixed_us:.2},\
          \"divergent_warps\":{divergent},\
          \"sites_proven\":{},\"sites_checked\":{},\
          \"plan_hits\":{},\"plan_misses\":{}}}",

@@ -102,11 +102,14 @@ fn byte_len(len: usize, elem_bytes: usize) -> u64 {
 }
 
 /// Sizes the global rayon pool from the `VGPU_THREADS` environment variable
-/// exactly once per process. Benches and `VGPU_ENGINE=diff` runs on shared
-/// machines set it for reproducible parallelism; unset (or unparsable)
-/// leaves rayon's own default. The build error when another component
-/// already initialised the pool is deliberately ignored — the override is
-/// best-effort.
+/// exactly once per process: `n` threads run a launch's tasks, the
+/// launching thread and `n − 1` pool workers, so `1` runs everything
+/// inline. Benches and `VGPU_ENGINE=diff` runs on shared machines set it
+/// for reproducible parallelism; unset (or unparsable) leaves rayon's own
+/// default. The variable is read before this process's first parallel
+/// call or not at all: the pool's size is fixed from then on, and the build
+/// error when another component already fixed it is deliberately ignored —
+/// the override is best-effort.
 fn init_thread_pool() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {

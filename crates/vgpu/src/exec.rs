@@ -690,6 +690,10 @@ pub struct LaunchStats {
     pub wall: std::time::Duration,
     /// Total work-items in the NDRange.
     pub global_work_items: u64,
+    /// Tasks the launch was dispatched as; at most 1 means it ran on the
+    /// launching thread alone. A fact about scheduling, like `wall`: never
+    /// part of differential comparison.
+    pub tasks: usize,
     /// Which backend executed the launch.
     pub backend: Backend,
     /// Warps whose active lanes disagreed at one or more branches and ran
@@ -1047,11 +1051,49 @@ fn warp_transaction_bytes_flat(trace: &mut [(u32, u32, u64)], ends: &[usize], tx
     bytes
 }
 
-/// Work-ids per rayon task for the chunked dispatchers: coarse enough to
-/// amortise per-task setup (register files, scratch vectors), fine enough
-/// to keep every worker busy (~4 chunks per thread).
-fn dispatch_chunk(nids: usize) -> usize {
-    nids.div_ceil(rayon::current_num_threads().max(1) * 4).max(1)
+/// Fewest work-items in one task of a launch: 64 warps. At the 17–34 ns a
+/// work-item costs on the tape executors that is 35–70 µs of lane work,
+/// several times the futex wake that hands a task to a pool worker.
+/// EXPERIMENTS.md ("Lane pool and task grain") records the 32/64/128/256-warp
+/// sweep it was chosen from: coarser tasks split mid-sized launches
+/// unevenly over the threads, finer ones gain nothing further.
+const GRAIN_ITEMS: usize = 64 * WARP;
+
+/// Ids (warps, or groups of `items_per_id` work-items) per task: the launch
+/// is cut into as many equal tasks as hold [`GRAIN_ITEMS`] each, so a launch
+/// below two grains is one task, which [`dispatch`] runs on the launching
+/// thread with no hand-off. The count depends on the launch shape alone,
+/// never on the thread count.
+fn dispatch_chunk(nids: usize, items_per_id: usize) -> usize {
+    let grain_ids = GRAIN_ITEMS.div_ceil(items_per_id.max(1));
+    let ntasks = (nids / grain_ids).max(1);
+    nids.div_ceil(ntasks).max(1)
+}
+
+/// Runs `task` over `ids` cut into [`dispatch_chunk`]-sized tasks on the
+/// rayon pool — the launching thread claims tasks alongside the pool's idle
+/// workers — and returns the per-task results in id order with the wall
+/// time of the whole. Counts `vgpu.dispatch.tasks` (tasks published) and
+/// `vgpu.dispatch.inline_launches` (launches that were a single task).
+fn dispatch<T: Sync>(
+    ids: &[T],
+    items_per_id: usize,
+    task: impl Fn(&[T]) -> ChunkAcc + Sync,
+) -> (Vec<ChunkAcc>, std::time::Duration) {
+    static COUNTERS: std::sync::OnceLock<[telemetry::Counter; 2]> = std::sync::OnceLock::new();
+    let [tasks, inline_launches] = COUNTERS.get_or_init(|| {
+        let reg = telemetry::registry();
+        [reg.counter("vgpu.dispatch.tasks"), reg.counter("vgpu.dispatch.inline_launches")]
+    });
+    let chunk = dispatch_chunk(ids.len(), items_per_id);
+    let ntasks = ids.len().div_ceil(chunk);
+    tasks.add(ntasks as u64);
+    if ntasks <= 1 {
+        inline_launches.inc();
+    }
+    let start = std::time::Instant::now();
+    let results = ids.par_chunks(chunk).map(task).collect();
+    (results, start.elapsed())
 }
 
 /// Executes a prepared kernel over the given NDRange.
@@ -1722,6 +1764,7 @@ fn finish(
     let mut divergent_warps = 0u64;
     let mut all_writes: Vec<WriteRec> = Vec::new();
     let mut op_profile: Option<Box<crate::profiler::OpProf>> = None;
+    let tasks = chunks.len();
     for mut c in chunks {
         counters.add(&c.counters);
         tbytes += c.tbytes;
@@ -1742,6 +1785,7 @@ fn finish(
         transaction_bytes: l.trace_on.then(|| (tbytes as f64 * scale).round() as u64),
         wall,
         global_work_items: l.total,
+        tasks,
         // Overwritten by `run_launch`, which knows which backend ran.
         backend: Backend::Tree,
         divergent_warps,
@@ -1798,61 +1842,54 @@ fn run_flat_tree(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize };
     let warps_total = total.div_ceil(WARP as u64);
     let warp_ids: Vec<u64> = (0..warps_total).step_by(l.stride).collect();
-    let chunk = dispatch_chunk(warp_ids.len());
 
-    let start = std::time::Instant::now();
-    let results: Vec<ChunkAcc> = warp_ids
-        .par_chunks(chunk)
-        .map(|ws| {
-            // One rayon task per chunk of warps; the scratch state below is
-            // allocated once and reset per warp, reproducing the state a
-            // per-warp task would have started from.
-            let mut st = ItemState {
-                slots: vec![Value::I32(0); prep.nslots],
-                privs: vec![Vec::new(); prep.npriv],
-                counters: Counters::default(),
-                trace: Vec::new(),
-                writes: Vec::new(),
-                trace_on: l.trace_on,
-                race_on: l.race_check,
-                item: 0,
-            };
-            let mut no_locals: Vec<Vec<Value>> = Vec::new();
-            let mut ends: Vec<usize> = Vec::new();
-            let mut acc = ChunkAcc::default();
-            for &w in ws {
-                for s in st.slots.iter_mut() {
-                    *s = Value::I32(0);
+    let (results, wall) = dispatch(&warp_ids, WARP, |ws| {
+        // One rayon task per chunk of warps; the scratch state below is
+        // allocated once and reset per warp, reproducing the state a
+        // per-warp task would have started from.
+        let mut st = ItemState {
+            slots: vec![Value::I32(0); prep.nslots],
+            privs: vec![Vec::new(); prep.npriv],
+            counters: Counters::default(),
+            trace: Vec::new(),
+            writes: Vec::new(),
+            trace_on: l.trace_on,
+            race_on: l.race_check,
+            item: 0,
+        };
+        let mut no_locals: Vec<Vec<Value>> = Vec::new();
+        let mut ends: Vec<usize> = Vec::new();
+        let mut acc = ChunkAcc::default();
+        for &w in ws {
+            for s in st.slots.iter_mut() {
+                *s = Value::I32(0);
+            }
+            for p in st.privs.iter_mut() {
+                p.clear();
+            }
+            let begin = w * WARP as u64;
+            let end = (begin + WARP as u64).min(total);
+            for item in begin..end {
+                for (slot, v) in l.init_slots {
+                    st.slots[*slot] = *v;
                 }
-                for p in st.privs.iter_mut() {
-                    p.clear();
-                }
-                let begin = w * WARP as u64;
-                let end = (begin + WARP as u64).min(total);
-                for item in begin..end {
-                    for (slot, v) in l.init_slots {
-                        st.slots[*slot] = *v;
-                    }
-                    exec.run_item(item, &mut st, &mut no_locals);
-                    if l.trace_on {
-                        ends.push(st.trace.len());
-                    }
-                    if l.race_check {
-                        acc.writes.append(&mut st.writes);
-                    }
-                }
+                exec.run_item(item, &mut st, &mut no_locals);
                 if l.trace_on {
-                    acc.tbytes +=
-                        warp_transaction_bytes_flat(&mut st.trace, &ends, l.transaction_size);
-                    st.trace.clear();
-                    ends.clear();
+                    ends.push(st.trace.len());
+                }
+                if l.race_check {
+                    acc.writes.append(&mut st.writes);
                 }
             }
-            acc.counters = st.counters;
-            acc
-        })
-        .collect();
-    let wall = start.elapsed();
+            if l.trace_on {
+                acc.tbytes += warp_transaction_bytes_flat(&mut st.trace, &ends, l.transaction_size);
+                st.trace.clear();
+                ends.clear();
+            }
+        }
+        acc.counters = st.counters;
+        acc
+    });
     finish(l, results, flat_sample_scale(total, &warp_ids), wall)
 }
 
@@ -2020,38 +2057,32 @@ fn run_flat_warps(l: &Launch<'_>, fused: bool) -> Result<LaunchStats, ExecError>
     let init = WarpInit::new(l, tape);
     let warps_total = total.div_ceil(WARP as u64);
     let warp_ids: Vec<u64> = (0..warps_total).step_by(l.stride).collect();
-    let chunk = dispatch_chunk(warp_ids.len());
 
     let prof_on = crate::profiler::op_enabled();
-    let start = std::time::Instant::now();
-    let results: Vec<ChunkAcc> = warp_ids
-        .par_chunks(chunk)
-        .map(|ws| {
-            let mut acc = warp_chunk_acc(prof_on);
-            let mut warp = WarpState::new(l, tape, &init);
-            for &w in ws {
-                let begin = w * WARP as u64;
-                let nact = warp.load(l, tape, &init, begin, (begin + WARP as u64).min(total));
-                acc.counters.work_items += nact as u64;
-                let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut []);
-                let diverged = match &fused {
-                    Some((f, checked)) => {
-                        bytecode::exec_fused_warp(f, tape, 0, nact, vregs, privs, &mut wc, checked)
-                    }
-                    None => {
-                        let mask = bytecode::prefix_mask(nact);
-                        bytecode::exec_phase_warp(tape, 0, mask, vregs, privs, &mut wc).diverged
-                    }
-                };
-                acc.divergent += diverged as u64;
-                if l.trace_on {
-                    acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
+    let (results, wall) = dispatch(&warp_ids, WARP, |ws| {
+        let mut acc = warp_chunk_acc(prof_on);
+        let mut warp = WarpState::new(l, tape, &init);
+        for &w in ws {
+            let begin = w * WARP as u64;
+            let nact = warp.load(l, tape, &init, begin, (begin + WARP as u64).min(total));
+            acc.counters.work_items += nact as u64;
+            let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut []);
+            let diverged = match &fused {
+                Some((f, checked)) => {
+                    bytecode::exec_fused_warp(f, tape, 0, nact, vregs, privs, &mut wc, checked)
                 }
+                None => {
+                    let mask = bytecode::prefix_mask(nact);
+                    bytecode::exec_phase_warp(tape, 0, mask, vregs, privs, &mut wc).diverged
+                }
+            };
+            acc.divergent += diverged as u64;
+            if l.trace_on {
+                acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
             }
-            acc
-        })
-        .collect();
-    let wall = start.elapsed();
+        }
+        acc
+    });
     finish(l, results, flat_sample_scale(total, &warp_ids), wall)
 }
 
@@ -2077,61 +2108,54 @@ fn run_grouped_warps(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecEr
     let init = WarpInit::new(l, tape);
     let groups_total = (l.total / lsize as u64) as usize;
     let group_ids: Vec<usize> = (0..groups_total).step_by(l.stride).collect();
-    let chunk = dispatch_chunk(group_ids.len());
     let nwarps = lsize.div_ceil(WARP);
 
     let prof_on = crate::profiler::op_enabled();
-    let start = std::time::Instant::now();
-    let results: Vec<ChunkAcc> = group_ids
-        .par_chunks(chunk)
-        .map(|gs| {
-            let mut acc = warp_chunk_acc(prof_on);
-            let mut warps: Vec<WarpState> =
-                (0..nwarps).map(|_| WarpState::new(l, tape, &init)).collect();
-            let mut locals: Vec<Vec<u64>> = vec![Vec::new(); prep.local_kinds.len()];
-            // Per warp: lanes that have not returned, and whether any phase
-            // diverged (a warp counts once in `vgpu.warp.divergent`).
-            let mut alive = vec![0u32; nwarps];
-            let mut diverged = vec![false; nwarps];
-            for &g in gs {
-                for a in locals.iter_mut() {
-                    // Emptied so the group's first DeclLocal re-zeros it.
-                    a.clear();
-                }
-                let first = (g * lsize) as u64;
+    let (results, wall) = dispatch(&group_ids, lsize, |gs| {
+        let mut acc = warp_chunk_acc(prof_on);
+        let mut warps: Vec<WarpState> =
+            (0..nwarps).map(|_| WarpState::new(l, tape, &init)).collect();
+        let mut locals: Vec<Vec<u64>> = vec![Vec::new(); prep.local_kinds.len()];
+        // Per warp: lanes that have not returned, and whether any phase
+        // diverged (a warp counts once in `vgpu.warp.divergent`).
+        let mut alive = vec![0u32; nwarps];
+        let mut diverged = vec![false; nwarps];
+        for &g in gs {
+            for a in locals.iter_mut() {
+                // Emptied so the group's first DeclLocal re-zeros it.
+                a.clear();
+            }
+            let first = (g * lsize) as u64;
+            for (wi, warp) in warps.iter_mut().enumerate() {
+                let begin = first + (wi * WARP) as u64;
+                let end = (begin + WARP as u64).min(first + lsize as u64);
+                alive[wi] = bytecode::prefix_mask(warp.load(l, tape, &init, begin, end));
+                diverged[wi] = false;
+            }
+            acc.counters.work_items += lsize as u64;
+            for phase in 0..tape.phases() {
                 for (wi, warp) in warps.iter_mut().enumerate() {
-                    let begin = first + (wi * WARP) as u64;
-                    let end = (begin + WARP as u64).min(first + lsize as u64);
-                    alive[wi] = bytecode::prefix_mask(warp.load(l, tape, &init, begin, end));
-                    diverged[wi] = false;
-                }
-                acc.counters.work_items += lsize as u64;
-                for phase in 0..tape.phases() {
-                    for (wi, warp) in warps.iter_mut().enumerate() {
-                        if alive[wi] == 0 {
-                            continue;
-                        }
-                        let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut locals);
-                        let run = bytecode::exec_phase_warp(
-                            tape, phase, alive[wi], vregs, privs, &mut wc,
-                        );
-                        alive[wi] &= !run.returned;
-                        diverged[wi] |= run.diverged;
+                    if alive[wi] == 0 {
+                        continue;
                     }
-                }
-                acc.divergent += diverged.iter().filter(|&&d| d).count() as u64;
-                if l.trace_on {
-                    // The same warp-granular partition as the tree-walker's:
-                    // consecutive runs of WARP work-items, last one partial.
-                    for warp in warps.iter_mut() {
-                        acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
-                    }
+                    let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut locals);
+                    let run =
+                        bytecode::exec_phase_warp(tape, phase, alive[wi], vregs, privs, &mut wc);
+                    alive[wi] &= !run.returned;
+                    diverged[wi] |= run.diverged;
                 }
             }
-            acc
-        })
-        .collect();
-    let wall = start.elapsed();
+            acc.divergent += diverged.iter().filter(|&&d| d).count() as u64;
+            if l.trace_on {
+                // The same warp-granular partition as the tree-walker's:
+                // consecutive runs of WARP work-items, last one partial.
+                for warp in warps.iter_mut() {
+                    acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
+                }
+            }
+        }
+        acc
+    });
     finish(l, results, group_sample_scale(groups_total, group_ids.len(), l.stride), wall)
 }
 
@@ -2144,88 +2168,81 @@ fn run_grouped_tree(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecErr
     let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize };
     let groups_total = (l.total / lsize as u64) as usize;
     let group_ids: Vec<usize> = (0..groups_total).step_by(l.stride).collect();
-    let chunk = dispatch_chunk(group_ids.len());
-    let start = std::time::Instant::now();
-    let results: Vec<ChunkAcc> = group_ids
-        .par_chunks(chunk)
-        .map(|gs| {
-            // One rayon task per chunk of groups with per-item states
-            // allocated once and reset to fresh-group values per group.
-            let mut locals: Vec<Vec<Value>> = vec![Vec::new(); prep.local_kinds.len()];
-            let mut states: Vec<ItemState> = (0..lsize)
-                .map(|_| ItemState {
-                    slots: vec![Value::I32(0); prep.nslots],
-                    privs: vec![Vec::new(); prep.npriv],
-                    counters: Counters::default(),
-                    trace: Vec::new(),
-                    writes: Vec::new(),
-                    trace_on: l.trace_on,
-                    race_on: l.race_check,
-                    item: 0,
-                })
-                .collect();
-            let mut active = vec![true; lsize];
-            let mut acc = ChunkAcc::default();
-            for &g in gs {
-                for a in locals.iter_mut() {
-                    // Emptied so the group's first DeclLocal re-allocates.
-                    a.clear();
+    let (results, wall) = dispatch(&group_ids, lsize, |gs| {
+        // One rayon task per chunk of groups with per-item states
+        // allocated once and reset to fresh-group values per group.
+        let mut locals: Vec<Vec<Value>> = vec![Vec::new(); prep.local_kinds.len()];
+        let mut states: Vec<ItemState> = (0..lsize)
+            .map(|_| ItemState {
+                slots: vec![Value::I32(0); prep.nslots],
+                privs: vec![Vec::new(); prep.npriv],
+                counters: Counters::default(),
+                trace: Vec::new(),
+                writes: Vec::new(),
+                trace_on: l.trace_on,
+                race_on: l.race_check,
+                item: 0,
+            })
+            .collect();
+        let mut active = vec![true; lsize];
+        let mut acc = ChunkAcc::default();
+        for &g in gs {
+            for a in locals.iter_mut() {
+                // Emptied so the group's first DeclLocal re-allocates.
+                a.clear();
+            }
+            for (lid, st) in states.iter_mut().enumerate() {
+                for s in st.slots.iter_mut() {
+                    *s = Value::I32(0);
                 }
-                for (lid, st) in states.iter_mut().enumerate() {
-                    for s in st.slots.iter_mut() {
-                        *s = Value::I32(0);
-                    }
-                    for (slot, v) in l.init_slots {
-                        st.slots[*slot] = *v;
-                    }
-                    for p in st.privs.iter_mut() {
-                        p.clear();
-                    }
-                    st.counters = Counters::default();
-                    st.trace.clear();
-                    st.item = (g * lsize + lid) as u64;
-                    active[lid] = true;
+                for (slot, v) in l.init_slots {
+                    st.slots[*slot] = *v;
                 }
-                for phase in &prep.phases {
-                    for lid in 0..lsize {
-                        if !active[lid] {
-                            continue;
-                        }
-                        let linear = (g * lsize + lid) as u64;
-                        let ic = ItemCtx { gid: [linear as usize, 0, 0], lid, group: g, lsize };
-                        states[lid].counters.work_items += 1;
-                        if let Flow::Return =
-                            exec.exec_block(phase, &mut states[lid], &mut locals, ic)
-                        {
-                            active[lid] = false;
-                        }
-                    }
+                for p in st.privs.iter_mut() {
+                    p.clear();
                 }
-                // aggregate group results; warp-granular transaction counting
-                for st in states.iter_mut() {
-                    // work_items was incremented once per phase; normalise
-                    st.counters.work_items = 1;
-                    acc.counters.add(&st.counters);
-                    acc.writes.append(&mut st.writes);
-                }
-                if l.trace_on {
-                    // Consecutive runs of WARP work-items, last one partial.
-                    let mut traces: Vec<Vec<(u32, u32, u64)>> = Vec::new();
-                    for st in states.iter_mut() {
-                        traces.push(std::mem::take(&mut st.trace));
+                st.counters = Counters::default();
+                st.trace.clear();
+                st.item = (g * lsize + lid) as u64;
+                active[lid] = true;
+            }
+            for phase in &prep.phases {
+                for lid in 0..lsize {
+                    if !active[lid] {
+                        continue;
                     }
-                    for warp in traces.chunks_mut(WARP) {
-                        acc.tbytes += warp_transaction_bytes(warp, l.transaction_size);
-                    }
-                    for (st, t) in states.iter_mut().zip(traces) {
-                        st.trace = t;
+                    let linear = (g * lsize + lid) as u64;
+                    let ic = ItemCtx { gid: [linear as usize, 0, 0], lid, group: g, lsize };
+                    states[lid].counters.work_items += 1;
+                    if let Flow::Return = exec.exec_block(phase, &mut states[lid], &mut locals, ic)
+                    {
+                        active[lid] = false;
                     }
                 }
             }
-            acc
-        })
-        .collect();
-    let wall = start.elapsed();
+            // aggregate group results; warp-granular transaction counting
+            for st in states.iter_mut() {
+                // work_items was incremented once per phase; normalise
+                st.counters.work_items = 1;
+                acc.counters.add(&st.counters);
+                acc.writes.append(&mut st.writes);
+            }
+            if l.trace_on {
+                // Consecutive runs of WARP work-items, last one partial.
+                let mut traces: Vec<Vec<(u32, u32, u64)>> = Vec::new();
+                for st in states.iter_mut() {
+                    traces.push(std::mem::take(&mut st.trace));
+                }
+                for warp in traces.chunks_mut(WARP) {
+                    acc.tbytes += warp_transaction_bytes(warp, l.transaction_size);
+                }
+                for (st, t) in states.iter_mut().zip(traces) {
+                    st.trace = t;
+                }
+            }
+        }
+        acc
+    });
     finish(l, results, group_sample_scale(groups_total, group_ids.len(), l.stride), wall)
 }
 
@@ -2235,6 +2252,33 @@ mod tests {
     use crate::buffer::BufData;
     use lift::kast::{Kernel, KernelParam};
     use lift::prelude::*;
+
+    /// For warps and for groups of several sizes: the chunk is never 0, the
+    /// tasks cover every id, a launch below two grains is one task, one of
+    /// `k` whole grains is `k` tasks, and no task falls short of the grain
+    /// by more than the rounding of an even split.
+    #[test]
+    fn dispatch_chunk_respects_the_grain() {
+        for items_per_id in [1, WARP, 48, 64, 5000] {
+            let grain = GRAIN_ITEMS.div_ceil(items_per_id);
+            for nids in (0..6 * grain + 7).step_by(if grain > 1000 { 97 } else { 1 }) {
+                let chunk = dispatch_chunk(nids, items_per_id);
+                assert!(chunk >= 1, "{nids} ids of {items_per_id}");
+                let ntasks = nids.div_ceil(chunk);
+                assert!(ntasks * chunk >= nids);
+                if nids < 2 * grain {
+                    assert!(ntasks <= 1, "{nids} ids of {items_per_id}: {ntasks} tasks");
+                } else {
+                    assert!(ntasks >= 2);
+                    let last = nids - (ntasks - 1) * chunk;
+                    assert!(chunk >= grain && last + ntasks > grain, "{nids} ids: tail {last}");
+                }
+                if nids.is_multiple_of(grain) {
+                    assert_eq!(ntasks, nids / grain);
+                }
+            }
+        }
+    }
 
     fn saxpy_kernel() -> Kernel {
         Kernel {

@@ -6,13 +6,19 @@
 //! (barrier / local-memory) launches — ⌈lsize/32⌉ warps per group sharing
 //! one local arena, with lanes that returned masked off.
 //!
+//! Last, the task grain: launches around `exec::GRAIN_ITEMS` match the
+//! oracle whether they ran inline or fanned out over the pool, and a lane
+//! panic in a launch that did fan out reaches the launching thread with its
+//! own message.
+//!
 //! Assertions read the launch's own `LaunchStats` (or a counter that only
 //! this binary's uniquely named kernels can move in the asserted
-//! direction), never deltas of process-global counters other tests bump.
+//! direction, or that only ever grows), never deltas of process-global
+//! counters other tests bump.
 
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, Lit, ScalarKind, Value};
-use vgpu::{Arg, Backend, BufData, Device, Engine, ExecMode};
+use vgpu::{Arg, Backend, BufData, Device, Engine, ExecMode, LaunchStats};
 
 fn gid() -> KExpr {
     KExpr::GlobalId(0)
@@ -342,4 +348,201 @@ fn a_grouped_warp_that_diverges_in_two_phases_counts_once() {
     let want: Vec<f64> =
         (0..96).map(|g| if g % 2 == 0 { (g % 48) * 2 } else { g % 48 + 101 } as f64).collect();
     assert_eq!(dev.read(out).to_f64_vec(), want);
+}
+
+// ---- the task grain of a launch (`exec::dispatch`) ----
+//
+// It must never be observable: launches of one warp, exactly one grain, one
+// grain plus a warp, and several grains — flat and grouped, fused,
+// interpreted, modeled and race-checked — produce the tree oracle's buffers,
+// counters, transaction bytes and race reports, whether they ran as one
+// inline task or fanned out over the pool. Task counts are read from each
+// launch's own `LaunchStats::tasks`.
+
+const WARP: usize = 32;
+/// `exec::GRAIN_ITEMS` in warps. The constant is private; the `tasks`
+/// assertions below fail if it moves without this file following.
+const GRAIN_WARPS: usize = 64;
+/// Launch sizes in warps, with the tasks each becomes unsampled.
+const SIZES: [(usize, usize); 5] = [
+    (1, 1),
+    (GRAIN_WARPS, 1),
+    (GRAIN_WARPS + 1, 1),
+    (3 * GRAIN_WARPS, 3),
+    (6 * GRAIN_WARPS + 5, 6),
+];
+const MODEL: ExecMode = ExecMode::Model { sample_stride: 2 };
+
+/// One launch of `(x, out, N)` over `warps` warps, the last 7 items past
+/// `N`; `grouped` selects the local-memory kernel with one warp per group, so a
+/// group id and a warp id weigh the same against the grain.
+fn run(
+    grouped: bool,
+    engine: Engine,
+    race_check: bool,
+    warps: usize,
+    mode: ExecMode,
+) -> (BufData, LaunchStats) {
+    let total = warps * WARP;
+    let mut dev = Device::gtx780();
+    dev.set_engine(engine);
+    dev.set_race_check(race_check);
+    let kernel = if grouped { local_rotate_kernel() } else { guard_diamond_kernel() };
+    let prep = dev.compile(&kernel).unwrap();
+    let x =
+        dev.upload(BufData::from((0..total).map(|i| i as f32 * 0.25 - 3.0).collect::<Vec<_>>()));
+    let out = dev.upload(BufData::from(vec![-1.0f32; total]));
+    let args = [Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::I32(total as i32 - 7))];
+    let stats = dev
+        .launch_wg(&prep, &args, &[total], grouped.then_some(WARP), mode)
+        .unwrap_or_else(|e| panic!("{warps} warps, grouped {grouped}, {engine:?}, {mode:?}: {e}"));
+    (dev.read(out), stats)
+}
+
+fn assert_same_result(what: &str, got: &(BufData, LaunchStats), oracle: &(BufData, LaunchStats)) {
+    assert!(got.0 == oracle.0, "{what}: buffers differ from the tree oracle");
+    assert_eq!(got.1.counters, oracle.1.counters, "{what}: counters");
+    assert_eq!(got.1.transaction_bytes, oracle.1.transaction_bytes, "{what}: transaction bytes");
+    assert_eq!(got.1.tasks, oracle.1.tasks, "{what}: every engine cuts a shape the same way");
+}
+
+#[test]
+fn launches_around_the_grain_match_the_oracle_on_every_engine() {
+    for (warps, tasks) in SIZES {
+        for grouped in [false, true] {
+            let what = |leg: &str| format!("{warps} warps, grouped {grouped}, {leg}");
+            let tree = run(grouped, Engine::Tree, true, warps, ExecMode::Fast);
+            assert_eq!(tree.1.tasks, tasks, "{}", what("tree"));
+
+            // `Fast` as shipped: fused for flat launches, warps for grouped.
+            let fast = run(grouped, Engine::Fast, false, warps, ExecMode::Fast);
+            let backend = if grouped { Backend::Vector } else { Backend::Compiled };
+            assert_eq!(fast.1.backend, backend, "{}", what("fast"));
+            assert_same_result(&what("fast"), &fast, &tree);
+            // The parity diamond splits every flat warp; a grouped warp
+            // only diverges where the guard cuts it, in the last one.
+            let divergent = if grouped { 1 } else { warps as u64 };
+            assert_eq!(fast.1.divergent_warps, divergent, "{}", what("fast"));
+
+            // Race-checked: the warp interpreter, with write records.
+            let interp = run(grouped, Engine::Fast, true, warps, ExecMode::Fast);
+            assert_eq!(interp.1.backend, Backend::Vector, "{}", what("interpreter"));
+            assert_same_result(&what("interpreter"), &interp, &tree);
+            assert_eq!(interp.1.divergent_warps, divergent, "{}", what("interpreter"));
+
+            // Modeled at stride 2: half the ids, so half the tasks.
+            let tree_model = run(grouped, Engine::Tree, true, warps, MODEL);
+            assert_eq!(tree_model.1.tasks, (warps.div_ceil(2) / GRAIN_WARPS).max(1));
+            let model = run(grouped, Engine::Fast, true, warps, MODEL);
+            assert!(model.1.transaction_bytes.is_some());
+            assert_same_result(&what("model"), &model, &tree_model);
+
+            // And the engine that checks all of the above inside the launch.
+            for mode in [ExecMode::Fast, MODEL] {
+                let diff = run(grouped, Engine::Differential, true, warps, mode);
+                assert!(diff.1.oracle_wall.is_some(), "{}", what("differential"));
+            }
+        }
+    }
+}
+
+/// `out[gid % H] = gid` with `H` half the launch: items `g` and `g + H`
+/// collide on every element, from different tasks once the launch fans out.
+/// The report (conflict count, the first conflicts in element order, their
+/// sites) must not depend on which engine ran or how the launch was cut.
+#[test]
+fn race_reports_do_not_depend_on_the_cut() {
+    let k = Kernel {
+        name: "dg_race".into(),
+        params: vec![
+            KernelParam::global_buf("out", ScalarKind::I32),
+            KernelParam::scalar("H", ScalarKind::I32),
+        ],
+        body: vec![KStmt::Store {
+            mem: MemRef::Param(0),
+            idx: KExpr::bin(BinOp::Rem, gid(), KExpr::var("H")),
+            value: gid(),
+        }],
+        work_dim: 1,
+    };
+    for (warps, tasks) in [(2, 1), (3 * GRAIN_WARPS, 3)] {
+        let total = warps * WARP;
+        let report = |engine: Engine| {
+            let mut dev = Device::gtx780();
+            dev.set_engine(engine);
+            dev.set_race_check(true);
+            let prep = dev.compile(&k).unwrap();
+            let out = dev.upload(BufData::from(vec![0i32; total]));
+            let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32 / 2))];
+            dev.launch(&prep, &args, &[total], ExecMode::Fast)
+                .expect_err("every element is written twice")
+                .to_string()
+        };
+        let tree = report(Engine::Tree);
+        assert!(tree.contains("race check failed"), "{tree}");
+        assert!(tree.contains(&format!("{} conflicting element(s)", total / 2)), "{tree}");
+        assert_eq!(report(Engine::Fast), tree, "{warps} warps ({tasks} tasks)");
+    }
+}
+
+/// `if (gid >= N) return; out[gid + 1] = 1;` — the last work-item stores
+/// one element past the end, on a site the verifier cannot prove, so the
+/// fused executor keeps its bounds assert there.
+fn overrun_kernel() -> Kernel {
+    Kernel {
+        name: "dg_overrun".into(),
+        params: vec![
+            KernelParam::global_buf("out", ScalarKind::F32),
+            KernelParam::scalar("N", ScalarKind::I32),
+        ],
+        body: vec![
+            KStmt::return_if(KExpr::bin(BinOp::Ge, gid(), KExpr::var("N"))),
+            KStmt::Store {
+                mem: MemRef::Param(0),
+                idx: gid() + KExpr::int(1),
+                value: KExpr::Lit(Lit::f32(1.0)),
+            },
+        ],
+        work_dim: 1,
+    }
+}
+
+#[test]
+fn a_lane_panic_in_a_fanned_out_launch_keeps_its_message_and_the_pool_survives() {
+    let total = 3 * GRAIN_WARPS * WARP;
+    let mut dev = Device::gtx780();
+    dev.set_engine(Engine::Fast);
+    let prep = dev.compile(&overrun_kernel()).unwrap();
+    let out = dev.upload(BufData::from(vec![0.0f32; total]));
+    let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32))];
+    // The overrun is in the last of the launch's three tasks.
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = dev.launch(&prep, &args, &[total], ExecMode::Fast);
+    }))
+    .expect_err("the overrun must panic on the dynamic check");
+    let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("store out of bounds"), "the lane's own message, got: {msg:?}");
+
+    // Same device, same pool: a launch of the same width that stays in
+    // bounds (`N` one short) fans out and completes.
+    let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32 - 1))];
+    let stats = dev.launch(&prep, &args, &[total], ExecMode::Fast).unwrap();
+    assert_eq!(stats.tasks, 3);
+    assert_eq!(dev.read(out).to_f64_vec()[total - 1], 1.0);
+}
+
+#[test]
+fn dispatch_counters_tell_inline_launches_from_fanned_out_ones() {
+    let reg = vgpu::telemetry::registry();
+    let (tasks, inline) =
+        (reg.counter("vgpu.dispatch.tasks"), reg.counter("vgpu.dispatch.inline_launches"));
+    let (t0, i0) = (tasks.get(), inline.get());
+    let small = run(false, Engine::Fast, false, 1, ExecMode::Fast);
+    assert_eq!(small.1.tasks, 1);
+    assert!(inline.get() > i0, "a one-task launch counts as inline");
+    let t1 = tasks.get();
+    assert!(t1 > t0);
+    let wide = run(false, Engine::Fast, false, 3 * GRAIN_WARPS, ExecMode::Fast);
+    assert_eq!(wide.1.tasks, 3);
+    assert!(tasks.get() >= t1 + 3, "a fanned-out launch counts each task");
 }
