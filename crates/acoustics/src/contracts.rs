@@ -4,28 +4,28 @@
 //! shipped launch of a kernel satisfies: buffer-length relations in terms of
 //! the scalar size arguments, interior-guard facts, and the data invariants
 //! of the boundary gather tables. The contracts live here — next to the
-//! sims that own the allocations they describe — and serve two consumers:
+//! front end that owns the allocations they describe — and serve two
+//! consumers:
 //!
 //! * the `verify` crate's audit suite pairs each kernel with its contract
 //!   and requires the static bounds/race passes to return PROVEN-SAFE
 //!   (the CI gate that keeps a contract honest);
-//! * [`register_all`] hands the same contracts to
-//!   [`vgpu::register_launch_contract`], where the compiled tape engine
-//!   (`VGPU_ENGINE=compiled`) merges them with each launch's concrete
-//!   shape and elides per-access bounds checks at sites the verifier
-//!   proves (DESIGN.md §13).
+//! * every [`crate::StepKernel`] carries its contract, and
+//!   [`crate::Simulation::try_new`] hands it to
+//!   [`vgpu::register_launch_contract`], where the fused-block executor
+//!   (the `fast` engine's unmodeled path) merges it with each launch's
+//!   concrete shape and elides per-access bounds checks at sites the
+//!   verifier proves (DESIGN.md §13).
 //!
 //! Both consumers reading one definition is the point: the facts the
-//! compiled engine trusts are exactly the facts CI re-proves against the
-//! kernel sources on every run.
+//! executor trusts are exactly the facts CI re-proves against the kernel
+//! sources on every run.
 
 use lift::arith::{ArithExpr, SymRange};
 use lift::kast::Kernel;
 use lift::verify::{Assumptions, BufferFacts};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
-
-use crate::handwritten;
 
 /// The data invariants of the boundary-handling tables, shared by the
 /// generated and hand-written FI-MM/FD-MM kernels (and cross-checked
@@ -59,11 +59,11 @@ pub fn boundary_table_facts(asm: &mut Assumptions) {
 }
 
 /// The contract a hand-written reference kernel is launched under (see
-/// [`crate::vgpu_sim::HandwrittenSim`]): global sizes are left unbounded
-/// (`None`) because every kernel guards with an in-kernel `return_if`, and
-/// buffer lengths match the sim's allocations.
+/// [`crate::Simulation`]): global sizes are left unbounded (`None`) because
+/// every kernel guards with an in-kernel `return_if`, and buffer lengths
+/// match the slab allocations.
 ///
-/// Panics on a kernel name outside [`handwritten::all_kernels`] — adding a
+/// Panics on a kernel name outside [`crate::handwritten::all_kernels`] — adding a
 /// reference kernel without writing its contract is a bug the audit suite
 /// should fail loudly on.
 pub fn launch_contract(k: &Kernel) -> Assumptions {
@@ -147,8 +147,8 @@ pub const GRID_BUFFERS: &[&str] = &["next", "curr", "prev", "nbrs", "out"];
 /// has no per-axis footprint — such a kernel must not be sharded.
 ///
 /// The proof is a function of the kernel text and its contract alone, and
-/// every sharded sim asks for it at construction, so it is made once per
-/// process per (kernel, contract).
+/// every multi-device simulation asks for it at construction, so it is made
+/// once per process per (kernel, contract).
 pub fn grid_halo(kernel: &Kernel, asm: &Assumptions) -> Result<(usize, usize), String> {
     type Proofs = Mutex<HashMap<String, Result<(usize, usize), String>>>;
     static PROVEN: OnceLock<Proofs> = OnceLock::new();
@@ -163,8 +163,9 @@ pub fn grid_halo(kernel: &Kernel, asm: &Assumptions) -> Result<(usize, usize), S
 
 /// Shard-time gate: proves `kernel`'s z-reach and checks it against the
 /// `(below, above)` halo planes the slab layout actually provides,
-/// returning the proven reach or a diagnostic naming the shortfall. The
-/// sharded sims call this instead of assuming a one-plane halo.
+/// returning the proven reach or a diagnostic naming the shortfall.
+/// [`crate::Simulation`] and the sharded host program call this instead of
+/// assuming a one-plane halo.
 pub fn check_slab_halo(
     kernel: &Kernel,
     asm: &Assumptions,
@@ -179,17 +180,4 @@ pub fn check_slab_halo(
         ));
     }
     Ok((lo, hi))
-}
-
-/// Registers every hand-written kernel's [`launch_contract`] with the vgpu
-/// compiled engine. Idempotent and cheap after the first call; the sims
-/// and bench drivers call it before compiling kernels so proof-licensed
-/// check elision is available regardless of entry point.
-pub fn register_all() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        for k in handwritten::all_kernels() {
-            vgpu::register_launch_contract(&k.name, launch_contract(&k));
-        }
-    });
 }

@@ -13,8 +13,10 @@
 //! The crate provides the geometry/voxelisation pipeline, the boundary data
 //! structures (`nbrs`, `boundaryIndices`, materials), physically-derived
 //! FD-MM coefficient tables, golden-model Rust kernels, hand-written
-//! baseline kernels in the `lift` kernel AST, and simulation drivers for
-//! both. LIFT-*generated* kernels live in the `lift-acoustics` crate.
+//! baseline kernels in the `lift` kernel AST, the golden-model driver
+//! ([`ReferenceSim`]) and the virtual-GPU front end ([`Simulation`]), which
+//! runs any kernel set — these hand-written kernels or the LIFT-*generated*
+//! ones of the `lift-acoustics` crate.
 //!
 //! ## Example: a small room with absorbing walls
 //!
@@ -38,14 +40,23 @@ pub mod contracts;
 pub mod geometry;
 pub mod handwritten;
 pub mod materials;
+pub mod partition;
 pub mod reference;
-pub mod shard_sim;
 pub mod sim;
-pub mod vgpu_sim;
+pub mod simulation;
 
 pub use boundary::{MaterialAssignment, RoomModel};
 pub use geometry::{GridDims, RoomShape};
 pub use materials::{courant, courant_sq, FdCoeffs, Material};
-pub use shard_sim::{boundary_cut_planes, boundary_cuts, ShardedSim};
+pub use partition::{boundary_cut_planes, boundary_cuts};
 pub use sim::{BoundaryModel, ReferenceSim, SimConfig, SimSetup};
-pub use vgpu_sim::{BoundaryKernel, HandwrittenSim, Precision};
+pub use simulation::{
+    BoundaryKernel, KernelSource, Precision, SimError, Simulation, SingleSim, StepKernel,
+    StepKernels,
+};
+
+/// A [`Simulation`] over hand-written kernels on several devices — the name
+/// it had when sharding was its own front end.
+pub type ShardedSim = Simulation;
+/// A [`SingleSim`] over hand-written kernels.
+pub type HandwrittenSim = SingleSim;

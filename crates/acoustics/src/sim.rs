@@ -5,9 +5,9 @@
 //! (`prev`, `curr`, `next`), with the boundary model applied after each
 //! volume pass and the buffers rotated (§II-C: "for an actual application
 //! the two kernels are executed iteratively"). [`ReferenceSim`] drives the
-//! golden Rust kernels of [`crate::reference`]; `crate::vgpu_sim` drives the
-//! hand-written kernel ASTs on the virtual GPU; the `lift-acoustics` crate
-//! adds the LIFT-generated backend.
+//! golden Rust kernels of [`crate::reference`]; [`crate::Simulation`] drives
+//! kernel ASTs on the virtual GPU — the hand-written ones of this crate or
+//! the LIFT-generated ones of the `lift-acoustics` crate.
 
 use crate::boundary::{MaterialAssignment, RoomModel};
 use crate::geometry::{GridDims, RoomShape};

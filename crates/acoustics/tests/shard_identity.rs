@@ -1,7 +1,7 @@
 //! Sharded-vs-unsharded identity at awkward partitions (ISSUE 8 S4).
 //!
 //! The balanced even splits are covered by the unit tests in
-//! `shard_sim.rs`; this binary pins the hard cases:
+//! `simulation.rs`; this binary pins the hard cases:
 //!
 //! * slab counts that do **not** divide the grid evenly (uneven owned
 //!   heights, partial final warps in the per-slab boundary launches);
@@ -15,9 +15,10 @@
 //! * everything under `Engine::Differential`, so each launch additionally
 //!   cross-checks tree vs tape vs vector engines bit-for-bit.
 
-use room_acoustics::shard_sim::{boundary_cut_planes, sum_step_stats};
+use room_acoustics::simulation::sum_step_stats;
 use room_acoustics::{
-    BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, ShardedSim, SimConfig, SimSetup,
+    boundary_cut_planes, BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape,
+    ShardedSim, SimConfig, SimSetup,
 };
 use vgpu::{Device, Engine, ExecMode, SlabPartition};
 
@@ -52,13 +53,9 @@ fn lockstep(
     what: &str,
 ) {
     let mut single = HandwrittenSim::new(setup.clone(), precision, kind, diff_devices(1).remove(0));
-    let mut sharded = ShardedSim::with_partition(
-        setup.clone(),
-        precision,
-        kind,
-        diff_devices(part.device_count()),
-        part,
-    );
+    let devices = diff_devices(part.device_count());
+    let mut sharded =
+        ShardedSim::try_with_partition(setup.clone(), precision, kind, devices, part).unwrap();
     let dims = setup.dims();
     let (x, y, z) = (dims.nx / 2, dims.ny / 2, dims.nz / 2);
     single.impulse(x, y, z, 1.0);

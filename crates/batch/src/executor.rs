@@ -2,7 +2,7 @@
 //!
 //! [`BatchExecutor::submit`] enqueues a [`Scenario`] and returns a
 //! [`JobHandle`]; a fixed pool of worker threads pops jobs, runs each room
-//! on its own [`vgpu::Device`], and delivers a [`JobResult`] (impulse
+//! on its own [`vgpu::Device`]s, and delivers a [`JobResult`] (impulse
 //! response at the microphone plus run stats) through the handle. Workers
 //! never share mutable simulation state — what they *do* share is the
 //! process-wide artifact cache ([`vgpu::artifact`]), so every room after
@@ -14,12 +14,14 @@
 //! process: the first job of a long batch cannot swallow later jobs'
 //! records (the audit counters count every launch regardless).
 //!
-//! Panics inside a job (including the differential engine's bit-exactness
-//! assertions) are caught and reported as that job's error string — one bad
+//! A room the front end cannot build (a [`room_acoustics::SimError`], e.g.
+//! more `VGPU_DEVICES` than the room has z-planes) fails its job with that
+//! error's message. Panics inside a job (including the differential engine's
+//! bit-exactness assertions) are caught and reported the same way — one bad
 //! room fails its job, not the batch.
 
 use crate::scenario::Scenario;
-use room_acoustics::{handwritten, HandwrittenSim, SimSetup};
+use room_acoustics::{SimSetup, Simulation};
 use serde_json::json;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -218,71 +220,9 @@ fn catch_job<T>(job: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
 }
 
 fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
-    // `VGPU_DEVICES > 1` routes the job through the Z-slab sharded backend
-    // (bit-identical to this single-device path; see DESIGN.md §12).
-    let shards = vgpu::device_count_from_env();
-    if shards > 1 {
-        return run_sim_sharded(cfg, sc, shards);
-    }
-    let setup = SimSetup::new(&sc.config());
-    let mut device = Device::gtx780();
-    if let Some(engine) = cfg.engine {
-        device.set_engine(engine);
-    }
-    device.set_race_check(cfg.race_check);
-
-    // Static-verification gate through the memoized verdict cache: the
-    // lookups below hit the same artifacts `HandwrittenSim::new` compiles,
-    // so a whole batch pays the verifier once per distinct kernel.
-    let real = sc.precision.kind();
-    let mut verifier_clean = true;
-    let volume = vgpu::compile_cached(&handwritten::volume_kernel().resolve_real(real))
-        .map_err(|e| format!("volume kernel: {e:?}"))?;
-    let boundary_kernel = match sc.boundary_kernel() {
-        room_acoustics::BoundaryKernel::FiMm { beta_constant } => {
-            handwritten::fimm_kernel(beta_constant).resolve_real(real)
-        }
-        room_acoustics::BoundaryKernel::FdMm => handwritten::fdmm_kernel().resolve_real(real),
-    };
-    let boundary =
-        vgpu::compile_cached(&boundary_kernel).map_err(|e| format!("boundary kernel: {e:?}"))?;
-    for prep in [&volume, &boundary] {
-        if let Some(report) = vgpu::verify_cached(prep) {
-            verifier_clean &= report.is_clean();
-        }
-    }
-
-    let mut sim = HandwrittenSim::new(setup, sc.precision, sc.boundary_kernel(), device);
-    let (sx, sy, sz) = sc.source;
-    sim.impulse(sx, sy, sz, sc.amp);
-
-    let (mx, my, mz) = sc.mic;
-    let t0 = Instant::now();
-    let mut impulse_response = Vec::with_capacity(sc.steps);
-    for _ in 0..sc.steps {
-        sim.step(cfg.mode);
-        impulse_response.push(sim.sample(mx, my, mz));
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let energy = sim.energy();
-    let launches = sim.device.events().len();
-    let sidecar = cfg.sidecar_dir.as_ref().and_then(|dir| {
-        let devices = std::slice::from_ref(&sim.device);
-        write_sidecar(dir, sc, devices, energy, wall_ms, verifier_clean)
-            .map_err(|e| eprintln!("sidecar for {}: {e}", sc.label()))
-            .ok()
-    });
-
-    Ok(JobOutput { impulse_response, energy, wall_ms, launches, verifier_clean, sidecar })
-}
-
-/// The sharded leg of [`run_sim`]: the same scenario over `shards` Z-slab
-/// devices ([`room_acoustics::ShardedSim`]). The verifier gate covers the
-/// gid-shifted slab volume kernel instead of the whole-grid one; the
-/// sidecar sums the job's launches over its devices.
-fn run_sim_sharded(cfg: &BatchConfig, sc: &Scenario, shards: usize) -> Result<JobOutput, String> {
-    let setup = SimSetup::new(&sc.config());
-    let devices: Vec<Device> = (0..shards)
+    // `VGPU_DEVICES > 1` spreads the job over that many Z-slab devices
+    // (bit-identical to one device; see DESIGN.md §12).
+    let devices = (0..vgpu::device_count_from_env())
         .map(|_| {
             let mut d = Device::gtx780();
             if let Some(engine) = cfg.engine {
@@ -292,27 +232,17 @@ fn run_sim_sharded(cfg: &BatchConfig, sc: &Scenario, shards: usize) -> Result<Jo
             d
         })
         .collect();
+    let setup = SimSetup::new(&sc.config());
+    let mut sim = Simulation::try_new(setup, sc.precision, sc.boundary_kernel(), devices)
+        .map_err(|e| e.to_string())?;
 
-    let real = sc.precision.kind();
-    let mut verifier_clean = true;
-    let volume = vgpu::compile_cached(&handwritten::volume_slab_kernel().resolve_real(real))
-        .map_err(|e| format!("slab volume kernel: {e:?}"))?;
-    let boundary_kernel = match sc.boundary_kernel() {
-        room_acoustics::BoundaryKernel::FiMm { beta_constant } => {
-            handwritten::fimm_kernel(beta_constant).resolve_real(real)
-        }
-        room_acoustics::BoundaryKernel::FdMm => handwritten::fdmm_kernel().resolve_real(real),
-    };
-    let boundary =
-        vgpu::compile_cached(&boundary_kernel).map_err(|e| format!("boundary kernel: {e:?}"))?;
-    for prep in [&volume, &boundary] {
-        if let Some(report) = vgpu::verify_cached(prep) {
-            verifier_clean &= report.is_clean();
-        }
-    }
+    // Static-verification gate through the memoized verdict cache, on the
+    // very artifacts the simulation launches (the slab volume kernel when
+    // sharded): a whole batch pays the verifier once per distinct kernel.
+    let verifier_clean = sim
+        .kernels()
+        .all(|k| vgpu::verify_cached(k.prepared()).is_none_or(|report| report.is_clean()));
 
-    let mut sim =
-        room_acoustics::ShardedSim::new(setup, sc.precision, sc.boundary_kernel(), devices);
     let (sx, sy, sz) = sc.source;
     sim.impulse(sx, sy, sz, sc.amp);
 
@@ -325,9 +255,9 @@ fn run_sim_sharded(cfg: &BatchConfig, sc: &Scenario, shards: usize) -> Result<Jo
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let energy = sim.energy();
-    let launches = sim.devices().iter().map(|d| d.events().len()).sum();
+    let launches = sim.devices.iter().map(|d| d.events().len()).sum();
     let sidecar = cfg.sidecar_dir.as_ref().and_then(|dir| {
-        write_sidecar(dir, sc, sim.devices(), energy, wall_ms, verifier_clean)
+        write_sidecar(dir, sc, &sim.devices, energy, wall_ms, verifier_clean)
             .map_err(|e| eprintln!("sidecar for {}: {e}", sc.label()))
             .ok()
     });

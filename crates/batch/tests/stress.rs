@@ -58,10 +58,11 @@ fn concurrent_rooms_share_compiled_artifacts() {
 
     let hits = reg.counter("vgpu.artifact.hits").get() - hits0;
     let misses = reg.counter("vgpu.artifact.misses").get() - misses0;
-    // 16 rooms × (volume + boundary + the executor's verifier lookups):
-    // only the first sighting of each kernel class may miss.
-    assert!(
-        hits as f64 / (hits + misses) as f64 >= 0.8,
-        "cross-room artifact hit rate too low: {hits} hits / {misses} misses"
-    );
+    // 16 rooms × (volume + boundary), each looked up once — the verifier
+    // gate reuses the simulation's artifacts. Only the first sighting of a
+    // kernel class may miss: 2 volume kernels (f32, f64) and 3 boundary
+    // kernels at 2 precisions, each compiled at most once per worker when
+    // all three race to it.
+    assert_eq!(hits + misses, 2 * 16, "one lookup per kernel per room");
+    assert!(misses <= 8 * 3, "cross-room artifact misses: {misses} of {}", hits + misses);
 }

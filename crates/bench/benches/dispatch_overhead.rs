@@ -12,9 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lift::prelude::{ScalarKind, Value};
-use room_acoustics::{
-    handwritten, BoundaryModel, GridDims, MaterialAssignment, RoomShape, SimConfig, SimSetup,
-};
+use room_acoustics::{handwritten, GridDims};
 use vgpu::{Arg, BufId, Device, Engine, ExecMode};
 
 const STEPS: usize = 8;
@@ -29,12 +27,7 @@ struct FiRun {
 
 fn fi_run(n: usize, engine: Engine) -> FiRun {
     let dims = GridDims::cube(n);
-    let setup = SimSetup::new(&SimConfig {
-        dims,
-        shape: RoomShape::Box,
-        assignment: MaterialAssignment::Uniform,
-        boundary: BoundaryModel::Fi { beta: 0.1 },
-    });
+    let setup = bench::measure::fi_setup(dims, 0.1);
     let mut dev = Device::gtx780();
     dev.set_engine(engine);
     let prep = dev.compile(&handwritten::fi_single_kernel().resolve_real(ScalarKind::F32)).unwrap();

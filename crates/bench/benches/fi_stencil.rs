@@ -6,59 +6,29 @@
 //! Rooms are small (the interpreter runs on the host CPU); both versions
 //! execute identical simulations.
 
+use bench::measure::{fi_setup, fi_single_kernels, Impl};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lift_acoustics::FiSingleLift;
-use room_acoustics::{
-    BoundaryModel, GridDims, MaterialAssignment, Precision, RoomShape, SimConfig, SimSetup,
-};
+use room_acoustics::{GridDims, Precision, Simulation};
 use vgpu::{Device, ExecMode};
 
-fn fi_setup(dims: GridDims) -> SimSetup {
-    SimSetup::new(&SimConfig {
-        dims,
-        shape: RoomShape::Box,
-        assignment: MaterialAssignment::Uniform,
-        boundary: BoundaryModel::Fi { beta: 0.1 },
-    })
+fn fi_sim(n: usize, which: Impl, device: Device) -> Simulation {
+    let kernels = fi_single_kernels(which, Precision::Single);
+    let setup = fi_setup(GridDims::cube(n), 0.1);
+    let mut sim = Simulation::new(setup, Precision::Single, kernels, vec![device]);
+    sim.impulse(n / 2, n / 2, n / 2, 1.0);
+    sim
 }
 
 fn bench_fi(c: &mut Criterion) {
     let mut group = c.benchmark_group("fi_stencil_step");
     group.sample_size(10);
     for n in [24usize, 40] {
-        let dims = GridDims::cube(n);
-        // LIFT-generated kernel
-        let mut lift = FiSingleLift::new(fi_setup(dims), Precision::Single, 0.1, Device::gtx780());
-        lift.impulse(n / 2, n / 2, n / 2, 1.0);
-        group.bench_with_input(BenchmarkId::new("LIFT", n), &n, |b, _| {
-            b.iter(|| lift.step(ExecMode::Fast))
-        });
-        // hand-written kernel, driven identically
-        let setup = fi_setup(dims);
-        let mut device = Device::gtx780();
-        let kernel = room_acoustics::handwritten::fi_single_kernel()
-            .resolve_real(lift::types::ScalarKind::F32);
-        let prep = device.compile(&kernel).unwrap();
-        let total = dims.total();
-        let prev = device.create_buffer_zeroed(lift::types::ScalarKind::F32, total);
-        let curr = device.create_buffer_zeroed(lift::types::ScalarKind::F32, total);
-        let next = device.create_buffer_zeroed(lift::types::ScalarKind::F32, total);
-        let args = [
-            vgpu::Arg::Buf(next),
-            vgpu::Arg::Buf(curr),
-            vgpu::Arg::Buf(prev),
-            vgpu::Arg::Val(lift::scalar::Value::F32(setup.l as f32)),
-            vgpu::Arg::Val(lift::scalar::Value::F32(setup.l2 as f32)),
-            vgpu::Arg::Val(lift::scalar::Value::F32(0.1)),
-            vgpu::Arg::Val(lift::scalar::Value::I32(dims.nx as i32)),
-            vgpu::Arg::Val(lift::scalar::Value::I32(dims.ny as i32)),
-            vgpu::Arg::Val(lift::scalar::Value::I32(dims.nz as i32)),
-        ];
-        group.bench_with_input(BenchmarkId::new("OpenCL", n), &n, |b, _| {
-            b.iter(|| {
-                device.launch(&prep, &args, &[dims.nx, dims.ny, dims.nz], ExecMode::Fast).unwrap()
-            })
-        });
+        for which in [Impl::Lift, Impl::OpenCl] {
+            let mut sim = fi_sim(n, which, Device::gtx780());
+            group.bench_with_input(BenchmarkId::new(which.label(), n), &n, |b, _| {
+                b.iter(|| sim.step(ExecMode::Fast))
+            });
+        }
     }
     group.finish();
 }
@@ -69,34 +39,11 @@ fn bench_fi(c: &mut Criterion) {
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("fi_stencil_engine");
     group.sample_size(10);
-    let dims = GridDims::cube(40);
-    let setup = fi_setup(dims);
     for (label, engine) in [("fast", vgpu::Engine::Fast), ("tree", vgpu::Engine::Tree)] {
         let mut device = Device::gtx780();
         device.set_engine(engine);
-        let kernel = room_acoustics::handwritten::fi_single_kernel()
-            .resolve_real(lift::types::ScalarKind::F32);
-        let prep = device.compile(&kernel).unwrap();
-        let total = dims.total();
-        let prev = device.create_buffer_zeroed(lift::types::ScalarKind::F32, total);
-        let curr = device.create_buffer_zeroed(lift::types::ScalarKind::F32, total);
-        let next = device.create_buffer_zeroed(lift::types::ScalarKind::F32, total);
-        let args = [
-            vgpu::Arg::Buf(next),
-            vgpu::Arg::Buf(curr),
-            vgpu::Arg::Buf(prev),
-            vgpu::Arg::Val(lift::scalar::Value::F32(setup.l as f32)),
-            vgpu::Arg::Val(lift::scalar::Value::F32(setup.l2 as f32)),
-            vgpu::Arg::Val(lift::scalar::Value::F32(0.1)),
-            vgpu::Arg::Val(lift::scalar::Value::I32(dims.nx as i32)),
-            vgpu::Arg::Val(lift::scalar::Value::I32(dims.ny as i32)),
-            vgpu::Arg::Val(lift::scalar::Value::I32(dims.nz as i32)),
-        ];
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                device.launch(&prep, &args, &[dims.nx, dims.ny, dims.nz], ExecMode::Fast).unwrap()
-            })
-        });
+        let mut sim = fi_sim(40, Impl::OpenCl, device);
+        group.bench_function(label, |b| b.iter(|| sim.step(ExecMode::Fast)));
     }
     group.finish();
 }

@@ -23,7 +23,8 @@
 //! the cost of *arming* it lands in the log; armed mode trades speed for
 //! checking and carries no bound.
 
-use room_acoustics::{BoundaryModel, GridDims, MaterialAssignment, RoomShape, SimConfig, SimSetup};
+use bench::measure::fi_setup;
+use room_acoustics::GridDims;
 use std::time::Instant;
 use vgpu::buffer::SharedBuf;
 use vgpu::exec::{self, ArgBind};
@@ -33,15 +34,6 @@ use vgpu::{Arg, BufData, Device, Engine, ExecMode};
 
 use lift::scalar::Value;
 use lift::types::ScalarKind;
-
-fn fi_setup(dims: GridDims) -> SimSetup {
-    SimSetup::new(&SimConfig {
-        dims,
-        shape: RoomShape::Box,
-        assignment: MaterialAssignment::Uniform,
-        boundary: BoundaryModel::Fi { beta: 0.1 },
-    })
-}
 
 /// Times `iters` calls of `f` and returns the mean seconds per call.
 fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
@@ -68,7 +60,7 @@ fn main() {
 
     let (n, trials, iters, bound) = if smoke { (24, 3, 5, 1.5) } else { (40, 7, 20, 1.02) };
     let dims = GridDims::cube(n);
-    let setup = fi_setup(dims);
+    let setup = fi_setup(dims, 0.1);
     let kernel = room_acoustics::handwritten::fi_single_kernel().resolve_real(ScalarKind::F32);
     let global = [dims.nx, dims.ny, dims.nz];
     let total = dims.total();

@@ -11,74 +11,34 @@
 //!
 //! Usage: `dispatch_bench [cube-edge] [steps]` (defaults 32, 60).
 
-use lift::prelude::{ScalarKind, Value};
-use room_acoustics::{
-    handwritten, BoundaryModel, GridDims, MaterialAssignment, RoomShape, SimConfig, SimSetup,
-};
+use bench::measure::{fi_setup, fi_single_kernels, Impl};
+use room_acoustics::{GridDims, Precision, Simulation};
 use std::time::Instant;
-use vgpu::{telemetry, Arg, BufId, Device, Engine, ExecMode};
+use vgpu::{telemetry, Device, Engine, ExecMode};
 
-struct FiRun {
-    dev: Device,
-    prep: vgpu::Prepared,
-    bufs: [BufId; 3],
-    scalars: Vec<Arg>,
-    global: [usize; 3],
-}
-
-fn fi_run(n: usize, engine: Engine) -> FiRun {
-    let dims = GridDims::cube(n);
-    let setup = SimSetup::new(&SimConfig {
-        dims,
-        shape: RoomShape::Box,
-        assignment: MaterialAssignment::Uniform,
-        boundary: BoundaryModel::Fi { beta: 0.1 },
-    });
-    room_acoustics::contracts::register_all();
+/// The hand-written one-kernel FI simulation on a cube of edge `n`.
+fn fi_run(n: usize, engine: Engine) -> Simulation {
     let mut dev = Device::gtx780();
     dev.set_engine(engine);
-    let prep = dev.compile(&handwritten::fi_single_kernel().resolve_real(ScalarKind::F32)).unwrap();
-    let total = dims.total();
-    let bufs = [
-        dev.create_buffer_zeroed(ScalarKind::F32, total),
-        dev.create_buffer_zeroed(ScalarKind::F32, total),
-        dev.create_buffer_zeroed(ScalarKind::F32, total),
-    ];
-    let scalars = vec![
-        Arg::Val(Value::F32(setup.l as f32)),
-        Arg::Val(Value::F32(setup.l2 as f32)),
-        Arg::Val(Value::F32(0.1)),
-        Arg::Val(Value::I32(dims.nx as i32)),
-        Arg::Val(Value::I32(dims.ny as i32)),
-        Arg::Val(Value::I32(dims.nz as i32)),
-    ];
-    FiRun { dev, prep, bufs, scalars, global: [dims.nx, dims.ny, dims.nz] }
+    let kernels = fi_single_kernels(Impl::OpenCl, Precision::Single);
+    Simulation::new(fi_setup(GridDims::cube(n), 0.1), Precision::Single, kernels, vec![dev])
 }
 
-impl FiRun {
-    fn step(&mut self, mode: ExecMode) {
-        let mut args = vec![Arg::Buf(self.bufs[0]), Arg::Buf(self.bufs[1]), Arg::Buf(self.bufs[2])];
-        args.extend_from_slice(&self.scalars);
-        self.dev.launch(&self.prep, &args, &self.global, mode).unwrap();
-        self.bufs.rotate_right(1);
+/// Best-of-3 trials of `steps` steps; returns ms/step.
+fn measure(mut sim: Simulation, steps: usize, mode: ExecMode) -> f64 {
+    for _ in 0..steps.min(5) {
+        sim.step(mode); // warm-up
     }
-
-    /// Best-of-3 trials of `steps` steps; returns ms/step.
-    fn measure(&mut self, steps: usize, mode: ExecMode) -> f64 {
-        for _ in 0..steps.min(5) {
-            self.step(mode); // warm-up
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        for _ in 0..steps {
+            sim.step(mode);
         }
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            for _ in 0..steps {
-                self.step(mode);
-            }
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3 / steps as f64);
-            self.dev.clear_events();
-        }
-        best
+        best = best.min(t0.elapsed().as_secs_f64() * 1e3 / steps as f64);
+        sim.devices[0].clear_events();
     }
+    best
 }
 
 fn main() {
@@ -95,8 +55,8 @@ fn main() {
     let sanitize = bench::provenance::sanitize_label();
 
     let model_mode = ExecMode::Model { sample_stride: 1 };
-    let tree_fast = fi_run(n, Engine::Tree).measure(steps, ExecMode::Fast);
-    let tree_model = fi_run(n, Engine::Tree).measure(steps, model_mode);
+    let tree_fast = measure(fi_run(n, Engine::Tree), steps, ExecMode::Fast);
+    let tree_model = measure(fi_run(n, Engine::Tree), steps, model_mode);
     let reg = telemetry::registry();
     let divergent0 = reg.counter("vgpu.warp.divergent").get();
     // `fast` must cover the FI kernel outright: a fallback means the
@@ -104,11 +64,11 @@ fn main() {
     let fallbacks =
         || reg.counter("vgpu.tape.fallbacks").get() + reg.counter("vgpu.compiled.fallbacks").get();
     let fallbacks0 = fallbacks();
-    let fast = fi_run(n, Engine::Fast).measure(steps, ExecMode::Fast);
-    let model = fi_run(n, Engine::Fast).measure(steps, model_mode);
+    let fast = measure(fi_run(n, Engine::Fast), steps, ExecMode::Fast);
+    let model = measure(fi_run(n, Engine::Fast), steps, model_mode);
     // What a launch costs before any lane runs: the smallest grid is 27
     // work-items, one partial warp, run inline on this thread.
-    let launch_fixed_us = fi_run(3, Engine::Fast).measure(2000, ExecMode::Fast) * 1e3;
+    let launch_fixed_us = measure(fi_run(3, Engine::Fast), 2000, ExecMode::Fast) * 1e3;
     let divergent = reg.counter("vgpu.warp.divergent").get() - divergent0;
     let fell_back = fallbacks() - fallbacks0;
     if fell_back > 0 {

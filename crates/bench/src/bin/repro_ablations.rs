@@ -14,14 +14,15 @@
 //! `REPRO_QUICK=1` shrinks the rooms.
 
 use bench::table;
+use lift::arith::ArithExpr;
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
-use lift::prelude::{BinOp, ScalarKind, Value};
+use lift::prelude::{BinOp, ScalarKind};
 use room_acoustics::{
     BoundaryKernel, BoundaryModel, GridDims, HandwrittenSim, Material, MaterialAssignment,
-    Precision, RoomShape, SimConfig, SimSetup,
+    Precision, RoomShape, SimConfig, SimSetup, Simulation, StepKernel, StepKernels,
 };
 use serde::Serialize;
-use vgpu::{Arg, Device, DeviceProfile, ExecMode, ModelInput};
+use vgpu::{Device, DeviceProfile, ExecMode, ModelInput};
 
 fn modeled_ms(txn: u64, flops: u64, double: bool) -> f64 {
     vgpu::modeled_time_s(
@@ -117,31 +118,13 @@ fn main() {
         };
         let setup = SimSetup::new(&cfg);
         // fused (Listing 1)
-        let mut device = Device::gtx780();
-        let k = room_acoustics::handwritten::fi_single_kernel().resolve_real(ScalarKind::F32);
-        let prep = device.compile(&k).unwrap();
-        let n = dims.total();
-        let bufs: Vec<_> =
-            (0..3).map(|_| device.create_buffer_zeroed(ScalarKind::F32, n)).collect();
-        let args = [
-            Arg::Buf(bufs[0]),
-            Arg::Buf(bufs[1]),
-            Arg::Buf(bufs[2]),
-            Arg::Val(Value::F32(setup.l as f32)),
-            Arg::Val(Value::F32(setup.l2 as f32)),
-            Arg::Val(Value::F32(0.1)),
-            Arg::Val(Value::I32(dims.nx as i32)),
-            Arg::Val(Value::I32(dims.ny as i32)),
-            Arg::Val(Value::I32(dims.nz as i32)),
-        ];
-        let fused = device
-            .launch(
-                &prep,
-                &args,
-                &[dims.nx, dims.ny, dims.nz],
-                ExecMode::Model { sample_stride: stride },
-            )
-            .unwrap();
+        let mut fused_sim = Simulation::new(
+            setup.clone(),
+            Precision::Single,
+            bench::measure::fi_single_kernels(bench::measure::Impl::OpenCl, Precision::Single),
+            vec![Device::gtx780()],
+        );
+        let (fused, _) = fused_sim.step(ExecMode::Model { sample_stride: stride }).remove(0);
         let fused_ms = modeled_ms(fused.transaction_bytes.unwrap(), fused.counters.flops, false);
         // split (Listing 2): volume + gathered boundary
         let mut sim = HandwrittenSim::new(
@@ -180,32 +163,18 @@ fn main() {
         );
         let g = sim.boundary_step_only(ExecMode::Model { sample_stride: 1 });
         let g_ms = modeled_ms(g.transaction_bytes.unwrap(), g.counters.flops, false);
-        // full scan
-        let mut device = Device::gtx780();
+        // full scan: a one-kernel "step" over the whole grid (its `beta`
+        // scalar binds to the setup's first material)
         let k = fullscan_boundary_kernel().resolve_real(ScalarKind::F32);
-        let prep = device.compile(&k).unwrap();
-        let n = dims.total();
-        let nbrs = device.upload(vgpu::BufData::from(setup.room.nbrs.clone()));
-        let next = device.create_buffer_zeroed(ScalarKind::F32, n);
-        let prev = device.create_buffer_zeroed(ScalarKind::F32, n);
-        let args = [
-            Arg::Buf(nbrs),
-            Arg::Buf(next),
-            Arg::Buf(prev),
-            Arg::Val(Value::F32(setup.l as f32)),
-            Arg::Val(Value::F32(0.1)),
-            Arg::Val(Value::I32(dims.nx as i32)),
-            Arg::Val(Value::I32(dims.ny as i32)),
-            Arg::Val(Value::I32(dims.nz as i32)),
-        ];
-        let f = device
-            .launch(
-                &prep,
-                &args,
-                &[dims.nx, dims.ny, dims.nz],
-                ExecMode::Model { sample_stride: stride },
-            )
-            .unwrap();
+        let grid = ["Nx", "Ny", "Nz"].map(ArithExpr::var).to_vec();
+        let k = StepKernel::new(k, Default::default(), grid).expect("vocabulary names");
+        let mut scan = Simulation::new(
+            setup,
+            Precision::Single,
+            StepKernels::single(k.into()),
+            vec![Device::gtx780()],
+        );
+        let (f, _) = scan.step(ExecMode::Model { sample_stride: stride }).remove(0);
         let f_ms = modeled_ms(f.transaction_bytes.unwrap(), f.counters.flops, false);
         for (variant, ms) in [("gathered boundaryIndices", g_ms), ("full-grid scan + mask", f_ms)] {
             trows.push(vec!["boundary iteration".into(), variant.into(), format!("{ms:.3} ms")]);

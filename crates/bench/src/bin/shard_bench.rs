@@ -1,7 +1,7 @@
 //! Scaling curve for domain-sharded execution: ms/step vs device count.
 //!
 //! For box and dome rooms, FI-MM and FD-MM boundaries, runs the full
-//! leap-frog loop on [`ShardedSim`] at 1, 2 and 4 virtual devices and
+//! leap-frog loop on [`Simulation`] at 1, 2 and 4 virtual devices and
 //! reports, per configuration and device count:
 //!
 //! * measured wall-clock ms/step (fast mode, best-of-3);
@@ -16,11 +16,11 @@
 //! Usage: `shard_bench [cube-edge] [steps]` (defaults 24, 40).
 
 use room_acoustics::{
-    BoundaryKernel, GridDims, Precision, RoomShape, ShardedSim, SimConfig, SimSetup,
+    BoundaryKernel, GridDims, Precision, RoomShape, SimConfig, SimSetup, Simulation,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
-use vgpu::{Device, DeviceProfile, ExecMode, HaloTotals, ModelInput, SlabPartition};
+use vgpu::{Device, DeviceProfile, ExecMode, HaloTotals, ModelInput};
 
 fn devices(n: usize) -> Vec<Device> {
     (0..n).map(|_| Device::gtx780()).collect()
@@ -45,14 +45,7 @@ fn run_one(
     steps: usize,
 ) -> Row {
     let dims = setup.dims();
-    let part = SlabPartition::balanced(dims.nz, dev_count);
-    let mut sim = ShardedSim::with_partition(
-        setup.clone(),
-        Precision::Single,
-        kind,
-        devices(dev_count),
-        part,
-    );
+    let mut sim = Simulation::new(setup.clone(), Precision::Single, kind, devices(dev_count));
     sim.impulse(dims.nx / 2, dims.ny / 2, dims.nz / 2, 1.0);
 
     // One modeled step: per-slab transaction/flop counts feed the sharded

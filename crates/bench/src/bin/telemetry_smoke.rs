@@ -30,7 +30,7 @@ fn main() {
         for _ in 0..steps {
             sim.step(ExecMode::Model { sample_stride: 1 });
         }
-        for ev in sim.device.events() {
+        for ev in sim.devices[0].events() {
             *expected_flops.entry(ev.name.clone()).or_insert(0) += ev.stats.counters.flops;
         }
     }
@@ -46,7 +46,9 @@ fn main() {
         stats.span_names.len()
     );
 
-    for name in ["volume_handling_lift", "fimm_boundary_lift", "LiftSim::step", "LiftSim::new"] {
+    for name in
+        ["volume_handling_lift", "fimm_boundary_lift", "Simulation::step", "Simulation::new"]
+    {
         assert!(stats.span_names.contains(name), "missing span `{name}` in {path}");
     }
     assert!(

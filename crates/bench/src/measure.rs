@@ -1,11 +1,12 @@
 //! Kernel measurement on the virtual GPU.
 
-use lift_acoustics::{FiSingleLift, LiftBoundary, LiftSim};
+use lift_acoustics::{programs, runner, LiftBoundary};
 use room_acoustics::{
-    BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, SimConfig, SimSetup,
+    handwritten, BoundaryKernel, GridDims, KernelSource, Precision, RoomShape, SimConfig, SimSetup,
+    Simulation, SingleSim, StepKernel, StepKernels,
 };
 use serde::Serialize;
-use vgpu::{Counters, Device, DeviceProfile, ExecMode, ModelInput};
+use vgpu::{Counters, Device, DeviceProfile, ExecMode, LaunchStats, ModelInput};
 
 /// Which implementation a measurement exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -78,55 +79,65 @@ impl Measurement {
     }
 }
 
-fn precision_label(p: Precision) -> &'static str {
-    p.label()
+impl Measurement {
+    fn new(
+        which: Impl,
+        algo: &'static str,
+        dims: GridDims,
+        shape: &'static str,
+        precision: Precision,
+        updates: u64,
+        stats: LaunchStats,
+    ) -> Measurement {
+        Measurement {
+            impl_name: which.label(),
+            algo,
+            size: dims.label(),
+            shape,
+            precision: precision.label(),
+            updates,
+            counters: stats.counters,
+            txn_bytes: stats.transaction_bytes.expect("model mode"),
+            wall_ms: stats.wall.as_secs_f64() * 1e3,
+            double: precision == Precision::Double,
+        }
+    }
+}
+
+/// One boundary launch in transaction-counting mode on a fresh device.
+/// Boundary traffic is value-independent (no data-dependent branches), so
+/// the kernel is measured in isolation without a volume pass.
+fn boundary_launch(
+    setup: SimSetup,
+    precision: Precision,
+    kernels: impl KernelSource,
+) -> LaunchStats {
+    // Each measurement is one logical simulation: rescope the fallback/
+    // divergence dedupe so a repro bin running many sims in one process
+    // gets every sim's audit records, not just the first's.
+    vgpu::exec::reset_fallback_dedupe();
+    SingleSim::new(setup, precision, kernels, Device::gtx780())
+        .boundary_step_only(ExecMode::Model { sample_stride: 1 })
 }
 
 /// Measures the FI-MM boundary kernel (Figure 5 / Table V) for one
-/// configuration. Runs two warm-up steps (so the field is non-trivial) and
-/// measures the third boundary launch in transaction-counting mode.
+/// configuration.
 pub fn measure_fimm(
     dims: GridDims,
     shape: RoomShape,
     precision: Precision,
     which: Impl,
 ) -> Measurement {
-    // Each measurement is one logical simulation: rescope the fallback/
-    // divergence dedupe so a repro bin running many sims in one process
-    // gets every sim's audit records, not just the first's.
-    vgpu::exec::reset_fallback_dedupe();
     let setup = SimSetup::new(&SimConfig::fimm(dims, shape));
     let updates = setup.num_b() as u64;
-    // Boundary traffic is value-independent (no data-dependent branches),
-    // so the kernel is measured in isolation without a volume pass.
     let stats = match which {
+        // the hand-tuned kernel keeps β in constant memory (§VII-B1)
         Impl::OpenCl => {
-            let mut sim = HandwrittenSim::new(
-                setup,
-                precision,
-                // the hand-tuned kernel keeps β in constant memory (§VII-B1)
-                BoundaryKernel::FiMm { beta_constant: true },
-                Device::gtx780(),
-            );
-            sim.boundary_step_only(ExecMode::Model { sample_stride: 1 })
+            boundary_launch(setup, precision, BoundaryKernel::FiMm { beta_constant: true })
         }
-        Impl::Lift => {
-            let mut sim = LiftSim::new(setup, precision, LiftBoundary::FiMm, Device::gtx780());
-            sim.boundary_step_only(ExecMode::Model { sample_stride: 1 })
-        }
+        Impl::Lift => boundary_launch(setup, precision, LiftBoundary::FiMm),
     };
-    Measurement {
-        impl_name: which.label(),
-        algo: "FI-MM",
-        size: dims.label(),
-        shape: shape.label(),
-        precision: precision_label(precision),
-        updates,
-        counters: stats.counters,
-        txn_bytes: stats.transaction_bytes.expect("model mode"),
-        wall_ms: stats.wall.as_secs_f64() * 1e3,
-        double: precision == Precision::Double,
-    }
+    Measurement::new(which, "FI-MM", dims, shape.label(), precision, updates, stats)
 }
 
 /// Measures the FD-MM boundary kernel (Figure 6 / Table VI, `MB = 3`).
@@ -136,32 +147,34 @@ pub fn measure_fdmm(
     precision: Precision,
     which: Impl,
 ) -> Measurement {
-    vgpu::exec::reset_fallback_dedupe(); // one sim = one dedupe scope
     let setup = SimSetup::new(&SimConfig::fdmm(dims, shape));
     let updates = setup.num_b() as u64;
     let stats = match which {
-        Impl::OpenCl => {
-            let mut sim =
-                HandwrittenSim::new(setup, precision, BoundaryKernel::FdMm, Device::gtx780());
-            sim.boundary_step_only(ExecMode::Model { sample_stride: 1 })
-        }
-        Impl::Lift => {
-            let mut sim = LiftSim::new(setup, precision, LiftBoundary::FdMm, Device::gtx780());
-            sim.boundary_step_only(ExecMode::Model { sample_stride: 1 })
-        }
+        Impl::OpenCl => boundary_launch(setup, precision, BoundaryKernel::FdMm),
+        Impl::Lift => boundary_launch(setup, precision, LiftBoundary::FdMm),
     };
-    Measurement {
-        impl_name: which.label(),
-        algo: "FD-MM",
-        size: dims.label(),
-        shape: shape.label(),
-        precision: precision_label(precision),
-        updates,
-        counters: stats.counters,
-        txn_bytes: stats.transaction_bytes.expect("model mode"),
-        wall_ms: stats.wall.as_secs_f64() * 1e3,
-        double: precision == Precision::Double,
-    }
+    Measurement::new(which, "FD-MM", dims, shape.label(), precision, updates, stats)
+}
+
+/// The one-kernel FI simulation (Listing 1 hand-written, Listing 6
+/// generated) as a kernel set.
+pub fn fi_single_kernels(which: Impl, precision: Precision) -> StepKernels {
+    let real = precision.kind();
+    let kernel = match which {
+        Impl::OpenCl => StepKernel::handwritten(handwritten::fi_single_kernel(), real),
+        Impl::Lift => runner::step_kernel(&programs::fi_single_program(), real),
+    };
+    StepKernels::single(kernel.expect("shipped FI kernels bind"))
+}
+
+/// A uniform-β box room for the one-kernel FI simulation.
+pub fn fi_setup(dims: GridDims, beta: f64) -> SimSetup {
+    SimSetup::new(&SimConfig {
+        dims,
+        shape: RoomShape::Box,
+        assignment: room_acoustics::MaterialAssignment::Uniform,
+        boundary: room_acoustics::BoundaryModel::Fi { beta },
+    })
 }
 
 /// Measures the naive one-kernel FI simulation (Figure 4 / Table IV, box
@@ -176,71 +189,11 @@ pub fn measure_fi_single(
     sample_stride: usize,
 ) -> Measurement {
     vgpu::exec::reset_fallback_dedupe(); // one sim = one dedupe scope
-    let cfg = SimConfig {
-        dims,
-        shape: RoomShape::Box,
-        assignment: room_acoustics::MaterialAssignment::Uniform,
-        boundary: room_acoustics::BoundaryModel::Fi { beta: 0.1 },
-    };
-    let setup = SimSetup::new(&cfg);
-    let updates = dims.total() as u64;
-    let src = (dims.nx / 3, dims.ny / 3, dims.nz / 3);
-    let stats = match which {
-        Impl::OpenCl => {
-            // direct launch of the hand-written Listing 1 kernel
-            let mut device = Device::gtx780();
-            let real = precision.kind();
-            let kernel = room_acoustics::handwritten::fi_single_kernel().resolve_real(real);
-            let prep = device.compile(&kernel).expect("fi kernel");
-            let n = dims.total();
-            let prev = device.create_buffer_zeroed(real, n);
-            let curr = device.create_buffer_zeroed(real, n);
-            let next = device.create_buffer_zeroed(real, n);
-            // impulse
-            let idx = dims.idx(src.0, src.1, src.2);
-            for b in [curr, prev] {
-                let mut d = device.read(b);
-                d.set(idx, precision.val(1.0));
-                device.write(b, d);
-            }
-            let args = [
-                vgpu::Arg::Buf(next),
-                vgpu::Arg::Buf(curr),
-                vgpu::Arg::Buf(prev),
-                vgpu::Arg::Val(precision.val(setup.l)),
-                vgpu::Arg::Val(precision.val(setup.l2)),
-                vgpu::Arg::Val(precision.val(0.1)),
-                vgpu::Arg::Val(lift::scalar::Value::I32(dims.nx as i32)),
-                vgpu::Arg::Val(lift::scalar::Value::I32(dims.ny as i32)),
-                vgpu::Arg::Val(lift::scalar::Value::I32(dims.nz as i32)),
-            ];
-            device
-                .launch(
-                    &prep,
-                    &args,
-                    &[dims.nx, dims.ny, dims.nz],
-                    ExecMode::Model { sample_stride },
-                )
-                .expect("fi launch")
-        }
-        Impl::Lift => {
-            let mut sim = FiSingleLift::new(setup, precision, 0.1, Device::gtx780());
-            sim.impulse(src.0, src.1, src.2, 1.0);
-            sim.step(ExecMode::Model { sample_stride })
-        }
-    };
-    Measurement {
-        impl_name: which.label(),
-        algo: "FI",
-        size: dims.label(),
-        shape: "box",
-        precision: precision_label(precision),
-        updates,
-        counters: stats.counters,
-        txn_bytes: stats.transaction_bytes.expect("model mode"),
-        wall_ms: stats.wall.as_secs_f64() * 1e3,
-        double: precision == Precision::Double,
-    }
+    let kernels = fi_single_kernels(which, precision);
+    let mut sim = Simulation::new(fi_setup(dims, 0.1), precision, kernels, vec![Device::gtx780()]);
+    sim.impulse(dims.nx / 3, dims.ny / 3, dims.nz / 3, 1.0);
+    let (stats, _) = sim.step(ExecMode::Model { sample_stride }).remove(0);
+    Measurement::new(which, "FI", dims, "box", precision, dims.total() as u64, stats)
 }
 
 /// The room sizes to benchmark: the paper's Table II sizes, or reduced

@@ -8,21 +8,10 @@
 //! — integration-test binaries are separate processes, which isolates it
 //! from the vgpu crate's own telemetry tests.
 
-use lift_acoustics::FiSingleLift;
-use room_acoustics::{
-    BoundaryModel, GridDims, MaterialAssignment, Precision, RoomShape, SimConfig, SimSetup,
-};
+use bench::measure::{fi_setup, fi_single_kernels, Impl};
+use room_acoustics::{GridDims, Precision, Simulation};
 use vgpu::telemetry::{self, sink, TraceMode};
 use vgpu::{Device, ExecMode};
-
-fn fi_setup(dims: GridDims) -> SimSetup {
-    SimSetup::new(&SimConfig {
-        dims,
-        shape: RoomShape::Box,
-        assignment: MaterialAssignment::Uniform,
-        boundary: BoundaryModel::Fi { beta: 0.1 },
-    })
-}
 
 #[test]
 fn cube16_fi_trace_is_golden_at_both_precisions() {
@@ -34,12 +23,14 @@ fn cube16_fi_trace_is_golden_at_both_precisions() {
     let (mut expected_flops, mut expected_txn) = (0u64, 0u64);
     let mut expected_launches = 0u64;
     for precision in [Precision::Single, Precision::Double] {
-        let mut sim = FiSingleLift::new(fi_setup(dims), precision, 0.1, Device::gtx780());
+        let kernels = fi_single_kernels(Impl::Lift, precision);
+        let mut sim =
+            Simulation::new(fi_setup(dims, 0.1), precision, kernels, vec![Device::gtx780()]);
         sim.impulse(8, 8, 8, 1.0);
         for _ in 0..steps {
             sim.step(ExecMode::Model { sample_stride: 1 });
         }
-        for ev in sim.device.events() {
+        for ev in sim.devices[0].events() {
             assert_eq!(ev.name, "fi_single_lift");
             expected_launches += 1;
             expected_flops += ev.stats.counters.flops;
@@ -57,7 +48,7 @@ fn cube16_fi_trace_is_golden_at_both_precisions() {
 
     // Expected span names: host-side phases, the kernel, and both transfer
     // directions (impulse reads and writes curr/prev; `nbrs` is uploaded).
-    for name in ["FiSingleLift::new", "FiSingleLift::step", "fi_single_lift"] {
+    for name in ["Simulation::new", "Simulation::step", "fi_single_lift"] {
         assert!(stats.span_names.contains(name), "missing span `{name}`");
     }
     assert!(

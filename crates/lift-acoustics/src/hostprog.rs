@@ -19,9 +19,9 @@ use lift::arith::ArithExpr;
 use lift::host::{self, BufRange, HostCmd, HostExpr, HostProgram, KernelDef, LaunchArg};
 use lift::lower::LowerError;
 use lift::types::{ScalarKind, Type};
-use room_acoustics::shard_sim::{boundary_cuts, checked_boundary_cuts};
+use room_acoustics::partition::{boundary_cuts, checked_boundary_cuts};
 use room_acoustics::sim::SimSetup;
-use room_acoustics::vgpu_sim::Precision;
+use room_acoustics::Precision;
 use vgpu::{BufData, Device, ExecMode, HostEnv, SlabPartition};
 
 /// Builds the Listing 5 host expression for one FI-MM simulation step.
@@ -192,6 +192,9 @@ fn owned_var(d: usize) -> String {
 }
 fn numb_var(d: usize) -> String {
     format!("numB@d{d}")
+}
+fn nl_var(d: usize) -> String {
+    format!("N@d{d}")
 }
 /// Host-input name of device `d`'s localized boundary-index list.
 fn local_bidx_name(d: usize) -> String {
@@ -440,12 +443,16 @@ pub fn fimm_step_sharded_host_program(
                         if bcuts[d + 1] == bcuts[d] {
                             continue; // no boundary points in this slab
                         }
+                        // `N` is the length of the slab-local `next`/`prev`
+                        // the kernel indexes, as its launch contract states
+                        // (`programs::launch_assumptions`).
                         let args = args
                             .iter()
                             .map(|a| match a {
                                 LaunchArg::SizeVar(n) if n == "numB" => {
                                     LaunchArg::SizeVar(numb_var(d))
                                 }
+                                LaunchArg::SizeVar(n) if n == "N" => LaunchArg::SizeVar(nl_var(d)),
                                 a => a.clone(),
                             })
                             .collect();
@@ -497,6 +504,7 @@ fn shard_env(env: HostEnv, setup: &SimSetup, part: &SlabPartition) -> HostEnv {
             .collect();
         env = env
             .size(&nzl_var(d), part.local_planes(d) as i64)
+            .size(&nl_var(d), (part.local_planes(d) * plane) as i64)
             .size(&owned_var(d), part.owned(d) as i64)
             .size(&numb_var(d), (bcuts[d + 1] - bcuts[d]) as i64)
             .array(&local_bidx_name(d), BufData::from(local));

@@ -10,9 +10,10 @@
 //!   boundary handling (tuple-of-`WriteTo` multi-output of §V-D);
 //! * [`hostprog`] — the Listing 5 host orchestration built from `ToGPU` /
 //!   `OclKernel` / `WriteTo` / `ToHost`;
-//! * [`runner`] — simulation drivers ([`runner::LiftSim`],
-//!   [`runner::FiSingleLift`]) that step the generated kernels with rotated
-//!   device buffers.
+//! * [`runner`] — the generated kernels as a kernel set for
+//!   [`room_acoustics::Simulation`] ([`LiftBoundary`] is a
+//!   [`room_acoustics::KernelSource`]; [`runner::step_kernel`] lowers and
+//!   binds any one program, e.g. the one-kernel FI simulation).
 
 #![warn(missing_docs)]
 
@@ -21,4 +22,8 @@ pub mod programs;
 pub mod runner;
 
 pub use programs::Program;
-pub use runner::{FiSingleLift, LiftBoundary, LiftSim};
+pub use runner::LiftBoundary;
+
+/// A one-device [`room_acoustics::Simulation`] over generated kernels:
+/// `LiftSim::new(setup, precision, LiftBoundary::FdMm, device)`.
+pub type LiftSim = room_acoustics::SingleSim;

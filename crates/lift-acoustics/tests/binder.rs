@@ -1,0 +1,130 @@
+//! The role binder over both kernel families: every shipped generated
+//! kernel binds, a simulation uploads exactly what the front end it
+//! replaced uploaded, and step loops keep reusing their launch plans.
+//!
+//! Own test binary, serialized on a local mutex: the upload pins are deltas
+//! of the process-wide `vgpu.xfer.to_gpu.*` counters.
+
+use lift::prelude::ScalarKind;
+use lift_acoustics::{programs, runner, LiftBoundary};
+use room_acoustics::{
+    handwritten, BoundaryKernel, BoundaryModel, GridDims, KernelSource, MaterialAssignment,
+    Precision, RoomShape, SimConfig, SimSetup, Simulation, StepKernel, StepKernels,
+};
+use std::sync::Mutex;
+use vgpu::{Device, Engine, ExecMode};
+
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+#[test]
+fn every_generated_kernel_resolves_every_parameter() {
+    for p in programs::all_programs() {
+        for real in [ScalarKind::F32, ScalarKind::F64] {
+            let bound = runner::step_kernel(&p, real)
+                .unwrap_or_else(|e| panic!("{} @ {real:?}: {e}", p.name));
+            assert_eq!(bound.global.len(), usize::from(bound.kernel.work_dim), "{}", p.name);
+        }
+    }
+}
+
+fn to_gpu() -> (u64, u64) {
+    let reg = vgpu::telemetry::registry();
+    (reg.counter("vgpu.xfer.to_gpu.bytes").get(), reg.counter("vgpu.xfer.to_gpu.transfers").get())
+}
+
+/// (bytes, transfers) a construction moves host → device.
+fn uploaded(setup: &SimSetup, precision: Precision, source: impl KernelSource) -> (u64, u64) {
+    let (b0, t0) = to_gpu();
+    let _sim = Simulation::new(setup.clone(), precision, source, vec![Device::gtx780()]);
+    let (b1, t1) = to_gpu();
+    (b1 - b0, t1 - t0)
+}
+
+/// Pinned on the commit before `Simulation` existed, from
+/// `HandwrittenSim::new` and `LiftSim::new`: a slab uploads the roles its
+/// kernel set names and nothing else — `bnbrs` (one i32 per boundary point)
+/// for the generated kernels only.
+#[test]
+fn a_simulation_uploads_what_the_front_end_it_replaced_uploaded() {
+    let _g = COUNTERS.lock().unwrap();
+    let fdmm = SimSetup::new(&SimConfig::fdmm(GridDims::cube(12), RoomShape::Dome));
+    assert_eq!(uploaded(&fdmm, Precision::Single, BoundaryKernel::FdMm), (8732, 8));
+    assert_eq!(uploaded(&fdmm, Precision::Single, LiftBoundary::FdMm), (9564, 9));
+    assert_eq!(9564 - 8732, 4 * fdmm.num_b() as u64, "the difference is bnbrs");
+    let fimm = SimSetup::new(&SimConfig::fimm(GridDims::cube(12), RoomShape::Box));
+    let hand_fimm = BoundaryKernel::FiMm { beta_constant: false };
+    assert_eq!(uploaded(&fimm, Precision::Double, hand_fimm), (10840, 4));
+    assert_eq!(uploaded(&fimm, Precision::Double, LiftBoundary::FiMm), (12792, 5));
+}
+
+/// A step loop launches the same kernels against the same buffer kinds
+/// every step (rotation changes ids, not kinds), so the device plan cache
+/// plateaus at one plan per kernel — for either family, with or without a
+/// boundary kernel — and cached steps report the same work as cold ones.
+#[test]
+fn step_loops_reuse_cached_launch_plans() {
+    let _g = COUNTERS.lock().unwrap();
+    let real = ScalarKind::F64;
+    let fi = |k: Result<std::sync::Arc<StepKernel>, _>| StepKernels::single(k.unwrap());
+    let cases: [(&str, StepKernels, usize); 4] = [
+        (
+            "hand FI-MM",
+            BoundaryKernel::FiMm { beta_constant: false }.step_kernels(real).unwrap(),
+            2,
+        ),
+        ("generated FI-MM", LiftBoundary::FiMm.step_kernels(real).unwrap(), 2),
+        ("hand FI", fi(StepKernel::handwritten(handwritten::fi_single_kernel(), real)), 1),
+        ("generated FI", fi(runner::step_kernel(&programs::fi_single_program(), real)), 1),
+    ];
+    for (what, kernels, plans) in cases {
+        let cfg = if plans == 2 {
+            SimConfig::fimm(GridDims::cube(10), RoomShape::Box)
+        } else {
+            SimConfig {
+                dims: GridDims::cube(10),
+                shape: RoomShape::Box,
+                assignment: MaterialAssignment::Uniform,
+                boundary: BoundaryModel::Fi { beta: 0.1 },
+            }
+        };
+        let devices = vec![Device::gtx780()];
+        let mut sim = Simulation::new(SimSetup::new(&cfg), Precision::Double, kernels, devices);
+        sim.impulse(5, 5, 5, 1.0);
+        let mode = ExecMode::Model { sample_stride: 1 };
+        let work = |stats: &room_acoustics::simulation::ShardStepStats| {
+            room_acoustics::simulation::sum_step_stats(stats)
+        };
+        let cold = work(&sim.step(mode));
+        assert_eq!(sim.devices[0].plan_cache_len(), plans, "{what}: one plan per kernel");
+        for _ in 0..3 {
+            let warm = work(&sim.step(mode));
+            assert_eq!(sim.devices[0].plan_cache_len(), plans, "{what}: plans are reused");
+            assert_eq!(warm, cold, "{what}: a cached step reports the same work");
+        }
+    }
+}
+
+/// Generated kernels used to run without a launch contract (only the
+/// hand-written ones were ever registered), so the fused executor kept a
+/// bounds check on every data-dependent gather of `fdmm_boundary_lift`: 28
+/// sites proven, 10 checked. Under the contract `lift_verify` proves them
+/// with, all 10 + 28 sites of the volume and boundary kernels are proven.
+#[test]
+fn generated_kernels_launch_under_their_contract() {
+    let _g = COUNTERS.lock().unwrap();
+    let sites = || {
+        let reg = vgpu::telemetry::registry();
+        let (proven, checked) = ("vgpu.compiled.sites_proven", "vgpu.compiled.sites_checked");
+        (reg.counter(proven).get(), reg.counter(checked).get())
+    };
+    // A room no other test of this binary launches: proofs are memoized per
+    // launch shape, and only a first sighting moves the counters.
+    let setup = SimSetup::new(&SimConfig::fdmm(GridDims::new(13, 11, 10), RoomShape::Dome));
+    let mut device = Device::gtx780();
+    device.set_engine(Engine::Fast);
+    let mut sim = Simulation::new(setup, Precision::Single, LiftBoundary::FdMm, vec![device]);
+    let (proven0, checked0) = sites();
+    sim.step(ExecMode::Fast);
+    let (proven, checked) = sites();
+    assert_eq!((proven - proven0, checked - checked0), (38, 0));
+}

@@ -5,10 +5,10 @@
 //! and hand-written kernel (both precisions), the dataflow passes over
 //! each compiled tape, and the read-before-write pass over the shipped
 //! host programs. Prints the diagnostics table, the per-kernel PROVEN vs
-//! POTENTIAL site summary (what `VGPU_ENGINE=compiled` may elide vs must
-//! keep checking) and the host audit, and exits nonzero if any
-//! non-fixture site, race map, halo width or host buffer is unproven —
-//! or if the deliberately broken fixtures are *not* flagged.
+//! POTENTIAL site summary (what the `fast` engine's fused-block executor
+//! may elide vs must keep checking) and the host audit, and exits nonzero
+//! if any non-fixture site, race map, halo width or host buffer is
+//! unproven — or if the deliberately broken fixtures are *not* flagged.
 //!
 //! `--json` instead emits the machine-readable verdict + footprint
 //! report ([`verify::report_json`]) on stdout, with the same exit-code

@@ -468,11 +468,11 @@ pub fn host_audit() -> Vec<(String, bool, Vec<lift::footprint::UninitRead>)> {
     out
 }
 
-/// Renders the compiled-engine elision eligibility summary: per kernel
-/// variant, how many bounds sites come back PROVEN — eligible for
-/// proof-licensed check elision under `VGPU_ENGINE=compiled` — versus
-/// POTENTIAL, which the compiled engine keeps on the dynamic-check path
-/// (see `vgpu::register_launch_contract`).
+/// Renders the elision eligibility summary: per kernel variant, how many
+/// bounds sites come back PROVEN — eligible for proof-licensed check
+/// elision in the `fast` engine's fused-block executor — versus POTENTIAL,
+/// which that executor keeps on the dynamic-check path (see
+/// `vgpu::register_launch_contract`).
 pub fn render_site_summary(reports: &[SuiteReport]) -> String {
     use std::fmt::Write as _;
     let mut s = String::from("-- compiled-engine elision eligibility (bounds sites) --\n");

@@ -13,7 +13,7 @@
 use lift::prelude::*;
 use room_acoustics::geometry::{GridDims, RoomShape};
 use room_acoustics::sim::{SimConfig, SimSetup};
-use room_acoustics::vgpu_sim::{BoundaryKernel, HandwrittenSim, Precision};
+use room_acoustics::{BoundaryKernel, HandwrittenSim, Precision, Simulation, StepKernels};
 use verify::fixtures;
 use vgpu::{Arg, Device, ExecMode};
 
@@ -50,7 +50,7 @@ fn handwritten_suite_is_dynamically_race_free() {
 /// Every LIFT-generated backend under the dynamic detector.
 #[test]
 fn generated_suite_is_dynamically_race_free() {
-    use lift_acoustics::runner::{FiSingleLift, LiftBoundary, LiftSim};
+    use lift_acoustics::{programs, runner, LiftBoundary, LiftSim};
     for shape in [RoomShape::Box, RoomShape::LShape] {
         for boundary in [LiftBoundary::FiMm, LiftBoundary::FdMm] {
             let cfg = match boundary {
@@ -64,7 +64,9 @@ fn generated_suite_is_dynamically_race_free() {
             }
         }
         let setup = SimSetup::new(&SimConfig::fimm(GridDims::cube(8), shape));
-        let mut sim = FiSingleLift::new(setup, Precision::Single, 0.1, race_device());
+        let fi = runner::step_kernel(&programs::fi_single_program(), ScalarKind::F32).unwrap();
+        let kernels = StepKernels::single(fi);
+        let mut sim = Simulation::new(setup, Precision::Single, kernels, vec![race_device()]);
         for _ in 0..3 {
             sim.step(ExecMode::Fast);
         }

@@ -6,8 +6,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use room_acoustics::{GridDims, Precision, ReferenceSim, RoomShape, SimConfig, SimSetup};
-use room_acoustics_lift::lift_acoustics::{LiftBoundary, LiftSim};
+use room_acoustics::{
+    GridDims, Precision, ReferenceSim, RoomShape, SimConfig, SimSetup, Simulation,
+};
+use room_acoustics_lift::lift_acoustics::LiftBoundary;
 use room_acoustics_lift::vgpu::Device;
 
 fn main() {
@@ -30,9 +32,13 @@ fn main() {
 
     // 2. Build the LIFT pipeline: the volume and FD-MM boundary kernels are
     //    generated from pattern-IR programs and run on the virtual GPU.
-    let mut sim =
-        LiftSim::new(setup.clone(), Precision::Single, LiftBoundary::FdMm, Device::gtx780());
-    let (vol_src, _) = sim.generated_sources();
+    //    (`BoundaryKernel::FdMm` in place of `LiftBoundary::FdMm` runs the
+    //    hand-written kernels — and several devices — through the same
+    //    front end.)
+    let devices = vec![Device::gtx780()];
+    let mut sim = Simulation::new(setup.clone(), Precision::Single, LiftBoundary::FdMm, devices);
+    let volume = sim.kernels().next().expect("a step has a volume kernel");
+    let vol_src = room_acoustics_lift::lift::opencl::emit_kernel(&volume.kernel);
     println!(
         "\ngenerated volume kernel (first lines):\n{}",
         vol_src.lines().take(6).collect::<Vec<_>>().join("\n")

@@ -141,7 +141,7 @@ fn differential_holds_in_model_mode() {
     for _ in 0..3 {
         lift.step(ExecMode::Model { sample_stride: 4 });
     }
-    assert!(lift.device.events().iter().all(|e| e.modeled_s.unwrap() > 0.0));
+    assert!(lift.devices[0].events().iter().all(|e| e.modeled_s.unwrap() > 0.0));
 }
 
 // --- random-kernel proptest -------------------------------------------------

@@ -7,10 +7,10 @@
 //! kernels (run on the virtual GPU) against the pure-Rust golden models, at
 //! both precisions, on both room shapes.
 
-use lift_acoustics::{FiSingleLift, LiftBoundary, LiftSim};
+use lift_acoustics::{programs, runner, LiftBoundary, LiftSim};
 use room_acoustics::{
     BoundaryKernel, GridDims, HandwrittenSim, MaterialAssignment, Precision, ReferenceSim,
-    RoomShape, SimConfig, SimSetup,
+    RoomShape, SimConfig, SimSetup, Simulation, StepKernels,
 };
 use vgpu::Device;
 
@@ -153,7 +153,9 @@ fn lift_fi_single_kernel_matches_reference() {
     let s = SimSetup::new(&cfg);
     let mut dev = Device::gtx780();
     dev.set_race_check(true);
-    let mut lift = FiSingleLift::new(s.clone(), Precision::Double, 0.25, dev);
+    let fi = runner::step_kernel(&programs::fi_single_program(), Precision::Double.kind()).unwrap();
+    let mut lift =
+        Simulation::new(s.clone(), Precision::Double, StepKernels::single(fi), vec![dev]);
     let mut rf = ReferenceSim::<f64>::new(s);
     lift.impulse(8, 6, 5, 1.0);
     rf.impulse(8, 6, 5, 1.0);
@@ -316,7 +318,8 @@ fn hw_fdmm_matches_reference_f64_lshape() {
 fn generated_opencl_sources_have_expected_structure() {
     let s = fimm_setup(RoomShape::Box);
     let lift = LiftSim::new(s, Precision::Single, LiftBoundary::FiMm, Device::gtx780());
-    let (vol_src, bnd_src) = lift.generated_sources();
+    let mut sources = lift.kernels().map(|k| lift::opencl::emit_kernel(&k.kernel));
+    let (vol_src, bnd_src) = (sources.next().unwrap(), sources.next().unwrap());
     assert!(vol_src.contains("__kernel void volume_handling_lift"), "{vol_src}");
     assert!(vol_src.contains("get_global_id(2)"), "{vol_src}");
     assert!(bnd_src.contains("__kernel void fimm_boundary_lift"), "{bnd_src}");
