@@ -484,6 +484,69 @@ pub struct Fused {
     /// Number of global access sites (`max site + 1`) — sizes the per-site
     /// bounds-check table the executor receives.
     pub(crate) nsites: u32,
+    /// Lane shape of every tape register in a row-coherent warp
+    /// ([`crate::compile::lane_shapes`]).
+    pub(crate) shapes: Vec<Shape>,
+}
+
+/// How a register's value varies across the active lanes of a
+/// *row-coherent* warp — a flat launch's warp whose lanes share `gid[1]` and
+/// `gid[2]`, so that `gid[0]` counts up by one per lane. Classified once per
+/// tape by [`crate::compile::lane_shapes`]; licenses the fused executor's
+/// shortcuts, which audit it lane by lane in debug builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shape {
+    /// The same bits in every active lane.
+    Uniform,
+    /// An i32 register whose lane `l` holds lane `l0`'s value plus
+    /// `stride × (l − l0)`, wrapping.
+    Affine(i32),
+    /// An i64 register holding the sign extension of an [`Shape::Affine`]
+    /// i32 (what `AsI64` makes of one) — the index `LdG`/`StG` consume;
+    /// affine as an i64 only while the i32 does not wrap ([`unit_run`]).
+    Index(i32),
+    Varying,
+}
+
+impl Shape {
+    /// Shape of `a ± b` on i32 registers (wrapping): strides add, and a
+    /// zero stride is uniform.
+    pub(crate) fn add(self, b: Shape, sub: bool) -> Shape {
+        let stride = |s| match s {
+            Shape::Uniform => Some(0i32),
+            Shape::Affine(s) => Some(s),
+            _ => None,
+        };
+        match (stride(self), stride(b)) {
+            (Some(x), Some(y)) => match if sub { x.wrapping_sub(y) } else { x.wrapping_add(y) } {
+                0 => Shape::Uniform,
+                s => Shape::Affine(s),
+            },
+            _ => Shape::Varying,
+        }
+    }
+}
+
+/// What the fused executor may take for granted about one warp: the
+/// per-site bounds verdicts of the launch shape (`checked[site]` keeps the
+/// dynamic check) and the lane shapes of the tape's registers — empty, every
+/// register [`Shape::Varying`], for a warp that is not row-coherent.
+#[derive(Clone, Copy)]
+pub(crate) struct Licence<'a> {
+    pub(crate) checked: &'a [bool],
+    pub(crate) shapes: &'a [Shape],
+}
+
+impl Licence<'_> {
+    #[inline(always)]
+    fn check(&self, site: u32) -> bool {
+        self.checked.get(site as usize).copied().unwrap_or(true)
+    }
+
+    #[inline(always)]
+    fn shape(&self, r: R) -> Shape {
+        self.shapes.get(r as usize).copied().unwrap_or(Shape::Varying)
+    }
 }
 
 /// A compiled kernel tape: one instruction stream with an entry point per
@@ -984,7 +1047,7 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
         optimized_ops: 0,
         joins: Vec::new(),
     };
-    optimize(&mut c, prep.nslots);
+    optimize(&mut c, prep.nslots, &prep.scalar_slots);
     if !validate(&c) {
         // Never expected: the compiler allocated every operand itself. The
         // fallback keeps the launch on the (fully bounds-checked) tree
@@ -1126,7 +1189,7 @@ fn validate(c: &Compiled) -> bool {
 
 // ---- peephole optimizer ----
 //
-// Four passes over the compiled tape, run once at compile time:
+// Five passes over the compiled tape, run once at compile time:
 //
 // 0. **If-conversion** — branch diamonds whose arms are pure straight-line
 //    code are flattened: both arms execute unconditionally into renamed
@@ -1140,6 +1203,9 @@ fn validate(c: &Compiled) -> bool {
 //    execute once per register file instead of once per work-item.
 // 3. **Dead-register elimination** — pure ops whose destination is never
 //    read are removed and jump targets/phase entries are remapped.
+// 4. **Copy coalescing** — a `Mov` out of a single-use temporary folds into
+//    the temporary's producer; a `Mov` that is its destination's only
+//    definition gives way to its source ([`coalesce_copies`]).
 //
 // The passes never touch loads, stores, `Flops`, declarations, or control
 // flow with observable effects, so the observable semantics — buffer bits,
@@ -1150,46 +1216,16 @@ fn validate(c: &Compiled) -> bool {
 /// The destination register an op writes, if any. `MaxOne` both reads and
 /// writes its `dst`; callers that need read sets must also consult
 /// [`visit_srcs`].
+#[inline(always)]
 pub(crate) fn op_dst(op: &Op) -> Option<R> {
-    match *op {
-        Op::Const { dst, .. }
-        | Op::Gid { dst, .. }
-        | Op::Gsz { dst, .. }
-        | Op::Lid { dst, .. }
-        | Op::Lsz { dst, .. }
-        | Op::Grp { dst, .. }
-        | Op::Mov { dst, .. }
-        | Op::Cast { dst, .. }
-        | Op::AsI64 { dst, .. }
-        | Op::MaxOne { dst }
-        | Op::I64ToI32 { dst, .. }
-        | Op::AddI64 { dst, .. }
-        | Op::Neg { dst, .. }
-        | Op::Not { dst, .. }
-        | Op::Bin { dst, .. }
-        | Op::Logic { dst, .. }
-        | Op::MinMax { dst, .. }
-        | Op::Intr1 { dst, .. }
-        | Op::Sel { dst, .. }
-        | Op::LdG { dst, .. }
-        | Op::LdP { dst, .. }
-        | Op::LdL { dst, .. } => Some(dst),
-        Op::StG { .. }
-        | Op::StP { .. }
-        | Op::StL { .. }
-        | Op::DeclPriv { .. }
-        | Op::DeclLocal { .. }
-        | Op::Flops { .. }
-        | Op::Jmp { .. }
-        | Op::JgeI64 { .. }
-        | Op::Jz { .. }
-        | Op::Ret
-        | Op::Halt => None,
-    }
+    let mut op = *op;
+    op_dst_mut(&mut op).copied()
 }
 
-/// Mutable twin of [`op_dst`]: the if-conversion pass redirects an arm's
-/// live-out write into a fresh temporary before predicating it with `Sel`.
+/// The destination field itself: the if-conversion pass redirects an arm's
+/// live-out write into a fresh temporary before predicating it with `Sel`,
+/// copy coalescing retargets a producer.
+#[inline(always)]
 fn op_dst_mut(op: &mut Op) -> Option<&mut R> {
     match op {
         Op::Const { dst, .. }
@@ -1230,51 +1266,13 @@ fn op_dst_mut(op: &mut Op) -> Option<&mut R> {
 
 /// Visits every register an op reads.
 pub(crate) fn visit_srcs(op: &Op, f: &mut impl FnMut(R)) {
-    match *op {
-        Op::Mov { src, .. }
-        | Op::Cast { src, .. }
-        | Op::AsI64 { src, .. }
-        | Op::I64ToI32 { src, .. }
-        | Op::Neg { src, .. }
-        | Op::Not { src, .. }
-        | Op::Intr1 { src, .. } => f(src),
-        Op::MaxOne { dst } => f(dst),
-        Op::AddI64 { a, b, .. }
-        | Op::JgeI64 { a, b, .. }
-        | Op::Bin { a, b, .. }
-        | Op::Logic { a, b, .. }
-        | Op::MinMax { a, b, .. } => {
-            f(a);
-            f(b);
-        }
-        Op::LdG { idx, .. } | Op::LdP { idx, .. } | Op::LdL { idx, .. } => f(idx),
-        Op::StG { idx, val, .. } | Op::StP { idx, val, .. } | Op::StL { idx, val, .. } => {
-            f(idx);
-            f(val);
-        }
-        Op::DeclPriv { len, .. } | Op::DeclLocal { len, .. } => f(len),
-        Op::Jz { cond, .. } => f(cond),
-        Op::Sel { cond, t, f: fv, .. } => {
-            f(cond);
-            f(t);
-            f(fv);
-        }
-        Op::Const { .. }
-        | Op::Gid { .. }
-        | Op::Gsz { .. }
-        | Op::Lid { .. }
-        | Op::Lsz { .. }
-        | Op::Grp { .. }
-        | Op::Flops { .. }
-        | Op::Jmp { .. }
-        | Op::Ret
-        | Op::Halt => {}
-    }
+    let mut op = *op;
+    visit_srcs_mut(&mut op, &mut |r| f(*r));
 }
 
-/// Mutable twin of [`visit_srcs`]: offers every source-register field for
-/// in-place rewriting (the context-CSE pass redirects reads of duplicate
-/// context registers to the canonical one).
+/// Offers every source-register field for in-place rewriting (the
+/// context-CSE pass redirects reads of duplicate context registers to the
+/// canonical one, copy coalescing reads of a copy to its source).
 fn visit_srcs_mut(op: &mut Op, f: &mut impl FnMut(&mut R)) {
     match op {
         Op::Mov { src, .. }
@@ -1330,82 +1328,34 @@ fn count_writers(ops: &[Op], nregs: usize) -> Vec<u32> {
 }
 
 /// Folds one op whose operands are all known constants into its result
-/// bits, reproducing the executors' arithmetic exactly. Returns `None` for
-/// non-foldable ops, unknown operands, and i32 `Div`/`Rem` cases that would
-/// trap at runtime (those must keep trapping at their original site).
+/// bits, by running it ([`eval_pure`], the arithmetic of the prelude) on a
+/// four-register file. Returns `None` for non-foldable ops, unknown
+/// operands, and i32 `Div`/`Rem` cases that would trap at runtime (those
+/// must keep trapping at their original site).
 fn try_fold(op: &Op, constv: &[Option<u64>]) -> Option<(R, u64)> {
-    let c = |r: R| constv[r as usize];
     match *op {
-        Op::Mov { dst, src } => c(src).map(|v| (dst, v)),
-        Op::Cast { dst, src, from, to } => c(src).map(|v| (dst, cast_bits(from, to, v))),
-        Op::AsI64 { dst, src, from } => c(src).map(|v| (dst, bi64(to_i64(from, v)))),
-        Op::I64ToI32 { dst, src } => c(src).map(|v| (dst, bi32(i64v(v) as i32))),
-        Op::AddI64 { dst, a, b } => match (c(a), c(b)) {
-            (Some(x), Some(y)) => Some((dst, bi64(i64v(x).wrapping_add(i64v(y))))),
-            _ => None,
-        },
-        Op::Neg { dst, src, k } => c(src).map(|v| {
-            let bits = match k {
-                K::F32 => b32(-f32v(v)),
-                K::F64 => b64(-f64v(v)),
-                K::I32 => bi32(i32v(v).wrapping_neg()),
-                K::Bool => bi32(((v != 0) as i32).wrapping_neg()),
-            };
-            (dst, bits)
-        }),
-        Op::Not { dst, src, k } => c(src).map(|v| (dst, bb(!truthy(k, v)))),
-        Op::Bin { dst, a, b, op, k } => {
-            let (x, y) = (c(a)?, c(b)?);
-            if k == K::I32 && matches!(op, BinOp::Div | BinOp::Rem) {
-                let (p, q) = (i32v(x), i32v(y));
-                if q == 0 || (p == i32::MIN && q == -1) {
-                    return None;
-                }
-            }
-            Some((dst, bin_bits(op, k, x, y)))
-        }
-        Op::Logic { dst, a, b, ka, kb, or } => match (c(a), c(b)) {
-            (Some(x), Some(y)) => {
-                let (p, q) = (truthy(ka, x), truthy(kb, y));
-                Some((dst, bb(if or { p || q } else { p && q })))
-            }
-            _ => None,
-        },
-        Op::MinMax { dst, a, b, k, max } => {
-            if k == K::Bool {
+        Op::Bin { a, b, op: BinOp::Div | BinOp::Rem, k: K::I32, .. } => {
+            let (p, q) = (i32v(constv[a as usize]?), i32v(constv[b as usize]?));
+            if q == 0 || (p == i32::MIN && q == -1) {
                 return None;
             }
-            let (x, y) = (c(a)?, c(b)?);
-            let bits = match k {
-                K::F32 => {
-                    let (p, q) = (f32v(x) as f64, f32v(y) as f64);
-                    b32((if max { p.max(q) } else { p.min(q) }) as f32)
-                }
-                K::F64 => {
-                    let (p, q) = (f64v(x), f64v(y));
-                    b64(if max { p.max(q) } else { p.min(q) })
-                }
-                K::I32 => {
-                    let (p, q) = (i32v(x) as i64, i32v(y) as i64);
-                    bi32((if max { p.max(q) } else { p.min(q) }) as i32)
-                }
-                K::Bool => unreachable!(),
-            };
-            Some((dst, bits))
         }
-        Op::Intr1 { dst, src, intr, k } => c(src).map(|v| {
-            let bits = match k {
-                K::F32 => b32(intr1_f32(intr, f32v(v))),
-                _ => b64(intr1_f64(intr, f64v(v))),
-            };
-            (dst, bits)
-        }),
-        Op::Sel { dst, cond, ck, t, f } => match (c(cond), c(t), c(f)) {
-            (Some(cv), Some(tv), Some(fv)) => Some((dst, if truthy(ck, cv) { tv } else { fv })),
-            _ => None,
-        },
-        _ => None,
+        Op::MinMax { k: K::Bool, .. } | Op::Const { .. } | Op::Gsz { .. } => return None,
+        _ if !hoistable(op) => return None,
+        _ => {}
     }
+    let (mut op, mut regs, mut n) = (*op, [0u64; 4], 0);
+    let mut known = true;
+    visit_srcs_mut(&mut op, &mut |r| {
+        known &= constv[*r as usize].is_some();
+        regs[n] = constv[*r as usize].unwrap_or(0);
+        (*r, n) = (n as R, n + 1);
+    });
+    let dst = std::mem::replace(op_dst_mut(&mut op)?, 3);
+    known.then(|| {
+        eval_pure(&op, &mut regs, [0; 3]);
+        (dst, regs[3])
+    })
 }
 
 /// True for pure register ops that are safe to hoist into the per-warp
@@ -1438,27 +1388,7 @@ fn hoistable(op: &Op) -> bool {
 /// the program would have branched around), so pass 0 reuses this
 /// predicate for arm bodies.
 fn removable(op: &Op) -> bool {
-    match op {
-        Op::Bin { op: b, k, .. } => !(*k == K::I32 && matches!(b, BinOp::Div | BinOp::Rem)),
-        Op::Const { .. }
-        | Op::Gid { .. }
-        | Op::Gsz { .. }
-        | Op::Lid { .. }
-        | Op::Lsz { .. }
-        | Op::Grp { .. }
-        | Op::Mov { .. }
-        | Op::Cast { .. }
-        | Op::AsI64 { .. }
-        | Op::I64ToI32 { .. }
-        | Op::AddI64 { .. }
-        | Op::Neg { .. }
-        | Op::Not { .. }
-        | Op::Logic { .. }
-        | Op::MinMax { .. }
-        | Op::Intr1 { .. }
-        | Op::Sel { .. } => true,
-        _ => false,
-    }
+    hoistable(op) || matches!(op, Op::Gid { .. } | Op::Lid { .. } | Op::Lsz { .. } | Op::Grp { .. })
 }
 
 /// Pass 0: if-conversion. Looks for the canonical diamond the compiler
@@ -1647,12 +1577,14 @@ fn try_if_convert_at(c: &mut Compiled, joins: &[u32], pc: usize) -> bool {
 
 /// Runs the peephole passes on a freshly compiled tape. `nslots` is
 /// the number of scalar-slot registers (slots may be re-initialised per
-/// item and are never treated as constants or hoist destinations).
+/// item and are never treated as constants or hoist destinations);
+/// `arg_slots` are the slots launch arguments initialise (one entry per
+/// kernel parameter, `None` for buffers).
 // The passes walk `c.ops` by index while mutating the parallel `removed`
 // mask and appending to `c.pre`/`c.item_pre`; iterator forms would need a
 // second borrow of `c`.
 #[allow(clippy::needless_range_loop)]
-fn optimize(c: &mut Compiled, nslots: usize) {
+fn optimize(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>]) {
     // Pass 0 first: it relies on codegen's fresh-temporary discipline
     // (before any other pass moves ops around) and the branches it deletes
     // unlock hoisting of the former arm bodies.
@@ -1827,37 +1759,138 @@ fn optimize(c: &mut Compiled, nslots: usize) {
         c.item_pre.retain(|op| op_dst(op).is_some_and(|d| reads[d as usize] > 0));
     }
 
-    // Compaction: drop removed ops, remapping jump targets and phase entry
-    // points. A target pointing at a removed op falls through to the next
-    // retained one (the prefix count gives exactly that index).
-    if removed.iter().any(|&r| r) {
-        let mut newpos = Vec::with_capacity(c.ops.len() + 1);
-        let mut n = 0u32;
-        for &r in &removed {
-            newpos.push(n);
-            if !r {
-                n += 1;
-            }
-        }
+    compact(c, &removed);
+
+    // Pass 4: copy coalescing, on the compacted tape.
+    let copies = coalesce_copies(c, nslots, arg_slots);
+    c.optimized_ops += copies.iter().filter(|&&r| r).count() as u32;
+    compact(c, &copies);
+}
+
+/// Drops the ops marked in `removed`, remapping jump targets and phase entry
+/// points. A target pointing at a removed op falls through to the next
+/// retained one (the prefix count gives exactly that index).
+fn compact(c: &mut Compiled, removed: &[bool]) {
+    if !removed.iter().any(|&r| r) {
+        return;
+    }
+    let mut newpos = Vec::with_capacity(c.ops.len() + 1);
+    let mut n = 0u32;
+    for &r in removed {
         newpos.push(n);
-        let mut ops = Vec::with_capacity(n as usize);
-        for (i, mut op) in c.ops.drain(..).enumerate() {
-            if removed[i] {
-                continue;
-            }
-            match &mut op {
-                Op::Jmp { target } | Op::Jz { target, .. } | Op::JgeI64 { target, .. } => {
-                    *target = newpos[*target as usize];
-                }
-                _ => {}
-            }
-            ops.push(op);
-        }
-        c.ops = ops;
-        for s in c.phase_starts.iter_mut() {
-            *s = newpos[*s as usize];
+        if !r {
+            n += 1;
         }
     }
+    newpos.push(n);
+    let mut ops = Vec::with_capacity(n as usize);
+    for (i, mut op) in c.ops.drain(..).enumerate() {
+        if removed[i] {
+            continue;
+        }
+        match &mut op {
+            Op::Jmp { target } | Op::Jz { target, .. } | Op::JgeI64 { target, .. } => {
+                *target = newpos[*target as usize];
+            }
+            _ => {}
+        }
+        ops.push(op);
+    }
+    c.ops = ops;
+    for s in c.phase_starts.iter_mut() {
+        *s = newpos[*s as usize];
+    }
+}
+
+/// Pass 4: copy coalescing. Codegen materialises every declaration,
+/// assignment and select arm as `producer → temporary; Mov slot ← temporary`,
+/// and no earlier pass removes a copy. Returns the `Mov`s to drop, after
+/// rewriting the tape around each by one of two rules:
+///
+/// 1. **Retarget the producer.** `src` is a single-writer temporary whose
+///    only reader is this `Mov`, its producer sits earlier in the same basic
+///    block, and nothing in between reads or writes `dst`: the producer
+///    writes `dst` directly. `dst` may have other writers (the arms of a
+///    select); the producer may itself read `dst` (`x = x − t`).
+/// 2. **Redirect the readers.** Otherwise, when the `Mov` is `dst`'s only
+///    definition (`dst` is no launch-argument slot), lies in no loop, and
+///    `src` is not written after it: every read of `dst` — all follow the
+///    `Mov`, by write-before-read — finds the same bits in `src`.
+///
+/// Register contents at every remaining read are unchanged lane for lane, so
+/// buffers, counters, traces and race records are too.
+fn coalesce_copies(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>]) -> Vec<bool> {
+    let n = c.ops.len();
+    let mut removed = vec![false; n];
+    let jump = |op: &Op| match *op {
+        Op::Jmp { target } | Op::Jz { target, .. } | Op::JgeI64 { target, .. } => Some(target),
+        _ => None,
+    };
+    // `leader[pc]`: a basic block starts at `pc`.
+    let mut leader = vec![false; n + 1];
+    for &p in &c.phase_starts {
+        leader[p as usize] = true;
+    }
+    for (pc, op) in c.ops.iter().enumerate() {
+        if let Some(target) = jump(op) {
+            leader[target as usize] = true;
+        }
+        leader[pc + 1] |= jump(op).is_some() || matches!(op, Op::Ret | Op::Halt);
+    }
+    let mut writers = count_writers(&c.ops, c.nregs);
+    let mut reads = vec![0u32; c.nregs];
+    for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
+        visit_srcs(op, &mut |r| reads[r as usize] += 1);
+    }
+    let reads_reg = |op: &Op, r: R| {
+        let mut hit = false;
+        visit_srcs(op, &mut |s| hit |= s == r);
+        hit
+    };
+    for m in 0..n {
+        let Op::Mov { dst, src } = c.ops[m] else { continue };
+        if dst == src {
+            continue;
+        }
+        // Rule 1: look for the producer of `src` in this block.
+        let mut producer = None;
+        if src as usize >= nslots && writers[src as usize] == 1 && reads[src as usize] == 1 {
+            for p in (0..m).rev() {
+                let op = &c.ops[p];
+                if leader[p + 1] || (!removed[p] && op_dst(op) == Some(src)) {
+                    producer = (!leader[p + 1]).then_some(p);
+                    break;
+                }
+                if !removed[p] && (op_dst(op) == Some(dst) || reads_reg(op, dst)) {
+                    break;
+                }
+            }
+        }
+        if let Some(p) = producer {
+            *op_dst_mut(&mut c.ops[p]).expect("a producer writes a register") = dst;
+            (writers[src as usize], reads[src as usize]) = (0, 0);
+            removed[m] = true;
+            continue;
+        }
+        // Rule 2: `dst` is only ever this copy of `src`.
+        let only_def = writers[dst as usize] == 1 && !arg_slots.contains(&Some(dst as usize));
+        let in_loop = c.ops[m..].iter().any(|op| jump(op).is_some_and(|t| t as usize <= m));
+        let read_before = c.ops[..m].iter().any(|op| reads_reg(op, dst));
+        let src_rewritten = c.ops[m + 1..].iter().any(|op| op_dst(op) == Some(src));
+        if only_def && !in_loop && !read_before && !src_rewritten {
+            for op in &mut c.ops[m + 1..] {
+                visit_srcs_mut(op, &mut |r| {
+                    if *r == dst {
+                        *r = src;
+                    }
+                });
+            }
+            reads[src as usize] += reads[dst as usize] - 1;
+            (writers[dst as usize], reads[dst as usize]) = (0, 0);
+            removed[m] = true;
+        }
+    }
+    removed
 }
 
 /// Executes the hoisted prelude once into a freshly initialised register
@@ -1865,70 +1898,73 @@ fn optimize(c: &mut Compiled, nslots: usize) {
 /// pure register ops, so it touches no counters, traces, or memory.
 pub(crate) fn exec_pre(c: &Compiled, regs: &mut [u64], gsize: [usize; 3]) {
     for op in &c.pre {
-        match *op {
-            Op::Const { dst, bits } => regs[dst as usize] = bits,
-            Op::Gsz { dst, dim } => regs[dst as usize] = bi32(gsize[dim as usize] as i32),
-            Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
-            Op::Cast { dst, src, from, to } => {
-                regs[dst as usize] = cast_bits(from, to, regs[src as usize])
-            }
-            Op::AsI64 { dst, src, from } => {
-                regs[dst as usize] = bi64(to_i64(from, regs[src as usize]))
-            }
-            Op::I64ToI32 { dst, src } => regs[dst as usize] = bi32(i64v(regs[src as usize]) as i32),
-            Op::AddI64 { dst, a, b } => {
-                regs[dst as usize] = bi64(i64v(regs[a as usize]) + i64v(regs[b as usize]))
-            }
-            Op::Neg { dst, src, k } => {
-                let s = regs[src as usize];
-                regs[dst as usize] = match k {
-                    K::F32 => b32(-f32v(s)),
-                    K::F64 => b64(-f64v(s)),
-                    K::I32 => bi32(-i32v(s)),
-                    K::Bool => bi32(-((s != 0) as i32)),
-                };
-            }
-            Op::Not { dst, src, k } => {
-                regs[dst as usize] = bb(!truthy(k, regs[src as usize]));
-            }
-            Op::Bin { dst, a, b, op, k } => {
-                regs[dst as usize] = bin_bits(op, k, regs[a as usize], regs[b as usize]);
-            }
-            Op::Logic { dst, a, b, ka, kb, or } => {
-                let (x, y) = (truthy(ka, regs[a as usize]), truthy(kb, regs[b as usize]));
-                regs[dst as usize] = bb(if or { x || y } else { x && y });
-            }
-            Op::MinMax { dst, a, b, k, max } => {
-                let (x, y) = (regs[a as usize], regs[b as usize]);
-                regs[dst as usize] = match k {
-                    K::F32 => {
-                        let (p, q) = (f32v(x) as f64, f32v(y) as f64);
-                        b32((if max { p.max(q) } else { p.min(q) }) as f32)
-                    }
-                    K::F64 => {
-                        let (p, q) = (f64v(x), f64v(y));
-                        b64(if max { p.max(q) } else { p.min(q) })
-                    }
-                    K::I32 => {
-                        let (p, q) = (i32v(x) as i64, i32v(y) as i64);
-                        bi32((if max { p.max(q) } else { p.min(q) }) as i32)
-                    }
-                    K::Bool => unreachable!("min/max never promotes to bool"),
-                };
-            }
-            Op::Intr1 { dst, src, intr, k } => {
-                let s = regs[src as usize];
-                regs[dst as usize] = match k {
-                    K::F32 => b32(intr1_f32(intr, f32v(s))),
-                    _ => b64(intr1_f64(intr, f64v(s))),
-                };
-            }
-            Op::Sel { dst, cond, ck, t, f } => {
-                regs[dst as usize] =
-                    regs[if truthy(ck, regs[cond as usize]) { t } else { f } as usize];
-            }
-            _ => unreachable!("non-hoistable op in prelude"),
+        eval_pure(op, regs, gsize);
+    }
+}
+
+/// Executes one pure register op on a scalar register file: the arithmetic
+/// of the prelude and of constant folding ([`try_fold`]).
+fn eval_pure(op: &Op, regs: &mut [u64], gsize: [usize; 3]) {
+    match *op {
+        Op::Const { dst, bits } => regs[dst as usize] = bits,
+        Op::Gsz { dst, dim } => regs[dst as usize] = bi32(gsize[dim as usize] as i32),
+        Op::Mov { dst, src } => regs[dst as usize] = regs[src as usize],
+        Op::Cast { dst, src, from, to } => {
+            regs[dst as usize] = cast_bits(from, to, regs[src as usize])
         }
+        Op::AsI64 { dst, src, from } => regs[dst as usize] = bi64(to_i64(from, regs[src as usize])),
+        Op::I64ToI32 { dst, src } => regs[dst as usize] = bi32(i64v(regs[src as usize]) as i32),
+        Op::AddI64 { dst, a, b } => {
+            regs[dst as usize] = bi64(i64v(regs[a as usize]).wrapping_add(i64v(regs[b as usize])))
+        }
+        Op::Neg { dst, src, k } => {
+            let s = regs[src as usize];
+            regs[dst as usize] = match k {
+                K::F32 => b32(-f32v(s)),
+                K::F64 => b64(-f64v(s)),
+                K::I32 => bi32(i32v(s).wrapping_neg()),
+                K::Bool => bi32(-((s != 0) as i32)),
+            };
+        }
+        Op::Not { dst, src, k } => {
+            regs[dst as usize] = bb(!truthy(k, regs[src as usize]));
+        }
+        Op::Bin { dst, a, b, op, k } => {
+            regs[dst as usize] = bin_bits(op, k, regs[a as usize], regs[b as usize]);
+        }
+        Op::Logic { dst, a, b, ka, kb, or } => {
+            let (x, y) = (truthy(ka, regs[a as usize]), truthy(kb, regs[b as usize]));
+            regs[dst as usize] = bb(if or { x || y } else { x && y });
+        }
+        Op::MinMax { dst, a, b, k, max } => {
+            let (x, y) = (regs[a as usize], regs[b as usize]);
+            regs[dst as usize] = match k {
+                K::F32 => {
+                    let (p, q) = (f32v(x) as f64, f32v(y) as f64);
+                    b32((if max { p.max(q) } else { p.min(q) }) as f32)
+                }
+                K::F64 => {
+                    let (p, q) = (f64v(x), f64v(y));
+                    b64(if max { p.max(q) } else { p.min(q) })
+                }
+                K::I32 => {
+                    let (p, q) = (i32v(x) as i64, i32v(y) as i64);
+                    bi32((if max { p.max(q) } else { p.min(q) }) as i32)
+                }
+                K::Bool => unreachable!("min/max never promotes to bool"),
+            };
+        }
+        Op::Intr1 { dst, src, intr, k } => {
+            let s = regs[src as usize];
+            regs[dst as usize] = match k {
+                K::F32 => b32(intr1_f32(intr, f32v(s))),
+                _ => b64(intr1_f64(intr, f64v(s))),
+            };
+        }
+        Op::Sel { dst, cond, ck, t, f } => {
+            regs[dst as usize] = regs[if truthy(ck, regs[cond as usize]) { t } else { f } as usize];
+        }
+        _ => unreachable!("not a pure register op"),
     }
 }
 
@@ -2149,19 +2185,31 @@ fn context_bits(op: &Op, gid: &[usize; 3], item: u64, lsize: Option<usize>) -> u
 /// Executes the per-item context prelude for a fresh warp: one deduplicated
 /// `Gid`/`Lid`/`Lsz`/`Grp` read per distinct (op, dim), written to lanes
 /// `0..nact`. Run once per warp, after slot initialisation and before any
-/// phase.
+/// phase. `coherent`: the warp is row-coherent (see [`Shape`]).
 pub(crate) fn exec_item_pre_warp(
     c: &Compiled,
     vregs: &mut [u64],
     nact: usize,
-    gids: &[[usize; 3]],
-    items: &[u64],
+    (gids, items): (&[[usize; 3]], &[u64]),
     lsize: Option<usize>,
+    coherent: bool,
 ) {
     for op in &c.item_pre {
         let dst = op_dst(op).expect("context reads write a register");
-        for l in 0..nact {
-            vs(vregs, dst, l, context_bits(op, &gids[l], items[l], lsize));
+        match *op {
+            // One row: `gid[0]` counts up from the first lane's, `gid[1]`
+            // and `gid[2]` are the first lane's.
+            Op::Gid { dim, .. } if coherent => {
+                let (first, step) = (gids[0][dim as usize] as i32, (dim == 0) as i32);
+                for l in 0..nact {
+                    vs(vregs, dst, l, bi32(first.wrapping_add(step * l as i32)));
+                }
+            }
+            _ => {
+                for l in 0..nact {
+                    vs(vregs, dst, l, context_bits(op, &gids[l], items[l], lsize));
+                }
+            }
         }
     }
 }
@@ -2202,6 +2250,8 @@ pub(crate) struct WarpCtx<'a> {
     /// Kernel identity for shadow-sanitizer findings (`None` when the
     /// sanitizer is off).
     pub san: Option<crate::sanitize::SanCtx<'a>>,
+    /// Warps the fused executor handed to the warp interpreter mid-phase.
+    pub delegated: &'a mut u32,
 }
 
 /// How one warp's run of a phase ended.
@@ -2281,6 +2331,12 @@ fn exec_warp_from(
 // through `for_mask!`, which presents LLVM with constant-trip (full warp)
 // or dense-range (contiguous mask) counted loops over monomorphic bodies.
 //
+// Lane shapes: for a row-coherent warp the executor also receives the tape's
+// lane-shape table ([`Shape`], [`Licence`]), which licenses two shortcuts
+// inside the arms below — unit-stride loads and stores as runs
+// ([`unit_run`]) and branch conditions read off one or two lanes
+// ([`decided`], [`affine_cmp`]) — each audited lane by lane in debug builds.
+//
 // Bounds discipline: the executor receives a per-site `checked` table
 // (true ⇒ keep the dynamic check). Sites the static verifier proved in
 // bounds for every work-item run raw unchecked pointer accesses
@@ -2300,7 +2356,8 @@ fn exec_warp_from(
 /// ([`WarpExec::branch`]'s lanes-disagree test) the interpreter reports,
 /// so `vgpu.warp.divergent` is the same whichever executor ran. The caller
 /// must have tracing and race recording off; those launches run the warp
-/// interpreter wholesale instead.
+/// interpreter wholesale instead. `lic.shapes` is the tape's lane-shape
+/// table when the caller saw that the warp is row-coherent, empty otherwise.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_fused_warp(
     f: &Fused,
@@ -2310,16 +2367,16 @@ pub(crate) fn exec_fused_warp(
     vregs: &mut [u64],
     lane_privs: &mut [Vec<Vec<u64>>],
     w: &mut WarpCtx<'_>,
-    checked: &[bool],
+    lic: Licence<'_>,
 ) -> bool {
     assert!(vregs.len() >= c.nregs * WARP, "SoA register file smaller than tape nregs");
     assert!((1..=WARP).contains(&nact), "active lanes out of range");
     assert!(lane_privs.len() >= nact && w.items.len() >= nact && w.gids.len() >= nact);
     debug_assert!(!w.trace_on && !w.race_on, "tracing/race modes run the warp interpreter");
     if w.prof.is_some() {
-        run_fused::<true>(f, c, phase, nact, vregs, lane_privs, w, checked)
+        run_fused::<true>(f, c, phase, nact, vregs, lane_privs, w, lic)
     } else {
-        run_fused::<false>(f, c, phase, nact, vregs, lane_privs, w, checked)
+        run_fused::<false>(f, c, phase, nact, vregs, lane_privs, w, lic)
     }
 }
 
@@ -2349,16 +2406,22 @@ fn run_fused<const PROF: bool>(
     vregs: &mut [u64],
     lane_privs: &mut [Vec<Vec<u64>>],
     w: &mut WarpCtx<'_>,
-    checked: &[bool],
+    lic: Licence<'_>,
 ) -> bool {
     let mut mask = prefix_mask(nact);
     let mut diverged = false;
     let mut bi = f.entries[phase] as usize;
     loop {
         let blk = &f.blocks[bi];
-        exec_block_ops::<PROF>(&blk.ops, mask, vregs, lane_privs, w, checked);
+        exec_block_ops::<PROF>(&blk.ops, mask, vregs, lane_privs, w, lic);
         let t0 = if PROF { Some(Instant::now()) } else { None };
-        // `zmask` collects the active lanes taking the `on_zero` side.
+        let uniform = |r: R| lic.shape(r) == Shape::Uniform;
+        // `zmask` collects the active lanes taking the `on_zero` side. A
+        // condition over uniform registers is read off the first active
+        // lane, an ordered compare of an affine register with a uniform one
+        // off the two end lanes ([`affine_cmp`]); the lane loop settles the
+        // rest — and, in debug builds, audits both shortcuts.
+        let first = mask & mask.wrapping_neg();
         let (zmask, on_zero, on_nonzero, orig_pc, prof_idx) = match blk.term {
             FTerm::Halt => return diverged,
             FTerm::Jmp { block } => {
@@ -2366,53 +2429,39 @@ fn run_fused<const PROF: bool>(
                 continue;
             }
             FTerm::Jz { cond, k, on_zero, on_nonzero, orig_pc } => {
-                let mut zm = 0u32;
-                for_mask!(mask, l, {
-                    if !truthy(k, vg(vregs, cond, l)) {
-                        zm |= 1 << l;
-                    }
-                });
-                (zm, on_zero, on_nonzero, orig_pc, 30usize)
+                let lanes = |m: u32| {
+                    let mut zm = 0u32;
+                    for_mask!(m, l, {
+                        if !truthy(k, vg(vregs, cond, l)) {
+                            zm |= 1 << l;
+                        }
+                    });
+                    zm
+                };
+                let known = uniform(cond).then(|| lanes(first) == 0);
+                (decided(known, mask, lanes), on_zero, on_nonzero, orig_pc, 30usize)
             }
             FTerm::CmpJz { a, b, op, k, on_zero, on_nonzero, orig_pc } => {
-                let mut zm = 0u32;
-                match (k, op) {
-                    (K::I32, BinOp::Ge) => for_mask!(mask, l, {
-                        if i32v(vg(vregs, a, l)) < i32v(vg(vregs, b, l)) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                    (K::I32, BinOp::Lt) => for_mask!(mask, l, {
-                        if i32v(vg(vregs, a, l)) >= i32v(vg(vregs, b, l)) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                    (K::I32, BinOp::Eq) => for_mask!(mask, l, {
-                        if i32v(vg(vregs, a, l)) != i32v(vg(vregs, b, l)) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                    (K::I32, BinOp::Ne) => for_mask!(mask, l, {
-                        if i32v(vg(vregs, a, l)) == i32v(vg(vregs, b, l)) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                    _ => for_mask!(mask, l, {
-                        if !truthy(K::Bool, bin_bits(op, k, vg(vregs, a, l), vg(vregs, b, l))) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                }
-                (zm, on_zero, on_nonzero, orig_pc, NOPCODES + FOP_CMPJZ)
+                let lanes = |m: u32| cmp_zmask(vregs, (a, b, op, k), m);
+                let known = if uniform(a) && uniform(b) {
+                    Some(lanes(first) == 0)
+                } else {
+                    affine_cmp(vregs, (a, b, op, k), mask, lic)
+                };
+                (decided(known, mask, lanes), on_zero, on_nonzero, orig_pc, NOPCODES + FOP_CMPJZ)
             }
             FTerm::JgeI64 { a, b, on_ge, on_lt, orig_pc } => {
-                let mut zm = 0u32;
-                for_mask!(mask, l, {
-                    if i64v(vg(vregs, a, l)) < i64v(vg(vregs, b, l)) {
-                        zm |= 1 << l;
-                    }
-                });
-                (zm, on_lt, on_ge, orig_pc, 12usize)
+                let lanes = |m: u32| {
+                    let mut zm = 0u32;
+                    for_mask!(m, l, {
+                        if i64v(vg(vregs, a, l)) < i64v(vg(vregs, b, l)) {
+                            zm |= 1 << l;
+                        }
+                    });
+                    zm
+                };
+                let known = (uniform(a) && uniform(b)).then(|| lanes(first) == 0);
+                (decided(known, mask, lanes), on_lt, on_ge, orig_pc, 12usize)
             }
         };
         if PROF {
@@ -2448,7 +2497,7 @@ fn run_fused<const PROF: bool>(
                         vregs,
                         lane_privs,
                         w,
-                        checked,
+                        lic,
                     );
                     on_zero as usize
                 } else if ez == Some(on_nonzero) {
@@ -2458,7 +2507,7 @@ fn run_fused<const PROF: bool>(
                         vregs,
                         lane_privs,
                         w,
-                        checked,
+                        lic,
                     );
                     on_nonzero as usize
                 } else if let Some(join) = ez.filter(|&j| enz == Some(j)) {
@@ -2473,7 +2522,7 @@ fn run_fused<const PROF: bool>(
                         vregs,
                         lane_privs,
                         w,
-                        checked,
+                        lic,
                     );
                     exec_block_ops::<PROF>(
                         &f.blocks[on_zero as usize].ops,
@@ -2481,15 +2530,86 @@ fn run_fused<const PROF: bool>(
                         vregs,
                         lane_privs,
                         w,
-                        checked,
+                        lic,
                     );
                     join as usize
                 } else {
+                    *w.delegated += 1;
                     exec_warp_from(c, orig_pc as usize, mask, vregs, lane_privs, w);
                     return true;
                 }
             }
         };
+    }
+}
+
+/// The `on_zero` lanes of a conditional terminator: all or none of `mask`
+/// when the lane shapes settled the condition (`known`: it holds in every
+/// active lane), otherwise what the lane loop finds. Debug builds run the
+/// lane loop regardless and hold the shortcut to it.
+#[inline(always)]
+fn decided(known: Option<bool>, mask: u32, lanes: impl Fn(u32) -> u32) -> u32 {
+    let zm = known.map_or_else(|| lanes(mask), |holds| if holds { 0 } else { mask });
+    debug_assert_eq!(zm, lanes(mask), "lane-shape audit: condition differs across lanes");
+    zm
+}
+
+/// The lanes of `mask` where `a op b` (kind `k`) is false. The i32
+/// comparisons run monomorphic lane loops; the rest go through [`bin_bits`].
+#[inline(always)]
+fn cmp_zmask(vregs: &[u64], (a, b, op, k): (R, R, BinOp, K), mask: u32) -> u32 {
+    let mut zm = 0u32;
+    macro_rules! i32_lanes {
+        ($cmp:tt) => {
+            for_mask!(mask, l, {
+                if !(i32v(vg(vregs, a, l)) $cmp i32v(vg(vregs, b, l))) {
+                    zm |= 1 << l;
+                }
+            })
+        };
+    }
+    match (k, op) {
+        (K::I32, BinOp::Ge) => i32_lanes!(>=),
+        (K::I32, BinOp::Lt) => i32_lanes!(<),
+        (K::I32, BinOp::Gt) => i32_lanes!(>),
+        (K::I32, BinOp::Le) => i32_lanes!(<=),
+        (K::I32, BinOp::Eq) => i32_lanes!(==),
+        (K::I32, BinOp::Ne) => i32_lanes!(!=),
+        _ => for_mask!(mask, l, {
+            if !truthy(K::Bool, bin_bits(op, k, vg(vregs, a, l), vg(vregs, b, l))) {
+                zm |= 1 << l;
+            }
+        }),
+    }
+    zm
+}
+
+/// An ordered i32 compare of an affine register with a uniform one, settled
+/// from the two end lanes: between them the affine side is monotone — unless
+/// the i32 wrapped on the way, which the end lanes' distance shows — so a
+/// verdict the ends share holds for every lane between. `None` when the
+/// shapes are otherwise or the ends disagree (the warp diverges).
+#[inline(always)]
+fn affine_cmp(vregs: &[u64], cmp: (R, R, BinOp, K), mask: u32, lic: Licence<'_>) -> Option<bool> {
+    let (a, b, op, k) = cmp;
+    if k != K::I32 || !matches!(op, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) {
+        return None;
+    }
+    let (r, stride) = match (lic.shape(a), lic.shape(b)) {
+        (Shape::Affine(s), Shape::Uniform) => (a, s),
+        (Shape::Uniform, Shape::Affine(s)) => (b, s),
+        _ => return None,
+    };
+    let (l0, l1) = (mask.trailing_zeros() as usize, 31 - mask.leading_zeros() as usize);
+    let (v0, v1) = (i32v(vg(vregs, r, l0)) as i64, i32v(vg(vregs, r, l1)) as i64);
+    if v1 != v0 + stride as i64 * (l1 - l0) as i64 {
+        return None;
+    }
+    let ends = 1 << l0 | 1 << l1;
+    match cmp_zmask(vregs, cmp, ends) {
+        0 => Some(true),
+        z if z == ends => Some(false),
+        _ => None,
     }
 }
 
@@ -2502,12 +2622,12 @@ fn exec_block_ops<const PROF: bool>(
     vregs: &mut [u64],
     lane_privs: &mut [Vec<Vec<u64>>],
     w: &mut WarpCtx<'_>,
-    checked: &[bool],
+    lic: Licence<'_>,
 ) {
     for fop in ops {
         if PROF {
             let t0 = Instant::now();
-            exec_fop(fop, mask, vregs, lane_privs, w, checked);
+            exec_fop(fop, mask, vregs, lane_privs, w, lic);
             let idx = match fop_index(fop) {
                 Some(i) => NOPCODES + i,
                 None => match fop {
@@ -2519,57 +2639,64 @@ fn exec_block_ops<const PROF: bool>(
                 p.add(idx, t0.elapsed());
             }
         } else {
-            exec_fop(fop, mask, vregs, lane_privs, w, checked);
+            exec_fop(fop, mask, vregs, lane_privs, w, lic);
         }
     }
 }
 
-/// Gathers `b[idx[l]]` for the active lanes into `vals` as raw register
+/// Gathers `b[at(l)]` for the active lanes into `vals` as raw register
 /// bits, through the buffer's typed base pointer: the element-kind dispatch
 /// happens once per superinstruction and each lane-loop body is a plain
-/// indexed load LLVM can vectorize.
+/// indexed load LLVM can vectorize — into a slice copy when `at` counts up
+/// by one per lane ([`unit_run`]).
 ///
 /// The caller must have established bounds for every active index — by the
-/// site's release-mode assert, or by the static verifier's PROVEN verdict
-/// (audited by a debug-build assert pass).
+/// site's release-mode assert, by the static verifier's PROVEN verdict
+/// (audited by a debug-build assert pass), or by a run's range check.
 #[inline(always)]
-fn gather_lanes(b: &SharedBuf, idx: &[i64; WARP], mask: u32, vals: &mut [u64; WARP]) {
+fn gather_lanes(b: &SharedBuf, at: impl Fn(usize) -> usize, mask: u32, vals: &mut [u64; WARP]) {
     // SAFETY (all arms): index in bounds per the function contract; reads
     // race only with disjoint writes per the launch contract.
     match b.ptr() {
         BufPtr::F32(p) => for_mask!(mask, l, {
-            vals[l] = unsafe { (*p.add(idx[l] as usize)).to_bits() as u64 };
+            vals[l] = unsafe { (*p.add(at(l))).to_bits() as u64 };
         }),
         BufPtr::F64(p) => for_mask!(mask, l, {
-            vals[l] = unsafe { (*p.add(idx[l] as usize)).to_bits() };
+            vals[l] = unsafe { (*p.add(at(l))).to_bits() };
         }),
         BufPtr::I32(p) => for_mask!(mask, l, {
-            vals[l] = unsafe { *p.add(idx[l] as usize) as u32 as u64 };
+            vals[l] = unsafe { *p.add(at(l)) as u32 as u64 };
         }),
     }
 }
 
-/// Scatters register `val` (kind `vk`) to `b[idx[l]]` for the active lanes.
+/// Scatters register `val` (kind `vk`) to `b[at(l)]` for the active lanes.
 /// The matched-kind arms replicate [`crate::buffer::BufData::set`]'s cast
 /// exactly (identity for same-kind stores); mixed kinds — which the
 /// acoustics kernels never emit — keep the generic per-element path. Same
 /// bounds contract as [`gather_lanes`], plus write disjointness.
 #[inline(always)]
-fn scatter_lanes(b: &SharedBuf, vk: K, idx: &[i64; WARP], mask: u32, vregs: &[u64], val: R) {
+fn scatter_lanes(
+    b: &SharedBuf,
+    at: impl Fn(usize) -> usize,
+    mask: u32,
+    vregs: &[u64],
+    (val, vk): (R, K),
+) {
     // SAFETY (all arms): index in bounds per the function contract; the
     // launch contract gives element disjointness across work-items.
     match (b.ptr(), vk) {
         (BufPtr::F32(p), K::F32) => for_mask!(mask, l, {
-            unsafe { *p.add(idx[l] as usize) = f32v(vg(vregs, val, l)) };
+            unsafe { *p.add(at(l)) = f32v(vg(vregs, val, l)) };
         }),
         (BufPtr::F64(p), K::F64) => for_mask!(mask, l, {
-            unsafe { *p.add(idx[l] as usize) = f64v(vg(vregs, val, l)) };
+            unsafe { *p.add(at(l)) = f64v(vg(vregs, val, l)) };
         }),
         (BufPtr::I32(p), K::I32) => for_mask!(mask, l, {
-            unsafe { *p.add(idx[l] as usize) = i32v(vg(vregs, val, l)) };
+            unsafe { *p.add(at(l)) = i32v(vg(vregs, val, l)) };
         }),
         _ => for_mask!(mask, l, {
-            unsafe { b.set(idx[l] as usize, bits_value(vk, vg(vregs, val, l))) };
+            unsafe { b.set(at(l), bits_value(vk, vg(vregs, val, l))) };
         }),
     }
 }
@@ -2614,6 +2741,124 @@ fn shadow_scatter(b: &SharedBuf, idx: &[i64; WARP], mask: u32) {
     }
 }
 
+/// The run of `b` a unit-stride access covers, as (first active lane, its
+/// element): `unit` says the lane shapes make `idx_of` count up by one per
+/// lane, which under a contiguous mask makes the access one run. **One**
+/// range check per warp-op licenses it — kept at PROVEN sites too, where it
+/// is what rules out an i32 index wrapping inside the run. `None` sends the
+/// op down the per-lane path: a run that fails the check (so the
+/// out-of-bounds panic reads as ever), a non-contiguous mask, and a buffer
+/// with a sanitizer shadow, whose findings are per element. Debug builds
+/// audit the shape claim lane by lane.
+#[inline(always)]
+fn unit_run(
+    b: &SharedBuf,
+    unit: bool,
+    mask: u32,
+    idx_of: &impl Fn(usize) -> i64,
+) -> Option<(usize, usize)> {
+    if !unit || b.shadow().is_some() {
+        return None;
+    }
+    let (lo, hi) = contiguous(mask)?;
+    let start = idx_of(lo);
+    if start < 0 || start as u64 + (hi - lo) as u64 > (b.len() as u64).min(1 << 31) {
+        return None;
+    }
+    if cfg!(debug_assertions) {
+        for l in lo..hi {
+            assert_eq!(idx_of(l), start + (l - lo) as i64, "lane-shape audit: index of lane {l}");
+        }
+    }
+    Some((lo, start as usize))
+}
+
+/// The per-lane indices of a warp-op at `(buf, site)`, bounds-checked
+/// unless the static verifier PROVED the site (debug builds check anyway).
+#[inline(always)]
+fn checked_indices(
+    lic: Licence<'_>,
+    (buf, site, len): (u16, u32, usize),
+    mask: u32,
+    idx_of: impl Fn(usize) -> i64,
+    what: &str,
+) -> [i64; WARP] {
+    let mut idx = [0i64; WARP];
+    for_mask!(mask, l, {
+        idx[l] = idx_of(l);
+    });
+    if lic.check(site) || cfg!(debug_assertions) {
+        for_mask!(mask, l, {
+            let i = idx[l];
+            assert!(
+                i >= 0 && (i as usize) < len,
+                "{what} out of bounds: param {buf}[{i}] (len {len})"
+            );
+        });
+    }
+    idx
+}
+
+/// One warp-op's global load at `(buf, site, constant)`: counts it,
+/// establishes bounds and returns `b[idx_of(l)]` for every active lane as
+/// raw register bits — one [`unit_run`] when there is one, otherwise the
+/// site's bounds check, the shadow-sanitizer check and a gather.
+#[inline(always)]
+fn load_global(
+    w: &mut WarpCtx<'_>,
+    lic: Licence<'_>,
+    (buf, site, constant): (u16, u32, bool),
+    mask: u32,
+    unit: bool,
+    idx_of: impl Fn(usize) -> i64,
+    engine: &'static str,
+) -> [u64; WARP] {
+    let b = w.bufs[buf as usize].expect("buffer bound");
+    let n = mask.count_ones() as u64;
+    if constant {
+        w.counters.loads_constant += n;
+    } else {
+        w.counters.loads_global += n;
+        w.counters.bytes_loaded += b.elem_bytes() as u64 * n;
+    }
+    let mut vals = [0u64; WARP];
+    if let Some((lo, start)) = unit_run(b, unit, mask, &idx_of) {
+        gather_lanes(b, |l| start + l - lo, mask, &mut vals);
+    } else {
+        let idx = checked_indices(lic, (buf, site, b.len()), mask, idx_of, "load");
+        shadow_gather(b, &idx, mask, &w.san, buf as usize, site, engine);
+        gather_lanes(b, |l| idx[l] as usize, mask, &mut vals);
+    }
+    vals
+}
+
+/// One warp-op's global store of register `val` (kind `vk`) at
+/// `(buf, site)`: the store-side twin of [`load_global`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn store_global(
+    w: &mut WarpCtx<'_>,
+    lic: Licence<'_>,
+    (buf, site): (u16, u32),
+    mask: u32,
+    unit: bool,
+    idx_of: impl Fn(usize) -> i64,
+    vregs: &[u64],
+    val: (R, K),
+) {
+    let b = w.bufs[buf as usize].expect("buffer bound");
+    let n = mask.count_ones() as u64;
+    w.counters.stores_global += n;
+    w.counters.bytes_stored += b.elem_bytes() as u64 * n;
+    if let Some((lo, start)) = unit_run(b, unit, mask, &idx_of) {
+        scatter_lanes(b, |l| start + l - lo, mask, vregs, val);
+    } else {
+        let idx = checked_indices(lic, (buf, site, b.len()), mask, idx_of, "store");
+        shadow_scatter(b, &idx, mask);
+        scatter_lanes(b, |l| idx[l] as usize, mask, vregs, val);
+    }
+}
+
 /// Executes one superinstruction over the active lanes of `mask`. Counter
 /// bumps and arithmetic are bit-identical to the op sequence the fused op
 /// replaced, minus the register writes of fused-away single-use
@@ -2628,10 +2873,10 @@ fn exec_fop(
     vregs: &mut [u64],
     lane_privs: &mut [Vec<Vec<u64>>],
     w: &mut WarpCtx<'_>,
-    checked: &[bool],
+    lic: Licence<'_>,
 ) {
     match *fop {
-        FOp::Base(ref op) => exec_base_dense(op, mask, vregs, lane_privs, w, checked),
+        FOp::Base(ref op) => exec_base_dense(op, mask, vregs, lane_privs, w, lic),
         FOp::MulAdd { dst, a, b, c, k, sub, rev } => {
             macro_rules! fma {
                 ($v:ident, $bk:ident) => {
@@ -2711,41 +2956,32 @@ fn exec_fop(
             }
         }
         FOp::LdGFused { dst, buf, base, off, acc, site, constant } => {
-            let b = w.bufs[buf as usize].expect("buffer bound");
-            let n = mask.count_ones() as u64;
-            let eb = b.elem_bytes() as u64;
-            if constant {
-                w.counters.loads_constant += n;
-            } else {
-                w.counters.loads_global += n;
-                w.counters.bytes_loaded += eb * n;
-            }
-            let check = checked.get(site as usize).copied().unwrap_or(true);
-            let len = b.len();
-            let mut idx = [0i64; WARP];
-            match off {
-                Some((o, false)) => for_mask!(mask, l, {
-                    idx[l] = i32v(vg(vregs, base, l)).wrapping_add(i32v(vg(vregs, o, l))) as i64;
-                }),
-                Some((o, true)) => for_mask!(mask, l, {
-                    idx[l] = i32v(vg(vregs, base, l)).wrapping_sub(i32v(vg(vregs, o, l))) as i64;
-                }),
-                None => for_mask!(mask, l, {
-                    idx[l] = i32v(vg(vregs, base, l)) as i64;
-                }),
-            }
-            if check || cfg!(debug_assertions) {
-                for_mask!(mask, l, {
-                    let i = idx[l];
-                    assert!(
-                        i >= 0 && (i as usize) < len,
-                        "load out of bounds: param {buf}[{i}] (len {len})"
-                    );
-                });
-            }
-            shadow_gather(b, &idx, mask, &w.san, buf as usize, site, "compiled");
-            let mut vals = [0u64; WARP];
-            gather_lanes(b, &idx, mask, &mut vals);
+            let (at, regs) = ((buf, site, constant), &*vregs);
+            let vals = match off {
+                Some((o, sub)) => {
+                    let unit = lic.shape(base).add(lic.shape(o), sub) == Shape::Affine(1);
+                    let (x, y) = (|l| i32v(vg(regs, base, l)), |l| i32v(vg(regs, o, l)));
+                    if sub {
+                        let idx = |l| x(l).wrapping_sub(y(l)) as i64;
+                        load_global(w, lic, at, mask, unit, idx, "compiled")
+                    } else {
+                        let idx = |l| x(l).wrapping_add(y(l)) as i64;
+                        load_global(w, lic, at, mask, unit, idx, "compiled")
+                    }
+                }
+                None => {
+                    let unit = lic.shape(base) == Shape::Affine(1);
+                    load_global(
+                        w,
+                        lic,
+                        at,
+                        mask,
+                        unit,
+                        |l| i32v(vg(regs, base, l)) as i64,
+                        "compiled",
+                    )
+                }
+            };
             match acc {
                 Some(Acc { dst: ad, src, k, sub, rev }) => {
                     macro_rules! accw {
@@ -2794,28 +3030,9 @@ fn exec_fop(
             }
         }
         FOp::StGAt { buf, base, val, vk, site } => {
-            let b = w.bufs[buf as usize].expect("buffer bound");
-            let eb = b.elem_bytes() as u64;
-            let n = mask.count_ones() as u64;
-            w.counters.stores_global += n;
-            w.counters.bytes_stored += eb * n;
-            let check = checked.get(site as usize).copied().unwrap_or(true);
-            let len = b.len();
-            let mut idx = [0i64; WARP];
-            for_mask!(mask, l, {
-                idx[l] = i32v(vg(vregs, base, l)) as i64;
-            });
-            if check || cfg!(debug_assertions) {
-                for_mask!(mask, l, {
-                    let i = idx[l];
-                    assert!(
-                        i >= 0 && (i as usize) < len,
-                        "store out of bounds: param {buf}[{i}] (len {len})"
-                    );
-                });
-            }
-            shadow_scatter(b, &idx, mask);
-            scatter_lanes(b, vk, &idx, mask, vregs, val);
+            let (unit, regs) = (lic.shape(base) == Shape::Affine(1), &*vregs);
+            let idx = |l| i32v(vg(regs, base, l)) as i64;
+            store_global(w, lic, (buf, site), mask, unit, idx, regs, (val, vk));
         }
     }
 }
@@ -2832,7 +3049,7 @@ fn exec_base_dense(
     vregs: &mut [u64],
     lane_privs: &mut [Vec<Vec<u64>>],
     w: &mut WarpCtx<'_>,
-    checked: &[bool],
+    lic: Licence<'_>,
 ) {
     match *op {
         Op::Const { dst, bits } => {
@@ -2852,7 +3069,11 @@ fn exec_base_dense(
             });
         }
         Op::Mov { dst, src } => vmap1(vregs, dst, src, mask, |x| x),
-        Op::Cast { dst, src, from, to } => vmap1(vregs, dst, src, mask, |x| cast_bits(from, to, x)),
+        Op::Cast { dst, src, from, to } => match (from, to) {
+            (K::I32, K::F32) => vmap1(vregs, dst, src, mask, |x| b32(i32v(x) as f64 as f32)),
+            (K::I32, K::F64) => vmap1(vregs, dst, src, mask, |x| b64(i32v(x) as f64)),
+            _ => vmap1(vregs, dst, src, mask, |x| cast_bits(from, to, x)),
+        },
         Op::AsI64 { dst, src, from } => match from {
             K::I32 => vmap1(vregs, dst, src, mask, |x| bi64(i32v(x) as i64)),
             _ => vmap1(vregs, dst, src, mask, |x| bi64(to_i64(from, x))),
@@ -2933,60 +3154,17 @@ fn exec_base_dense(
             }),
         },
         Op::LdG { dst, buf, idx, site, constant } => {
-            let b = w.bufs[buf as usize].expect("buffer bound");
-            let n = mask.count_ones() as u64;
-            let eb = b.elem_bytes() as u64;
-            if constant {
-                w.counters.loads_constant += n;
-            } else {
-                w.counters.loads_global += n;
-                w.counters.bytes_loaded += eb * n;
-            }
-            let check = checked.get(site as usize).copied().unwrap_or(true);
-            let len = b.len();
-            let mut ixs = [0i64; WARP];
-            for_mask!(mask, l, {
-                ixs[l] = i64v(vg(vregs, idx, l));
-            });
-            if check || cfg!(debug_assertions) {
-                for_mask!(mask, l, {
-                    let i = ixs[l];
-                    assert!(
-                        i >= 0 && (i as usize) < len,
-                        "load out of bounds: param {buf}[{i}] (len {len})"
-                    );
-                });
-            }
-            shadow_gather(b, &ixs, mask, &w.san, buf as usize, site, "vector");
-            let mut vals = [0u64; WARP];
-            gather_lanes(b, &ixs, mask, &mut vals);
+            let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
+            let ix = |l| i64v(vg(regs, idx, l));
+            let vals = load_global(w, lic, (buf, site, constant), mask, unit, ix, "vector");
             for_mask!(mask, l, {
                 vs(vregs, dst, l, vals[l]);
             });
         }
         Op::StG { buf, idx, val, vk, site } => {
-            let b = w.bufs[buf as usize].expect("buffer bound");
-            let eb = b.elem_bytes() as u64;
-            let n = mask.count_ones() as u64;
-            w.counters.stores_global += n;
-            w.counters.bytes_stored += eb * n;
-            let check = checked.get(site as usize).copied().unwrap_or(true);
-            let len = b.len();
-            let mut ixs = [0i64; WARP];
-            for_mask!(mask, l, {
-                ixs[l] = i64v(vg(vregs, idx, l));
-            });
-            if check || cfg!(debug_assertions) {
-                for_mask!(mask, l, {
-                    let i = ixs[l];
-                    assert!(
-                        i >= 0 && (i as usize) < len,
-                        "store out of bounds: param {buf}[{i}] (len {len})"
-                    );
-                });
-            }
-            shadow_scatter(b, &ixs, mask);
-            scatter_lanes(b, vk, &ixs, mask, vregs, val);
+            let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
+            let ix = |l| i64v(vg(regs, idx, l));
+            store_global(w, lic, (buf, site), mask, unit, ix, regs, (val, vk));
         }
         Op::LdP { dst, arr, idx } => {
             for_mask!(mask, l, {
@@ -3755,5 +3933,163 @@ mod tests {
         let out = run_diff(&k, 64, 7.0);
         assert_eq!(out[6], 6.0);
         assert_eq!(out[7], 7.0);
+    }
+
+    /// `(x, out, Nx)` over a 2-D NDRange with `body`, then
+    /// `out[gid0] = Σ named`, so every named scalar stays live. Returns the
+    /// lane shape of each scalar the body declares, in declaration order
+    /// (slot 0 is `Nx`; loop variables count as declarations).
+    fn shapes_of(body: Vec<KStmt>, named: &[&str]) -> Vec<Shape> {
+        let sum = named.iter().map(|n| KExpr::var(*n)).reduce(|a, b| a + b).expect("a name");
+        let mut body = body;
+        body.push(KStmt::Store { mem: MemRef::Param(1), idx: KExpr::GlobalId(0), value: sum });
+        let k = Kernel {
+            name: "shapes".into(),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::I32),
+                KernelParam::global_buf("out", ScalarKind::I32),
+                KernelParam::scalar("Nx", ScalarKind::I32),
+            ],
+            body,
+            work_dim: 2,
+        };
+        let prep = prepare(&k).unwrap();
+        let fused = prep.fused.as_ref().expect("flat kernels lower to fused form");
+        fused.shapes[1..prep.nslots].to_vec()
+    }
+
+    fn decl(name: &str, init: KExpr) -> KStmt {
+        KStmt::DeclScalar { name: name.into(), kind: ScalarKind::I32, init: Some(init) }
+    }
+
+    fn assign(name: &str, value: KExpr) -> KStmt {
+        KStmt::Assign { name: name.into(), value }
+    }
+
+    fn store_out(value: i32) -> KStmt {
+        KStmt::Store { mem: MemRef::Param(1), idx: KExpr::GlobalId(0), value: KExpr::int(value) }
+    }
+
+    #[test]
+    fn lane_shapes_follow_the_index_expression() {
+        let (g0, g1, nx) = (|| KExpr::GlobalId(0), || KExpr::GlobalId(1), || KExpr::var("Nx"));
+        let rows = [
+            ("gid0 + 3", g0() + KExpr::int(3), Shape::Affine(1)),
+            ("gid0 + Nx*gid1", g0() + nx() * g1(), Shape::Affine(1)),
+            ("Nx*gid1 - gid0", nx() * g1() - g0(), Shape::Affine(-1)),
+            ("(gid0 + 1) + (gid0 - Nx)", (g0() + KExpr::int(1)) + (g0() - nx()), Shape::Affine(2)),
+            ("gid1 + Nx", g1() + nx(), Shape::Uniform),
+            ("gid0 * gid1", g0() * g1(), Shape::Varying),
+            ("x[gid0]", KExpr::load(MemRef::Param(0), g0()), Shape::Varying),
+            ("x[gid1] + gid0", KExpr::load(MemRef::Param(0), g1()) + g0(), Shape::Varying),
+        ];
+        for (what, expr, want) in rows {
+            assert_eq!(shapes_of(vec![decl("v", expr)], &["v"]), [want], "{what}");
+        }
+        // A multiple of gid0 may be affine(2) or varying, never unit-stride.
+        let twice = shapes_of(vec![decl("v", KExpr::int(2) * g0())], &["v"])[0];
+        assert!(matches!(twice, Shape::Affine(2) | Shape::Varying), "2*gid0: {twice:?}");
+    }
+
+    #[test]
+    fn lane_shapes_follow_control_flow() {
+        let (g0, g1, nx) = (|| KExpr::GlobalId(0), || KExpr::GlobalId(1), || KExpr::var("Nx"));
+        let lt = |a, b| KExpr::bin(BinOp::Lt, a, b);
+        // Arms that store keep their jumps; `w` is written in both.
+        let branch_on = |cond| {
+            vec![
+                decl("w", KExpr::int(0)),
+                KStmt::If {
+                    cond,
+                    then_: vec![assign("w", KExpr::int(1)), store_out(1)],
+                    else_: vec![assign("w", KExpr::int(2)), store_out(2)],
+                },
+            ]
+        };
+        assert_eq!(shapes_of(branch_on(lt(g0(), KExpr::int(7))), &["w"]), [Shape::Varying]);
+        assert_eq!(shapes_of(branch_on(lt(g1(), KExpr::int(7))), &["w"]), [Shape::Uniform]);
+        // An early-return guard splits the warp for good: what the
+        // survivors write afterwards they all write.
+        let mut guarded = vec![KStmt::return_if(KExpr::bin(BinOp::Ge, g0(), nx()))];
+        guarded.extend(branch_on(lt(g1(), KExpr::int(7))));
+        assert_eq!(shapes_of(guarded, &["w"]), [Shape::Uniform]);
+
+        // acc += x[gid0 + k*Nx] for k in 0..end: the counter is uniform
+        // exactly when the trip count is, and the index then unit-stride.
+        let sum_to = |end| {
+            vec![
+                decl("acc", KExpr::int(0)),
+                KStmt::For {
+                    var: "k".into(),
+                    begin: KExpr::int(0),
+                    end,
+                    step: KExpr::int(1),
+                    body: vec![
+                        decl("i", g0() + KExpr::var("k") * nx()),
+                        assign(
+                            "acc",
+                            KExpr::var("acc") + KExpr::load(MemRef::Param(0), KExpr::var("i")),
+                        ),
+                    ],
+                },
+            ]
+        };
+        assert_eq!(
+            shapes_of(sum_to(nx()), &["acc"]),
+            [Shape::Varying, Shape::Uniform, Shape::Affine(1)],
+            "acc, k, i under a uniform bound"
+        );
+        assert_eq!(
+            shapes_of(sum_to(g0()), &["acc"]),
+            [Shape::Varying, Shape::Varying, Shape::Varying],
+            "acc, k, i under a per-lane bound"
+        );
+        // A scalar argument the kernel overwrites has two definitions.
+        let clobber = vec![assign("Nx", g0()), decl("v", nx() + KExpr::int(1))];
+        assert_eq!(shapes_of(clobber, &["v"]), [Shape::Varying]);
+    }
+
+    /// `i = gid; v = x[i]; s = gid < 5 ? v + a : v * a; out[i] = s`: a
+    /// declared index, a declared load and the two arms of a select, each
+    /// `producer → temporary → Mov`.
+    #[test]
+    fn copies_coalesce_into_their_producers() {
+        let g = || KExpr::GlobalId(0);
+        let k = Kernel {
+            name: "copies".into(),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::F32),
+                KernelParam::global_buf("out", ScalarKind::F32),
+                KernelParam::scalar("a", ScalarKind::F32),
+            ],
+            body: vec![
+                decl("i", g() + KExpr::int(0) * g()),
+                KStmt::DeclScalar {
+                    name: "v".into(),
+                    kind: ScalarKind::F32,
+                    init: Some(KExpr::load(MemRef::Param(0), KExpr::var("i"))),
+                },
+                KStmt::DeclScalar {
+                    name: "s".into(),
+                    kind: ScalarKind::F32,
+                    init: Some(KExpr::select(
+                        KExpr::bin(BinOp::Lt, g(), KExpr::int(5)),
+                        KExpr::var("v") + KExpr::var("a"),
+                        KExpr::var("v") * KExpr::var("a"),
+                    )),
+                },
+                KStmt::Store {
+                    mem: MemRef::Param(1),
+                    idx: KExpr::var("i"),
+                    value: KExpr::var("s"),
+                },
+            ],
+            work_dim: 1,
+        };
+        let t = tape_of(&k);
+        let movs = t.ops.iter().filter(|op| matches!(op, Op::Mov { .. })).count();
+        assert_eq!(movs, 0, "every copy has a producer to fold into: {:?}", t.ops);
+        let out = run_diff(&k, 70, 3.0);
+        assert_eq!((out[4], out[5], out[69]), (7.0, 15.0, 207.0));
     }
 }

@@ -17,6 +17,11 @@
 //!    stores (`AsI64`·`StG`), multiply-add (`Bin`·`Bin`), compare-select
 //!    (`Bin`·`Sel`), and compare-branch block terminators (`Bin`·`Jz`).
 //!
+//! Next to it, [`lane_shapes`] classifies every tape register as uniform,
+//! affine or varying across the lanes of a row-coherent warp — what lets the
+//! executor treat a unit-stride access as one run of its buffer and read a
+//! uniform branch condition off one lane.
+//!
 //! Lowering is best-effort and total: unmatched ops pass through as
 //! [`FOp::Base`]. It *fails* only on structural grounds: local-memory tapes
 //! (their launches are grouped, which the flat fused executor never runs)
@@ -31,7 +36,9 @@
 //! `Engine::Differential` (tree → warp interpreter → fused blocks) enforces
 //! this.
 
-use crate::bytecode::{visit_srcs, Acc, Compiled, FBlock, FOp, FTerm, Fused, Op, K, R};
+use crate::bytecode::{
+    op_dst, visit_srcs, Acc, Compiled, FBlock, FOp, FTerm, Fused, Op, Shape, K, NO_JOIN, R,
+};
 use lift::prelude::BinOp;
 
 /// True for the comparison operators (result kind `Bool`).
@@ -46,7 +53,9 @@ fn is_addsub(op: BinOp) -> bool {
 
 /// Lowers a validated tape into superinstruction basic blocks. See the
 /// module docs for the pass structure and the fusion legality rule.
-pub(crate) fn lower(c: &Compiled) -> Result<Fused, String> {
+/// `arg_slots` are the registers launch arguments initialise (one entry per
+/// kernel parameter, `None` for buffers).
+pub(crate) fn lower(c: &Compiled, arg_slots: &[Option<usize>]) -> Result<Fused, String> {
     let n = c.ops.len();
     if n == 0 || c.phase_starts.is_empty() {
         return Err("empty tape".into());
@@ -205,7 +214,110 @@ pub(crate) fn lower(c: &Compiled) -> Result<Fused, String> {
         })
         .max()
         .unwrap_or(0);
-    Ok(Fused { blocks, entries, fused_ops, nsites })
+    Ok(Fused { blocks, entries, fused_ops, nsites, shapes: lane_shapes(c, arg_slots) })
+}
+
+/// Classifies every tape register by how its value varies across the active
+/// lanes of a row-coherent warp (see [`Shape`]): a forward pass over `pre` →
+/// `item_pre` → `ops`, repeated to a fixpoint.
+///
+/// A register with one definition takes the shape of that definition's
+/// result ([`result_shape`]); write-before-read (the discipline hoisting
+/// relies on) makes it hold at every read, under any mask. A register with
+/// several (tape writers, plus the launch value of a scalar argument's
+/// slot) is uniform when every writer's result is and no writer sits where
+/// the warp may be split ([`split_regions`]) — the active lanes then share
+/// one history of writes, as with the counter of a loop of uniform trip
+/// count — and varying otherwise. Such registers start uniform and only ever
+/// fall to varying, which bounds the iteration.
+pub(crate) fn lane_shapes(c: &Compiled, arg_slots: &[Option<usize>]) -> Vec<Shape> {
+    let mut defs = vec![0u32; c.nregs];
+    for &slot in arg_slots.iter().flatten() {
+        defs[slot] += 1;
+    }
+    for d in c.ops.iter().filter_map(op_dst) {
+        defs[d as usize] += 1;
+    }
+    let mut shapes = vec![Shape::Uniform; c.nregs];
+    loop {
+        let prev = shapes.clone();
+        let split = split_regions(c, &prev);
+        for op in c.pre.iter().chain(&c.item_pre) {
+            if let Some(d) = op_dst(op) {
+                shapes[d as usize] = result_shape(op, &shapes);
+            }
+        }
+        for (pc, op) in c.ops.iter().enumerate() {
+            let Some(d) = op_dst(op) else { continue };
+            let s = result_shape(op, &shapes);
+            if defs[d as usize] <= 1 {
+                shapes[d as usize] = s;
+            } else if s != Shape::Uniform || split[pc] {
+                shapes[d as usize] = Shape::Varying;
+            }
+        }
+        if shapes == prev {
+            return shapes;
+        }
+    }
+}
+
+/// Shape of the value `op` writes, given its operands' shapes: the seeds
+/// (`Gid{0}` counts up along a row; constants, sizes and the other ids of a
+/// flat launch are uniform), shape-preserving copies, i32 add/sub of
+/// strides, and "all operands uniform ⇒ uniform" for every other pure op.
+/// Loaded values are varying.
+fn result_shape(op: &Op, shapes: &[Shape]) -> Shape {
+    let sh = |r: R| shapes[r as usize];
+    match *op {
+        Op::Gid { dim: 0, .. } => Shape::Affine(1),
+        Op::Lid { .. } | Op::Grp { .. } | Op::LdG { .. } | Op::LdP { .. } | Op::LdL { .. } => {
+            Shape::Varying
+        }
+        Op::Mov { src, .. } => sh(src),
+        Op::AsI64 { src, from: K::I32, .. } => match sh(src) {
+            Shape::Affine(s) => Shape::Index(s),
+            Shape::Uniform => Shape::Uniform,
+            _ => Shape::Varying,
+        },
+        Op::Bin { a, b, op, k: K::I32, .. } if is_addsub(op) => sh(a).add(sh(b), op == BinOp::Sub),
+        _ => {
+            let mut uniform = true;
+            visit_srcs(op, &mut |r| uniform &= sh(r) == Shape::Uniform);
+            match uniform {
+                true => Shape::Uniform,
+                false => Shape::Varying,
+            }
+        }
+    }
+}
+
+/// `split[pc]`: the op at `pc` may run with the warp split — it lies
+/// between a conditional branch whose operands are not all uniform and the
+/// branch's join (the structured compiler emits forward branches only, so
+/// that is the span of ops in between). A branch whose sides only meet at
+/// the exit (an early-return guard, a `Ret` in a loop) splits the warp for
+/// good: each part runs on alone with one shared history — no region.
+fn split_regions(c: &Compiled, shapes: &[Shape]) -> Vec<bool> {
+    let n = c.ops.len();
+    let uniform = |r: R| shapes[r as usize] == Shape::Uniform;
+    let mut split = vec![false; n];
+    for (pc, op) in c.ops.iter().enumerate() {
+        let target = match *op {
+            Op::Jz { cond, target, .. } if !uniform(cond) => target,
+            Op::JgeI64 { a, b, target } if !(uniform(a) && uniform(b)) => target,
+            _ => continue,
+        };
+        let join = c.joins[pc] as usize;
+        if c.joins[pc] == NO_JOIN || join <= pc || (target as usize) > join.min(n) {
+            // Not a shape the compiler emits: assume nothing.
+            return vec![true; n];
+        }
+        if join < n {
+            split[pc + 1..join].fill(true);
+        }
+    }
+    split
 }
 
 /// `[Bin{t1,base,off,±,I32};] AsI64{t2,·,I32}; LdG{dst,…,t2} [; Bin acc]`

@@ -343,7 +343,7 @@ pub fn prepare(kernel: &Kernel) -> Result<Prepared, ExecError> {
                     .counter("vgpu.tape.optimized_ops")
                     .add(tape.optimized_ops as u64);
             }
-            match crate::compile::lower(&tape) {
+            match crate::compile::lower(&tape, &prep.scalar_slots) {
                 Ok(fused) => {
                     if fused.fused_ops > 0 {
                         telemetry::registry()
@@ -694,6 +694,11 @@ pub struct LaunchStats {
     /// launching thread alone. A fact about scheduling, like `wall`: never
     /// part of differential comparison.
     pub tasks: usize,
+    /// Warps the fused-block executor handed to the warp interpreter in
+    /// mid-phase, at a divergent branch whose shape it does not resolve in
+    /// place — a slower path (`vgpu.compiled.delegated_warps`). A fact about
+    /// the executor, like `tasks`: never part of differential comparison.
+    pub delegated_warps: u64,
     /// Which backend executed the launch.
     pub backend: Backend,
     /// Warps whose active lanes disagreed at one or more branches and ran
@@ -1607,6 +1612,11 @@ fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError
         if stats.divergent_warps > 0 {
             note_warp_divergence(&l.prep.name, stats.divergent_warps);
         }
+        // Registered by the first launch, so a report shows it at 0 too.
+        static DELEGATED: std::sync::OnceLock<telemetry::Counter> = std::sync::OnceLock::new();
+        DELEGATED
+            .get_or_init(|| telemetry::registry().counter("vgpu.compiled.delegated_warps"))
+            .add(stats.delegated_warps);
         stats
     })
 }
@@ -1743,8 +1753,14 @@ struct ChunkAcc {
     tbytes: u64,
     /// Race-check store records.
     writes: Vec<WriteRec>,
-    /// Warps that diverged (tape executors only).
-    divergent: u64,
+    /// Warps that diverged (tape executors only). This and `delegated` are
+    /// 32 bits each so that the struct keeps its size: one step's collected
+    /// `Vec<ChunkAcc>` of the benchmark room then still fits the block a
+    /// task's register file just freed. Eight bytes more and glibc grows the
+    /// heap by ~17 KB a step instead (EXPERIMENTS.md, "Lane shapes").
+    divergent: u32,
+    /// Warps the fused executor handed to the warp interpreter.
+    delegated: u32,
     /// Per-op time tally (tape executors under `VGPU_PROFILE=op` only):
     /// one per chunk, merged after the parallel section — no shared state
     /// inside the hot loop.
@@ -1761,14 +1777,15 @@ fn finish(
 ) -> Result<LaunchStats, ExecError> {
     let mut counters = Counters::default();
     let mut tbytes = 0u64;
-    let mut divergent_warps = 0u64;
+    let (mut divergent_warps, mut delegated_warps) = (0u64, 0u64);
     let mut all_writes: Vec<WriteRec> = Vec::new();
     let mut op_profile: Option<Box<crate::profiler::OpProf>> = None;
     let tasks = chunks.len();
     for mut c in chunks {
         counters.add(&c.counters);
         tbytes += c.tbytes;
-        divergent_warps += c.divergent;
+        divergent_warps += c.divergent as u64;
+        delegated_warps += c.delegated as u64;
         all_writes.append(&mut c.writes);
         if let Some(p) = c.prof {
             match op_profile.as_deref_mut() {
@@ -1786,6 +1803,7 @@ fn finish(
         wall,
         global_work_items: l.total,
         tasks,
+        delegated_warps,
         // Overwritten by `run_launch`, which knows which backend ran.
         backend: Backend::Tree,
         divergent_warps,
@@ -1936,6 +1954,10 @@ struct WarpState {
     /// Per-lane linear work-item ids and global ids of the loaded warp.
     items: Vec<u64>,
     gids: Vec<[usize; 3]>,
+    /// The loaded warp is *row-coherent*: a flat launch's warp whose lanes
+    /// share `gid[1]` and `gid[2]`, so `gid[0]` counts up by one per lane —
+    /// what the tape's lane shapes ([`bytecode::Shape`]) are stated for.
+    coherent: bool,
 }
 
 impl WarpState {
@@ -1948,6 +1970,7 @@ impl WarpState {
             traces: vec![Vec::new(); WARP],
             items: Vec::with_capacity(WARP),
             gids: Vec::with_capacity(WARP),
+            coherent: false,
         }
     }
 
@@ -1965,19 +1988,26 @@ impl WarpState {
         let (gx, gy) = (l.gsize[0] as u64, l.gsize[1] as u64);
         self.items.clear();
         self.gids.clear();
-        // One division per warp; lanes advance the 3-D id incrementally.
+        // One division per warp. Lanes are consecutive work-items, so the
+        // first and the last lane say whether the warp stays in one row —
+        // then the ids are an iota; otherwise they advance with carries.
         let mut gid =
             [(begin % gx) as usize, ((begin / gx) % gy) as usize, (begin / (gx * gy)) as usize];
-        for item in begin..end {
-            self.items.push(item);
-            self.gids.push(gid);
-            gid[0] += 1;
-            if gid[0] as u64 == gx {
-                gid[0] = 0;
-                gid[1] += 1;
-                if gid[1] as u64 == gy {
-                    gid[1] = 0;
-                    gid[2] += 1;
+        self.coherent = l.lsize.is_none() && begin / gx == (end - 1) / gx;
+        self.items.extend(begin..end);
+        if self.coherent {
+            self.gids.extend((0..(end - begin) as usize).map(|k| [gid[0] + k, gid[1], gid[2]]));
+        } else {
+            for _ in begin..end {
+                self.gids.push(gid);
+                gid[0] += 1;
+                if gid[0] as u64 == gx {
+                    gid[0] = 0;
+                    gid[1] += 1;
+                    if gid[1] as u64 == gy {
+                        gid[1] = 0;
+                        gid[2] += 1;
+                    }
                 }
             }
         }
@@ -1988,7 +2018,8 @@ impl WarpState {
                 p.clear();
             }
         }
-        bytecode::exec_item_pre_warp(tape, &mut self.vregs, nact, &self.gids, &self.items, l.lsize);
+        let ids = (&self.gids[..], &self.items[..]);
+        bytecode::exec_item_pre_warp(tape, &mut self.vregs, nact, ids, l.lsize, self.coherent);
         nact
     }
 
@@ -2016,6 +2047,7 @@ impl WarpState {
             locals,
             prof: acc.prof.as_deref_mut(),
             san: Some(crate::sanitize::SanCtx { kernel: &l.prep.name, params: &l.prep.params }),
+            delegated: &mut acc.delegated,
         };
         (&mut self.vregs, &mut self.privs, wc)
     }
@@ -2066,17 +2098,22 @@ fn run_flat_warps(l: &Launch<'_>, fused: bool) -> Result<LaunchStats, ExecError>
             let begin = w * WARP as u64;
             let nact = warp.load(l, tape, &init, begin, (begin + WARP as u64).min(total));
             acc.counters.work_items += nact as u64;
+            let coherent = warp.coherent;
             let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut []);
             let diverged = match &fused {
                 Some((f, checked)) => {
-                    bytecode::exec_fused_warp(f, tape, 0, nact, vregs, privs, &mut wc, checked)
+                    // Lane shapes hold for a row-coherent warp; any other
+                    // runs with every register varying.
+                    let shapes = if coherent { &f.shapes[..] } else { &[] };
+                    let lic = bytecode::Licence { checked, shapes };
+                    bytecode::exec_fused_warp(f, tape, 0, nact, vregs, privs, &mut wc, lic)
                 }
                 None => {
                     let mask = bytecode::prefix_mask(nact);
                     bytecode::exec_phase_warp(tape, 0, mask, vregs, privs, &mut wc).diverged
                 }
             };
-            acc.divergent += diverged as u64;
+            acc.divergent += diverged as u32;
             if l.trace_on {
                 acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
             }
@@ -2145,7 +2182,7 @@ fn run_grouped_warps(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecEr
                     diverged[wi] |= run.diverged;
                 }
             }
-            acc.divergent += diverged.iter().filter(|&&d| d).count() as u64;
+            acc.divergent += diverged.iter().filter(|&&d| d).count() as u32;
             if l.trace_on {
                 // The same warp-granular partition as the tree-walker's:
                 // consecutive runs of WARP work-items, last one partial.

@@ -546,3 +546,232 @@ fn dispatch_counters_tell_inline_launches_from_fanned_out_ones() {
     assert_eq!(wide.1.tasks, 3);
     assert!(tasks.get() >= t1 + 3, "a fanned-out launch counts each task");
 }
+
+// ---- lane shapes: slice loads/stores, branches decided from end lanes ----
+
+/// `n` small integers, exact in every element kind.
+fn ramp(kind: ScalarKind, n: usize) -> BufData {
+    let v = |i: usize| (i * 7 % 23) as i32 - 11;
+    match kind {
+        ScalarKind::F32 => BufData::from((0..n).map(|i| v(i) as f32).collect::<Vec<_>>()),
+        ScalarKind::F64 => BufData::from((0..n).map(|i| v(i) as f64).collect::<Vec<_>>()),
+        _ => BufData::from((0..n).map(v).collect::<Vec<_>>()),
+    }
+}
+
+/// The volume kernel's shape: three early-return guards, a linear index
+/// `(gid2·H + gid1)·W + gid0`, six neighbour loads at `± 1`, `± W`, `± W·H`
+/// and the centre, one store. `x` is padded by a plane on either side.
+fn stencil7_kernel(kind: ScalarKind) -> Kernel {
+    let (w, h) = (|| KExpr::var("W"), || KExpr::var("H"));
+    let guard =
+        |d: u8, n: &str| KStmt::return_if(KExpr::bin(BinOp::Ge, KExpr::GlobalId(d), KExpr::var(n)));
+    let at = |off: KExpr| KExpr::load(MemRef::Param(0), KExpr::var("c") + off);
+    let below = |off: KExpr| KExpr::load(MemRef::Param(0), KExpr::var("c") - off);
+    Kernel {
+        name: format!("ls_stencil7_{kind:?}"),
+        params: vec![
+            KernelParam::global_buf("x", kind),
+            KernelParam::global_buf("out", kind),
+            KernelParam::scalar("W", ScalarKind::I32),
+            KernelParam::scalar("H", ScalarKind::I32),
+            KernelParam::scalar("N", ScalarKind::I32),
+            KernelParam::scalar("D", ScalarKind::I32),
+        ],
+        body: vec![
+            guard(0, "N"),
+            guard(1, "H"),
+            guard(2, "D"),
+            KStmt::DeclScalar {
+                name: "idx".into(),
+                kind: ScalarKind::I32,
+                init: Some((KExpr::GlobalId(2) * h() + KExpr::GlobalId(1)) * w() + gid()),
+            },
+            KStmt::DeclScalar {
+                name: "c".into(),
+                kind: ScalarKind::I32,
+                init: Some(KExpr::var("idx") + w() * h()),
+            },
+            KStmt::Store {
+                mem: MemRef::Param(1),
+                idx: KExpr::var("idx"),
+                value: below(KExpr::int(1))
+                    + at(KExpr::int(1))
+                    + below(w())
+                    + at(w())
+                    + below(w() * h())
+                    + at(w() * h())
+                    - KExpr::int(6) * at(KExpr::int(0)),
+            },
+        ],
+        work_dim: 3,
+    }
+}
+
+/// One launch of the stencil over `w × 5 × 3` with the last two columns of
+/// every row guarded off, so rows end inside warps wherever they can.
+fn run_stencil7(
+    kind: ScalarKind,
+    w: usize,
+    engine: Engine,
+    race_check: bool,
+) -> (BufData, LaunchStats) {
+    let (h, d) = (5, 3);
+    let mut dev = Device::gtx780();
+    dev.set_engine(engine);
+    dev.set_race_check(race_check);
+    let prep = dev.compile(&stencil7_kernel(kind)).unwrap();
+    let x = dev.upload(ramp(kind, w * h * (d + 2)));
+    let out = dev.upload(ramp(kind, w * h * d));
+    let int = |v: usize| Arg::Val(Value::I32(v as i32));
+    let args = [Arg::Buf(x), Arg::Buf(out), int(w), int(h), int(w - 2), int(d)];
+    let stats = dev
+        .launch(&prep, &args, &[w, h, d], ExecMode::Fast)
+        .unwrap_or_else(|e| panic!("{kind:?} width {w} under {engine:?}: {e}"));
+    (dev.read(out), stats)
+}
+
+/// Rows of 13, 31 and 33 make every warp straddle rows (today's per-lane
+/// path), 32 and 96 make every warp row-coherent (slice loads and stores,
+/// guards decided from the end lanes); 13·5·3 and 31·5·3 end in a partial
+/// warp. The differential engine holds the interpreter and the fused
+/// executor to the oracle's buffers and counters inside the launch; the
+/// interpreter and the fused executor must also agree on how many warps
+/// diverged, and every engine cuts the launch into the same tasks.
+#[test]
+fn stencil_rows_coherent_straddling_and_partial_match_the_oracle() {
+    for kind in [ScalarKind::F32, ScalarKind::F64, ScalarKind::I32] {
+        for w in [13, 31, 32, 33, 96] {
+            let what = format!("{kind:?} width {w}");
+            let tree = run_stencil7(kind, w, Engine::Tree, false);
+            let diff = run_stencil7(kind, w, Engine::Differential, false);
+            let interp = run_stencil7(kind, w, Engine::Fast, true);
+            let fused = run_stencil7(kind, w, Engine::Fast, false);
+            assert_eq!(fused.1.backend, Backend::Compiled, "{what}");
+            assert_eq!(interp.1.backend, Backend::Vector, "{what}");
+            for got in [&diff, &interp, &fused] {
+                assert_same_result(&what, got, &tree);
+            }
+            assert_eq!(fused.1.divergent_warps, interp.1.divergent_warps, "{what}: diverged");
+            assert_eq!(diff.1.divergent_warps, interp.1.divergent_warps, "{what}: diverged");
+            assert_eq!(fused.1.delegated_warps, 0, "{what}: guards resolve in place");
+            // Every row loses its last two columns inside some warp.
+            assert!(fused.1.divergent_warps > 0, "{what}");
+        }
+    }
+}
+
+/// Unit stride down (`x[M − gid]`), stride 2 (`x[2·gid]`), a negative
+/// offset (`x[gid + 64 − 3]`) and a store through `out[gid]` after a guard
+/// that retires every third lane — a non-contiguous mask, so the affine
+/// sites run lane by lane there:
+///
+/// ```text
+/// if (gid % 3 == 1) return;
+/// out[gid] = x[M − gid] + x[2·gid] − x[gid + 61];
+/// ```
+fn strides_kernel(kind: ScalarKind) -> Kernel {
+    let ld = |idx: KExpr| KExpr::load(MemRef::Param(0), idx);
+    let third = KExpr::bin(BinOp::Eq, KExpr::bin(BinOp::Rem, gid(), KExpr::int(3)), KExpr::int(1));
+    Kernel {
+        name: format!("ls_strides_{kind:?}"),
+        params: vec![
+            KernelParam::global_buf("x", kind),
+            KernelParam::global_buf("out", kind),
+            KernelParam::scalar("M", ScalarKind::I32),
+        ],
+        body: vec![
+            KStmt::return_if(third),
+            KStmt::Store {
+                mem: MemRef::Param(1),
+                idx: gid(),
+                value: ld(KExpr::var("M") - gid()) + ld(KExpr::int(2) * gid())
+                    - ld(gid() + KExpr::int(64) - KExpr::int(3)),
+            },
+        ],
+        work_dim: 1,
+    }
+}
+
+#[test]
+fn strided_and_reversed_indices_under_a_non_contiguous_mask_match_the_oracle() {
+    let n = 75; // two full warps and a partial one
+    for kind in [ScalarKind::F32, ScalarKind::F64, ScalarKind::I32] {
+        let run = |engine: Engine, race_check: bool| {
+            let mut dev = Device::gtx780();
+            dev.set_engine(engine);
+            dev.set_race_check(race_check);
+            let prep = dev.compile(&strides_kernel(kind)).unwrap();
+            let x = dev.upload(ramp(kind, 2 * n + 64));
+            let out = dev.upload(ramp(kind, n));
+            let args = [Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::I32(n as i32 - 1))];
+            let stats = dev.launch(&prep, &args, &[n], ExecMode::Fast).unwrap();
+            (dev.read(out), stats)
+        };
+        let tree = run(Engine::Tree, false);
+        let (interp, fused) = (run(Engine::Fast, true), run(Engine::Fast, false));
+        for got in [&run(Engine::Differential, false), &interp, &fused] {
+            assert_same_result(&format!("{kind:?}"), got, &tree);
+        }
+        assert_eq!(fused.1.backend, Backend::Compiled);
+        assert_eq!((fused.1.divergent_warps, interp.1.divergent_warps), (3, 3));
+    }
+}
+
+/// `out[gid] = x[gid + 1]` over all of `x`: the last work-item reads one
+/// element past the end through a unit-stride site.
+fn overread_kernel(name: &str) -> Kernel {
+    Kernel {
+        name: name.into(),
+        params: vec![
+            KernelParam::global_buf("x", ScalarKind::F32),
+            KernelParam::global_buf("out", ScalarKind::F32),
+        ],
+        body: vec![KStmt::Store {
+            mem: MemRef::Param(1),
+            idx: gid(),
+            value: KExpr::load(MemRef::Param(0), gid() + KExpr::int(1)),
+        }],
+        work_dim: 1,
+    }
+}
+
+fn overread_panic(kernel: &Kernel) -> String {
+    let mut dev = Device::gtx780();
+    dev.set_engine(Engine::Fast);
+    let prep = dev.compile(kernel).unwrap();
+    let x = dev.upload(BufData::from(vec![1.0f32; 64]));
+    let out = dev.upload(BufData::from(vec![0.0f32; 64]));
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = dev.launch(&prep, &[Arg::Buf(x), Arg::Buf(out)], &[64], ExecMode::Fast);
+    }))
+    .expect_err("the over-read must panic");
+    payload.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
+/// A run that fails its one range check falls back to the per-lane path,
+/// so a POTENTIAL site reports the out-of-bounds lane in the words it
+/// always has.
+#[test]
+fn a_unit_stride_site_one_past_the_end_keeps_its_panic_text() {
+    let msg = overread_panic(&overread_kernel("ls_overread"));
+    assert!(msg.contains("load out of bounds: param 0[64] (len 64)"), "got: {msg:?}");
+}
+
+/// The same over-read at a site a (false) launch contract makes PROVEN:
+/// release builds elide the check there, debug builds audit the proof — and
+/// the slice path's range check, kept at PROVEN sites, sends the run to
+/// that audit instead of reading past the end.
+#[cfg(debug_assertions)]
+#[test]
+fn a_proven_unit_stride_site_one_past_the_end_trips_the_debug_audit() {
+    use lift::arith::ArithExpr;
+    let mut lie = lift::verify::Assumptions::default();
+    lie.buffers.insert("x".into(), lift::verify::BufferFacts::sized(ArithExpr::cst(65)));
+    vgpu::register_launch_contract("ls_overread_proven", lie);
+    let proven0 = vgpu::telemetry::registry().counter("vgpu.compiled.sites_proven").get();
+    let msg = overread_panic(&overread_kernel("ls_overread_proven"));
+    assert!(msg.contains("load out of bounds: param 0[64] (len 64)"), "got: {msg:?}");
+    let proven = vgpu::telemetry::registry().counter("vgpu.compiled.sites_proven").get();
+    assert!(proven - proven0 >= 2, "both sites of the kernel were taken as proven");
+}
