@@ -12,10 +12,9 @@
 //!   (the CI gate that keeps a contract honest);
 //! * every [`crate::StepKernel`] carries its contract, and
 //!   [`crate::Simulation::try_new`] hands it to
-//!   [`vgpu::register_launch_contract`], where the fused-block executor
-//!   (the `fast` engine's unmodeled path) merges it with each launch's
-//!   concrete shape and elides per-access bounds checks at sites the
-//!   verifier proves (DESIGN.md §13).
+//!   [`vgpu::register_launch_contract`], where a flat launch on the tape
+//!   merges it with its concrete shape and elides per-access bounds checks
+//!   at sites the verifier proves (DESIGN.md §13).
 //!
 //! Both consumers reading one definition is the point: the facts the
 //! executor trusts are exactly the facts CI re-proves against the kernel

@@ -493,7 +493,7 @@ impl Simulation {
         };
         let mut named = [false; Role::COUNT];
         for k in std::iter::once(&volume).chain(&boundary) {
-            // The one place kernels get their launch contract: the fused
+            // The one place kernels get their launch contract: the tape
             // executor elides bounds checks only at sites the verifier
             // proves under it. It turns every i32 argument into an equality,
             // so an alias define over an argument (`S := MB·numB`) is

@@ -13,7 +13,7 @@
 //! * the non-convex L-shape room, whose boundary points have outside
 //!   neighbours inside the bounding box;
 //! * everything under `Engine::Differential`, so each launch additionally
-//!   cross-checks tree vs tape vs vector engines bit-for-bit.
+//!   cross-checks the tree oracle against the tape bit-for-bit.
 
 use room_acoustics::simulation::sum_step_stats;
 use room_acoustics::{

@@ -283,8 +283,6 @@ fn write_sidecar(
         /// over all launches: whether this job's launches fanned out.
         inline_launches: u64,
         tasks: u64,
-        /// Warps the fused executor handed to the warp interpreter.
-        delegated_warps: u64,
         wall_us: f64,
         flops: u64,
         bytes_loaded: u64,
@@ -297,7 +295,6 @@ fn write_sidecar(
         agg.launches += 1;
         agg.inline_launches += (ev.stats.tasks <= 1) as u64;
         agg.tasks += ev.stats.tasks as u64;
-        agg.delegated_warps += ev.stats.delegated_warps;
         agg.wall_us += ev.stats.wall.as_secs_f64() * 1e6;
         agg.flops += ev.stats.counters.flops;
         agg.bytes_loaded += ev.stats.counters.bytes_loaded;
@@ -343,7 +340,6 @@ fn write_sidecar(
             "launches": a.launches,
             "inline_launches": a.inline_launches,
             "tasks": a.tasks,
-            "delegated_warps": a.delegated_warps,
             "wall_us": a.wall_us,
             "flops": a.flops,
             "bytes_loaded": a.bytes_loaded,

@@ -1,7 +1,7 @@
 //! Threaded stress: parallel jobs sharing the process-wide artifact cache
 //! and counter registry must be bit-identical to a serial run of the same
-//! scenarios, with every launch under the differential engine (tree, tape,
-//! and vector legs asserted bit-equal inside each launch).
+//! scenarios, with every launch under the differential engine (the tree
+//! and tape legs asserted bit-equal inside each launch).
 //!
 //! The tests serialise on [`COUNTERS`] because artifact/plan counters are
 //! process-global and both tests read deltas.

@@ -9,8 +9,7 @@
 //!
 //! * a failed job (includes differential-engine mismatches and write races);
 //! * a static-verifier finding on a shipped kernel;
-//! * any tape/vector fallback — the handwritten kernels must stay on the
-//!   vectorized engine;
+//! * any tape fallback — the handwritten kernels must stay on the tape;
 //! * more artifact compilations than first sightings allow: each job looks
 //!   each of its two kernels up once, and only the first sighting of a
 //!   kernel class (8 of them) may compile — once per worker racing to it.
@@ -47,7 +46,7 @@ fn main() {
     let art_misses0 = counter("vgpu.artifact.misses");
     let plan_misses0 = counter("vgpu.plan.misses");
     let shared0 = counter("vgpu.plan.shared_hits");
-    let fallbacks0 = counter("vgpu.tape.fallbacks") + counter("vgpu.compiled.fallbacks");
+    let fallbacks0 = counter("vgpu.tape.fallbacks");
 
     let scenarios = ScenarioGen::new(seed).take(rooms);
     let exec = BatchExecutor::new(BatchConfig {
@@ -71,8 +70,7 @@ fn main() {
     let art_hits = counter("vgpu.artifact.hits") - art_hits0;
     let art_misses = counter("vgpu.artifact.misses") - art_misses0;
     let hit_rate = art_hits as f64 / (art_hits + art_misses).max(1) as f64;
-    let fallbacks =
-        counter("vgpu.tape.fallbacks") + counter("vgpu.compiled.fallbacks") - fallbacks0;
+    let fallbacks = counter("vgpu.tape.fallbacks") - fallbacks0;
 
     let record = format!(
         "{{\"bench\":\"batch\",\"rooms\":{rooms},\"threads\":{threads},\"seed\":{seed},\
@@ -107,7 +105,7 @@ fn main() {
         bad = true;
     }
     if fallbacks > 0 {
-        eprintln!("FAIL: {fallbacks} engine fallbacks — handwritten kernels must stay on their engine rung");
+        eprintln!("FAIL: {fallbacks} engine fallbacks — handwritten kernels must stay on the tape");
         bad = true;
     }
     if art_misses as usize > 8 * threads {

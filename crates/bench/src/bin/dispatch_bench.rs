@@ -4,8 +4,7 @@
 //! is the measurement behind the dispatch-overhead numbers in
 //! EXPERIMENTS.md: it runs the same leap-frog launch loop the sims run and
 //! prints ms/step for fast and modeled execution on the tree-walker oracle
-//! and on the default engine (fused blocks when unmodeled, the warp
-//! interpreter when modeled), the wall of a one-warp launch
+//! and on the default engine (the tape), the wall of a one-warp launch
 //! (`launch_fixed_us`), plus the launch-plan cache hit counters and the
 //! divergent-warp / fallback audits, as one JSON record.
 //!
@@ -61,16 +60,15 @@ fn main() {
     let divergent0 = reg.counter("vgpu.warp.divergent").get();
     // `fast` must cover the FI kernel outright: a fallback means the
     // measurement below is not what it claims.
-    let fallbacks =
-        || reg.counter("vgpu.tape.fallbacks").get() + reg.counter("vgpu.compiled.fallbacks").get();
-    let fallbacks0 = fallbacks();
+    let fallbacks = reg.counter("vgpu.tape.fallbacks");
+    let fallbacks0 = fallbacks.get();
     let fast = measure(fi_run(n, Engine::Fast), steps, ExecMode::Fast);
     let model = measure(fi_run(n, Engine::Fast), steps, model_mode);
     // What a launch costs before any lane runs: the smallest grid is 27
     // work-items, one partial warp, run inline on this thread.
     let launch_fixed_us = measure(fi_run(3, Engine::Fast), 2000, ExecMode::Fast) * 1e3;
     let divergent = reg.counter("vgpu.warp.divergent").get() - divergent0;
-    let fell_back = fallbacks() - fallbacks0;
+    let fell_back = fallbacks.get() - fallbacks0;
     if fell_back > 0 {
         eprintln!("dispatch_bench: {fell_back} engine fallbacks during measurement");
         std::process::exit(1);
@@ -86,8 +84,8 @@ fn main() {
          \"divergent_warps\":{divergent},\
          \"sites_proven\":{},\"sites_checked\":{},\
          \"plan_hits\":{},\"plan_misses\":{}}}",
-        reg.counter("vgpu.compiled.sites_proven").get(),
-        reg.counter("vgpu.compiled.sites_checked").get(),
+        reg.counter("vgpu.tape.sites_proven").get(),
+        reg.counter("vgpu.tape.sites_checked").get(),
         reg.counter("vgpu.plan.hits").get(),
         reg.counter("vgpu.plan.misses").get(),
     );

@@ -105,7 +105,7 @@ fn step_loops_reuse_cached_launch_plans() {
 }
 
 /// Generated kernels used to run without a launch contract (only the
-/// hand-written ones were ever registered), so the fused executor kept a
+/// hand-written ones were ever registered), so the tape executor kept a
 /// bounds check on every data-dependent gather of `fdmm_boundary_lift`: 28
 /// sites proven, 10 checked. Under the contract `lift_verify` proves them
 /// with, all 10 + 28 sites of the volume and boundary kernels are proven.
@@ -114,7 +114,7 @@ fn generated_kernels_launch_under_their_contract() {
     let _g = COUNTERS.lock().unwrap();
     let sites = || {
         let reg = vgpu::telemetry::registry();
-        let (proven, checked) = ("vgpu.compiled.sites_proven", "vgpu.compiled.sites_checked");
+        let (proven, checked) = ("vgpu.tape.sites_proven", "vgpu.tape.sites_checked");
         (reg.counter(proven).get(), reg.counter(checked).get())
     };
     // A room no other test of this binary launches: proofs are memoized per

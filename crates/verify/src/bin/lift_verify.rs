@@ -5,8 +5,8 @@
 //! and hand-written kernel (both precisions), the dataflow passes over
 //! each compiled tape, and the read-before-write pass over the shipped
 //! host programs. Prints the diagnostics table, the per-kernel PROVEN vs
-//! POTENTIAL site summary (what the `fast` engine's fused-block executor
-//! may elide vs must keep checking) and the host audit, and exits nonzero
+//! POTENTIAL site summary (what the `fast` engine's tape executor may
+//! elide vs must keep checking) and the host audit, and exits nonzero
 //! if any non-fixture site, race map, halo width or host buffer is
 //! unproven — or if the deliberately broken fixtures are *not* flagged.
 //!

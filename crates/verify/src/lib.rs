@@ -470,8 +470,8 @@ pub fn host_audit() -> Vec<(String, bool, Vec<lift::footprint::UninitRead>)> {
 
 /// Renders the elision eligibility summary: per kernel variant, how many
 /// bounds sites come back PROVEN — eligible for proof-licensed check
-/// elision in the `fast` engine's fused-block executor — versus POTENTIAL,
-/// which that executor keeps on the dynamic-check path (see
+/// elision on the tape's flat launches — versus POTENTIAL, which the
+/// executor keeps on the dynamic-check path (see
 /// `vgpu::register_launch_contract`).
 pub fn render_site_summary(reports: &[SuiteReport]) -> String {
     use std::fmt::Write as _;

@@ -9,6 +9,10 @@
 //! statically-proven kernel must never produce a dynamic race report,
 //! and the deliberately racy fixture must be flagged by *both* levels
 //! with matching element and site provenance.
+//!
+//! The tests that launch take turns on [`LAUNCHES`]: a race-checked flat
+//! launch consults the bounds proof of its shape like any other, and one
+//! test reads deltas of the process-wide `vgpu.tape.sites_*` counters.
 
 use lift::prelude::*;
 use room_acoustics::geometry::{GridDims, RoomShape};
@@ -16,6 +20,12 @@ use room_acoustics::sim::{SimConfig, SimSetup};
 use room_acoustics::{BoundaryKernel, HandwrittenSim, Precision, Simulation, StepKernels};
 use verify::fixtures;
 use vgpu::{Arg, Device, ExecMode};
+
+static LAUNCHES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn take_turn() -> std::sync::MutexGuard<'static, ()> {
+    LAUNCHES.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn race_device() -> Device {
     let mut dev = Device::gtx780();
@@ -28,6 +38,7 @@ fn race_device() -> Device {
 /// unwrap launch results), failing the test.
 #[test]
 fn handwritten_suite_is_dynamically_race_free() {
+    let _turn = take_turn();
     for shape in [RoomShape::Box, RoomShape::LShape] {
         for boundary in [
             BoundaryKernel::FiMm { beta_constant: false },
@@ -50,6 +61,7 @@ fn handwritten_suite_is_dynamically_race_free() {
 /// Every LIFT-generated backend under the dynamic detector.
 #[test]
 fn generated_suite_is_dynamically_race_free() {
+    let _turn = take_turn();
     use lift_acoustics::{programs, runner, LiftBoundary, LiftSim};
     for shape in [RoomShape::Box, RoomShape::LShape] {
         for boundary in [LiftBoundary::FiMm, LiftBoundary::FdMm] {
@@ -78,6 +90,7 @@ fn generated_suite_is_dynamically_race_free() {
 /// dynamic report must name the same element and site.
 #[test]
 fn racy_fixture_flagged_statically_and_dynamically() {
+    let _turn = take_turn();
     let entries = fixtures::entries();
     let racy = entries.iter().find(|e| e.kernel.name == "fixture_racy").unwrap();
     let report = lift::verify::verify_kernel(&racy.kernel, &racy.assumptions);
@@ -99,18 +112,19 @@ fn racy_fixture_flagged_statically_and_dynamically() {
     assert!(msg.contains("site(s) [0]"), "dynamic report names the site: {msg}");
 }
 
-/// The fused-block executor must *refuse* proof-licensed elision for the OOB
+/// The tape executor must *refuse* proof-licensed elision for the OOB
 /// fixture: no contract is registered for it, the launch-concrete facts
 /// cannot prove the off-the-end store, so the site stays on the checked
-/// path (`vgpu.compiled.sites_checked` grows) and the overrun dies on the
+/// path (`vgpu.tape.sites_checked` grows) and the overrun dies on the
 /// release-mode bounds assert — a clean panic, not an unchecked write.
 #[test]
 fn oob_fixture_refuses_proof_licensed_elision() {
+    let _turn = take_turn();
     let entries = fixtures::entries();
     let oob = entries.iter().find(|e| e.kernel.name == "fixture_oob").unwrap();
     let reg = vgpu::telemetry::registry();
-    let checked0 = reg.counter("vgpu.compiled.sites_checked").get();
-    let proven0 = reg.counter("vgpu.compiled.sites_proven").get();
+    let checked0 = reg.counter("vgpu.tape.sites_checked").get();
+    let proven0 = reg.counter("vgpu.tape.sites_proven").get();
 
     let mut dev = Device::gtx780();
     dev.set_engine(vgpu::Engine::Fast);
@@ -130,16 +144,16 @@ fn oob_fixture_refuses_proof_licensed_elision() {
         .unwrap_or_default();
     assert!(msg.contains("store out of bounds"), "clean bounds panic, got: {msg}");
 
-    let checked = reg.counter("vgpu.compiled.sites_checked").get() - checked0;
-    let proven = reg.counter("vgpu.compiled.sites_proven").get() - proven0;
+    let checked = reg.counter("vgpu.tape.sites_checked").get() - checked0;
+    let proven = reg.counter("vgpu.tape.sites_proven").get() - proven0;
     assert!(checked > 0, "the unprovable store site must keep its check");
     assert_eq!(proven, 0, "nothing about this launch is provable without a contract");
 }
 
-/// The OOB fixture is a *static-only* catch: the release-mode
-/// interpreter trusts the bounds contract (its checks are debug
-/// assertions), which is exactly why the bounds checker must flag the
-/// site rather than rely on the dynamic oracle.
+/// The OOB fixture is a *static-only* catch: the release-mode tree
+/// oracle trusts the bounds contract (its checks are debug assertions),
+/// which is exactly why the bounds checker must flag the site rather than
+/// rely on the dynamic oracle.
 #[test]
 fn oob_fixture_is_flagged_statically() {
     let entries = fixtures::entries();

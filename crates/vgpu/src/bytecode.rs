@@ -246,11 +246,47 @@ pub(crate) enum Op {
     Ret,
     /// End of phase.
     Halt,
+    // ---- superinstructions, written by [`crate::compile::fuse`] ----
+    /// `Bin{t,a,b,Mul,k}; Bin{dst,…,…,Add|Sub,k}` with `t` single-use:
+    /// `dst = (a*b) ⊕ c` (or `c ⊕ (a*b)` when `rev`). The multiply and the
+    /// add/sub stay two distinct roundings — never contracted to an FMA.
+    MulAdd { dst: R, a: R, b: R, c: R, k: K, sub: bool, rev: bool },
+    /// `Bin{t,a,b,cmp,k}; Sel{dst,t,Bool,tr,fl}` with `t` single-use:
+    /// `dst = if a cmp b { tr } else { fl }` (lane-wise register pick).
+    CmpSel { dst: R, a: R, b: R, op: BinOp, k: K, tr: R, fl: R },
+    /// Fused global load: `[Bin{t,base,off,±,I32};] AsI64{t2,t|base,I32};
+    /// LdG{v,buf,t2,site} [; Bin acc]` with every intermediate single-use.
+    /// `dst` receives the loaded value, or `acc` applied to it. The i32
+    /// index math wraps exactly like [`bin_bits`].
+    LdGFused {
+        dst: R,
+        buf: u16,
+        base: R,
+        off: Option<(R, bool)>,
+        acc: Option<Acc>,
+        site: u32,
+        constant: bool,
+    },
+    /// `AsI64{t2,base,I32}; StG{buf,t2,val,vk,site}` with `t2` single-use.
+    StGAt { buf: u16, base: R, val: R, vk: K, site: u32 },
+    /// `Bin{t,a,b,cmp,k}; Jz{t,Bool,target}` with `t` single-use: jump when
+    /// `a cmp b` is false.
+    CmpJz { a: R, b: R, op: BinOp, k: K, target: u32 },
+}
+
+/// The accumulate tail of [`Op::LdGFused`]: the op writes `src ⊕ loaded`
+/// (or `loaded ⊕ src` when `rev`), with `⊕` ∈ {Add, Sub} at kind `k`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Acc {
+    pub(crate) src: R,
+    pub(crate) k: K,
+    pub(crate) sub: bool,
+    pub(crate) rev: bool,
 }
 
 /// Number of [`Op`] variants — sizes the profiler's per-opcode tally arrays
 /// ([`crate::profiler::OpProf`]).
-pub(crate) const NOPCODES: usize = 33;
+pub(crate) const NOPCODES: usize = 38;
 
 /// Opcode display names, parallel to [`op_index`].
 const OP_NAMES: [&str; NOPCODES] = [
@@ -287,6 +323,11 @@ const OP_NAMES: [&str; NOPCODES] = [
     "Jz",
     "Ret",
     "Halt",
+    "MulAdd",
+    "CmpSel",
+    "LdGFused",
+    "StGAt",
+    "CmpJz",
 ];
 
 /// Display name of the opcode with dense index `i` (see [`op_index`]).
@@ -332,167 +373,18 @@ pub(crate) fn op_index(op: &Op) -> usize {
         Op::Jz { .. } => 30,
         Op::Ret => 31,
         Op::Halt => 32,
+        Op::MulAdd { .. } => 33,
+        Op::CmpSel { .. } => 34,
+        Op::LdGFused { .. } => 35,
+        Op::StGAt { .. } => 36,
+        Op::CmpJz { .. } => 37,
     }
-}
-
-// ---- superinstructions (the fused-block executor's op set) ----
-//
-// `compile::lower` re-lowers a validated tape into basic blocks of
-// *superinstructions*: the op sequences the acoustics kernels actually emit — index-arithmetic → `AsI64` → `LdG`
-// stencil gathers with a trailing accumulate, `Bin`·`Bin` multiply-add
-// chains, and the compare → `Sel` / compare → `Jz` diamonds produced by
-// if-conversion — each collapsed into one fused op. A fused op skips the
-// writes of its *globally single-use* intermediate registers (their only
-// reader is the fused op itself), which is what makes fusion profitable on
-// the SoA register file: every elided intermediate saves a 32-lane column
-// round-trip. Arithmetic inside fused ops goes through the exact same
-// bit-level helpers as the interpreter ([`bin_bits`], [`to_i64`], …) in the
-// exact same operand order, so results stay bit-identical lane for lane.
-
-/// The accumulate tail of a fused global load: `dst = src ⊕ loaded` (or
-/// `loaded ⊕ src` when `rev`), with `⊕` ∈ {Add, Sub} at kind `k`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Acc {
-    pub(crate) dst: R,
-    pub(crate) src: R,
-    pub(crate) k: K,
-    pub(crate) sub: bool,
-    pub(crate) rev: bool,
-}
-
-/// One superinstruction of the fused-block executor. Every variant's observable
-/// effects (registers written, counters bumped) equal the op sequence it
-/// replaced, minus the writes of fused-away single-use intermediates.
-#[derive(Debug, Clone)]
-pub(crate) enum FOp {
-    /// An op the fuser left alone, executed with dense-prefix lane loops.
-    Base(Op),
-    /// `Bin{t,a,b,Mul,k}; Bin{dst,…,…,Add|Sub,k}` with `t` single-use:
-    /// `dst = (a*b) ⊕ c` (or `c ⊕ (a*b)` when `rev`). The multiply and the
-    /// add/sub stay two distinct roundings — never contracted to an FMA.
-    MulAdd { dst: R, a: R, b: R, c: R, k: K, sub: bool, rev: bool },
-    /// `Bin{t,a,b,cmp,k}; Sel{dst,t,Bool,tr,fl}` with `t` single-use:
-    /// `dst = if a cmp b { tr } else { fl }` (lane-wise register pick).
-    CmpSel { dst: R, a: R, b: R, op: BinOp, k: K, tr: R, fl: R },
-    /// Fused global load: `[Bin{t,base,off,±,I32};] AsI64{t2,t|base,I32};
-    /// LdG{dst,buf,t2,site} [; Bin acc]` with every intermediate single-use.
-    /// The i32 index math wraps exactly like [`bin_bits`].
-    LdGFused {
-        dst: R,
-        buf: u16,
-        base: R,
-        off: Option<(R, bool)>,
-        acc: Option<Acc>,
-        site: u32,
-        constant: bool,
-    },
-    /// `AsI64{t2,base,I32}; StG{buf,t2,val,vk,site}` with `t2` single-use.
-    StGAt { buf: u16, base: R, val: R, vk: K, site: u32 },
-}
-
-/// Number of fused-op kinds with their own profiler index (Base ops tally
-/// under their inner opcode; the fused compare-branch terminator gets the
-/// last slot).
-pub(crate) const NFOPS: usize = 5;
-
-/// Fused-op display names, parallel to [`fop_index`]; index `NFOPS - 1` is
-/// the `CmpJz` terminator.
-const FOP_NAMES: [&str; NFOPS] = ["F.MulAdd", "F.CmpSel", "F.LdGFused", "F.StGAt", "F.CmpJz"];
-
-/// Display name of the fused op with dense index `i` (see [`fop_index`]).
-pub(crate) fn fop_name(i: usize) -> &'static str {
-    FOP_NAMES[i]
-}
-
-/// Dense profiler index of a fused op, offset past the base opcodes: tally
-/// slot is `NOPCODES + fop_index(..)`. `Base` ops report `None` and tally
-/// under [`op_index`] of the inner op.
-#[inline(always)]
-pub(crate) fn fop_index(fop: &FOp) -> Option<usize> {
-    match fop {
-        FOp::Base(_) => None,
-        FOp::MulAdd { .. } => Some(0),
-        FOp::CmpSel { .. } => Some(1),
-        FOp::LdGFused { .. } => Some(2),
-        FOp::StGAt { .. } => Some(3),
-    }
-}
-
-/// Profiler index of the fused compare-branch block terminator.
-pub(crate) const FOP_CMPJZ: usize = 4;
-
-/// A basic-block terminator of the fused-block executor. Conditional terminators
-/// carry the pc of the first op they fused (`orig_pc`): when the active
-/// lanes disagree, the whole warp is delegated to the warp interpreter
-/// *at that pc*, which re-evaluates the (pure) condition and handles
-/// divergence with its mask/reconvergence machinery.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FTerm {
-    /// `Ret` / `Halt`: the phase is done for every active lane.
-    Halt,
-    Jmp {
-        block: u32,
-    },
-    /// `Jz{cond,k,target}`: lanes where `cond` is falsy go to `on_zero`.
-    Jz {
-        cond: R,
-        k: K,
-        on_zero: u32,
-        on_nonzero: u32,
-        orig_pc: u32,
-    },
-    /// `Bin{t,a,b,cmp,k}; Jz{t,Bool,target}` with `t` single-use: lanes
-    /// where `a cmp b` is false go to `on_zero`.
-    CmpJz {
-        a: R,
-        b: R,
-        op: BinOp,
-        k: K,
-        on_zero: u32,
-        on_nonzero: u32,
-        orig_pc: u32,
-    },
-    /// `JgeI64{a,b,target}`: lanes where `a >= b` go to `on_ge`.
-    JgeI64 {
-        a: R,
-        b: R,
-        on_ge: u32,
-        on_lt: u32,
-        orig_pc: u32,
-    },
-}
-
-/// One basic block of fused ops plus its terminator.
-#[derive(Debug, Clone)]
-pub(crate) struct FBlock {
-    pub(crate) ops: Vec<FOp>,
-    pub(crate) term: FTerm,
-}
-
-/// A tape re-lowered into superinstruction basic blocks for the compiled
-/// engine. Built by [`crate::compile::lower`]; executed by
-/// [`exec_fused_warp`]. The original [`Compiled`] tape stays alongside as
-/// the divergence-delegation target.
-#[derive(Debug, Clone)]
-pub struct Fused {
-    pub(crate) blocks: Vec<FBlock>,
-    /// Entry block per phase, parallel to [`Compiled::phase_starts`].
-    pub(crate) entries: Vec<u32>,
-    /// Raw tape ops absorbed into superinstructions (beyond the first of
-    /// each window). Feeds `vgpu.compiled.fused_ops`.
-    pub(crate) fused_ops: u32,
-    /// Number of global access sites (`max site + 1`) — sizes the per-site
-    /// bounds-check table the executor receives.
-    pub(crate) nsites: u32,
-    /// Lane shape of every tape register in a row-coherent warp
-    /// ([`crate::compile::lane_shapes`]).
-    pub(crate) shapes: Vec<Shape>,
 }
 
 /// How a register's value varies across the active lanes of a
 /// *row-coherent* warp — a flat launch's warp whose lanes share `gid[1]` and
 /// `gid[2]`, so that `gid[0]` counts up by one per lane. Classified once per
-/// tape by [`crate::compile::lane_shapes`]; licenses the fused executor's
+/// tape by [`crate::compile::lane_shapes`]; licenses the warp executor's
 /// shortcuts, which audit it lane by lane in debug builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Shape {
@@ -527,10 +419,11 @@ impl Shape {
     }
 }
 
-/// What the fused executor may take for granted about one warp: the
+/// What the warp executor may take for granted about one warp: the
 /// per-site bounds verdicts of the launch shape (`checked[site]` keeps the
-/// dynamic check) and the lane shapes of the tape's registers — empty, every
-/// register [`Shape::Varying`], for a warp that is not row-coherent.
+/// dynamic check; empty — every site checked — without a proof) and the lane
+/// shapes of the tape's registers — empty, every register
+/// [`Shape::Varying`], for a warp that is not row-coherent.
 #[derive(Clone, Copy)]
 pub(crate) struct Licence<'a> {
     pub(crate) checked: &'a [bool],
@@ -552,7 +445,7 @@ impl Licence<'_> {
 /// A compiled kernel tape: one instruction stream with an entry point per
 /// barrier-delimited phase, plus a launch-invariant prelude hoisted out of
 /// the per-item path by [`optimize`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Compiled {
     pub(crate) ops: Vec<Op>,
     pub(crate) phase_starts: Vec<u32>,
@@ -577,6 +470,15 @@ pub struct Compiled {
     /// paths only meet again at `Ret`/`Halt`, and [`NO_JOIN`] on non-branch
     /// ops. Computed by [`compute_joins`] on the final optimized tape.
     pub(crate) joins: Vec<u32>,
+    /// Ops absorbed into superinstructions by [`crate::compile::fuse`]
+    /// (beyond the first of each window). Feeds `vgpu.tape.fused_ops`.
+    pub(crate) fused_ops: u32,
+    /// Number of global access sites (`max site + 1`) — sizes the per-site
+    /// bounds-check table of [`Licence`].
+    pub(crate) nsites: u32,
+    /// Lane shape of every register in a row-coherent warp
+    /// ([`crate::compile::lane_shapes`]).
+    pub(crate) shapes: Vec<Shape>,
 }
 
 impl Compiled {
@@ -630,10 +532,7 @@ impl<'a> Cc<'a> {
     }
 
     fn patch(&mut self, at: u32, t: u32) {
-        match &mut self.ops[at as usize] {
-            Op::Jmp { target } | Op::Jz { target, .. } | Op::JgeI64 { target, .. } => *target = t,
-            _ => unreachable!("patch target is not a jump"),
-        }
+        *jump_target_mut(&mut self.ops[at as usize]).expect("patch target is a jump") = t;
     }
 
     fn cast(&mut self, r: R, from: K, to: K) -> R {
@@ -1038,25 +937,30 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
     if cc.nregs > u32::MAX / 2 {
         return Err("register file overflow".into());
     }
-    let mut c = Compiled {
-        ops: cc.ops,
-        phase_starts,
-        nregs: cc.nregs as usize,
-        pre: Vec::new(),
-        item_pre: Vec::new(),
-        optimized_ops: 0,
-        joins: Vec::new(),
-    };
+    let mut c =
+        Compiled { ops: cc.ops, phase_starts, nregs: cc.nregs as usize, ..Compiled::default() };
     optimize(&mut c, prep.nslots, &prep.scalar_slots);
+    c.nsites = c
+        .ops
+        .iter()
+        .map(|op| match *op {
+            Op::LdG { site, .. } | Op::StG { site, .. } => site + 1,
+            _ => 0,
+        })
+        .max()
+        .unwrap_or(0);
+    crate::compile::fuse(&mut c);
     if !validate(&c) {
         // Never expected: the compiler allocated every operand itself. The
         // fallback keeps the launch on the (fully bounds-checked) tree
         // engine rather than trusting a tape the check rejected.
         return Err("tape validation failed".into());
     }
-    // Branch reconvergence points for the warp interpreter, computed on the
-    // final op stream (the optimizer has already remapped every target).
+    // Branch reconvergence points for the warp executor, computed on the
+    // final op stream (every pass has already remapped its targets); the
+    // lane shapes read them.
     c.joins = compute_joins(&c.ops);
+    c.shapes = crate::compile::lane_shapes(&c, &prep.scalar_slots);
     Ok(c)
 }
 
@@ -1079,10 +983,10 @@ fn compute_joins(ops: &[Op]) -> Vec<u32> {
     let n = ops.len();
     let exit = n; // virtual exit node shared by every `Ret`/`Halt`
     let succs = |pc: usize| -> ([usize; 2], usize) {
-        match ops[pc] {
-            Op::Jmp { target } => ([target as usize, 0], 1),
-            Op::Jz { target, .. } | Op::JgeI64 { target, .. } => ([pc + 1, target as usize], 2),
-            Op::Ret | Op::Halt => ([exit, 0], 1),
+        match (&ops[pc], jump_target(&ops[pc])) {
+            (Op::Jmp { .. }, Some(target)) => ([target as usize, 0], 1),
+            (_, Some(target)) => ([pc + 1, target as usize], 2),
+            (Op::Ret | Op::Halt, None) => ([exit, 0], 1),
             _ => ([pc + 1, 0], 1),
         }
     };
@@ -1155,7 +1059,7 @@ fn compute_joins(ops: &[Op]) -> Vec<u32> {
     }
     let mut joins = vec![NO_JOIN; n];
     for (pc, join) in joins.iter_mut().enumerate() {
-        if matches!(ops[pc], Op::Jz { .. } | Op::JgeI64 { .. }) && ipdom[pc] != usize::MAX {
+        if is_branch(&ops[pc]) && ipdom[pc] != usize::MAX {
             *join = ipdom[pc] as u32;
         }
     }
@@ -1177,7 +1081,7 @@ fn validate(c: &Compiled) -> bool {
             ok &= (d as usize) < c.nregs;
         }
         visit_srcs(op, &mut |r| ok &= (r as usize) < c.nregs);
-        if let Op::Jmp { target } | Op::Jz { target, .. } | Op::JgeI64 { target, .. } = *op {
+        if let Some(target) = jump_target(op) {
             ok &= (target as usize) < c.ops.len();
         }
     }
@@ -1212,6 +1116,45 @@ fn validate(c: &Compiled) -> bool {
 // all counters, the transaction trace, and race records — are identical to
 // the unoptimized tape. `Engine::Differential` enforces this against the
 // tree-walker.
+
+/// The tape pc a jump op may transfer control to.
+#[inline(always)]
+pub(crate) fn jump_target(op: &Op) -> Option<u32> {
+    let mut op = *op;
+    jump_target_mut(&mut op).copied()
+}
+
+fn jump_target_mut(op: &mut Op) -> Option<&mut u32> {
+    match op {
+        Op::Jmp { target }
+        | Op::Jz { target, .. }
+        | Op::CmpJz { target, .. }
+        | Op::JgeI64 { target, .. } => Some(target),
+        _ => None,
+    }
+}
+
+/// True for the conditional branches: a fall-through and a jump successor,
+/// and a join in [`Compiled::joins`].
+pub(crate) fn is_branch(op: &Op) -> bool {
+    matches!(op, Op::Jz { .. } | Op::CmpJz { .. } | Op::JgeI64 { .. })
+}
+
+/// `leader[pc]`: a basic block starts at `pc` — a phase entry, a jump
+/// target, or the op after a jump or terminator (`leader[len]` is the end).
+pub(crate) fn block_leaders(c: &Compiled) -> Vec<bool> {
+    let mut leader = vec![false; c.ops.len() + 1];
+    for &p in &c.phase_starts {
+        leader[p as usize] = true;
+    }
+    for (pc, op) in c.ops.iter().enumerate() {
+        if let Some(target) = jump_target(op) {
+            leader[target as usize] = true;
+        }
+        leader[pc + 1] |= jump_target(op).is_some() || matches!(op, Op::Ret | Op::Halt);
+    }
+    leader
+}
 
 /// The destination register an op writes, if any. `MaxOne` both reads and
 /// writes its `dst`; callers that need read sets must also consult
@@ -1249,16 +1192,21 @@ fn op_dst_mut(op: &mut Op) -> Option<&mut R> {
         | Op::Sel { dst, .. }
         | Op::LdG { dst, .. }
         | Op::LdP { dst, .. }
-        | Op::LdL { dst, .. } => Some(dst),
+        | Op::LdL { dst, .. }
+        | Op::MulAdd { dst, .. }
+        | Op::CmpSel { dst, .. }
+        | Op::LdGFused { dst, .. } => Some(dst),
         Op::StG { .. }
         | Op::StP { .. }
         | Op::StL { .. }
+        | Op::StGAt { .. }
         | Op::DeclPriv { .. }
         | Op::DeclLocal { .. }
         | Op::Flops { .. }
         | Op::Jmp { .. }
         | Op::JgeI64 { .. }
         | Op::Jz { .. }
+        | Op::CmpJz { .. }
         | Op::Ret
         | Op::Halt => None,
     }
@@ -1285,6 +1233,7 @@ fn visit_srcs_mut(op: &mut Op, f: &mut impl FnMut(&mut R)) {
         Op::MaxOne { dst } => f(dst),
         Op::AddI64 { a, b, .. }
         | Op::JgeI64 { a, b, .. }
+        | Op::CmpJz { a, b, .. }
         | Op::Bin { a, b, .. }
         | Op::Logic { a, b, .. }
         | Op::MinMax { a, b, .. } => {
@@ -1302,6 +1251,30 @@ fn visit_srcs_mut(op: &mut Op, f: &mut impl FnMut(&mut R)) {
             f(cond);
             f(t);
             f(fv);
+        }
+        Op::MulAdd { a, b, c, .. } => {
+            f(a);
+            f(b);
+            f(c);
+        }
+        Op::CmpSel { a, b, tr, fl, .. } => {
+            f(a);
+            f(b);
+            f(tr);
+            f(fl);
+        }
+        Op::LdGFused { base, off, acc, .. } => {
+            f(base);
+            if let Some((o, _)) = off {
+                f(o);
+            }
+            if let Some(acc) = acc {
+                f(&mut acc.src);
+            }
+        }
+        Op::StGAt { base, val, .. } => {
+            f(base);
+            f(val);
         }
         Op::Const { .. }
         | Op::Gid { .. }
@@ -1463,11 +1436,8 @@ fn try_if_convert_at(c: &mut Compiled, joins: &[u32], pc: usize) -> bool {
         if (pc..j).contains(&i) {
             continue; // the Jz/Jmp being deleted; arms have no control flow
         }
-        if let Op::Jmp { target: t } | Op::Jz { target: t, .. } | Op::JgeI64 { target: t, .. } = *op
-        {
-            if inside(t as usize) {
-                return false;
-            }
+        if jump_target(op).is_some_and(|t| inside(t as usize)) {
+            return false;
         }
     }
     if c.phase_starts.iter().any(|&s| inside(s as usize)) {
@@ -1770,7 +1740,7 @@ fn optimize(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>]) {
 /// Drops the ops marked in `removed`, remapping jump targets and phase entry
 /// points. A target pointing at a removed op falls through to the next
 /// retained one (the prefix count gives exactly that index).
-fn compact(c: &mut Compiled, removed: &[bool]) {
+pub(crate) fn compact(c: &mut Compiled, removed: &[bool]) {
     if !removed.iter().any(|&r| r) {
         return;
     }
@@ -1788,11 +1758,8 @@ fn compact(c: &mut Compiled, removed: &[bool]) {
         if removed[i] {
             continue;
         }
-        match &mut op {
-            Op::Jmp { target } | Op::Jz { target, .. } | Op::JgeI64 { target, .. } => {
-                *target = newpos[*target as usize];
-            }
-            _ => {}
+        if let Some(target) = jump_target_mut(&mut op) {
+            *target = newpos[*target as usize];
         }
         ops.push(op);
     }
@@ -1822,21 +1789,7 @@ fn compact(c: &mut Compiled, removed: &[bool]) {
 fn coalesce_copies(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>]) -> Vec<bool> {
     let n = c.ops.len();
     let mut removed = vec![false; n];
-    let jump = |op: &Op| match *op {
-        Op::Jmp { target } | Op::Jz { target, .. } | Op::JgeI64 { target, .. } => Some(target),
-        _ => None,
-    };
-    // `leader[pc]`: a basic block starts at `pc`.
-    let mut leader = vec![false; n + 1];
-    for &p in &c.phase_starts {
-        leader[p as usize] = true;
-    }
-    for (pc, op) in c.ops.iter().enumerate() {
-        if let Some(target) = jump(op) {
-            leader[target as usize] = true;
-        }
-        leader[pc + 1] |= jump(op).is_some() || matches!(op, Op::Ret | Op::Halt);
-    }
+    let leader = block_leaders(c);
     let mut writers = count_writers(&c.ops, c.nregs);
     let mut reads = vec![0u32; c.nregs];
     for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
@@ -1874,7 +1827,7 @@ fn coalesce_copies(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>])
         }
         // Rule 2: `dst` is only ever this copy of `src`.
         let only_def = writers[dst as usize] == 1 && !arg_slots.contains(&Some(dst as usize));
-        let in_loop = c.ops[m..].iter().any(|op| jump(op).is_some_and(|t| t as usize <= m));
+        let in_loop = c.ops[m..].iter().any(|op| jump_target(op).is_some_and(|t| t as usize <= m));
         let read_before = c.ops[..m].iter().any(|op| reads_reg(op, dst));
         let src_rewritten = c.ops[m + 1..].iter().any(|op| op_dst(op) == Some(src));
         if only_def && !in_loop && !read_before && !src_rewritten {
@@ -1980,17 +1933,20 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 
 // ---- warp execution ----
 //
-// The warp interpreter decodes each op *once* and applies it to the active
+// The warp executor decodes each op *once* and applies it to the active
 // lanes through a structure-of-arrays register file
 // (`vregs[r * WARP + lane]`), the software analogue of SIMT instruction
 // issue on the paper's GPUs. Lanes of one warp are consecutive work-items;
 // the active set is a lane bitmask — the prefix `0..nact` of a fresh warp
 // (only the final warp of an NDRange or workgroup is partial), minus the
-// lanes that returned in an earlier barrier phase of a grouped launch.
+// lanes that returned in an earlier barrier phase of a grouped launch. All
+// lane loops go through `for_mask!`, which presents LLVM with constant-trip
+// (full warp) or dense-range (contiguous mask) counted loops over
+// monomorphic bodies.
 //
 // Branches follow the hardware's reconvergence discipline. A branch whose
 // active lanes agree takes a single jump. When lanes *diverge*, the
-// interpreter executes both sides under complementary masks and reconverges
+// executor runs both sides under complementary masks and reconverges
 // at the branch's immediate postdominator (`Compiled::joins`, computed at
 // compile time) — exactly the stack-based reconvergence real SIMT hardware
 // performs, which keeps warps vectorized across the per-lane boundary
@@ -1998,14 +1954,28 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 // masked region simply drop out of the mask. Only when a branch has no join
 // (`NO_JOIN`) do its lanes continue one at a time — a warp with a one-bit
 // mask never diverges, so it *is* a scalar interpreter — and still only
-// *until the enclosing join*, so even that path rejoins vector execution. Divergence is therefore a performance event, never a
-// correctness one, and `vgpu.warp.divergent` counts the warps that actually
-// paid for it.
+// *until the enclosing join*, so even that path rejoins vector execution.
+// Divergence is therefore a performance event, never a correctness one, and
+// `vgpu.warp.divergent` counts the warps that actually paid for it.
+//
+// Lane shapes: for a row-coherent warp the executor also receives the tape's
+// lane-shape table ([`Shape`], [`Licence`]), which licenses two shortcuts —
+// unit-stride loads and stores as runs ([`unit_run`]) and branch conditions
+// read off one or two lanes ([`decided`], [`affine_cmp`]) — each audited
+// lane by lane in debug builds.
+//
+// Bounds discipline: every global access goes through [`load_global`] /
+// [`store_global`] with the launch's per-site `checked` table (true ⇒ keep
+// the dynamic check; no table ⇒ every site checked). Sites the static
+// verifier proved in bounds for every work-item run raw unchecked pointer
+// accesses ([`BufPtr`]), audited by a debug-build assert pass; every other
+// site keeps a release-mode `assert!` and fails with a clean panic instead
+// of undefined behaviour.
 
 /// Unchecked SoA register read: lane `l` of register `r`. The tape passed
 /// [`validate`] at compile time (every operand `< nregs`), and
-/// [`exec_phase_warp`]/[`exec_fused_warp`] assert the SoA file holds
-/// `nregs * WARP` lanes with `l < WARP`.
+/// [`exec_phase_warp`] asserts the SoA file holds `nregs * WARP` lanes with
+/// `l < WARP`.
 #[inline(always)]
 fn vg(vregs: &[u64], r: R, l: usize) -> u64 {
     debug_assert!(r as usize * WARP + l < vregs.len());
@@ -2065,9 +2035,9 @@ fn contiguous(mask: u32) -> Option<(usize, usize)> {
 
 /// Runs `$body` with `$l` bound to each active lane of `$mask`: a fixed
 /// 32-trip loop for full warps, a dense range for contiguous masks, a
-/// bit-scan otherwise. The fused executor's lane loops all come through
-/// here so the hot (uniform / contiguous) paths present LLVM with plain
-/// counted loops over monomorphic bodies.
+/// bit-scan otherwise. The executor's lane loops all come through here so
+/// the hot (uniform / contiguous) paths present LLVM with plain counted
+/// loops over monomorphic bodies.
 macro_rules! for_mask {
     ($mask:expr, $l:ident, $body:block) => {{
         let m: u32 = $mask;
@@ -2245,13 +2215,11 @@ pub(crate) struct WarpCtx<'a> {
     /// group (empty for flat dispatch, whose tapes carry no local ops).
     pub locals: &'a mut [Vec<u64>],
     /// Per-opcode time tally (`VGPU_PROFILE=op` only); `None` selects the
-    /// unprofiled warp-interpreter instantiation.
+    /// unprofiled instantiation of the executor.
     pub prof: Option<&'a mut OpProf>,
     /// Kernel identity for shadow-sanitizer findings (`None` when the
     /// sanitizer is off).
     pub san: Option<crate::sanitize::SanCtx<'a>>,
-    /// Warps the fused executor handed to the warp interpreter mid-phase.
-    pub delegated: &'a mut u32,
 }
 
 /// How one warp's run of a phase ended.
@@ -2270,7 +2238,10 @@ pub(crate) struct PhaseRun {
 /// discipline in the section comment above. Arithmetic goes through one set
 /// of bit-level helpers ([`bin_bits`], [`cast_bits`],
 /// [`intr1_f32`]/[`intr1_f64`]) that reproduce the tree-walker's `Value`
-/// semantics, so results are bit-identical lane for lane.
+/// semantics — superinstructions in the exact operand order of the ops they
+/// replaced — so results are bit-identical lane for lane. `lic.shapes` is
+/// the tape's lane-shape table when the caller saw that the warp is
+/// row-coherent, empty otherwise.
 pub(crate) fn exec_phase_warp(
     c: &Compiled,
     phase: usize,
@@ -2278,31 +2249,19 @@ pub(crate) fn exec_phase_warp(
     vregs: &mut [u64],
     lane_privs: &mut [Vec<Vec<u64>>],
     w: &mut WarpCtx<'_>,
+    lic: Licence<'_>,
 ) -> PhaseRun {
     assert!(vregs.len() >= c.nregs * WARP, "SoA register file smaller than tape nregs");
     assert!(mask != 0, "no active lane");
     let lanes = WARP - mask.leading_zeros() as usize;
     assert!(lane_privs.len() >= lanes && w.traces.len() >= lanes);
     assert!(w.items.len() >= lanes && w.gids.len() >= lanes);
-    exec_warp_from(c, c.phase_starts[phase] as usize, mask, vregs, lane_privs, w)
-}
-
-/// Runs the warp interpreter from tape pc `pc` under the given active mask
-/// to the end of the phase. Entry of [`exec_phase_warp`], and the fused
-/// executor's hand-off for control-flow shapes it does not resolve in place
-/// (divergent loop trip counts, multi-block diamond arms).
-fn exec_warp_from(
-    c: &Compiled,
-    pc: usize,
-    mask: u32,
-    vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-) -> PhaseRun {
+    let pc = c.phase_starts[phase] as usize;
     assert!(pc < c.ops.len(), "entry pc outside the tape");
     assert_eq!(c.joins.len(), c.ops.len(), "tape compiled without join metadata");
     let prof_on = w.prof.is_some();
-    let mut ex = WarpExec { c, vregs, lane_privs, w, diverged: false, returned: 0, pending: None };
+    let mut ex =
+        WarpExec { c, vregs, lane_privs, w, lic, diverged: false, returned: 0, pending: None };
     let end = c.ops.len();
     if prof_on {
         ex.run::<true>(pc, end, mask);
@@ -2314,244 +2273,15 @@ fn exec_warp_from(
     PhaseRun { diverged: ex.diverged, returned: ex.returned }
 }
 
-// ---- fused-block executor ----
-//
-// `exec_fused_warp` is the fast-path counterpart of `exec_phase_warp`: it
-// walks superinstruction basic blocks instead of decoding one op at a time,
-// under a lane mask. Uniform terminators just pick the next block.
-// Divergent terminators resolve in place where the block graph allows it:
-// a halt-only successor (an early-return guard) retires its lanes from the
-// mask, and single-block diamond/triangle arms run if-converted under
-// complementary masks before reconverging at the join. Only shapes outside
-// those patterns — divergent loop trip counts, multi-block arms — hand the
-// warp to the warp interpreter at the terminator's original tape pc
-// (`exec_warp_from`), whose general reconvergence machinery finishes the
-// phase. Conditions are pure register reads, so re-evaluating them after
-// the hand-off neither skips nor doubles any effect. All lane loops go
-// through `for_mask!`, which presents LLVM with constant-trip (full warp)
-// or dense-range (contiguous mask) counted loops over monomorphic bodies.
-//
-// Lane shapes: for a row-coherent warp the executor also receives the tape's
-// lane-shape table ([`Shape`], [`Licence`]), which licenses two shortcuts
-// inside the arms below — unit-stride loads and stores as runs
-// ([`unit_run`]) and branch conditions read off one or two lanes
-// ([`decided`], [`affine_cmp`]) — each audited lane by lane in debug builds.
-//
-// Bounds discipline: the executor receives a per-site `checked` table
-// (true ⇒ keep the dynamic check). Sites the static verifier proved in
-// bounds for every work-item run raw unchecked pointer accesses
-// ([`BufPtr`]) — the proof-licensed elision the fused executor exists
-// for, audited by a debug-build assert pass; POTENTIAL sites keep a
-// release-mode `assert!` and fail with a clean panic instead of undefined
-// behaviour.
-
-/// Executes one phase of a fused tape for a whole warp: the active lanes
-/// advance block by block under a lane mask. Divergent branches are
-/// resolved in place where the block graph allows it — early-return guards
-/// retire their lanes from the mask, and single-block diamond/triangle
-/// arms run if-converted under complementary masks — so the monomorphic
-/// superinstruction loops keep running; only shapes outside those patterns
-/// (divergent loop trips, nested arms) delegate the warp to the warp
-/// interpreter. Returns `true` when the warp diverged — the same condition
-/// ([`WarpExec::branch`]'s lanes-disagree test) the interpreter reports,
-/// so `vgpu.warp.divergent` is the same whichever executor ran. The caller
-/// must have tracing and race recording off; those launches run the warp
-/// interpreter wholesale instead. `lic.shapes` is the tape's lane-shape
-/// table when the caller saw that the warp is row-coherent, empty otherwise.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn exec_fused_warp(
-    f: &Fused,
-    c: &Compiled,
-    phase: usize,
-    nact: usize,
-    vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-    lic: Licence<'_>,
-) -> bool {
-    assert!(vregs.len() >= c.nregs * WARP, "SoA register file smaller than tape nregs");
-    assert!((1..=WARP).contains(&nact), "active lanes out of range");
-    assert!(lane_privs.len() >= nact && w.items.len() >= nact && w.gids.len() >= nact);
-    debug_assert!(!w.trace_on && !w.race_on, "tracing/race modes run the warp interpreter");
-    if w.prof.is_some() {
-        run_fused::<true>(f, c, phase, nact, vregs, lane_privs, w, lic)
-    } else {
-        run_fused::<false>(f, c, phase, nact, vregs, lane_privs, w, lic)
-    }
-}
-
-/// True for a block that only retires its lanes: no ops, `Halt` terminator.
-/// The early-return guards of the acoustics kernels branch to exactly this
-/// shape, so a divergent guard just masks the returning lanes out.
-#[inline(always)]
-fn halt_only(b: &FBlock) -> bool {
-    b.ops.is_empty() && matches!(b.term, FTerm::Halt)
-}
-
-/// The block `b` jumps to unconditionally, if its terminator is a `Jmp`.
-#[inline(always)]
-fn jmp_exit(f: &Fused, b: u32) -> Option<u32> {
-    match f.blocks[b as usize].term {
-        FTerm::Jmp { block } => Some(block),
-        _ => None,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fused<const PROF: bool>(
-    f: &Fused,
-    c: &Compiled,
-    phase: usize,
-    nact: usize,
-    vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-    lic: Licence<'_>,
-) -> bool {
-    let mut mask = prefix_mask(nact);
-    let mut diverged = false;
-    let mut bi = f.entries[phase] as usize;
-    loop {
-        let blk = &f.blocks[bi];
-        exec_block_ops::<PROF>(&blk.ops, mask, vregs, lane_privs, w, lic);
-        let t0 = if PROF { Some(Instant::now()) } else { None };
-        let uniform = |r: R| lic.shape(r) == Shape::Uniform;
-        // `zmask` collects the active lanes taking the `on_zero` side. A
-        // condition over uniform registers is read off the first active
-        // lane, an ordered compare of an affine register with a uniform one
-        // off the two end lanes ([`affine_cmp`]); the lane loop settles the
-        // rest — and, in debug builds, audits both shortcuts.
-        let first = mask & mask.wrapping_neg();
-        let (zmask, on_zero, on_nonzero, orig_pc, prof_idx) = match blk.term {
-            FTerm::Halt => return diverged,
-            FTerm::Jmp { block } => {
-                bi = block as usize;
-                continue;
-            }
-            FTerm::Jz { cond, k, on_zero, on_nonzero, orig_pc } => {
-                let lanes = |m: u32| {
-                    let mut zm = 0u32;
-                    for_mask!(m, l, {
-                        if !truthy(k, vg(vregs, cond, l)) {
-                            zm |= 1 << l;
-                        }
-                    });
-                    zm
-                };
-                let known = uniform(cond).then(|| lanes(first) == 0);
-                (decided(known, mask, lanes), on_zero, on_nonzero, orig_pc, 30usize)
-            }
-            FTerm::CmpJz { a, b, op, k, on_zero, on_nonzero, orig_pc } => {
-                let lanes = |m: u32| cmp_zmask(vregs, (a, b, op, k), m);
-                let known = if uniform(a) && uniform(b) {
-                    Some(lanes(first) == 0)
-                } else {
-                    affine_cmp(vregs, (a, b, op, k), mask, lic)
-                };
-                (decided(known, mask, lanes), on_zero, on_nonzero, orig_pc, NOPCODES + FOP_CMPJZ)
-            }
-            FTerm::JgeI64 { a, b, on_ge, on_lt, orig_pc } => {
-                let lanes = |m: u32| {
-                    let mut zm = 0u32;
-                    for_mask!(m, l, {
-                        if i64v(vg(vregs, a, l)) < i64v(vg(vregs, b, l)) {
-                            zm |= 1 << l;
-                        }
-                    });
-                    zm
-                };
-                let known = (uniform(a) && uniform(b)).then(|| lanes(first) == 0);
-                (decided(known, mask, lanes), on_lt, on_ge, orig_pc, 12usize)
-            }
-        };
-        if PROF {
-            if let Some(p) = w.prof.as_deref_mut() {
-                p.add(prof_idx, t0.expect("prof start").elapsed());
-            }
-        }
-        let m1 = mask & !zmask;
-        bi = if zmask == 0 {
-            on_nonzero as usize
-        } else if m1 == 0 {
-            on_zero as usize
-        } else {
-            // The lanes disagree — the exact condition [`WarpExec::branch`]
-            // reports as divergence, so flag it identically, then resolve
-            // the split in place when the block shape allows.
-            diverged = true;
-            if halt_only(&f.blocks[on_zero as usize]) {
-                mask = m1;
-                on_nonzero as usize
-            } else if halt_only(&f.blocks[on_nonzero as usize]) {
-                mask = zmask;
-                on_zero as usize
-            } else {
-                let ez = jmp_exit(f, on_zero);
-                let enz = jmp_exit(f, on_nonzero);
-                if enz == Some(on_zero) {
-                    // Triangle: the nonzero side is a single-block arm
-                    // rejoining at `on_zero`.
-                    exec_block_ops::<PROF>(
-                        &f.blocks[on_nonzero as usize].ops,
-                        m1,
-                        vregs,
-                        lane_privs,
-                        w,
-                        lic,
-                    );
-                    on_zero as usize
-                } else if ez == Some(on_nonzero) {
-                    exec_block_ops::<PROF>(
-                        &f.blocks[on_zero as usize].ops,
-                        zmask,
-                        vregs,
-                        lane_privs,
-                        w,
-                        lic,
-                    );
-                    on_nonzero as usize
-                } else if let Some(join) = ez.filter(|&j| enz == Some(j)) {
-                    // Diamond: both arms are single blocks jumping to one
-                    // join. Run each under its side's mask (fall-through
-                    // side first, like the interpreter) and reconverge.
-                    // Writes are per-lane and work-items are disjoint, so
-                    // arm order cannot change any observable result.
-                    exec_block_ops::<PROF>(
-                        &f.blocks[on_nonzero as usize].ops,
-                        m1,
-                        vregs,
-                        lane_privs,
-                        w,
-                        lic,
-                    );
-                    exec_block_ops::<PROF>(
-                        &f.blocks[on_zero as usize].ops,
-                        zmask,
-                        vregs,
-                        lane_privs,
-                        w,
-                        lic,
-                    );
-                    join as usize
-                } else {
-                    *w.delegated += 1;
-                    exec_warp_from(c, orig_pc as usize, mask, vregs, lane_privs, w);
-                    return true;
-                }
-            }
-        };
-    }
-}
-
-/// The `on_zero` lanes of a conditional terminator: all or none of `mask`
-/// when the lane shapes settled the condition (`known`: it holds in every
-/// active lane), otherwise what the lane loop finds. Debug builds run the
-/// lane loop regardless and hold the shortcut to it.
+/// The lanes of `mask` that take a conditional branch's jump: none or all of
+/// them when the lane shapes settled the condition (`known`: whether every
+/// active lane falls through), otherwise what the lane loop finds. Debug
+/// builds run the lane loop regardless and hold the shortcut to it.
 #[inline(always)]
 fn decided(known: Option<bool>, mask: u32, lanes: impl Fn(u32) -> u32) -> u32 {
-    let zm = known.map_or_else(|| lanes(mask), |holds| if holds { 0 } else { mask });
-    debug_assert_eq!(zm, lanes(mask), "lane-shape audit: condition differs across lanes");
-    zm
+    let jm = known.map_or_else(|| lanes(mask), |falls| if falls { 0 } else { mask });
+    debug_assert_eq!(jm, lanes(mask), "lane-shape audit: condition differs across lanes");
+    jm
 }
 
 /// The lanes of `mask` where `a op b` (kind `k`) is false. The i32
@@ -2610,37 +2340,6 @@ fn affine_cmp(vregs: &[u64], cmp: (R, R, BinOp, K), mask: u32, lic: Licence<'_>)
         0 => Some(true),
         z if z == ends => Some(false),
         _ => None,
-    }
-}
-
-/// Executes a block's superinstructions under `mask`, attributing per-op
-/// time when `PROF` (fused kinds tally in their `F.*` slots, `Base` ops
-/// under their inner opcode).
-fn exec_block_ops<const PROF: bool>(
-    ops: &[FOp],
-    mask: u32,
-    vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-    lic: Licence<'_>,
-) {
-    for fop in ops {
-        if PROF {
-            let t0 = Instant::now();
-            exec_fop(fop, mask, vregs, lane_privs, w, lic);
-            let idx = match fop_index(fop) {
-                Some(i) => NOPCODES + i,
-                None => match fop {
-                    FOp::Base(op) => op_index(op),
-                    _ => unreachable!(),
-                },
-            };
-            if let Some(p) = w.prof.as_deref_mut() {
-                p.add(idx, t0.elapsed());
-            }
-        } else {
-            exec_fop(fop, mask, vregs, lane_privs, w, lic);
-        }
     }
 }
 
@@ -2712,7 +2411,6 @@ fn shadow_gather(
     san: &Option<crate::sanitize::SanCtx<'_>>,
     buf: usize,
     site: u32,
-    engine: &'static str,
 ) {
     if let Some(sh) = b.shadow() {
         for_mask!(mask, l, {
@@ -2723,7 +2421,7 @@ fn shadow_gather(
                     buf,
                     site,
                     idx[l] as u64,
-                    engine,
+                    "tape",
                 );
             }
         });
@@ -2748,8 +2446,9 @@ fn shadow_scatter(b: &SharedBuf, idx: &[i64; WARP], mask: u32) {
 /// is what rules out an i32 index wrapping inside the run. `None` sends the
 /// op down the per-lane path: a run that fails the check (so the
 /// out-of-bounds panic reads as ever), a non-contiguous mask, and a buffer
-/// with a sanitizer shadow, whose findings are per element. Debug builds
-/// audit the shape claim lane by lane.
+/// with a sanitizer shadow, whose findings are per element (callers clear
+/// `unit` on launches that record per-lane accesses). Debug builds audit the
+/// shape claim lane by lane.
 #[inline(always)]
 fn unit_run(
     b: &SharedBuf,
@@ -2799,10 +2498,18 @@ fn checked_indices(
     idx
 }
 
+/// The transaction-model record of element `i` of parameter `buf`.
+#[inline(always)]
+fn trace_rec(buf: u16, site: u32, i: i64, elem_bytes: u64) -> (u32, u32, u64) {
+    (site, 0, ((buf as u64) << 40) | ((i as u64) * elem_bytes))
+}
+
 /// One warp-op's global load at `(buf, site, constant)`: counts it,
 /// establishes bounds and returns `b[idx_of(l)]` for every active lane as
 /// raw register bits — one [`unit_run`] when there is one, otherwise the
-/// site's bounds check, the shadow-sanitizer check and a gather.
+/// site's bounds check, the per-lane transaction trace of a modeled launch
+/// (which therefore declines the run, as a shadowed buffer does), the
+/// shadow-sanitizer check and a gather.
 #[inline(always)]
 fn load_global(
     w: &mut WarpCtx<'_>,
@@ -2811,29 +2518,35 @@ fn load_global(
     mask: u32,
     unit: bool,
     idx_of: impl Fn(usize) -> i64,
-    engine: &'static str,
 ) -> [u64; WARP] {
     let b = w.bufs[buf as usize].expect("buffer bound");
-    let n = mask.count_ones() as u64;
+    let (n, eb) = (mask.count_ones() as u64, b.elem_bytes() as u64);
     if constant {
         w.counters.loads_constant += n;
     } else {
         w.counters.loads_global += n;
-        w.counters.bytes_loaded += b.elem_bytes() as u64 * n;
+        w.counters.bytes_loaded += eb * n;
     }
+    let traced = w.trace_on && !constant;
     let mut vals = [0u64; WARP];
-    if let Some((lo, start)) = unit_run(b, unit, mask, &idx_of) {
+    if let Some((lo, start)) = unit_run(b, unit && !traced, mask, &idx_of) {
         gather_lanes(b, |l| start + l - lo, mask, &mut vals);
     } else {
         let idx = checked_indices(lic, (buf, site, b.len()), mask, idx_of, "load");
-        shadow_gather(b, &idx, mask, &w.san, buf as usize, site, engine);
+        if traced {
+            for_mask!(mask, l, {
+                w.traces[l].push(trace_rec(buf, site, idx[l], eb));
+            });
+        }
+        shadow_gather(b, &idx, mask, &w.san, buf as usize, site);
         gather_lanes(b, |l| idx[l] as usize, mask, &mut vals);
     }
     vals
 }
 
 /// One warp-op's global store of register `val` (kind `vk`) at
-/// `(buf, site)`: the store-side twin of [`load_global`].
+/// `(buf, site)`: the store-side twin of [`load_global`], which also keeps
+/// the race detector's write records.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn store_global(
@@ -2847,354 +2560,166 @@ fn store_global(
     val: (R, K),
 ) {
     let b = w.bufs[buf as usize].expect("buffer bound");
-    let n = mask.count_ones() as u64;
+    let (n, eb) = (mask.count_ones() as u64, b.elem_bytes() as u64);
     w.counters.stores_global += n;
-    w.counters.bytes_stored += b.elem_bytes() as u64 * n;
-    if let Some((lo, start)) = unit_run(b, unit, mask, &idx_of) {
+    w.counters.bytes_stored += eb * n;
+    let recorded = w.trace_on || w.race_on;
+    if let Some((lo, start)) = unit_run(b, unit && !recorded, mask, &idx_of) {
         scatter_lanes(b, |l| start + l - lo, mask, vregs, val);
     } else {
         let idx = checked_indices(lic, (buf, site, b.len()), mask, idx_of, "store");
+        if w.trace_on {
+            for_mask!(mask, l, {
+                w.traces[l].push(trace_rec(buf, site, idx[l], eb));
+            });
+        }
+        if w.race_on {
+            for_mask!(mask, l, {
+                w.writes.push((buf as u32, idx[l] as u64, w.items[l], site));
+            });
+        }
         shadow_scatter(b, &idx, mask);
         scatter_lanes(b, |l| idx[l] as usize, mask, vregs, val);
     }
 }
 
-/// Executes one superinstruction over the active lanes of `mask`. Counter
-/// bumps and arithmetic are bit-identical to the op sequence the fused op
-/// replaced, minus the register writes of fused-away single-use
-/// intermediates (which nothing else ever reads). The fused kinds dispatch
-/// on their operand kind **once** and run monomorphic lane loops — the
-/// scalar-helper compositions below reproduce [`bin_bits`]'s arms exactly,
-/// operand order included (float addition is not bitwise-commutative around
-/// NaN payloads).
-fn exec_fop(
-    fop: &FOp,
-    mask: u32,
+// The superinstruction bodies below dispatch on their operand kind **once**
+// and run monomorphic lane loops — the scalar-helper compositions reproduce
+// [`bin_bits`]'s arms exactly, operand order included (float addition is not
+// bitwise-commutative around NaN payloads).
+
+/// [`Op::MulAdd`] over the active lanes: `dst = (a*b) ⊕ c`, two roundings.
+fn mul_add(
     vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-    lic: Licence<'_>,
+    (dst, a, b, c): (R, R, R, R),
+    k: K,
+    (sub, rev): (bool, bool),
+    mask: u32,
 ) {
-    match *fop {
-        FOp::Base(ref op) => exec_base_dense(op, mask, vregs, lane_privs, w, lic),
-        FOp::MulAdd { dst, a, b, c, k, sub, rev } => {
-            macro_rules! fma {
-                ($v:ident, $bk:ident) => {
-                    match (sub, rev) {
-                        (false, false) => {
-                            vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(x) * $v(y) + $v(z)))
-                        }
-                        (false, true) => {
-                            vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(z) + $v(x) * $v(y)))
-                        }
-                        (true, false) => {
-                            vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(x) * $v(y) - $v(z)))
-                        }
-                        (true, true) => {
-                            vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(z) - $v(x) * $v(y)))
-                        }
-                    }
-                };
-            }
-            match k {
-                K::F32 => fma!(f32v, b32),
-                K::F64 => fma!(f64v, b64),
-                K::I32 => match (sub, rev) {
-                    (false, false) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
-                        bi32(i32v(x).wrapping_mul(i32v(y)).wrapping_add(i32v(z)))
-                    }),
-                    (false, true) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
-                        bi32(i32v(z).wrapping_add(i32v(x).wrapping_mul(i32v(y))))
-                    }),
-                    (true, false) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
-                        bi32(i32v(x).wrapping_mul(i32v(y)).wrapping_sub(i32v(z)))
-                    }),
-                    (true, true) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
-                        bi32(i32v(z).wrapping_sub(i32v(x).wrapping_mul(i32v(y))))
-                    }),
-                },
-                K::Bool => unreachable!("mul/add never fuses at bool kind"),
-            }
-        }
-        FOp::CmpSel { dst, a, b, op, k, tr, fl } => {
-            macro_rules! cmpsel {
-                ($v:ident, $cmp:tt) => {
-                    for_mask!(mask, l, {
-                        let pick = if $v(vg(vregs, a, l)) $cmp $v(vg(vregs, b, l)) {
-                            tr
-                        } else {
-                            fl
-                        };
-                        vs(vregs, dst, l, vg(vregs, pick, l));
-                    })
-                };
-            }
-            match (k, op) {
-                (K::F32, BinOp::Lt) => cmpsel!(f32v, <),
-                (K::F32, BinOp::Le) => cmpsel!(f32v, <=),
-                (K::F32, BinOp::Gt) => cmpsel!(f32v, >),
-                (K::F32, BinOp::Ge) => cmpsel!(f32v, >=),
-                (K::F32, BinOp::Eq) => cmpsel!(f32v, ==),
-                (K::F32, BinOp::Ne) => cmpsel!(f32v, !=),
-                (K::F64, BinOp::Lt) => cmpsel!(f64v, <),
-                (K::F64, BinOp::Le) => cmpsel!(f64v, <=),
-                (K::F64, BinOp::Gt) => cmpsel!(f64v, >),
-                (K::F64, BinOp::Ge) => cmpsel!(f64v, >=),
-                (K::F64, BinOp::Eq) => cmpsel!(f64v, ==),
-                (K::F64, BinOp::Ne) => cmpsel!(f64v, !=),
-                (K::I32, BinOp::Lt) => cmpsel!(i32v, <),
-                (K::I32, BinOp::Le) => cmpsel!(i32v, <=),
-                (K::I32, BinOp::Gt) => cmpsel!(i32v, >),
-                (K::I32, BinOp::Ge) => cmpsel!(i32v, >=),
-                (K::I32, BinOp::Eq) => cmpsel!(i32v, ==),
-                (K::I32, BinOp::Ne) => cmpsel!(i32v, !=),
-                _ => for_mask!(mask, l, {
-                    let t = truthy(K::Bool, bin_bits(op, k, vg(vregs, a, l), vg(vregs, b, l)));
-                    let pick = if t { tr } else { fl };
-                    vs(vregs, dst, l, vg(vregs, pick, l));
-                }),
-            }
-        }
-        FOp::LdGFused { dst, buf, base, off, acc, site, constant } => {
-            let (at, regs) = ((buf, site, constant), &*vregs);
-            let vals = match off {
-                Some((o, sub)) => {
-                    let unit = lic.shape(base).add(lic.shape(o), sub) == Shape::Affine(1);
-                    let (x, y) = (|l| i32v(vg(regs, base, l)), |l| i32v(vg(regs, o, l)));
-                    if sub {
-                        let idx = |l| x(l).wrapping_sub(y(l)) as i64;
-                        load_global(w, lic, at, mask, unit, idx, "compiled")
-                    } else {
-                        let idx = |l| x(l).wrapping_add(y(l)) as i64;
-                        load_global(w, lic, at, mask, unit, idx, "compiled")
-                    }
+    macro_rules! fma {
+        ($v:ident, $bk:ident) => {
+            match (sub, rev) {
+                (false, false) => {
+                    vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(x) * $v(y) + $v(z)))
                 }
-                None => {
-                    let unit = lic.shape(base) == Shape::Affine(1);
-                    load_global(
-                        w,
-                        lic,
-                        at,
-                        mask,
-                        unit,
-                        |l| i32v(vg(regs, base, l)) as i64,
-                        "compiled",
-                    )
+                (false, true) => {
+                    vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(z) + $v(x) * $v(y)))
                 }
-            };
-            match acc {
-                Some(Acc { dst: ad, src, k, sub, rev }) => {
-                    macro_rules! accw {
-                        ($v:ident, $bk:ident) => {
-                            match (sub, rev) {
-                                (false, false) => for_mask!(mask, l, {
-                                    let s = vg(vregs, src, l);
-                                    vs(vregs, ad, l, $bk($v(s) + $v(vals[l])));
-                                }),
-                                (false, true) => for_mask!(mask, l, {
-                                    let s = vg(vregs, src, l);
-                                    vs(vregs, ad, l, $bk($v(vals[l]) + $v(s)));
-                                }),
-                                (true, false) => for_mask!(mask, l, {
-                                    let s = vg(vregs, src, l);
-                                    vs(vregs, ad, l, $bk($v(s) - $v(vals[l])));
-                                }),
-                                (true, true) => for_mask!(mask, l, {
-                                    let s = vg(vregs, src, l);
-                                    vs(vregs, ad, l, $bk($v(vals[l]) - $v(s)));
-                                }),
-                            }
-                        };
-                    }
-                    match k {
-                        K::F32 => accw!(f32v, b32),
-                        K::F64 => accw!(f64v, b64),
-                        K::I32 => {
-                            let op2 = if sub { BinOp::Sub } else { BinOp::Add };
-                            for_mask!(mask, l, {
-                                let s = vg(vregs, src, l);
-                                let r = if rev {
-                                    bin_bits(op2, k, vals[l], s)
-                                } else {
-                                    bin_bits(op2, k, s, vals[l])
-                                };
-                                vs(vregs, ad, l, r);
-                            });
-                        }
-                        K::Bool => unreachable!("load accumulate never fuses at bool kind"),
-                    }
+                (true, false) => {
+                    vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(x) * $v(y) - $v(z)))
                 }
-                None => for_mask!(mask, l, {
-                    vs(vregs, dst, l, vals[l]);
-                }),
+                (true, true) => {
+                    vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(z) - $v(x) * $v(y)))
+                }
             }
-        }
-        FOp::StGAt { buf, base, val, vk, site } => {
-            let (unit, regs) = (lic.shape(base) == Shape::Affine(1), &*vregs);
-            let idx = |l| i32v(vg(regs, base, l)) as i64;
-            store_global(w, lic, (buf, site), mask, unit, idx, regs, (val, vk));
-        }
+        };
+    }
+    match k {
+        K::F32 => fma!(f32v, b32),
+        K::F64 => fma!(f64v, b64),
+        K::I32 => match (sub, rev) {
+            (false, false) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
+                bi32(i32v(x).wrapping_mul(i32v(y)).wrapping_add(i32v(z)))
+            }),
+            (false, true) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
+                bi32(i32v(z).wrapping_add(i32v(x).wrapping_mul(i32v(y))))
+            }),
+            (true, false) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
+                bi32(i32v(x).wrapping_mul(i32v(y)).wrapping_sub(i32v(z)))
+            }),
+            (true, true) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
+                bi32(i32v(z).wrapping_sub(i32v(x).wrapping_mul(i32v(y))))
+            }),
+        },
+        K::Bool => unreachable!("mul/add never fuses at bool kind"),
     }
 }
 
-/// Masked execution of an unfused op: the warp interpreter's arms under
-/// the fused executor's lane mask, plus the per-site bounds discipline on
-/// `LdG`/`StG`. The hot arms of the acoustics tapes
-/// (i32 index arithmetic, comparisons, `AsI64` from i32, bool logic/select)
-/// are monomorphised so the lane loops carry no per-lane kind dispatch.
-/// Control-flow ops never appear here — they are block terminators.
-fn exec_base_dense(
-    op: &Op,
-    mask: u32,
+/// [`Op::CmpSel`] over the active lanes: `dst = if a op b { tr } else { fl }`.
+fn cmp_sel(
     vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-    lic: Licence<'_>,
+    dst: R,
+    (a, b, op, k): (R, R, BinOp, K),
+    (tr, fl): (R, R),
+    mask: u32,
 ) {
-    match *op {
-        Op::Const { dst, bits } => {
+    macro_rules! cmpsel {
+        ($v:ident, $cmp:tt) => {
             for_mask!(mask, l, {
-                vs(vregs, dst, l, bits);
-            });
-        }
-        Op::Gsz { dst, dim } => {
-            let bits = bi32(w.gsize[dim as usize] as i32);
-            for_mask!(mask, l, {
-                vs(vregs, dst, l, bits);
-            });
-        }
-        Op::Gid { dst, .. } | Op::Lid { dst, .. } | Op::Lsz { dst, .. } | Op::Grp { dst, .. } => {
-            for_mask!(mask, l, {
-                vs(vregs, dst, l, context_bits(op, &w.gids[l], w.items[l], w.lsize));
-            });
-        }
-        Op::Mov { dst, src } => vmap1(vregs, dst, src, mask, |x| x),
-        Op::Cast { dst, src, from, to } => match (from, to) {
-            (K::I32, K::F32) => vmap1(vregs, dst, src, mask, |x| b32(i32v(x) as f64 as f32)),
-            (K::I32, K::F64) => vmap1(vregs, dst, src, mask, |x| b64(i32v(x) as f64)),
-            _ => vmap1(vregs, dst, src, mask, |x| cast_bits(from, to, x)),
-        },
-        Op::AsI64 { dst, src, from } => match from {
-            K::I32 => vmap1(vregs, dst, src, mask, |x| bi64(i32v(x) as i64)),
-            _ => vmap1(vregs, dst, src, mask, |x| bi64(to_i64(from, x))),
-        },
-        Op::MaxOne { dst } => vmap1(vregs, dst, dst, mask, |x| bi64(i64v(x).max(1))),
-        Op::I64ToI32 { dst, src } => vmap1(vregs, dst, src, mask, |x| bi32(i64v(x) as i32)),
-        Op::AddI64 { dst, a, b } => vmap2(vregs, dst, a, b, mask, |x, y| bi64(i64v(x) + i64v(y))),
-        Op::Neg { dst, src, k } => match k {
-            K::F32 => vmap1(vregs, dst, src, mask, |x| b32(-f32v(x))),
-            K::F64 => vmap1(vregs, dst, src, mask, |x| b64(-f64v(x))),
-            K::I32 => vmap1(vregs, dst, src, mask, |x| bi32(-i32v(x))),
-            K::Bool => vmap1(vregs, dst, src, mask, |x| bi32(-((x != 0) as i32))),
-        },
-        Op::Not { dst, src, k } => vmap1(vregs, dst, src, mask, |x| bb(!truthy(k, x))),
-        Op::Bin { dst, a, b, op, k } => match (k, op) {
-            (K::F32, BinOp::Add) => vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) + f32v(y))),
-            (K::F32, BinOp::Sub) => vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) - f32v(y))),
-            (K::F32, BinOp::Mul) => vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) * f32v(y))),
-            (K::F64, BinOp::Add) => vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) + f64v(y))),
-            (K::F64, BinOp::Sub) => vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) - f64v(y))),
-            (K::F64, BinOp::Mul) => vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) * f64v(y))),
-            (K::I32, BinOp::Add) => {
-                vmap2(vregs, dst, a, b, mask, |x, y| bi32(i32v(x).wrapping_add(i32v(y))))
-            }
-            (K::I32, BinOp::Sub) => {
-                vmap2(vregs, dst, a, b, mask, |x, y| bi32(i32v(x).wrapping_sub(i32v(y))))
-            }
-            (K::I32, BinOp::Mul) => {
-                vmap2(vregs, dst, a, b, mask, |x, y| bi32(i32v(x).wrapping_mul(i32v(y))))
-            }
-            (K::I32, BinOp::Lt) => vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) < i32v(y))),
-            (K::I32, BinOp::Le) => vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) <= i32v(y))),
-            (K::I32, BinOp::Gt) => vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) > i32v(y))),
-            (K::I32, BinOp::Ge) => vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) >= i32v(y))),
-            (K::I32, BinOp::Eq) => vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) == i32v(y))),
-            (K::I32, BinOp::Ne) => vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) != i32v(y))),
-            (K::F32, BinOp::Lt) => vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) < f32v(y))),
-            (K::F32, BinOp::Le) => vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) <= f32v(y))),
-            (K::F32, BinOp::Gt) => vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) > f32v(y))),
-            (K::F32, BinOp::Ge) => vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) >= f32v(y))),
-            _ => vmap2(vregs, dst, a, b, mask, |x, y| bin_bits(op, k, x, y)),
-        },
-        Op::Logic { dst, a, b, ka, kb, or } => match (ka, kb, or) {
-            (K::Bool, K::Bool, false) => vmap2(vregs, dst, a, b, mask, |x, y| bb(x != 0 && y != 0)),
-            (K::Bool, K::Bool, true) => vmap2(vregs, dst, a, b, mask, |x, y| bb(x != 0 || y != 0)),
-            _ => vmap2(vregs, dst, a, b, mask, |x, y| {
-                let (p, q) = (truthy(ka, x), truthy(kb, y));
-                bb(if or { p || q } else { p && q })
-            }),
-        },
-        Op::MinMax { dst, a, b, k, max } => match k {
-            K::F32 => vmap2(vregs, dst, a, b, mask, |x, y| {
-                let (p, q) = (f32v(x) as f64, f32v(y) as f64);
-                b32((if max { p.max(q) } else { p.min(q) }) as f32)
-            }),
-            K::F64 => vmap2(vregs, dst, a, b, mask, |x, y| {
-                let (p, q) = (f64v(x), f64v(y));
-                b64(if max { p.max(q) } else { p.min(q) })
-            }),
-            K::I32 => vmap2(vregs, dst, a, b, mask, |x, y| {
-                let (p, q) = (i32v(x) as i64, i32v(y) as i64);
-                bi32((if max { p.max(q) } else { p.min(q) }) as i32)
-            }),
-            K::Bool => unreachable!("min/max never promotes to bool"),
-        },
-        Op::Intr1 { dst, src, intr, k } => match k {
-            K::F32 => vmap1(vregs, dst, src, mask, |x| b32(intr1_f32(intr, f32v(x)))),
-            _ => vmap1(vregs, dst, src, mask, |x| b64(intr1_f64(intr, f64v(x)))),
-        },
-        Op::Sel { dst, cond, ck, t, f } => match ck {
-            K::Bool => for_mask!(mask, l, {
-                let pick = if vg(vregs, cond, l) != 0 { t } else { f };
+                let pick = if $v(vg(vregs, a, l)) $cmp $v(vg(vregs, b, l)) {
+                    tr
+                } else {
+                    fl
+                };
                 vs(vregs, dst, l, vg(vregs, pick, l));
-            }),
-            _ => for_mask!(mask, l, {
-                let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
-                vs(vregs, dst, l, vg(vregs, pick, l));
-            }),
-        },
-        Op::LdG { dst, buf, idx, site, constant } => {
-            let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
-            let ix = |l| i64v(vg(regs, idx, l));
-            let vals = load_global(w, lic, (buf, site, constant), mask, unit, ix, "vector");
+            })
+        };
+    }
+    match (k, op) {
+        (K::F32, BinOp::Lt) => cmpsel!(f32v, <),
+        (K::F32, BinOp::Le) => cmpsel!(f32v, <=),
+        (K::F32, BinOp::Gt) => cmpsel!(f32v, >),
+        (K::F32, BinOp::Ge) => cmpsel!(f32v, >=),
+        (K::F32, BinOp::Eq) => cmpsel!(f32v, ==),
+        (K::F32, BinOp::Ne) => cmpsel!(f32v, !=),
+        (K::F64, BinOp::Lt) => cmpsel!(f64v, <),
+        (K::F64, BinOp::Le) => cmpsel!(f64v, <=),
+        (K::F64, BinOp::Gt) => cmpsel!(f64v, >),
+        (K::F64, BinOp::Ge) => cmpsel!(f64v, >=),
+        (K::F64, BinOp::Eq) => cmpsel!(f64v, ==),
+        (K::F64, BinOp::Ne) => cmpsel!(f64v, !=),
+        (K::I32, BinOp::Lt) => cmpsel!(i32v, <),
+        (K::I32, BinOp::Le) => cmpsel!(i32v, <=),
+        (K::I32, BinOp::Gt) => cmpsel!(i32v, >),
+        (K::I32, BinOp::Ge) => cmpsel!(i32v, >=),
+        (K::I32, BinOp::Eq) => cmpsel!(i32v, ==),
+        (K::I32, BinOp::Ne) => cmpsel!(i32v, !=),
+        _ => for_mask!(mask, l, {
+            let t = truthy(K::Bool, bin_bits(op, k, vg(vregs, a, l), vg(vregs, b, l)));
+            let pick = if t { tr } else { fl };
+            vs(vregs, dst, l, vg(vregs, pick, l));
+        }),
+    }
+}
+
+/// The accumulate tail of [`Op::LdGFused`]: `dst = acc.src ⊕ vals`.
+fn accumulate(vregs: &mut [u64], dst: R, vals: &[u64; WARP], acc: Acc, mask: u32) {
+    let Acc { src, k, sub, rev } = acc;
+    macro_rules! accw {
+        ($v:ident, $bk:ident) => {
+            match (sub, rev) {
+                (false, false) => for_mask!(mask, l, {
+                    let s = vg(vregs, src, l);
+                    vs(vregs, dst, l, $bk($v(s) + $v(vals[l])));
+                }),
+                (false, true) => for_mask!(mask, l, {
+                    let s = vg(vregs, src, l);
+                    vs(vregs, dst, l, $bk($v(vals[l]) + $v(s)));
+                }),
+                (true, false) => for_mask!(mask, l, {
+                    let s = vg(vregs, src, l);
+                    vs(vregs, dst, l, $bk($v(s) - $v(vals[l])));
+                }),
+                (true, true) => for_mask!(mask, l, {
+                    let s = vg(vregs, src, l);
+                    vs(vregs, dst, l, $bk($v(vals[l]) - $v(s)));
+                }),
+            }
+        };
+    }
+    match k {
+        K::F32 => accw!(f32v, b32),
+        K::F64 => accw!(f64v, b64),
+        K::I32 => {
+            let op2 = if sub { BinOp::Sub } else { BinOp::Add };
             for_mask!(mask, l, {
-                vs(vregs, dst, l, vals[l]);
+                let s = vg(vregs, src, l);
+                let r =
+                    if rev { bin_bits(op2, k, vals[l], s) } else { bin_bits(op2, k, s, vals[l]) };
+                vs(vregs, dst, l, r);
             });
         }
-        Op::StG { buf, idx, val, vk, site } => {
-            let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
-            let ix = |l| i64v(vg(regs, idx, l));
-            store_global(w, lic, (buf, site), mask, unit, ix, regs, (val, vk));
-        }
-        Op::LdP { dst, arr, idx } => {
-            for_mask!(mask, l, {
-                let i = i64v(vg(vregs, idx, l)) as usize;
-                vs(vregs, dst, l, lane_privs[l][arr as usize][i]);
-            });
-        }
-        Op::StP { arr, idx, val, vk, k } => {
-            for_mask!(mask, l, {
-                let i = i64v(vg(vregs, idx, l)) as usize;
-                lane_privs[l][arr as usize][i] = cast_bits(vk, k, vg(vregs, val, l));
-            });
-        }
-        Op::DeclPriv { arr, len } => {
-            for_mask!(mask, l, {
-                let n = i64v(vg(vregs, len, l)) as usize;
-                let p = &mut lane_privs[l][arr as usize];
-                p.clear();
-                p.resize(n, 0);
-            });
-        }
-        Op::Flops { n } => {
-            w.counters.flops += n as u64 * mask.count_ones() as u64;
-        }
-        Op::LdL { .. } | Op::StL { .. } | Op::DeclLocal { .. } => {
-            unreachable!("local-memory tapes never lower to fused form")
-        }
-        Op::Jmp { .. } | Op::Jz { .. } | Op::JgeI64 { .. } | Op::Ret | Op::Halt => {
-            unreachable!("control flow is a block terminator, never a block op")
-        }
+        K::Bool => unreachable!("load accumulate never fuses at bool kind"),
     }
 }
 
@@ -3214,6 +2739,7 @@ struct WarpExec<'e, 'w> {
     vregs: &'e mut [u64],
     lane_privs: &'e mut [Vec<Vec<u64>>],
     w: &'e mut WarpCtx<'w>,
+    lic: Licence<'e>,
     diverged: bool,
     /// Lanes that executed `Ret` (see [`PhaseRun::returned`]).
     returned: u32,
@@ -3235,13 +2761,35 @@ impl WarpExec<'_, '_> {
     /// reconvergence pc `until` (`c.ops.len()` means "run to `Ret`/`Halt`").
     /// Returns the mask of lanes parked at `until`, without executing it;
     /// lanes that hit `Ret`/`Halt` first are dropped. `mask` starts
-    /// non-empty. `PROF` is a const generic so the unprofiled instantiation
-    /// carries no timing code at all: one timer read per op both closes the
-    /// previous op's span and opens the next, and control-flow ops are
-    /// charged until their target's first dispatch — their interpretation
-    /// cost.
+    /// non-empty. The hot arms of the acoustics tapes (i32 index arithmetic,
+    /// comparisons, `AsI64` from i32, bool logic/select) are monomorphised
+    /// so the lane loops carry no per-lane kind dispatch. `PROF` is a const
+    /// generic so the unprofiled instantiation carries no timing code at
+    /// all: one timer read per op both closes the previous op's span and
+    /// opens the next, and control-flow ops are charged until their target's
+    /// first dispatch — their interpretation cost.
     fn run<const PROF: bool>(&mut self, mut pc: usize, until: usize, mut mask: u32) -> u32 {
-        let ops = &self.c.ops[..];
+        let (ops, lic) = (&self.c.ops[..], self.lic);
+        let uniform = |r: R| lic.shape(r) == Shape::Uniform;
+        // Resolves the conditional branch at `pc`, `$jmask` ⊆ `mask` being
+        // the lanes that jump. The condition arms collect those lanes: one
+        // over uniform registers is read off the first active lane, an
+        // ordered compare of an affine register with a uniform one off the
+        // two end lanes ([`affine_cmp`]); the lane loop settles the rest —
+        // and, in debug builds, audits both shortcuts ([`decided`]).
+        macro_rules! branch {
+            ($jmask:expr, $target:expr) => {{
+                let jmask = $jmask;
+                match self.branch::<PROF>(pc, $target as usize, jmask, mask, until) {
+                    Branch::Goto(p, m) => {
+                        pc = p;
+                        mask = m;
+                        continue;
+                    }
+                    Branch::Reached(m) => return m,
+                }
+            }};
+        }
         loop {
             if pc == until {
                 return mask;
@@ -3257,7 +2805,8 @@ impl WarpExec<'_, '_> {
                 self.pending = Some((op_index(unsafe { ops.get_unchecked(pc) }), now));
             }
             let vregs = &mut *self.vregs;
-            // SAFETY: `exec_warp_from` asserts the entry pc is inside the
+            let first = mask & mask.wrapping_neg();
+            // SAFETY: `exec_phase_warp` asserts the entry pc is inside the
             // tape, and `validate` checked that every jump target and phase
             // entry is too and that the tape ends in `Ret`/`Halt`; by
             // induction `pc` stays in bounds (a non-terminator is never
@@ -3265,13 +2814,13 @@ impl WarpExec<'_, '_> {
             // targets), and `until` is checked before the fetch.
             match *unsafe { ops.get_unchecked(pc) } {
                 Op::Const { dst, bits } => {
-                    for_lanes!(mask, l, {
+                    for_mask!(mask, l, {
                         vs(vregs, dst, l, bits);
                     });
                 }
                 Op::Gsz { dst, dim } => {
                     let bits = bi32(self.w.gsize[dim as usize] as i32);
-                    for_lanes!(mask, l, {
+                    for_mask!(mask, l, {
                         vs(vregs, dst, l, bits);
                     });
                 }
@@ -3280,37 +2829,39 @@ impl WarpExec<'_, '_> {
                 | Op::Lsz { dst, .. }
                 | Op::Grp { dst, .. }) => {
                     let w = &*self.w;
-                    for_lanes!(mask, l, {
+                    for_mask!(mask, l, {
                         vs(vregs, dst, l, context_bits(op, &w.gids[l], w.items[l], w.lsize));
                     });
                 }
                 Op::Mov { dst, src } => vmap1(vregs, dst, src, mask, |x| x),
-                Op::Cast { dst, src, from, to } => {
-                    vmap1(vregs, dst, src, mask, |x| cast_bits(from, to, x))
-                }
-                Op::AsI64 { dst, src, from } => {
-                    vmap1(vregs, dst, src, mask, |x| bi64(to_i64(from, x)))
-                }
+                Op::Cast { dst, src, from, to } => match (from, to) {
+                    (K::I32, K::F32) => {
+                        vmap1(vregs, dst, src, mask, |x| b32(i32v(x) as f64 as f32))
+                    }
+                    (K::I32, K::F64) => vmap1(vregs, dst, src, mask, |x| b64(i32v(x) as f64)),
+                    _ => vmap1(vregs, dst, src, mask, |x| cast_bits(from, to, x)),
+                },
+                Op::AsI64 { dst, src, from } => match from {
+                    K::I32 => vmap1(vregs, dst, src, mask, |x| bi64(i32v(x) as i64)),
+                    _ => vmap1(vregs, dst, src, mask, |x| bi64(to_i64(from, x))),
+                },
                 Op::MaxOne { dst } => vmap1(vregs, dst, dst, mask, |x| bi64(i64v(x).max(1))),
                 Op::I64ToI32 { dst, src } => vmap1(vregs, dst, src, mask, |x| bi32(i64v(x) as i32)),
                 Op::AddI64 { dst, a, b } => {
                     vmap2(vregs, dst, a, b, mask, |x, y| bi64(i64v(x) + i64v(y)))
                 }
                 Op::JgeI64 { a, b, target } => {
-                    let mut jmask = 0u32;
-                    for_lanes!(mask, l, {
-                        if i64v(vg(vregs, a, l)) >= i64v(vg(vregs, b, l)) {
-                            jmask |= 1 << l;
-                        }
-                    });
-                    match self.branch::<PROF>(pc, target as usize, jmask, mask, until) {
-                        Branch::Goto(p, m) => {
-                            pc = p;
-                            mask = m;
-                            continue;
-                        }
-                        Branch::Reached(m) => return m,
-                    }
+                    let lanes = |m: u32| {
+                        let mut jm = 0u32;
+                        for_mask!(m, l, {
+                            if i64v(vg(vregs, a, l)) >= i64v(vg(vregs, b, l)) {
+                                jm |= 1 << l;
+                            }
+                        });
+                        jm
+                    };
+                    let known = (uniform(a) && uniform(b)).then(|| lanes(first) == 0);
+                    branch!(decided(known, mask, lanes), target)
                 }
                 Op::Neg { dst, src, k } => match k {
                     K::F32 => vmap1(vregs, dst, src, mask, |x| b32(-f32v(x))),
@@ -3319,10 +2870,6 @@ impl WarpExec<'_, '_> {
                     K::Bool => vmap1(vregs, dst, src, mask, |x| bi32(-((x != 0) as i32))),
                 },
                 Op::Not { dst, src, k } => vmap1(vregs, dst, src, mask, |x| bb(!truthy(k, x))),
-                // The hot acoustics arithmetic gets dedicated lane loops
-                // (simple enough for LLVM to autovectorize); everything else
-                // goes through the shared scalar helper with (op, k)
-                // loop-invariant.
                 Op::Bin { dst, a, b, op, k } => match (k, op) {
                     (K::F32, BinOp::Add) => {
                         vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) + f32v(y)))
@@ -3342,12 +2889,59 @@ impl WarpExec<'_, '_> {
                     (K::F64, BinOp::Mul) => {
                         vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) * f64v(y)))
                     }
+                    (K::I32, BinOp::Add) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bi32(i32v(x).wrapping_add(i32v(y))))
+                    }
+                    (K::I32, BinOp::Sub) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bi32(i32v(x).wrapping_sub(i32v(y))))
+                    }
+                    (K::I32, BinOp::Mul) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bi32(i32v(x).wrapping_mul(i32v(y))))
+                    }
+                    (K::I32, BinOp::Lt) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) < i32v(y)))
+                    }
+                    (K::I32, BinOp::Le) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) <= i32v(y)))
+                    }
+                    (K::I32, BinOp::Gt) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) > i32v(y)))
+                    }
+                    (K::I32, BinOp::Ge) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) >= i32v(y)))
+                    }
+                    (K::I32, BinOp::Eq) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) == i32v(y)))
+                    }
+                    (K::I32, BinOp::Ne) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) != i32v(y)))
+                    }
+                    (K::F32, BinOp::Lt) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) < f32v(y)))
+                    }
+                    (K::F32, BinOp::Le) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) <= f32v(y)))
+                    }
+                    (K::F32, BinOp::Gt) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) > f32v(y)))
+                    }
+                    (K::F32, BinOp::Ge) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) >= f32v(y)))
+                    }
                     _ => vmap2(vregs, dst, a, b, mask, |x, y| bin_bits(op, k, x, y)),
                 },
-                Op::Logic { dst, a, b, ka, kb, or } => vmap2(vregs, dst, a, b, mask, |x, y| {
-                    let (p, q) = (truthy(ka, x), truthy(kb, y));
-                    bb(if or { p || q } else { p && q })
-                }),
+                Op::Logic { dst, a, b, ka, kb, or } => match (ka, kb, or) {
+                    (K::Bool, K::Bool, false) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(x != 0 && y != 0))
+                    }
+                    (K::Bool, K::Bool, true) => {
+                        vmap2(vregs, dst, a, b, mask, |x, y| bb(x != 0 || y != 0))
+                    }
+                    _ => vmap2(vregs, dst, a, b, mask, |x, y| {
+                        let (p, q) = (truthy(ka, x), truthy(kb, y));
+                        bb(if or { p || q } else { p && q })
+                    }),
+                },
                 Op::MinMax { dst, a, b, k, max } => match k {
                     K::F32 => vmap2(vregs, dst, a, b, mask, |x, y| {
                         let (p, q) = (f32v(x) as f64, f32v(y) as f64);
@@ -3367,140 +2961,59 @@ impl WarpExec<'_, '_> {
                     K::F32 => vmap1(vregs, dst, src, mask, |x| b32(intr1_f32(intr, f32v(x)))),
                     _ => vmap1(vregs, dst, src, mask, |x| b64(intr1_f64(intr, f64v(x)))),
                 },
-                Op::Sel { dst, cond, ck, t, f } => {
-                    for_mask!(mask, l, {
+                Op::Sel { dst, cond, ck, t, f } => match ck {
+                    K::Bool => for_mask!(mask, l, {
+                        let pick = if vg(vregs, cond, l) != 0 { t } else { f };
+                        vs(vregs, dst, l, vg(vregs, pick, l));
+                    }),
+                    _ => for_mask!(mask, l, {
                         let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
                         vs(vregs, dst, l, vg(vregs, pick, l));
+                    }),
+                },
+                Op::LdG { dst, buf, idx, site, constant } => {
+                    let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
+                    let ix = |l| i64v(vg(regs, idx, l));
+                    let vals = load_global(self.w, lic, (buf, site, constant), mask, unit, ix);
+                    for_mask!(mask, l, {
+                        vs(vregs, dst, l, vals[l]);
                     });
                 }
-                Op::LdG { dst, buf, idx, site, constant } => {
-                    let b = self.w.bufs[buf as usize].expect("buffer bound");
-                    let n = mask.count_ones() as u64;
-                    let eb = b.elem_bytes() as u64;
-                    if constant {
-                        self.w.counters.loads_constant += n;
-                    } else {
-                        self.w.counters.loads_global += n;
-                        self.w.counters.bytes_loaded += eb * n;
-                    }
-                    let push_trace = self.w.trace_on && !constant;
-                    if let Some(sh) = b.shadow() {
-                        for_lanes!(mask, l, {
-                            let i = i64v(vg(vregs, idx, l));
-                            if let Some(kind) = sh.classify_load(i as usize) {
-                                crate::sanitize::report_load_fault(
-                                    kind,
-                                    self.w.san.as_ref(),
-                                    buf as usize,
-                                    site,
-                                    i as u64,
-                                    "vector",
-                                );
-                            }
-                        });
-                    }
-                    // SAFETY (both loops): launch contract — no concurrent
-                    // writer of this element (same contract as the scalar
-                    // interpreters).
-                    if let (false, Some((lo, hi))) = (push_trace, contiguous(mask)) {
-                        for l in lo..hi {
-                            let i = i64v(vg(vregs, idx, l));
-                            debug_assert!(
-                                i >= 0 && (i as usize) < b.len(),
-                                "load out of bounds: param {buf}[{i}] (len {})",
-                                b.len()
-                            );
-                            vs(vregs, dst, l, unsafe { b.get_bits(i as usize) });
-                        }
-                    } else {
-                        for_lanes!(mask, l, {
-                            let i = i64v(vg(vregs, idx, l));
-                            if push_trace {
-                                self.w.traces[l].push((
-                                    site,
-                                    0,
-                                    ((buf as u64) << 40) | ((i as u64) * eb),
-                                ));
-                            }
-                            debug_assert!(
-                                i >= 0 && (i as usize) < b.len(),
-                                "load out of bounds: param {buf}[{i}] (len {})",
-                                b.len()
-                            );
-                            vs(vregs, dst, l, unsafe { b.get_bits(i as usize) });
-                        });
-                    }
-                }
                 Op::StG { buf, idx, val, vk, site } => {
-                    let b = self.w.bufs[buf as usize].expect("buffer bound");
-                    let eb = b.elem_bytes() as u64;
-                    let n = mask.count_ones() as u64;
-                    self.w.counters.stores_global += n;
-                    self.w.counters.bytes_stored += eb * n;
-                    if let Some(sh) = b.shadow() {
-                        for_lanes!(mask, l, {
-                            sh.note_store(i64v(vg(vregs, idx, l)) as usize);
-                        });
-                    }
-                    // SAFETY (both loops): launch contract — element
-                    // disjointness across work-items (verified by
-                    // race-check mode).
-                    if let (false, false, Some((lo, hi))) =
-                        (self.w.trace_on, self.w.race_on, contiguous(mask))
-                    {
-                        for l in lo..hi {
-                            let i = i64v(vg(vregs, idx, l));
-                            debug_assert!(
-                                i >= 0 && (i as usize) < b.len(),
-                                "store out of bounds: param {buf}[{i}] (len {})",
-                                b.len()
-                            );
-                            unsafe { b.set(i as usize, bits_value(vk, vg(vregs, val, l))) };
-                        }
-                    } else {
-                        for_lanes!(mask, l, {
-                            let i = i64v(vg(vregs, idx, l));
-                            if self.w.trace_on {
-                                self.w.traces[l].push((
-                                    site,
-                                    0,
-                                    ((buf as u64) << 40) | ((i as u64) * eb),
-                                ));
-                            }
-                            if self.w.race_on {
-                                self.w.writes.push((buf as u32, i as u64, self.w.items[l], site));
-                            }
-                            debug_assert!(
-                                i >= 0 && (i as usize) < b.len(),
-                                "store out of bounds: param {buf}[{i}] (len {})",
-                                b.len()
-                            );
-                            unsafe { b.set(i as usize, bits_value(vk, vg(vregs, val, l))) };
-                        });
-                    }
+                    let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
+                    let ix = |l| i64v(vg(regs, idx, l));
+                    store_global(self.w, lic, (buf, site), mask, unit, ix, regs, (val, vk));
                 }
                 Op::LdP { dst, arr, idx } => {
-                    for_lanes!(mask, l, {
+                    for_mask!(mask, l, {
                         let i = i64v(vg(vregs, idx, l)) as usize;
                         vs(vregs, dst, l, self.lane_privs[l][arr as usize][i]);
                     });
                 }
                 Op::StP { arr, idx, val, vk, k } => {
-                    for_lanes!(mask, l, {
+                    for_mask!(mask, l, {
                         let i = i64v(vg(vregs, idx, l)) as usize;
                         self.lane_privs[l][arr as usize][i] = cast_bits(vk, k, vg(vregs, val, l));
                     });
                 }
                 Op::LdL { dst, arr, idx } => {
-                    for_lanes!(mask, l, {
+                    for_mask!(mask, l, {
                         let i = i64v(vg(vregs, idx, l)) as usize;
                         vs(vregs, dst, l, self.w.locals[arr as usize][i]);
                     });
                 }
                 Op::StL { arr, idx, val, vk, k } => {
-                    for_lanes!(mask, l, {
+                    for_mask!(mask, l, {
                         let i = i64v(vg(vregs, idx, l)) as usize;
                         self.w.locals[arr as usize][i] = cast_bits(vk, k, vg(vregs, val, l));
+                    });
+                }
+                Op::DeclPriv { arr, len } => {
+                    for_mask!(mask, l, {
+                        let n = i64v(vg(vregs, len, l)) as usize;
+                        let p = &mut self.lane_privs[l][arr as usize];
+                        p.clear();
+                        p.resize(n, 0);
                     });
                 }
                 // Allocated (zeroed) by the first warp of the group to get
@@ -3513,14 +3026,6 @@ impl WarpExec<'_, '_> {
                         a.resize(n, 0);
                     }
                 }
-                Op::DeclPriv { arr, len } => {
-                    for_lanes!(mask, l, {
-                        let n = i64v(vg(vregs, len, l)) as usize;
-                        let p = &mut self.lane_privs[l][arr as usize];
-                        p.clear();
-                        p.resize(n, 0);
-                    });
-                }
                 Op::Flops { n } => {
                     self.w.counters.flops += n as u64 * mask.count_ones() as u64;
                 }
@@ -3529,26 +3034,70 @@ impl WarpExec<'_, '_> {
                     continue;
                 }
                 Op::Jz { cond, k, target } => {
-                    let mut jmask = 0u32;
-                    for_lanes!(mask, l, {
-                        if !truthy(k, vg(vregs, cond, l)) {
-                            jmask |= 1 << l;
-                        }
-                    });
-                    match self.branch::<PROF>(pc, target as usize, jmask, mask, until) {
-                        Branch::Goto(p, m) => {
-                            pc = p;
-                            mask = m;
-                            continue;
-                        }
-                        Branch::Reached(m) => return m,
-                    }
+                    let lanes = |m: u32| {
+                        let mut jm = 0u32;
+                        for_mask!(m, l, {
+                            if !truthy(k, vg(vregs, cond, l)) {
+                                jm |= 1 << l;
+                            }
+                        });
+                        jm
+                    };
+                    let known = uniform(cond).then(|| lanes(first) == 0);
+                    branch!(decided(known, mask, lanes), target)
                 }
                 Op::Ret => {
                     self.returned |= mask;
                     return 0;
                 }
                 Op::Halt => return 0,
+                Op::MulAdd { dst, a, b, c, k, sub, rev } => {
+                    mul_add(vregs, (dst, a, b, c), k, (sub, rev), mask)
+                }
+                Op::CmpSel { dst, a, b, op, k, tr, fl } => {
+                    cmp_sel(vregs, dst, (a, b, op, k), (tr, fl), mask)
+                }
+                Op::LdGFused { dst, buf, base, off, acc, site, constant } => {
+                    let (at, regs) = ((buf, site, constant), &*vregs);
+                    let vals = match off {
+                        Some((o, sub)) => {
+                            let unit = lic.shape(base).add(lic.shape(o), sub) == Shape::Affine(1);
+                            let (x, y) = (|l| i32v(vg(regs, base, l)), |l| i32v(vg(regs, o, l)));
+                            if sub {
+                                let idx = |l| x(l).wrapping_sub(y(l)) as i64;
+                                load_global(self.w, lic, at, mask, unit, idx)
+                            } else {
+                                let idx = |l| x(l).wrapping_add(y(l)) as i64;
+                                load_global(self.w, lic, at, mask, unit, idx)
+                            }
+                        }
+                        None => {
+                            let unit = lic.shape(base) == Shape::Affine(1);
+                            let idx = |l| i32v(vg(regs, base, l)) as i64;
+                            load_global(self.w, lic, at, mask, unit, idx)
+                        }
+                    };
+                    match acc {
+                        Some(acc) => accumulate(vregs, dst, &vals, acc, mask),
+                        None => for_mask!(mask, l, {
+                            vs(vregs, dst, l, vals[l]);
+                        }),
+                    }
+                }
+                Op::StGAt { buf, base, val, vk, site } => {
+                    let (unit, regs) = (lic.shape(base) == Shape::Affine(1), &*vregs);
+                    let idx = |l| i32v(vg(regs, base, l)) as i64;
+                    store_global(self.w, lic, (buf, site), mask, unit, idx, regs, (val, vk));
+                }
+                Op::CmpJz { a, b, op, k, target } => {
+                    let lanes = |m: u32| cmp_zmask(vregs, (a, b, op, k), m);
+                    let known = if uniform(a) && uniform(b) {
+                        Some(lanes(first) == 0)
+                    } else {
+                        affine_cmp(vregs, (a, b, op, k), mask, lic)
+                    };
+                    branch!(decided(known, mask, lanes), target)
+                }
             }
             pc += 1;
         }
@@ -3715,8 +3264,9 @@ mod tests {
         .resolve_real(ScalarKind::F32)
     }
 
-    /// Launches on the differential engine (tree vs warp-interpreter bit-equality is
-    /// asserted inside) and returns the output buffer.
+    /// Launches on the differential engine (tree vs tape bit-equality of
+    /// buffers, counters and transaction bytes is asserted inside) and
+    /// returns the output buffer.
     fn run_diff(k: &Kernel, n: usize, a: f32) -> Vec<f64> {
         let prep = prepare(k).unwrap();
         assert!(prep.has_tape(), "kernel should compile to a tape");
@@ -3869,9 +3419,9 @@ mod tests {
     fn pure_branch_arms_if_convert_to_selects() {
         let k = select_kernel("ifconv");
         let t = tape_of(&k);
-        let jumps = t.ops.iter().filter(|op| matches!(op, Op::Jz { .. })).count();
+        let jumps = t.ops.iter().filter(|op| is_branch(op)).count();
         let sels =
-            t.ops.iter().chain(t.item_pre.iter()).filter(|op| matches!(op, Op::Sel { .. })).count();
+            t.ops.iter().filter(|op| matches!(op, Op::Sel { .. } | Op::CmpSel { .. })).count();
         assert_eq!(jumps, 0, "pure diamond must lose its branch: {:?}", t.ops);
         assert!(sels >= 1, "live-out must be selected: {:?}", t.ops);
         // The converted tape stays bit-identical to the tree oracle...
@@ -3928,7 +3478,7 @@ mod tests {
         }
         .resolve_real(ScalarKind::F32);
         let t = tape_of(&k);
-        let jumps = t.ops.iter().filter(|op| matches!(op, Op::Jz { .. })).count();
+        let jumps = t.ops.iter().filter(|op| is_branch(op)).count();
         assert!(jumps >= 1, "memory arms must keep the branch: {:?}", t.ops);
         let out = run_diff(&k, 64, 7.0);
         assert_eq!(out[6], 6.0);
@@ -3953,9 +3503,8 @@ mod tests {
             body,
             work_dim: 2,
         };
-        let prep = prepare(&k).unwrap();
-        let fused = prep.fused.as_ref().expect("flat kernels lower to fused form");
-        fused.shapes[1..prep.nslots].to_vec()
+        let mut prep = prepare(&k).unwrap();
+        prep.tape.take().expect("tape").shapes[1..prep.nslots].to_vec()
     }
 
     fn decl(name: &str, init: KExpr) -> KStmt {
@@ -4091,5 +3640,177 @@ mod tests {
         assert_eq!(movs, 0, "every copy has a producer to fold into: {:?}", t.ops);
         let out = run_diff(&k, 70, 3.0);
         assert_eq!((out[4], out[5], out[69]), (7.0, 15.0, 207.0));
+    }
+
+    /// The names of the superinstructions `t` holds.
+    fn superinstructions(t: &Compiled) -> std::collections::BTreeSet<&'static str> {
+        let fused = |op: &&Op| {
+            matches!(
+                op,
+                Op::MulAdd { .. }
+                    | Op::CmpSel { .. }
+                    | Op::LdGFused { .. }
+                    | Op::StGAt { .. }
+                    | Op::CmpJz { .. }
+            )
+        };
+        t.ops.iter().filter(fused).map(|op| op_name(op_index(op))).collect()
+    }
+
+    /// What the executor takes for granted of a compiled tape, fused ops
+    /// included: it validates, its joins are those of its final op stream,
+    /// every branch has one, and no op writes a register that is broadcast
+    /// once per register file.
+    fn assert_consistent(t: &Compiled, nslots: usize) {
+        assert!(validate(t), "{:?}", t.ops);
+        assert_eq!(t.joins, compute_joins(&t.ops));
+        for (pc, op) in t.ops.iter().enumerate() {
+            assert_eq!(is_branch(op), t.joins[pc] != NO_JOIN, "op {pc} {op:?}");
+        }
+        let (once, per_warp) = warp_init_regs(t, nslots);
+        for op in &t.ops {
+            let d = op_dst(op);
+            assert!(d.is_none_or(|d| !once.contains(&d)), "{op:?} writes a once-register");
+            assert!(d.is_none_or(|d| d as usize >= nslots || per_warp.contains(&d)), "{op:?}");
+        }
+        assert_eq!(t.shapes.len(), t.nregs);
+    }
+
+    /// ```text
+    /// if (gid >= 48) return;
+    /// u = x[gid + 1 - 1];
+    /// s = u < a ? u : a;
+    /// r = (s * a + s) + x[gid];
+    /// out[gid] = r;
+    /// ```
+    /// One window of each kind: compare-branch, offset load, compare-select,
+    /// multiply-add, load with an accumulate tail, store.
+    #[test]
+    fn every_fusion_window_keeps_values_counters_and_transactions() {
+        let g = || KExpr::GlobalId(0);
+        let x = |idx| KExpr::load(MemRef::Param(0), idx);
+        let (u, s, a) = (|| KExpr::var("u"), || KExpr::var("s"), || KExpr::var("a"));
+        let real = |name: &str, init| KStmt::DeclScalar {
+            name: name.into(),
+            kind: ScalarKind::F32,
+            init: Some(init),
+        };
+        let k = Kernel {
+            name: "windows".into(),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::F32),
+                KernelParam::global_buf("out", ScalarKind::F32),
+                KernelParam::scalar("a", ScalarKind::F32),
+            ],
+            body: vec![
+                KStmt::return_if(KExpr::bin(BinOp::Ge, g(), KExpr::int(48))),
+                real("u", x(g() + KExpr::int(1) - KExpr::int(1))),
+                real("s", KExpr::select(KExpr::bin(BinOp::Lt, u(), a()), u(), a())),
+                real("r", (s() * a() + s()) + x(g())),
+                KStmt::Store { mem: MemRef::Param(1), idx: g(), value: KExpr::var("r") },
+            ],
+            work_dim: 1,
+        };
+        let mut prep = prepare(&k).unwrap();
+        let t = prep.tape.take().expect("tape");
+        let want = ["CmpJz", "CmpSel", "LdGFused", "MulAdd", "StGAt"];
+        assert_eq!(superinstructions(&t).into_iter().collect::<Vec<_>>(), want, "{:?}", t.ops);
+        assert!(t.ops.iter().any(|op| matches!(op, Op::LdGFused { off: Some(_), .. })));
+        assert!(t.ops.iter().any(|op| matches!(op, Op::LdGFused { acc: Some(_), .. })));
+        assert!(t.fused_ops >= 7, "{} ops absorbed: {:?}", t.fused_ops, t.ops);
+        assert_consistent(&t, prep.nslots);
+        // The oracle never saw the pass: equal buffers, counters and
+        // transaction bytes (asserted inside) say it changed none of them.
+        let out = run_diff(&k, 64, 30.0);
+        assert_eq!((out[3], out[40], out[48]), (96.0, 970.0, 0.0));
+    }
+
+    #[test]
+    fn fusion_windows_stop_at_jump_targets_and_phase_entries() {
+        let hand = |ops: Vec<Op>, phase_starts: Vec<u32>| {
+            let mut c = Compiled { ops, phase_starts, nregs: 5, ..Compiled::default() };
+            crate::compile::fuse(&mut c);
+            c
+        };
+        // t = r1 * r1; r3 = t + r1 — with the add a jump target or not.
+        let muladd = |target: u32| {
+            vec![
+                Op::Jz { cond: 0, k: K::Bool, target },
+                Op::Bin { dst: 2, a: 1, b: 1, op: BinOp::Mul, k: K::F32 },
+                Op::Bin { dst: 3, a: 2, b: 1, op: BinOp::Add, k: K::F32 },
+                Op::Halt,
+            ]
+        };
+        let split = hand(muladd(2), vec![0]);
+        assert!(superinstructions(&split).is_empty(), "{:?}", split.ops);
+        assert_eq!((split.ops.len(), split.fused_ops), (4, 0));
+        let whole = hand(muladd(3), vec![0]);
+        assert!(matches!(whole.ops[1], Op::MulAdd { dst: 3, a: 1, b: 1, c: 1, .. }));
+        // The jump followed the halt it pointed at.
+        assert!(matches!(whole.ops[..], [Op::Jz { target: 2, .. }, _, Op::Halt]));
+        assert_eq!(whole.fused_ops, 1);
+
+        // out[r1] = r0 — with the store a phase entry or not.
+        let store = || {
+            vec![
+                Op::AsI64 { dst: 2, src: 1, from: K::I32 },
+                Op::StG { buf: 0, idx: 2, val: 0, vk: K::F32, site: 0 },
+                Op::Halt,
+            ]
+        };
+        let split = hand(store(), vec![0, 1]);
+        assert!(superinstructions(&split).is_empty(), "{:?}", split.ops);
+        let whole = hand(store(), vec![0]);
+        assert!(matches!(whole.ops[..], [Op::StGAt { base: 1, val: 0, .. }, Op::Halt]));
+    }
+
+    /// The tiled stencil of `tests/workgroup_tiling.rs`: a cooperative
+    /// staging load into local memory, a barrier, then the window sum out
+    /// of the tile. Grouped tapes fuse like any other.
+    #[test]
+    fn a_two_phase_local_memory_tape_fuses_and_matches_the_oracle() {
+        use lift::ir::{self, ParamDef};
+        use lift::prelude::{Lit, PadKind, Type};
+        const N: usize = 256;
+        let a = ParamDef::typed("a", Type::array(Type::real(), N));
+        let add = lift::funs::add();
+        let plain = ir::map_glb(
+            ir::slide(5, 1, ir::pad(2, 2, PadKind::Clamp, a.to_expr())),
+            "w",
+            move |w| {
+                ir::reduce_seq(ir::lit(Lit::real(0.0)), w, |acc, x| ir::call(&add, vec![acc, x]))
+            },
+        );
+        let tiled = lift::rewrite::overlapped_tile_1d(&plain, 32).expect("rewrite applies");
+        let lk = lift::lower::lower_kernel("tiled", &[a], &tiled, ScalarKind::F32).unwrap();
+        let mut prep = prepare(&lk.kernel).unwrap();
+        let t = prep.tape.take().expect("tape");
+        assert_eq!(t.phases(), 2);
+        assert!(t.ops.iter().any(|op| matches!(op, Op::StL { .. })), "{:?}", t.ops);
+        assert!(t.ops.iter().any(|op| matches!(op, Op::LdL { .. })), "{:?}", t.ops);
+        assert!(!superinstructions(&t).is_empty(), "{:?}", t.ops);
+        assert_consistent(&t, prep.nslots);
+        prep.tape = Some(t);
+
+        let input = SharedBuf::new(BufData::from(
+            (0..N).map(|i| ((i * 37) % 17) as f32 - 8.0).collect::<Vec<_>>(),
+        ));
+        let out = SharedBuf::new(BufData::from(vec![0.0f32; N]));
+        let binds: Vec<ArgBind<'_>> = lk
+            .args
+            .iter()
+            .map(|spec| match spec {
+                lift::lower::ArgSpec::Output(..) => ArgBind::Buf(&out),
+                _ => ArgBind::Buf(&input),
+            })
+            .collect();
+        for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
+            launch_wg_engine(&prep, &binds, &[N], Some(32), mode, true, 128, Engine::Differential)
+                .unwrap();
+        }
+        let x = input.data().to_f64_vec();
+        let o = out.data().to_f64_vec();
+        assert_eq!(o[100], x[98..103].iter().sum::<f64>());
+        assert_eq!(o[0], 3.0 * x[0] + x[1] + x[2], "clamped at the edge");
     }
 }

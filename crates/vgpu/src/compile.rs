@@ -1,43 +1,44 @@
-//! Tape → superinstruction lowering for the fused-block executor, the fast
-//! path of `Engine::Fast`.
+//! Two analyses over a compiled tape ([`Compiled`]), run last in
+//! `bytecode::compile`.
 //!
-//! [`lower`] re-shapes a validated tape ([`Compiled`]) into basic blocks of
-//! fused ops ([`Fused`]), in three steps:
+//! [`fuse`] rewrites the op sequences the acoustics kernels actually emit —
+//! index-arithmetic → `AsI64` → `LdG` stencil gathers with a trailing
+//! accumulate, `Bin`·`Bin` multiply-add chains, and the compare → `Sel` /
+//! compare → `Jz` pairs if-conversion leaves — into one *superinstruction*
+//! each, in place:
 //!
-//! 1. **Block discovery** — leaders are the phase entries, every jump
-//!    target, and every op after a terminator. Fusion windows never cross a
-//!    leader, so jumps always land on a block start.
+//! 1. **Leaders** — phase entries, jump targets and every op after a jump or
+//!    terminator. A fusion window never crosses one, so every jump still
+//!    lands on the first op of what it targeted.
 //! 2. **Use counting** — a register is a fusable *intermediate* only when it
 //!    has exactly one reader in the whole tape (main ops + both preludes).
 //!    Skipping its write is then unobservable: nothing reads it later, not
-//!    even after a divergence hand-off to the warp interpreter or across
-//!    loop iterations.
-//! 3. **Peephole fusion** — longest-match-first within each block body:
-//!    fused global loads (`Bin`·`AsI64`·`LdG`[·`Bin` accumulate]), fused
-//!    stores (`AsI64`·`StG`), multiply-add (`Bin`·`Bin`), compare-select
-//!    (`Bin`·`Sel`), and compare-branch block terminators (`Bin`·`Jz`).
+//!    on the other side of a divergent branch nor across loop iterations.
+//!    That skipped write is the gain: on the SoA register file every elided
+//!    intermediate saves a 32-lane column round-trip.
+//! 3. **Peephole fusion** — longest match first at each pc: fused global
+//!    loads (`Bin`·`AsI64`·`LdG`[·`Bin` accumulate]), fused stores
+//!    (`AsI64`·`StG`), multiply-add (`Bin`·`Bin`), compare-select
+//!    (`Bin`·`Sel`) and compare-branch (`Bin`·`Jz`). The window's first op
+//!    becomes the superinstruction, the rest are dropped by `compact`.
 //!
-//! Next to it, [`lane_shapes`] classifies every tape register as uniform,
+//! Fusion is total: an op no window matches stays as it is, on every tape —
+//! multi-phase and local-memory ones included.
+//!
+//! [`lane_shapes`] classifies every register of the fused tape as uniform,
 //! affine or varying across the lanes of a row-coherent warp — what lets the
 //! executor treat a unit-stride access as one run of its buffer and read a
 //! uniform branch condition off one lane.
 //!
-//! Lowering is best-effort and total: unmatched ops pass through as
-//! [`FOp::Base`]. It *fails* only on structural grounds: local-memory tapes
-//! (their launches are grouped, which the flat fused executor never runs)
-//! and malformed control flow the validator should have rejected. A flat
-//! launch of a tape that failed runs the warp interpreter and counts
-//! `vgpu.compiled.fallbacks`.
-//!
-//! Bit-identity contract: a fused op performs the exact same arithmetic in
-//! the exact same operand order as the sequence it replaced — multiply-add
-//! stays two roundings (never an FMA), i32 index math wraps like
-//! `bin_bits`, compare-select picks the same register.
-//! `Engine::Differential` (tree → warp interpreter → fused blocks) enforces
-//! this.
+//! Bit-identity contract: a superinstruction performs the exact same
+//! arithmetic in the exact same operand order as the sequence it replaced —
+//! multiply-add stays two roundings (never an FMA), i32 index math wraps
+//! like `bin_bits`, compare-select picks the same register.
+//! `Engine::Differential` (tree oracle, then the tape) enforces this.
 
 use crate::bytecode::{
-    op_dst, visit_srcs, Acc, Compiled, FBlock, FOp, FTerm, Fused, Op, Shape, K, NO_JOIN, R,
+    block_leaders, compact, is_branch, jump_target, op_dst, visit_srcs, Acc, Compiled, Op, Shape,
+    K, NO_JOIN, R,
 };
 use lift::prelude::BinOp;
 
@@ -51,170 +52,40 @@ fn is_addsub(op: BinOp) -> bool {
     matches!(op, BinOp::Add | BinOp::Sub)
 }
 
-/// Lowers a validated tape into superinstruction basic blocks. See the
-/// module docs for the pass structure and the fusion legality rule.
-/// `arg_slots` are the registers launch arguments initialise (one entry per
-/// kernel parameter, `None` for buffers).
-pub(crate) fn lower(c: &Compiled, arg_slots: &[Option<usize>]) -> Result<Fused, String> {
+/// Rewrites the tape's fusable windows into superinstructions, in place.
+/// See the module docs for the pass structure and the legality rule.
+pub(crate) fn fuse(c: &mut Compiled) {
     let n = c.ops.len();
-    if n == 0 || c.phase_starts.is_empty() {
-        return Err("empty tape".into());
-    }
-    for op in &c.ops {
-        if matches!(op, Op::LdL { .. } | Op::StL { .. } | Op::DeclLocal { .. }) {
-            return Err("local-memory ops (grouped launches fall back)".into());
-        }
-    }
-
-    // -- block discovery --
-    let mut leader = vec![false; n];
-    leader[0] = true;
-    for &p in &c.phase_starts {
-        *leader.get_mut(p as usize).ok_or("phase entry out of bounds")? = true;
-    }
-    for (pc, op) in c.ops.iter().enumerate() {
-        let ends_block = match *op {
-            Op::Jmp { target } | Op::Jz { target, .. } | Op::JgeI64 { target, .. } => {
-                *leader.get_mut(target as usize).ok_or("jump target out of bounds")? = true;
-                true
-            }
-            Op::Ret | Op::Halt => true,
-            _ => false,
-        };
-        if ends_block && pc + 1 < n {
-            leader[pc + 1] = true;
-        }
-    }
-    let starts: Vec<usize> = (0..n).filter(|&pc| leader[pc]).collect();
-    // pc of a leader → its block index.
-    let mut block_of = vec![u32::MAX; n];
-    for (bi, &pc) in starts.iter().enumerate() {
-        block_of[pc] = bi as u32;
-    }
-    let blk_at = |pc: usize| -> Result<u32, String> {
-        match block_of.get(pc).copied() {
-            Some(b) if b != u32::MAX => Ok(b),
-            _ => Err(format!("jump to non-leader pc {pc}")),
-        }
-    };
-
-    // -- use counting --
+    let leader = block_leaders(c);
     let mut uses = vec![0u32; c.nregs];
-    for op in c.ops.iter().chain(c.pre.iter()).chain(c.item_pre.iter()) {
+    for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
         visit_srcs(op, &mut |r| uses[r as usize] += 1);
     }
     let single = |r: R| uses[r as usize] == 1;
 
-    // -- per-block terminator + body fusion --
-    let mut blocks = Vec::with_capacity(starts.len());
-    let mut fused_ops = 0u32;
-    for (bi, &lo) in starts.iter().enumerate() {
-        let hi = starts.get(bi + 1).copied().unwrap_or(n);
-        let last = &c.ops[hi - 1];
-        let (term, mut body_end) = match *last {
-            Op::Ret | Op::Halt => (FTerm::Halt, hi - 1),
-            Op::Jmp { target } => (FTerm::Jmp { block: blk_at(target as usize)? }, hi - 1),
-            Op::Jz { cond, k, target } => {
-                if hi == n {
-                    return Err("conditional fall-through past end of tape".into());
-                }
-                (
-                    FTerm::Jz {
-                        cond,
-                        k,
-                        on_zero: blk_at(target as usize)?,
-                        on_nonzero: blk_at(hi)?,
-                        orig_pc: (hi - 1) as u32,
-                    },
-                    hi - 1,
-                )
-            }
-            Op::JgeI64 { a, b, target } => {
-                if hi == n {
-                    return Err("conditional fall-through past end of tape".into());
-                }
-                (
-                    FTerm::JgeI64 {
-                        a,
-                        b,
-                        on_ge: blk_at(target as usize)?,
-                        on_lt: blk_at(hi)?,
-                        orig_pc: (hi - 1) as u32,
-                    },
-                    hi - 1,
-                )
-            }
-            _ => {
-                // Fall-through into the next leader.
-                if hi == n {
-                    return Err("tape without trailing terminator".into());
-                }
-                (FTerm::Jmp { block: blk_at(hi)? }, hi)
-            }
-        };
-        // Compare-branch terminator: absorb a single-use `Bin cmp` feeding
-        // the `Jz`. Delegation re-runs from the compare (a pure op).
-        let term = if let FTerm::Jz { cond, k: K::Bool, on_zero, on_nonzero, .. } = term {
-            if body_end > lo {
-                if let Op::Bin { dst, a, b, op, k } = c.ops[body_end - 1] {
-                    if dst == cond && is_cmp(op) && single(dst) {
-                        body_end -= 1;
-                        fused_ops += 1;
-                        FTerm::CmpJz { a, b, op, k, on_zero, on_nonzero, orig_pc: body_end as u32 }
-                    } else {
-                        term
-                    }
-                } else {
-                    term
-                }
-            } else {
-                term
-            }
-        } else {
-            term
-        };
-
-        let mut ops = Vec::with_capacity(body_end - lo);
-        let mut pc = lo;
-        while pc < body_end {
-            if let Some((fop, w)) = try_ldg(c, pc, body_end, &single) {
-                fused_ops += (w - 1) as u32;
-                ops.push(fop);
-                pc += w;
-            } else if let Some((fop, w)) = try_stg(c, pc, body_end, &single) {
-                fused_ops += (w - 1) as u32;
-                ops.push(fop);
-                pc += w;
-            } else if let Some((fop, w)) = try_muladd(c, pc, body_end, &single) {
-                fused_ops += (w - 1) as u32;
-                ops.push(fop);
-                pc += w;
-            } else if let Some((fop, w)) = try_cmpsel(c, pc, body_end, &single) {
-                fused_ops += (w - 1) as u32;
-                ops.push(fop);
-                pc += w;
-            } else {
-                ops.push(FOp::Base(c.ops[pc]));
-                pc += 1;
-            }
+    let mut removed = vec![false; n];
+    let (mut pc, mut end) = (0, 0);
+    while pc < n {
+        // A window may reach up to the next leader.
+        if pc == end {
+            end = (pc + 1..n).find(|&i| leader[i]).unwrap_or(n);
         }
-        blocks.push(FBlock { ops, term });
+        let window = try_ldg(c, pc, end, &single)
+            .or_else(|| try_stg(c, pc, end, &single))
+            .or_else(|| try_muladd(c, pc, end, &single))
+            .or_else(|| try_cmp(c, pc, end, &single));
+        let width = match window {
+            Some((op, width)) => {
+                c.ops[pc] = op;
+                removed[pc + 1..pc + width].fill(true);
+                c.fused_ops += (width - 1) as u32;
+                width
+            }
+            None => 1,
+        };
+        pc += width;
     }
-
-    let mut entries = Vec::with_capacity(c.phase_starts.len());
-    for &p in &c.phase_starts {
-        entries.push(blk_at(p as usize)?);
-    }
-    let nsites = c
-        .ops
-        .iter()
-        .map(|op| match *op {
-            Op::LdG { site, .. } | Op::StG { site, .. } => site + 1,
-            _ => 0,
-        })
-        .max()
-        .unwrap_or(0);
-    Ok(Fused { blocks, entries, fused_ops, nsites, shapes: lane_shapes(c, arg_slots) })
+    compact(c, &removed);
 }
 
 /// Classifies every tape register by how its value varies across the active
@@ -271,9 +142,12 @@ fn result_shape(op: &Op, shapes: &[Shape]) -> Shape {
     let sh = |r: R| shapes[r as usize];
     match *op {
         Op::Gid { dim: 0, .. } => Shape::Affine(1),
-        Op::Lid { .. } | Op::Grp { .. } | Op::LdG { .. } | Op::LdP { .. } | Op::LdL { .. } => {
-            Shape::Varying
-        }
+        Op::Lid { .. }
+        | Op::Grp { .. }
+        | Op::LdG { .. }
+        | Op::LdGFused { .. }
+        | Op::LdP { .. }
+        | Op::LdL { .. } => Shape::Varying,
         Op::Mov { src, .. } => sh(src),
         Op::AsI64 { src, from: K::I32, .. } => match sh(src) {
             Shape::Affine(s) => Shape::Index(s),
@@ -281,6 +155,18 @@ fn result_shape(op: &Op, shapes: &[Shape]) -> Shape {
             _ => Shape::Varying,
         },
         Op::Bin { a, b, op, k: K::I32, .. } if is_addsub(op) => sh(a).add(sh(b), op == BinOp::Sub),
+        // The product as any other pure op below, then the i32 add/sub.
+        Op::MulAdd { a, b, c, k: K::I32, sub, rev, .. } => {
+            let product = match (sh(a), sh(b)) {
+                (Shape::Uniform, Shape::Uniform) => Shape::Uniform,
+                _ => Shape::Varying,
+            };
+            if rev {
+                sh(c).add(product, sub)
+            } else {
+                product.add(sh(c), sub)
+            }
+        }
         _ => {
             let mut uniform = true;
             visit_srcs(op, &mut |r| uniform &= sh(r) == Shape::Uniform);
@@ -303,11 +189,16 @@ fn split_regions(c: &Compiled, shapes: &[Shape]) -> Vec<bool> {
     let uniform = |r: R| shapes[r as usize] == Shape::Uniform;
     let mut split = vec![false; n];
     for (pc, op) in c.ops.iter().enumerate() {
-        let target = match *op {
-            Op::Jz { cond, target, .. } if !uniform(cond) => target,
-            Op::JgeI64 { a, b, target } if !(uniform(a) && uniform(b)) => target,
-            _ => continue,
-        };
+        if !is_branch(op) {
+            continue;
+        }
+        // A branch reads its condition's operands and nothing else.
+        let mut uniform_cond = true;
+        visit_srcs(op, &mut |r| uniform_cond &= uniform(r));
+        if uniform_cond {
+            continue;
+        }
+        let target = jump_target(op).expect("a branch jumps");
         let join = c.joins[pc] as usize;
         if c.joins[pc] == NO_JOIN || join <= pc || (target as usize) > join.min(n) {
             // Not a shape the compiler emits: assume nothing.
@@ -321,15 +212,15 @@ fn split_regions(c: &Compiled, shapes: &[Shape]) -> Vec<bool> {
 }
 
 /// `[Bin{t1,base,off,±,I32};] AsI64{t2,·,I32}; LdG{dst,…,t2} [; Bin acc]`
-/// with every intermediate single-use. The executor recomputes indices per
-/// 8-lane chunk from `base`/`off`, so neither may alias the fused op's own
-/// register writes (`dst`, or the accumulator's destination/source).
+/// with every intermediate single-use. Neither `base` nor `off` may alias
+/// the fused op's own register writes (`dst`, or the accumulator's
+/// destination/source): the op may interleave its index reads with them.
 fn try_ldg(
     c: &Compiled,
     pc: usize,
     end: usize,
     single: &impl Fn(R) -> bool,
-) -> Option<(FOp, usize)> {
+) -> Option<(Op, usize)> {
     let ops = &c.ops;
     // Optional i32 offset step.
     let (base, off, as_pc) = match ops[pc] {
@@ -353,8 +244,6 @@ fn try_ldg(
     if idx != t2 {
         return None;
     }
-    // Cross-chunk hazard: the executor writes `dst` before computing the
-    // next chunk's indices.
     if dst == base || off.is_some_and(|(o, _)| dst == o) {
         return None;
     }
@@ -365,15 +254,18 @@ fn try_ldg(
                 let (src, rev) = if a == dst { (b, true) } else { (a, false) };
                 let hazard = ad == base || ad == src || off.is_some_and(|(o, _)| ad == o);
                 if !hazard {
-                    let acc = Some(Acc { dst: ad, src, k, sub: op == BinOp::Sub, rev });
+                    let acc = Some(Acc { src, k, sub: op == BinOp::Sub, rev });
                     let w = ld_pc + 2 - pc;
-                    return Some((FOp::LdGFused { dst, buf, base, off, acc, site, constant }, w));
+                    return Some((
+                        Op::LdGFused { dst: ad, buf, base, off, acc, site, constant },
+                        w,
+                    ));
                 }
             }
         }
     }
     let w = ld_pc + 1 - pc;
-    Some((FOp::LdGFused { dst, buf, base, off, acc: None, site, constant }, w))
+    Some((Op::LdGFused { dst, buf, base, off, acc: None, site, constant }, w))
 }
 
 /// `AsI64{t2,base,I32}; StG{buf,t2,val,vk,site}` with `t2` single-use.
@@ -382,7 +274,7 @@ fn try_stg(
     pc: usize,
     end: usize,
     single: &impl Fn(R) -> bool,
-) -> Option<(FOp, usize)> {
+) -> Option<(Op, usize)> {
     if pc + 1 >= end {
         return None;
     }
@@ -394,7 +286,7 @@ fn try_stg(
     if idx != t2 {
         return None;
     }
-    Some((FOp::StGAt { buf, base: src, val, vk, site }, 2))
+    Some((Op::StGAt { buf, base: src, val, vk, site }, 2))
 }
 
 /// `Bin{t,a,b,Mul,k}; Bin{dst,·,·,Add|Sub,k}` with `t` single-use and used
@@ -404,7 +296,7 @@ fn try_muladd(
     pc: usize,
     end: usize,
     single: &impl Fn(R) -> bool,
-) -> Option<(FOp, usize)> {
+) -> Option<(Op, usize)> {
     if pc + 1 >= end {
         return None;
     }
@@ -417,16 +309,17 @@ fn try_muladd(
         return None;
     }
     let (cc, rev) = if a2 == t { (b2, false) } else { (a2, true) };
-    Some((FOp::MulAdd { dst, a, b, c: cc, k, sub: op2 == BinOp::Sub, rev }, 2))
+    Some((Op::MulAdd { dst, a, b, c: cc, k, sub: op2 == BinOp::Sub, rev }, 2))
 }
 
-/// `Bin{t,a,b,cmp,k}; Sel{dst,t,Bool,tr,fl}` with `t` single-use.
-fn try_cmpsel(
+/// `Bin{t,a,b,cmp,k}` with `t` single-use, feeding the `Sel{dst,t,Bool,tr,fl}`
+/// or the `Jz{t,Bool,target}` that follows it.
+fn try_cmp(
     c: &Compiled,
     pc: usize,
     end: usize,
     single: &impl Fn(R) -> bool,
-) -> Option<(FOp, usize)> {
+) -> Option<(Op, usize)> {
     if pc + 1 >= end {
         return None;
     }
@@ -434,9 +327,13 @@ fn try_cmpsel(
     if !is_cmp(op) || !single(t) {
         return None;
     }
-    let Op::Sel { dst, cond, ck: K::Bool, t: tr, f: fl } = c.ops[pc + 1] else { return None };
-    if cond != t {
-        return None;
+    match c.ops[pc + 1] {
+        Op::Sel { dst, cond, ck: K::Bool, t: tr, f: fl } if cond == t => {
+            Some((Op::CmpSel { dst, a, b, op, k, tr, fl }, 2))
+        }
+        Op::Jz { cond, k: K::Bool, target } if cond == t => {
+            Some((Op::CmpJz { a, b, op, k, target }, 2))
+        }
+        _ => None,
     }
-    Some((FOp::CmpSel { dst, a, b, op, k, tr, fl }, 2))
 }

@@ -497,8 +497,7 @@ impl Device {
             )
         });
         match stats.backend {
-            exec::Backend::Compiled => reg.counter("vgpu.launches.compiled").inc(),
-            exec::Backend::Vector => reg.counter("vgpu.launches.vector").inc(),
+            exec::Backend::Tape => reg.counter("vgpu.launches.tape").inc(),
             exec::Backend::Tree => reg.counter("vgpu.launches.tree").inc(),
         }
         // Kernel-level profiling: one map update per launch when enabled

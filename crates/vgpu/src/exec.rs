@@ -223,16 +223,9 @@ pub struct Prepared {
     /// Why the tape compiler rejected the kernel (`None` when `tape` is
     /// `Some`). Surfaced through the telemetry fallback record.
     pub(crate) tape_err: Option<String>,
-    /// Superinstruction lowering of `tape` for the fused-block executor;
-    /// `None` when the tape is absent or failed structural lowering (see
-    /// `fused_err`).
-    pub(crate) fused: Option<bytecode::Fused>,
-    /// Why superinstruction lowering was rejected. Surfaced through the
-    /// `compiled_fallback` telemetry record.
-    pub(crate) fused_err: Option<String>,
-    /// The source kernel AST, retained so the fused-block executor can run the
-    /// static bounds verifier against the concrete shape of each launch
-    /// (the per-site PROVEN/POTENTIAL table that licenses check elision).
+    /// The source kernel AST, retained so a launch can run the static bounds
+    /// verifier against its concrete shape (the per-site PROVEN/POTENTIAL
+    /// table that licenses check elision).
     pub(crate) source: Option<std::sync::Arc<Kernel>>,
 }
 
@@ -332,8 +325,6 @@ pub fn prepare(kernel: &Kernel) -> Result<Prepared, ExecError> {
         phases,
         tape: None,
         tape_err: None,
-        fused: None,
-        fused_err: None,
         source: Some(std::sync::Arc::new(kernel.clone())),
     };
     match bytecode::compile(&prep) {
@@ -343,16 +334,8 @@ pub fn prepare(kernel: &Kernel) -> Result<Prepared, ExecError> {
                     .counter("vgpu.tape.optimized_ops")
                     .add(tape.optimized_ops as u64);
             }
-            match crate::compile::lower(&tape, &prep.scalar_slots) {
-                Ok(fused) => {
-                    if fused.fused_ops > 0 {
-                        telemetry::registry()
-                            .counter("vgpu.compiled.fused_ops")
-                            .add(fused.fused_ops as u64);
-                    }
-                    prep.fused = Some(fused);
-                }
-                Err(e) => prep.fused_err = Some(e),
+            if tape.fused_ops > 0 {
+                telemetry::registry().counter("vgpu.tape.fused_ops").add(tape.fused_ops as u64);
             }
             prep.tape = Some(tape);
         }
@@ -594,37 +577,30 @@ pub enum ExecMode {
 /// (`VGPU_ENGINE`, see [`Engine::parse`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The tape executors; which one runs is decided per launch from what
-    /// the code can observe, never by an option. A flat NDRange whose tape
-    /// lowered to fused blocks (`compile::lower`), launched without the
-    /// transaction model or the race check, runs the fused-block executor
-    /// ([`Backend::Compiled`]): superinstructions over fixed-width lane
-    /// loops, bounds checks elided at sites the static verifier proves safe
-    /// for the concrete launch shape. Every other launch with a usable tape
-    /// — modeled, race-checked, grouped (barriers / local memory), or a
-    /// tape that did not fuse — runs the masked warp interpreter
-    /// ([`Backend::Vector`]): one decode per warp over a structure-of-arrays
-    /// register file, divergent branches executed under complementary lane
-    /// masks and reconverged at the branch's join (`vgpu.warp.divergent`).
-    /// Kernels the tape compiler rejects run the tree-walker
-    /// (`vgpu.tape.fallbacks`).
+    /// The warp executor over the kernel's tape ([`Backend::Tape`]): one
+    /// decode per warp over a structure-of-arrays register file,
+    /// superinstructions over fixed-width lane loops, divergent branches
+    /// executed under complementary lane masks and reconverged at the
+    /// branch's join (`vgpu.warp.divergent`) — flat and grouped (barriers /
+    /// local memory), modeled and race-checked launches alike. On a flat
+    /// NDRange, bounds checks are elided at sites the static verifier proves
+    /// safe for the concrete launch shape. Kernels the tape compiler rejects
+    /// run the tree-walker (`vgpu.tape.fallbacks`).
     #[default]
     Fast,
     /// The reference tree-walking interpreter — the oracle.
     Tree,
-    /// The oracle, then every tape executor that can run the launch: the
-    /// tree-walker's outputs are snapshotted, the inputs restored, and the
-    /// warp interpreter — then, on launches [`Engine::Fast`] would run
-    /// fused, the fused-block executor — must reproduce bit-identical
-    /// buffers and equal counters and transaction bytes. Any new shadow-
-    /// sanitizer finding on the kernel is a launch error too.
+    /// The oracle, then the tape: the tree-walker's outputs are
+    /// snapshotted, the inputs restored, and the warp executor must
+    /// reproduce bit-identical buffers and equal counters and transaction
+    /// bytes. Any new shadow-sanitizer finding on the kernel is a launch
+    /// error too.
     Differential,
 }
 
 impl Engine {
     /// Parses a `VGPU_ENGINE` value: `fast`, `tree`, `diff` or
-    /// `differential`. Anything else — including the retired `tape`,
-    /// `vector` and `compiled` — is an error naming the accepted values.
+    /// `differential`. Anything else is an error naming the accepted values.
     pub fn parse(s: &str) -> Result<Engine, String> {
         match s {
             "fast" => Ok(Engine::Fast),
@@ -656,23 +632,19 @@ impl Engine {
 /// *requested* policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The fused-block executor (basic blocks of superinstructions over the
-    /// SoA register file, proof-licensed bounds elision).
-    Compiled,
-    /// The masked warp interpreter over the tape (SoA register file, one
-    /// decode per warp).
-    Vector,
+    /// The masked warp executor over the tape (SoA register file, one
+    /// decode per warp, superinstructions, proof-licensed bounds elision).
+    Tape,
     /// The reference tree-walking interpreter.
     Tree,
 }
 
 impl Backend {
-    /// Display label (`"compiled"` / `"vector"` / `"tree"`), as used in
-    /// telemetry events and the `vgpu.launches.*` counters.
+    /// Display label (`"tape"` / `"tree"`), as used in telemetry events,
+    /// sanitizer findings and the `vgpu.launches.*` counters.
     pub fn label(self) -> &'static str {
         match self {
-            Backend::Compiled => "compiled",
-            Backend::Vector => "vector",
+            Backend::Tape => "tape",
             Backend::Tree => "tree",
         }
     }
@@ -694,11 +666,6 @@ pub struct LaunchStats {
     /// launching thread alone. A fact about scheduling, like `wall`: never
     /// part of differential comparison.
     pub tasks: usize,
-    /// Warps the fused-block executor handed to the warp interpreter in
-    /// mid-phase, at a divergent branch whose shape it does not resolve in
-    /// place — a slower path (`vgpu.compiled.delegated_warps`). A fact about
-    /// the executor, like `tasks`: never part of differential comparison.
-    pub delegated_warps: u64,
     /// Which backend executed the launch.
     pub backend: Backend,
     /// Warps whose active lanes disagreed at one or more branches and ran
@@ -712,8 +679,8 @@ pub struct LaunchStats {
     /// traces attribute the oracle's extra execution instead of silently
     /// folding it into the reported launch.
     pub oracle_wall: Option<std::time::Duration>,
-    /// Per-opcode time attribution merged across the launch's interpreter
-    /// chunks. Populated by the tape executors under `VGPU_PROFILE=op` only;
+    /// Per-opcode time attribution merged across the launch's tasks.
+    /// Populated by the tape executor under `VGPU_PROFILE=op` only;
     /// never part of differential comparison (timing is not a result).
     pub op_profile: Option<Box<crate::profiler::OpProf>>,
 }
@@ -1217,7 +1184,6 @@ fn note_fallback_record(ev: &'static str, kernel: &str, reason: &str) {
         eprintln!("{{\"ev\":{ev:?},\"kernel\":{kernel:?},\"reason\":{reason:?}}}");
         let (kernel, reason) = (kernel.to_string(), reason.to_string());
         telemetry::record(match ev {
-            "compiled_fallback" => telemetry::Event::CompiledFallback { kernel, reason, ts_us },
             "warp_divergence" => telemetry::Event::WarpDivergence { kernel, reason, ts_us },
             _ => telemetry::Event::TapeFallback { kernel, reason, ts_us },
         });
@@ -1233,12 +1199,10 @@ fn note_tape_fallback(kernel: &str, reason: &str) {
     note_fallback_record("tape_fallback", kernel, reason);
 }
 
-/// Audits warp divergence inside a tape-executor launch:
-/// `vgpu.warp.divergent` counts every divergent warp, while the
-/// stderr/trace record is deduped per kernel. Called exactly once per
-/// launch from [`run_launch`], off the backend's reported
-/// `divergent_warps` — the single structural accounting site for every
-/// backend, so no fallback or delegation path can double-count.
+/// Audits warp divergence inside a tape launch: `vgpu.warp.divergent`
+/// counts every divergent warp, while the stderr/trace record is deduped per
+/// kernel. Called exactly once per launch from [`run_launch`], off the
+/// backend's reported `divergent_warps` — the single accounting site.
 fn note_warp_divergence(kernel: &str, warps: u64) {
     telemetry::registry().counter("vgpu.warp.divergent").add(warps);
     note_fallback_record(
@@ -1249,16 +1213,7 @@ fn note_warp_divergence(kernel: &str, warps: u64) {
     );
 }
 
-/// Audits one fused-executor fallback — a launch the fused-block executor
-/// covers (flat, unmodeled, not race-checked) whose tape failed structural
-/// lowering ran the warp interpreter instead: bumps
-/// `vgpu.compiled.fallbacks` once per launch, deduped record as above.
-fn note_compiled_fallback(kernel: &str, reason: &str) {
-    telemetry::registry().counter("vgpu.compiled.fallbacks").inc();
-    note_fallback_record("compiled_fallback", kernel, reason);
-}
-
-// ---- proof-licensed bounds elision (the fused executor's check table) ----
+// ---- proof-licensed bounds elision (a flat launch's check table) ----
 
 type ContractMap = HashMap<String, lift::verify::Assumptions>;
 
@@ -1271,9 +1226,9 @@ fn launch_contracts() -> &'static std::sync::Mutex<ContractMap> {
 /// Registers the documented launch contract for `kernel`: the
 /// [`lift::verify::Assumptions`] every shipped launch of that kernel
 /// satisfies (buffer-length relations, interior guards, gather-table value
-/// facts). The fused-block executor merges the contract with the concrete shape
-/// of each launch and elides per-access bounds checks only at sites the
-/// static verifier then returns PROVEN for.
+/// facts). A flat launch merges the contract with its concrete shape and
+/// elides per-access bounds checks only at sites the static verifier then
+/// returns PROVEN for.
 ///
 /// Soundness: a contract is *trusted* — registering facts the launches do
 /// not actually satisfy voids the proof, exactly like handing the verifier
@@ -1287,7 +1242,8 @@ pub fn register_launch_contract(kernel: &str, asm: lift::verify::Assumptions) {
     launch_contracts().lock().unwrap().insert(kernel.to_string(), asm);
 }
 
-/// (kernel id, global size, per-param buffer length or scalar bits).
+/// (kernel id, global size, per-param buffer length or i32 scalar bits) —
+/// what [`build_checked_sites`] reads of a launch.
 type ProofKey = (u64, [usize; 3], Vec<u64>);
 
 fn proof_cache() -> &'static std::sync::Mutex<HashMap<ProofKey, std::sync::Arc<Vec<bool>>>> {
@@ -1297,27 +1253,26 @@ fn proof_cache() -> &'static std::sync::Mutex<HashMap<ProofKey, std::sync::Arc<V
     CACHE.get_or_init(|| std::sync::Mutex::new(HashMap::new()))
 }
 
-/// The fused-block executor's per-site check table for one launch shape:
-/// `checked[site]` keeps the dynamic bounds check, `!checked[site]` means
-/// the static verifier proved the access in bounds for every work-item of
-/// *this* shape. Memoized process-wide per [`ProofKey`]; each distinct
-/// shape runs the verifier once and bumps
-/// `vgpu.compiled.sites_{proven,checked}`.
-fn compiled_checked_sites(
+/// The per-site check table of one flat launch shape: `checked[site]`
+/// keeps the dynamic bounds check, `!checked[site]` means the static
+/// verifier proved the access in bounds for every work-item of *this*
+/// shape. Memoized process-wide per [`ProofKey`]; each distinct shape runs
+/// the verifier once and bumps `vgpu.tape.sites_{proven,checked}`.
+fn checked_sites(
     prep: &Prepared,
     bufs: &[Option<&SharedBuf>],
     init_slots: &[(usize, Value)],
     gsize: [usize; 3],
     nsites: u32,
 ) -> std::sync::Arc<Vec<bool>> {
-    let mut sig = Vec::with_capacity(prep.params.len());
-    for (i, p) in prep.params.iter().enumerate() {
-        sig.push(match bufs[i] {
-            Some(b) => b.len() as u64,
-            None => scalar_arg_value(prep, init_slots, i).map(bytecode::bits_of_value).unwrap_or(0),
-        });
-        let _ = p;
-    }
+    let sig = (0..prep.params.len())
+        .map(|i| match (bufs[i], scalar_arg_value(prep, init_slots, i)) {
+            (Some(b), _) => b.len() as u64,
+            (None, Some(v @ Value::I32(_))) => bytecode::bits_of_value(v),
+            // Float scalars never reach the verifier.
+            (None, _) => 0,
+        })
+        .collect();
     let key = (prep.id, gsize, sig);
     if let Some(hit) = proof_cache().lock().unwrap().get(&key) {
         return hit.clone();
@@ -1325,8 +1280,8 @@ fn compiled_checked_sites(
     let checked = std::sync::Arc::new(build_checked_sites(prep, bufs, init_slots, gsize, nsites));
     let kept = checked.iter().filter(|&&c| c).count() as u64;
     let reg = telemetry::registry();
-    reg.counter("vgpu.compiled.sites_proven").add(checked.len() as u64 - kept);
-    reg.counter("vgpu.compiled.sites_checked").add(kept);
+    reg.counter("vgpu.tape.sites_proven").add(checked.len() as u64 - kept);
+    reg.counter("vgpu.tape.sites_checked").add(kept);
     proof_cache().lock().unwrap().insert(key, checked.clone());
     checked
 }
@@ -1471,16 +1426,6 @@ struct Launch<'a> {
     transaction_size: u64,
 }
 
-impl Launch<'_> {
-    /// True when the fused-block executor covers this launch: a flat
-    /// NDRange, with neither the transaction model nor the race check on
-    /// (those need the per-lane access records only the warp interpreter
-    /// keeps, and modeled launches are sampled/infrequent by construction).
-    fn fused_eligible(&self) -> bool {
-        self.lsize.is_none() && !self.trace_on && !self.race_check
-    }
-}
-
 /// Launches with a previously resolved [`LaunchPlan`]. Performs only the
 /// per-launch work: scalar-value casts, NDRange/workgroup validation, and
 /// executor selection. The bindings must have the shape and buffer kinds the
@@ -1581,14 +1526,8 @@ pub fn launch_planned(
             if let Some(reason) = &plan.tape_fallback {
                 note_tape_fallback(&prep.name, reason);
                 Backend::Tree
-            } else if !l.fused_eligible() {
-                Backend::Vector
-            } else if prep.fused.is_some() {
-                Backend::Compiled
             } else {
-                let reason = prep.fused_err.as_deref().unwrap_or("tape failed fused lowering");
-                note_compiled_fallback(&prep.name, reason);
-                Backend::Vector
+                Backend::Tape
             }
         }
     };
@@ -1600,28 +1539,19 @@ fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError
     let result = match (backend, l.lsize) {
         (Backend::Tree, None) => run_flat_tree(l),
         (Backend::Tree, Some(lsize)) => run_grouped_tree(l, lsize),
-        (Backend::Vector, None) => run_flat_warps(l, false),
-        (Backend::Compiled, None) => run_flat_warps(l, true),
-        (Backend::Vector, Some(lsize)) => run_grouped_warps(l, lsize),
-        (Backend::Compiled, Some(_)) => {
-            unreachable!("the fused executor is never selected for grouped launches")
-        }
+        (Backend::Tape, None) => run_flat_warps(l),
+        (Backend::Tape, Some(lsize)) => run_grouped_warps(l, lsize),
     };
     result.map(|mut stats| {
         stats.backend = backend;
         if stats.divergent_warps > 0 {
             note_warp_divergence(&l.prep.name, stats.divergent_warps);
         }
-        // Registered by the first launch, so a report shows it at 0 too.
-        static DELEGATED: std::sync::OnceLock<telemetry::Counter> = std::sync::OnceLock::new();
-        DELEGATED
-            .get_or_init(|| telemetry::registry().counter("vgpu.compiled.delegated_warps"))
-            .add(stats.delegated_warps);
         stats
     })
 }
 
-/// [`Engine::Differential`]: the legs of [`run_differential_legs`], plus the
+/// [`Engine::Differential`]: the two legs of [`run_differential_legs`], plus the
 /// sanitizer gate — under `VGPU_SANITIZE=shadow` any *new* shadow finding
 /// on this kernel (the count is per-kernel, so concurrent launches of other
 /// kernels cannot trip it) turns the launch into a hard error, so the CI
@@ -1645,13 +1575,11 @@ fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     Ok(stats)
 }
 
-/// Runs the tree-walker, snapshots its output, then for every tape executor
-/// that can run this launch — the warp interpreter, then the fused-block
-/// executor on launches [`Engine::Fast`] would run fused — restores the
-/// inputs, re-runs the launch, and fails unless the executor produced
-/// bit-identical buffers and identical counters and transaction bytes.
-/// Returns the last (fastest) leg's stats, tagged with the oracle's wall
-/// time; the oracle's own stats when the kernel has no usable tape.
+/// Runs the tree-walker, snapshots its output, restores the inputs, re-runs
+/// the launch on the tape and fails unless that produced bit-identical
+/// buffers and identical counters and transaction bytes. Returns the tape
+/// leg's stats, tagged with the oracle's wall time; the oracle's own stats
+/// when the kernel has no usable tape.
 fn run_differential_legs(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let snapshot =
         || -> Vec<Option<BufData>> { l.bufs.iter().map(|b| b.map(|b| b.data().clone())).collect() };
@@ -1661,35 +1589,26 @@ fn run_differential_legs(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
         return Ok(tree);
     }
     let expect = snapshot();
-    let legs: &[Backend] = if l.fused_eligible() && l.prep.fused.is_some() {
-        &[Backend::Vector, Backend::Compiled]
-    } else {
-        &[Backend::Vector]
-    };
-    let mut last = None;
-    for &backend in legs {
-        for (b, s) in l.bufs.iter().zip(&inputs) {
-            if let (Some(b), Some(s)) = (b, s) {
-                b.restore(s.clone());
-            }
+    for (b, s) in l.bufs.iter().zip(inputs) {
+        if let (Some(b), Some(s)) = (b, s) {
+            b.restore(s);
         }
-        let mut got = run_launch(l, backend)?;
-        got.oracle_wall = Some(tree.wall);
-        diff_check(l, &expect, &tree, &got, backend.label())?;
-        last = Some(got);
     }
-    Ok(last.expect("the warp-interpreter leg always runs"))
+    let mut got = run_launch(l, Backend::Tape)?;
+    got.oracle_wall = Some(tree.wall);
+    diff_check(l, &expect, &tree, &got)?;
+    Ok(got)
 }
 
-/// One differential-leg comparison: current buffer contents against the
+/// The differential comparison: current buffer contents against the
 /// oracle's outputs (bitwise), plus counters and transaction bytes.
 fn diff_check(
     l: &Launch<'_>,
     expect: &[Option<BufData>],
     oracle: &LaunchStats,
     got: &LaunchStats,
-    label: &str,
 ) -> Result<(), ExecError> {
+    let label = Backend::Tape.label();
     let prep = l.prep;
     for (i, (b, e)) in l.bufs.iter().zip(expect).enumerate() {
         if let (Some(b), Some(e)) = (b, e) {
@@ -1753,15 +1672,13 @@ struct ChunkAcc {
     tbytes: u64,
     /// Race-check store records.
     writes: Vec<WriteRec>,
-    /// Warps that diverged (tape executors only). This and `delegated` are
-    /// 32 bits each so that the struct keeps its size: one step's collected
-    /// `Vec<ChunkAcc>` of the benchmark room then still fits the block a
-    /// task's register file just freed. Eight bytes more and glibc grows the
-    /// heap by ~17 KB a step instead (EXPERIMENTS.md, "Lane shapes").
+    /// Warps that diverged (tape executor only). 32 bits so that the struct
+    /// keeps its size: one step's collected `Vec<ChunkAcc>` of the benchmark
+    /// room then still fits the block a task's register file just freed.
+    /// Eight bytes more and glibc grows the heap by ~17 KB a step instead
+    /// (EXPERIMENTS.md, "Lane shapes").
     divergent: u32,
-    /// Warps the fused executor handed to the warp interpreter.
-    delegated: u32,
-    /// Per-op time tally (tape executors under `VGPU_PROFILE=op` only):
+    /// Per-op time tally (tape executor under `VGPU_PROFILE=op` only):
     /// one per chunk, merged after the parallel section — no shared state
     /// inside the hot loop.
     prof: Option<Box<crate::profiler::OpProf>>,
@@ -1777,7 +1694,7 @@ fn finish(
 ) -> Result<LaunchStats, ExecError> {
     let mut counters = Counters::default();
     let mut tbytes = 0u64;
-    let (mut divergent_warps, mut delegated_warps) = (0u64, 0u64);
+    let mut divergent_warps = 0u64;
     let mut all_writes: Vec<WriteRec> = Vec::new();
     let mut op_profile: Option<Box<crate::profiler::OpProf>> = None;
     let tasks = chunks.len();
@@ -1785,7 +1702,6 @@ fn finish(
         counters.add(&c.counters);
         tbytes += c.tbytes;
         divergent_warps += c.divergent as u64;
-        delegated_warps += c.delegated as u64;
         all_writes.append(&mut c.writes);
         if let Some(p) = c.prof {
             match op_profile.as_deref_mut() {
@@ -1803,7 +1719,6 @@ fn finish(
         wall,
         global_work_items: l.total,
         tasks,
-        delegated_warps,
         // Overwritten by `run_launch`, which knows which backend ran.
         backend: Backend::Tree,
         divergent_warps,
@@ -2047,7 +1962,6 @@ impl WarpState {
             locals,
             prof: acc.prof.as_deref_mut(),
             san: Some(crate::sanitize::SanCtx { kernel: &l.prep.name, params: &l.prep.params }),
-            delegated: &mut acc.delegated,
         };
         (&mut self.vregs, &mut self.privs, wc)
     }
@@ -2070,22 +1984,15 @@ fn warp_chunk_acc(prof_on: bool) -> ChunkAcc {
 }
 
 /// Tape execution of a barrier-free NDRange, one warp of consecutive
-/// work-items at a time, parallel over warps. `fused` selects the per-warp
-/// executor: the fused-block executor ([`bytecode::exec_fused_warp`]) over
-/// the pre-lowered basic-block form, with per-access bounds checks elided
-/// at sites the static verifier proved in bounds for this launch shape (see
-/// [`compiled_checked_sites`]), or the warp interpreter
-/// ([`bytecode::exec_phase_warp`]), which additionally keeps the per-lane
-/// access traces and race records modeled and race-checked launches need.
+/// work-items at a time ([`bytecode::exec_phase_warp`]), parallel over
+/// warps, with per-access bounds checks elided at sites the static verifier
+/// proved in bounds for this launch shape (see [`checked_sites`]).
 /// Arithmetic, counters, traces, and race records reproduce the tree-walker
 /// bit for bit.
-fn run_flat_warps(l: &Launch<'_>, fused: bool) -> Result<LaunchStats, ExecError> {
+fn run_flat_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let (prep, total) = (l.prep, l.total);
     let tape = prep.tape.as_ref().expect("tape checked by caller");
-    let fused = fused.then(|| {
-        let f = prep.fused.as_ref().expect("fused form checked by caller");
-        (f, compiled_checked_sites(prep, l.bufs, l.init_slots, l.gsize, f.nsites))
-    });
+    let checked = checked_sites(prep, l.bufs, l.init_slots, l.gsize, tape.nsites);
     let init = WarpInit::new(l, tape);
     let warps_total = total.div_ceil(WARP as u64);
     let warp_ids: Vec<u64> = (0..warps_total).step_by(l.stride).collect();
@@ -2098,22 +2005,14 @@ fn run_flat_warps(l: &Launch<'_>, fused: bool) -> Result<LaunchStats, ExecError>
             let begin = w * WARP as u64;
             let nact = warp.load(l, tape, &init, begin, (begin + WARP as u64).min(total));
             acc.counters.work_items += nact as u64;
-            let coherent = warp.coherent;
+            // Lane shapes hold for a row-coherent warp; any other runs with
+            // every register varying.
+            let shapes = if warp.coherent { &tape.shapes[..] } else { &[] };
+            let lic = bytecode::Licence { checked: &checked, shapes };
+            let mask = bytecode::prefix_mask(nact);
             let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut []);
-            let diverged = match &fused {
-                Some((f, checked)) => {
-                    // Lane shapes hold for a row-coherent warp; any other
-                    // runs with every register varying.
-                    let shapes = if coherent { &f.shapes[..] } else { &[] };
-                    let lic = bytecode::Licence { checked, shapes };
-                    bytecode::exec_fused_warp(f, tape, 0, nact, vregs, privs, &mut wc, lic)
-                }
-                None => {
-                    let mask = bytecode::prefix_mask(nact);
-                    bytecode::exec_phase_warp(tape, 0, mask, vregs, privs, &mut wc).diverged
-                }
-            };
-            acc.divergent += diverged as u32;
+            let run = bytecode::exec_phase_warp(tape, 0, mask, vregs, privs, &mut wc, lic);
+            acc.divergent += run.diverged as u32;
             if l.trace_on {
                 acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
             }
@@ -2133,12 +2032,13 @@ fn group_sample_scale(groups_total: usize, sampled: usize, stride: usize) -> f64
     }
 }
 
-/// Warp-interpreter execution of a grouped (barrier-synchronised) NDRange;
-/// mirrors [`run_grouped_tree`] phase for phase. A group is ⌈lsize/32⌉
-/// warps (the last one partial) sharing one local-memory arena; each
-/// barrier phase runs warp by warp over the lanes still alive — a lane that
-/// returned is masked off for the remaining phases — with register files
-/// persisting across phases.
+/// Tape execution of a grouped (barrier-synchronised) NDRange; mirrors
+/// [`run_grouped_tree`] phase for phase. A group is ⌈lsize/32⌉ warps (the
+/// last one partial) sharing one local-memory arena; each barrier phase runs
+/// warp by warp over the lanes still alive — a lane that returned is masked
+/// off for the remaining phases — with register files persisting across
+/// phases. No proof bounds a local id and no warp is row-coherent, so every
+/// site keeps its check and every register is varying.
 fn run_grouped_warps(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecError> {
     let prep = l.prep;
     let tape = prep.tape.as_ref().expect("tape checked by caller");
@@ -2146,6 +2046,7 @@ fn run_grouped_warps(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecEr
     let groups_total = (l.total / lsize as u64) as usize;
     let group_ids: Vec<usize> = (0..groups_total).step_by(l.stride).collect();
     let nwarps = lsize.div_ceil(WARP);
+    let lic = bytecode::Licence { checked: &[], shapes: &[] };
 
     let prof_on = crate::profiler::op_enabled();
     let (results, wall) = dispatch(&group_ids, lsize, |gs| {
@@ -2176,8 +2077,9 @@ fn run_grouped_warps(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecEr
                         continue;
                     }
                     let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut locals);
-                    let run =
-                        bytecode::exec_phase_warp(tape, phase, alive[wi], vregs, privs, &mut wc);
+                    let run = bytecode::exec_phase_warp(
+                        tape, phase, alive[wi], vregs, privs, &mut wc, lic,
+                    );
                     alive[wi] &= !run.returned;
                     diverged[wi] |= run.diverged;
                 }
@@ -2847,7 +2749,7 @@ mod tests {
         let mode = ExecMode::Model { sample_stride: 1 };
         let (ts, to) = saxpy_launch_engine(100, 100, mode, Engine::Tree);
         let (vs, vo) = saxpy_launch_engine(100, 100, mode, Engine::Fast);
-        assert_eq!(vs.backend, Backend::Vector);
+        assert_eq!(vs.backend, Backend::Tape);
         assert_eq!(to, vo);
         assert_eq!(ts.counters, vs.counters);
         assert_eq!(ts.transaction_bytes, vs.transaction_bytes);
@@ -2859,7 +2761,7 @@ mod tests {
         // warp 2 has it true on every lane. Uniform either way — the branch
         // must not count as divergence.
         let (stats, out) = saxpy_launch_engine(64, 96, ExecMode::Fast, Engine::Fast);
-        assert_eq!(stats.backend, Backend::Vector);
+        assert_eq!(stats.backend, Backend::Tape);
         assert_eq!(stats.divergent_warps, 0, "uniform warps must not count");
         assert_eq!(out[63], 2.0 * 63.0 + 1.0);
     }
@@ -2914,7 +2816,7 @@ mod tests {
         };
         let (ts, to) = run(Engine::Tree);
         let (vs, vo) = run(Engine::Fast);
-        assert_eq!(vs.backend, Backend::Vector);
+        assert_eq!(vs.backend, Backend::Tape);
         assert_eq!(vs.divergent_warps, 2, "both mixed warps must count");
         assert_eq!(to, vo);
         assert_eq!(ts.counters, vs.counters);
@@ -2973,7 +2875,7 @@ mod tests {
         };
         let (_, to) = run(Engine::Tree);
         let (vs, vo) = run(Engine::Fast);
-        assert_eq!(vs.backend, Backend::Vector);
+        assert_eq!(vs.backend, Backend::Tape);
         assert_eq!(to, vo);
         assert_eq!(vo[13], 39.0);
     }
@@ -2995,7 +2897,7 @@ mod tests {
             Engine::Fast,
         )
         .unwrap();
-        assert_eq!(stats.backend, Backend::Vector);
+        assert_eq!(stats.backend, Backend::Tape);
         assert_eq!(stats.divergent_warps, 0);
         let o = out.data().to_f64_vec();
         assert_eq!(o[5], 6.0);
@@ -3097,22 +2999,21 @@ mod tests {
     }
 
     #[test]
-    fn branches_without_a_join_run_one_lane_at_a_time_and_match_the_oracle() {
-        // No compiled tape has a reachable branch without a join (only a
-        // branch that cannot reach the exit lacks one), so strip the joins
-        // by hand: first from the loop branches only — the single-lane runs
+    fn a_diamond_around_a_lane_dependent_loop_matches_the_oracle_with_and_without_joins() {
+        // First as compiled: both levels reconverge at their joins. No
+        // compiled tape has a reachable branch without a join (only a
+        // branch that cannot reach the exit lacks one), so then strip the
+        // joins by hand: from the loop branches only — the single-lane runs
         // then park at the outer diamond's join and the tail runs converged
         // again — then from every branch, so lanes run to the end alone.
-        for all_branches in [false, true] {
+        for (strip_loops, strip_rest) in [(false, false), (true, false), (true, true)] {
             let mut prep = prepare(&diamond_around_lane_dependent_loop()).unwrap();
-            // The interpreter is the leg under test.
-            prep.fused = None;
             let tape = prep.tape.as_mut().unwrap();
             let mut stripped = 0;
             for (pc, op) in tape.ops.iter().enumerate() {
                 let strip = match op {
-                    bytecode::Op::JgeI64 { .. } => true,
-                    bytecode::Op::Jz { .. } => all_branches,
+                    bytecode::Op::JgeI64 { .. } => strip_loops,
+                    bytecode::Op::Jz { .. } | bytecode::Op::CmpJz { .. } => strip_rest,
                     _ => false,
                 };
                 if strip {
@@ -3120,10 +3021,12 @@ mod tests {
                     stripped += 1;
                 }
             }
-            assert!(stripped >= if all_branches { 2 } else { 1 }, "{:?}", tape.ops);
-            for (mode, race) in
-                [(ExecMode::Fast, false), (ExecMode::Model { sample_stride: 1 }, true)]
-            {
+            assert!(stripped >= strip_loops as u32 + strip_rest as u32, "{:?}", tape.ops);
+            for (mode, race) in [
+                (ExecMode::Fast, false),
+                (ExecMode::Fast, true),
+                (ExecMode::Model { sample_stride: 1 }, true),
+            ] {
                 let n = 80; // two full warps and a 16-lane one
                 let x = SharedBuf::new(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
                 let out = SharedBuf::new(BufData::from(vec![0.0f32; n]));
@@ -3140,43 +3043,12 @@ mod tests {
                     Engine::Differential,
                 )
                 .unwrap();
-                assert_eq!(stats.backend, Backend::Vector);
+                assert_eq!(stats.backend, Backend::Tape);
                 assert_eq!(stats.divergent_warps, 3, "each warp diverges, and counts once");
                 let o = out.data().to_f64_vec();
                 assert_eq!(o[8], 3.0 * 8.0 + 1.0, "8 % 5 = 3 trips");
                 assert_eq!(o[9], -9.0 + 1.0);
             }
         }
-    }
-
-    #[test]
-    fn an_eligible_launch_whose_tape_did_not_fuse_counts_a_compiled_fallback() {
-        // Every flat tape fuses today (only local-memory tapes do not, and
-        // those launch grouped), so drop the fused form by hand. No other
-        // unit test can move this counter.
-        let mut prep = prepare(&saxpy_kernel()).unwrap();
-        prep.fused = None;
-        prep.fused_err = Some("dropped by the test".into());
-        let counter = telemetry::registry().counter("vgpu.compiled.fallbacks");
-        let before = counter.get();
-        let x = SharedBuf::new(BufData::from(vec![3.0f32; 8]));
-        let y = SharedBuf::new(BufData::from(vec![1.0f32; 8]));
-        let binds = [
-            ArgBind::Buf(&x),
-            ArgBind::Buf(&y),
-            ArgBind::Val(Value::F32(2.0)),
-            ArgBind::Val(Value::I32(8)),
-        ];
-        let launch = |mode, race| {
-            launch_wg_engine(&prep, &binds, &[8], None, mode, race, 128, Engine::Fast).unwrap()
-        };
-        let stats = launch(ExecMode::Fast, false);
-        assert_eq!(stats.backend, Backend::Vector, "the interpreter covers it");
-        assert_eq!(counter.get() - before, 1);
-        // Modeled and race-checked launches run the interpreter by design:
-        // not a fallback.
-        launch(ExecMode::Model { sample_stride: 1 }, false);
-        launch(ExecMode::Fast, true);
-        assert_eq!(counter.get() - before, 1);
     }
 }

@@ -10,16 +10,15 @@
 //! * [`device::Device`] — buffers + in-order queue with profiling events;
 //! * [`exec`] — kernel preparation and the interpreter (counters, traces,
 //!   race detection);
-//! * [`bytecode`] — flat register-based tapes that kernels compile to, and
-//!   the two executors that run them a 32-lane warp at a time over a
-//!   structure-of-arrays register file: the masked warp interpreter (one
-//!   decode per warp, divergent branches running both sides under
-//!   complementary lane masks; grouped launches too) and the fused-block
-//!   fast path over the [`compile`]d form of the tape. The default engine
-//!   (`VGPU_ENGINE=fast`) picks between them per launch; the tree-walker
-//!   reference oracle (`VGPU_ENGINE=tree`) remains selectable, and
-//!   `VGPU_ENGINE=diff` runs the oracle and then the tape executors and
-//!   asserts bit-identical results (see [`exec::Engine`]);
+//! * [`bytecode`] — flat register-based tapes that kernels compile to
+//!   (optimized, then [`compile`]'s superinstruction fusion), and the one
+//!   executor that runs them a 32-lane warp at a time over a
+//!   structure-of-arrays register file: one decode per warp, divergent
+//!   branches running both sides under complementary lane masks, grouped
+//!   launches too. It is the default engine (`VGPU_ENGINE=fast`); the
+//!   tree-walker reference oracle (`VGPU_ENGINE=tree`) remains selectable,
+//!   and `VGPU_ENGINE=diff` runs the oracle and then the tape and asserts
+//!   bit-identical results (see [`exec::Engine`]);
 //! * [`profile::DeviceProfile`] — the four Table III GPUs;
 //! * [`perfmodel`] — transactions/flops → modeled seconds;
 //! * [`host_exec`] — runs LIFT host programs (`ToGPU`/`OclKernel`/`ToHost`).

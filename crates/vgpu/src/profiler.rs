@@ -8,12 +8,12 @@
 //! |----------|---------------------|---------------------------------------|
 //! | `off`    | one relaxed load    | nothing (default)                     |
 //! | `kernel` | one map update per launch | wall/modeled time per (kernel, engine, precision) |
-//! | `op`     | two timer reads per tape op | everything above **plus** per-opcode time inside the tape executors |
+//! | `op`     | two timer reads per tape op | everything above **plus** per-opcode time inside the tape executor |
 //!
 //! Like the trace mode, the profile mode is sampled from the environment
 //! once, lazily, and overridable by tests ([`set_mode`]); when profiling is
 //! off every instrumentation site reduces to one relaxed atomic load — the
-//! executors' hot loops carry `PROF` as a const generic, so the unprofiled
+//! executor's hot loop carries `PROF` as a const generic, so the unprofiled
 //! instantiation holds no timing code at all.
 //!
 //! Attribution is keyed by *(kernel, engine backend, float precision)* —
@@ -27,7 +27,7 @@
 //! incomparable (the repo-wide "compare shapes, not absolutes" rule,
 //! DESIGN.md §3).
 
-use crate::bytecode::{fop_name, op_name, NFOPS, NOPCODES};
+use crate::bytecode::{op_name, NOPCODES};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -42,7 +42,7 @@ pub enum ProfileMode {
     Off = 0,
     /// Per-(kernel, engine, precision) launch/wall/modeled accumulation.
     Kernel = 1,
-    /// [`ProfileMode::Kernel`] plus per-opcode time inside the tape executors.
+    /// [`ProfileMode::Kernel`] plus per-opcode time inside the tape executor.
     Op = 2,
 }
 
@@ -103,7 +103,7 @@ pub fn enabled() -> bool {
     mode() != ProfileMode::Off
 }
 
-/// True when the tape interpreters should attribute time per opcode.
+/// True when the tape executor should attribute time per opcode.
 #[inline]
 pub fn op_enabled() -> bool {
     mode() == ProfileMode::Op
@@ -114,25 +114,19 @@ pub fn set_mode(m: ProfileMode) {
     MODE.store(m as u8, Ordering::Relaxed);
 }
 
-/// Number of attribution slots: base opcodes first
-/// ([`crate::bytecode::op_index`]), then the fused-block executor's
-/// superinstructions at `NOPCODES + fop index`.
-const NSLOTS: usize = NOPCODES + NFOPS;
-
-/// Per-opcode execution tally for one launch (or one interpreter chunk):
+/// Per-opcode execution tally for one launch (or one executor chunk):
 /// dispatch counts and attributed nanoseconds, indexed by
-/// [`crate::bytecode::op_index`] (base tape ops) or `NOPCODES +` the fused
-/// superinstruction index (fused-block executor). Cheap to allocate per rayon
-/// chunk and to merge per launch — two fixed `u64` arrays, no heap.
+/// [`crate::bytecode::op_index`]. Cheap to allocate per rayon chunk and to
+/// merge per launch — two fixed `u64` arrays, no heap.
 #[derive(Debug, Clone)]
 pub struct OpProf {
-    pub(crate) counts: [u64; NSLOTS],
-    pub(crate) nanos: [u64; NSLOTS],
+    pub(crate) counts: [u64; NOPCODES],
+    pub(crate) nanos: [u64; NOPCODES],
 }
 
 impl Default for OpProf {
     fn default() -> Self {
-        OpProf { counts: [0; NSLOTS], nanos: [0; NSLOTS] }
+        OpProf { counts: [0; NOPCODES], nanos: [0; NOPCODES] }
     }
 }
 
@@ -146,7 +140,7 @@ impl OpProf {
 
     /// Folds another tally (a parallel chunk's) into this one.
     pub(crate) fn merge(&mut self, other: &OpProf) {
-        for i in 0..NSLOTS {
+        for i in 0..NOPCODES {
             self.counts[i] += other.counts[i];
             self.nanos[i] += other.nanos[i];
         }
@@ -164,12 +158,9 @@ impl OpProf {
 
     /// Non-empty entries as `(opcode name, count, nanos)`, hottest first.
     pub fn entries(&self) -> Vec<(&'static str, u64, u64)> {
-        let mut v: Vec<(&'static str, u64, u64)> = (0..NSLOTS)
+        let mut v: Vec<(&'static str, u64, u64)> = (0..NOPCODES)
             .filter(|&i| self.counts[i] > 0)
-            .map(|i| {
-                let name = if i < NOPCODES { op_name(i) } else { fop_name(i - NOPCODES) };
-                (name, self.counts[i], self.nanos[i])
-            })
+            .map(|i| (op_name(i), self.counts[i], self.nanos[i]))
             .collect();
         v.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
         v
@@ -251,7 +242,7 @@ pub struct OpEntry {
 pub struct KernelProfileSnapshot {
     /// Kernel name.
     pub kernel: String,
-    /// Backend that executed (`compiled` / `vector` / `tree`).
+    /// Backend that executed (`tape` / `tree`).
     pub engine: String,
     /// Float precision of the kernel's buffer traffic (`f32` / `f64`).
     pub precision: String,
@@ -508,7 +499,7 @@ mod tests {
         ops.add(3, Duration::from_nanos(10));
         record_launch(
             "k",
-            "vector",
+            "tape",
             "f32",
             Duration::from_micros(500),
             Some(1e-6),
@@ -516,13 +507,13 @@ mod tests {
             Some(4096),
             Some(&ops),
         );
-        record_launch("k", "vector", "f32", Duration::from_micros(300), None, 1000, None, None);
+        record_launch("k", "tape", "f32", Duration::from_micros(300), None, 1000, None, None);
         let snap = take();
         assert_eq!(snap.len(), 1);
         let s = &snap[0];
         assert_eq!(
             (s.kernel.as_str(), s.engine.as_str(), s.precision.as_str()),
-            ("k", "vector", "f32")
+            ("k", "tape", "f32")
         );
         assert_eq!(s.launches, 2);
         assert_eq!(s.modeled_launches, 1);
@@ -545,7 +536,7 @@ mod tests {
         let snaps = vec![
             KernelProfileSnapshot {
                 kernel: "a".into(),
-                engine: "vector".into(),
+                engine: "tape".into(),
                 precision: "f32".into(),
                 launches: 1,
                 wall_us: 2000.0,
@@ -558,7 +549,7 @@ mod tests {
             },
             KernelProfileSnapshot {
                 kernel: "b".into(),
-                engine: "vector".into(),
+                engine: "tape".into(),
                 precision: "f32".into(),
                 launches: 1,
                 wall_us: 5000.0,
@@ -586,7 +577,7 @@ mod tests {
         ops.add(1, Duration::from_nanos(500));
         record_launch(
             "fi",
-            "vector",
+            "tape",
             "f32",
             Duration::from_micros(100),
             Some(2e-6),

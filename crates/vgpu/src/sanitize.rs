@@ -210,7 +210,7 @@ pub struct Finding {
     pub buffer: String,
     /// Flat element index of the first offending read observed.
     pub element: u64,
-    /// Engine that observed it (`tree`, `tape`, `vector`, `compiled`).
+    /// Engine that observed it (`tree` or `tape`).
     pub engine: &'static str,
 }
 

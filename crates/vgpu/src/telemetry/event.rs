@@ -105,8 +105,7 @@ pub enum Event {
         track: TrackId,
         /// Kernel name.
         name: String,
-        /// Backend that executed the launch (`"compiled"`, `"vector"`, or
-        /// `"tree"`).
+        /// Backend that executed the launch (`"tape"` or `"tree"`).
         engine: String,
         /// Start of the interpreter run, µs since the epoch.
         ts_us: f64,
@@ -172,19 +171,7 @@ pub enum Event {
         /// Time of the launch, µs since the epoch.
         ts_us: f64,
     },
-    /// A launch the fused-block executor covers (flat, unmodeled, not
-    /// race-checked) ran the warp interpreter instead because the tape
-    /// failed structural lowering. Deduplicated per (kernel, reason);
-    /// `vgpu.compiled.fallbacks` counts every launch.
-    CompiledFallback {
-        /// Kernel name.
-        kernel: String,
-        /// Why the tape did not lower to fused blocks.
-        reason: String,
-        /// Time of the launch, µs since the epoch.
-        ts_us: f64,
-    },
-    /// Warps inside a tape-executor launch diverged (active lanes disagreed
+    /// Warps inside a tape launch diverged (active lanes disagreed
     /// at a branch) and ran the branch sides under divergence masks,
     /// reconverging at the branch's join. Deduplicated per kernel; `vgpu.warp.divergent`
     /// counts every divergent warp.
@@ -213,7 +200,6 @@ impl Event {
             Event::Alloc { .. }
             | Event::Free { .. }
             | Event::TapeFallback { .. }
-            | Event::CompiledFallback { .. }
             | Event::WarpDivergence { .. } => None,
         }
     }
@@ -229,7 +215,6 @@ impl Event {
             | Event::Alloc { ts_us, .. }
             | Event::Free { ts_us, .. }
             | Event::TapeFallback { ts_us, .. }
-            | Event::CompiledFallback { ts_us, .. }
             | Event::WarpDivergence { ts_us, .. } => Some(*ts_us),
         }
     }

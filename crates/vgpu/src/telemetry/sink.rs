@@ -94,10 +94,6 @@ pub fn write_chrome<W: Write>(
                 "name": format!("tape fallback: {kernel}"), "cat": "fallback", "ph": "i",
                 "s": "p", "pid": 1, "tid": 0, "ts": ts_us, "args": { "reason": reason },
             }),
-            Event::CompiledFallback { kernel, reason, ts_us } => json!({
-                "name": format!("compiled fallback: {kernel}"), "cat": "fallback", "ph": "i",
-                "s": "p", "pid": 1, "tid": 0, "ts": ts_us, "args": { "reason": reason },
-            }),
             Event::WarpDivergence { kernel, reason, ts_us } => json!({
                 "name": format!("warp divergence: {kernel}"), "cat": "fallback", "ph": "i",
                 "s": "p", "pid": 1, "tid": 0, "ts": ts_us, "args": { "reason": reason },

@@ -24,7 +24,7 @@
 //! Findings feed the `vgpu.verify.*` counters and the `lift_verify`
 //! driver's diagnostics table.
 
-use crate::bytecode::{op_dst, visit_srcs, Compiled, Op, NO_JOIN};
+use crate::bytecode::{is_branch, jump_target, op_dst, visit_srcs, Compiled, Op, NO_JOIN};
 use crate::exec::Prepared;
 use crate::telemetry;
 use std::collections::BTreeSet;
@@ -154,9 +154,6 @@ fn phase_of(c: &Compiled, pc: usize) -> usize {
 /// entry, with the register file preserved.
 fn flow_succs(c: &Compiled, pc: usize) -> Vec<usize> {
     match c.ops[pc] {
-        Op::Jmp { target } => vec![target as usize],
-        Op::Jz { target, .. } | Op::JgeI64 { target, .. } => vec![pc + 1, target as usize],
-        Op::Ret => vec![],
         Op::Halt => {
             let phase = phase_of(c, pc);
             match c.phase_starts.get(phase + 1) {
@@ -164,7 +161,17 @@ fn flow_succs(c: &Compiled, pc: usize) -> Vec<usize> {
                 None => vec![],
             }
         }
-        _ => vec![pc + 1],
+        _ => tape_succs(c, pc),
+    }
+}
+
+/// Successors within a phase: `Ret` and `Halt` have none.
+fn tape_succs(c: &Compiled, pc: usize) -> Vec<usize> {
+    match (&c.ops[pc], jump_target(&c.ops[pc])) {
+        (Op::Ret | Op::Halt, _) => vec![],
+        (Op::Jmp { .. }, Some(target)) => vec![target as usize],
+        (_, Some(target)) => vec![pc + 1, target as usize],
+        (_, None) => vec![pc + 1],
     }
 }
 
@@ -250,7 +257,12 @@ fn barrier_uniformity(c: &Compiled, findings: &mut Vec<TapeFinding>) {
             let Some(d) = op_dst(op) else { continue };
             let mut t = matches!(
                 op,
-                Op::Gid { .. } | Op::Lid { .. } | Op::LdG { .. } | Op::LdP { .. } | Op::LdL { .. }
+                Op::Gid { .. }
+                    | Op::Lid { .. }
+                    | Op::LdG { .. }
+                    | Op::LdGFused { .. }
+                    | Op::LdP { .. }
+                    | Op::LdL { .. }
             );
             visit_srcs(op, &mut |r| t |= taint[r as usize]);
             if t && !taint[d as usize] {
@@ -261,15 +273,16 @@ fn barrier_uniformity(c: &Compiled, findings: &mut Vec<TapeFinding>) {
     }
     // A conditional branch on tainted data opens a divergent region that
     // closes at its reconvergence point (`joins`, computed by the warp
-    // interpreter's postdominator analysis) — or, when no join exists,
+    // executor's postdominator analysis) — or, when no join exists,
     // runs to the end of the branch's phase.
     let mut divergent = vec![false; c.ops.len()];
     for pc in 0..c.ops.len() {
-        let tainted = match c.ops[pc] {
-            Op::Jz { cond, .. } => taint[cond as usize],
-            Op::JgeI64 { a, b, .. } => taint[a as usize] || taint[b as usize],
-            _ => continue,
-        };
+        if !is_branch(&c.ops[pc]) {
+            continue;
+        }
+        // A branch reads its condition's operands and nothing else.
+        let mut tainted = false;
+        visit_srcs(&c.ops[pc], &mut |r| tainted |= taint[r as usize]);
         if !tainted {
             continue;
         }
@@ -311,15 +324,7 @@ fn unreachable_ops(c: &Compiled, findings: &mut Vec<TapeFinding>) {
         }
     }
     while let Some(pc) = stack.pop() {
-        let succs = match c.ops[pc] {
-            Op::Jmp { target } => vec![target as usize],
-            Op::Jz { target, .. } | Op::JgeI64 { target, .. } => {
-                vec![pc + 1, target as usize]
-            }
-            Op::Ret | Op::Halt => vec![],
-            _ => vec![pc + 1],
-        };
-        for s in succs {
+        for s in tape_succs(c, pc) {
             if s < n && !seen[s] {
                 seen[s] = true;
                 stack.push(s);
@@ -350,15 +355,7 @@ mod tests {
     use lift::types::ScalarKind;
 
     fn hand_tape(ops: Vec<Op>, phase_starts: Vec<u32>, nregs: usize) -> Compiled {
-        Compiled {
-            ops,
-            phase_starts,
-            nregs,
-            pre: Vec::new(),
-            item_pre: Vec::new(),
-            optimized_ops: 0,
-            joins: Vec::new(),
-        }
+        Compiled { ops, phase_starts, nregs, ..Compiled::default() }
     }
 
     fn hand_prep(c: Compiled) -> Prepared {
@@ -397,6 +394,52 @@ mod tests {
             3,
         );
         let rep = verify_prepared(&hand_prep(c)).unwrap();
+        assert!(rep.is_clean(), "{rep:?}");
+    }
+
+    #[test]
+    fn a_compare_branch_has_two_successors_and_carries_taint() {
+        use crate::bytecode::K;
+        // if (r0 < r1) r2 = 7 else r2 = 9; use r2: both sides reached, r2
+        // definitely assigned.
+        let diamond = hand_tape(
+            vec![
+                Op::Const { dst: 0, bits: 1 },
+                Op::Const { dst: 1, bits: 2 },
+                Op::CmpJz { a: 0, b: 1, op: BinOp::Lt, k: K::I32, target: 5 },
+                Op::Const { dst: 2, bits: 7 },
+                Op::Jmp { target: 6 },
+                Op::Const { dst: 2, bits: 9 },
+                Op::Mov { dst: 3, src: 2 },
+                Op::Halt,
+            ],
+            vec![0],
+            4,
+        );
+        let rep = verify_prepared(&hand_prep(diamond)).unwrap();
+        assert!(rep.is_clean(), "{rep:?}");
+        // if (!(id < r1)) goto barrier; return; barrier — an exit before the
+        // barrier is a hazard exactly when `id` differs across the group.
+        let guard = |id: Op| {
+            hand_tape(
+                vec![
+                    id,
+                    Op::Const { dst: 1, bits: 2 },
+                    Op::CmpJz { a: 0, b: 1, op: BinOp::Lt, k: K::I32, target: 4 },
+                    Op::Ret,
+                    Op::Halt,
+                    Op::Halt,
+                ],
+                vec![0, 5],
+                2,
+            )
+        };
+        let rep = verify_prepared(&hand_prep(guard(Op::Gid { dst: 0, dim: 0 }))).unwrap();
+        assert!(
+            rep.findings.iter().any(|f| f.pass == TapePass::BarrierUniformity && f.pc == 3),
+            "{rep:?}"
+        );
+        let rep = verify_prepared(&hand_prep(guard(Op::Gsz { dst: 0, dim: 0 }))).unwrap();
         assert!(rep.is_clean(), "{rep:?}");
     }
 

@@ -31,18 +31,14 @@ fn scale_kernel(name: &str, kind: ScalarKind) -> Kernel {
     }
 }
 
-fn launch_once(prep: &vgpu::Prepared) {
+fn launch_scaled(prep: &vgpu::Prepared, a: f32) {
     let mut dev = Device::gtx780();
     let x = dev.upload(BufData::from(vec![1.0f32, 2.0, 3.0, 4.0]));
     let out = dev.upload(BufData::from(vec![0.0f32; 4]));
-    dev.launch(
-        prep,
-        &[Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::F32(2.0))],
-        &[4],
-        ExecMode::Fast,
-    )
-    .unwrap();
-    assert_eq!(dev.read(out).to_f64_vec(), vec![2.0, 4.0, 6.0, 8.0]);
+    dev.launch(prep, &[Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::F32(a))], &[4], ExecMode::Fast)
+        .unwrap();
+    let want: Vec<f64> = [1.0, 2.0, 3.0, 4.0].iter().map(|x| (x * a) as f64).collect();
+    assert_eq!(dev.read(out).to_f64_vec(), want);
 }
 
 #[test]
@@ -54,12 +50,12 @@ fn fresh_devices_adopt_shared_plans_instead_of_replanning() {
     let shared0 = reg.counter("vgpu.plan.shared_hits").get();
 
     // First device to see the kernel pays the one planning miss...
-    launch_once(&prep);
+    launch_scaled(&prep, 2.0);
     assert_eq!(reg.counter("vgpu.plan.misses").get() - misses0, 1);
 
     // ...and every later device adopts the published plan.
     for _ in 0..3 {
-        launch_once(&prep);
+        launch_scaled(&prep, 2.0);
     }
     assert_eq!(
         reg.counter("vgpu.plan.misses").get() - misses0,
@@ -83,7 +79,7 @@ fn distinct_prepares_of_the_same_kernel_do_not_share_plans() {
     for _ in 0..2 {
         let dev = Device::gtx780();
         let prep = dev.compile(&scale_kernel("artifact_plan_private", ScalarKind::F32)).unwrap();
-        launch_once(&prep);
+        launch_scaled(&prep, 2.0);
     }
     assert_eq!(
         reg.counter("vgpu.plan.misses").get() - misses0,
@@ -103,4 +99,22 @@ fn compile_cached_counts_hits_and_misses() {
     assert_eq!(a.id(), b.id());
     assert_eq!(reg.counter("vgpu.artifact.misses").get() - misses0, 1);
     assert_eq!(reg.counter("vgpu.artifact.hits").get() - hits0, 1);
+}
+
+/// The bounds proof of a launch shape reads the kernel, the global size, the
+/// buffer lengths and the i32 scalars — a float scalar that changes with
+/// every launch (a source amplitude, a time-varying coefficient) reuses it.
+#[test]
+fn a_float_scalar_that_changes_per_launch_reuses_the_bounds_proof() {
+    let _guard = COUNTERS.lock().unwrap();
+    let prep = vgpu::compile_cached(&scale_kernel("artifact_proof_key", ScalarKind::F32)).unwrap();
+    let reg = telemetry::registry();
+    let sites = || {
+        reg.counter("vgpu.tape.sites_proven").get() + reg.counter("vgpu.tape.sites_checked").get()
+    };
+    let sites0 = sites();
+    for i in 0..100 {
+        launch_scaled(&prep, i as f32 * 0.5);
+    }
+    assert_eq!(sites() - sites0, 2, "one table for the kernel's load and store site");
 }

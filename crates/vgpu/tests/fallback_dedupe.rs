@@ -176,16 +176,16 @@ fn repeated_divergence_emits_one_record_but_counts_every_warp() {
     telemetry::set_mode(TraceMode::Off);
 }
 
-/// A grouped (barrier / local-memory) launch is covered by the warp
-/// interpreter, so it is not a fallback: neither fallback counter moves and
-/// no fallback record is emitted, while `vgpu.warp.divergent` counts each of
-/// its divergent warps once per launch.
+/// A grouped (barrier / local-memory) launch runs on the tape, so it is not
+/// a fallback: the fallback counter does not move and no fallback record is
+/// emitted, while `vgpu.warp.divergent` counts each of its divergent warps
+/// once per launch.
 #[test]
 fn grouped_launches_are_not_a_fallback() {
     let _guard = TELEMETRY.lock().unwrap();
     telemetry::set_mode(TraceMode::Chrome);
     let reg = telemetry::registry();
-    let counters = ["vgpu.tape.fallbacks", "vgpu.compiled.fallbacks", "vgpu.warp.divergent"];
+    let counters = ["vgpu.tape.fallbacks", "vgpu.warp.divergent"];
     let before = counters.map(|c| reg.counter(c).get());
     let _ = telemetry::take_events();
 
@@ -218,11 +218,10 @@ fn grouped_launches_are_not_a_fallback() {
 
     let after = counters.map(|c| reg.counter(c).get());
     assert_eq!(after[0] - before[0], 0, "the tape ran: no tape fallback");
-    assert_eq!(after[1] - before[1], 0, "grouped launches are not fused-eligible: no fallback");
-    assert_eq!(after[2] - before[2], 4, "2 warps x 2 launches, once per warp");
+    assert_eq!(after[1] - before[1], 4, "2 warps x 2 launches, once per warp");
     let fallbacks: Vec<_> = telemetry::take_events()
         .into_iter()
-        .filter(|e| matches!(e, Event::TapeFallback { .. } | Event::CompiledFallback { .. }))
+        .filter(|e| matches!(e, Event::TapeFallback { .. }))
         .collect();
     assert!(fallbacks.is_empty(), "no fallback record: {fallbacks:?}");
     telemetry::set_mode(TraceMode::Off);

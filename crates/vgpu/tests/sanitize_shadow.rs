@@ -40,14 +40,13 @@ fn copy_kernel(name: &str) -> Kernel {
 #[test]
 fn uninit_read_is_flagged_with_provenance_on_every_executor() {
     force_on();
-    // `Fast` runs this flat launch on the fused-block executor; with the
-    // race check on it runs the warp interpreter.
-    for (engine, race_check, label) in [
-        (Engine::Tree, false, "tree"),
-        (Engine::Fast, true, "vector"),
-        (Engine::Fast, false, "compiled"),
-    ] {
-        let name = format!("san_uninit_{label}");
+    // The tape takes its unit-stride runs on a plain launch and its
+    // per-lane path on a race-checked one; a shadowed buffer keeps both
+    // per element.
+    for (engine, race_check, label) in
+        [(Engine::Tree, false, "tree"), (Engine::Fast, true, "tape"), (Engine::Fast, false, "tape")]
+    {
+        let name = format!("san_uninit_{label}_{race_check}");
         let mut dev = Device::gtx780();
         dev.set_engine(engine);
         dev.set_race_check(race_check);
@@ -68,6 +67,7 @@ fn uninit_read_is_flagged_with_provenance_on_every_executor() {
         assert_eq!(hits.len(), 1, "{label}: exactly one deduped finding, got {hits:?}");
         assert_eq!(hits[0].kind, FaultKind::UninitRead);
         assert_eq!(hits[0].buffer, "src", "{label}: finding names the read buffer");
+        assert_eq!(hits[0].engine, label);
     }
 }
 

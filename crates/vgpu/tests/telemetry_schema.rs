@@ -15,7 +15,7 @@ fn all_variants() -> Vec<Event> {
         Event::Kernel {
             track: TrackId(3),
             name: "fimm_boundary_lift".into(),
-            engine: "vector".into(),
+            engine: "tape".into(),
             ts_us: 100.0,
             dur_us: 42.0,
             metrics: KernelMetrics {
@@ -51,11 +51,6 @@ fn all_variants() -> Vec<Event> {
             reason: "buffer param `x` declared F32 but bound as F64".into(),
             ts_us: 50.0,
         },
-        Event::CompiledFallback {
-            kernel: "local_scan".into(),
-            reason: "local-memory ops".into(),
-            ts_us: 55.0,
-        },
         Event::WarpDivergence {
             kernel: "fimm_boundary_lift".into(),
             reason: "active lanes disagreed at a branch".into(),
@@ -80,7 +75,7 @@ fn every_variant_roundtrips() {
 fn jsonl_is_one_well_formed_object_per_line() {
     let events = all_variants();
     let reg = Registry::new();
-    reg.counter("vgpu.launches.vector").add(5);
+    reg.counter("vgpu.launches.tape").add(5);
     reg.gauge("vgpu.mem.allocated_bytes").add(1024);
     reg.histogram("xfer.bytes").record(4096);
     let metrics: Vec<MetricSnapshot> = reg.snapshot();

@@ -1,15 +1,19 @@
-//! The two tape executors behind `Engine::Fast`, each against the tree
-//! oracle: the fused-block executor on the control-flow shapes it resolves
-//! in place (partial final warps, divergent early-return guards,
-//! if-converted diamonds), lane-dependent private indexing and the
-//! POTENTIAL-site checked path; and the warp interpreter on grouped
-//! (barrier / local-memory) launches — ⌈lsize/32⌉ warps per group sharing
-//! one local arena, with lanes that returned masked off.
+//! The tape executor against the tree oracle, over every kind of launch:
+//! plain, race-checked and modeled (unsampled and sampled), flat and
+//! grouped — what decides which of its paths a warp-op takes. One table of
+//! kernel shapes — partial final warps, divergent early-return guards,
+//! if-converted and storing diamonds, arms of several blocks,
+//! lane-dependent loops and private indexing, row-coherent and
+//! row-straddling stencils, strided and reversed indices, barrier phases
+//! over a shared local arena — each held to the oracle's buffers, counters
+//! and transaction bytes, to its own divergent warp count, and to
+//! `Backend::Tape`.
 //!
-//! Last, the task grain: launches around `exec::GRAIN_ITEMS` match the
-//! oracle whether they ran inline or fanned out over the pool, and a lane
-//! panic in a launch that did fan out reaches the launching thread with its
-//! own message.
+//! Then the per-site bounds discipline (the POTENTIAL-site checked path, the
+//! one out-of-bounds panic text) and the task grain: launches around
+//! `exec::GRAIN_ITEMS` match the oracle whether they ran inline or fanned
+//! out over the pool, and a lane panic in a launch that did fan out reaches
+//! the launching thread with its own message.
 //!
 //! Assertions read the launch's own `LaunchStats` (or a counter that only
 //! this binary's uniquely named kernels can move in the asserted
@@ -22,6 +26,91 @@ use vgpu::{Arg, Backend, BufData, Device, Engine, ExecMode, LaunchStats};
 
 fn gid() -> KExpr {
     KExpr::GlobalId(0)
+}
+
+// ---- the oracle-equality table ----
+
+/// The kind of launch: what the executor records per lane, and so which of
+/// its shortcuts a warp-op may take.
+#[derive(Clone, Copy, Debug)]
+struct Input {
+    race_check: bool,
+    mode: ExecMode,
+}
+
+const MODEL: ExecMode = ExecMode::Model { sample_stride: 2 };
+const INPUTS: [Input; 4] = [
+    Input { race_check: false, mode: ExecMode::Fast },
+    Input { race_check: true, mode: ExecMode::Fast },
+    Input { race_check: true, mode: ExecMode::Model { sample_stride: 1 } },
+    Input { race_check: false, mode: MODEL },
+];
+
+/// One kernel with its arguments: the buffers in parameter order (the
+/// output last), then the scalars.
+struct Case {
+    what: String,
+    kernel: Kernel,
+    bufs: Vec<BufData>,
+    scalars: Vec<Value>,
+    global: Vec<usize>,
+    /// Workgroup size of a grouped launch.
+    local: Option<usize>,
+}
+
+/// Launches the case on a fresh device; returns every buffer and the stats.
+fn launch(case: &Case, engine: Engine, input: Input) -> (Vec<BufData>, LaunchStats) {
+    let mut dev = Device::gtx780();
+    dev.set_engine(engine);
+    dev.set_race_check(input.race_check);
+    let prep = dev.compile(&case.kernel).unwrap();
+    let ids: Vec<_> = case.bufs.iter().map(|b| dev.upload(b.clone())).collect();
+    let args: Vec<Arg> =
+        ids.iter().map(|&b| Arg::Buf(b)).chain(case.scalars.iter().map(|&v| Arg::Val(v))).collect();
+    let stats = dev
+        .launch_wg(&prep, &args, &case.global, case.local, input.mode)
+        .unwrap_or_else(|e| panic!("{} under {engine:?}, {input:?}: {e}", case.what));
+    (ids.iter().map(|&b| dev.read(b)).collect(), stats)
+}
+
+/// Every input of the case on the tape — alone and as the second leg of
+/// `Engine::Differential` — against the tree oracle: buffers, counters,
+/// transaction bytes, the task cut; `divergent` warps in every unsampled
+/// launch; and, when given, the output the kernel is written to produce.
+fn assert_matches_oracle(case: &Case, divergent: u64, want: Option<&[f64]>) {
+    for input in INPUTS {
+        let what = format!("{}, {input:?}", case.what);
+        let tree = launch(case, Engine::Tree, input);
+        assert_eq!(tree.1.backend, Backend::Tree, "{what}");
+        let sampled = input.mode == MODEL;
+        if let (Some(want), false) = (want, sampled) {
+            assert_eq!(tree.0.last().unwrap().to_f64_vec(), want, "{what}: oracle output");
+        }
+        for engine in [Engine::Fast, Engine::Differential] {
+            let what = format!("{what}, {engine:?}");
+            let got = launch(case, engine, input);
+            assert_eq!(got.1.backend, Backend::Tape, "{what}");
+            assert_eq!(got.1.oracle_wall.is_some(), engine == Engine::Differential, "{what}");
+            assert_same_result(&what, &got, &tree);
+            assert_eq!(got.1.transaction_bytes.is_some(), input.mode != ExecMode::Fast, "{what}");
+            if !sampled {
+                assert_eq!(got.1.divergent_warps, divergent, "{what}: divergent warps");
+            }
+        }
+    }
+}
+
+fn assert_same_result<B: PartialEq>(what: &str, got: &(B, LaunchStats), oracle: &(B, LaunchStats)) {
+    assert!(got.0 == oracle.0, "{what}: buffers differ from the tree oracle");
+    assert_eq!(got.1.counters, oracle.1.counters, "{what}: counters");
+    assert_eq!(got.1.transaction_bytes, oracle.1.transaction_bytes, "{what}: transaction bytes");
+    assert_eq!(got.1.tasks, oracle.1.tasks, "{what}: every engine cuts a shape the same way");
+}
+
+/// `(x, out, …)` with `x` a ramp of `n` f32 and `out` zero-filled.
+fn x_out(n: usize) -> Vec<BufData> {
+    let xs: Vec<f32> = (0..n).map(|i| i as f32 * 0.25 - 3.0).collect();
+    vec![BufData::from(xs), BufData::from(vec![0.0f32; n])]
 }
 
 /// Guard + diamond, the acoustics boundary shape: items past `N` return
@@ -61,65 +150,20 @@ fn guard_diamond_kernel() -> Kernel {
     }
 }
 
-/// Runs `kernel` on a fresh device under `engine` and returns the output
-/// buffer plus the launch stats. `x` seeds param 0; params are
-/// `(x, out, N)` with `out` zero-filled at `x`'s length. `race_check` on
-/// keeps an `Engine::Fast` launch on the warp interpreter.
-fn run_guard_diamond(
-    engine: Engine,
-    race_check: bool,
-    n: i32,
-    gsize: usize,
-    mode: ExecMode,
-) -> (BufData, vgpu::LaunchStats) {
-    let mut dev = Device::gtx780();
-    dev.set_engine(engine);
-    dev.set_race_check(race_check);
-    let prep = dev.compile(&guard_diamond_kernel()).unwrap();
-    let xs: Vec<f32> = (0..gsize).map(|i| i as f32 * 0.25 - 3.0).collect();
-    let x = dev.upload(BufData::from(xs));
-    let out = dev.upload(BufData::from(vec![0.0f32; gsize]));
-    let stats = dev
-        .launch(&prep, &[Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::I32(n))], &[gsize], mode)
-        .unwrap();
-    (dev.read(out), stats)
-}
-
 /// A partial final warp (45 items over 2 warps: 32 + 13) with the guard
-/// diverging inside the last warp and the diamond diverging in every warp:
-/// the fused executor must report the same divergent-warp count as the warp
-/// interpreter, and both must produce the oracle's buffers and counters.
+/// diverging inside the last warp and the diamond diverging in every warp.
 #[test]
-fn partial_final_warp_and_divergence_bit_identical() {
-    let (tree, tstats) = run_guard_diamond(Engine::Tree, false, 45, 64, ExecMode::Fast);
-    let (interp, istats) = run_guard_diamond(Engine::Fast, true, 45, 64, ExecMode::Fast);
-    let (fused, fstats) = run_guard_diamond(Engine::Fast, false, 45, 64, ExecMode::Fast);
-    assert_eq!(fused, tree, "fused buffers must match the tree oracle");
-    assert_eq!(fused, interp);
-    assert_eq!(fstats.counters, tstats.counters);
-    assert_eq!(istats.counters, tstats.counters);
-    assert_eq!(fstats.backend, Backend::Compiled, "an eligible launch runs fused");
-    assert_eq!(istats.backend, Backend::Vector, "a race-checked launch runs the interpreter");
-    // Both warps diverge (warp 0 at the diamond, warp 1 at guard and
-    // diamond), and the fused executor's lanes-disagree test must agree
-    // with the interpreter's warp for warp.
-    assert_eq!(istats.divergent_warps, 2);
-    assert_eq!(fstats.divergent_warps, istats.divergent_warps);
-}
-
-/// What `Engine::Differential` runs after the oracle, on a partial-warp
-/// divergent launch: interpreter then fused block executor when the launch
-/// is one `Fast` would run fused, the interpreter alone when modeled
-/// (counters + warp transaction bytes cross-checked internally).
-#[test]
-fn differential_runs_every_executor_that_covers_the_launch() {
-    let (_, stats) = run_guard_diamond(Engine::Differential, false, 45, 64, ExecMode::Fast);
-    assert_eq!(stats.backend, Backend::Compiled, "last leg of an eligible launch");
-    assert!(stats.oracle_wall.is_some());
-    let model = ExecMode::Model { sample_stride: 1 };
-    let (_, stats) = run_guard_diamond(Engine::Differential, false, 45, 64, model);
-    assert_eq!(stats.backend, Backend::Vector, "modeled launches have one tape leg");
-    assert!(stats.transaction_bytes.is_some());
+fn partial_final_warp_and_divergence_match_the_oracle() {
+    let case = Case {
+        what: "guard + diamond".into(),
+        kernel: guard_diamond_kernel(),
+        bufs: x_out(64),
+        scalars: vec![Value::I32(45)],
+        global: vec![64],
+        local: None,
+    };
+    // Warp 0 diverges at the diamond, warp 1 at guard and diamond.
+    assert_matches_oracle(&case, 2, None);
 }
 
 /// Lane-dependent private indexing: each lane fills a private array in a
@@ -131,8 +175,8 @@ fn differential_runs_every_executor_that_covers_the_launch() {
 /// out[gid] = t[gid % 4];
 /// ```
 #[test]
-fn lane_dependent_private_indexing_matches_tree() {
-    let k = Kernel {
+fn lane_dependent_private_indexing_matches_the_oracle() {
+    let kernel = Kernel {
         name: "ce_priv_idx".into(),
         params: vec![KernelParam::global_buf("out", ScalarKind::I32)],
         body: vec![
@@ -159,63 +203,84 @@ fn lane_dependent_private_indexing_matches_tree() {
         ],
         work_dim: 1,
     };
-    let run = |engine: Engine| {
-        let mut dev = Device::gtx780();
-        dev.set_engine(engine);
-        let prep = dev.compile(&k).unwrap();
-        let out = dev.upload(BufData::from(vec![0i32; 50]));
-        let stats = dev.launch(&prep, &[Arg::Buf(out)], &[50], ExecMode::Fast).unwrap();
-        (dev.read(out), stats)
+    let case = Case {
+        what: "private indexing".into(),
+        kernel,
+        bufs: vec![BufData::from(vec![0i32; 50])],
+        scalars: vec![],
+        global: vec![50],
+        local: None,
     };
-    let (tree, _) = run(Engine::Tree);
-    let (comp, cstats) = run(Engine::Fast);
-    assert_eq!(comp, tree);
-    assert_eq!(cstats.backend, Backend::Compiled, "must not fall back");
     let want: Vec<f64> = (0..50).map(|g| (g * 4 + g % 4) as f64).collect();
-    assert_eq!(comp.to_f64_vec(), want);
+    assert_matches_oracle(&case, 0, Some(&want));
 }
 
-/// A data-dependent gather (`out[gid] = x[t[gid]]`) has no static proof —
-/// the table's *values* are unknown to the verifier — so its site must stay
-/// on the checked path while results stay bit-identical to the tree oracle.
-/// `vgpu.compiled.sites_checked` only ever grows, so "it grew across this
-/// launch" holds whatever concurrent tests add to it.
+/// The control-flow shapes that need reconvergence at a join further than
+/// one block away: a divergent arm of several blocks, and a loop whose trip
+/// count depends on the lane.
+///
+/// ```text
+/// if (gid % 2 == 0) out[gid] = gid < 40 ? x[gid] : 0; else out[gid] = 1;
+/// ```
+///
+/// (the select keeps its branch — an arm that loads is not speculated) and
+///
+/// ```text
+/// for (i = 0; i < gid % 5; i++) acc += x[gid];
+/// out[gid] = acc;
+/// ```
 #[test]
-fn potential_site_keeps_dynamic_check() {
-    let k = Kernel {
-        name: "ce_gather".into(),
-        params: vec![
-            KernelParam::global_buf("t", ScalarKind::I32),
+fn arms_of_several_blocks_and_lane_dependent_trip_counts_match_the_oracle() {
+    let even = KExpr::bin(BinOp::Eq, KExpr::bin(BinOp::Rem, gid(), KExpr::int(2)), KExpr::int(0));
+    let store = |value| KStmt::Store { mem: MemRef::Param(1), idx: gid(), value };
+    let x = || KExpr::load(MemRef::Param(0), gid());
+    let params = || {
+        vec![
             KernelParam::global_buf("x", ScalarKind::F32),
             KernelParam::global_buf("out", ScalarKind::F32),
-        ],
-        body: vec![KStmt::Store {
-            mem: MemRef::Param(2),
-            idx: gid(),
-            value: KExpr::load(MemRef::Param(1), KExpr::load(MemRef::Param(0), gid())),
+        ]
+    };
+    let nested_select = Kernel {
+        name: "we_nested_select".into(),
+        params: params(),
+        body: vec![KStmt::If {
+            cond: even,
+            then_: vec![store(KExpr::select(
+                KExpr::bin(BinOp::Lt, gid(), KExpr::int(40)),
+                x(),
+                KExpr::Lit(Lit::f32(0.0)),
+            ))],
+            else_: vec![store(KExpr::Lit(Lit::f32(1.0)))],
         }],
         work_dim: 1,
     };
-    let reg = vgpu::telemetry::registry();
-    let checked0 = reg.counter("vgpu.compiled.sites_checked").get();
-    let run = |engine: Engine| {
-        let mut dev = Device::gtx780();
-        dev.set_engine(engine);
-        let prep = dev.compile(&k).unwrap();
-        let t = dev.upload(BufData::from((0..32).rev().collect::<Vec<i32>>()));
-        let x = dev.upload(BufData::from((0..32).map(|i| i as f32 * 1.5).collect::<Vec<f32>>()));
-        let out = dev.upload(BufData::from(vec![0.0f32; 32]));
-        let stats = dev
-            .launch(&prep, &[Arg::Buf(t), Arg::Buf(x), Arg::Buf(out)], &[32], ExecMode::Fast)
-            .unwrap();
-        (dev.read(out), stats)
+    let trip_count = Kernel {
+        name: "we_trip_count".into(),
+        params: params(),
+        body: vec![
+            KStmt::DeclScalar {
+                name: "acc".into(),
+                kind: ScalarKind::F32,
+                init: Some(KExpr::Lit(Lit::f32(0.0))),
+            },
+            KStmt::For {
+                var: "i".into(),
+                begin: KExpr::int(0),
+                end: KExpr::bin(BinOp::Rem, gid(), KExpr::int(5)),
+                step: KExpr::int(1),
+                body: vec![KStmt::Assign { name: "acc".into(), value: KExpr::var("acc") + x() }],
+            },
+            store(KExpr::var("acc")),
+        ],
+        work_dim: 1,
     };
-    let (tree, _) = run(Engine::Tree);
-    let (comp, cstats) = run(Engine::Fast);
-    assert_eq!(comp, tree);
-    assert_eq!(cstats.backend, Backend::Compiled);
-    let checked = reg.counter("vgpu.compiled.sites_checked").get() - checked0;
-    assert!(checked > 0, "the value-dependent gather site must stay checked");
+    // Three warps each, the last one partial; every warp splits.
+    for (kernel, n) in [(nested_select, 96), (trip_count, 80)] {
+        let what = kernel.name.clone();
+        let case =
+            Case { what, kernel, bufs: x_out(n), scalars: vec![], global: vec![n], local: None };
+        assert_matches_oracle(&case, 3, None);
+    }
 }
 
 /// Rotates each group's elements by one through local memory, guarded so
@@ -262,11 +327,8 @@ fn local_rotate_kernel() -> Kernel {
     }
 }
 
-/// Grouped launches on the warp interpreter against the tree oracle under
-/// `Engine::Differential` (buffers, counters and transaction bytes
-/// bit-identical, or the launch errors), race check on: workgroup sizes of
-/// one warp, one and a half (partial last warp of every group) and two, in
-/// `Fast` mode and sampled `Model` mode, with the tail of the last group
+/// Grouped launches: workgroup sizes of one warp, one and a half (partial
+/// last warp of every group) and two, with the tail of the last group
 /// returning before the barrier.
 #[test]
 fn grouped_launches_match_the_oracle_across_group_shapes() {
@@ -275,38 +337,30 @@ fn grouped_launches_match_the_oracle_across_group_shapes() {
         let total = groups * lsize;
         // The last group keeps only its first 5 items.
         let n = total - lsize + 5;
-        for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 2 }] {
-            let mut dev = Device::gtx780();
-            dev.set_engine(Engine::Differential);
-            dev.set_race_check(true);
-            let prep = dev.compile(&local_rotate_kernel()).unwrap();
-            let x = dev.upload(BufData::from((0..total).map(|i| i as f32).collect::<Vec<_>>()));
-            let out = dev.upload(BufData::from(vec![-1.0f32; total]));
-            let args = [Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::I32(n as i32))];
-            let stats = dev
-                .launch_wg(&prep, &args, &[total], Some(lsize), mode)
-                .unwrap_or_else(|e| panic!("lsize {lsize}, {mode:?}: {e}"));
-            assert_eq!(stats.backend, Backend::Vector, "lsize {lsize}: grouped runs on warps");
-            assert_eq!(stats.counters.work_items, total as u64, "lsize {lsize}, {mode:?}");
-            if mode != ExecMode::Fast {
-                // Sampled: groups 0 and 2 ran; the rest keep their fill.
-                assert!(stats.transaction_bytes.is_some());
-                continue;
-            }
-            let got = dev.read(out).to_f64_vec();
-            let want: Vec<f64> = (0..total)
-                .map(|g| {
-                    let (grp, lid) = (g / lsize, g % lsize);
-                    let nb = grp * lsize + (lid + 1) % lsize;
-                    match (g < n, nb < n) {
-                        (false, _) => -1.0,
-                        (true, true) => (nb + grp) as f64,
-                        (true, false) => grp as f64,
-                    }
-                })
-                .collect();
-            assert_eq!(got, want, "lsize {lsize}");
-        }
+        let case = Case {
+            what: format!("local rotate, lsize {lsize}"),
+            kernel: local_rotate_kernel(),
+            bufs: vec![
+                BufData::from((0..total).map(|i| i as f32).collect::<Vec<_>>()),
+                BufData::from(vec![-1.0f32; total]),
+            ],
+            scalars: vec![Value::I32(n as i32)],
+            global: vec![total],
+            local: Some(lsize),
+        };
+        let want: Vec<f64> = (0..total)
+            .map(|g| {
+                let (grp, lid) = (g / lsize, g % lsize);
+                let nb = grp * lsize + (lid + 1) % lsize;
+                match (g < n, nb < n) {
+                    (false, _) => -1.0,
+                    (true, true) => (nb + grp) as f64,
+                    (true, false) => grp as f64,
+                }
+            })
+            .collect();
+        // Only the warp the guard cuts diverges.
+        assert_matches_oracle(&case, 1, Some(&want));
     }
 }
 
@@ -319,7 +373,7 @@ fn a_grouped_warp_that_diverges_in_two_phases_counts_once() {
         || KExpr::bin(BinOp::Eq, KExpr::bin(BinOp::Rem, gid(), KExpr::int(2)), KExpr::int(0));
     let ld = || KExpr::load(MemRef::Param(0), gid());
     let st = |value: KExpr| KStmt::Store { mem: MemRef::Param(0), idx: gid(), value };
-    let k = Kernel {
+    let kernel = Kernel {
         name: "we_grouped_div".into(),
         params: vec![KernelParam::global_buf("out", ScalarKind::I32)],
         body: vec![
@@ -337,214 +391,17 @@ fn a_grouped_warp_that_diverges_in_two_phases_counts_once() {
         ],
         work_dim: 1,
     };
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Differential);
-    dev.set_race_check(true);
-    let prep = dev.compile(&k).unwrap();
-    let out = dev.upload(BufData::from(vec![0i32; 96]));
-    let stats = dev.launch_wg(&prep, &[Arg::Buf(out)], &[96], Some(48), ExecMode::Fast).unwrap();
-    assert_eq!(stats.backend, Backend::Vector);
-    assert_eq!(stats.divergent_warps, 4, "one count per warp, not per phase");
+    let case = Case {
+        what: "two divergent phases".into(),
+        kernel,
+        bufs: vec![BufData::from(vec![0i32; 96])],
+        scalars: vec![],
+        global: vec![96],
+        local: Some(48),
+    };
     let want: Vec<f64> =
         (0..96).map(|g| if g % 2 == 0 { (g % 48) * 2 } else { g % 48 + 101 } as f64).collect();
-    assert_eq!(dev.read(out).to_f64_vec(), want);
-}
-
-// ---- the task grain of a launch (`exec::dispatch`) ----
-//
-// It must never be observable: launches of one warp, exactly one grain, one
-// grain plus a warp, and several grains — flat and grouped, fused,
-// interpreted, modeled and race-checked — produce the tree oracle's buffers,
-// counters, transaction bytes and race reports, whether they ran as one
-// inline task or fanned out over the pool. Task counts are read from each
-// launch's own `LaunchStats::tasks`.
-
-const WARP: usize = 32;
-/// `exec::GRAIN_ITEMS` in warps. The constant is private; the `tasks`
-/// assertions below fail if it moves without this file following.
-const GRAIN_WARPS: usize = 64;
-/// Launch sizes in warps, with the tasks each becomes unsampled.
-const SIZES: [(usize, usize); 5] = [
-    (1, 1),
-    (GRAIN_WARPS, 1),
-    (GRAIN_WARPS + 1, 1),
-    (3 * GRAIN_WARPS, 3),
-    (6 * GRAIN_WARPS + 5, 6),
-];
-const MODEL: ExecMode = ExecMode::Model { sample_stride: 2 };
-
-/// One launch of `(x, out, N)` over `warps` warps, the last 7 items past
-/// `N`; `grouped` selects the local-memory kernel with one warp per group, so a
-/// group id and a warp id weigh the same against the grain.
-fn run(
-    grouped: bool,
-    engine: Engine,
-    race_check: bool,
-    warps: usize,
-    mode: ExecMode,
-) -> (BufData, LaunchStats) {
-    let total = warps * WARP;
-    let mut dev = Device::gtx780();
-    dev.set_engine(engine);
-    dev.set_race_check(race_check);
-    let kernel = if grouped { local_rotate_kernel() } else { guard_diamond_kernel() };
-    let prep = dev.compile(&kernel).unwrap();
-    let x =
-        dev.upload(BufData::from((0..total).map(|i| i as f32 * 0.25 - 3.0).collect::<Vec<_>>()));
-    let out = dev.upload(BufData::from(vec![-1.0f32; total]));
-    let args = [Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::I32(total as i32 - 7))];
-    let stats = dev
-        .launch_wg(&prep, &args, &[total], grouped.then_some(WARP), mode)
-        .unwrap_or_else(|e| panic!("{warps} warps, grouped {grouped}, {engine:?}, {mode:?}: {e}"));
-    (dev.read(out), stats)
-}
-
-fn assert_same_result(what: &str, got: &(BufData, LaunchStats), oracle: &(BufData, LaunchStats)) {
-    assert!(got.0 == oracle.0, "{what}: buffers differ from the tree oracle");
-    assert_eq!(got.1.counters, oracle.1.counters, "{what}: counters");
-    assert_eq!(got.1.transaction_bytes, oracle.1.transaction_bytes, "{what}: transaction bytes");
-    assert_eq!(got.1.tasks, oracle.1.tasks, "{what}: every engine cuts a shape the same way");
-}
-
-#[test]
-fn launches_around_the_grain_match_the_oracle_on_every_engine() {
-    for (warps, tasks) in SIZES {
-        for grouped in [false, true] {
-            let what = |leg: &str| format!("{warps} warps, grouped {grouped}, {leg}");
-            let tree = run(grouped, Engine::Tree, true, warps, ExecMode::Fast);
-            assert_eq!(tree.1.tasks, tasks, "{}", what("tree"));
-
-            // `Fast` as shipped: fused for flat launches, warps for grouped.
-            let fast = run(grouped, Engine::Fast, false, warps, ExecMode::Fast);
-            let backend = if grouped { Backend::Vector } else { Backend::Compiled };
-            assert_eq!(fast.1.backend, backend, "{}", what("fast"));
-            assert_same_result(&what("fast"), &fast, &tree);
-            // The parity diamond splits every flat warp; a grouped warp
-            // only diverges where the guard cuts it, in the last one.
-            let divergent = if grouped { 1 } else { warps as u64 };
-            assert_eq!(fast.1.divergent_warps, divergent, "{}", what("fast"));
-
-            // Race-checked: the warp interpreter, with write records.
-            let interp = run(grouped, Engine::Fast, true, warps, ExecMode::Fast);
-            assert_eq!(interp.1.backend, Backend::Vector, "{}", what("interpreter"));
-            assert_same_result(&what("interpreter"), &interp, &tree);
-            assert_eq!(interp.1.divergent_warps, divergent, "{}", what("interpreter"));
-
-            // Modeled at stride 2: half the ids, so half the tasks.
-            let tree_model = run(grouped, Engine::Tree, true, warps, MODEL);
-            assert_eq!(tree_model.1.tasks, (warps.div_ceil(2) / GRAIN_WARPS).max(1));
-            let model = run(grouped, Engine::Fast, true, warps, MODEL);
-            assert!(model.1.transaction_bytes.is_some());
-            assert_same_result(&what("model"), &model, &tree_model);
-
-            // And the engine that checks all of the above inside the launch.
-            for mode in [ExecMode::Fast, MODEL] {
-                let diff = run(grouped, Engine::Differential, true, warps, mode);
-                assert!(diff.1.oracle_wall.is_some(), "{}", what("differential"));
-            }
-        }
-    }
-}
-
-/// `out[gid % H] = gid` with `H` half the launch: items `g` and `g + H`
-/// collide on every element, from different tasks once the launch fans out.
-/// The report (conflict count, the first conflicts in element order, their
-/// sites) must not depend on which engine ran or how the launch was cut.
-#[test]
-fn race_reports_do_not_depend_on_the_cut() {
-    let k = Kernel {
-        name: "dg_race".into(),
-        params: vec![
-            KernelParam::global_buf("out", ScalarKind::I32),
-            KernelParam::scalar("H", ScalarKind::I32),
-        ],
-        body: vec![KStmt::Store {
-            mem: MemRef::Param(0),
-            idx: KExpr::bin(BinOp::Rem, gid(), KExpr::var("H")),
-            value: gid(),
-        }],
-        work_dim: 1,
-    };
-    for (warps, tasks) in [(2, 1), (3 * GRAIN_WARPS, 3)] {
-        let total = warps * WARP;
-        let report = |engine: Engine| {
-            let mut dev = Device::gtx780();
-            dev.set_engine(engine);
-            dev.set_race_check(true);
-            let prep = dev.compile(&k).unwrap();
-            let out = dev.upload(BufData::from(vec![0i32; total]));
-            let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32 / 2))];
-            dev.launch(&prep, &args, &[total], ExecMode::Fast)
-                .expect_err("every element is written twice")
-                .to_string()
-        };
-        let tree = report(Engine::Tree);
-        assert!(tree.contains("race check failed"), "{tree}");
-        assert!(tree.contains(&format!("{} conflicting element(s)", total / 2)), "{tree}");
-        assert_eq!(report(Engine::Fast), tree, "{warps} warps ({tasks} tasks)");
-    }
-}
-
-/// `if (gid >= N) return; out[gid + 1] = 1;` — the last work-item stores
-/// one element past the end, on a site the verifier cannot prove, so the
-/// fused executor keeps its bounds assert there.
-fn overrun_kernel() -> Kernel {
-    Kernel {
-        name: "dg_overrun".into(),
-        params: vec![
-            KernelParam::global_buf("out", ScalarKind::F32),
-            KernelParam::scalar("N", ScalarKind::I32),
-        ],
-        body: vec![
-            KStmt::return_if(KExpr::bin(BinOp::Ge, gid(), KExpr::var("N"))),
-            KStmt::Store {
-                mem: MemRef::Param(0),
-                idx: gid() + KExpr::int(1),
-                value: KExpr::Lit(Lit::f32(1.0)),
-            },
-        ],
-        work_dim: 1,
-    }
-}
-
-#[test]
-fn a_lane_panic_in_a_fanned_out_launch_keeps_its_message_and_the_pool_survives() {
-    let total = 3 * GRAIN_WARPS * WARP;
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Fast);
-    let prep = dev.compile(&overrun_kernel()).unwrap();
-    let out = dev.upload(BufData::from(vec![0.0f32; total]));
-    let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32))];
-    // The overrun is in the last of the launch's three tasks.
-    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = dev.launch(&prep, &args, &[total], ExecMode::Fast);
-    }))
-    .expect_err("the overrun must panic on the dynamic check");
-    let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("store out of bounds"), "the lane's own message, got: {msg:?}");
-
-    // Same device, same pool: a launch of the same width that stays in
-    // bounds (`N` one short) fans out and completes.
-    let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32 - 1))];
-    let stats = dev.launch(&prep, &args, &[total], ExecMode::Fast).unwrap();
-    assert_eq!(stats.tasks, 3);
-    assert_eq!(dev.read(out).to_f64_vec()[total - 1], 1.0);
-}
-
-#[test]
-fn dispatch_counters_tell_inline_launches_from_fanned_out_ones() {
-    let reg = vgpu::telemetry::registry();
-    let (tasks, inline) =
-        (reg.counter("vgpu.dispatch.tasks"), reg.counter("vgpu.dispatch.inline_launches"));
-    let (t0, i0) = (tasks.get(), inline.get());
-    let small = run(false, Engine::Fast, false, 1, ExecMode::Fast);
-    assert_eq!(small.1.tasks, 1);
-    assert!(inline.get() > i0, "a one-task launch counts as inline");
-    let t1 = tasks.get();
-    assert!(t1 > t0);
-    let wide = run(false, Engine::Fast, false, 3 * GRAIN_WARPS, ExecMode::Fast);
-    assert_eq!(wide.1.tasks, 3);
-    assert!(tasks.get() >= t1 + 3, "a fanned-out launch counts each task");
+    assert_matches_oracle(&case, 4, Some(&want));
 }
 
 // ---- lane shapes: slice loads/stores, branches decided from end lanes ----
@@ -608,55 +465,28 @@ fn stencil7_kernel(kind: ScalarKind) -> Kernel {
     }
 }
 
-/// One launch of the stencil over `w × 5 × 3` with the last two columns of
-/// every row guarded off, so rows end inside warps wherever they can.
-fn run_stencil7(
-    kind: ScalarKind,
-    w: usize,
-    engine: Engine,
-    race_check: bool,
-) -> (BufData, LaunchStats) {
-    let (h, d) = (5, 3);
-    let mut dev = Device::gtx780();
-    dev.set_engine(engine);
-    dev.set_race_check(race_check);
-    let prep = dev.compile(&stencil7_kernel(kind)).unwrap();
-    let x = dev.upload(ramp(kind, w * h * (d + 2)));
-    let out = dev.upload(ramp(kind, w * h * d));
-    let int = |v: usize| Arg::Val(Value::I32(v as i32));
-    let args = [Arg::Buf(x), Arg::Buf(out), int(w), int(h), int(w - 2), int(d)];
-    let stats = dev
-        .launch(&prep, &args, &[w, h, d], ExecMode::Fast)
-        .unwrap_or_else(|e| panic!("{kind:?} width {w} under {engine:?}: {e}"));
-    (dev.read(out), stats)
-}
-
-/// Rows of 13, 31 and 33 make every warp straddle rows (today's per-lane
-/// path), 32 and 96 make every warp row-coherent (slice loads and stores,
-/// guards decided from the end lanes); 13·5·3 and 31·5·3 end in a partial
-/// warp. The differential engine holds the interpreter and the fused
-/// executor to the oracle's buffers and counters inside the launch; the
-/// interpreter and the fused executor must also agree on how many warps
-/// diverged, and every engine cuts the launch into the same tasks.
+/// The stencil over `w × 5 × 3` with the last two columns of every row
+/// guarded off, so rows end inside warps wherever they can. Rows of 13, 31
+/// and 33 make every warp straddle rows (the per-lane path), 32 and 96 make
+/// every warp row-coherent (slice loads and stores, guards decided from the
+/// end lanes) — unless the launch records per-lane accesses; 13·5·3 and
+/// 31·5·3 end in a partial warp. Every row loses its last two columns
+/// inside some warp.
 #[test]
 fn stencil_rows_coherent_straddling_and_partial_match_the_oracle() {
+    let (h, d) = (5, 3);
     for kind in [ScalarKind::F32, ScalarKind::F64, ScalarKind::I32] {
-        for w in [13, 31, 32, 33, 96] {
-            let what = format!("{kind:?} width {w}");
-            let tree = run_stencil7(kind, w, Engine::Tree, false);
-            let diff = run_stencil7(kind, w, Engine::Differential, false);
-            let interp = run_stencil7(kind, w, Engine::Fast, true);
-            let fused = run_stencil7(kind, w, Engine::Fast, false);
-            assert_eq!(fused.1.backend, Backend::Compiled, "{what}");
-            assert_eq!(interp.1.backend, Backend::Vector, "{what}");
-            for got in [&diff, &interp, &fused] {
-                assert_same_result(&what, got, &tree);
-            }
-            assert_eq!(fused.1.divergent_warps, interp.1.divergent_warps, "{what}: diverged");
-            assert_eq!(diff.1.divergent_warps, interp.1.divergent_warps, "{what}: diverged");
-            assert_eq!(fused.1.delegated_warps, 0, "{what}: guards resolve in place");
-            // Every row loses its last two columns inside some warp.
-            assert!(fused.1.divergent_warps > 0, "{what}");
+        for (w, divergent) in [(13, 7), (31, 15), (32, 15), (33, 16), (96, 15)] {
+            let int = |v: usize| Value::I32(v as i32);
+            let case = Case {
+                what: format!("stencil {kind:?} width {w}"),
+                kernel: stencil7_kernel(kind),
+                bufs: vec![ramp(kind, w * h * (d + 2)), ramp(kind, w * h * d)],
+                scalars: vec![int(w), int(h), int(w - 2), int(d)],
+                global: vec![w, h, d],
+                local: None,
+            };
+            assert_matches_oracle(&case, divergent, None);
         }
     }
 }
@@ -697,30 +527,67 @@ fn strides_kernel(kind: ScalarKind) -> Kernel {
 fn strided_and_reversed_indices_under_a_non_contiguous_mask_match_the_oracle() {
     let n = 75; // two full warps and a partial one
     for kind in [ScalarKind::F32, ScalarKind::F64, ScalarKind::I32] {
-        let run = |engine: Engine, race_check: bool| {
-            let mut dev = Device::gtx780();
-            dev.set_engine(engine);
-            dev.set_race_check(race_check);
-            let prep = dev.compile(&strides_kernel(kind)).unwrap();
-            let x = dev.upload(ramp(kind, 2 * n + 64));
-            let out = dev.upload(ramp(kind, n));
-            let args = [Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::I32(n as i32 - 1))];
-            let stats = dev.launch(&prep, &args, &[n], ExecMode::Fast).unwrap();
-            (dev.read(out), stats)
+        let case = Case {
+            what: format!("strides {kind:?}"),
+            kernel: strides_kernel(kind),
+            bufs: vec![ramp(kind, 2 * n + 64), ramp(kind, n)],
+            scalars: vec![Value::I32(n as i32 - 1)],
+            global: vec![n],
+            local: None,
         };
-        let tree = run(Engine::Tree, false);
-        let (interp, fused) = (run(Engine::Fast, true), run(Engine::Fast, false));
-        for got in [&run(Engine::Differential, false), &interp, &fused] {
-            assert_same_result(&format!("{kind:?}"), got, &tree);
-        }
-        assert_eq!(fused.1.backend, Backend::Compiled);
-        assert_eq!((fused.1.divergent_warps, interp.1.divergent_warps), (3, 3));
+        assert_matches_oracle(&case, 3, None);
     }
 }
 
-/// `out[gid] = x[gid + 1]` over all of `x`: the last work-item reads one
-/// element past the end through a unit-stride site.
-fn overread_kernel(name: &str) -> Kernel {
+// ---- the per-site bounds discipline ----
+
+/// A data-dependent gather (`out[gid] = x[t[gid]]`) has no static proof —
+/// the table's *values* are unknown to the verifier — so its site must stay
+/// on the checked path while results stay bit-identical to the tree oracle.
+/// `vgpu.tape.sites_checked` only ever grows, so "it grew across this
+/// launch" holds whatever concurrent tests add to it.
+#[test]
+fn potential_site_keeps_dynamic_check() {
+    let kernel = Kernel {
+        name: "ce_gather".into(),
+        params: vec![
+            KernelParam::global_buf("t", ScalarKind::I32),
+            KernelParam::global_buf("x", ScalarKind::F32),
+            KernelParam::global_buf("out", ScalarKind::F32),
+        ],
+        body: vec![KStmt::Store {
+            mem: MemRef::Param(2),
+            idx: gid(),
+            value: KExpr::load(MemRef::Param(1), KExpr::load(MemRef::Param(0), gid())),
+        }],
+        work_dim: 1,
+    };
+    let case = Case {
+        what: "gather".into(),
+        kernel,
+        bufs: vec![
+            BufData::from((0..32).rev().collect::<Vec<i32>>()),
+            BufData::from((0..32).map(|i| i as f32 * 1.5).collect::<Vec<f32>>()),
+            BufData::from(vec![0.0f32; 32]),
+        ],
+        scalars: vec![],
+        global: vec![32],
+        local: None,
+    };
+    let checked = vgpu::telemetry::registry().counter("vgpu.tape.sites_checked");
+    let checked0 = checked.get();
+    assert_matches_oracle(&case, 0, None);
+    assert!(checked.get() > checked0, "the value-dependent gather site must stay checked");
+}
+
+/// `out[id + store_off] = x[id + load_off]` over 64 elements each, `id` the
+/// global id — spelled through the group and local ids when `grouped`, which
+/// makes the launch a grouped one.
+fn offsets_kernel(name: &str, grouped: bool, load_off: i32, store_off: i32) -> Kernel {
+    let id = || match grouped {
+        true => KExpr::GroupId(0) * KExpr::LocalSize(0) + KExpr::LocalId(0),
+        false => gid(),
+    };
     Kernel {
         name: name.into(),
         params: vec![
@@ -729,33 +596,49 @@ fn overread_kernel(name: &str) -> Kernel {
         ],
         body: vec![KStmt::Store {
             mem: MemRef::Param(1),
-            idx: gid(),
-            value: KExpr::load(MemRef::Param(0), gid() + KExpr::int(1)),
+            idx: id() + KExpr::int(store_off),
+            value: KExpr::load(MemRef::Param(0), id() + KExpr::int(load_off)),
         }],
         work_dim: 1,
     }
 }
 
-fn overread_panic(kernel: &Kernel) -> String {
+/// The panic message of launching `kernel` over 64 items on the tape.
+fn out_of_bounds_panic(kernel: &Kernel, input: Input, local: Option<usize>) -> String {
     let mut dev = Device::gtx780();
     dev.set_engine(Engine::Fast);
+    dev.set_race_check(input.race_check);
     let prep = dev.compile(kernel).unwrap();
     let x = dev.upload(BufData::from(vec![1.0f32; 64]));
     let out = dev.upload(BufData::from(vec![0.0f32; 64]));
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = dev.launch(&prep, &[Arg::Buf(x), Arg::Buf(out)], &[64], ExecMode::Fast);
+        let _ = dev.launch_wg(&prep, &[Arg::Buf(x), Arg::Buf(out)], &[64], local, input.mode);
     }))
-    .expect_err("the over-read must panic");
+    .expect_err("the out-of-bounds access must panic");
     payload.downcast_ref::<String>().cloned().unwrap_or_default()
 }
 
-/// A run that fails its one range check falls back to the per-lane path,
-/// so a POTENTIAL site reports the out-of-bounds lane in the words it
-/// always has.
+/// One element past the end through a unit-stride load site, through a
+/// store site, and one before the start: a run that fails its one range
+/// check falls back to the per-lane path, and every launch — plain,
+/// race-checked, modeled, grouped; debug or release build — reports the
+/// out-of-bounds lane in the same words.
 #[test]
 fn a_unit_stride_site_one_past_the_end_keeps_its_panic_text() {
-    let msg = overread_panic(&overread_kernel("ls_overread"));
-    assert!(msg.contains("load out of bounds: param 0[64] (len 64)"), "got: {msg:?}");
+    let cases = [
+        ((1, 0), "load out of bounds: param 0[64] (len 64)"),
+        ((0, 1), "store out of bounds: param 1[64] (len 64)"),
+        ((-1, 0), "load out of bounds: param 0[-1] (len 64)"),
+    ];
+    for ((load_off, store_off), text) in cases {
+        // Unsampled inputs: the out-of-bounds lane sits in the last warp.
+        let flat = INPUTS[..3].iter().map(|&i| (i, false));
+        for (input, grouped) in flat.chain([(INPUTS[0], true)]) {
+            let kernel = offsets_kernel("ls_off_by_one", grouped, load_off, store_off);
+            let msg = out_of_bounds_panic(&kernel, input, grouped.then_some(32));
+            assert!(msg.contains(text), "{input:?}, grouped {grouped}: got {msg:?}");
+        }
+    }
 }
 
 /// The same over-read at a site a (false) launch contract makes PROVEN:
@@ -769,9 +652,165 @@ fn a_proven_unit_stride_site_one_past_the_end_trips_the_debug_audit() {
     let mut lie = lift::verify::Assumptions::default();
     lie.buffers.insert("x".into(), lift::verify::BufferFacts::sized(ArithExpr::cst(65)));
     vgpu::register_launch_contract("ls_overread_proven", lie);
-    let proven0 = vgpu::telemetry::registry().counter("vgpu.compiled.sites_proven").get();
-    let msg = overread_panic(&overread_kernel("ls_overread_proven"));
+    let proven = vgpu::telemetry::registry().counter("vgpu.tape.sites_proven");
+    let proven0 = proven.get();
+    let kernel = offsets_kernel("ls_overread_proven", false, 1, 0);
+    let msg = out_of_bounds_panic(&kernel, INPUTS[0], None);
     assert!(msg.contains("load out of bounds: param 0[64] (len 64)"), "got: {msg:?}");
-    let proven = vgpu::telemetry::registry().counter("vgpu.compiled.sites_proven").get();
-    assert!(proven - proven0 >= 2, "both sites of the kernel were taken as proven");
+    assert!(proven.get() - proven0 >= 2, "both sites of the kernel were taken as proven");
+}
+
+// ---- the task grain of a launch (`exec::dispatch`) ----
+//
+// It must never be observable: launches of one warp, exactly one grain, one
+// grain plus a warp, and several grains — flat and grouped, plain, modeled
+// and race-checked — produce the tree oracle's buffers, counters,
+// transaction bytes and race reports, whether they ran as one inline task
+// or fanned out over the pool. Task counts are read from each launch's own
+// `LaunchStats::tasks`.
+
+const WARP: usize = 32;
+/// `exec::GRAIN_ITEMS` in warps. The constant is private; the `tasks`
+/// assertions below fail if it moves without this file following.
+const GRAIN_WARPS: usize = 64;
+/// Launch sizes in warps, with the tasks each becomes unsampled.
+const SIZES: [(usize, usize); 5] = [
+    (1, 1),
+    (GRAIN_WARPS, 1),
+    (GRAIN_WARPS + 1, 1),
+    (3 * GRAIN_WARPS, 3),
+    (6 * GRAIN_WARPS + 5, 6),
+];
+
+/// `(x, out, N)` over `warps` warps, the last 7 items past `N`; `grouped`
+/// selects the local-memory kernel with one warp per group, so a group id
+/// and a warp id weigh the same against the grain.
+fn grain_case(grouped: bool, warps: usize) -> Case {
+    let total = warps * WARP;
+    Case {
+        what: format!("{warps} warps, grouped {grouped}"),
+        kernel: if grouped { local_rotate_kernel() } else { guard_diamond_kernel() },
+        bufs: vec![x_out(total).swap_remove(0), BufData::from(vec![-1.0f32; total])],
+        scalars: vec![Value::I32(total as i32 - 7)],
+        global: vec![total],
+        local: grouped.then_some(WARP),
+    }
+}
+
+#[test]
+fn launches_around_the_grain_match_the_oracle_on_every_input() {
+    for (warps, tasks) in SIZES {
+        for grouped in [false, true] {
+            let case = grain_case(grouped, warps);
+            let plain = launch(&case, Engine::Tree, INPUTS[0]);
+            assert_eq!(plain.1.tasks, tasks, "{}", case.what);
+            // Modeled at stride 2: half the ids, so half the tasks.
+            let sampled = launch(&case, Engine::Tree, INPUTS[3]);
+            assert_eq!(sampled.1.tasks, (warps.div_ceil(2) / GRAIN_WARPS).max(1), "{}", case.what);
+            // The parity diamond splits every flat warp; a grouped warp
+            // only diverges where the guard cuts it, in the last one.
+            assert_matches_oracle(&case, if grouped { 1 } else { warps as u64 }, None);
+        }
+    }
+}
+
+/// `out[gid % H] = gid` with `H` half the launch: items `g` and `g + H`
+/// collide on every element, from different tasks once the launch fans out.
+/// The report (conflict count, the first conflicts in element order, their
+/// sites) must not depend on which engine ran or how the launch was cut.
+#[test]
+fn race_reports_do_not_depend_on_the_cut() {
+    let k = Kernel {
+        name: "dg_race".into(),
+        params: vec![
+            KernelParam::global_buf("out", ScalarKind::I32),
+            KernelParam::scalar("H", ScalarKind::I32),
+        ],
+        body: vec![KStmt::Store {
+            mem: MemRef::Param(0),
+            idx: KExpr::bin(BinOp::Rem, gid(), KExpr::var("H")),
+            value: gid(),
+        }],
+        work_dim: 1,
+    };
+    for (warps, tasks) in [(2, 1), (3 * GRAIN_WARPS, 3)] {
+        let total = warps * WARP;
+        let report = |engine: Engine| {
+            let mut dev = Device::gtx780();
+            dev.set_engine(engine);
+            dev.set_race_check(true);
+            let prep = dev.compile(&k).unwrap();
+            let out = dev.upload(BufData::from(vec![0i32; total]));
+            let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32 / 2))];
+            dev.launch(&prep, &args, &[total], ExecMode::Fast)
+                .expect_err("every element is written twice")
+                .to_string()
+        };
+        let tree = report(Engine::Tree);
+        assert!(tree.contains("race check failed"), "{tree}");
+        assert!(tree.contains(&format!("{} conflicting element(s)", total / 2)), "{tree}");
+        assert_eq!(report(Engine::Fast), tree, "{warps} warps ({tasks} tasks)");
+    }
+}
+
+/// `if (gid >= N) return; out[gid + 1] = 1;` — the last work-item stores
+/// one element past the end, on a site the verifier cannot prove, so the
+/// executor keeps its bounds assert there.
+fn overrun_kernel() -> Kernel {
+    Kernel {
+        name: "dg_overrun".into(),
+        params: vec![
+            KernelParam::global_buf("out", ScalarKind::F32),
+            KernelParam::scalar("N", ScalarKind::I32),
+        ],
+        body: vec![
+            KStmt::return_if(KExpr::bin(BinOp::Ge, gid(), KExpr::var("N"))),
+            KStmt::Store {
+                mem: MemRef::Param(0),
+                idx: gid() + KExpr::int(1),
+                value: KExpr::Lit(Lit::f32(1.0)),
+            },
+        ],
+        work_dim: 1,
+    }
+}
+
+#[test]
+fn a_lane_panic_in_a_fanned_out_launch_keeps_its_message_and_the_pool_survives() {
+    let total = 3 * GRAIN_WARPS * WARP;
+    let mut dev = Device::gtx780();
+    dev.set_engine(Engine::Fast);
+    let prep = dev.compile(&overrun_kernel()).unwrap();
+    let out = dev.upload(BufData::from(vec![0.0f32; total]));
+    let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32))];
+    // The overrun is in the last of the launch's three tasks.
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = dev.launch(&prep, &args, &[total], ExecMode::Fast);
+    }))
+    .expect_err("the overrun must panic on the dynamic check");
+    let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("store out of bounds"), "the lane's own message, got: {msg:?}");
+
+    // Same device, same pool: a launch of the same width that stays in
+    // bounds (`N` one short) fans out and completes.
+    let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32 - 1))];
+    let stats = dev.launch(&prep, &args, &[total], ExecMode::Fast).unwrap();
+    assert_eq!(stats.tasks, 3);
+    assert_eq!(dev.read(out).to_f64_vec()[total - 1], 1.0);
+}
+
+#[test]
+fn dispatch_counters_tell_inline_launches_from_fanned_out_ones() {
+    let reg = vgpu::telemetry::registry();
+    let (tasks, inline) =
+        (reg.counter("vgpu.dispatch.tasks"), reg.counter("vgpu.dispatch.inline_launches"));
+    let (t0, i0) = (tasks.get(), inline.get());
+    let small = launch(&grain_case(false, 1), Engine::Fast, INPUTS[0]);
+    assert_eq!(small.1.tasks, 1);
+    assert!(inline.get() > i0, "a one-task launch counts as inline");
+    let t1 = tasks.get();
+    assert!(t1 > t0);
+    let wide = launch(&grain_case(false, 3 * GRAIN_WARPS), Engine::Fast, INPUTS[0]);
+    assert_eq!(wide.1.tasks, 3);
+    assert!(tasks.get() >= t1 + 3, "a fanned-out launch counts each task");
 }

@@ -25,17 +25,13 @@ fn main() {
         other => panic!("usage: op_profile [hand|gen] [steps] (got `{other}`)"),
     };
     sim.impulse(48, 32, 12, 1.0);
-    let (mut volume, mut boundary, mut delegated) = (f64::INFINITY, f64::INFINITY, 0);
+    let (mut volume, mut boundary) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..steps {
         let (v, b) = sim.step(ExecMode::Fast);
         volume = volume.min(v.wall.as_secs_f64() * 1e3);
         boundary = boundary.min(b.wall.as_secs_f64() * 1e3);
-        delegated += v.delegated_warps + b.delegated_warps;
     }
-    println!(
-        "{side}: {steps} steps, best ms/step: volume {volume:.3}, boundary {boundary:.3}; \
-         {delegated} warps delegated"
-    );
+    println!("{side}: {steps} steps, best ms/step: volume {volume:.3}, boundary {boundary:.3}");
     if profiler::op_enabled() {
         print!("{}", profiler::render_report(&profiler::snapshot()));
     }

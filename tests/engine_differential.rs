@@ -10,13 +10,14 @@
 
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::*;
-use lift_acoustics::{programs, LiftBoundary, LiftSim};
+use lift_acoustics::{programs, runner, LiftBoundary, LiftSim};
 use proptest::prelude::*;
 use room_acoustics::{
-    handwritten, BoundaryKernel, GridDims, HandwrittenSim, Precision, ReferenceSim, RoomShape,
-    SimConfig, SimSetup,
+    handwritten, BoundaryKernel, BoundaryModel, GridDims, HandwrittenSim, KernelSource,
+    MaterialAssignment, Precision, ReferenceSim, RoomShape, SimConfig, SimSetup, Simulation,
+    StepKernels,
 };
-use vgpu::{Arg, BufData, Device, Engine, ExecMode};
+use vgpu::{Arg, Backend, BufData, Device, Engine, ExecMode};
 
 /// Every generated program and hand-written kernel, at both precisions,
 /// must actually compile to a tape — a silent fall-back to the tree-walker
@@ -142,6 +143,75 @@ fn differential_holds_in_model_mode() {
         lift.step(ExecMode::Model { sample_stride: 4 });
     }
     assert!(lift.devices[0].events().iter().all(|e| e.modeled_s.unwrap() > 0.0));
+}
+
+/// The four kernels the benchmark rooms spend their time in — the
+/// hand-written and the generated volume and FD-MM boundary kernels — carry
+/// superinstructions, and the oracle, which never saw the fusion pass, counts
+/// the same loads, stores, flops and transaction bytes (the differential
+/// launch errors otherwise).
+#[test]
+fn the_hot_kernels_fuse_and_keep_counters_and_transactions() {
+    let fused_ops = vgpu::telemetry::registry().counter("vgpu.tape.fused_ops");
+    let setup = SimSetup::new(&SimConfig::fdmm(GridDims::new(14, 12, 10), RoomShape::Dome));
+    let sets: [&dyn KernelSource; 2] = [&BoundaryKernel::FdMm, &LiftBoundary::FdMm];
+    for precision in [Precision::Single, Precision::Double] {
+        for source in sets {
+            let kernels = source.step_kernels(precision.kind()).unwrap();
+            for k in [&kernels.volume, kernels.boundary.as_ref().expect("a boundary pass")] {
+                // The counter only ever grows, whatever else compiles meanwhile.
+                let before = fused_ops.get();
+                assert!(vgpu::exec::prepare(&k.kernel).unwrap().has_tape(), "{}", k.kernel.name);
+                assert!(fused_ops.get() > before, "`{}` has nothing fused", k.kernel.name);
+            }
+            let mut sim = Simulation::new(setup.clone(), precision, kernels, vec![diff_device()]);
+            sim.impulse(7, 6, 4, 1.0);
+            for stride in [1, 1, 4] {
+                sim.step(ExecMode::Model { sample_stride: stride });
+            }
+        }
+    }
+}
+
+/// The generated one-kernel FI step on a 12³ box and dome: every one of its
+/// 54 warps splits at the boundary-loss arm, which spans several blocks, and
+/// reconverges at the arm's join — plain, race-checked and modeled launches
+/// alike, each held to the oracle inside the launch.
+#[test]
+fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
+    let dims = GridDims::cube(12);
+    for shape in [RoomShape::Box, RoomShape::Dome] {
+        for precision in [Precision::Single, Precision::Double] {
+            let cfg = SimConfig {
+                dims,
+                shape,
+                assignment: MaterialAssignment::Uniform,
+                boundary: BoundaryModel::Fi { beta: 0.1 },
+            };
+            let kernel =
+                runner::step_kernel(&programs::fi_single_program(), precision.kind()).unwrap();
+            for (race_check, mode) in [
+                (false, ExecMode::Fast),
+                (true, ExecMode::Fast),
+                (true, ExecMode::Model { sample_stride: 1 }),
+            ] {
+                let mut dev = Device::gtx780();
+                dev.set_engine(Engine::Differential);
+                dev.set_race_check(race_check);
+                let kernels = StepKernels::single(kernel.clone());
+                let mut sim = Simulation::new(SimSetup::new(&cfg), precision, kernels, vec![dev]);
+                sim.impulse(6, 6, 3, 1.0);
+                for _ in 0..3 {
+                    for (step, boundary) in sim.step(mode) {
+                        let what = format!("{shape:?} {precision:?} {mode:?} race {race_check}");
+                        assert!(boundary.is_none(), "{what}: one kernel a step");
+                        assert_eq!(step.backend, Backend::Tape, "{what}");
+                        assert_eq!(step.divergent_warps, 54, "{what}");
+                    }
+                }
+            }
+        }
+    }
 }
 
 // --- random-kernel proptest -------------------------------------------------
