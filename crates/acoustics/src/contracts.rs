@@ -10,11 +10,10 @@
 //! * the `verify` crate's audit suite pairs each kernel with its contract
 //!   and requires the static bounds/race passes to return PROVEN-SAFE
 //!   (the CI gate that keeps a contract honest);
-//! * every [`crate::StepKernel`] carries its contract, and
-//!   [`crate::Simulation::try_new`] hands it to
-//!   [`vgpu::register_launch_contract`], where a flat launch on the tape
-//!   merges it with its concrete shape and elides per-access bounds checks
-//!   at sites the verifier proves (DESIGN.md §13).
+//! * every [`crate::StepKernel`] carries its contract and compiles its
+//!   kernel under it ([`vgpu::compile_cached_under`]), so a flat launch on
+//!   the tape merges it with its concrete shape and elides per-access
+//!   bounds checks at sites the verifier proves (DESIGN.md §13).
 //!
 //! Both consumers reading one definition is the point: the facts the
 //! executor trusts are exactly the facts CI re-proves against the kernel
@@ -23,8 +22,6 @@
 use lift::arith::{ArithExpr, SymRange};
 use lift::kast::Kernel;
 use lift::verify::{Assumptions, BufferFacts};
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
 
 /// The data invariants of the boundary-handling tables, shared by the
 /// generated and hand-written FI-MM/FD-MM kernels (and cross-checked
@@ -144,38 +141,24 @@ pub const GRID_BUFFERS: &[&str] = &["next", "curr", "prev", "nbrs", "out"];
 /// [`GRID_BUFFERS`] beyond its own cell, derived from the kernel's static
 /// access footprints (`lift::footprint`). Errs when any grid-buffer site
 /// has no per-axis footprint — such a kernel must not be sharded.
-///
-/// The proof is a function of the kernel text and its contract alone, and
-/// every multi-device simulation asks for it at construction, so it is made
-/// once per process per (kernel, contract).
 pub fn grid_halo(kernel: &Kernel, asm: &Assumptions) -> Result<(usize, usize), String> {
-    type Proofs = Mutex<HashMap<String, Result<(usize, usize), String>>>;
-    static PROVEN: OnceLock<Proofs> = OnceLock::new();
-    let proofs = PROVEN.get_or_init(Default::default);
-    let key = format!("{kernel:?}{asm:?}");
-    if let Some(known) = proofs.lock().expect("no panic under this lock").get(&key) {
-        return known.clone();
-    }
-    let proof = lift::verify::verify_kernel(kernel, asm).footprints.required_halo(GRID_BUFFERS, 2);
-    proofs.lock().expect("no panic under this lock").entry(key).or_insert(proof).clone()
+    lift::verify::verify_kernel(kernel, asm).footprints.required_halo(GRID_BUFFERS, 2)
 }
 
-/// Shard-time gate: proves `kernel`'s z-reach and checks it against the
-/// `(below, above)` halo planes the slab layout actually provides,
-/// returning the proven reach or a diagnostic naming the shortfall.
-/// [`crate::Simulation`] and the sharded host program call this instead of
-/// assuming a one-plane halo.
+/// Shard-time gate: checks a kernel's proven z-reach ([`grid_halo`]) against
+/// the `(below, above)` halo planes the slab layout actually provides,
+/// returning the reach or a diagnostic naming the shortfall. [`crate::Simulation`]
+/// and the sharded host program call this instead of assuming a one-plane halo.
 pub fn check_slab_halo(
-    kernel: &Kernel,
-    asm: &Assumptions,
+    kernel: &str,
+    (lo, hi): (usize, usize),
     halo: (usize, usize),
 ) -> Result<(usize, usize), String> {
-    let (lo, hi) = grid_halo(kernel, asm)?;
     if lo > halo.0 || hi > halo.1 {
         return Err(format!(
-            "kernel `{}` provably reaches ({lo}, {hi}) z planes beyond its cell but the slab \
-             layout provides only ({}, {}) halo planes",
-            kernel.name, halo.0, halo.1
+            "kernel `{kernel}` provably reaches ({lo}, {hi}) z planes beyond its cell but the \
+             slab layout provides only ({}, {}) halo planes",
+            halo.0, halo.1
         ));
     }
     Ok((lo, hi))

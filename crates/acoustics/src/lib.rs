@@ -51,8 +51,8 @@ pub use materials::{courant, courant_sq, FdCoeffs, Material};
 pub use partition::{boundary_cut_planes, boundary_cuts};
 pub use sim::{BoundaryModel, ReferenceSim, SimConfig, SimSetup};
 pub use simulation::{
-    BoundaryKernel, KernelSource, Precision, SimError, Simulation, SingleSim, StepKernel,
-    StepKernels,
+    BoundaryKernel, KernelOrigin, KernelSource, Precision, SimError, Simulation, SingleSim,
+    StepKernel, StepKernels,
 };
 
 /// A [`Simulation`] over hand-written kernels on several devices — the name

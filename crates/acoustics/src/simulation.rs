@@ -29,9 +29,10 @@ use lift::arith::ArithExpr;
 use lift::kast::Kernel;
 use lift::prelude::{ScalarKind, Value};
 use lift::verify::Assumptions;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use vgpu::telemetry::{self, HOST_TRACK};
 use vgpu::{Arg, BufData, BufId, Device, ExecMode, LaunchStats, Prepared, SlabPartition};
 
@@ -232,8 +233,7 @@ pub struct StepKernel {
     /// The kernel AST at a concrete precision.
     pub kernel: Kernel,
     /// The launch contract ([`contracts::launch_contract`] or the generated
-    /// kernel's `launch_assumptions`), registered with the executor by
-    /// [`Simulation::try_new`].
+    /// kernel's `launch_assumptions`) the kernel is compiled under.
     pub contract: Assumptions,
     /// One role per kernel parameter, in order.
     roles: Vec<Role>,
@@ -241,7 +241,23 @@ pub struct StepKernel {
     /// slab with `Nz` and `numB` standing for the *owned* planes and
     /// boundary points (the launched range), not the allocation's.
     pub global: Vec<ArithExpr>,
-    prepared: OnceLock<Prepared>,
+    prepared: OnceLock<Arc<Prepared>>,
+    /// The proven z-reach on the grid buffers ([`contracts::grid_halo`]).
+    halo: OnceLock<Result<(usize, usize), String>>,
+}
+
+/// Which shipped source built a shared [`StepKernel`] — never a
+/// [`Kernel::name`], which two kernels may carry (`fimm_kernel(true)` / `(false)`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KernelOrigin {
+    /// [`handwritten::volume_kernel`].
+    HandVolume,
+    /// [`handwritten::volume_slab_kernel`].
+    HandSlab,
+    /// The boundary kernel of a [`BoundaryKernel`] set.
+    HandBoundary(BoundaryKernel),
+    /// A LIFT program of `lift_acoustics::programs`, by `Program::name`.
+    Program(&'static str),
 }
 
 impl StepKernel {
@@ -262,7 +278,8 @@ impl StepKernel {
                 })
             })
             .collect::<Result<_, _>>()?;
-        Ok(StepKernel { kernel, contract, roles, global, prepared: OnceLock::new() })
+        let (prepared, halo) = (OnceLock::new(), OnceLock::new());
+        Ok(StepKernel { kernel, contract, roles, global, prepared, halo })
     }
 
     /// A kernel of [`handwritten`] at precision `real`, under its
@@ -275,17 +292,46 @@ impl StepKernel {
         StepKernel::new(kernel.resolve_real(real), contract, global).map(Arc::new)
     }
 
-    /// The kernel prepared for the executor, through the process-wide
-    /// artifact cache on first use: rooms with the same kernel share one
-    /// artifact id (and with it launch plans and verdicts), and a kernel the
-    /// placement never launches is never compiled. A copy, as every front
-    /// end took: launches run ~3 % faster from a compact clone than from the
-    /// cache's own incrementally built instance (EXPERIMENTS.md, PR 15).
+    /// The one sharing policy for shipped kernels of either family: what
+    /// `origin` builds at precision `real`, built on first request and shared
+    /// by every simulation of the process from then on — AST, contract, roles
+    /// and, through [`StepKernel::prepared`], the artifact with its proofs.
+    pub fn shared(
+        origin: KernelOrigin,
+        real: ScalarKind,
+        build: impl FnOnce() -> Result<Arc<StepKernel>, SimError>,
+    ) -> Result<Arc<StepKernel>, SimError> {
+        type Cache = Mutex<HashMap<(KernelOrigin, ScalarKind), Arc<StepKernel>>>;
+        static CACHE: OnceLock<Cache> = OnceLock::new();
+        let cache = || CACHE.get_or_init(Default::default).lock().expect("no panic under the lock");
+        if let Some(hit) = cache().get(&(origin, real)) {
+            return Ok(hit.clone());
+        }
+        // Build outside the lock; when two threads race the first insert
+        // wins, so every simulation still shares one kernel.
+        let kernel = build()?;
+        Ok(cache().entry((origin, real)).or_insert(kernel).clone())
+    }
+
+    /// The kernel compiled under its contract, on first use: a kernel the
+    /// placement never launches is never compiled. The executor turns every
+    /// i32 argument into an equality, so an alias define over one (`S :=
+    /// MB·numB`) is redundant — and, left in, leaves ranges half-substituted.
     pub fn prepared(&self) -> &Prepared {
-        self.prepared.get_or_init(|| match vgpu::compile_cached(&self.kernel) {
-            Ok(shared) => (*shared).clone(),
-            Err(e) => panic!("kernel `{}` does not prepare: {e:?}", self.kernel.name),
+        self.prepared.get_or_init(|| {
+            let mut contract = self.contract.clone();
+            contract.defines.retain(|(n, _)| self.kernel.params.iter().all(|p| &p.name != n));
+            vgpu::compile_cached_under(&self.kernel, &contract)
+                .unwrap_or_else(|e| panic!("kernel `{}` does not prepare: {e:?}", self.kernel.name))
         })
+    }
+
+    /// The kernel's z-reach (proven once per kernel), checked against the
+    /// `halo` planes a slab provides on either side.
+    fn slab_reach(&self, halo: usize) -> Result<(usize, usize), SimError> {
+        let proof = || contracts::grid_halo(&self.kernel, &self.contract);
+        let fits = |r| contracts::check_slab_halo(&self.kernel.name, r, (halo, halo));
+        self.halo.get_or_init(proof).clone().and_then(fits).map_err(SimError::HaloProof)
     }
 }
 
@@ -323,7 +369,7 @@ impl KernelSource for StepKernels {
 }
 
 /// Boundary kernel flavour of a hand-written-kernel run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BoundaryKernel {
     /// FI-MM (Listing 3). `beta_constant` selects the hand-tuned
     /// constant-memory β variant (§VII-B1).
@@ -337,14 +383,17 @@ pub enum BoundaryKernel {
 
 impl KernelSource for BoundaryKernel {
     fn step_kernels(&self, real: ScalarKind) -> Result<StepKernels, SimError> {
-        let boundary = match *self {
+        let shared = |origin, build: &dyn Fn() -> Kernel| {
+            StepKernel::shared(origin, real, || StepKernel::handwritten(build(), real))
+        };
+        let boundary = || match *self {
             BoundaryKernel::FiMm { beta_constant } => handwritten::fimm_kernel(beta_constant),
             BoundaryKernel::FdMm => handwritten::fdmm_kernel(),
         };
         Ok(StepKernels {
-            volume: StepKernel::handwritten(handwritten::volume_kernel(), real)?,
-            boundary: Some(StepKernel::handwritten(boundary, real)?),
-            slab_volume: Some(StepKernel::handwritten(handwritten::volume_slab_kernel(), real)?),
+            volume: shared(KernelOrigin::HandVolume, &handwritten::volume_kernel)?,
+            boundary: Some(shared(KernelOrigin::HandBoundary(*self), &boundary)?),
+            slab_volume: Some(shared(KernelOrigin::HandSlab, &handwritten::volume_slab_kernel)?),
         })
     }
 }
@@ -492,17 +541,8 @@ impl Simulation {
             }
         };
         let mut named = [false; Role::COUNT];
-        for k in std::iter::once(&volume).chain(&boundary) {
-            // The one place kernels get their launch contract: the tape
-            // executor elides bounds checks only at sites the verifier
-            // proves under it. It turns every i32 argument into an equality,
-            // so an alias define over an argument (`S := MB·numB`) is
-            // redundant — and, left in, half-substituted ranges stay unproven.
-            let mut contract = k.contract.clone();
-            contract.defines.retain(|(n, _)| k.kernel.params.iter().all(|p| &p.name != n));
-            vgpu::register_launch_contract(&k.kernel.name, contract);
-            k.roles.iter().for_each(|&r| named[r as usize] = true);
-        }
+        let launched = std::iter::once(&volume).chain(&boundary);
+        launched.flat_map(|k| &k.roles).for_each(|&r| named[r as usize] = true);
         let names = |r: Role| named[r as usize];
 
         // The slab layout exchanges one plane per side, so with several
@@ -512,12 +552,9 @@ impl Simulation {
         let bcuts = if halo == 0 {
             vec![0, nb]
         } else {
-            let prove = |k: &StepKernel| {
-                contracts::check_slab_halo(&k.kernel, &k.contract, (halo, halo))
-                    .map_err(SimError::HaloProof)
-            };
-            prove(&volume)?;
-            let reach = boundary.as_deref().map(prove).transpose()?.unwrap_or((0, 0));
+            volume.slab_reach(halo)?;
+            let reach = boundary.as_deref().map(|k| k.slab_reach(halo)).transpose()?;
+            let reach = reach.unwrap_or((0, 0));
             checked_boundary_cuts(&part, plane, &setup.room.boundary_indices, reach, (halo, halo))
                 .map_err(SimError::HaloProof)?
         };

@@ -1,0 +1,106 @@
+//! A launch contract belongs to the artifact compiled under it and to
+//! nothing else: a plain `Device::compile` of a shipped kernel — or of
+//! another kernel that merely carries its name — is bounds-checked on
+//! launch-concrete facts alone, whatever simulations ran before it in the
+//! process. (Contracts used to be registered by kernel *name*: after any
+//! FI-MM simulation had stepped, the stray launch below read and wrote out
+//! of bounds in `--release`.)
+//!
+//! CI runs this binary in `--release` too, where a PROVEN site carries no
+//! check at all. Own test binary, serialized: the site counters are
+//! process-wide.
+
+use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
+use lift::prelude::{BinOp, Lit, ScalarKind, Value};
+use room_acoustics::{
+    handwritten, BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, SimConfig,
+    SimSetup,
+};
+use std::sync::Mutex;
+use vgpu::{Arg, BufData, Device, Engine, ExecMode};
+
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+fn step_an_fimm_simulation() {
+    let setup = SimSetup::new(&SimConfig::fimm(GridDims::cube(8), RoomShape::Box));
+    let kind = BoundaryKernel::FiMm { beta_constant: false };
+    let mut sim = HandwrittenSim::new(setup, Precision::Single, kind, Device::gtx780());
+    sim.impulse(4, 4, 4, 1.0);
+    sim.step(ExecMode::Fast);
+}
+
+/// One boundary point at grid cell 7 of a 4-cell grid, launched on a plain
+/// compile of the shipped FI-MM kernel: the panic message.
+fn stray_fimm_launch() -> String {
+    let mut dev = Device::gtx780();
+    dev.set_engine(Engine::Fast);
+    let prep = dev.compile(&handwritten::fimm_kernel(false).resolve_real(ScalarKind::F32)).unwrap();
+    let bufs = [
+        BufData::from(vec![7i32]),
+        BufData::from(vec![0i32; 8]),
+        BufData::from(vec![0i32]),
+        BufData::from(vec![0.1f32]),
+        BufData::from(vec![0.0f32; 4]),
+        BufData::from(vec![0.0f32; 4]),
+    ];
+    let mut args: Vec<Arg> = bufs.into_iter().map(|b| Arg::Buf(dev.upload(b))).collect();
+    args.extend([Arg::Val(Value::F32(0.5)), Arg::Val(Value::I32(1))]);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = dev.launch(&prep, &args, &[1], ExecMode::Fast);
+    }))
+    .expect_err("`next[7]` of a 4-element buffer must panic");
+    payload.downcast_ref::<String>().cloned().unwrap_or_default()
+}
+
+#[test]
+fn a_contract_free_launch_is_bounds_checked_whatever_ran_before() {
+    let _guard = COUNTERS.lock().unwrap();
+    let want = "load out of bounds: param 4[7] (len 4)";
+    let fresh = stray_fimm_launch();
+    assert!(fresh.contains(want), "before any simulation: {fresh:?}");
+    step_an_fimm_simulation();
+    let after = stray_fimm_launch();
+    assert!(after.contains(want), "after an FI-MM simulation stepped: {after:?}");
+}
+
+/// `if (gid < numB) next[boundaryIndices[gid]] = 1;` under the shipped
+/// FI-MM kernel's name and parameter names. Only that kernel's contract
+/// says what `boundaryIndices` holds, so this one proves its load from the
+/// launch shape and keeps the check on its scattered store.
+#[test]
+fn a_kernel_that_shares_a_shipped_name_gets_launch_concrete_proofs_only() {
+    let _guard = COUNTERS.lock().unwrap();
+    step_an_fimm_simulation();
+    let gid = || KExpr::GlobalId(0);
+    let kernel = Kernel {
+        name: "fimm_boundary_hand".into(),
+        params: vec![
+            KernelParam::global_buf("boundaryIndices", ScalarKind::I32),
+            KernelParam::global_buf("next", ScalarKind::F32),
+            KernelParam::scalar("numB", ScalarKind::I32),
+        ],
+        body: vec![
+            KStmt::return_if(KExpr::bin(BinOp::Ge, gid(), KExpr::var("numB"))),
+            KStmt::Store {
+                mem: MemRef::Param(1),
+                idx: KExpr::load(MemRef::Param(0), gid()),
+                value: KExpr::Lit(Lit::f32(1.0)),
+            },
+        ],
+        work_dim: 1,
+    };
+    let mut dev = Device::gtx780();
+    dev.set_engine(Engine::Fast);
+    let prep = dev.compile(&kernel).unwrap();
+    let bidx = dev.upload(BufData::from(vec![2i32, 0]));
+    let next = dev.upload(BufData::from(vec![0.0f32; 3]));
+    let reg = vgpu::telemetry::registry();
+    let sites =
+        || ["vgpu.tape.sites_proven", "vgpu.tape.sites_checked"].map(|c| reg.counter(c).get());
+    let before = sites();
+    let args = [Arg::Buf(bidx), Arg::Buf(next), Arg::Val(Value::I32(2))];
+    dev.launch(&prep, &args, &[2], ExecMode::Fast).unwrap();
+    let after = sites();
+    assert_eq!([after[0] - before[0], after[1] - before[1]], [1, 1], "[proven, checked]");
+    assert_eq!(dev.read(next).to_f64_vec(), vec![1.0, 0.0, 1.0]);
+}

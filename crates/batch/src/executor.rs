@@ -5,14 +5,14 @@
 //! on its own [`vgpu::Device`]s, and delivers a [`JobResult`] (impulse
 //! response at the microphone plus run stats) through the handle. Workers
 //! never share mutable simulation state — what they *do* share is the
-//! process-wide artifact cache ([`vgpu::artifact`]), so every room after
-//! the first of a given kernel class skips compilation, launch planning,
-//! and static verification.
+//! process-wide kernel sets and their artifacts ([`vgpu::artifact`]), so
+//! every room after the first of a given kernel class skips AST building,
+//! compilation and static verification.
 //!
-//! Each job starts with [`vgpu::exec::reset_fallback_dedupe`], so fallback
-//! and divergence audit records are deduplicated *per job*, not once per
-//! process: the first job of a long batch cannot swallow later jobs'
-//! records (the audit counters count every launch regardless).
+//! Each job starts with [`vgpu::exec::reset_fallback_dedupe`], so divergence
+//! audit records are deduplicated *per job*, not once per process: the
+//! first job of a long batch cannot swallow later jobs' records (the audit
+//! counter counts every warp regardless).
 //!
 //! A room the front end cannot build (a [`room_acoustics::SimError`], e.g.
 //! more `VGPU_DEVICES` than the room has z-planes) fails its job with that
@@ -197,8 +197,8 @@ fn record_job_latency(sc: &Scenario, elapsed: std::time::Duration) {
 
 /// Runs one job on the calling worker thread.
 fn run_job(cfg: &BatchConfig, scenario: Scenario) -> JobResult {
-    // Job-scoped audit dedupe: this job's fallback/divergence records are
-    // fresh even if an earlier job on this worker reported the same cause.
+    // Job-scoped audit dedupe: this job's divergence records are fresh even
+    // if an earlier job on this worker reported the same kernel.
     vgpu::exec::reset_fallback_dedupe();
     let outcome = catch_job(|| run_sim(cfg, &scenario));
     JobResult { scenario, outcome }
@@ -236,9 +236,9 @@ fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
     let mut sim = Simulation::try_new(setup, sc.precision, sc.boundary_kernel(), devices)
         .map_err(|e| e.to_string())?;
 
-    // Static-verification gate through the memoized verdict cache, on the
-    // very artifacts the simulation launches (the slab volume kernel when
-    // sharded): a whole batch pays the verifier once per distinct kernel.
+    // Static-verification gate, on the very artifacts the simulation
+    // launches (the slab volume kernel when sharded); each keeps its report,
+    // so a whole batch pays the verifier once per distinct kernel.
     let verifier_clean = sim
         .kernels()
         .all(|k| vgpu::verify_cached(k.prepared()).is_none_or(|report| report.is_clean()));
@@ -301,7 +301,6 @@ fn write_sidecar(
         agg.bytes_stored += ev.stats.counters.bytes_stored;
         agg.modeled_us += ev.modeled_s.unwrap_or(0.0) * 1e6;
     }
-    let (compiled, plans, verdicts) = vgpu::artifact::cache_sizes();
     // Job-scoped trace attribution: the process-wide telemetry buffer mixes
     // events from every concurrently-running job, but each job's device
     // records on its own tracks — filter to them so a sidecar never carries
@@ -346,11 +345,7 @@ fn write_sidecar(
             "bytes_stored": a.bytes_stored,
             "modeled_us": a.modeled_us,
         })).collect::<Vec<_>>(),
-        "artifact_cache": {
-            "compiled": compiled,
-            "plans": plans,
-            "verdicts": verdicts,
-        },
+        "artifact_cache": { "compiled": vgpu::artifact::cache_size() },
         // Only this job's tracks: events from concurrently-running jobs are
         // filtered out (they live on their own devices' tracks).
         "trace": {

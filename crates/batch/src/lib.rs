@@ -8,13 +8,14 @@
 //!   dimensions, materials, source and microphone positions);
 //! * [`executor`] — a job-queue API over a pool of worker threads, one
 //!   [`vgpu::Device`] per job, with per-job telemetry sidecars and per-job
-//!   fallback-record scoping.
+//!   divergence-record scoping.
 //!
-//! All jobs share the process-wide compiled-artifact cache
+//! All jobs share the process-wide kernel sets
+//! ([`room_acoustics::StepKernel::shared`]) and their compiled artifacts
 //! ([`vgpu::artifact`]): rooms with identical kernels (same boundary model
-//! and precision) share one prepared kernel, one launch plan per binding
-//! signature, and one static-verifier verdict, no matter which worker or
-//! device runs them.
+//! and precision) share one prepared kernel — and on it the check tables
+//! of every room shape and one static-verifier report — no matter which
+//! worker or device runs them.
 //!
 //! ```no_run
 //! use batch::{BatchConfig, BatchExecutor, ScenarioGen};

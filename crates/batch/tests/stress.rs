@@ -3,7 +3,7 @@
 //! scenarios, with every launch under the differential engine (the tree
 //! and tape legs asserted bit-equal inside each launch).
 //!
-//! The tests serialise on [`COUNTERS`] because artifact/plan counters are
+//! The tests serialise on [`COUNTERS`] because the artifact counters are
 //! process-global and both tests read deltas.
 
 use batch::{BatchConfig, BatchExecutor, ScenarioGen};
@@ -29,7 +29,7 @@ fn parallel_batch_is_bit_identical_to_serial_under_diff() {
         let label = s.scenario.label();
         let so = s.outcome.as_ref().unwrap_or_else(|e| panic!("serial {label}: {e}"));
         let po = p.outcome.as_ref().unwrap_or_else(|e| panic!("parallel {label}: {e}"));
-        // Bit-identical, not approximately equal: same kernels, same plans,
+        // Bit-identical, not approximately equal: same kernels, same proofs,
         // same engines — threading must not change a single ulp.
         assert!(
             so.impulse_response == po.impulse_response,
@@ -58,11 +58,12 @@ fn concurrent_rooms_share_compiled_artifacts() {
 
     let hits = reg.counter("vgpu.artifact.hits").get() - hits0;
     let misses = reg.counter("vgpu.artifact.misses").get() - misses0;
-    // 16 rooms × (volume + boundary), each looked up once — the verifier
-    // gate reuses the simulation's artifacts. Only the first sighting of a
-    // kernel class may miss: 2 volume kernels (f32, f64) and 3 boundary
-    // kernels at 2 precisions, each compiled at most once per worker when
-    // all three race to it.
-    assert_eq!(hits + misses, 2 * 16, "one lookup per kernel per room");
-    assert!(misses <= 8 * 3, "cross-room artifact misses: {misses} of {}", hits + misses);
+    // Kernel sets are shared per process, and a shared kernel looks its
+    // artifact up once — on its first launch, by whichever room gets there
+    // first (the verifier gate reuses it). So 16 rooms on 3 workers make at
+    // most one lookup, a miss, per kernel class: 2 volume kernels (f32,
+    // f64) and 3 boundary kernels at 2 precisions — fewer when an earlier
+    // test of this binary already launched the class.
+    assert_eq!(hits, 0, "no room looks up an artifact another room already holds");
+    assert!(misses <= 8, "one compilation per kernel class, not {misses}");
 }

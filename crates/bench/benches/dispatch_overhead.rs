@@ -3,7 +3,7 @@
 //! The paper's claim lives in the leap-frog step loop (§VI): thousands of
 //! launches of the same two kernels against the same buffers. This bench
 //! pins the wall-clock cost of that loop on the tree-walker oracle and on
-//! the default engine for the FI cube workload — the launch-plan cache,
+//! the default engine for the FI cube workload — launch validation,
 //! chunked warp dispatch, tape peephole optimizer, SIMT lane vectorization
 //! and block fusion all land here. `step_loop/fast/*` is the headline number
 //! recorded in EXPERIMENTS.md; `step_loop/model/*` additionally runs the

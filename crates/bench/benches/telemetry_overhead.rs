@@ -7,7 +7,7 @@
 //! The instrumented path is [`vgpu::Device::launch`] — the production entry
 //! point, which carries the disabled-telemetry branches (one relaxed atomic
 //! load per gate) plus the unconditional launch counters. The baseline is a
-//! raw [`vgpu::exec::launch_wg_engine`] loop over the same prepared kernel
+//! raw [`vgpu::exec::launch`] loop over the same prepared kernel
 //! and buffers, which contains no telemetry instrumentation at all.
 //!
 //! Trials are interleaved and the minimum per-iteration time of each side is
@@ -99,17 +99,8 @@ fn main() {
         ArgBind::Val(Value::I32(dims.nz as i32)),
     ];
     let baseline_step = || {
-        exec::launch_wg_engine(
-            &prep,
-            &base_binds,
-            &global,
-            None,
-            ExecMode::Fast,
-            false,
-            128,
-            Engine::Fast,
-        )
-        .unwrap();
+        exec::launch(&prep, &base_binds, &global, None, ExecMode::Fast, false, 128, Engine::Fast)
+            .unwrap();
     };
 
     // Warm both paths (first-touch, lazy tape state, allocator warm-up).

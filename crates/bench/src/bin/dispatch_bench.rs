@@ -5,8 +5,8 @@
 //! EXPERIMENTS.md: it runs the same leap-frog launch loop the sims run and
 //! prints ms/step for fast and modeled execution on the tree-walker oracle
 //! and on the default engine (the tape), the wall of a one-warp launch
-//! (`launch_fixed_us`), plus the launch-plan cache hit counters and the
-//! divergent-warp / fallback audits, as one JSON record.
+//! (`launch_fixed_us`), plus the divergent-warp and proven/checked site
+//! audits, as one JSON record.
 //!
 //! Usage: `dispatch_bench [cube-edge] [steps]` (defaults 32, 60).
 
@@ -48,7 +48,6 @@ fn main() {
     // Provenance: captured before any launch so the snapshot records what
     // the measured loops actually saw (this bin drives both engines
     // explicitly, so the engine field is fixed, not `VGPU_ENGINE`).
-    let plan_cache = bench::provenance::plan_cache_state();
     let threads = bench::provenance::threads();
     let devices = bench::provenance::device_count();
     let sanitize = bench::provenance::sanitize_label();
@@ -58,36 +57,24 @@ fn main() {
     let tree_model = measure(fi_run(n, Engine::Tree), steps, model_mode);
     let reg = telemetry::registry();
     let divergent0 = reg.counter("vgpu.warp.divergent").get();
-    // `fast` must cover the FI kernel outright: a fallback means the
-    // measurement below is not what it claims.
-    let fallbacks = reg.counter("vgpu.tape.fallbacks");
-    let fallbacks0 = fallbacks.get();
     let fast = measure(fi_run(n, Engine::Fast), steps, ExecMode::Fast);
     let model = measure(fi_run(n, Engine::Fast), steps, model_mode);
     // What a launch costs before any lane runs: the smallest grid is 27
     // work-items, one partial warp, run inline on this thread.
     let launch_fixed_us = measure(fi_run(3, Engine::Fast), 2000, ExecMode::Fast) * 1e3;
     let divergent = reg.counter("vgpu.warp.divergent").get() - divergent0;
-    let fell_back = fallbacks.get() - fallbacks0;
-    if fell_back > 0 {
-        eprintln!("dispatch_bench: {fell_back} engine fallbacks during measurement");
-        std::process::exit(1);
-    }
     let record = format!(
         "{{\"bench\":\"dispatch\",\"cube\":{n},\"steps\":{steps},\
          \"engine\":\"tree+fast\",\
          \"threads\":{threads},\"devices\":{devices},\
-         \"plan_cache\":\"{plan_cache}\",\"sanitize\":\"{sanitize}\",\
+         \"sanitize\":\"{sanitize}\",\
          \"fast_ms_per_step\":{fast:.4},\"model_ms_per_step\":{model:.4},\
          \"tree_fast_ms_per_step\":{tree_fast:.4},\"tree_model_ms_per_step\":{tree_model:.4},\
          \"launch_fixed_us\":{launch_fixed_us:.2},\
          \"divergent_warps\":{divergent},\
-         \"sites_proven\":{},\"sites_checked\":{},\
-         \"plan_hits\":{},\"plan_misses\":{}}}",
+         \"sites_proven\":{},\"sites_checked\":{}}}",
         reg.counter("vgpu.tape.sites_proven").get(),
         reg.counter("vgpu.tape.sites_checked").get(),
-        reg.counter("vgpu.plan.hits").get(),
-        reg.counter("vgpu.plan.misses").get(),
     );
     println!("{record}");
     match serde_json::from_str(&record) {

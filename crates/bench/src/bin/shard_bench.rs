@@ -95,7 +95,6 @@ fn main() {
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(24);
     let steps: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(40);
 
-    let plan_cache = bench::provenance::plan_cache_state();
     let threads = bench::provenance::threads();
     let engine = bench::provenance::engine_label();
     let sanitize = bench::provenance::sanitize_label();
@@ -142,7 +141,7 @@ fn main() {
     let record = format!(
         "{{\"bench\":\"shard\",\"cube\":{n},\"steps\":{steps},\
          \"engine\":\"{engine}\",\
-         \"threads\":{threads},\"devices_swept\":[1,2,4],\"plan_cache\":\"{plan_cache}\",\
+         \"threads\":{threads},\"devices_swept\":[1,2,4],\
          \"sanitize\":\"{sanitize}\",\"scaling\":{curve}}}"
     );
     println!("{record}");

@@ -112,9 +112,9 @@ fn boundary_launch(
     precision: Precision,
     kernels: impl KernelSource,
 ) -> LaunchStats {
-    // Each measurement is one logical simulation: rescope the fallback/
-    // divergence dedupe so a repro bin running many sims in one process
-    // gets every sim's audit records, not just the first's.
+    // Each measurement is one logical simulation: rescope the divergence
+    // dedupe so a repro bin running many sims in one process gets every
+    // sim's audit records, not just the first's.
     vgpu::exec::reset_fallback_dedupe();
     SingleSim::new(setup, precision, kernels, Device::gtx780())
         .boundary_step_only(ExecMode::Model { sample_stride: 1 })

@@ -1,11 +1,8 @@
 //! Provenance fields stamped into every committed bench snapshot
 //! (`BENCH_*.json`): which engine executed, how many interpreter threads
-//! ran, and whether the launch-plan cache was warm or cold when the run
-//! started. Snapshots without these fields are not comparable — a warm
-//! plan cache or a different thread count shifts ms/step numbers for
-//! reasons that have nothing to do with the change under review.
-
-use vgpu::telemetry;
+//! and devices ran, and the sanitizer mode. Snapshots without these fields
+//! are not comparable — a different thread count shifts ms/step numbers
+//! for reasons that have nothing to do with the change under review.
 
 /// The engine this process resolves from `VGPU_ENGINE`: `fast` (the
 /// default), `tree` or `differential`. Which tape executor `fast` puts a
@@ -22,21 +19,6 @@ pub fn threads() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(rayon::current_num_threads)
-}
-
-/// `"cold"` when no launch has been planned yet in this process, `"warm"`
-/// otherwise. Call *before* the measured section: a bench that warms up
-/// first still reports what the measured loop actually saw.
-pub fn plan_cache_state() -> &'static str {
-    let reg = telemetry::registry();
-    let planned = reg.counter("vgpu.plan.hits").get()
-        + reg.counter("vgpu.plan.misses").get()
-        + reg.counter("vgpu.plan.shared_hits").get();
-    if planned == 0 {
-        "cold"
-    } else {
-        "warm"
-    }
 }
 
 /// Virtual device count the run shards across (`VGPU_DEVICES`, default 1).

@@ -145,14 +145,13 @@ pub fn kernel_summary_section() -> Option<String> {
                 k.flops.to_string(),
                 k.transaction_bytes.to_string(),
                 format!("{:.3}", k.modeled_ms),
-                k.tape_fallbacks.to_string(),
             ]
         })
         .collect();
     Some(format!(
         "-- per-kernel telemetry --\n{}",
         table::render(
-            &["kernel", "launches", "work-items", "flops", "txn bytes", "model ms", "fallbacks"],
+            &["kernel", "launches", "work-items", "flops", "txn bytes", "model ms"],
             &rows
         )
     ))

@@ -34,8 +34,6 @@ pub struct RunReport {
     pub engine: String,
     /// Interpreter threads the run used.
     pub threads: usize,
-    /// `"cold"`/`"warm"` launch-plan cache at emission time.
-    pub plan_cache: String,
     /// Virtual device count the run sharded across (`VGPU_DEVICES`);
     /// defaults to 1 so pre-sharding reports still parse.
     #[serde(default = "default_devices")]
@@ -80,7 +78,6 @@ pub fn build(name: &str, record: Value) -> RunReport {
         name: name.to_string(),
         engine: provenance::engine_label(),
         threads: provenance::threads(),
-        plan_cache: provenance::plan_cache_state().to_string(),
         devices: provenance::device_count(),
         profile_mode: profiler::mode().label().to_string(),
         sanitize: provenance::sanitize_label().to_string(),
@@ -96,13 +93,11 @@ pub fn build(name: &str, record: Value) -> RunReport {
 /// digest.
 pub fn render(report: &RunReport) -> String {
     let mut out = format!(
-        "== run report: {} (engine {}, {} threads, {} device(s), plan cache {}, profile {}, \
-         sanitize {}) ==\n",
+        "== run report: {} (engine {}, {} threads, {} device(s), profile {}, sanitize {}) ==\n",
         report.name,
         report.engine,
         report.threads,
         report.devices,
-        report.plan_cache,
         report.profile_mode,
         report.sanitize
     );

@@ -71,6 +71,5 @@ fn cube16_fi_trace_is_golden_at_both_precisions() {
     assert_eq!(fi.launches, expected_launches);
     assert_eq!(fi.flops, expected_flops);
     assert_eq!(fi.transaction_bytes, expected_txn);
-    assert_eq!(fi.tape_fallbacks, 0);
     assert!(fi.modeled_ms > 0.0, "model mode must produce a modeled time");
 }

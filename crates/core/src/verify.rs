@@ -262,8 +262,8 @@ impl ProofTable {
 }
 
 /// Drops duplicate site records, keeping one per `(kernel, site, reason)`
-/// — the same key the interpreter's fallback/divergence records are
-/// deduplicated by, so repeated verification of per-material or
+/// — much as the interpreter's divergence records are deduplicated per
+/// kernel, so repeated verification of per-material or
 /// per-precision variants of one kernel doesn't multiply identical
 /// diagnostics.
 pub fn dedupe_sites(sites: Vec<SiteReport>) -> Vec<SiteReport> {

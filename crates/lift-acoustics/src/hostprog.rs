@@ -213,7 +213,9 @@ fn slab_halo_proof(
     let p = programs::volume_program();
     let mut asm = programs::launch_assumptions(&p, lk);
     asm.gid_offsets = vec![0, 0, 1];
-    room_acoustics::contracts::check_slab_halo(&lk.kernel, &asm, halo).map_err(LowerError)
+    room_acoustics::contracts::grid_halo(&lk.kernel, &asm)
+        .and_then(|reach| room_acoustics::contracts::check_slab_halo(&lk.kernel.name, reach, halo))
+        .map_err(LowerError)
 }
 
 /// Proves the boundary kernel's z-reach on the grid buffers (a pure

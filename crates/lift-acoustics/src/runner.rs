@@ -10,9 +10,9 @@
 use crate::programs::{self, Program};
 use lift::lower::{ArgSpec, LoweredKernel};
 use lift::prelude::{ScalarKind, Value};
-use room_acoustics::{KernelSource, SimError, StepKernel, StepKernels};
+use room_acoustics::{KernelOrigin, KernelSource, SimError, StepKernel, StepKernels};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use vgpu::{Arg, BufId};
 
 /// Which boundary model a LIFT run uses.
@@ -41,25 +41,17 @@ impl KernelSource for LiftBoundary {
 }
 
 /// `program` lowered at precision `real` and bound to roles, once per
-/// process: the generated kernels are size-generic, so every room of a
-/// given boundary model and precision launches the same kernel under the
-/// same contract ([`programs::launch_assumptions`], the one `lift_verify`
-/// proves it under) — and, through [`StepKernel::prepared`], the same
-/// artifact and launch plans.
+/// process ([`StepKernel::shared`]): the generated kernels are size-generic,
+/// so every room of a given boundary model and precision launches the same
+/// kernel under the same contract ([`programs::launch_assumptions`], the
+/// one `lift_verify` proves it under) — and, through
+/// [`StepKernel::prepared`], the same artifact.
 pub fn step_kernel(program: &Program, real: ScalarKind) -> Result<Arc<StepKernel>, SimError> {
-    type Cache = Mutex<HashMap<(&'static str, ScalarKind), Arc<StepKernel>>>;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    let key = (program.name, real);
-    if let Some(hit) = cache.lock().expect("no panic under this lock").get(&key) {
-        return Ok(hit.clone());
-    }
-    // Lower outside the lock; when two threads race the first insert wins,
-    // so every simulation still shares one kernel.
-    let lowered = program.lower(real).unwrap_or_else(|e| panic!("{}: {e}", program.name));
-    let contract = programs::launch_assumptions(program, &lowered);
-    let kernel = Arc::new(StepKernel::new(lowered.kernel, contract, lowered.global_size)?);
-    Ok(cache.lock().expect("no panic under this lock").entry(key).or_insert(kernel).clone())
+    StepKernel::shared(KernelOrigin::Program(program.name), real, || {
+        let lowered = program.lower(real).unwrap_or_else(|e| panic!("{}: {e}", program.name));
+        let contract = programs::launch_assumptions(program, &lowered);
+        StepKernel::new(lowered.kernel, contract, lowered.global_size).map(Arc::new)
+    })
 }
 
 /// Binds a lowered kernel's arguments by name — the by-name binding a

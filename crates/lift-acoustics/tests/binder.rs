@@ -1,6 +1,6 @@
 //! The role binder over both kernel families: every shipped generated
 //! kernel binds, a simulation uploads exactly what the front end it
-//! replaced uploaded, and step loops keep reusing their launch plans.
+//! replaced uploaded, and generated kernels launch under their contract.
 //!
 //! Own test binary, serialized on a local mutex: the upload pins are deltas
 //! of the process-wide `vgpu.xfer.to_gpu.*` counters.
@@ -8,8 +8,7 @@
 use lift::prelude::ScalarKind;
 use lift_acoustics::{programs, runner, LiftBoundary};
 use room_acoustics::{
-    handwritten, BoundaryKernel, BoundaryModel, GridDims, KernelSource, MaterialAssignment,
-    Precision, RoomShape, SimConfig, SimSetup, Simulation, StepKernel, StepKernels,
+    BoundaryKernel, GridDims, KernelSource, Precision, RoomShape, SimConfig, SimSetup, Simulation,
 };
 use std::sync::Mutex;
 use vgpu::{Device, Engine, ExecMode};
@@ -55,53 +54,6 @@ fn a_simulation_uploads_what_the_front_end_it_replaced_uploaded() {
     let hand_fimm = BoundaryKernel::FiMm { beta_constant: false };
     assert_eq!(uploaded(&fimm, Precision::Double, hand_fimm), (10840, 4));
     assert_eq!(uploaded(&fimm, Precision::Double, LiftBoundary::FiMm), (12792, 5));
-}
-
-/// A step loop launches the same kernels against the same buffer kinds
-/// every step (rotation changes ids, not kinds), so the device plan cache
-/// plateaus at one plan per kernel — for either family, with or without a
-/// boundary kernel — and cached steps report the same work as cold ones.
-#[test]
-fn step_loops_reuse_cached_launch_plans() {
-    let _g = COUNTERS.lock().unwrap();
-    let real = ScalarKind::F64;
-    let fi = |k: Result<std::sync::Arc<StepKernel>, _>| StepKernels::single(k.unwrap());
-    let cases: [(&str, StepKernels, usize); 4] = [
-        (
-            "hand FI-MM",
-            BoundaryKernel::FiMm { beta_constant: false }.step_kernels(real).unwrap(),
-            2,
-        ),
-        ("generated FI-MM", LiftBoundary::FiMm.step_kernels(real).unwrap(), 2),
-        ("hand FI", fi(StepKernel::handwritten(handwritten::fi_single_kernel(), real)), 1),
-        ("generated FI", fi(runner::step_kernel(&programs::fi_single_program(), real)), 1),
-    ];
-    for (what, kernels, plans) in cases {
-        let cfg = if plans == 2 {
-            SimConfig::fimm(GridDims::cube(10), RoomShape::Box)
-        } else {
-            SimConfig {
-                dims: GridDims::cube(10),
-                shape: RoomShape::Box,
-                assignment: MaterialAssignment::Uniform,
-                boundary: BoundaryModel::Fi { beta: 0.1 },
-            }
-        };
-        let devices = vec![Device::gtx780()];
-        let mut sim = Simulation::new(SimSetup::new(&cfg), Precision::Double, kernels, devices);
-        sim.impulse(5, 5, 5, 1.0);
-        let mode = ExecMode::Model { sample_stride: 1 };
-        let work = |stats: &room_acoustics::simulation::ShardStepStats| {
-            room_acoustics::simulation::sum_step_stats(stats)
-        };
-        let cold = work(&sim.step(mode));
-        assert_eq!(sim.devices[0].plan_cache_len(), plans, "{what}: one plan per kernel");
-        for _ in 0..3 {
-            let warm = work(&sim.step(mode));
-            assert_eq!(sim.devices[0].plan_cache_len(), plans, "{what}: plans are reused");
-            assert_eq!(warm, cold, "{what}: a cached step reports the same work");
-        }
-    }
 }
 
 /// Generated kernels used to run without a launch contract (only the

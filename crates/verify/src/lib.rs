@@ -472,7 +472,7 @@ pub fn host_audit() -> Vec<(String, bool, Vec<lift::footprint::UninitRead>)> {
 /// bounds sites come back PROVEN — eligible for proof-licensed check
 /// elision on the tape's flat launches — versus POTENTIAL, which the
 /// executor keeps on the dynamic-check path (see
-/// `vgpu::register_launch_contract`).
+/// `vgpu::exec::prepare_under`).
 pub fn render_site_summary(reports: &[SuiteReport]) -> String {
     use std::fmt::Write as _;
     let mut s = String::from("-- compiled-engine elision eligibility (bounds sites) --\n");

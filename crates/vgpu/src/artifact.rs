@@ -2,79 +2,84 @@
 //!
 //! A batched multi-room run compiles the same handful of kernels over and
 //! over: every room of a given boundary model and precision lowers to a
-//! byte-identical kernel AST, but [`exec::prepare`] hands each caller a
-//! [`Prepared`] with a fresh `id`, so the per-device launch-plan caches
-//! (keyed on that id) never line up across rooms and every job replans and
-//! re-verifies from scratch. This module deduplicates that work at the
+//! byte-identical kernel AST. This module deduplicates that work at the
 //! process level, across devices and worker threads:
 //!
-//! * [`compile_cached`] — content-fingerprinted `Kernel` → `Arc<Prepared>`.
-//!   Identical kernels share one `Prepared` (and therefore one `id`), which
-//!   is what makes the downstream plan and verdict caches effective.
-//! * a shared launch-plan map keyed `(prep id, binding kind signature)` that
-//!   [`Device::launch_wg`](crate::device::Device) consults after a
-//!   per-device miss, so a plan computed on one worker's device is adopted
-//!   by every other device launching the same prepared kernel.
-//! * [`verify_cached`] — memoized static-verifier verdicts
-//!   ([`verify_prepared`]) per prepared id, so a batch gate re-checking
-//!   every job pays for each distinct kernel once.
+//! * [`compile_cached`] / [`compile_cached_under`] — content-fingerprinted
+//!   (`Kernel`, launch contract) → `Arc<Prepared>`. Identical kernels under
+//!   the same contract share one [`Prepared`], and with it everything
+//!   derived from the kernel: a `Prepared` owns its per-shape check tables
+//!   and its tape-verifier report, so there is no second map to line up.
+//! * [`verify_cached`] — the static tape verifier
+//!   ([`crate::verify_prepared`]), run once per artifact and kept on it.
 //!
-//! Counters: `vgpu.artifact.hits` / `vgpu.artifact.misses` (compile cache),
-//! `vgpu.plan.shared_hits` (plan adopted from the shared map — the adopting
-//! device bumps neither `vgpu.plan.hits` nor `vgpu.plan.misses` for that
-//! launch), and `vgpu.verify.hits` / `vgpu.verify.misses` (verdict cache).
+//! Counters: `vgpu.artifact.hits` / `vgpu.artifact.misses` (compile cache)
+//! and `vgpu.verify.hits` / `vgpu.verify.misses` (tape report).
 //!
-//! The caches are append-only for the life of the process: entries are tiny
-//! (a `Prepared`, a `LaunchPlan`, a `TapeReport`) and the population is
-//! bounded by the number of distinct kernels the process compiles, so no
-//! eviction is needed.
+//! The map is append-only for the life of the process: its population is
+//! bounded by the number of distinct (kernel, contract) pairs the process
+//! compiles, and what each entry can accumulate is bounded by
+//! [`crate::exec::CHECK_TABLE_CAP`], so no eviction is needed.
 
-use crate::exec::{self, ExecError, LaunchPlan, Prepared};
+use crate::exec::{self, ExecError, Prepared};
 use crate::telemetry;
-use crate::verify::{verify_prepared, TapeReport};
+use crate::verify::{tape_report, TapeReport};
 use lift::kast::Kernel;
+use lift::verify::Assumptions;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::fmt::Write;
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Key of the shared plan map: (prepared-kernel id, binding kind signature).
-pub type PlanKey = (u64, Vec<u8>);
 
 fn compiled() -> &'static Mutex<HashMap<u64, Arc<Prepared>>> {
     static M: OnceLock<Mutex<HashMap<u64, Arc<Prepared>>>> = OnceLock::new();
     M.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn plans() -> &'static Mutex<HashMap<PlanKey, Arc<LaunchPlan>>> {
-    static M: OnceLock<Mutex<HashMap<PlanKey, Arc<LaunchPlan>>>> = OnceLock::new();
-    M.get_or_init(|| Mutex::new(HashMap::new()))
+/// Feeds formatted text to a hasher piece by piece, so a fingerprint needs
+/// no intermediate `String`.
+struct HashText(DefaultHasher);
+
+impl Write for HashText {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
 }
 
-fn verdicts() -> &'static Mutex<HashMap<u64, Option<Arc<TapeReport>>>> {
-    static M: OnceLock<Mutex<HashMap<u64, Option<Arc<TapeReport>>>>> = OnceLock::new();
-    M.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Content fingerprint of a kernel AST. Two kernels that print identically
-/// under `{:?}` (same name, params, body, work_dim — which is everything a
-/// [`Kernel`] holds) get the same fingerprint; distinct precisions resolve
+/// Content fingerprint of a kernel AST under a launch contract. Two kernels
+/// that print identically under `{:?}` (same name, params, body, work_dim —
+/// which is everything a [`Kernel`] holds) get the same fingerprint exactly
+/// when their contracts print identically too; distinct precisions resolve
 /// to distinct ASTs and therefore distinct fingerprints.
-pub fn fingerprint(kernel: &Kernel) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{kernel:?}").hash(&mut h);
-    h.finish()
+fn fingerprint(kernel: &Kernel, contract: &Assumptions) -> u64 {
+    let mut h = HashText(DefaultHasher::new());
+    write!(h, "{kernel:?}{contract:?}").expect("hashing text cannot fail");
+    h.0.finish()
 }
 
-/// Compiles `kernel` through the process-wide artifact cache: returns the
-/// shared [`Prepared`] for its content fingerprint, preparing it on first
-/// sight. All callers handed the same `Arc` share one prepared id, so their
-/// devices' launch-plan caches (and the shared plan map) line up.
+/// Compiles `kernel` with no launch contract through the process-wide
+/// artifact cache ([`compile_cached_under`] an empty contract): its bounds
+/// proofs rest on launch-concrete facts only.
+pub fn compile_cached(kernel: &Kernel) -> Result<Arc<Prepared>, ExecError> {
+    compile_cached_under(kernel, &Assumptions::default())
+}
+
+/// Compiles `kernel` under `contract` ([`exec::prepare_under`]) through the
+/// process-wide artifact cache: returns the shared [`Prepared`] for the
+/// fingerprint of the pair, preparing it on first sight. The contract is
+/// part of the key, so one kernel text under two contracts is two
+/// artifacts, and a proof is only ever read under the contract it was made
+/// for.
 ///
 /// Preparation *errors* are not cached — a failing kernel re-fails on every
 /// call, which keeps error paths identical to [`exec::prepare`].
-pub fn compile_cached(kernel: &Kernel) -> Result<Arc<Prepared>, ExecError> {
-    let fp = fingerprint(kernel);
+pub fn compile_cached_under(
+    kernel: &Kernel,
+    contract: &Assumptions,
+) -> Result<Arc<Prepared>, ExecError> {
+    let fp = fingerprint(kernel, contract);
     let reg = telemetry::registry();
     if let Some(p) = compiled().lock().unwrap().get(&fp) {
         reg.counter("vgpu.artifact.hits").inc();
@@ -83,46 +88,28 @@ pub fn compile_cached(kernel: &Kernel) -> Result<Arc<Prepared>, ExecError> {
     // Prepare outside the lock: compilation is the slow part, and a worker
     // compiling one kernel must not serialize workers compiling others.
     // If two workers race on the same kernel, the first insert wins so
-    // every caller still agrees on a single id; the loser's work is
+    // every caller still agrees on a single artifact; the loser's work is
     // discarded and its miss is counted (two compilations really happened).
-    let prep = Arc::new(exec::prepare(kernel)?);
+    // What is stored is a clone: launches run ~3 % faster from the compact
+    // copy than from the incrementally built original (EXPERIMENTS.md,
+    // PR 15), and storing it here makes that one copy per process.
+    let prep = Arc::new(exec::prepare_under(kernel, contract)?.clone());
     reg.counter("vgpu.artifact.misses").inc();
     Ok(compiled().lock().unwrap().entry(fp).or_insert(prep).clone())
 }
 
-/// Runs the static kernel verifier through the process-wide verdict cache,
-/// keyed on the prepared id. `None` means what [`verify_prepared`] means:
-/// the kernel has no tape to verify.
+/// Runs the static tape verifier once per artifact and keeps the report on
+/// it. Always `Some`, like [`crate::verify_prepared`].
 pub fn verify_cached(prep: &Prepared) -> Option<Arc<TapeReport>> {
-    let reg = telemetry::registry();
-    if let Some(v) = verdicts().lock().unwrap().get(&prep.id()) {
-        reg.counter("vgpu.verify.hits").inc();
-        return v.clone();
-    }
-    let verdict = verify_prepared(prep).map(Arc::new);
-    reg.counter("vgpu.verify.misses").inc();
-    verdicts().lock().unwrap().entry(prep.id()).or_insert(verdict).clone()
+    let report = &prep.derived.tape_report;
+    let seen = if report.get().is_some() { "vgpu.verify.hits" } else { "vgpu.verify.misses" };
+    telemetry::registry().counter(seen).inc();
+    Some(report.get_or_init(|| Arc::new(tape_report(prep))).clone())
 }
 
-/// Looks up a launch plan in the shared map. Called by
-/// [`Device::launch_wg`](crate::device::Device) after a per-device miss.
-pub(crate) fn lookup_plan(key: &PlanKey) -> Option<Arc<LaunchPlan>> {
-    plans().lock().unwrap().get(key).cloned()
-}
-
-/// Publishes a freshly computed launch plan so other devices can adopt it.
-pub(crate) fn publish_plan(key: PlanKey, plan: Arc<LaunchPlan>) {
-    plans().lock().unwrap().entry(key).or_insert(plan);
-}
-
-/// Sizes of the three process-wide caches: `(compiled kernels, launch
-/// plans, verifier verdicts)`. For telemetry sidecars and tests.
-pub fn cache_sizes() -> (usize, usize, usize) {
-    (
-        compiled().lock().unwrap().len(),
-        plans().lock().unwrap().len(),
-        verdicts().lock().unwrap().len(),
-    )
+/// Artifacts in the process-wide cache. For telemetry sidecars and tests.
+pub fn cache_size() -> usize {
+    compiled().lock().unwrap().len()
 }
 
 #[cfg(test)]
@@ -149,14 +136,13 @@ mod tests {
         let a = compile_cached(&copy_kernel("artifact_share", ScalarKind::F32)).unwrap();
         let b = compile_cached(&copy_kernel("artifact_share", ScalarKind::F32)).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "same content must yield the same Arc");
-        assert_eq!(a.id(), b.id());
     }
 
     #[test]
     fn precision_variants_get_distinct_artifacts() {
         let f32 = compile_cached(&copy_kernel("artifact_prec", ScalarKind::F32)).unwrap();
         let f64 = compile_cached(&copy_kernel("artifact_prec", ScalarKind::F64)).unwrap();
-        assert_ne!(f32.id(), f64.id(), "f32 and f64 variants are distinct artifacts");
+        assert!(!Arc::ptr_eq(&f32, &f64), "f32 and f64 variants are distinct artifacts");
     }
 
     #[test]

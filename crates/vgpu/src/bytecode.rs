@@ -918,7 +918,7 @@ impl<'a> Cc<'a> {
 }
 
 /// Compiles a prepared kernel into a tape, or explains why it cannot be
-/// compiled (the caller then falls back to the tree-walker).
+/// compiled ([`crate::exec::prepare`] fails with that reason).
 pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
     let mut slots = vec![Sk::Unset; prep.nslots];
     for (p, s) in prep.params.iter().zip(&prep.scalar_slots) {
@@ -951,9 +951,8 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
         .unwrap_or(0);
     crate::compile::fuse(&mut c);
     if !validate(&c) {
-        // Never expected: the compiler allocated every operand itself. The
-        // fallback keeps the launch on the (fully bounds-checked) tree
-        // engine rather than trusting a tape the check rejected.
+        // Never expected: the compiler allocated every operand itself.
+        // Failing the compilation beats trusting a tape the check rejected.
         return Err("tape validation failed".into());
     }
     // Branch reconvergence points for the warp executor, computed on the
@@ -3241,7 +3240,7 @@ mod tests {
     use super::*;
     use crate::buffer::BufData;
     use crate::buffer::SharedBuf;
-    use crate::exec::{launch_wg_engine, prepare, ArgBind, Engine, ExecMode};
+    use crate::exec::{launch, prepare, ArgBind, Engine, ExecMode};
     use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 
     /// out[gid] = x[gid] * scale + bias-ish expression, with `expr` as the
@@ -3269,10 +3268,9 @@ mod tests {
     /// returns the output buffer.
     fn run_diff(k: &Kernel, n: usize, a: f32) -> Vec<f64> {
         let prep = prepare(k).unwrap();
-        assert!(prep.has_tape(), "kernel should compile to a tape");
         let x = SharedBuf::new(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
         let out = SharedBuf::new(BufData::from(vec![0.0f32; n]));
-        launch_wg_engine(
+        launch(
             &prep,
             &[ArgBind::Buf(&x), ArgBind::Buf(&out), ArgBind::Val(Value::F32(a))],
             &[n],
@@ -3287,7 +3285,7 @@ mod tests {
     }
 
     fn tape_of(k: &Kernel) -> Compiled {
-        prepare(k).unwrap().tape.take().expect("tape")
+        prepare(k).unwrap().tape
     }
 
     #[test]
@@ -3432,7 +3430,7 @@ mod tests {
         let prep = prepare(&k).unwrap();
         let x = SharedBuf::new(BufData::from(vec![1.0f32; 64]));
         let out = SharedBuf::new(BufData::from(vec![0.0f32; 64]));
-        let stats = launch_wg_engine(
+        let stats = launch(
             &prep,
             &[ArgBind::Buf(&x), ArgBind::Buf(&out), ArgBind::Val(Value::F32(0.0))],
             &[64],
@@ -3503,8 +3501,8 @@ mod tests {
             body,
             work_dim: 2,
         };
-        let mut prep = prepare(&k).unwrap();
-        prep.tape.take().expect("tape").shapes[1..prep.nslots].to_vec()
+        let prep = prepare(&k).unwrap();
+        prep.tape.shapes[1..prep.nslots].to_vec()
     }
 
     fn decl(name: &str, init: KExpr) -> KStmt {
@@ -3711,14 +3709,14 @@ mod tests {
             ],
             work_dim: 1,
         };
-        let mut prep = prepare(&k).unwrap();
-        let t = prep.tape.take().expect("tape");
+        let prep = prepare(&k).unwrap();
+        let t = &prep.tape;
         let want = ["CmpJz", "CmpSel", "LdGFused", "MulAdd", "StGAt"];
-        assert_eq!(superinstructions(&t).into_iter().collect::<Vec<_>>(), want, "{:?}", t.ops);
+        assert_eq!(superinstructions(t).into_iter().collect::<Vec<_>>(), want, "{:?}", t.ops);
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdGFused { off: Some(_), .. })));
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdGFused { acc: Some(_), .. })));
         assert!(t.fused_ops >= 7, "{} ops absorbed: {:?}", t.fused_ops, t.ops);
-        assert_consistent(&t, prep.nslots);
+        assert_consistent(t, prep.nslots);
         // The oracle never saw the pass: equal buffers, counters and
         // transaction bytes (asserted inside) say it changed none of them.
         let out = run_diff(&k, 64, 30.0);
@@ -3783,14 +3781,13 @@ mod tests {
         );
         let tiled = lift::rewrite::overlapped_tile_1d(&plain, 32).expect("rewrite applies");
         let lk = lift::lower::lower_kernel("tiled", &[a], &tiled, ScalarKind::F32).unwrap();
-        let mut prep = prepare(&lk.kernel).unwrap();
-        let t = prep.tape.take().expect("tape");
+        let prep = prepare(&lk.kernel).unwrap();
+        let t = &prep.tape;
         assert_eq!(t.phases(), 2);
         assert!(t.ops.iter().any(|op| matches!(op, Op::StL { .. })), "{:?}", t.ops);
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdL { .. })), "{:?}", t.ops);
-        assert!(!superinstructions(&t).is_empty(), "{:?}", t.ops);
-        assert_consistent(&t, prep.nslots);
-        prep.tape = Some(t);
+        assert!(!superinstructions(t).is_empty(), "{:?}", t.ops);
+        assert_consistent(t, prep.nslots);
 
         let input = SharedBuf::new(BufData::from(
             (0..N).map(|i| ((i * 37) % 17) as f32 - 8.0).collect::<Vec<_>>(),
@@ -3805,8 +3802,7 @@ mod tests {
             })
             .collect();
         for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
-            launch_wg_engine(&prep, &binds, &[N], Some(32), mode, true, 128, Engine::Differential)
-                .unwrap();
+            launch(&prep, &binds, &[N], Some(32), mode, true, 128, Engine::Differential).unwrap();
         }
         let x = input.data().to_f64_vec();
         let o = out.data().to_f64_vec();

@@ -7,17 +7,15 @@
 //! command), which matches how the paper measures kernels via the OpenCL
 //! profiling API.
 
-use crate::artifact;
 use crate::buffer::{BufData, SharedBuf};
-use crate::exec::{self, ArgBind, Engine, ExecError, ExecMode, LaunchPlan, LaunchStats, Prepared};
+use crate::exec::{self, ArgBind, Engine, ExecError, ExecMode, LaunchStats, Prepared};
 use crate::perfmodel::{modeled_time_s, ModelInput};
 use crate::profile::DeviceProfile;
 use crate::telemetry::{self, Event, KernelMetrics, TrackId, TransferDir};
 use lift::kast::Kernel;
 use lift::prelude::{ScalarKind, Value};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Handle to a device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,14 +84,6 @@ pub struct Device {
     engine: Engine,
     events: Vec<KernelEvent>,
     tele: OnceLock<DevTele>,
-    /// Launch plans memoised per (kernel id, binding signature); see
-    /// [`Device::binding_sig`]. A stepping simulation re-launching the same
-    /// kernel resolves argument matching and the tape-fallback decision
-    /// once instead of per step. Plans are `Arc`-shared with the
-    /// process-wide [`crate::artifact`] map, so a fresh device launching a
-    /// kernel another device already planned adopts that plan instead of
-    /// replanning.
-    plans: HashMap<(u64, Vec<u8>), Arc<LaunchPlan>>,
 }
 
 /// Bytes occupied by a buffer's payload.
@@ -134,25 +124,7 @@ impl Device {
             engine: Engine::from_env(),
             events: Vec::new(),
             tele: OnceLock::new(),
-            plans: HashMap::new(),
         }
-    }
-
-    /// One byte per argument describing the launch signature a cached
-    /// [`LaunchPlan`] depends on: the bound buffer's *current* element kind
-    /// for buffer args, and `0xF0 | kind` for scalar values. [`Device::write`]
-    /// may change a buffer's kind, which flips the tape-fallback decision —
-    /// keying on the kinds keeps stale plans unreachable. Scalar kinds are
-    /// part of the signature too: a plan records each scalar slot's kind, so
-    /// launches alternating single/double scalar arguments must resolve to
-    /// distinct plans rather than thrash one cache entry.
-    fn binding_sig(&self, args: &[Arg]) -> Vec<u8> {
-        args.iter()
-            .map(|a| match a {
-                Arg::Buf(id) => self.buffers[id.0].kind() as u8,
-                Arg::Val(v) => 0xF0 | v.kind() as u8,
-            })
-            .collect()
     }
 
     /// This device's telemetry tracks, allocated on first use (only called
@@ -249,14 +221,6 @@ impl Device {
     /// The currently selected execution engine.
     pub fn engine(&self) -> Engine {
         self.engine
-    }
-
-    /// Number of distinct (kernel, binding-signature) launch plans cached
-    /// on this device. Steady-state step loops should plateau at one plan
-    /// per kernel; growth proportional to the step count means plans are
-    /// not being reused (see `vgpu.plan.{hits,misses}`).
-    pub fn plan_cache_len(&self) -> usize {
-        self.plans.len()
     }
 
     /// Creates a zero-filled buffer whose *contents are not promised*: like
@@ -415,7 +379,9 @@ impl Device {
         self.buffers[id.0].len()
     }
 
-    /// Compiles a kernel for this device.
+    /// Compiles a kernel for this device, with no launch contract
+    /// ([`exec::prepare`]): errs when its `Real` scalars are unresolved or
+    /// the tape compiler rejects it, with the compiler's reason.
     pub fn compile(&self, kernel: &Kernel) -> Result<Prepared, ExecError> {
         exec::prepare(kernel)
     }
@@ -432,7 +398,9 @@ impl Device {
     }
 
     /// Launches with an explicit workgroup size — required for kernels that
-    /// use barriers, local memory, or local/group ids.
+    /// use barriers, local memory, or local/group ids. Errs, before anything
+    /// runs or is counted, when `args` do not match the kernel's parameters
+    /// in number, buffer-vs-scalar, or buffer element kind ([`exec::launch`]).
     pub fn launch_wg(
         &mut self,
         prep: &Prepared,
@@ -448,34 +416,9 @@ impl Device {
                 Arg::Val(v) => ArgBind::Val(*v),
             })
             .collect();
-        let reg = telemetry::registry();
-        let key = (prep.id, self.binding_sig(args));
-        // Two-level plan lookup: this device's own cache first, then the
-        // process-wide shared map (another device may have planned the same
-        // prepared kernel already — `vgpu.plan.shared_hits`), and only then
-        // a fresh `plan_launch`, published for other devices to adopt.
-        let plan: Arc<LaunchPlan> = match self.plans.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                reg.counter("vgpu.plan.hits").inc();
-                e.into_mut().clone()
-            }
-            std::collections::hash_map::Entry::Vacant(e) => match artifact::lookup_plan(e.key()) {
-                Some(shared) => {
-                    reg.counter("vgpu.plan.shared_hits").inc();
-                    e.insert(shared).clone()
-                }
-                None => {
-                    reg.counter("vgpu.plan.misses").inc();
-                    let plan = Arc::new(exec::plan_launch(prep, &binds)?);
-                    artifact::publish_plan(e.key().clone(), plan.clone());
-                    e.insert(plan).clone()
-                }
-            },
-        };
         let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
-        let stats = exec::launch_planned(
+        let stats = exec::launch(
             prep,
-            &plan,
             &binds,
             global,
             local,
@@ -484,6 +427,7 @@ impl Device {
             self.profile.transaction_bytes,
             self.engine,
         )?;
+        let reg = telemetry::registry();
         let double = prep.params.iter().any(|p| p.is_buffer && p.kind == ScalarKind::F64);
         let modeled_s = stats.transaction_bytes.map(|tb| {
             modeled_time_s(
@@ -661,38 +605,6 @@ mod tests {
         assert_eq!(dev.read(x), BufData::from(vec![2.0f32, 4.0, 6.0]));
         assert_eq!(dev.events().len(), 1);
         assert!(dev.events()[0].modeled_s.is_none());
-    }
-
-    #[test]
-    fn plan_cache_reuses_plans_and_replans_on_kind_change() {
-        let reg = telemetry::registry();
-        let h0 = reg.counter("vgpu.plan.hits").get();
-        let m0 = reg.counter("vgpu.plan.misses").get();
-        let mut dev = Device::gtx780();
-        let x = dev.upload(BufData::from(vec![1.0f32, 2.0, 3.0]));
-        let prep = dev.compile(&double_kernel(ScalarKind::F32)).unwrap();
-        let args = [Arg::Buf(x), Arg::Val(Value::I32(3))];
-        let mode = ExecMode::Model { sample_stride: 1 };
-        dev.launch(&prep, &args, &[32], mode).unwrap();
-        dev.launch(&prep, &args, &[32], mode).unwrap();
-        assert_eq!(dev.plan_cache_len(), 1, "identical launches share one plan");
-        // Counters are process-global, so only lower bounds are stable.
-        assert!(reg.counter("vgpu.plan.misses").get() - m0 >= 1);
-        assert!(reg.counter("vgpu.plan.hits").get() - h0 >= 1);
-        // The cached plan must produce exactly the stats of the uncached
-        // first launch (same kernel, same NDRange, same buffer shapes).
-        let ev = dev.events();
-        assert_eq!(ev[0].stats.counters, ev[1].stats.counters);
-        assert_eq!(ev[0].stats.transaction_bytes, ev[1].stats.transaction_bytes);
-        assert_eq!(dev.read(x), BufData::from(vec![4.0f32, 8.0, 12.0]));
-
-        // Rewriting the buffer with a different element kind changes the
-        // binding signature: the stale f32 plan must not be reused (the
-        // tape bakes kinds in; this launch needs the tree fallback).
-        dev.write(x, BufData::from(vec![1.0f64, 2.0, 3.0]));
-        dev.launch(&prep, &args, &[32], ExecMode::Fast).unwrap();
-        assert_eq!(dev.plan_cache_len(), 2, "kind change makes a new plan");
-        assert_eq!(dev.read(x).to_f64_vec(), vec![2.0, 4.0, 6.0]);
     }
 
     #[test]

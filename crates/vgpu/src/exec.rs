@@ -25,9 +25,12 @@ use crate::bytecode::{self, Compiled};
 use crate::telemetry;
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef, MemSpace};
 use lift::prelude::{BinOp, Intrinsic, ScalarKind, UnOp, Value};
+use lift::verify::Assumptions;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// One recorded global store: (buffer param, element, work-item, site).
 pub(crate) type WriteRec = (u32, u64, u64, u32);
@@ -186,19 +189,18 @@ pub enum PStmt {
     Return,
 }
 
-/// A kernel ready for execution.
+/// A kernel ready for execution — the one artifact a launch reads. It owns
+/// everything derived from the kernel: the tree-walker's statement form, the
+/// bytecode tape, the source AST and launch contract the bounds proofs are
+/// made from, and (lazily, shared by its clones and dropped with the last
+/// of them) the per-shape check tables and the tape verifier's report.
+/// Nothing about a kernel lives in a side table keyed by its id or name.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    /// Process-unique id assigned by [`prepare`]; launch-plan caches key on
-    /// it (clones share the id — and the plan, which stays valid because
-    /// plans depend only on the parameter list and tape).
-    pub(crate) id: u64,
     /// Kernel name.
     pub name: String,
     /// Parameter declarations (buffer/scalar, spaces, kinds).
     pub params: Vec<KernelParam>,
-    /// Body.
-    pub body: Vec<PStmt>,
     /// Number of scalar slots.
     pub nslots: usize,
     /// Number of private arrays.
@@ -215,38 +217,60 @@ pub struct Prepared {
     /// True when the kernel uses barriers, local memory, or local/group
     /// ids — launching then requires an explicit workgroup size.
     pub uses_groups: bool,
-    /// Body split at top-level barriers (one entry when barrier-free).
+    /// Body split at top-level barriers; a barrier-free kernel's one entry
+    /// is its whole body.
     pub phases: Vec<Vec<PStmt>>,
-    /// Bytecode tape (`None` when the kernel is not statically typeable;
-    /// such kernels run on the tree-walker).
-    pub(crate) tape: Option<Compiled>,
-    /// Why the tape compiler rejected the kernel (`None` when `tape` is
-    /// `Some`). Surfaced through the telemetry fallback record.
-    pub(crate) tape_err: Option<String>,
-    /// The source kernel AST, retained so a launch can run the static bounds
-    /// verifier against its concrete shape (the per-site PROVEN/POTENTIAL
-    /// table that licenses check elision).
-    pub(crate) source: Option<std::sync::Arc<Kernel>>,
+    /// The bytecode tape [`Engine::Fast`] runs. Every `Prepared` has one:
+    /// a kernel the tape compiler rejects fails [`prepare`].
+    pub(crate) tape: Compiled,
+    /// The source kernel AST: a launch runs the static bounds verifier on
+    /// it against its concrete shape (the per-site PROVEN/POTENTIAL table
+    /// that licenses check elision).
+    source: Arc<Kernel>,
+    /// The launch contract the kernel was compiled under
+    /// ([`prepare_under`]); empty for a plain [`prepare`], whose proofs
+    /// then rest on launch-concrete facts alone.
+    contract: Assumptions,
+    /// What launches and the verifier gate have derived so far.
+    pub(crate) derived: Arc<Derived>,
+}
+
+/// Most check tables one artifact keeps. A table is recomputable (one
+/// verifier run), so reaching the cap drops them all rather than tracking
+/// ages; at a few hundred bytes a table the cap bounds an artifact's
+/// derived state near 150 KB however many room shapes a batch service sees.
+pub const CHECK_TABLE_CAP: usize = 512;
+
+/// What is derived from a [`Prepared`] on demand.
+#[derive(Debug, Default)]
+pub(crate) struct Derived {
+    /// The check table of each flat launch shape seen, under the hash of
+    /// the shape ([`checked_sites`]); at most [`CHECK_TABLE_CAP`] entries.
+    tables: RwLock<HashMap<u64, CheckTable>>,
+    /// The tape verifier's report ([`crate::artifact::verify_cached`]).
+    pub(crate) tape_report: OnceLock<Arc<crate::verify::TapeReport>>,
+}
+
+/// One launch shape's check table: `checked[site]` keeps the dynamic
+/// bounds check. `gsize` and `args` are the shape in full — a table is
+/// used only when they equal the launch's, never on the hash alone.
+#[derive(Debug)]
+struct CheckTable {
+    gsize: [usize; 3],
+    args: Box<[u64]>,
+    checked: Arc<Vec<bool>>,
 }
 
 impl Prepared {
-    /// True when the kernel compiled to a bytecode tape (the tree-walker
-    /// remains available as the reference oracle either way).
-    pub fn has_tape(&self) -> bool {
-        self.tape.is_some()
+    /// Ops every work-item steps through on the bytecode tape — the size of
+    /// the code, not of a run.
+    pub fn tape_len(&self) -> usize {
+        self.tape.ops.len()
     }
 
-    /// Ops every work-item steps through on the bytecode tape (`None`
-    /// without a tape) — the size of the code, not of a run.
-    pub fn tape_len(&self) -> Option<usize> {
-        self.tape.as_ref().map(|t| t.ops.len())
-    }
-
-    /// The process-unique prepared-kernel id. Clones (including clones of a
-    /// shared [`crate::artifact::compile_cached`] artifact) share it, which
-    /// is what lets launch-plan and verdict caches line up across devices.
-    pub fn id(&self) -> u64 {
-        self.id
+    /// Check tables currently held (at most [`CHECK_TABLE_CAP`]).
+    pub fn check_tables(&self) -> usize {
+        self.derived.tables.read().expect("no panic under this lock").len()
     }
 }
 
@@ -273,9 +297,32 @@ impl PrepCtx {
     }
 }
 
-/// Prepares a kernel for execution. The kernel must have its `Real` scalars
-/// resolved.
+/// Prepares a kernel for execution with no launch contract: its bounds
+/// proofs rest on launch-concrete facts only (global size, bound buffer
+/// lengths, i32 scalar values). The kernel must have its `Real` scalars
+/// resolved, and must compile to a tape — the tape compiler's rejection is
+/// the error (the `clBuildProgram` failure of this substrate).
 pub fn prepare(kernel: &Kernel) -> Result<Prepared, ExecError> {
+    prepare_under(kernel, &Assumptions::default())
+}
+
+/// [`prepare`] under a launch contract: the [`Assumptions`] every launch of
+/// this artifact satisfies (buffer-length relations, interior guards,
+/// gather-table value facts). A flat launch merges the contract with its
+/// concrete shape and elides per-access bounds checks only at sites the
+/// static verifier then returns PROVEN for.
+///
+/// Soundness — who compiles under a contract takes the obligation that its
+/// launches satisfy it. A stated buffer length the launch can evaluate from
+/// its i32 arguments is *checked* against the bound buffer (and replaced by
+/// the real length when it overstates it, see [`build_checked_sites`]);
+/// what stays *trusted* is content facts (value ranges, distinctness,
+/// interior masks) and lengths over a size variable no argument binds (`N`,
+/// `NM` of the hand-written boundary kernels). Shipped contracts are
+/// cross-checked by the `verify` CI gate and the differential/race
+/// harnesses. The contract is part of the artifact: another kernel of the
+/// same name, or the same kernel compiled without it, never sees it.
+pub fn prepare_under(kernel: &Kernel, contract: &Assumptions) -> Result<Prepared, ExecError> {
     let mut ctx = PrepCtx {
         slots: HashMap::new(),
         privs: HashMap::new(),
@@ -299,22 +346,18 @@ pub fn prepare(kernel: &Kernel) -> Result<Prepared, ExecError> {
             scalar_slots.push(Some(ctx.slot(&p.name)));
         }
     }
-    let body = prep_stmts(&kernel.body, kernel, &mut ctx)?;
     // split at top-level barriers
     let mut phases: Vec<Vec<PStmt>> = vec![Vec::new()];
-    for st in &body {
+    for st in prep_stmts(&kernel.body, kernel, &mut ctx)? {
         if matches!(st, PStmt::Barrier) {
             phases.push(Vec::new());
         } else {
-            phases.last_mut().unwrap().push(st.clone());
+            phases.last_mut().unwrap().push(st);
         }
     }
-    static PREP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let mut prep = Prepared {
-        id: PREP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
         name: kernel.name.clone(),
         params: kernel.params.clone(),
-        body,
         nslots: ctx.slots.len(),
         npriv: ctx.priv_kinds.len(),
         work_dim: kernel.work_dim,
@@ -323,23 +366,20 @@ pub fn prepare(kernel: &Kernel) -> Result<Prepared, ExecError> {
         local_kinds: ctx.local_kinds,
         uses_groups: ctx.uses_groups,
         phases,
-        tape: None,
-        tape_err: None,
-        source: Some(std::sync::Arc::new(kernel.clone())),
+        tape: Compiled::default(),
+        source: Arc::new(kernel.clone()),
+        contract: contract.clone(),
+        derived: Arc::default(),
     };
-    match bytecode::compile(&prep) {
-        Ok(tape) => {
-            if tape.optimized_ops > 0 {
-                telemetry::registry()
-                    .counter("vgpu.tape.optimized_ops")
-                    .add(tape.optimized_ops as u64);
-            }
-            if tape.fused_ops > 0 {
-                telemetry::registry().counter("vgpu.tape.fused_ops").add(tape.fused_ops as u64);
-            }
-            prep.tape = Some(tape);
-        }
-        Err(e) => prep.tape_err = Some(e),
+    prep.tape = bytecode::compile(&prep).map_err(|e| {
+        ExecError(format!("kernel `{}` does not compile to a tape: {e}", kernel.name))
+    })?;
+    let reg = telemetry::registry();
+    if prep.tape.optimized_ops > 0 {
+        reg.counter("vgpu.tape.optimized_ops").add(prep.tape.optimized_ops as u64);
+    }
+    if prep.tape.fused_ops > 0 {
+        reg.counter("vgpu.tape.fused_ops").add(prep.tape.fused_ops as u64);
     }
     Ok(prep)
 }
@@ -584,11 +624,13 @@ pub enum Engine {
     /// branch's join (`vgpu.warp.divergent`) — flat and grouped (barriers /
     /// local memory), modeled and race-checked launches alike. On a flat
     /// NDRange, bounds checks are elided at sites the static verifier proves
-    /// safe for the concrete launch shape. Kernels the tape compiler rejects
-    /// run the tree-walker (`vgpu.tape.fallbacks`).
+    /// safe for the concrete launch shape. Every [`Prepared`] has a tape and
+    /// every launch is checked against its parameter kinds first, so `Fast`
+    /// never runs anything else.
     #[default]
     Fast,
-    /// The reference tree-walking interpreter — the oracle.
+    /// The reference tree-walking interpreter — the oracle. Reachable only
+    /// by asking for it (or through `Differential`).
     Tree,
     /// The oracle, then the tape: the tree-walker's outputs are
     /// snapshotted, the inputs restored, and the warp executor must
@@ -628,8 +670,10 @@ impl Engine {
     }
 }
 
-/// The executor that actually ran a launch (as opposed to [`Engine`], the
-/// *requested* policy).
+/// The executor that ran a launch: [`Backend::Tape`] under
+/// [`Engine::Fast`] and [`Engine::Differential`] (whose oracle leg is
+/// reported apart, `LaunchStats::oracle_wall`), [`Backend::Tree`] under
+/// [`Engine::Tree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// The masked warp executor over the tape (SoA register file, one
@@ -959,7 +1003,7 @@ impl<'a> Exec<'a> {
         let ic = ItemCtx { gid, lid: 0, group: (linear / WARP as u64) as usize, lsize: 1 };
         st.item = linear;
         st.counters.work_items += 1;
-        let _ = self.exec_block(&self.prep.body, st, locals, ic);
+        let _ = self.exec_block(&self.prep.phases[0], st, locals, ic);
     }
 }
 
@@ -1068,221 +1112,98 @@ fn dispatch<T: Sync>(
     (results, start.elapsed())
 }
 
-/// Executes a prepared kernel over the given NDRange.
-///
-/// `bindings` must match `prep.params` in order: buffers for buffer
-/// parameters, values for scalars. `race_check` additionally verifies write
-/// disjointness across work-items.
-pub fn launch(
-    prep: &Prepared,
-    bindings: &[ArgBind<'_>],
-    global: &[usize],
-    mode: ExecMode,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    launch_wg(prep, bindings, global, None, mode, race_check, transaction_size)
-}
-
-/// Executes a prepared kernel with an explicit workgroup size. Kernels that
-/// use barriers, local memory or local/group ids *require* `local`; the
-/// global size must be a multiple of it. Barrier-free kernels ignore it.
-/// The backend is chosen by [`Engine::from_env`].
-#[allow(clippy::too_many_arguments)]
-pub fn launch_wg(
-    prep: &Prepared,
-    bindings: &[ArgBind<'_>],
-    global: &[usize],
-    local: Option<usize>,
-    mode: ExecMode,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    launch_wg_engine(
-        prep,
-        bindings,
-        global,
-        local,
-        mode,
-        race_check,
-        transaction_size,
-        Engine::from_env(),
-    )
-}
-
-/// Why the tape cannot run this launch exactly, or `None` when it can: the
-/// kernel must have compiled, and every bound buffer's element kind must
-/// match its parameter declaration (the tape bakes element kinds in
-/// statically).
-fn tape_fallback_reason(prep: &Prepared, bufs: &[Option<&SharedBuf>]) -> Option<String> {
-    if prep.tape.is_none() {
-        return Some(match &prep.tape_err {
-            Some(e) => format!("tape compile failed: {e}"),
-            None => "tape compile failed".to_string(),
-        });
-    }
-    for (p, b) in prep.params.iter().zip(bufs) {
-        if let Some(b) = b {
-            if b.kind() != p.kind {
-                return Some(format!(
-                    "buffer param `{}` declared {:?} but bound as {:?}",
-                    p.name,
-                    p.kind,
-                    b.kind()
-                ));
-            }
-        }
-    }
-    None
-}
-
-/// One reported fallback/divergence cause: (event, kernel, reason).
-type FallbackKey = (&'static str, String, String);
-
 thread_local! {
-    /// [`FallbackKey`]s already reported by [`note_fallback_record`] on this
-    /// thread, so a long-running simulation that launches the same
-    /// non-compilable (or divergent) kernel thousands of times emits exactly
-    /// one stderr record and one trace event per distinct cause.
+    /// Kernels whose warp divergence this thread already reported, so a
+    /// long-running simulation that launches the same divergent kernel
+    /// thousands of times emits exactly one stderr record and one trace
+    /// event for it.
     ///
-    /// The set is thread-local, not process-global: every `note_*` audit runs
-    /// on the launching thread (never inside rayon workers), so a batch
-    /// executor whose worker threads each run one job at a time gets
-    /// per-worker dedupe for free, and one job's records can never swallow a
+    /// The set is thread-local, not process-global: the audit runs on the
+    /// launching thread (never inside rayon workers), so a batch executor
+    /// whose worker threads each run one job at a time gets per-worker
+    /// dedupe for free, and one job's records can never swallow a
     /// concurrent job's. [`reset_fallback_dedupe`] rescopes it per job.
-    static FALLBACKS_SEEN: std::cell::RefCell<std::collections::HashSet<FallbackKey>> =
+    static FALLBACKS_SEEN: std::cell::RefCell<std::collections::HashSet<String>> =
         std::cell::RefCell::new(std::collections::HashSet::new());
 }
 
-/// Clears the calling thread's fallback/divergence dedupe set, so the next
-/// launch that falls back (or diverges) emits a fresh audit record even for
-/// a (kernel, reason) pair already reported earlier on this thread.
+/// Clears the calling thread's divergence dedupe set, so the next launch
+/// that diverges emits a fresh audit record even for a kernel already
+/// reported earlier on this thread.
 ///
 /// Call this at the start of each logical simulation/job: dedupe is meant to
 /// collapse the thousands of identical records *within* one run, not to
 /// let the first job of a long-running batch swallow every later job's
-/// records. Audit counters are unaffected — they count every launch/warp
+/// records. Audit counters are unaffected — they count every warp
 /// regardless of dedupe state.
 pub fn reset_fallback_dedupe() {
     FALLBACKS_SEEN.with(|seen| seen.borrow_mut().clear());
 }
 
-/// The shared dedupe half of every engine-fallback audit: when tracing is
-/// on, records a [`telemetry::Event::TapeFallback`] and prints a one-line
-/// structured record to stderr — but only the *first* time each
-/// (event, kernel, reason) triple is seen since this thread's last
-/// [`reset_fallback_dedupe`]. Counters are the caller's job and stay
-/// truthful per launch/warp.
-fn note_fallback_record(ev: &'static str, kernel: &str, reason: &str) {
+/// Audits warp divergence inside a tape launch: `vgpu.warp.divergent`
+/// counts every divergent warp, while — when tracing is on — the stderr
+/// record and the [`telemetry::Event::WarpDivergence`] are emitted only the
+/// first time a kernel diverges since this thread's last
+/// [`reset_fallback_dedupe`]. Called exactly once per launch from
+/// [`run_launch`], off the backend's reported `divergent_warps` — the
+/// single accounting site.
+fn note_warp_divergence(kernel: &str, warps: u64) {
+    telemetry::registry().counter("vgpu.warp.divergent").add(warps);
     if !telemetry::enabled() {
         return;
     }
-    let first = FALLBACKS_SEEN
-        .with(|seen| seen.borrow_mut().insert((ev, kernel.to_string(), reason.to_string())));
-    if first {
+    if FALLBACKS_SEEN.with(|seen| seen.borrow_mut().insert(kernel.to_string())) {
+        let reason = "active lanes disagreed at a branch; both sides ran under divergence \
+                      masks and reconverged at the branch join";
         let ts_us = telemetry::now_us();
-        eprintln!("{{\"ev\":{ev:?},\"kernel\":{kernel:?},\"reason\":{reason:?}}}");
-        let (kernel, reason) = (kernel.to_string(), reason.to_string());
-        telemetry::record(match ev {
-            "warp_divergence" => telemetry::Event::WarpDivergence { kernel, reason, ts_us },
-            _ => telemetry::Event::TapeFallback { kernel, reason, ts_us },
+        eprintln!("{{\"ev\":\"warp_divergence\",\"kernel\":{kernel:?},\"reason\":{reason:?}}}");
+        telemetry::record(telemetry::Event::WarpDivergence {
+            kernel: kernel.to_string(),
+            reason: reason.to_string(),
+            ts_us,
         });
     }
 }
 
-/// Audits one tape→tree fallback ([`Engine::Fast`] requested, the
-/// tree-walker ran): bumps the `vgpu.tape.fallbacks` counter
-/// unconditionally (once per launch — the audit total stays truthful), and
-/// emits a deduplicated stderr/trace record via [`note_fallback_record`].
-fn note_tape_fallback(kernel: &str, reason: &str) {
-    telemetry::registry().counter("vgpu.tape.fallbacks").inc();
-    note_fallback_record("tape_fallback", kernel, reason);
-}
-
-/// Audits warp divergence inside a tape launch: `vgpu.warp.divergent`
-/// counts every divergent warp, while the stderr/trace record is deduped per
-/// kernel. Called exactly once per launch from [`run_launch`], off the
-/// backend's reported `divergent_warps` — the single accounting site.
-fn note_warp_divergence(kernel: &str, warps: u64) {
-    telemetry::registry().counter("vgpu.warp.divergent").add(warps);
-    note_fallback_record(
-        "warp_divergence",
-        kernel,
-        "active lanes disagreed at a branch; both sides ran under divergence masks and \
-         reconverged at the branch join",
-    );
-}
-
 // ---- proof-licensed bounds elision (a flat launch's check table) ----
-
-type ContractMap = HashMap<String, lift::verify::Assumptions>;
-
-fn launch_contracts() -> &'static std::sync::Mutex<ContractMap> {
-    static CONTRACTS: std::sync::OnceLock<std::sync::Mutex<ContractMap>> =
-        std::sync::OnceLock::new();
-    CONTRACTS.get_or_init(|| std::sync::Mutex::new(HashMap::new()))
-}
-
-/// Registers the documented launch contract for `kernel`: the
-/// [`lift::verify::Assumptions`] every shipped launch of that kernel
-/// satisfies (buffer-length relations, interior guards, gather-table value
-/// facts). A flat launch merges the contract with its concrete shape and
-/// elides per-access bounds checks only at sites the static verifier then
-/// returns PROVEN for.
-///
-/// Soundness: a contract is *trusted* — registering facts the launches do
-/// not actually satisfy voids the proof, exactly like handing the verifier
-/// wrong assumptions (see the soundness caveats on `lift::verify`). Shipped
-/// contracts are cross-checked by the `verify` CI gate and the
-/// differential/race harnesses. Kernels without a contract get
-/// launch-concrete assumptions only (global size, buffer lengths, scalar
-/// values), which is always sound; sites the verifier cannot prove from
-/// those keep their dynamic check.
-pub fn register_launch_contract(kernel: &str, asm: lift::verify::Assumptions) {
-    launch_contracts().lock().unwrap().insert(kernel.to_string(), asm);
-}
-
-/// (kernel id, global size, per-param buffer length or i32 scalar bits) —
-/// what [`build_checked_sites`] reads of a launch.
-type ProofKey = (u64, [usize; 3], Vec<u64>);
-
-fn proof_cache() -> &'static std::sync::Mutex<HashMap<ProofKey, std::sync::Arc<Vec<bool>>>> {
-    static CACHE: std::sync::OnceLock<
-        std::sync::Mutex<HashMap<ProofKey, std::sync::Arc<Vec<bool>>>>,
-    > = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| std::sync::Mutex::new(HashMap::new()))
-}
 
 /// The per-site check table of one flat launch shape: `checked[site]`
 /// keeps the dynamic bounds check, `!checked[site]` means the static
 /// verifier proved the access in bounds for every work-item of *this*
-/// shape. Memoized process-wide per [`ProofKey`]; each distinct shape runs
-/// the verifier once and bumps `vgpu.tape.sites_{proven,checked}`.
-fn checked_sites(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    nsites: u32,
-) -> std::sync::Arc<Vec<bool>> {
-    let sig = (0..prep.params.len())
-        .map(|i| match (bufs[i], scalar_arg_value(prep, init_slots, i)) {
-            (Some(b), _) => b.len() as u64,
-            (None, Some(v @ Value::I32(_))) => bytecode::bits_of_value(v),
-            // Float scalars never reach the verifier.
-            (None, _) => 0,
-        })
-        .collect();
-    let key = (prep.id, gsize, sig);
-    if let Some(hit) = proof_cache().lock().unwrap().get(&key) {
-        return hit.clone();
+/// shape. The shape is what [`build_checked_sites`] reads of a launch: the
+/// global size and, per parameter, the bound buffer's length or the i32
+/// scalar's bits. Tables are kept on the artifact ([`Derived`]); a hit takes
+/// a read lock and allocates nothing, a miss runs the verifier outside any
+/// lock and bumps `vgpu.tape.sites_{proven,checked}`.
+fn checked_sites(l: &Launch<'_>) -> Arc<Vec<bool>> {
+    let arg = |i: usize| match (l.bufs[i], scalar_arg_value(l.prep, l.init_slots, i)) {
+        (Some(b), _) => b.len() as u64,
+        (None, Some(v @ Value::I32(_))) => bytecode::bits_of_value(v),
+        // Float scalars never reach the verifier.
+        (None, _) => 0,
+    };
+    let args = || (0..l.prep.params.len()).map(arg);
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    l.gsize.hash(&mut h);
+    args().for_each(|a| a.hash(&mut h));
+    let key = h.finish();
+    let tables = &l.prep.derived.tables;
+    if let Some(t) = tables.read().expect("no panic under this lock").get(&key) {
+        if t.gsize == l.gsize && t.args.iter().copied().eq(args()) {
+            return t.checked.clone();
+        }
     }
-    let checked = std::sync::Arc::new(build_checked_sites(prep, bufs, init_slots, gsize, nsites));
+    let checked = Arc::new(build_checked_sites(l));
     let kept = checked.iter().filter(|&&c| c).count() as u64;
     let reg = telemetry::registry();
     reg.counter("vgpu.tape.sites_proven").add(checked.len() as u64 - kept);
     reg.counter("vgpu.tape.sites_checked").add(kept);
-    proof_cache().lock().unwrap().insert(key, checked.clone());
+    let mut tables = tables.write().expect("no panic under this lock");
+    if tables.len() >= CHECK_TABLE_CAP {
+        tables.clear();
+    }
+    let table = CheckTable { gsize: l.gsize, args: args().collect(), checked: checked.clone() };
+    tables.insert(key, table);
     checked
 }
 
@@ -1293,117 +1214,55 @@ fn scalar_arg_value(prep: &Prepared, init_slots: &[(usize, Value)], i: usize) ->
     init_slots.iter().find(|(s, _)| *s == slot).map(|(_, v)| *v)
 }
 
-/// Builds the check table: the kernel's registered contract (if any) merged
-/// with the concrete launch shape, run through the static bounds verifier.
-/// Unset global-size dims become the launch's constants, unbound i32
+/// Builds the check table: the contract the kernel was compiled under
+/// merged with the concrete launch shape, run through the static bounds
+/// verifier. Unset global-size dims become the launch's constants, i32
 /// scalars become equality defines with their bound values, and buffers
-/// without contract facts get their concrete lengths. No source AST — no
-/// proof: every site keeps its check.
-fn build_checked_sites(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    nsites: u32,
-) -> Vec<bool> {
+/// without contract facts get their concrete lengths. A contract length is
+/// evaluated under the i32 arguments: when it exceeds the bound buffer's
+/// real length the proof is made against the real length (content facts
+/// stay as stated); one over a variable no argument binds cannot be
+/// evaluated and is trusted (see [`prepare_under`]).
+fn build_checked_sites(l: &Launch<'_>) -> Vec<bool> {
     use lift::arith::ArithExpr;
-    let Some(src) = prep.source.as_deref() else {
-        return vec![true; nsites as usize];
-    };
-    let mut asm = launch_contracts().lock().unwrap().get(&prep.name).cloned().unwrap_or_default();
+    let prep = l.prep;
+    let mut asm = prep.contract.clone();
     let wd = (prep.work_dim as usize).max(1);
     if asm.global_size.len() < wd {
         asm.global_size.resize(wd, None);
     }
-    for (slot, gs) in asm.global_size.iter_mut().zip(gsize).take(wd) {
+    for (slot, gs) in asm.global_size.iter_mut().zip(l.gsize).take(wd) {
         if slot.is_none() {
             *slot = Some(ArithExpr::cst(gs as i64));
         }
     }
+    let i32_arg = |i: usize| match scalar_arg_value(prep, l.init_slots, i) {
+        Some(Value::I32(x)) => Some(x as i64),
+        _ => None,
+    };
+    let i32_named = |name: &str| prep.params.iter().position(|p| p.name == name).and_then(i32_arg);
     for (i, p) in prep.params.iter().enumerate() {
-        if p.is_buffer {
-            if let Some(b) = bufs[i] {
-                asm.buffers.entry(p.name.clone()).or_insert_with(|| {
-                    lift::verify::BufferFacts::sized(ArithExpr::cst(b.len() as i64))
-                });
+        if let Some(b) = l.bufs[i] {
+            let real = b.len() as i64;
+            match asm.buffers.get_mut(&p.name) {
+                Some(facts) => {
+                    if facts.len.eval(&i32_named).is_ok_and(|stated| stated > real) {
+                        facts.len = ArithExpr::cst(real);
+                    }
+                }
+                None => {
+                    let facts = lift::verify::BufferFacts::sized(ArithExpr::cst(real));
+                    asm.buffers.insert(p.name.clone(), facts);
+                }
             }
-        } else if p.kind == ScalarKind::I32 && !asm.defines.iter().any(|(n, _)| n == &p.name) {
-            if let Some(Value::I32(x)) = scalar_arg_value(prep, init_slots, i) {
-                asm.defines.push((p.name.clone(), ArithExpr::cst(x as i64)));
-            }
-        }
-    }
-    let table = lift::verify::verify_kernel(src, &asm).proof_table();
-    (0..nsites).map(|s| !table.proven(s)).collect()
-}
-
-/// The launch-invariant part of argument validation, resolved once per
-/// (kernel, binding signature) by [`plan_launch`] and reusable across every
-/// subsequent launch with the same signature — a simulation stepping one
-/// kernel thousands of times pays for argument matching, scalar-slot
-/// lookup, and the tape-fallback decision exactly once.
-///
-/// A plan is only valid for bindings with the same shape (buffer vs scalar
-/// per position) *and* the same buffer element kinds it was planned
-/// against; callers that cache plans must key on both (see
-/// [`crate::Device`], which derives the key from the bound buffers).
-#[derive(Debug, Clone)]
-pub struct LaunchPlan {
-    /// For each scalar parameter: (binding index, slot, declared kind).
-    scalar_args: Vec<(usize, usize, ScalarKind)>,
-    /// Why the tape cannot run launches with this signature (`None` when it
-    /// can). Cached so per-step launches skip re-walking the params.
-    tape_fallback: Option<String>,
-}
-
-/// Validates the binding shape against the kernel's parameter list and
-/// resolves everything about a launch that does not depend on the NDRange
-/// or the scalar *values*: which bindings feed which scalar slots, and
-/// whether the bytecode tape can run this signature.
-pub fn plan_launch(prep: &Prepared, bindings: &[ArgBind<'_>]) -> Result<LaunchPlan, ExecError> {
-    if bindings.len() != prep.params.len() {
-        return err(format!(
-            "kernel `{}` expects {} arguments, got {}",
-            prep.name,
-            prep.params.len(),
-            bindings.len()
-        ));
-    }
-    let mut scalar_args = Vec::new();
-    let mut bufs: Vec<Option<&SharedBuf>> = Vec::with_capacity(bindings.len());
-    for (i, (b, p)) in bindings.iter().zip(&prep.params).enumerate() {
-        match (b, p.is_buffer) {
-            (ArgBind::Buf(buf), true) => bufs.push(Some(buf)),
-            (ArgBind::Val(_), false) => {
-                bufs.push(None);
-                let slot = prep.scalar_slots[i].expect("scalar param has a slot");
-                scalar_args.push((i, slot, p.kind));
-            }
-            _ => {
-                return err(format!(
-                    "argument {i} of kernel `{}` does not match parameter `{}`",
-                    prep.name, p.name
-                ))
+        } else if let Some(x) = i32_arg(i) {
+            if !asm.defines.iter().any(|(n, _)| n == &p.name) {
+                asm.defines.push((p.name.clone(), ArithExpr::cst(x)));
             }
         }
     }
-    Ok(LaunchPlan { scalar_args, tape_fallback: tape_fallback_reason(prep, &bufs) })
-}
-
-/// [`launch_wg`] with an explicit engine selection.
-#[allow(clippy::too_many_arguments)]
-pub fn launch_wg_engine(
-    prep: &Prepared,
-    bindings: &[ArgBind<'_>],
-    global: &[usize],
-    local: Option<usize>,
-    mode: ExecMode,
-    race_check: bool,
-    transaction_size: u64,
-    engine: Engine,
-) -> Result<LaunchStats, ExecError> {
-    let plan = plan_launch(prep, bindings)?;
-    launch_planned(prep, &plan, bindings, global, local, mode, race_check, transaction_size, engine)
+    let table = lift::verify::verify_kernel(&prep.source, &asm).proof_table();
+    (0..prep.tape.nsites).map(|s| !table.proven(s)).collect()
 }
 
 /// One validated launch: everything a runner needs except which executor
@@ -1426,14 +1285,19 @@ struct Launch<'a> {
     transaction_size: u64,
 }
 
-/// Launches with a previously resolved [`LaunchPlan`]. Performs only the
-/// per-launch work: scalar-value casts, NDRange/workgroup validation, and
-/// executor selection. The bindings must have the shape and buffer kinds the
-/// plan was made for (checked in debug builds).
+/// Executes a prepared kernel over the NDRange `global` — the one way to
+/// launch ([`crate::Device::launch_wg`] is its caller).
+///
+/// `bindings` must match `prep.params` in order — a buffer of the declared
+/// element kind for a buffer parameter, a value for a scalar — which one
+/// pass checks before anything runs; the error names kernel and parameter
+/// and is the same whatever the engine. Kernels that use barriers, local
+/// memory or local/group ids *require* `local`, and the global size must be
+/// a multiple of it; barrier-free kernels ignore it. `race_check`
+/// additionally verifies write disjointness across work-items.
 #[allow(clippy::too_many_arguments)]
-pub fn launch_planned(
+pub fn launch(
     prep: &Prepared,
-    plan: &LaunchPlan,
     bindings: &[ArgBind<'_>],
     global: &[usize],
     local: Option<usize>,
@@ -1442,28 +1306,39 @@ pub fn launch_planned(
     transaction_size: u64,
     engine: Engine,
 ) -> Result<LaunchStats, ExecError> {
-    debug_assert_eq!(bindings.len(), prep.params.len(), "plan/binding shape mismatch");
-    let mut bufs: Vec<Option<&SharedBuf>> = Vec::with_capacity(bindings.len());
-    for b in bindings {
-        bufs.push(match b {
-            ArgBind::Buf(buf) => Some(buf),
-            ArgBind::Val(_) => None,
-        });
+    if bindings.len() != prep.params.len() {
+        return err(format!(
+            "kernel `{}` expects {} arguments, got {}",
+            prep.name,
+            prep.params.len(),
+            bindings.len()
+        ));
     }
-    debug_assert_eq!(
-        plan.tape_fallback,
-        tape_fallback_reason(prep, &bufs),
-        "launch plan is stale for kernel `{}` (buffer kinds changed?)",
-        prep.name
-    );
-    let mut init_slots: Vec<(usize, Value)> = Vec::with_capacity(plan.scalar_args.len());
-    for &(i, slot, kind) in &plan.scalar_args {
-        match &bindings[i] {
-            ArgBind::Val(v) => init_slots.push((slot, v.cast(kind))),
-            ArgBind::Buf(_) => {
+    let mut bufs: Vec<Option<&SharedBuf>> = Vec::with_capacity(bindings.len());
+    let mut init_slots: Vec<(usize, Value)> = Vec::new();
+    for (i, (b, p)) in bindings.iter().zip(&prep.params).enumerate() {
+        match (b, p.is_buffer) {
+            // The tape bakes element kinds in, and the oracle must run what
+            // the tape runs.
+            (ArgBind::Buf(buf), true) if buf.kind() != p.kind => {
                 return err(format!(
-                    "argument {i} of kernel `{}` is a buffer but the launch plan expects a scalar",
-                    prep.name
+                    "kernel `{}`: buffer parameter `{}` is declared {:?} but bound as {:?}",
+                    prep.name,
+                    p.name,
+                    p.kind,
+                    buf.kind()
+                ))
+            }
+            (ArgBind::Buf(buf), true) => bufs.push(Some(buf)),
+            (ArgBind::Val(v), false) => {
+                bufs.push(None);
+                let slot = prep.scalar_slots[i].expect("scalar param has a slot");
+                init_slots.push((slot, v.cast(p.kind)));
+            }
+            _ => {
+                return err(format!(
+                    "argument {i} of kernel `{}` does not match parameter `{}`",
+                    prep.name, p.name
                 ))
             }
         }
@@ -1519,19 +1394,11 @@ pub fn launch_planned(
         race_check,
         transaction_size,
     };
-    let backend = match engine {
-        Engine::Tree => Backend::Tree,
-        Engine::Differential => return run_differential(&l),
-        Engine::Fast => {
-            if let Some(reason) = &plan.tape_fallback {
-                note_tape_fallback(&prep.name, reason);
-                Backend::Tree
-            } else {
-                Backend::Tape
-            }
-        }
-    };
-    run_launch(&l, backend)
+    match engine {
+        Engine::Fast => run_launch(&l, Backend::Tape),
+        Engine::Tree => run_launch(&l, Backend::Tree),
+        Engine::Differential => run_differential(&l),
+    }
 }
 
 /// Runs a validated launch on one executor.
@@ -1578,16 +1445,12 @@ fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
 /// Runs the tree-walker, snapshots its output, restores the inputs, re-runs
 /// the launch on the tape and fails unless that produced bit-identical
 /// buffers and identical counters and transaction bytes. Returns the tape
-/// leg's stats, tagged with the oracle's wall time; the oracle's own stats
-/// when the kernel has no usable tape.
+/// leg's stats, tagged with the oracle's wall time.
 fn run_differential_legs(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let snapshot =
         || -> Vec<Option<BufData>> { l.bufs.iter().map(|b| b.map(|b| b.data().clone())).collect() };
     let inputs = snapshot();
     let tree = run_launch(l, Backend::Tree)?;
-    if tape_fallback_reason(l.prep, l.bufs).is_some() {
-        return Ok(tree);
-    }
     let expect = snapshot();
     for (b, s) in l.bufs.iter().zip(inputs) {
         if let (Some(b), Some(s)) = (b, s) {
@@ -1991,8 +1854,8 @@ fn warp_chunk_acc(prof_on: bool) -> ChunkAcc {
 /// bit for bit.
 fn run_flat_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let (prep, total) = (l.prep, l.total);
-    let tape = prep.tape.as_ref().expect("tape checked by caller");
-    let checked = checked_sites(prep, l.bufs, l.init_slots, l.gsize, tape.nsites);
+    let tape = &prep.tape;
+    let checked = checked_sites(l);
     let init = WarpInit::new(l, tape);
     let warps_total = total.div_ceil(WARP as u64);
     let warp_ids: Vec<u64> = (0..warps_total).step_by(l.stride).collect();
@@ -2041,7 +1904,7 @@ fn group_sample_scale(groups_total: usize, sampled: usize, stride: usize) -> f64
 /// site keeps its check and every register is varying.
 fn run_grouped_warps(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecError> {
     let prep = l.prep;
-    let tape = prep.tape.as_ref().expect("tape checked by caller");
+    let tape = &prep.tape;
     let init = WarpInit::new(l, tape);
     let groups_total = (l.total / lsize as u64) as usize;
     let group_ids: Vec<usize> = (0..groups_total).step_by(l.stride).collect();
@@ -2192,6 +2055,18 @@ mod tests {
     use lift::kast::{Kernel, KernelParam};
     use lift::prelude::*;
 
+    /// A flat launch on the engine `VGPU_ENGINE` selects.
+    fn launch_flat(
+        prep: &Prepared,
+        bindings: &[ArgBind<'_>],
+        global: &[usize],
+        mode: ExecMode,
+        race_check: bool,
+        transaction_size: u64,
+    ) -> Result<LaunchStats, ExecError> {
+        launch(prep, bindings, global, None, mode, race_check, transaction_size, Engine::from_env())
+    }
+
     /// For warps and for groups of several sizes: the chunk is never 0, the
     /// tasks cover every id, a launch below two grains is one task, one of
     /// `k` whole grains is `k` tasks, and no task falls short of the grain
@@ -2246,7 +2121,7 @@ mod tests {
         let prep = prepare(&saxpy_kernel()).unwrap();
         let x = SharedBuf::new(BufData::from((0..100).map(|i| i as f32).collect::<Vec<_>>()));
         let y = SharedBuf::new(BufData::from(vec![1.0f32; 100]));
-        let stats = launch(
+        let stats = launch_flat(
             &prep,
             &[
                 ArgBind::Buf(&x),
@@ -2277,7 +2152,7 @@ mod tests {
         let n = 128usize;
         let x = SharedBuf::new(BufData::from(vec![0.0f32; n]));
         let y = SharedBuf::new(BufData::from(vec![0.0f32; n]));
-        let stats = launch(
+        let stats = launch_flat(
             &prep,
             &[
                 ArgBind::Buf(&x),
@@ -2311,7 +2186,7 @@ mod tests {
         };
         let prep = prepare(&k).unwrap();
         let y = SharedBuf::new(BufData::from(vec![0.0f32; 4]));
-        let r = launch(&prep, &[ArgBind::Buf(&y)], &[8], ExecMode::Fast, true, 128);
+        let r = launch_flat(&prep, &[ArgBind::Buf(&y)], &[8], ExecMode::Fast, true, 128);
         assert!(r.is_err(), "expected race detection");
     }
 
@@ -2372,7 +2247,7 @@ mod tests {
         .resolve_real(ScalarKind::F32);
         let prep = prepare(&k).unwrap();
         let out = SharedBuf::new(BufData::from(vec![0.0f32; 16]));
-        launch(
+        launch_flat(
             &prep,
             &[ArgBind::Buf(&out), ArgBind::Val(Value::I32(16))],
             &[16],
@@ -2405,7 +2280,7 @@ mod tests {
         let prep = prepare(&k).unwrap();
         let x = SharedBuf::new(BufData::from(vec![0.0f32; 33 * 32]));
         let y = SharedBuf::new(BufData::from(vec![0.0f32; 32]));
-        let stats = launch(
+        let stats = launch_flat(
             &prep,
             &[ArgBind::Buf(&x), ArgBind::Buf(&y)],
             &[32],
@@ -2436,7 +2311,7 @@ mod tests {
         let prep = prepare(&k).unwrap();
         let beta = SharedBuf::new(BufData::from(vec![0.5f32; 4]));
         let y = SharedBuf::new(BufData::from(vec![0.0f32; 64]));
-        let stats = launch(
+        let stats = launch_flat(
             &prep,
             &[ArgBind::Buf(&beta), ArgBind::Buf(&y)],
             &[64],
@@ -2462,18 +2337,14 @@ mod tests {
             ArgBind::Val(Value::I32(n as i32)),
         ];
         let full =
-            launch(&prep, &args, &[n], ExecMode::Model { sample_stride: 1 }, false, 128).unwrap();
+            launch_flat(&prep, &args, &[n], ExecMode::Model { sample_stride: 1 }, false, 128)
+                .unwrap();
         let sampled =
-            launch(&prep, &args, &[n], ExecMode::Model { sample_stride: 4 }, false, 128).unwrap();
+            launch_flat(&prep, &args, &[n], ExecMode::Model { sample_stride: 4 }, false, 128)
+                .unwrap();
         let f = full.transaction_bytes.unwrap() as f64;
         let s = sampled.transaction_bytes.unwrap() as f64;
         assert!((f - s).abs() / f < 0.05, "full {f}, sampled {s}");
-    }
-
-    #[test]
-    fn saxpy_compiles_to_a_tape() {
-        let prep = prepare(&saxpy_kernel()).unwrap();
-        assert!(prep.has_tape(), "saxpy should compile to a tape");
     }
 
     fn saxpy_launch_engine(
@@ -2485,7 +2356,7 @@ mod tests {
         let prep = prepare(&saxpy_kernel()).unwrap();
         let x = SharedBuf::new(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
         let y = SharedBuf::new(BufData::from(vec![1.0f32; n]));
-        let stats = launch_wg_engine(
+        let stats = launch(
             &prep,
             &[
                 ArgBind::Buf(&x),
@@ -2560,18 +2431,10 @@ mod tests {
         let prep = prepare(&k).unwrap();
         for engine in [Engine::Tree, Engine::Fast] {
             let y = SharedBuf::new(BufData::from(vec![0.0f32; 4]));
-            let msg = launch_wg_engine(
-                &prep,
-                &[ArgBind::Buf(&y)],
-                &[8],
-                None,
-                ExecMode::Fast,
-                true,
-                128,
-                engine,
-            )
-            .unwrap_err()
-            .to_string();
+            let msg =
+                launch(&prep, &[ArgBind::Buf(&y)], &[8], None, ExecMode::Fast, true, 128, engine)
+                    .unwrap_err()
+                    .to_string();
             assert!(msg.contains("2 conflicting element(s)"), "{engine:?}: {msg}");
             assert!(msg.contains("element 0"), "{engine:?}: {msg}");
             assert!(msg.contains("element 1"), "{engine:?}: {msg}");
@@ -2598,7 +2461,7 @@ mod tests {
         };
         let prep = prepare(&k).unwrap();
         let out = SharedBuf::new(BufData::from(vec![0i32; 64]));
-        launch(&prep, &[ArgBind::Buf(&out)], &[4, 4, 4], ExecMode::Fast, true, 128).unwrap();
+        launch_flat(&prep, &[ArgBind::Buf(&out)], &[4, 4, 4], ExecMode::Fast, true, 128).unwrap();
         let o = out.data().to_f64_vec();
         assert_eq!(o[1 + 2 * 4 + 3 * 16], 1.0 + 20.0 + 300.0);
     }
@@ -2635,7 +2498,7 @@ mod tests {
         let prep = prepare(&two_phase_lid_kernel()).unwrap();
         let run = |stride: usize, engine: Engine| {
             let out = SharedBuf::new(BufData::from(vec![0i32; 256]));
-            launch_wg_engine(
+            launch(
                 &prep,
                 &[ArgBind::Buf(&out)],
                 &[256],
@@ -2663,54 +2526,11 @@ mod tests {
     }
 
     #[test]
-    fn planned_launch_matches_unplanned_launch() {
-        let prep = prepare(&saxpy_kernel()).unwrap();
-        let mode = ExecMode::Model { sample_stride: 1 };
-        let (unplanned, expected) = saxpy_launch_engine(100, 128, mode, Engine::Fast);
-
-        let x = SharedBuf::new(BufData::from((0..100).map(|i| i as f32).collect::<Vec<_>>()));
-        let y = SharedBuf::new(BufData::from(vec![1.0f32; 100]));
-        let binds = [
-            ArgBind::Buf(&x),
-            ArgBind::Buf(&y),
-            ArgBind::Val(Value::F32(2.0)),
-            ArgBind::Val(Value::I32(100)),
-        ];
-        let plan = plan_launch(&prep, &binds).unwrap();
-        assert!(plan.tape_fallback.is_none(), "f32 buffers are tape-compatible");
-        let planned =
-            launch_planned(&prep, &plan, &binds, &[128], None, mode, true, 128, Engine::Fast)
-                .unwrap();
-        assert_eq!(planned.counters, unplanned.counters);
-        assert_eq!(planned.transaction_bytes, unplanned.transaction_bytes);
-        assert_eq!(y.data().to_f64_vec(), expected);
-    }
-
-    #[test]
-    fn plan_caches_the_tape_fallback_decision() {
-        let prep = prepare(&saxpy_kernel()).unwrap();
-        // f64 buffers on f32 params: legal for the tree-walker only.
-        let x = SharedBuf::new(BufData::from(vec![3.0f64; 8]));
-        let y = SharedBuf::new(BufData::from(vec![1.0f64; 8]));
-        let binds = [
-            ArgBind::Buf(&x),
-            ArgBind::Buf(&y),
-            ArgBind::Val(Value::F32(2.0)),
-            ArgBind::Val(Value::I32(8)),
-        ];
-        let plan = plan_launch(&prep, &binds).unwrap();
-        assert!(plan.tape_fallback.is_some(), "kind mismatch must be resolved at plan time");
-        let mode = ExecMode::Fast;
-        launch_planned(&prep, &plan, &binds, &[8], None, mode, true, 128, Engine::Fast).unwrap();
-        assert_eq!(y.data().to_f64_vec(), vec![7.0; 8]);
-    }
-
-    #[test]
     fn launch_validation_errors_name_kernel_and_sizes() {
         let prep = prepare(&two_phase_lid_kernel()).unwrap();
         let out = SharedBuf::new(BufData::from(vec![0i32; 64]));
         // Workgroup kernel launched without a local size.
-        let msg = launch_wg_engine(
+        let msg = launch(
             &prep,
             &[ArgBind::Buf(&out)],
             &[64],
@@ -2725,7 +2545,7 @@ mod tests {
         assert!(msg.contains("lid2p"), "{msg}");
         assert!(msg.contains("[64]"), "{msg}");
         // Local size that does not divide the global size.
-        let msg = launch_wg_engine(
+        let msg = launch(
             &prep,
             &[ArgBind::Buf(&out)],
             &[64],
@@ -2801,7 +2621,7 @@ mod tests {
         let run = |engine: Engine| {
             let x = SharedBuf::new(BufData::from((0..64).map(|i| i as f32).collect::<Vec<_>>()));
             let y = SharedBuf::new(BufData::from(vec![0.0f32; 64]));
-            let stats = launch_wg_engine(
+            let stats = launch(
                 &prep,
                 &[ArgBind::Buf(&x), ArgBind::Buf(&y)],
                 &[64],
@@ -2860,7 +2680,7 @@ mod tests {
         let prep = prepare(&k).unwrap();
         let run = |engine: Engine| {
             let out = SharedBuf::new(BufData::from(vec![0.0f32; 48]));
-            let stats = launch_wg_engine(
+            let stats = launch(
                 &prep,
                 &[ArgBind::Buf(&out)],
                 &[48],
@@ -2882,11 +2702,11 @@ mod tests {
 
     #[test]
     fn grouped_launch_runs_on_the_warp_interpreter() {
-        // A barrier kernel runs phase by phase on the warp interpreter — no
-        // fallback — with real local ids.
+        // A barrier kernel runs phase by phase on the warp interpreter, with
+        // real local ids.
         let prep = prepare(&two_phase_lid_kernel()).unwrap();
         let out = SharedBuf::new(BufData::from(vec![0i32; 64]));
-        let stats = launch_wg_engine(
+        let stats = launch(
             &prep,
             &[ArgBind::Buf(&out)],
             &[64],
@@ -2902,34 +2722,6 @@ mod tests {
         let o = out.data().to_f64_vec();
         assert_eq!(o[5], 6.0);
         assert_eq!(o[37], 6.0);
-    }
-
-    #[test]
-    fn kind_mismatched_buffers_run_on_the_tree_walker() {
-        // Binding an f64 buffer to an f32 parameter is legal for the
-        // tree-walker (Value-level casts); the tape bakes kinds in, so the
-        // launch must transparently fall back and still compute correctly.
-        let prep = prepare(&saxpy_kernel()).unwrap();
-        let x = SharedBuf::new(BufData::from(vec![3.0f64; 8]));
-        let y = SharedBuf::new(BufData::from(vec![1.0f64; 8]));
-        let stats = launch_wg_engine(
-            &prep,
-            &[
-                ArgBind::Buf(&x),
-                ArgBind::Buf(&y),
-                ArgBind::Val(Value::F32(2.0)),
-                ArgBind::Val(Value::I32(8)),
-            ],
-            &[8],
-            None,
-            ExecMode::Fast,
-            true,
-            128,
-            Engine::Fast,
-        )
-        .unwrap();
-        assert_eq!(stats.backend, Backend::Tree, "kind mismatch must replan");
-        assert_eq!(y.data().to_f64_vec(), vec![7.0; 8]);
     }
 
     #[test]
@@ -3008,7 +2800,7 @@ mod tests {
         // again — then from every branch, so lanes run to the end alone.
         for (strip_loops, strip_rest) in [(false, false), (true, false), (true, true)] {
             let mut prep = prepare(&diamond_around_lane_dependent_loop()).unwrap();
-            let tape = prep.tape.as_mut().unwrap();
+            let tape = &mut prep.tape;
             let mut stripped = 0;
             for (pc, op) in tape.ops.iter().enumerate() {
                 let strip = match op {
@@ -3032,7 +2824,7 @@ mod tests {
                 let out = SharedBuf::new(BufData::from(vec![0.0f32; n]));
                 // Differential: buffers, counters and transaction bytes
                 // bit-identical to the tree oracle, or the launch errors.
-                let stats = launch_wg_engine(
+                let stats = launch(
                     &prep,
                     &[ArgBind::Buf(&x), ArgBind::Buf(&out)],
                     &[n],

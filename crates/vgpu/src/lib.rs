@@ -70,13 +70,10 @@ pub mod shard;
 pub mod telemetry;
 pub mod verify;
 
-pub use artifact::{compile_cached, verify_cached};
+pub use artifact::{compile_cached, compile_cached_under, verify_cached};
 pub use buffer::BufData;
 pub use device::{Arg, BufId, Device, KernelEvent};
-pub use exec::{
-    register_launch_contract, Backend, Counters, Engine, ExecError, ExecMode, LaunchPlan,
-    LaunchStats, Prepared,
-};
+pub use exec::{Backend, Counters, Engine, ExecError, ExecMode, LaunchStats, Prepared};
 pub use host_exec::{run_host_program, run_host_program_on, HostEnv, HostRun, TransferTotals};
 pub use perfmodel::{modeled_sharded_step_s, modeled_time_s, updates_per_second, ModelInput};
 pub use profile::DeviceProfile;

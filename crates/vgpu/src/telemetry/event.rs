@@ -159,18 +159,6 @@ pub enum Event {
         /// Time of release, µs since the epoch.
         ts_us: f64,
     },
-    /// The tape compiler could not run a launch and the tree-walker executed
-    /// it instead — the structured record that makes VM coverage auditable.
-    /// Deduplicated per (kernel, reason); the `vgpu.tape.fallbacks` counter
-    /// stays truthful per launch.
-    TapeFallback {
-        /// Kernel name.
-        kernel: String,
-        /// Why the tape was unusable.
-        reason: String,
-        /// Time of the launch, µs since the epoch.
-        ts_us: f64,
-    },
     /// Warps inside a tape launch diverged (active lanes disagreed
     /// at a branch) and ran the branch sides under divergence masks,
     /// reconverging at the branch's join. Deduplicated per kernel; `vgpu.warp.divergent`
@@ -187,7 +175,7 @@ pub enum Event {
 
 impl Event {
     /// The track the event is attributed to, when it has one. Process-wide
-    /// records (allocations, fallback/divergence audits) carry no track.
+    /// records (allocations, divergence audits) carry no track.
     /// Multi-device harnesses use this to split the shared event buffer by
     /// originating device — the batch service's job-scoped sidecar filter.
     pub fn track(&self) -> Option<TrackId> {
@@ -197,10 +185,7 @@ impl Event {
             | Event::Kernel { track, .. }
             | Event::ModeledKernel { track, .. }
             | Event::Transfer { track, .. } => Some(*track),
-            Event::Alloc { .. }
-            | Event::Free { .. }
-            | Event::TapeFallback { .. }
-            | Event::WarpDivergence { .. } => None,
+            Event::Alloc { .. } | Event::Free { .. } | Event::WarpDivergence { .. } => None,
         }
     }
 
@@ -214,7 +199,6 @@ impl Event {
             | Event::Transfer { ts_us, .. }
             | Event::Alloc { ts_us, .. }
             | Event::Free { ts_us, .. }
-            | Event::TapeFallback { ts_us, .. }
             | Event::WarpDivergence { ts_us, .. } => Some(*ts_us),
         }
     }

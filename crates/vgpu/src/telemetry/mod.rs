@@ -19,7 +19,7 @@
 //! the environment once, lazily; tests and harnesses may override it with
 //! [`set_mode`]. When tracing is off, every instrumentation site reduces to
 //! one relaxed atomic load and a branch — no allocation, no locking. A small
-//! set of audit counters (tape fallbacks, launch counts, transfer bytes) is
+//! set of audit counters (launch counts, divergent warps, transfer bytes) is
 //! maintained unconditionally; counter updates are single relaxed atomics.
 //!
 //! # Tracks and clocks

@@ -35,7 +35,7 @@ pub fn write_jsonl<W: Write>(
 /// Writes a Chrome trace-event JSON document (loadable by Perfetto and
 /// `chrome://tracing`): one thread per telemetry track under a single
 /// process, complete (`ph: "X"`) events for spans/kernels/transfers, instant
-/// events for allocs and tape fallbacks, and one counter sample per
+/// events for allocs and divergence records, and one counter sample per
 /// registered counter/gauge at the end of the timeline.
 pub fn write_chrome<W: Write>(
     mut w: W,
@@ -89,10 +89,6 @@ pub fn write_chrome<W: Write>(
             Event::Free { name, bytes, ts_us } => json!({
                 "name": format!("free {name}"), "cat": "memory", "ph": "i", "s": "p",
                 "pid": 1, "tid": 0, "ts": ts_us, "args": { "bytes": bytes },
-            }),
-            Event::TapeFallback { kernel, reason, ts_us } => json!({
-                "name": format!("tape fallback: {kernel}"), "cat": "fallback", "ph": "i",
-                "s": "p", "pid": 1, "tid": 0, "ts": ts_us, "args": { "reason": reason },
             }),
             Event::WarpDivergence { kernel, reason, ts_us } => json!({
                 "name": format!("warp divergence: {kernel}"), "cat": "fallback", "ph": "i",
@@ -228,54 +224,34 @@ pub struct KernelSummary {
     pub transaction_bytes: u64,
     /// Total modeled device time in milliseconds (model-mode launches only).
     pub modeled_ms: f64,
-    /// Launches that fell back from the tape to the tree-walker.
-    pub tape_fallbacks: u64,
 }
 
-/// Aggregates [`Event::Kernel`] (and fallback) events per kernel name,
-/// sorted by name for determinism.
+/// Aggregates [`Event::Kernel`] events per kernel name, sorted by name for
+/// determinism.
 pub fn kernel_summaries(events: &[Event]) -> Vec<KernelSummary> {
-    fn entry<'e, 'm>(
-        map: &'m mut BTreeMap<&'e str, KernelSummary>,
-        name: &'e str,
-    ) -> &'m mut KernelSummary {
-        map.entry(name).or_insert_with(|| KernelSummary {
-            name: String::new(),
-            launches: 0,
-            work_items: 0,
-            flops: 0,
-            bytes_loaded: 0,
-            bytes_stored: 0,
-            transaction_bytes: 0,
-            modeled_ms: 0.0,
-            tape_fallbacks: 0,
-        })
-    }
     let mut map: BTreeMap<&str, KernelSummary> = BTreeMap::new();
     for ev in events {
-        match ev {
-            Event::Kernel { name, metrics, .. } => {
-                let s = entry(&mut map, name.as_str());
-                s.launches += 1;
-                s.work_items += metrics.work_items;
-                s.flops += metrics.flops;
-                s.bytes_loaded += metrics.bytes_loaded;
-                s.bytes_stored += metrics.bytes_stored;
-                s.transaction_bytes += metrics.transaction_bytes.unwrap_or(0);
-                s.modeled_ms += metrics.modeled_us.unwrap_or(0.0) * 1e-3;
-            }
-            Event::TapeFallback { kernel, .. } => {
-                entry(&mut map, kernel.as_str()).tape_fallbacks += 1;
-            }
-            _ => {}
+        if let Event::Kernel { name, metrics, .. } = ev {
+            let s = map.entry(name.as_str()).or_insert_with(|| KernelSummary {
+                name: name.clone(),
+                launches: 0,
+                work_items: 0,
+                flops: 0,
+                bytes_loaded: 0,
+                bytes_stored: 0,
+                transaction_bytes: 0,
+                modeled_ms: 0.0,
+            });
+            s.launches += 1;
+            s.work_items += metrics.work_items;
+            s.flops += metrics.flops;
+            s.bytes_loaded += metrics.bytes_loaded;
+            s.bytes_stored += metrics.bytes_stored;
+            s.transaction_bytes += metrics.transaction_bytes.unwrap_or(0);
+            s.modeled_ms += metrics.modeled_us.unwrap_or(0.0) * 1e-3;
         }
     }
-    map.into_iter()
-        .map(|(name, mut s)| {
-            s.name = name.to_string();
-            s
-        })
-        .collect()
+    map.into_values().collect()
 }
 
 /// Total transfers by direction over an event stream.
@@ -311,25 +287,19 @@ pub fn transfer_summaries(events: &[Event]) -> Vec<TransferSummary> {
 }
 
 /// Renders the human-readable end-of-run summary: per-kernel totals,
-/// transfer totals, fallbacks, and the metric registry dump.
+/// transfer totals, and the metric registry dump.
 pub fn render_summary(events: &[Event], metrics: &[MetricSnapshot]) -> String {
     let mut out = String::from("== vgpu telemetry summary ==\n");
     let kernels = kernel_summaries(events);
     if !kernels.is_empty() {
         out.push_str(&format!(
-            "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10} {:>9}\n",
-            "kernel", "launches", "work-items", "flops", "txn bytes", "model ms", "fallback"
+            "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10}\n",
+            "kernel", "launches", "work-items", "flops", "txn bytes", "model ms"
         ));
         for k in &kernels {
             out.push_str(&format!(
-                "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10.3} {:>9}\n",
-                k.name,
-                k.launches,
-                k.work_items,
-                k.flops,
-                k.transaction_bytes,
-                k.modeled_ms,
-                k.tape_fallbacks
+                "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10.3}\n",
+                k.name, k.launches, k.work_items, k.flops, k.transaction_bytes, k.modeled_ms
             ));
         }
     }

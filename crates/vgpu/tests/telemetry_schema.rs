@@ -46,11 +46,6 @@ fn all_variants() -> Vec<Event> {
         },
         Event::Alloc { name: "buf2".into(), bytes: 16_384, ts_us: 4.0 },
         Event::Free { name: "buf2".into(), bytes: 16_384, ts_us: 900.0 },
-        Event::TapeFallback {
-            kernel: "mixed_kinds".into(),
-            reason: "buffer param `x` declared F32 but bound as F64".into(),
-            ts_us: 50.0,
-        },
         Event::WarpDivergence {
             kernel: "fimm_boundary_lift".into(),
             reason: "active lanes disagreed at a branch".into(),
@@ -106,7 +101,7 @@ fn jsonl_is_one_well_formed_object_per_line() {
 fn chrome_sink_passes_its_validator() {
     let events = all_variants();
     let reg = Registry::new();
-    reg.counter("vgpu.tape.fallbacks").add(1);
+    reg.counter("vgpu.warp.divergent").add(1);
     let metrics = reg.snapshot();
 
     let mut buf: Vec<u8> = Vec::new();
@@ -170,9 +165,6 @@ fn summaries_aggregate_per_kernel_and_direction() {
     assert_eq!(fimm.flops, 65_540);
     assert_eq!(fimm.work_items, 4106);
     assert_eq!(fimm.transaction_bytes, 131_072);
-    let fallback = kernels.iter().find(|k| k.name == "mixed_kinds").expect("fallback summary");
-    assert_eq!(fallback.launches, 0);
-    assert_eq!(fallback.tape_fallbacks, 1);
 
     let transfers = sink::transfer_summaries(&events);
     assert_eq!(transfers[0].dir, TransferDir::ToGpu);

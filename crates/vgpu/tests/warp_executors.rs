@@ -605,14 +605,18 @@ fn offsets_kernel(name: &str, grouped: bool, load_off: i32, store_off: i32) -> K
 
 /// The panic message of launching `kernel` over 64 items on the tape.
 fn out_of_bounds_panic(kernel: &Kernel, input: Input, local: Option<usize>) -> String {
+    let prep = Device::gtx780().compile(kernel).unwrap();
+    out_of_bounds_panic_of(&prep, input, local)
+}
+
+fn out_of_bounds_panic_of(prep: &vgpu::Prepared, input: Input, local: Option<usize>) -> String {
     let mut dev = Device::gtx780();
     dev.set_engine(Engine::Fast);
     dev.set_race_check(input.race_check);
-    let prep = dev.compile(kernel).unwrap();
     let x = dev.upload(BufData::from(vec![1.0f32; 64]));
     let out = dev.upload(BufData::from(vec![0.0f32; 64]));
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = dev.launch_wg(&prep, &[Arg::Buf(x), Arg::Buf(out)], &[64], local, input.mode);
+        let _ = dev.launch_wg(prep, &[Arg::Buf(x), Arg::Buf(out)], &[64], local, input.mode);
     }))
     .expect_err("the out-of-bounds access must panic");
     payload.downcast_ref::<String>().cloned().unwrap_or_default()
@@ -649,13 +653,16 @@ fn a_unit_stride_site_one_past_the_end_keeps_its_panic_text() {
 #[test]
 fn a_proven_unit_stride_site_one_past_the_end_trips_the_debug_audit() {
     use lift::arith::ArithExpr;
+    // A length the launch can evaluate would be checked against the bound
+    // buffer; one over a size variable no argument binds is trusted.
     let mut lie = lift::verify::Assumptions::default();
-    lie.buffers.insert("x".into(), lift::verify::BufferFacts::sized(ArithExpr::cst(65)));
-    vgpu::register_launch_contract("ls_overread_proven", lie);
+    lie.buffers.insert("x".into(), lift::verify::BufferFacts::sized(ArithExpr::var("M")));
+    lie.size_bounds.push(("M".into(), 65));
     let proven = vgpu::telemetry::registry().counter("vgpu.tape.sites_proven");
     let proven0 = proven.get();
     let kernel = offsets_kernel("ls_overread_proven", false, 1, 0);
-    let msg = out_of_bounds_panic(&kernel, INPUTS[0], None);
+    let prep = vgpu::compile_cached_under(&kernel, &lie).unwrap();
+    let msg = out_of_bounds_panic_of(&prep, INPUTS[0], None);
     assert!(msg.contains("load out of bounds: param 0[64] (len 64)"), "got: {msg:?}");
     assert!(proven.get() - proven0 >= 2, "both sites of the kernel were taken as proven");
 }

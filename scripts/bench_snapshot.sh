@@ -5,7 +5,7 @@
 # dispatch-overhead, warp-vectorization, and batch-throughput entries:
 # re-run this script after perf-relevant changes and commit the diff so
 # regressions show up in review. Every record carries provenance fields
-# (engine, threads, warm/cold plan-cache state) — see
+# (engine, threads, devices, sanitizer mode) — see
 # crates/bench/src/provenance.rs.
 #
 # Every record also carries the virtual device count (VGPU_DEVICES, via
@@ -42,7 +42,7 @@ snapshot() {
 cargo build --release -p bench --bin dispatch_bench --bin batch_bench --bin shard_bench
 
 snapshot "$(./target/release/dispatch_bench "$cube" "$steps")" BENCH_dispatch.json
-# Each bench runs in its own process, so all records start plan-cold.
+# Each bench runs in its own process, so every record starts artifact-cold.
 snapshot "$(./target/release/batch_bench "$rooms" "$batch_threads")" BENCH_batch.json
 # Device-scaling curve: smaller cube, the sweep runs 12 configurations.
 snapshot "$(./target/release/shard_bench "$((cube / 2))" "$steps")" BENCH_shard.json

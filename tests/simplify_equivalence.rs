@@ -229,7 +229,7 @@ fn generated_volume_kernel_has_hand_written_shape() {
         );
     }
 
-    let tape = |k: &Kernel| vgpu::exec::prepare(k).unwrap().tape_len().expect("compiles to a tape");
+    let tape = |k: &Kernel| vgpu::exec::prepare(k).expect("compiles to a tape").tape_len();
     let (gen, hand) =
         (tape(&lk.kernel), tape(&handwritten::volume_kernel().resolve_real(ScalarKind::F32)));
     assert!(gen <= 3 * hand, "generated tape {gen} ops vs hand-written {hand}");
