@@ -9,11 +9,6 @@
 //! every room after the first of a given kernel class skips AST building,
 //! compilation and static verification.
 //!
-//! Each job starts with [`vgpu::exec::reset_fallback_dedupe`], so divergence
-//! audit records are deduplicated *per job*, not once per process: the
-//! first job of a long batch cannot swallow later jobs' records (the audit
-//! counter counts every warp regardless).
-//!
 //! A room the front end cannot build (a [`room_acoustics::SimError`], e.g.
 //! more `VGPU_DEVICES` than the room has z-planes) fails its job with that
 //! error's message. Panics inside a job (including the differential engine's
@@ -197,9 +192,6 @@ fn record_job_latency(sc: &Scenario, elapsed: std::time::Duration) {
 
 /// Runs one job on the calling worker thread.
 fn run_job(cfg: &BatchConfig, scenario: Scenario) -> JobResult {
-    // Job-scoped audit dedupe: this job's divergence records are fresh even
-    // if an earlier job on this worker reported the same kernel.
-    vgpu::exec::reset_fallback_dedupe();
     let outcome = catch_job(|| run_sim(cfg, &scenario));
     JobResult { scenario, outcome }
 }

@@ -7,8 +7,7 @@
 //!   L-shape; FI-MM/FD-MM boundaries; single/double precision; randomized
 //!   dimensions, materials, source and microphone positions);
 //! * [`executor`] — a job-queue API over a pool of worker threads, one
-//!   [`vgpu::Device`] per job, with per-job telemetry sidecars and per-job
-//!   divergence-record scoping.
+//!   [`vgpu::Device`] per job, with per-job telemetry sidecars.
 //!
 //! All jobs share the process-wide kernel sets
 //! ([`room_acoustics::StepKernel::shared`]) and their compiled artifacts

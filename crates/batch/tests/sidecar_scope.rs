@@ -5,12 +5,30 @@
 //! records on its own lazily-allocated tracks, and the sidecar writer
 //! filters the shared buffer down to those tracks — a sidecar must never
 //! carry another job's kernel events, no matter how the scheduler
-//! interleaved the work.
+//! interleaved the work. What is the job's own must all be there: warp
+//! divergence rides each launch's kernel event, so the sidecar accounts for
+//! every divergent warp of the job.
 
-use batch::{BatchConfig, BatchExecutor, ScenarioGen};
+use batch::{BatchConfig, BatchExecutor, Scenario, ScenarioGen};
+use room_acoustics::{SimSetup, Simulation};
 use serde_json::Value;
 use std::collections::BTreeSet;
-use vgpu::telemetry;
+use vgpu::{telemetry, Device, ExecMode};
+
+/// Σ `LaunchStats::divergent_warps` of the scenario stepped directly, on as
+/// many devices as a batch job uses.
+fn divergent_warps_of(sc: &Scenario) -> u64 {
+    let devices = (0..vgpu::device_count_from_env()).map(|_| Device::gtx780()).collect();
+    let setup = SimSetup::new(&sc.config());
+    let mut sim = Simulation::new(setup, sc.precision, sc.boundary_kernel(), devices);
+    sim.impulse(sc.source.0, sc.source.1, sc.source.2, sc.amp);
+    (0..sc.steps)
+        .flat_map(|_| sim.step(ExecMode::Fast))
+        .map(|(volume, boundary)| {
+            volume.divergent_warps + boundary.map_or(0, |b| b.divergent_warps)
+        })
+        .sum()
+}
 
 #[test]
 fn two_thread_sidecars_carry_only_their_own_jobs_events() {
@@ -53,6 +71,7 @@ fn two_thread_sidecars_carry_only_their_own_jobs_events() {
             .unwrap_or_else(|| panic!("{label}: sidecar has no trace.events"));
         let mut kernel_events = 0u64;
         let mut oracle_events = 0u64;
+        let mut divergent_warps = 0u64;
         for ev in events {
             let track = ev
                 .pointer("/track")
@@ -60,6 +79,10 @@ fn two_thread_sidecars_carry_only_their_own_jobs_events() {
                 .unwrap_or_else(|| panic!("{label}: embedded event without a track: {ev:?}"));
             assert!(tracks.contains(&track), "{label}: foreign event leaked into sidecar");
             if ev.get("ev").and_then(Value::as_str) == Some("kernel") {
+                divergent_warps += ev
+                    .pointer("/metrics/divergent_warps")
+                    .and_then(Value::as_u64)
+                    .unwrap_or_else(|| panic!("{label}: kernel event without divergent_warps"));
                 // Under VGPU_ENGINE=diff every launch additionally traces
                 // its tree-walker oracle leg as its own kernel span; only
                 // the logical launches count against the job's tally.
@@ -81,6 +104,14 @@ fn two_thread_sidecars_carry_only_their_own_jobs_events() {
         assert_eq!(
             kernel_events, out.launches as u64,
             "{label}: sidecar kernel events != this job's launches"
+        );
+        // The volume kernel's `nbrs > 0` store branch splits every warp
+        // that straddles a wall, so every room diverges somewhere.
+        assert!(divergent_warps > 0, "{label}: no divergent warp reached the sidecar");
+        assert_eq!(
+            divergent_warps,
+            divergent_warps_of(&r.scenario),
+            "{label}: sidecar divergence != the scenario's own"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,7 +1,8 @@
 //! Threaded stress: parallel jobs sharing the process-wide artifact cache
 //! and counter registry must be bit-identical to a serial run of the same
 //! scenarios, with every launch under the differential engine (the tree
-//! and tape legs asserted bit-equal inside each launch).
+//! and tape legs asserted bit-equal inside each launch) and race-checked
+//! (a write race fails its job).
 //!
 //! The tests serialise on [`COUNTERS`] because the artifact counters are
 //! process-global and both tests read deltas.
@@ -13,7 +14,12 @@ use vgpu::{telemetry, Engine};
 static COUNTERS: Mutex<()> = Mutex::new(());
 
 fn diff_config(threads: usize) -> BatchConfig {
-    BatchConfig { threads, engine: Some(Engine::Differential), ..Default::default() }
+    BatchConfig {
+        threads,
+        engine: Some(Engine::Differential),
+        race_check: true,
+        ..Default::default()
+    }
 }
 
 #[test]

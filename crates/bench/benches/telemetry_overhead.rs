@@ -1,8 +1,5 @@
 //! Guard bench: with `VGPU_TRACE=off` the telemetry layer must add less
-//! than 2 % per-step overhead on the hand-written FI stencil at cube(40),
-//! and `VGPU_PROFILE=kernel` at most 5 % on top of that (DESIGN.md §11 —
-//! kernel-granularity profiling is one `Instant` pair and one map update
-//! per launch; only `op` mode is allowed to cost real time).
+//! than 2 % per-step overhead on the hand-written FI stencil at cube(40).
 //!
 //! The instrumented path is [`vgpu::Device::launch`] — the production entry
 //! point, which carries the disabled-telemetry branches (one relaxed atomic
@@ -139,35 +136,6 @@ fn main() {
          VGPU_TRACE=off VGPU_SANITIZE=off (bound {:.0}%)",
         (ratio - 1.0) * 100.0,
         (bound - 1.0) * 100.0
-    );
-
-    // Second guard: kernel-granularity profiling on the same instrumented
-    // path. Bound is 5 % over the profile-off Device time (full bench);
-    // the smoke run only checks the guard still executes.
-    let prof_bound = if smoke { 1.5 } else { 1.05 };
-    profiler::set_mode(ProfileMode::Kernel);
-    let mut best_prof = f64::INFINITY;
-    for _ in 0..trials {
-        best_prof = best_prof.min(time_per_iter(iters, || {
-            device.launch(&prep, &args, &global, ExecMode::Fast).unwrap();
-        }));
-        device.clear_events();
-    }
-    profiler::set_mode(ProfileMode::Off);
-    let launches = profiler::snapshot().iter().map(|k| k.launches).sum::<u64>();
-    assert!(launches > 0, "kernel profiler recorded nothing while enabled");
-    profiler::reset();
-    let prof_ratio = best_prof / best_inst;
-    println!(
-        "profiler_overhead: VGPU_PROFILE=kernel {:.3} ms/step, \
-         ratio {prof_ratio:.4} vs profile-off (bound {prof_bound})",
-        best_prof * 1e3
-    );
-    assert!(
-        prof_ratio <= prof_bound,
-        "kernel-mode profiling adds {:.2}% per-step overhead (bound {:.0}%)",
-        (prof_ratio - 1.0) * 100.0,
-        (prof_bound - 1.0) * 100.0
     );
 
     // Informational pass: arm the shadow sanitizer (process-wide and

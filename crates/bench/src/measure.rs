@@ -112,10 +112,6 @@ fn boundary_launch(
     precision: Precision,
     kernels: impl KernelSource,
 ) -> LaunchStats {
-    // Each measurement is one logical simulation: rescope the divergence
-    // dedupe so a repro bin running many sims in one process gets every
-    // sim's audit records, not just the first's.
-    vgpu::exec::reset_fallback_dedupe();
     SingleSim::new(setup, precision, kernels, Device::gtx780())
         .boundary_step_only(ExecMode::Model { sample_stride: 1 })
 }
@@ -188,7 +184,6 @@ pub fn measure_fi_single(
     which: Impl,
     sample_stride: usize,
 ) -> Measurement {
-    vgpu::exec::reset_fallback_dedupe(); // one sim = one dedupe scope
     let kernels = fi_single_kernels(which, precision);
     let mut sim = Simulation::new(fi_setup(dims, 0.1), precision, kernels, vec![Device::gtx780()]);
     sim.impulse(dims.nx / 3, dims.ny / 3, dims.nz / 3, 1.0);

@@ -35,16 +35,12 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Writes a serialisable result to `results/<name>.json` under the repo
-/// root (creating the directory), and returns the path written. Every
-/// result written this way doubles as the record of the unified
-/// `results/run_report.json` ([`crate::run_report::emit`]), so each
-/// `repro_*` invocation also leaves a run report behind.
+/// root (creating the directory), and returns the path written.
 pub fn write_json<T: serde::Serialize>(name: &str, value: &T) -> std::io::Result<String> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
     fs::write(&path, serde_json::to_string_pretty(value)?)?;
-    crate::run_report::emit(name, serde_json::to_value(value));
     Ok(path.to_string_lossy().into_owned())
 }
 

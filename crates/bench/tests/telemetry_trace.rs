@@ -1,75 +1,92 @@
-//! Golden end-to-end trace test: a cube(16) FI run at both precisions,
-//! traced in Chrome mode, must produce a Perfetto-loadable document whose
-//! kernel and transfer spans carry the expected names and whose per-kernel
-//! flop and transaction-byte totals reconcile exactly (±0) with the device's
-//! own profiling event log.
+//! Golden end-to-end trace test: cube(16) runs of the generated FI kernel
+//! and of the generated FI-MM kernel pair, each at both precisions, traced
+//! in Chrome mode and written through [`bench::trace::finish`] (the path the
+//! `repro_*` binaries use) must leave a Perfetto-loadable file whose kernel
+//! and transfer spans carry the expected names and whose per-kernel flop
+//! and transaction-byte totals reconcile exactly (±0) with the devices' own
+//! profiling event logs. CI uploads the file.
 //!
 //! Telemetry state is process-global, so this file holds a single `#[test]`
 //! — integration-test binaries are separate processes, which isolates it
 //! from the vgpu crate's own telemetry tests.
 
 use bench::measure::{fi_setup, fi_single_kernels, Impl};
-use room_acoustics::{GridDims, Precision, Simulation};
+use lift_acoustics::LiftBoundary;
+use room_acoustics::{GridDims, Precision, RoomShape, SimConfig, SimSetup, Simulation};
+use std::collections::BTreeMap;
 use vgpu::telemetry::{self, sink, TraceMode};
 use vgpu::{Device, ExecMode};
 
+/// Launches, flops and transaction bytes per kernel name.
+type Totals = BTreeMap<String, (u64, u64, u64)>;
+
+/// Steps `sim` in model mode and adds its device's event log to `totals`.
+fn run(mut sim: Simulation, steps: usize, totals: &mut Totals) {
+    sim.impulse(8, 8, 8, 1.0);
+    for _ in 0..steps {
+        sim.step(ExecMode::Model { sample_stride: 1 });
+    }
+    for ev in sim.devices[0].events() {
+        let t = totals.entry(ev.name.clone()).or_default();
+        t.0 += 1;
+        t.1 += ev.stats.counters.flops;
+        t.2 += ev.stats.transaction_bytes.expect("model mode counts transactions");
+    }
+}
+
 #[test]
-fn cube16_fi_trace_is_golden_at_both_precisions() {
+fn cube16_fi_and_fimm_traces_are_golden_at_both_precisions() {
     telemetry::set_mode(TraceMode::Chrome);
     telemetry::take_events(); // start from a clean buffer
 
     let dims = GridDims::cube(16);
     let steps = 3;
-    let (mut expected_flops, mut expected_txn) = (0u64, 0u64);
-    let mut expected_launches = 0u64;
+    let mut expected = Totals::new();
     for precision in [Precision::Single, Precision::Double] {
-        let kernels = fi_single_kernels(Impl::Lift, precision);
-        let mut sim =
-            Simulation::new(fi_setup(dims, 0.1), precision, kernels, vec![Device::gtx780()]);
-        sim.impulse(8, 8, 8, 1.0);
-        for _ in 0..steps {
-            sim.step(ExecMode::Model { sample_stride: 1 });
-        }
-        for ev in sim.devices[0].events() {
-            assert_eq!(ev.name, "fi_single_lift");
-            expected_launches += 1;
-            expected_flops += ev.stats.counters.flops;
-            expected_txn += ev.stats.transaction_bytes.expect("model mode counts transactions");
-        }
+        let device = || vec![Device::gtx780()];
+        let fi = fi_single_kernels(Impl::Lift, precision);
+        run(Simulation::new(fi_setup(dims, 0.1), precision, fi, device()), steps, &mut expected);
+        let fimm = SimSetup::new(&SimConfig::fimm(dims, RoomShape::Box));
+        run(Simulation::new(fimm, precision, LiftBoundary::FiMm, device()), steps, &mut expected);
     }
-    assert_eq!(expected_launches, 2 * steps as u64);
+    let names = ["fi_single_lift", "fimm_boundary_lift", "volume_handling_lift"];
+    assert_eq!(expected.keys().map(String::as_str).collect::<Vec<_>>(), names);
+    for (name, totals) in &expected {
+        assert_eq!(totals.0, 2 * steps as u64, "{name}: one launch per step and precision");
+    }
 
-    let events = telemetry::take_events();
-    let metrics = telemetry::registry().snapshot();
-    let mut buf: Vec<u8> = Vec::new();
-    sink::write_chrome(&mut buf, &events, &metrics).unwrap();
-    let text = String::from_utf8(buf).unwrap();
-    let stats = sink::validate_chrome(&text).expect("trace validates");
+    let events = telemetry::events_snapshot();
+    let path = bench::trace::finish("telemetry_trace").expect("chrome mode writes a trace file");
+    let text = std::fs::read_to_string(&path).expect("trace file readable");
+    let stats =
+        sink::validate_chrome(&text).unwrap_or_else(|e| panic!("invalid trace {path}: {e}"));
 
-    // Expected span names: host-side phases, the kernel, and both transfer
+    // Expected span names: host-side phases, the kernels, and both transfer
     // directions (impulse reads and writes curr/prev; `nbrs` is uploaded).
-    for name in ["Simulation::new", "Simulation::step", "fi_single_lift"] {
-        assert!(stats.span_names.contains(name), "missing span `{name}`");
+    for name in ["Simulation::new", "Simulation::step"].iter().chain(&names) {
+        assert!(stats.span_names.contains(*name), "missing span `{name}` in {path}");
     }
+    for dir in ["ToGPU(", "ToHost("] {
+        assert!(
+            stats.span_names.iter().any(|n| n.starts_with(dir)),
+            "missing {dir}…) transfer span in {path}"
+        );
+    }
+    assert!(stats.transfer_bytes.get("ToGPU").is_some_and(|&b| b > 0), "no ToGPU bytes in {path}");
+    assert!(stats.track_names.contains("host"), "missing host track in {path}");
     assert!(
-        stats.span_names.iter().any(|n| n.starts_with("ToGPU(")),
-        "missing ToGPU transfer span"
+        stats.track_names.iter().any(|n| n.ends_with("kernels")),
+        "missing device kernel track in {path}"
     );
-    assert!(
-        stats.span_names.iter().any(|n| n.starts_with("ToHost(")),
-        "missing ToHost transfer span"
-    );
-    assert!(stats.track_names.contains("host"), "missing host track");
 
-    // ±0 reconciliation against the device event log.
-    assert_eq!(stats.kernel_flops.get("fi_single_lift"), Some(&expected_flops));
-    assert_eq!(stats.kernel_txn_bytes.get("fi_single_lift"), Some(&expected_txn));
-
-    // The per-kernel summary the reports embed agrees too.
-    let kernels = sink::kernel_summaries(&events);
-    let fi = kernels.iter().find(|k| k.name == "fi_single_lift").expect("summary row");
-    assert_eq!(fi.launches, expected_launches);
-    assert_eq!(fi.flops, expected_flops);
-    assert_eq!(fi.transaction_bytes, expected_txn);
-    assert!(fi.modeled_ms > 0.0, "model mode must produce a modeled time");
+    // ±0 reconciliation against the device event logs, in the file and in
+    // the per-kernel summary the reports embed.
+    let summaries = sink::kernel_summaries(&events);
+    for (name, &(launches, flops, txn)) in &expected {
+        assert_eq!(stats.kernel_flops.get(name), Some(&flops), "{name}: flops in {path}");
+        assert_eq!(stats.kernel_txn_bytes.get(name), Some(&txn), "{name}: txn bytes in {path}");
+        let k = summaries.iter().find(|k| &k.name == name).expect("summary row");
+        assert_eq!((k.launches, k.flops, k.transaction_bytes), (launches, flops, txn), "{name}");
+        assert!(k.modeled_ms > 0.0, "{name}: model mode must produce a modeled time");
+    }
 }

@@ -444,17 +444,15 @@ impl Device {
             exec::Backend::Tape => reg.counter("vgpu.launches.tape").inc(),
             exec::Backend::Tree => reg.counter("vgpu.launches.tree").inc(),
         }
-        // Kernel-level profiling: one map update per launch when enabled
-        // (`VGPU_PROFILE=kernel|op`), one relaxed load when off. The per-op
-        // tally, when present, was merged across interpreter chunks by the
-        // backend and rides along on `stats`.
-        if crate::profiler::enabled() {
+        // Op profiling: one map update per launch under `VGPU_PROFILE=op`,
+        // one relaxed load when off. The per-op tally was merged across
+        // interpreter chunks by the backend and rides along on `stats`.
+        if crate::profiler::op_enabled() {
             crate::profiler::record_launch(
                 &prep.name,
                 stats.backend.label(),
                 if double { "f64" } else { "f32" },
                 stats.wall,
-                modeled_s,
                 stats.counters.flops,
                 stats.transaction_bytes,
                 stats.op_profile.as_deref(),
@@ -471,6 +469,18 @@ impl Device {
         });
         if let Some(ts_us) = t0 {
             let tele = self.tele();
+            let metrics = KernelMetrics {
+                work_items: stats.counters.work_items,
+                loads_global: stats.counters.loads_global,
+                stores_global: stats.counters.stores_global,
+                loads_constant: stats.counters.loads_constant,
+                bytes_loaded: stats.counters.bytes_loaded,
+                bytes_stored: stats.counters.bytes_stored,
+                flops: stats.counters.flops,
+                transaction_bytes: stats.transaction_bytes,
+                modeled_us: modeled_s.map(|s| s * 1e6),
+                divergent_warps: stats.divergent_warps,
+            };
             if let Some(dur_us) = oracle_us {
                 telemetry::record(Event::Kernel {
                     track: tele.kernel_track,
@@ -478,17 +488,8 @@ impl Device {
                     engine: "tree(oracle)".to_string(),
                     ts_us,
                     dur_us,
-                    metrics: KernelMetrics {
-                        work_items: stats.counters.work_items,
-                        loads_global: stats.counters.loads_global,
-                        stores_global: stats.counters.stores_global,
-                        loads_constant: stats.counters.loads_constant,
-                        bytes_loaded: stats.counters.bytes_loaded,
-                        bytes_stored: stats.counters.bytes_stored,
-                        flops: stats.counters.flops,
-                        transaction_bytes: stats.transaction_bytes,
-                        modeled_us: None,
-                    },
+                    // The tree-walker has no warps and is not modeled.
+                    metrics: KernelMetrics { modeled_us: None, divergent_warps: 0, ..metrics },
                 });
             }
             telemetry::record(Event::Kernel {
@@ -499,17 +500,7 @@ impl Device {
                 // starts where the oracle's ended.
                 ts_us: ts_us + oracle_us.unwrap_or(0.0),
                 dur_us: stats.wall.as_secs_f64() * 1e6,
-                metrics: KernelMetrics {
-                    work_items: stats.counters.work_items,
-                    loads_global: stats.counters.loads_global,
-                    stores_global: stats.counters.stores_global,
-                    loads_constant: stats.counters.loads_constant,
-                    bytes_loaded: stats.counters.bytes_loaded,
-                    bytes_stored: stats.counters.bytes_stored,
-                    flops: stats.counters.flops,
-                    transaction_bytes: stats.transaction_bytes,
-                    modeled_us: modeled_s.map(|s| s * 1e6),
-                },
+                metrics,
             });
             if let Some(s) = modeled_s {
                 let dur_us = s * 1e6;

@@ -1112,59 +1112,6 @@ fn dispatch<T: Sync>(
     (results, start.elapsed())
 }
 
-thread_local! {
-    /// Kernels whose warp divergence this thread already reported, so a
-    /// long-running simulation that launches the same divergent kernel
-    /// thousands of times emits exactly one stderr record and one trace
-    /// event for it.
-    ///
-    /// The set is thread-local, not process-global: the audit runs on the
-    /// launching thread (never inside rayon workers), so a batch executor
-    /// whose worker threads each run one job at a time gets per-worker
-    /// dedupe for free, and one job's records can never swallow a
-    /// concurrent job's. [`reset_fallback_dedupe`] rescopes it per job.
-    static FALLBACKS_SEEN: std::cell::RefCell<std::collections::HashSet<String>> =
-        std::cell::RefCell::new(std::collections::HashSet::new());
-}
-
-/// Clears the calling thread's divergence dedupe set, so the next launch
-/// that diverges emits a fresh audit record even for a kernel already
-/// reported earlier on this thread.
-///
-/// Call this at the start of each logical simulation/job: dedupe is meant to
-/// collapse the thousands of identical records *within* one run, not to
-/// let the first job of a long-running batch swallow every later job's
-/// records. Audit counters are unaffected — they count every warp
-/// regardless of dedupe state.
-pub fn reset_fallback_dedupe() {
-    FALLBACKS_SEEN.with(|seen| seen.borrow_mut().clear());
-}
-
-/// Audits warp divergence inside a tape launch: `vgpu.warp.divergent`
-/// counts every divergent warp, while — when tracing is on — the stderr
-/// record and the [`telemetry::Event::WarpDivergence`] are emitted only the
-/// first time a kernel diverges since this thread's last
-/// [`reset_fallback_dedupe`]. Called exactly once per launch from
-/// [`run_launch`], off the backend's reported `divergent_warps` — the
-/// single accounting site.
-fn note_warp_divergence(kernel: &str, warps: u64) {
-    telemetry::registry().counter("vgpu.warp.divergent").add(warps);
-    if !telemetry::enabled() {
-        return;
-    }
-    if FALLBACKS_SEEN.with(|seen| seen.borrow_mut().insert(kernel.to_string())) {
-        let reason = "active lanes disagreed at a branch; both sides ran under divergence \
-                      masks and reconverged at the branch join";
-        let ts_us = telemetry::now_us();
-        eprintln!("{{\"ev\":\"warp_divergence\",\"kernel\":{kernel:?},\"reason\":{reason:?}}}");
-        telemetry::record(telemetry::Event::WarpDivergence {
-            kernel: kernel.to_string(),
-            reason: reason.to_string(),
-            ts_us,
-        });
-    }
-}
-
 // ---- proof-licensed bounds elision (a flat launch's check table) ----
 
 /// The per-site check table of one flat launch shape: `checked[site]`
@@ -1411,8 +1358,10 @@ fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError
     };
     result.map(|mut stats| {
         stats.backend = backend;
+        // The single accounting site of `vgpu.warp.divergent`; per launch
+        // the figure rides `LaunchStats` into the launch's kernel event.
         if stats.divergent_warps > 0 {
-            note_warp_divergence(&l.prep.name, stats.divergent_warps);
+            telemetry::registry().counter("vgpu.warp.divergent").add(stats.divergent_warps);
         }
         stats
     })

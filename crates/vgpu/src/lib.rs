@@ -77,7 +77,7 @@ pub use exec::{Backend, Counters, Engine, ExecError, ExecMode, LaunchStats, Prep
 pub use host_exec::{run_host_program, run_host_program_on, HostEnv, HostRun, TransferTotals};
 pub use perfmodel::{modeled_sharded_step_s, modeled_time_s, updates_per_second, ModelInput};
 pub use profile::DeviceProfile;
-pub use profiler::{KernelProfileSnapshot, ProfileMode, ResidualReport};
+pub use profiler::ProfileMode;
 pub use sanitize::{FaultKind, Finding, HaloProvenance};
 pub use shard::{device_count_from_env, halo_exchange, HaloTotals, SlabPartition};
 pub use telemetry::{TraceMode, TrackId};

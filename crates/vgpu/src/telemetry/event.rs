@@ -74,6 +74,10 @@ pub struct KernelMetrics {
     pub transaction_bytes: Option<u64>,
     /// Modeled device time in microseconds (model mode only).
     pub modeled_us: Option<f64>,
+    /// Warps of this launch whose active lanes disagreed at a branch and ran
+    /// it under divergence masks ([`crate::LaunchStats::divergent_warps`]);
+    /// the `vgpu.warp.divergent` counter is the process-wide sum.
+    pub divergent_warps: u64,
 }
 
 /// One telemetry event. See the module docs for the timestamp convention.
@@ -159,23 +163,11 @@ pub enum Event {
         /// Time of release, µs since the epoch.
         ts_us: f64,
     },
-    /// Warps inside a tape launch diverged (active lanes disagreed
-    /// at a branch) and ran the branch sides under divergence masks,
-    /// reconverging at the branch's join. Deduplicated per kernel; `vgpu.warp.divergent`
-    /// counts every divergent warp.
-    WarpDivergence {
-        /// Kernel name.
-        kernel: String,
-        /// What diverged.
-        reason: String,
-        /// Time of the first divergent launch, µs since the epoch.
-        ts_us: f64,
-    },
 }
 
 impl Event {
     /// The track the event is attributed to, when it has one. Process-wide
-    /// records (allocations, divergence audits) carry no track.
+    /// records (allocations) carry no track.
     /// Multi-device harnesses use this to split the shared event buffer by
     /// originating device — the batch service's job-scoped sidecar filter.
     pub fn track(&self) -> Option<TrackId> {
@@ -185,7 +177,7 @@ impl Event {
             | Event::Kernel { track, .. }
             | Event::ModeledKernel { track, .. }
             | Event::Transfer { track, .. } => Some(*track),
-            Event::Alloc { .. } | Event::Free { .. } | Event::WarpDivergence { .. } => None,
+            Event::Alloc { .. } | Event::Free { .. } => None,
         }
     }
 
@@ -198,8 +190,7 @@ impl Event {
             | Event::ModeledKernel { ts_us, .. }
             | Event::Transfer { ts_us, .. }
             | Event::Alloc { ts_us, .. }
-            | Event::Free { ts_us, .. }
-            | Event::WarpDivergence { ts_us, .. } => Some(*ts_us),
+            | Event::Free { ts_us, .. } => Some(*ts_us),
         }
     }
 }

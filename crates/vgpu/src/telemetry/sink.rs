@@ -35,7 +35,7 @@ pub fn write_jsonl<W: Write>(
 /// Writes a Chrome trace-event JSON document (loadable by Perfetto and
 /// `chrome://tracing`): one thread per telemetry track under a single
 /// process, complete (`ph: "X"`) events for spans/kernels/transfers, instant
-/// events for allocs and divergence records, and one counter sample per
+/// events for allocs and frees, and one counter sample per
 /// registered counter/gauge at the end of the timeline.
 pub fn write_chrome<W: Write>(
     mut w: W,
@@ -71,6 +71,7 @@ pub fn write_chrome<W: Write>(
                     "flops": metrics.flops,
                     "transaction_bytes": metrics.transaction_bytes,
                     "modeled_us": metrics.modeled_us,
+                    "divergent_warps": metrics.divergent_warps,
                 },
             }),
             Event::ModeledKernel { track, name, ts_us, dur_us } => json!({
@@ -89,10 +90,6 @@ pub fn write_chrome<W: Write>(
             Event::Free { name, bytes, ts_us } => json!({
                 "name": format!("free {name}"), "cat": "memory", "ph": "i", "s": "p",
                 "pid": 1, "tid": 0, "ts": ts_us, "args": { "bytes": bytes },
-            }),
-            Event::WarpDivergence { kernel, reason, ts_us } => json!({
-                "name": format!("warp divergence: {kernel}"), "cat": "fallback", "ph": "i",
-                "s": "p", "pid": 1, "tid": 0, "ts": ts_us, "args": { "reason": reason },
             }),
         });
     }
@@ -224,6 +221,10 @@ pub struct KernelSummary {
     pub transaction_bytes: u64,
     /// Total modeled device time in milliseconds (model-mode launches only).
     pub modeled_ms: f64,
+    /// Total host-side interpreter wall time in milliseconds.
+    pub wall_ms: f64,
+    /// Total divergent warps.
+    pub divergent_warps: u64,
 }
 
 /// Aggregates [`Event::Kernel`] events per kernel name, sorted by name for
@@ -231,7 +232,7 @@ pub struct KernelSummary {
 pub fn kernel_summaries(events: &[Event]) -> Vec<KernelSummary> {
     let mut map: BTreeMap<&str, KernelSummary> = BTreeMap::new();
     for ev in events {
-        if let Event::Kernel { name, metrics, .. } = ev {
+        if let Event::Kernel { name, dur_us, metrics, .. } = ev {
             let s = map.entry(name.as_str()).or_insert_with(|| KernelSummary {
                 name: name.clone(),
                 launches: 0,
@@ -241,6 +242,8 @@ pub fn kernel_summaries(events: &[Event]) -> Vec<KernelSummary> {
                 bytes_stored: 0,
                 transaction_bytes: 0,
                 modeled_ms: 0.0,
+                wall_ms: 0.0,
+                divergent_warps: 0,
             });
             s.launches += 1;
             s.work_items += metrics.work_items;
@@ -249,6 +252,8 @@ pub fn kernel_summaries(events: &[Event]) -> Vec<KernelSummary> {
             s.bytes_stored += metrics.bytes_stored;
             s.transaction_bytes += metrics.transaction_bytes.unwrap_or(0);
             s.modeled_ms += metrics.modeled_us.unwrap_or(0.0) * 1e-3;
+            s.wall_ms += dur_us * 1e-3;
+            s.divergent_warps += metrics.divergent_warps;
         }
     }
     map.into_values().collect()
@@ -293,13 +298,27 @@ pub fn render_summary(events: &[Event], metrics: &[MetricSnapshot]) -> String {
     let kernels = kernel_summaries(events);
     if !kernels.is_empty() {
         out.push_str(&format!(
-            "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10}\n",
-            "kernel", "launches", "work-items", "flops", "txn bytes", "model ms"
+            "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10} {:>10} {:>10}\n",
+            "kernel",
+            "launches",
+            "work-items",
+            "flops",
+            "txn bytes",
+            "model ms",
+            "wall ms",
+            "div warps"
         ));
         for k in &kernels {
             out.push_str(&format!(
-                "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10.3}\n",
-                k.name, k.launches, k.work_items, k.flops, k.transaction_bytes, k.modeled_ms
+                "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10.3} {:>10.3} {:>10}\n",
+                k.name,
+                k.launches,
+                k.work_items,
+                k.flops,
+                k.transaction_bytes,
+                k.modeled_ms,
+                k.wall_ms,
+                k.divergent_warps
             ));
         }
     }

@@ -28,6 +28,7 @@ fn all_variants() -> Vec<Event> {
                 flops: 65_536,
                 transaction_bytes: Some(131_072),
                 modeled_us: Some(3.25),
+                divergent_warps: 5,
             },
         },
         Event::ModeledKernel {
@@ -46,11 +47,6 @@ fn all_variants() -> Vec<Event> {
         },
         Event::Alloc { name: "buf2".into(), bytes: 16_384, ts_us: 4.0 },
         Event::Free { name: "buf2".into(), bytes: 16_384, ts_us: 900.0 },
-        Event::WarpDivergence {
-            kernel: "fimm_boundary_lift".into(),
-            reason: "active lanes disagreed at a branch".into(),
-            ts_us: 60.0,
-        },
     ]
 }
 
@@ -148,7 +144,12 @@ fn summaries_aggregate_per_kernel_and_direction() {
         engine: "tree".into(),
         ts_us: 200.0,
         dur_us: 40.0,
-        metrics: KernelMetrics { flops: 4, work_items: 10, ..Default::default() },
+        metrics: KernelMetrics {
+            flops: 4,
+            work_items: 10,
+            divergent_warps: 2,
+            ..Default::default()
+        },
     });
     events.push(Event::Transfer {
         track: TrackId(5),
@@ -165,6 +166,8 @@ fn summaries_aggregate_per_kernel_and_direction() {
     assert_eq!(fimm.flops, 65_540);
     assert_eq!(fimm.work_items, 4106);
     assert_eq!(fimm.transaction_bytes, 131_072);
+    assert_eq!(fimm.divergent_warps, 7);
+    assert!((fimm.wall_ms - 0.082).abs() < 1e-12, "42 µs + 40 µs, got {} ms", fimm.wall_ms);
 
     let transfers = sink::transfer_summaries(&events);
     assert_eq!(transfers[0].dir, TransferDir::ToGpu);

@@ -1,5 +1,6 @@
-//! Warp-divergence audit records are deduplicated per kernel, and rescoped
-//! per job, while `vgpu.warp.divergent` stays truthful per warp.
+//! Warp divergence is a metric of the launch: `vgpu.warp.divergent` counts
+//! every divergent warp, and with tracing on each launch's kernel event
+//! carries its own `divergent_warps`, which the per-kernel summary sums.
 //!
 //! Runs in its own test binary (hence its own process): in-crate unit tests
 //! that also diverge would race with this one on the counter. The tests
@@ -9,7 +10,7 @@
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, Lit, ScalarKind};
 use std::sync::Mutex;
-use vgpu::telemetry::{self, Event, TraceMode};
+use vgpu::telemetry::{self, sink, Event, TraceMode};
 use vgpu::{Arg, BufData, Device, Engine, ExecMode};
 
 static TELEMETRY: Mutex<()> = Mutex::new(());
@@ -24,7 +25,7 @@ fn div_kernel() -> Kernel {
     );
     let ld = || KExpr::load(MemRef::Param(0), KExpr::GlobalId(0));
     Kernel {
-        name: "dedupe_div".into(),
+        name: "div".into(),
         params: vec![
             KernelParam::global_buf("x", ScalarKind::F32),
             KernelParam::global_buf("out", ScalarKind::F32),
@@ -47,7 +48,7 @@ fn div_kernel() -> Kernel {
 }
 
 #[test]
-fn repeated_divergence_emits_one_record_but_counts_every_warp() {
+fn every_launch_counts_its_divergent_warps_and_carries_them_on_its_event() {
     let _guard = TELEMETRY.lock().unwrap();
     telemetry::set_mode(TraceMode::Chrome);
     let divergent0 = telemetry::registry().counter("vgpu.warp.divergent").get();
@@ -64,55 +65,28 @@ fn repeated_divergence_emits_one_record_but_counts_every_warp() {
     }
     let want: Vec<f64> = (0..64).map(|i| if i % 2 == 0 { 2.0 } else { 1.0 }).collect();
     assert_eq!(dev.read(out).to_f64_vec(), want);
+    let events = telemetry::take_events();
+    telemetry::set_mode(TraceMode::Off);
 
-    // The audit counter records every divergent warp of every launch...
+    // The counter records every divergent warp of every launch...
     let divergent = telemetry::registry().counter("vgpu.warp.divergent").get() - divergent0;
     assert_eq!(divergent, 6, "2 warps x 3 launches must all count");
 
-    // ...while the trace stream reports the kernel exactly once.
-    assert_eq!(div_records(), 1, "one WarpDivergence event per kernel");
-    telemetry::set_mode(TraceMode::Off);
-}
+    // ...each launch's own kernel event says how many were its...
+    let per_launch: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Kernel { name, metrics, .. } if name == "div" => Some(metrics.divergent_warps),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(per_launch, [2, 2, 2]);
 
-/// The `WarpDivergence` records of `dedupe_div` recorded since the last
-/// `take_events`.
-fn div_records() -> usize {
-    telemetry::take_events()
-        .into_iter()
-        .filter(|e| matches!(e, Event::WarpDivergence { kernel, .. } if kernel == "dedupe_div"))
-        .count()
-}
-
-/// Dedupe is scoped per job, not per process: a batch executor calls
-/// [`vgpu::exec::reset_fallback_dedupe`] at each job start, so two
-/// back-to-back simulations that diverge in the same kernel *both* emit a
-/// record — the first job cannot swallow the second's — while the counter
-/// still counts every warp of both jobs.
-#[test]
-fn back_to_back_jobs_each_emit_their_own_record() {
-    let _guard = TELEMETRY.lock().unwrap();
-    telemetry::set_mode(TraceMode::Chrome);
-    let divergent0 = telemetry::registry().counter("vgpu.warp.divergent").get();
-    let _ = telemetry::take_events();
-
-    for _job in 0..2 {
-        vgpu::exec::reset_fallback_dedupe();
-        let mut dev = Device::gtx780();
-        dev.set_engine(Engine::Fast);
-        let prep = dev.compile(&div_kernel()).unwrap();
-        let x = dev.upload(BufData::from(vec![1.0f32; 64]));
-        let out = dev.upload(BufData::from(vec![0.0f32; 64]));
-        // Two divergent launches per job: deduped to one record within the
-        // job, but never across jobs.
-        for _ in 0..2 {
-            dev.launch(&prep, &[Arg::Buf(x), Arg::Buf(out)], &[64], ExecMode::Fast).unwrap();
-        }
-    }
-
-    let divergent = telemetry::registry().counter("vgpu.warp.divergent").get() - divergent0;
-    assert_eq!(divergent, 8, "2 warps x 2 launches x 2 jobs all count");
-    assert_eq!(div_records(), 2, "one record per job, not one per process");
-    telemetry::set_mode(TraceMode::Off);
+    // ...and the per-kernel summary sums them next to the wall time.
+    let summaries = sink::kernel_summaries(&events);
+    let div = summaries.iter().find(|k| k.name == "div").expect("summary row");
+    assert_eq!((div.launches, div.divergent_warps), (3, 6));
+    assert!(div.wall_ms > 0.0, "the summary sums the launches' wall time");
 }
 
 /// A grouped (barrier / local-memory) launch counts each of its divergent
@@ -136,7 +110,7 @@ fn grouped_launches_count_each_divergent_warp_once() {
         KStmt::Barrier,
     ];
     body.extend(div_kernel().body);
-    let k = Kernel { name: "dedupe_grouped".into(), body, ..div_kernel() };
+    let k = Kernel { name: "div_grouped".into(), body, ..div_kernel() };
 
     let mut dev = Device::gtx780();
     dev.set_engine(Engine::Fast);
