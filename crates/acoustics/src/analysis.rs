@@ -53,12 +53,6 @@ pub fn step_period_s(h: f64, c: f64) -> f64 {
     h / c / 3.0f64.sqrt()
 }
 
-/// Direct-sound arrival step for source→receiver distance `d` (in cells):
-/// the scheme's wavefront travels one cell per step at most.
-pub fn earliest_arrival_steps(d_cells: f64) -> usize {
-    d_cells.floor() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

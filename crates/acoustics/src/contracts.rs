@@ -81,10 +81,7 @@ pub fn launch_contract(k: &Kernel) -> Assumptions {
                 asm.size_bounds.push((d.into(), 1));
             }
             if k.name.ends_with("_slab") {
-                // The sharded launch runs the gid2+1 slab rewrite against
-                // a local slab allocation of Nz planes (owned + 2 halo):
-                // interior masking and the canonical linearization shift
-                // by one plane (see `Kernel::shift_gid`).
+                // As [`slab_placed`] restates the whole-grid contract.
                 asm.gid_offsets = vec![0, 0, 1];
             }
         }
@@ -127,6 +124,19 @@ pub fn launch_contract(k: &Kernel) -> Assumptions {
         other => panic!("no launch contract registered for hand-written kernel `{other}`"),
     }
     asm
+}
+
+/// `kernel` placed on a Z-slab behind one halo plane — the one rewrite the
+/// front end ([`crate::StepKernel::slab_placed`]) and the sharded host
+/// program both use: every `get_global_id(2)` shifted by +1 (named
+/// `<kernel>_slab`), under `contract` with interior masking and the
+/// canonical linearization shifted likewise (`gid_offsets = [0, 0, 1]`). A
+/// launch of `[Nx, Ny, owned]` work-items covers local planes `[1, owned+1)`
+/// between two halo planes; `Nz` must be bound to the *local* plane count
+/// (`owned + 2`), so the shifted `z >= Nz` guard never fires for it.
+pub fn slab_placed(kernel: &Kernel, contract: &Assumptions) -> (Kernel, Assumptions) {
+    let contract = Assumptions { gid_offsets: vec![0, 0, 1], ..contract.clone() };
+    (kernel.shift_gid(2, 1, "_slab"), contract)
 }
 
 /// Buffer parameters laid out over the canonical row-major simulation

@@ -97,13 +97,9 @@ pub fn volume_kernel() -> Kernel {
     }
 }
 
-/// The slab-placed volume kernel for domain sharding: [`volume_kernel`]
-/// with every `get_global_id(2)` shifted by +1, so a launch of
-/// `[Nx, Ny, owned]` work-items covers local planes `[1, owned+1)` of a
-/// per-device slab allocation whose plane 0 and plane `owned+1` are halo
-/// planes. The `Nz` scalar must be bound to the *local* plane count
-/// (`owned + 2`); the shifted `z >= Nz` guard then never fires for the
-/// launched range, exactly like the unsharded launch.
+/// [`volume_kernel`] placed on a Z-slab for domain sharding (the kernel of
+/// [`crate::contracts::slab_placed`]): what the verifier suite and the
+/// compile sweep enumerate; simulations derive it from their volume kernel.
 pub fn volume_slab_kernel() -> Kernel {
     volume_kernel().shift_gid(2, 1, "_slab")
 }

@@ -172,11 +172,6 @@ impl FdCoeffs {
     pub fn at(&self, m: usize, b: usize) -> usize {
         m * self.mb + b
     }
-
-    /// Coefficient arrays cast to f32 (for single-precision kernels).
-    pub fn to_f32(v: &[f64]) -> Vec<f32> {
-        v.iter().map(|&x| x as f32).collect()
-    }
 }
 
 /// The Courant number `λ = c·Δt/h` at the 3-D FDTD stability limit

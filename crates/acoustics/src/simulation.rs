@@ -193,13 +193,9 @@ pub enum SimError {
         /// Parameter name.
         name: String,
     },
-    /// Several devices, but the kernel set has no slab-placed volume
-    /// kernel.
-    NotShardable {
-        /// The whole-grid volume kernel.
-        kernel: String,
-    },
-    /// A kernel's proven z-reach does not fit the one exchanged halo plane.
+    /// A kernel cannot be placed on a slab: its proven z-reach does not fit
+    /// the one exchanged halo plane, or it takes the room's walls from its
+    /// coordinates instead of from `nbrs`.
     HaloProof(String),
 }
 
@@ -215,9 +211,6 @@ impl fmt::Display for SimError {
             }
             SimError::UnknownKernelParam { kernel, name } => {
                 write!(f, "kernel `{kernel}`: no binding for parameter `{name}`")
-            }
-            SimError::NotShardable { kernel } => {
-                write!(f, "the kernel set of `{kernel}` has no slab volume kernel: one device only")
             }
             SimError::HaloProof(e) => write!(f, "halo proof failed: {e}"),
         }
@@ -244,6 +237,8 @@ pub struct StepKernel {
     prepared: OnceLock<Arc<Prepared>>,
     /// The proven z-reach on the grid buffers ([`contracts::grid_halo`]).
     halo: OnceLock<Result<(usize, usize), String>>,
+    /// This kernel placed on a Z-slab ([`StepKernel::slab_placed`]).
+    slab: OnceLock<Arc<StepKernel>>,
 }
 
 /// Which shipped source built a shared [`StepKernel`] — never a
@@ -252,8 +247,6 @@ pub struct StepKernel {
 pub enum KernelOrigin {
     /// [`handwritten::volume_kernel`].
     HandVolume,
-    /// [`handwritten::volume_slab_kernel`].
-    HandSlab,
     /// The boundary kernel of a [`BoundaryKernel`] set.
     HandBoundary(BoundaryKernel),
     /// A LIFT program of `lift_acoustics::programs`, by `Program::name`.
@@ -278,8 +271,21 @@ impl StepKernel {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let (prepared, halo) = (OnceLock::new(), OnceLock::new());
-        Ok(StepKernel { kernel, contract, roles, global, prepared, halo })
+        let (prepared, halo, slab) = (OnceLock::new(), OnceLock::new(), OnceLock::new());
+        Ok(StepKernel { kernel, contract, roles, global, prepared, halo, slab })
+    }
+
+    /// This grid kernel placed for a Z-slab with one halo plane on either
+    /// side ([`contracts::slab_placed`]): same parameters and NDRange (`Nz`
+    /// there stands for the owned planes), built once per kernel — so shared
+    /// kernels share their slab form and its artifact too.
+    pub fn slab_placed(&self) -> Arc<StepKernel> {
+        let place = || {
+            let (kernel, contract) = contracts::slab_placed(&self.kernel, &self.contract);
+            let placed = StepKernel::new(kernel, contract, self.global.clone());
+            Arc::new(placed.expect("the rewrite keeps the parameters"))
+        };
+        self.slab.get_or_init(place).clone()
     }
 
     /// A kernel of [`handwritten`] at precision `real`, under its
@@ -343,16 +349,12 @@ pub struct StepKernels {
     pub volume: Arc<StepKernel>,
     /// The boundary pass, launched after the volume pass.
     pub boundary: Option<Arc<StepKernel>>,
-    /// [`StepKernels::volume`] placed for a Z-slab with one halo plane
-    /// (`get_global_id(2)` shifted by +1); without it the set runs on one
-    /// device only.
-    pub slab_volume: Option<Arc<StepKernel>>,
 }
 
 impl StepKernels {
     /// A one-kernel step (Listing 1 / Listing 6).
     pub fn single(kernel: Arc<StepKernel>) -> StepKernels {
-        StepKernels { volume: kernel, boundary: None, slab_volume: None }
+        StepKernels { volume: kernel, boundary: None }
     }
 }
 
@@ -393,7 +395,6 @@ impl KernelSource for BoundaryKernel {
         Ok(StepKernels {
             volume: shared(KernelOrigin::HandVolume, &handwritten::volume_kernel)?,
             boundary: Some(shared(KernelOrigin::HandBoundary(*self), &boundary)?),
-            slab_volume: Some(shared(KernelOrigin::HandSlab, &handwritten::volume_slab_kernel)?),
         })
     }
 }
@@ -409,13 +410,7 @@ pub fn sum_step_stats(stats: &ShardStepStats) -> (vgpu::Counters, Option<u64>) {
     let mut c = vgpu::Counters::default();
     let mut txn: Option<u64> = None;
     for s in stats.iter().flat_map(|(v, b)| std::iter::once(v).chain(b)) {
-        c.loads_global += s.counters.loads_global;
-        c.stores_global += s.counters.stores_global;
-        c.loads_constant += s.counters.loads_constant;
-        c.bytes_loaded += s.counters.bytes_loaded;
-        c.bytes_stored += s.counters.bytes_stored;
-        c.flops += s.counters.flops;
-        c.work_items += s.counters.work_items;
+        c.add(&s.counters);
         if let Some(t) = s.transaction_bytes {
             *txn.get_or_insert(0) += t;
         }
@@ -533,12 +528,19 @@ impl Simulation {
         let halo = usize::from(devices.len() > 1);
         let kernels = source.step_kernels(real)?;
         let boundary = kernels.boundary;
-        let volume = match kernels.slab_volume {
-            _ if halo == 0 => kernels.volume,
-            Some(slab_volume) => slab_volume,
-            None => {
-                return Err(SimError::NotShardable { kernel: kernels.volume.kernel.name.clone() })
+        let volume = match kernels.volume {
+            whole_grid if halo == 0 => whole_grid,
+            // A slab's walls are where its `nbrs` planes say: a kernel that
+            // takes them from its coordinates against `Nz` (Listing 1's
+            // hand-written one-kernel FI) would find one at every seam.
+            k if !k.roles.contains(&Role::Nbrs) => {
+                return Err(SimError::HaloProof(format!(
+                    "kernel `{}` takes the room's walls from its coordinates, not from `nbrs`: \
+                     a slab would move them",
+                    k.kernel.name
+                )))
             }
+            k => k.slab_placed(),
         };
         let mut named = [false; Role::COUNT];
         let launched = std::iter::once(&volume).chain(&boundary);
@@ -955,6 +957,23 @@ mod tests {
         }
     }
 
+    /// [`handwritten::volume_slab_kernel`] and its `_slab` contract arm are
+    /// what the verifier suite and the compile sweep enumerate; the front
+    /// end derives the same kernel under the same contract, so sharded runs
+    /// launch the artifact those prove.
+    #[test]
+    fn the_derived_slab_kernel_is_the_enumerated_one() {
+        for real in [ScalarKind::F32, ScalarKind::F64] {
+            let whole = StepKernel::handwritten(handwritten::volume_kernel(), real).unwrap();
+            let derived = whole.slab_placed();
+            let shipped = StepKernel::handwritten(handwritten::volume_slab_kernel(), real).unwrap();
+            assert_eq!(format!("{:?}", derived.kernel), format!("{:?}", shipped.kernel));
+            assert_eq!(format!("{:?}", derived.contract), format!("{:?}", shipped.contract));
+            assert_eq!((&derived.roles, &derived.global), (&shipped.roles, &shipped.global));
+            assert!(Arc::ptr_eq(&derived, &whole.slab_placed()), "placed once per kernel");
+        }
+    }
+
     #[test]
     fn a_made_up_parameter_is_a_typed_error_naming_kernel_and_parameter() {
         let mut k = handwritten::fimm_kernel(false);
@@ -989,5 +1008,11 @@ mod tests {
         );
         // Nine planes over nine devices is the limit, not an error.
         Simulation::try_new(fimm(), p, FIMM, devices(9)).expect("one plane per device");
+        // Listing 1 finds its walls by comparing coordinates with `Nz`.
+        let fi = StepKernel::handwritten(handwritten::fi_single_kernel(), p.kind()).unwrap();
+        match err(Simulation::try_new(fimm(), p, StepKernels::single(fi), devices(2))) {
+            SimError::HaloProof(why) => assert!(why.contains("`fi_single_hand`"), "{why}"),
+            other => panic!("{other}"),
+        }
     }
 }

@@ -14,7 +14,7 @@ use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, Lit, ScalarKind, Value};
 use room_acoustics::{
     handwritten, BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, SimConfig,
-    SimSetup,
+    SimSetup, Simulation, StepKernels,
 };
 use std::sync::Mutex;
 use vgpu::{Arg, BufData, Device, Engine, ExecMode};
@@ -103,4 +103,29 @@ fn a_kernel_that_shares_a_shipped_name_gets_launch_concrete_proofs_only() {
     let after = sites();
     assert_eq!([after[0] - before[0], after[1] - before[1]], [1, 1], "[proven, checked]");
     assert_eq!(dev.read(next).to_f64_vec(), vec![1.0, 0.0, 1.0]);
+}
+
+/// The slab form of a kernel is compiled under the kernel's own contract
+/// restated for the placement, so the generated volume kernel keeps every
+/// proof on a slab that it has on the whole grid: no launch shape of either
+/// leaves a site bounds-checked.
+#[test]
+fn the_generated_volume_kernel_proves_every_site_on_a_slab_as_on_the_whole_grid() {
+    let _guard = COUNTERS.lock().unwrap();
+    let reg = vgpu::telemetry::registry();
+    let sites =
+        || ["vgpu.tape.sites_proven", "vgpu.tape.sites_checked"].map(|c| reg.counter(c).get());
+    for n in [1, 2] {
+        let setup = SimSetup::new(&SimConfig::fimm(GridDims::new(10, 9, 8), RoomShape::Box));
+        let volume = lift_acoustics::programs::volume_program();
+        let volume = lift_acoustics::runner::step_kernel(&volume, ScalarKind::F32).unwrap();
+        let devices = (0..n).map(|_| Device::gtx780()).collect();
+        let kernels = StepKernels::single(volume);
+        let mut sim = Simulation::new(setup, Precision::Single, kernels, devices);
+        let before = sites();
+        sim.step(ExecMode::Fast);
+        let after = sites();
+        assert!(after[0] > before[0], "{n} device(s): a new launch shape proves its sites");
+        assert_eq!(after[1], before[1], "{n} device(s): sites left checked");
+    }
 }

@@ -13,14 +13,36 @@
 //! * the non-convex L-shape room, whose boundary points have outside
 //!   neighbours inside the bounding box;
 //! * everything under `Engine::Differential`, so each launch additionally
-//!   cross-checks the tree oracle against the tape bit-for-bit.
+//!   cross-checks the tree oracle against the tape bit-for-bit;
+//! * every case on the hand-written kernel set and on the generated one,
+//!   whose slab volume kernel is the same rewrite of another kernel.
 
+use lift_acoustics::LiftBoundary;
 use room_acoustics::simulation::sum_step_stats;
 use room_acoustics::{
-    boundary_cut_planes, BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape,
-    ShardedSim, SimConfig, SimSetup,
+    boundary_cut_planes, BoundaryKernel, GridDims, HandwrittenSim, KernelSource, Precision,
+    RoomShape, ShardedSim, SimConfig, SimSetup, StepKernels,
 };
 use vgpu::{Device, Engine, ExecMode, SlabPartition};
+
+/// The hand-written and the generated kernel set of a scheme, each with the
+/// grid planes of volume-kernel loads a sharded step issues beyond the
+/// one-device step. The generated stencil is padded: its `z ± 1` reads at
+/// the grid's two outermost planes cost nothing on one device (the pad
+/// supplies 0.0) and are loads of the two outermost halo planes — zero,
+/// never written — on slabs. The hand-written kernel reads neither.
+fn kernel_sets(fdmm: bool, precision: Precision) -> [(StepKernels, u64, &'static str); 2] {
+    let real = precision.kind();
+    let (hand, generated) = if fdmm {
+        (BoundaryKernel::FdMm, LiftBoundary::FdMm)
+    } else {
+        (BoundaryKernel::FiMm { beta_constant: false }, LiftBoundary::FiMm)
+    };
+    [
+        (hand.step_kernels(real).unwrap(), 0, "hand-written"),
+        (generated.step_kernels(real).unwrap(), 2, "generated"),
+    ]
+}
 
 fn diff_devices(n: usize) -> Vec<Device> {
     (0..n)
@@ -40,50 +62,74 @@ fn assert_bits(a: &[f64], b: &[f64], what: &str) {
 }
 
 /// Runs `steps` in lockstep on a single device and a sharded backend over
-/// `part`, comparing fields bitwise each step; when `exact_counters`, also
-/// requires summed work-items/loads/stores/flops and transaction bytes to
-/// equal the single-device step's.
+/// `part`, on both kernel sets of the scheme, comparing fields bitwise each
+/// step; when `exact_counters`, also requires summed work-items, stores and
+/// flops to equal the single-device step's, and loads and transaction bytes
+/// to exceed it by exactly the set's extra planes (see [`kernel_sets`]).
 fn lockstep(
     setup: SimSetup,
     precision: Precision,
-    kind: BoundaryKernel,
+    fdmm: bool,
     part: SlabPartition,
     steps: usize,
     exact_counters: bool,
     what: &str,
 ) {
-    let mut single = HandwrittenSim::new(setup.clone(), precision, kind, diff_devices(1).remove(0));
-    let devices = diff_devices(part.device_count());
-    let mut sharded =
-        ShardedSim::try_with_partition(setup.clone(), precision, kind, devices, part).unwrap();
-    let dims = setup.dims();
-    let (x, y, z) = (dims.nx / 2, dims.ny / 2, dims.nz / 2);
-    single.impulse(x, y, z, 1.0);
-    sharded.impulse(x, y, z, 1.0);
-    let mode = if exact_counters { ExecMode::Model { sample_stride: 1 } } else { ExecMode::Fast };
-    for step in 0..steps {
-        let (sv, sb) = single.step(mode);
-        let shard_stats = sharded.step(mode);
-        if exact_counters {
-            let (c, txn) = sum_step_stats(&shard_stats);
-            let single_c = &sv.counters;
-            let single_b = &sb.counters;
-            assert_eq!(c.work_items, single_c.work_items + single_b.work_items, "{what}@{step}");
-            assert_eq!(
-                c.loads_global,
-                single_c.loads_global + single_b.loads_global,
-                "{what}@{step}: loads"
-            );
-            assert_eq!(
-                c.stores_global,
-                single_c.stores_global + single_b.stores_global,
-                "{what}@{step}: stores"
-            );
-            assert_eq!(c.flops, single_c.flops + single_b.flops, "{what}@{step}: flops");
-            let single_txn = sv.transaction_bytes.unwrap() + sb.transaction_bytes.unwrap();
-            assert_eq!(txn, Some(single_txn), "{what}@{step}: transaction bytes");
+    for (kernels, extra_planes, family) in kernel_sets(fdmm, precision) {
+        let what = &format!("{what}, {family}");
+        let mut single = HandwrittenSim::new(
+            setup.clone(),
+            precision,
+            kernels.clone(),
+            diff_devices(1).remove(0),
+        );
+        let devices = diff_devices(part.device_count());
+        let mut sharded = ShardedSim::try_with_partition(
+            setup.clone(),
+            precision,
+            kernels,
+            devices,
+            part.clone(),
+        )
+        .unwrap();
+        let dims = setup.dims();
+        let (x, y, z) = (dims.nx / 2, dims.ny / 2, dims.nz / 2);
+        single.impulse(x, y, z, 1.0);
+        sharded.impulse(x, y, z, 1.0);
+        let extra_loads = extra_planes * (dims.nx * dims.ny) as u64;
+        let mode =
+            if exact_counters { ExecMode::Model { sample_stride: 1 } } else { ExecMode::Fast };
+        for step in 0..steps {
+            let (sv, sb) = single.step(mode);
+            let shard_stats = sharded.step(mode);
+            if exact_counters {
+                let (c, txn) = sum_step_stats(&shard_stats);
+                let (single_c, single_b) = (&sv.counters, &sb.counters);
+                assert_eq!(
+                    c.work_items,
+                    single_c.work_items + single_b.work_items,
+                    "{what}@{step}"
+                );
+                assert_eq!(
+                    c.loads_global,
+                    single_c.loads_global + single_b.loads_global + extra_loads,
+                    "{what}@{step}: loads"
+                );
+                assert_eq!(
+                    c.stores_global,
+                    single_c.stores_global + single_b.stores_global,
+                    "{what}@{step}: stores"
+                );
+                assert_eq!(c.flops, single_c.flops + single_b.flops, "{what}@{step}: flops");
+                // The cases with exact counters have planes of whole
+                // 128-byte transactions, so the extra loads coalesce fully.
+                let single_txn = sv.transaction_bytes.unwrap()
+                    + sb.transaction_bytes.unwrap()
+                    + extra_loads * precision.kind().byte_size() as u64;
+                assert_eq!(txn, Some(single_txn), "{what}@{step}: transaction bytes");
+            }
+            assert_bits(&single.read_curr(), &sharded.read_curr(), what);
         }
-        assert_bits(&single.read_curr(), &sharded.read_curr(), what);
     }
 }
 
@@ -97,15 +143,7 @@ fn uneven_fimm_split_is_bit_and_counter_identical() {
         .expect("16³ box has a 32-aligned cut");
     assert_ne!(cuts[1], 8, "the aligned cut is intentionally not the even split");
     let part = SlabPartition::from_cuts(16, cuts);
-    lockstep(
-        s,
-        Precision::Double,
-        BoundaryKernel::FiMm { beta_constant: false },
-        part,
-        6,
-        true,
-        "uneven FI-MM box 16³",
-    );
+    lockstep(s, Precision::Double, false, part, 6, true, "uneven FI-MM box 16³");
 }
 
 /// Four devices on a 16×16×40 box: non-divisible slab heights with
@@ -117,15 +155,7 @@ fn four_device_tall_box_is_counter_identical() {
         .expect("16×16×40 box has 32-aligned 4-way cuts");
     let part = SlabPartition::from_cuts(40, cuts);
     assert!(part.cuts().windows(2).any(|w| w[1] - w[0] != 10), "cuts {:?}", part.cuts());
-    lockstep(
-        s,
-        Precision::Single,
-        BoundaryKernel::FiMm { beta_constant: false },
-        part,
-        4,
-        true,
-        "4-device FI-MM box 16×16×40",
-    );
+    lockstep(s, Precision::Single, false, part, 4, true, "4-device FI-MM box 16×16×40");
 }
 
 /// A deliberately non-32-aligned cut (Z=7 on the 16³ box): per-warp
@@ -135,15 +165,7 @@ fn four_device_tall_box_is_counter_identical() {
 fn non_aligned_cut_stays_bitwise_identical() {
     let s = SimSetup::new(&SimConfig::fimm(GridDims::cube(16), RoomShape::Box));
     let part = SlabPartition::from_cuts(16, vec![0, 7, 16]);
-    lockstep(
-        s,
-        Precision::Double,
-        BoundaryKernel::FiMm { beta_constant: false },
-        part,
-        6,
-        false,
-        "non-aligned FI-MM box 16³",
-    );
+    lockstep(s, Precision::Double, false, part, 6, false, "non-aligned FI-MM box 16³");
 }
 
 /// FD-MM over an uneven 3-way dome split: the per-slab state stride keeps
@@ -153,15 +175,7 @@ fn non_aligned_cut_stays_bitwise_identical() {
 fn fdmm_uneven_three_way_dome_split_bitwise() {
     let s = SimSetup::new(&SimConfig::fdmm(GridDims::new(14, 12, 13), RoomShape::Dome));
     let part = SlabPartition::from_cuts(13, vec![0, 3, 8, 13]);
-    lockstep(
-        s,
-        Precision::Single,
-        BoundaryKernel::FdMm,
-        part,
-        5,
-        false,
-        "uneven FD-MM dome 14×12×13",
-    );
+    lockstep(s, Precision::Single, true, part, 5, false, "uneven FD-MM dome 14×12×13");
 }
 
 /// The non-convex L-shape: boundary nodes whose missing neighbours point
@@ -171,13 +185,5 @@ fn fdmm_uneven_three_way_dome_split_bitwise() {
 fn lshape_sharded_probe_bitwise() {
     let s = SimSetup::new(&SimConfig::fimm(GridDims::new(16, 14, 11), RoomShape::LShape));
     let part = SlabPartition::from_cuts(11, vec![0, 2, 7, 11]);
-    lockstep(
-        s,
-        Precision::Double,
-        BoundaryKernel::FiMm { beta_constant: false },
-        part,
-        6,
-        false,
-        "L-shape FI-MM 16×14×11",
-    );
+    lockstep(s, Precision::Double, false, part, 6, false, "L-shape FI-MM 16×14×11");
 }

@@ -18,13 +18,14 @@
 use crate::scenario::Scenario;
 use room_acoustics::{SimSetup, Simulation};
 use serde_json::json;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use vgpu::telemetry::sink::KernelSummary;
+use vgpu::telemetry::KernelMetrics;
 use vgpu::{Device, Engine, ExecMode};
 
 /// Executor configuration.
@@ -238,61 +239,46 @@ fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
     let (sx, sy, sz) = sc.source;
     sim.impulse(sx, sy, sz, sc.amp);
 
+    // One summary per kernel of the step, volume first, folded from what
+    // each step returns — with tracing off exactly as with tracing on.
+    let mut kernels: Vec<KernelSummary> =
+        sim.kernels().map(|k| KernelSummary::new(&k.kernel.name)).collect();
     let (mx, my, mz) = sc.mic;
     let t0 = Instant::now();
     let mut impulse_response = Vec::with_capacity(sc.steps);
     for _ in 0..sc.steps {
-        sim.step(cfg.mode);
+        for (volume, boundary) in sim.step(cfg.mode) {
+            for (summary, stats) in
+                kernels.iter_mut().zip(std::iter::once(&volume).chain(&boundary))
+            {
+                summary.add(&KernelMetrics::from(stats), stats.wall.as_secs_f64() * 1e6);
+            }
+        }
         impulse_response.push(sim.sample(mx, my, mz));
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let energy = sim.energy();
-    let launches = sim.devices.iter().map(|d| d.events().len()).sum();
+    let launches = kernels.iter().map(|k| k.launches as usize).sum();
     let sidecar = cfg.sidecar_dir.as_ref().and_then(|dir| {
-        write_sidecar(dir, sc, &sim.devices, energy, wall_ms, verifier_clean)
+        write_sidecar(dir, sc, &sim.devices, &kernels, energy, wall_ms, verifier_clean)
             .map_err(|e| eprintln!("sidecar for {}: {e}", sc.label()))
             .ok()
     });
     Ok(JobOutput { impulse_response, energy, wall_ms, launches, verifier_clean, sidecar })
 }
 
-/// Writes the per-job telemetry sidecar: scenario parameters, per-kernel
-/// launch totals from the event logs of this job's devices (one, or one
-/// per shard), and the process-wide artifact-cache occupancy at completion
-/// time.
+/// Writes the per-job telemetry sidecar: scenario parameters, the job's
+/// per-kernel launch totals (all its devices), and the process-wide
+/// artifact-cache occupancy at completion time.
 fn write_sidecar(
     dir: &std::path::Path,
     sc: &Scenario,
     devices: &[Device],
+    kernels: &[KernelSummary],
     energy: f64,
     wall_ms: f64,
     verifier_clean: bool,
 ) -> std::io::Result<PathBuf> {
-    #[derive(Default)]
-    struct KernelAgg {
-        launches: u64,
-        /// Launches that ran as one task on the worker thread, and tasks
-        /// over all launches: whether this job's launches fanned out.
-        inline_launches: u64,
-        tasks: u64,
-        wall_us: f64,
-        flops: u64,
-        bytes_loaded: u64,
-        bytes_stored: u64,
-        modeled_us: f64,
-    }
-    let mut kernels: BTreeMap<String, KernelAgg> = BTreeMap::new();
-    for ev in devices.iter().flat_map(|d| d.events()) {
-        let agg = kernels.entry(ev.name.clone()).or_default();
-        agg.launches += 1;
-        agg.inline_launches += (ev.stats.tasks <= 1) as u64;
-        agg.tasks += ev.stats.tasks as u64;
-        agg.wall_us += ev.stats.wall.as_secs_f64() * 1e6;
-        agg.flops += ev.stats.counters.flops;
-        agg.bytes_loaded += ev.stats.counters.bytes_loaded;
-        agg.bytes_stored += ev.stats.counters.bytes_stored;
-        agg.modeled_us += ev.modeled_s.unwrap_or(0.0) * 1e6;
-    }
     // Job-scoped trace attribution: the process-wide telemetry buffer mixes
     // events from every concurrently-running job, but each job's device
     // records on its own tracks — filter to them so a sidecar never carries
@@ -326,17 +312,7 @@ fn write_sidecar(
             "wall_ms": wall_ms,
             "verifier_clean": verifier_clean,
         },
-        "kernels": kernels.iter().map(|(name, a)| json!({
-            "name": name,
-            "launches": a.launches,
-            "inline_launches": a.inline_launches,
-            "tasks": a.tasks,
-            "wall_us": a.wall_us,
-            "flops": a.flops,
-            "bytes_loaded": a.bytes_loaded,
-            "bytes_stored": a.bytes_stored,
-            "modeled_us": a.modeled_us,
-        })).collect::<Vec<_>>(),
+        "kernels": kernels,
         "artifact_cache": { "compiled": vgpu::artifact::cache_size() },
         // Only this job's tracks: events from concurrently-running jobs are
         // filtered out (they live on their own devices' tracks).

@@ -7,31 +7,68 @@
 //! carry another job's kernel events, no matter how the scheduler
 //! interleaved the work. What is the job's own must all be there: warp
 //! divergence rides each launch's kernel event, so the sidecar accounts for
-//! every divergent warp of the job.
+//! every divergent warp of the job. Its `kernels` table does not come from
+//! the trace at all: it is the fold of what the job's steps returned, the
+//! same with tracing off.
 
 use batch::{BatchConfig, BatchExecutor, Scenario, ScenarioGen};
 use room_acoustics::{SimSetup, Simulation};
 use serde_json::Value;
 use std::collections::BTreeSet;
+use std::sync::Mutex;
+use vgpu::telemetry::sink::KernelSummary;
+use vgpu::telemetry::KernelMetrics;
 use vgpu::{telemetry, Device, ExecMode};
 
-/// Σ `LaunchStats::divergent_warps` of the scenario stepped directly, on as
-/// many devices as a batch job uses.
-fn divergent_warps_of(sc: &Scenario) -> u64 {
+/// The trace mode is process-wide and the two tests want different ones.
+static TRACE_MODE: Mutex<()> = Mutex::new(());
+
+/// One [`KernelSummary`] per kernel of the scenario stepped directly, on as
+/// many devices as a batch job uses, wall time left out.
+fn stepped_directly(sc: &Scenario) -> Vec<KernelSummary> {
     let devices = (0..vgpu::device_count_from_env()).map(|_| Device::gtx780()).collect();
     let setup = SimSetup::new(&sc.config());
     let mut sim = Simulation::new(setup, sc.precision, sc.boundary_kernel(), devices);
     sim.impulse(sc.source.0, sc.source.1, sc.source.2, sc.amp);
-    (0..sc.steps)
-        .flat_map(|_| sim.step(ExecMode::Fast))
-        .map(|(volume, boundary)| {
-            volume.divergent_warps + boundary.map_or(0, |b| b.divergent_warps)
-        })
-        .sum()
+    let mut kernels: Vec<KernelSummary> =
+        sim.kernels().map(|k| KernelSummary::new(&k.kernel.name)).collect();
+    for (volume, boundary) in (0..sc.steps).flat_map(|_| sim.step(ExecMode::Fast)) {
+        for (k, stats) in kernels.iter_mut().zip(std::iter::once(&volume).chain(&boundary)) {
+            k.add(&KernelMetrics::from(stats), 0.0);
+        }
+    }
+    kernels
+}
+
+/// With tracing off a sidecar's `kernels` is still the whole per-kernel
+/// table: equal, wall time aside, to folding the same scenario's steps
+/// directly, and `JobOutput::launches` is its launch count.
+#[test]
+fn untraced_sidecars_carry_the_fold_of_what_the_steps_returned() {
+    let _mode = TRACE_MODE.lock().unwrap();
+    telemetry::set_mode(telemetry::TraceMode::Off);
+    let dir = std::env::temp_dir().join(format!("vgpu_sidecar_untraced_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = BatchConfig { threads: 2, sidecar_dir: Some(dir.clone()), ..Default::default() };
+    for r in BatchExecutor::new(cfg).run_all(ScenarioGen::new(7).take(4)) {
+        let label = r.scenario.label();
+        let out = r.outcome.as_ref().unwrap_or_else(|e| panic!("{label}: {e}"));
+        let text = std::fs::read_to_string(out.sidecar.as_ref().expect("a sidecar")).unwrap();
+        let doc: Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(doc.pointer("/trace/kernel_events").and_then(Value::as_u64), Some(0));
+        let rows = doc.get("kernels").expect("a kernels table").to_string();
+        let mut kernels: Vec<KernelSummary> = serde_json::from_str(&rows).unwrap();
+        assert!(kernels.iter().all(|k| k.wall_ms > 0.0), "{label}: {kernels:?}");
+        kernels.iter_mut().for_each(|k| k.wall_ms = 0.0);
+        assert_eq!(kernels, stepped_directly(&r.scenario), "{label}");
+        assert_eq!(out.launches as u64, kernels.iter().map(|k| k.launches).sum::<u64>());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn two_thread_sidecars_carry_only_their_own_jobs_events() {
+    let _mode = TRACE_MODE.lock().unwrap();
     // Enable event recording without a sink (events stay in the buffer).
     telemetry::set_mode(telemetry::TraceMode::Json);
     let dir = std::env::temp_dir().join(format!("vgpu_sidecar_scope_{}", std::process::id()));
@@ -110,7 +147,7 @@ fn two_thread_sidecars_carry_only_their_own_jobs_events() {
         assert!(divergent_warps > 0, "{label}: no divergent warp reached the sidecar");
         assert_eq!(
             divergent_warps,
-            divergent_warps_of(&r.scenario),
+            stepped_directly(&r.scenario).iter().map(|k| k.divergent_warps).sum::<u64>(),
             "{label}: sidecar divergence != the scenario's own"
         );
     }

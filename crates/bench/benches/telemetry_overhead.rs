@@ -113,7 +113,6 @@ fn main() {
         let inst = time_per_iter(iters, || {
             device.launch(&prep, &args, &global, ExecMode::Fast).unwrap();
         });
-        device.clear_events();
         best_base = best_base.min(base);
         best_inst = best_inst.min(inst);
         eprintln!(
@@ -161,7 +160,6 @@ fn main() {
         best_shadow = best_shadow.min(time_per_iter(iters, || {
             sdev.launch(&sprep, &sargs, &global, ExecMode::Fast).unwrap();
         }));
-        sdev.clear_events();
     }
     assert_eq!(
         vgpu::sanitize::findings().len(),

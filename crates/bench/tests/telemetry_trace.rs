@@ -3,8 +3,8 @@
 //! in Chrome mode and written through [`bench::trace::finish`] (the path the
 //! `repro_*` binaries use) must leave a Perfetto-loadable file whose kernel
 //! and transfer spans carry the expected names and whose per-kernel flop
-//! and transaction-byte totals reconcile exactly (±0) with the devices' own
-//! profiling event logs. CI uploads the file.
+//! and transaction-byte totals reconcile exactly (±0) with what the steps
+//! returned. CI uploads the file.
 //!
 //! Telemetry state is process-global, so this file holds a single `#[test]`
 //! — integration-test binaries are separate processes, which isolates it
@@ -20,17 +20,18 @@ use vgpu::{Device, ExecMode};
 /// Launches, flops and transaction bytes per kernel name.
 type Totals = BTreeMap<String, (u64, u64, u64)>;
 
-/// Steps `sim` in model mode and adds its device's event log to `totals`.
+/// Steps `sim` in model mode and adds what each launch returned to `totals`.
 fn run(mut sim: Simulation, steps: usize, totals: &mut Totals) {
     sim.impulse(8, 8, 8, 1.0);
+    let names: Vec<String> = sim.kernels().map(|k| k.kernel.name.clone()).collect();
     for _ in 0..steps {
-        sim.step(ExecMode::Model { sample_stride: 1 });
-    }
-    for ev in sim.devices[0].events() {
-        let t = totals.entry(ev.name.clone()).or_default();
-        t.0 += 1;
-        t.1 += ev.stats.counters.flops;
-        t.2 += ev.stats.transaction_bytes.expect("model mode counts transactions");
+        let (volume, boundary) = sim.step(ExecMode::Model { sample_stride: 1 }).remove(0);
+        for (name, stats) in names.iter().zip(std::iter::once(&volume).chain(&boundary)) {
+            let t = totals.entry(name.clone()).or_default();
+            t.0 += 1;
+            t.1 += stats.counters.flops;
+            t.2 += stats.transaction_bytes.expect("model mode counts transactions");
+        }
     }
 }
 
@@ -79,7 +80,7 @@ fn cube16_fi_and_fimm_traces_are_golden_at_both_precisions() {
         "missing device kernel track in {path}"
     );
 
-    // ±0 reconciliation against the device event logs, in the file and in
+    // ±0 reconciliation against the returned launch stats, in the file and in
     // the per-kernel summary the reports embed.
     let summaries = sink::kernel_summaries(&events);
     for (name, &(launches, flops, txn)) in &expected {

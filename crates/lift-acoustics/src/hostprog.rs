@@ -201,21 +201,22 @@ fn local_bidx_name(d: usize) -> String {
     format!("boundaries_h@d{d}")
 }
 
-/// Proves the gid-shifted slab volume kernel's z-reach fits the `halo`
-/// planes the sharding transform allocates and exchanges, auditing it
-/// under the volume program's launch contract
-/// ([`programs::launch_assumptions`]) restated for slab placement
-/// (`gid_offsets = [0, 0, 1]`).
+/// The lowered volume kernel placed on a slab
+/// ([`room_acoustics::contracts::slab_placed`], under the volume program's
+/// launch contract [`programs::launch_assumptions`]), once its z-reach is
+/// proven to fit the `halo` planes the sharding transform allocates and
+/// exchanges.
 fn slab_halo_proof(
     lk: &lift::lower::LoweredKernel,
     halo: (usize, usize),
-) -> Result<(usize, usize), LowerError> {
-    let p = programs::volume_program();
-    let mut asm = programs::launch_assumptions(&p, lk);
-    asm.gid_offsets = vec![0, 0, 1];
-    room_acoustics::contracts::grid_halo(&lk.kernel, &asm)
-        .and_then(|reach| room_acoustics::contracts::check_slab_halo(&lk.kernel.name, reach, halo))
-        .map_err(LowerError)
+) -> Result<lift::lower::LoweredKernel, LowerError> {
+    use room_acoustics::contracts;
+    let asm = programs::launch_assumptions(&programs::volume_program(), lk);
+    let (kernel, asm) = contracts::slab_placed(&lk.kernel, &asm);
+    contracts::grid_halo(&kernel, &asm)
+        .and_then(|reach| contracts::check_slab_halo(&kernel.name, reach, halo))
+        .map_err(LowerError)?;
+    Ok(lift::lower::LoweredKernel { kernel, ..lk.clone() })
 }
 
 /// Proves the boundary kernel's z-reach on the grid buffers (a pure
@@ -275,13 +276,11 @@ pub fn fimm_step_sharded_host_program(
             _ => None,
         })
         .expect("volume launch in step program");
-    let mut slab_lk = prog.kernels[volume_idx].clone();
-    slab_lk.kernel = slab_lk.kernel.shift_gid(2, 1, "_slab");
     // The transform allocates one halo plane per side and exchanges one
     // seam plane per step — license that width from the kernel's proven
     // access footprint instead of assuming it (a wider stencil would
     // silently read stale or foreign data).
-    slab_halo_proof(&slab_lk, (1, 1))?;
+    let slab_lk = slab_halo_proof(&prog.kernels[volume_idx], (1, 1))?;
     let boundary_reach = prog
         .kernels
         .iter()

@@ -25,8 +25,6 @@ pub enum LiftBoundary {
 }
 
 impl KernelSource for LiftBoundary {
-    /// Generated kernels have no slab-placed volume kernel yet, so the set
-    /// runs on one device.
     fn step_kernels(&self, real: ScalarKind) -> Result<StepKernels, SimError> {
         let boundary = match self {
             LiftBoundary::FiMm => programs::fimm_program(),
@@ -35,7 +33,6 @@ impl KernelSource for LiftBoundary {
         Ok(StepKernels {
             volume: step_kernel(&programs::volume_program(), real)?,
             boundary: Some(step_kernel(&boundary, real)?),
-            slab_volume: None,
         })
     }
 }

@@ -187,13 +187,12 @@ impl SharedBuf {
         SharedBuf { data: UnsafeCell::new(data), shadow: None }
     }
 
-    /// Wraps buffer data with a shadow (allocated only when the sanitizer
-    /// is enabled). `initialized` states whether the data already holds
-    /// meaningful values (uploads, zero-initialized allocations) or is raw
-    /// device memory whose reads should be flagged.
-    pub(crate) fn with_shadow(data: BufData, initialized: bool) -> Self {
-        let shadow = crate::sanitize::shadow_on()
-            .then(|| crate::sanitize::Shadow::new(data.len(), initialized));
+    /// Wraps buffer data with a shadow when `sanitize` (the owning device's
+    /// sanitizer setting) is on. `initialized` states whether the data
+    /// already holds meaningful values (uploads, zero-initialized
+    /// allocations) or is raw device memory whose reads should be flagged.
+    pub(crate) fn with_shadow(data: BufData, sanitize: bool, initialized: bool) -> Self {
+        let shadow = sanitize.then(|| crate::sanitize::Shadow::new(data.len(), initialized));
         SharedBuf { data: UnsafeCell::new(data), shadow }
     }
 

@@ -30,19 +30,6 @@ pub enum Arg {
     Val(Value),
 }
 
-/// Profiling record of one launch (the OpenCL event of the paper's §VI).
-#[derive(Debug, Clone)]
-pub struct KernelEvent {
-    /// Kernel name.
-    pub name: String,
-    /// Raw execution statistics.
-    pub stats: LaunchStats,
-    /// Modeled device time in seconds (only when the launch ran in
-    /// [`ExecMode::Model`]), per this device's profile and the precision of
-    /// the kernel's float traffic.
-    pub modeled_s: Option<f64>,
-}
-
 /// Distinguishes multiple devices of the same profile in trace track names.
 static DEVICE_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -82,7 +69,9 @@ pub struct Device {
     buffers: Vec<SharedBuf>,
     race_check: bool,
     engine: Engine,
-    events: Vec<KernelEvent>,
+    /// `VGPU_SANITIZE`, read once: whether this device's buffers carry
+    /// shadow memory ([`crate::sanitize`]).
+    sanitize: bool,
     tele: OnceLock<DevTele>,
 }
 
@@ -95,18 +84,17 @@ fn byte_len(len: usize, elem_bytes: usize) -> u64 {
 /// exactly once per process: `n` threads run a launch's tasks, the
 /// launching thread and `n − 1` pool workers, so `1` runs everything
 /// inline. Benches and `VGPU_ENGINE=diff` runs on shared machines set it
-/// for reproducible parallelism; unset (or unparsable) leaves rayon's own
-/// default. The variable is read before this process's first parallel
-/// call or not at all: the pool's size is fixed from then on, and the build
-/// error when another component already fixed it is deliberately ignored —
-/// the override is best-effort.
+/// for reproducible parallelism; unset (or not a positive integer, which
+/// [`crate::settings`] reports) leaves rayon's own default. The variable is
+/// read before this process's first parallel call or not at all: the pool's
+/// size is fixed from then on, and the build error when another component
+/// already fixed it is deliberately ignored — the override is best-effort.
 fn init_thread_pool() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        if let Some(n) = std::env::var("VGPU_THREADS").ok().and_then(|v| v.parse::<usize>().ok()) {
-            if n > 0 {
-                let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
-            }
+        use crate::settings::{positive, setting};
+        if let Some(n) = setting("VGPU_THREADS", "a positive integer", positive) {
+            let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
         }
     });
 }
@@ -114,7 +102,9 @@ fn init_thread_pool() {
 impl Device {
     /// A device with the given performance profile. The execution engine
     /// defaults per the `VGPU_ENGINE` environment variable (see [`Engine`]),
-    /// and the worker pool honours `VGPU_THREADS` (see [`init_thread_pool`]).
+    /// its buffers carry shadow memory per `VGPU_SANITIZE`
+    /// ([`crate::sanitize::shadow_on`]), and the worker pool honours
+    /// `VGPU_THREADS` (see [`init_thread_pool`]).
     pub fn new(profile: DeviceProfile) -> Self {
         init_thread_pool();
         Device {
@@ -122,7 +112,7 @@ impl Device {
             buffers: Vec::new(),
             race_check: false,
             engine: Engine::from_env(),
-            events: Vec::new(),
+            sanitize: crate::sanitize::shadow_on(),
             tele: OnceLock::new(),
         }
     }
@@ -141,6 +131,17 @@ impl Device {
                 model_clock_us: AtomicU64::new(0f64.to_bits()),
             }
         })
+    }
+
+    /// Takes `data` as a new buffer — with shadow memory when this device
+    /// sanitizes, `initialized` saying whether reads of it are legitimate —
+    /// and accounts the allocation.
+    fn adopt(&mut self, data: BufData, initialized: bool) -> BufId {
+        let bytes = byte_len(data.len(), data.elem_bytes());
+        self.buffers.push(SharedBuf::with_shadow(data, self.sanitize, initialized));
+        let id = BufId(self.buffers.len() - 1);
+        self.note_alloc(id, bytes);
+        id
     }
 
     /// Accounts one buffer allocation: bumps the allocation gauge
@@ -229,10 +230,7 @@ impl Device {
     /// are reported as uninit reads; code that relies on the zero fill must
     /// use [`Device::create_buffer_zeroed`] instead.
     pub fn create_buffer(&mut self, kind: ScalarKind, len: usize) -> BufId {
-        self.buffers.push(SharedBuf::with_shadow(BufData::zeros(kind, len), false));
-        let id = BufId(self.buffers.len() - 1);
-        self.note_alloc(id, byte_len(len, kind.byte_size()));
-        id
+        self.adopt(BufData::zeros(kind, len), false)
     }
 
     /// Creates a buffer whose zero fill is part of the program's contract
@@ -240,10 +238,7 @@ impl Device {
     /// are legitimate and the sanitizer treats every element as
     /// initialized. Accounting is identical to [`Device::create_buffer`].
     pub fn create_buffer_zeroed(&mut self, kind: ScalarKind, len: usize) -> BufId {
-        self.buffers.push(SharedBuf::with_shadow(BufData::zeros(kind, len), true));
-        let id = BufId(self.buffers.len() - 1);
-        self.note_alloc(id, byte_len(len, kind.byte_size()));
-        id
+        self.adopt(BufData::zeros(kind, len), true)
     }
 
     /// Creates a buffer from host data (`enqueueWriteBuffer` at creation).
@@ -251,9 +246,7 @@ impl Device {
     pub fn upload(&mut self, data: BufData) -> BufId {
         let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
         let bytes = byte_len(data.len(), data.elem_bytes());
-        self.buffers.push(SharedBuf::with_shadow(data, true));
-        let id = BufId(self.buffers.len() - 1);
-        self.note_alloc(id, bytes);
+        let id = self.adopt(data, true);
         self.note_transfer(TransferDir::ToGpu, id, bytes, t0);
         id
     }
@@ -311,12 +304,7 @@ impl Device {
     /// halo-exchange receive of domain sharding. Accounted exactly once,
     /// here on the destination device, as a `DevToDev` transfer under
     /// `vgpu.halo.{bytes,copies}` (the source side is read unaccounted via
-    /// [`Device::peek_region`]); never touches `vgpu.xfer.*`.
-    pub fn write_halo_region(&mut self, id: BufId, off: usize, data: BufData) {
-        self.write_halo_region_tagged(id, off, data, None);
-    }
-
-    /// [`Device::write_halo_region`] with sanitizer provenance: `prov` is
+    /// [`Device::peek_region`]); never touches `vgpu.xfer.*`. `prov` is
     /// the source buffer's version clock ([`Device::halo_provenance`] on
     /// the sending device), letting the shadow sanitizer flag later reads
     /// of this region as *stale* once the source mutates without a fresh
@@ -353,9 +341,7 @@ impl Device {
     pub fn upload_replica(&mut self, data: BufData) -> BufId {
         let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
         let bytes = byte_len(data.len(), data.elem_bytes());
-        self.buffers.push(SharedBuf::with_shadow(data, true));
-        let id = BufId(self.buffers.len() - 1);
-        self.note_alloc(id, bytes);
+        let id = self.adopt(data, true);
         self.note_transfer(TransferDir::Replicate, id, bytes, t0);
         id
     }
@@ -369,7 +355,7 @@ impl Device {
 
     /// Inspects an element range without transfer accounting — the send
     /// side of a halo exchange (the receive side accounts the copy once,
-    /// see [`Device::write_halo_region`]).
+    /// see [`Device::write_halo_region_tagged`]).
     pub fn peek_region(&self, id: BufId, off: usize, len: usize) -> BufData {
         self.buffers[id.0].data().slice(off, len)
     }
@@ -386,7 +372,9 @@ impl Device {
         exec::prepare(kernel)
     }
 
-    /// Launches a prepared kernel and records a profiling event.
+    /// Launches a prepared kernel. The returned [`LaunchStats`] is the
+    /// launch's profiling record (the OpenCL event of the paper's §VI): the
+    /// device keeps nothing, a caller that wants a log keeps one.
     pub fn launch(
         &mut self,
         prep: &Prepared,
@@ -417,7 +405,7 @@ impl Device {
             })
             .collect();
         let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
-        let stats = exec::launch(
+        let mut stats = exec::launch(
             prep,
             &binds,
             global,
@@ -429,7 +417,7 @@ impl Device {
         )?;
         let reg = telemetry::registry();
         let double = prep.params.iter().any(|p| p.is_buffer && p.kind == ScalarKind::F64);
-        let modeled_s = stats.transaction_bytes.map(|tb| {
+        stats.modeled_s = stats.transaction_bytes.map(|tb| {
             modeled_time_s(
                 &ModelInput {
                     transaction_bytes: tb,
@@ -452,9 +440,6 @@ impl Device {
                 &prep.name,
                 stats.backend.label(),
                 if double { "f64" } else { "f32" },
-                stats.wall,
-                stats.counters.flops,
-                stats.transaction_bytes,
                 stats.op_profile.as_deref(),
             );
         }
@@ -469,18 +454,7 @@ impl Device {
         });
         if let Some(ts_us) = t0 {
             let tele = self.tele();
-            let metrics = KernelMetrics {
-                work_items: stats.counters.work_items,
-                loads_global: stats.counters.loads_global,
-                stores_global: stats.counters.stores_global,
-                loads_constant: stats.counters.loads_constant,
-                bytes_loaded: stats.counters.bytes_loaded,
-                bytes_stored: stats.counters.bytes_stored,
-                flops: stats.counters.flops,
-                transaction_bytes: stats.transaction_bytes,
-                modeled_us: modeled_s.map(|s| s * 1e6),
-                divergent_warps: stats.divergent_warps,
-            };
+            let metrics = KernelMetrics::from(&stats);
             if let Some(dur_us) = oracle_us {
                 telemetry::record(Event::Kernel {
                     track: tele.kernel_track,
@@ -502,8 +476,7 @@ impl Device {
                 dur_us: stats.wall.as_secs_f64() * 1e6,
                 metrics,
             });
-            if let Some(s) = modeled_s {
-                let dur_us = s * 1e6;
+            if let Some(dur_us) = metrics.modeled_us {
                 let start = tele.advance_model_clock(dur_us);
                 telemetry::record(Event::ModeledKernel {
                     track: tele.modeled_track,
@@ -513,7 +486,6 @@ impl Device {
                 });
             }
         }
-        self.events.push(KernelEvent { name: prep.name.clone(), stats: stats.clone(), modeled_s });
         Ok(stats)
     }
 
@@ -524,16 +496,6 @@ impl Device {
     /// the job, that produced them.
     pub fn telemetry_tracks(&self) -> Option<[TrackId; 3]> {
         self.tele.get().map(|t| [t.kernel_track, t.transfer_track, t.modeled_track])
-    }
-
-    /// The profiling event log, oldest first.
-    pub fn events(&self) -> &[KernelEvent] {
-        &self.events
-    }
-
-    /// Clears the profiling event log.
-    pub fn clear_events(&mut self) {
-        self.events.clear();
     }
 }
 
@@ -592,10 +554,10 @@ mod tests {
         let mut dev = Device::gtx780();
         let x = dev.upload(BufData::from(vec![1.0f32, 2.0, 3.0]));
         let prep = dev.compile(&double_kernel(ScalarKind::F32)).unwrap();
-        dev.launch(&prep, &[Arg::Buf(x), Arg::Val(Value::I32(3))], &[32], ExecMode::Fast).unwrap();
+        let args = [Arg::Buf(x), Arg::Val(Value::I32(3))];
+        let stats = dev.launch(&prep, &args, &[32], ExecMode::Fast).unwrap();
         assert_eq!(dev.read(x), BufData::from(vec![2.0f32, 4.0, 6.0]));
-        assert_eq!(dev.events().len(), 1);
-        assert!(dev.events()[0].modeled_s.is_none());
+        assert!(stats.modeled_s.is_none());
     }
 
     #[test]
@@ -604,15 +566,15 @@ mod tests {
         // zeroed: the kernel reads x in place, so its contents are load-bearing
         let x = dev.create_buffer_zeroed(ScalarKind::F64, 1024);
         let prep = dev.compile(&double_kernel(ScalarKind::F64)).unwrap();
-        dev.launch(
-            &prep,
-            &[Arg::Buf(x), Arg::Val(Value::I32(1024))],
-            &[1024],
-            ExecMode::Model { sample_stride: 1 },
-        )
-        .unwrap();
-        let ev = &dev.events()[0];
-        assert!(ev.modeled_s.unwrap() > 0.0);
-        assert!(ev.stats.transaction_bytes.unwrap() >= 1024 * 8 * 2);
+        let stats = dev
+            .launch(
+                &prep,
+                &[Arg::Buf(x), Arg::Val(Value::I32(1024))],
+                &[1024],
+                ExecMode::Model { sample_stride: 1 },
+            )
+            .unwrap();
+        assert!(stats.modeled_s.unwrap() > 0.0);
+        assert!(stats.transaction_bytes.unwrap() >= 1024 * 8 * 2);
     }
 }

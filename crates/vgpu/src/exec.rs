@@ -574,7 +574,8 @@ pub struct Counters {
 }
 
 impl Counters {
-    fn add(&mut self, o: &Counters) {
+    /// Adds another launch's (or chunk's) counts.
+    pub fn add(&mut self, o: &Counters) {
         self.loads_global += o.loads_global;
         self.stores_global += o.stores_global;
         self.loads_constant += o.loads_constant;
@@ -642,31 +643,22 @@ pub enum Engine {
 
 impl Engine {
     /// Parses a `VGPU_ENGINE` value: `fast`, `tree`, `diff` or
-    /// `differential`. Anything else is an error naming the accepted values.
-    pub fn parse(s: &str) -> Result<Engine, String> {
+    /// `differential`; `None` for anything else.
+    pub fn parse(s: &str) -> Option<Engine> {
         match s {
-            "fast" => Ok(Engine::Fast),
-            "tree" => Ok(Engine::Tree),
-            "diff" | "differential" => Ok(Engine::Differential),
-            other => Err(format!(
-                "unrecognised VGPU_ENGINE value `{other}` (accepted: fast, tree, diff, differential)"
-            )),
+            "fast" => Some(Engine::Fast),
+            "tree" => Some(Engine::Tree),
+            "diff" | "differential" => Some(Engine::Differential),
+            _ => None,
         }
     }
 
-    /// The engine `VGPU_ENGINE` selects; [`Engine::Fast`] when it is unset.
-    /// A value [`Engine::parse`] rejects also runs `Fast`, after one stderr
-    /// line per process saying so — a typo in a CI `diff` leg must not pass
-    /// silently without differencing.
+    /// The engine `VGPU_ENGINE` selects; [`Engine::Fast`] when it is unset
+    /// or holds a value [`Engine::parse`] rejects (which
+    /// [`crate::settings`] reports once).
     pub fn from_env() -> Engine {
-        let Ok(v) = std::env::var("VGPU_ENGINE") else {
-            return Engine::Fast;
-        };
-        Engine::parse(&v).unwrap_or_else(|e| {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("vgpu: {e}; running `fast`"));
-            Engine::Fast
-        })
+        let accepted = "fast, tree, diff, differential";
+        crate::settings::setting("VGPU_ENGINE", accepted, Engine::parse).unwrap_or_default()
     }
 }
 
@@ -702,6 +694,10 @@ pub struct LaunchStats {
     /// DRAM bytes actually moved per the 128-byte transaction model; `None`
     /// in [`ExecMode::Fast`].
     pub transaction_bytes: Option<u64>,
+    /// Modeled device time in seconds: `Some` exactly under
+    /// [`ExecMode::Model`], per the launching device's profile and the
+    /// precision of the kernel's float traffic.
+    pub modeled_s: Option<f64>,
     /// Wall-clock execution time of the interpreter (host-side).
     pub wall: std::time::Duration,
     /// Total work-items in the NDRange.
@@ -1528,6 +1524,8 @@ fn finish(
     Ok(LaunchStats {
         counters: counters.scaled(scale),
         transaction_bytes: l.trace_on.then(|| (tbytes as f64 * scale).round() as u64),
+        // Set by `Device::launch_wg`, which knows the device profile.
+        modeled_s: None,
         wall,
         global_work_items: l.total,
         tasks,
@@ -2675,17 +2673,15 @@ mod tests {
 
     #[test]
     fn engine_parse_accepts_three_names_and_rejects_the_rest() {
-        assert_eq!(Engine::parse("fast"), Ok(Engine::Fast));
-        assert_eq!(Engine::parse("tree"), Ok(Engine::Tree));
-        assert_eq!(Engine::parse("diff"), Ok(Engine::Differential));
-        assert_eq!(Engine::parse("differential"), Ok(Engine::Differential));
+        assert_eq!(Engine::parse("fast"), Some(Engine::Fast));
+        assert_eq!(Engine::parse("tree"), Some(Engine::Tree));
+        assert_eq!(Engine::parse("diff"), Some(Engine::Differential));
+        assert_eq!(Engine::parse("differential"), Some(Engine::Differential));
         assert_eq!(Engine::default(), Engine::Fast);
-        // A typo, and the retired rung names, are errors naming what is
-        // accepted — never a silent default.
+        // A typo, and the retired rung names, are rejected — which
+        // `settings::setting` reports, never a silent default.
         for bad in ["dif", "", "Fast", "tape", "vector", "compiled"] {
-            let e = Engine::parse(bad).unwrap_err();
-            assert!(e.contains(&format!("`{bad}`")), "{e}");
-            assert!(e.contains("fast, tree, diff, differential"), "{e}");
+            assert_eq!(Engine::parse(bad), None, "`{bad}`");
         }
     }
 

@@ -7,7 +7,8 @@
 //! converts counts into modeled kernel times through per-device roofline
 //! profiles built from the paper's Table III.
 //!
-//! * [`device::Device`] — buffers + in-order queue with profiling events;
+//! * [`device::Device`] — buffers + in-order queue; a launch returns its
+//!   profiling record;
 //! * [`exec`] — kernel preparation and the interpreter (counters, traces,
 //!   race detection);
 //! * [`bytecode`] — flat register-based tapes that kernels compile to
@@ -66,13 +67,14 @@ pub mod perfmodel;
 pub mod profile;
 pub mod profiler;
 pub mod sanitize;
+pub(crate) mod settings;
 pub mod shard;
 pub mod telemetry;
 pub mod verify;
 
 pub use artifact::{compile_cached, compile_cached_under, verify_cached};
 pub use buffer::BufData;
-pub use device::{Arg, BufId, Device, KernelEvent};
+pub use device::{Arg, BufId, Device};
 pub use exec::{Backend, Counters, Engine, ExecError, ExecMode, LaunchStats, Prepared};
 pub use host_exec::{run_host_program, run_host_program_on, HostEnv, HostRun, TransferTotals};
 pub use perfmodel::{modeled_sharded_step_s, modeled_time_s, updates_per_second, ModelInput};

@@ -36,20 +36,22 @@ pub enum ProfileMode {
 }
 
 impl ProfileMode {
-    /// Parses a `VGPU_PROFILE` value. Unknown values disable profiling.
-    pub fn parse(s: &str) -> ProfileMode {
+    /// Parses a `VGPU_PROFILE` value, case-insensitively; `None` for one
+    /// that is not accepted.
+    pub fn parse(s: &str) -> Option<ProfileMode> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "op" | "ops" | "opcode" => ProfileMode::Op,
-            _ => ProfileMode::Off,
+            "off" => Some(ProfileMode::Off),
+            "op" | "ops" | "opcode" => Some(ProfileMode::Op),
+            _ => None,
         }
     }
 
-    /// Reads the mode from the `VGPU_PROFILE` environment variable.
+    /// The mode `VGPU_PROFILE` selects; off when it is unset or holds a value
+    /// [`ProfileMode::parse`] rejects (which [`crate::settings`] reports
+    /// once).
     pub fn from_env() -> ProfileMode {
-        match std::env::var("VGPU_PROFILE") {
-            Ok(v) => ProfileMode::parse(&v),
-            Err(_) => ProfileMode::Off,
-        }
+        crate::settings::setting("VGPU_PROFILE", "off, op|ops|opcode", ProfileMode::parse)
+            .unwrap_or(ProfileMode::Off)
     }
 
     /// Display label (`"off"` / `"op"`).
@@ -121,16 +123,6 @@ impl OpProf {
         }
     }
 
-    /// Total op dispatches recorded.
-    pub fn total_count(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Total attributed nanoseconds.
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
-    }
-
     /// Non-empty entries as `(opcode name, count, nanos)`, hottest first.
     pub fn entries(&self) -> Vec<(&'static str, u64, u64)> {
         let mut v: Vec<(&'static str, u64, u64)> = (0..NOPCODES)
@@ -154,9 +146,6 @@ struct ProfKey {
 #[derive(Debug, Clone, Default)]
 struct KernelProfile {
     launches: u64,
-    wall_ns: u64,
-    flops: u64,
-    transaction_bytes: u64,
     ops: OpProf,
 }
 
@@ -170,17 +159,11 @@ pub fn record_launch(
     kernel: &str,
     engine: &'static str,
     precision: &'static str,
-    wall: Duration,
-    flops: u64,
-    transaction_bytes: Option<u64>,
     ops: Option<&OpProf>,
 ) {
     let mut map = PROFILES.lock();
     let p = map.entry(ProfKey { kernel: kernel.to_string(), engine, precision }).or_default();
     p.launches += 1;
-    p.wall_ns += wall.as_nanos() as u64;
-    p.flops += flops;
-    p.transaction_bytes += transaction_bytes.unwrap_or(0);
     if let Some(o) = ops {
         p.ops.merge(o);
     }
@@ -208,12 +191,6 @@ pub struct KernelProfileSnapshot {
     pub precision: String,
     /// Launches accumulated.
     pub launches: u64,
-    /// Total measured interpreter wall time, microseconds.
-    pub wall_us: f64,
-    /// Total flops counted.
-    pub flops: u64,
-    /// Total coalesced DRAM traffic (model-mode launches only).
-    pub transaction_bytes: u64,
     /// Per-opcode attribution, hottest first.
     pub ops: Vec<OpEntry>,
 }
@@ -227,9 +204,6 @@ pub fn snapshot() -> Vec<KernelProfileSnapshot> {
             engine: k.engine.to_string(),
             precision: k.precision.to_string(),
             launches: p.launches,
-            wall_us: p.wall_ns as f64 * 1e-3,
-            flops: p.flops,
-            transaction_bytes: p.transaction_bytes,
             ops: p
                 .ops
                 .entries()
@@ -243,29 +217,13 @@ pub fn snapshot() -> Vec<KernelProfileSnapshot> {
 /// Opcode rows shown per kernel in the rendered hotspot table.
 const HOTSPOT_ROWS: usize = 12;
 
-/// Renders the human-readable profile report: the per-kernel table and the
-/// per-opcode hotspot tables.
+/// Renders the human-readable profile report: one per-opcode hotspot table
+/// per (kernel, engine, precision).
 pub fn render_report(snaps: &[KernelProfileSnapshot]) -> String {
     let mut out = format!("== vgpu profile ({} mode) ==\n", mode().label());
     if snaps.is_empty() {
         out.push_str("(no launches profiled)\n");
         return out;
-    }
-    out.push_str(&format!(
-        "{:<28} {:>7} {:>5} {:>9} {:>12} {:>14} {:>12}\n",
-        "kernel", "engine", "prec", "launches", "wall ms", "flops", "txn bytes"
-    ));
-    for s in snaps {
-        out.push_str(&format!(
-            "{:<28} {:>7} {:>5} {:>9} {:>12.3} {:>14} {:>12}\n",
-            s.kernel,
-            s.engine,
-            s.precision,
-            s.launches,
-            s.wall_us * 1e-3,
-            s.flops,
-            s.transaction_bytes
-        ));
     }
     for s in snaps {
         if s.ops.is_empty() {
@@ -273,10 +231,11 @@ pub fn render_report(snaps: &[KernelProfileSnapshot]) -> String {
         }
         let total_ns: u64 = s.ops.iter().map(|o| o.total_ns).sum();
         out.push_str(&format!(
-            "-- op hotspots: {} [{} {}] ({:.3} ms attributed) --\n",
+            "-- op hotspots: {} [{} {}] ({} launches, {:.3} ms attributed) --\n",
             s.kernel,
             s.engine,
             s.precision,
+            s.launches,
             total_ns as f64 * 1e-6
         ));
         out.push_str(&format!(
@@ -319,12 +278,12 @@ mod tests {
 
     #[test]
     fn parse_modes() {
-        assert_eq!(ProfileMode::parse("off"), ProfileMode::Off);
-        assert_eq!(ProfileMode::parse("OP"), ProfileMode::Op);
-        assert_eq!(ProfileMode::parse("opcode"), ProfileMode::Op);
-        // A retired or unknown value is off, like any other typo.
-        assert_eq!(ProfileMode::parse("kernel"), ProfileMode::Off);
-        assert_eq!(ProfileMode::parse("nonsense"), ProfileMode::Off);
+        assert_eq!(ProfileMode::parse("off"), Some(ProfileMode::Off));
+        assert_eq!(ProfileMode::parse("OP"), Some(ProfileMode::Op));
+        assert_eq!(ProfileMode::parse("opcode"), Some(ProfileMode::Op));
+        // A retired value is rejected like any other typo.
+        assert_eq!(ProfileMode::parse("kernel"), None);
+        assert_eq!(ProfileMode::parse("opp"), None);
     }
 
     #[test]
@@ -335,9 +294,8 @@ mod tests {
         ops.add(0, Duration::from_nanos(100));
         ops.add(0, Duration::from_nanos(50));
         ops.add(3, Duration::from_nanos(10));
-        let us = Duration::from_micros;
-        record_launch("k", "tape", "f32", us(500), 1000, Some(4096), Some(&ops));
-        record_launch("k", "tape", "f32", us(300), 1000, None, None);
+        record_launch("k", "tape", "f32", Some(&ops));
+        record_launch("k", "tape", "f32", None);
         let snap = snapshot();
         reset();
         assert_eq!(snap.len(), 1);
@@ -347,9 +305,6 @@ mod tests {
             ("k", "tape", "f32")
         );
         assert_eq!(s.launches, 2);
-        assert!((s.wall_us - 800.0).abs() < 1e-9);
-        assert_eq!(s.flops, 2000);
-        assert_eq!(s.transaction_bytes, 4096);
         // Op entries are hottest-first and carry both count and time.
         assert_eq!(s.ops.len(), 2);
         assert_eq!(s.ops[0].count, 2);
@@ -363,7 +318,7 @@ mod tests {
         reset();
         let mut ops = OpProf::default();
         ops.add(1, Duration::from_nanos(500));
-        record_launch("fi", "tape", "f32", Duration::from_micros(100), 10, Some(128), Some(&ops));
+        record_launch("fi", "tape", "f32", Some(&ops));
         let snap = snapshot();
         reset();
         let text = render_report(&snap);

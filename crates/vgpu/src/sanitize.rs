@@ -46,22 +46,26 @@ const HALO: u8 = 2;
 
 static FORCE_SHADOW: AtomicBool = AtomicBool::new(false);
 
-/// Forces shadow mode on for the rest of the process, regardless of
-/// `VGPU_SANITIZE`. In-process escape hatch for tests and harnesses (the
-/// environment is read per call, but mutating it from a threaded test is
-/// unsound; this is the safe override).
+/// Forces shadow mode on for every device created from now on, regardless
+/// of `VGPU_SANITIZE`. In-process escape hatch for tests and harnesses
+/// (mutating the environment from a threaded test is unsound; this is the
+/// safe override).
 pub fn force_shadow() {
     FORCE_SHADOW.store(true, Ordering::SeqCst);
 }
 
 /// True when the shadow-memory sanitizer is enabled (`VGPU_SANITIZE=shadow`
-/// or [`force_shadow`]). Consulted at buffer-creation time: buffers made
-/// while this is false carry no shadow and cost one pointer test per access.
+/// or [`force_shadow`]). [`crate::Device::new`] consults it once: the
+/// buffers of a device made while this is false carry no shadow and cost one
+/// pointer test per access.
 pub fn shadow_on() -> bool {
-    if FORCE_SHADOW.load(Ordering::Relaxed) {
-        return true;
-    }
-    matches!(std::env::var("VGPU_SANITIZE").as_deref(), Ok("shadow") | Ok("SHADOW"))
+    let armed = |v: &str| match v {
+        "off" | "OFF" => Some(false),
+        "shadow" | "SHADOW" => Some(true),
+        _ => None,
+    };
+    FORCE_SHADOW.load(Ordering::Relaxed)
+        || crate::settings::setting("VGPU_SANITIZE", "off, shadow", armed).unwrap_or(false)
 }
 
 /// One halo mirror: `len` elements at `off` copied from a source buffer

@@ -12,7 +12,7 @@
 //! Per step, the one-plane-deep edges of each seam are exchanged as
 //! explicit device-to-device copies *before* the stencil launch. Halo
 //! traffic is accounted once per copy, on the destination device, under
-//! `vgpu.halo.{bytes,copies}` ([`Device::write_halo_region`]) — never
+//! `vgpu.halo.{bytes,copies}` ([`Device::write_halo_region_tagged`]) — never
 //! under `vgpu.xfer.*`, which keeps a sharded run's host-transfer totals
 //! bit-comparable with the single-device leg.
 //!
@@ -27,10 +27,12 @@ use crate::buffer::BufData;
 use crate::device::{BufId, Device};
 use crate::telemetry;
 
-/// Number of devices requested via `VGPU_DEVICES` (default 1). Values
-/// < 1 are clamped to 1.
+/// Number of devices requested via `VGPU_DEVICES`, read on every call; 1
+/// when it is unset or not a positive integer (which [`crate::settings`]
+/// reports once).
 pub fn device_count_from_env() -> usize {
-    std::env::var("VGPU_DEVICES").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(1).max(1)
+    use crate::settings::{positive, setting};
+    setting("VGPU_DEVICES", "a positive integer", positive).unwrap_or(1)
 }
 
 /// A partition of `nz` z-planes into contiguous owned slabs.

@@ -78,6 +78,27 @@ pub struct KernelMetrics {
     /// it under divergence masks ([`crate::LaunchStats::divergent_warps`]);
     /// the `vgpu.warp.divergent` counter is the process-wide sum.
     pub divergent_warps: u64,
+    /// Tasks the launch was dispatched as ([`crate::LaunchStats::tasks`]); at
+    /// most 1 means it ran on the launching thread alone.
+    pub tasks: u64,
+}
+
+impl From<&crate::LaunchStats> for KernelMetrics {
+    fn from(s: &crate::LaunchStats) -> Self {
+        KernelMetrics {
+            work_items: s.counters.work_items,
+            loads_global: s.counters.loads_global,
+            stores_global: s.counters.stores_global,
+            loads_constant: s.counters.loads_constant,
+            bytes_loaded: s.counters.bytes_loaded,
+            bytes_stored: s.counters.bytes_stored,
+            flops: s.counters.flops,
+            transaction_bytes: s.transaction_bytes,
+            modeled_us: s.modeled_s.map(|s| s * 1e6),
+            divergent_warps: s.divergent_warps,
+            tasks: s.tasks as u64,
+        }
+    }
 }
 
 /// One telemetry event. See the module docs for the timestamp convention.

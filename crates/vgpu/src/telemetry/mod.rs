@@ -58,22 +58,23 @@ pub enum TraceMode {
 }
 
 impl TraceMode {
-    /// Parses a `VGPU_TRACE` value. Unknown values disable tracing.
-    pub fn parse(s: &str) -> TraceMode {
+    /// Parses a `VGPU_TRACE` value, case-insensitively; `None` for one
+    /// that is not accepted.
+    pub fn parse(s: &str) -> Option<TraceMode> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "summary" | "table" => TraceMode::Summary,
-            "json" | "jsonl" => TraceMode::Json,
-            "chrome" | "perfetto" | "trace" => TraceMode::Chrome,
-            _ => TraceMode::Off,
+            "off" => Some(TraceMode::Off),
+            "summary" | "table" => Some(TraceMode::Summary),
+            "json" | "jsonl" => Some(TraceMode::Json),
+            "chrome" | "perfetto" | "trace" => Some(TraceMode::Chrome),
+            _ => None,
         }
     }
 
-    /// Reads the mode from the `VGPU_TRACE` environment variable.
+    /// The mode `VGPU_TRACE` selects; off when it is unset or holds a value
+    /// [`TraceMode::parse`] rejects (which [`crate::settings`] reports once).
     pub fn from_env() -> TraceMode {
-        match std::env::var("VGPU_TRACE") {
-            Ok(v) => TraceMode::parse(&v),
-            Err(_) => TraceMode::Off,
-        }
+        let accepted = "off, summary|table, json|jsonl, chrome|perfetto|trace";
+        crate::settings::setting("VGPU_TRACE", accepted, TraceMode::parse).unwrap_or(TraceMode::Off)
     }
 }
 
@@ -222,11 +223,11 @@ mod tests {
 
     #[test]
     fn parse_modes() {
-        assert_eq!(TraceMode::parse("off"), TraceMode::Off);
-        assert_eq!(TraceMode::parse("SUMMARY"), TraceMode::Summary);
-        assert_eq!(TraceMode::parse("jsonl"), TraceMode::Json);
-        assert_eq!(TraceMode::parse("perfetto"), TraceMode::Chrome);
-        assert_eq!(TraceMode::parse("nonsense"), TraceMode::Off);
+        assert_eq!(TraceMode::parse("off"), Some(TraceMode::Off));
+        assert_eq!(TraceMode::parse("SUMMARY"), Some(TraceMode::Summary));
+        assert_eq!(TraceMode::parse("jsonl"), Some(TraceMode::Json));
+        assert_eq!(TraceMode::parse("perfetto"), Some(TraceMode::Chrome));
+        assert_eq!(TraceMode::parse("chrom"), None);
     }
 
     #[test]

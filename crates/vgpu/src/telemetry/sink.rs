@@ -7,7 +7,7 @@
 //! Chrome trace back and checks the structural invariants the schema tests
 //! and the CI smoke job rely on.
 
-use super::event::{Event, TransferDir};
+use super::event::{Event, KernelMetrics, TransferDir};
 use super::registry::{MetricSnapshot, MetricValue};
 use serde::{Deserialize, Serialize};
 use serde_json::json;
@@ -72,6 +72,7 @@ pub fn write_chrome<W: Write>(
                     "transaction_bytes": metrics.transaction_bytes,
                     "modeled_us": metrics.modeled_us,
                     "divergent_warps": metrics.divergent_warps,
+                    "tasks": metrics.tasks,
                 },
             }),
             Event::ModeledKernel { track, name, ts_us, dur_us } => json!({
@@ -201,14 +202,19 @@ pub fn validate_chrome(text: &str) -> Result<ChromeStats, String> {
     Ok(stats)
 }
 
-/// Per-kernel aggregate over an event stream — the summary the repro reports
-/// embed next to their result rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Per-kernel aggregate of launches — the one per-kernel table: the trace
+/// summary folds [`Event::Kernel`]s into it ([`kernel_summaries`]), a caller
+/// without a trace folds what its launches returned ([`KernelSummary::add`]).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct KernelSummary {
     /// Kernel name.
     pub name: String,
     /// Number of launches.
     pub launches: u64,
+    /// Launches that ran as at most one task, on the launching thread.
+    pub inline_launches: u64,
+    /// Total tasks over all launches.
+    pub tasks: u64,
     /// Total work-items executed.
     pub work_items: u64,
     /// Total flops.
@@ -227,33 +233,35 @@ pub struct KernelSummary {
     pub divergent_warps: u64,
 }
 
+impl KernelSummary {
+    /// The empty aggregate of kernel `name`.
+    pub fn new(name: &str) -> KernelSummary {
+        KernelSummary { name: name.to_string(), ..Default::default() }
+    }
+
+    /// Folds in one launch that took `wall_us` of host time.
+    pub fn add(&mut self, m: &KernelMetrics, wall_us: f64) {
+        self.launches += 1;
+        self.inline_launches += u64::from(m.tasks <= 1);
+        self.tasks += m.tasks;
+        self.work_items += m.work_items;
+        self.flops += m.flops;
+        self.bytes_loaded += m.bytes_loaded;
+        self.bytes_stored += m.bytes_stored;
+        self.transaction_bytes += m.transaction_bytes.unwrap_or(0);
+        self.modeled_ms += m.modeled_us.unwrap_or(0.0) * 1e-3;
+        self.wall_ms += wall_us * 1e-3;
+        self.divergent_warps += m.divergent_warps;
+    }
+}
+
 /// Aggregates [`Event::Kernel`] events per kernel name, sorted by name for
 /// determinism.
 pub fn kernel_summaries(events: &[Event]) -> Vec<KernelSummary> {
     let mut map: BTreeMap<&str, KernelSummary> = BTreeMap::new();
     for ev in events {
         if let Event::Kernel { name, dur_us, metrics, .. } = ev {
-            let s = map.entry(name.as_str()).or_insert_with(|| KernelSummary {
-                name: name.clone(),
-                launches: 0,
-                work_items: 0,
-                flops: 0,
-                bytes_loaded: 0,
-                bytes_stored: 0,
-                transaction_bytes: 0,
-                modeled_ms: 0.0,
-                wall_ms: 0.0,
-                divergent_warps: 0,
-            });
-            s.launches += 1;
-            s.work_items += metrics.work_items;
-            s.flops += metrics.flops;
-            s.bytes_loaded += metrics.bytes_loaded;
-            s.bytes_stored += metrics.bytes_stored;
-            s.transaction_bytes += metrics.transaction_bytes.unwrap_or(0);
-            s.modeled_ms += metrics.modeled_us.unwrap_or(0.0) * 1e-3;
-            s.wall_ms += dur_us * 1e-3;
-            s.divergent_warps += metrics.divergent_warps;
+            map.entry(name).or_insert_with(|| KernelSummary::new(name)).add(metrics, *dur_us);
         }
     }
     map.into_values().collect()
@@ -298,7 +306,7 @@ pub fn render_summary(events: &[Event], metrics: &[MetricSnapshot]) -> String {
     let kernels = kernel_summaries(events);
     if !kernels.is_empty() {
         out.push_str(&format!(
-            "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10} {:>10} {:>10}\n",
+            "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10} {:>10} {:>10} {:>8}\n",
             "kernel",
             "launches",
             "work-items",
@@ -306,11 +314,12 @@ pub fn render_summary(events: &[Event], metrics: &[MetricSnapshot]) -> String {
             "txn bytes",
             "model ms",
             "wall ms",
-            "div warps"
+            "div warps",
+            "tasks"
         ));
         for k in &kernels {
             out.push_str(&format!(
-                "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10.3} {:>10.3} {:>10}\n",
+                "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10.3} {:>10.3} {:>10} {:>8}\n",
                 k.name,
                 k.launches,
                 k.work_items,
@@ -318,7 +327,8 @@ pub fn render_summary(events: &[Event], metrics: &[MetricSnapshot]) -> String {
                 k.transaction_bytes,
                 k.modeled_ms,
                 k.wall_ms,
-                k.divergent_warps
+                k.divergent_warps,
+                k.tasks
             ));
         }
     }

@@ -221,7 +221,6 @@ fn a_kind_mismatched_buffer_is_the_same_error_under_every_engine() {
         let after_a_write = dev.launch(&prep, &args, &[2], ExecMode::Fast).unwrap_err();
         assert_eq!(launches(), counted, "{engine:?}: a refused launch is not counted");
         assert_ne!(counted, before, "{engine:?}: the matching launch was");
-        assert_eq!(dev.events().len(), 1, "{engine:?}");
         texts.push([from_the_start.to_string(), after_a_write.to_string()]);
     }
     assert!(texts.iter().all(|t| t == &texts[0]), "{texts:#?}");

@@ -160,24 +160,3 @@ fn determinism_across_runs() {
     };
     assert_eq!(run(), run());
 }
-
-#[test]
-fn event_log_records_launches() {
-    let mut dev = Device::gtx780();
-    let prep = dev.compile(&copy_kernel(ScalarKind::F32)).unwrap();
-    let src = dev.upload(BufData::from(vec![0.0f32; 8]));
-    let dst = dev.create_buffer(ScalarKind::F32, 8);
-    for _ in 0..3 {
-        dev.launch(
-            &prep,
-            &[Arg::Buf(src), Arg::Buf(dst), Arg::Val(Value::I32(8))],
-            &[8],
-            ExecMode::Fast,
-        )
-        .unwrap();
-    }
-    assert_eq!(dev.events().len(), 3);
-    assert!(dev.events().iter().all(|e| e.name == "copy"));
-    dev.clear_events();
-    assert!(dev.events().is_empty());
-}

@@ -29,6 +29,7 @@ fn all_variants() -> Vec<Event> {
                 transaction_bytes: Some(131_072),
                 modeled_us: Some(3.25),
                 divergent_warps: 5,
+                tasks: 3,
             },
         },
         Event::ModeledKernel {
@@ -148,6 +149,7 @@ fn summaries_aggregate_per_kernel_and_direction() {
             flops: 4,
             work_items: 10,
             divergent_warps: 2,
+            tasks: 1,
             ..Default::default()
         },
     });
@@ -167,6 +169,7 @@ fn summaries_aggregate_per_kernel_and_direction() {
     assert_eq!(fimm.work_items, 4106);
     assert_eq!(fimm.transaction_bytes, 131_072);
     assert_eq!(fimm.divergent_warps, 7);
+    assert_eq!((fimm.tasks, fimm.inline_launches), (4, 1));
     assert!((fimm.wall_ms - 0.082).abs() < 1e-12, "42 µs + 40 µs, got {} ms", fimm.wall_ms);
 
     let transfers = sink::transfer_summaries(&events);

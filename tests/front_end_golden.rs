@@ -108,7 +108,7 @@ fn devices(n: usize) -> Vec<Device> {
 /// 11 fast steps and one modeled step from an impulse at the room's
 /// centre; returns (field hash, last step's summed counters, its
 /// transaction bytes).
-fn run(mut sim: Simulation, shape: RoomShape) -> (u64, [u64; 7], u64) {
+fn run(sim: &mut Simulation, shape: RoomShape) -> (u64, [u64; 7], u64) {
     let z = if shape == BOX { 6 } else { 3 };
     sim.impulse(6, 6, z, 1.0);
     sim.run(11);
@@ -129,9 +129,10 @@ fn run(mut sim: Simulation, shape: RoomShape) -> (u64, [u64; 7], u64) {
 fn one_device_matches_the_front_ends_it_replaced() {
     for (family, scheme, precision, shape, field, counters, txn) in GOLDEN {
         let setup = SimSetup::new(&config(scheme, shape));
-        let sim = Simulation::new(setup, precision, kernels(family, scheme, precision), devices(1));
+        let mut sim =
+            Simulation::new(setup, precision, kernels(family, scheme, precision), devices(1));
         assert_eq!(
-            run(sim, shape),
+            run(&mut sim, shape),
             (field, counters, txn),
             "{family} {scheme} {precision:?} {shape:?}"
         );
@@ -167,19 +168,45 @@ fn hand_written_slabs_match_one_device() {
             SlabPartition::from_cuts(12, vec![0, 2, 9, 12]),
         ] {
             let cuts = part.cuts().to_vec();
-            let (got_field, got_counters, _) = run(sim(part), shape);
+            let (got_field, got_counters, _) = run(&mut sim(part), shape);
             assert_eq!(got_field, field, "{what} cut at {cuts:?}: field");
             assert_eq!(got_counters, counters, "{what} cut at {cuts:?}: counters");
         }
     }
 }
 
-/// A kernel set without a slab-placed volume kernel — every generated set,
-/// and the one-kernel FI programs — is a typed error on several devices.
+/// Slab placement is derived from the kernel, so the generated sets shard
+/// too — the one-kernel FI program included, whose walls come from `nbrs`:
+/// on 2 and 3 devices field and energy equal one device's bit for bit, f32
+/// and f64. So do the summed counters but for loads: the padded stencil's
+/// `z ± 1` reads at the grid's two outermost planes are supplied by the pad
+/// (no load) on one device and read from the outermost, zero and
+/// never-written, halo planes on slabs — exactly two planes of loads more,
+/// whatever the device count.
 #[test]
-fn kernel_sets_without_a_slab_kernel_do_not_shard() {
-    use room_acoustics::SimError;
-    let setup = SimSetup::new(&config("fdmm", BOX));
-    let err = Simulation::try_new(setup, F32, LiftBoundary::FdMm, devices(2)).err();
-    assert_eq!(err, Some(SimError::NotShardable { kernel: "volume_handling_lift".into() }));
+fn generated_slabs_match_one_device() {
+    for (family, scheme, precision, shape, field, counters, _) in GOLDEN {
+        if family != "gen" {
+            continue;
+        }
+        let sim = |n| {
+            let setup = SimSetup::new(&config(scheme, shape));
+            Simulation::try_new(setup, precision, kernels(family, scheme, precision), devices(n))
+                .unwrap()
+        };
+        let mut single = sim(1);
+        run(&mut single, shape);
+        let two_planes = 2 * 12 * 12;
+        let mut want = counters;
+        want[0] += two_planes;
+        want[3] += two_planes * precision.kind().byte_size() as u64;
+        for n in [2, 3] {
+            let what = format!("{scheme} {precision:?} {shape:?} on {n} devices");
+            let mut sharded = sim(n);
+            let (got_field, got_counters, _) = run(&mut sharded, shape);
+            assert_eq!(got_field, field, "{what}: field");
+            assert_eq!(sharded.energy().to_bits(), single.energy().to_bits(), "{what}: energy");
+            assert_eq!(got_counters, want, "{what}: counters");
+        }
+    }
 }
