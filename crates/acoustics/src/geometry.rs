@@ -205,6 +205,28 @@ mod tests {
         }
     }
 
+    /// Along x the inside set of every row is one interval, so `nbrs > 0`
+    /// cuts a row-coherent warp into a contiguous lane mask: the executor
+    /// serves its unit-stride loads as one run, never lane by lane.
+    #[test]
+    fn every_shipped_shape_is_row_convex() {
+        let sizes = [
+            GridDims::cube(12),
+            GridDims::new(14, 12, 10),
+            GridDims::new(33, 17, 9),
+            GridDims::new(96, 64, 48),
+        ];
+        for shape in [RoomShape::Box, RoomShape::Dome, RoomShape::LShape] {
+            for d in sizes {
+                for (y, z) in (0..d.nz).flat_map(|z| (0..d.ny).map(move |y| (y, z))) {
+                    let row: Vec<bool> = (0..d.nx).map(|x| shape.inside(&d, x, y, z)).collect();
+                    let entries = row.windows(2).filter(|w| !w[0] && w[1]).count();
+                    assert!(entries <= 1, "{shape:?} {} row y={y} z={z}: {row:?}", d.label());
+                }
+            }
+        }
+    }
+
     #[test]
     fn paper_sizes_match_table2() {
         let s = GridDims::paper_sizes();

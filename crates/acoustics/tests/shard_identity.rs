@@ -25,13 +25,8 @@ use room_acoustics::{
 };
 use vgpu::{Device, Engine, ExecMode, SlabPartition};
 
-/// The hand-written and the generated kernel set of a scheme, each with the
-/// grid planes of volume-kernel loads a sharded step issues beyond the
-/// one-device step. The generated stencil is padded: its `z ± 1` reads at
-/// the grid's two outermost planes cost nothing on one device (the pad
-/// supplies 0.0) and are loads of the two outermost halo planes — zero,
-/// never written — on slabs. The hand-written kernel reads neither.
-fn kernel_sets(fdmm: bool, precision: Precision) -> [(StepKernels, u64, &'static str); 2] {
+/// The hand-written and the generated kernel set of a scheme.
+fn kernel_sets(fdmm: bool, precision: Precision) -> [(StepKernels, &'static str); 2] {
     let real = precision.kind();
     let (hand, generated) = if fdmm {
         (BoundaryKernel::FdMm, LiftBoundary::FdMm)
@@ -39,8 +34,8 @@ fn kernel_sets(fdmm: bool, precision: Precision) -> [(StepKernels, u64, &'static
         (BoundaryKernel::FiMm { beta_constant: false }, LiftBoundary::FiMm)
     };
     [
-        (hand.step_kernels(real).unwrap(), 0, "hand-written"),
-        (generated.step_kernels(real).unwrap(), 2, "generated"),
+        (hand.step_kernels(real).unwrap(), "hand-written"),
+        (generated.step_kernels(real).unwrap(), "generated"),
     ]
 }
 
@@ -63,9 +58,8 @@ fn assert_bits(a: &[f64], b: &[f64], what: &str) {
 
 /// Runs `steps` in lockstep on a single device and a sharded backend over
 /// `part`, on both kernel sets of the scheme, comparing fields bitwise each
-/// step; when `exact_counters`, also requires summed work-items, stores and
-/// flops to equal the single-device step's, and loads and transaction bytes
-/// to exceed it by exactly the set's extra planes (see [`kernel_sets`]).
+/// step; when `exact_counters`, also requires summed work-items, loads,
+/// stores, flops and transaction bytes to equal the single-device step's.
 fn lockstep(
     setup: SimSetup,
     precision: Precision,
@@ -75,7 +69,7 @@ fn lockstep(
     exact_counters: bool,
     what: &str,
 ) {
-    for (kernels, extra_planes, family) in kernel_sets(fdmm, precision) {
+    for (kernels, family) in kernel_sets(fdmm, precision) {
         let what = &format!("{what}, {family}");
         let mut single = HandwrittenSim::new(
             setup.clone(),
@@ -96,7 +90,6 @@ fn lockstep(
         let (x, y, z) = (dims.nx / 2, dims.ny / 2, dims.nz / 2);
         single.impulse(x, y, z, 1.0);
         sharded.impulse(x, y, z, 1.0);
-        let extra_loads = extra_planes * (dims.nx * dims.ny) as u64;
         let mode =
             if exact_counters { ExecMode::Model { sample_stride: 1 } } else { ExecMode::Fast };
         for step in 0..steps {
@@ -112,7 +105,7 @@ fn lockstep(
                 );
                 assert_eq!(
                     c.loads_global,
-                    single_c.loads_global + single_b.loads_global + extra_loads,
+                    single_c.loads_global + single_b.loads_global,
                     "{what}@{step}: loads"
                 );
                 assert_eq!(
@@ -121,11 +114,7 @@ fn lockstep(
                     "{what}@{step}: stores"
                 );
                 assert_eq!(c.flops, single_c.flops + single_b.flops, "{what}@{step}: flops");
-                // The cases with exact counters have planes of whole
-                // 128-byte transactions, so the extra loads coalesce fully.
-                let single_txn = sv.transaction_bytes.unwrap()
-                    + sb.transaction_bytes.unwrap()
-                    + extra_loads * precision.kind().byte_size() as u64;
+                let single_txn = sv.transaction_bytes.unwrap() + sb.transaction_bytes.unwrap();
                 assert_eq!(txn, Some(single_txn), "{what}@{step}: transaction bytes");
             }
             assert_bits(&single.read_curr(), &sharded.read_curr(), what);

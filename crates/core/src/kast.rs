@@ -285,7 +285,7 @@ impl KExpr {
     }
 
     /// Calls `f` on this node and every sub-expression, parents first.
-    pub fn visit(&self, f: &mut dyn FnMut(&KExpr)) {
+    pub fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a KExpr)) {
         f(self);
         match self {
             KExpr::Lit(_)

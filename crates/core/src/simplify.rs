@@ -15,7 +15,10 @@
 //!    is decided becomes the live arm;
 //! 3. integer sub-expressions over work-item ids and size parameters that
 //!    occur more than once are hoisted into `int` declarations after the
-//!    NDRange guards.
+//!    NDRange guards;
+//! 4. declarations only one arm of a branch reads are sunk into that arm,
+//!    a store of a select becoming an `if` for them (`sink`): the loads
+//!    of `out[i] = nbrs[i] > 0 ? stencil : 0` run where `nbrs[i] > 0`.
 //!
 //! # Facts
 //!
@@ -31,11 +34,18 @@
 //! `gid(d) → gid(d) + o`, `o ≥ 0` ([`Kernel::shift_gid`]): past the
 //! shifted guard the shifted id lies in that same interval.
 //!
+//! Sinking consults no fact at all — only which names a statement reads —
+//! so it commutes with that substitution.
+//!
 //! # What never changes
 //!
-//! Loads and stores are neither added, dropped, duplicated nor reordered,
-//! so access-site numbering is that of the input. Floating-point
-//! expressions are not touched. Hoisted names come from a counter.
+//! Loads are neither added nor duplicated; rewrites 1–3 keep every access
+//! and its order, so before sinking the access sites are the input's.
+//! Sinking runs a load on a subset of the work-items (those that read its
+//! value), keeps the order of the loads of an arm, and turns a split store
+//! into two sites, one per arm — each work-item still stores once, at an
+//! index evaluated once. Floating-point expressions are not touched.
+//! Hoisted names come from a counter.
 
 use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
 use crate::kast::{KExpr, KStmt, Kernel, MemRef};
@@ -67,10 +77,12 @@ pub fn simplify_kernel(kernel: &Kernel, size_vars: &[String]) -> Kernel {
     let mut cx = Cx { kernel, env, ints, int_arrays: BTreeSet::new(), compared: Vec::new() };
     let mut body = cx.block(&kernel.body);
     hoist(kernel, &int_params, &mut body);
+    let mut assigned = BTreeSet::new();
+    assigned_names(&body, &mut assigned);
     Kernel {
         name: kernel.name.clone(),
         params: kernel.params.clone(),
-        body,
+        body: sink(body, &assigned),
         work_dim: kernel.work_dim,
     }
 }
@@ -517,4 +529,341 @@ fn declares(body: &[KStmt], name: &str) -> bool {
         KStmt::If { then_, else_, .. } => declares(then_, name) || declares(else_, name),
         _ => false,
     })
+}
+
+// ---- sinking ----
+
+/// Collects the targets of every `Assign` in `block`, nested blocks included.
+fn assigned_names(block: &[KStmt], out: &mut BTreeSet<String>) {
+    for s in block {
+        match s {
+            KStmt::Assign { name, .. } => {
+                out.insert(name.clone());
+            }
+            KStmt::For { body, .. } => assigned_names(body, out),
+            KStmt::If { then_, else_, .. } => {
+                assigned_names(then_, out);
+                assigned_names(else_, out);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Adds every variable `e` reads to `out`.
+fn reads<'e>(e: &'e KExpr, out: &mut BTreeSet<&'e str>) {
+    e.visit(&mut |n| {
+        if let KExpr::Var(v) = n {
+            out.insert(v);
+        }
+    });
+}
+
+/// Where each statement of the run — the unbroken tail of declarations
+/// and comments of `before`, the statements ahead of `branch` in its block
+/// — goes: `Some(0)` into the then-arm, `Some(1)` into the else-arm, `None`
+/// nowhere. `branch` is an `if` or a store of a select (its arms are the
+/// select's); `rest` is what follows it in the block. A declaration moves
+/// when every read of its name is in one arm or in a declaration moving
+/// into that arm, and nothing assigns to it. Empty for any other statement.
+fn destinations<'e>(
+    before: &'e [KStmt],
+    branch: &'e KStmt,
+    rest: &'e [KStmt],
+    assigned: &BTreeSet<String>,
+) -> Vec<Option<usize>> {
+    // Names read by the condition, the store index or a later statement.
+    let mut outside = BTreeSet::new();
+    let mut arms = [BTreeSet::new(), BTreeSet::new()];
+    match branch {
+        KStmt::Store { idx, value: KExpr::Select(c, t, f), .. } => {
+            reads(idx, &mut outside);
+            reads(c, &mut outside);
+            reads(t, &mut arms[0]);
+            reads(f, &mut arms[1]);
+        }
+        KStmt::If { cond, then_, else_ } => {
+            reads(cond, &mut outside);
+            for (arm, into) in [then_, else_].into_iter().zip(&mut arms) {
+                arm.iter().for_each(|s| s.for_each_expr(&mut |e| reads(e, into)));
+            }
+        }
+        _ => return Vec::new(),
+    }
+    let decl = |s: &&KStmt| matches!(s, KStmt::DeclScalar { .. } | KStmt::Comment(_));
+    let run = &before[before.len() - before.iter().rev().take_while(decl).count()..];
+    if run.is_empty() {
+        return Vec::new();
+    }
+    rest.iter().for_each(|s| s.for_each_expr(&mut |e| reads(e, &mut outside)));
+    // Last declaration first: only later ones can read an earlier one.
+    let mut dest = vec![None; run.len()];
+    for (to, s) in dest.iter_mut().zip(run).rev() {
+        let KStmt::DeclScalar { name, init, .. } = s else { continue };
+        let name = name.as_str();
+        let read = [arms[0].contains(name), arms[1].contains(name)];
+        let fixed = read[0] == read[1] || outside.contains(name) || assigned.contains(name);
+        let readers = if fixed {
+            &mut outside
+        } else {
+            *to = Some(read[1] as usize);
+            &mut arms[read[1] as usize]
+        };
+        init.iter().for_each(|e| reads(e, readers));
+    }
+    dest
+}
+
+/// Moves declarations that only one arm of a branch reads into that arm, so
+/// their loads run for the work-items that take it: `int n = nbrs[i]; float
+/// c = curr[i]; out[i] = n > 0 ? f(c) : 0` becomes `int n = nbrs[i]; if (n >
+/// 0) { float c = curr[i]; out[i] = f(c); } else { out[i] = 0; }`. A store of
+/// a select is split into an `if` only when a declaration moves into it; the
+/// arms are sunk in turn, which reaches nested selects. Only the unbroken
+/// run of declarations before the branch is considered, so a load crosses
+/// other loads, never a store, loop, branch or barrier; moved and remaining
+/// declarations each keep their order.
+fn sink(block: Vec<KStmt>, assigned: &BTreeSet<String>) -> Vec<KStmt> {
+    let mut out: Vec<KStmt> = Vec::with_capacity(block.len());
+    let mut rest = block.into_iter();
+    while let Some(s) = rest.next() {
+        let dest = destinations(&out, &s, rest.as_slice(), assigned);
+        let mut arms = [Vec::new(), Vec::new()];
+        if dest.iter().any(Option::is_some) {
+            for (d, to) in out.split_off(out.len() - dest.len()).into_iter().zip(dest) {
+                to.map_or(&mut out, |arm| &mut arms[arm]).push(d);
+            }
+        }
+        let [mut then_, mut else_] = arms;
+        out.push(match s {
+            KStmt::Store { mem, idx, value: KExpr::Select(c, t, f) }
+                if !(then_.is_empty() && else_.is_empty()) =>
+            {
+                then_.push(KStmt::Store { mem: mem.clone(), idx: idx.clone(), value: *t });
+                else_.push(KStmt::Store { mem, idx, value: *f });
+                KStmt::If { cond: *c, then_: sink(then_, assigned), else_: sink(else_, assigned) }
+            }
+            KStmt::If { cond, then_: t, else_: f } => {
+                then_.extend(t);
+                else_.extend(f);
+                KStmt::If { cond, then_: sink(then_, assigned), else_: sink(else_, assigned) }
+            }
+            KStmt::For { var, begin, end, step, body } => {
+                KStmt::For { var, begin, end, step, body: sink(body, assigned) }
+            }
+            other => other,
+        });
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn g() -> KExpr {
+        KExpr::GlobalId(0)
+    }
+    fn var(n: &str) -> KExpr {
+        KExpr::var(n)
+    }
+    /// `p[gid]` of buffer parameter `p`.
+    fn at(p: usize) -> KExpr {
+        KExpr::load(MemRef::Param(p), g())
+    }
+    fn decl(name: &str, init: KExpr) -> KStmt {
+        KStmt::DeclScalar { name: name.into(), kind: ScalarKind::F32, init: Some(init) }
+    }
+    /// `out[idx] = value`, `out` being parameter 3.
+    fn store(idx: KExpr, value: KExpr) -> KStmt {
+        KStmt::Store { mem: MemRef::Param(3), idx, value }
+    }
+    fn positive(e: KExpr) -> KExpr {
+        KExpr::bin(BinOp::Gt, e, KExpr::int(0))
+    }
+    fn branch(cond: KExpr, then_: Vec<KStmt>, else_: Vec<KStmt>) -> KStmt {
+        KStmt::If { cond, then_, else_ }
+    }
+    fn sunk(body: Vec<KStmt>) -> Vec<KStmt> {
+        let mut assigned = BTreeSet::new();
+        assigned_names(&body, &mut assigned);
+        sink(body, &assigned)
+    }
+
+    #[test]
+    fn declarations_one_arm_reads_sink_into_it_through_each_other() {
+        let body = vec![
+            decl("n", at(0)),
+            decl("a", at(1)),
+            decl("b", var("a") + KExpr::real(1.0)),
+            decl("z", at(2)),
+            store(g(), KExpr::select(positive(var("n")), var("b"), var("z") * var("z"))),
+        ];
+        let want = vec![
+            decl("n", at(0)),
+            branch(
+                positive(var("n")),
+                vec![
+                    decl("a", at(1)),
+                    decl("b", var("a") + KExpr::real(1.0)),
+                    store(g(), var("b")),
+                ],
+                vec![decl("z", at(2)), store(g(), var("z") * var("z"))],
+            ),
+        ];
+        assert_eq!(sunk(body), want);
+    }
+
+    #[test]
+    fn nested_selects_sink_arm_by_arm() {
+        let inner =
+            KExpr::select(KExpr::bin(BinOp::Lt, var("n"), KExpr::int(6)), var("a"), var("b"));
+        let body = vec![
+            decl("n", at(0)),
+            decl("a", at(1)),
+            decl("b", at(2)),
+            store(g(), KExpr::select(positive(var("n")), inner, KExpr::real(0.0))),
+        ];
+        let want = vec![
+            decl("n", at(0)),
+            branch(
+                positive(var("n")),
+                vec![branch(
+                    KExpr::bin(BinOp::Lt, var("n"), KExpr::int(6)),
+                    vec![decl("a", at(1)), store(g(), var("a"))],
+                    vec![decl("b", at(2)), store(g(), var("b"))],
+                )],
+                vec![store(g(), KExpr::real(0.0))],
+            ),
+        ];
+        assert_eq!(sunk(body), want);
+    }
+
+    /// Read in both arms, in the condition, in the store index, or again
+    /// after the store: the declaration stays, and with nothing to move the
+    /// store is not split.
+    #[test]
+    fn a_declaration_read_outside_one_arm_stays_put() {
+        let a = || var("a");
+        let zero = || KExpr::real(0.0);
+        let cases = [
+            vec![store(g(), KExpr::select(positive(at(0)), a(), a() * a()))],
+            vec![store(g(), KExpr::select(positive(a()), a(), zero()))],
+            vec![store(
+                KExpr::cast(ScalarKind::I32, a()),
+                KExpr::select(positive(at(0)), a(), zero()),
+            )],
+            vec![store(g(), KExpr::select(positive(at(0)), a(), zero())), decl("later", a())],
+            vec![branch(positive(at(0)), vec![store(g(), a())], vec![]), store(g(), a())],
+        ];
+        for tail in cases {
+            let body: Vec<KStmt> = std::iter::once(decl("a", at(1))).chain(tail).collect();
+            assert_eq!(sunk(body.clone()), body);
+        }
+    }
+
+    /// Only the unbroken run of declarations before the branch moves: a
+    /// load never crosses a store, an assignment, a loop or a barrier.
+    #[test]
+    fn nothing_sinks_across_a_store_assignment_loop_or_barrier() {
+        let between = [
+            store(g() + KExpr::int(1), KExpr::real(1.0)),
+            KStmt::Assign { name: "acc".into(), value: KExpr::real(1.0) },
+            KStmt::For {
+                var: "k".into(),
+                begin: KExpr::int(0),
+                end: KExpr::int(2),
+                step: KExpr::int(1),
+                body: vec![],
+            },
+            KStmt::Barrier,
+            KStmt::DeclPrivArray { name: "p".into(), kind: ScalarKind::F32, len: KExpr::int(2) },
+        ];
+        for s in between {
+            let body = vec![
+                decl("a", at(1)),
+                s,
+                store(g(), KExpr::select(positive(at(0)), var("a"), KExpr::real(0.0))),
+            ];
+            assert_eq!(sunk(body.clone()), body);
+        }
+        // A comment is not code: the run continues through it.
+        let note = || KStmt::Comment("note".into());
+        let select = KExpr::select(positive(at(0)), var("a"), KExpr::real(0.0));
+        let want = vec![
+            note(),
+            branch(
+                positive(at(0)),
+                vec![decl("a", at(1)), store(g(), var("a"))],
+                vec![store(g(), KExpr::real(0.0))],
+            ),
+        ];
+        assert_eq!(sunk(vec![decl("a", at(1)), note(), store(g(), select)]), want);
+    }
+
+    #[test]
+    fn declarations_sink_into_an_existing_branch_unless_assigned() {
+        let update = || KStmt::Assign { name: "acc".into(), value: var("acc") + var("a") };
+        let body = vec![
+            decl("acc", at(1)),
+            decl("a", at(2)),
+            branch(positive(at(0)), vec![update(), store(g(), var("acc"))], vec![]),
+        ];
+        let want = vec![
+            decl("acc", at(1)),
+            branch(
+                positive(at(0)),
+                vec![decl("a", at(2)), update(), store(g(), var("acc"))],
+                vec![],
+            ),
+        ];
+        assert_eq!(sunk(body), want);
+    }
+
+    #[test]
+    fn moved_and_remaining_declarations_keep_their_order() {
+        let body = vec![
+            decl("a", at(1)),
+            decl("p", at(0)),
+            decl("b", at(2)),
+            decl("q", at(0) + var("p")),
+            decl("c", var("b") - var("a")),
+            store(g(), KExpr::select(positive(var("q")), var("c"), KExpr::real(0.0))),
+        ];
+        let want = vec![
+            decl("p", at(0)),
+            decl("q", at(0) + var("p")),
+            branch(
+                positive(var("q")),
+                vec![
+                    decl("a", at(1)),
+                    decl("b", at(2)),
+                    decl("c", var("b") - var("a")),
+                    store(g(), var("c")),
+                ],
+                vec![store(g(), KExpr::real(0.0))],
+            ),
+        ];
+        assert_eq!(sunk(body), want);
+    }
+
+    /// Loop bodies are blocks like any other.
+    #[test]
+    fn a_loop_body_is_sunk_on_its_own() {
+        let looped = |body| KStmt::For {
+            var: "k".into(),
+            begin: KExpr::int(0),
+            end: KExpr::int(4),
+            step: KExpr::int(1),
+            body,
+        };
+        let select = KExpr::select(positive(at(0)), var("a"), KExpr::real(0.0));
+        let body = vec![looped(vec![decl("a", at(1)), store(var("k"), select)])];
+        let want = vec![looped(vec![branch(
+            positive(at(0)),
+            vec![decl("a", at(1)), store(var("k"), var("a"))],
+            vec![store(var("k"), KExpr::real(0.0))],
+        )])];
+        assert_eq!(sunk(body), want);
+    }
 }

@@ -3679,10 +3679,13 @@ mod tests {
     /// u = x[gid + 1 - 1];
     /// s = u < a ? u : a;
     /// r = (s * a + s) + x[gid];
-    /// out[gid] = r;
+    /// t = gid < 40 ? x[gid] : a;
+    /// q = r + t;
+    /// out[gid] = q;
     /// ```
     /// One window of each kind: compare-branch, offset load, compare-select,
-    /// multiply-add, load with an accumulate tail, store.
+    /// multiply-add, load with an accumulate tail, compare-branch behind the
+    /// flushed flop count of `r`, store.
     #[test]
     fn every_fusion_window_keeps_values_counters_and_transactions() {
         let g = || KExpr::GlobalId(0);
@@ -3705,7 +3708,9 @@ mod tests {
                 real("u", x(g() + KExpr::int(1) - KExpr::int(1))),
                 real("s", KExpr::select(KExpr::bin(BinOp::Lt, u(), a()), u(), a())),
                 real("r", (s() * a() + s()) + x(g())),
-                KStmt::Store { mem: MemRef::Param(1), idx: g(), value: KExpr::var("r") },
+                real("t", KExpr::select(KExpr::bin(BinOp::Lt, g(), KExpr::int(40)), x(g()), a())),
+                real("q", KExpr::var("r") + KExpr::var("t")),
+                KStmt::Store { mem: MemRef::Param(1), idx: g(), value: KExpr::var("q") },
             ],
             work_dim: 1,
         };
@@ -3715,12 +3720,14 @@ mod tests {
         assert_eq!(superinstructions(t).into_iter().collect::<Vec<_>>(), want, "{:?}", t.ops);
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdGFused { off: Some(_), .. })));
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdGFused { acc: Some(_), .. })));
-        assert!(t.fused_ops >= 7, "{} ops absorbed: {:?}", t.fused_ops, t.ops);
+        assert!(t.ops.windows(2).any(|w| matches!(w, [Op::Flops { .. }, Op::CmpJz { .. }])));
+        assert!(!t.ops.iter().any(|op| matches!(op, Op::Jz { .. })), "{:?}", t.ops);
+        assert!(t.fused_ops >= 8, "{} ops absorbed: {:?}", t.fused_ops, t.ops);
         assert_consistent(t, prep.nslots);
         // The oracle never saw the pass: equal buffers, counters and
         // transaction bytes (asserted inside) say it changed none of them.
         let out = run_diff(&k, 64, 30.0);
-        assert_eq!((out[3], out[40], out[48]), (96.0, 970.0, 0.0));
+        assert_eq!((out[3], out[40], out[48]), (99.0, 1000.0, 0.0));
     }
 
     #[test]

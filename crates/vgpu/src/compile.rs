@@ -19,8 +19,9 @@
 //! 3. **Peephole fusion** — longest match first at each pc: fused global
 //!    loads (`Bin`·`AsI64`·`LdG`[·`Bin` accumulate]), fused stores
 //!    (`AsI64`·`StG`), multiply-add (`Bin`·`Bin`), compare-select
-//!    (`Bin`·`Sel`) and compare-branch (`Bin`·`Jz`). The window's first op
-//!    becomes the superinstruction, the rest are dropped by `compact`.
+//!    (`Bin`·`Sel`) and compare-branch (`Bin`·`Jz`, also across a `Flops`
+//!    in between). The window's first op becomes the superinstruction, the
+//!    rest are dropped by `compact`.
 //!
 //! Fusion is total: an op no window matches stays as it is, on every tape —
 //! multi-phase and local-memory ones included.
@@ -69,6 +70,18 @@ pub(crate) fn fuse(c: &mut Compiled) {
         // A window may reach up to the next leader.
         if pc == end {
             end = (pc + 1..n).find(|&i| leader[i]).unwrap_or(n);
+        }
+        // A flop count flushed between a compare and its branch goes ahead of
+        // the compare — it touches no register and the mask is the same on
+        // either side — so the pair fuses on the next round.
+        if pc + 2 < end {
+            if let (Op::Bin { op, .. }, Op::Flops { .. }, Op::Jz { .. }) =
+                (c.ops[pc], c.ops[pc + 1], c.ops[pc + 2])
+            {
+                if is_cmp(op) {
+                    c.ops.swap(pc, pc + 1);
+                }
+            }
         }
         let window = try_ldg(c, pc, end, &single)
             .or_else(|| try_stg(c, pc, end, &single))

@@ -170,14 +170,16 @@ fn the_hot_kernels_fuse_and_keep_counters_and_transactions() {
     }
 }
 
-/// The generated one-kernel FI step on a 12³ box and dome: every one of its
-/// 54 warps splits at the boundary-loss arm, which spans several blocks, and
-/// reconverges at the arm's join — plain, race-checked and modeled launches
-/// alike, each held to the oracle inside the launch.
+/// The generated one-kernel FI step on a 12³ box and dome: of its 54 warps,
+/// 46 (box) and 32 (dome) split at the boundary-loss arm, which spans
+/// several blocks, and reconverge at the arm's join; the others are all
+/// exterior — the eight inside the box's two outer z planes, say — and skip
+/// the `nbrs > 0` arm whole. Plain, race-checked and modeled launches alike,
+/// each held to the oracle inside the launch.
 #[test]
 fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
     let dims = GridDims::cube(12);
-    for shape in [RoomShape::Box, RoomShape::Dome] {
+    for (shape, divergent) in [(RoomShape::Box, 46), (RoomShape::Dome, 32)] {
         for precision in [Precision::Single, Precision::Double] {
             let cfg = SimConfig {
                 dims,
@@ -203,7 +205,7 @@ fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
                         let what = format!("{shape:?} {precision:?} {mode:?} race {race_check}");
                         assert!(boundary.is_none(), "{what}: one kernel a step");
                         assert_eq!(step.backend, Backend::Tape, "{what}");
-                        assert_eq!(step.divergent_warps, 54, "{what}");
+                        assert_eq!(step.divergent_warps, divergent, "{what}");
                     }
                 }
             }

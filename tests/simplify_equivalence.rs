@@ -25,15 +25,17 @@ fn lcg(state: &mut u64) -> u64 {
 
 /// Runs `kernel` (a form of `lk`'s kernel with the same parameter list) on
 /// the tree-walker over seeded inputs and returns every buffer afterwards,
-/// in argument order. Integer buffers hold neighbour counts `0..=6`.
+/// in argument order, with the launch's global loads and stores. Integer
+/// buffers hold neighbour counts drawn from `nbrs` (a sub-range of `0..=6`).
 fn run_on_oracle(
     kernel: &Kernel,
     lk: &LoweredKernel,
     params: &[Rc<ParamDef>],
     sizes: &HashMap<&str, i64>,
     global: &[usize],
+    nbrs: &std::ops::RangeInclusive<i32>,
     seed: u64,
-) -> Vec<BufData> {
+) -> (Vec<BufData>, u64, u64) {
     let mut dev = Device::gtx780();
     dev.set_engine(Engine::Tree);
     let prep = dev.compile(kernel).expect("kernel prepares");
@@ -49,9 +51,11 @@ fn run_on_oracle(
                 let ty = params.iter().find(|p| p.name == *name).and_then(|p| p.ty.clone());
                 let len = eval(ty.expect("typed input").scalar_count());
                 let data = match kp.kind {
-                    ScalarKind::I32 => BufData::from(
-                        (0..len).map(|_| (lcg(&mut state) % 7) as i32).collect::<Vec<_>>(),
-                    ),
+                    ScalarKind::I32 => {
+                        let span = (nbrs.end() - nbrs.start() + 1) as u64;
+                        let draw = |_| nbrs.start() + (lcg(&mut state) % span) as i32;
+                        BufData::from((0..len).map(draw).collect::<Vec<_>>())
+                    }
                     _ => BufData::from(
                         (0..len)
                             .map(|_| (lcg(&mut state) % 64) as f32 / 8.0 - 4.0)
@@ -71,12 +75,14 @@ fn run_on_oracle(
             }
         })
         .collect();
-    dev.launch(&prep, &args, global, ExecMode::Fast).expect("launch");
-    bufs.into_iter().map(|b| dev.read(b)).collect()
+    let c = dev.launch(&prep, &args, global, ExecMode::Fast).expect("launch").counters;
+    (bufs.into_iter().map(|b| dev.read(b)).collect(), c.loads_global, c.stores_global)
 }
 
 /// Lowers `p` both ways, applies `place` to both kernels, and checks the
-/// two forms leave bit-identical buffers behind.
+/// two forms leave bit-identical buffers behind, store as often, and the
+/// shipped one never loads more — over mixed, all-exterior and all-interior
+/// neighbour counts, the three ways a sunk `nbrs > 0` arm can go.
 fn assert_forms_agree(
     name: &str,
     params: &[Rc<ParamDef>],
@@ -89,9 +95,16 @@ fn assert_forms_agree(
     let raw = lower_kernel_raw(name, params, body, ScalarKind::F32).expect("lowers");
     let shipped = lower_kernel(name, params, body, ScalarKind::F32).expect("lowers");
     assert_eq!(raw.args, shipped.args);
-    let a = run_on_oracle(&place(&raw.kernel), &raw, params, sizes, global, seed);
-    let b = run_on_oracle(&place(&shipped.kernel), &shipped, params, sizes, global, seed);
-    assert_eq!(a, b, "{name} @ {sizes:?}: simplified form diverges from its input");
+    for nbrs in [0..=6, 0..=0, 1..=6] {
+        let what = format!("{name} @ {sizes:?}, nbrs in {nbrs:?}");
+        let run = |lk: &LoweredKernel| {
+            run_on_oracle(&place(&lk.kernel), lk, params, sizes, global, &nbrs, seed)
+        };
+        let ((a, raw_loads, raw_stores), (b, loads, stores)) = (run(&raw), run(&shipped));
+        assert_eq!(a, b, "{what}: simplified form diverges from its input");
+        assert_eq!(stores, raw_stores, "{what}: stores");
+        assert!(loads <= raw_loads, "{what}: {loads} loads, its input {raw_loads}");
+    }
 }
 
 fn grid_sizes(nx: usize, ny: usize, nz: usize) -> HashMap<&'static str, i64> {
@@ -194,10 +207,11 @@ fn disjuncts<'e>(e: &'e KExpr, out: &mut Vec<&'e KExpr>) {
 }
 
 /// The paper's parity claim as a structural fact about the generated volume
-/// kernel: six one-sided pad guards, an unguarded centre load, and a tape
-/// within 3× of the hand-written kernel's — the tapes as they run, after
-/// superinstruction fusion (69 ops against 31; before it, 92 against 59),
-/// where the unsimplified lowering is 8× (253 ops).
+/// kernel: six one-sided pad guards, an unguarded centre load — all seven
+/// under `nbrs > 0`, as the hand-written kernel has them — and a tape within
+/// 3× of the hand-written kernel's — the tapes as they run, after
+/// superinstruction fusion (63 ops against 31; before it, 92 against 59),
+/// where the unsimplified lowering is 8× (252 ops).
 #[test]
 fn generated_volume_kernel_has_hand_written_shape() {
     let lk = programs::volume_program().lower(ScalarKind::F32).unwrap();
@@ -219,6 +233,18 @@ fn generated_volume_kernel_has_hand_written_shape() {
     }
     assert_eq!(loads, 7, "six neighbours and the centre");
     assert_eq!(guarded.len(), 6, "the centre load is unguarded");
+    // Listing 2's shape: every stencil load sits under `nbrs > 0`, and the
+    // exterior arm is one store.
+    let Some(KStmt::If { cond, then_, else_ }) = lk.kernel.body.last() else {
+        panic!("the kernel ends in {:?}", lk.kernel.body.last());
+    };
+    assert!(matches!(cond, KExpr::Bin(BinOp::Gt, ..)), "{cond:?}");
+    let mut under_guard = 0;
+    then_.iter().for_each(|s| {
+        s.for_each_expr(&mut |e| e.visit(&mut |n| under_guard += is_curr_load(n) as usize))
+    });
+    assert_eq!(under_guard, 7);
+    assert!(matches!(else_.as_slice(), [KStmt::Store { value: KExpr::Lit(_), .. }]), "{else_:?}");
     for cond in &guarded {
         let mut parts = Vec::new();
         disjuncts(cond, &mut parts);
@@ -233,6 +259,34 @@ fn generated_volume_kernel_has_hand_written_shape() {
     let (gen, hand) =
         (tape(&lk.kernel), tape(&handwritten::volume_kernel().resolve_real(ScalarKind::F32)));
     assert!(gen <= 3 * hand, "generated tape {gen} ops vs hand-written {hand}");
+}
+
+/// Sinking is the identity where nothing can sink: every change it makes
+/// leaves an `if` with a live arm behind, and the generated boundary
+/// kernels — in-place gathers and loops, no select-valued store — ship with
+/// no branch but their NDRange guard, in either precision.
+#[test]
+fn boundary_kernels_ship_without_a_split_store() {
+    fn live_branches(block: &[KStmt]) -> usize {
+        block
+            .iter()
+            .map(|s| match s {
+                KStmt::If { then_, else_, .. } => {
+                    !s.is_return_guard() as usize + live_branches(then_) + live_branches(else_)
+                }
+                KStmt::For { body, .. } => live_branches(body),
+                _ => 0,
+            })
+            .sum()
+    }
+    for real in [ScalarKind::F32, ScalarKind::F64] {
+        for p in [programs::fimm_program(), programs::fdmm_program()] {
+            let k = p.lower(real).unwrap().kernel;
+            assert_eq!(live_branches(&k.body), 0, "{}", opencl::emit_kernel(&k));
+        }
+        let volume = programs::volume_program().lower(real).unwrap().kernel;
+        assert_eq!(live_branches(&volume.body), 1, "the `nbrs > 0` split");
+    }
 }
 
 /// Hoisted names come from a counter and no ordering depends on hashing:
