@@ -158,7 +158,7 @@ pub fn grid_halo(kernel: &Kernel, asm: &Assumptions) -> Result<(usize, usize), S
 /// Shard-time gate: checks a kernel's proven z-reach ([`grid_halo`]) against
 /// the `(below, above)` halo planes the slab layout actually provides,
 /// returning the reach or a diagnostic naming the shortfall. [`crate::Simulation`]
-/// and the sharded host program call this instead of assuming a one-plane halo.
+/// calls this instead of assuming a one-plane halo.
 pub fn check_slab_halo(
     kernel: &str,
     (lo, hi): (usize, usize),

@@ -20,7 +20,7 @@
 //! instead of the historical "one halo plane" assumption. A companion
 //! pass, [`check_host_init`], walks a compiled [`HostProgram`]'s command
 //! list in queue order and flags buffers read before any initializing
-//! upload, device copy or kernel store (uninit reads).
+//! upload or kernel store (uninit reads).
 
 use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
 use crate::host::{HostCmd, HostProgram, LaunchArg};
@@ -349,8 +349,6 @@ fn match_term(t: &ArithExpr, monos: &[ArithExpr]) -> Option<(usize, i64)> {
 pub struct UninitRead {
     /// Index of the offending command in [`HostProgram::cmds`].
     pub cmd: usize,
-    /// Device placement (queue index) of the buffer.
-    pub device: usize,
     /// Device slot name.
     pub buffer: String,
     /// Kernel name for launch reads, or the command kind.
@@ -361,8 +359,8 @@ impl fmt::Display for UninitRead {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "cmd {}: `{}` reads device {} buffer `{}` before any initializing write",
-            self.cmd, self.reader, self.device, self.buffer
+            "cmd {}: `{}` reads buffer `{}` before any initializing write",
+            self.cmd, self.reader, self.buffer
         )
     }
 }
@@ -437,73 +435,53 @@ fn param_access(kernel: &Kernel) -> (Vec<bool>, Vec<bool>) {
     (reads, writes)
 }
 
-/// Walks a host program's command list in queue order, tracking per
-/// `(device, slot)` whether the buffer has received an initializing
-/// write (upload, device copy, or a launch whose kernel stores to it),
-/// and flags every read of a still-uninitialized buffer. The tracking is
-/// region-insensitive and deliberately conservative *against false
-/// positives*: any partial write counts as initialization — the
-/// element-precise complement is the runtime shadow sanitizer.
+/// Walks a host program's command list in queue order, tracking per slot
+/// whether the buffer has received an initializing write (an upload, or a
+/// launch whose kernel stores to it), and flags every read of a
+/// still-uninitialized buffer. The tracking is region-insensitive and
+/// deliberately conservative *against false positives*: any partial write
+/// counts as initialization — the element-precise complement is the
+/// runtime shadow sanitizer.
 pub fn check_host_init(prog: &HostProgram) -> Vec<UninitRead> {
     let access: Vec<(Vec<bool>, Vec<bool>)> =
         prog.kernels.iter().map(|k| param_access(&k.kernel)).collect();
-    let mut init: Vec<(usize, String)> = Vec::new();
+    let mut init: Vec<&str> = Vec::new();
     let mut findings = Vec::new();
-    let is_init = |init: &[(usize, String)], device: usize, slot: &str| {
-        init.iter().any(|(d, s)| *d == device && s == slot)
-    };
-    let mark = |init: &mut Vec<(usize, String)>, device: usize, slot: &str| {
-        if !is_init(init, device, slot) {
-            init.push((device, slot.to_string()));
-        }
-    };
     for (ci, cmd) in prog.cmds.iter().enumerate() {
         match cmd {
             HostCmd::Alloc { .. } => {}
-            HostCmd::CopyIn { dev, device, .. } => mark(&mut init, *device, dev),
-            HostCmd::DevCopy { src_device, src, dst_device, dst, .. } => {
-                if !is_init(&init, *src_device, src) {
-                    findings.push(UninitRead {
-                        cmd: ci,
-                        device: *src_device,
-                        buffer: src.clone(),
-                        reader: "DevCopy".into(),
-                    });
-                }
-                mark(&mut init, *dst_device, dst);
-            }
-            HostCmd::Launch { kernel, args, device, .. } => {
+            HostCmd::CopyIn { dev, .. } => init.push(dev),
+            HostCmd::Launch { kernel, args, .. } => {
                 let k = &prog.kernels[*kernel];
                 let (reads, writes) = &access[*kernel];
-                let mut bufs = args.iter().enumerate().filter_map(|(i, a)| match a {
-                    LaunchArg::Buf(name) => Some((i, name)),
-                    _ => None,
-                });
                 // Parameter order and argument order coincide; first pass
                 // flags reads, second marks writes (a kernel that both
                 // reads and writes an uninit buffer is still a finding).
-                let pairs: Vec<(usize, &String)> = bufs.by_ref().collect();
-                for (pi, slot) in &pairs {
-                    if reads.get(*pi).copied().unwrap_or(false) && !is_init(&init, *device, slot) {
+                let bufs = || {
+                    args.iter().enumerate().filter_map(|(i, a)| match a {
+                        LaunchArg::Buf(name) => Some((i, name.as_str())),
+                        _ => None,
+                    })
+                };
+                for (pi, slot) in bufs() {
+                    if reads.get(pi).copied().unwrap_or(false) && !init.contains(&slot) {
                         findings.push(UninitRead {
                             cmd: ci,
-                            device: *device,
-                            buffer: (*slot).clone(),
+                            buffer: slot.to_string(),
                             reader: k.kernel.name.clone(),
                         });
                     }
                 }
-                for (pi, slot) in &pairs {
-                    if writes.get(*pi).copied().unwrap_or(false) {
-                        mark(&mut init, *device, slot);
-                    }
-                }
+                init.extend(
+                    bufs()
+                        .filter(|(pi, _)| writes.get(*pi).copied().unwrap_or(false))
+                        .map(|(_, s)| s),
+                );
             }
-            HostCmd::CopyOut { dev, device, .. } => {
-                if !is_init(&init, *device, dev) {
+            HostCmd::CopyOut { dev, .. } => {
+                if !init.contains(&dev.as_str()) {
                     findings.push(UninitRead {
                         cmd: ci,
-                        device: *device,
                         buffer: dev.clone(),
                         reader: "CopyOut".into(),
                     });

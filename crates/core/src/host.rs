@@ -120,22 +120,8 @@ pub enum LaunchArg {
     SizeVar(String),
 }
 
-/// A contiguous element range (symbolic offset + length) of a host array
-/// or device buffer, used by sharded transfer commands.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BufRange {
-    /// First element of the range.
-    pub off: ArithExpr,
-    /// Number of elements.
-    pub len: ArithExpr,
-}
-
-/// Flat host commands (what `clEnqueue*` calls the generator emits).
-///
-/// Every command carries a `device` placement (queue index). The
-/// single-device generator always emits placement 0; the domain-sharding
-/// transform re-places commands onto slab devices and adds
-/// [`HostCmd::DevCopy`] halo exchanges between them.
+/// Flat host commands (what `clEnqueue*` calls the generator emits), all on
+/// one in-order queue — the paper's host primitives schedule one GPU.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HostCmd {
     /// Allocate a device buffer.
@@ -144,8 +130,6 @@ pub enum HostCmd {
         dev: String,
         /// Buffer type (symbolic length).
         ty: Type,
-        /// Device placement (queue index).
-        device: usize,
     },
     /// `enqueueWriteBuffer`: copy a host input to a device slot.
     CopyIn {
@@ -155,22 +139,6 @@ pub enum HostCmd {
         dev: String,
         /// Buffer type.
         ty: Type,
-        /// Device placement (queue index).
-        device: usize,
-        /// Optional source range within the host array (whole array when
-        /// absent).
-        src: Option<BufRange>,
-        /// Optional element offset in the device buffer. When present the
-        /// slot must already exist (from an [`HostCmd::Alloc`]) and the
-        /// copy writes a region of it; when absent the copy creates the
-        /// slot.
-        dst_off: Option<ArithExpr>,
-        /// True when this copy re-uploads data another device already
-        /// holds (a replicated coefficient table). Replicas are accounted
-        /// under `vgpu.halo.replicate.*` instead of `vgpu.xfer.to_gpu.*`,
-        /// keeping host-transfer byte totals identical to the unsharded
-        /// program.
-        replica: bool,
     },
     /// `enqueueNDRangeKernel` (with an implicit dependency on previous
     /// commands touching the same buffers — the in-order queue of OpenCL).
@@ -181,8 +149,6 @@ pub enum HostCmd {
         args: Vec<LaunchArg>,
         /// Global size per dimension (innermost first).
         global_size: Vec<ArithExpr>,
-        /// Device placement (queue index).
-        device: usize,
     },
     /// `enqueueReadBuffer`: copy a device slot back to a host output name.
     CopyOut {
@@ -192,66 +158,7 @@ pub enum HostCmd {
         host: String,
         /// Buffer type.
         ty: Type,
-        /// Device placement (queue index).
-        device: usize,
-        /// Optional source range within the device buffer (whole buffer
-        /// when absent).
-        src: Option<BufRange>,
-        /// Optional element offset within the host output this range lands
-        /// at (slab assembly). Requires `host_len`.
-        dst_off: Option<ArithExpr>,
-        /// Total host output length, when ranges from several devices
-        /// assemble into one output.
-        host_len: Option<ArithExpr>,
     },
-    /// `enqueueCopyBuffer` across queues: an inter-device (halo) copy.
-    /// Accounted on the destination device under `vgpu.halo.*` — never
-    /// `vgpu.xfer.*`.
-    DevCopy {
-        /// Source device placement.
-        src_device: usize,
-        /// Source slot (on `src_device`).
-        src: String,
-        /// First element copied from the source buffer.
-        src_off: ArithExpr,
-        /// Destination device placement.
-        dst_device: usize,
-        /// Destination slot (on `dst_device`).
-        dst: String,
-        /// First element written in the destination buffer.
-        dst_off: ArithExpr,
-        /// Number of elements copied.
-        len: ArithExpr,
-    },
-}
-
-impl HostCmd {
-    /// A whole-array host→device copy on device 0 (the single-device
-    /// generator's form).
-    pub fn copy_in(host: impl Into<String>, dev: impl Into<String>, ty: Type) -> HostCmd {
-        HostCmd::CopyIn {
-            host: host.into(),
-            dev: dev.into(),
-            ty,
-            device: 0,
-            src: None,
-            dst_off: None,
-            replica: false,
-        }
-    }
-
-    /// A whole-buffer device→host copy on device 0.
-    pub fn copy_out(dev: impl Into<String>, host: impl Into<String>, ty: Type) -> HostCmd {
-        HostCmd::CopyOut {
-            dev: dev.into(),
-            host: host.into(),
-            ty,
-            device: 0,
-            src: None,
-            dst_off: None,
-            host_len: None,
-        }
-    }
 }
 
 /// A compiled host program.
@@ -317,7 +224,11 @@ impl HostCtx {
                             )));
                         }
                         let dev = format!("d_{name}");
-                        self.cmds.push(HostCmd::copy_in(name.clone(), dev.clone(), ty.clone()));
+                        self.cmds.push(HostCmd::CopyIn {
+                            host: name.clone(),
+                            dev: dev.clone(),
+                            ty: ty.clone(),
+                        });
                         let hv = HVal::Dev { slot: dev, ty };
                         self.copied.insert(name, hv.clone());
                         Ok(hv)
@@ -331,7 +242,11 @@ impl HostCtx {
                 match v {
                     HVal::Dev { slot, ty } => {
                         let host = format!("h_{slot}");
-                        self.cmds.push(HostCmd::copy_out(slot, host.clone(), ty.clone()));
+                        self.cmds.push(HostCmd::CopyOut {
+                            dev: slot,
+                            host: host.clone(),
+                            ty: ty.clone(),
+                        });
                         Ok(HVal::Host { name: host, ty: Some(ty) })
                     }
                     HVal::Host { .. } => Ok(v),
@@ -388,11 +303,7 @@ impl HostCtx {
                         ArgSpec::Size(n) => launch_args.push(LaunchArg::SizeVar(n.clone())),
                         ArgSpec::Output(_, ty) => {
                             let slot = self.fresh("d_out");
-                            self.cmds.push(HostCmd::Alloc {
-                                dev: slot.clone(),
-                                ty: ty.clone(),
-                                device: 0,
-                            });
+                            self.cmds.push(HostCmd::Alloc { dev: slot.clone(), ty: ty.clone() });
                             launch_args.push(LaunchArg::Buf(slot.clone()));
                             out_val = HVal::Dev { slot, ty: ty.clone() };
                         }
@@ -404,7 +315,6 @@ impl HostCtx {
                     kernel: kid,
                     args: launch_args,
                     global_size: lowered.global_size.clone(),
-                    device: 0,
                 });
                 Ok(out_val)
             }
@@ -438,24 +348,9 @@ fn bytes_expr(ty: &Type) -> String {
     format!("{} * sizeof({kind})", ty.scalar_count())
 }
 
-fn range_bytes(ty: &Type, len: &ArithExpr) -> String {
-    let kind = ty.scalar_kind().map(|k| k.c_name()).unwrap_or("char");
-    format!("({len}) * sizeof({kind})")
-}
-
-/// The queue expression for a device placement: the familiar `queue` for
-/// device 0 (keeping single-device emission unchanged), `queues[d]`
-/// otherwise.
-fn queue(device: usize) -> String {
-    if device == 0 {
-        "queue".into()
-    } else {
-        format!("queues[{device}]")
-    }
-}
-
 /// Prints the host program as OpenCL host C code (plus all kernel sources),
-/// mirroring the "Generated code" column of Table I.
+/// mirroring the "Generated code" column of Table I. Single-queue by design:
+/// a multi-device step is `room_acoustics::Simulation`'s, not a host program.
 pub fn emit_host_c(p: &HostProgram) -> String {
     let mut out = String::new();
     out.push_str("// ---- device kernels ----\n");
@@ -466,45 +361,25 @@ pub fn emit_host_c(p: &HostProgram) -> String {
     out.push_str("// ---- host code ----\n");
     for cmd in &p.cmds {
         match cmd {
-            HostCmd::Alloc { dev, ty, .. } => {
+            HostCmd::Alloc { dev, ty } => {
                 let _ = writeln!(
                     out,
                     "cl_mem {dev} = clCreateBuffer(ctx, CL_MEM_READ_WRITE, {}, NULL, &err);",
                     bytes_expr(ty)
                 );
             }
-            HostCmd::CopyIn { host, dev, ty, device, src, dst_off, .. } => {
-                let q = queue(*device);
-                if dst_off.is_none() {
-                    let sz = match src {
-                        Some(r) => range_bytes(ty, &r.len),
-                        None => bytes_expr(ty),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "cl_mem {dev} = clCreateBuffer(ctx, CL_MEM_READ_WRITE, {sz}, NULL, &err);",
-                    );
-                }
-                let elem = ty.scalar_kind().map(|k| k.c_name()).unwrap_or("char");
-                let (off, sz, from) = match (src, dst_off) {
-                    (Some(r), d) => (
-                        d.as_ref()
-                            .map(|o| format!("({o}) * sizeof({elem})"))
-                            .unwrap_or_else(|| "0".into()),
-                        range_bytes(ty, &r.len),
-                        format!("{host} + ({})", r.off),
-                    ),
-                    (None, Some(o)) => {
-                        (format!("({o}) * sizeof({elem})"), bytes_expr(ty), host.clone())
-                    }
-                    (None, None) => ("0".into(), bytes_expr(ty), host.clone()),
-                };
+            HostCmd::CopyIn { host, dev, ty } => {
+                let sz = bytes_expr(ty);
                 let _ = writeln!(
                     out,
-                    "clEnqueueWriteBuffer({q}, {dev}, CL_TRUE, {off}, {sz}, {from}, 0, NULL, NULL);",
+                    "cl_mem {dev} = clCreateBuffer(ctx, CL_MEM_READ_WRITE, {sz}, NULL, &err);",
+                );
+                let _ = writeln!(
+                    out,
+                    "clEnqueueWriteBuffer(queue, {dev}, CL_TRUE, 0, {sz}, {host}, 0, NULL, NULL);",
                 );
             }
-            HostCmd::Launch { kernel, args, global_size, device } => {
+            HostCmd::Launch { kernel, args, global_size } => {
                 let name = &p.kernels[*kernel].kernel.name;
                 for (i, a) in args.iter().enumerate() {
                     match a {
@@ -527,35 +402,14 @@ pub fn emit_host_c(p: &HostProgram) -> String {
                 let _ = writeln!(out, "size_t global_{name}[{dims}] = {{{}}};", gs.join(", "));
                 let _ = writeln!(
                     out,
-                    "clEnqueueNDRangeKernel({}, {name}, {dims}, NULL, global_{name}, NULL, 0, NULL, NULL);",
-                    queue(*device)
+                    "clEnqueueNDRangeKernel(queue, {name}, {dims}, NULL, global_{name}, NULL, 0, NULL, NULL);",
                 );
             }
-            HostCmd::CopyOut { dev, host, ty, device, src, dst_off, .. } => {
-                let elem = ty.scalar_kind().map(|k| k.c_name()).unwrap_or("char");
-                let (off, sz) = match src {
-                    Some(r) => (format!("({}) * sizeof({elem})", r.off), range_bytes(ty, &r.len)),
-                    None => ("0".into(), bytes_expr(ty)),
-                };
-                let to = match dst_off {
-                    Some(o) => format!("{host} + ({o})"),
-                    None => host.clone(),
-                };
+            HostCmd::CopyOut { dev, host, ty } => {
                 let _ = writeln!(
                     out,
-                    "clEnqueueReadBuffer({}, {dev}, CL_TRUE, {off}, {sz}, {to}, 0, NULL, NULL);",
-                    queue(*device)
-                );
-            }
-            HostCmd::DevCopy { src_device, src, src_off, dst_device, dst, dst_off, len } => {
-                // OpenCL has no cross-context copy; on a multi-queue
-                // single-context build this is clEnqueueCopyBuffer on the
-                // destination's queue (the accounting side).
-                let _ = writeln!(
-                    out,
-                    "/* halo: dev{src_device} -> dev{dst_device} */ \
-                     clEnqueueCopyBuffer({}, {src}, {dst}, {src_off}, {dst_off}, {len}, 0, NULL, NULL);",
-                    queue(*dst_device)
+                    "clEnqueueReadBuffer(queue, {dev}, CL_TRUE, 0, {}, {host}, 0, NULL, NULL);",
+                    bytes_expr(ty)
                 );
             }
         }

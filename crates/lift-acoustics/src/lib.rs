@@ -9,7 +9,9 @@
 //!   `Concat(Skip, ArrayCons, Skip)` in-place idiom of §IV-B), and FD-MM
 //!   boundary handling (tuple-of-`WriteTo` multi-output of §V-D);
 //! * [`hostprog`] — the Listing 5 host orchestration built from `ToGPU` /
-//!   `OclKernel` / `WriteTo` / `ToHost`;
+//!   `OclKernel` / `WriteTo` / `ToHost`: one step on one GPU, launching the
+//!   kernels [`LiftBoundary::FiMm`] hands a `Simulation` (several devices
+//!   are `Simulation`'s business, not the host program's);
 //! * [`runner`] — the generated kernels as a kernel set for
 //!   [`room_acoustics::Simulation`] ([`LiftBoundary`] is a
 //!   [`room_acoustics::KernelSource`]; [`runner::step_kernel`] lowers and

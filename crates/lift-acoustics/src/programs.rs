@@ -143,9 +143,8 @@ impl Program {
 /// ([`room_acoustics::contracts::boundary_table_facts`]) layered on top.
 ///
 /// The verify suite audits every generated kernel under exactly this
-/// contract, and [`crate::hostprog`]'s sharding transform consults the
-/// same one for its shard-time halo proofs — one definition, both
-/// consumers.
+/// contract, and [`crate::runner::step_kernel`] launches (and slab-places)
+/// it under the same one — one definition, both consumers.
 pub fn launch_assumptions(p: &Program, lowered: &LoweredKernel) -> lift::verify::Assumptions {
     use lift::lower::ArgSpec;
     use lift::verify::{Assumptions, BufferFacts};
@@ -156,16 +155,8 @@ pub fn launch_assumptions(p: &Program, lowered: &LoweredKernel) -> lift::verify:
     for (param, spec) in lowered.kernel.params.iter().zip(&lowered.args) {
         match spec {
             ArgSpec::Size(n) => asm.size_bounds.push((n.clone(), 1)),
-            ArgSpec::Input(pid, pname) if param.is_buffer => {
-                // Ids are fresh per `Program` construction, so a lowering
-                // taken from an earlier instance (e.g. one embedded in a
-                // compiled host program) matches by parameter name.
-                let ty = p
-                    .params
-                    .iter()
-                    .find(|d| d.id == *pid)
-                    .or_else(|| p.params.iter().find(|d| d.name == *pname))
-                    .and_then(|d| d.ty.clone());
+            ArgSpec::Input(pid, _) if param.is_buffer => {
+                let ty = p.params.iter().find(|d| d.id == *pid).and_then(|d| d.ty.clone());
                 if let Some(ty) = ty {
                     asm.buffers.insert(param.name.clone(), BufferFacts::sized(ty.scalar_count()));
                 }

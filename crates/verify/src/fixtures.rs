@@ -168,8 +168,8 @@ pub fn uninit_host_program() -> HostProgram {
     HostProgram {
         kernels: vec![lowered],
         cmds: vec![
-            HostCmd::Alloc { dev: "src".into(), ty: ty.clone(), device: 0 },
-            HostCmd::Alloc { dev: "out".into(), ty: ty.clone(), device: 0 },
+            HostCmd::Alloc { dev: "src".into(), ty: ty.clone() },
+            HostCmd::Alloc { dev: "out".into(), ty: ty.clone() },
             HostCmd::Launch {
                 kernel: 0,
                 args: vec![
@@ -178,17 +178,8 @@ pub fn uninit_host_program() -> HostProgram {
                     LaunchArg::SizeVar("N".into()),
                 ],
                 global_size: vec![ArithExpr::var("N")],
-                device: 0,
             },
-            HostCmd::CopyOut {
-                dev: "out".into(),
-                host: "result".into(),
-                ty,
-                device: 0,
-                src: None,
-                dst_off: None,
-                host_len: None,
-            },
+            HostCmd::CopyOut { dev: "out".into(), host: "result".into(), ty },
         ],
         result: "result".into(),
     }

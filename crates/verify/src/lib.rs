@@ -148,8 +148,8 @@ pub fn run_suite(entries: &[SuiteEntry]) -> Vec<SuiteReport> {
 // ---- contracts ----
 
 /// The contract for a generated kernel, derived from its lowering by
-/// [`lift_acoustics::programs::launch_assumptions`] — shared with the
-/// sharding transform's shard-time halo proofs so the audit and the
+/// [`lift_acoustics::programs::launch_assumptions`] — the one
+/// `Simulation` launches and slab-places it under, so the audit and the
 /// runtime gate trust one definition.
 fn generated_assumptions(p: &Program, lowered: &LoweredKernel) -> Assumptions {
     lift_acoustics::programs::launch_assumptions(p, lowered)
@@ -411,7 +411,6 @@ pub fn report_json(
                 .map(|f| {
                     serde_json::json!({
                         "cmd": f.cmd,
-                        "device": f.device,
                         "buffer": f.buffer,
                         "reader": f.reader,
                     })
@@ -425,7 +424,7 @@ pub fn report_json(
         })
         .collect();
     serde_json::json!({
-        "schema": "lift-verify-report/v1",
+        "schema": "lift-verify-report/v2",
         "grid_buffers": contracts::GRID_BUFFERS,
         "kernels": kernels,
         "host_programs": host_programs,
@@ -437,10 +436,7 @@ pub fn report_json(
 /// `(program label, fixture?, findings)` triples; the driver fails on any
 /// finding in a non-fixture program and on a *clean* fixture.
 pub fn host_audit() -> Vec<(String, bool, Vec<lift::footprint::UninitRead>)> {
-    use lift_acoustics::hostprog::{fimm_step_host_program, fimm_step_sharded_host_program};
-    use room_acoustics::geometry::{GridDims, RoomShape};
-    use room_acoustics::sim::{SimConfig, SimSetup};
-    use vgpu::SlabPartition;
+    use lift_acoustics::hostprog::fimm_step_host_program;
     let mut out = Vec::new();
     for real in [ScalarKind::F32, ScalarKind::F64] {
         let prog = fimm_step_host_program(real)
@@ -451,15 +447,6 @@ pub fn host_audit() -> Vec<(String, bool, Vec<lift::footprint::UninitRead>)> {
             lift::footprint::check_host_init(&prog),
         ));
     }
-    let s = SimSetup::new(&SimConfig::fimm(GridDims::new(12, 10, 9), RoomShape::Box));
-    let part = SlabPartition::balanced(s.dims().nz, 3);
-    let prog = fimm_step_sharded_host_program(ScalarKind::F32, &s, &part)
-        .unwrap_or_else(|e| panic!("sharded fimm host program fails to lower: {e}"));
-    out.push((
-        "fimm_step_sharded_host_program/f32x3dev".to_string(),
-        false,
-        lift::footprint::check_host_init(&prog),
-    ));
     out.push((
         "fixture_uninit_read_host".to_string(),
         true,
@@ -564,19 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn shipped_sharded_host_program_has_no_uninit_reads() {
-        use lift_acoustics::hostprog::fimm_step_sharded_host_program;
-        use room_acoustics::geometry::{GridDims, RoomShape};
-        use room_acoustics::sim::{SimConfig, SimSetup};
-        use vgpu::SlabPartition;
-        let s = SimSetup::new(&SimConfig::fimm(GridDims::new(12, 10, 9), RoomShape::Box));
-        let part = SlabPartition::balanced(s.dims().nz, 3);
-        let prog = fimm_step_sharded_host_program(ScalarKind::F32, &s, &part).unwrap();
-        let findings = lift::footprint::check_host_init(&prog);
-        assert!(findings.is_empty(), "{findings:#?}");
-    }
-
-    #[test]
     fn json_report_round_trips_and_names_the_seeded_defects() {
         let reports = run_suite(&suite_with_fixtures());
         let hosts = host_audit();
@@ -590,7 +564,7 @@ mod tests {
         assert_eq!(v, back2);
         // Spot-check the shape: every kernel entry carries footprints and
         // a halo verdict; the stale-halo fixture is present and failing.
-        assert_eq!(v.get("schema").unwrap().as_str(), Some("lift-verify-report/v1"));
+        assert_eq!(v.get("schema").unwrap().as_str(), Some("lift-verify-report/v2"));
         let kernels = v.get("kernels").unwrap().as_array().unwrap();
         assert_eq!(kernels.len(), reports.len());
         let stale = kernels

@@ -10,7 +10,7 @@ use crate::device::{Arg, BufId, Device};
 use crate::exec::{ExecError, ExecMode};
 use crate::telemetry::{self, HOST_TRACK};
 use lift::arith::ArithExpr;
-use lift::host::{BufRange, HostCmd, HostProgram, LaunchArg};
+use lift::host::{HostCmd, HostProgram, LaunchArg};
 use lift::prelude::{ScalarKind, Value};
 use lift::types::Type;
 use std::collections::HashMap;
@@ -65,17 +65,6 @@ pub struct TransferTotals {
     pub to_host_bytes: u64,
     /// Number of device → host transfers.
     pub to_host_transfers: u64,
-    /// Bytes moved device → device ([`HostCmd::DevCopy`] halo exchanges).
-    /// Counted separately from the host-transfer totals so a sharded run's
-    /// `to_gpu`/`to_host` bytes stay comparable with the unsharded run.
-    pub halo_bytes: u64,
-    /// Number of device → device copies.
-    pub halo_copies: u64,
-    /// Bytes of replicated uploads (coefficient tables re-sent to extra
-    /// devices; the first upload counts under `to_gpu_bytes`).
-    pub replicate_bytes: u64,
-    /// Number of replicated uploads.
-    pub replicate_transfers: u64,
 }
 
 /// Result of a host-program run.
@@ -91,27 +80,22 @@ pub struct HostRun {
     pub transfers: TransferTotals,
 }
 
-fn eval_len(ty: &Type, sizes: &HashMap<String, i64>) -> Result<usize, ExecError> {
-    let count: ArithExpr = ty.scalar_count();
-    count
-        .eval(&|n| sizes.get(n).copied())
-        .map(|v| v as usize)
-        .map_err(|e| ExecError(format!("cannot size buffer of type {ty}: {e}")))
-}
-
+/// Evaluates a size expression under the environment's bindings. A negative
+/// value is reported, not cast: `as usize` would turn it into an allocation
+/// that aborts the caller.
 fn eval_arith(e: &ArithExpr, sizes: &HashMap<String, i64>, what: &str) -> Result<usize, ExecError> {
-    e.eval(&|n| sizes.get(n).copied())
-        .map(|v| v as usize)
-        .map_err(|e| ExecError(format!("cannot evaluate {what}: {e}")))
+    let v = e
+        .eval(&|n| sizes.get(n).copied())
+        .map_err(|err| ExecError(format!("cannot evaluate {what} `{e}`: {err}")))?;
+    usize::try_from(v).map_err(|_| ExecError(format!("{what} `{e}` evaluates to {v}")))
 }
 
-fn eval_range(r: &BufRange, sizes: &HashMap<String, i64>) -> Result<(usize, usize), ExecError> {
-    Ok((eval_arith(&r.off, sizes, "range offset")?, eval_arith(&r.len, sizes, "range length")?))
+fn eval_len(ty: &Type, sizes: &HashMap<String, i64>) -> Result<usize, ExecError> {
+    eval_arith(&ty.scalar_count(), sizes, &format!("length of buffer type {ty}"))
 }
 
 /// Runs a host program. `real` must match the precision the program was
 /// compiled with; `mode` selects fast or modeled kernel execution.
-/// Single-device shorthand for [`run_host_program_on`].
 pub fn run_host_program(
     prog: &HostProgram,
     env: &HostEnv,
@@ -119,232 +103,91 @@ pub fn run_host_program(
     real: ScalarKind,
     mode: ExecMode,
 ) -> Result<HostRun, ExecError> {
-    run_host_program_on(prog, env, std::slice::from_mut(device), real, mode)
-}
-
-/// Runs a host program across a set of devices: every command executes on
-/// the device its `device` placement names (slot names are scoped per
-/// device), and [`HostCmd::DevCopy`] commands move halo regions between
-/// devices with `vgpu.halo.*` accounting on the destination. A program
-/// emitted by the single-device generator places everything on device 0,
-/// so `run_host_program_on(p, e, &mut [dev], …)` is exactly the old
-/// single-device semantics.
-pub fn run_host_program_on(
-    prog: &HostProgram,
-    env: &HostEnv,
-    devices: &mut [Device],
-    real: ScalarKind,
-    mode: ExecMode,
-) -> Result<HostRun, ExecError> {
-    let mut slots: HashMap<(usize, String), BufId> = HashMap::new();
+    let mut slots: HashMap<&str, BufId> = HashMap::new();
     let mut outputs: HashMap<String, BufData> = HashMap::new();
     let mut transfers = TransferTotals::default();
     let mut prepared = Vec::with_capacity(prog.kernels.len());
-    let ndev = devices.len();
-    let check_dev = move |d: usize| {
-        if d < ndev {
-            Ok(d)
-        } else {
-            Err(ExecError(format!("command placed on device {d} but only {ndev} exist")))
-        }
-    };
     {
-        // Kernel artifacts are device-independent; compile once and launch
-        // everywhere (the same sharing the artifact cache provides).
         let _s = telemetry::span(HOST_TRACK, "compile_kernels");
         for lk in &prog.kernels {
-            prepared.push(devices[0].compile(&lk.kernel)?);
+            prepared.push(device.compile(&lk.kernel)?);
         }
     }
+    let slot = |slots: &HashMap<&str, BufId>, name: &str| {
+        slots.get(name).copied().ok_or_else(|| ExecError(format!("unknown device slot `{name}`")))
+    };
     for cmd in &prog.cmds {
         match cmd {
-            HostCmd::CopyIn { host, dev, ty, device, src, dst_off, replica } => {
-                let d = check_dev(*device)?;
+            HostCmd::CopyIn { host, dev, ty } => {
                 let _s = telemetry::span_with(HOST_TRACK, || format!("ToGPU({dev})"));
                 let data = env
                     .arrays
                     .get(host)
                     .ok_or_else(|| ExecError(format!("missing host input array `{host}`")))?;
-                let data = match src {
-                    None => {
-                        let want = eval_len(&ty.resolve_real(real), &env.sizes)?;
-                        if data.len() != want {
-                            return Err(ExecError(format!(
-                                "host array `{host}` has {} elements, expected {want}",
-                                data.len()
-                            )));
-                        }
-                        data.clone()
-                    }
-                    Some(r) => {
-                        let (off, len) = eval_range(r, &env.sizes)?;
-                        if off + len > data.len() {
-                            return Err(ExecError(format!(
-                                "range {off}+{len} outside host array `{host}` of {} elements",
-                                data.len()
-                            )));
-                        }
-                        data.slice(off, len)
-                    }
-                };
-                let bytes = (data.len() * data.elem_bytes()) as u64;
-                if *replica {
-                    transfers.replicate_bytes += bytes;
-                    transfers.replicate_transfers += 1;
-                } else {
-                    transfers.to_gpu_bytes += bytes;
-                    transfers.to_gpu_transfers += 1;
+                let want = eval_len(&ty.resolve_real(real), &env.sizes)?;
+                if data.len() != want {
+                    return Err(ExecError(format!(
+                        "host array `{host}` has {} elements, expected {want}",
+                        data.len()
+                    )));
                 }
-                match dst_off {
-                    None => {
-                        let id = if *replica {
-                            devices[d].upload_replica(data)
-                        } else {
-                            devices[d].upload(data)
-                        };
-                        slots.insert((d, dev.clone()), id);
-                    }
-                    Some(off) => {
-                        let off = eval_arith(off, &env.sizes, "device offset")?;
-                        let id = *slots.get(&(d, dev.clone())).ok_or_else(|| {
-                            ExecError(format!("region CopyIn into unallocated slot `{dev}`"))
-                        })?;
-                        if *replica {
-                            return Err(ExecError(format!(
-                                "replica CopyIn into region of `{dev}` is not supported"
-                            )));
-                        }
-                        devices[d].write_region(id, off, data);
-                    }
-                }
+                transfers.to_gpu_bytes += (data.len() * data.elem_bytes()) as u64;
+                transfers.to_gpu_transfers += 1;
+                slots.insert(dev, device.upload(data.clone()));
             }
-            HostCmd::Alloc { dev, ty, device } => {
-                let d = check_dev(*device)?;
+            HostCmd::Alloc { dev, ty } => {
                 let _s = telemetry::span_with(HOST_TRACK, || format!("Alloc({dev})"));
                 let rty = ty.resolve_real(real);
                 let kind = rty
                     .scalar_kind()
                     .ok_or_else(|| ExecError(format!("cannot allocate non-uniform type {ty}")))?;
-                let len = eval_len(&rty, &env.sizes)?;
-                // A slot the program fills piecewise is a slab: the owned
-                // planes arrive by region `CopyIn`, the seam planes by
-                // `DevCopy`, and the outermost halo planes are never
-                // written — the sharded rewrite promises them zero-filled,
-                // and the slab kernel reads them. A slot no host command
-                // writes into stays unpromised: reading it before a kernel
-                // has stored to it is the bug `check_host_init` predicts.
-                let slab = prog.cmds.iter().any(|c| {
-                    matches!(c, HostCmd::CopyIn { dev: s, device: sd, dst_off: Some(_), .. }
-                        if s == dev && sd == device)
-                });
-                let id = if slab {
-                    devices[d].create_buffer_zeroed(kind, len)
-                } else {
-                    devices[d].create_buffer(kind, len)
-                };
-                slots.insert((d, dev.clone()), id);
+                // Unpromised contents: reading the slot before a kernel has
+                // stored to it is the bug `check_host_init` predicts.
+                slots.insert(dev, device.create_buffer(kind, eval_len(&rty, &env.sizes)?));
             }
-            HostCmd::Launch { kernel, args, global_size, device } => {
-                let d = check_dev(*device)?;
+            HostCmd::Launch { kernel, args, global_size } => {
                 let _s = telemetry::span_with(HOST_TRACK, || {
                     format!("OclKernel({})", prepared[*kernel].name)
                 });
                 let mut largs = Vec::with_capacity(args.len());
                 for a in args {
-                    match a {
-                        LaunchArg::Buf(slot) => {
-                            let id = slots.get(&(d, slot.clone())).ok_or_else(|| {
-                                ExecError(format!("unknown device slot `{slot}` on device {d}"))
-                            })?;
-                            largs.push(Arg::Buf(*id));
-                        }
+                    largs.push(match a {
+                        LaunchArg::Buf(name) => Arg::Buf(slot(&slots, name)?),
                         LaunchArg::ScalarInput(name) => {
-                            let v = env.scalars.get(name).ok_or_else(|| {
+                            Arg::Val(*env.scalars.get(name).ok_or_else(|| {
                                 ExecError(format!("missing host scalar `{name}`"))
-                            })?;
-                            largs.push(Arg::Val(*v));
+                            })?)
                         }
                         LaunchArg::SizeVar(name) => {
-                            let v = env
+                            let v = *env
                                 .sizes
                                 .get(name)
                                 .ok_or_else(|| ExecError(format!("unbound size `{name}`")))?;
-                            largs.push(Arg::Val(Value::I32(*v as i32)));
+                            Arg::Val(Value::I32(i32::try_from(v).map_err(|_| {
+                                ExecError(format!(
+                                    "size `{name}` = {v} does not fit the kernel's int argument"
+                                ))
+                            })?))
                         }
-                    }
+                    });
                 }
                 let global: Result<Vec<usize>, ExecError> =
                     global_size.iter().map(|g| eval_arith(g, &env.sizes, "global size")).collect();
-                devices[d].launch(&prepared[*kernel], &largs, &global?, mode)?;
+                device.launch(&prepared[*kernel], &largs, &global?, mode)?;
             }
-            HostCmd::CopyOut { dev, host, device, src, dst_off, host_len, .. } => {
-                let d = check_dev(*device)?;
+            HostCmd::CopyOut { dev, host, .. } => {
                 let _s = telemetry::span_with(HOST_TRACK, || format!("ToHost({host})"));
-                let id = *slots
-                    .get(&(d, dev.clone()))
-                    .ok_or_else(|| ExecError(format!("unknown device slot `{dev}`")))?;
-                let data = match src {
-                    None => devices[d].read(id),
-                    Some(r) => {
-                        let (off, len) = eval_range(r, &env.sizes)?;
-                        devices[d].read_region(id, off, len)
-                    }
-                };
+                let data = device.read(slot(&slots, dev)?);
                 transfers.to_host_bytes += (data.len() * data.elem_bytes()) as u64;
                 transfers.to_host_transfers += 1;
-                match dst_off {
-                    None => {
-                        outputs.insert(host.clone(), data);
-                    }
-                    Some(off) => {
-                        let off = eval_arith(off, &env.sizes, "host offset")?;
-                        let total = eval_arith(
-                            host_len.as_ref().ok_or_else(|| {
-                                ExecError(format!(
-                                    "assembling CopyOut into `{host}` needs host_len"
-                                ))
-                            })?,
-                            &env.sizes,
-                            "host output length",
-                        )?;
-                        let out = outputs
-                            .entry(host.clone())
-                            .or_insert_with(|| BufData::zeros(data.kind(), total));
-                        out.copy_from(off, &data);
-                    }
-                }
-            }
-            HostCmd::DevCopy { src_device, src, src_off, dst_device, dst, dst_off, len } => {
-                let sd = check_dev(*src_device)?;
-                let dd = check_dev(*dst_device)?;
-                let _s = telemetry::span_with(HOST_TRACK, || format!("DevCopy({src}->{dst})"));
-                let so = eval_arith(src_off, &env.sizes, "DevCopy source offset")?;
-                let do_ = eval_arith(dst_off, &env.sizes, "DevCopy destination offset")?;
-                let n = eval_arith(len, &env.sizes, "DevCopy length")?;
-                let sid = *slots.get(&(sd, src.clone())).ok_or_else(|| {
-                    ExecError(format!("unknown DevCopy source slot `{src}` on device {sd}"))
-                })?;
-                let did = *slots.get(&(dd, dst.clone())).ok_or_else(|| {
-                    ExecError(format!("unknown DevCopy destination slot `{dst}` on device {dd}"))
-                })?;
-                let data = devices[sd].peek_region(sid, so, n);
-                transfers.halo_bytes += (data.len() * data.elem_bytes()) as u64;
-                transfers.halo_copies += 1;
-                let prov = devices[sd].halo_provenance(sid);
-                devices[dd].write_halo_region_tagged(did, do_, data, prov);
+                outputs.insert(host.clone(), data);
             }
         }
     }
     // Inspection snapshot, not a modeled transfer: use `peek` so it does not
-    // inflate the `ToHost` accounting. Slot names are qualified with their
-    // device index when more than one device is in play.
-    let device_slots = slots
-        .iter()
-        .map(|((d, name), id)| {
-            let key = if devices.len() > 1 { format!("{name}@{d}") } else { name.clone() };
-            (key, devices[*d].peek(*id))
-        })
-        .collect();
+    // inflate the `ToHost` accounting.
+    let device_slots =
+        slots.iter().map(|(name, id)| (name.to_string(), device.peek(*id))).collect();
     Ok(HostRun { outputs, result: prog.result.clone(), device_slots, transfers })
 }
 
@@ -413,7 +256,6 @@ mod tests {
                 to_gpu_transfers: 2,
                 to_host_bytes: 4 * 4,
                 to_host_transfers: 1,
-                ..TransferTotals::default()
             }
         );
     }
@@ -451,10 +293,36 @@ mod tests {
         let k = KernelDef::new("idk", vec![a], body);
         let a_h = ParamDef::typed("a_h", Type::array(Type::real(), "N"));
         let prog_expr = host::to_host(host::ocl_kernel(&k, vec![host::to_gpu(host::input(&a_h))]));
-        let prog = host::compile_host(&prog_expr, ScalarKind::F32).unwrap();
-        let env = HostEnv::new().array("a_h", vec![0.0f32; 4]);
+        let mut prog = host::compile_host(&prog_expr, ScalarKind::F32).unwrap();
         let mut dev = Device::gtx780();
-        let r = run_host_program(&prog, &env, &mut dev, ScalarKind::F32, ExecMode::Fast);
-        assert!(r.is_err());
+        let mut err = |prog: &HostProgram, env: HostEnv| {
+            run_host_program(prog, &env, &mut dev, ScalarKind::F32, ExecMode::Fast)
+                .err()
+                .expect("a bad size binding is an error")
+                .0
+        };
+        err(&prog, HostEnv::new().array("a_h", vec![0.0f32; 4]));
+        // A negative size is an error naming the expression and its value,
+        // not an `as usize` cast into a `capacity overflow` abort.
+        let alloc_only = HostProgram {
+            kernels: Vec::new(),
+            cmds: vec![HostCmd::Alloc { dev: "x".into(), ty: Type::array(Type::real(), "N") }],
+            result: "x".into(),
+        };
+        let e = err(&alloc_only, HostEnv::new().size("N", -4));
+        assert!(e.contains("`N`") && e.contains("-4"), "{e}");
+        // A size past `int` is an error, not a truncated kernel argument:
+        // buffers of `M` elements, so the launch's `N` argument is reached.
+        let m = Type::array(Type::real(), "M");
+        for cmd in &mut prog.cmds {
+            match cmd {
+                HostCmd::CopyIn { ty, .. } | HostCmd::Alloc { ty, .. } => *ty = m.clone(),
+                HostCmd::Launch { global_size, .. } => *global_size = vec![ArithExpr::var("M")],
+                HostCmd::CopyOut { .. } => {}
+            }
+        }
+        let env = HostEnv::new().array("a_h", vec![0.0f32; 4]).size("M", 4).size("N", 1 << 31);
+        let e = err(&prog, env);
+        assert!(e.contains("`N`") && e.contains("2147483648"), "{e}");
     }
 }

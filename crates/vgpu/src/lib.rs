@@ -22,7 +22,10 @@
 //!   bit-identical results (see [`exec::Engine`]);
 //! * [`profile::DeviceProfile`] — the four Table III GPUs;
 //! * [`perfmodel`] — transactions/flops → modeled seconds;
-//! * [`host_exec`] — runs LIFT host programs (`ToGPU`/`OclKernel`/`ToHost`).
+//! * [`host_exec`] — runs LIFT host programs (`ToGPU`/`OclKernel`/`ToHost`)
+//!   on one device;
+//! * [`shard`] — the Z-slab partition and halo exchange that
+//!   `room_acoustics::Simulation`, the one multi-device step, is built on.
 //!
 //! ## Example: run a generated kernel
 //!
@@ -76,7 +79,7 @@ pub use artifact::{compile_cached, compile_cached_under, verify_cached};
 pub use buffer::BufData;
 pub use device::{Arg, BufId, Device};
 pub use exec::{Backend, Counters, Engine, ExecError, ExecMode, LaunchStats, Prepared};
-pub use host_exec::{run_host_program, run_host_program_on, HostEnv, HostRun, TransferTotals};
+pub use host_exec::{run_host_program, HostEnv, HostRun, TransferTotals};
 pub use perfmodel::{modeled_sharded_step_s, modeled_time_s, updates_per_second, ModelInput};
 pub use profile::DeviceProfile;
 pub use profiler::ProfileMode;

@@ -1,4 +1,7 @@
-//! Z-slab domain sharding across multiple [`Device`]s (DESIGN.md §12).
+//! Z-slab domain sharding across multiple [`Device`]s (DESIGN.md §12): the
+//! partition and the seam exchange. One consumer places kernels and buffers
+//! on them — `room_acoustics::Simulation`; LIFT host programs
+//! ([`crate::host_exec`]) are single-device.
 //!
 //! A 3-D grid of `nz` z-planes (`plane = nx·ny` elements each) is
 //! partitioned into contiguous slabs, one per device. Every device
@@ -100,28 +103,6 @@ impl SlabPartition {
     pub fn local_planes(&self, d: usize) -> usize {
         self.owned(d) + 2
     }
-
-    /// Global plane index corresponding to slab `d`'s local plane 0 (the
-    /// bottom halo). `-1` for slab 0, whose bottom halo is a fabricated
-    /// zero plane below the grid.
-    pub fn local_base(&self, d: usize) -> isize {
-        self.cuts[d] as isize - 1
-    }
-
-    /// Element offset subtracted from a global linear index to obtain the
-    /// local index in slab `d`'s allocation (may be negative: slab 0's
-    /// local indices sit one plane *above* their global counterparts).
-    pub fn elem_shift(&self, d: usize, plane: usize) -> isize {
-        self.local_base(d) * plane as isize
-    }
-
-    /// Maps a global linear element index owned by slab `d` to its local
-    /// index.
-    pub fn to_local(&self, d: usize, plane: usize, global_idx: usize) -> usize {
-        let local = global_idx as isize - self.elem_shift(d, plane);
-        debug_assert!(local >= 0);
-        local as usize
-    }
 }
 
 /// Exchanges the curr-field seam planes between neighbouring slabs:
@@ -204,20 +185,6 @@ mod tests {
         assert_eq!(p.cuts(), &[0, 6, 11, 16]);
         assert_eq!((0..3).map(|d| p.owned(d)).sum::<usize>(), 16);
         assert_eq!(p.local_planes(0), 8);
-        assert_eq!(p.local_base(0), -1);
-        assert_eq!(p.local_base(1), 5);
-    }
-
-    #[test]
-    fn to_local_round_trips_ownership() {
-        let p = SlabPartition::from_cuts(16, vec![0, 5, 16]);
-        let plane = 12;
-        // Global plane 5 cell 3 is owned by slab 1 and sits at its local
-        // plane 1 (one halo plane below).
-        assert_eq!(p.to_local(1, plane, 5 * plane + 3), plane + 3);
-        // Slab 0's global plane 0 maps one plane *up* (above its
-        // fabricated bottom halo).
-        assert_eq!(p.to_local(0, plane, 3), plane + 3);
     }
 
     #[test]

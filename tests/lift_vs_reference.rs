@@ -188,62 +188,53 @@ fn host_program_step_matches_reference_step() {
 }
 
 #[test]
-fn sharded_host_program_matches_single_device() {
-    // Tentpole identity: the Z-slab sharded host program (per-device slabs,
-    // halo DevCopies, replicated tables, assembling read-back) must be
-    // bit-identical to the single-device Listing 5 program, with equal
-    // host-transfer *byte* totals and all extra traffic under vgpu.halo.*.
-    for shape in [RoomShape::Box, RoomShape::Dome] {
-        let s = fimm_setup(shape);
-        let mut rf = ReferenceSim::<f64>::new(s.clone());
-        rf.impulse(7, 6, 4, 1.0);
-        let curr = rf.curr.clone();
-        let prev = rf.prev.clone();
-        let mut dev = Device::gtx780();
-        let (single, t1) = lift_acoustics::hostprog::run_fimm_step_traced(
+fn host_program_is_the_step_that_ships() {
+    // Listing 5 and `Simulation` are one loop: the host program launches the
+    // kernels `LiftBoundary::FiMm` hands a `Simulation`, over the same global
+    // sizes, and one run of it is one `Simulation::step`, bit for bit.
+    use lift::host::HostCmd;
+    use room_acoustics::KernelSource;
+    for precision in [Precision::Single, Precision::Double] {
+        let real = precision.kind();
+        let prog = lift_acoustics::hostprog::fimm_step_host_program(real).unwrap();
+        let shipped = LiftBoundary::FiMm.step_kernels(real).unwrap();
+        let shipped = [shipped.volume, shipped.boundary.expect("FI-MM has a boundary kernel")];
+        let launches: Vec<_> = prog
+            .cmds
+            .iter()
+            .filter_map(|c| match c {
+                HostCmd::Launch { kernel, global_size, .. } => Some((*kernel, global_size)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(launches.len(), 2);
+        for ((kernel, global), step) in launches.into_iter().zip(&shipped) {
+            let name = &step.kernel.name;
+            assert_eq!(
+                format!("{:?}", prog.kernels[kernel].kernel),
+                format!("{:?}", step.kernel),
+                "{name}"
+            );
+            assert_eq!(*global, step.global, "{name}");
+        }
+
+        let s = SimSetup::new(&SimConfig::fimm(GridDims::new(12, 10, 9), RoomShape::Dome));
+        let mut sim = LiftSim::new(s.clone(), precision, LiftBoundary::FiMm, Device::gtx780());
+        sim.impulse(6, 5, 4, 1.0);
+        // An impulse is a released displacement: `prev` starts equal to `curr`.
+        let start = sim.read_curr();
+        sim.run(1);
+        let out = lift_acoustics::hostprog::run_fimm_step(
             &s,
-            Precision::Double,
-            &curr,
-            &prev,
-            &mut dev,
+            precision,
+            &start,
+            &start,
+            &mut Device::gtx780(),
             vgpu::ExecMode::Fast,
         )
-        .expect("single-device host program runs");
-        let plane = s.dims().nx * s.dims().ny;
-        for ndev in [2usize, 3] {
-            let mut devices: Vec<Device> = (0..ndev).map(|_| Device::gtx780()).collect();
-            let (sharded, t2) = lift_acoustics::hostprog::run_fimm_step_sharded(
-                &s,
-                Precision::Double,
-                &curr,
-                &prev,
-                &mut devices,
-                vgpu::ExecMode::Fast,
-            )
-            .expect("sharded host program runs");
-            assert_eq!(sharded.len(), single.len());
-            for (i, (a, b)) in sharded.iter().zip(&single).enumerate() {
-                assert!(
-                    a.to_bits() == b.to_bits(),
-                    "{shape:?} x{ndev}: bit mismatch at {i}: {a} vs {b}"
-                );
-            }
-            // Host transfers account exactly once: byte totals match the
-            // unsharded program even though the transfer *count* scales
-            // with the device count.
-            assert_eq!(t2.to_gpu_bytes, t1.to_gpu_bytes, "{shape:?} x{ndev}: to_gpu bytes");
-            assert_eq!(t2.to_host_bytes, t1.to_host_bytes, "{shape:?} x{ndev}: to_host bytes");
-            assert!(t2.to_gpu_transfers > t1.to_gpu_transfers);
-            // Halo traffic: one plane in each direction per seam.
-            assert_eq!(t2.halo_bytes, (2 * (ndev - 1) * plane * 8) as u64);
-            assert_eq!(t2.halo_copies, (2 * (ndev - 1)) as u64);
-            // The beta table is re-uploaded once per extra device that owns
-            // boundary points.
-            assert!(t2.replicate_transfers >= 1);
-            assert_eq!(t2.replicate_bytes, t2.replicate_transfers * (s.betas.len() * 8) as u64);
-            assert_eq!(t1.replicate_bytes, 0);
-            assert_eq!(t1.halo_bytes, 0);
-        }
+        .expect("host program runs");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out), bits(&sim.read_curr()), "{precision:?}");
     }
 }
 

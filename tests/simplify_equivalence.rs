@@ -181,7 +181,7 @@ proptest! {
         assert_forms_agree("clamp1d", &params, &body, &sizes, &[nx + 2], Kernel::clone, seed);
     }
 
-    /// The sharded host program shifts the *simplified* volume kernel
+    /// `StepKernel::slab_placed` shifts the *simplified* volume kernel
     /// (`shift_gid(2, 1)`) and re-binds `Nz` to the slab's local plane
     /// count: `owned` work-item planes over `owned + 2` allocated ones.
     #[test]
