@@ -5,10 +5,14 @@
 //! This module flattens a [`Prepared`] kernel once, at compile time, into a
 //! linear tape of register-register [`Op`]s:
 //!
-//! * **Dense registers** — scalar slots map to the first `nslots` registers;
-//!   expression temporaries extend the file. Registers hold raw 64-bit
-//!   patterns whose interpretation ([`K`]) is fixed statically, so the inner
-//!   loop never unwraps a `Value`.
+//! * **Dense, typed registers** — scalar slots map to the first `nslots`
+//!   registers; expression temporaries extend the file. A register's kind
+//!   ([`K`]) is fixed statically, and with it its width: the warp executor
+//!   keeps a 32-bit kind (`F32`, `I32`, `Bool`) as a packed `[u32; WARP]`
+//!   row, `F64` and the internal i64 registers as `[u64; WARP]` rows
+//!   ([`Compiled::wide`]: one width per register, checked op by op in
+//!   [`validate`]), so the inner loop never unwraps a `Value`. Only the
+//!   scalar file of the launch prelude ([`exec_pre`]) holds 64-bit patterns.
 //! * **Monomorphised arithmetic** — C-style promotion (`f64 > f32 > i32`,
 //!   bool → i32) is resolved during compilation; every `Bin` op carries its
 //!   promoted kind and operands are pre-cast by explicit `Cast` ops. The
@@ -21,30 +25,30 @@
 //!   materialised as single `Flops` ops, preserving the tree-walker's
 //!   data-dependent totals (branches carry their own counts).
 //!
-//! Compilation is best-effort: kernels whose scalar kinds cannot be inferred
+//! Not every kernel compiles: one whose scalar kinds cannot be inferred
 //! statically (e.g. a variable re-declared with a different kind on one
-//! branch only) are rejected with an error and the launch falls back to the
-//! tree-walker, which remains the reference oracle (see
-//! [`crate::exec::Engine`]).
+//! branch only, then read) is rejected, and [`crate::exec::prepare`] fails
+//! with that error — nothing falls back to the tree-walker, which runs only
+//! as the differential oracle (see [`crate::exec::Engine`]).
 
 use crate::buffer::{BufPtr, SharedBuf};
 use crate::exec::{Counters, PExpr, PMem, PStmt, Prepared, WriteRec, WARP};
 use crate::profiler::OpProf;
 use lift::kast::MemSpace;
 use lift::prelude::{BinOp, Intrinsic, ScalarKind, UnOp, Value};
+use std::num::Wrapping;
 use std::time::Instant;
 
 /// Register index.
 pub(crate) type R = u32;
 
-/// Statically-known register kind (the bit-pattern interpretation).
+/// Statically-known register kind (the bit-pattern interpretation). Where
+/// a 32-bit kind is held as a 64-bit pattern — the scalar prelude file,
+/// constants, private and local arrays — it is zero-extended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum K {
-    /// f32 bits in the low 32.
     F32,
-    /// f64 bits.
     F64,
-    /// i32 bits in the low 32 (zero-extended).
     I32,
     /// 0 or 1.
     Bool,
@@ -53,6 +57,12 @@ pub(crate) enum K {
 impl K {
     fn is_float(self) -> bool {
         matches!(self, K::F32 | K::F64)
+    }
+
+    /// A register of this kind is a 64-bit row of the warp register file
+    /// (see [`Compiled::wide`]).
+    fn wide(self) -> bool {
+        self == K::F64
     }
 }
 
@@ -479,6 +489,11 @@ pub struct Compiled {
     /// Lane shape of every register in a row-coherent warp
     /// ([`crate::compile::lane_shapes`]).
     pub(crate) shapes: Vec<Shape>,
+    /// Width of every register, fixed where it is allocated: the warp
+    /// register file keeps `r` as a `[u64; WARP]` row when `wide[r]` (`F64`,
+    /// the internal i64 registers), otherwise as a packed `[u32; WARP]` row.
+    /// [`validate`] holds every op to it.
+    pub(crate) wide: Vec<bool>,
 }
 
 impl Compiled {
@@ -507,16 +522,35 @@ fn merge_sk(a: Sk, b: Sk) -> Sk {
 struct Cc<'a> {
     prep: &'a Prepared,
     ops: Vec<Op>,
-    nregs: u32,
+    /// Width of every register allocated so far ([`Compiled::wide`]).
+    wide: Vec<bool>,
     slots: Vec<Sk>,
+    /// Per scalar slot: whether a declaration has fixed the width of its own
+    /// register, and the register that holds it at the other width, if any.
+    twins: Vec<(bool, Option<R>)>,
     flops: u32,
 }
 
 impl<'a> Cc<'a> {
-    fn temp(&mut self) -> R {
-        let r = self.nregs;
-        self.nregs += 1;
-        r
+    fn temp(&mut self, wide: bool) -> R {
+        self.wide.push(wide);
+        (self.wide.len() - 1) as R
+    }
+
+    /// The register that holds scalar slot `slot` at kind `k`. The first
+    /// declaration fixes the width of the slot's own register; a variable
+    /// re-declared at the other width lives on in a twin temporary, so no
+    /// register is ever used at two widths.
+    fn slot_reg(&mut self, slot: usize, k: K) -> R {
+        if !std::mem::replace(&mut self.twins[slot].0, true) {
+            self.wide[slot] = k.wide();
+        }
+        if self.wide[slot] == k.wide() {
+            return slot as R;
+        }
+        let twin = self.twins[slot].1.unwrap_or_else(|| self.temp(k.wide()));
+        self.twins[slot].1 = Some(twin);
+        twin
     }
 
     fn flush(&mut self) {
@@ -539,13 +573,13 @@ impl<'a> Cc<'a> {
         if from == to {
             return r;
         }
-        let dst = self.temp();
+        let dst = self.temp(to.wide());
         self.ops.push(Op::Cast { dst, src: r, from, to });
         dst
     }
 
     fn as_i64(&mut self, r: R, from: K) -> R {
-        let dst = self.temp();
+        let dst = self.temp(true);
         self.ops.push(Op::AsI64 { dst, src: r, from });
         dst
     }
@@ -565,49 +599,53 @@ impl<'a> Cc<'a> {
         Ok(match e {
             PExpr::Lit(v) => {
                 let (k, bits) = value_bits(*v);
-                let dst = self.temp();
+                let dst = self.temp(k.wide());
                 self.ops.push(Op::Const { dst, bits });
                 (dst, k)
             }
             PExpr::Var(s) => match self.slots[*s] {
-                Sk::Known(k) => (*s as R, k),
+                Sk::Known(k) => (self.slot_reg(*s, k), k),
                 Sk::Unset => return Err(format!("slot {s} read before any declaration")),
                 Sk::Conflict => {
                     return Err(format!("slot {s} has branch-dependent kind at a read"))
                 }
             },
             PExpr::GlobalId(d) => {
-                let dst = self.temp();
+                let dst = self.temp(false);
                 self.ops.push(Op::Gid { dst, dim: *d });
                 (dst, K::I32)
             }
             PExpr::GlobalSize(d) => {
-                let dst = self.temp();
+                let dst = self.temp(false);
                 self.ops.push(Op::Gsz { dst, dim: *d });
                 (dst, K::I32)
             }
             PExpr::LocalId(d) => {
-                let dst = self.temp();
+                let dst = self.temp(false);
                 self.ops.push(Op::Lid { dst, dim: *d });
                 (dst, K::I32)
             }
             PExpr::LocalSize(d) => {
-                let dst = self.temp();
+                let dst = self.temp(false);
                 self.ops.push(Op::Lsz { dst, dim: *d });
                 (dst, K::I32)
             }
             PExpr::GroupId(d) => {
-                let dst = self.temp();
+                let dst = self.temp(false);
                 self.ops.push(Op::Grp { dst, dim: *d });
                 (dst, K::I32)
             }
             PExpr::Load { mem, idx, site, space } => {
                 let (ri, ki) = self.expr(idx)?;
                 let ri = self.as_i64(ri, ki);
-                let dst = self.temp();
+                let k = kk(match mem {
+                    PMem::Param(p) => self.prep.params[*p].kind,
+                    PMem::Priv(a) => self.prep.priv_kinds[*a],
+                    PMem::Local(a) => self.prep.local_kinds[*a],
+                })?;
+                let dst = self.temp(k.wide());
                 match mem {
                     PMem::Param(p) => {
-                        let k = kk(self.prep.params[*p].kind)?;
                         let constant = matches!(space, MemSpace::Constant);
                         self.ops.push(Op::LdG {
                             dst,
@@ -616,26 +654,18 @@ impl<'a> Cc<'a> {
                             site: *site,
                             constant,
                         });
-                        (dst, k)
                     }
-                    PMem::Priv(a) => {
-                        let k = kk(self.prep.priv_kinds[*a])?;
-                        self.ops.push(Op::LdP { dst, arr: *a as u16, idx: ri });
-                        (dst, k)
-                    }
-                    PMem::Local(a) => {
-                        let k = kk(self.prep.local_kinds[*a])?;
-                        self.ops.push(Op::LdL { dst, arr: *a as u16, idx: ri });
-                        (dst, k)
-                    }
+                    PMem::Priv(a) => self.ops.push(Op::LdP { dst, arr: *a as u16, idx: ri }),
+                    PMem::Local(a) => self.ops.push(Op::LdL { dst, arr: *a as u16, idx: ri }),
                 }
+                (dst, k)
             }
             PExpr::Bin(op, a, b) => {
                 let (ra, ka) = self.expr(a)?;
                 let (rb, kb) = self.expr(b)?;
                 match op {
                     BinOp::And | BinOp::Or => {
-                        let dst = self.temp();
+                        let dst = self.temp(false);
                         self.ops.push(Op::Logic {
                             dst,
                             a: ra,
@@ -653,7 +683,7 @@ impl<'a> Cc<'a> {
                         }
                         let ra = self.cast(ra, ka, k);
                         let rb = self.cast(rb, kb, k);
-                        let dst = self.temp();
+                        let dst = self.temp(false);
                         self.ops.push(Op::Bin { dst, a: ra, b: rb, op: *op, k });
                         (dst, k)
                     }
@@ -664,15 +694,16 @@ impl<'a> Cc<'a> {
                         if op.is_flop() && (ka.is_float() || kb.is_float()) {
                             self.flops += 1;
                         }
-                        let dst = self.temp();
+                        let kd = if op.is_predicate() { K::Bool } else { k };
+                        let dst = self.temp(kd.wide());
                         self.ops.push(Op::Bin { dst, a: ra, b: rb, op: *op, k });
-                        (dst, if op.is_predicate() { K::Bool } else { k })
+                        (dst, kd)
                     }
                 }
             }
             PExpr::Un(op, a) => {
                 let (ra, ka) = self.expr(a)?;
-                let dst = self.temp();
+                let dst = self.temp(matches!(op, UnOp::Neg) && ka.wide());
                 match op {
                     UnOp::Neg => {
                         self.ops.push(Op::Neg { dst, src: ra, k: ka });
@@ -687,7 +718,7 @@ impl<'a> Cc<'a> {
             PExpr::Select(c, t, f) => {
                 let (rc, kc) = self.expr(c)?;
                 self.flush();
-                let dst = self.temp();
+                let dst = self.temp(false);
                 let jz = self.here();
                 self.ops.push(Op::Jz { cond: rc, k: kc, target: 0 });
                 let (rt, kt) = self.expr(t)?;
@@ -705,6 +736,7 @@ impl<'a> Cc<'a> {
                 if kt != kf {
                     return Err("select branches have different kinds".into());
                 }
+                self.wide[dst as usize] = kt.wide();
                 (dst, kt)
             }
             PExpr::Call(intr, args) => {
@@ -729,7 +761,7 @@ impl<'a> Cc<'a> {
                         } else {
                             (self.cast(r0, k0, K::F64), K::F64)
                         };
-                        let dst = self.temp();
+                        let dst = self.temp(k.wide());
                         self.ops.push(Op::Intr1 { dst, src, intr: *intr, k });
                         (dst, k)
                     }
@@ -742,7 +774,7 @@ impl<'a> Cc<'a> {
                         let k = Self::promote_k(k0, k1);
                         let a = self.cast(r0, k0, k);
                         let b = self.cast(r1, k1, k);
-                        let dst = self.temp();
+                        let dst = self.temp(k.wide());
                         self.ops.push(Op::MinMax {
                             dst,
                             a,
@@ -764,9 +796,9 @@ impl<'a> Cc<'a> {
                         let a = self.cast(r0, k0, k);
                         let b = self.cast(r1, k1, k);
                         let c = self.cast(r2, k2, k);
-                        let t = self.temp();
+                        let t = self.temp(k.wide());
                         self.ops.push(Op::Bin { dst: t, a, b, op: BinOp::Mul, k });
-                        let dst = self.temp();
+                        let dst = self.temp(k.wide());
                         self.ops.push(Op::Bin { dst, a: t, b: c, op: BinOp::Add, k });
                         (dst, k)
                     }
@@ -795,10 +827,12 @@ impl<'a> Cc<'a> {
                     Some(e) => {
                         let (r, ke) = self.expr(e)?;
                         let r = self.cast(r, ke, k);
-                        self.ops.push(Op::Mov { dst: *slot as R, src: r });
+                        let dst = self.slot_reg(*slot, k);
+                        self.ops.push(Op::Mov { dst, src: r });
                     }
                     None => {
-                        self.ops.push(Op::Const { dst: *slot as R, bits: 0 });
+                        let dst = self.slot_reg(*slot, k);
+                        self.ops.push(Op::Const { dst, bits: 0 });
                     }
                 }
                 self.slots[*slot] = Sk::Known(k);
@@ -810,7 +844,8 @@ impl<'a> Cc<'a> {
                 };
                 let (r, ke) = self.expr(value)?;
                 let r = self.cast(r, ke, k);
-                self.ops.push(Op::Mov { dst: *slot as R, src: r });
+                let dst = self.slot_reg(*slot, k);
+                self.ops.push(Op::Mov { dst, src: r });
             }
             PStmt::DeclPriv { arr, len, .. } => {
                 let (rl, kl) = self.expr(len)?;
@@ -854,12 +889,13 @@ impl<'a> Cc<'a> {
                 let (rs, ks) = self.expr(step)?;
                 let rs = self.as_i64(rs, ks);
                 self.ops.push(Op::MaxOne { dst: rs });
-                let ri = self.temp();
+                let ri = self.temp(true);
                 self.ops.push(Op::Mov { dst: ri, src: rb });
                 self.flush();
                 let head = self.here();
                 self.ops.push(Op::JgeI64 { a: ri, b: re, target: 0 });
-                self.ops.push(Op::I64ToI32 { dst: *slot as R, src: ri });
+                let var = self.slot_reg(*slot, K::I32);
+                self.ops.push(Op::I64ToI32 { dst: var, src: ri });
                 let pre = self.slots.clone();
                 self.slots[*slot] = Sk::Known(K::I32);
                 let entry = self.slots.clone();
@@ -920,13 +956,21 @@ impl<'a> Cc<'a> {
 /// Compiles a prepared kernel into a tape, or explains why it cannot be
 /// compiled ([`crate::exec::prepare`] fails with that reason).
 pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
-    let mut slots = vec![Sk::Unset; prep.nslots];
+    let mut cc = Cc {
+        prep,
+        ops: Vec::new(),
+        wide: vec![false; prep.nslots],
+        slots: vec![Sk::Unset; prep.nslots],
+        twins: vec![(false, None); prep.nslots],
+        flops: 0,
+    };
     for (p, s) in prep.params.iter().zip(&prep.scalar_slots) {
         if let Some(slot) = s {
-            slots[*slot] = Sk::Known(kk(p.kind)?);
+            let k = kk(p.kind)?;
+            cc.slots[*slot] = Sk::Known(k);
+            cc.slot_reg(*slot, k);
         }
     }
-    let mut cc = Cc { prep, ops: Vec::new(), nregs: prep.nslots as u32, slots, flops: 0 };
     let mut phase_starts = Vec::with_capacity(prep.phases.len());
     for phase in &prep.phases {
         phase_starts.push(cc.here());
@@ -934,11 +978,11 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
         cc.flush();
         cc.ops.push(Op::Halt);
     }
-    if cc.nregs > u32::MAX / 2 {
+    if cc.wide.len() > (u32::MAX / 2) as usize {
         return Err("register file overflow".into());
     }
-    let mut c =
-        Compiled { ops: cc.ops, phase_starts, nregs: cc.nregs as usize, ..Compiled::default() };
+    let nregs = cc.wide.len();
+    let mut c = Compiled { ops: cc.ops, phase_starts, nregs, wide: cc.wide, ..Compiled::default() };
     optimize(&mut c, prep.nslots, &prep.scalar_slots);
     c.nsites = c
         .ops
@@ -950,7 +994,7 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
         .max()
         .unwrap_or(0);
     crate::compile::fuse(&mut c);
-    if !validate(&c) {
+    if !validate(&c, prep) {
         // Never expected: the compiler allocated every operand itself.
         // Failing the compilation beats trusting a tape the check rejected.
         return Err("tape validation failed".into());
@@ -1067,19 +1111,20 @@ fn compute_joins(ops: &[Op]) -> Vec<u32> {
 
 /// One-time structural check run at compile time: every register operand in
 /// the main tape and the prelude is below `nregs`, every jump target and
-/// phase entry is inside the tape, and the tape is non-empty. The warp
-/// executors rely on this to elide per-access register bounds checks.
-fn validate(c: &Compiled) -> bool {
+/// phase entry is inside the tape, the tape is non-empty, and every op uses
+/// every register at the one width [`Compiled::wide`] records for it
+/// ([`widths_ok`]). The warp executor relies on this to elide per-access
+/// register bounds checks and to read a row at the width it was written.
+fn validate(c: &Compiled, prep: &Prepared) -> bool {
     // The tape must end in a terminator: `pc` only moves past non-final ops
     // (a fall-through at the final op would run off the end) or to a
     // validated jump target, so the program counter can never leave the
     // tape. `WarpExec::run` elides the fetch bounds check on this basis.
-    let mut ok = matches!(c.ops.last(), Some(Op::Ret | Op::Halt));
+    let mut ok = matches!(c.ops.last(), Some(Op::Ret | Op::Halt)) && c.wide.len() == c.nregs;
     for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
-        if let Some(d) = op_dst(op) {
-            ok &= (d as usize) < c.nregs;
-        }
-        visit_srcs(op, &mut |r| ok &= (r as usize) < c.nregs);
+        let mut in_file = op_dst(op).is_none_or(|d| (d as usize) < c.nregs);
+        visit_srcs(op, &mut |r| in_file &= (r as usize) < c.nregs);
+        ok &= in_file && widths_ok(op, &c.wide, prep);
         if let Some(target) = jump_target(op) {
             ok &= (target as usize) < c.ops.len();
         }
@@ -1088,6 +1133,65 @@ fn validate(c: &Compiled) -> bool {
         ok &= (s as usize) < c.ops.len();
     }
     ok
+}
+
+/// The one-width rule for one op, its registers being inside `wide`: an
+/// operand of kind `k` is a register of `k`'s width, an i64 operand (load,
+/// store and private indices, lengths, loop counters) a wide one, a loaded
+/// value has its memory's element width, and the untyped ops (`Mov`, `Sel`,
+/// `CmpSel`) move bits between registers of one width.
+fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
+    let w = |r: R| wide[r as usize];
+    let is = |r: R, k: K| w(r) == k.wide();
+    let param = |buf: u16| kk(prep.params.get(buf as usize)?.kind).ok();
+    let load = |dst: R, idx: R, kind: Option<K>| w(idx) && kind.is_some_and(|k| is(dst, k));
+    let elem = |kinds: &[ScalarKind], arr: u16| kk(*kinds.get(arr as usize)?).ok();
+    match *op {
+        Op::Const { dst, bits } => w(dst) || bits >> 32 == 0,
+        Op::Gid { dst, .. }
+        | Op::Gsz { dst, .. }
+        | Op::Lid { dst, .. }
+        | Op::Lsz { dst, .. }
+        | Op::Grp { dst, .. } => !w(dst),
+        Op::Mov { dst, src } => w(dst) == w(src),
+        Op::Cast { dst, src, from, to } => is(src, from) && is(dst, to),
+        Op::AsI64 { dst, src, from } => w(dst) && is(src, from),
+        Op::MaxOne { dst } => w(dst),
+        Op::I64ToI32 { dst, src } => !w(dst) && w(src),
+        Op::AddI64 { dst, a, b } => w(dst) && w(a) && w(b),
+        Op::JgeI64 { a, b, .. } => w(a) && w(b),
+        Op::Neg { dst, src, k } => is(src, k) && is(dst, k),
+        Op::Intr1 { dst, src, k, .. } => k.is_float() && is(src, k) && is(dst, k),
+        Op::Not { dst, src, k } => is(src, k) && !w(dst),
+        Op::Bin { dst, a, b, op, k } => {
+            is(a, k) && is(b, k) && w(dst) == (k.wide() && !op.is_predicate())
+        }
+        Op::Logic { dst, a, b, ka, kb, .. } => is(a, ka) && is(b, kb) && !w(dst),
+        Op::MinMax { dst, a, b, k, .. } => is(a, k) && is(b, k) && is(dst, k),
+        Op::Sel { dst, cond, ck, t, f } => is(cond, ck) && w(t) == w(dst) && w(f) == w(dst),
+        Op::LdG { dst, buf, idx, .. } => load(dst, idx, param(buf)),
+        Op::LdP { dst, arr, idx } => load(dst, idx, elem(&prep.priv_kinds, arr)),
+        Op::LdL { dst, arr, idx } => load(dst, idx, elem(&prep.local_kinds, arr)),
+        Op::StG { idx, val, vk, .. } => w(idx) && is(val, vk),
+        Op::StP { idx, val, vk, .. } | Op::StL { idx, val, vk, .. } => w(idx) && is(val, vk),
+        Op::DeclPriv { len, .. } | Op::DeclLocal { len, .. } => w(len),
+        Op::Jz { cond, k, .. } => is(cond, k),
+        Op::MulAdd { dst, a, b, c, k, .. } => is(a, k) && is(b, k) && is(c, k) && is(dst, k),
+        Op::CmpSel { dst, a, b, k, tr, fl, .. } => {
+            is(a, k) && is(b, k) && w(tr) == w(dst) && w(fl) == w(dst)
+        }
+        // The accumulate runs at the buffer's element kind.
+        Op::LdGFused { dst, buf, base, off, acc, .. } => {
+            !w(base)
+                && off.is_none_or(|(o, _)| !w(o))
+                && param(buf).is_some_and(|k| {
+                    is(dst, k) && acc.is_none_or(|acc| acc.k == k && is(acc.src, k))
+                })
+        }
+        Op::StGAt { base, val, vk, .. } => !w(base) && is(val, vk),
+        Op::CmpJz { a, b, k, .. } => is(a, k) && is(b, k),
+        Op::Flops { .. } | Op::Jmp { .. } | Op::Ret | Op::Halt => true,
+    }
 }
 
 // ---- peephole optimizer ----
@@ -1501,10 +1605,11 @@ fn try_if_convert_at(c: &mut Compiled, joins: &[u32], pc: usize) -> bool {
     let mut ren_then: Vec<(R, R)> = Vec::new();
     let mut ren_else: Vec<(R, R)> = Vec::new();
     for &(r, wt, we) in &outs {
+        // A renamed temporary has the width of the register it stands for.
         let mut fresh = || {
-            let f = c.nregs as R;
+            c.wide.push(c.wide[r as usize]);
             c.nregs += 1;
-            f
+            (c.nregs - 1) as R
         };
         let tv = if wt {
             let f = fresh();
@@ -1971,10 +2076,10 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 // site keeps a release-mode `assert!` and fails with a clean panic instead
 // of undefined behaviour.
 
-/// Unchecked SoA register read: lane `l` of register `r`. The tape passed
-/// [`validate`] at compile time (every operand `< nregs`), and
-/// [`exec_phase_warp`] asserts the SoA file holds `nregs * WARP` lanes with
-/// `l < WARP`.
+/// Unchecked SoA register read: lane `l` of the 64-bit row of register `r`.
+/// The tape passed [`validate`] at compile time (every operand `< nregs`),
+/// and [`exec_phase_warp`] asserts the SoA file holds `nregs * WARP` lanes
+/// with `l < WARP`.
 #[inline(always)]
 fn vg(vregs: &[u64], r: R, l: usize) -> u64 {
     debug_assert!(r as usize * WARP + l < vregs.len());
@@ -1988,6 +2093,91 @@ fn vs(vregs: &mut [u64], r: R, l: usize, v: u64) {
     debug_assert!(r as usize * WARP + l < vregs.len());
     // SAFETY: see doc comment on `vg`.
     unsafe { *vregs.get_unchecked_mut(r as usize * WARP + l) = v }
+}
+
+/// Packed read: lane `l` of the `[u32; WARP]` row of a 32-bit register — the
+/// first half of the `WARP` words the file gives every register.
+#[inline(always)]
+fn vg32(vregs: &[u64], r: R, l: usize) -> u32 {
+    debug_assert!(l < WARP && (r as usize + 1) * WARP <= vregs.len());
+    // SAFETY: in bounds as for `vg` (lane `l` of the packed row lies inside
+    // the register's own words, and `u32` needs no more alignment than
+    // `u64`); it holds what `vs32` put there because `validate`'s width rule
+    // lets no op use a register at two widths.
+    unsafe { *vregs.as_ptr().add(r as usize * WARP).cast::<u32>().add(l) }
+}
+
+/// Packed write; the twin of [`vg32`].
+#[inline(always)]
+fn vs32(vregs: &mut [u64], r: R, l: usize, v: u32) {
+    debug_assert!(l < WARP && (r as usize + 1) * WARP <= vregs.len());
+    // SAFETY: in bounds and aligned as for `vg32`; `validate`'s width rule
+    // says every reader of this register reads the packed row.
+    unsafe { *vregs.as_mut_ptr().add(r as usize * WARP).cast::<u32>().add(l) = v }
+}
+
+/// Raw bits of lane `l` of a register of the given width, zero-extended.
+#[inline(always)]
+fn vgw(vregs: &[u64], r: R, wide: bool, l: usize) -> u64 {
+    match wide {
+        true => vg(vregs, r, l),
+        false => vg32(vregs, r, l) as u64,
+    }
+}
+
+/// Writes the low bits of `v` to lane `l` of a register of the given width.
+#[inline(always)]
+fn vsw(vregs: &mut [u64], r: R, wide: bool, l: usize, v: u64) {
+    match wide {
+        true => vs(vregs, r, l, v),
+        false => vs32(vregs, r, l, v as u32),
+    }
+}
+
+/// A lane's value as the typed arms see it: read from and written to the row
+/// of its width. `u32`/`u64` are raw rows, for the ops that only move bits.
+trait Lane: Copy {
+    fn get(vregs: &[u64], r: R, l: usize) -> Self;
+    fn put(self, vregs: &mut [u64], r: R, l: usize);
+}
+
+macro_rules! lane {
+    ($($t:ty: $get:ident $from:expr, $set:ident $to:expr;)*) => {$(
+        impl Lane for $t {
+            #[inline(always)]
+            fn get(vregs: &[u64], r: R, l: usize) -> $t {
+                ($from)($get(vregs, r, l))
+            }
+            #[inline(always)]
+            fn put(self, vregs: &mut [u64], r: R, l: usize) {
+                $set(vregs, r, l, ($to)(self))
+            }
+        }
+    )*};
+}
+
+lane! {
+    u32: vg32 (|b| b), vs32 (|v| v);
+    f32: vg32 f32::from_bits, vs32 f32::to_bits;
+    i32: vg32 (|b: u32| b as i32), vs32 (|v: i32| v as u32);
+    Wrapping<i32>: vg32 (|b: u32| Wrapping(b as i32)), vs32 (|v: Wrapping<i32>| v.0 as u32);
+    bool: vg32 (|b: u32| b != 0), vs32 (|v: bool| v as u32);
+    u64: vg (|b| b), vs (|v| v);
+    f64: vg f64::from_bits, vs f64::to_bits;
+    i64: vg (|b: u64| b as i64), vs (|v: i64| v as u64);
+}
+
+/// Runs `$body` with `$T` the raw lane type of a register of width `$wide`.
+macro_rules! at_width {
+    ($wide:expr, $T:ident => $body:expr) => {
+        if $wide {
+            type $T = u64;
+            $body
+        } else {
+            type $T = u32;
+            $body
+        }
+    };
 }
 
 /// The mask with every lane of a full warp active.
@@ -2054,35 +2244,67 @@ macro_rules! for_mask {
     }};
 }
 
-/// Lane-wise unary register op over the active mask; the [`for_mask!`] lane
-/// loops stay dense — and autovectorizable — for the overwhelmingly common
-/// full and contiguous masks (see [`contiguous`]).
+/// `dst = v` in every active lane.
 #[inline(always)]
-fn vmap1(vregs: &mut [u64], dst: R, src: R, mask: u32, f: impl Fn(u64) -> u64) {
+fn vfill<D: Lane>(vregs: &mut [u64], dst: R, mask: u32, v: D) {
     for_mask!(mask, l, {
-        let x = vg(vregs, src, l);
-        vs(vregs, dst, l, f(x));
+        v.put(vregs, dst, l);
+    });
+}
+
+/// Lane-wise unary register op over the active mask, at the widths of its
+/// operand and result types; the [`for_mask!`] lane loops stay dense — and
+/// autovectorizable — for the overwhelmingly common full and contiguous
+/// masks (see [`contiguous`]).
+#[inline(always)]
+fn vmap1<A: Lane, D: Lane>(vregs: &mut [u64], dst: R, src: R, mask: u32, f: impl Fn(A) -> D) {
+    for_mask!(mask, l, {
+        f(A::get(vregs, src, l)).put(vregs, dst, l);
     });
 }
 
 /// Lane-wise binary register op over the active mask; see [`vmap1`].
 #[inline(always)]
-fn vmap2(vregs: &mut [u64], dst: R, a: R, b: R, mask: u32, f: impl Fn(u64, u64) -> u64) {
+fn vmap2<A: Lane, D: Lane>(
+    vregs: &mut [u64],
+    dst: R,
+    a: R,
+    b: R,
+    mask: u32,
+    f: impl Fn(A, A) -> D,
+) {
     for_mask!(mask, l, {
-        let x = vg(vregs, a, l);
-        let y = vg(vregs, b, l);
-        vs(vregs, dst, l, f(x, y));
+        f(A::get(vregs, a, l), A::get(vregs, b, l)).put(vregs, dst, l);
     });
 }
 
 /// Lane-wise ternary register op over the active mask; see [`vmap1`].
 #[inline(always)]
-fn vmap3(vregs: &mut [u64], dst: R, a: R, b: R, c: R, mask: u32, f: impl Fn(u64, u64, u64) -> u64) {
+fn vmap3<A: Lane>(
+    vregs: &mut [u64],
+    dst: R,
+    (a, b, c): (R, R, R),
+    mask: u32,
+    f: impl Fn(A, A, A) -> A,
+) {
     for_mask!(mask, l, {
-        let x = vg(vregs, a, l);
-        let y = vg(vregs, b, l);
-        let z = vg(vregs, c, l);
-        vs(vregs, dst, l, f(x, y, z));
+        f(A::get(vregs, a, l), A::get(vregs, b, l), A::get(vregs, c, l)).put(vregs, dst, l);
+    });
+}
+
+/// `dst = if cond(lane) { t } else { f }` over the active mask: a lane-wise
+/// pick between two registers of `dst`'s width, `T` its raw lane type.
+#[inline(always)]
+fn select<T: Lane>(
+    vregs: &mut [u64],
+    dst: R,
+    (t, f): (R, R),
+    mask: u32,
+    cond: impl Fn(&[u64], usize) -> bool,
+) {
+    for_mask!(mask, l, {
+        let pick = if cond(vregs, l) { t } else { f };
+        T::get(vregs, pick, l).put(vregs, dst, l);
     });
 }
 
@@ -2128,19 +2350,28 @@ pub(crate) fn warp_init_regs(c: &Compiled, nslots: usize) -> (Vec<R>, Vec<R>) {
     (once, per_warp)
 }
 
+/// Broadcasts the launch values `regs0` (the scalar file [`exec_pre`] left) of
+/// registers `regs` into every lane of their rows, each at its width.
+pub(crate) fn broadcast(c: &Compiled, vregs: &mut [u64], regs0: &[u64], regs: &[R]) {
+    assert!(vregs.len() >= c.nregs * WARP && regs0.len() >= c.nregs);
+    for &r in regs {
+        assert!((r as usize) < c.nregs);
+        at_width!(c.wide[r as usize], T => vfill(vregs, r, FULL_MASK, regs0[r as usize] as T));
+    }
+}
+
 /// What a launch-context read (`Gid`/`Lid`/`Lsz`/`Grp`) yields for one
-/// work-item, as i32 register bits. `lsize` is the workgroup size of a
-/// grouped launch (1-D: `item = group * lsize + lid`); flat dispatch passes
-/// `None` and reads local id 0, local size 1 and group = warp id, exactly as
-/// the tree-walker does.
+/// work-item. `lsize` is the workgroup size of a grouped launch (1-D:
+/// `item = group * lsize + lid`); flat dispatch passes `None` and reads local
+/// id 0, local size 1 and group = warp id, exactly as the tree-walker does.
 #[inline(always)]
-fn context_bits(op: &Op, gid: &[usize; 3], item: u64, lsize: Option<usize>) -> u64 {
+fn context(op: &Op, gid: &[usize; 3], item: u64, lsize: Option<usize>) -> i32 {
     // (local id, local size, group id) along dimension 0.
     let local = || match lsize {
         Some(n) => (item % n as u64, n as u64, item / n as u64),
         None => (0, 1, item / WARP as u64),
     };
-    bi32(match *op {
+    match *op {
         Op::Gid { dim, .. } => gid[dim as usize] as i32,
         Op::Lid { dim: 0, .. } => local().0 as i32,
         Op::Lsz { dim: 0, .. } => local().1 as i32,
@@ -2148,7 +2379,7 @@ fn context_bits(op: &Op, gid: &[usize; 3], item: u64, lsize: Option<usize>) -> u
         Op::Lid { .. } | Op::Grp { .. } => 0,
         Op::Lsz { .. } => 1,
         _ => unreachable!("not a launch-context read"),
-    })
+    }
 }
 
 /// Executes the per-item context prelude for a fresh warp: one deduplicated
@@ -2171,12 +2402,12 @@ pub(crate) fn exec_item_pre_warp(
             Op::Gid { dim, .. } if coherent => {
                 let (first, step) = (gids[0][dim as usize] as i32, (dim == 0) as i32);
                 for l in 0..nact {
-                    vs(vregs, dst, l, bi32(first.wrapping_add(step * l as i32)));
+                    first.wrapping_add(step * l as i32).put(vregs, dst, l);
                 }
             }
             _ => {
                 for l in 0..nact {
-                    vs(vregs, dst, l, context_bits(op, &gids[l], items[l], lsize));
+                    context(op, &gids[l], items[l], lsize).put(vregs, dst, l);
                 }
             }
         }
@@ -2208,7 +2439,7 @@ pub(crate) struct WarpCtx<'a> {
     /// Global NDRange sizes.
     pub gsize: [usize; 3],
     /// Workgroup size of a grouped launch; `None` for flat dispatch (see
-    /// [`context_bits`]).
+    /// [`context`]).
     pub lsize: Option<usize>,
     /// The workgroup's local-memory arena, shared by every warp of the
     /// group (empty for flat dispatch, whose tapes carry no local ops).
@@ -2283,33 +2514,44 @@ fn decided(known: Option<bool>, mask: u32, lanes: impl Fn(u32) -> u32) -> u32 {
     jm
 }
 
-/// The lanes of `mask` where `a op b` (kind `k`) is false. The i32
-/// comparisons run monomorphic lane loops; the rest go through [`bin_bits`].
+/// Expands `$m!(T, cmp)` for the lane type `T` of kind `$k` and the comparison
+/// `$op`: the compares dispatch on kind and operator **once** and run one
+/// monomorphic lane loop.
+macro_rules! with_cmp {
+    ($k:expr, $op:expr, $m:ident) => {
+        match $k {
+            K::F32 => with_cmp!(@ f32, $op, $m),
+            K::F64 => with_cmp!(@ f64, $op, $m),
+            K::I32 => with_cmp!(@ i32, $op, $m),
+            K::Bool => unreachable!("binary ops never monomorphise to bool"),
+        }
+    };
+    (@ $t:ty, $op:expr, $m:ident) => {
+        match $op {
+            BinOp::Lt => $m!($t, <),
+            BinOp::Le => $m!($t, <=),
+            BinOp::Gt => $m!($t, >),
+            BinOp::Ge => $m!($t, >=),
+            BinOp::Eq => $m!($t, ==),
+            BinOp::Ne => $m!($t, !=),
+            _ => unreachable!("not a comparison"),
+        }
+    };
+}
+
+/// The lanes of `mask` where `a op b` (a comparison at kind `k`) is false.
 #[inline(always)]
 fn cmp_zmask(vregs: &[u64], (a, b, op, k): (R, R, BinOp, K), mask: u32) -> u32 {
     let mut zm = 0u32;
-    macro_rules! i32_lanes {
-        ($cmp:tt) => {
+    macro_rules! lanes {
+        ($t:ty, $cmp:tt) => {
             for_mask!(mask, l, {
-                if !(i32v(vg(vregs, a, l)) $cmp i32v(vg(vregs, b, l))) {
-                    zm |= 1 << l;
-                }
+                let holds = <$t>::get(vregs, a, l) $cmp <$t>::get(vregs, b, l);
+                zm |= u32::from(!holds) << l;
             })
         };
     }
-    match (k, op) {
-        (K::I32, BinOp::Ge) => i32_lanes!(>=),
-        (K::I32, BinOp::Lt) => i32_lanes!(<),
-        (K::I32, BinOp::Gt) => i32_lanes!(>),
-        (K::I32, BinOp::Le) => i32_lanes!(<=),
-        (K::I32, BinOp::Eq) => i32_lanes!(==),
-        (K::I32, BinOp::Ne) => i32_lanes!(!=),
-        _ => for_mask!(mask, l, {
-            if !truthy(K::Bool, bin_bits(op, k, vg(vregs, a, l), vg(vregs, b, l))) {
-                zm |= 1 << l;
-            }
-        }),
-    }
+    with_cmp!(k, op, lanes);
     zm
 }
 
@@ -2330,7 +2572,7 @@ fn affine_cmp(vregs: &[u64], cmp: (R, R, BinOp, K), mask: u32, lic: Licence<'_>)
         _ => return None,
     };
     let (l0, l1) = (mask.trailing_zeros() as usize, 31 - mask.leading_zeros() as usize);
-    let (v0, v1) = (i32v(vg(vregs, r, l0)) as i64, i32v(vg(vregs, r, l1)) as i64);
+    let (v0, v1) = (i32::get(vregs, r, l0) as i64, i32::get(vregs, r, l1) as i64);
     if v1 != v0 + stride as i64 * (l1 - l0) as i64 {
         return None;
     }
@@ -2342,37 +2584,11 @@ fn affine_cmp(vregs: &[u64], cmp: (R, R, BinOp, K), mask: u32, lic: Licence<'_>)
     }
 }
 
-/// Gathers `b[at(l)]` for the active lanes into `vals` as raw register
-/// bits, through the buffer's typed base pointer: the element-kind dispatch
-/// happens once per superinstruction and each lane-loop body is a plain
-/// indexed load LLVM can vectorize — into a slice copy when `at` counts up
-/// by one per lane ([`unit_run`]).
-///
-/// The caller must have established bounds for every active index — by the
-/// site's release-mode assert, by the static verifier's PROVEN verdict
-/// (audited by a debug-build assert pass), or by a run's range check.
-#[inline(always)]
-fn gather_lanes(b: &SharedBuf, at: impl Fn(usize) -> usize, mask: u32, vals: &mut [u64; WARP]) {
-    // SAFETY (all arms): index in bounds per the function contract; reads
-    // race only with disjoint writes per the launch contract.
-    match b.ptr() {
-        BufPtr::F32(p) => for_mask!(mask, l, {
-            vals[l] = unsafe { (*p.add(at(l))).to_bits() as u64 };
-        }),
-        BufPtr::F64(p) => for_mask!(mask, l, {
-            vals[l] = unsafe { (*p.add(at(l))).to_bits() };
-        }),
-        BufPtr::I32(p) => for_mask!(mask, l, {
-            vals[l] = unsafe { *p.add(at(l)) as u32 as u64 };
-        }),
-    }
-}
-
 /// Scatters register `val` (kind `vk`) to `b[at(l)]` for the active lanes.
 /// The matched-kind arms replicate [`crate::buffer::BufData::set`]'s cast
 /// exactly (identity for same-kind stores); mixed kinds — which the
 /// acoustics kernels never emit — keep the generic per-element path. Same
-/// bounds contract as [`gather_lanes`], plus write disjointness.
+/// bounds contract as [`load_lanes`], plus write disjointness.
 #[inline(always)]
 fn scatter_lanes(
     b: &SharedBuf,
@@ -2385,16 +2601,16 @@ fn scatter_lanes(
     // launch contract gives element disjointness across work-items.
     match (b.ptr(), vk) {
         (BufPtr::F32(p), K::F32) => for_mask!(mask, l, {
-            unsafe { *p.add(at(l)) = f32v(vg(vregs, val, l)) };
+            unsafe { *p.add(at(l)) = f32::get(vregs, val, l) };
         }),
         (BufPtr::F64(p), K::F64) => for_mask!(mask, l, {
-            unsafe { *p.add(at(l)) = f64v(vg(vregs, val, l)) };
+            unsafe { *p.add(at(l)) = f64::get(vregs, val, l) };
         }),
         (BufPtr::I32(p), K::I32) => for_mask!(mask, l, {
-            unsafe { *p.add(at(l)) = i32v(vg(vregs, val, l)) };
+            unsafe { *p.add(at(l)) = i32::get(vregs, val, l) };
         }),
         _ => for_mask!(mask, l, {
-            unsafe { b.set(at(l), bits_value(vk, vg(vregs, val, l))) };
+            unsafe { b.set(at(l), bits_value(vk, vgw(vregs, val, vk.wide(), l))) };
         }),
     }
 }
@@ -2480,8 +2696,8 @@ fn checked_indices(
     mask: u32,
     idx_of: impl Fn(usize) -> i64,
     what: &str,
-) -> [i64; WARP] {
-    let mut idx = [0i64; WARP];
+    idx: &mut [i64; WARP],
+) {
     for_mask!(mask, l, {
         idx[l] = idx_of(l);
     });
@@ -2494,7 +2710,6 @@ fn checked_indices(
             );
         });
     }
-    idx
 }
 
 /// The transaction-model record of element `i` of parameter `buf`.
@@ -2503,21 +2718,23 @@ fn trace_rec(buf: u16, site: u32, i: i64, elem_bytes: u64) -> (u32, u32, u64) {
     (site, 0, ((buf as u64) << 40) | ((i as u64) * elem_bytes))
 }
 
-/// One warp-op's global load at `(buf, site, constant)`: counts it,
-/// establishes bounds and returns `b[idx_of(l)]` for every active lane as
-/// raw register bits — one [`unit_run`] when there is one, otherwise the
-/// site's bounds check, the per-lane transaction trace of a modeled launch
-/// (which therefore declines the run, as a shadowed buffer does), the
-/// shadow-sanitizer check and a gather.
+/// One warp-op's global load at `(buf, site, constant)`, up to the reading:
+/// counts it, establishes bounds and says where `b[idx_of(l)]` is for every
+/// active lane — one [`unit_run`] (first active lane, its element) when
+/// there is one, otherwise the checked per-lane indices it leaves in `idx`,
+/// after the per-lane transaction trace of a modeled launch (which therefore
+/// declines the run, as a shadowed buffer does) and the shadow-sanitizer
+/// check. [`load_lanes`] does the reading.
 #[inline(always)]
-fn load_global(
-    w: &mut WarpCtx<'_>,
+fn load_global<'b>(
+    w: &mut WarpCtx<'b>,
     lic: Licence<'_>,
     (buf, site, constant): (u16, u32, bool),
     mask: u32,
     unit: bool,
     idx_of: impl Fn(usize) -> i64,
-) -> [u64; WARP] {
+    idx: &mut [i64; WARP],
+) -> (&'b SharedBuf, Option<(usize, usize)>) {
     let b = w.bufs[buf as usize].expect("buffer bound");
     let (n, eb) = (mask.count_ones() as u64, b.elem_bytes() as u64);
     if constant {
@@ -2527,20 +2744,70 @@ fn load_global(
         w.counters.bytes_loaded += eb * n;
     }
     let traced = w.trace_on && !constant;
-    let mut vals = [0u64; WARP];
-    if let Some((lo, start)) = unit_run(b, unit && !traced, mask, &idx_of) {
-        gather_lanes(b, |l| start + l - lo, mask, &mut vals);
-    } else {
-        let idx = checked_indices(lic, (buf, site, b.len()), mask, idx_of, "load");
+    let run = unit_run(b, unit && !traced, mask, &idx_of);
+    if run.is_none() {
+        checked_indices(lic, (buf, site, b.len()), mask, idx_of, "load", idx);
         if traced {
             for_mask!(mask, l, {
                 w.traces[l].push(trace_rec(buf, site, idx[l], eb));
             });
         }
-        shadow_gather(b, &idx, mask, &w.san, buf as usize, site);
-        gather_lanes(b, |l| idx[l] as usize, mask, &mut vals);
+        shadow_gather(b, idx, mask, &w.san, buf as usize, site);
     }
-    vals
+    (b, run)
+}
+
+/// Reads `b` where [`load_global`] said — its run, else at `idx` — straight
+/// into the row of `dst`, or with an accumulate tail `acc.src ⊕ loaded`
+/// (`loaded ⊕ acc.src` when `rev`), in one lane loop at the buffer's element
+/// type, which [`validate`] made the kind of `dst` and of the accumulate: a
+/// slice copy or a vector add over a run. i32 wraps like [`bin_bits`].
+///
+/// The caller must have established bounds for every active index — by the
+/// site's release-mode assert, by the static verifier's PROVEN verdict
+/// (audited by a debug-build assert pass), or by a run's range check.
+#[inline(always)]
+fn load_lanes(
+    vregs: &mut [u64],
+    dst: R,
+    b: &SharedBuf,
+    (run, idx): (Option<(usize, usize)>, &[i64; WARP]),
+    acc: Option<Acc>,
+    mask: u32,
+) {
+    // SAFETY (both arms): index in bounds per the function contract; reads
+    // race only with disjoint writes per the launch contract.
+    macro_rules! each {
+        ($p:expr, |$x:ident, $l:ident| $e:expr) => {
+            match run {
+                Some((lo, start)) => for_mask!(mask, $l, {
+                    let $x = unsafe { *$p.add(start + $l - lo) };
+                    $e.put(vregs, dst, $l);
+                }),
+                None => for_mask!(mask, $l, {
+                    let $x = unsafe { *$p.add(idx[$l] as usize) };
+                    $e.put(vregs, dst, $l);
+                }),
+            }
+        };
+    }
+    macro_rules! load {
+        ($p:expr, $t:ty) => {
+            match acc.map(|acc| (acc.src, acc.sub, acc.rev)) {
+                None => each!($p, |x, l| x),
+                Some((s, false, false)) => each!($p, |x, l| (<$t>::get(vregs, s, l) + x)),
+                Some((s, false, true)) => each!($p, |x, l| (x + <$t>::get(vregs, s, l))),
+                Some((s, true, false)) => each!($p, |x, l| (<$t>::get(vregs, s, l) - x)),
+                Some((s, true, true)) => each!($p, |x, l| (x - <$t>::get(vregs, s, l))),
+            }
+        };
+    }
+    match b.ptr() {
+        BufPtr::F32(p) => load!(p, f32),
+        BufPtr::F64(p) => load!(p, f64),
+        // `Wrapping` is `repr(transparent)`.
+        BufPtr::I32(p) => load!(p.cast::<Wrapping<i32>>(), Wrapping<i32>),
+    }
 }
 
 /// One warp-op's global store of register `val` (kind `vk`) at
@@ -2566,7 +2833,8 @@ fn store_global(
     if let Some((lo, start)) = unit_run(b, unit && !recorded, mask, &idx_of) {
         scatter_lanes(b, |l| start + l - lo, mask, vregs, val);
     } else {
-        let idx = checked_indices(lic, (buf, site, b.len()), mask, idx_of, "store");
+        let mut idx = [0i64; WARP];
+        checked_indices(lic, (buf, site, b.len()), mask, idx_of, "store", &mut idx);
         if w.trace_on {
             for_mask!(mask, l, {
                 w.traces[l].push(trace_rec(buf, site, idx[l], eb));
@@ -2596,130 +2864,40 @@ fn mul_add(
     mask: u32,
 ) {
     macro_rules! fma {
-        ($v:ident, $bk:ident) => {
+        ($t:ty) => {
             match (sub, rev) {
-                (false, false) => {
-                    vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(x) * $v(y) + $v(z)))
-                }
-                (false, true) => {
-                    vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(z) + $v(x) * $v(y)))
-                }
-                (true, false) => {
-                    vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(x) * $v(y) - $v(z)))
-                }
-                (true, true) => {
-                    vmap3(vregs, dst, a, b, c, mask, |x, y, z| $bk($v(z) - $v(x) * $v(y)))
-                }
+                (false, false) => vmap3(vregs, dst, (a, b, c), mask, |x: $t, y, z| x * y + z),
+                (false, true) => vmap3(vregs, dst, (a, b, c), mask, |x: $t, y, z| z + x * y),
+                (true, false) => vmap3(vregs, dst, (a, b, c), mask, |x: $t, y, z| x * y - z),
+                (true, true) => vmap3(vregs, dst, (a, b, c), mask, |x: $t, y, z| z - x * y),
             }
         };
     }
     match k {
-        K::F32 => fma!(f32v, b32),
-        K::F64 => fma!(f64v, b64),
-        K::I32 => match (sub, rev) {
-            (false, false) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
-                bi32(i32v(x).wrapping_mul(i32v(y)).wrapping_add(i32v(z)))
-            }),
-            (false, true) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
-                bi32(i32v(z).wrapping_add(i32v(x).wrapping_mul(i32v(y))))
-            }),
-            (true, false) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
-                bi32(i32v(x).wrapping_mul(i32v(y)).wrapping_sub(i32v(z)))
-            }),
-            (true, true) => vmap3(vregs, dst, a, b, c, mask, |x, y, z| {
-                bi32(i32v(z).wrapping_sub(i32v(x).wrapping_mul(i32v(y))))
-            }),
-        },
+        K::F32 => fma!(f32),
+        K::F64 => fma!(f64),
+        K::I32 => fma!(Wrapping<i32>),
         K::Bool => unreachable!("mul/add never fuses at bool kind"),
     }
 }
 
-/// [`Op::CmpSel`] over the active lanes: `dst = if a op b { tr } else { fl }`.
+/// [`Op::CmpSel`] over the active lanes: `dst = if a op b { tr } else { fl }`,
+/// `dst`, `tr` and `fl` being registers of one width (`wide`).
 fn cmp_sel(
     vregs: &mut [u64],
-    dst: R,
+    (dst, wide): (R, bool),
     (a, b, op, k): (R, R, BinOp, K),
     (tr, fl): (R, R),
     mask: u32,
 ) {
     macro_rules! cmpsel {
-        ($v:ident, $cmp:tt) => {
-            for_mask!(mask, l, {
-                let pick = if $v(vg(vregs, a, l)) $cmp $v(vg(vregs, b, l)) {
-                    tr
-                } else {
-                    fl
-                };
-                vs(vregs, dst, l, vg(vregs, pick, l));
-            })
+        ($t:ty, $cmp:tt) => {
+            at_width!(wide, T => select::<T>(vregs, dst, (tr, fl), mask, |v, l| {
+                <$t>::get(v, a, l) $cmp <$t>::get(v, b, l)
+            }))
         };
     }
-    match (k, op) {
-        (K::F32, BinOp::Lt) => cmpsel!(f32v, <),
-        (K::F32, BinOp::Le) => cmpsel!(f32v, <=),
-        (K::F32, BinOp::Gt) => cmpsel!(f32v, >),
-        (K::F32, BinOp::Ge) => cmpsel!(f32v, >=),
-        (K::F32, BinOp::Eq) => cmpsel!(f32v, ==),
-        (K::F32, BinOp::Ne) => cmpsel!(f32v, !=),
-        (K::F64, BinOp::Lt) => cmpsel!(f64v, <),
-        (K::F64, BinOp::Le) => cmpsel!(f64v, <=),
-        (K::F64, BinOp::Gt) => cmpsel!(f64v, >),
-        (K::F64, BinOp::Ge) => cmpsel!(f64v, >=),
-        (K::F64, BinOp::Eq) => cmpsel!(f64v, ==),
-        (K::F64, BinOp::Ne) => cmpsel!(f64v, !=),
-        (K::I32, BinOp::Lt) => cmpsel!(i32v, <),
-        (K::I32, BinOp::Le) => cmpsel!(i32v, <=),
-        (K::I32, BinOp::Gt) => cmpsel!(i32v, >),
-        (K::I32, BinOp::Ge) => cmpsel!(i32v, >=),
-        (K::I32, BinOp::Eq) => cmpsel!(i32v, ==),
-        (K::I32, BinOp::Ne) => cmpsel!(i32v, !=),
-        _ => for_mask!(mask, l, {
-            let t = truthy(K::Bool, bin_bits(op, k, vg(vregs, a, l), vg(vregs, b, l)));
-            let pick = if t { tr } else { fl };
-            vs(vregs, dst, l, vg(vregs, pick, l));
-        }),
-    }
-}
-
-/// The accumulate tail of [`Op::LdGFused`]: `dst = acc.src ⊕ vals`.
-fn accumulate(vregs: &mut [u64], dst: R, vals: &[u64; WARP], acc: Acc, mask: u32) {
-    let Acc { src, k, sub, rev } = acc;
-    macro_rules! accw {
-        ($v:ident, $bk:ident) => {
-            match (sub, rev) {
-                (false, false) => for_mask!(mask, l, {
-                    let s = vg(vregs, src, l);
-                    vs(vregs, dst, l, $bk($v(s) + $v(vals[l])));
-                }),
-                (false, true) => for_mask!(mask, l, {
-                    let s = vg(vregs, src, l);
-                    vs(vregs, dst, l, $bk($v(vals[l]) + $v(s)));
-                }),
-                (true, false) => for_mask!(mask, l, {
-                    let s = vg(vregs, src, l);
-                    vs(vregs, dst, l, $bk($v(s) - $v(vals[l])));
-                }),
-                (true, true) => for_mask!(mask, l, {
-                    let s = vg(vregs, src, l);
-                    vs(vregs, dst, l, $bk($v(vals[l]) - $v(s)));
-                }),
-            }
-        };
-    }
-    match k {
-        K::F32 => accw!(f32v, b32),
-        K::F64 => accw!(f64v, b64),
-        K::I32 => {
-            let op2 = if sub { BinOp::Sub } else { BinOp::Add };
-            for_mask!(mask, l, {
-                let s = vg(vregs, src, l);
-                let r =
-                    if rev { bin_bits(op2, k, vals[l], s) } else { bin_bits(op2, k, s, vals[l]) };
-                vs(vregs, dst, l, r);
-            });
-        }
-        K::Bool => unreachable!("load accumulate never fuses at bool kind"),
-    }
+    with_cmp!(k, op, cmpsel)
 }
 
 /// Outcome of resolving a conditional branch for the active mask.
@@ -2770,6 +2948,7 @@ impl WarpExec<'_, '_> {
     fn run<const PROF: bool>(&mut self, mut pc: usize, until: usize, mut mask: u32) -> u32 {
         let (ops, lic) = (&self.c.ops[..], self.lic);
         let uniform = |r: R| lic.shape(r) == Shape::Uniform;
+        let wide = |r: R| self.c.wide[r as usize];
         // Resolves the conditional branch at `pc`, `$jmask` ⊆ `mask` being
         // the lanes that jump. The condition arms collect those lanes: one
         // over uniform registers is read off the first active lane, an
@@ -2813,47 +2992,43 @@ impl WarpExec<'_, '_> {
             // targets), and `until` is checked before the fetch.
             match *unsafe { ops.get_unchecked(pc) } {
                 Op::Const { dst, bits } => {
-                    for_mask!(mask, l, {
-                        vs(vregs, dst, l, bits);
-                    });
+                    at_width!(wide(dst), T => vfill(vregs, dst, mask, bits as T))
                 }
-                Op::Gsz { dst, dim } => {
-                    let bits = bi32(self.w.gsize[dim as usize] as i32);
-                    for_mask!(mask, l, {
-                        vs(vregs, dst, l, bits);
-                    });
-                }
+                Op::Gsz { dst, dim } => vfill(vregs, dst, mask, self.w.gsize[dim as usize] as i32),
                 ref op @ (Op::Gid { dst, .. }
                 | Op::Lid { dst, .. }
                 | Op::Lsz { dst, .. }
                 | Op::Grp { dst, .. }) => {
                     let w = &*self.w;
                     for_mask!(mask, l, {
-                        vs(vregs, dst, l, context_bits(op, &w.gids[l], w.items[l], w.lsize));
+                        context(op, &w.gids[l], w.items[l], w.lsize).put(vregs, dst, l);
                     });
                 }
-                Op::Mov { dst, src } => vmap1(vregs, dst, src, mask, |x| x),
+                Op::Mov { dst, src } => {
+                    at_width!(wide(dst), T => vmap1(vregs, dst, src, mask, |x: T| x))
+                }
                 Op::Cast { dst, src, from, to } => match (from, to) {
-                    (K::I32, K::F32) => {
-                        vmap1(vregs, dst, src, mask, |x| b32(i32v(x) as f64 as f32))
-                    }
-                    (K::I32, K::F64) => vmap1(vregs, dst, src, mask, |x| b64(i32v(x) as f64)),
-                    _ => vmap1(vregs, dst, src, mask, |x| cast_bits(from, to, x)),
+                    (K::I32, K::F32) => vmap1(vregs, dst, src, mask, |x: i32| x as f64 as f32),
+                    (K::I32, K::F64) => vmap1(vregs, dst, src, mask, |x: i32| x as f64),
+                    _ => for_mask!(mask, l, {
+                        let x = vgw(vregs, src, from.wide(), l);
+                        vsw(vregs, dst, to.wide(), l, cast_bits(from, to, x));
+                    }),
                 },
                 Op::AsI64 { dst, src, from } => match from {
-                    K::I32 => vmap1(vregs, dst, src, mask, |x| bi64(i32v(x) as i64)),
-                    _ => vmap1(vregs, dst, src, mask, |x| bi64(to_i64(from, x))),
+                    K::I32 => vmap1(vregs, dst, src, mask, |x: i32| x as i64),
+                    _ => for_mask!(mask, l, {
+                        to_i64(from, vgw(vregs, src, from.wide(), l)).put(vregs, dst, l);
+                    }),
                 },
-                Op::MaxOne { dst } => vmap1(vregs, dst, dst, mask, |x| bi64(i64v(x).max(1))),
-                Op::I64ToI32 { dst, src } => vmap1(vregs, dst, src, mask, |x| bi32(i64v(x) as i32)),
-                Op::AddI64 { dst, a, b } => {
-                    vmap2(vregs, dst, a, b, mask, |x, y| bi64(i64v(x) + i64v(y)))
-                }
+                Op::MaxOne { dst } => vmap1(vregs, dst, dst, mask, |x: i64| x.max(1)),
+                Op::I64ToI32 { dst, src } => vmap1(vregs, dst, src, mask, |x: i64| x as i32),
+                Op::AddI64 { dst, a, b } => vmap2(vregs, dst, a, b, mask, |x: i64, y| x + y),
                 Op::JgeI64 { a, b, target } => {
                     let lanes = |m: u32| {
                         let mut jm = 0u32;
                         for_mask!(m, l, {
-                            if i64v(vg(vregs, a, l)) >= i64v(vg(vregs, b, l)) {
+                            if i64::get(vregs, a, l) >= i64::get(vregs, b, l) {
                                 jm |= 1 << l;
                             }
                         });
@@ -2863,153 +3038,107 @@ impl WarpExec<'_, '_> {
                     branch!(decided(known, mask, lanes), target)
                 }
                 Op::Neg { dst, src, k } => match k {
-                    K::F32 => vmap1(vregs, dst, src, mask, |x| b32(-f32v(x))),
-                    K::F64 => vmap1(vregs, dst, src, mask, |x| b64(-f64v(x))),
-                    K::I32 => vmap1(vregs, dst, src, mask, |x| bi32(-i32v(x))),
-                    K::Bool => vmap1(vregs, dst, src, mask, |x| bi32(-((x != 0) as i32))),
+                    K::F32 => vmap1(vregs, dst, src, mask, |x: f32| -x),
+                    K::F64 => vmap1(vregs, dst, src, mask, |x: f64| -x),
+                    K::I32 => vmap1(vregs, dst, src, mask, |x: i32| -x),
+                    K::Bool => vmap1(vregs, dst, src, mask, |x: bool| -(x as i32)),
                 },
-                Op::Not { dst, src, k } => vmap1(vregs, dst, src, mask, |x| bb(!truthy(k, x))),
-                Op::Bin { dst, a, b, op, k } => match (k, op) {
-                    (K::F32, BinOp::Add) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) + f32v(y)))
+                Op::Not { dst, src, k } => for_mask!(mask, l, {
+                    (!truthy(k, vgw(vregs, src, k.wide(), l))).put(vregs, dst, l);
+                }),
+                Op::Bin { dst, a, b, op, k } => {
+                    macro_rules! bin {
+                        ($t:ty, $op:tt) => {
+                            vmap2(vregs, dst, a, b, mask, |x: $t, y| x $op y)
+                        };
                     }
-                    (K::F32, BinOp::Sub) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) - f32v(y)))
+                    match (k, op) {
+                        (K::F32, BinOp::Add) => bin!(f32, +),
+                        (K::F32, BinOp::Sub) => bin!(f32, -),
+                        (K::F32, BinOp::Mul) => bin!(f32, *),
+                        (K::F64, BinOp::Add) => bin!(f64, +),
+                        (K::F64, BinOp::Sub) => bin!(f64, -),
+                        (K::F64, BinOp::Mul) => bin!(f64, *),
+                        (K::I32, BinOp::Add) => bin!(Wrapping<i32>, +),
+                        (K::I32, BinOp::Sub) => bin!(Wrapping<i32>, -),
+                        (K::I32, BinOp::Mul) => bin!(Wrapping<i32>, *),
+                        _ if op.is_predicate() => with_cmp!(k, op, bin),
+                        // Division: operands and result at the width of `k`.
+                        _ => for_mask!(mask, l, {
+                            let (x, y) = (vgw(vregs, a, k.wide(), l), vgw(vregs, b, k.wide(), l));
+                            vsw(vregs, dst, k.wide(), l, bin_bits(op, k, x, y));
+                        }),
                     }
-                    (K::F32, BinOp::Mul) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) * f32v(y)))
-                    }
-                    (K::F64, BinOp::Add) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) + f64v(y)))
-                    }
-                    (K::F64, BinOp::Sub) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) - f64v(y)))
-                    }
-                    (K::F64, BinOp::Mul) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) * f64v(y)))
-                    }
-                    (K::I32, BinOp::Add) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bi32(i32v(x).wrapping_add(i32v(y))))
-                    }
-                    (K::I32, BinOp::Sub) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bi32(i32v(x).wrapping_sub(i32v(y))))
-                    }
-                    (K::I32, BinOp::Mul) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bi32(i32v(x).wrapping_mul(i32v(y))))
-                    }
-                    (K::I32, BinOp::Lt) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) < i32v(y)))
-                    }
-                    (K::I32, BinOp::Le) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) <= i32v(y)))
-                    }
-                    (K::I32, BinOp::Gt) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) > i32v(y)))
-                    }
-                    (K::I32, BinOp::Ge) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) >= i32v(y)))
-                    }
-                    (K::I32, BinOp::Eq) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) == i32v(y)))
-                    }
-                    (K::I32, BinOp::Ne) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(i32v(x) != i32v(y)))
-                    }
-                    (K::F32, BinOp::Lt) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) < f32v(y)))
-                    }
-                    (K::F32, BinOp::Le) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) <= f32v(y)))
-                    }
-                    (K::F32, BinOp::Gt) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) > f32v(y)))
-                    }
-                    (K::F32, BinOp::Ge) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(f32v(x) >= f32v(y)))
-                    }
-                    _ => vmap2(vregs, dst, a, b, mask, |x, y| bin_bits(op, k, x, y)),
-                },
+                }
                 Op::Logic { dst, a, b, ka, kb, or } => match (ka, kb, or) {
-                    (K::Bool, K::Bool, false) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(x != 0 && y != 0))
-                    }
-                    (K::Bool, K::Bool, true) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| bb(x != 0 || y != 0))
-                    }
-                    _ => vmap2(vregs, dst, a, b, mask, |x, y| {
-                        let (p, q) = (truthy(ka, x), truthy(kb, y));
-                        bb(if or { p || q } else { p && q })
+                    (K::Bool, K::Bool, false) => vmap2(vregs, dst, a, b, mask, |x: bool, y| x && y),
+                    (K::Bool, K::Bool, true) => vmap2(vregs, dst, a, b, mask, |x: bool, y| x || y),
+                    _ => for_mask!(mask, l, {
+                        let p = truthy(ka, vgw(vregs, a, ka.wide(), l));
+                        let q = truthy(kb, vgw(vregs, b, kb.wide(), l));
+                        (if or { p || q } else { p && q }).put(vregs, dst, l);
                     }),
                 },
-                Op::MinMax { dst, a, b, k, max } => match k {
-                    K::F32 => vmap2(vregs, dst, a, b, mask, |x, y| {
-                        let (p, q) = (f32v(x) as f64, f32v(y) as f64);
-                        b32((if max { p.max(q) } else { p.min(q) }) as f32)
+                Op::MinMax { dst, a, b, k, max } => match (k, max) {
+                    (K::F32, _) => vmap2(vregs, dst, a, b, mask, |x: f32, y| {
+                        let (p, q) = (x as f64, y as f64);
+                        (if max { p.max(q) } else { p.min(q) }) as f32
                     }),
-                    K::F64 => vmap2(vregs, dst, a, b, mask, |x, y| {
-                        let (p, q) = (f64v(x), f64v(y));
-                        b64(if max { p.max(q) } else { p.min(q) })
-                    }),
-                    K::I32 => vmap2(vregs, dst, a, b, mask, |x, y| {
-                        let (p, q) = (i32v(x) as i64, i32v(y) as i64);
-                        bi32((if max { p.max(q) } else { p.min(q) }) as i32)
-                    }),
-                    K::Bool => unreachable!("min/max never promotes to bool"),
+                    (K::F64, true) => vmap2(vregs, dst, a, b, mask, |x: f64, y| x.max(y)),
+                    (K::F64, false) => vmap2(vregs, dst, a, b, mask, |x: f64, y| x.min(y)),
+                    (K::I32, true) => vmap2(vregs, dst, a, b, mask, |x: i32, y| x.max(y)),
+                    (K::I32, false) => vmap2(vregs, dst, a, b, mask, |x: i32, y| x.min(y)),
+                    (K::Bool, _) => unreachable!("min/max never promotes to bool"),
                 },
                 Op::Intr1 { dst, src, intr, k } => match k {
-                    K::F32 => vmap1(vregs, dst, src, mask, |x| b32(intr1_f32(intr, f32v(x)))),
-                    _ => vmap1(vregs, dst, src, mask, |x| b64(intr1_f64(intr, f64v(x)))),
+                    K::F32 => vmap1(vregs, dst, src, mask, |x: f32| intr1_f32(intr, x)),
+                    _ => vmap1(vregs, dst, src, mask, |x: f64| intr1_f64(intr, x)),
                 },
                 Op::Sel { dst, cond, ck, t, f } => match ck {
-                    K::Bool => for_mask!(mask, l, {
-                        let pick = if vg(vregs, cond, l) != 0 { t } else { f };
-                        vs(vregs, dst, l, vg(vregs, pick, l));
+                    K::Bool => at_width!(wide(dst), T => {
+                        select::<T>(vregs, dst, (t, f), mask, |v, l| bool::get(v, cond, l))
                     }),
-                    _ => for_mask!(mask, l, {
-                        let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
-                        vs(vregs, dst, l, vg(vregs, pick, l));
-                    }),
+                    _ => at_width!(wide(dst), T => select::<T>(vregs, dst, (t, f), mask, |v, l| {
+                        truthy(ck, vgw(v, cond, ck.wide(), l))
+                    })),
                 },
                 Op::LdG { dst, buf, idx, site, constant } => {
                     let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
-                    let ix = |l| i64v(vg(regs, idx, l));
-                    let vals = load_global(self.w, lic, (buf, site, constant), mask, unit, ix);
-                    for_mask!(mask, l, {
-                        vs(vregs, dst, l, vals[l]);
-                    });
+                    let (at, mut ix) = ((buf, site, constant), [0i64; WARP]);
+                    let idx = |l| i64::get(regs, idx, l);
+                    let (b, run) = load_global(self.w, lic, at, mask, unit, idx, &mut ix);
+                    load_lanes(vregs, dst, b, (run, &ix), None, mask);
                 }
                 Op::StG { buf, idx, val, vk, site } => {
                     let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
-                    let ix = |l| i64v(vg(regs, idx, l));
+                    let ix = |l| i64::get(regs, idx, l);
                     store_global(self.w, lic, (buf, site), mask, unit, ix, regs, (val, vk));
                 }
-                Op::LdP { dst, arr, idx } => {
-                    for_mask!(mask, l, {
-                        let i = i64v(vg(vregs, idx, l)) as usize;
-                        vs(vregs, dst, l, self.lane_privs[l][arr as usize][i]);
-                    });
-                }
+                Op::LdP { dst, arr, idx } => at_width!(wide(dst), T => for_mask!(mask, l, {
+                    let i = i64::get(vregs, idx, l) as usize;
+                    (self.lane_privs[l][arr as usize][i] as T).put(vregs, dst, l);
+                })),
                 Op::StP { arr, idx, val, vk, k } => {
                     for_mask!(mask, l, {
-                        let i = i64v(vg(vregs, idx, l)) as usize;
-                        self.lane_privs[l][arr as usize][i] = cast_bits(vk, k, vg(vregs, val, l));
+                        let i = i64::get(vregs, idx, l) as usize;
+                        self.lane_privs[l][arr as usize][i] =
+                            cast_bits(vk, k, vgw(vregs, val, vk.wide(), l));
                     });
                 }
-                Op::LdL { dst, arr, idx } => {
-                    for_mask!(mask, l, {
-                        let i = i64v(vg(vregs, idx, l)) as usize;
-                        vs(vregs, dst, l, self.w.locals[arr as usize][i]);
-                    });
-                }
+                Op::LdL { dst, arr, idx } => at_width!(wide(dst), T => for_mask!(mask, l, {
+                    let i = i64::get(vregs, idx, l) as usize;
+                    (self.w.locals[arr as usize][i] as T).put(vregs, dst, l);
+                })),
                 Op::StL { arr, idx, val, vk, k } => {
                     for_mask!(mask, l, {
-                        let i = i64v(vg(vregs, idx, l)) as usize;
-                        self.w.locals[arr as usize][i] = cast_bits(vk, k, vg(vregs, val, l));
+                        let i = i64::get(vregs, idx, l) as usize;
+                        self.w.locals[arr as usize][i] =
+                            cast_bits(vk, k, vgw(vregs, val, vk.wide(), l));
                     });
                 }
                 Op::DeclPriv { arr, len } => {
                     for_mask!(mask, l, {
-                        let n = i64v(vg(vregs, len, l)) as usize;
+                        let n = i64::get(vregs, len, l) as usize;
                         let p = &mut self.lane_privs[l][arr as usize];
                         p.clear();
                         p.resize(n, 0);
@@ -3018,7 +3147,7 @@ impl WarpExec<'_, '_> {
                 // Allocated (zeroed) by the first warp of the group to get
                 // here; the length is uniform across the group.
                 Op::DeclLocal { arr, len } => {
-                    let n = i64v(vg(vregs, len, mask.trailing_zeros() as usize)) as usize;
+                    let n = i64::get(vregs, len, mask.trailing_zeros() as usize) as usize;
                     let a = &mut self.w.locals[arr as usize];
                     if a.len() != n {
                         a.clear();
@@ -3036,7 +3165,7 @@ impl WarpExec<'_, '_> {
                     let lanes = |m: u32| {
                         let mut jm = 0u32;
                         for_mask!(m, l, {
-                            if !truthy(k, vg(vregs, cond, l)) {
+                            if !truthy(k, vgw(vregs, cond, k.wide(), l)) {
                                 jm |= 1 << l;
                             }
                         });
@@ -3054,38 +3183,33 @@ impl WarpExec<'_, '_> {
                     mul_add(vregs, (dst, a, b, c), k, (sub, rev), mask)
                 }
                 Op::CmpSel { dst, a, b, op, k, tr, fl } => {
-                    cmp_sel(vregs, dst, (a, b, op, k), (tr, fl), mask)
+                    cmp_sel(vregs, (dst, wide(dst)), (a, b, op, k), (tr, fl), mask)
                 }
                 Op::LdGFused { dst, buf, base, off, acc, site, constant } => {
-                    let (at, regs) = ((buf, site, constant), &*vregs);
-                    let vals = match off {
+                    let (at, regs, mut ix) = ((buf, site, constant), &*vregs, [0i64; WARP]);
+                    let (b, run) = match off {
                         Some((o, sub)) => {
                             let unit = lic.shape(base).add(lic.shape(o), sub) == Shape::Affine(1);
-                            let (x, y) = (|l| i32v(vg(regs, base, l)), |l| i32v(vg(regs, o, l)));
+                            let (x, y) = (|l| i32::get(regs, base, l), |l| i32::get(regs, o, l));
                             if sub {
                                 let idx = |l| x(l).wrapping_sub(y(l)) as i64;
-                                load_global(self.w, lic, at, mask, unit, idx)
+                                load_global(self.w, lic, at, mask, unit, idx, &mut ix)
                             } else {
                                 let idx = |l| x(l).wrapping_add(y(l)) as i64;
-                                load_global(self.w, lic, at, mask, unit, idx)
+                                load_global(self.w, lic, at, mask, unit, idx, &mut ix)
                             }
                         }
                         None => {
                             let unit = lic.shape(base) == Shape::Affine(1);
-                            let idx = |l| i32v(vg(regs, base, l)) as i64;
-                            load_global(self.w, lic, at, mask, unit, idx)
+                            let idx = |l| i32::get(regs, base, l) as i64;
+                            load_global(self.w, lic, at, mask, unit, idx, &mut ix)
                         }
                     };
-                    match acc {
-                        Some(acc) => accumulate(vregs, dst, &vals, acc, mask),
-                        None => for_mask!(mask, l, {
-                            vs(vregs, dst, l, vals[l]);
-                        }),
-                    }
+                    load_lanes(vregs, dst, b, (run, &ix), acc, mask);
                 }
                 Op::StGAt { buf, base, val, vk, site } => {
                     let (unit, regs) = (lic.shape(base) == Shape::Affine(1), &*vregs);
-                    let idx = |l| i32v(vg(regs, base, l)) as i64;
+                    let idx = |l| i32::get(regs, base, l) as i64;
                     store_global(self.w, lic, (buf, site), mask, unit, idx, regs, (val, vk));
                 }
                 Op::CmpJz { a, b, op, k, target } => {
@@ -3242,6 +3366,7 @@ mod tests {
     use crate::buffer::SharedBuf;
     use crate::exec::{launch, prepare, ArgBind, Engine, ExecMode};
     use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
+    use lift::prelude::Lit;
 
     /// out[gid] = x[gid] * scale + bias-ish expression, with `expr` as the
     /// stored value; single f32 input/output pair plus one scalar `a`.
@@ -3369,11 +3494,11 @@ mod tests {
     #[test]
     fn validated_tapes_keep_terminators_and_bounds() {
         let k = unary_kernel("vcheck", KExpr::load(MemRef::Param(0), KExpr::GlobalId(0)));
-        let t = tape_of(&k);
-        assert!(validate(&t), "fresh tapes must pass validation");
-        let mut broken = t;
+        let prep = prepare(&k).unwrap();
+        assert!(validate(&prep.tape, &prep), "fresh tapes must pass validation");
+        let mut broken = prep.tape.clone();
         broken.ops.push(Op::Mov { dst: broken.nregs as R, src: 0 });
-        assert!(!validate(&broken), "out-of-range register must be rejected");
+        assert!(!validate(&broken, &prep), "out-of-range register must be rejected");
     }
 
     /// `s = 0.5; if (gid % 2 == 0) s = 2 else s = 3; out[gid] = x[gid] * s`
@@ -3659,8 +3784,9 @@ mod tests {
     /// included: it validates, its joins are those of its final op stream,
     /// every branch has one, and no op writes a register that is broadcast
     /// once per register file.
-    fn assert_consistent(t: &Compiled, nslots: usize) {
-        assert!(validate(t), "{:?}", t.ops);
+    fn assert_consistent(prep: &Prepared) {
+        let (t, nslots) = (&prep.tape, prep.nslots);
+        assert!(validate(t, prep), "{:?}", t.ops);
         assert_eq!(t.joins, compute_joins(&t.ops));
         for (pc, op) in t.ops.iter().enumerate() {
             assert_eq!(is_branch(op), t.joins[pc] != NO_JOIN, "op {pc} {op:?}");
@@ -3723,11 +3849,398 @@ mod tests {
         assert!(t.ops.windows(2).any(|w| matches!(w, [Op::Flops { .. }, Op::CmpJz { .. }])));
         assert!(!t.ops.iter().any(|op| matches!(op, Op::Jz { .. })), "{:?}", t.ops);
         assert!(t.fused_ops >= 8, "{} ops absorbed: {:?}", t.fused_ops, t.ops);
-        assert_consistent(t, prep.nslots);
+        assert_consistent(&prep);
         // The oracle never saw the pass: equal buffers, counters and
         // transaction bytes (asserted inside) say it changed none of them.
         let out = run_diff(&k, 64, 30.0);
         assert_eq!((out[3], out[40], out[48]), (99.0, 1000.0, 0.0));
+
+        // The accumulate tail at the other two element kinds, in all four
+        // `(sub, rev)` forms: `o[4g + j]` = `s ⊕ x[g + 1]` or `x[g + 1] ⊕ s`.
+        for (kind, want_k) in [(ScalarKind::F64, K::F64), (ScalarKind::I32, K::I32)] {
+            let s = || KExpr::var("s");
+            let forms = [
+                (s() + x(g() + KExpr::int(1)), (false, false)),
+                (x(g() + KExpr::int(1)) + s(), (false, true)),
+                (s() - x(g() + KExpr::int(1)), (true, false)),
+                (x(g() + KExpr::int(1)) - s(), (true, true)),
+            ];
+            let mut body =
+                vec![KStmt::DeclScalar { name: "s".into(), kind, init: Some(x(g()) * x(g())) }];
+            for (j, (value, _)) in forms.iter().enumerate() {
+                let idx = g() * KExpr::int(4) + KExpr::int(j as i32);
+                body.push(KStmt::Store { mem: MemRef::Param(1), idx, value: value.clone() });
+            }
+            let k = Kernel {
+                name: "acc_forms".into(),
+                params: vec![
+                    KernelParam::global_buf("x", kind),
+                    KernelParam::global_buf("o", kind),
+                ],
+                body,
+                work_dim: 1,
+            };
+            let prep = prepare(&k).unwrap();
+            for (_, (sub, rev)) in forms {
+                let hit = |op: &Op| {
+                    matches!(op, Op::LdGFused { acc: Some(a), .. }
+                        if (a.k, a.sub, a.rev) == (want_k, sub, rev))
+                };
+                assert!(prep.tape.ops.iter().any(hit), "{kind:?} {sub} {rev}: {:?}", prep.tape.ops);
+            }
+            assert_consistent(&prep);
+            let n = 70; // two full warps and a 6-lane one
+            let data = |v: Vec<i32>| match kind {
+                ScalarKind::F64 => {
+                    BufData::from(v.iter().map(|&i| i as f64 * 0.3).collect::<Vec<_>>())
+                }
+                _ => BufData::from(v),
+            };
+            let xs = SharedBuf::new(data((0..n as i32 + 1).map(|i| i * 7 - 90).collect()));
+            let o = SharedBuf::new(data(vec![0; 4 * n]));
+            for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
+                let binds = [ArgBind::Buf(&xs), ArgBind::Buf(&o)];
+                launch(&prep, &binds, &[n], None, mode, true, 128, Engine::Differential).unwrap();
+            }
+            let (xv, ov) = (xs.data().to_f64_vec(), o.data().to_f64_vec());
+            let (sq, nb) = (xv[9] * xv[9], xv[10]);
+            assert_eq!(ov[36..40], [sq + nb, nb + sq, sq - nb, nb - sq], "{kind:?}");
+        }
+    }
+
+    /// Every op of `t`, preludes included.
+    fn all_ops(t: &Compiled) -> impl Iterator<Item = &Op> {
+        t.ops.iter().chain(&t.pre).chain(&t.item_pre)
+    }
+
+    /// Every shipped kernel — hand-written, generated, and the slab
+    /// placement of each 3-D one — holds the one-width rule (`prepare` fails
+    /// otherwise), and at single precision nothing but an i64 is wide.
+    #[test]
+    fn every_shipped_tape_has_one_width_per_register() {
+        use room_acoustics::contracts::slab_placed;
+        let mut seen = 0;
+        for real in [ScalarKind::F32, ScalarKind::F64] {
+            let mut kernels: Vec<Kernel> = room_acoustics::handwritten::all_kernels()
+                .iter()
+                .map(|k| k.resolve_real(real))
+                .collect();
+            for p in lift_acoustics::programs::all_programs() {
+                kernels.push(p.lower(real).unwrap().kernel);
+            }
+            let slabs: Vec<Kernel> = kernels
+                .iter()
+                .filter(|k| k.work_dim == 3)
+                .map(|k| slab_placed(k, &Default::default()).0)
+                .collect();
+            assert!(slabs.len() >= 2, "a hand-written and a generated volume kernel");
+            for k in kernels.iter().chain(&slabs) {
+                let prep = prepare(k).unwrap_or_else(|e| panic!("{} @ {real:?}: {e}", k.name));
+                let t = &prep.tape;
+                assert!(validate(t, &prep), "{} @ {real:?}", k.name);
+                assert_eq!(t.wide.len(), t.nregs);
+                let wide_writer = |op: &&Op| op_dst(op).is_some_and(|d| t.wide[d as usize]);
+                let i64_op = |op: &Op| {
+                    use Op::*;
+                    matches!(
+                        op,
+                        AsI64 { .. } | AddI64 { .. } | MaxOne { .. } | Mov { .. } | Const { .. }
+                    )
+                };
+                if real == ScalarKind::F32 {
+                    for op in all_ops(t).filter(wide_writer) {
+                        assert!(i64_op(op), "{}: {op:?} writes a wide register", k.name);
+                    }
+                } else {
+                    assert!(all_ops(t).filter(wide_writer).any(|op| !i64_op(op)), "{}", k.name);
+                }
+                seen += 1;
+            }
+        }
+        assert!(seen >= 24, "{seen} tapes");
+    }
+
+    #[test]
+    fn a_register_used_at_two_widths_fails_validation() {
+        let prep = prepare(&select_kernel("widths")).unwrap();
+        let hand = |ops: Vec<Op>, wide: Vec<bool>| {
+            let nregs = wide.len();
+            Compiled { ops, phase_starts: vec![0], nregs, wide, ..Compiled::default() }
+        };
+        let widen = || vec![Op::AsI64 { dst: 1, src: 0, from: K::I32 }, Op::Halt];
+        assert!(validate(&hand(widen(), vec![false, true]), &prep));
+        assert!(!validate(&hand(widen(), vec![true, true]), &prep), "an i32 out of a wide row");
+        assert!(!validate(&hand(widen(), vec![false, false]), &prep), "an i64 into a packed row");
+        assert!(!validate(&hand(widen(), vec![false]), &prep), "a register without a width");
+        // r1 is written as an f64 and read as an f32: no width table fits.
+        let both = || {
+            vec![
+                Op::Cast { dst: 1, src: 0, from: K::F32, to: K::F64 },
+                Op::Bin { dst: 2, a: 1, b: 0, op: BinOp::Add, k: K::F32 },
+                Op::Halt,
+            ]
+        };
+        for w1 in [false, true] {
+            assert!(!validate(&hand(both(), vec![false, w1, false]), &prep), "r1 wide: {w1}");
+        }
+        // The untyped ops move bits between registers of one width, and a
+        // load lands at its buffer's element width (`x` is an f32 buffer).
+        let copy = |op: Op, wide: [bool; 3]| hand(vec![op, Op::Halt], wide.to_vec());
+        let sel = Op::Sel { dst: 2, cond: 0, ck: K::Bool, t: 1, f: 2 };
+        assert!(validate(&copy(sel, [false, true, true]), &prep));
+        assert!(!validate(&copy(sel, [false, false, true]), &prep));
+        assert!(!validate(&copy(Op::Mov { dst: 0, src: 1 }, [false, true, false]), &prep));
+        let ld = Op::LdG { dst: 0, buf: 0, idx: 1, site: 0, constant: false };
+        assert!(validate(&copy(ld, [false, true, false]), &prep));
+        assert!(!validate(&copy(ld, [true, true, false]), &prep));
+        assert!(!validate(&copy(Op::Const { dst: 0, bits: 1 << 32 }, [false; 3]), &prep));
+    }
+
+    /// `float s = x[g] * a; double s = s / 3; int s = s + g; out[g] = s`,
+    /// with `a` (a launch argument) re-declared `double` on the way: each
+    /// variable lives in its slot's register at its first width and in a
+    /// twin temporary at the other, and the tape agrees with the oracle.
+    #[test]
+    fn a_scalar_redeclared_at_another_width_moves_to_a_twin_register() {
+        let g = || KExpr::GlobalId(0);
+        let decl = |name: &str, kind, init| KStmt::DeclScalar {
+            name: name.into(),
+            kind,
+            init: Some(init),
+        };
+        let (s, a) = (|| KExpr::var("s"), || KExpr::var("a"));
+        let k = Kernel {
+            name: "redeclared".into(),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::F32),
+                KernelParam::global_buf("out", ScalarKind::F32),
+                KernelParam::scalar("a", ScalarKind::F32),
+            ],
+            body: vec![
+                decl("s", ScalarKind::F32, KExpr::load(MemRef::Param(0), g()) * a()),
+                decl(
+                    "a",
+                    ScalarKind::F64,
+                    KExpr::cast(ScalarKind::F64, a()) + KExpr::Lit(Lit::f64(0.5)),
+                ),
+                decl("s", ScalarKind::F64, s() / KExpr::Lit(Lit::f64(3.0)) + a()),
+                decl("s", ScalarKind::I32, KExpr::cast(ScalarKind::I32, s()) + g()),
+                KStmt::Store { mem: MemRef::Param(1), idx: g(), value: s() },
+            ],
+            work_dim: 1,
+        };
+        let prep = prepare(&k).unwrap();
+        let t = &prep.tape;
+        assert!(t.nregs > prep.nslots && t.wide[..prep.nslots].iter().all(|w| !w), "{:?}", t.wide);
+        assert!(all_ops(t).any(|op| matches!(op, Op::Bin { k: K::F64, op: BinOp::Div, .. })));
+        let out = run_diff(&k, 70, 1.5);
+        let want = |i: f32| ((i * 1.5) as f64 / 3.0 + 2.0) as i32 as f64 + i as f64;
+        assert_eq!((out[0], out[7], out[69]), (want(0.0), want(7.0), want(69.0)));
+    }
+
+    /// Every width crossing in one kernel over `(xf, xd, xi, of, od, oi, a, n)`:
+    /// f32 ↔ f64 ↔ i32 casts, selects over f64 under bool, i32 and f64
+    /// conditions, `Neg`/`Not`/logic/`min`/`max`/`sqrt` at each kind, f64 and
+    /// f32 private arrays filled and summed by i64 loops (the second of a
+    /// lane-dependent trip count), loads and accumulates under the scattered
+    /// mask of `i % 3 == 0` and the one-lane mask of `i == 37` — or, `local`,
+    /// an f64 and an f32 workgroup array written and read across a barrier.
+    fn mixed_width_kernel(local: bool) -> Kernel {
+        use ScalarKind::{F32, F64, I32};
+        let v = |n: &str| KExpr::var(n);
+        let decl =
+            |n: &str, kind, init| KStmt::DeclScalar { name: n.into(), kind, init: Some(init) };
+        let ld = |p: usize, idx| KExpr::load(MemRef::Param(p), idx);
+        let st = |p: usize, idx, value| KStmt::Store { mem: MemRef::Param(p), idx, value };
+        let bin = KExpr::bin;
+        let call = |i, args: Vec<KExpr>| KExpr::Call(i, args);
+        let rem = |a, m| bin(BinOp::Rem, a, KExpr::int(m));
+        let i = || v("i");
+        let mut body = vec![
+            decl("i", I32, KExpr::GlobalId(0) + KExpr::GlobalId(1) * KExpr::GlobalSize(0)),
+            KStmt::return_if(bin(BinOp::Ge, i(), v("n"))),
+            decl("f", F32, ld(0, i())),
+            decl("d", F64, ld(1, i())),
+            decl("k", I32, ld(2, i())),
+        ];
+        if local {
+            let lid = || KExpr::LocalId(0);
+            let at = |arr: &str, off| {
+                KExpr::load(MemRef::Local(arr.into()), rem(lid() + KExpr::int(off), 32))
+            };
+            let put = |arr: &str, value| KStmt::Store {
+                mem: MemRef::Local(arr.into()),
+                idx: lid(),
+                value,
+            };
+            body.extend([
+                KStmt::DeclLocalArray { name: "ld".into(), kind: F64, len: KExpr::int(32) },
+                KStmt::DeclLocalArray { name: "lf".into(), kind: F32, len: KExpr::int(32) },
+                put("ld", v("d") * KExpr::cast(F64, v("k"))),
+                put("lf", v("d") + v("f")),
+                KStmt::Barrier,
+                st(4, i(), at("ld", 1) + at("lf", 3)),
+                st(3, i(), at("lf", 5) * v("a")),
+                st(5, i(), KExpr::cast(I32, at("ld", 7)) + v("k")),
+            ]);
+            return Kernel {
+                name: "mixed_local".into(),
+                params: mixed_params(),
+                body,
+                work_dim: 1,
+            };
+        }
+        let priv_at = |arr: &str, idx| KExpr::load(MemRef::Priv(arr.into()), idx);
+        let priv_put =
+            |arr: &str, value| KStmt::Store { mem: MemRef::Priv(arr.into()), idx: v("j"), value };
+        let looped = |end, body| KStmt::For {
+            var: "j".into(),
+            begin: KExpr::int(0),
+            end,
+            step: KExpr::int(1),
+            body,
+        };
+        body.extend([
+            decl("id", F64, KExpr::cast(F64, v("k"))),
+            decl("kf", F32, KExpr::cast(F32, v("k"))),
+            decl("s1", F64, KExpr::select(bin(BinOp::Lt, v("d"), v("id")), v("d"), v("id"))),
+            decl("fd", F64, KExpr::cast(F64, v("f")) * v("d")),
+            decl("df", F32, KExpr::cast(F32, v("d")) + v("f")),
+            decl("di", I32, KExpr::cast(I32, v("d")) + v("k")),
+            decl("s2", F64, KExpr::select(v("k") - KExpr::int(4), v("fd"), -v("d"))),
+            decl("s3", F32, KExpr::select(v("d"), v("f"), v("kf"))),
+            decl("mn", F32, call(Intrinsic::Min, vec![v("f"), v("a")])),
+            decl("mx", F64, call(Intrinsic::Max, vec![v("d"), v("id")])),
+            decl("mi", I32, call(Intrinsic::Max, vec![v("k"), v("di")])),
+            decl("sq", F64, call(Intrinsic::Sqrt, vec![call(Intrinsic::Fabs, vec![v("d")])])),
+            decl("sf", F32, call(Intrinsic::Sqrt, vec![call(Intrinsic::Fabs, vec![v("f")])])),
+            decl("nt", I32, KExpr::Un(UnOp::Not, Box::new(v("d")))),
+            decl("lg", I32, bin(BinOp::And, bin(BinOp::Gt, v("f"), v("a")), v("k"))),
+            decl("ng", I32, -bin(BinOp::Gt, v("k"), KExpr::int(2))),
+            KStmt::DeclPrivArray { name: "pd".into(), kind: F64, len: KExpr::int(4) },
+            KStmt::DeclPrivArray { name: "pf".into(), kind: F32, len: KExpr::int(4) },
+            looped(
+                KExpr::int(4),
+                vec![priv_put("pd", v("d") * v("j")), priv_put("pf", v("d") + v("j"))],
+            ),
+            decl("acc", F64, KExpr::Lit(Lit::f64(0.0))),
+            looped(
+                call(Intrinsic::Min, vec![rem(i(), 5), KExpr::int(4)]),
+                vec![KStmt::Assign {
+                    name: "acc".into(),
+                    value: v("acc") + priv_at("pd", v("j")) + priv_at("pf", v("j")),
+                }],
+            ),
+            KStmt::If {
+                cond: bin(BinOp::Eq, rem(i(), 3), KExpr::int(0)),
+                then_: vec![st(4, i(), v("acc") + ld(1, i())), st(5, i(), v("mi") + ld(2, i()))],
+                else_: vec![st(4, i(), v("s1") - ld(1, i())), st(5, i(), ld(2, i()) - v("di"))],
+            },
+            KStmt::If {
+                cond: bin(BinOp::Eq, i(), KExpr::int(37)),
+                then_: vec![st(3, i(), KExpr::Lit(Lit::f32(1000.0)) + ld(0, i()))],
+                else_: vec![st(3, i(), v("df") + v("kf") + v("s3") + v("mn") + v("sf"))],
+            },
+            st(4, i() + v("n"), v("fd") + v("s2") + v("mx") + v("sq")),
+            st(5, i() + v("n"), v("nt") + v("lg") + v("ng")),
+        ]);
+        Kernel { name: "mixed".into(), params: mixed_params(), body, work_dim: 2 }
+    }
+
+    fn mixed_params() -> Vec<KernelParam> {
+        use ScalarKind::{F32, F64, I32};
+        vec![
+            KernelParam::global_buf("xf", F32),
+            KernelParam::global_buf("xd", F64),
+            KernelParam::global_buf("xi", I32),
+            KernelParam::global_buf("of", F32),
+            KernelParam::global_buf("od", F64),
+            KernelParam::global_buf("oi", I32),
+            KernelParam::scalar("a", F32),
+            KernelParam::scalar("n", I32),
+        ]
+    }
+
+    /// [`mixed_width_kernel`] against the tree-walker, bit for bit (the
+    /// differential engine compares buffers, counters and transaction bytes
+    /// and fails the launch otherwise): row-coherent warps with a guard-cut
+    /// contiguous mask, row-straddling warps, a one-lane final warp and a
+    /// grouped launch, with and without a sanitizer shadow on every buffer.
+    #[test]
+    fn mixed_width_registers_match_the_oracle_under_every_mask() {
+        let flat = prepare(&mixed_width_kernel(false)).unwrap();
+        let grouped = prepare(&mixed_width_kernel(true)).unwrap();
+        let wide_dst = |op: &&Op| op_dst(op).is_some_and(|d| flat.tape.wide[d as usize]);
+        let has = |f: fn(&Op) -> bool| flat.tape.ops.iter().filter(wide_dst).any(f);
+        assert!(has(|op| matches!(op, Op::Sel { .. })), "{:?}", flat.tape.ops);
+        assert!(has(|op| matches!(op, Op::CmpSel { k: K::F64, .. })), "{:?}", flat.tape.ops);
+        assert!(has(|op| matches!(op, Op::LdP { .. })) && has(|op| matches!(op, Op::Intr1 { .. })));
+        assert!(grouped
+            .tape
+            .ops
+            .iter()
+            .any(|op| matches!(op, Op::LdL { dst, .. } if grouped.tape.wide[*dst as usize])));
+        assert!(grouped
+            .tape
+            .ops
+            .iter()
+            .any(|op| matches!(op, Op::LdL { dst, .. } if !grouped.tape.wide[*dst as usize])));
+        assert_consistent(&flat);
+        assert_consistent(&grouped);
+
+        let shapes: [(&Prepared, &[usize], Option<usize>, usize); 4] = [
+            (&flat, &[64, 3], None, 180),
+            (&flat, &[20, 9], None, 171),
+            (&flat, &[33, 1], None, 33),
+            (&grouped, &[96], Some(32), 90),
+        ];
+        for (prep, global, lsize, n) in shapes {
+            let total: usize = global.iter().product();
+            for shadow in [false, true] {
+                let buf = |data: BufData| SharedBuf::with_shadow(data, shadow, true);
+                let xf = buf(BufData::from(
+                    (0..total).map(|i| (i % 13) as f32 * 0.37 - 2.0).collect::<Vec<_>>(),
+                ));
+                let xd = buf(BufData::from(
+                    (0..total).map(|i| i as f64 * 0.11 - 7.3).collect::<Vec<_>>(),
+                ));
+                let xi = buf(BufData::from(
+                    (0..total).map(|i| (i * 5 % 17) as i32 - 6).collect::<Vec<_>>(),
+                ));
+                let of = buf(BufData::from(vec![0.0f32; 2 * total]));
+                let od = buf(BufData::from(vec![0.0f64; 2 * total]));
+                let oi = buf(BufData::from(vec![0i32; 2 * total]));
+                let binds = [
+                    ArgBind::Buf(&xf),
+                    ArgBind::Buf(&xd),
+                    ArgBind::Buf(&xi),
+                    ArgBind::Buf(&of),
+                    ArgBind::Buf(&od),
+                    ArgBind::Buf(&oi),
+                    ArgBind::Val(Value::F32(0.25)),
+                    ArgBind::Val(Value::I32(n as i32)),
+                ];
+                for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
+                    launch(prep, &binds, global, lsize, mode, true, 128, Engine::Differential)
+                        .unwrap_or_else(|e| panic!("{global:?} shadow {shadow} {mode:?}: {e}"));
+                }
+                let (f, d, o) =
+                    (xf.data().to_f64_vec(), xd.data().to_f64_vec(), od.data().to_f64_vec());
+                if lsize.is_none() {
+                    // 30 % 3 == 0, 30 % 5 == 0: an empty sum plus the load.
+                    assert_eq!(o[30], d[30], "{global:?}");
+                    let k = xi.data().to_f64_vec();
+                    assert_eq!(o[31], d[31].min(k[31]) - d[31], "{global:?}");
+                    assert!(o[n - 1 + n] != 0.0 && (n == total || o[n + n] == 0.0), "guard at n");
+                    if n > 37 {
+                        assert_eq!(of.data().to_f64_vec()[37], (1000.0 + f[37] as f32) as f64);
+                    }
+                } else {
+                    let k = xi.data().to_f64_vec();
+                    assert_eq!(o[40], d[41] * k[41] + (d[43] + f[43]) as f32 as f64, "{global:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -3794,7 +4307,7 @@ mod tests {
         assert!(t.ops.iter().any(|op| matches!(op, Op::StL { .. })), "{:?}", t.ops);
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdL { .. })), "{:?}", t.ops);
         assert!(!superinstructions(t).is_empty(), "{:?}", t.ops);
-        assert_consistent(t, prep.nslots);
+        assert_consistent(&prep);
 
         let input = SharedBuf::new(BufData::from(
             (0..N).map(|i| ((i * 37) % 17) as f32 - 8.0).collect::<Vec<_>>(),

@@ -1481,16 +1481,18 @@ struct ChunkAcc {
     /// Race-check store records.
     writes: Vec<WriteRec>,
     /// Warps that diverged (tape executor only). 32 bits so that the struct
-    /// keeps its size: one step's collected `Vec<ChunkAcc>` of the benchmark
-    /// room then still fits the block a task's register file just freed.
-    /// Eight bytes more and glibc grows the heap by ~17 KB a step instead
-    /// (EXPERIMENTS.md, "Lane shapes").
+    /// keeps its size (asserted below).
     divergent: u32,
     /// Per-op time tally (tape executor under `VGPU_PROFILE=op` only):
     /// one per chunk, merged after the parallel section — no shared state
     /// inside the hot loop.
     prof: Option<Box<crate::profiler::OpProf>>,
 }
+
+// One step's collected `Vec<ChunkAcc>` of the benchmark room fits the block a
+// task's register file just freed; eight bytes more and glibc grows the heap
+// by ~17 KB a step instead (EXPERIMENTS.md, "Lane shapes").
+const _: () = assert!(std::mem::size_of::<ChunkAcc>() == 104);
 
 /// Per-launch aggregation shared by every runner: sums the chunk results,
 /// runs the race check, and applies the sampling scale.
@@ -1658,19 +1660,13 @@ impl WarpInit {
         let (once, per_warp) = bytecode::warp_init_regs(tape, l.prep.nslots);
         WarpInit { regs0, once, per_warp }
     }
-
-    fn broadcast(&self, vregs: &mut [u64], regs: &[bytecode::R]) {
-        for &r in regs {
-            let row = r as usize * WARP;
-            vregs[row..row + WARP].fill(self.regs0[r as usize]);
-        }
-    }
 }
 
 /// One warp's execution state, allocated once per rayon task and re-aimed
 /// at each warp it runs ([`WarpState::load`]).
 struct WarpState {
-    /// SoA register file (`vregs[r * WARP + lane]`).
+    /// SoA register file: register `r` owns words `r * WARP..(r + 1) * WARP`
+    /// — its 64-bit row, or a packed 32-bit row in the first half of them.
     vregs: Vec<u64>,
     /// Per-lane private arrays.
     privs: Vec<Vec<Vec<u64>>>,
@@ -1688,7 +1684,7 @@ struct WarpState {
 impl WarpState {
     fn new(l: &Launch<'_>, tape: &Compiled, init: &WarpInit) -> WarpState {
         let mut vregs = vec![0u64; tape.nregs * WARP];
-        init.broadcast(&mut vregs, &init.once);
+        bytecode::broadcast(tape, &mut vregs, &init.regs0, &init.once);
         WarpState {
             vregs,
             privs: vec![vec![Vec::new(); l.prep.npriv]; WARP],
@@ -1737,7 +1733,7 @@ impl WarpState {
             }
         }
         let nact = self.items.len();
-        init.broadcast(&mut self.vregs, &init.per_warp);
+        bytecode::broadcast(tape, &mut self.vregs, &init.regs0, &init.per_warp);
         if l.prep.npriv > 0 {
             for p in self.privs[..nact].iter_mut().flatten() {
                 p.clear();

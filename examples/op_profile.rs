@@ -1,10 +1,12 @@
 //! Per-launch step times and, under `VGPU_PROFILE=op`, the per-opcode
-//! dispatch tables of the benchmark room (96×64×48 FD-MM dome, single
-//! precision) on the hand-written or the LIFT-generated kernels.
+//! dispatch tables of an FD-MM dome on the hand-written or the
+//! LIFT-generated kernels: `op_profile [hand|gen] [steps] [NXxNYxNZ]
+//! [f32|f64]`, by default the benchmark room (96×64×48, single precision).
 //!
 //! ```sh
 //! VGPU_PROFILE=op cargo run --release --example op_profile -- hand 100
 //! cargo run --release --example op_profile -- gen 50
+//! cargo run --release --example op_profile -- hand 300 12x12x12 f64   # a `batch_small` room
 //! ```
 
 use room_acoustics::{
@@ -17,21 +19,33 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let side = args.next().unwrap_or_else(|| "hand".into());
     let steps: usize = args.next().map_or(50, |s| s.parse().expect("steps: a count"));
-    let setup = SimSetup::new(&SimConfig::fdmm(GridDims::new(96, 64, 48), RoomShape::Dome));
-    let (p, dev) = (Precision::Single, Device::gtx780());
+    let dims = args.next().map_or(GridDims::new(96, 64, 48), |s| {
+        let n: Vec<usize> = s.split('x').map(|n| n.parse().expect("NXxNYxNZ")).collect();
+        assert_eq!(n.len(), 3, "NXxNYxNZ: three sizes (got `{s}`)");
+        GridDims::new(n[0], n[1], n[2])
+    });
+    let p = match args.next().as_deref() {
+        None | Some("f32") => Precision::Single,
+        Some("f64") => Precision::Double,
+        Some(other) => panic!("precision: f32 or f64 (got `{other}`)"),
+    };
+    let setup = SimSetup::new(&SimConfig::fdmm(dims, RoomShape::Dome));
+    let dev = Device::gtx780();
     let mut sim = match side.as_str() {
         "hand" => SingleSim::new(setup, p, BoundaryKernel::FdMm, dev),
         "gen" => SingleSim::new(setup, p, LiftBoundary::FdMm, dev),
-        other => panic!("usage: op_profile [hand|gen] [steps] (got `{other}`)"),
+        other => {
+            panic!("usage: op_profile [hand|gen] [steps] [NXxNYxNZ] [f32|f64] (got `{other}`)")
+        }
     };
-    sim.impulse(48, 32, 12, 1.0);
+    sim.impulse(dims.nx / 2, dims.ny / 2, dims.nz / 4, 1.0);
     let (mut volume, mut boundary) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..steps {
         let (v, b) = sim.step(ExecMode::Fast);
         volume = volume.min(v.wall.as_secs_f64() * 1e3);
         boundary = boundary.min(b.wall.as_secs_f64() * 1e3);
     }
-    println!("{side}: {steps} steps, best ms/step: volume {volume:.3}, boundary {boundary:.3}");
+    println!("{side}: {steps} steps, best ms/step: volume {volume:.4}, boundary {boundary:.4}");
     if profiler::op_enabled() {
         print!("{}", profiler::render_report(&profiler::snapshot()));
     }
