@@ -2062,11 +2062,20 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 // Divergence is therefore a performance event, never a correctness one, and
 // `vgpu.warp.divergent` counts the warps that actually paid for it.
 //
+// Work-items are a formula ([`WarpIds`]): lane `l` is item `begin + l`, and a
+// `Gid` row is an iota or a broadcast when the warp is *row-coherent*, a
+// carry walk from lane 0's id when it straddles rows.
+//
 // Lane shapes: for a row-coherent warp the executor also receives the tape's
-// lane-shape table ([`Shape`], [`Licence`]), which licenses two shortcuts —
-// unit-stride loads and stores as runs ([`unit_run`]) and branch conditions
-// read off one or two lanes ([`decided`], [`affine_cmp`]) — each audited
-// lane by lane in debug builds.
+// lane-shape table ([`Shape`], [`Licence`]), which licenses three shortcuts —
+// unit-stride loads and stores as runs ([`unit_run`]), branch conditions
+// read off one or two lanes ([`decided`], [`affine_cmp`]), and private
+// accesses as rows — each audited lane by lane in debug builds. Private
+// arrays are lane-minor like the registers ([`PrivRows`]): an `LdP`/`StP`
+// whose index is [`Shape::Uniform`] (a loop counter, a constant) reads it off
+// the first active lane, checks it **once** against the active lanes'
+// declared lengths and moves one row (the audit: every active lane holds
+// that index); any other index goes lane by lane through the same check.
 //
 // Bounds discipline: every global access goes through [`load_global`] /
 // [`store_global`] with the launch's per-site `checked` table (true ⇒ keep
@@ -2360,58 +2369,150 @@ pub(crate) fn broadcast(c: &Compiled, vregs: &mut [u64], regs0: &[u64], regs: &[
     }
 }
 
-/// What a launch-context read (`Gid`/`Lid`/`Lsz`/`Grp`) yields for one
-/// work-item. `lsize` is the workgroup size of a grouped launch (1-D:
-/// `item = group * lsize + lid`); flat dispatch passes `None` and reads local
-/// id 0, local size 1 and group = warp id, exactly as the tree-walker does.
-#[inline(always)]
-fn context(op: &Op, gid: &[usize; 3], item: u64, lsize: Option<usize>) -> i32 {
-    // (local id, local size, group id) along dimension 0.
-    let local = || match lsize {
-        Some(n) => (item % n as u64, n as u64, item / n as u64),
-        None => (0, 1, item / WARP as u64),
-    };
+/// The work-items of one warp in closed form: lane `l` is the linear
+/// work-item `begin + l`, and its global id follows from lane 0's.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct WarpIds {
+    pub begin: u64,
+    /// Global id of lane 0.
+    pub gid0: [usize; 3],
+    /// Global NDRange sizes.
+    pub gsize: [usize; 3],
+    /// Workgroup size of a grouped launch (1-D: `item = group * lsize + lid`).
+    /// Flat dispatch reads local id 0, size 1, group = warp id, as the oracle.
+    pub lsize: Option<usize>,
+    /// The warp is *row-coherent* (see [`Shape`]).
+    pub coherent: bool,
+}
+
+impl WarpIds {
+    /// The warp of work-items `begin..begin + nact`, in two divisions: lane
+    /// 0's id and the lane count say whether the warp stays in one row.
+    pub(crate) fn new(begin: u64, nact: usize, gsize: [usize; 3], lsize: Option<usize>) -> Self {
+        let (gx, gy) = (gsize[0] as u64, gsize[1] as u64);
+        let row = begin / gx;
+        let (x, z) = (begin - row * gx, row / gy);
+        let gid0 = [x as usize, (row - z * gy) as usize, z as usize];
+        WarpIds { begin, gid0, gsize, lsize, coherent: lsize.is_none() && x + nact as u64 <= gx }
+    }
+}
+
+/// Writes a launch-context read (`Gid`/`Lid`/`Lsz`/`Grp`) to the lanes of
+/// `mask`: a `Gid` row is an iota or a broadcast in a row-coherent warp, and
+/// otherwise lane 0's id walked forward with carries — no division per lane.
+fn write_context(op: &Op, vregs: &mut [u64], mask: u32, ids: &WarpIds) {
+    let dst = op_dst(op).expect("context reads write a register");
     match *op {
-        Op::Gid { dim, .. } => gid[dim as usize] as i32,
-        Op::Lid { dim: 0, .. } => local().0 as i32,
-        Op::Lsz { dim: 0, .. } => local().1 as i32,
-        Op::Grp { dim: 0, .. } => local().2 as i32,
-        Op::Lid { .. } | Op::Grp { .. } => 0,
-        Op::Lsz { .. } => 1,
-        _ => unreachable!("not a launch-context read"),
+        Op::Gid { dim, .. } if ids.coherent => {
+            let (first, step) = (ids.gid0[dim as usize] as i32, (dim == 0) as i32);
+            for_mask!(mask, l, {
+                first.wrapping_add(step * l as i32).put(vregs, dst, l);
+            });
+        }
+        Op::Gid { dim, .. } => {
+            let (mut g, [gx, gy, _]) = (ids.gid0, ids.gsize);
+            for l in 0..WARP - mask.leading_zeros() as usize {
+                if mask >> l & 1 != 0 {
+                    (g[dim as usize] as i32).put(vregs, dst, l);
+                }
+                g[0] += 1;
+                if g[0] == gx {
+                    g = if g[1] + 1 == gy { [0, 0, g[2] + 1] } else { [0, g[1] + 1, g[2]] };
+                }
+            }
+        }
+        _ => for_mask!(mask, l, {
+            let item = ids.begin + l as u64;
+            // (local id, local size, group id) along dimension 0.
+            let (lid, lsz, grp) = match ids.lsize {
+                Some(n) => (item % n as u64, n as u64, item / n as u64),
+                None => (0, 1, item / WARP as u64),
+            };
+            let v = match *op {
+                Op::Lid { dim: 0, .. } => lid,
+                Op::Lsz { dim: 0, .. } => lsz,
+                Op::Grp { dim: 0, .. } => grp,
+                Op::Lid { .. } | Op::Grp { .. } => 0,
+                Op::Lsz { .. } => 1,
+                _ => unreachable!("not a launch-context read"),
+            };
+            (v as i32).put(vregs, dst, l);
+        }),
     }
 }
 
 /// Executes the per-item context prelude for a fresh warp: one deduplicated
 /// `Gid`/`Lid`/`Lsz`/`Grp` read per distinct (op, dim), written to lanes
 /// `0..nact`. Run once per warp, after slot initialisation and before any
-/// phase. `coherent`: the warp is row-coherent (see [`Shape`]).
-pub(crate) fn exec_item_pre_warp(
-    c: &Compiled,
-    vregs: &mut [u64],
-    nact: usize,
-    (gids, items): (&[[usize; 3]], &[u64]),
-    lsize: Option<usize>,
-    coherent: bool,
-) {
+/// phase.
+pub(crate) fn exec_item_pre_warp(c: &Compiled, vregs: &mut [u64], nact: usize, ids: &WarpIds) {
     for op in &c.item_pre {
-        let dst = op_dst(op).expect("context reads write a register");
-        match *op {
-            // One row: `gid[0]` counts up from the first lane's, `gid[1]`
-            // and `gid[2]` are the first lane's.
-            Op::Gid { dim, .. } if coherent => {
-                let (first, step) = (gids[0][dim as usize] as i32, (dim == 0) as i32);
-                for l in 0..nact {
-                    first.wrapping_add(step * l as i32).put(vregs, dst, l);
-                }
-            }
-            _ => {
-                for l in 0..nact {
-                    context(op, &gids[l], items[l], lsize).put(vregs, dst, l);
-                }
-            }
+        write_context(op, vregs, prefix_mask(nact), ids);
+    }
+}
+
+/// One private array of a warp, lane-minor like the register file: element
+/// `k` of lane `l` is `cells[k * WARP + l]`, bits as the tree-walker holds
+/// them; `lens[l]` is the length lane `l` declared (0: not yet).
+#[derive(Clone, Default)]
+pub(crate) struct PrivRows {
+    cells: Vec<u64>,
+    lens: [u32; WARP],
+}
+
+impl PrivRows {
+    /// A fresh warp: no lane has declared the array (which zeroes cells).
+    pub(crate) fn reset(&mut self) {
+        self.lens = [0; WARP];
+    }
+
+    /// `DeclPriv`: each lane of `mask` declares `len(l)` zeroed elements (and
+    /// zeroes, up to the longest, cells past its own length: out of its reach).
+    fn declare(&mut self, arr: u16, mask: u32, len: impl Fn(usize) -> i64) {
+        let mut rows = 0;
+        for_mask!(mask, l, {
+            let n = crate::exec::priv_len(arr as usize, len(l));
+            self.lens[l] = n as u32;
+            rows = rows.max(n);
+        });
+        self.cells.resize(self.cells.len().max(rows * WARP), 0);
+        for row in self.cells[..rows * WARP].chunks_exact_mut(WARP) {
+            for_mask!(mask, l, {
+                row[l] = 0;
+            });
         }
     }
+
+    /// The row an access through `idx` touches, the lanes of `mask` holding
+    /// one index ([`one_index`]; audited lane by lane in debug builds):
+    /// **one** pass over their lengths finds it in range — an index no `u32`
+    /// holds is past them all — or the first lane it is not for panics.
+    #[inline(always)]
+    fn row(&mut self, arr: u16, vregs: &[u64], idx: R, mask: u32) -> &mut [u64] {
+        let i = i64::get(vregs, idx, mask.trailing_zeros() as usize);
+        let (at, mut short) = (u32::try_from(i).unwrap_or(u32::MAX), 0u32);
+        for_mask!(mask, l, {
+            debug_assert_eq!(i64::get(vregs, idx, l), i, "lane-shape audit: private index");
+            short |= u32::from(at >= self.lens[l]) << l;
+        });
+        if short != 0 {
+            let len = self.lens[short.trailing_zeros() as usize] as usize;
+            crate::exec::priv_index(arr as usize, i, len);
+        }
+        &mut self.cells[at as usize * WARP..][..WARP]
+    }
+}
+
+/// `mask` in parts whose lanes hold one private index: all of it when the
+/// index register's lane shape is uniform (a loop counter, a constant),
+/// otherwise lane by lane — one lane is uniform.
+fn one_index(mask: u32, uniform: bool) -> impl Iterator<Item = u32> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        let part = if uniform { rest } else { rest & rest.wrapping_neg() };
+        rest &= !part;
+        (part != 0).then_some(part)
+    })
 }
 
 /// Per-warp launch state threaded through [`exec_phase_warp`]. Counters and
@@ -2432,15 +2533,8 @@ pub(crate) struct WarpCtx<'a> {
     pub writes: &'a mut Vec<WriteRec>,
     /// Record stores into `writes`.
     pub race_on: bool,
-    /// Per-lane linear work-item ids.
-    pub items: &'a [u64],
-    /// Per-lane global ids.
-    pub gids: &'a [[usize; 3]],
-    /// Global NDRange sizes.
-    pub gsize: [usize; 3],
-    /// Workgroup size of a grouped launch; `None` for flat dispatch (see
-    /// [`context`]).
-    pub lsize: Option<usize>,
+    /// The warp's work-items.
+    pub ids: WarpIds,
     /// The workgroup's local-memory arena, shared by every warp of the
     /// group (empty for flat dispatch, whose tapes carry no local ops).
     pub locals: &'a mut [Vec<u64>],
@@ -2477,21 +2571,19 @@ pub(crate) fn exec_phase_warp(
     phase: usize,
     mask: u32,
     vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
+    privs: &mut [PrivRows],
     w: &mut WarpCtx<'_>,
     lic: Licence<'_>,
 ) -> PhaseRun {
     assert!(vregs.len() >= c.nregs * WARP, "SoA register file smaller than tape nregs");
     assert!(mask != 0, "no active lane");
     let lanes = WARP - mask.leading_zeros() as usize;
-    assert!(lane_privs.len() >= lanes && w.traces.len() >= lanes);
-    assert!(w.items.len() >= lanes && w.gids.len() >= lanes);
+    assert!(w.traces.len() >= lanes);
     let pc = c.phase_starts[phase] as usize;
     assert!(pc < c.ops.len(), "entry pc outside the tape");
     assert_eq!(c.joins.len(), c.ops.len(), "tape compiled without join metadata");
     let prof_on = w.prof.is_some();
-    let mut ex =
-        WarpExec { c, vregs, lane_privs, w, lic, diverged: false, returned: 0, pending: None };
+    let mut ex = WarpExec { c, vregs, privs, w, lic, diverged: false, returned: 0, pending: None };
     let end = c.ops.len();
     if prof_on {
         ex.run::<true>(pc, end, mask);
@@ -2842,7 +2934,7 @@ fn store_global(
         }
         if w.race_on {
             for_mask!(mask, l, {
-                w.writes.push((buf as u32, idx[l] as u64, w.items[l], site));
+                w.writes.push((buf as u32, idx[l] as u64, w.ids.begin + l as u64, site));
             });
         }
         shadow_scatter(b, &idx, mask);
@@ -2914,7 +3006,7 @@ enum Branch {
 struct WarpExec<'e, 'w> {
     c: &'e Compiled,
     vregs: &'e mut [u64],
-    lane_privs: &'e mut [Vec<Vec<u64>>],
+    privs: &'e mut [PrivRows],
     w: &'e mut WarpCtx<'w>,
     lic: Licence<'e>,
     diverged: bool,
@@ -2994,15 +3086,11 @@ impl WarpExec<'_, '_> {
                 Op::Const { dst, bits } => {
                     at_width!(wide(dst), T => vfill(vregs, dst, mask, bits as T))
                 }
-                Op::Gsz { dst, dim } => vfill(vregs, dst, mask, self.w.gsize[dim as usize] as i32),
-                ref op @ (Op::Gid { dst, .. }
-                | Op::Lid { dst, .. }
-                | Op::Lsz { dst, .. }
-                | Op::Grp { dst, .. }) => {
-                    let w = &*self.w;
-                    for_mask!(mask, l, {
-                        context(op, &w.gids[l], w.items[l], w.lsize).put(vregs, dst, l);
-                    });
+                Op::Gsz { dst, dim } => {
+                    vfill(vregs, dst, mask, self.w.ids.gsize[dim as usize] as i32)
+                }
+                ref op @ (Op::Gid { .. } | Op::Lid { .. } | Op::Lsz { .. } | Op::Grp { .. }) => {
+                    write_context(op, vregs, mask, &self.w.ids)
                 }
                 Op::Mov { dst, src } => {
                     at_width!(wide(dst), T => vmap1(vregs, dst, src, mask, |x: T| x))
@@ -3114,16 +3202,33 @@ impl WarpExec<'_, '_> {
                     let ix = |l| i64::get(regs, idx, l);
                     store_global(self.w, lic, (buf, site), mask, unit, ix, regs, (val, vk));
                 }
-                Op::LdP { dst, arr, idx } => at_width!(wide(dst), T => for_mask!(mask, l, {
-                    let i = i64::get(vregs, idx, l) as usize;
-                    (self.lane_privs[l][arr as usize][i] as T).put(vregs, dst, l);
-                })),
+                Op::LdP { dst, arr, idx } => {
+                    let p = &mut self.privs[arr as usize];
+                    for part in one_index(mask, uniform(idx)) {
+                        let row = p.row(arr, vregs, idx, part);
+                        at_width!(wide(dst), T => for_mask!(part, l, {
+                            (row[l] as T).put(vregs, dst, l);
+                        }));
+                    }
+                }
                 Op::StP { arr, idx, val, vk, k } => {
-                    for_mask!(mask, l, {
-                        let i = i64::get(vregs, idx, l) as usize;
-                        self.lane_privs[l][arr as usize][i] =
-                            cast_bits(vk, k, vgw(vregs, val, vk.wide(), l));
-                    });
+                    let p = &mut self.privs[arr as usize];
+                    for part in one_index(mask, uniform(idx)) {
+                        let row = p.row(arr, vregs, idx, part);
+                        // `Value::cast` of a value of the array's kind: f32 goes
+                        // through f64 and back, the other kinds keep their bits.
+                        match (vk, k) {
+                            (K::F32, K::F32) => for_mask!(part, l, {
+                                row[l] = b32(f32::get(vregs, val, l) as f64 as f32);
+                            }),
+                            _ if vk == k => for_mask!(part, l, {
+                                row[l] = vgw(vregs, val, k.wide(), l);
+                            }),
+                            _ => for_mask!(part, l, {
+                                row[l] = cast_bits(vk, k, vgw(vregs, val, vk.wide(), l));
+                            }),
+                        }
+                    }
                 }
                 Op::LdL { dst, arr, idx } => at_width!(wide(dst), T => for_mask!(mask, l, {
                     let i = i64::get(vregs, idx, l) as usize;
@@ -3137,12 +3242,8 @@ impl WarpExec<'_, '_> {
                     });
                 }
                 Op::DeclPriv { arr, len } => {
-                    for_mask!(mask, l, {
-                        let n = i64::get(vregs, len, l) as usize;
-                        let p = &mut self.lane_privs[l][arr as usize];
-                        p.clear();
-                        p.resize(n, 0);
-                    });
+                    let len = |l| i64::get(vregs, len, l);
+                    self.privs[arr as usize].declare(arr, mask, len);
                 }
                 // Allocated (zeroed) by the first warp of the group to get
                 // here; the length is uniform across the group.
@@ -3913,13 +4014,89 @@ mod tests {
         t.ops.iter().chain(&t.pre).chain(&t.item_pre)
     }
 
+    /// The ids of every warp of an NDRange — row-coherent, straddling, the
+    /// partial last one — as the prelude writes them and as an in-tape read
+    /// under a scattered mask does, against the definition: item `i` has
+    /// `gid = (i % gx, (i / gx) % gy, i / (gx·gy))`; a grouped launch's
+    /// local and group ids are `i % lsize` and `i / lsize`.
+    #[test]
+    fn warp_ids_in_closed_form_match_the_definition_in_every_warp() {
+        let context = [
+            Op::Gid { dst: 0, dim: 0 },
+            Op::Gid { dst: 1, dim: 1 },
+            Op::Gid { dst: 2, dim: 2 },
+            Op::Lid { dst: 3, dim: 0 },
+            Op::Grp { dst: 4, dim: 0 },
+        ];
+        let c = Compiled {
+            item_pre: context.to_vec(),
+            nregs: context.len(),
+            wide: vec![false; context.len()],
+            ..Compiled::default()
+        };
+        const UNSET: i32 = -7;
+        let scattered = 0xA5A5_5A5Au32;
+        let (mut coherent, mut straddling) = (0, 0);
+        for (gsize, lsize) in [
+            ([5, 3, 4], None),
+            ([12, 12, 12], None),
+            ([33, 2, 2], None),
+            ([96, 64, 48], None),
+            ([96, 1, 1], Some(48)),
+        ] {
+            let [gx, gy, gz] = gsize;
+            let total = gx * gy * gz;
+            for begin in (0..total).step_by(WARP) {
+                let nact = WARP.min(total - begin);
+                let ids = WarpIds::new(begin as u64, nact, gsize, lsize);
+                let one_row = lsize.is_none() && begin / gx == (begin + nact - 1) / gx;
+                assert_eq!(ids.coherent, one_row, "{gsize:?}: warp at {begin}");
+                coherent += ids.coherent as usize;
+                straddling += !ids.coherent as usize;
+                let want = |i: usize| match lsize {
+                    None => [i % gx, (i / gx) % gy, i / (gx * gy), 0, i / WARP],
+                    Some(n) => [i % gx, (i / gx) % gy, i / (gx * gy), i % n, i / n],
+                };
+                // The prelude fills lanes `0..nact`; the same reads under a
+                // scattered mask write its lanes and no other. A coherent
+                // warp must read the same when walked as a straddling one.
+                let walked = WarpIds { coherent: false, ..ids };
+                for (ids, mask) in [
+                    (ids, prefix_mask(nact)),
+                    (walked, prefix_mask(nact)),
+                    (ids, scattered & prefix_mask(nact)),
+                    (walked, scattered & prefix_mask(nact)),
+                ] {
+                    let mut vregs = vec![0u64; c.nregs * WARP];
+                    for r in 0..c.nregs as R {
+                        vfill(&mut vregs, r, FULL_MASK, UNSET);
+                    }
+                    if mask == prefix_mask(nact) {
+                        exec_item_pre_warp(&c, &mut vregs, nact, &ids);
+                    } else {
+                        context.iter().for_each(|op| write_context(op, &mut vregs, mask, &ids));
+                    }
+                    for l in 0..WARP {
+                        for (r, w) in want(begin + l).into_iter().enumerate() {
+                            let w = if mask >> l & 1 != 0 { w as i32 } else { UNSET };
+                            let got = i32::get(&vregs, r as R, l);
+                            assert_eq!(got, w, "{gsize:?} {lsize:?}: item {begin}+{l}, r{r}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(coherent > 9000 && straddling > 50, "{coherent} coherent, {straddling} not");
+    }
+
     /// Every shipped kernel — hand-written, generated, and the slab
     /// placement of each 3-D one — holds the one-width rule (`prepare` fails
-    /// otherwise), and at single precision nothing but an i64 is wide.
+    /// otherwise), and at single precision nothing but an i64 is wide; and
+    /// every private access of theirs is through a uniform index — one row.
     #[test]
     fn every_shipped_tape_has_one_width_per_register() {
         use room_acoustics::contracts::slab_placed;
-        let mut seen = 0;
+        let (mut seen, mut private_accesses) = (0, 0);
         for real in [ScalarKind::F32, ScalarKind::F64] {
             let mut kernels: Vec<Kernel> = room_acoustics::handwritten::all_kernels()
                 .iter()
@@ -3954,10 +4131,17 @@ mod tests {
                 } else {
                     assert!(all_ops(t).filter(wide_writer).any(|op| !i64_op(op)), "{}", k.name);
                 }
+                for op in all_ops(t) {
+                    if let Op::LdP { idx, .. } | Op::StP { idx, .. } = *op {
+                        assert_eq!(t.shapes[idx as usize], Shape::Uniform, "{}: {op:?}", k.name);
+                        private_accesses += 1;
+                    }
+                }
                 seen += 1;
             }
         }
         assert!(seen >= 24, "{seen} tapes");
+        assert!(private_accesses >= 8, "{private_accesses}: the FD-MM kernels stage branch state");
     }
 
     #[test]

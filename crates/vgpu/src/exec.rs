@@ -826,7 +826,7 @@ impl<'a> Exec<'a> {
                         // this element.
                         unsafe { buf.get(i as usize) }
                     }
-                    PMem::Priv(a) => st.privs[*a][i as usize],
+                    PMem::Priv(a) => st.privs[*a][priv_index(*a, i, st.privs[*a].len())],
                     PMem::Local(a) => locals[*a][i as usize],
                 }
             }
@@ -898,7 +898,7 @@ impl<'a> Exec<'a> {
                     st.slots[*slot] = v;
                 }
                 PStmt::DeclPriv { arr, kind, len } => {
-                    let n = self.eval(len, st, locals, ic).as_i64() as usize;
+                    let n = priv_len(*arr, self.eval(len, st, locals, ic).as_i64());
                     st.privs[*arr].clear();
                     st.privs[*arr].resize(n, Value::zero(*kind));
                 }
@@ -954,7 +954,8 @@ impl<'a> Exec<'a> {
                         }
                         PMem::Priv(a) => {
                             let kind = self.prep.priv_kinds[*a];
-                            st.privs[*a][i as usize] = v.cast(kind);
+                            let at = priv_index(*a, i, st.privs[*a].len());
+                            st.privs[*a][at] = v.cast(kind);
                         }
                         PMem::Local(a) => {
                             let kind = self.prep.local_kinds[*a];
@@ -1070,6 +1071,27 @@ fn warp_transaction_bytes_flat(trace: &mut [(u32, u32, u64)], ends: &[usize], tx
 /// sweep it was chosen from: coarser tasks split mid-sized launches
 /// unevenly over the threads, finer ones gain nothing further.
 const GRAIN_ITEMS: usize = 64 * WARP;
+
+/// Most elements a work-item may declare in one private array (every shipped
+/// configuration declares `MB = 3`): the length is a kernel expression, and
+/// an allocation that fails aborts the process, not the launch.
+const PRIV_MAX_LEN: i64 = 65_536;
+
+/// A declared private length: outside `0..=PRIV_MAX_LEN` it is this panic, on every engine.
+pub(crate) fn priv_len(arr: usize, len: i64) -> usize {
+    assert!(
+        (0..=PRIV_MAX_LEN).contains(&len),
+        "private array #{arr}: length {len} outside 0..={PRIV_MAX_LEN}"
+    );
+    len as usize
+}
+
+/// Element `i` of a work-item's private array of `len` elements; out of
+/// range it fails the launch with this panic, on every engine.
+pub(crate) fn priv_index(arr: usize, i: i64, len: usize) -> usize {
+    assert!((i as u64) < len as u64, "private array #{arr}: index {i} out of bounds (len {len})");
+    i as usize
+}
 
 /// Ids (warps, or groups of `items_per_id` work-items) per task: the launch
 /// is cut into as many equal tasks as hold [`GRAIN_ITEMS`] each, so a launch
@@ -1668,17 +1690,12 @@ struct WarpState {
     /// SoA register file: register `r` owns words `r * WARP..(r + 1) * WARP`
     /// — its 64-bit row, or a packed 32-bit row in the first half of them.
     vregs: Vec<u64>,
-    /// Per-lane private arrays.
-    privs: Vec<Vec<Vec<u64>>>,
+    /// The kernel's private arrays, one set of lane-minor rows each.
+    privs: Vec<bytecode::PrivRows>,
     /// Per-lane access traces for the transaction model.
     traces: Vec<Vec<(u32, u32, u64)>>,
-    /// Per-lane linear work-item ids and global ids of the loaded warp.
-    items: Vec<u64>,
-    gids: Vec<[usize; 3]>,
-    /// The loaded warp is *row-coherent*: a flat launch's warp whose lanes
-    /// share `gid[1]` and `gid[2]`, so `gid[0]` counts up by one per lane —
-    /// what the tape's lane shapes ([`bytecode::Shape`]) are stated for.
-    coherent: bool,
+    /// The work-items of the loaded warp.
+    ids: bytecode::WarpIds,
 }
 
 impl WarpState {
@@ -1687,11 +1704,9 @@ impl WarpState {
         bytecode::broadcast(tape, &mut vregs, &init.regs0, &init.once);
         WarpState {
             vregs,
-            privs: vec![vec![Vec::new(); l.prep.npriv]; WARP],
+            privs: vec![Default::default(); l.prep.npriv],
             traces: vec![Vec::new(); WARP],
-            items: Vec::with_capacity(WARP),
-            gids: Vec::with_capacity(WARP),
-            coherent: false,
+            ids: Default::default(),
         }
     }
 
@@ -1706,41 +1721,13 @@ impl WarpState {
         begin: u64,
         end: u64,
     ) -> usize {
-        let (gx, gy) = (l.gsize[0] as u64, l.gsize[1] as u64);
-        self.items.clear();
-        self.gids.clear();
-        // One division per warp. Lanes are consecutive work-items, so the
-        // first and the last lane say whether the warp stays in one row —
-        // then the ids are an iota; otherwise they advance with carries.
-        let mut gid =
-            [(begin % gx) as usize, ((begin / gx) % gy) as usize, (begin / (gx * gy)) as usize];
-        self.coherent = l.lsize.is_none() && begin / gx == (end - 1) / gx;
-        self.items.extend(begin..end);
-        if self.coherent {
-            self.gids.extend((0..(end - begin) as usize).map(|k| [gid[0] + k, gid[1], gid[2]]));
-        } else {
-            for _ in begin..end {
-                self.gids.push(gid);
-                gid[0] += 1;
-                if gid[0] as u64 == gx {
-                    gid[0] = 0;
-                    gid[1] += 1;
-                    if gid[1] as u64 == gy {
-                        gid[1] = 0;
-                        gid[2] += 1;
-                    }
-                }
-            }
-        }
-        let nact = self.items.len();
+        let nact = (end - begin) as usize;
+        self.ids = bytecode::WarpIds::new(begin, nact, l.gsize, l.lsize);
         bytecode::broadcast(tape, &mut self.vregs, &init.regs0, &init.per_warp);
-        if l.prep.npriv > 0 {
-            for p in self.privs[..nact].iter_mut().flatten() {
-                p.clear();
-            }
+        for p in self.privs.iter_mut() {
+            p.reset();
         }
-        let ids = (&self.gids[..], &self.items[..]);
-        bytecode::exec_item_pre_warp(tape, &mut self.vregs, nact, ids, l.lsize, self.coherent);
+        bytecode::exec_item_pre_warp(tape, &mut self.vregs, nact, &self.ids);
         nact
     }
 
@@ -1753,7 +1740,7 @@ impl WarpState {
         l: &'a Launch<'_>,
         acc: &'a mut ChunkAcc,
         locals: &'a mut [Vec<u64>],
-    ) -> (&'a mut [u64], &'a mut [Vec<Vec<u64>>], bytecode::WarpCtx<'a>) {
+    ) -> (&'a mut [u64], &'a mut [bytecode::PrivRows], bytecode::WarpCtx<'a>) {
         let wc = bytecode::WarpCtx {
             bufs: l.bufs,
             counters: &mut acc.counters,
@@ -1761,10 +1748,7 @@ impl WarpState {
             trace_on: l.trace_on,
             writes: &mut acc.writes,
             race_on: l.race_check,
-            items: &self.items,
-            gids: &self.gids,
-            gsize: l.gsize,
-            lsize: l.lsize,
+            ids: self.ids,
             locals,
             prof: acc.prof.as_deref_mut(),
             san: Some(crate::sanitize::SanCtx { kernel: &l.prep.name, params: &l.prep.params }),
@@ -1813,7 +1797,7 @@ fn run_flat_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
             acc.counters.work_items += nact as u64;
             // Lane shapes hold for a row-coherent warp; any other runs with
             // every register varying.
-            let shapes = if warp.coherent { &tape.shapes[..] } else { &[] };
+            let shapes = if warp.ids.coherent { &tape.shapes[..] } else { &[] };
             let lic = bytecode::Licence { checked: &checked, shapes };
             let mask = bytecode::prefix_mask(nact);
             let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut []);

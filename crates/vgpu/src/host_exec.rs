@@ -52,9 +52,7 @@ impl HostEnv {
 }
 
 /// Host⇄device traffic of one host-program run, counted exactly once per
-/// transfer command (`ToGPU` at `CopyIn`, `ToHost` at `CopyOut`). The
-/// inspection snapshot in [`HostRun::device_slots`] is *not* included — it
-/// is taken with [`Device::peek`], which performs no transfer.
+/// transfer command (`ToGPU` at `CopyIn`, `ToHost` at `CopyOut`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferTotals {
     /// Bytes moved host → device.
@@ -74,8 +72,6 @@ pub struct HostRun {
     /// Name of the program's final result within `outputs` (or a device slot
     /// if the program never copied back).
     pub result: String,
-    /// Final state of every device slot (for inspection/in-place results).
-    pub device_slots: HashMap<String, BufData>,
     /// Transfer traffic of this run, exactly once per transfer command.
     pub transfers: TransferTotals,
 }
@@ -184,11 +180,7 @@ pub fn run_host_program(
             }
         }
     }
-    // Inspection snapshot, not a modeled transfer: use `peek` so it does not
-    // inflate the `ToHost` accounting.
-    let device_slots =
-        slots.iter().map(|(name, id)| (name.to_string(), device.peek(*id))).collect();
-    Ok(HostRun { outputs, result: prog.result.clone(), device_slots, transfers })
+    Ok(HostRun { outputs, result: prog.result.clone(), transfers })
 }
 
 #[cfg(test)]
@@ -247,8 +239,7 @@ mod tests {
         // a+2 = [3,4,5,6]; ×3 at idx 1 and 3 → [3,12,5,18]
         assert_eq!(*out, BufData::from(vec![3.0f32, 12.0, 5.0, 18.0]));
         // Exactly-once transfer accounting: two ToGPU copies (a_h: 4×f32,
-        // idx_h: 2×i32) and one ToHost copy (4×f32). The device_slots
-        // inspection snapshot must not count.
+        // idx_h: 2×i32) and one ToHost copy (4×f32).
         assert_eq!(
             run.transfers,
             TransferTotals {

@@ -404,11 +404,426 @@ fn a_grouped_warp_that_diverges_in_two_phases_counts_once() {
     assert_matches_oracle(&case, 4, Some(&want));
 }
 
+// ---- private arrays: lane-minor rows, one row per uniform index ----
+//
+// Every case runs 75 items (two full warps and a partial one of 11 lanes)
+// on a 1-D NDRange, where warps are row-coherent and a uniform index moves
+// one row, and — `id` being the linear work-item — 13 × 6 items in 2-D,
+// where every warp straddles rows and each lane goes alone.
+
+/// The linear work-item id, whatever the NDRange's shape.
+fn id() -> KExpr {
+    KExpr::GlobalId(1) * KExpr::GlobalSize(0) + gid()
+}
+
+fn priv_t() -> MemRef {
+    MemRef::Priv("t".into())
+}
+
+fn t_at(i: KExpr) -> KExpr {
+    KExpr::load(priv_t(), i)
+}
+
+fn t_set(idx: KExpr, value: KExpr) -> KStmt {
+    KStmt::Store { mem: priv_t(), idx, value }
+}
+
+fn decl_t(kind: ScalarKind, len: KExpr) -> KStmt {
+    KStmt::DeclPrivArray { name: "t".into(), kind, len }
+}
+
+fn for_to(var: &str, end: KExpr, body: Vec<KStmt>) -> KStmt {
+    KStmt::For { var: var.into(), begin: KExpr::int(0), end, step: KExpr::int(1), body }
+}
+
+fn rem(a: KExpr, n: i32) -> KExpr {
+    KExpr::bin(BinOp::Rem, a, KExpr::int(n))
+}
+
+/// `kernel(x, out)` over the two NDRange shapes of this section, `x` and
+/// `out` of `kind`; `want(id)` is what the kernel is written to store and
+/// `divergent` how many of the three warps split.
+fn assert_private_case(
+    kernel: Kernel,
+    kind: ScalarKind,
+    divergent: u64,
+    want: impl Fn(usize) -> f64,
+) {
+    for global in [vec![75, 1], vec![13, 6]] {
+        let n = global[0] * global[1];
+        let case = Case {
+            what: format!("{} over {global:?}", kernel.name),
+            kernel: kernel.clone(),
+            bufs: vec![ramp(kind, n), ramp(kind, n)],
+            scalars: vec![],
+            global,
+            local: None,
+        };
+        let want: Vec<f64> = (0..n).map(&want).collect();
+        assert_matches_oracle(&case, divergent, Some(&want));
+    }
+}
+
+fn x_out_params(kind: ScalarKind) -> Vec<KernelParam> {
+    vec![KernelParam::global_buf("x", kind), KernelParam::global_buf("out", kind)]
+}
+
+/// Loads and stores through the loop counter and through constants, before
+/// and inside a branch that only `cond` lanes take:
+///
+/// ```text
+/// float t[3];
+/// for (i = 0; i < 3; i++) t[i] = x[id] + i;
+/// if (cond) {
+///     t[1] = t[2] * 2;                         // a constant is uniform under any mask
+///     for (j = 0; j < 3; j++) t[j] = t[j] + 1; // a counter written by a split warp is not
+/// }
+/// out[id] = t[0] + t[1] + t[2];
+/// ```
+#[test]
+fn private_rows_under_full_contiguous_scattered_and_one_lane_masks_match_the_oracle() {
+    let lane = || rem(id(), 32);
+    let masks = [
+        ("full", KExpr::bin(BinOp::Ge, id(), KExpr::int(0)), 0),
+        ("contiguous", KExpr::bin(BinOp::Eq, lane() / KExpr::int(8), KExpr::int(1)), 3),
+        ("scattered", KExpr::bin(BinOp::Eq, rem(id(), 3), KExpr::int(1)), 3),
+        ("one lane", KExpr::bin(BinOp::Eq, lane(), KExpr::int(7)), 3),
+    ];
+    let x = || KExpr::load(MemRef::Param(0), id());
+    let f = |v: f32| KExpr::Lit(Lit::f32(v));
+    for (what, cond, divergent) in masks {
+        let taken = |i: usize| match what {
+            "full" => true,
+            "contiguous" => i % 32 / 8 == 1,
+            "scattered" => i % 3 == 1,
+            _ => i % 32 == 7,
+        };
+        let kernel = Kernel {
+            name: format!("pr_masks_{}", what.replace(' ', "_")),
+            params: x_out_params(ScalarKind::F32),
+            body: vec![
+                decl_t(ScalarKind::F32, KExpr::int(3)),
+                for_to(
+                    "i",
+                    KExpr::int(3),
+                    vec![t_set(
+                        KExpr::var("i"),
+                        x() + KExpr::cast(ScalarKind::F32, KExpr::var("i")),
+                    )],
+                ),
+                KStmt::If {
+                    cond,
+                    then_: vec![
+                        t_set(KExpr::int(1), t_at(KExpr::int(2)) * f(2.0)),
+                        for_to(
+                            "j",
+                            KExpr::int(3),
+                            vec![t_set(KExpr::var("j"), t_at(KExpr::var("j")) + f(1.0))],
+                        ),
+                    ],
+                    else_: vec![],
+                },
+                KStmt::Store {
+                    mem: MemRef::Param(1),
+                    idx: id(),
+                    value: t_at(KExpr::int(0)) + t_at(KExpr::int(1)) + t_at(KExpr::int(2)),
+                },
+            ],
+            work_dim: 2,
+        };
+        let x_of = |i: usize| ramp_at(i) as f64;
+        assert_private_case(kernel, ScalarKind::F32, divergent, |i| match taken(i) {
+            true => 4.0 * x_of(i) + 9.0,
+            false => 3.0 * x_of(i) + 3.0,
+        });
+    }
+}
+
+/// A declared length that depends on the lane, each lane staying inside its
+/// own:
+///
+/// ```text
+/// int t[id % 4 + 1];
+/// for (i = 0; i < id % 4 + 1; i++) t[i] = id + i;
+/// for (i = 0; i < id % 4 + 1; i++) acc += t[i];
+/// out[id] = acc;
+/// ```
+#[test]
+fn lane_dependent_private_lengths_match_the_oracle() {
+    let len = || rem(id(), 4) + KExpr::int(1);
+    let kernel = Kernel {
+        name: "pr_lane_len".into(),
+        params: x_out_params(ScalarKind::I32),
+        body: vec![
+            decl_t(ScalarKind::I32, len()),
+            KStmt::DeclScalar {
+                name: "acc".into(),
+                kind: ScalarKind::I32,
+                init: Some(KExpr::int(0)),
+            },
+            for_to("i", len(), vec![t_set(KExpr::var("i"), id() + KExpr::var("i"))]),
+            for_to(
+                "i",
+                len(),
+                vec![KStmt::Assign {
+                    name: "acc".into(),
+                    value: KExpr::var("acc") + t_at(KExpr::var("i")),
+                }],
+            ),
+            KStmt::Store { mem: MemRef::Param(1), idx: id(), value: KExpr::var("acc") },
+        ],
+        work_dim: 2,
+    };
+    assert_private_case(kernel, ScalarKind::I32, 3, |i| {
+        let m = i % 4 + 1;
+        (m * i + m * (m - 1) / 2) as f64
+    });
+}
+
+/// A declaration in a loop the lanes leave at different times: each round
+/// re-zeroes the array of the lanes still looping and of no other — a lane
+/// that left keeps what it stored last.
+///
+/// ```text
+/// for (r = 0; r < id % 3 + 1; r++) {
+///     int t[2];
+///     acc = acc * 10 + t[1];   // zero, every round
+///     t[1] = id + r + 1;
+/// }
+/// out[id] = acc * 1000 + t[1];
+/// ```
+#[test]
+fn a_private_redeclaration_zeroes_the_redeclaring_lanes_only() {
+    let kernel = Kernel {
+        name: "pr_redeclare".into(),
+        params: x_out_params(ScalarKind::I32),
+        body: vec![
+            KStmt::DeclScalar {
+                name: "acc".into(),
+                kind: ScalarKind::I32,
+                init: Some(KExpr::int(0)),
+            },
+            for_to(
+                "r",
+                rem(id(), 3) + KExpr::int(1),
+                vec![
+                    decl_t(ScalarKind::I32, KExpr::int(2)),
+                    KStmt::Assign {
+                        name: "acc".into(),
+                        value: KExpr::var("acc") * KExpr::int(10) + t_at(KExpr::int(1)),
+                    },
+                    t_set(KExpr::int(1), id() + KExpr::var("r") + KExpr::int(1)),
+                ],
+            ),
+            KStmt::Store {
+                mem: MemRef::Param(1),
+                idx: id(),
+                value: KExpr::var("acc") * KExpr::int(1000) + t_at(KExpr::int(1)),
+            },
+        ],
+        work_dim: 2,
+    };
+    assert_private_case(kernel, ScalarKind::I32, 3, |i| (i + i % 3 + 1) as f64);
+}
+
+/// Arrays of every element kind, stored to from their own kind and from
+/// another (`StP` casts like `Value::cast`: an i32 into a float array, a
+/// float — truncated — into an i32 array):
+///
+/// ```text
+/// K t[2];
+/// t[0] = x[id];
+/// t[1] = (other kind) id * 1.5;
+/// out[id] = t[0] + t[1];
+/// ```
+#[test]
+fn private_arrays_of_every_kind_take_mixed_kind_stores() {
+    for kind in [ScalarKind::F32, ScalarKind::F64, ScalarKind::I32] {
+        let other = match kind {
+            ScalarKind::I32 => KExpr::cast(ScalarKind::F32, id()) * KExpr::Lit(Lit::f32(1.5)),
+            _ => id() * KExpr::int(3),
+        };
+        let kernel = Kernel {
+            name: format!("pr_kinds_{kind:?}"),
+            params: x_out_params(kind),
+            body: vec![
+                decl_t(kind, KExpr::int(2)),
+                t_set(KExpr::int(0), KExpr::load(MemRef::Param(0), id())),
+                t_set(KExpr::int(1), other),
+                KStmt::Store {
+                    mem: MemRef::Param(1),
+                    idx: id(),
+                    value: t_at(KExpr::int(0)) + t_at(KExpr::int(1)),
+                },
+            ],
+            work_dim: 2,
+        };
+        assert_private_case(kernel, kind, 0, |i| {
+            let x = ramp_at(i) as f64;
+            x + if kind == ScalarKind::I32 { (i as f64 * 1.5).trunc() } else { i as f64 * 3.0 }
+        });
+    }
+}
+
+/// A private array written before a barrier and read after it: the rows
+/// outlive the phase, in groups of one warp and of one and a half.
+///
+/// ```text
+/// __local float tile[lsz];
+/// float t[2];
+/// t[0] = x[gid]; t[1] = lid;
+/// tile[lid] = x[gid];
+/// barrier();
+/// out[gid] = t[0] + t[1] + tile[(lid + 1) % lsz];
+/// ```
+#[test]
+fn private_rows_live_across_the_barrier_phases_of_a_grouped_launch() {
+    let (lid, lsz) = (KExpr::LocalId(0), KExpr::LocalSize(0));
+    let tile = || MemRef::Local("tile".into());
+    let x = || KExpr::load(MemRef::Param(0), gid());
+    let kernel = Kernel {
+        name: "pr_barrier".into(),
+        params: x_out_params(ScalarKind::F32),
+        body: vec![
+            KStmt::DeclLocalArray { name: "tile".into(), kind: ScalarKind::F32, len: lsz.clone() },
+            decl_t(ScalarKind::F32, KExpr::int(2)),
+            t_set(KExpr::int(0), x()),
+            t_set(KExpr::int(1), lid.clone()),
+            KStmt::Store { mem: tile(), idx: lid.clone(), value: x() },
+            KStmt::Barrier,
+            KStmt::Store {
+                mem: MemRef::Param(1),
+                idx: gid(),
+                value: t_at(KExpr::int(0))
+                    + t_at(KExpr::int(1))
+                    + KExpr::load(tile(), KExpr::bin(BinOp::Rem, lid + KExpr::int(1), lsz)),
+            },
+        ],
+        work_dim: 1,
+    };
+    for lsize in [32usize, 48] {
+        let total = 3 * lsize;
+        let case = Case {
+            what: format!("private across a barrier, lsize {lsize}"),
+            kernel: kernel.clone(),
+            bufs: vec![ramp(ScalarKind::F32, total), ramp(ScalarKind::F32, total)],
+            scalars: vec![],
+            global: vec![total],
+            local: Some(lsize),
+        };
+        let x_of = |i: usize| ramp_at(i) as f64;
+        let want: Vec<f64> = (0..total)
+            .map(|g| {
+                let (grp, lid) = (g / lsize, g % lsize);
+                x_of(g) + lid as f64 + x_of(grp * lsize + (lid + 1) % lsize)
+            })
+            .collect();
+        assert_matches_oracle(&case, 0, Some(&want));
+    }
+}
+
+// ---- private arrays: the length and index checks ----
+
+/// `int t[L]; out[gid] = t[I (+ gid % 2)];` over one warp: the index is the
+/// scalar argument — uniform, one row — or lane-dependent.
+fn launch_private_access(engine: Engine, len: i32, idx: i32, per_lane: bool) {
+    let idx_expr = match per_lane {
+        true => KExpr::var("I") + rem(gid(), 2),
+        false => KExpr::var("I"),
+    };
+    let case = Case {
+        what: "private bounds".into(),
+        kernel: Kernel {
+            name: format!("pr_bounds_{per_lane}"),
+            params: vec![
+                KernelParam::global_buf("out", ScalarKind::I32),
+                KernelParam::scalar("L", ScalarKind::I32),
+                KernelParam::scalar("I", ScalarKind::I32),
+            ],
+            body: vec![
+                decl_t(ScalarKind::I32, KExpr::var("L")),
+                KStmt::Store { mem: MemRef::Param(0), idx: gid(), value: t_at(idx_expr) },
+            ],
+            work_dim: 1,
+        },
+        bufs: vec![BufData::from(vec![0i32; 32])],
+        scalars: vec![Value::I32(len), Value::I32(idx)],
+        global: vec![32],
+        local: None,
+    };
+    launch(&case, engine, INPUTS[0]);
+}
+
+#[test]
+#[should_panic(expected = "private array #0: length -1 outside 0..=65536")]
+fn a_negative_private_length_is_one_clean_panic_on_the_tape() {
+    launch_private_access(Engine::Fast, -1, 0, false);
+}
+
+#[test]
+#[should_panic(expected = "private array #0: length -1 outside 0..=65536")]
+fn a_negative_private_length_is_one_clean_panic_on_the_oracle() {
+    launch_private_access(Engine::Tree, -1, 0, false);
+}
+
+/// 2³¹ − 1 elements × 32 lanes would abort the process in the allocator.
+#[test]
+#[should_panic(expected = "private array #0: length 2147483647 outside 0..=65536")]
+fn a_huge_private_length_is_one_clean_panic_on_the_tape() {
+    launch_private_access(Engine::Fast, i32::MAX, 0, false);
+}
+
+#[test]
+#[should_panic(expected = "private array #0: length 2147483647 outside 0..=65536")]
+fn a_huge_private_length_is_one_clean_panic_on_the_oracle() {
+    launch_private_access(Engine::Tree, i32::MAX, 0, false);
+}
+
+#[test]
+#[should_panic(expected = "private array #0: index 5 out of bounds (len 3)")]
+fn a_private_index_past_the_end_names_array_index_and_length_on_the_tape() {
+    launch_private_access(Engine::Fast, 3, 5, false);
+}
+
+#[test]
+#[should_panic(expected = "private array #0: index 5 out of bounds (len 3)")]
+fn a_private_index_past_the_end_names_array_index_and_length_on_the_oracle() {
+    launch_private_access(Engine::Tree, 3, 5, false);
+}
+
+/// The one text, whoever finds the index: the oracle, the tape's row check,
+/// its lane-by-lane path (lane 1 reads `t[3]`), or both under
+/// `Engine::Differential`; a negative index reads as itself.
+#[test]
+fn a_private_index_out_of_range_reads_the_same_on_every_engine_and_path() {
+    let text = |engine, idx, per_lane| {
+        let payload = std::panic::catch_unwind(|| launch_private_access(engine, 3, idx, per_lane))
+            .expect_err("the out-of-range index must panic");
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
+    };
+    for engine in [Engine::Tree, Engine::Fast, Engine::Differential] {
+        for (idx, per_lane, want) in [
+            (3, false, "private array #0: index 3 out of bounds (len 3)"),
+            (2, true, "private array #0: index 3 out of bounds (len 3)"),
+            (-1, false, "private array #0: index -1 out of bounds (len 3)"),
+            (-2, true, "private array #0: index -2 out of bounds (len 3)"),
+        ] {
+            let got = text(engine, idx, per_lane);
+            assert!(got.contains(want), "{engine:?}, I = {idx}, per lane {per_lane}: got {got:?}");
+        }
+    }
+}
+
 // ---- lane shapes: slice loads/stores, branches decided from end lanes ----
+
+/// Element `i` of [`ramp`].
+fn ramp_at(i: usize) -> i32 {
+    (i * 7 % 23) as i32 - 11
+}
 
 /// `n` small integers, exact in every element kind.
 fn ramp(kind: ScalarKind, n: usize) -> BufData {
-    let v = |i: usize| (i * 7 % 23) as i32 - 11;
+    let v = ramp_at;
     match kind {
         ScalarKind::F32 => BufData::from((0..n).map(|i| v(i) as f32).collect::<Vec<_>>()),
         ScalarKind::F64 => BufData::from((0..n).map(|i| v(i) as f64).collect::<Vec<_>>()),
