@@ -32,7 +32,8 @@
 //! as the differential oracle (see [`crate::exec::Engine`]).
 
 use crate::buffer::{BufPtr, SharedBuf};
-use crate::exec::{Counters, PExpr, PMem, PStmt, Prepared, WriteRec, WARP};
+use crate::exec::{array_index, array_len, Counters, PExpr, PMem, PStmt, Prepared};
+use crate::exec::{TraceRec, WriteRec, WARP};
 use crate::profiler::OpProf;
 use lift::kast::MemSpace;
 use lift::prelude::{BinOp, Intrinsic, ScalarKind, UnOp, Value};
@@ -2378,22 +2379,24 @@ pub(crate) struct WarpIds {
     pub gid0: [usize; 3],
     /// Global NDRange sizes.
     pub gsize: [usize; 3],
-    /// Workgroup size of a grouped launch (1-D: `item = group * lsize + lid`).
-    /// Flat dispatch reads local id 0, size 1, group = warp id, as the oracle.
-    pub lsize: Option<usize>,
-    /// The warp is *row-coherent* (see [`Shape`]).
+    /// Work-items per group (1-D: `item = group * lsize + lid`); only a
+    /// grouped launch's tape reads local or group ids.
+    pub lsize: usize,
+    /// The warp stays in one row of the NDRange, so its `Gid` rows are an
+    /// iota and broadcasts; whether its lane shapes ([`Shape`]) apply is the
+    /// caller's to say.
     pub coherent: bool,
 }
 
 impl WarpIds {
     /// The warp of work-items `begin..begin + nact`, in two divisions: lane
     /// 0's id and the lane count say whether the warp stays in one row.
-    pub(crate) fn new(begin: u64, nact: usize, gsize: [usize; 3], lsize: Option<usize>) -> Self {
+    pub(crate) fn new(begin: u64, nact: usize, gsize: [usize; 3], lsize: usize) -> Self {
         let (gx, gy) = (gsize[0] as u64, gsize[1] as u64);
         let row = begin / gx;
         let (x, z) = (begin - row * gx, row / gy);
         let gid0 = [x as usize, (row - z * gy) as usize, z as usize];
-        WarpIds { begin, gid0, gsize, lsize, coherent: lsize.is_none() && x + nact as u64 <= gx }
+        WarpIds { begin, gid0, gsize, lsize, coherent: x + nact as u64 <= gx }
     }
 }
 
@@ -2422,16 +2425,11 @@ fn write_context(op: &Op, vregs: &mut [u64], mask: u32, ids: &WarpIds) {
             }
         }
         _ => for_mask!(mask, l, {
-            let item = ids.begin + l as u64;
-            // (local id, local size, group id) along dimension 0.
-            let (lid, lsz, grp) = match ids.lsize {
-                Some(n) => (item % n as u64, n as u64, item / n as u64),
-                None => (0, 1, item / WARP as u64),
-            };
+            let (item, n) = (ids.begin + l as u64, ids.lsize as u64);
             let v = match *op {
-                Op::Lid { dim: 0, .. } => lid,
-                Op::Lsz { dim: 0, .. } => lsz,
-                Op::Grp { dim: 0, .. } => grp,
+                Op::Lid { dim: 0, .. } => item % n,
+                Op::Lsz { dim: 0, .. } => n,
+                Op::Grp { dim: 0, .. } => item / n,
                 Op::Lid { .. } | Op::Grp { .. } => 0,
                 Op::Lsz { .. } => 1,
                 _ => unreachable!("not a launch-context read"),
@@ -2471,7 +2469,7 @@ impl PrivRows {
     fn declare(&mut self, arr: u16, mask: u32, len: impl Fn(usize) -> i64) {
         let mut rows = 0;
         for_mask!(mask, l, {
-            let n = crate::exec::priv_len(arr as usize, len(l));
+            let n = array_len("private", arr as usize, len(l));
             self.lens[l] = n as u32;
             rows = rows.max(n);
         });
@@ -2497,7 +2495,7 @@ impl PrivRows {
         });
         if short != 0 {
             let len = self.lens[short.trailing_zeros() as usize] as usize;
-            crate::exec::priv_index(arr as usize, i, len);
+            array_index("private", arr as usize, i, len);
         }
         &mut self.cells[at as usize * WARP..][..WARP]
     }
@@ -2526,7 +2524,7 @@ pub(crate) struct WarpCtx<'a> {
     /// Shared operation counters.
     pub counters: &'a mut Counters,
     /// Per-lane transaction traces (`traces[l]` belongs to lane `l`).
-    pub traces: &'a mut [Vec<(u32, u32, u64)>],
+    pub traces: &'a mut [Vec<TraceRec>],
     /// Record load/store addresses into `traces`.
     pub trace_on: bool,
     /// Shared global-store records for the race detector.
@@ -2806,8 +2804,8 @@ fn checked_indices(
 
 /// The transaction-model record of element `i` of parameter `buf`.
 #[inline(always)]
-fn trace_rec(buf: u16, site: u32, i: i64, elem_bytes: u64) -> (u32, u32, u64) {
-    (site, 0, ((buf as u64) << 40) | ((i as u64) * elem_bytes))
+fn trace_rec(buf: u16, site: u32, i: i64, elem_bytes: u64) -> TraceRec {
+    (site, ((buf as u64) << 40) | ((i as u64) * elem_bytes))
 }
 
 /// One warp-op's global load at `(buf, site, constant)`, up to the reading:
@@ -3230,15 +3228,19 @@ impl WarpExec<'_, '_> {
                         }
                     }
                 }
-                Op::LdL { dst, arr, idx } => at_width!(wide(dst), T => for_mask!(mask, l, {
-                    let i = i64::get(vregs, idx, l) as usize;
-                    (self.w.locals[arr as usize][i] as T).put(vregs, dst, l);
-                })),
+                Op::LdL { dst, arr, idx } => {
+                    let a = &self.w.locals[arr as usize];
+                    at_width!(wide(dst), T => for_mask!(mask, l, {
+                        let at = array_index("local", arr as usize, i64::get(vregs, idx, l), a.len());
+                        (a[at] as T).put(vregs, dst, l);
+                    }))
+                }
                 Op::StL { arr, idx, val, vk, k } => {
+                    let a = &mut self.w.locals[arr as usize];
                     for_mask!(mask, l, {
-                        let i = i64::get(vregs, idx, l) as usize;
-                        self.w.locals[arr as usize][i] =
-                            cast_bits(vk, k, vgw(vregs, val, vk.wide(), l));
+                        let at =
+                            array_index("local", arr as usize, i64::get(vregs, idx, l), a.len());
+                        a[at] = cast_bits(vk, k, vgw(vregs, val, vk.wide(), l));
                     });
                 }
                 Op::DeclPriv { arr, len } => {
@@ -3248,7 +3250,8 @@ impl WarpExec<'_, '_> {
                 // Allocated (zeroed) by the first warp of the group to get
                 // here; the length is uniform across the group.
                 Op::DeclLocal { arr, len } => {
-                    let n = i64::get(vregs, len, mask.trailing_zeros() as usize) as usize;
+                    let n = i64::get(vregs, len, mask.trailing_zeros() as usize);
+                    let n = array_len("local", arr as usize, n);
                     let a = &mut self.w.locals[arr as usize];
                     if a.len() != n {
                         a.clear();
@@ -4017,8 +4020,8 @@ mod tests {
     /// The ids of every warp of an NDRange — row-coherent, straddling, the
     /// partial last one — as the prelude writes them and as an in-tape read
     /// under a scattered mask does, against the definition: item `i` has
-    /// `gid = (i % gx, (i / gx) % gy, i / (gx·gy))`; a grouped launch's
-    /// local and group ids are `i % lsize` and `i / lsize`.
+    /// `gid = (i % gx, (i / gx) % gy, i / (gx·gy))`, local and group ids
+    /// `i % lsize` and `i / lsize` (a flat launch's groups are one warp).
     #[test]
     fn warp_ids_in_closed_form_match_the_definition_in_every_warp() {
         let context = [
@@ -4038,25 +4041,22 @@ mod tests {
         let scattered = 0xA5A5_5A5Au32;
         let (mut coherent, mut straddling) = (0, 0);
         for (gsize, lsize) in [
-            ([5, 3, 4], None),
-            ([12, 12, 12], None),
-            ([33, 2, 2], None),
-            ([96, 64, 48], None),
-            ([96, 1, 1], Some(48)),
+            ([5, 3, 4], WARP),
+            ([12, 12, 12], WARP),
+            ([33, 2, 2], WARP),
+            ([96, 64, 48], WARP),
+            ([96, 1, 1], 48),
         ] {
             let [gx, gy, gz] = gsize;
             let total = gx * gy * gz;
             for begin in (0..total).step_by(WARP) {
                 let nact = WARP.min(total - begin);
                 let ids = WarpIds::new(begin as u64, nact, gsize, lsize);
-                let one_row = lsize.is_none() && begin / gx == (begin + nact - 1) / gx;
+                let one_row = begin / gx == (begin + nact - 1) / gx;
                 assert_eq!(ids.coherent, one_row, "{gsize:?}: warp at {begin}");
                 coherent += ids.coherent as usize;
                 straddling += !ids.coherent as usize;
-                let want = |i: usize| match lsize {
-                    None => [i % gx, (i / gx) % gy, i / (gx * gy), 0, i / WARP],
-                    Some(n) => [i % gx, (i / gx) % gy, i / (gx * gy), i % n, i / n],
-                };
+                let want = |i: usize| [i % gx, (i / gx) % gy, i / (gx * gy), i % lsize, i / lsize];
                 // The prelude fills lanes `0..nact`; the same reads under a
                 // scattered mask write its lanes and no other. A coherent
                 // warp must read the same when walked as a straddling one.

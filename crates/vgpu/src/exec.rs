@@ -2,7 +2,8 @@
 //!
 //! [`prepare`] resolves a kernel AST's variable names to dense slots and
 //! literals to runtime values, producing a [`Prepared`] kernel that the
-//! interpreter executes one work-item at a time, parallelised over warps
+//! interpreter executes one work-item at a time, parallelised over
+//! workgroups — one warp each when the kernel has no workgroup features —
 //! with rayon (the guides' canonical data-parallel substrate).
 //!
 //! The interpreter doubles as the measurement apparatus of the evaluation:
@@ -34,6 +35,10 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 /// One recorded global store: (buffer param, element, work-item, site).
 pub(crate) type WriteRec = (u32, u64, u64, u32);
+
+/// One traced global access of a work-item: (site, byte address tagged with
+/// the buffer param in bits 40 and up).
+pub(crate) type TraceRec = (u32, u64);
 
 /// Warp width used by the transaction model (all Table III GPUs execute
 /// 32-wide warps or 64-wide wavefronts; 32 is the finer, NVIDIA-accurate
@@ -622,16 +627,21 @@ pub enum Engine {
     /// decode per warp over a structure-of-arrays register file,
     /// superinstructions over fixed-width lane loops, divergent branches
     /// executed under complementary lane masks and reconverged at the
-    /// branch's join (`vgpu.warp.divergent`) — flat and grouped (barriers /
-    /// local memory), modeled and race-checked launches alike. On a flat
-    /// NDRange, bounds checks are elided at sites the static verifier proves
-    /// safe for the concrete launch shape. Every [`Prepared`] has a tape and
-    /// every launch is checked against its parameter kinds first, so `Fast`
-    /// never runs anything else.
+    /// branch's join (`vgpu.warp.divergent`). One loop runs every launch,
+    /// modeled and race-checked ones alike, over groups of consecutive
+    /// work-items: the launch's workgroups (barrier phases over a shared
+    /// local arena), or one warp each for a kernel without workgroup
+    /// features. Only such a flat launch has a bounds proof — a local id is
+    /// bounded by nothing the static verifier sees — so only it elides
+    /// checks at the sites proven safe for its concrete shape, and only its
+    /// row-coherent warps take the tape's lane shapes. Every [`Prepared`] has
+    /// a tape and every launch is checked against its parameter kinds first,
+    /// so `Fast` never runs anything else.
     #[default]
     Fast,
-    /// The reference tree-walking interpreter — the oracle. Reachable only
-    /// by asking for it (or through `Differential`).
+    /// The reference tree-walking interpreter — the oracle, over the same
+    /// groups item by item. Reachable only by asking for it (or through
+    /// `Differential`).
     Tree,
     /// The oracle, then the tape: the tree-walker's outputs are
     /// snapshotted, the inputs restored, and the warp executor must
@@ -737,7 +747,7 @@ struct ItemState {
     slots: Vec<Value>,
     privs: Vec<Vec<Value>>,
     counters: Counters,
-    trace: Vec<(u32, u32, u64)>, // (site, occurrence, byte address) — loads+stores
+    trace: Vec<TraceRec>, // loads + stores
     writes: Vec<WriteRec>,
     trace_on: bool,
     race_on: bool,
@@ -798,11 +808,7 @@ impl<'a> Exec<'a> {
                                 st.counters.loads_global += 1;
                                 st.counters.bytes_loaded += eb;
                                 if st.trace_on {
-                                    st.trace.push((
-                                        *site,
-                                        0,
-                                        ((*p as u64) << 40) | ((i as u64) * eb),
-                                    ));
+                                    st.trace.push((*site, ((*p as u64) << 40) | ((i as u64) * eb)));
                                 }
                             }
                         }
@@ -826,8 +832,10 @@ impl<'a> Exec<'a> {
                         // this element.
                         unsafe { buf.get(i as usize) }
                     }
-                    PMem::Priv(a) => st.privs[*a][priv_index(*a, i, st.privs[*a].len())],
-                    PMem::Local(a) => locals[*a][i as usize],
+                    PMem::Priv(a) => {
+                        st.privs[*a][array_index("private", *a, i, st.privs[*a].len())]
+                    }
+                    PMem::Local(a) => locals[*a][array_index("local", *a, i, locals[*a].len())],
                 }
             }
             PExpr::Bin(op, a, b) => {
@@ -875,7 +883,7 @@ impl<'a> Exec<'a> {
                     }
                     Intrinsic::Fabs => 0,
                 };
-                call_intrinsic(*intr, &vals)
+                lift::scalar::eval_intrinsic(*intr, &vals)
             }
             PExpr::Cast(kind, a) => self.eval(a, st, locals, ic).cast(*kind),
         }
@@ -898,13 +906,13 @@ impl<'a> Exec<'a> {
                     st.slots[*slot] = v;
                 }
                 PStmt::DeclPriv { arr, kind, len } => {
-                    let n = priv_len(*arr, self.eval(len, st, locals, ic).as_i64());
+                    let n = array_len("private", *arr, self.eval(len, st, locals, ic).as_i64());
                     st.privs[*arr].clear();
                     st.privs[*arr].resize(n, Value::zero(*kind));
                 }
                 PStmt::DeclLocal { arr, kind, len } => {
                     // allocated once per group (first item to execute it)
-                    let n = self.eval(len, st, locals, ic).as_i64() as usize;
+                    let n = array_len("local", *arr, self.eval(len, st, locals, ic).as_i64());
                     if locals[*arr].len() != n {
                         locals[*arr].clear();
                         locals[*arr].resize(n, Value::zero(*kind));
@@ -935,11 +943,7 @@ impl<'a> Exec<'a> {
                                 st.counters.stores_global += 1;
                                 st.counters.bytes_stored += eb;
                                 if st.trace_on {
-                                    st.trace.push((
-                                        *site,
-                                        0,
-                                        ((*p as u64) << 40) | ((i as u64) * eb),
-                                    ));
+                                    st.trace.push((*site, ((*p as u64) << 40) | ((i as u64) * eb)));
                                 }
                                 if st.race_on {
                                     st.writes.push((*p as u32, i as u64, st.item, *site));
@@ -954,12 +958,13 @@ impl<'a> Exec<'a> {
                         }
                         PMem::Priv(a) => {
                             let kind = self.prep.priv_kinds[*a];
-                            let at = priv_index(*a, i, st.privs[*a].len());
+                            let at = array_index("private", *a, i, st.privs[*a].len());
                             st.privs[*a][at] = v.cast(kind);
                         }
                         PMem::Local(a) => {
                             let kind = self.prep.local_kinds[*a];
-                            locals[*a][i as usize] = v.cast(kind);
+                            let at = array_index("local", *a, i, locals[*a].len());
+                            locals[*a][at] = v.cast(kind);
                         }
                     }
                 }
@@ -991,66 +996,25 @@ impl<'a> Exec<'a> {
         }
         Flow::Next
     }
-
-    fn run_item(&self, linear: u64, st: &mut ItemState, locals: &mut Vec<Vec<Value>>) {
-        let gx = self.gsize[0] as u64;
-        let gy = self.gsize[1] as u64;
-        let gid =
-            [(linear % gx) as usize, ((linear / gx) % gy) as usize, (linear / (gx * gy)) as usize];
-        let ic = ItemCtx { gid, lid: 0, group: (linear / WARP as u64) as usize, lsize: 1 };
-        st.item = linear;
-        st.counters.work_items += 1;
-        let _ = self.exec_block(&self.prep.phases[0], st, locals, ic);
-    }
-}
-
-fn call_intrinsic(i: Intrinsic, vals: &[Value]) -> Value {
-    lift::scalar::eval_intrinsic(i, vals)
 }
 
 /// Counts distinct transaction segments per (site, occurrence) across one
-/// warp's traces and returns total DRAM bytes moved.
-fn warp_transaction_bytes(traces: &mut [Vec<(u32, u32, u64)>], txn: u64) -> u64 {
-    // Assign occurrence numbers per site within each item, then group.
-    let mut groups: HashMap<(u32, u32), Vec<u64>> = HashMap::new();
-    for t in traces.iter_mut() {
-        let mut occ: HashMap<u32, u32> = HashMap::new();
-        for (site, o, addr) in t.iter_mut() {
-            let e = occ.entry(*site).or_insert(0);
-            *o = *e;
-            *e += 1;
-            groups.entry((*site, *o)).or_default().push(*addr);
-        }
-    }
-    let mut bytes = 0u64;
-    let mut segs: Vec<u64> = Vec::with_capacity(WARP);
-    for (_, addrs) in groups {
-        segs.clear();
-        segs.extend(addrs.iter().map(|a| a / txn));
-        segs.sort_unstable();
-        segs.dedup();
-        bytes += segs.len() as u64 * txn;
-    }
-    bytes
-}
-
-/// [`warp_transaction_bytes`] over one warp's accesses stored in a single
-/// flat trace, with `ends[i]` marking the end offset of item `i`'s
-/// accesses. Avoids one `Vec` allocation per work-item in the hot path;
-/// the per-(site, occurrence) grouping and segment math are identical.
-fn warp_transaction_bytes_flat(trace: &mut [(u32, u32, u64)], ends: &[usize], txn: u64) -> u64 {
+/// warp's per-item traces — the `n`-th access of an item at a site lines up
+/// with every other item's `n`-th there — empties the traces and returns
+/// the DRAM bytes moved.
+fn warp_transaction_bytes<'a>(
+    traces: impl IntoIterator<Item = &'a mut Vec<TraceRec>>,
+    txn: u64,
+) -> u64 {
     let mut groups: HashMap<(u32, u32), Vec<u64>> = HashMap::new();
     let mut occ: HashMap<u32, u32> = HashMap::new();
-    let mut start = 0usize;
-    for &end in ends {
+    for t in traces {
         occ.clear();
-        for (site, o, addr) in trace[start..end].iter_mut() {
-            let e = occ.entry(*site).or_insert(0);
-            *o = *e;
-            *e += 1;
-            groups.entry((*site, *o)).or_default().push(*addr);
+        for (site, addr) in t.drain(..) {
+            let n = occ.entry(site).or_insert(0);
+            groups.entry((site, *n)).or_default().push(addr);
+            *n += 1;
         }
-        start = end;
     }
     let mut bytes = 0u64;
     let mut segs: Vec<u64> = Vec::with_capacity(WARP);
@@ -1072,24 +1036,34 @@ fn warp_transaction_bytes_flat(trace: &mut [(u32, u32, u64)], ends: &[usize], tx
 /// unevenly over the threads, finer ones gain nothing further.
 const GRAIN_ITEMS: usize = 64 * WARP;
 
-/// Most elements a work-item may declare in one private array (every shipped
-/// configuration declares `MB = 3`): the length is a kernel expression, and
-/// an allocation that fails aborts the process, not the launch.
-const PRIV_MAX_LEN: i64 = 65_536;
+/// Most elements a work-item's private array or a group's local array may
+/// declare (every shipped configuration declares `MB = 3` private elements):
+/// the length is a kernel expression, and an allocation that fails aborts
+/// the process, not the launch.
+const ARRAY_MAX_LEN: i64 = 65_536;
 
-/// A declared private length: outside `0..=PRIV_MAX_LEN` it is this panic, on every engine.
-pub(crate) fn priv_len(arr: usize, len: i64) -> usize {
+/// A declared length of `space` (`"private"` or `"local"`) array `arr`:
+/// outside `0..=ARRAY_MAX_LEN` it is this panic, on every engine.
+pub(crate) fn array_len(space: &str, arr: usize, len: i64) -> usize {
     assert!(
-        (0..=PRIV_MAX_LEN).contains(&len),
-        "private array #{arr}: length {len} outside 0..={PRIV_MAX_LEN}"
+        (0..=ARRAY_MAX_LEN).contains(&len),
+        "{space} array #{arr}: length {len} outside 0..={ARRAY_MAX_LEN}"
     );
     len as usize
 }
 
-/// Element `i` of a work-item's private array of `len` elements; out of
-/// range it fails the launch with this panic, on every engine.
-pub(crate) fn priv_index(arr: usize, i: i64, len: usize) -> usize {
-    assert!((i as u64) < len as u64, "private array #{arr}: index {i} out of bounds (len {len})");
+/// Element `i` of `space` array `arr` of `len` elements; out of range it
+/// fails the launch with this panic, on every engine. The panic is out of
+/// line: the lane loops this sits in are expanded once per mask shape.
+pub(crate) fn array_index(space: &str, arr: usize, i: i64, len: usize) -> usize {
+    #[cold]
+    #[inline(never)]
+    fn fail(space: &str, arr: usize, i: i64, len: usize) -> ! {
+        panic!("{space} array #{arr}: index {i} out of bounds (len {len})")
+    }
+    if i as u64 >= len as u64 {
+        fail(space, arr, i, len)
+    }
     i as usize
 }
 
@@ -1242,12 +1216,22 @@ struct Launch<'a> {
     /// Workgroup size — `Some` exactly when the kernel uses workgroup
     /// features (barriers, local memory, local/group ids).
     lsize: Option<usize>,
-    /// Execute every `stride`-th warp (flat) or group and scale the counts.
+    /// Execute every `stride`-th group and scale the counts.
     stride: usize,
     /// Run the warp transaction model ([`ExecMode::Model`]).
     trace_on: bool,
     race_check: bool,
     transaction_size: u64,
+}
+
+impl Launch<'_> {
+    /// How the launch is cut: groups of `lsize` work-items, or of one warp
+    /// when it is flat (its last group may then be partial), and the ids of
+    /// the groups that run — every `stride`-th.
+    fn groups(&self) -> (usize, Vec<u64>) {
+        let group = self.lsize.unwrap_or(WARP);
+        (group, (0..self.total.div_ceil(group as u64)).step_by(self.stride).collect())
+    }
 }
 
 /// Executes a prepared kernel over the NDRange `global` — the one way to
@@ -1368,11 +1352,9 @@ pub fn launch(
 
 /// Runs a validated launch on one executor.
 fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError> {
-    let result = match (backend, l.lsize) {
-        (Backend::Tree, None) => run_flat_tree(l),
-        (Backend::Tree, Some(lsize)) => run_grouped_tree(l, lsize),
-        (Backend::Tape, None) => run_flat_warps(l),
-        (Backend::Tape, Some(lsize)) => run_grouped_warps(l, lsize),
+    let result = match backend {
+        Backend::Tree => run_tree(l),
+        Backend::Tape => run_warps(l),
     };
     result.map(|mut stats| {
         stats.backend = backend;
@@ -1385,15 +1367,30 @@ fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError
     })
 }
 
-/// [`Engine::Differential`]: the two legs of [`run_differential_legs`], plus the
-/// sanitizer gate — under `VGPU_SANITIZE=shadow` any *new* shadow finding
-/// on this kernel (the count is per-kernel, so concurrent launches of other
-/// kernels cannot trip it) turns the launch into a hard error, so the CI
-/// `diff`+`shadow` leg fails on the first stale or uninit read.
+/// [`Engine::Differential`]: runs the tree-walker, snapshots its output,
+/// restores the inputs, re-runs the launch on the tape and fails unless that
+/// produced bit-identical buffers and identical counters and transaction
+/// bytes; returns the tape leg's stats, tagged with the oracle's wall time.
+/// Then the sanitizer gate — under `VGPU_SANITIZE=shadow` any *new* shadow
+/// finding on this kernel (the count is per-kernel, so concurrent launches
+/// of other kernels cannot trip it) turns the launch into a hard error, so
+/// the CI `diff`+`shadow` leg fails on the first stale or uninit read.
 fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let name = &l.prep.name;
     let findings_before = crate::sanitize::findings_for(name);
-    let stats = run_differential_legs(l)?;
+    let snapshot =
+        || -> Vec<Option<BufData>> { l.bufs.iter().map(|b| b.map(|b| b.data().clone())).collect() };
+    let inputs = snapshot();
+    let tree = run_launch(l, Backend::Tree)?;
+    let expect = snapshot();
+    for (b, s) in l.bufs.iter().zip(inputs) {
+        if let (Some(b), Some(s)) = (b, s) {
+            b.restore(s);
+        }
+    }
+    let mut stats = run_launch(l, Backend::Tape)?;
+    stats.oracle_wall = Some(tree.wall);
+    diff_check(l, &expect, &tree, &stats)?;
     let new = crate::sanitize::findings_for(name) - findings_before;
     if new > 0 {
         let detail: Vec<String> = crate::sanitize::findings()
@@ -1407,27 +1404,6 @@ fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
         ));
     }
     Ok(stats)
-}
-
-/// Runs the tree-walker, snapshots its output, restores the inputs, re-runs
-/// the launch on the tape and fails unless that produced bit-identical
-/// buffers and identical counters and transaction bytes. Returns the tape
-/// leg's stats, tagged with the oracle's wall time.
-fn run_differential_legs(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
-    let snapshot =
-        || -> Vec<Option<BufData>> { l.bufs.iter().map(|b| b.map(|b| b.data().clone())).collect() };
-    let inputs = snapshot();
-    let tree = run_launch(l, Backend::Tree)?;
-    let expect = snapshot();
-    for (b, s) in l.bufs.iter().zip(inputs) {
-        if let (Some(b), Some(s)) = (b, s) {
-            b.restore(s);
-        }
-    }
-    let mut got = run_launch(l, Backend::Tape)?;
-    got.oracle_wall = Some(tree.wall);
-    diff_check(l, &expect, &tree, &got)?;
-    Ok(got)
 }
 
 /// The differential comparison: current buffer contents against the
@@ -1481,11 +1457,13 @@ fn bits_eq(a: &BufData, b: &BufData) -> bool {
 }
 
 /// Sampled-launch scale factor: the full NDRange over the work-items the
-/// sampled warps actually covered. The last warp may be partial when the
-/// global size is not a multiple of [`WARP`], so weighting by warp *count*
-/// would over-scale whenever that warp is sampled.
-fn flat_sample_scale(total: u64, warp_ids: &[u64]) -> f64 {
-    let covered: u64 = warp_ids.iter().map(|&w| (WARP as u64).min(total - w * WARP as u64)).sum();
+/// sampled groups of `group` items actually covered. A flat launch's last
+/// group may be partial, so weighting by group *count* would over-scale
+/// whenever it is sampled; whole groups give `(a·group) / (b·group)`, which
+/// rounds exactly as `a / b`.
+fn sample_scale(total: u64, group: usize, ids: &[u64]) -> f64 {
+    let group = group as u64;
+    let covered: u64 = ids.iter().map(|&g| group.min(total - g * group)).sum();
     if covered == 0 || covered == total {
         1.0
     } else {
@@ -1493,7 +1471,7 @@ fn flat_sample_scale(total: u64, warp_ids: &[u64]) -> f64 {
     }
 }
 
-/// What one rayon task (a chunk of warps or groups) contributes to a
+/// What one rayon task (a chunk of groups) contributes to a
 /// launch; [`finish`] sums these.
 #[derive(Default)]
 struct ChunkAcc {
@@ -1556,7 +1534,7 @@ fn finish(
         // Overwritten by `run_launch`, which knows which backend ran.
         backend: Backend::Tree,
         divergent_warps,
-        // Set by `run_differential_legs` when an oracle leg also ran.
+        // Set by `run_differential` when an oracle leg also ran.
         oracle_wall: None,
         op_profile,
     })
@@ -1603,61 +1581,78 @@ fn check_write_races(name: &str, mut all: Vec<WriteRec>) -> Result<(), ExecError
     ))
 }
 
-/// Tree-walker execution of a barrier-free NDRange, parallel over warps.
-fn run_flat_tree(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
-    let (prep, total) = (l.prep, l.total);
+/// The tree-walker over a launch's groups, parallel over groups: within one
+/// group, work-items execute each barrier-delimited phase in turn, sharing
+/// local memory — the standard sequential-consistency model for
+/// barrier-synchronised OpenCL kernels. Every item starts from zeroed slots
+/// and empty private arrays.
+fn run_tree(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
+    let prep = l.prep;
     let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize };
-    let warps_total = total.div_ceil(WARP as u64);
-    let warp_ids: Vec<u64> = (0..warps_total).step_by(l.stride).collect();
-
-    let (results, wall) = dispatch(&warp_ids, WARP, |ws| {
-        // One rayon task per chunk of warps; the scratch state below is
-        // allocated once and reset per warp, reproducing the state a
-        // per-warp task would have started from.
-        let mut st = ItemState {
-            slots: vec![Value::I32(0); prep.nslots],
-            privs: vec![Vec::new(); prep.npriv],
-            counters: Counters::default(),
-            trace: Vec::new(),
-            writes: Vec::new(),
-            trace_on: l.trace_on,
-            race_on: l.race_check,
-            item: 0,
-        };
-        let mut no_locals: Vec<Vec<Value>> = Vec::new();
-        let mut ends: Vec<usize> = Vec::new();
+    let (group, ids) = l.groups();
+    let [gx, gy, _] = l.gsize.map(|g| g as u64);
+    let (results, wall) = dispatch(&ids, group, |gs| {
+        // Per-item states allocated once per task and reset per group.
+        let mut locals: Vec<Vec<Value>> = vec![Vec::new(); prep.local_kinds.len()];
+        let mut states: Vec<ItemState> = (0..group)
+            .map(|_| ItemState {
+                slots: vec![Value::I32(0); prep.nslots],
+                privs: vec![Vec::new(); prep.npriv],
+                counters: Counters::default(),
+                trace: Vec::new(),
+                writes: Vec::new(),
+                trace_on: l.trace_on,
+                race_on: l.race_check,
+                item: 0,
+            })
+            .collect();
+        let mut active = vec![true; group];
         let mut acc = ChunkAcc::default();
-        for &w in ws {
-            for s in st.slots.iter_mut() {
-                *s = Value::I32(0);
+        for &g in gs {
+            let first = g * group as u64;
+            let states = &mut states[..(l.total - first).min(group as u64) as usize];
+            for a in locals.iter_mut() {
+                // Emptied so the group's first DeclLocal re-allocates.
+                a.clear();
             }
-            for p in st.privs.iter_mut() {
-                p.clear();
-            }
-            let begin = w * WARP as u64;
-            let end = (begin + WARP as u64).min(total);
-            for item in begin..end {
+            for (lid, st) in states.iter_mut().enumerate() {
+                st.slots.fill(Value::I32(0));
                 for (slot, v) in l.init_slots {
                     st.slots[*slot] = *v;
                 }
-                exec.run_item(item, &mut st, &mut no_locals);
-                if l.trace_on {
-                    ends.push(st.trace.len());
-                }
-                if l.race_check {
-                    acc.writes.append(&mut st.writes);
+                st.privs.iter_mut().for_each(Vec::clear);
+                st.item = first + lid as u64;
+                active[lid] = true;
+            }
+            acc.counters.work_items += states.len() as u64;
+            for phase in &prep.phases {
+                for (lid, st) in states.iter_mut().enumerate() {
+                    if !active[lid] {
+                        continue;
+                    }
+                    let i = st.item;
+                    let gid = [(i % gx) as usize, (i / gx % gy) as usize, (i / (gx * gy)) as usize];
+                    let ic = ItemCtx { gid, lid, group: g as usize, lsize: group };
+                    if let Flow::Return = exec.exec_block(phase, st, &mut locals, ic) {
+                        active[lid] = false;
+                    }
                 }
             }
             if l.trace_on {
-                acc.tbytes += warp_transaction_bytes_flat(&mut st.trace, &ends, l.transaction_size);
-                st.trace.clear();
-                ends.clear();
+                // The tape's warp partition: runs of WARP items, last one partial.
+                for warp in states.chunks_mut(WARP) {
+                    let traces = warp.iter_mut().map(|st| &mut st.trace);
+                    acc.tbytes += warp_transaction_bytes(traces, l.transaction_size);
+                }
             }
         }
-        acc.counters = st.counters;
+        for st in states.iter_mut() {
+            acc.counters.add(&st.counters);
+            acc.writes.append(&mut st.writes);
+        }
         acc
     });
-    finish(l, results, flat_sample_scale(total, &warp_ids), wall)
+    finish(l, results, sample_scale(l.total, group, &ids), wall)
 }
 
 /// The launch-invariant register state of the warp runners: the zeroed
@@ -1693,9 +1688,13 @@ struct WarpState {
     /// The kernel's private arrays, one set of lane-minor rows each.
     privs: Vec<bytecode::PrivRows>,
     /// Per-lane access traces for the transaction model.
-    traces: Vec<Vec<(u32, u32, u64)>>,
+    traces: Vec<Vec<TraceRec>>,
     /// The work-items of the loaded warp.
     ids: bytecode::WarpIds,
+    /// Lanes that have not returned: a barrier phase runs these.
+    alive: u32,
+    /// Some phase diverged (the warp counts once in `vgpu.warp.divergent`).
+    diverged: bool,
 }
 
 impl WarpState {
@@ -1707,28 +1706,24 @@ impl WarpState {
             privs: vec![Default::default(); l.prep.npriv],
             traces: vec![Vec::new(); WARP],
             ids: Default::default(),
+            alive: 0,
+            diverged: false,
         }
     }
 
     /// Aims the state at the fresh warp of work-items `begin..end` (at most
     /// [`WARP`], consecutive): launch-initial registers, empty private
-    /// arrays, and the per-item context prelude. Returns the lane count.
-    fn load(
-        &mut self,
-        l: &Launch<'_>,
-        tape: &Compiled,
-        init: &WarpInit,
-        begin: u64,
-        end: u64,
-    ) -> usize {
+    /// arrays, every lane alive, and the per-item context prelude.
+    fn load(&mut self, l: &Launch<'_>, tape: &Compiled, init: &WarpInit, begin: u64, end: u64) {
         let nact = (end - begin) as usize;
-        self.ids = bytecode::WarpIds::new(begin, nact, l.gsize, l.lsize);
+        self.ids = bytecode::WarpIds::new(begin, nact, l.gsize, l.lsize.unwrap_or(WARP));
         bytecode::broadcast(tape, &mut self.vregs, &init.regs0, &init.per_warp);
         for p in self.privs.iter_mut() {
             p.reset();
         }
         bytecode::exec_item_pre_warp(tape, &mut self.vregs, nact, &self.ids);
-        nact
+        self.alive = bytecode::prefix_mask(nact);
+        self.diverged = false;
     }
 
     /// Splits the state into what a warp executor call takes: the register
@@ -1755,224 +1750,67 @@ impl WarpState {
         };
         (&mut self.vregs, &mut self.privs, wc)
     }
-
-    /// The transaction-model bytes of the accesses traced since the last
-    /// call (lanes that traced nothing contribute nothing).
-    fn take_transaction_bytes(&mut self, txn: u64) -> u64 {
-        let bytes = warp_transaction_bytes(&mut self.traces, txn);
-        for t in self.traces.iter_mut() {
-            t.clear();
-        }
-        bytes
-    }
 }
 
-/// A fresh [`ChunkAcc`] for a tape-executor task, with a per-op tally when
-/// `VGPU_PROFILE=op` is on.
-fn warp_chunk_acc(prof_on: bool) -> ChunkAcc {
-    ChunkAcc { prof: prof_on.then(Box::default), ..ChunkAcc::default() }
-}
-
-/// Tape execution of a barrier-free NDRange, one warp of consecutive
-/// work-items at a time ([`bytecode::exec_phase_warp`]), parallel over
-/// warps, with per-access bounds checks elided at sites the static verifier
-/// proved in bounds for this launch shape (see [`checked_sites`]).
-/// Arithmetic, counters, traces, and race records reproduce the tree-walker
-/// bit for bit.
-fn run_flat_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
-    let (prep, total) = (l.prep, l.total);
-    let tape = &prep.tape;
-    let checked = checked_sites(l);
+/// The tape executor over a launch's groups ([`bytecode::exec_phase_warp`]),
+/// parallel over groups; mirrors [`run_tree`] phase for phase. A group is
+/// ⌈group/32⌉ warps of consecutive work-items (the last one partial) sharing
+/// one local-memory arena; each barrier phase runs warp by warp over the
+/// lanes still alive — a lane that returned is masked off for the remaining
+/// phases — with register files persisting across phases. Only a flat launch
+/// has a proof: its bounds checks are elided at the sites the static
+/// verifier proved in bounds for its shape ([`checked_sites`]), and its
+/// row-coherent warps run under the tape's lane shapes. No proof bounds a
+/// local id, so a grouped launch keeps every check and every register
+/// varying. Arithmetic, counters, traces and race records reproduce the
+/// tree-walker bit for bit.
+fn run_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
+    let tape = &l.prep.tape;
+    let flat = l.lsize.is_none();
+    let proof = flat.then(|| checked_sites(l));
+    let checked = proof.as_ref().map_or(&[][..], |c| &c[..]);
     let init = WarpInit::new(l, tape);
-    let warps_total = total.div_ceil(WARP as u64);
-    let warp_ids: Vec<u64> = (0..warps_total).step_by(l.stride).collect();
-
+    let (group, ids) = l.groups();
     let prof_on = crate::profiler::op_enabled();
-    let (results, wall) = dispatch(&warp_ids, WARP, |ws| {
-        let mut acc = warp_chunk_acc(prof_on);
-        let mut warp = WarpState::new(l, tape, &init);
-        for &w in ws {
-            let begin = w * WARP as u64;
-            let nact = warp.load(l, tape, &init, begin, (begin + WARP as u64).min(total));
-            acc.counters.work_items += nact as u64;
-            // Lane shapes hold for a row-coherent warp; any other runs with
-            // every register varying.
-            let shapes = if warp.ids.coherent { &tape.shapes[..] } else { &[] };
-            let lic = bytecode::Licence { checked: &checked, shapes };
-            let mask = bytecode::prefix_mask(nact);
-            let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut []);
-            let run = bytecode::exec_phase_warp(tape, 0, mask, vregs, privs, &mut wc, lic);
-            acc.divergent += run.diverged as u32;
-            if l.trace_on {
-                acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
-            }
-        }
-        acc
-    });
-    finish(l, results, flat_sample_scale(total, &warp_ids), wall)
-}
-
-/// Sampled grouped-launch scale factor: all groups over the sampled ones
-/// (groups are whole, so counting them is exact).
-fn group_sample_scale(groups_total: usize, sampled: usize, stride: usize) -> f64 {
-    if stride > 1 {
-        groups_total as f64 / sampled as f64
-    } else {
-        1.0
-    }
-}
-
-/// Tape execution of a grouped (barrier-synchronised) NDRange; mirrors
-/// [`run_grouped_tree`] phase for phase. A group is ⌈lsize/32⌉ warps (the
-/// last one partial) sharing one local-memory arena; each barrier phase runs
-/// warp by warp over the lanes still alive — a lane that returned is masked
-/// off for the remaining phases — with register files persisting across
-/// phases. No proof bounds a local id and no warp is row-coherent, so every
-/// site keeps its check and every register is varying.
-fn run_grouped_warps(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecError> {
-    let prep = l.prep;
-    let tape = &prep.tape;
-    let init = WarpInit::new(l, tape);
-    let groups_total = (l.total / lsize as u64) as usize;
-    let group_ids: Vec<usize> = (0..groups_total).step_by(l.stride).collect();
-    let nwarps = lsize.div_ceil(WARP);
-    let lic = bytecode::Licence { checked: &[], shapes: &[] };
-
-    let prof_on = crate::profiler::op_enabled();
-    let (results, wall) = dispatch(&group_ids, lsize, |gs| {
-        let mut acc = warp_chunk_acc(prof_on);
+    let (results, wall) = dispatch(&ids, group, |gs| {
+        // A per-op tally only under `VGPU_PROFILE=op`.
+        let mut acc = ChunkAcc { prof: prof_on.then(Box::default), ..ChunkAcc::default() };
         let mut warps: Vec<WarpState> =
-            (0..nwarps).map(|_| WarpState::new(l, tape, &init)).collect();
-        let mut locals: Vec<Vec<u64>> = vec![Vec::new(); prep.local_kinds.len()];
-        // Per warp: lanes that have not returned, and whether any phase
-        // diverged (a warp counts once in `vgpu.warp.divergent`).
-        let mut alive = vec![0u32; nwarps];
-        let mut diverged = vec![false; nwarps];
+            (0..group.div_ceil(WARP)).map(|_| WarpState::new(l, tape, &init)).collect();
+        let mut locals: Vec<Vec<u64>> = vec![Vec::new(); l.prep.local_kinds.len()];
         for &g in gs {
             for a in locals.iter_mut() {
                 // Emptied so the group's first DeclLocal re-zeros it.
                 a.clear();
             }
-            let first = (g * lsize) as u64;
+            let first = g * group as u64;
+            let end = l.total.min(first + group as u64);
+            acc.counters.work_items += end - first;
             for (wi, warp) in warps.iter_mut().enumerate() {
                 let begin = first + (wi * WARP) as u64;
-                let end = (begin + WARP as u64).min(first + lsize as u64);
-                alive[wi] = bytecode::prefix_mask(warp.load(l, tape, &init, begin, end));
-                diverged[wi] = false;
+                warp.load(l, tape, &init, begin, end.min(begin + WARP as u64));
             }
-            acc.counters.work_items += lsize as u64;
             for phase in 0..tape.phases() {
-                for (wi, warp) in warps.iter_mut().enumerate() {
-                    if alive[wi] == 0 {
-                        continue;
-                    }
+                for warp in warps.iter_mut().filter(|w| w.alive != 0) {
+                    let shapes = if flat && warp.ids.coherent { &tape.shapes[..] } else { &[] };
+                    let (lic, alive) = (bytecode::Licence { checked, shapes }, warp.alive);
                     let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut locals);
-                    let run = bytecode::exec_phase_warp(
-                        tape, phase, alive[wi], vregs, privs, &mut wc, lic,
-                    );
-                    alive[wi] &= !run.returned;
-                    diverged[wi] |= run.diverged;
+                    let run =
+                        bytecode::exec_phase_warp(tape, phase, alive, vregs, privs, &mut wc, lic);
+                    warp.alive &= !run.returned;
+                    warp.diverged |= run.diverged;
                 }
             }
-            acc.divergent += diverged.iter().filter(|&&d| d).count() as u32;
-            if l.trace_on {
-                // The same warp-granular partition as the tree-walker's:
-                // consecutive runs of WARP work-items, last one partial.
-                for warp in warps.iter_mut() {
-                    acc.tbytes += warp.take_transaction_bytes(l.transaction_size);
+            for warp in warps.iter_mut() {
+                acc.divergent += warp.diverged as u32;
+                if l.trace_on {
+                    acc.tbytes += warp_transaction_bytes(&mut warp.traces, l.transaction_size);
                 }
             }
         }
         acc
     });
-    finish(l, results, group_sample_scale(groups_total, group_ids.len(), l.stride), wall)
-}
-
-/// Tree-walker group-mode execution: groups run independently (parallel via
-/// rayon); within one group, work-items execute each barrier-delimited
-/// phase in turn, sharing local memory. This is the standard
-/// sequential-consistency model for barrier-synchronised OpenCL kernels.
-fn run_grouped_tree(l: &Launch<'_>, lsize: usize) -> Result<LaunchStats, ExecError> {
-    let prep = l.prep;
-    let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize };
-    let groups_total = (l.total / lsize as u64) as usize;
-    let group_ids: Vec<usize> = (0..groups_total).step_by(l.stride).collect();
-    let (results, wall) = dispatch(&group_ids, lsize, |gs| {
-        // One rayon task per chunk of groups with per-item states
-        // allocated once and reset to fresh-group values per group.
-        let mut locals: Vec<Vec<Value>> = vec![Vec::new(); prep.local_kinds.len()];
-        let mut states: Vec<ItemState> = (0..lsize)
-            .map(|_| ItemState {
-                slots: vec![Value::I32(0); prep.nslots],
-                privs: vec![Vec::new(); prep.npriv],
-                counters: Counters::default(),
-                trace: Vec::new(),
-                writes: Vec::new(),
-                trace_on: l.trace_on,
-                race_on: l.race_check,
-                item: 0,
-            })
-            .collect();
-        let mut active = vec![true; lsize];
-        let mut acc = ChunkAcc::default();
-        for &g in gs {
-            for a in locals.iter_mut() {
-                // Emptied so the group's first DeclLocal re-allocates.
-                a.clear();
-            }
-            for (lid, st) in states.iter_mut().enumerate() {
-                for s in st.slots.iter_mut() {
-                    *s = Value::I32(0);
-                }
-                for (slot, v) in l.init_slots {
-                    st.slots[*slot] = *v;
-                }
-                for p in st.privs.iter_mut() {
-                    p.clear();
-                }
-                st.counters = Counters::default();
-                st.trace.clear();
-                st.item = (g * lsize + lid) as u64;
-                active[lid] = true;
-            }
-            for phase in &prep.phases {
-                for lid in 0..lsize {
-                    if !active[lid] {
-                        continue;
-                    }
-                    let linear = (g * lsize + lid) as u64;
-                    let ic = ItemCtx { gid: [linear as usize, 0, 0], lid, group: g, lsize };
-                    states[lid].counters.work_items += 1;
-                    if let Flow::Return = exec.exec_block(phase, &mut states[lid], &mut locals, ic)
-                    {
-                        active[lid] = false;
-                    }
-                }
-            }
-            // aggregate group results; warp-granular transaction counting
-            for st in states.iter_mut() {
-                // work_items was incremented once per phase; normalise
-                st.counters.work_items = 1;
-                acc.counters.add(&st.counters);
-                acc.writes.append(&mut st.writes);
-            }
-            if l.trace_on {
-                // Consecutive runs of WARP work-items, last one partial.
-                let mut traces: Vec<Vec<(u32, u32, u64)>> = Vec::new();
-                for st in states.iter_mut() {
-                    traces.push(std::mem::take(&mut st.trace));
-                }
-                for warp in traces.chunks_mut(WARP) {
-                    acc.tbytes += warp_transaction_bytes(warp, l.transaction_size);
-                }
-                for (st, t) in states.iter_mut().zip(traces) {
-                    st.trace = t;
-                }
-            }
-        }
-        acc
-    });
-    finish(l, results, group_sample_scale(groups_total, group_ids.len(), l.stride), wall)
+    finish(l, results, sample_scale(l.total, group, &ids), wall)
 }
 
 #[cfg(test)]
@@ -2334,11 +2172,32 @@ mod tests {
     }
 
     #[test]
-    fn flat_sample_scale_handles_partial_warps() {
-        assert_eq!(flat_sample_scale(48, &[0, 1]), 1.0);
-        assert_eq!(flat_sample_scale(112, &[0, 2]), 112.0 / 64.0);
-        assert_eq!(flat_sample_scale(64, &[0]), 2.0);
-        assert_eq!(flat_sample_scale(0, &[]), 1.0);
+    fn sample_scale_handles_a_partial_last_warp() {
+        assert_eq!(sample_scale(48, WARP, &[0, 1]), 1.0);
+        assert_eq!(sample_scale(112, WARP, &[0, 2]), 112.0 / 64.0);
+        assert_eq!(sample_scale(64, WARP, &[0]), 2.0);
+        assert_eq!(sample_scale(0, WARP, &[]), 1.0);
+    }
+
+    /// Over whole groups the item-weighted scale is the group count over the
+    /// sampled groups, bit for bit — what grouped launches scaled by before
+    /// flat and grouped launches shared one loop.
+    #[test]
+    fn sample_scale_over_whole_groups_is_the_group_ratio_bit_for_bit() {
+        for lsize in [8, 32, 48] {
+            for groups_total in 1..=64u64 {
+                for stride in 1..=5 {
+                    let ids: Vec<u64> = (0..groups_total).step_by(stride).collect();
+                    let total = groups_total * lsize as u64;
+                    let want = match stride {
+                        1 => 1.0,
+                        _ => groups_total as f64 / ids.len() as f64,
+                    };
+                    let got = sample_scale(total, lsize, &ids);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{groups_total} groups of {lsize}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! row-straddling stencils, strided and reversed indices, barrier phases
 //! over a shared local arena — each held to the oracle's buffers, counters
 //! and transaction bytes, to its own divergent warp count, and to
-//! `Backend::Tape`.
+//! `Backend::Tape`. One flat and one grouped shape are also pinned to
+//! constants recorded before both executors' flat and grouped runners were
+//! merged, since that change rewrote the oracle's loop too.
 //!
-//! Then the per-site bounds discipline (the POTENTIAL-site checked path, the
+//! Then the private and local array checks (one panic text per fault), the
+//! per-site bounds discipline (the POTENTIAL-site checked path, the
 //! one out-of-bounds panic text) and the task grain: launches around
 //! `exec::GRAIN_ITEMS` match the oracle whether they ran inline or fanned
 //! out over the pool, and a lane panic in a launch that did fan out reaches
@@ -327,12 +330,13 @@ fn local_rotate_kernel() -> Kernel {
     }
 }
 
-/// Grouped launches: workgroup sizes of one warp, one and a half (partial
-/// last warp of every group) and two, with the tail of the last group
-/// returning before the barrier.
+/// Grouped launches: workgroup sizes of a quarter warp (a group below one
+/// warp), one warp, one and a quarter (a last warp of 8 lanes), one and a
+/// half (partial last warp of every group) and two, with the tail of the
+/// last group returning before the barrier.
 #[test]
 fn grouped_launches_match_the_oracle_across_group_shapes() {
-    for lsize in [32usize, 48, 64] {
+    for lsize in [8usize, 32, 40, 48, 64] {
         let groups = 4;
         let total = groups * lsize;
         // The last group keeps only its first 5 items.
@@ -402,6 +406,103 @@ fn a_grouped_warp_that_diverges_in_two_phases_counts_once() {
     let want: Vec<f64> =
         (0..96).map(|g| if g % 2 == 0 { (g % 48) * 2 } else { g % 48 + 101 } as f64).collect();
     assert_matches_oracle(&case, 4, Some(&want));
+}
+
+// ---- pinned to the four runners flat and grouped launches once had ----
+//
+// The table above holds the tape to the tree; these constants hold both to
+// what they reported before one loop per executor replaced a flat and a
+// grouped runner each — recorded by running the commit before that change.
+
+/// The seven counters, transaction bytes (0 unmodeled), divergent warps and
+/// tasks of a launch.
+type Pin = [u64; 10];
+
+fn pin_of(s: &LaunchStats) -> Pin {
+    let c = &s.counters;
+    [
+        c.loads_global,
+        c.stores_global,
+        c.loads_constant,
+        c.bytes_loaded,
+        c.bytes_stored,
+        c.flops,
+        c.work_items,
+        s.transaction_bytes.unwrap_or(0),
+        s.divergent_warps,
+        s.tasks as u64,
+    ]
+}
+
+/// Per case, per mode (`Fast`, `Model { 1 }`, `Model { 3 }`): `[tree, tape]`.
+const PARENT_PINS: [[[Pin; 2]; 3]; 2] = [
+    [
+        [
+            [2310, 330, 0, 9240, 1320, 2310, 390, 0, 0, 1],
+            [2310, 330, 0, 9240, 1320, 2310, 390, 0, 13, 1],
+        ],
+        [
+            [2310, 330, 0, 9240, 1320, 2310, 390, 22400, 0, 1],
+            [2310, 330, 0, 9240, 1320, 2310, 390, 22400, 13, 1],
+        ],
+        [
+            [2323, 332, 0, 9290, 1327, 2323, 390, 23842, 0, 1],
+            [2323, 332, 0, 9290, 1327, 2323, 390, 23842, 5, 1],
+        ],
+    ],
+    [
+        [[149, 149, 0, 596, 596, 149, 192, 0, 0, 1], [149, 149, 0, 596, 596, 149, 192, 0, 1, 1]],
+        [
+            [149, 149, 0, 596, 596, 149, 192, 2048, 0, 1],
+            [149, 149, 0, 596, 596, 149, 192, 2048, 1, 1],
+        ],
+        [
+            [106, 106, 0, 424, 424, 106, 192, 1536, 0, 1],
+            [106, 106, 0, 424, 424, 106, 192, 1536, 1, 1],
+        ],
+    ],
+];
+
+/// A flat 13 × 6 × 5 NDRange — every warp straddles rows, the last has 6
+/// lanes, stride 3 samples it — and a grouped launch of four 48-item groups
+/// whose last group returns after 5 items, stride 3 sampling groups 0 and 3.
+#[test]
+fn flat_and_grouped_launches_report_what_the_four_runners_did() {
+    let (w, h, d) = (13, 6, 5);
+    let int = |v: usize| Value::I32(v as i32);
+    let (lsize, total) = (48, 4 * 48);
+    let cases = [
+        Case {
+            what: "stencil over 13×6×5".into(),
+            kernel: stencil7_kernel(ScalarKind::F32),
+            bufs: vec![ramp(ScalarKind::F32, w * h * (d + 2)), ramp(ScalarKind::F32, w * h * d)],
+            scalars: vec![int(w), int(h), int(w - 2), int(d)],
+            global: vec![w, h, d],
+            local: None,
+        },
+        Case {
+            what: "local rotate, lsize 48".into(),
+            kernel: local_rotate_kernel(),
+            bufs: vec![
+                BufData::from((0..total).map(|i| i as f32).collect::<Vec<_>>()),
+                BufData::from(vec![-1.0f32; total]),
+            ],
+            scalars: vec![int(total - lsize + 5)],
+            global: vec![total],
+            local: Some(lsize),
+        },
+    ];
+    let model = |sample_stride| ExecMode::Model { sample_stride };
+    let modes = [ExecMode::Fast, model(1), model(3)];
+    for (case, pins) in cases.iter().zip(PARENT_PINS) {
+        for (mode, want) in modes.into_iter().zip(pins) {
+            let input = Input { race_check: true, mode };
+            for (engine, want) in [Engine::Tree, Engine::Fast].into_iter().zip(want) {
+                let got = pin_of(&launch(case, engine, input).1);
+                assert_eq!(got, want, "{}, {mode:?}, {engine:?}", case.what);
+            }
+        }
+    }
 }
 
 // ---- private arrays: lane-minor rows, one row per uniform index ----
@@ -810,6 +911,94 @@ fn a_private_index_out_of_range_reads_the_same_on_every_engine_and_path() {
         ] {
             let got = text(engine, idx, per_lane);
             assert!(got.contains(want), "{engine:?}, I = {idx}, per lane {per_lane}: got {got:?}");
+        }
+    }
+}
+
+// ---- local arrays: the same length and index checks ----
+
+/// `__local int tile[L]; tile[s] = gid; out[gid] = tile[r];` over one group
+/// of one warp, `(s, r)` = `(I, lid)` when `at_store`, else `(lid, I)`.
+fn launch_local_access(engine: Engine, len: i32, idx: i32, at_store: bool) {
+    let tile = || MemRef::Local("tile".into());
+    let (i, lid) = (|| KExpr::var("I"), || KExpr::LocalId(0));
+    let (store_at, load_at) = if at_store { (i(), lid()) } else { (lid(), i()) };
+    let case = Case {
+        what: "local bounds".into(),
+        kernel: Kernel {
+            name: format!("we_local_bounds_{at_store}"),
+            params: vec![
+                KernelParam::global_buf("out", ScalarKind::I32),
+                KernelParam::scalar("L", ScalarKind::I32),
+                KernelParam::scalar("I", ScalarKind::I32),
+            ],
+            body: vec![
+                KStmt::DeclLocalArray {
+                    name: "tile".into(),
+                    kind: ScalarKind::I32,
+                    len: KExpr::var("L"),
+                },
+                KStmt::Store { mem: tile(), idx: store_at, value: gid() },
+                KStmt::Store {
+                    mem: MemRef::Param(0),
+                    idx: gid(),
+                    value: KExpr::load(tile(), load_at),
+                },
+            ],
+            work_dim: 1,
+        },
+        bufs: vec![BufData::from(vec![0i32; 32])],
+        scalars: vec![Value::I32(len), Value::I32(idx)],
+        global: vec![32],
+        local: Some(32),
+    };
+    launch(&case, engine, INPUTS[0]);
+}
+
+#[test]
+#[should_panic(expected = "local array #0: length -1 outside 0..=65536")]
+fn a_negative_local_length_is_one_clean_panic_on_the_tape() {
+    launch_local_access(Engine::Fast, -1, 0, false);
+}
+
+#[test]
+#[should_panic(expected = "local array #0: length -1 outside 0..=65536")]
+fn a_negative_local_length_is_one_clean_panic_on_the_oracle() {
+    launch_local_access(Engine::Tree, -1, 0, false);
+}
+
+#[test]
+#[should_panic(expected = "local array #0: index -1 out of bounds (len 32)")]
+fn a_negative_local_index_names_array_index_and_length_on_the_tape() {
+    launch_local_access(Engine::Fast, 32, -1, false);
+}
+
+#[test]
+#[should_panic(expected = "local array #0: index -1 out of bounds (len 32)")]
+fn a_negative_local_index_names_array_index_and_length_on_the_oracle() {
+    launch_local_access(Engine::Tree, 32, -1, false);
+}
+
+/// One text per fault, whoever finds it — the oracle, the tape, or both
+/// under `Engine::Differential` — at the load and at the store; a length
+/// of 2³¹ − 1 is refused before anything is allocated.
+#[test]
+fn a_local_array_fault_reads_the_same_on_every_engine_and_op() {
+    let text = |engine, len, idx, at_store| {
+        let run = || launch_local_access(engine, len, idx, at_store);
+        let payload = std::panic::catch_unwind(run).expect_err("the fault must panic");
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
+    };
+    for engine in [Engine::Tree, Engine::Fast, Engine::Differential] {
+        for at_store in [false, true] {
+            for (len, idx, want) in [
+                (32, 32, "local array #0: index 32 out of bounds (len 32)"),
+                (32, -1, "local array #0: index -1 out of bounds (len 32)"),
+                (i32::MAX, 0, "local array #0: length 2147483647 outside 0..=65536"),
+            ] {
+                let got = text(engine, len, idx, at_store);
+                assert!(got.contains(want), "{engine:?}, L = {len}, I = {idx}: got {got:?}");
+            }
         }
     }
 }
