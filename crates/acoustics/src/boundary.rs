@@ -12,10 +12,10 @@
 
 use crate::geometry::{GridDims, RoomShape};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// How materials are assigned to boundary points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MaterialAssignment {
     /// Every boundary point uses material 0.
     Uniform,

@@ -7,12 +7,12 @@
 //! neighbours. Table II's two shapes are provided: the full cuboid (`Box`)
 //! and the half-ellipsoid dome (`Dome`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Grid dimensions **including** the one-voxel halo on every side, matching
 /// the paper's `Nx`/`Ny`/`Nz` convention (Listing 1 treats `x==0` and
 /// `x==Nx-1` as the halo).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct GridDims {
     /// Points along x (fastest-varying).
     pub nx: usize,
@@ -74,7 +74,7 @@ impl GridDims {
 
 /// Room shapes from the paper's evaluation (Table II / Figure 1), plus an
 /// L-shaped room as an extra non-convex test case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RoomShape {
     /// The whole non-halo grid is inside: a cuboid room whose walls are the
     /// grid faces (Listing 1's implicit boundary).

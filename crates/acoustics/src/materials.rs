@@ -25,10 +25,10 @@
 //! make the branch passive, so boundary interaction can only remove energy —
 //! verified empirically by the energy-decay tests in `crate::sim`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One resonant branch in absorbed (grid) units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BranchParams {
     /// Inertial coefficient (`a` above); larger = heavier resonance.
     pub a: f64,
@@ -41,13 +41,19 @@ pub struct BranchParams {
 impl BranchParams {
     /// A passive branch; panics on non-positive parameters.
     pub fn new(a: f64, b: f64, c: f64) -> Self {
-        assert!(a > 0.0 && b >= 0.0 && c >= 0.0, "branches must be passive");
-        BranchParams { a, b, c }
+        let p = BranchParams { a, b, c };
+        assert!(p.is_passive(), "branches must be passive");
+        p
+    }
+
+    /// `a > 0`, `b ≥ 0`, `c ≥ 0`: the branch can only absorb.
+    pub fn is_passive(&self) -> bool {
+        self.a > 0.0 && self.b >= 0.0 && self.c >= 0.0
     }
 }
 
 /// A boundary material: instantaneous admittance plus resonant branches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Material {
     /// Display name.
     pub name: String,

@@ -13,10 +13,11 @@ use crate::boundary::{MaterialAssignment, RoomModel};
 use crate::geometry::{GridDims, RoomShape};
 use crate::materials::{courant, courant_sq, fi_betas, FdCoeffs, Material};
 use crate::reference::{self, FdArrays, Real};
-use serde::{Deserialize, Serialize};
+use crate::simulation::SimError;
+use serde::Serialize;
 
 /// Which boundary physics a run uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum BoundaryModel {
     /// Uniform frequency-independent admittance (Listings 1–2).
     Fi {
@@ -38,7 +39,7 @@ pub enum BoundaryModel {
 }
 
 /// Complete description of a simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SimConfig {
     /// Grid dimensions (with halo).
     pub dims: GridDims,
@@ -90,27 +91,44 @@ pub struct SimSetup {
 }
 
 impl SimSetup {
-    /// Builds the room and coefficient tables for a configuration.
-    pub fn new(cfg: &SimConfig) -> SimSetup {
+    /// Builds the room and coefficient tables for a configuration, or says
+    /// why it describes no passive simulation ([`SimError`]).
+    pub fn try_new(cfg: &SimConfig) -> Result<SimSetup, SimError> {
+        if cfg.assignment == (MaterialAssignment::Striped { num_materials: 0 }) {
+            return Err(SimError::NoMaterials);
+        }
         let room = RoomModel::build(cfg.dims, cfg.shape, cfg.assignment);
+        let defined = |materials: &[Material]| {
+            materials.iter().try_for_each(passive)?;
+            match (room.num_materials, materials.len()) {
+                (assigned, defined) if assigned > defined => {
+                    Err(SimError::UndefinedMaterials { assigned, defined })
+                }
+                _ => Ok(()),
+            }
+        };
         let (betas, fd, mb) = match &cfg.boundary {
-            BoundaryModel::Fi { beta } => (vec![*beta], None, 0),
+            BoundaryModel::Fi { beta } => {
+                passive(&Material::fi("β", *beta))?;
+                (vec![*beta], None, 0)
+            }
             BoundaryModel::FiMm { materials } => {
-                assert!(
-                    room.num_materials <= materials.len(),
-                    "room assigns {} materials but only {} defined",
-                    room.num_materials,
-                    materials.len()
-                );
+                defined(materials)?;
                 (fi_betas(materials), None, 0)
             }
+            BoundaryModel::FdMm { mb: 0, .. } => return Err(SimError::NoBranches),
             BoundaryModel::FdMm { materials, mb } => {
-                assert!(room.num_materials <= materials.len());
+                defined(materials)?;
                 let c = FdCoeffs::derive(materials, *mb);
                 (c.beta.clone(), Some(c), *mb)
             }
         };
-        SimSetup { room, l: courant(), l2: courant_sq(), betas, fd, mb }
+        Ok(SimSetup { room, l: courant(), l2: courant_sq(), betas, fd, mb })
+    }
+
+    /// [`SimSetup::try_new`], panicking with the error's message.
+    pub fn new(cfg: &SimConfig) -> SimSetup {
+        Self::try_new(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Grid dimensions.
@@ -121,6 +139,18 @@ impl SimSetup {
     /// Boundary point count.
     pub fn num_b(&self) -> usize {
         self.room.num_boundary_points()
+    }
+}
+
+/// `Ok` when `m` can only absorb: `β₀ ≥ 0` and every branch passive.
+fn passive(m: &Material) -> Result<(), SimError> {
+    let active = |what: String| Err(SimError::NonPassive(format!("material `{}` {what}", m.name)));
+    if m.beta0.is_nan() || m.beta0 < 0.0 {
+        return active(format!("has admittance β₀ = {}", m.beta0));
+    }
+    match m.branches.iter().position(|p| !p.is_passive()) {
+        Some(i) => active(format!("branch {i}: {:?}", m.branches[i])),
+        None => Ok(()),
     }
 }
 
@@ -283,6 +313,64 @@ mod tests {
             assignment: MaterialAssignment::Uniform,
             boundary: BoundaryModel::Fi { beta },
         }
+    }
+
+    /// The error `cfg` is rejected with; the panicking constructor says the
+    /// same.
+    fn rejected(cfg: &SimConfig) -> SimError {
+        let err = SimSetup::try_new(cfg).expect_err("a configuration with no simulation");
+        let panic = std::panic::catch_unwind(|| SimSetup::new(cfg)).expect_err("`new` panics");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+        err
+    }
+
+    #[test]
+    fn more_assigned_materials_than_defined_is_an_error() {
+        for cfg in [
+            SimConfig::fimm(GridDims::cube(8), RoomShape::Box),
+            SimConfig::fdmm(GridDims::cube(8), RoomShape::Box),
+        ] {
+            let cfg =
+                SimConfig { assignment: MaterialAssignment::Striped { num_materials: 5 }, ..cfg };
+            let err = rejected(&cfg);
+            assert_eq!(err, SimError::UndefinedMaterials { assigned: 5, defined: 3 });
+            assert_eq!(err.to_string(), "room assigns 5 materials but only 3 defined");
+        }
+    }
+
+    #[test]
+    fn a_striped_assignment_over_no_materials_is_an_error() {
+        let cfg = SimConfig {
+            assignment: MaterialAssignment::Striped { num_materials: 0 },
+            ..SimConfig::fimm(GridDims::cube(8), RoomShape::Box)
+        };
+        assert_eq!(rejected(&cfg), SimError::NoMaterials);
+    }
+
+    #[test]
+    fn fdmm_without_branches_is_an_error() {
+        let boundary = BoundaryModel::FdMm { materials: Material::default_set(), mb: 0 };
+        let cfg = SimConfig { boundary, ..SimConfig::fdmm(GridDims::cube(8), RoomShape::Box) };
+        assert_eq!(rejected(&cfg), SimError::NoBranches);
+    }
+
+    #[test]
+    fn an_active_material_is_an_error() {
+        // Public fields skip `BranchParams::new`'s assert.
+        let mut glass = Material::glass();
+        glass.branches[1] = crate::materials::BranchParams { a: -25.0, b: 0.5, c: 0.05 };
+        let materials = vec![Material::carpet(), Material::plaster(), glass];
+        let cfg = SimConfig {
+            boundary: BoundaryModel::FdMm { materials, mb: 3 },
+            ..SimConfig::fdmm(GridDims::cube(8), RoomShape::Box)
+        };
+        let err = rejected(&cfg).to_string();
+        assert!(err.starts_with("not passive: material `glass` branch 1"), "{err}");
+        let mut cfg = cfg_fi(-0.1);
+        assert!(matches!(rejected(&cfg), SimError::NonPassive(e) if e.contains("-0.1")));
+        cfg.boundary = BoundaryModel::FiMm { materials: vec![Material::fi("foam", f64::NAN)] };
+        cfg.assignment = MaterialAssignment::Uniform;
+        assert!(matches!(rejected(&cfg), SimError::NonPassive(e) if e.contains("`foam`")));
     }
 
     #[test]

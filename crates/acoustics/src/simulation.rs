@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, OnceLock};
-use vgpu::telemetry::{self, HOST_TRACK};
+use vgpu::telemetry::HOST_TRACK;
 use vgpu::{Arg, BufData, BufId, Device, ExecMode, LaunchStats, Prepared, SlabPartition};
 
 /// Floating-point precision of a run.
@@ -168,7 +168,7 @@ impl Role {
     }
 }
 
-/// Why a [`Simulation`] could not be built.
+/// Why a [`Simulation`], or the [`SimSetup`] it runs, could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The device list is empty.
@@ -197,6 +197,20 @@ pub enum SimError {
     /// the one exchanged halo plane, or it takes the room's walls from its
     /// coordinates instead of from `nbrs`.
     HaloProof(String),
+    /// The room assigns more materials than the boundary model defines.
+    UndefinedMaterials {
+        /// Materials the assignment uses.
+        assigned: usize,
+        /// Materials the model defines.
+        defined: usize,
+    },
+    /// A striped material assignment over no materials.
+    NoMaterials,
+    /// FD-MM with no branch per material (`mb == 0`).
+    NoBranches,
+    /// A material that can add energy: a negative (or NaN) admittance, or a
+    /// branch that is not passive (`a > 0`, `b ≥ 0`, `c ≥ 0`).
+    NonPassive(String),
 }
 
 impl fmt::Display for SimError {
@@ -213,6 +227,12 @@ impl fmt::Display for SimError {
                 write!(f, "kernel `{kernel}`: no binding for parameter `{name}`")
             }
             SimError::HaloProof(e) => write!(f, "halo proof failed: {e}"),
+            SimError::UndefinedMaterials { assigned, defined } => {
+                write!(f, "room assigns {assigned} materials but only {defined} defined")
+            }
+            SimError::NoMaterials => write!(f, "a striped assignment needs at least one material"),
+            SimError::NoBranches => write!(f, "FD-MM needs at least one branch per material"),
+            SimError::NonPassive(e) => write!(f, "not passive: {e}"),
         }
     }
 }
@@ -520,7 +540,8 @@ impl Simulation {
     ) -> Result<Simulation, SimError> {
         assert_eq!(devices.len(), part.device_count(), "one device per slab");
         assert_eq!(part.nz(), setup.dims().nz, "partition must cover the grid");
-        let _span = telemetry::span(HOST_TRACK, "Simulation::new");
+        let rt = Arc::clone(devices[0].runtime());
+        let _span = rt.trace.span(HOST_TRACK, "Simulation::new");
         let real = precision.kind();
         let dims = *setup.dims();
         let plane = dims.nx * dims.ny;
@@ -710,7 +731,8 @@ impl Simulation {
     /// on every device launch the volume kernel and — where the slab owns
     /// boundary points — the boundary kernel, then rotate.
     pub fn step(&mut self, mode: ExecMode) -> ShardStepStats {
-        let _span = telemetry::span(HOST_TRACK, "Simulation::step");
+        let rt = Arc::clone(self.devices[0].runtime());
+        let _span = rt.trace.span(HOST_TRACK, "Simulation::step");
         if self.devices.len() > 1 {
             let currs: Vec<BufId> = self.slabs.iter().map(|s| s.buf(Role::Curr)).collect();
             vgpu::halo_exchange(&mut self.devices, &currs, &self.part, self.plane);
@@ -736,7 +758,8 @@ impl Simulation {
 
     /// Runs `n` steps in fast mode.
     pub fn run(&mut self, n: usize) {
-        let _span = telemetry::span_with(HOST_TRACK, || format!("Simulation::run({n})"));
+        let rt = Arc::clone(self.devices[0].runtime());
+        let _span = rt.trace.span_with(HOST_TRACK, || format!("Simulation::run({n})"));
         for _ in 0..n {
             self.step(ExecMode::Fast);
         }
@@ -814,8 +837,9 @@ impl SingleSim {
     /// value-independent (no data-dependent branches), so this measures
     /// exactly what a mid-simulation launch would.
     pub fn boundary_step_only(&mut self, mode: ExecMode) -> LaunchStats {
-        let _span = telemetry::span(HOST_TRACK, "Simulation::boundary_step_only");
         let sim = &mut self.0;
+        let rt = Arc::clone(sim.devices[0].runtime());
+        let _span = rt.trace.span(HOST_TRACK, "Simulation::boundary_step_only");
         Simulation::launch_boundary(&sim.boundary, &sim.slabs[0], &mut sim.devices[0], mode)
             .expect("checked at construction")
     }

@@ -7,8 +7,8 @@
 //! of bounds in `--release`.)
 //!
 //! CI runs this binary in `--release` too, where a PROVEN site carries no
-//! check at all. Own test binary, serialized: the site counters are
-//! process-wide.
+//! check at all. The tests that count proven and checked sites launch on
+//! runtimes of their own.
 
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, Lit, ScalarKind, Value};
@@ -16,10 +16,19 @@ use room_acoustics::{
     handwritten, BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, SimConfig,
     SimSetup, Simulation, StepKernels,
 };
-use std::sync::Mutex;
-use vgpu::{Arg, BufData, Device, Engine, ExecMode};
+use vgpu::{Arg, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime};
 
-static COUNTERS: Mutex<()> = Mutex::new(());
+/// A device on a fresh runtime with the environment's settings.
+fn device() -> Device {
+    Device::with_runtime(DeviceProfile::gtx780(), Runtime::new(vgpu::runtime().settings))
+}
+
+/// `[proven, checked]` site totals of the check tables `dev`'s launches
+/// built.
+fn sites(dev: &Device) -> [u64; 2] {
+    let reg = &dev.runtime().registry;
+    ["vgpu.tape.sites_proven", "vgpu.tape.sites_checked"].map(|c| reg.counter(c).get())
+}
 
 fn step_an_fimm_simulation() {
     let setup = SimSetup::new(&SimConfig::fimm(GridDims::cube(8), RoomShape::Box));
@@ -54,7 +63,6 @@ fn stray_fimm_launch() -> String {
 
 #[test]
 fn a_contract_free_launch_is_bounds_checked_whatever_ran_before() {
-    let _guard = COUNTERS.lock().unwrap();
     let want = "load out of bounds: param 4[7] (len 4)";
     let fresh = stray_fimm_launch();
     assert!(fresh.contains(want), "before any simulation: {fresh:?}");
@@ -69,7 +77,6 @@ fn a_contract_free_launch_is_bounds_checked_whatever_ran_before() {
 /// launch shape and keeps the check on its scattered store.
 #[test]
 fn a_kernel_that_shares_a_shipped_name_gets_launch_concrete_proofs_only() {
-    let _guard = COUNTERS.lock().unwrap();
     step_an_fimm_simulation();
     let gid = || KExpr::GlobalId(0);
     let kernel = Kernel {
@@ -89,19 +96,14 @@ fn a_kernel_that_shares_a_shipped_name_gets_launch_concrete_proofs_only() {
         ],
         work_dim: 1,
     };
-    let mut dev = Device::gtx780();
+    let mut dev = device();
     dev.set_engine(Engine::Fast);
     let prep = dev.compile(&kernel).unwrap();
     let bidx = dev.upload(BufData::from(vec![2i32, 0]));
     let next = dev.upload(BufData::from(vec![0.0f32; 3]));
-    let reg = vgpu::telemetry::registry();
-    let sites =
-        || ["vgpu.tape.sites_proven", "vgpu.tape.sites_checked"].map(|c| reg.counter(c).get());
-    let before = sites();
     let args = [Arg::Buf(bidx), Arg::Buf(next), Arg::Val(Value::I32(2))];
     dev.launch(&prep, &args, &[2], ExecMode::Fast).unwrap();
-    let after = sites();
-    assert_eq!([after[0] - before[0], after[1] - before[1]], [1, 1], "[proven, checked]");
+    assert_eq!(sites(&dev), [1, 1], "[proven, checked]");
     assert_eq!(dev.read(next).to_f64_vec(), vec![1.0, 0.0, 1.0]);
 }
 
@@ -111,21 +113,17 @@ fn a_kernel_that_shares_a_shipped_name_gets_launch_concrete_proofs_only() {
 /// leaves a site bounds-checked.
 #[test]
 fn the_generated_volume_kernel_proves_every_site_on_a_slab_as_on_the_whole_grid() {
-    let _guard = COUNTERS.lock().unwrap();
-    let reg = vgpu::telemetry::registry();
-    let sites =
-        || ["vgpu.tape.sites_proven", "vgpu.tape.sites_checked"].map(|c| reg.counter(c).get());
     for n in [1, 2] {
         let setup = SimSetup::new(&SimConfig::fimm(GridDims::new(10, 9, 8), RoomShape::Box));
         let volume = lift_acoustics::programs::volume_program();
         let volume = lift_acoustics::runner::step_kernel(&volume, ScalarKind::F32).unwrap();
-        let devices = (0..n).map(|_| Device::gtx780()).collect();
+        let devices = (0..n).map(|_| device()).collect();
         let kernels = StepKernels::single(volume);
         let mut sim = Simulation::new(setup, Precision::Single, kernels, devices);
-        let before = sites();
         sim.step(ExecMode::Fast);
-        let after = sites();
-        assert!(after[0] > before[0], "{n} device(s): a new launch shape proves its sites");
-        assert_eq!(after[1], before[1], "{n} device(s): sites left checked");
+        let [proven, checked] =
+            sim.devices.iter().map(sites).fold([0, 0], |a, s| [a[0] + s[0], a[1] + s[1]]);
+        assert!(proven > 0, "{n} device(s): a new launch shape proves its sites");
+        assert_eq!(checked, 0, "{n} device(s): sites left checked");
     }
 }

@@ -7,26 +7,48 @@
 //! uploads nor drop bytes — replicas land under `vgpu.halo.replicate.*`
 //! and the `vgpu.xfer.*` totals stay identical to the single-device run.
 //!
-//! Own test binary: the telemetry counters are process-global, so these
-//! deltas must not race with unrelated transfers (tests here serialise on
-//! a local mutex and nothing else in this binary moves bytes).
+//! Every simulation is built on a runtime of its own, so a runtime's
+//! counters are exactly what its simulation moved.
 
 use room_acoustics::{
-    BoundaryKernel, GridDims, Precision, RoomShape, ShardedSim, SimConfig, SimSetup,
+    BoundaryKernel, GridDims, KernelSource, Precision, RoomShape, ShardedSim, SimConfig, SimSetup,
 };
-use std::sync::Mutex;
-use vgpu::telemetry;
-use vgpu::{Device, HaloTotals};
+use std::sync::Arc;
+use vgpu::{Device, DeviceProfile, Runtime};
 
-static COUNTERS: Mutex<()> = Mutex::new(());
-
-fn to_gpu() -> (u64, u64) {
-    let reg = telemetry::registry();
-    (reg.counter("vgpu.xfer.to_gpu.bytes").get(), reg.counter("vgpu.xfer.to_gpu.transfers").get())
+/// The transfer and sharding counters of one runtime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Accounts {
+    /// `vgpu.xfer.to_gpu.{bytes,transfers}`.
+    to_gpu: (u64, u64),
+    /// `vgpu.halo.{bytes,copies}`.
+    halo: (u64, u64),
+    /// `vgpu.halo.replicate.{bytes,transfers}`.
+    replicate: (u64, u64),
 }
 
-fn devices(n: usize) -> Vec<Device> {
-    (0..n).map(|_| Device::gtx780()).collect()
+fn accounts(rt: &Runtime) -> Accounts {
+    let c = |name: &str| rt.registry.counter(name).get();
+    let pair =
+        |what: &str, n: &str| (c(&format!("vgpu.{what}.bytes")), c(&format!("vgpu.{what}.{n}")));
+    Accounts {
+        to_gpu: pair("xfer.to_gpu", "transfers"),
+        halo: pair("halo", "copies"),
+        replicate: pair("halo.replicate", "transfers"),
+    }
+}
+
+/// `s` built on `n` devices of a fresh runtime with the environment's
+/// settings.
+fn build(
+    s: &SimSetup,
+    precision: Precision,
+    kind: impl KernelSource,
+    n: usize,
+) -> (ShardedSim, Arc<Runtime>) {
+    let rt = Runtime::new(vgpu::runtime().settings);
+    let devices = (0..n).map(|_| Device::with_runtime(DeviceProfile::gtx780(), rt.clone()));
+    (ShardedSim::new(s.clone(), precision, kind, devices.collect()), rt)
 }
 
 /// Build-time upload accounting, FI-MM: 3 devices vs 1. Grid slabs move
@@ -34,36 +56,25 @@ fn devices(n: usize) -> Vec<Device> {
 /// boundary lists are disjoint slices; β is replicated.
 #[test]
 fn fimm_replicated_uploads_account_exactly_once() {
-    let _g = COUNTERS.lock().unwrap();
     let s = SimSetup::new(&SimConfig::fimm(GridDims::cube(12), RoomShape::Box));
     let kind = BoundaryKernel::FiMm { beta_constant: false };
 
-    let (b0, t0) = to_gpu();
-    let h0 = HaloTotals::snapshot();
-    let _one = ShardedSim::new(s.clone(), Precision::Double, kind, devices(1));
-    let (b1, t1) = to_gpu();
-    let h1 = HaloTotals::snapshot();
-    let single_bytes = b1 - b0;
+    let one = accounts(&build(&s, Precision::Double, kind, 1).1);
     // A single-device build replicates nothing and exchanges nothing.
-    assert_eq!(h1.delta_since(&h0).replicate_bytes, 0);
-    assert_eq!(h1.delta_since(&h0).bytes, 0);
+    assert_eq!((one.replicate, one.halo), ((0, 0), (0, 0)));
 
-    let _three = ShardedSim::new(s.clone(), Precision::Double, kind, devices(3));
-    let (b2, t2) = to_gpu();
-    let h2 = HaloTotals::snapshot();
+    let three = accounts(&build(&s, Precision::Double, kind, 3).1);
     // Exactly-once: the sharded build's accounted host→device bytes equal
     // the single-device build's, even though the same Arc'd artifacts and
     // tables serve three devices...
-    assert_eq!(b2 - b1, single_bytes, "sharded to_gpu bytes must match single-device");
+    assert_eq!(three.to_gpu.0, one.to_gpu.0, "sharded to_gpu bytes must match single-device");
     // ...with more (smaller) transfers, never fewer.
-    assert!(t2 - t1 > t1 - t0, "per-slab region writes split transfers");
+    assert!(three.to_gpu.1 > one.to_gpu.1, "per-slab region writes split transfers");
     // The β table re-uploads land under vgpu.halo.replicate.*: one per
     // extra device, byte-exact.
-    let rep = h2.delta_since(&h1);
     let beta_bytes = (s.betas.len() * 8) as u64;
-    assert_eq!(rep.replicate_transfers, 2, "one replica per extra device");
-    assert_eq!(rep.replicate_bytes, 2 * beta_bytes);
-    assert_eq!(rep.bytes, 0, "construction does no halo exchange");
+    assert_eq!(three.replicate, (2 * beta_bytes, 2), "one replica per extra device");
+    assert_eq!(three.halo, (0, 0), "construction does no halo exchange");
 }
 
 /// Same audit for FD-MM, which replicates four coefficient tables plus β,
@@ -71,39 +82,27 @@ fn fimm_replicated_uploads_account_exactly_once() {
 /// host transfers, no replicas.
 #[test]
 fn fdmm_replication_and_steps_keep_xfer_totals_clean() {
-    let _g = COUNTERS.lock().unwrap();
     let s = SimSetup::new(&SimConfig::fdmm(GridDims::cube(12), RoomShape::Dome));
-
-    let (b0, _) = to_gpu();
-    let h0 = HaloTotals::snapshot();
-    let _one = ShardedSim::new(s.clone(), Precision::Single, BoundaryKernel::FdMm, devices(1));
-    let (b1, _) = to_gpu();
-    let single_bytes = b1 - b0;
-
-    let mut two = ShardedSim::new(s.clone(), Precision::Single, BoundaryKernel::FdMm, devices(2));
-    let (b2, _) = to_gpu();
-    let h2 = HaloTotals::snapshot();
-    assert_eq!(b2 - b1, single_bytes, "sharded to_gpu bytes must match single-device");
-    let rep = h2.delta_since(&h0);
+    let one = accounts(&build(&s, Precision::Single, BoundaryKernel::FdMm, 1).1);
+    let (mut two, rt) = build(&s, Precision::Single, BoundaryKernel::FdMm, 2);
+    let built = accounts(&rt);
+    assert_eq!(built.to_gpu.0, one.to_gpu.0, "sharded to_gpu bytes must match single-device");
     let fa = s.fd.as_ref().expect("FD coefficients");
     let table_elems = {
         let fd = room_acoustics::reference::FdArrays::<f64>::from_coeffs(fa);
         fd.bi.len() + fd.d.len() + fd.di.len() + fd.f.len()
     };
     let expect = (table_elems * 4 + s.betas.len() * 4) as u64; // f32 tables
-    assert_eq!(rep.replicate_bytes, expect, "β + 4 FD tables replicated once");
-    assert_eq!(rep.replicate_transfers, 5);
+    assert_eq!(built.replicate, (expect, 5), "β + 4 FD tables replicated once");
 
     // Steps are device-resident: only the seam planes move, all of it
     // accounted under vgpu.halo.*.
     two.impulse(6, 6, 6, 1.0);
-    let (b3, t3) = to_gpu();
-    let h3 = HaloTotals::snapshot();
+    let before = accounts(&rt);
     two.run(4);
-    let (b4, t4) = to_gpu();
-    let halo = HaloTotals::snapshot().delta_since(&h3);
-    assert_eq!((b4, t4), (b3, t3), "steps must not touch vgpu.xfer.*");
-    assert_eq!(halo.bytes, 4 * two.halo_bytes_per_step());
-    assert_eq!(halo.copies, 4 * 2, "two plane copies per seam per step");
-    assert_eq!(halo.replicate_bytes, 0);
+    let after = accounts(&rt);
+    assert_eq!(after.to_gpu, before.to_gpu, "steps must not touch vgpu.xfer.*");
+    let halo = (after.halo.0 - before.halo.0, after.halo.1 - before.halo.1);
+    assert_eq!(halo, (4 * two.halo_bytes_per_step(), 4 * 2), "two plane copies per seam per step");
+    assert_eq!(after.replicate, before.replicate);
 }

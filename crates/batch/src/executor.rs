@@ -9,9 +9,13 @@
 //! every room after the first of a given kernel class skips AST building,
 //! compilation and static verification.
 //!
+//! Jobs run on devices of the executor's [`vgpu::Runtime`], whose settings
+//! pick engine, sanitizer and device count, and which gets their accounts.
+//!
 //! A room the front end cannot build (a [`room_acoustics::SimError`], e.g.
-//! more `VGPU_DEVICES` than the room has z-planes) fails its job with that
-//! error's message. Panics inside a job (including the differential engine's
+//! a scenario assigning materials its model does not define, or more
+//! devices than the room has z-planes) fails its job with that error's
+//! message. Panics inside a job (including the differential engine's
 //! bit-exactness assertions) are caught and reported the same way — one bad
 //! room fails its job, not the batch.
 
@@ -25,16 +29,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 use vgpu::telemetry::sink::KernelSummary;
-use vgpu::telemetry::KernelMetrics;
-use vgpu::{Device, Engine, ExecMode};
+use vgpu::telemetry::{KernelMetrics, Registry};
+use vgpu::{Device, DeviceProfile, ExecMode, Runtime};
 
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Worker threads draining the queue.
     pub threads: usize,
-    /// Engine override for every job's device (`None` → `VGPU_ENGINE`).
-    pub engine: Option<Engine>,
     /// Execution mode for every launch.
     pub mode: ExecMode,
     /// Enable the per-launch write-race detector.
@@ -46,13 +48,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig {
-            threads: 2,
-            engine: None,
-            mode: ExecMode::Fast,
-            race_check: false,
-            sidecar_dir: None,
-        }
+        BatchConfig { threads: 2, mode: ExecMode::Fast, race_check: false, sidecar_dir: None }
     }
 }
 
@@ -100,19 +96,26 @@ type Job = (Scenario, Sender<JobResult>);
 /// Multi-threaded batch executor (see module docs).
 pub struct BatchExecutor {
     cfg: BatchConfig,
+    rt: Arc<Runtime>,
     tx: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl BatchExecutor {
-    /// Starts `cfg.threads` workers.
+    /// Starts `cfg.threads` workers on the default runtime.
     pub fn new(cfg: BatchConfig) -> BatchExecutor {
+        BatchExecutor::with_runtime(cfg, Arc::clone(vgpu::runtime()))
+    }
+
+    /// Starts `cfg.threads` workers whose jobs run on devices of `rt`.
+    pub fn with_runtime(cfg: BatchConfig, rt: Arc<Runtime>) -> BatchExecutor {
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
         let workers = (0..cfg.threads.max(1))
             .map(|i| {
                 let rx = rx.clone();
                 let cfg = cfg.clone();
+                let rt = rt.clone();
                 std::thread::Builder::new()
                     .name(format!("batch-worker-{i}"))
                     .spawn(move || loop {
@@ -120,13 +123,13 @@ impl BatchExecutor {
                         let job = rx.lock().unwrap().recv();
                         match job {
                             Ok((scenario, done)) => {
-                                let reg = vgpu::telemetry::registry();
+                                let reg = &rt.registry;
                                 reg.gauge("batch.queue.depth").add(-1);
                                 let in_flight = reg.gauge("batch.jobs.in_flight");
                                 in_flight.add(1);
                                 let t0 = Instant::now();
-                                let result = run_job(&cfg, scenario);
-                                record_job_latency(&result.scenario, t0.elapsed());
+                                let result = run_job(&cfg, &rt, scenario);
+                                record_job_latency(reg, &result.scenario, t0.elapsed());
                                 in_flight.add(-1);
                                 // A dropped handle just means nobody waits.
                                 let _ = done.send(result);
@@ -137,7 +140,7 @@ impl BatchExecutor {
                     .expect("spawn batch worker")
             })
             .collect();
-        BatchExecutor { cfg, tx: Some(tx), workers }
+        BatchExecutor { cfg, rt, tx: Some(tx), workers }
     }
 
     /// The configuration the executor was started with.
@@ -148,7 +151,7 @@ impl BatchExecutor {
     /// Enqueues a scenario; returns the handle its result arrives on.
     pub fn submit(&self, scenario: Scenario) -> JobHandle {
         let (done_tx, done_rx) = channel();
-        vgpu::telemetry::registry().gauge("batch.queue.depth").add(1);
+        self.rt.registry.gauge("batch.queue.depth").add(1);
         self.tx
             .as_ref()
             .expect("executor is running")
@@ -179,9 +182,8 @@ impl Drop for BatchExecutor {
 /// `batch.job.latency_us.<boundary>.<precision>` (the registry keys metrics
 /// by name, so the label rides in the name). Snapshots expose p50/p95/p99
 /// per class.
-fn record_job_latency(sc: &Scenario, elapsed: std::time::Duration) {
+fn record_job_latency(reg: &Registry, sc: &Scenario, elapsed: std::time::Duration) {
     let us = elapsed.as_micros() as u64;
-    let reg = vgpu::telemetry::registry();
     reg.histogram("batch.job.latency_us").record(us);
     reg.histogram(&format!(
         "batch.job.latency_us.{}.{}",
@@ -192,8 +194,8 @@ fn record_job_latency(sc: &Scenario, elapsed: std::time::Duration) {
 }
 
 /// Runs one job on the calling worker thread.
-fn run_job(cfg: &BatchConfig, scenario: Scenario) -> JobResult {
-    let outcome = catch_job(|| run_sim(cfg, &scenario));
+fn run_job(cfg: &BatchConfig, rt: &Arc<Runtime>, scenario: Scenario) -> JobResult {
+    let outcome = catch_job(|| run_sim(cfg, rt, &scenario));
     JobResult { scenario, outcome }
 }
 
@@ -212,20 +214,17 @@ fn catch_job<T>(job: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
     })
 }
 
-fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
-    // `VGPU_DEVICES > 1` spreads the job over that many Z-slab devices
-    // (bit-identical to one device; see DESIGN.md §12).
-    let devices = (0..vgpu::device_count_from_env())
+fn run_sim(cfg: &BatchConfig, rt: &Arc<Runtime>, sc: &Scenario) -> Result<JobOutput, String> {
+    // Several devices (`VGPU_DEVICES > 1`) spread the job over as many
+    // Z-slabs (bit-identical to one device; see DESIGN.md §12).
+    let devices = (0..rt.settings.devices)
         .map(|_| {
-            let mut d = Device::gtx780();
-            if let Some(engine) = cfg.engine {
-                d.set_engine(engine);
-            }
+            let mut d = Device::with_runtime(DeviceProfile::gtx780(), rt.clone());
             d.set_race_check(cfg.race_check);
             d
         })
         .collect();
-    let setup = SimSetup::new(&sc.config());
+    let setup = SimSetup::try_new(&sc.config()).map_err(|e| e.to_string())?;
     let mut sim = Simulation::try_new(setup, sc.precision, sc.boundary_kernel(), devices)
         .map_err(|e| e.to_string())?;
 
@@ -279,17 +278,20 @@ fn write_sidecar(
     wall_ms: f64,
     verifier_clean: bool,
 ) -> std::io::Result<PathBuf> {
-    // Job-scoped trace attribution: the process-wide telemetry buffer mixes
-    // events from every concurrently-running job, but each job's device
-    // records on its own tracks — filter to them so a sidecar never carries
-    // another job's kernel events. Empty when tracing is off (the devices
-    // then allocated no tracks).
+    // Job-scoped trace attribution: the runtime's trace buffer mixes events
+    // from every concurrently-running job, but each job's device records on
+    // its own tracks — filter to them so a sidecar never carries another
+    // job's kernel events. Empty when tracing is off (the devices then
+    // allocated no tracks).
     let tracks: Vec<vgpu::telemetry::TrackId> =
         devices.iter().filter_map(|d| d.telemetry_tracks()).flatten().collect();
     let trace_events: Vec<vgpu::telemetry::Event> = if tracks.is_empty() {
         Vec::new()
     } else {
-        vgpu::telemetry::events_snapshot()
+        devices[0]
+            .runtime()
+            .trace
+            .events_snapshot()
             .into_iter()
             .filter(|ev| ev.track().is_some_and(|t| tracks.contains(&t)))
             .collect()
@@ -373,18 +375,36 @@ mod tests {
             let n = 16 * 4096;
             let failed = catch_job(|| {
                 let mut dev = Device::gtx780();
-                dev.set_engine(Engine::Fast);
+                dev.set_engine(vgpu::Engine::Fast);
                 let prep = dev.compile(&overrun_kernel()).map_err(|e| format!("{e:?}"))?;
                 let out = dev.upload(BufData::from(vec![0.0f32; n]));
                 let args = [Arg::Buf(out), Arg::Val(Value::I32(n as i32))];
                 dev.launch(&prep, &args, &[n], ExecMode::Fast).map_err(|e| format!("{e:?}"))
             });
-            let next = run_job(&BatchConfig::default(), ScenarioGen::new(3).take(1).remove(0));
+            let next = run_job(
+                &BatchConfig::default(),
+                vgpu::runtime(),
+                ScenarioGen::new(3).take(1).remove(0),
+            );
             (failed, next)
         });
         let (failed, next) = worker.join().expect("the worker thread survives a failed job");
         let err = failed.expect_err("the overrun must fail its job");
         assert!(err.starts_with("panic: ") && err.contains("store out of bounds"), "{err}");
         assert!(next.outcome.is_ok(), "next job on the same worker: {:?}", next.outcome);
+    }
+
+    /// A scenario whose room the front end cannot set up fails its job with
+    /// the typed error's text, not a caught panic, and nothing else fails.
+    #[test]
+    fn a_scenario_that_assigns_undefined_materials_fails_its_job_with_the_setup_error() {
+        let mut bad = ScenarioGen::new(11).take(3);
+        bad[1].assignment = room_acoustics::MaterialAssignment::Striped { num_materials: 5 };
+        let results = BatchExecutor::new(BatchConfig::default()).run_all(bad);
+        assert_eq!(
+            results[1].outcome.as_ref().map(|_| ()),
+            Err(&"room assigns 5 materials but only 3 defined".to_string())
+        );
+        assert!(results[0].outcome.is_ok() && results[2].outcome.is_ok());
     }
 }

@@ -1,23 +1,20 @@
-//! `VGPU_DEVICES` routes batch jobs through the Z-slab sharded backend,
-//! bit-identically to the single-device path.
-//!
-//! Own test binary with a single test: `VGPU_DEVICES` is process-global
-//! state, so nothing else may read it concurrently.
+//! A runtime's device count (`VGPU_DEVICES` for the default one) routes
+//! batch jobs through the Z-slab sharded backend, bit-identically to the
+//! single-device path.
 
 use batch::{BatchConfig, BatchExecutor, ScenarioGen};
-use vgpu::Engine;
+use vgpu::{Engine, Runtime, Settings};
 
 #[test]
 fn sharded_jobs_are_bit_identical_to_single_device() {
     let scenarios = ScenarioGen::new(99).take(6);
-    let config =
-        || BatchConfig { threads: 2, engine: Some(Engine::Differential), ..Default::default() };
-
-    std::env::remove_var("VGPU_DEVICES");
-    let single = BatchExecutor::new(config()).run_all(scenarios.clone());
-    std::env::set_var("VGPU_DEVICES", "3");
-    let sharded = BatchExecutor::new(config()).run_all(scenarios);
-    std::env::remove_var("VGPU_DEVICES");
+    let run = |devices: usize| {
+        let cfg = BatchConfig { threads: 2, ..Default::default() };
+        let env = vgpu::runtime().settings;
+        let rt = Runtime::new(Settings { engine: Engine::Differential, devices, ..env });
+        BatchExecutor::with_runtime(cfg, rt).run_all(scenarios.clone())
+    };
+    let (single, sharded) = (run(1), run(3));
 
     assert_eq!(single.len(), sharded.len());
     for (a, b) in single.iter().zip(&sharded) {

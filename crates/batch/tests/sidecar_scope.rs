@@ -1,7 +1,7 @@
 //! Regression: per-job telemetry sidecars must be *job-scoped*.
 //!
-//! The telemetry event buffer is process-global, so two jobs running on
-//! different worker threads interleave their events in it. Each job's device
+//! An executor's jobs share its runtime's trace buffer, so two jobs running
+//! on different worker threads interleave their events in it. Each job's device
 //! records on its own lazily-allocated tracks, and the sidecar writer
 //! filters the shared buffer down to those tracks — a sidecar must never
 //! carry another job's kernel events, no matter how the scheduler
@@ -15,18 +15,23 @@ use batch::{BatchConfig, BatchExecutor, Scenario, ScenarioGen};
 use room_acoustics::{SimSetup, Simulation};
 use serde_json::Value;
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 use vgpu::telemetry::sink::KernelSummary;
-use vgpu::telemetry::KernelMetrics;
-use vgpu::{telemetry, Device, ExecMode};
+use vgpu::telemetry::{KernelMetrics, TraceMode};
+use vgpu::{Device, ExecMode, Runtime, Settings};
 
-/// The trace mode is process-wide and the two tests want different ones.
-static TRACE_MODE: Mutex<()> = Mutex::new(());
+/// An executor of two workers writing sidecars into `dir`, on a runtime
+/// that traces in `trace` mode.
+fn executor(trace: TraceMode, dir: &std::path::Path) -> BatchExecutor {
+    let cfg =
+        BatchConfig { threads: 2, sidecar_dir: Some(dir.to_path_buf()), ..Default::default() };
+    let rt = Runtime::new(Settings { trace, ..vgpu::runtime().settings });
+    BatchExecutor::with_runtime(cfg, rt)
+}
 
 /// One [`KernelSummary`] per kernel of the scenario stepped directly, on as
 /// many devices as a batch job uses, wall time left out.
 fn stepped_directly(sc: &Scenario) -> Vec<KernelSummary> {
-    let devices = (0..vgpu::device_count_from_env()).map(|_| Device::gtx780()).collect();
+    let devices = (0..vgpu::runtime().settings.devices).map(|_| Device::gtx780()).collect();
     let setup = SimSetup::new(&sc.config());
     let mut sim = Simulation::new(setup, sc.precision, sc.boundary_kernel(), devices);
     sim.impulse(sc.source.0, sc.source.1, sc.source.2, sc.amp);
@@ -40,42 +45,51 @@ fn stepped_directly(sc: &Scenario) -> Vec<KernelSummary> {
     kernels
 }
 
+/// A sidecar's `kernels` table with every row's `wall_ms`, which must be
+/// positive, set to zero.
+fn kernels_without_wall_time(doc: &Value, label: &str) -> Value {
+    let rows = doc.get("kernels").and_then(Value::as_array).expect("a kernels table");
+    let zero_wall = |row: &Value| {
+        let fields = row.as_object().unwrap_or_else(|| panic!("{label}: row {row}"));
+        let field = |(k, v): &(String, Value)| match k.as_str() {
+            "wall_ms" if v.as_f64().is_some_and(|w| w > 0.0) => {
+                (k.clone(), serde_json::to_value(&0.0))
+            }
+            "wall_ms" => panic!("{label}: no wall time in {row}"),
+            _ => (k.clone(), v.clone()),
+        };
+        Value::Object(fields.iter().map(field).collect())
+    };
+    Value::Array(rows.iter().map(zero_wall).collect())
+}
+
 /// With tracing off a sidecar's `kernels` is still the whole per-kernel
 /// table: equal, wall time aside, to folding the same scenario's steps
 /// directly, and `JobOutput::launches` is its launch count.
 #[test]
 fn untraced_sidecars_carry_the_fold_of_what_the_steps_returned() {
-    let _mode = TRACE_MODE.lock().unwrap();
-    telemetry::set_mode(telemetry::TraceMode::Off);
     let dir = std::env::temp_dir().join(format!("vgpu_sidecar_untraced_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = BatchConfig { threads: 2, sidecar_dir: Some(dir.clone()), ..Default::default() };
-    for r in BatchExecutor::new(cfg).run_all(ScenarioGen::new(7).take(4)) {
+    for r in executor(TraceMode::Off, &dir).run_all(ScenarioGen::new(7).take(4)) {
         let label = r.scenario.label();
         let out = r.outcome.as_ref().unwrap_or_else(|e| panic!("{label}: {e}"));
         let text = std::fs::read_to_string(out.sidecar.as_ref().expect("a sidecar")).unwrap();
         let doc: Value = serde_json::from_str(&text).unwrap();
         assert_eq!(doc.pointer("/trace/kernel_events").and_then(Value::as_u64), Some(0));
-        let rows = doc.get("kernels").expect("a kernels table").to_string();
-        let mut kernels: Vec<KernelSummary> = serde_json::from_str(&rows).unwrap();
-        assert!(kernels.iter().all(|k| k.wall_ms > 0.0), "{label}: {kernels:?}");
-        kernels.iter_mut().for_each(|k| k.wall_ms = 0.0);
-        assert_eq!(kernels, stepped_directly(&r.scenario), "{label}");
-        assert_eq!(out.launches as u64, kernels.iter().map(|k| k.launches).sum::<u64>());
+        let direct = stepped_directly(&r.scenario);
+        let kernels = kernels_without_wall_time(&doc, &label);
+        assert_eq!(kernels, serde_json::to_value(&direct), "{label}");
+        assert_eq!(out.launches as u64, direct.iter().map(|k| k.launches).sum::<u64>());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn two_thread_sidecars_carry_only_their_own_jobs_events() {
-    let _mode = TRACE_MODE.lock().unwrap();
-    // Enable event recording without a sink (events stay in the buffer).
-    telemetry::set_mode(telemetry::TraceMode::Json);
+    // Event recording without a sink (events stay in the buffer).
     let dir = std::env::temp_dir().join(format!("vgpu_sidecar_scope_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-
-    let cfg = BatchConfig { threads: 2, sidecar_dir: Some(dir.clone()), ..Default::default() };
-    let results = BatchExecutor::new(cfg).run_all(ScenarioGen::new(99).take(6));
+    let results = executor(TraceMode::Json, &dir).run_all(ScenarioGen::new(99).take(6));
 
     let mut all_tracks: BTreeSet<u64> = BTreeSet::new();
     for r in &results {

@@ -1,25 +1,22 @@
 //! Threaded stress: parallel jobs sharing the process-wide artifact cache
-//! and counter registry must be bit-identical to a serial run of the same
+//! and one runtime must be bit-identical to a serial run of the same
 //! scenarios, with every launch under the differential engine (the tree
 //! and tape legs asserted bit-equal inside each launch) and race-checked
 //! (a write race fails its job).
-//!
-//! The tests serialise on [`COUNTERS`] because the artifact counters are
-//! process-global and both tests read deltas.
 
 use batch::{BatchConfig, BatchExecutor, ScenarioGen};
 use std::sync::Mutex;
-use vgpu::{telemetry, Engine};
+use vgpu::{telemetry, Engine, Runtime, Settings};
 
+/// Guards the deltas of the process-wide `vgpu.artifact.*` counters: every
+/// test here compiles shipped kernel classes through the artifact map.
 static COUNTERS: Mutex<()> = Mutex::new(());
 
-fn diff_config(threads: usize) -> BatchConfig {
-    BatchConfig {
-        threads,
-        engine: Some(Engine::Differential),
-        race_check: true,
-        ..Default::default()
-    }
+/// A race-checked executor of `threads` workers on a differential runtime.
+fn diff_executor(threads: usize) -> BatchExecutor {
+    let cfg = BatchConfig { threads, race_check: true, ..Default::default() };
+    let settings = Settings { engine: Engine::Differential, ..vgpu::runtime().settings };
+    BatchExecutor::with_runtime(cfg, Runtime::new(settings))
 }
 
 #[test]
@@ -27,8 +24,8 @@ fn parallel_batch_is_bit_identical_to_serial_under_diff() {
     let _guard = COUNTERS.lock().unwrap();
     let scenarios = ScenarioGen::new(2024).take(10);
 
-    let serial = BatchExecutor::new(diff_config(1)).run_all(scenarios.clone());
-    let parallel = BatchExecutor::new(diff_config(4)).run_all(scenarios);
+    let serial = diff_executor(1).run_all(scenarios.clone());
+    let parallel = diff_executor(4).run_all(scenarios);
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
@@ -57,7 +54,7 @@ fn concurrent_rooms_share_compiled_artifacts() {
     let hits0 = reg.counter("vgpu.artifact.hits").get();
     let misses0 = reg.counter("vgpu.artifact.misses").get();
 
-    let results = BatchExecutor::new(diff_config(3)).run_all(ScenarioGen::new(7).take(16));
+    let results = diff_executor(3).run_all(ScenarioGen::new(7).take(16));
     for r in &results {
         assert!(r.outcome.is_ok(), "{}: {:?}", r.scenario.label(), r.outcome);
     }

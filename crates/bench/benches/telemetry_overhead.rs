@@ -2,10 +2,12 @@
 //! than 2 % per-step overhead on the hand-written FI stencil at cube(40).
 //!
 //! The instrumented path is [`vgpu::Device::launch`] — the production entry
-//! point, which carries the disabled-telemetry branches (one relaxed atomic
-//! load per gate) plus the unconditional launch counters. The baseline is a
+//! point, which carries the disabled-telemetry branches (one runtime field
+//! read per gate) plus the unconditional launch counters. The baseline is a
 //! raw [`vgpu::exec::launch`] loop over the same prepared kernel
-//! and buffers, which contains no telemetry instrumentation at all.
+//! and buffers, which contains no telemetry instrumentation at all. Both run
+//! on one runtime with tracing, profiling and the sanitizer off, whatever
+//! the `VGPU_*` environment says.
 //!
 //! Trials are interleaved and the minimum per-iteration time of each side is
 //! compared, so one-off scheduler noise cannot fail the guard. Run under
@@ -16,18 +18,16 @@
 //! (`VGPU_SANITIZE=off`, the default): unsanitized buffers carry no shadow,
 //! so each access pays exactly one `Option` discriminant test, and that
 //! branch is inside the measured instrumented path. A final informational
-//! pass re-measures with the sanitizer forced on (shadow-armed buffers) so
-//! the cost of *arming* it lands in the log; armed mode trades speed for
-//! checking and carries no bound.
+//! pass re-measures on a runtime with the sanitizer on (shadow-armed
+//! buffers) so the cost of *arming* it lands in the log; armed mode trades
+//! speed for checking and carries no bound.
 
 use bench::measure::fi_setup;
 use room_acoustics::GridDims;
 use std::time::Instant;
 use vgpu::buffer::SharedBuf;
 use vgpu::exec::{self, ArgBind};
-use vgpu::profiler::{self, ProfileMode};
-use vgpu::telemetry::{self, TraceMode};
-use vgpu::{Arg, BufData, Device, Engine, ExecMode};
+use vgpu::{Arg, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime, Settings};
 
 use lift::scalar::Value;
 use lift::types::ScalarKind;
@@ -43,17 +43,11 @@ fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    // The guard compares against a no-telemetry baseline, so tracing and
-    // profiling must be off regardless of the environment this runs in.
-    telemetry::set_mode(TraceMode::Off);
-    profiler::set_mode(ProfileMode::Off);
-    // Shadow mode deliberately pays per-access classification; the overhead
-    // contract below only speaks about the off mode, so an armed run can't
-    // measure it meaningfully.
-    if vgpu::sanitize::shadow_on() {
-        eprintln!("telemetry_overhead: skipped — VGPU_SANITIZE=shadow arms per-access checks");
-        return;
-    }
+    // The guard compares against a no-telemetry baseline, so tracing,
+    // profiling and the sanitizer are off (the defaults) whatever the
+    // environment says.
+    let off = Settings::default();
+    let rt = Runtime::new(off);
 
     let (n, trials, iters, bound) = if smoke { (24, 3, 5, 1.5) } else { (40, 7, 20, 1.02) };
     let dims = GridDims::cube(n);
@@ -63,8 +57,7 @@ fn main() {
     let total = dims.total();
 
     // Instrumented side: the Device entry point.
-    let mut device = Device::gtx780();
-    device.set_engine(Engine::Fast);
+    let mut device = Device::with_runtime(DeviceProfile::gtx780(), rt.clone());
     let prep = device.compile(&kernel).unwrap();
     let prev = device.create_buffer_zeroed(ScalarKind::F32, total);
     let curr = device.create_buffer_zeroed(ScalarKind::F32, total);
@@ -96,8 +89,8 @@ fn main() {
         ArgBind::Val(Value::I32(dims.nz as i32)),
     ];
     let baseline_step = || {
-        exec::launch(&prep, &base_binds, &global, None, ExecMode::Fast, false, 128, Engine::Fast)
-            .unwrap();
+        let (mode, engine) = (ExecMode::Fast, Engine::Fast);
+        exec::launch(&prep, &base_binds, &global, None, mode, false, 128, engine, &rt).unwrap();
     };
 
     // Warm both paths (first-touch, lazy tape state, allocator warm-up).
@@ -137,21 +130,18 @@ fn main() {
         (bound - 1.0) * 100.0
     );
 
-    // Informational pass: arm the shadow sanitizer (process-wide and
-    // sticky, so this must stay the last measurement) and re-run the same
-    // step on shadow-carrying buffers. No bound — armed mode buys checking
-    // with time — but the clean stencil must stay finding-free, and the
-    // ratio lands in the log next to the off-mode numbers.
-    vgpu::sanitize::force_shadow();
-    let mut sdev = Device::gtx780();
-    sdev.set_engine(Engine::Fast);
+    // Informational pass: a runtime with the shadow sanitizer armed re-runs
+    // the same step on shadow-carrying buffers. No bound — armed mode buys
+    // checking with time — but the clean stencil must stay finding-free, and
+    // the ratio lands in the log next to the off-mode numbers.
+    let armed = Runtime::new(Settings { shadow: true, ..off });
+    let mut sdev = Device::with_runtime(DeviceProfile::gtx780(), armed.clone());
     let sprep = sdev.compile(&kernel).unwrap();
     let sbufs: Vec<_> = (0..3).map(|_| sdev.create_buffer_zeroed(ScalarKind::F32, total)).collect();
     let mut sargs = args;
     sargs[0] = Arg::Buf(sbufs[0]);
     sargs[1] = Arg::Buf(sbufs[1]);
     sargs[2] = Arg::Buf(sbufs[2]);
-    let findings_before = vgpu::sanitize::findings().len();
     for _ in 0..iters.min(5) {
         sdev.launch(&sprep, &sargs, &global, ExecMode::Fast).unwrap();
     }
@@ -161,11 +151,7 @@ fn main() {
             sdev.launch(&sprep, &sargs, &global, ExecMode::Fast).unwrap();
         }));
     }
-    assert_eq!(
-        vgpu::sanitize::findings().len(),
-        findings_before,
-        "shadow sanitizer flagged the clean stencil"
-    );
+    assert!(armed.findings.all().is_empty(), "shadow sanitizer flagged the clean stencil");
     println!(
         "sanitize_overhead: VGPU_SANITIZE=shadow {:.3} ms/step, ratio {:.2} vs off \
          (informational — armed mode has no bound)",

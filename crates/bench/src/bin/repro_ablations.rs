@@ -279,5 +279,5 @@ fn main() {
         Ok(p) => eprintln!("wrote {p}"),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    bench::trace::finish("ablations");
+    bench::trace::finish(vgpu::runtime(), "ablations");
 }

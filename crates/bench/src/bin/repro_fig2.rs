@@ -112,6 +112,6 @@ fn main() {
         Ok(p) => eprintln!("wrote {p}"),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    bench::trace::finish("fig2");
+    bench::trace::finish(vgpu::runtime(), "fig2");
     std::process::exit(if failures == 0 { 0 } else { 1 });
 }

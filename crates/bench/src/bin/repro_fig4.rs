@@ -35,6 +35,6 @@ fn main() {
         Ok(p) => eprintln!("wrote {p}"),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    bench::trace::finish("fig4_table4");
+    bench::trace::finish(vgpu::runtime(), "fig4_table4");
     std::process::exit(if failures == 0 { 0 } else { 1 });
 }

@@ -52,6 +52,6 @@ fn main() {
         Ok(p) => eprintln!("wrote {p}"),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    bench::trace::finish("fig5_table5");
+    bench::trace::finish(vgpu::runtime(), "fig5_table5");
     std::process::exit(if failures == 0 { 0 } else { 1 });
 }

@@ -68,6 +68,6 @@ fn main() {
         Ok(p) => eprintln!("wrote {p}"),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    bench::trace::finish("fig6_table6");
+    bench::trace::finish(vgpu::runtime(), "fig6_table6");
     std::process::exit(if failures == 0 { 0 } else { 1 });
 }

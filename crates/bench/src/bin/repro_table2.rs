@@ -91,6 +91,6 @@ fn main() {
         Ok(p) => eprintln!("wrote {p}"),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    bench::trace::finish("table2");
+    bench::trace::finish(vgpu::runtime(), "table2");
     std::process::exit(if failures == 0 { 0 } else { 1 });
 }

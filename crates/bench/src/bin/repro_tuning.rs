@@ -123,6 +123,6 @@ fn main() {
         Ok(p) => eprintln!("wrote {p}"),
         Err(e) => eprintln!("could not write results: {e}"),
     }
-    bench::trace::finish("tuning");
+    bench::trace::finish(vgpu::runtime(), "tuning");
     std::process::exit(if ok { 0 } else { 1 });
 }

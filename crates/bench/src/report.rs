@@ -123,14 +123,14 @@ pub fn print_report(title: &str, rows: &[ReportRow]) {
     }
 }
 
-/// Renders the per-kernel launch/flop/byte totals accumulated by the
-/// telemetry layer during this run, or `None` when tracing is off or no
-/// kernel event was recorded.
+/// Renders the per-kernel launch/flop/byte totals the default runtime
+/// traced, or `None` when tracing is off or no kernel event was recorded.
 pub fn kernel_summary_section() -> Option<String> {
-    if !vgpu::telemetry::enabled() {
+    let trace = &vgpu::runtime().trace;
+    if !trace.enabled() {
         return None;
     }
-    let events = vgpu::telemetry::events_snapshot();
+    let events = trace.events_snapshot();
     let kernels = vgpu::telemetry::sink::kernel_summaries(&events);
     if kernels.is_empty() {
         return None;

@@ -1,7 +1,7 @@
 //! Trace artifact emission for the `repro_*` binaries.
 //!
-//! Each binary calls [`finish`] once, after its measurements: depending on
-//! `VGPU_TRACE` this prints the telemetry summary table (`summary`), writes
+//! Each binary calls [`finish`] once, after its measurements, with the
+//! runtime its devices ran on: depending on its `VGPU_TRACE` mode this prints the telemetry summary table (`summary`), writes
 //! a JSONL event stream to `results/<name>.trace.jsonl` (`json`), or writes
 //! a Perfetto-loadable Chrome trace to `results/<name>.trace.json`
 //! (`chrome`). In the two file modes a machine-readable
@@ -12,7 +12,8 @@
 use serde::Serialize;
 use std::fs;
 use std::path::{Path, PathBuf};
-use vgpu::telemetry::{self, sink, MetricSnapshot, TraceMode};
+use vgpu::telemetry::{sink, MetricSnapshot, TraceMode};
+use vgpu::Runtime;
 
 /// The sidecar summary written next to a trace artifact.
 #[derive(Debug, Serialize)]
@@ -21,7 +22,7 @@ pub struct TelemetryReport {
     pub kernels: Vec<sink::KernelSummary>,
     /// Transfer totals by direction.
     pub transfers: Vec<sink::TransferSummary>,
-    /// Snapshot of the process-wide metric registry.
+    /// Snapshot of the runtime's metric registry.
     pub metrics: Vec<MetricSnapshot>,
 }
 
@@ -29,18 +30,17 @@ fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
-/// Drains the telemetry buffer and emits the artifact selected by
-/// `VGPU_TRACE` (see module docs). Returns the trace file path in the file
-/// modes, `None` for `off`/`summary`. Emission failures are reported to
-/// stderr, never fatal — a repro run's exit code reflects its shape checks,
-/// not its tracing.
-pub fn finish(name: &str) -> Option<String> {
-    let mode = telemetry::mode();
+/// Drains `rt`'s trace and emits the artifact its trace mode selects (see
+/// module docs). Returns the trace file path in the file modes, `None` for
+/// `off`/`summary`. Emission failures are reported to stderr, never fatal —
+/// a repro run's exit code reflects its shape checks, not its tracing.
+pub fn finish(rt: &Runtime, name: &str) -> Option<String> {
+    let mode = rt.settings.trace;
     if mode == TraceMode::Off {
         return None;
     }
-    let events = telemetry::take_events();
-    let metrics = telemetry::registry().snapshot();
+    let events = rt.trace.take_events();
+    let metrics = rt.registry.snapshot();
     if mode == TraceMode::Summary {
         eprintln!("{}", sink::render_summary(&events, &metrics));
         return None;

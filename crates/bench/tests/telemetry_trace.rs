@@ -4,18 +4,15 @@
 //! `repro_*` binaries use) must leave a Perfetto-loadable file whose kernel
 //! and transfer spans carry the expected names and whose per-kernel flop
 //! and transaction-byte totals reconcile exactly (±0) with what the steps
-//! returned. CI uploads the file.
-//!
-//! Telemetry state is process-global, so this file holds a single `#[test]`
-//! — integration-test binaries are separate processes, which isolates it
-//! from the vgpu crate's own telemetry tests.
+//! returned. CI uploads the file. The simulations run on a runtime of their
+//! own, whose trace holds nothing else.
 
 use bench::measure::{fi_setup, fi_single_kernels, Impl};
 use lift_acoustics::LiftBoundary;
 use room_acoustics::{GridDims, Precision, RoomShape, SimConfig, SimSetup, Simulation};
 use std::collections::BTreeMap;
-use vgpu::telemetry::{self, sink, TraceMode};
-use vgpu::{Device, ExecMode};
+use vgpu::telemetry::{sink, TraceMode};
+use vgpu::{Device, DeviceProfile, ExecMode, Runtime, Settings};
 
 /// Launches, flops and transaction bytes per kernel name.
 type Totals = BTreeMap<String, (u64, u64, u64)>;
@@ -37,14 +34,13 @@ fn run(mut sim: Simulation, steps: usize, totals: &mut Totals) {
 
 #[test]
 fn cube16_fi_and_fimm_traces_are_golden_at_both_precisions() {
-    telemetry::set_mode(TraceMode::Chrome);
-    telemetry::take_events(); // start from a clean buffer
+    let rt = Runtime::new(Settings { trace: TraceMode::Chrome, ..vgpu::runtime().settings });
 
     let dims = GridDims::cube(16);
     let steps = 3;
     let mut expected = Totals::new();
     for precision in [Precision::Single, Precision::Double] {
-        let device = || vec![Device::gtx780()];
+        let device = || vec![Device::with_runtime(DeviceProfile::gtx780(), rt.clone())];
         let fi = fi_single_kernels(Impl::Lift, precision);
         run(Simulation::new(fi_setup(dims, 0.1), precision, fi, device()), steps, &mut expected);
         let fimm = SimSetup::new(&SimConfig::fimm(dims, RoomShape::Box));
@@ -56,8 +52,9 @@ fn cube16_fi_and_fimm_traces_are_golden_at_both_precisions() {
         assert_eq!(totals.0, 2 * steps as u64, "{name}: one launch per step and precision");
     }
 
-    let events = telemetry::events_snapshot();
-    let path = bench::trace::finish("telemetry_trace").expect("chrome mode writes a trace file");
+    let events = rt.trace.events_snapshot();
+    let path =
+        bench::trace::finish(&rt, "telemetry_trace").expect("chrome mode writes a trace file");
     let text = std::fs::read_to_string(&path).expect("trace file readable");
     let stats =
         sink::validate_chrome(&text).unwrap_or_else(|e| panic!("invalid trace {path}: {e}"));

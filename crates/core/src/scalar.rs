@@ -7,13 +7,13 @@
 //! "generated code" deliverable intact.
 
 use crate::types::ScalarKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::rc::Rc;
 
 /// A runtime scalar value. Arithmetic is performed in the value's own
 /// precision so `vgpu` results are bit-identical to a native f32/f64 kernel.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
 pub enum Value {
     /// 32-bit float.
     F32(f32),

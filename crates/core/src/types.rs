@@ -184,12 +184,6 @@ impl Type {
             Type::Array(e, _) => e.has_real(),
         }
     }
-
-    /// Structural equality modulo arithmetic normalisation (lengths compare
-    /// via the normalised `ArithExpr` representation).
-    pub fn same_as(&self, other: &Type) -> bool {
-        self == other
-    }
 }
 
 impl fmt::Debug for Type {

@@ -1,19 +1,19 @@
 //! The role binder over both kernel families: every shipped generated
 //! kernel binds, a simulation uploads exactly what the front end it
 //! replaced uploaded, and generated kernels launch under their contract.
-//!
-//! Own test binary, serialized on a local mutex: the upload pins are deltas
-//! of the process-wide `vgpu.xfer.to_gpu.*` counters.
+//! Each pin reads the counters of a device on a runtime of its own.
 
 use lift::prelude::ScalarKind;
 use lift_acoustics::{programs, runner, LiftBoundary};
 use room_acoustics::{
     BoundaryKernel, GridDims, KernelSource, Precision, RoomShape, SimConfig, SimSetup, Simulation,
 };
-use std::sync::Mutex;
-use vgpu::{Device, Engine, ExecMode};
+use vgpu::{Device, DeviceProfile, Engine, ExecMode, Runtime};
 
-static COUNTERS: Mutex<()> = Mutex::new(());
+/// A device on a fresh runtime with the environment's settings.
+fn device() -> Device {
+    Device::with_runtime(DeviceProfile::gtx780(), Runtime::new(vgpu::runtime().settings))
+}
 
 #[test]
 fn every_generated_kernel_resolves_every_parameter() {
@@ -26,17 +26,11 @@ fn every_generated_kernel_resolves_every_parameter() {
     }
 }
 
-fn to_gpu() -> (u64, u64) {
-    let reg = vgpu::telemetry::registry();
-    (reg.counter("vgpu.xfer.to_gpu.bytes").get(), reg.counter("vgpu.xfer.to_gpu.transfers").get())
-}
-
 /// (bytes, transfers) a construction moves host → device.
 fn uploaded(setup: &SimSetup, precision: Precision, source: impl KernelSource) -> (u64, u64) {
-    let (b0, t0) = to_gpu();
-    let _sim = Simulation::new(setup.clone(), precision, source, vec![Device::gtx780()]);
-    let (b1, t1) = to_gpu();
-    (b1 - b0, t1 - t0)
+    let sim = Simulation::new(setup.clone(), precision, source, vec![device()]);
+    let reg = &sim.devices[0].runtime().registry;
+    (reg.counter("vgpu.xfer.to_gpu.bytes").get(), reg.counter("vgpu.xfer.to_gpu.transfers").get())
 }
 
 /// Pinned on the commit before `Simulation` existed, from
@@ -45,7 +39,6 @@ fn uploaded(setup: &SimSetup, precision: Precision, source: impl KernelSource) -
 /// for the generated kernels only.
 #[test]
 fn a_simulation_uploads_what_the_front_end_it_replaced_uploaded() {
-    let _g = COUNTERS.lock().unwrap();
     let fdmm = SimSetup::new(&SimConfig::fdmm(GridDims::cube(12), RoomShape::Dome));
     assert_eq!(uploaded(&fdmm, Precision::Single, BoundaryKernel::FdMm), (8732, 8));
     assert_eq!(uploaded(&fdmm, Precision::Single, LiftBoundary::FdMm), (9564, 9));
@@ -64,20 +57,14 @@ fn a_simulation_uploads_what_the_front_end_it_replaced_uploaded() {
 /// (the volume kernel's store is two sites, one per arm of `nbrs > 0`).
 #[test]
 fn generated_kernels_launch_under_their_contract() {
-    let _g = COUNTERS.lock().unwrap();
-    let sites = || {
-        let reg = vgpu::telemetry::registry();
-        let (proven, checked) = ("vgpu.tape.sites_proven", "vgpu.tape.sites_checked");
-        (reg.counter(proven).get(), reg.counter(checked).get())
-    };
     // A room no other test of this binary launches: proofs are memoized per
     // launch shape, and only a first sighting moves the counters.
     let setup = SimSetup::new(&SimConfig::fdmm(GridDims::new(13, 11, 10), RoomShape::Dome));
-    let mut device = Device::gtx780();
+    let mut device = device();
     device.set_engine(Engine::Fast);
     let mut sim = Simulation::new(setup, Precision::Single, LiftBoundary::FdMm, vec![device]);
-    let (proven0, checked0) = sites();
     sim.step(ExecMode::Fast);
-    let (proven, checked) = sites();
-    assert_eq!((proven - proven0, checked - checked0), (39, 0));
+    let reg = &sim.devices[0].runtime().registry;
+    let (proven, checked) = ("vgpu.tape.sites_proven", "vgpu.tape.sites_checked");
+    assert_eq!((reg.counter(proven).get(), reg.counter(checked).get()), (39, 0));
 }

@@ -9,23 +9,13 @@
 //! statically-proven kernel must never produce a dynamic race report,
 //! and the deliberately racy fixture must be flagged by *both* levels
 //! with matching element and site provenance.
-//!
-//! The tests that launch take turns on [`LAUNCHES`]: a race-checked flat
-//! launch consults the bounds proof of its shape like any other, and one
-//! test reads deltas of the process-wide `vgpu.tape.sites_*` counters.
 
 use lift::prelude::*;
 use room_acoustics::geometry::{GridDims, RoomShape};
 use room_acoustics::sim::{SimConfig, SimSetup};
 use room_acoustics::{BoundaryKernel, HandwrittenSim, Precision, Simulation, StepKernels};
 use verify::fixtures;
-use vgpu::{Arg, Device, ExecMode};
-
-static LAUNCHES: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn take_turn() -> std::sync::MutexGuard<'static, ()> {
-    LAUNCHES.lock().unwrap_or_else(|e| e.into_inner())
-}
+use vgpu::{Arg, Device, DeviceProfile, ExecMode, Runtime};
 
 fn race_device() -> Device {
     let mut dev = Device::gtx780();
@@ -38,7 +28,6 @@ fn race_device() -> Device {
 /// unwrap launch results), failing the test.
 #[test]
 fn handwritten_suite_is_dynamically_race_free() {
-    let _turn = take_turn();
     for shape in [RoomShape::Box, RoomShape::LShape] {
         for boundary in [
             BoundaryKernel::FiMm { beta_constant: false },
@@ -61,7 +50,6 @@ fn handwritten_suite_is_dynamically_race_free() {
 /// Every LIFT-generated backend under the dynamic detector.
 #[test]
 fn generated_suite_is_dynamically_race_free() {
-    let _turn = take_turn();
     use lift_acoustics::{programs, runner, LiftBoundary, LiftSim};
     for shape in [RoomShape::Box, RoomShape::LShape] {
         for boundary in [LiftBoundary::FiMm, LiftBoundary::FdMm] {
@@ -90,7 +78,6 @@ fn generated_suite_is_dynamically_race_free() {
 /// dynamic report must name the same element and site.
 #[test]
 fn racy_fixture_flagged_statically_and_dynamically() {
-    let _turn = take_turn();
     let entries = fixtures::entries();
     let racy = entries.iter().find(|e| e.kernel.name == "fixture_racy").unwrap();
     let report = lift::verify::verify_kernel(&racy.kernel, &racy.assumptions);
@@ -119,14 +106,11 @@ fn racy_fixture_flagged_statically_and_dynamically() {
 /// release-mode bounds assert — a clean panic, not an unchecked write.
 #[test]
 fn oob_fixture_refuses_proof_licensed_elision() {
-    let _turn = take_turn();
     let entries = fixtures::entries();
     let oob = entries.iter().find(|e| e.kernel.name == "fixture_oob").unwrap();
-    let reg = vgpu::telemetry::registry();
-    let checked0 = reg.counter("vgpu.tape.sites_checked").get();
-    let proven0 = reg.counter("vgpu.tape.sites_proven").get();
-
-    let mut dev = Device::gtx780();
+    // A runtime of its own counts this launch's proof and nothing else.
+    let rt = Runtime::new(vgpu::runtime().settings);
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), rt.clone());
     dev.set_engine(vgpu::Engine::Fast);
     let prep = dev.compile(&oob.kernel).expect("fixture compiles");
     let out = dev.create_buffer(ScalarKind::F32, 32);
@@ -144,8 +128,8 @@ fn oob_fixture_refuses_proof_licensed_elision() {
         .unwrap_or_default();
     assert!(msg.contains("store out of bounds"), "clean bounds panic, got: {msg}");
 
-    let checked = reg.counter("vgpu.tape.sites_checked").get() - checked0;
-    let proven = reg.counter("vgpu.tape.sites_proven").get() - proven0;
+    let checked = rt.registry.counter("vgpu.tape.sites_checked").get();
+    let proven = rt.registry.counter("vgpu.tape.sites_proven").get();
     assert!(checked > 0, "the unprovable store site must keep its check");
     assert_eq!(proven, 0, "nothing about this launch is provable without a contract");
 }

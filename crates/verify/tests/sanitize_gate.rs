@@ -15,17 +15,27 @@
 //!   bit-identical to a single device with the sanitizer on — zero
 //!   findings on any shipped kernel.
 //!
-//! The sanitizer override is process-global, so everything that needs
-//! shadow mode lives in this dedicated test binary.
+//! Each test that needs shadow mode runs on a runtime of its own with the
+//! sanitizer on, whose findings are that test's alone.
 
 use lift::prelude::ScalarKind;
 use room_acoustics::{
     BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, ShardedSim, SimConfig, SimSetup,
 };
-use vgpu::{run_host_program, sanitize, Device, Engine, ExecMode, HostEnv};
+use std::sync::Arc;
+use vgpu::{run_host_program, Device, DeviceProfile, Engine, ExecMode, HostEnv, Runtime, Settings};
 
-fn force_on() {
-    sanitize::force_shadow();
+/// A runtime with the shadow sanitizer on and the environment's other
+/// settings.
+fn shadow_runtime() -> Arc<Runtime> {
+    Runtime::new(Settings { shadow: true, ..vgpu::runtime().settings })
+}
+
+/// A device of `rt` on `engine`.
+fn device(rt: &Arc<Runtime>, engine: Engine) -> Device {
+    let mut d = Device::with_runtime(DeviceProfile::gtx780(), rt.clone());
+    d.set_engine(engine);
+    d
 }
 
 /// The uninit-read fixture must be flagged by both layers, and the
@@ -33,7 +43,7 @@ fn force_on() {
 /// reading kernel, same buffer slot.
 #[test]
 fn dynamic_uninit_findings_are_contained_in_static_predictions() {
-    force_on();
+    let rt = shadow_runtime();
     // Static side: the host audit predicts the launch of
     // `fixture_uninit_read` reads the never-written `src` allocation.
     let audit = verify::host_audit();
@@ -51,18 +61,17 @@ fn dynamic_uninit_findings_are_contained_in_static_predictions() {
     // Dynamic side: actually run the program under the shadow sanitizer.
     // The `fast` engine reports findings without failing the launch, so
     // the run completes and we can inspect the registry.
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Fast);
+    let mut dev = device(&rt, Engine::Fast);
     let prog = verify::fixtures::uninit_host_program();
     let env = HostEnv::new().size("N", 16);
     run_host_program(&prog, &env, &mut dev, ScalarKind::F32, ExecMode::Fast)
         .expect("fixture program executes (the bug is semantic, not a crash)");
-    let observed: Vec<_> =
-        sanitize::findings().into_iter().filter(|f| f.kernel == "fixture_uninit_read").collect();
+    let observed = rt.findings.all();
     assert!(!observed.is_empty(), "dynamic layer observes the uninit read");
 
     // Cross-check: every observed (reader, buffer) pair was predicted.
     for f in &observed {
+        assert_eq!(f.kernel, "fixture_uninit_read", "{f}");
         assert_eq!(f.kind, vgpu::FaultKind::UninitRead, "{f}");
         assert!(
             predicted.iter().any(|p| p.reader == f.kernel && p.buffer == f.buffer),
@@ -98,16 +107,9 @@ fn stale_halo_fixture_fails_static_proof_and_shipped_kernels_stay_proven() {
 /// every shipped kernel (halo exchanges keep the seams fresh).
 #[test]
 fn differential_sharded_run_is_bit_identical_and_clean_under_shadow() {
-    force_on();
-    let diff_devices = |n: usize| -> Vec<Device> {
-        (0..n)
-            .map(|_| {
-                let mut d = Device::gtx780();
-                d.set_engine(Engine::Differential);
-                d
-            })
-            .collect()
-    };
+    let rt = shadow_runtime();
+    let diff_devices =
+        |n: usize| -> Vec<Device> { (0..n).map(|_| device(&rt, Engine::Differential)).collect() };
     let s = SimSetup::new(&SimConfig::fimm(GridDims::cube(12), RoomShape::Box));
     let mut single = HandwrittenSim::new(
         s.clone(),
@@ -134,9 +136,7 @@ fn differential_sharded_run_is_bit_identical_and_clean_under_shadow() {
         a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
         "sharded field diverges from single device under shadow sanitizer"
     );
-    // No shipped kernel tripped the sanitizer; only fixture kernels (from
-    // the sibling test in this binary) may appear in the registry.
-    let stray: Vec<_> =
-        sanitize::findings().into_iter().filter(|f| !f.kernel.starts_with("fixture_")).collect();
+    // No shipped kernel tripped the sanitizer.
+    let stray = rt.findings.all();
     assert!(stray.is_empty(), "shadow sanitizer flagged shipped kernels: {stray:?}");
 }

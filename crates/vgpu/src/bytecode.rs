@@ -2539,9 +2539,8 @@ pub(crate) struct WarpCtx<'a> {
     /// Per-opcode time tally (`VGPU_PROFILE=op` only); `None` selects the
     /// unprofiled instantiation of the executor.
     pub prof: Option<&'a mut OpProf>,
-    /// Kernel identity for shadow-sanitizer findings (`None` when the
-    /// sanitizer is off).
-    pub san: Option<crate::sanitize::SanCtx<'a>>,
+    /// Kernel identity and runtime for shadow-sanitizer findings.
+    pub san: crate::sanitize::SanCtx<'a>,
 }
 
 /// How one warp's run of a phase ended.
@@ -2713,21 +2712,14 @@ fn shadow_gather(
     b: &SharedBuf,
     idx: &[i64; WARP],
     mask: u32,
-    san: &Option<crate::sanitize::SanCtx<'_>>,
+    san: &crate::sanitize::SanCtx<'_>,
     buf: usize,
     site: u32,
 ) {
     if let Some(sh) = b.shadow() {
         for_mask!(mask, l, {
             if let Some(kind) = sh.classify_load(idx[l] as usize) {
-                crate::sanitize::report_load_fault(
-                    kind,
-                    san.as_ref(),
-                    buf,
-                    site,
-                    idx[l] as u64,
-                    "tape",
-                );
+                san.report(kind, buf, site, idx[l] as u64, "tape");
             }
         });
     }
@@ -3508,6 +3500,7 @@ mod tests {
             true,
             128,
             Engine::Differential,
+            crate::runtime(),
         )
         .unwrap();
         out.data().to_f64_vec()
@@ -3668,6 +3661,7 @@ mod tests {
             true,
             128,
             Engine::Fast,
+            crate::runtime(),
         )
         .unwrap();
         assert_eq!(stats.divergent_warps, 0, "selects execute fully converged");
@@ -4004,7 +3998,18 @@ mod tests {
             let o = SharedBuf::new(data(vec![0; 4 * n]));
             for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
                 let binds = [ArgBind::Buf(&xs), ArgBind::Buf(&o)];
-                launch(&prep, &binds, &[n], None, mode, true, 128, Engine::Differential).unwrap();
+                launch(
+                    &prep,
+                    &binds,
+                    &[n],
+                    None,
+                    mode,
+                    true,
+                    128,
+                    Engine::Differential,
+                    crate::runtime(),
+                )
+                .unwrap();
             }
             let (xv, ov) = (xs.data().to_f64_vec(), o.data().to_f64_vec());
             let (sq, nb) = (xv[9] * xv[9], xv[10]);
@@ -4405,8 +4410,18 @@ mod tests {
                     ArgBind::Val(Value::I32(n as i32)),
                 ];
                 for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
-                    launch(prep, &binds, global, lsize, mode, true, 128, Engine::Differential)
-                        .unwrap_or_else(|e| panic!("{global:?} shadow {shadow} {mode:?}: {e}"));
+                    launch(
+                        prep,
+                        &binds,
+                        global,
+                        lsize,
+                        mode,
+                        true,
+                        128,
+                        Engine::Differential,
+                        crate::runtime(),
+                    )
+                    .unwrap_or_else(|e| panic!("{global:?} shadow {shadow} {mode:?}: {e}"));
                 }
                 let (f, d, o) =
                     (xf.data().to_f64_vec(), xd.data().to_f64_vec(), od.data().to_f64_vec());
@@ -4506,7 +4521,18 @@ mod tests {
             })
             .collect();
         for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
-            launch(&prep, &binds, &[N], Some(32), mode, true, 128, Engine::Differential).unwrap();
+            launch(
+                &prep,
+                &binds,
+                &[N],
+                Some(32),
+                mode,
+                true,
+                128,
+                Engine::Differential,
+                crate::runtime(),
+            )
+            .unwrap();
         }
         let x = input.data().to_f64_vec();
         let o = out.data().to_f64_vec();

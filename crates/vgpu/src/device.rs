@@ -11,11 +11,12 @@ use crate::buffer::{BufData, SharedBuf};
 use crate::exec::{self, ArgBind, Engine, ExecError, ExecMode, LaunchStats, Prepared};
 use crate::perfmodel::{modeled_time_s, ModelInput};
 use crate::profile::DeviceProfile;
-use crate::telemetry::{self, Event, KernelMetrics, TrackId, TransferDir};
+use crate::runtime::Runtime;
+use crate::telemetry::{Event, KernelMetrics, TrackId, TransferDir};
 use lift::kast::Kernel;
 use lift::prelude::{ScalarKind, Value};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Handle to a device buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,9 +30,6 @@ pub enum Arg {
     /// Scalar value.
     Val(Value),
 }
-
-/// Distinguishes multiple devices of the same profile in trace track names.
-static DEVICE_SEQ: AtomicU32 = AtomicU32::new(0);
 
 /// Lazily allocated telemetry state for one device: its trace tracks and
 /// the cumulative modeled-time clock that positions [`Event::ModeledKernel`]
@@ -69,9 +67,8 @@ pub struct Device {
     buffers: Vec<SharedBuf>,
     race_check: bool,
     engine: Engine,
-    /// `VGPU_SANITIZE`, read once: whether this device's buffers carry
-    /// shadow memory ([`crate::sanitize`]).
-    sanitize: bool,
+    /// Where this device's settings come from and its accounting goes.
+    rt: Arc<Runtime>,
     tele: OnceLock<DevTele>,
 }
 
@@ -80,57 +77,56 @@ fn byte_len(len: usize, elem_bytes: usize) -> u64 {
     (len * elem_bytes) as u64
 }
 
-/// Sizes the global rayon pool from the `VGPU_THREADS` environment variable
-/// exactly once per process: `n` threads run a launch's tasks, the
-/// launching thread and `n − 1` pool workers, so `1` runs everything
-/// inline. Benches and `VGPU_ENGINE=diff` runs on shared machines set it
-/// for reproducible parallelism; unset (or not a positive integer, which
-/// [`crate::settings`] reports) leaves rayon's own default. The variable is
-/// read before this process's first parallel call or not at all: the pool's
-/// size is fixed from then on, and the build error when another component
-/// already fixed it is deliberately ignored — the override is best-effort.
-fn init_thread_pool() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        use crate::settings::{positive, setting};
-        if let Some(n) = setting("VGPU_THREADS", "a positive integer", positive) {
-            let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
-        }
-    });
-}
-
 impl Device {
-    /// A device with the given performance profile. The execution engine
-    /// defaults per the `VGPU_ENGINE` environment variable (see [`Engine`]),
-    /// its buffers carry shadow memory per `VGPU_SANITIZE`
-    /// ([`crate::sanitize::shadow_on`]), and the worker pool honours
-    /// `VGPU_THREADS` (see [`init_thread_pool`]).
+    /// A device with the given performance profile on the process default
+    /// runtime ([`crate::runtime()`], built from the `VGPU_*` environment on
+    /// first use).
     pub fn new(profile: DeviceProfile) -> Self {
-        init_thread_pool();
+        Self::with_runtime(profile, Arc::clone(crate::runtime()))
+    }
+
+    /// A device on `rt`: it launches on the runtime's engine (until
+    /// [`Device::set_engine`]), its buffers carry shadow memory when the
+    /// runtime sanitizes, and its counters, trace events, profiles and
+    /// sanitizer findings land in the runtime.
+    pub fn with_runtime(profile: DeviceProfile, rt: Arc<Runtime>) -> Self {
+        let engine = rt.settings.engine;
         Device {
             profile,
             buffers: Vec::new(),
             race_check: false,
-            engine: Engine::from_env(),
-            sanitize: crate::sanitize::shadow_on(),
+            engine,
+            rt,
             tele: OnceLock::new(),
         }
+    }
+
+    /// The runtime this device accounts to.
+    pub fn runtime(&self) -> &Arc<Runtime> {
+        &self.rt
     }
 
     /// This device's telemetry tracks, allocated on first use (only called
     /// when tracing is enabled).
     fn tele(&self) -> &DevTele {
         self.tele.get_or_init(|| {
-            telemetry::ensure_host_track();
-            let n = DEVICE_SEQ.fetch_add(1, Ordering::Relaxed);
+            let trace = &self.rt.trace;
+            let n = self.rt.device_seq.fetch_add(1, Ordering::Relaxed);
             let label = format!("{} #{n}", self.profile.name);
             DevTele {
-                kernel_track: telemetry::new_track(&format!("{label} kernels")),
-                transfer_track: telemetry::new_track(&format!("{label} transfers")),
-                modeled_track: telemetry::new_track(&format!("{label} modeled")),
+                kernel_track: trace.new_track(&format!("{label} kernels")),
+                transfer_track: trace.new_track(&format!("{label} transfers")),
+                modeled_track: trace.new_track(&format!("{label} modeled")),
                 model_clock_us: AtomicU64::new(0f64.to_bits()),
             }
         })
+    }
+
+    /// The trace's clock now, when this device's runtime traces: the start
+    /// of a transfer or launch span.
+    fn trace_start(&self) -> Option<f64> {
+        let trace = &self.rt.trace;
+        trace.enabled().then(|| trace.now_us())
     }
 
     /// Takes `data` as a new buffer — with shadow memory when this device
@@ -138,7 +134,11 @@ impl Device {
     /// and accounts the allocation.
     fn adopt(&mut self, data: BufData, initialized: bool) -> BufId {
         let bytes = byte_len(data.len(), data.elem_bytes());
-        self.buffers.push(SharedBuf::with_shadow(data, self.sanitize, initialized));
+        let shadow = self.rt.settings.shadow;
+        if shadow {
+            self.rt.registry.counter("vgpu.sanitize.shadowed_buffers").inc();
+        }
+        self.buffers.push(SharedBuf::with_shadow(data, shadow, initialized));
         let id = BufId(self.buffers.len() - 1);
         self.note_alloc(id, bytes);
         id
@@ -147,13 +147,14 @@ impl Device {
     /// Accounts one buffer allocation: bumps the allocation gauge
     /// unconditionally and records an [`Event::Alloc`] when tracing.
     fn note_alloc(&self, id: BufId, bytes: u64) {
-        telemetry::registry().gauge("vgpu.mem.allocated_bytes").add(bytes as i64);
-        if telemetry::enabled() {
+        self.rt.registry.gauge("vgpu.mem.allocated_bytes").add(bytes as i64);
+        let trace = &self.rt.trace;
+        if trace.enabled() {
             self.tele();
-            telemetry::record(Event::Alloc {
+            trace.record(Event::Alloc {
                 name: format!("buf{}", id.0),
                 bytes,
-                ts_us: telemetry::now_us(),
+                ts_us: trace.now_us(),
             });
         }
     }
@@ -163,7 +164,7 @@ impl Device {
     /// [`Event::Transfer`] span when tracing. `t0` is the span start
     /// captured before the copy (`Some` only when tracing was enabled).
     fn note_transfer(&self, dir: TransferDir, id: BufId, bytes: u64, t0: Option<f64>) {
-        let reg = telemetry::registry();
+        let reg = &self.rt.registry;
         match dir {
             TransferDir::ToGpu => {
                 reg.counter("vgpu.xfer.to_gpu.bytes").add(bytes);
@@ -187,13 +188,13 @@ impl Device {
         }
         if let Some(ts_us) = t0 {
             let tele = self.tele();
-            telemetry::record(Event::Transfer {
+            self.rt.trace.record(Event::Transfer {
                 track: tele.transfer_track,
                 dir,
                 name: format!("{}(buf{})", dir.label(), id.0),
                 bytes,
                 ts_us,
-                dur_us: (telemetry::now_us() - ts_us).max(0.0),
+                dur_us: (self.rt.trace.now_us() - ts_us).max(0.0),
             });
         }
     }
@@ -244,7 +245,7 @@ impl Device {
     /// Creates a buffer from host data (`enqueueWriteBuffer` at creation).
     /// Accounted as one allocation plus one `ToGPU` transfer.
     pub fn upload(&mut self, data: BufData) -> BufId {
-        let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
+        let t0 = self.trace_start();
         let bytes = byte_len(data.len(), data.elem_bytes());
         let id = self.adopt(data, true);
         self.note_transfer(TransferDir::ToGpu, id, bytes, t0);
@@ -255,7 +256,7 @@ impl Device {
     /// as one `ToGPU` transfer.
     pub fn write(&mut self, id: BufId, data: BufData) {
         assert_eq!(data.len(), self.buffers[id.0].len(), "buffer size mismatch");
-        let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
+        let t0 = self.trace_start();
         let bytes = byte_len(data.len(), data.elem_bytes());
         let len = data.len();
         *self.buffers[id.0].data_mut() = data;
@@ -268,7 +269,7 @@ impl Device {
     /// Reads a buffer back to the host (`enqueueReadBuffer`). Accounted as
     /// one `ToHost` transfer.
     pub fn read(&self, id: BufId) -> BufData {
-        let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
+        let t0 = self.trace_start();
         let data = self.buffers[id.0].data().clone();
         self.note_transfer(TransferDir::ToHost, id, byte_len(data.len(), data.elem_bytes()), t0);
         data
@@ -281,7 +282,7 @@ impl Device {
     /// receives only its owned planes of a host array.
     pub fn write_region(&mut self, id: BufId, off: usize, data: BufData) {
         assert!(off + data.len() <= self.buffers[id.0].len(), "region write out of range");
-        let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
+        let t0 = self.trace_start();
         let bytes = byte_len(data.len(), data.elem_bytes());
         self.buffers[id.0].data_mut().copy_from(off, &data);
         if let Some(sh) = self.buffers[id.0].shadow() {
@@ -294,7 +295,7 @@ impl Device {
     /// (`enqueueReadBuffer` with an offset). Accounted as one `ToHost`
     /// transfer of exactly the region's bytes.
     pub fn read_region(&self, id: BufId, off: usize, len: usize) -> BufData {
-        let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
+        let t0 = self.trace_start();
         let data = self.buffers[id.0].data().slice(off, len);
         self.note_transfer(TransferDir::ToHost, id, byte_len(len, data.elem_bytes()), t0);
         data
@@ -317,7 +318,7 @@ impl Device {
         prov: Option<crate::sanitize::HaloProvenance>,
     ) {
         assert!(off + data.len() <= self.buffers[id.0].len(), "halo write out of range");
-        let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
+        let t0 = self.trace_start();
         let bytes = byte_len(data.len(), data.elem_bytes());
         self.buffers[id.0].data_mut().copy_from(off, &data);
         if let Some(sh) = self.buffers[id.0].shadow() {
@@ -339,18 +340,11 @@ impl Device {
     /// `Replicate` transfer under `vgpu.halo.replicate.*`, keeping
     /// `vgpu.xfer.to_gpu.*` totals identical to the single-device leg.
     pub fn upload_replica(&mut self, data: BufData) -> BufId {
-        let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
+        let t0 = self.trace_start();
         let bytes = byte_len(data.len(), data.elem_bytes());
         let id = self.adopt(data, true);
         self.note_transfer(TransferDir::Replicate, id, bytes, t0);
         id
-    }
-
-    /// Inspects a buffer *without* transfer accounting — for harness-side
-    /// checks and debugging, where a counted `ToHost` would distort the
-    /// transfer totals. Simulated host code should use [`Device::read`].
-    pub fn peek(&self, id: BufId) -> BufData {
-        self.buffers[id.0].data().clone()
     }
 
     /// Inspects an element range without transfer accounting — the send
@@ -404,7 +398,7 @@ impl Device {
                 Arg::Val(v) => ArgBind::Val(*v),
             })
             .collect();
-        let t0 = if telemetry::enabled() { Some(telemetry::now_us()) } else { None };
+        let t0 = self.trace_start();
         let mut stats = exec::launch(
             prep,
             &binds,
@@ -414,8 +408,9 @@ impl Device {
             self.race_check,
             self.profile.transaction_bytes,
             self.engine,
+            &self.rt,
         )?;
-        let reg = telemetry::registry();
+        let reg = &self.rt.registry;
         let double = prep.params.iter().any(|p| p.is_buffer && p.kind == ScalarKind::F64);
         stats.modeled_s = stats.transaction_bytes.map(|tb| {
             modeled_time_s(
@@ -433,10 +428,11 @@ impl Device {
             exec::Backend::Tree => reg.counter("vgpu.launches.tree").inc(),
         }
         // Op profiling: one map update per launch under `VGPU_PROFILE=op`,
-        // one relaxed load when off. The per-op tally was merged across
+        // one field read when off. The per-op tally was merged across
         // interpreter chunks by the backend and rides along on `stats`.
-        if crate::profiler::op_enabled() {
-            crate::profiler::record_launch(
+        let profiles = &self.rt.profiles;
+        if profiles.op_enabled() {
+            profiles.record_launch(
                 &prep.name,
                 stats.backend.label(),
                 if double { "f64" } else { "f32" },
@@ -453,10 +449,10 @@ impl Device {
             w.as_secs_f64() * 1e6
         });
         if let Some(ts_us) = t0 {
-            let tele = self.tele();
+            let (tele, trace) = (self.tele(), &self.rt.trace);
             let metrics = KernelMetrics::from(&stats);
             if let Some(dur_us) = oracle_us {
-                telemetry::record(Event::Kernel {
+                trace.record(Event::Kernel {
                     track: tele.kernel_track,
                     name: format!("{} (oracle)", prep.name),
                     engine: "tree(oracle)".to_string(),
@@ -466,7 +462,7 @@ impl Device {
                     metrics: KernelMetrics { modeled_us: None, divergent_warps: 0, ..metrics },
                 });
             }
-            telemetry::record(Event::Kernel {
+            trace.record(Event::Kernel {
                 track: tele.kernel_track,
                 name: prep.name.clone(),
                 engine: stats.backend.label().to_string(),
@@ -478,7 +474,7 @@ impl Device {
             });
             if let Some(dur_us) = metrics.modeled_us {
                 let start = tele.advance_model_clock(dur_us);
-                telemetry::record(Event::ModeledKernel {
+                trace.record(Event::ModeledKernel {
                     track: tele.modeled_track,
                     name: prep.name.clone(),
                     ts_us: start,
@@ -492,7 +488,7 @@ impl Device {
     /// The trace track ids this device records kernel/transfer/modeled
     /// events on — `None` until the first traced operation lazily allocates
     /// them. Multi-device harnesses (the batch service) use these to
-    /// attribute global trace-buffer events back to the device, and hence
+    /// attribute a shared runtime's events back to the device, and hence
     /// the job, that produced them.
     pub fn telemetry_tracks(&self) -> Option<[TrackId; 3]> {
         self.tele.get().map(|t| [t.kernel_track, t.transfer_track, t.modeled_track])
@@ -503,18 +499,17 @@ impl Drop for Device {
     /// Releases the device's buffers: winds the allocation gauge back and,
     /// when tracing, records one [`Event::Free`] per buffer.
     fn drop(&mut self) {
-        let trace = telemetry::enabled();
-        let ts_us = if trace { telemetry::now_us() } else { 0.0 };
+        let ts_us = self.trace_start();
         let mut total = 0u64;
         for (i, b) in self.buffers.iter().enumerate() {
             let bytes = byte_len(b.len(), b.elem_bytes());
             total += bytes;
-            if trace {
-                telemetry::record(Event::Free { name: format!("buf{i}"), bytes, ts_us });
+            if let Some(ts_us) = ts_us {
+                self.rt.trace.record(Event::Free { name: format!("buf{i}"), bytes, ts_us });
             }
         }
         if total > 0 {
-            telemetry::registry().gauge("vgpu.mem.allocated_bytes").add(-(total as i64));
+            self.rt.registry.gauge("vgpu.mem.allocated_bytes").add(-(total as i64));
         }
     }
 }

@@ -23,6 +23,8 @@
 
 use crate::buffer::{BufData, SharedBuf};
 use crate::bytecode::{self, Compiled};
+use crate::runtime::Runtime;
+use crate::sanitize::SanCtx;
 use crate::telemetry;
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef, MemSpace};
 use lift::prelude::{BinOp, Intrinsic, ScalarKind, UnOp, Value};
@@ -662,14 +664,6 @@ impl Engine {
             _ => None,
         }
     }
-
-    /// The engine `VGPU_ENGINE` selects; [`Engine::Fast`] when it is unset
-    /// or holds a value [`Engine::parse`] rejects (which
-    /// [`crate::settings`] reports once).
-    pub fn from_env() -> Engine {
-        let accepted = "fast, tree, diff, differential";
-        crate::settings::setting("VGPU_ENGINE", accepted, Engine::parse).unwrap_or_default()
-    }
 }
 
 /// The executor that ran a launch: [`Backend::Tape`] under
@@ -772,6 +766,8 @@ struct Exec<'a> {
     prep: &'a Prepared,
     bufs: &'a [Option<&'a SharedBuf>],
     gsize: [usize; 3],
+    /// Where sanitizer findings land.
+    rt: &'a Runtime,
 }
 
 impl<'a> Exec<'a> {
@@ -814,18 +810,8 @@ impl<'a> Exec<'a> {
                         }
                         if let Some(sh) = buf.shadow() {
                             if let Some(kind) = sh.classify_load(i as usize) {
-                                let san = crate::sanitize::SanCtx {
-                                    kernel: &self.prep.name,
-                                    params: &self.prep.params,
-                                };
-                                crate::sanitize::report_load_fault(
-                                    kind,
-                                    Some(&san),
-                                    *p,
-                                    *site,
-                                    i as u64,
-                                    "tree",
-                                );
+                                let san = SanCtx { prep: self.prep, rt: self.rt };
+                                san.report(kind, *p, *site, i as u64, "tree");
                             }
                         }
                         // SAFETY: launch contract — no concurrent writer of
@@ -1081,18 +1067,16 @@ fn dispatch_chunk(nids: usize, items_per_id: usize) -> usize {
 /// Runs `task` over `ids` cut into [`dispatch_chunk`]-sized tasks on the
 /// rayon pool — the launching thread claims tasks alongside the pool's idle
 /// workers — and returns the per-task results in id order with the wall
-/// time of the whole. Counts `vgpu.dispatch.tasks` (tasks published) and
-/// `vgpu.dispatch.inline_launches` (launches that were a single task).
+/// time of the whole. Counts, in `rt`, `vgpu.dispatch.tasks` (tasks
+/// published) and `vgpu.dispatch.inline_launches` (launches that were a
+/// single task).
 fn dispatch<T: Sync>(
+    rt: &Runtime,
     ids: &[T],
     items_per_id: usize,
     task: impl Fn(&[T]) -> ChunkAcc + Sync,
 ) -> (Vec<ChunkAcc>, std::time::Duration) {
-    static COUNTERS: std::sync::OnceLock<[telemetry::Counter; 2]> = std::sync::OnceLock::new();
-    let [tasks, inline_launches] = COUNTERS.get_or_init(|| {
-        let reg = telemetry::registry();
-        [reg.counter("vgpu.dispatch.tasks"), reg.counter("vgpu.dispatch.inline_launches")]
-    });
+    let [tasks, inline_launches] = &rt.dispatch;
     let chunk = dispatch_chunk(ids.len(), items_per_id);
     let ntasks = ids.len().div_ceil(chunk);
     tasks.add(ntasks as u64);
@@ -1134,7 +1118,7 @@ fn checked_sites(l: &Launch<'_>) -> Arc<Vec<bool>> {
     }
     let checked = Arc::new(build_checked_sites(l));
     let kept = checked.iter().filter(|&&c| c).count() as u64;
-    let reg = telemetry::registry();
+    let reg = &l.rt.registry;
     reg.counter("vgpu.tape.sites_proven").add(checked.len() as u64 - kept);
     reg.counter("vgpu.tape.sites_checked").add(kept);
     let mut tables = tables.write().expect("no panic under this lock");
@@ -1222,6 +1206,8 @@ struct Launch<'a> {
     trace_on: bool,
     race_check: bool,
     transaction_size: u64,
+    /// Where the launch's counters, profile and findings land.
+    rt: &'a Runtime,
 }
 
 impl Launch<'_> {
@@ -1243,7 +1229,8 @@ impl Launch<'_> {
 /// and is the same whatever the engine. Kernels that use barriers, local
 /// memory or local/group ids *require* `local`, and the global size must be
 /// a multiple of it; barrier-free kernels ignore it. `race_check`
-/// additionally verifies write disjointness across work-items.
+/// additionally verifies write disjointness across work-items. The launch
+/// accounts to `rt` (counters, op profile, sanitizer findings).
 #[allow(clippy::too_many_arguments)]
 pub fn launch(
     prep: &Prepared,
@@ -1254,6 +1241,7 @@ pub fn launch(
     race_check: bool,
     transaction_size: u64,
     engine: Engine,
+    rt: &Runtime,
 ) -> Result<LaunchStats, ExecError> {
     if bindings.len() != prep.params.len() {
         return err(format!(
@@ -1342,6 +1330,7 @@ pub fn launch(
         trace_on: matches!(mode, ExecMode::Model { .. }),
         race_check,
         transaction_size,
+        rt,
     };
     match engine {
         Engine::Fast => run_launch(&l, Backend::Tape),
@@ -1361,7 +1350,7 @@ fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError
         // The single accounting site of `vgpu.warp.divergent`; per launch
         // the figure rides `LaunchStats` into the launch's kernel event.
         if stats.divergent_warps > 0 {
-            telemetry::registry().counter("vgpu.warp.divergent").add(stats.divergent_warps);
+            l.rt.registry.counter("vgpu.warp.divergent").add(stats.divergent_warps);
         }
         stats
     })
@@ -1377,7 +1366,8 @@ fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError
 /// the CI `diff`+`shadow` leg fails on the first stale or uninit read.
 fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let name = &l.prep.name;
-    let findings_before = crate::sanitize::findings_for(name);
+    let findings = &l.rt.findings;
+    let findings_before = findings.count_for(name);
     let snapshot =
         || -> Vec<Option<BufData>> { l.bufs.iter().map(|b| b.map(|b| b.data().clone())).collect() };
     let inputs = snapshot();
@@ -1391,9 +1381,10 @@ fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let mut stats = run_launch(l, Backend::Tape)?;
     stats.oracle_wall = Some(tree.wall);
     diff_check(l, &expect, &tree, &stats)?;
-    let new = crate::sanitize::findings_for(name) - findings_before;
+    let new = findings.count_for(name) - findings_before;
     if new > 0 {
-        let detail: Vec<String> = crate::sanitize::findings()
+        let detail: Vec<String> = findings
+            .all()
             .into_iter()
             .filter(|f| &f.kernel == name)
             .map(|f| f.to_string())
@@ -1588,10 +1579,10 @@ fn check_write_races(name: &str, mut all: Vec<WriteRec>) -> Result<(), ExecError
 /// and empty private arrays.
 fn run_tree(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let prep = l.prep;
-    let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize };
+    let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize, rt: l.rt };
     let (group, ids) = l.groups();
     let [gx, gy, _] = l.gsize.map(|g| g as u64);
-    let (results, wall) = dispatch(&ids, group, |gs| {
+    let (results, wall) = dispatch(l.rt, &ids, group, |gs| {
         // Per-item states allocated once per task and reset per group.
         let mut locals: Vec<Vec<Value>> = vec![Vec::new(); prep.local_kinds.len()];
         let mut states: Vec<ItemState> = (0..group)
@@ -1746,7 +1737,7 @@ impl WarpState {
             ids: self.ids,
             locals,
             prof: acc.prof.as_deref_mut(),
-            san: Some(crate::sanitize::SanCtx { kernel: &l.prep.name, params: &l.prep.params }),
+            san: SanCtx { prep: l.prep, rt: l.rt },
         };
         (&mut self.vregs, &mut self.privs, wc)
     }
@@ -1771,8 +1762,8 @@ fn run_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let checked = proof.as_ref().map_or(&[][..], |c| &c[..]);
     let init = WarpInit::new(l, tape);
     let (group, ids) = l.groups();
-    let prof_on = crate::profiler::op_enabled();
-    let (results, wall) = dispatch(&ids, group, |gs| {
+    let prof_on = l.rt.profiles.op_enabled();
+    let (results, wall) = dispatch(l.rt, &ids, group, |gs| {
         // A per-op tally only under `VGPU_PROFILE=op`.
         let mut acc = ChunkAcc { prof: prof_on.then(Box::default), ..ChunkAcc::default() };
         let mut warps: Vec<WarpState> =
@@ -1820,7 +1811,7 @@ mod tests {
     use lift::kast::{Kernel, KernelParam};
     use lift::prelude::*;
 
-    /// A flat launch on the engine `VGPU_ENGINE` selects.
+    /// A flat launch on the default runtime's engine.
     fn launch_flat(
         prep: &Prepared,
         bindings: &[ArgBind<'_>],
@@ -1829,7 +1820,9 @@ mod tests {
         race_check: bool,
         transaction_size: u64,
     ) -> Result<LaunchStats, ExecError> {
-        launch(prep, bindings, global, None, mode, race_check, transaction_size, Engine::from_env())
+        let rt = crate::runtime();
+        let engine = rt.settings.engine;
+        launch(prep, bindings, global, None, mode, race_check, transaction_size, engine, rt)
     }
 
     /// For warps and for groups of several sizes: the chunk is never 0, the
@@ -2135,6 +2128,7 @@ mod tests {
             true,
             128,
             engine,
+            crate::runtime(),
         )
         .unwrap();
         (stats, y.data().to_f64_vec())
@@ -2217,10 +2211,19 @@ mod tests {
         let prep = prepare(&k).unwrap();
         for engine in [Engine::Tree, Engine::Fast] {
             let y = SharedBuf::new(BufData::from(vec![0.0f32; 4]));
-            let msg =
-                launch(&prep, &[ArgBind::Buf(&y)], &[8], None, ExecMode::Fast, true, 128, engine)
-                    .unwrap_err()
-                    .to_string();
+            let msg = launch(
+                &prep,
+                &[ArgBind::Buf(&y)],
+                &[8],
+                None,
+                ExecMode::Fast,
+                true,
+                128,
+                engine,
+                crate::runtime(),
+            )
+            .unwrap_err()
+            .to_string();
             assert!(msg.contains("2 conflicting element(s)"), "{engine:?}: {msg}");
             assert!(msg.contains("element 0"), "{engine:?}: {msg}");
             assert!(msg.contains("element 1"), "{engine:?}: {msg}");
@@ -2293,6 +2296,7 @@ mod tests {
                 false,
                 128,
                 engine,
+                crate::runtime(),
             )
             .unwrap()
         };
@@ -2325,6 +2329,7 @@ mod tests {
             false,
             128,
             Engine::Fast,
+            crate::runtime(),
         )
         .unwrap_err()
         .to_string();
@@ -2340,6 +2345,7 @@ mod tests {
             false,
             128,
             Engine::Fast,
+            crate::runtime(),
         )
         .unwrap_err()
         .to_string();
@@ -2416,6 +2422,7 @@ mod tests {
                 true,
                 128,
                 engine,
+                crate::runtime(),
             )
             .unwrap();
             (stats, y.data().to_f64_vec())
@@ -2475,6 +2482,7 @@ mod tests {
                 true,
                 128,
                 engine,
+                crate::runtime(),
             )
             .unwrap();
             (stats, out.data().to_f64_vec())
@@ -2501,6 +2509,7 @@ mod tests {
             false,
             128,
             Engine::Fast,
+            crate::runtime(),
         )
         .unwrap();
         assert_eq!(stats.backend, Backend::Tape);
@@ -2617,6 +2626,7 @@ mod tests {
                     race,
                     128,
                     Engine::Differential,
+                    crate::runtime(),
                 )
                 .unwrap();
                 assert_eq!(stats.backend, Backend::Tape);

@@ -8,12 +8,13 @@
 use crate::buffer::BufData;
 use crate::device::{Arg, BufId, Device};
 use crate::exec::{ExecError, ExecMode};
-use crate::telemetry::{self, HOST_TRACK};
+use crate::telemetry::HOST_TRACK;
 use lift::arith::ArithExpr;
 use lift::host::{HostCmd, HostProgram, LaunchArg};
 use lift::prelude::{ScalarKind, Value};
 use lift::types::Type;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Inputs to a host-program run.
 #[derive(Default)]
@@ -103,8 +104,10 @@ pub fn run_host_program(
     let mut outputs: HashMap<String, BufData> = HashMap::new();
     let mut transfers = TransferTotals::default();
     let mut prepared = Vec::with_capacity(prog.kernels.len());
+    let rt = Arc::clone(device.runtime());
+    let trace = &rt.trace;
     {
-        let _s = telemetry::span(HOST_TRACK, "compile_kernels");
+        let _s = trace.span(HOST_TRACK, "compile_kernels");
         for lk in &prog.kernels {
             prepared.push(device.compile(&lk.kernel)?);
         }
@@ -115,7 +118,7 @@ pub fn run_host_program(
     for cmd in &prog.cmds {
         match cmd {
             HostCmd::CopyIn { host, dev, ty } => {
-                let _s = telemetry::span_with(HOST_TRACK, || format!("ToGPU({dev})"));
+                let _s = trace.span_with(HOST_TRACK, || format!("ToGPU({dev})"));
                 let data = env
                     .arrays
                     .get(host)
@@ -132,7 +135,7 @@ pub fn run_host_program(
                 slots.insert(dev, device.upload(data.clone()));
             }
             HostCmd::Alloc { dev, ty } => {
-                let _s = telemetry::span_with(HOST_TRACK, || format!("Alloc({dev})"));
+                let _s = trace.span_with(HOST_TRACK, || format!("Alloc({dev})"));
                 let rty = ty.resolve_real(real);
                 let kind = rty
                     .scalar_kind()
@@ -142,9 +145,8 @@ pub fn run_host_program(
                 slots.insert(dev, device.create_buffer(kind, eval_len(&rty, &env.sizes)?));
             }
             HostCmd::Launch { kernel, args, global_size } => {
-                let _s = telemetry::span_with(HOST_TRACK, || {
-                    format!("OclKernel({})", prepared[*kernel].name)
-                });
+                let _s = trace
+                    .span_with(HOST_TRACK, || format!("OclKernel({})", prepared[*kernel].name));
                 let mut largs = Vec::with_capacity(args.len());
                 for a in args {
                     largs.push(match a {
@@ -172,7 +174,7 @@ pub fn run_host_program(
                 device.launch(&prepared[*kernel], &largs, &global?, mode)?;
             }
             HostCmd::CopyOut { dev, host, .. } => {
-                let _s = telemetry::span_with(HOST_TRACK, || format!("ToHost({host})"));
+                let _s = trace.span_with(HOST_TRACK, || format!("ToHost({host})"));
                 let data = device.read(slot(&slots, dev)?);
                 transfers.to_host_bytes += (data.len() * data.elem_bytes()) as u64;
                 transfers.to_host_transfers += 1;
@@ -253,11 +255,7 @@ mod tests {
 
     #[test]
     fn transfer_counters_match_run_totals() {
-        // The registry counters are process-global (shared across tests), so
-        // assert on the *delta* across one run.
-        let reg = telemetry::registry();
-        let before_gpu = reg.counter("vgpu.xfer.to_gpu.bytes").get();
-        let before_host = reg.counter("vgpu.xfer.to_host.bytes").get();
+        let rt = crate::runtime::Runtime::new(crate::runtime().settings);
 
         let a = ParamDef::typed("a", Type::array(Type::real(), "N"));
         let body = ir::map_glb(a.to_expr(), "x", |x| x);
@@ -266,15 +264,15 @@ mod tests {
         let prog_expr = host::to_host(host::ocl_kernel(&k, vec![host::to_gpu(host::input(&a_h))]));
         let prog = host::compile_host(&prog_expr, ScalarKind::F32).unwrap();
         let env = HostEnv::new().array("a_h", vec![0.0f32; 8]).size("N", 8);
-        let mut dev = Device::gtx780();
+        let mut dev = Device::with_runtime(crate::DeviceProfile::gtx780(), rt.clone());
         let run = run_host_program(&prog, &env, &mut dev, ScalarKind::F32, ExecMode::Fast).unwrap();
 
         assert_eq!(run.transfers.to_gpu_bytes, 32);
         assert_eq!(run.transfers.to_host_bytes, 32);
-        // The Device-layer counters moved by at least this run's traffic
-        // (other tests may run concurrently, so ≥, not ==).
-        assert!(reg.counter("vgpu.xfer.to_gpu.bytes").get() >= before_gpu + 32);
-        assert!(reg.counter("vgpu.xfer.to_host.bytes").get() >= before_host + 32);
+        // The device's runtime counted exactly this run's traffic.
+        let reg = &rt.registry;
+        assert_eq!(reg.counter("vgpu.xfer.to_gpu.bytes").get(), 32);
+        assert_eq!(reg.counter("vgpu.xfer.to_host.bytes").get(), 32);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //!
 //! * [`device::Device`] — buffers + in-order queue; a launch returns its
 //!   profiling record;
+//! * [`runtime::Runtime`] — the settings and accounts of devices;
+//!   [`runtime()`] is the default, built from the `VGPU_*` environment;
 //! * [`exec`] — kernel preparation and the interpreter (counters, traces,
 //!   race detection);
 //! * [`bytecode`] — flat register-based tapes that kernels compile to
@@ -69,6 +71,7 @@ pub mod host_exec;
 pub mod perfmodel;
 pub mod profile;
 pub mod profiler;
+pub mod runtime;
 pub mod sanitize;
 pub(crate) mod settings;
 pub mod shard;
@@ -83,7 +86,8 @@ pub use host_exec::{run_host_program, HostEnv, HostRun, TransferTotals};
 pub use perfmodel::{modeled_sharded_step_s, modeled_time_s, updates_per_second, ModelInput};
 pub use profile::DeviceProfile;
 pub use profiler::ProfileMode;
+pub use runtime::{runtime, Runtime, Settings};
 pub use sanitize::{FaultKind, Finding, HaloProvenance};
-pub use shard::{device_count_from_env, halo_exchange, HaloTotals, SlabPartition};
+pub use shard::{halo_exchange, SlabPartition};
 pub use telemetry::{TraceMode, TrackId};
 pub use verify::{verify_prepared, TapeFinding, TapePass, TapeReport};

@@ -7,10 +7,10 @@
 //! Table III; double-precision throughput ratios are the published
 //! architectural ratios of each chip.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A modeled GPU.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceProfile {
     /// Display name (as in the paper's figures).
     pub name: String,
@@ -31,14 +31,7 @@ pub struct DeviceProfile {
     /// Inter-device link bandwidth in GB/s, charged for halo-exchange
     /// bytes when a grid is sharded across devices (PCIe 3.0 x16
     /// peer-to-peer class; none of the Table III platforms had NVLink).
-    /// Defaults for profiles serialized before sharding existed.
-    #[serde(default = "default_link_bw_gbs")]
     pub link_bw_gbs: f64,
-}
-
-/// Serde default for [`DeviceProfile::link_bw_gbs`].
-fn default_link_bw_gbs() -> f64 {
-    12.0
 }
 
 impl DeviceProfile {

@@ -8,31 +8,29 @@
 //!
 //! | value | cost                        | what is attributed            |
 //! |-------|-----------------------------|-------------------------------|
-//! | `off` | one relaxed load per launch | nothing (default)             |
+//! | `off` | one field read per launch   | nothing (default)             |
 //! | `op`  | two timer reads per tape op | time and dispatches per opcode, per (kernel, engine, precision) |
 //!
-//! Like the trace mode, the profile mode is sampled from the environment
-//! once, lazily, and overridable by tests ([`set_mode`]); when profiling is
-//! off every instrumentation site reduces to one relaxed atomic load — the
-//! executor's hot loop carries `PROF` as a const generic, so the unprofiled
-//! instantiation holds no timing code at all.
+//! Like the trace mode, the profile mode is a runtime's setting and its
+//! tables are the runtime's ([`Profiles`]); when profiling is off every
+//! instrumentation site reduces to one field read — the executor's hot loop
+//! carries `PROF` as a const generic, so the unprofiled instantiation holds
+//! no timing code at all.
 
 use crate::bytecode::{op_name, NOPCODES};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Duration;
 
 /// Whether the tape executor attributes time per opcode, parsed from
 /// `VGPU_PROFILE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum ProfileMode {
     /// Profiling disabled (the near-zero-cost default).
-    Off = 0,
+    Off,
     /// Per-opcode time inside the tape executor, accumulated per
     /// (kernel, engine, precision).
-    Op = 1,
+    Op,
 }
 
 impl ProfileMode {
@@ -46,14 +44,6 @@ impl ProfileMode {
         }
     }
 
-    /// The mode `VGPU_PROFILE` selects; off when it is unset or holds a value
-    /// [`ProfileMode::parse`] rejects (which [`crate::settings`] reports
-    /// once).
-    pub fn from_env() -> ProfileMode {
-        crate::settings::setting("VGPU_PROFILE", "off, op|ops|opcode", ProfileMode::parse)
-            .unwrap_or(ProfileMode::Off)
-    }
-
     /// Display label (`"off"` / `"op"`).
     pub fn label(self) -> &'static str {
         match self {
@@ -61,34 +51,6 @@ impl ProfileMode {
             ProfileMode::Op => "op",
         }
     }
-}
-
-/// 0xFF = not yet initialised from the environment.
-static MODE: AtomicU8 = AtomicU8::new(0xFF);
-
-/// The active profile mode (env-initialised on first call).
-pub fn mode() -> ProfileMode {
-    let v = MODE.load(Ordering::Relaxed);
-    if v != 0xFF {
-        return if v == ProfileMode::Op as u8 { ProfileMode::Op } else { ProfileMode::Off };
-    }
-    let m = ProfileMode::from_env();
-    MODE.store(m as u8, Ordering::Relaxed);
-    m
-}
-
-/// True when the tape executor should attribute time per opcode, and
-/// [`crate::Device::launch_wg`] should accumulate the launch. One relaxed
-/// load and a compare — the hot-path gate, mirroring
-/// [`crate::telemetry::enabled`].
-#[inline]
-pub fn op_enabled() -> bool {
-    mode() == ProfileMode::Op
-}
-
-/// Overrides the profile mode (tests and harnesses).
-pub fn set_mode(m: ProfileMode) {
-    MODE.store(m as u8, Ordering::Relaxed);
 }
 
 /// Per-opcode execution tally for one launch (or one executor chunk):
@@ -149,23 +111,111 @@ struct KernelProfile {
     ops: OpProf,
 }
 
-static PROFILES: Mutex<BTreeMap<ProfKey, KernelProfile>> = Mutex::new(BTreeMap::new());
+/// One runtime's op profiler: its mode and the accumulated profile of every
+/// (kernel, engine, precision) class its devices launched.
+pub struct Profiles {
+    mode: ProfileMode,
+    tables: Mutex<BTreeMap<ProfKey, KernelProfile>>,
+}
 
-/// Accumulates one launch into the process-wide profile. Callers gate on
-/// [`op_enabled`]; the device layer invokes this from
-/// [`crate::Device::launch_wg`] with the launch's resolved backend and the
-/// kernel's float precision.
-pub fn record_launch(
-    kernel: &str,
-    engine: &'static str,
-    precision: &'static str,
-    ops: Option<&OpProf>,
-) {
-    let mut map = PROFILES.lock();
-    let p = map.entry(ProfKey { kernel: kernel.to_string(), engine, precision }).or_default();
-    p.launches += 1;
-    if let Some(o) = ops {
-        p.ops.merge(o);
+impl Profiles {
+    pub(crate) fn new(mode: ProfileMode) -> Profiles {
+        Profiles { mode, tables: Mutex::new(BTreeMap::new()) }
+    }
+
+    /// True when the tape executor should attribute time per opcode, and
+    /// [`crate::Device::launch_wg`] should accumulate the launch. One field
+    /// read and a compare — the hot-path gate, mirroring
+    /// [`crate::telemetry::Trace::enabled`].
+    #[inline]
+    pub fn op_enabled(&self) -> bool {
+        self.mode == ProfileMode::Op
+    }
+
+    /// Accumulates one launch. Callers gate on [`Profiles::op_enabled`];
+    /// the device layer invokes this from [`crate::Device::launch_wg`] with
+    /// the launch's resolved backend and the kernel's float precision.
+    pub fn record_launch(
+        &self,
+        kernel: &str,
+        engine: &'static str,
+        precision: &'static str,
+        ops: Option<&OpProf>,
+    ) {
+        let mut map = self.tables.lock();
+        let p = map.entry(ProfKey { kernel: kernel.to_string(), engine, precision }).or_default();
+        p.launches += 1;
+        if let Some(o) = ops {
+            p.ops.merge(o);
+        }
+    }
+
+    /// Deterministic (key-ordered) snapshot of every accumulated profile.
+    pub fn snapshot(&self) -> Vec<KernelProfileSnapshot> {
+        let map = self.tables.lock();
+        map.iter()
+            .map(|(k, p)| KernelProfileSnapshot {
+                kernel: k.kernel.clone(),
+                engine: k.engine.to_string(),
+                precision: k.precision.to_string(),
+                launches: p.launches,
+                ops: p
+                    .ops
+                    .entries()
+                    .into_iter()
+                    .map(|(op, count, total_ns)| OpEntry { op: op.to_string(), count, total_ns })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// Renders the human-readable profile report: one per-opcode hotspot
+    /// table per (kernel, engine, precision).
+    pub fn render_report(&self) -> String {
+        let snaps = self.snapshot();
+        let mut out = format!("== vgpu profile ({} mode) ==\n", self.mode.label());
+        if snaps.is_empty() {
+            out.push_str("(no launches profiled)\n");
+            return out;
+        }
+        for s in &snaps {
+            if s.ops.is_empty() {
+                continue;
+            }
+            let total_ns: u64 = s.ops.iter().map(|o| o.total_ns).sum();
+            out.push_str(&format!(
+                "-- op hotspots: {} [{} {}] ({} launches, {:.3} ms attributed) --\n",
+                s.kernel,
+                s.engine,
+                s.precision,
+                s.launches,
+                total_ns as f64 * 1e-6
+            ));
+            out.push_str(&format!(
+                "{:<10} {:>14} {:>12} {:>9} {:>7}\n",
+                "op", "dispatches", "total ms", "ns/op", "share"
+            ));
+            for o in s.ops.iter().take(HOTSPOT_ROWS) {
+                out.push_str(&format!(
+                    "{:<10} {:>14} {:>12.3} {:>9.1} {:>6.1}%\n",
+                    o.op,
+                    o.count,
+                    o.total_ns as f64 * 1e-6,
+                    o.total_ns as f64 / o.count.max(1) as f64,
+                    100.0 * o.total_ns as f64 / total_ns.max(1) as f64
+                ));
+            }
+            if s.ops.len() > HOTSPOT_ROWS {
+                let rest: u64 = s.ops[HOTSPOT_ROWS..].iter().map(|o| o.total_ns).sum();
+                out.push_str(&format!(
+                    "{:<10} {:>14} {:>12.3}\n",
+                    format!("(+{} more)", s.ops.len() - HOTSPOT_ROWS),
+                    "",
+                    rest as f64 * 1e-6
+                ));
+            }
+        }
+        out
     }
 }
 
@@ -195,86 +245,12 @@ pub struct KernelProfileSnapshot {
     pub ops: Vec<OpEntry>,
 }
 
-/// Deterministic (key-ordered) snapshot of every accumulated profile.
-pub fn snapshot() -> Vec<KernelProfileSnapshot> {
-    let map = PROFILES.lock();
-    map.iter()
-        .map(|(k, p)| KernelProfileSnapshot {
-            kernel: k.kernel.clone(),
-            engine: k.engine.to_string(),
-            precision: k.precision.to_string(),
-            launches: p.launches,
-            ops: p
-                .ops
-                .entries()
-                .into_iter()
-                .map(|(op, count, total_ns)| OpEntry { op: op.to_string(), count, total_ns })
-                .collect(),
-        })
-        .collect()
-}
-
 /// Opcode rows shown per kernel in the rendered hotspot table.
 const HOTSPOT_ROWS: usize = 12;
-
-/// Renders the human-readable profile report: one per-opcode hotspot table
-/// per (kernel, engine, precision).
-pub fn render_report(snaps: &[KernelProfileSnapshot]) -> String {
-    let mut out = format!("== vgpu profile ({} mode) ==\n", mode().label());
-    if snaps.is_empty() {
-        out.push_str("(no launches profiled)\n");
-        return out;
-    }
-    for s in snaps {
-        if s.ops.is_empty() {
-            continue;
-        }
-        let total_ns: u64 = s.ops.iter().map(|o| o.total_ns).sum();
-        out.push_str(&format!(
-            "-- op hotspots: {} [{} {}] ({} launches, {:.3} ms attributed) --\n",
-            s.kernel,
-            s.engine,
-            s.precision,
-            s.launches,
-            total_ns as f64 * 1e-6
-        ));
-        out.push_str(&format!(
-            "{:<10} {:>14} {:>12} {:>9} {:>7}\n",
-            "op", "dispatches", "total ms", "ns/op", "share"
-        ));
-        for o in s.ops.iter().take(HOTSPOT_ROWS) {
-            out.push_str(&format!(
-                "{:<10} {:>14} {:>12.3} {:>9.1} {:>6.1}%\n",
-                o.op,
-                o.count,
-                o.total_ns as f64 * 1e-6,
-                o.total_ns as f64 / o.count.max(1) as f64,
-                100.0 * o.total_ns as f64 / total_ns.max(1) as f64
-            ));
-        }
-        if s.ops.len() > HOTSPOT_ROWS {
-            let rest: u64 = s.ops[HOTSPOT_ROWS..].iter().map(|o| o.total_ns).sum();
-            out.push_str(&format!(
-                "{:<10} {:>14} {:>12.3}\n",
-                format!("(+{} more)", s.ops.len() - HOTSPOT_ROWS),
-                "",
-                rest as f64 * 1e-6
-            ));
-        }
-    }
-    out
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Profiler state is process-global; serialise tests that touch it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn reset() {
-        PROFILES.lock().clear();
-    }
 
     #[test]
     fn parse_modes() {
@@ -288,16 +264,14 @@ mod tests {
 
     #[test]
     fn record_and_snapshot_roundtrip() {
-        let _g = TEST_LOCK.lock();
-        reset();
+        let profiles = Profiles::new(ProfileMode::Op);
         let mut ops = OpProf::default();
         ops.add(0, Duration::from_nanos(100));
         ops.add(0, Duration::from_nanos(50));
         ops.add(3, Duration::from_nanos(10));
-        record_launch("k", "tape", "f32", Some(&ops));
-        record_launch("k", "tape", "f32", None);
-        let snap = snapshot();
-        reset();
+        profiles.record_launch("k", "tape", "f32", Some(&ops));
+        profiles.record_launch("k", "tape", "f32", None);
+        let snap = profiles.snapshot();
         assert_eq!(snap.len(), 1);
         let s = &snap[0];
         assert_eq!(
@@ -309,19 +283,17 @@ mod tests {
         assert_eq!(s.ops.len(), 2);
         assert_eq!(s.ops[0].count, 2);
         assert_eq!(s.ops[0].total_ns, 150);
-        assert!(snapshot().is_empty());
+        assert!(Profiles::new(ProfileMode::Op).snapshot().is_empty());
     }
 
     #[test]
     fn render_report_mentions_hotspots() {
-        let _g = TEST_LOCK.lock();
-        reset();
+        let profiles = Profiles::new(ProfileMode::Op);
         let mut ops = OpProf::default();
         ops.add(1, Duration::from_nanos(500));
-        record_launch("fi", "tape", "f32", Some(&ops));
-        let snap = snapshot();
-        reset();
-        let text = render_report(&snap);
+        profiles.record_launch("fi", "tape", "f32", Some(&ops));
+        let text = profiles.render_report();
+        assert!(text.contains("== vgpu profile (op mode) =="), "{text}");
         assert!(text.contains("op hotspots: fi [tape f32]"), "{text}");
     }
 }

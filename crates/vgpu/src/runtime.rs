@@ -1,0 +1,122 @@
+//! Process state as a value: a [`Runtime`] owns the settings, registry,
+//! trace, op profiles and sanitizer findings of the devices made with it
+//! (`Device::new`: the default, [`runtime()`]), so runtimes with different
+//! settings run side by side in one process. The artifact map (whose
+//! compilations count into the default registry) and rayon's pool hold no
+//! accounts and stay process-wide.
+
+use crate::exec::Engine;
+use crate::profiler::{ProfileMode, Profiles};
+use crate::sanitize::Findings;
+use crate::settings::{env, positive, setting};
+use crate::telemetry::{Counter, Registry, Trace, TraceMode};
+use std::sync::atomic::AtomicU32;
+use std::sync::{Arc, OnceLock};
+
+/// What a runtime's devices run under: the `VGPU_*` settings but
+/// `VGPU_THREADS`. [`Settings::default`] is every variable unset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Settings {
+    /// The engine new devices launch on (`VGPU_ENGINE`).
+    pub engine: Engine,
+    /// What the trace records, for which sink (`VGPU_TRACE`).
+    pub trace: TraceMode,
+    /// Whether the tape executor attributes time per opcode (`VGPU_PROFILE`).
+    pub profile: ProfileMode,
+    /// Whether device buffers carry shadow memory (`VGPU_SANITIZE=shadow`).
+    pub shadow: bool,
+    /// Devices a batch job spreads over (`VGPU_DEVICES`).
+    pub devices: usize,
+}
+
+impl Default for Settings {
+    fn default() -> Settings {
+        let (engine, trace, profile) = (Engine::Fast, TraceMode::Off, ProfileMode::Off);
+        Settings { engine, trace, profile, shadow: false, devices: 1 }
+    }
+}
+
+impl Settings {
+    /// The settings the environment selects ([`crate::settings`]' policy).
+    pub fn from_env() -> Settings {
+        Settings::from_lookup(&env)
+    }
+
+    /// The settings the variables `var` looks up select.
+    pub(crate) fn from_lookup(var: &dyn Fn(&str) -> Option<String>) -> Settings {
+        let d = Settings::default();
+        let shadow = |v: &str| match v {
+            "off" | "OFF" => Some(false),
+            "shadow" | "SHADOW" => Some(true),
+            _ => None,
+        };
+        let traces = "off, summary|table, json|jsonl, chrome|perfetto|trace";
+        Settings {
+            engine: setting(var, "VGPU_ENGINE", "fast, tree, diff, differential", Engine::parse)
+                .unwrap_or(d.engine),
+            trace: setting(var, "VGPU_TRACE", traces, TraceMode::parse).unwrap_or(d.trace),
+            profile: setting(var, "VGPU_PROFILE", "off, op|ops|opcode", ProfileMode::parse)
+                .unwrap_or(d.profile),
+            shadow: setting(var, "VGPU_SANITIZE", "off, shadow", shadow).unwrap_or(d.shadow),
+            devices: setting(var, "VGPU_DEVICES", "a positive integer", positive)
+                .unwrap_or(d.devices),
+        }
+    }
+}
+
+/// The one owner of the state this crate accounts to (see the module docs),
+/// shared behind an `Arc` by the devices made with it.
+pub struct Runtime {
+    /// The settings this runtime's devices are made under.
+    pub settings: Settings,
+    /// Its metric registry.
+    pub registry: Registry,
+    /// Its trace buffer and tracks.
+    pub trace: Trace,
+    /// Its per-opcode profiles.
+    pub profiles: Profiles,
+    /// Its shadow-sanitizer findings.
+    pub findings: Findings,
+    /// Numbers its traced devices, for distinct track names.
+    pub(crate) device_seq: AtomicU32,
+    /// `vgpu.dispatch.{tasks,inline_launches}`, bumped by every launch.
+    pub(crate) dispatch: [Counter; 2],
+}
+
+impl Runtime {
+    /// A runtime with `settings`. Its launches run on the process's lane
+    /// pool, which the default runtime sizes, so that is built first.
+    pub fn new(settings: Settings) -> Arc<Runtime> {
+        runtime();
+        Arc::new(Runtime::build(settings))
+    }
+
+    fn build(settings: Settings) -> Runtime {
+        let registry = Registry::new();
+        let dispatch =
+            ["tasks", "inline_launches"].map(|c| registry.counter(&format!("vgpu.dispatch.{c}")));
+        Runtime {
+            trace: Trace::new(settings.trace),
+            profiles: Profiles::new(settings.profile),
+            findings: Findings::default(),
+            device_seq: AtomicU32::new(0),
+            dispatch,
+            registry,
+            settings,
+        }
+    }
+}
+
+/// The process default runtime, built from the environment on first use
+/// ([`Settings::from_env`]). Building it sizes rayon's global pool from
+/// `VGPU_THREADS` (best-effort): `n` threads run a launch's tasks, the
+/// launching thread and `n − 1` workers; unset leaves rayon's default.
+pub fn runtime() -> &'static Arc<Runtime> {
+    static DEFAULT: OnceLock<Arc<Runtime>> = OnceLock::new();
+    DEFAULT.get_or_init(|| {
+        if let Some(n) = setting(&env, "VGPU_THREADS", "a positive integer", positive) {
+            let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
+        }
+        Arc::new(Runtime::build(Settings::from_env()))
+    })
+}

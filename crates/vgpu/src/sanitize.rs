@@ -20,9 +20,11 @@
 //! ([`crate::Device::write_halo_region_tagged`]) records the source's clock
 //! in a [`Mirror`], and a seam load compares the clock against that record.
 //!
-//! Findings are deduplicated per (kernel, site, kind, buffer) into a
-//! process-wide registry ([`findings`], [`take_findings`]) and counted under
-//! `vgpu.sanitize.*` in the telemetry registry. The differential engine
+//! Findings are deduplicated per (kernel, site, kind, buffer) into the
+//! launching runtime's [`Findings`] and counted under `vgpu.sanitize.*` in
+//! its registry. Whether buffers carry shadow at all is the runtime's
+//! `shadow` setting (`VGPU_SANITIZE=shadow` for the default runtime), fixed
+//! when it is built. The differential engine
 //! turns any finding on its own kernel into a launch error, which is the CI
 //! gate: a `VGPU_ENGINE=diff` + `VGPU_SANITIZE=shadow` leg fails loudly on
 //! the first stale or uninit read anywhere in the suite.
@@ -31,11 +33,11 @@
 //! hook is one `Option` test on buffer metadata — the `telemetry_overhead`
 //! bench holds that path to ≤2% of the unsanitized runtime.
 
-use crate::telemetry;
-use lift::kast::KernelParam;
+use crate::exec::Prepared;
+use crate::runtime::Runtime;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
 /// Shadow state: element has never been written on this device.
 const UNINIT: u8 = 0;
@@ -43,30 +45,6 @@ const UNINIT: u8 = 0;
 const INIT: u8 = 1;
 /// Shadow state: element mirrors a halo region owned by another buffer.
 const HALO: u8 = 2;
-
-static FORCE_SHADOW: AtomicBool = AtomicBool::new(false);
-
-/// Forces shadow mode on for every device created from now on, regardless
-/// of `VGPU_SANITIZE`. In-process escape hatch for tests and harnesses
-/// (mutating the environment from a threaded test is unsound; this is the
-/// safe override).
-pub fn force_shadow() {
-    FORCE_SHADOW.store(true, Ordering::SeqCst);
-}
-
-/// True when the shadow-memory sanitizer is enabled (`VGPU_SANITIZE=shadow`
-/// or [`force_shadow`]). [`crate::Device::new`] consults it once: the
-/// buffers of a device made while this is false carry no shadow and cost one
-/// pointer test per access.
-pub fn shadow_on() -> bool {
-    let armed = |v: &str| match v {
-        "off" | "OFF" => Some(false),
-        "shadow" | "SHADOW" => Some(true),
-        _ => None,
-    };
-    FORCE_SHADOW.load(Ordering::Relaxed)
-        || crate::settings::setting("VGPU_SANITIZE", "off, shadow", armed).unwrap_or(false)
-}
 
 /// One halo mirror: `len` elements at `off` copied from a source buffer
 /// whose version clock read `seen` at copy time.
@@ -118,7 +96,6 @@ impl Shadow {
     pub(crate) fn new(len: usize, initialized: bool) -> Shadow {
         let fill = if initialized { INIT } else { UNINIT };
         let states = (0..len).map(|_| AtomicU8::new(fill)).collect();
-        telemetry::registry().counter("vgpu.sanitize.shadowed_buffers").inc();
         Shadow { states, version: Arc::new(AtomicU64::new(0)), mirrors: Mutex::new(Vec::new()) }
     }
 
@@ -193,11 +170,39 @@ impl Shadow {
 }
 
 /// Kernel context threaded into the interpreter hot loops so a finding can
-/// name the kernel, site and buffer it fired on.
+/// name the kernel, site and buffer it fired on, and land in the launching
+/// runtime.
 #[derive(Clone, Copy)]
 pub(crate) struct SanCtx<'a> {
-    pub(crate) kernel: &'a str,
-    pub(crate) params: &'a [KernelParam],
+    pub(crate) prep: &'a Prepared,
+    pub(crate) rt: &'a Runtime,
+}
+
+impl SanCtx<'_> {
+    /// Load hook: reports a finding on parameter `param` with kernel/site
+    /// provenance. Call only when the buffer has a shadow.
+    #[inline(never)]
+    pub(crate) fn report(
+        &self,
+        kind: FaultKind,
+        param: usize,
+        site: u32,
+        element: u64,
+        engine: &'static str,
+    ) {
+        let ctr = match kind {
+            FaultKind::UninitRead => "vgpu.sanitize.uninit_reads",
+            FaultKind::StaleHaloRead => "vgpu.sanitize.stale_halo_reads",
+        };
+        self.rt.registry.counter(ctr).inc();
+        let buffer =
+            self.prep.params.get(param).map_or_else(|| format!("arg{param}"), |p| p.name.clone());
+        let f = Finding { kind, kernel: self.prep.name.clone(), site, buffer, element, engine };
+        let mut set = self.rt.findings.0.lock();
+        if set.seen.insert((f.kernel.clone(), f.site, f.kind, f.buffer.clone())) {
+            set.findings.push(f);
+        }
+    }
 }
 
 /// One deduplicated sanitizer finding.
@@ -234,66 +239,28 @@ impl std::fmt::Display for Finding {
 }
 
 #[derive(Default)]
-struct Registry {
+struct FindingSet {
     findings: Vec<Finding>,
     seen: std::collections::HashSet<(String, u32, FaultKind, String)>,
 }
 
-fn registry() -> &'static Mutex<Registry> {
-    static R: OnceLock<Mutex<Registry>> = OnceLock::new();
-    R.get_or_init(Mutex::default)
-}
+/// One runtime's sanitizer findings, deduplicated per (kernel, site, kind,
+/// buffer).
+#[derive(Default)]
+pub struct Findings(Mutex<FindingSet>);
 
-fn report(f: Finding) {
-    let ctr = match f.kind {
-        FaultKind::UninitRead => "vgpu.sanitize.uninit_reads",
-        FaultKind::StaleHaloRead => "vgpu.sanitize.stale_halo_reads",
-    };
-    telemetry::registry().counter(ctr).inc();
-    let mut reg = registry().lock();
-    if reg.seen.insert((f.kernel.clone(), f.site, f.kind, f.buffer.clone())) {
-        reg.findings.push(f);
+impl Findings {
+    /// Every finding so far.
+    pub fn all(&self) -> Vec<Finding> {
+        self.0.lock().findings.clone()
     }
-}
 
-/// Snapshot of all findings so far (deduplicated, process-wide).
-pub fn findings() -> Vec<Finding> {
-    registry().lock().findings.clone()
-}
-
-/// Drains the finding registry, returning everything recorded so far.
-pub fn take_findings() -> Vec<Finding> {
-    let mut reg = registry().lock();
-    reg.seen.clear();
-    std::mem::take(&mut reg.findings)
-}
-
-/// Number of findings recorded so far for `kernel`. The differential engine
-/// samples this before/after a launch to fail the launch on its own
-/// findings without racing concurrently-running kernels.
-pub fn findings_for(kernel: &str) -> usize {
-    registry().lock().findings.iter().filter(|f| f.kernel == kernel).count()
-}
-
-/// Interpreter load hook: classifies the read and reports a finding with
-/// kernel/site provenance. Call only when the buffer has a shadow.
-#[inline(never)]
-pub(crate) fn report_load_fault(
-    kind: FaultKind,
-    san: Option<&SanCtx<'_>>,
-    param: usize,
-    site: u32,
-    element: u64,
-    engine: &'static str,
-) {
-    let (kernel, buffer) = match san {
-        Some(s) => (
-            s.kernel.to_string(),
-            s.params.get(param).map(|p| p.name.clone()).unwrap_or_else(|| format!("arg{param}")),
-        ),
-        None => ("<unknown-kernel>".to_string(), format!("arg{param}")),
-    };
-    report(Finding { kind, kernel, site, buffer, element, engine });
+    /// Number of findings recorded so far for `kernel`. The differential
+    /// engine samples this before/after a launch to fail the launch on its
+    /// own findings without racing concurrently-running kernels.
+    pub fn count_for(&self, kernel: &str) -> usize {
+        self.0.lock().findings.iter().filter(|f| f.kernel == kernel).count()
+    }
 }
 
 #[cfg(test)]
@@ -328,23 +295,21 @@ mod tests {
     }
 
     #[test]
-    fn findings_dedupe_by_site() {
-        report(Finding {
-            kind: FaultKind::UninitRead,
-            kernel: "san_test_dedupe".into(),
-            site: 7,
-            buffer: "a".into(),
-            element: 3,
-            engine: "tree",
-        });
-        report(Finding {
-            kind: FaultKind::UninitRead,
-            kernel: "san_test_dedupe".into(),
-            site: 7,
-            buffer: "a".into(),
-            element: 4,
-            engine: "tree",
-        });
-        assert_eq!(findings_for("san_test_dedupe"), 1);
+    fn findings_dedupe_by_site_and_land_in_their_runtime() {
+        let k = lift::kast::Kernel {
+            name: "san_test_dedupe".into(),
+            params: vec![lift::kast::KernelParam::global_buf("a", lift::prelude::ScalarKind::F32)],
+            body: Vec::new(),
+            work_dim: 1,
+        };
+        let prep = crate::exec::prepare(&k).unwrap();
+        let rt = Runtime::new(crate::runtime::Settings::default());
+        let san = SanCtx { prep: &prep, rt: &rt };
+        san.report(FaultKind::UninitRead, 0, 7, 3, "tree");
+        san.report(FaultKind::UninitRead, 0, 7, 4, "tree");
+        assert_eq!(rt.findings.count_for("san_test_dedupe"), 1);
+        assert_eq!(rt.findings.all()[0].buffer, "a");
+        assert_eq!(rt.registry.counter("vgpu.sanitize.uninit_reads").get(), 2);
+        assert!(crate::runtime().findings.all().is_empty());
     }
 }

@@ -1,32 +1,31 @@
 //! The one policy for the `VGPU_*` environment settings: an unset variable
 //! means the default, and so does a value the setting does not accept — but
 //! that one says so on stderr. A typo in a CI leg (`VGPU_SANITIZE=shadwo`,
-//! `VGPU_DEVICES=two`) must not pass without sanitising or sharding.
+//! `VGPU_DEVICES=two`) must not pass without sanitising or sharding. The
+//! default runtime reads each variable once per process
+//! ([`crate::runtime::Settings::from_env`]), so a rejected value warns once.
 
-use parking_lot::Mutex;
+/// A variable's raw value in the process environment.
+pub(crate) fn env(name: &str) -> Option<String> {
+    std::env::var(name).ok()
+}
 
-/// Variables whose rejected value has been reported.
-static WARNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
-
-/// The value of environment variable `name` as `parse` reads it (trimmed):
-/// `None` when it is unset, and when `parse` rejects it — then after one
-/// stderr line per variable per process naming the `accepted` values.
+/// The value of variable `name`, as `var` looks it up ([`env`], or a table
+/// in tests) and `parse` reads it (trimmed): `None` when it is unset, and
+/// when `parse` rejects it — then after one stderr line naming the
+/// `accepted` values.
 pub(crate) fn setting<T>(
-    name: &'static str,
+    var: &dyn Fn(&str) -> Option<String>,
+    name: &str,
     accepted: &str,
     parse: impl FnOnce(&str) -> Option<T>,
 ) -> Option<T> {
-    let value = std::env::var(name).ok()?;
+    let value = var(name)?;
     let parsed = parse(value.trim());
     if parsed.is_none() {
-        let mut warned = WARNED.lock();
-        if !warned.contains(&name) {
-            warned.push(name);
-            eprintln!(
-                "vgpu: unrecognised {name} value `{value}` (accepted: {accepted}); \
-                 running the default"
-            );
-        }
+        eprintln!(
+            "vgpu: unrecognised {name} value `{value}` (accepted: {accepted}); running the default"
+        );
     }
     parsed
 }
@@ -38,22 +37,39 @@ pub(crate) fn positive(v: &str) -> Option<usize> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::runtime::Settings;
+    use crate::{Engine, ProfileMode, TraceMode};
+
+    fn parse(vars: &[(&str, &str)]) -> Settings {
+        let var = |name: &str| vars.iter().find(|(n, _)| *n == name).map(|(_, v)| v.to_string());
+        Settings::from_lookup(&var)
+    }
 
     #[test]
-    fn unset_is_none_accepted_parses_and_rejected_warns_once() {
-        const NAME: &str = "VGPU_SETTINGS_UNIT_TEST";
-        let on = |v: &str| (v == "on").then_some(true);
-        let warnings = || WARNED.lock().iter().filter(|n| **n == NAME).count();
-        std::env::remove_var(NAME);
-        assert_eq!(setting(NAME, "on", on), None);
-        std::env::set_var(NAME, " on ");
-        assert_eq!(setting(NAME, "on", on), Some(true));
-        assert_eq!(warnings(), 0, "neither unset nor accepted warns");
-        std::env::set_var(NAME, "onn");
-        assert_eq!(setting(NAME, "on", on), None);
-        assert_eq!(setting(NAME, "on", on), None);
-        assert_eq!(warnings(), 1, "one line per variable per process");
-        std::env::remove_var(NAME);
+    fn unset_is_the_default_accepted_parses_and_rejected_is_the_default() {
+        assert_eq!(parse(&[]), Settings::default());
+        let all = parse(&[
+            ("VGPU_ENGINE", "diff"),
+            ("VGPU_TRACE", " Chrome "),
+            ("VGPU_PROFILE", "op"),
+            ("VGPU_SANITIZE", "SHADOW"),
+            ("VGPU_DEVICES", "3"),
+        ]);
+        let want = Settings {
+            engine: Engine::Differential,
+            trace: TraceMode::Chrome,
+            profile: ProfileMode::Op,
+            shadow: true,
+            devices: 3,
+        };
+        assert_eq!(all, want);
+        let typos = parse(&[
+            ("VGPU_ENGINE", "fastt"),
+            ("VGPU_TRACE", "chrom"),
+            ("VGPU_PROFILE", "opp"),
+            ("VGPU_SANITIZE", "shadwo"),
+            ("VGPU_DEVICES", "0"),
+        ]);
+        assert_eq!(typos, Settings::default(), "a rejected value runs the default");
     }
 }

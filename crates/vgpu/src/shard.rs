@@ -28,15 +28,6 @@
 
 use crate::buffer::BufData;
 use crate::device::{BufId, Device};
-use crate::telemetry;
-
-/// Number of devices requested via `VGPU_DEVICES`, read on every call; 1
-/// when it is unset or not a positive integer (which [`crate::settings`]
-/// reports once).
-pub fn device_count_from_env() -> usize {
-    use crate::settings::{positive, setting};
-    setting("VGPU_DEVICES", "a positive integer", positive).unwrap_or(1)
-}
 
 /// A partition of `nz` z-planes into contiguous owned slabs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,43 +128,6 @@ pub fn halo_exchange(devices: &mut [Device], bufs: &[BufId], part: &SlabPartitio
     }
 }
 
-/// Current totals of the sharding counters, for delta assertions in
-/// tests and bench provenance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HaloTotals {
-    /// `vgpu.halo.bytes` — halo-exchange bytes (DevToDev).
-    pub bytes: u64,
-    /// `vgpu.halo.copies` — halo-exchange plane copies.
-    pub copies: u64,
-    /// `vgpu.halo.replicate.bytes` — replicated-upload bytes.
-    pub replicate_bytes: u64,
-    /// `vgpu.halo.replicate.transfers` — replicated uploads.
-    pub replicate_transfers: u64,
-}
-
-impl HaloTotals {
-    /// Snapshot of the process-wide halo counters.
-    pub fn snapshot() -> HaloTotals {
-        let reg = telemetry::registry();
-        HaloTotals {
-            bytes: reg.counter("vgpu.halo.bytes").get(),
-            copies: reg.counter("vgpu.halo.copies").get(),
-            replicate_bytes: reg.counter("vgpu.halo.replicate.bytes").get(),
-            replicate_transfers: reg.counter("vgpu.halo.replicate.transfers").get(),
-        }
-    }
-
-    /// Componentwise difference vs an earlier snapshot.
-    pub fn delta_since(&self, earlier: &HaloTotals) -> HaloTotals {
-        HaloTotals {
-            bytes: self.bytes - earlier.bytes,
-            copies: self.copies - earlier.copies,
-            replicate_bytes: self.replicate_bytes - earlier.replicate_bytes,
-            replicate_transfers: self.replicate_transfers - earlier.replicate_transfers,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,18 +151,20 @@ mod tests {
     fn halo_exchange_moves_seam_planes_and_counts_once() {
         let plane = 4;
         let part = SlabPartition::from_cuts(4, vec![0, 2, 4]);
-        let mut devices = vec![Device::gtx780(), Device::gtx780()];
+        // A runtime of its own: the deltas below are exact.
+        let rt = crate::runtime::Runtime::new(crate::runtime().settings);
+        let dev = || Device::with_runtime(crate::DeviceProfile::gtx780(), rt.clone());
+        let mut devices = vec![dev(), dev()];
         // Device 0: 2 owned + 2 halo planes; fill owned planes with 1.0.
         let b0 = devices[0].create_buffer(ScalarKind::F32, part.local_planes(0) * plane);
         let b1 = devices[1].create_buffer(ScalarKind::F32, part.local_planes(1) * plane);
         devices[0].write_region(b0, plane, BufData::F32(vec![1.0; 2 * plane]));
         devices[1].write_region(b1, plane, BufData::F32(vec![2.0; 2 * plane]));
-        let before = HaloTotals::snapshot();
         halo_exchange(&mut devices, &[b0, b1], &part, plane);
-        let d = HaloTotals::snapshot().delta_since(&before);
-        assert_eq!(d.copies, 2);
-        assert_eq!(d.bytes, 2 * (plane as u64) * 4);
-        assert_eq!(d.replicate_transfers, 0);
+        let count = |name| rt.registry.counter(name).get();
+        assert_eq!(count("vgpu.halo.copies"), 2);
+        assert_eq!(count("vgpu.halo.bytes"), 2 * (plane as u64) * 4);
+        assert_eq!(count("vgpu.halo.replicate.transfers"), 0);
         // Device 0's top halo now holds device 1's bottom owned plane.
         let top_halo = devices[0].peek_region(b0, 3 * plane, plane);
         assert_eq!(top_halo, BufData::F32(vec![2.0; plane]));

@@ -2,26 +2,25 @@
 //!
 //! Every observable fact the runtime emits is one [`Event`] value. The schema
 //! is the contract between the instrumented code and the sinks in
-//! [`crate::telemetry::sink`]: events serialise losslessly to JSON (the JSONL
-//! stream is one event per line) and deserialise back, which the schema tests
-//! exercise variant by variant.
+//! [`crate::telemetry::sink`]: events serialise to JSON (the JSONL stream is
+//! one event per line), which the schema tests re-parse variant by variant.
 //!
-//! Timestamps are microseconds since the process telemetry epoch
-//! ([`crate::telemetry::now_us`]). Spans on device *modeled* tracks instead
+//! Timestamps are microseconds since the trace's epoch
+//! ([`crate::telemetry::Trace::now_us`]). Spans on device *modeled* tracks instead
 //! use the device's cumulative modeled-time clock, so a Perfetto view of the
 //! modeled track reads as "GPU time the roofline model charged".
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifies one timeline ("track" in Perfetto, "thread" in the Chrome
 /// trace-event format) that spans are drawn on. Track 0 is the host
 /// wall-clock track; devices allocate further tracks via
-/// [`crate::telemetry::new_track`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// [`crate::telemetry::Trace::new_track`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct TrackId(pub u32);
 
 /// Direction of a host⇄device or device⇄device transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 #[serde(rename_all = "snake_case")]
 pub enum TransferDir {
     /// Host → device (`enqueueWriteBuffer`, the paper's `ToGPU`).
@@ -54,7 +53,7 @@ impl TransferDir {
 
 /// Per-launch metric payload attached to every [`Event::Kernel`]: the
 /// interpreter's operation counters plus the transaction model's outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct KernelMetrics {
     /// Work-items executed (scaled to the full NDRange when sampled).
     pub work_items: u64,
@@ -102,7 +101,7 @@ impl From<&crate::LaunchStats> for KernelMetrics {
 }
 
 /// One telemetry event. See the module docs for the timestamp convention.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[serde(tag = "ev", rename_all = "snake_case")]
 pub enum Event {
     /// Names a track. Emitted once per track, before any span on it.

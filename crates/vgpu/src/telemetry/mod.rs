@@ -1,35 +1,37 @@
 //! Structured telemetry for the vgpu runtime: span tracing, per-launch
-//! metric events, and a process-wide counter registry, with pluggable sinks
-//! (summary table, JSONL, Chrome trace-event/Perfetto JSON).
+//! metric events, and counter registries, with pluggable sinks (summary
+//! table, JSONL, Chrome trace-event/Perfetto JSON).
 //!
 //! # Architecture
 //!
 //! - [`event`] defines the schema: every observable fact is one [`Event`].
 //! - [`registry`] holds typed [`Counter`]s/[`Gauge`]s/[`Histogram`]s that
-//!   instrumented code registers by name; [`registry()`] is the process-wide
-//!   instance.
+//!   instrumented code registers by name. Each [`crate::runtime::Runtime`]
+//!   owns one; [`registry()`] is the default runtime's.
+//! - [`Trace`] is a runtime's event buffer with its tracks and epoch.
 //! - [`sink`] renders an event stream + metric snapshot to a summary table,
 //!   a JSONL stream, or Chrome trace JSON, and can validate a Chrome trace
 //!   back ([`sink::validate_chrome`]).
 //!
 //! # Enabling
 //!
-//! Tracing is off unless `VGPU_TRACE` selects a sink: `off`, `summary`,
-//! `json` (JSONL), or `chrome` (Perfetto-loadable). The mode is sampled from
-//! the environment once, lazily; tests and harnesses may override it with
-//! [`set_mode`]. When tracing is off, every instrumentation site reduces to
-//! one relaxed atomic load and a branch — no allocation, no locking. A small
-//! set of audit counters (launch counts, divergent warps, transfer bytes) is
-//! maintained unconditionally; counter updates are single relaxed atomics.
+//! Tracing is off unless the runtime's settings select a sink (`VGPU_TRACE`
+//! for the default runtime): `off`, `summary`, `json` (JSONL), or `chrome`
+//! (Perfetto-loadable). When tracing is off, every instrumentation site
+//! reduces to one field read and a branch — no allocation, no locking. A
+//! small set of audit counters (launch counts, divergent warps, transfer
+//! bytes) is maintained unconditionally; counter updates are single relaxed
+//! atomics.
 //!
 //! # Tracks and clocks
 //!
 //! Spans are drawn on *tracks*. Track 0 ([`HOST_TRACK`]) is the host
-//! wall-clock timeline; timestamps are µs since the process telemetry epoch
-//! ([`now_us`]). Each [`crate::Device`] allocates a kernel track, a transfer
-//! track, and a *modeled-time* track whose spans are placed on the device's
-//! cumulative roofline-model clock instead of wall time, so a Perfetto view
-//! shows both what the host did and what the modeled GPU was charged.
+//! wall-clock timeline; timestamps are µs since the trace's epoch, the
+//! runtime's creation ([`Trace::now_us`]). Each [`crate::Device`] allocates a
+//! kernel track, a transfer track, and a *modeled-time* track whose spans are
+//! placed on the device's cumulative roofline-model clock instead of wall
+//! time, so a Perfetto view shows both what the host did and what the
+//! modeled GPU was charged.
 
 pub mod event;
 pub mod registry;
@@ -39,22 +41,20 @@ pub use event::{Event, KernelMetrics, TrackId, TransferDir};
 pub use registry::{Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry};
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
 /// Sink selection, parsed from `VGPU_TRACE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
 pub enum TraceMode {
     /// Telemetry disabled (the near-zero-cost path).
-    Off = 0,
+    Off,
     /// Human-readable end-of-run summary table.
-    Summary = 1,
+    Summary,
     /// Machine-readable JSONL event stream.
-    Json = 2,
+    Json,
     /// Chrome trace-event / Perfetto-loadable JSON.
-    Chrome = 3,
+    Chrome,
 }
 
 impl TraceMode {
@@ -69,116 +69,102 @@ impl TraceMode {
             _ => None,
         }
     }
-
-    /// The mode `VGPU_TRACE` selects; off when it is unset or holds a value
-    /// [`TraceMode::parse`] rejects (which [`crate::settings`] reports once).
-    pub fn from_env() -> TraceMode {
-        let accepted = "off, summary|table, json|jsonl, chrome|perfetto|trace";
-        crate::settings::setting("VGPU_TRACE", accepted, TraceMode::parse).unwrap_or(TraceMode::Off)
-    }
-}
-
-/// 0xFF = not yet initialised from the environment.
-static MODE: AtomicU8 = AtomicU8::new(0xFF);
-
-fn decode(v: u8) -> TraceMode {
-    match v {
-        1 => TraceMode::Summary,
-        2 => TraceMode::Json,
-        3 => TraceMode::Chrome,
-        _ => TraceMode::Off,
-    }
-}
-
-/// The active trace mode (env-initialised on first call).
-pub fn mode() -> TraceMode {
-    let v = MODE.load(Ordering::Relaxed);
-    if v != 0xFF {
-        return decode(v);
-    }
-    let m = TraceMode::from_env();
-    MODE.store(m as u8, Ordering::Relaxed);
-    m
-}
-
-/// True when events should be recorded. This is the hot-path gate: one
-/// relaxed load and a compare.
-#[inline]
-pub fn enabled() -> bool {
-    let v = MODE.load(Ordering::Relaxed);
-    if v == 0xFF {
-        return mode() != TraceMode::Off;
-    }
-    v != TraceMode::Off as u8
-}
-
-/// Overrides the trace mode (tests and harnesses).
-pub fn set_mode(m: TraceMode) {
-    MODE.store(m as u8, Ordering::Relaxed);
-}
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-/// Microseconds since the process telemetry epoch (first telemetry use).
-pub fn now_us() -> f64 {
-    epoch().elapsed().as_secs_f64() * 1e6
-}
-
-static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
-
-/// Appends an event to the process buffer. Callers gate on [`enabled`];
-/// recording while disabled is permitted (tests) but not free.
-pub fn record(ev: Event) {
-    EVENTS.lock().push(ev);
-}
-
-/// Drains and returns all buffered events.
-pub fn take_events() -> Vec<Event> {
-    std::mem::take(&mut *EVENTS.lock())
-}
-
-/// Clones the buffered events without draining them.
-pub fn events_snapshot() -> Vec<Event> {
-    EVENTS.lock().clone()
 }
 
 /// The host wall-clock track.
 pub const HOST_TRACK: TrackId = TrackId(0);
 
-/// Track 0 is host; device tracks start at 1.
-static NEXT_TRACK: AtomicU32 = AtomicU32::new(1);
-
-/// Allocates a fresh track and records its name.
-pub fn new_track(name: &str) -> TrackId {
-    let t = TrackId(NEXT_TRACK.fetch_add(1, Ordering::Relaxed));
-    record(Event::TrackName { track: t, name: name.to_string() });
-    t
+/// One runtime's trace: its mode, its epoch, the events recorded so far and
+/// the tracks handed out. A recording trace starts with the host track's
+/// name.
+pub struct Trace {
+    mode: TraceMode,
+    epoch: Instant,
+    events: Mutex<Vec<Event>>,
+    /// Track 0 is host; device tracks start at 1.
+    next_track: AtomicU32,
 }
 
-/// Records the host track's name once per process (idempotent).
-pub fn ensure_host_track() {
-    use std::sync::atomic::AtomicBool;
-    static NAMED: AtomicBool = AtomicBool::new(false);
-    if !NAMED.swap(true, Ordering::Relaxed) {
-        record(Event::TrackName { track: HOST_TRACK, name: "host".to_string() });
+impl Trace {
+    pub(crate) fn new(mode: TraceMode) -> Trace {
+        let host = Event::TrackName { track: HOST_TRACK, name: "host".to_string() };
+        let events = if mode == TraceMode::Off { Vec::new() } else { vec![host] };
+        Trace {
+            mode,
+            epoch: Instant::now(),
+            events: Mutex::new(events),
+            next_track: AtomicU32::new(1),
+        }
+    }
+
+    /// True when events should be recorded. This is the hot-path gate: one
+    /// field read and a compare.
+    #[inline]
+    pub fn enabled(&self) -> bool {
+        self.mode != TraceMode::Off
+    }
+
+    /// Microseconds since the trace's epoch.
+    pub fn now_us(&self) -> f64 {
+        self.epoch.elapsed().as_secs_f64() * 1e6
+    }
+
+    /// Appends an event. Callers gate on [`Trace::enabled`]; recording while
+    /// disabled is permitted but not free.
+    pub fn record(&self, ev: Event) {
+        self.events.lock().push(ev);
+    }
+
+    /// Drains and returns all buffered events.
+    pub fn take_events(&self) -> Vec<Event> {
+        std::mem::take(&mut *self.events.lock())
+    }
+
+    /// Clones the buffered events without draining them.
+    pub fn events_snapshot(&self) -> Vec<Event> {
+        self.events.lock().clone()
+    }
+
+    /// Allocates a fresh track and records its name.
+    pub fn new_track(&self, name: &str) -> TrackId {
+        let t = TrackId(self.next_track.fetch_add(1, Ordering::Relaxed));
+        self.record(Event::TrackName { track: t, name: name.to_string() });
+        t
+    }
+
+    /// Opens a span on `track` if tracing is enabled. The span closes (and
+    /// is recorded) when the returned guard drops.
+    pub fn span(&self, track: TrackId, name: &str) -> Option<SpanGuard<'_>> {
+        self.span_with(track, || name.to_string())
+    }
+
+    /// Like [`Trace::span`] but the name is built lazily, so the disabled
+    /// path never formats or allocates.
+    pub fn span_with(
+        &self,
+        track: TrackId,
+        name: impl FnOnce() -> String,
+    ) -> Option<SpanGuard<'_>> {
+        if !self.enabled() {
+            return None;
+        }
+        Some(SpanGuard { trace: self, track, name: name(), start_us: self.now_us() })
     }
 }
 
-/// Live span handle returned by [`span`]; records an [`Event::Span`] with
-/// the elapsed wall time when dropped.
-pub struct SpanGuard {
+/// Live span handle returned by [`Trace::span`]; records an [`Event::Span`]
+/// with the elapsed wall time when dropped.
+pub struct SpanGuard<'a> {
+    trace: &'a Trace,
     track: TrackId,
     name: String,
     start_us: f64,
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let end = now_us();
-        record(Event::Span {
+        let end = self.trace.now_us();
+        self.trace.record(Event::Span {
             track: self.track,
             name: std::mem::take(&mut self.name),
             ts_us: self.start_us,
@@ -187,39 +173,15 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Opens a span on `track` if tracing is enabled. The span closes (and is
-/// recorded) when the returned guard drops.
-pub fn span(track: TrackId, name: &str) -> Option<SpanGuard> {
-    if !enabled() {
-        return None;
-    }
-    ensure_host_track();
-    Some(SpanGuard { track, name: name.to_string(), start_us: now_us() })
-}
-
-/// Like [`span`] but the name is built lazily, so the disabled path never
-/// formats or allocates.
-pub fn span_with(track: TrackId, name: impl FnOnce() -> String) -> Option<SpanGuard> {
-    if !enabled() {
-        return None;
-    }
-    ensure_host_track();
-    Some(SpanGuard { track, name: name(), start_us: now_us() })
-}
-
-static REGISTRY: Registry = Registry::new();
-
-/// The process-wide metric registry.
+/// The default runtime's metric registry ([`crate::runtime()`]): where the
+/// counters of default devices, compilation and the artifact map land.
 pub fn registry() -> &'static Registry {
-    &REGISTRY
+    &crate::runtime().registry
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Telemetry state is process-global; serialise tests that touch it.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parse_modes() {
@@ -232,31 +194,23 @@ mod tests {
 
     #[test]
     fn span_guard_records_on_drop() {
-        let _g = TEST_LOCK.lock();
-        let prev = mode();
-        set_mode(TraceMode::Json);
-        let before = events_snapshot().len();
+        let trace = Trace::new(TraceMode::Json);
         {
-            let _s = span(HOST_TRACK, "test-span");
+            let _s = trace.span(HOST_TRACK, "test-span");
         }
-        let evs = events_snapshot();
-        set_mode(prev);
+        let evs = trace.take_events();
+        assert!(matches!(&evs[0], Event::TrackName { track: HOST_TRACK, name } if name == "host"));
         assert!(
-            evs[before..]
-                .iter()
-                .any(|e| matches!(e, Event::Span { name, .. } if name == "test-span")),
-            "span event not recorded: {:?}",
-            &evs[before..]
+            matches!(&evs[1..], [Event::Span { name, .. }] if name == "test-span"),
+            "span event not recorded: {evs:?}"
         );
     }
 
     #[test]
     fn disabled_span_is_none() {
-        let _g = TEST_LOCK.lock();
-        let prev = mode();
-        set_mode(TraceMode::Off);
-        assert!(span(HOST_TRACK, "x").is_none());
-        assert!(span_with(HOST_TRACK, || unreachable!("must not format")).is_none());
-        set_mode(prev);
+        let trace = Trace::new(TraceMode::Off);
+        assert!(trace.span(HOST_TRACK, "x").is_none());
+        assert!(trace.span_with(HOST_TRACK, || unreachable!("must not format")).is_none());
+        assert!(trace.take_events().is_empty());
     }
 }

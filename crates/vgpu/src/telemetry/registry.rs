@@ -1,4 +1,4 @@
-//! The process-wide metric registry: typed counters, gauges and histograms.
+//! A runtime's metric registry: typed counters, gauges and histograms.
 //!
 //! Instrumented code registers a metric once by name and holds a cheap
 //! cloneable handle; updates are single relaxed atomic operations, safe to
@@ -7,7 +7,7 @@
 //! sinks.
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,7 +139,7 @@ enum Slot {
 }
 
 /// The value part of a metric snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 #[serde(tag = "kind", rename_all = "snake_case")]
 pub enum MetricValue {
     /// Counter value.
@@ -171,7 +171,7 @@ pub enum MetricValue {
 }
 
 /// One metric at snapshot time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricSnapshot {
     /// Registered name.
     pub name: String,
@@ -180,8 +180,8 @@ pub struct MetricSnapshot {
     pub value: MetricValue,
 }
 
-/// The registry. Use [`crate::telemetry::registry`] for the process-wide
-/// instance.
+/// The registry. Each [`crate::runtime::Runtime`] owns one;
+/// [`crate::telemetry::registry`] is the default runtime's.
 pub struct Registry {
     slots: Mutex<BTreeMap<String, Slot>>,
 }
@@ -270,12 +270,6 @@ impl Registry {
                 },
             })
             .collect()
-    }
-
-    /// Removes every registered metric (tests only — existing handles keep
-    /// their storage but detach from the registry).
-    pub fn reset(&self) {
-        self.slots.lock().clear();
     }
 }
 
@@ -389,27 +383,5 @@ mod tests {
         let p50 = h.quantile(0.5).unwrap();
         assert!(p50.is_finite());
         assert!(p50 >= (1u64 << 63) as f64 && p50 <= u64::MAX as f64, "p50 = {p50}");
-    }
-
-    #[test]
-    fn reset_detaches_live_histogram_handles() {
-        let r = Registry::new();
-        let h = r.histogram("h");
-        h.record(10);
-        r.reset();
-        // The live handle keeps its (detached) storage usable...
-        h.record(20);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.quantile(0.5), Some(12.0)); // rank 1 of 2 in [8,16)
-                                                 // ...but the registry starts fresh: re-registering the name yields
-                                                 // new zeroed storage, and snapshots carry no stale state.
-        assert!(r.snapshot().is_empty());
-        let h2 = r.histogram("h");
-        assert_eq!(h2.count(), 0);
-        assert_eq!(h2.quantile(0.5), None);
-        h2.record(1);
-        // The detached handle and the re-registered one stay independent.
-        assert_eq!(h.count(), 2);
-        assert_eq!(h2.count(), 1);
     }
 }

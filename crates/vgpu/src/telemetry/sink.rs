@@ -9,7 +9,7 @@
 
 use super::event::{Event, KernelMetrics, TransferDir};
 use super::registry::{MetricSnapshot, MetricValue};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use serde_json::json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
@@ -205,7 +205,7 @@ pub fn validate_chrome(text: &str) -> Result<ChromeStats, String> {
 /// Per-kernel aggregate of launches — the one per-kernel table: the trace
 /// summary folds [`Event::Kernel`]s into it ([`kernel_summaries`]), a caller
 /// without a trace folds what its launches returned ([`KernelSummary::add`]).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct KernelSummary {
     /// Kernel name.
     pub name: String,
@@ -268,7 +268,7 @@ pub fn kernel_summaries(events: &[Event]) -> Vec<KernelSummary> {
 }
 
 /// Total transfers by direction over an event stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TransferSummary {
     /// Direction.
     pub dir: TransferDir,

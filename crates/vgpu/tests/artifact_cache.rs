@@ -4,17 +4,35 @@
 //! launch that does not match the kernel's parameters is an error before
 //! anything runs.
 //!
-//! Runs in its own test binary so its counter-delta assertions only race
-//! with the tests in this file, which serialise on [`COUNTERS`].
+//! Launches count into a runtime of their own; compilations count into the
+//! default registry, so the tests that compile through the artifact map
+//! serialise on [`COUNTERS`].
 
 use lift::arith::ArithExpr;
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, ScalarKind, Value};
 use lift::verify::{Assumptions, BufferFacts};
 use std::sync::{Arc, Mutex};
-use vgpu::{telemetry, Arg, BufData, Device, Engine, ExecMode};
+use vgpu::{telemetry, Arg, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime};
 
+/// Guards the deltas of the process-wide `vgpu.artifact.*` counters, which
+/// every `compile_cached*` call moves.
 static COUNTERS: Mutex<()> = Mutex::new(());
+
+/// A device on `engine`, on a fresh runtime with the environment's settings.
+fn device(engine: Engine) -> Device {
+    let rt = Runtime::new(vgpu::runtime().settings);
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), rt);
+    dev.set_engine(engine);
+    dev
+}
+
+/// `(proven, checked)` site totals of the check tables `dev`'s launches
+/// built.
+fn sites(dev: &Device) -> (u64, u64) {
+    let reg = &dev.runtime().registry;
+    (reg.counter("vgpu.tape.sites_proven").get(), reg.counter("vgpu.tape.sites_checked").get())
+}
 
 /// out[gid] = x[gid] * a.
 fn scale_kernel(name: &str, kind: ScalarKind) -> Kernel {
@@ -34,8 +52,8 @@ fn scale_kernel(name: &str, kind: ScalarKind) -> Kernel {
     }
 }
 
-fn launch_scaled(prep: &vgpu::Prepared, a: f32) {
-    let mut dev = Device::gtx780();
+/// Launches `out = x * a` on `dev`.
+fn launch_scaled(dev: &mut Device, prep: &vgpu::Prepared, a: f32) {
     let x = dev.upload(BufData::from(vec![1.0f32, 2.0, 3.0, 4.0]));
     let out = dev.upload(BufData::from(vec![0.0f32; 4]));
     dev.launch(prep, &[Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::F32(a))], &[4], ExecMode::Fast)
@@ -64,21 +82,12 @@ fn compile_cached_counts_hits_and_misses() {
 fn a_float_scalar_that_changes_per_launch_reuses_the_bounds_proof() {
     let _guard = COUNTERS.lock().unwrap();
     let prep = vgpu::compile_cached(&scale_kernel("artifact_proof_key", ScalarKind::F32)).unwrap();
-    let reg = telemetry::registry();
-    let sites = || {
-        reg.counter("vgpu.tape.sites_proven").get() + reg.counter("vgpu.tape.sites_checked").get()
-    };
-    let sites0 = sites();
+    let mut dev = device(Engine::Fast);
     for i in 0..100 {
-        launch_scaled(&prep, i as f32 * 0.5);
+        launch_scaled(&mut dev, &prep, i as f32 * 0.5);
     }
-    assert_eq!(sites() - sites0, 2, "one table for the kernel's load and store site");
-}
-
-/// `(proven, checked)` site totals of the check tables built so far.
-fn sites() -> (u64, u64) {
-    let reg = telemetry::registry();
-    (reg.counter("vgpu.tape.sites_proven").get(), reg.counter("vgpu.tape.sites_checked").get())
+    let (proven, checked) = sites(&dev);
+    assert_eq!(proven + checked, 2, "one table for the kernel's load and store site");
 }
 
 /// `if (gid < N) out[gid] = x[idx[gid]];` — whether the gather is in bounds
@@ -122,16 +131,13 @@ fn gather_contract() -> Assumptions {
 /// outputs; returns the launch's own `(proven, checked)` site counts.
 fn launch_gather(prep: &vgpu::Prepared, idx: Vec<i32>, x_len: usize) -> (u64, u64) {
     let n = idx.len();
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Fast);
+    let mut dev = device(Engine::Fast);
     let idx = dev.upload(BufData::from(idx));
     let x = dev.upload(BufData::from(vec![1.0f32; x_len]));
     let out = dev.upload(BufData::from(vec![0.0f32; n]));
-    let before = sites();
     let args = [Arg::Buf(idx), Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::I32(n as i32))];
     dev.launch(prep, &args, &[n], ExecMode::Fast).unwrap();
-    let after = sites();
-    (after.0 - before.0, after.1 - before.1)
+    sites(&dev)
 }
 
 #[test]
@@ -180,8 +186,7 @@ fn a_buffer_shorter_than_its_contract_length_is_proven_against_its_real_length()
 fn check_tables_are_capped_per_artifact() {
     let _guard = COUNTERS.lock().unwrap();
     let prep = vgpu::compile_cached(&scale_kernel("artifact_table_cap", ScalarKind::F32)).unwrap();
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Fast);
+    let mut dev = device(Engine::Fast);
     let x = dev.upload(BufData::from(vec![1.0f32; 1000]));
     let out = dev.upload(BufData::from(vec![0.0f32; 1000]));
     let args = [Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::F32(2.0))];
@@ -198,16 +203,14 @@ fn check_tables_are_capped_per_artifact() {
 /// counts no launch.
 #[test]
 fn a_kind_mismatched_buffer_is_the_same_error_under_every_engine() {
-    let _guard = COUNTERS.lock().unwrap();
-    let reg = telemetry::registry();
-    let launches = || {
-        ["vgpu.launches.tape", "vgpu.launches.tree", "vgpu.launches.oracle"]
-            .map(|c| reg.counter(c).get())
-    };
     let mut texts = Vec::new();
     for engine in [Engine::Fast, Engine::Tree, Engine::Differential] {
-        let mut dev = Device::gtx780();
-        dev.set_engine(engine);
+        let mut dev = device(engine);
+        let rt = dev.runtime().clone();
+        let launches = || {
+            ["vgpu.launches.tape", "vgpu.launches.tree", "vgpu.launches.oracle"]
+                .map(|c| rt.registry.counter(c).get())
+        };
         let prep = dev.compile(&scale_kernel("artifact_kinds", ScalarKind::F32)).unwrap();
         let x = dev.upload(BufData::from(vec![1.0f64, 2.0]));
         let out = dev.upload(BufData::from(vec![0.0f32; 2]));

@@ -12,7 +12,7 @@ use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, ScalarKind, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
-use vgpu::{telemetry, Arg, BufData, Device, ExecMode, TraceMode};
+use vgpu::{Arg, BufData, Device, DeviceProfile, ExecMode, Runtime, Settings, TraceMode};
 
 /// Bytes currently allocated and not yet freed.
 static LIVE: AtomicIsize = AtomicIsize::new(0);
@@ -68,8 +68,8 @@ fn copy_kernel() -> Kernel {
 #[test]
 fn ten_thousand_launches_leave_the_heap_where_it_was() {
     // Tracing is the one log a launch can feed; this is about the rest.
-    telemetry::set_mode(TraceMode::Off);
-    let mut dev = Device::gtx780();
+    let rt = Runtime::new(Settings { trace: TraceMode::Off, ..vgpu::runtime().settings });
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), rt);
     let prep = dev.compile(&copy_kernel()).unwrap();
     let src = dev.upload(BufData::from(vec![1.0f32; 8]));
     let out = dev.create_buffer(ScalarKind::F32, 8);

@@ -1,19 +1,31 @@
 //! End-to-end tests of the shadow-memory sanitizer (`VGPU_SANITIZE=shadow`).
 //!
-//! Every test in this binary runs with the sanitizer forced on (the binary
-//! is separate from the other vgpu test binaries, so the process-wide
-//! override leaks nowhere). Two deliberately broken schedules — the dynamic
+//! Every test here runs its devices on a runtime of its own with the
+//! sanitizer on, so its findings and counters are its own. Two deliberately
+//! broken schedules — the dynamic
 //! twins of the static fixtures `fixture_uninit_read` and
 //! `fixture_stale_halo` — must be flagged with full provenance, and clean
 //! schedules (including a halo exchange done right) must stay silent.
 
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, ScalarKind, Value};
-use vgpu::sanitize::{self, FaultKind};
-use vgpu::{Arg, BufData, Device, Engine, ExecMode, SlabPartition};
+use std::sync::Arc;
+use vgpu::sanitize::FaultKind;
+use vgpu::{
+    Arg, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime, Settings, SlabPartition,
+};
 
-fn force_on() {
-    sanitize::force_shadow();
+/// A runtime with the shadow sanitizer on and the environment's other
+/// settings.
+fn shadow_runtime() -> Arc<Runtime> {
+    Runtime::new(Settings { shadow: true, ..vgpu::runtime().settings })
+}
+
+/// A device of `rt` on `engine`.
+fn device(rt: &Arc<Runtime>, engine: Engine) -> Device {
+    let mut d = Device::with_runtime(DeviceProfile::gtx780(), rt.clone());
+    d.set_engine(engine);
+    d
 }
 
 /// out[i] = src[i] — one load site, one store site.
@@ -39,7 +51,7 @@ fn copy_kernel(name: &str) -> Kernel {
 
 #[test]
 fn uninit_read_is_flagged_with_provenance_on_every_executor() {
-    force_on();
+    let rt = shadow_runtime();
     // The tape takes its unit-stride runs on a plain launch and its
     // per-lane path on a race-checked one; a shadowed buffer keeps both
     // per element.
@@ -47,8 +59,7 @@ fn uninit_read_is_flagged_with_provenance_on_every_executor() {
         [(Engine::Tree, false, "tree"), (Engine::Fast, true, "tape"), (Engine::Fast, false, "tape")]
     {
         let name = format!("san_uninit_{label}_{race_check}");
-        let mut dev = Device::gtx780();
-        dev.set_engine(engine);
+        let mut dev = device(&rt, engine);
         dev.set_race_check(race_check);
         let prep = dev.compile(&copy_kernel(&name)).unwrap();
         // `create_buffer` contents are not promised — reading them is the bug.
@@ -63,7 +74,7 @@ fn uninit_read_is_flagged_with_provenance_on_every_executor() {
             )
             .unwrap();
         assert_eq!(stats.backend.label(), label);
-        let hits: Vec<_> = sanitize::findings().into_iter().filter(|f| f.kernel == name).collect();
+        let hits: Vec<_> = rt.findings.all().into_iter().filter(|f| f.kernel == name).collect();
         assert_eq!(hits.len(), 1, "{label}: exactly one deduped finding, got {hits:?}");
         assert_eq!(hits[0].kind, FaultKind::UninitRead);
         assert_eq!(hits[0].buffer, "src", "{label}: finding names the read buffer");
@@ -73,10 +84,9 @@ fn uninit_read_is_flagged_with_provenance_on_every_executor() {
 
 #[test]
 fn zeroed_allocation_and_upload_are_clean() {
-    force_on();
+    let rt = shadow_runtime();
     let name = "san_clean_copy";
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Differential); // diff engine errors on any finding
+    let mut dev = device(&rt, Engine::Differential); // diff engine errors on any finding
     let prep = dev.compile(&copy_kernel(name)).unwrap();
     let src = dev.create_buffer_zeroed(ScalarKind::F32, 32);
     let out = dev.create_buffer(ScalarKind::F32, 32); // store-only: fine uninit
@@ -96,15 +106,13 @@ fn zeroed_allocation_and_upload_are_clean() {
         ExecMode::Fast,
     )
     .expect("uploaded source is initialized");
-    assert_eq!(sanitize::findings().iter().filter(|f| f.kernel == name).count(), 0);
+    assert!(rt.findings.all().is_empty());
 }
 
 #[test]
 fn differential_gate_turns_finding_into_launch_error() {
-    force_on();
     let name = "san_uninit_diffgate";
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Differential);
+    let mut dev = device(&shadow_runtime(), Engine::Differential);
     let prep = dev.compile(&copy_kernel(name)).unwrap();
     let src = dev.create_buffer(ScalarKind::F32, 16);
     let out = dev.create_buffer(ScalarKind::F32, 16);
@@ -128,13 +136,11 @@ fn differential_gate_turns_finding_into_launch_error() {
 fn stale_halo_schedule(exchange_each_step: bool, kname: &str) -> Vec<vgpu::Finding> {
     let plane = 4usize;
     let part = SlabPartition::balanced(4, 2);
-    let mut devs = vec![Device::gtx780(), Device::gtx780()];
-    for d in &mut devs {
-        // Pin a single-leg engine: under VGPU_ENGINE=diff the stale seam
-        // would (correctly) fail the launch instead of recording findings,
-        // and this helper wants to inspect the registry afterwards.
-        d.set_engine(Engine::Fast);
-    }
+    let rt = shadow_runtime();
+    // A single-leg engine: under the differential one the stale seam would
+    // (correctly) fail the launch instead of recording findings, and this
+    // helper wants to inspect them afterwards.
+    let mut devs = vec![device(&rt, Engine::Fast), device(&rt, Engine::Fast)];
     // increment kernel: bumps the *owned* planes only (indices are shifted
     // past the bottom halo plane), exactly like a volume update — halo
     // planes are read, never written.
@@ -224,12 +230,11 @@ fn stale_halo_schedule(exchange_each_step: bool, kname: &str) -> Vec<vgpu::Findi
                 .unwrap();
         }
     }
-    sanitize::findings().into_iter().filter(|f| f.kernel == format!("{kname}_reader")).collect()
+    rt.findings.all().into_iter().filter(|f| f.kernel == format!("{kname}_reader")).collect()
 }
 
 #[test]
 fn skipped_halo_exchange_is_flagged_as_stale() {
-    force_on();
     let hits = stale_halo_schedule(false, "san_stale");
     assert!(!hits.is_empty(), "second step must read a stale seam");
     assert!(hits.iter().all(|f| f.kind == FaultKind::StaleHaloRead), "{hits:?}");
@@ -238,19 +243,15 @@ fn skipped_halo_exchange_is_flagged_as_stale() {
 
 #[test]
 fn per_step_halo_exchange_is_clean() {
-    force_on();
     let hits = stale_halo_schedule(true, "san_fresh");
     assert!(hits.is_empty(), "exchanged-every-step schedule must be clean: {hits:?}");
 }
 
 #[test]
 fn sanitize_counters_tally_findings() {
-    force_on();
-    let reg = vgpu::telemetry::registry();
-    let before = reg.counter("vgpu.sanitize.uninit_reads").get();
+    let rt = shadow_runtime();
     let name = "san_counter_probe";
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Tree);
+    let mut dev = device(&rt, Engine::Tree);
     let prep = dev.compile(&copy_kernel(name)).unwrap();
     let src = dev.create_buffer(ScalarKind::F32, 8);
     let out = dev.create_buffer(ScalarKind::F32, 8);
@@ -262,7 +263,9 @@ fn sanitize_counters_tally_findings() {
     )
     .unwrap();
     // 8 work-items × 1 uninit load each; the counter counts occurrences,
-    // the finding registry dedupes to one row.
-    assert!(reg.counter("vgpu.sanitize.uninit_reads").get() >= before + 8);
-    assert_eq!(sanitize::findings().iter().filter(|f| f.kernel == name).count(), 1);
+    // the findings dedupe to one row. Nothing reaches the default runtime.
+    assert_eq!(rt.registry.counter("vgpu.sanitize.uninit_reads").get(), 8);
+    assert_eq!(rt.registry.counter("vgpu.sanitize.shadowed_buffers").get(), 2);
+    assert_eq!(rt.findings.count_for(name), 1);
+    assert!(vgpu::runtime().findings.all().is_empty());
 }

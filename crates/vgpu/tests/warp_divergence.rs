@@ -2,18 +2,22 @@
 //! every divergent warp, and with tracing on each launch's kernel event
 //! carries its own `divergent_warps`, which the per-kernel summary sums.
 //!
-//! Runs in its own test binary (hence its own process): in-crate unit tests
-//! that also diverge would race with this one on the counter. The tests
-//! here serialise on [`TELEMETRY`] because the event stream (`take_events`)
-//! is process-global too.
+//! Each test launches on a runtime of its own, so the counter and the event
+//! stream hold its launches and nothing else.
 
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, Lit, ScalarKind};
-use std::sync::Mutex;
-use vgpu::telemetry::{self, sink, Event, TraceMode};
-use vgpu::{Arg, BufData, Device, Engine, ExecMode};
+use vgpu::telemetry::{sink, Event, TraceMode};
+use vgpu::{Arg, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime, Settings};
 
-static TELEMETRY: Mutex<()> = Mutex::new(());
+/// A device on the fast engine of a fresh runtime that traces in `trace`
+/// mode.
+fn device(trace: TraceMode) -> Device {
+    let rt = Runtime::new(Settings { trace, ..vgpu::runtime().settings });
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), rt);
+    dev.set_engine(Engine::Fast);
+    dev
+}
 
 /// Even lanes double, odd lanes copy — both arms store, so the branch is
 /// not if-convertible and every mixed warp genuinely diverges.
@@ -49,13 +53,7 @@ fn div_kernel() -> Kernel {
 
 #[test]
 fn every_launch_counts_its_divergent_warps_and_carries_them_on_its_event() {
-    let _guard = TELEMETRY.lock().unwrap();
-    telemetry::set_mode(TraceMode::Chrome);
-    let divergent0 = telemetry::registry().counter("vgpu.warp.divergent").get();
-    let _ = telemetry::take_events();
-
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Fast);
+    let mut dev = device(TraceMode::Chrome);
     let prep = dev.compile(&div_kernel()).unwrap();
     let x = dev.upload(BufData::from(vec![1.0f32; 64]));
     let out = dev.upload(BufData::from(vec![0.0f32; 64]));
@@ -65,11 +63,10 @@ fn every_launch_counts_its_divergent_warps_and_carries_them_on_its_event() {
     }
     let want: Vec<f64> = (0..64).map(|i| if i % 2 == 0 { 2.0 } else { 1.0 }).collect();
     assert_eq!(dev.read(out).to_f64_vec(), want);
-    let events = telemetry::take_events();
-    telemetry::set_mode(TraceMode::Off);
+    let events = dev.runtime().trace.take_events();
 
     // The counter records every divergent warp of every launch...
-    let divergent = telemetry::registry().counter("vgpu.warp.divergent").get() - divergent0;
+    let divergent = dev.runtime().registry.counter("vgpu.warp.divergent").get();
     assert_eq!(divergent, 6, "2 warps x 3 launches must all count");
 
     // ...each launch's own kernel event says how many were its...
@@ -93,10 +90,6 @@ fn every_launch_counts_its_divergent_warps_and_carries_them_on_its_event() {
 /// warps once per launch, however many of its phases diverged.
 #[test]
 fn grouped_launches_count_each_divergent_warp_once() {
-    let _guard = TELEMETRY.lock().unwrap();
-    let divergent = telemetry::registry().counter("vgpu.warp.divergent");
-    let before = divergent.get();
-
     // tile[lid] = x[gid]; barrier; even lanes double, odd lanes copy.
     let lid = KExpr::LocalId(0);
     let tile = || MemRef::Local("tile".into());
@@ -112,8 +105,8 @@ fn grouped_launches_count_each_divergent_warp_once() {
     body.extend(div_kernel().body);
     let k = Kernel { name: "div_grouped".into(), body, ..div_kernel() };
 
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Fast);
+    let mut dev = device(TraceMode::Off);
+    let divergent = dev.runtime().registry.counter("vgpu.warp.divergent");
     let prep = dev.compile(&k).unwrap();
     let x = dev.upload(BufData::from(vec![1.0f32; 64]));
     let out = dev.upload(BufData::from(vec![0.0f32; 64]));
@@ -123,5 +116,5 @@ fn grouped_launches_count_each_divergent_warp_once() {
     }
     let want: Vec<f64> = (0..64).map(|i| if i % 2 == 0 { 2.0 } else { 1.0 }).collect();
     assert_eq!(dev.read(out).to_f64_vec(), want);
-    assert_eq!(divergent.get() - before, 4, "2 warps x 2 launches, once per warp");
+    assert_eq!(divergent.get(), 4, "2 warps x 2 launches, once per warp");
 }

@@ -13,7 +13,7 @@ use room_acoustics::{
     BoundaryKernel, GridDims, Precision, RoomShape, SimConfig, SimSetup, SingleSim,
 };
 use room_acoustics_lift::lift_acoustics::LiftBoundary;
-use room_acoustics_lift::vgpu::{profiler, Device, ExecMode};
+use room_acoustics_lift::vgpu::{self, Device, ExecMode};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -46,7 +46,8 @@ fn main() {
         boundary = boundary.min(b.wall.as_secs_f64() * 1e3);
     }
     println!("{side}: {steps} steps, best ms/step: volume {volume:.4}, boundary {boundary:.4}");
-    if profiler::op_enabled() {
-        print!("{}", profiler::render_report(&profiler::snapshot()));
+    let profiles = &vgpu::runtime().profiles;
+    if profiles.op_enabled() {
+        print!("{}", profiles.render_report());
     }
 }

@@ -1,5 +1,5 @@
-//! The JSON tree the shim's `Serialize`/`Deserialize` traits target, plus a
-//! parser and compact/pretty printers. Re-exported by the `serde_json` shim
+//! The JSON tree the shim's `Serialize` trait targets, plus a parser and
+//! compact/pretty printers. Re-exported by the `serde_json` shim
 //! as its `Value`.
 //!
 //! Objects are insertion-ordered `Vec<(String, Value)>` (like serde_json
@@ -66,7 +66,7 @@ pub enum Value {
 }
 
 /// Looks up `key` in an insertion-ordered object.
-pub fn obj_get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+fn obj_get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
     obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
@@ -171,21 +171,9 @@ impl Value {
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
-
-    /// One-word kind name for error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
 }
 
-/// JSON (de)serialisation error.
+/// JSON parse or write error.
 #[derive(Debug, Clone)]
 pub struct Error {
     msg: String,
@@ -195,16 +183,6 @@ impl Error {
     /// An error with the given message.
     pub fn custom(msg: impl Into<String>) -> Error {
         Error { msg: msg.into() }
-    }
-
-    /// "expected X, got Y" for a type mismatch.
-    pub fn expected(what: &str, got: &Value) -> Error {
-        Error::custom(format!("expected {what}, got {}", got.kind_name()))
-    }
-
-    /// A missing required field.
-    pub fn missing_field(name: &str) -> Error {
-        Error::custom(format!("missing field `{name}`"))
     }
 }
 

@@ -1,29 +1,23 @@
-//! Offline shim for `serde`: `Serialize`/`Deserialize` defined directly over
-//! an owned JSON tree ([`json::Value`]) instead of serde's
-//! serializer/deserializer visitors. The workspace only ever serialises to
-//! and from JSON (via the `serde_json` shim), so the tree model covers the
-//! full surface while staying a few hundred lines.
+//! Offline shim for `serde`: `Serialize` defined directly over an owned
+//! JSON tree ([`json::Value`]) instead of serde's serializer visitors. The
+//! workspace only ever serialises to JSON (via the `serde_json` shim) and
+//! reads JSON back as a [`json::Value`], so the tree model covers the full
+//! surface while staying a few hundred lines.
 //!
-//! The derive macros (re-exported from `serde_derive`) generate `to_json` /
-//! `from_json` implementations honouring the `#[serde(...)]` attributes the
-//! workspace uses: `tag`, `rename_all = "snake_case"`, and `flatten`.
+//! The derive macro (re-exported from `serde_derive`) generates `to_json`
+//! implementations honouring the `#[serde(...)]` attributes the workspace
+//! uses: `tag`, `rename_all = "snake_case"`, and `flatten`.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 pub mod json;
 
-use json::{Error, Number, Value};
+use json::{Number, Value};
 
 /// A value that can render itself as a JSON tree.
 pub trait Serialize {
     /// This value as JSON.
     fn to_json(&self) -> Value;
-}
-
-/// A value that can reconstruct itself from a JSON tree.
-pub trait Deserialize: Sized {
-    /// Parses `v` into `Self`.
-    fn from_json(v: &Value) -> Result<Self, Error>;
 }
 
 // ---------------------------------------------------------------------------
@@ -169,138 +163,27 @@ impl Serialize for Value {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deserialize impls
-// ---------------------------------------------------------------------------
-
-macro_rules! de_uint {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn from_json(v: &Value) -> Result<Self, Error> {
-                let n = v.as_u64().ok_or_else(|| Error::expected(stringify!($t), v))?;
-                <$t>::try_from(n).map_err(|_| Error::custom(format!(
-                    "{} out of range for {}", n, stringify!($t))))
-            }
-        }
-    )*};
-}
-
-de_uint!(u8, u16, u32, u64, usize);
-
-macro_rules! de_int {
-    ($($t:ty),*) => {$(
-        impl Deserialize for $t {
-            fn from_json(v: &Value) -> Result<Self, Error> {
-                let n = v.as_i64().ok_or_else(|| Error::expected(stringify!($t), v))?;
-                <$t>::try_from(n).map_err(|_| Error::custom(format!(
-                    "{} out of range for {}", n, stringify!($t))))
-            }
-        }
-    )*};
-}
-
-de_int!(i8, i16, i32, i64, isize);
-
-impl Deserialize for f64 {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        v.as_f64().ok_or_else(|| Error::expected("f64", v))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        Ok(v.as_f64().ok_or_else(|| Error::expected("f32", v))? as f32)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(Error::expected("bool", v)),
-        }
-    }
-}
-
-impl Deserialize for String {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(s.clone()),
-            _ => Err(Error::expected("string", v)),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_json(other)?)),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        let arr = v.as_array().ok_or_else(|| Error::expected("array", v))?;
-        arr.iter().map(T::from_json).collect()
-    }
-}
-
-macro_rules! de_tuple {
-    ($(($len:literal: $($n:tt $t:ident),+))*) => {$(
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_json(v: &Value) -> Result<Self, Error> {
-                let arr = v.as_array().ok_or_else(|| Error::expected("array", v))?;
-                if arr.len() != $len {
-                    return Err(Error::custom(format!(
-                        "expected array of length {}, got {}", $len, arr.len())));
-                }
-                Ok(($($t::from_json(&arr[$n])?,)+))
-            }
-        }
-    )*};
-}
-
-de_tuple! {
-    (1: 0 A)
-    (2: 0 A, 1 B)
-    (3: 0 A, 1 B, 2 C)
-    (4: 0 A, 1 B, 2 C, 3 D)
-}
-
-impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        let obj = v.as_object().ok_or_else(|| Error::expected("object", v))?;
-        obj.iter().map(|(k, v)| Ok((k.clone(), V::from_json(v)?))).collect()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_json(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::json::Value;
-    use super::{Deserialize, Serialize};
+    use super::json::{parse, Value};
+    use super::Serialize;
+
+    /// `v` printed and parsed back is the tree it was printed from.
+    fn reparses(v: &impl Serialize) -> bool {
+        parse(&v.to_json().to_compact_string()).unwrap() == v.to_json()
+    }
 
     #[test]
     fn primitive_roundtrips() {
-        assert_eq!(u64::from_json(&42u64.to_json()).unwrap(), 42);
-        assert_eq!(i32::from_json(&(-7i32).to_json()).unwrap(), -7);
-        let x = 1234.5678e-3f64;
-        assert_eq!(f64::from_json(&x.to_json()).unwrap(), x);
-        assert_eq!(Option::<u32>::from_json(&Value::Null).unwrap(), None);
-        let v: Vec<(u64, u64)> = vec![(1, 2), (3, 4)];
-        assert_eq!(Vec::<(u64, u64)>::from_json(&v.to_json()).unwrap(), v);
+        assert!(reparses(&42u64) && reparses(&-7i32) && reparses(&1234.5678e-3f64));
+        assert_eq!(Option::<u32>::None.to_json(), Value::Null);
+        assert!(reparses(&vec![(1u64, 2u64), (3, 4)]));
+        assert_eq!(parse("-7").unwrap().as_i64(), Some(-7));
     }
 
     #[test]
     fn f32_serialises_shortest() {
         assert_eq!(format!("{}", 1.1f32.to_json()), "1.1");
-        assert_eq!(f32::from_json(&1.1f32.to_json()).unwrap(), 1.1f32);
+        assert_eq!(parse("1.1").unwrap().as_f64().map(|x| x as f32), Some(1.1f32));
     }
 }

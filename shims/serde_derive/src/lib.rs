@@ -1,6 +1,6 @@
 //! Offline shim for `serde_derive`. Parses the item's token stream by hand
-//! (no `syn`/`quote` in this container) and emits `to_json`/`from_json`
-//! implementations for the serde shim's tree-model traits.
+//! (no `syn`/`quote` available offline) and emits `to_json` implementations
+//! for the serde shim's tree-model `Serialize` trait.
 //!
 //! Supported shapes — exactly what this workspace derives on:
 //! - named-field structs (with `#[serde(flatten)]` on a field)
@@ -23,15 +23,11 @@ struct SerdeAttrs {
     tag: Option<String>,
     rename_all: bool,
     flatten: bool,
-    default: Option<String>,
 }
 
 struct Field {
     name: String,
     flatten: bool,
-    /// Path of a `fn() -> T` supplying the value when the key is absent
-    /// (`#[serde(default = "path")]`).
-    default: Option<String>,
 }
 
 enum VariantKind {
@@ -120,7 +116,6 @@ fn parse_attr_group(stream: TokenStream, out: &mut SerdeAttrs) {
                 out.rename_all = true;
             }
             ("flatten", None) => out.flatten = true,
-            ("default", Some(v)) => out.default = Some(v),
             (k, _) => panic!(
                 "serde shim: unsupported #[serde({k})] — extend shims/serde_derive to cover it"
             ),
@@ -177,7 +172,7 @@ fn parse_named_fields(stream: TokenStream) -> Vec<Field> {
             t => panic!("serde shim: expected `:` after field `{name}`, got {t}"),
         }
         skip_type_and_comma(&toks, &mut i);
-        fields.push(Field { name, flatten: attrs.flatten, default: attrs.default });
+        fields.push(Field { name, flatten: attrs.flatten });
     }
     fields
 }
@@ -305,7 +300,6 @@ fn variant_tag(item: &Item, variant: &str) -> String {
 }
 
 const VALUE: &str = "::serde::json::Value";
-const ERROR: &str = "::serde::json::Error";
 
 fn ser_named_fields(fields: &[Field], access_prefix: &str) -> String {
     let mut s = String::new();
@@ -397,134 +391,6 @@ fn gen_serialize(item: &Item) -> String {
     )
 }
 
-/// Expression producing one deserialized named field. `obj` names the local
-/// `&[(String, Value)]` binding; `whole` names the `&Value` a flattened field
-/// reads from.
-fn de_field_expr(f: &Field, obj: &str, whole: &str) -> String {
-    let n = &f.name;
-    if f.flatten {
-        format!("{n}: ::serde::Deserialize::from_json({whole})?")
-    } else if let Some(path) = &f.default {
-        format!(
-            "{n}: match ::serde::json::obj_get({obj}, \"{n}\") {{ \
-               Some(x) => ::serde::Deserialize::from_json(x)?, \
-               None => {path}(), \
-             }}"
-        )
-    } else {
-        format!(
-            "{n}: match ::serde::json::obj_get({obj}, \"{n}\") {{ \
-               Some(x) => ::serde::Deserialize::from_json(x)?, \
-               None => ::serde::Deserialize::from_json(&{VALUE}::Null) \
-                   .map_err(|_| {ERROR}::missing_field(\"{n}\"))?, \
-             }}"
-        )
-    }
-}
-
-fn de_fields(fields: &[Field], obj: &str, whole: &str) -> String {
-    fields.iter().map(|f| de_field_expr(f, obj, whole)).collect::<Vec<_>>().join(", ")
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    let name = &item.name;
-    let body = match &item.shape {
-        Shape::NamedStruct(fields) => {
-            let inits = de_fields(fields, "obj", "v");
-            format!(
-                "let obj = v.as_object().ok_or_else(|| {ERROR}::expected(\"object\", v))?;\n\
-                 Ok(Self {{ {inits} }})"
-            )
-        }
-        Shape::NewtypeStruct => "Ok(Self(::serde::Deserialize::from_json(v)?))".to_string(),
-        Shape::Enum(variants) => match &item.attrs.tag {
-            Some(tag) => {
-                // Internally tagged: dispatch on obj[tag], fields from obj.
-                let mut arms = String::new();
-                for v in variants {
-                    let vn = &v.name;
-                    let tag_str = variant_tag(item, vn);
-                    let arm = match &v.kind {
-                        VariantKind::Unit => format!("\"{tag_str}\" => Ok(Self::{vn}),\n"),
-                        VariantKind::Newtype => {
-                            panic!("serde shim: newtype variant `{vn}` cannot be internally tagged")
-                        }
-                        VariantKind::Struct(fields) => {
-                            let inits = de_fields(fields, "obj", "v");
-                            format!("\"{tag_str}\" => Ok(Self::{vn} {{ {inits} }}),\n")
-                        }
-                    };
-                    arms.push_str(&arm);
-                }
-                format!(
-                    "let obj = v.as_object().ok_or_else(|| {ERROR}::expected(\"object\", v))?;\n\
-                     let tag = ::serde::json::obj_get(obj, \"{tag}\")\
-                         .and_then(|t| t.as_str())\
-                         .ok_or_else(|| {ERROR}::custom(\
-                             \"missing tag `{tag}` on `{name}`\"))?;\n\
-                     match tag {{\n{arms}\
-                         other => Err({ERROR}::custom(format!(\
-                             \"unknown variant `{{other}}` of `{name}`\"))),\n\
-                     }}"
-                )
-            }
-            None => {
-                // Externally tagged: strings name unit variants, single-entry
-                // objects carry data variants.
-                let mut unit_arms = String::new();
-                let mut data_arms = String::new();
-                for v in variants {
-                    let vn = &v.name;
-                    let tag_str = variant_tag(item, vn);
-                    match &v.kind {
-                        VariantKind::Unit => {
-                            unit_arms.push_str(&format!("\"{tag_str}\" => Ok(Self::{vn}),\n"));
-                        }
-                        VariantKind::Newtype => {
-                            data_arms.push_str(&format!(
-                                "\"{tag_str}\" => Ok(Self::{vn}(\
-                                 ::serde::Deserialize::from_json(inner)?)),\n"
-                            ));
-                        }
-                        VariantKind::Struct(fields) => {
-                            let inits = de_fields(fields, "vobj", "inner");
-                            data_arms.push_str(&format!(
-                                "\"{tag_str}\" => {{ \
-                                   let vobj = inner.as_object().ok_or_else(|| \
-                                       {ERROR}::expected(\"object\", inner))?; \
-                                   Ok(Self::{vn} {{ {inits} }}) \
-                                 }},\n"
-                            ));
-                        }
-                    }
-                }
-                format!(
-                    "match v {{\n\
-                         {VALUE}::String(s) => match s.as_str() {{\n{unit_arms}\
-                             other => Err({ERROR}::custom(format!(\
-                                 \"unknown variant `{{other}}` of `{name}`\"))),\n\
-                         }},\n\
-                         {VALUE}::Object(m) if m.len() == 1 => {{\n\
-                             let (k, inner) = &m[0];\n\
-                             match k.as_str() {{\n{data_arms}\
-                                 other => Err({ERROR}::custom(format!(\
-                                     \"unknown variant `{{other}}` of `{name}`\"))),\n\
-                             }}\n\
-                         }},\n\
-                         other => Err({ERROR}::expected(\"variant of `{name}`\", other)),\n\
-                     }}"
-                )
-            }
-        },
-    };
-    format!(
-        "#[automatically_derived]\n\
-         impl ::serde::Deserialize for {name} {{\n\
-             fn from_json(v: &{VALUE}) -> ::std::result::Result<Self, {ERROR}> {{\n{body}\n}}\n\
-         }}\n"
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Entry points
 // ---------------------------------------------------------------------------
@@ -535,14 +401,5 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let code = gen_serialize(&item);
     code.parse().unwrap_or_else(|e| {
         panic!("serde shim: generated Serialize for `{}` failed to parse: {e}", item.name)
-    })
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let code = gen_deserialize(&item);
-    code.parse().unwrap_or_else(|e| {
-        panic!("serde shim: generated Deserialize for `{}` failed to parse: {e}", item.name)
     })
 }

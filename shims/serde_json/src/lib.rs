@@ -31,9 +31,11 @@ pub fn to_writer<W: std::io::Write, T: serde::Serialize + ?Sized>(
         .map_err(|e| Error::custom(format!("write failed: {e}")))
 }
 
-/// Parses JSON text into any `Deserialize` type.
-pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
-    T::from_json(&serde::json::parse(s)?)
+/// Parses JSON text into a [`Value`] (the one type this workspace reads
+/// JSON into; the bound lets callers name it by inference, as with the real
+/// crate).
+pub fn from_str<T: From<Value>>(s: &str) -> Result<T, Error> {
+    serde::json::parse(s).map(T::from)
 }
 
 /// Builds a [`Value`] from JSON-ish syntax. Keys must be string literals;
