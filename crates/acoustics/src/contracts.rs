@@ -54,6 +54,21 @@ pub fn boundary_table_facts(asm: &mut Assumptions) {
     }
 }
 
+/// The interior-mask fact of the grid kernels, generated and hand-written:
+/// `nbrs[lin(gid)] > 0` implies `1 ≤ gid_d ≤ N_d − 2`. The mask is the
+/// 6-neighbour count, < 6 on a face cell and zero outside the room;
+/// [`crate::Simulation`] checks it (`SimError::MaskOnHalo`). For contracts
+/// with an `nbrs` buffer and `Nx`, `Ny`, `Nz` size bounds.
+pub fn interior_mask_facts(asm: &mut Assumptions) {
+    let dims = ["Nx", "Ny", "Nz"];
+    if !dims.iter().all(|d| asm.size_bounds.iter().any(|(s, _)| s == d)) {
+        return;
+    }
+    let Some(nbrs) = asm.buffers.get_mut("nbrs") else { return };
+    nbrs.interior_mask = true;
+    asm.interior_dims = dims.map(ArithExpr::var).to_vec();
+}
+
 /// The contract a hand-written reference kernel is launched under (see
 /// [`crate::Simulation`]): global sizes are left unbounded (`None`) because
 /// every kernel guards with an in-kernel `return_if`, and buffer lengths
@@ -65,21 +80,16 @@ pub fn boundary_table_facts(asm: &mut Assumptions) {
 pub fn launch_contract(k: &Kernel) -> Assumptions {
     let mut asm =
         Assumptions { global_size: vec![None; usize::from(k.work_dim)], ..Assumptions::default() };
-    let dims = || [ArithExpr::var("Nx"), ArithExpr::var("Ny"), ArithExpr::var("Nz")];
     let n3 = || ArithExpr::var("Nx") * ArithExpr::var("Ny") * ArithExpr::var("Nz");
     match k.name.as_str() {
         "volume_handling_hand" | "volume_handling_hand_slab" => {
-            for b in ["next", "curr", "prev"] {
+            for b in ["next", "curr", "prev", "nbrs"] {
                 asm.buffers.insert(b.into(), BufferFacts::sized(n3()));
             }
-            // `nbrs[lin(gid)] > 0` implies the cell is interior: the mask
-            // is built from the 6-neighbour count, which is < 6 on every
-            // face cell and the sim zeroes it outside the room.
-            asm.buffers.insert("nbrs".into(), BufferFacts::sized(n3()).with_interior_mask());
-            asm.interior_dims = dims().to_vec();
             for d in ["Nx", "Ny", "Nz"] {
                 asm.size_bounds.push((d.into(), 1));
             }
+            interior_mask_facts(&mut asm);
             if k.name.ends_with("_slab") {
                 // As [`slab_placed`] restates the whole-grid contract.
                 asm.gid_offsets = vec![0, 0, 1];
@@ -92,7 +102,7 @@ pub fn launch_contract(k: &Kernel) -> Assumptions {
             // `nbr` starts at 6 and is zeroed by the halo check, so
             // `nbr > 0` is exactly the interior predicate.
             asm.interior_guards.push("nbr".into());
-            asm.interior_dims = dims().to_vec();
+            asm.interior_dims = ["Nx", "Ny", "Nz"].map(ArithExpr::var).to_vec();
             for d in ["Nx", "Ny", "Nz"] {
                 asm.size_bounds.push((d.into(), 1));
             }

@@ -21,6 +21,7 @@
 //! traffic under `vgpu.halo.*` — never `vgpu.xfer.*`.
 
 use crate::contracts;
+use crate::geometry::GridDims;
 use crate::handwritten;
 use crate::partition::{checked_boundary_cuts, WARP};
 use crate::reference::FdArrays;
@@ -211,6 +212,16 @@ pub enum SimError {
     /// A material that can add energy: a negative (or NaN) admittance, or a
     /// branch that is not passive (`a > 0`, `b ≥ 0`, `c ≥ 0`).
     NonPassive(String),
+    /// `nbrs` is positive on a cell of the grid's outer shell, against the
+    /// fact grid kernels are compiled under ([`contracts::interior_mask_facts`]).
+    MaskOnHalo {
+        /// The cell.
+        x: usize,
+        /// The cell.
+        y: usize,
+        /// The cell.
+        z: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -233,6 +244,7 @@ impl fmt::Display for SimError {
             SimError::NoMaterials => write!(f, "a striped assignment needs at least one material"),
             SimError::NoBranches => write!(f, "FD-MM needs at least one branch per material"),
             SimError::NonPassive(e) => write!(f, "not passive: {e}"),
+            SimError::MaskOnHalo { x, y, z } => write!(f, "`nbrs` > 0 on halo cell {x}, {y}, {z}"),
         }
     }
 }
@@ -544,6 +556,9 @@ impl Simulation {
         let _span = rt.trace.span(HOST_TRACK, "Simulation::new");
         let real = precision.kind();
         let dims = *setup.dims();
+        if let Some((x, y, z)) = mask_on_halo(&setup.room.nbrs, dims) {
+            return Err(SimError::MaskOnHalo { x, y, z });
+        }
         let plane = dims.nx * dims.ny;
         let nb = setup.num_b();
         let halo = usize::from(devices.len() > 1);
@@ -806,6 +821,16 @@ impl Simulation {
     }
 }
 
+/// The first cell on the grid's six faces with `nbrs > 0`; scans only those.
+fn mask_on_halo(nbrs: &[i32], d: GridDims) -> Option<(usize, usize, usize)> {
+    let rows = (0..d.nz).flat_map(|z| (0..d.ny).map(move |y| (y, z)));
+    rows.flat_map(|(y, z)| {
+        let face = z % (d.nz - 1) == 0 || y % (d.ny - 1) == 0;
+        (0..d.nx).step_by(if face { 1 } else { d.nx - 1 }).map(move |x| (x, y, z))
+    })
+    .find(|&(x, y, z)| nbrs[d.idx(x, y, z)] > 0)
+}
+
 /// A [`Simulation`] on exactly one device whose every step launches a
 /// volume and a boundary kernel, so `step` returns that one pair instead of
 /// a per-device list. Everything else is the [`Simulation`] it derefs to.
@@ -861,7 +886,7 @@ impl DerefMut for SingleSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::{GridDims, RoomShape};
+    use crate::geometry::RoomShape;
     use crate::sim::{ReferenceSim, SimConfig};
     use lift::kast::KernelParam;
 

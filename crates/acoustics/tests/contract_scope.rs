@@ -14,7 +14,7 @@ use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, Lit, ScalarKind, Value};
 use room_acoustics::{
     handwritten, BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, SimConfig,
-    SimSetup, Simulation, StepKernels,
+    SimError, SimSetup, Simulation, StepKernels,
 };
 use vgpu::{Arg, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime};
 
@@ -125,5 +125,26 @@ fn the_generated_volume_kernel_proves_every_site_on_a_slab_as_on_the_whole_grid(
             sim.devices.iter().map(sites).fold([0, 0], |a, s| [a[0] + s[0], a[1] + s[1]]);
         assert!(proven > 0, "{n} device(s): a new launch shape proves its sites");
         assert_eq!(checked, 0, "{n} device(s): sites left checked");
+    }
+}
+
+/// The interior-mask fact both kernel sets are compiled under — the bounds
+/// proofs of either, and the generated stencil's folded pad guards — is
+/// checked, not assumed: a room whose `nbrs` marks one halo cell
+/// (`RoomModel`'s fields are public) is refused, naming the cell, on one
+/// device and on two, whichever set would run it.
+#[test]
+fn a_mask_on_the_halo_is_refused_for_either_kernel_set() {
+    let mut setup = SimSetup::new(&SimConfig::fimm(GridDims::new(10, 9, 8), RoomShape::Box));
+    let (x, y, z) = (4, 0, 3);
+    let cell = setup.dims().idx(x, y, z);
+    setup.room.nbrs[cell] = 1;
+    let want = Some(SimError::MaskOnHalo { x, y, z });
+    let (p, hand) = (Precision::Single, BoundaryKernel::FiMm { beta_constant: false });
+    for n in [1, 2] {
+        let devices = || (0..n).map(|_| device()).collect::<Vec<_>>();
+        assert_eq!(Simulation::try_new(setup.clone(), p, hand, devices()).err(), want);
+        let generated = lift_acoustics::LiftBoundary::FiMm;
+        assert_eq!(Simulation::try_new(setup.clone(), p, generated, devices()).err(), want);
     }
 }

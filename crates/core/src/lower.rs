@@ -22,6 +22,7 @@ use crate::scalar::{BinOp, SExpr, UserFun};
 use crate::simplify::simplify_kernel;
 use crate::typecheck::{check, TypeError, Typed};
 use crate::types::{ScalarKind, Type};
+use crate::verify::Assumptions;
 use crate::view::{View, ViewError};
 use std::collections::HashMap;
 use std::fmt;
@@ -752,8 +753,9 @@ fn size_vars_of_type(t: &Type, out: &mut Vec<String>) {
 /// `real` resolves the precision-generic `Real` scalar kind.
 ///
 /// The collapsed views are simplified before the kernel is returned
-/// ([`crate::simplify`]): every consumer — the OpenCL printer, the static
-/// verifier, the virtual device — sees the simplified form only.
+/// ([`crate::simplify`]) under `≥ 1` size bounds: every consumer — the
+/// OpenCL printer, the static verifier, the virtual device — sees the
+/// simplified form only.
 pub fn lower_kernel(
     name: &str,
     params: &[Rc<ParamDef>],
@@ -761,22 +763,23 @@ pub fn lower_kernel(
     real: ScalarKind,
 ) -> Result<LoweredKernel, LowerError> {
     let mut lowered = lower_kernel_raw(name, params, body, real)?;
-    let size_vars: Vec<String> = lowered
+    let size_bounds = lowered
         .args
         .iter()
         .filter_map(|a| match a {
-            ArgSpec::Size(v) => Some(v.clone()),
+            ArgSpec::Size(v) => Some((v.clone(), 1)),
             _ => None,
         })
         .collect();
-    lowered.kernel = simplify_kernel(&lowered.kernel, &size_vars);
+    lowered.kernel =
+        simplify_kernel(&lowered.kernel, &Assumptions { size_bounds, ..Default::default() });
     Ok(lowered)
 }
 
 /// [`lower_kernel`] without its final simplification: the collapsed views
-/// exactly as the view system emits them. Exposed as the input of the
-/// simplifier's equivalence tests; nothing executes or prints this form.
-#[doc(hidden)]
+/// exactly as the view system emits them, for a caller that simplifies it
+/// under more of the launch contract (`lift_acoustics::Program::lower`)
+/// and for the simplifier's equivalence tests. Nothing prints this form.
 pub fn lower_kernel_raw(
     name: &str,
     params: &[Rc<ParamDef>],

@@ -18,21 +18,26 @@
 //!    NDRange guards;
 //! 4. declarations only one arm of a branch reads are sunk into that arm,
 //!    a store of a select becoming an `if` for them (`sink`): the loads
-//!    of `out[i] = nbrs[i] > 0 ? stencil : 0` run where `nbrs[i] > 0`.
+//!    of `out[i] = nbrs[i] > 0 ? stencil : 0` run where `nbrs[i] > 0`;
+//! 5. an arm the launch contract ties to the grid interior is decided
+//!    again with the ids narrowed to it (`arms`): the pad guards fold.
 //!
 //! # Facts
 //!
-//! Only what the kernel text itself licenses: `get_global_id(d) ≥ 0`; the
-//! negation of every early-return guard (`if (gid(d) >= N) return;`) for
-//! the rest of its block; and `≥ 1` for the size parameters the caller
-//! names (array extents — no work-item runs over an empty one). Index
-//! arithmetic is treated as exact integers, the assumption
-//! [`crate::verify`] documents.
+//! What the kernel text licenses: `get_global_id(d) ≥ 0`, and the negation
+//! of every early-return guard (`if (gid(d) >= N) return;`) for the rest of
+//! its block. What the contract states: its size bounds (array extents —
+//! no work-item runs over an empty one), and its interior facts, only in
+//! the arm they guard. Index arithmetic is treated as exact integers, the
+//! assumption [`crate::verify`] documents.
 //!
-//! Every fact about `get_global_id(d)` holds for all ids in `[0, N)`, so a
-//! simplified kernel stays correct under the uniform substitution
+//! Every other fact about `get_global_id(d)` holds for all ids in `[0, N)`,
+//! so a simplified kernel stays correct under the uniform substitution
 //! `gid(d) → gid(d) + o`, `o ≥ 0` ([`Kernel::shift_gid`]): past the
-//! shifted guard the shifted id lies in that same interval.
+//! shifted guard the shifted id lies in that same interval. An arm fact is
+//! about the cell a work-item indexes — a positive mask entry marks a cell
+//! off the halo — so after the shift it holds of the cell `gid + o`, as the
+//! contract restated with `gid_offsets = o` says.
 //!
 //! Sinking consults no fact at all — only which names a statement reads —
 //! so it commutes with that substitution.
@@ -51,38 +56,30 @@ use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
 use crate::kast::{KExpr, KStmt, Kernel, MemRef};
 use crate::scalar::{BinOp, Intrinsic, Lit, UnOp};
 use crate::types::ScalarKind;
-use crate::verify::is_gid_atom;
+use crate::verify::{interior_refine, interior_trigger, is_gid_atom, Assumptions};
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
-/// Simplifies `kernel`; `size_vars` names the scalar parameters that are
-/// array extents (assumed `≥ 1`). See the module docs.
-pub fn simplify_kernel(kernel: &Kernel, size_vars: &[String]) -> Kernel {
-    let mut env = RangeEnv::new();
-    for v in size_vars {
-        env.set_range(v.clone(), SymRange::at_least(ArithExpr::one()));
-    }
-    for d in 0..kernel.work_dim {
-        let gid = KExpr::GlobalId(d).builtin_atom().expect("builtin");
-        env.set_range(gid, SymRange::at_least(ArithExpr::zero()));
-    }
+/// Simplifies `kernel` under the launch `contract` it ships with: its size
+/// bounds and, inside the arms they guard, its interior facts. See the
+/// module docs.
+pub fn simplify_kernel(kernel: &Kernel, contract: &Assumptions) -> Kernel {
     let int_params: BTreeSet<String> = kernel
         .params
         .iter()
         .filter(|p| !p.is_buffer && p.kind == ScalarKind::I32)
         .map(|p| p.name.clone())
         .collect();
-    let ints = int_params.clone();
-    let mut cx = Cx { kernel, env, ints, int_arrays: BTreeSet::new(), compared: Vec::new() };
+    let mut cx = Cx::new(kernel, contract, &int_params);
     let mut body = cx.block(&kernel.body);
     hoist(kernel, &int_params, &mut body);
-    let mut assigned = BTreeSet::new();
-    assigned_names(&body, &mut assigned);
+    let sunk = sink(body, &cx.assigned);
     Kernel {
         name: kernel.name.clone(),
         params: kernel.params.clone(),
-        body: sink(body, &assigned),
+        // Sinking moved the loads into the arms: one walk over those.
+        body: if contract.interior_dims.is_empty() { sunk } else { cx.arms(&sunk) },
         work_dim: kernel.work_dim,
     }
 }
@@ -147,6 +144,7 @@ fn restore(rendered: KExpr, opaque: &[KExpr]) -> Option<KExpr> {
 
 struct Cx<'k> {
     kernel: &'k Kernel,
+    contract: &'k Assumptions,
     env: RangeEnv,
     /// `int` scalars in scope: parameters, declarations, loop variables
     /// (lowered names are unique, so scopes never need popping).
@@ -156,9 +154,30 @@ struct Cx<'k> {
     /// Integer comparisons already simplified under the current facts (a
     /// pad guard repeats the same few for every load).
     compared: Vec<(&'k KExpr, KExpr)>,
+    /// Names the kernel assigns to.
+    assigned: BTreeSet<String>,
+    /// Never-assigned `int`s loaded from a parameter at an index over ids
+    /// and sizes: the parameter and the index ([`Cx::note_load`]).
+    loaded: HashMap<String, (String, ArithExpr)>,
 }
 
 impl<'k> Cx<'k> {
+    /// A walk of `kernel` under the facts that hold at its first line:
+    /// `get_global_id(d) ≥ 0` and the contract's size bounds.
+    fn new(kernel: &'k Kernel, contract: &'k Assumptions, ints: &BTreeSet<String>) -> Self {
+        let mut env = RangeEnv::new();
+        for (v, lo) in &contract.size_bounds {
+            env.set_range(v.clone(), SymRange::at_least(ArithExpr::Cst(*lo)));
+        }
+        for d in 0..kernel.work_dim {
+            let gid = KExpr::GlobalId(d).builtin_atom().expect("builtin");
+            env.set_range(gid, SymRange::at_least(ArithExpr::zero()));
+        }
+        let (int_arrays, compared, mut assigned, loaded) = Default::default();
+        assigned_names(&kernel.body, &mut assigned);
+        Cx { kernel, contract, env, ints: ints.clone(), int_arrays, compared, assigned, loaded }
+    }
+
     fn is_int(&self, e: &KExpr) -> bool {
         match e {
             KExpr::Lit(l) => l.kind == ScalarKind::I32,
@@ -397,6 +416,7 @@ impl<'k> Cx<'k> {
                 match s {
                     KStmt::DeclScalar { name, kind: ScalarKind::I32, .. } => {
                         self.ints.insert(name.clone());
+                        self.note_load(s);
                     }
                     KStmt::DeclPrivArray { name, kind: ScalarKind::I32, .. }
                     | KStmt::DeclLocalArray { name, kind: ScalarKind::I32, .. } => {
@@ -407,6 +427,66 @@ impl<'k> Cx<'k> {
                 s.map_exprs(&mut |e| self.expr(e))
             }
         }
+    }
+}
+
+// ---- interior arms ----
+
+impl<'k> Cx<'k> {
+    /// Notes `int x = p[idx];` for [`Cx::arms`], which sees only `x > 0`
+    /// once sinking has made it a branch: is `p` a mask read at `lin(gid)`?
+    fn note_load(&mut self, s: &'k KStmt) {
+        let KStmt::DeclScalar { name, init: Some(KExpr::Load { mem, idx }), .. } = s else {
+            return;
+        };
+        let MemRef::Param(p) = mem else { return };
+        if self.contract.interior_dims.is_empty() || self.assigned.contains(name) {
+            return;
+        }
+        let mut opaque = Vec::new();
+        let idx = self.arith(idx, &mut opaque);
+        if opaque.is_empty() {
+            self.loaded.insert(name.clone(), (self.kernel.params[*p].name.clone(), idx));
+        }
+    }
+
+    /// One walk over the sunk body: the arm of each `if` that ties the
+    /// work-item to the grid interior ([`interior_trigger`]) is decided again
+    /// with the ids narrowed ([`interior_refine`]); the rest stays as it is.
+    fn arms(&mut self, stmts: &'k [KStmt]) -> Vec<KStmt> {
+        let outer = self.env.clone();
+        let mut out = Vec::with_capacity(stmts.len());
+        for s in stmts {
+            let KStmt::If { cond, then_, else_ } = s else {
+                if let KStmt::DeclScalar { name, kind: ScalarKind::I32, .. } = s {
+                    self.ints.insert(name.clone()); // a hoisted name
+                }
+                out.push(s.clone());
+                continue;
+            };
+            let x = match cond {
+                KExpr::Bin(_, x, _) => x.as_ref(),
+                _ => cond,
+            };
+            let load = if let KExpr::Var(x) = x { self.loaded.get(x) } else { None };
+            let load = load.map(|(buffer, idx)| (buffer.as_str(), idx));
+            let then_ = if interior_trigger(self.contract, &self.env, cond, load) {
+                let outside = self.env.clone();
+                interior_refine(&mut self.env, self.contract);
+                self.compared.clear();
+                let arm = self.block(then_);
+                self.env = outside;
+                arm
+            } else {
+                self.arms(then_)
+            };
+            out.push(KStmt::If { cond: cond.clone(), then_, else_: self.arms(else_) });
+            if s.is_return_guard() {
+                self.assume_not(cond);
+            }
+        }
+        self.env = outer;
+        out
     }
 }
 

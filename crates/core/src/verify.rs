@@ -78,12 +78,6 @@ impl BufferFacts {
         self.distinct = true;
         self
     }
-
-    /// Marks the buffer as an interior mask.
-    pub fn with_interior_mask(mut self) -> Self {
-        self.interior_mask = true;
-        self
-    }
 }
 
 /// The launch/allocation contract a kernel is verified against.
@@ -327,8 +321,8 @@ struct AtomInfo {
     arg: ArithExpr,
     /// Contents of the source buffer are pairwise distinct.
     distinct: bool,
-    /// The source buffer is an interior mask.
-    interior: bool,
+    /// The source buffer's parameter name.
+    buffer: String,
 }
 
 /// One recorded store, input to the race pass.
@@ -569,7 +563,7 @@ fn load_atom(
     if !out.atoms.contains_key(&name) {
         out.atoms.insert(
             name.clone(),
-            AtomInfo { arg: idx, distinct: facts.distinct, interior: facts.interior_mask },
+            AtomInfo { arg: idx, distinct: facts.distinct, buffer: p.name.clone() },
         );
     }
     if let Some(r) = &facts.value_range {
@@ -647,10 +641,6 @@ fn check_bounds(
 
 // ---- path refinement ----
 
-fn is_zero_lit(e: &KExpr) -> bool {
-    matches!(e, KExpr::Lit(l) if lit_int(l) == Some(0))
-}
-
 /// Canonical row-major linearization the interior mask is indexed with:
 /// `(gid0+o0) + (gid1+o1)·d0 + (gid2+o2)·d0·d1`, where `o_d` is the
 /// per-dimension gid offset of a slab-placed kernel (0 by default).
@@ -665,17 +655,39 @@ fn canonical_lin(dims: &[ArithExpr], asm: &Assumptions) -> ArithExpr {
     ArithExpr::add(terms)
 }
 
-/// Narrows every work-item id so the *offset* id lies in the grid
-/// interior: `gid_d + o_d ∈ [1, dim−2]`, i.e. `gid_d ∈ [1−o, dim−2−o]`.
-fn interior_refine(st: &mut St, out: &Out) {
-    for (d, ext) in out.asm.interior_dims.iter().enumerate() {
+/// Narrows every work-item id in `renv` so the *offset* id lies in the
+/// grid interior: `gid_d + o_d ∈ [1, dim−2]`, i.e. `gid_d ∈ [1−o, dim−2−o]`.
+/// Shared with [`crate::simplify`], which folds guards under it.
+pub(crate) fn interior_refine(renv: &mut RangeEnv, asm: &Assumptions) {
+    for (d, ext) in asm.interior_dims.iter().enumerate() {
         let atom = gid_atom(d as u8);
-        let off = out.asm.gid_offset(d);
-        let cur = st.renv.var_range(&atom);
+        let off = asm.gid_offset(d);
         let tight = SymRange::new(ArithExpr::Cst(1 - off), ext.clone() - ArithExpr::Cst(2 + off));
-        let refined = st.renv.intersect(&cur, &tight);
-        st.renv.set_range(atom, refined);
+        let refined = renv.intersect(&renv.var_range(&atom), &tight);
+        renv.set_range(atom, refined);
     }
+}
+
+/// True when `cond`, `x > 0`, establishes the interior fact under `asm`:
+/// `x` is a declared interior guard, or `mask_load` — the buffer and
+/// symbolic index `x`'s value was loaded from — reads an interior mask at
+/// the canonical linearized index. Shared with [`crate::simplify`].
+pub(crate) fn interior_trigger(
+    asm: &Assumptions,
+    renv: &RangeEnv,
+    cond: &KExpr,
+    mask_load: Option<(&str, &ArithExpr)>,
+) -> bool {
+    let KExpr::Bin(BinOp::Gt, x, zero) = cond else { return false };
+    if asm.interior_dims.is_empty() || !matches!(&**zero, KExpr::Lit(l) if lit_int(l) == Some(0)) {
+        return false;
+    }
+    if matches!(&**x, KExpr::Var(n) if asm.interior_guards.contains(n)) {
+        return true;
+    }
+    let Some((buffer, idx)) = mask_load else { return false };
+    asm.buffers.get(buffer).is_some_and(|f| f.interior_mask)
+        && renv.prove_eq(idx, &canonical_lin(&asm.interior_dims, asm))
 }
 
 /// Updates `st` with what `cond == truth` implies. Conservative: facts
@@ -692,12 +704,17 @@ fn refine(cond: &KExpr, truth: bool, st: &mut St, out: &mut Out) {
             refine(b, false, st, out);
         }
         KExpr::Bin(op @ (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq), a, b) => {
-            // Interior trigger: `x > 0` where `x` is a declared interior
-            // guard or an interior-mask load at the canonical index.
-            if truth && *op == BinOp::Gt && is_zero_lit(b) && interior_trigger(a, st, out) {
-                interior_refine(st, out);
-            }
             let sa = eval(a, st, out, false);
+            // Interior trigger: `x > 0` for an interior guard or an
+            // interior-mask load (possibly through a tracked scalar).
+            let load = match &sa {
+                Some(ArithExpr::Var(atom)) => out.atoms.get(&**atom),
+                _ => None,
+            };
+            let load = load.map(|i| (i.buffer.as_str(), &i.arg));
+            if truth && interior_trigger(out.asm, &st.renv, cond, load) {
+                interior_refine(&mut st.renv, out.asm);
+            }
             let sb = eval(b, st, out, false);
             if let (Some(sa), Some(sb)) = (sa, sb) {
                 st.renv.assume(*op, truth, &sa, &sb, &is_atom);
@@ -705,29 +722,6 @@ fn refine(cond: &KExpr, truth: bool, st: &mut St, out: &mut Out) {
         }
         _ => {}
     }
-}
-
-/// True when `x > 0` establishes the interior fact.
-fn interior_trigger(x: &KExpr, st: &mut St, out: &mut Out) -> bool {
-    if out.asm.interior_dims.is_empty() {
-        return false;
-    }
-    if let KExpr::Var(n) = x {
-        if out.asm.interior_guards.iter().any(|g| g == n) {
-            return true;
-        }
-    }
-    // A mask-buffer load at the canonical linearized index (possibly
-    // through a tracked scalar).
-    let Some(sym) = eval(x, st, out, false) else { return false };
-    let ArithExpr::Var(name) = &sym else { return false };
-    let Some(info) = out.atoms.get(&**name) else { return false };
-    if !info.interior {
-        return false;
-    }
-    let arg = info.arg.clone();
-    let lin = canonical_lin(&out.asm.interior_dims, out.asm);
-    st.renv.prove_eq(&arg, &lin)
 }
 
 // ---- statement traversal ----

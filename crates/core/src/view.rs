@@ -355,7 +355,7 @@ mod tests {
             }],
             work_dim: 1,
         };
-        match simplify_kernel(&k, &[]).body.pop() {
+        match simplify_kernel(&k, &Default::default()).body.pop() {
             Some(KStmt::DeclScalar { init: Some(e), .. }) => e,
             other => panic!("unexpected {other:?}"),
         }

@@ -130,17 +130,22 @@ pub struct Program {
 }
 
 impl Program {
-    /// Lowers at the given precision.
+    /// Lowers at the given precision, simplified under the kernel's
+    /// [`launch_assumptions`]: what every consumer runs, prints and proves.
     pub fn lower(&self, real: ScalarKind) -> Result<LoweredKernel, lift::lower::LowerError> {
-        lower_kernel(self.name, &self.params, &self.body, real)
+        let mut lowered = lift::lower::lower_kernel_raw(self.name, &self.params, &self.body, real)?;
+        let contract = launch_assumptions(self, &lowered);
+        lowered.kernel = lift::simplify::simplify_kernel(&lowered.kernel, &contract);
+        Ok(lowered)
     }
 }
 
 /// Derives the contract a generated kernel is launched under from its
 /// lowering: the launch global size, one `≥ 1` bound per size argument,
 /// buffer lengths from the source program's parameter types (inputs) and
-/// the lowered output type, and the boundary gather-table invariants
-/// ([`room_acoustics::contracts::boundary_table_facts`]) layered on top.
+/// the lowered output type, and the facts the hand-written contracts share
+/// layered on top ([`room_acoustics::contracts::boundary_table_facts`],
+/// [`room_acoustics::contracts::interior_mask_facts`]).
 ///
 /// The verify suite audits every generated kernel under exactly this
 /// contract, and [`crate::runner::step_kernel`] launches (and slab-places)
@@ -168,6 +173,7 @@ pub fn launch_assumptions(p: &Program, lowered: &LoweredKernel) -> lift::verify:
         }
     }
     room_acoustics::contracts::boundary_table_facts(&mut asm);
+    room_acoustics::contracts::interior_mask_facts(&mut asm);
     asm
 }
 

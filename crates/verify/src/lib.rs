@@ -1,10 +1,11 @@
 //! Static verification driver for the repro suite.
 //!
 //! Assembles every kernel the repository ships — the four LIFT-generated
-//! kernels (`lift_acoustics::programs::all_programs`) and the five
-//! hand-written references (`room_acoustics::handwritten::all_kernels`) —
-//! pairs each with the launch/allocation contract it is actually run
-//! under (see [`suite`]), and runs the full pass ladder:
+//! kernels (`lift_acoustics::programs::all_programs`), the five
+//! hand-written references (`room_acoustics::handwritten::all_kernels`)
+//! and the slab placements of the generated volume kernels — pairs each
+//! with the launch/allocation contract it is actually run under (see
+//! [`suite`], [`generated_slabs`]), and runs the full pass ladder:
 //!
 //! * [`lift::verify::verify_kernel`] — symbolic bounds + static
 //!   write-race analysis over the kernel AST;
@@ -112,9 +113,32 @@ pub fn suite() -> Vec<SuiteEntry> {
     out
 }
 
-/// [`suite`] plus the deliberately broken [`fixtures`].
+/// The generated volume kernels as a sharded `Simulation` launches them:
+/// folded under their launch contract, then placed on a Z-slab by
+/// [`contracts::slab_placed`] under that contract restated for the
+/// placement. [`suite`] holds only the kernels the repository ships as
+/// sources (the hand-written slab kernel among them).
+pub fn generated_slabs() -> Vec<SuiteEntry> {
+    let mut out = Vec::new();
+    for real in [ScalarKind::F32, ScalarKind::F64] {
+        for p in programs::all_programs() {
+            let lowered =
+                p.lower(real).unwrap_or_else(|e| panic!("{} fails to lower: {e}", p.name));
+            if lowered.kernel.work_dim != 3 {
+                continue;
+            }
+            let contract = generated_assumptions(&p, &lowered);
+            let (kernel, assumptions) = contracts::slab_placed(&lowered.kernel, &contract);
+            out.push(SuiteEntry { kernel, precision: real, assumptions, fixture: false });
+        }
+    }
+    out
+}
+
+/// [`suite`], [`generated_slabs`] and the deliberately broken [`fixtures`].
 pub fn suite_with_fixtures() -> Vec<SuiteEntry> {
     let mut out = suite();
+    out.extend(generated_slabs());
     out.extend(fixtures::entries());
     out
 }
@@ -498,7 +522,7 @@ mod tests {
 
     #[test]
     fn every_shipped_kernel_is_proven() {
-        for r in run_suite(&suite()) {
+        for r in run_suite(&suite().into_iter().chain(generated_slabs()).collect::<Vec<_>>()) {
             assert!(
                 r.is_proven(),
                 "{} ({}) unproven:\n{:#?}\n{:#?}",
@@ -512,7 +536,7 @@ mod tests {
 
     #[test]
     fn shipped_footprints_prove_halo_widths() {
-        for r in run_suite(&suite()) {
+        for r in run_suite(&suite().into_iter().chain(generated_slabs()).collect::<Vec<_>>()) {
             let halo = r.required_halo.as_ref().unwrap_or_else(|e| {
                 panic!("{} ({}): no halo proof: {e}", r.name, prec(r.precision))
             });

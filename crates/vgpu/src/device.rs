@@ -136,7 +136,8 @@ impl Device {
         let bytes = byte_len(data.len(), data.elem_bytes());
         let shadow = self.rt.settings.shadow;
         if shadow {
-            self.rt.registry.counter("vgpu.sanitize.shadowed_buffers").inc();
+            let [shadowed_buffers, ..] = &self.rt.counters.sanitize;
+            shadowed_buffers.inc();
         }
         self.buffers.push(SharedBuf::with_shadow(data, shadow, initialized));
         let id = BufId(self.buffers.len() - 1);
@@ -164,28 +165,12 @@ impl Device {
     /// [`Event::Transfer`] span when tracing. `t0` is the span start
     /// captured before the copy (`Some` only when tracing was enabled).
     fn note_transfer(&self, dir: TransferDir, id: BufId, bytes: u64, t0: Option<f64>) {
-        let reg = &self.rt.registry;
-        match dir {
-            TransferDir::ToGpu => {
-                reg.counter("vgpu.xfer.to_gpu.bytes").add(bytes);
-                reg.counter("vgpu.xfer.to_gpu.transfers").inc();
-            }
-            TransferDir::ToHost => {
-                reg.counter("vgpu.xfer.to_host.bytes").add(bytes);
-                reg.counter("vgpu.xfer.to_host.transfers").inc();
-            }
-            // Sharding traffic is accounted apart from `vgpu.xfer.*` so a
-            // sharded run's host-transfer totals stay bit-comparable with
-            // the single-device leg (DESIGN.md §12).
-            TransferDir::DevToDev => {
-                reg.counter("vgpu.halo.bytes").add(bytes);
-                reg.counter("vgpu.halo.copies").inc();
-            }
-            TransferDir::Replicate => {
-                reg.counter("vgpu.halo.replicate.bytes").add(bytes);
-                reg.counter("vgpu.halo.replicate.transfers").inc();
-            }
-        }
+        // Sharding traffic is accounted apart from `vgpu.xfer.*` so a sharded
+        // run's host-transfer totals stay bit-comparable with the
+        // single-device leg (DESIGN.md §12).
+        let [bytes_moved, transfers] = &self.rt.counters.transfers[dir as usize];
+        bytes_moved.add(bytes);
+        transfers.inc();
         if let Some(ts_us) = t0 {
             let tele = self.tele();
             self.rt.trace.record(Event::Transfer {
@@ -410,7 +395,7 @@ impl Device {
             self.engine,
             &self.rt,
         )?;
-        let reg = &self.rt.registry;
+        let [tape, tree, oracle] = &self.rt.counters.launches;
         let double = prep.params.iter().any(|p| p.is_buffer && p.kind == ScalarKind::F64);
         stats.modeled_s = stats.transaction_bytes.map(|tb| {
             modeled_time_s(
@@ -424,8 +409,8 @@ impl Device {
             )
         });
         match stats.backend {
-            exec::Backend::Tape => reg.counter("vgpu.launches.tape").inc(),
-            exec::Backend::Tree => reg.counter("vgpu.launches.tree").inc(),
+            exec::Backend::Tape => tape.inc(),
+            exec::Backend::Tree => tree.inc(),
         }
         // Op profiling: one map update per launch under `VGPU_PROFILE=op`,
         // one field read when off. The per-op tally was merged across
@@ -445,7 +430,7 @@ impl Device {
         // kernel summaries aggregated by name stay truthful about what
         // each engine executed.
         let oracle_us = stats.oracle_wall.map(|w| {
-            reg.counter("vgpu.launches.oracle").inc();
+            oracle.inc();
             w.as_secs_f64() * 1e6
         });
         if let Some(ts_us) = t0 {

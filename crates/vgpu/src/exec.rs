@@ -25,7 +25,6 @@ use crate::buffer::{BufData, SharedBuf};
 use crate::bytecode::{self, Compiled};
 use crate::runtime::Runtime;
 use crate::sanitize::SanCtx;
-use crate::telemetry;
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef, MemSpace};
 use lift::prelude::{BinOp, Intrinsic, ScalarKind, UnOp, Value};
 use lift::verify::Assumptions;
@@ -381,12 +380,12 @@ pub fn prepare_under(kernel: &Kernel, contract: &Assumptions) -> Result<Prepared
     prep.tape = bytecode::compile(&prep).map_err(|e| {
         ExecError(format!("kernel `{}` does not compile to a tape: {e}", kernel.name))
     })?;
-    let reg = telemetry::registry();
+    let [optimized, fused] = &crate::runtime().counters.tape_ops;
     if prep.tape.optimized_ops > 0 {
-        reg.counter("vgpu.tape.optimized_ops").add(prep.tape.optimized_ops as u64);
+        optimized.add(prep.tape.optimized_ops as u64);
     }
     if prep.tape.fused_ops > 0 {
-        reg.counter("vgpu.tape.fused_ops").add(prep.tape.fused_ops as u64);
+        fused.add(prep.tape.fused_ops as u64);
     }
     Ok(prep)
 }
@@ -1076,7 +1075,7 @@ fn dispatch<T: Sync>(
     items_per_id: usize,
     task: impl Fn(&[T]) -> ChunkAcc + Sync,
 ) -> (Vec<ChunkAcc>, std::time::Duration) {
-    let [tasks, inline_launches] = &rt.dispatch;
+    let [tasks, inline_launches] = &rt.counters.dispatch;
     let chunk = dispatch_chunk(ids.len(), items_per_id);
     let ntasks = ids.len().div_ceil(chunk);
     tasks.add(ntasks as u64);
@@ -1118,9 +1117,9 @@ fn checked_sites(l: &Launch<'_>) -> Arc<Vec<bool>> {
     }
     let checked = Arc::new(build_checked_sites(l));
     let kept = checked.iter().filter(|&&c| c).count() as u64;
-    let reg = &l.rt.registry;
-    reg.counter("vgpu.tape.sites_proven").add(checked.len() as u64 - kept);
-    reg.counter("vgpu.tape.sites_checked").add(kept);
+    let [proven, checked_sites] = &l.rt.counters.sites;
+    proven.add(checked.len() as u64 - kept);
+    checked_sites.add(kept);
     let mut tables = tables.write().expect("no panic under this lock");
     if tables.len() >= CHECK_TABLE_CAP {
         tables.clear();
@@ -1350,7 +1349,7 @@ fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError
         // The single accounting site of `vgpu.warp.divergent`; per launch
         // the figure rides `LaunchStats` into the launch's kernel event.
         if stats.divergent_warps > 0 {
-            l.rt.registry.counter("vgpu.warp.divergent").add(stats.divergent_warps);
+            l.rt.counters.divergent.add(stats.divergent_warps);
         }
         stats
     })

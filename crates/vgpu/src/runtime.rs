@@ -79,8 +79,52 @@ pub struct Runtime {
     pub findings: Findings,
     /// Numbers its traced devices, for distinct track names.
     pub(crate) device_seq: AtomicU32,
-    /// `vgpu.dispatch.{tasks,inline_launches}`, bumped by every launch.
+    /// The counters its launches, transfers and allocations bump.
+    pub(crate) counters: HotCounters,
+}
+
+/// Handles of the counters launches, transfers, allocations and sanitizer
+/// findings bump, registered with the runtime: no hot path looks a counter
+/// up by name (a registry lock and a `String` each time).
+pub(crate) struct HotCounters {
+    /// `vgpu.dispatch.{tasks,inline_launches}`.
     pub(crate) dispatch: [Counter; 2],
+    /// `vgpu.launches.{tape,tree,oracle}`.
+    pub(crate) launches: [Counter; 3],
+    /// `vgpu.warp.divergent`.
+    pub(crate) divergent: Counter,
+    /// `[bytes, count]` per [`crate::telemetry::TransferDir`], in its order:
+    /// `vgpu.{xfer.to_gpu,xfer.to_host,halo,halo.replicate}.*`.
+    pub(crate) transfers: [[Counter; 2]; 4],
+    /// `vgpu.tape.sites_{proven,checked}`, bumped per new launch shape.
+    pub(crate) sites: [Counter; 2],
+    /// `vgpu.tape.{optimized,fused}_ops` (compilations count into the default).
+    pub(crate) tape_ops: [Counter; 2],
+    /// `vgpu.sanitize.{shadowed_buffers,uninit_reads,stale_halo_reads}`.
+    pub(crate) sanitize: [Counter; 3],
+}
+
+impl HotCounters {
+    fn register(registry: &Registry) -> HotCounters {
+        let c = |name: String| registry.counter(&name);
+        let transfers = [
+            ("xfer.to_gpu", "transfers"),
+            ("xfer.to_host", "transfers"),
+            ("halo", "copies"),
+            ("halo.replicate", "transfers"),
+        ]
+        .map(|(path, count)| [c(format!("vgpu.{path}.bytes")), c(format!("vgpu.{path}.{count}"))]);
+        HotCounters {
+            dispatch: ["tasks", "inline_launches"].map(|n| c(format!("vgpu.dispatch.{n}"))),
+            launches: ["tape", "tree", "oracle"].map(|n| c(format!("vgpu.launches.{n}"))),
+            divergent: c("vgpu.warp.divergent".into()),
+            transfers,
+            sites: ["proven", "checked"].map(|n| c(format!("vgpu.tape.sites_{n}"))),
+            tape_ops: ["optimized", "fused"].map(|n| c(format!("vgpu.tape.{n}_ops"))),
+            sanitize: ["shadowed_buffers", "uninit_reads", "stale_halo_reads"]
+                .map(|n| c(format!("vgpu.sanitize.{n}"))),
+        }
+    }
 }
 
 impl Runtime {
@@ -93,14 +137,12 @@ impl Runtime {
 
     fn build(settings: Settings) -> Runtime {
         let registry = Registry::new();
-        let dispatch =
-            ["tasks", "inline_launches"].map(|c| registry.counter(&format!("vgpu.dispatch.{c}")));
         Runtime {
             trace: Trace::new(settings.trace),
             profiles: Profiles::new(settings.profile),
             findings: Findings::default(),
             device_seq: AtomicU32::new(0),
-            dispatch,
+            counters: HotCounters::register(&registry),
             registry,
             settings,
         }

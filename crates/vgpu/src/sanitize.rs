@@ -190,11 +190,11 @@ impl SanCtx<'_> {
         element: u64,
         engine: &'static str,
     ) {
-        let ctr = match kind {
-            FaultKind::UninitRead => "vgpu.sanitize.uninit_reads",
-            FaultKind::StaleHaloRead => "vgpu.sanitize.stale_halo_reads",
-        };
-        self.rt.registry.counter(ctr).inc();
+        let [_, uninit, stale] = &self.rt.counters.sanitize;
+        match kind {
+            FaultKind::UninitRead => uninit.inc(),
+            FaultKind::StaleHaloRead => stale.inc(),
+        }
         let buffer =
             self.prep.params.get(param).map_or_else(|| format!("arg{param}"), |p| p.name.clone());
         let f = Finding { kind, kernel: self.prep.name.clone(), site, buffer, element, engine };

@@ -190,9 +190,13 @@ fn host_program_step_matches_reference_step() {
 #[test]
 fn host_program_is_the_step_that_ships() {
     // Listing 5 and `Simulation` are one loop: the host program launches the
-    // kernels `LiftBoundary::FiMm` hands a `Simulation`, over the same global
-    // sizes, and one run of it is one `Simulation::step`, bit for bit.
+    // programs `LiftBoundary::FiMm` hands a `Simulation`, over the same global
+    // sizes, and one run of it is one `Simulation::step`, bit for bit. The
+    // host program lowers them without the launch contract, so its volume
+    // kernel is the shipped one before the interior-mask fold; the boundary
+    // kernel has no contract fact to fold and is the shipped one as it is.
     use lift::host::HostCmd;
+    use lift::lower::lower_kernel;
     use room_acoustics::KernelSource;
     for precision in [Precision::Single, Precision::Double] {
         let real = precision.kind();
@@ -208,13 +212,15 @@ fn host_program_is_the_step_that_ships() {
             })
             .collect();
         assert_eq!(launches.len(), 2);
-        for ((kernel, global), step) in launches.into_iter().zip(&shipped) {
+        let boundary = &prog.kernels[launches[1].0].kernel;
+        assert_eq!(format!("{boundary:?}"), format!("{:?}", shipped[1].kernel));
+        let sources = [programs::volume_program(), programs::fimm_program()];
+        for (((kernel, global), step), p) in launches.into_iter().zip(&shipped).zip(sources) {
             let name = &step.kernel.name;
-            assert_eq!(
-                format!("{:?}", prog.kernels[kernel].kernel),
-                format!("{:?}", step.kernel),
-                "{name}"
-            );
+            let contract_free = lower_kernel(p.name, &p.params, &p.body, real).unwrap().kernel;
+            let host = &prog.kernels[kernel].kernel;
+            assert_eq!(format!("{host:?}"), format!("{contract_free:?}"), "{name}");
+            assert_eq!(p.name, name, "the same program");
             assert_eq!(*global, step.global, "{name}");
         }
 
