@@ -51,8 +51,8 @@ pub use materials::{courant, courant_sq, FdCoeffs, Material};
 pub use partition::{boundary_cut_planes, boundary_cuts};
 pub use sim::{BoundaryModel, ReferenceSim, SimConfig, SimSetup};
 pub use simulation::{
-    BoundaryKernel, KernelOrigin, KernelSource, Precision, SimError, Simulation, SingleSim,
-    StepKernel, StepKernels,
+    step_input, BoundaryKernel, HandwrittenFi, KernelSource, Precision, SimError, Simulation,
+    SingleSim, StepKernel,
 };
 
 /// A [`Simulation`] over hand-written kernels on several devices — the name

@@ -94,6 +94,10 @@ impl SimSetup {
     /// Builds the room and coefficient tables for a configuration, or says
     /// why it describes no passive simulation ([`SimError`]).
     pub fn try_new(cfg: &SimConfig) -> Result<SimSetup, SimError> {
+        let GridDims { nx, ny, nz } = cfg.dims;
+        if nx.min(ny).min(nz) < 3 {
+            return Err(SimError::NoInterior { nx, ny, nz });
+        }
         if cfg.assignment == (MaterialAssignment::Striped { num_materials: 0 }) {
             return Err(SimError::NoMaterials);
         }
@@ -345,6 +349,19 @@ mod tests {
             ..SimConfig::fimm(GridDims::cube(8), RoomShape::Box)
         };
         assert_eq!(rejected(&cfg), SimError::NoMaterials);
+    }
+
+    /// `GridDims`' fields are public, so `GridDims::new`'s assert does not
+    /// guard a configuration: a side under 3 cells is refused here, before
+    /// anything indexes the grid's faces.
+    #[test]
+    fn a_grid_without_an_interior_is_an_error() {
+        for (nx, ny, nz) in [(1, 9, 9), (9, 2, 9), (9, 9, 1), (0, 0, 0)] {
+            let cfg = SimConfig::fimm(GridDims { nx, ny, nz }, RoomShape::Box);
+            assert_eq!(rejected(&cfg), SimError::NoInterior { nx, ny, nz });
+        }
+        let err = SimError::NoInterior { nx: 1, ny: 9, nz: 9 };
+        assert_eq!(err.to_string(), "a 1×9×9 grid has no interior: every side needs 3 cells");
     }
 
     #[test]

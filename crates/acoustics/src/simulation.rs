@@ -1,20 +1,22 @@
 //! The simulation front end on the virtual GPU (DESIGN.md §7).
 //!
-//! One [`Simulation`] drives the paper's host loop — volume kernel, boundary
-//! kernel, buffer rotation — for every kernel family and every placement:
+//! One [`Simulation`] runs the paper's host loop for every kernel family and
+//! every placement:
 //!
-//! * the **kernel set** is data: a [`StepKernels`] whose kernels each carry
-//!   their source AST, their launch contract and a role per parameter,
-//!   resolved once, by parameter name, from the one table in this module.
-//!   The kernels of [`crate::handwritten`] and the LIFT-generated ones of
-//!   the `lift-acoustics` crate share that vocabulary, so both bind
-//!   through it;
+//! * the **step** is a Listing 5 host program. Every [`KernelSource`] — the
+//!   hand-written kernels of [`crate::handwritten`], the LIFT-generated ones
+//!   of the `lift-acoustics` crate — yields one, compiled once per process.
+//!   The simulation takes from it the launch list, each launch's argument
+//!   bindings and the slot each output lands in, and runs it resident: its
+//!   transfers are hoisted out of the time loop (a `ToGPU` is an upload at
+//!   construction, the `ToHost` is [`Simulation::read_curr`]). The one name
+//!   table of this module says what each host input is;
 //! * the **placement** is one slab per [`Device`]: one device holds the
 //!   whole grid with no halo planes, several hold contiguous Z-slabs with
-//!   one halo plane on either side, exchanged before every volume launch
+//!   one halo plane on either side, exchanged before every grid launch
 //!   (DESIGN.md §12).
 //!
-//! A slab allocates and uploads only the roles its kernel set names.
+//! A slab allocates and uploads only the inputs its step program names.
 //! Host-transfer *byte* totals do not depend on the device count: owned
 //! planes move through accounted region transfers, replicated tables are
 //! accounted once (replicas under `vgpu.halo.replicate.*`), and halo
@@ -27,15 +29,19 @@ use crate::partition::{checked_boundary_cuts, WARP};
 use crate::reference::FdArrays;
 use crate::sim::{field_energy, SimSetup};
 use lift::arith::ArithExpr;
+use lift::host::{self, HostCmd, HostExpr, HostProgram, KernelDef, LaunchArg};
+use lift::ir::ParamDef;
 use lift::kast::Kernel;
+use lift::lower::LowerError;
 use lift::prelude::{ScalarKind, Value};
+use lift::types::Type;
 use lift::verify::Assumptions;
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Deref, DerefMut, RangeInclusive};
 use std::sync::{Arc, Mutex, OnceLock};
 use vgpu::telemetry::HOST_TRACK;
-use vgpu::{Arg, BufData, BufId, Device, ExecMode, LaunchStats, Prepared, SlabPartition};
+use vgpu::{Arg, BufData, BufId, Device, ExecMode, HostEnv, LaunchStats, Prepared, SlabPartition};
 
 /// Floating-point precision of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,10 +86,10 @@ impl Precision {
     }
 }
 
-/// What a kernel parameter is bound to on each launch. Buffers first, in
-/// allocation order; then the real scalars; then the i32 sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Role {
+/// What a host input of a step program is to the front end. Buffers first,
+/// in allocation order; then the real scalars.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Role {
     // The pressure fields rotate each step; `curr`'s seam planes are
     // halo-exchanged.
     Prev,
@@ -109,64 +115,76 @@ pub(crate) enum Role {
     L2,
     /// The one β of a uniform-FI kernel.
     BetaScalar,
-    Nx,
-    Ny,
-    /// Planes in the slab's allocation (owned + halo).
-    Nz,
-    /// Elements in the slab's allocation.
-    N,
-    /// Boundary points of the slab (the FD-MM state stride when padded).
-    NumB,
-    Nm,
-    Mb,
-    /// `Nm · Mb`.
-    Mbm,
-    /// `Mb · NumB`.
-    S,
 }
 
-impl Role {
-    const COUNT: usize = Role::S as usize + 1;
+/// The sizes a launch may bind, in the order a slab computes them.
+const SIZES: [&str; 9] = ["Nx", "Ny", "Nz", "N", "numB", "NM", "MB", "MBM", "S"];
 
-    /// The name → role table: the parameter vocabulary shared by
-    /// [`crate::handwritten`] and the LIFT programs (`out` is the generated
-    /// volume kernel's allocated output). `beta` is a table in FI-MM/FD-MM
-    /// kernels and a scalar in the one-kernel FI program.
-    const TABLE: [(&'static str, bool, Role); Role::COUNT + 1] = [
-        ("prev", true, Role::Prev),
-        ("curr", true, Role::Curr),
-        ("next", true, Role::Next),
-        ("out", true, Role::Next),
-        ("nbrs", true, Role::Nbrs),
-        ("boundaryIndices", true, Role::BoundaryIndices),
-        ("bnbrs", true, Role::BoundaryNbrs),
-        ("material", true, Role::Material),
-        ("beta", true, Role::Beta),
-        ("BI", true, Role::Bi),
-        ("D", true, Role::D),
-        ("DI", true, Role::Di),
-        ("F", true, Role::F),
-        ("g1", true, Role::G1),
-        ("v1", true, Role::V1),
-        ("v2", true, Role::V2),
-        ("l", false, Role::L),
-        ("l2", false, Role::L2),
-        ("beta", false, Role::BetaScalar),
-        ("Nx", false, Role::Nx),
-        ("Ny", false, Role::Ny),
-        ("Nz", false, Role::Nz),
-        ("N", false, Role::N),
-        ("numB", false, Role::NumB),
-        ("NM", false, Role::Nm),
-        ("MB", false, Role::Mb),
-        ("MBM", false, Role::Mbm),
-        ("S", false, Role::S),
+/// A step's period in buffer rotations: `next → curr → prev` repeats every
+/// 3 steps, `v1 ↔ v2` every 2.
+const PHASES: usize = 6;
+
+impl Role {
+    const COUNT: usize = Role::BetaScalar as usize + 1;
+    const BUFFERS: RangeInclusive<Role> = Role::Prev..=Role::V2;
+    const SCALARS: RangeInclusive<Role> = Role::L..=Role::BetaScalar;
+
+    /// The step vocabulary, in `Role` order: each host input a step program
+    /// may name, with an array's length. Arrays (`_h`) move to the device
+    /// once, at construction — the loop-carried ones (`prev curr next g1 v1
+    /// v2`) start zeroed and take their data through
+    /// [`Simulation::impulse`]; scalars pass by value.
+    const TABLE: [(&'static str, Role, &'static str); Role::COUNT] = [
+        ("prev_h", Role::Prev, "N"),
+        ("curr_h", Role::Curr, "N"),
+        ("next_h", Role::Next, "N"),
+        ("nbrs_h", Role::Nbrs, "N"),
+        ("boundaries_h", Role::BoundaryIndices, "numB"),
+        ("bnbrs_h", Role::BoundaryNbrs, "numB"),
+        ("material_h", Role::Material, "numB"),
+        ("beta_h", Role::Beta, "NM"),
+        ("BI_h", Role::Bi, "MBM"),
+        ("D_h", Role::D, "MBM"),
+        ("DI_h", Role::Di, "MBM"),
+        ("F_h", Role::F, "MBM"),
+        ("g1_h", Role::G1, "S"),
+        ("v1_h", Role::V1, "S"),
+        ("v2_h", Role::V2, "S"),
+        ("l", Role::L, ""),
+        ("l2", Role::L2, ""),
+        ("beta", Role::BetaScalar, ""),
     ];
 
-    /// The role of a kernel parameter called `name`.
-    fn resolve(name: &str, is_buffer: bool) -> Option<Role> {
-        Role::TABLE.iter().find(|(n, b, _)| *n == name && *b == is_buffer).map(|&(_, _, r)| r)
+    /// The role called `name` among `class`.
+    fn of(name: &str, class: &RangeInclusive<Role>) -> Option<Role> {
+        Role::TABLE.iter().find(|(n, r, _)| *n == name && class.contains(r)).map(|&(_, r, _)| r)
     }
+
+    /// The role whose phase-0 buffer this one binds `phase` steps later.
+    fn rotated(self, phase: usize) -> Role {
+        use Role::*;
+        match self {
+            Prev | Curr | Next => [Prev, Curr, Next][(self as usize + phase) % 3],
+            V1 | V2 => [V1, V2][(self as usize - V1 as usize + phase) % 2],
+            fixed => fixed,
+        }
+    }
+}
+
+/// The host input `name` of the step vocabulary as an `OclKernel` argument:
+/// an array crosses with `ToGPU`, a scalar passes by value.
+///
+/// # Panics
+/// On a name outside the vocabulary.
+pub fn step_input(name: &str) -> HostExpr {
+    let entry = Role::TABLE.iter().find(|(n, ..)| *n == name);
+    let (_, role, len) = entry.unwrap_or_else(|| panic!("`{name}` is not a step input"));
+    if len.is_empty() {
+        return host::input(&ParamDef::typed(name, Type::real()));
+    }
+    let elem =
+        if (Role::Nbrs..=Role::Material).contains(role) { Type::i32() } else { Type::real() };
+    host::to_gpu(host::input(&ParamDef::typed(name, Type::array(elem, *len))))
 }
 
 /// Why a [`Simulation`], or the [`SimSetup`] it runs, could not be built.
@@ -181,19 +199,31 @@ pub enum SimError {
         /// Planes in the grid.
         nz: usize,
     },
+    /// A grid side shorter than 3 cells: no cell is interior.
+    NoInterior {
+        /// Cells along x.
+        nx: usize,
+        /// Cells along y.
+        ny: usize,
+        /// Cells along z.
+        nz: usize,
+    },
     /// The kernel set names FD-MM tables or state but the setup has no
     /// FD-MM coefficients.
     MissingFdCoefficients,
-    /// A kernel parameter (or a variable of its global size) is outside
-    /// the vocabulary the front end binds (`prev curr next nbrs
-    /// boundaryIndices bnbrs material beta BI D DI F g1 v1 v2 l l2 Nx Ny Nz
-    /// N numB NM MB MBM S`, and `out` for an allocated output).
+    /// A launch binds a host input or size outside the vocabulary the front
+    /// end provides (`prev_h curr_h next_h nbrs_h boundaries_h bnbrs_h
+    /// material_h beta_h BI_h D_h DI_h F_h g1_h v1_h v2_h`, `l l2 beta`,
+    /// `Nx Ny Nz N numB NM MB MBM S`).
     UnknownKernelParam {
         /// Kernel name.
         kernel: String,
-        /// Parameter name.
+        /// Host input or size name.
         name: String,
     },
+    /// The kernel set's host program is not a step: one grid launch,
+    /// optionally followed by one boundary-list launch.
+    NotAStep(String),
     /// A kernel cannot be placed on a slab: its proven z-reach does not fit
     /// the one exchanged halo plane, or it takes the room's walls from its
     /// coordinates instead of from `nbrs`.
@@ -231,12 +261,16 @@ impl fmt::Display for SimError {
             SimError::TooManyDevices { devices, nz } => {
                 write!(f, "cannot give {devices} devices at least one of {nz} z-planes each")
             }
+            SimError::NoInterior { nx, ny, nz } => {
+                write!(f, "a {nx}×{ny}×{nz} grid has no interior: every side needs 3 cells")
+            }
             SimError::MissingFdCoefficients => {
                 write!(f, "the kernel set is FD-MM but the setup has no FD-MM coefficients")
             }
             SimError::UnknownKernelParam { kernel, name } => {
                 write!(f, "kernel `{kernel}`: no binding for parameter `{name}`")
             }
+            SimError::NotAStep(e) => write!(f, "not a step program: {e}"),
             SimError::HaloProof(e) => write!(f, "halo proof failed: {e}"),
             SimError::UndefinedMaterials { assigned, defined } => {
                 write!(f, "room assigns {assigned} materials but only {defined} defined")
@@ -251,8 +285,8 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// One kernel of a step, ready to launch: its source, the contract every
-/// launch satisfies, what each parameter binds to, and its NDRange.
+/// One kernel of a step, ready to launch: the kernel, the contract every
+/// launch satisfies, and its NDRange.
 #[derive(Debug)]
 pub struct StepKernel {
     /// The kernel AST at a concrete precision.
@@ -260,8 +294,6 @@ pub struct StepKernel {
     /// The launch contract ([`contracts::launch_contract`] or the generated
     /// kernel's `launch_assumptions`) the kernel is compiled under.
     pub contract: Assumptions,
-    /// One role per kernel parameter, in order.
-    roles: Vec<Role>,
     /// Global size per dimension over the size vocabulary; evaluated per
     /// slab with `Nz` and `numB` standing for the *owned* planes and
     /// boundary points (the launched range), not the allocation's.
@@ -273,38 +305,10 @@ pub struct StepKernel {
     slab: OnceLock<Arc<StepKernel>>,
 }
 
-/// Which shipped source built a shared [`StepKernel`] — never a
-/// [`Kernel::name`], which two kernels may carry (`fimm_kernel(true)` / `(false)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelOrigin {
-    /// [`handwritten::volume_kernel`].
-    HandVolume,
-    /// The boundary kernel of a [`BoundaryKernel`] set.
-    HandBoundary(BoundaryKernel),
-    /// A LIFT program of `lift_acoustics::programs`, by `Program::name`.
-    Program(&'static str),
-}
-
 impl StepKernel {
-    /// Binds `kernel`'s parameters by name, each to what the front end
-    /// allocates or computes for it.
-    pub fn new(
-        kernel: Kernel,
-        contract: Assumptions,
-        global: Vec<ArithExpr>,
-    ) -> Result<StepKernel, SimError> {
-        let roles = kernel
-            .params
-            .iter()
-            .map(|p| {
-                Role::resolve(&p.name, p.is_buffer).ok_or_else(|| SimError::UnknownKernelParam {
-                    kernel: kernel.name.clone(),
-                    name: p.name.clone(),
-                })
-            })
-            .collect::<Result<_, _>>()?;
+    fn new(kernel: Kernel, contract: Assumptions, global: Vec<ArithExpr>) -> StepKernel {
         let (prepared, halo, slab) = (OnceLock::new(), OnceLock::new(), OnceLock::new());
-        Ok(StepKernel { kernel, contract, roles, global, prepared, halo, slab })
+        StepKernel { kernel, contract, global, prepared, halo, slab }
     }
 
     /// This grid kernel placed for a Z-slab with one halo plane on either
@@ -314,41 +318,9 @@ impl StepKernel {
     pub fn slab_placed(&self) -> Arc<StepKernel> {
         let place = || {
             let (kernel, contract) = contracts::slab_placed(&self.kernel, &self.contract);
-            let placed = StepKernel::new(kernel, contract, self.global.clone());
-            Arc::new(placed.expect("the rewrite keeps the parameters"))
+            Arc::new(StepKernel::new(kernel, contract, self.global.clone()))
         };
         self.slab.get_or_init(place).clone()
-    }
-
-    /// A kernel of [`handwritten`] at precision `real`, under its
-    /// [`contracts::launch_contract`]: grid kernels launch over
-    /// `[Nx, Ny, Nz]`, boundary kernels over `[numB]`.
-    pub fn handwritten(kernel: Kernel, real: ScalarKind) -> Result<Arc<StepKernel>, SimError> {
-        let global: &[&str] = if kernel.work_dim == 3 { &["Nx", "Ny", "Nz"] } else { &["numB"] };
-        let contract = contracts::launch_contract(&kernel);
-        let global = global.iter().map(|&n| ArithExpr::var(n)).collect();
-        StepKernel::new(kernel.resolve_real(real), contract, global).map(Arc::new)
-    }
-
-    /// The one sharing policy for shipped kernels of either family: what
-    /// `origin` builds at precision `real`, built on first request and shared
-    /// by every simulation of the process from then on — AST, contract, roles
-    /// and, through [`StepKernel::prepared`], the artifact with its proofs.
-    pub fn shared(
-        origin: KernelOrigin,
-        real: ScalarKind,
-        build: impl FnOnce() -> Result<Arc<StepKernel>, SimError>,
-    ) -> Result<Arc<StepKernel>, SimError> {
-        type Cache = Mutex<HashMap<(KernelOrigin, ScalarKind), Arc<StepKernel>>>;
-        static CACHE: OnceLock<Cache> = OnceLock::new();
-        let cache = || CACHE.get_or_init(Default::default).lock().expect("no panic under the lock");
-        if let Some(hit) = cache().get(&(origin, real)) {
-            return Ok(hit.clone());
-        }
-        // Build outside the lock; when two threads race the first insert
-        // wins, so every simulation still shares one kernel.
-        let kernel = build()?;
-        Ok(cache().entry((origin, real)).or_insert(kernel).clone())
     }
 
     /// The kernel compiled under its contract, on first use: a kernel the
@@ -373,32 +345,126 @@ impl StepKernel {
     }
 }
 
-/// The kernels of one time step.
-#[derive(Debug, Clone)]
-pub struct StepKernels {
-    /// The volume pass over the whole grid (or the whole step, for the
-    /// one-kernel FI programs).
-    pub volume: Arc<StepKernel>,
-    /// The boundary pass, launched after the volume pass.
-    pub boundary: Option<Arc<StepKernel>>,
+/// A kernel set's step as [`Simulation`] runs it, read off its Listing 5
+/// [`HostProgram`]: the launches in queue order (a grid launch, then at most
+/// one boundary-list launch) with their bindings, and the role of every
+/// device slot and scalar input they bind.
+struct StepProgram {
+    launches: Vec<(Arc<StepKernel>, Vec<LaunchArg>)>,
+    slots: Vec<(String, Role)>,
+    scalars: Vec<(String, Role)>,
 }
 
-impl StepKernels {
-    /// A one-kernel step (Listing 1 / Listing 6).
-    pub fn single(kernel: Arc<StepKernel>) -> StepKernels {
-        StepKernels { volume: kernel, boundary: None }
+impl StepProgram {
+    fn new(host: HostProgram) -> Result<StepProgram, SimError> {
+        // A slot plays its host input's role; the one allocated is the
+        // volume pass's output, `next`.
+        let role_of = |slot: &str| {
+            let role = host.cmds.iter().find_map(|c| match c {
+                HostCmd::CopyIn { host, dev, .. } if dev == slot => {
+                    Some(Role::of(host, &Role::BUFFERS).ok_or(host.as_str()))
+                }
+                HostCmd::Alloc { dev, .. } if dev == slot => Some(Ok(Role::Next)),
+                _ => None,
+            });
+            role.expect("a launch binds a declared slot")
+        };
+        let (mut launches, mut slots, mut scalars) = (Vec::new(), Vec::new(), Vec::new());
+        for cmd in &host.cmds {
+            let HostCmd::Launch { kernel, args, global_size } = cmd else { continue };
+            let k = &host.kernels[*kernel];
+            let unknown = |name: &str| SimError::UnknownKernelParam {
+                kernel: k.kernel.name.clone(),
+                name: name.into(),
+            };
+            for a in args {
+                match a {
+                    LaunchArg::Buf(s) => slots.push((s.clone(), role_of(s).map_err(unknown)?)),
+                    LaunchArg::ScalarInput(n) => scalars
+                        .push((n.clone(), Role::of(n, &Role::SCALARS).ok_or_else(|| unknown(n))?)),
+                    LaunchArg::SizeVar(n) if !SIZES.contains(&n.as_str()) => Err(unknown(n))?,
+                    LaunchArg::SizeVar(_) => {}
+                }
+            }
+            let step = StepKernel::new(k.kernel.clone(), k.contract.clone(), global_size.clone());
+            launches.push((Arc::new(step), args.clone()));
+        }
+        let work_dims: Vec<u8> = launches.iter().map(|(k, _)| k.kernel.work_dim).collect();
+        if !matches!(work_dims[..], [3] | [3, 1]) {
+            let why = format!("launch dimensions {work_dims:?}, not [3] or [3, 1]");
+            return Err(SimError::NotAStep(why));
+        }
+        Ok(StepProgram { launches, slots, scalars })
+    }
+
+    /// `source`'s step at precision `real`, compiled on first request and
+    /// shared by every simulation of the process from then on. Programs
+    /// that launch one kernel under one contract and NDRange share one
+    /// [`StepKernel`] — its artifact with its proofs, its slab form and its
+    /// halo proof — so each kernel is compiled once per process.
+    fn shared(source: &impl KernelSource, real: ScalarKind) -> Result<Arc<StepProgram>, SimError> {
+        #[derive(Default)]
+        struct Cache {
+            programs: HashMap<(&'static str, ScalarKind), Arc<StepProgram>>,
+            kernels: Vec<Arc<StepKernel>>,
+        }
+        static CACHE: OnceLock<Mutex<Cache>> = OnceLock::new();
+        let cache = || CACHE.get_or_init(Default::default).lock().expect("no panic under the lock");
+        let key = (source.name(), real);
+        if let Some(hit) = cache().programs.get(&key) {
+            return Ok(hit.clone());
+        }
+        // Compile outside the lock; when two threads race the first insert
+        // wins, so every simulation still shares one program.
+        let host = source.host_program(real);
+        let mut program = StepProgram::new(
+            host.unwrap_or_else(|e| panic!("kernel set `{}` does not compile: {e}", key.0)),
+        )?;
+        let mut cache = cache();
+        if let Some(hit) = cache.programs.get(&key) {
+            return Ok(hit.clone());
+        }
+        let text = |c: &Assumptions| format!("{c:?}");
+        for (kernel, _) in &mut program.launches {
+            let same = |k: &&Arc<StepKernel>| {
+                (&k.kernel, &k.global, text(&k.contract))
+                    == (&kernel.kernel, &kernel.global, text(&kernel.contract))
+            };
+            match cache.kernels.iter().find(same) {
+                Some(k) => *kernel = k.clone(),
+                None => cache.kernels.push(kernel.clone()),
+            }
+        }
+        Ok(cache.programs.entry(key).or_insert(Arc::new(program)).clone())
+    }
+
+    /// Whether `args` bind the slot of `role`.
+    fn binds(&self, args: &[LaunchArg], role: Role) -> bool {
+        args.iter().any(|a| {
+            matches!(a, LaunchArg::Buf(s) if self.slots.iter().any(|(n, r)| n == s && *r == role))
+        })
     }
 }
 
-/// Anything a [`Simulation`] can take its kernels from.
+/// A kernel set: anything a [`Simulation`] can take its step from.
 pub trait KernelSource {
-    /// The kernel set at precision `real`.
-    fn step_kernels(&self, real: ScalarKind) -> Result<StepKernels, SimError>;
+    /// The set's name: its key in the process-wide cache of step programs,
+    /// so one name means one set.
+    fn name(&self) -> &'static str;
+
+    /// One step as a Listing 5 host program at precision `real`, each
+    /// kernel under the contract its launches satisfy. The program's
+    /// inputs are the step vocabulary's ([`step_input`]).
+    fn host_program(&self, real: ScalarKind) -> Result<HostProgram, LowerError>;
 }
 
-impl KernelSource for StepKernels {
-    fn step_kernels(&self, _real: ScalarKind) -> Result<StepKernels, SimError> {
-        Ok(self.clone())
+impl<K: KernelSource + ?Sized> KernelSource for &K {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn host_program(&self, real: ScalarKind) -> Result<HostProgram, LowerError> {
+        (**self).host_program(real)
     }
 }
 
@@ -415,19 +481,63 @@ pub enum BoundaryKernel {
     FdMm,
 }
 
+/// An `OclKernel` of `kernel` of [`handwritten`] on the host inputs `args`
+/// (space-separated): a grid kernel over `[Nx, Ny, Nz]`, a boundary kernel
+/// over `[numB]`, under its [`contracts::launch_contract`].
+fn hand_launch(kernel: Kernel, args: &str) -> HostExpr {
+    let global = if kernel.work_dim == 3 { "Nx Ny Nz" } else { "numB" };
+    let global = global.split(' ').map(ArithExpr::var).collect();
+    let contract = contracts::launch_contract(&kernel);
+    host::ocl_kernel(
+        &KernelDef::kast(kernel, global, contract),
+        args.split(' ').map(step_input).collect(),
+    )
+}
+
 impl KernelSource for BoundaryKernel {
-    fn step_kernels(&self, real: ScalarKind) -> Result<StepKernels, SimError> {
-        let shared = |origin, build: &dyn Fn() -> Kernel| {
-            StepKernel::shared(origin, real, || StepKernel::handwritten(build(), real))
+    fn name(&self) -> &'static str {
+        match self {
+            BoundaryKernel::FiMm { beta_constant: false } => "fimm_hand",
+            BoundaryKernel::FiMm { beta_constant: true } => "fimm_hand_constant_beta",
+            BoundaryKernel::FdMm => "fdmm_hand",
+        }
+    }
+
+    /// Listing 5 over Listings 2–4: the volume kernel writes `next`, the
+    /// boundary kernel corrects it in place, and `next` goes to the host.
+    fn host_program(&self, real: ScalarKind) -> Result<HostProgram, LowerError> {
+        let boundary = match *self {
+            BoundaryKernel::FiMm { beta_constant } => hand_launch(
+                handwritten::fimm_kernel(beta_constant),
+                "boundaries_h nbrs_h material_h beta_h next_h prev_h l",
+            ),
+            BoundaryKernel::FdMm => hand_launch(
+                handwritten::fdmm_kernel(),
+                "boundaries_h nbrs_h material_h beta_h BI_h D_h DI_h F_h next_h prev_h g1_h v1_h v2_h l",
+            ),
         };
-        let boundary = || match *self {
-            BoundaryKernel::FiMm { beta_constant } => handwritten::fimm_kernel(beta_constant),
-            BoundaryKernel::FdMm => handwritten::fdmm_kernel(),
-        };
-        Ok(StepKernels {
-            volume: shared(KernelOrigin::HandVolume, &handwritten::volume_kernel)?,
-            boundary: Some(shared(KernelOrigin::HandBoundary(*self), &boundary)?),
-        })
+        let volume = hand_launch(handwritten::volume_kernel(), "next_h curr_h prev_h nbrs_h l2");
+        let next = host::host_write_to(step_input("next_h"), volume);
+        let step = host::host_let("next_g", next, |next_g| {
+            host::to_host(host::host_write_to(next_g, boundary))
+        });
+        host::compile_host(&step, real)
+    }
+}
+
+/// Listing 1, the hand-written one-kernel FI simulation, as a kernel set:
+/// one uniform β, walls found from coordinates, no boundary pass.
+#[derive(Debug, Clone, Copy)]
+pub struct HandwrittenFi;
+
+impl KernelSource for HandwrittenFi {
+    fn name(&self) -> &'static str {
+        "fi_hand"
+    }
+
+    fn host_program(&self, real: ScalarKind) -> Result<HostProgram, LowerError> {
+        let step = hand_launch(handwritten::fi_single_kernel(), "next_h curr_h prev_h l l2 beta");
+        host::compile_host(&host::to_host(host::host_write_to(step_input("next_h"), step)), real)
     }
 }
 
@@ -450,52 +560,42 @@ pub fn sum_step_stats(stats: &ShardStepStats) -> (vgpu::Counters, Option<u64>) {
     (c, txn)
 }
 
+/// A launch as a slab makes it: its global size and, per rotation phase,
+/// its bound arguments.
+type SlabLaunch = (Vec<usize>, Vec<Vec<Arg>>);
+
 /// One device's share of the grid: the global `planes` it owns, allocated
 /// with `halo` extra planes on either side.
 struct Slab {
     halo: usize,
     planes: std::ops::Range<usize>,
-    /// What each role binds to here; `None` for roles no launched kernel
-    /// names and, without boundary points, for per-point lists and state.
-    args: [Option<Arg>; Role::COUNT],
-    volume_global: Vec<usize>,
-    /// `None` when this slab launches no boundary kernel.
-    boundary_global: Option<Vec<usize>>,
+    /// The buffer of each buffer role at phase 0; `None` for roles the step
+    /// program does not name and, without boundary points, for per-point
+    /// lists and state.
+    bufs: [Option<BufId>; Role::V2 as usize + 1],
+    /// Per launch of the step; `None` for a list launch on a slab without
+    /// boundary points.
+    launches: Vec<Option<SlabLaunch>>,
 }
 
 impl Slab {
-    fn buf(&self, role: Role) -> BufId {
-        match self.args[role as usize] {
-            Some(Arg::Buf(b)) => b,
-            _ => panic!("no kernel of this simulation names {role:?}"),
-        }
+    fn buf(&self, role: Role, phase: usize) -> BufId {
+        let buf = self.bufs[role.rotated(phase) as usize];
+        buf.unwrap_or_else(|| panic!("no kernel of this simulation names {role:?}"))
     }
 
-    /// The one role → [`Arg`] walk.
+    /// Launch `i` of the step at rotation `phase`, unless this slab skips it.
     fn launch(
         &self,
         dev: &mut Device,
         k: &StepKernel,
-        global: &[usize],
+        i: usize,
+        phase: usize,
         mode: ExecMode,
-    ) -> LaunchStats {
-        let args: Vec<Arg> = k
-            .roles
-            .iter()
-            .map(|&r| self.args[r as usize].expect("construction binds every role a kernel names"))
-            .collect();
-        dev.launch(k.prepared(), &args, global, mode)
-            .unwrap_or_else(|e| panic!("`{}` launch: {e:?}", k.kernel.name))
-    }
-
-    fn rotate(&mut self) {
-        let (prev, curr, next) = (Role::Prev as usize, Role::Curr as usize, Role::Next as usize);
-        let old_prev = self.args[prev];
-        self.args[prev] = self.args[curr];
-        self.args[curr] = self.args[next];
-        self.args[next] = old_prev;
-        // The velocities just written become the previous step's.
-        self.args.swap(Role::V1 as usize, Role::V2 as usize);
+    ) -> Option<LaunchStats> {
+        let (global, args) = self.launches.get(i)?.as_ref()?;
+        let stats = dev.launch(k.prepared(), &args[phase], global, mode);
+        Some(stats.unwrap_or_else(|e| panic!("`{}` launch: {e:?}", k.kernel.name)))
     }
 }
 
@@ -507,9 +607,11 @@ pub struct Simulation {
     precision: Precision,
     part: SlabPartition,
     plane: usize,
-    volume: Arc<StepKernel>,
-    boundary: Option<Arc<StepKernel>>,
+    /// The step's kernels in launch order, as placed.
+    kernels: Vec<Arc<StepKernel>>,
     slabs: Vec<Slab>,
+    /// The rotation phase of the next step.
+    phase: usize,
 }
 
 impl Simulation {
@@ -562,37 +664,47 @@ impl Simulation {
         let plane = dims.nx * dims.ny;
         let nb = setup.num_b();
         let halo = usize::from(devices.len() > 1);
-        let kernels = source.step_kernels(real)?;
-        let boundary = kernels.boundary;
-        let volume = match kernels.volume {
-            whole_grid if halo == 0 => whole_grid,
-            // A slab's walls are where its `nbrs` planes say: a kernel that
-            // takes them from its coordinates against `Nz` (Listing 1's
-            // hand-written one-kernel FI) would find one at every seam.
-            k if !k.roles.contains(&Role::Nbrs) => {
-                return Err(SimError::HaloProof(format!(
-                    "kernel `{}` takes the room's walls from its coordinates, not from `nbrs`: \
-                     a slab would move them",
-                    k.kernel.name
-                )))
-            }
-            k => k.slab_placed(),
-        };
+        let program = StepProgram::shared(&source, real)?;
         let mut named = [false; Role::COUNT];
-        let launched = std::iter::once(&volume).chain(&boundary);
-        launched.flat_map(|k| &k.roles).for_each(|&r| named[r as usize] = true);
+        program.slots.iter().chain(&program.scalars).for_each(|&(_, r)| named[r as usize] = true);
+        // A rotation moves every buffer of its cycle: name one, name all.
+        for cycle in [&[Role::Prev, Role::Curr, Role::Next][..], &[Role::V1, Role::V2]] {
+            if cycle.iter().any(|&r| named[r as usize]) {
+                cycle.iter().for_each(|&r| named[r as usize] = true);
+            }
+        }
         let names = |r: Role| named[r as usize];
 
+        // Grid launches go on slabs. A slab's walls are where its `nbrs`
+        // planes say: a kernel that takes them from its coordinates against
+        // `Nz` (Listing 1's hand-written one-kernel FI) would find one at
+        // every seam.
+        let kernels = program.launches.iter().map(|(k, args)| match k.kernel.work_dim {
+            _ if halo == 0 => Ok(k.clone()),
+            3 if !program.binds(args, Role::Nbrs) => Err(SimError::HaloProof(format!(
+                "kernel `{}` takes the room's walls from its coordinates, not from `nbrs`: \
+                 a slab would move them",
+                k.kernel.name
+            ))),
+            3 => Ok(k.slab_placed()),
+            _ => Ok(k.clone()),
+        });
+        let kernels = kernels.collect::<Result<Vec<_>, _>>()?;
+
         // The slab layout exchanges one plane per side, so with several
-        // devices the volume kernel's proven z-reach must fit one plane and
+        // devices every grid kernel's proven z-reach must fit one plane and
         // every boundary point's footprint must stay inside its slab's
         // coverage — checked here instead of reading stale halo data later.
         let bcuts = if halo == 0 {
             vec![0, nb]
         } else {
-            volume.slab_reach(halo)?;
-            let reach = boundary.as_deref().map(|k| k.slab_reach(halo)).transpose()?;
-            let reach = reach.unwrap_or((0, 0));
+            let mut reach = (0, 0);
+            for k in &kernels {
+                let (lo, hi) = k.slab_reach(halo)?;
+                if k.kernel.work_dim == 1 {
+                    reach = (reach.0.max(lo), reach.1.max(hi));
+                }
+            }
             checked_boundary_cuts(&part, plane, &setup.room.boundary_indices, reach, (halo, halo))
                 .map_err(SimError::HaloProof)?
         };
@@ -603,7 +715,7 @@ impl Simulation {
             (true, Some(c)) => Some(FdArrays::from_coeffs(c)),
             (true, None) => return Err(SimError::MissingFdCoefficients),
         };
-        let fd = || fa.as_ref().expect("FD roles are named only with coefficients present");
+        let fd = || fa.as_ref().expect("FD inputs are named only with coefficients present");
         let bnbrs = names(Role::BoundaryNbrs).then(|| setup.room.boundary_nbrs());
         let (nm, mb) = (setup.betas.len(), setup.mb.max(1));
 
@@ -620,42 +732,39 @@ impl Simulation {
             // one-device launch (lanes past `num_b` never run).
             let stride = num_b + (nb - num_b) % WARP;
             let numb_arg = if names(Role::G1) { stride } else { num_b };
-            // The sizes `Nx ..= S`, in `Role` order.
-            let sizes =
-                [dims.nx, dims.ny, local_planes, local, numb_arg, nm, mb, nm * mb, mb * numb_arg];
-            let size = |r: Role| sizes.get((r as usize).wrapping_sub(Role::Nx as usize)).copied();
             // β and the FD-MM tables are replicated: accounted once on
             // device 0, replicas under vgpu.halo.replicate.*.
             let replicated = |dev: &mut Device, table: &[f64]| {
                 let data = precision.buf(table);
-                Arg::Buf(if d == 0 { dev.upload(data) } else { dev.upload_replica(data) })
+                if d == 0 {
+                    dev.upload(data)
+                } else {
+                    dev.upload_replica(data)
+                }
             };
-            let per_point = |dev: &mut Device, list: &[i32]| {
-                Arg::Buf(dev.upload(BufData::from(list[cb..ce].to_vec())))
-            };
-            let mut args = [None; Role::COUNT];
-            // Table order is allocation order; `out` aliases `next`.
-            let roles = Role::TABLE.iter().filter(|(n, _, r)| *n != "out" && names(*r));
-            for &(_, _, role) in roles {
+            let per_point =
+                |dev: &mut Device, list: &[i32]| dev.upload(BufData::from(list[cb..ce].to_vec()));
+            let mut bufs = [None; Role::V2 as usize + 1];
+            // Role order is allocation order.
+            for &(_, role, _) in &Role::TABLE[..bufs.len()] {
                 use Role::*;
-                args[role as usize] = Some(match role {
+                bufs[role as usize] = Some(match role {
+                    _ if !names(role) => continue,
                     // A slab without boundary points holds no per-point
                     // lists or state.
                     BoundaryIndices | BoundaryNbrs | Material | G1 | V1 | V2 if num_b == 0 => {
                         continue
                     }
-                    Prev | Curr | Next => Arg::Buf(dev.create_buffer_zeroed(real, local)),
+                    Prev | Curr | Next => dev.create_buffer_zeroed(real, local),
                     // The whole table moves in as it is; a slab's owned planes
                     // through an accounted region write (the slices sum to the
                     // whole upload), its halo planes stay zero and unread.
-                    Nbrs if halo == 0 => {
-                        Arg::Buf(dev.upload(BufData::from(setup.room.nbrs.clone())))
-                    }
+                    Nbrs if halo == 0 => dev.upload(BufData::from(setup.room.nbrs.clone())),
                     Nbrs => {
                         let buf = dev.create_buffer_zeroed(ScalarKind::I32, local);
                         let owned_nbrs = &setup.room.nbrs[first * plane..(first + owned) * plane];
                         dev.write_region(buf, halo * plane, BufData::from(owned_nbrs.to_vec()));
-                        Arg::Buf(buf)
+                        buf
                     }
                     BoundaryIndices => {
                         let shift = (first as isize - halo as isize) * plane as isize;
@@ -663,7 +772,7 @@ impl Simulation {
                             .iter()
                             .map(|&i| (i as isize - shift) as i32)
                             .collect();
-                        Arg::Buf(dev.upload(BufData::from(local_bidx)))
+                        dev.upload(BufData::from(local_bidx))
                     }
                     BoundaryNbrs => per_point(dev, bnbrs.as_ref().expect("gathered when named")),
                     Material => per_point(dev, &setup.room.material),
@@ -672,40 +781,58 @@ impl Simulation {
                     D => replicated(dev, &fd().d),
                     Di => replicated(dev, &fd().di),
                     F => replicated(dev, &fd().f),
-                    G1 | V1 | V2 => Arg::Buf(dev.create_buffer_zeroed(real, mb * stride)),
-                    L => Arg::Val(precision.val(setup.l)),
-                    L2 => Arg::Val(precision.val(setup.l2)),
-                    BetaScalar => Arg::Val(precision.val(setup.betas[0])),
-                    size_role => Arg::Val(Value::I32(size(size_role).expect("a size") as i32)),
+                    G1 | V1 | V2 => dev.create_buffer_zeroed(real, mb * stride),
+                    _ => unreachable!("buffer roles only"),
                 });
+            }
+            let mut env = HostEnv::new();
+            for (name, role) in &program.scalars {
+                let v = match role {
+                    Role::L => setup.l,
+                    Role::L2 => setup.l2,
+                    _ => setup.betas[0],
+                };
+                env = env.scalar(name, precision.val(v));
+            }
+            // `Nz` and `N` count the slab's allocation (owned + halo planes);
+            // `numB` is its boundary points (the FD-MM state stride, padded).
+            let sizes =
+                [dims.nx, dims.ny, local_planes, local, numb_arg, nm, mb, nm * mb, mb * numb_arg];
+            for (name, v) in SIZES.into_iter().zip(sizes) {
+                env = env.size(name, v as i64);
             }
             let extent = |name: &str| match name {
                 "Nz" => Some(owned as i64),
                 "numB" => Some(num_b as i64),
-                n => Role::resolve(n, false).and_then(size).map(|v| v as i64),
+                n => env.sizes.get(n).copied(),
             };
-            let global = |k: &StepKernel| -> Result<Vec<usize>, SimError> {
+            let slots: Vec<HashMap<&str, BufId>> = (0..PHASES)
+                .map(|phase| {
+                    let at = |r: Role| bufs[r.rotated(phase) as usize];
+                    program.slots.iter().filter_map(|(s, r)| Some((s.as_str(), at(*r)?))).collect()
+                })
+                .collect();
+            let mut launches = Vec::with_capacity(kernels.len());
+            for ((_, args), k) in program.launches.iter().zip(&kernels) {
+                if k.kernel.work_dim == 1 && num_b == 0 {
+                    launches.push(None);
+                    continue;
+                }
                 let unbound = |e| SimError::UnknownKernelParam {
                     kernel: k.kernel.name.clone(),
                     name: format!("global size: {e}"),
                 };
-                k.global
-                    .iter()
-                    .map(|g| g.eval(&extent).map(|v| v as usize).map_err(unbound))
-                    .collect()
-            };
-            slabs.push(Slab {
-                halo,
-                planes: first..first + owned,
-                args,
-                volume_global: global(&volume)?,
-                boundary_global: match &boundary {
-                    Some(b) if num_b > 0 => Some(global(b)?),
-                    _ => None,
-                },
-            });
+                let global = k.global.iter().map(|g| g.eval(&extent).map(|v| v as usize));
+                let global = global.collect::<Result<Vec<_>, _>>().map_err(unbound)?;
+                let bind = |slots: &HashMap<&str, BufId>| {
+                    vgpu::bind_launch(args, slots, &env)
+                        .expect("the slab binds what a launch names")
+                };
+                launches.push(Some((global, slots.iter().map(bind).collect())));
+            }
+            slabs.push(Slab { halo, planes: first..first + owned, bufs, launches });
         }
-        Ok(Simulation { devices, setup, precision, part, plane, volume, boundary, slabs })
+        Ok(Simulation { devices, setup, precision, part, plane, kernels, slabs, phase: 0 })
     }
 
     /// The shared setup.
@@ -713,10 +840,10 @@ impl Simulation {
         &self.setup
     }
 
-    /// The kernels a step launches: the volume kernel as placed (whole-grid
-    /// or slab), then the boundary kernel.
+    /// The kernels a step launches, in order: the grid kernel as placed
+    /// (whole-grid or slab), then the boundary kernel.
     pub fn kernels(&self) -> impl Iterator<Item = &StepKernel> {
-        std::iter::once(&*self.volume).chain(self.boundary.as_deref())
+        self.kernels.iter().map(|k| &**k)
     }
 
     /// Injects an impulse as a released initial displacement (applied to
@@ -726,8 +853,11 @@ impl Simulation {
         let idx = self.setup.dims().idx(x, y, z);
         for role in [Role::Curr, Role::Prev] {
             for (slab, dev) in self.slabs.iter().zip(&mut self.devices) {
-                let (buf, lo, len) =
-                    (slab.buf(role), slab.halo * self.plane, slab.planes.len() * self.plane);
+                let (buf, lo, len) = (
+                    slab.buf(role, self.phase),
+                    slab.halo * self.plane,
+                    slab.planes.len() * self.plane,
+                );
                 let mut data = dev.read_region(buf, lo, len);
                 if slab.planes.contains(&z) {
                     data.set(idx - slab.planes.start * self.plane, self.precision.val(amp));
@@ -743,32 +873,24 @@ impl Simulation {
     }
 
     /// Advances one step: exchange the `curr` seams (several devices), then
-    /// on every device launch the volume kernel and — where the slab owns
-    /// boundary points — the boundary kernel, then rotate.
+    /// on every device run the step program's launches — a boundary launch
+    /// only where the slab owns boundary points — then rotate.
     pub fn step(&mut self, mode: ExecMode) -> ShardStepStats {
         let rt = Arc::clone(self.devices[0].runtime());
         let _span = rt.trace.span(HOST_TRACK, "Simulation::step");
+        let phase = self.phase;
         if self.devices.len() > 1 {
-            let currs: Vec<BufId> = self.slabs.iter().map(|s| s.buf(Role::Curr)).collect();
+            let currs: Vec<BufId> = self.slabs.iter().map(|s| s.buf(Role::Curr, phase)).collect();
             vgpu::halo_exchange(&mut self.devices, &currs, &self.part, self.plane);
         }
         let mut stats = Vec::with_capacity(self.slabs.len());
         for (slab, dev) in self.slabs.iter().zip(&mut self.devices) {
-            let v = slab.launch(dev, &self.volume, &slab.volume_global, mode);
-            stats.push((v, Self::launch_boundary(&self.boundary, slab, dev, mode)));
+            let grid = slab.launch(dev, &self.kernels[0], 0, phase, mode);
+            let boundary = self.kernels.get(1).and_then(|k| slab.launch(dev, k, 1, phase, mode));
+            stats.push((grid.expect("every slab runs the grid launch"), boundary));
         }
-        self.slabs.iter_mut().for_each(Slab::rotate);
+        self.phase = (phase + 1) % PHASES;
         stats
-    }
-
-    fn launch_boundary(
-        boundary: &Option<Arc<StepKernel>>,
-        slab: &Slab,
-        dev: &mut Device,
-        mode: ExecMode,
-    ) -> Option<LaunchStats> {
-        let (k, global) = (boundary.as_ref()?, slab.boundary_global.as_ref()?);
-        Some(slab.launch(dev, k, global, mode))
     }
 
     /// Runs `n` steps in fast mode.
@@ -790,7 +912,7 @@ impl Simulation {
     fn assemble(&self, role: Role) -> Vec<f64> {
         let mut owned = self.slabs.iter().zip(&self.devices).map(|(slab, dev)| {
             let (lo, len) = (slab.halo * self.plane, slab.planes.len() * self.plane);
-            dev.read_region(slab.buf(role), lo, len).to_f64_vec()
+            dev.read_region(slab.buf(role, self.phase), lo, len).to_f64_vec()
         });
         // The first slab's planes become the output (one device: no second
         // copy), grown once for the rest.
@@ -801,7 +923,8 @@ impl Simulation {
     }
 
     /// Reads the current pressure field as f64 (owned regions, assembled in
-    /// global order; `Σ bytes` equals one whole-grid readback).
+    /// global order; `Σ bytes` equals one whole-grid readback): the step
+    /// program's `ToHost`.
     pub fn read_curr(&self) -> Vec<f64> {
         self.assemble(Role::Curr)
     }
@@ -812,7 +935,8 @@ impl Simulation {
         let slab = &self.slabs[d];
         let local = self.setup.dims().idx(x, y, z) - slab.planes.start * self.plane
             + slab.halo * self.plane;
-        self.devices[d].read_region(slab.buf(Role::Curr), local, 1).get(0).as_f64()
+        let buf = slab.buf(Role::Curr, self.phase);
+        self.devices[d].read_region(buf, local, 1).get(0).as_f64()
     }
 
     /// Field energy proxy (see [`field_energy`]).
@@ -847,7 +971,8 @@ impl SingleSim {
         device: Device,
     ) -> SingleSim {
         let sim = Simulation::new(setup, precision, source, vec![device]);
-        assert!(sim.slabs[0].boundary_global.is_some(), "SingleSim needs a boundary launch");
+        let boundary = sim.slabs[0].launches.get(1).is_some_and(Option::is_some);
+        assert!(boundary, "SingleSim needs a boundary launch");
         SingleSim(sim)
     }
 
@@ -865,8 +990,8 @@ impl SingleSim {
         let sim = &mut self.0;
         let rt = Arc::clone(sim.devices[0].runtime());
         let _span = rt.trace.span(HOST_TRACK, "Simulation::boundary_step_only");
-        Simulation::launch_boundary(&sim.boundary, &sim.slabs[0], &mut sim.devices[0], mode)
-            .expect("checked at construction")
+        let (slab, dev) = (&sim.slabs[0], &mut sim.devices[0]);
+        slab.launch(dev, &sim.kernels[1], 1, sim.phase, mode).expect("checked at construction")
     }
 }
 
@@ -995,14 +1120,33 @@ mod tests {
         slabs_match_one_device(s, Precision::Single, BoundaryKernel::FdMm, 2, 3);
     }
 
+    /// Every hand-written set compiles to a step whose launches run the
+    /// kernels of [`handwritten`] under their contracts, in Listing 5's
+    /// order, and the sets share the volume kernel they have in common.
     #[test]
-    fn every_handwritten_kernel_resolves_every_parameter() {
-        for k in handwritten::all_kernels() {
-            for real in [ScalarKind::F32, ScalarKind::F64] {
-                let bound = StepKernel::handwritten(k.clone(), real)
-                    .unwrap_or_else(|e| panic!("{} @ {real:?}: {e}", k.name));
-                assert_eq!(bound.roles.len(), k.params.len(), "{}", k.name);
+    fn every_hand_written_set_is_a_step_over_its_kernels() {
+        let sets: [(&dyn KernelSource, Vec<Kernel>); 4] = [
+            (&HandwrittenFi, vec![handwritten::fi_single_kernel()]),
+            (&FIMM, vec![handwritten::volume_kernel(), handwritten::fimm_kernel(false)]),
+            (
+                &BoundaryKernel::FiMm { beta_constant: true },
+                vec![handwritten::volume_kernel(), handwritten::fimm_kernel(true)],
+            ),
+            (&BoundaryKernel::FdMm, vec![handwritten::volume_kernel(), handwritten::fdmm_kernel()]),
+        ];
+        for real in [ScalarKind::F32, ScalarKind::F64] {
+            for (set, kernels) in &sets {
+                let step = StepProgram::shared(set, real).unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(step.launches.len(), kernels.len(), "{}", set.name());
+                for ((k, args), want) in step.launches.iter().zip(kernels) {
+                    assert_eq!(k.kernel, want.resolve_real(real), "{}", set.name());
+                    assert_eq!(args.len(), want.params.len(), "{}", want.name);
+                    let contract = contracts::launch_contract(want);
+                    assert_eq!(format!("{:?}", k.contract), format!("{contract:?}"));
+                }
             }
+            let volume = |set| StepProgram::shared(&set, real).unwrap().launches[0].0.clone();
+            assert!(Arc::ptr_eq(&volume(FIMM), &volume(BoundaryKernel::FdMm)), "one volume kernel");
         }
     }
 
@@ -1013,21 +1157,50 @@ mod tests {
     #[test]
     fn the_derived_slab_kernel_is_the_enumerated_one() {
         for real in [ScalarKind::F32, ScalarKind::F64] {
-            let whole = StepKernel::handwritten(handwritten::volume_kernel(), real).unwrap();
+            let whole = StepProgram::shared(&FIMM, real).unwrap().launches[0].0.clone();
             let derived = whole.slab_placed();
-            let shipped = StepKernel::handwritten(handwritten::volume_slab_kernel(), real).unwrap();
-            assert_eq!(format!("{:?}", derived.kernel), format!("{:?}", shipped.kernel));
-            assert_eq!(format!("{:?}", derived.contract), format!("{:?}", shipped.contract));
-            assert_eq!((&derived.roles, &derived.global), (&shipped.roles, &shipped.global));
+            let shipped = handwritten::volume_slab_kernel();
+            assert_eq!(derived.kernel, shipped.resolve_real(real));
+            let contract = contracts::launch_contract(&shipped);
+            assert_eq!(format!("{:?}", derived.contract), format!("{contract:?}"));
+            assert_eq!(derived.global, whole.global);
             assert!(Arc::ptr_eq(&derived, &whole.slab_placed()), "placed once per kernel");
+        }
+    }
+
+    /// Listing 3 with its `l` renamed: the host input it is bound to is
+    /// outside the vocabulary.
+    struct MadeUp;
+
+    impl KernelSource for MadeUp {
+        fn name(&self) -> &'static str {
+            "made_up_parameter"
+        }
+
+        fn host_program(&self, real: ScalarKind) -> Result<HostProgram, LowerError> {
+            let mut k = handwritten::fimm_kernel(false);
+            k.params[6] = KernelParam::scalar("lambda", ScalarKind::Real);
+            let mut args: Vec<HostExpr> =
+                ["boundaries_h", "nbrs_h", "material_h", "beta_h", "next_h", "prev_h"]
+                    .map(step_input)
+                    .into();
+            args.push(host::input(&ParamDef::typed("lambda", Type::real())));
+            let def = KernelDef::kast(k, vec![ArithExpr::var("numB")], Assumptions::default());
+            let volume =
+                hand_launch(handwritten::volume_kernel(), "next_h curr_h prev_h nbrs_h l2");
+            let step = host::host_let(
+                "next_g",
+                host::host_write_to(step_input("next_h"), volume),
+                |next| host::to_host(host::host_write_to(next, host::ocl_kernel(&def, args))),
+            );
+            host::compile_host(&step, real)
         }
     }
 
     #[test]
     fn a_made_up_parameter_is_a_typed_error_naming_kernel_and_parameter() {
-        let mut k = handwritten::fimm_kernel(false);
-        k.params[6] = KernelParam::scalar("lambda", ScalarKind::Real);
-        let err = StepKernel::new(k, Assumptions::default(), vec![]).unwrap_err();
+        let s = setup(GridDims::cube(9), RoomShape::Box, false);
+        let err = Simulation::try_new(s, Precision::Single, MadeUp, devices(1)).err().unwrap();
         let expect = SimError::UnknownKernelParam {
             kernel: "fimm_boundary_hand".into(),
             name: "lambda".into(),
@@ -1036,8 +1209,8 @@ mod tests {
         assert!(
             err.to_string().contains("fimm_boundary_hand") && err.to_string().contains("lambda")
         );
-        // A buffer name bound as a scalar is unknown too: `nbrs` is a table.
-        assert_eq!(Role::resolve("nbrs", false), None);
+        // A buffer name bound as a scalar is unknown too: `nbrs_h` is a table.
+        assert_eq!(Role::of("nbrs_h", &Role::SCALARS), None);
     }
 
     #[test]
@@ -1058,8 +1231,7 @@ mod tests {
         // Nine planes over nine devices is the limit, not an error.
         Simulation::try_new(fimm(), p, FIMM, devices(9)).expect("one plane per device");
         // Listing 1 finds its walls by comparing coordinates with `Nz`.
-        let fi = StepKernel::handwritten(handwritten::fi_single_kernel(), p.kind()).unwrap();
-        match err(Simulation::try_new(fimm(), p, StepKernels::single(fi), devices(2))) {
+        match err(Simulation::try_new(fimm(), p, HandwrittenFi, devices(2))) {
             SimError::HaloProof(why) => assert!(why.contains("`fi_single_hand`"), "{why}"),
             other => panic!("{other}"),
         }

@@ -10,11 +10,13 @@
 //! check at all. The tests that count proven and checked sites launch on
 //! runtimes of their own.
 
+use lift::host::{self, HostProgram};
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
+use lift::lower::LowerError;
 use lift::prelude::{BinOp, Lit, ScalarKind, Value};
 use room_acoustics::{
-    handwritten, BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, SimConfig,
-    SimError, SimSetup, Simulation, StepKernels,
+    handwritten, step_input, BoundaryKernel, GridDims, HandwrittenSim, KernelSource, Precision,
+    RoomShape, SimConfig, SimError, SimSetup, Simulation,
 };
 use vgpu::{Arg, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime};
 
@@ -107,6 +109,22 @@ fn a_kernel_that_shares_a_shipped_name_gets_launch_concrete_proofs_only() {
     assert_eq!(dev.read(next).to_f64_vec(), vec![1.0, 0.0, 1.0]);
 }
 
+/// The generated volume kernel alone as a step.
+struct VolumeOnly;
+
+impl KernelSource for VolumeOnly {
+    fn name(&self) -> &'static str {
+        "volume_lift_only"
+    }
+
+    fn host_program(&self, real: ScalarKind) -> Result<HostProgram, LowerError> {
+        let volume = lift_acoustics::programs::volume_program().def();
+        let args = ["curr_h", "prev_h", "nbrs_h", "l2"].map(step_input).into();
+        let step = host::to_host(host::ocl_kernel(&volume, args));
+        lift_acoustics::hostprog::compile(&step, real)
+    }
+}
+
 /// The slab form of a kernel is compiled under the kernel's own contract
 /// restated for the placement, so the generated volume kernel keeps every
 /// proof on a slab that it has on the whole grid: no launch shape of either
@@ -115,11 +133,8 @@ fn a_kernel_that_shares_a_shipped_name_gets_launch_concrete_proofs_only() {
 fn the_generated_volume_kernel_proves_every_site_on_a_slab_as_on_the_whole_grid() {
     for n in [1, 2] {
         let setup = SimSetup::new(&SimConfig::fimm(GridDims::new(10, 9, 8), RoomShape::Box));
-        let volume = lift_acoustics::programs::volume_program();
-        let volume = lift_acoustics::runner::step_kernel(&volume, ScalarKind::F32).unwrap();
         let devices = (0..n).map(|_| device()).collect();
-        let kernels = StepKernels::single(volume);
-        let mut sim = Simulation::new(setup, Precision::Single, kernels, devices);
+        let mut sim = Simulation::new(setup, Precision::Single, VolumeOnly, devices);
         sim.step(ExecMode::Fast);
         let [proven, checked] =
             sim.devices.iter().map(sites).fold([0, 0], |a, s| [a[0] + s[0], a[1] + s[1]]);

@@ -21,22 +21,20 @@ use lift_acoustics::LiftBoundary;
 use room_acoustics::simulation::sum_step_stats;
 use room_acoustics::{
     boundary_cut_planes, BoundaryKernel, GridDims, HandwrittenSim, KernelSource, Precision,
-    RoomShape, ShardedSim, SimConfig, SimSetup, StepKernels,
+    RoomShape, ShardedSim, SimConfig, SimSetup,
 };
 use vgpu::{Device, Engine, ExecMode, SlabPartition};
 
 /// The hand-written and the generated kernel set of a scheme.
-fn kernel_sets(fdmm: bool, precision: Precision) -> [(StepKernels, &'static str); 2] {
-    let real = precision.kind();
-    let (hand, generated) = if fdmm {
-        (BoundaryKernel::FdMm, LiftBoundary::FdMm)
+fn kernel_sets(fdmm: bool) -> [(&'static dyn KernelSource, &'static str); 2] {
+    if fdmm {
+        [(&BoundaryKernel::FdMm, "hand-written"), (&LiftBoundary::FdMm, "generated")]
     } else {
-        (BoundaryKernel::FiMm { beta_constant: false }, LiftBoundary::FiMm)
-    };
-    [
-        (hand.step_kernels(real).unwrap(), "hand-written"),
-        (generated.step_kernels(real).unwrap(), "generated"),
-    ]
+        [
+            (&BoundaryKernel::FiMm { beta_constant: false }, "hand-written"),
+            (&LiftBoundary::FiMm, "generated"),
+        ]
+    }
 }
 
 fn diff_devices(n: usize) -> Vec<Device> {
@@ -69,14 +67,10 @@ fn lockstep(
     exact_counters: bool,
     what: &str,
 ) {
-    for (kernels, family) in kernel_sets(fdmm, precision) {
+    for (kernels, family) in kernel_sets(fdmm) {
         let what = &format!("{what}, {family}");
-        let mut single = HandwrittenSim::new(
-            setup.clone(),
-            precision,
-            kernels.clone(),
-            diff_devices(1).remove(0),
-        );
+        let mut single =
+            HandwrittenSim::new(setup.clone(), precision, kernels, diff_devices(1).remove(0));
         let devices = diff_devices(part.device_count());
         let mut sharded = ShardedSim::try_with_partition(
             setup.clone(),

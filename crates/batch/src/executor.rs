@@ -407,4 +407,19 @@ mod tests {
         );
         assert!(results[0].outcome.is_ok() && results[2].outcome.is_ok());
     }
+
+    /// A scenario is a plain struct, so nothing stops a one-cell-thick grid
+    /// reaching the front end: its job fails with the setup's typed error
+    /// (the face scan of `Simulation` used to divide by zero on it).
+    #[test]
+    fn a_scenario_without_an_interior_fails_its_job_with_the_setup_error() {
+        let mut bad = ScenarioGen::new(11).take(3);
+        bad[1].dims = room_acoustics::GridDims { nx: 1, ny: 9, nz: 9 };
+        let results = BatchExecutor::new(BatchConfig::default()).run_all(bad);
+        assert_eq!(
+            results[1].outcome.as_ref().map(|_| ()),
+            Err(&"a 1×9×9 grid has no interior: every side needs 3 cells".to_string())
+        );
+        assert!(results[0].outcome.is_ok() && results[2].outcome.is_ok());
+    }
 }

@@ -9,8 +9,8 @@
 //! * [`executor`] — a job-queue API over a pool of worker threads, one
 //!   [`vgpu::Device`] per job, with per-job telemetry sidecars.
 //!
-//! All jobs share the process-wide kernel sets
-//! ([`room_acoustics::StepKernel::shared`]) and their compiled artifacts
+//! All jobs share the process-wide step programs of their kernel sets
+//! (compiled once by [`room_acoustics::Simulation`]) and their compiled artifacts
 //! ([`vgpu::artifact`]): rooms with identical kernels (same boundary model
 //! and precision) share one prepared kernel — and on it the check tables
 //! of every room shape and one static-verifier report — no matter which

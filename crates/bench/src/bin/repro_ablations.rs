@@ -15,11 +15,13 @@
 
 use bench::table;
 use lift::arith::ArithExpr;
+use lift::host::{self, HostProgram, KernelDef};
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
+use lift::lower::LowerError;
 use lift::prelude::{BinOp, ScalarKind};
 use room_acoustics::{
-    BoundaryKernel, BoundaryModel, GridDims, HandwrittenSim, Material, MaterialAssignment,
-    Precision, RoomShape, SimConfig, SimSetup, Simulation, StepKernel, StepKernels,
+    step_input, BoundaryKernel, BoundaryModel, GridDims, HandwrittenSim, KernelSource, Material,
+    MaterialAssignment, Precision, RoomShape, SimConfig, SimSetup, Simulation,
 };
 use serde::Serialize;
 use vgpu::{Device, DeviceProfile, ExecMode, ModelInput};
@@ -92,6 +94,24 @@ fn fullscan_boundary_kernel() -> Kernel {
     }
 }
 
+/// [`fullscan_boundary_kernel`] as a one-kernel step under no contract
+/// (its `beta` scalar binds to the setup's first material).
+struct FullScan;
+
+impl KernelSource for FullScan {
+    fn name(&self) -> &'static str {
+        "boundary_fullscan"
+    }
+
+    fn host_program(&self, real: ScalarKind) -> Result<HostProgram, LowerError> {
+        let grid = ["Nx", "Ny", "Nz"].map(ArithExpr::var).to_vec();
+        let scan = KernelDef::kast(fullscan_boundary_kernel(), grid, Default::default());
+        let args = ["nbrs_h", "next_h", "prev_h", "l", "beta"].map(step_input).into();
+        let step = host::host_write_to(step_input("next_h"), host::ocl_kernel(&scan, args));
+        host::compile_host(&host::to_host(step), real)
+    }
+}
+
 #[derive(Serialize)]
 struct AblationRow {
     study: &'static str,
@@ -121,7 +141,7 @@ fn main() {
         let mut fused_sim = Simulation::new(
             setup.clone(),
             Precision::Single,
-            bench::measure::fi_single_kernels(bench::measure::Impl::OpenCl, Precision::Single),
+            bench::measure::fi_single_kernels(bench::measure::Impl::OpenCl),
             vec![Device::gtx780()],
         );
         let (fused, _) = fused_sim.step(ExecMode::Model { sample_stride: stride }).remove(0);
@@ -163,17 +183,8 @@ fn main() {
         );
         let g = sim.boundary_step_only(ExecMode::Model { sample_stride: 1 });
         let g_ms = modeled_ms(g.transaction_bytes.unwrap(), g.counters.flops, false);
-        // full scan: a one-kernel "step" over the whole grid (its `beta`
-        // scalar binds to the setup's first material)
-        let k = fullscan_boundary_kernel().resolve_real(ScalarKind::F32);
-        let grid = ["Nx", "Ny", "Nz"].map(ArithExpr::var).to_vec();
-        let k = StepKernel::new(k, Default::default(), grid).expect("vocabulary names");
-        let mut scan = Simulation::new(
-            setup,
-            Precision::Single,
-            StepKernels::single(k.into()),
-            vec![Device::gtx780()],
-        );
+        // full scan: a one-kernel "step" over the whole grid
+        let mut scan = Simulation::new(setup, Precision::Single, FullScan, vec![Device::gtx780()]);
         let (f, _) = scan.step(ExecMode::Model { sample_stride: stride }).remove(0);
         let f_ms = modeled_ms(f.transaction_bytes.unwrap(), f.counters.flops, false);
         for (variant, ms) in [("gathered boundaryIndices", g_ms), ("full-grid scan + mask", f_ms)] {

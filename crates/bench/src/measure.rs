@@ -1,9 +1,9 @@
 //! Kernel measurement on the virtual GPU.
 
-use lift_acoustics::{programs, runner, LiftBoundary};
+use lift_acoustics::LiftBoundary;
 use room_acoustics::{
-    handwritten, BoundaryKernel, GridDims, KernelSource, Precision, RoomShape, SimConfig, SimSetup,
-    Simulation, SingleSim, StepKernel, StepKernels,
+    BoundaryKernel, GridDims, HandwrittenFi, KernelSource, Precision, RoomShape, SimConfig,
+    SimSetup, Simulation, SingleSim,
 };
 use serde::Serialize;
 use vgpu::{Counters, Device, DeviceProfile, ExecMode, LaunchStats, ModelInput};
@@ -154,13 +154,11 @@ pub fn measure_fdmm(
 
 /// The one-kernel FI simulation (Listing 1 hand-written, Listing 6
 /// generated) as a kernel set.
-pub fn fi_single_kernels(which: Impl, precision: Precision) -> StepKernels {
-    let real = precision.kind();
-    let kernel = match which {
-        Impl::OpenCl => StepKernel::handwritten(handwritten::fi_single_kernel(), real),
-        Impl::Lift => runner::step_kernel(&programs::fi_single_program(), real),
-    };
-    StepKernels::single(kernel.expect("shipped FI kernels bind"))
+pub fn fi_single_kernels(which: Impl) -> &'static dyn KernelSource {
+    match which {
+        Impl::OpenCl => &HandwrittenFi,
+        Impl::Lift => &LiftBoundary::Fi,
+    }
 }
 
 /// A uniform-β box room for the one-kernel FI simulation.
@@ -184,7 +182,7 @@ pub fn measure_fi_single(
     which: Impl,
     sample_stride: usize,
 ) -> Measurement {
-    let kernels = fi_single_kernels(which, precision);
+    let kernels = fi_single_kernels(which);
     let mut sim = Simulation::new(fi_setup(dims, 0.1), precision, kernels, vec![Device::gtx780()]);
     sim.impulse(dims.nx / 3, dims.ny / 3, dims.nz / 3, 1.0);
     let (stats, _) = sim.step(ExecMode::Model { sample_stride }).remove(0);

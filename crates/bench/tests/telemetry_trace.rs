@@ -41,7 +41,7 @@ fn cube16_fi_and_fimm_traces_are_golden_at_both_precisions() {
     let mut expected = Totals::new();
     for precision in [Precision::Single, Precision::Double] {
         let device = || vec![Device::with_runtime(DeviceProfile::gtx780(), rt.clone())];
-        let fi = fi_single_kernels(Impl::Lift, precision);
+        let fi = fi_single_kernels(Impl::Lift);
         run(Simulation::new(fi_setup(dims, 0.1), precision, fi, device()), steps, &mut expected);
         let fimm = SimSetup::new(&SimConfig::fimm(dims, RoomShape::Box));
         run(Simulation::new(fimm, precision, LiftBoundary::FiMm, device()), steps, &mut expected);

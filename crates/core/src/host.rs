@@ -6,35 +6,62 @@
 //! lives in one of its input buffers (in-place). This module provides those
 //! primitives as a small host expression language, a compiler from host
 //! expressions to a flat command list (`HostProgram`), and an emitter that
-//! prints the equivalent OpenCL host C code.
+//! prints the equivalent OpenCL host C code. `OclKernel` wraps a LIFT
+//! program or a kernel AST ([`KernelDef`]), so hand-written baselines take
+//! part in a schedule as generated kernels do; each kernel carries the
+//! launch contract it is compiled under.
 //!
-//! The command list is executed by the `vgpu` crate's host runtime; the
-//! printed C is the inspectable artifact (Table I's host rows).
+//! `room_acoustics::Simulation` runs a compiled step program resident (its
+//! transfers hoisted out of the time loop); the `vgpu` crate's host runtime
+//! executes any command list as written; the printed C is the inspectable
+//! artifact (Table I's host rows).
 
 use crate::arith::ArithExpr;
 use crate::ir::{ExprRef, ParamDef, ParamId};
-use crate::lower::{lower_kernel, ArgSpec, LowerError, LoweredKernel};
+use crate::kast::Kernel;
+use crate::lower::{self, lower_kernel_under, ArgSpec, ContractFn, LowerError};
 use crate::opencl;
 use crate::types::{ScalarKind, Type};
+use crate::verify::Assumptions;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-/// A device-kernel definition wrapped by `OclKernel`.
+/// A device kernel wrapped by `OclKernel`.
 #[derive(Debug)]
-pub struct KernelDef {
-    /// Kernel name.
-    pub name: String,
-    /// Kernel inputs (typed).
-    pub params: Vec<Rc<ParamDef>>,
-    /// Kernel body (a top-level parallel map, see [`crate::lower`]).
-    pub body: ExprRef,
+pub enum KernelDef {
+    /// A LIFT program, lowered by [`compile_host_under`].
+    Lift {
+        /// Kernel name.
+        name: String,
+        /// Kernel inputs (typed), one `OclKernel` argument each.
+        params: Vec<Rc<ParamDef>>,
+        /// Kernel body (a top-level parallel map, see [`crate::lower`]).
+        body: ExprRef,
+    },
+    /// A precision-generic kernel AST (a hand-written baseline), launched
+    /// over `global_size` under `contract`. Its `i32` scalar parameters bind
+    /// to the size variables of their names; every other parameter takes the
+    /// next `OclKernel` argument.
+    Kast {
+        /// The kernel.
+        kernel: Kernel,
+        /// Global size per dimension (innermost first).
+        global_size: Vec<ArithExpr>,
+        /// The contract every launch satisfies.
+        contract: Box<Assumptions>,
+    },
 }
 
 impl KernelDef {
-    /// Creates a kernel definition.
+    /// A LIFT program.
     pub fn new(name: impl Into<String>, params: Vec<Rc<ParamDef>>, body: ExprRef) -> Rc<Self> {
-        Rc::new(KernelDef { name: name.into(), params, body })
+        Rc::new(KernelDef::Lift { name: name.into(), params, body })
+    }
+
+    /// A kernel AST launched over `global_size` under `contract`.
+    pub fn kast(kernel: Kernel, global_size: Vec<ArithExpr>, contract: Assumptions) -> Rc<Self> {
+        Rc::new(KernelDef::Kast { kernel, global_size, contract: Box::new(contract) })
     }
 }
 
@@ -161,11 +188,20 @@ pub enum HostCmd {
     },
 }
 
+/// A kernel a host program launches, at the program's precision.
+#[derive(Debug, Clone)]
+pub struct HostKernel {
+    /// The kernel (a LIFT program simplified under `contract`).
+    pub kernel: Kernel,
+    /// The contract every launch of it satisfies.
+    pub contract: Assumptions,
+}
+
 /// A compiled host program.
 #[derive(Debug)]
 pub struct HostProgram {
-    /// All lowered kernels, indexed by [`HostCmd::Launch::kernel`].
-    pub kernels: Vec<LoweredKernel>,
+    /// All kernels, indexed by [`HostCmd::Launch::kernel`].
+    pub kernels: Vec<HostKernel>,
     /// Commands in execution order (in-order queue semantics).
     pub cmds: Vec<HostCmd>,
     /// Name of the host value the program's result ends up in.
@@ -179,16 +215,32 @@ enum HVal {
     Unit,
 }
 
-struct HostCtx {
-    kernels: Vec<LoweredKernel>,
+struct HostCtx<'a> {
+    kernels: Vec<HostKernel>,
     cmds: Vec<HostCmd>,
     bindings: HashMap<ParamId, HVal>,
     copied: HashMap<String, HVal>,
     counter: usize,
     real: ScalarKind,
+    contract: ContractFn<'a>,
 }
 
-impl HostCtx {
+/// A launch argument for kernel parameter `pos` of `kernel`.
+fn launch_arg(v: &HVal, kernel: &str, pos: usize) -> Result<LaunchArg, LowerError> {
+    match v {
+        HVal::Dev { slot, .. } => Ok(LaunchArg::Buf(slot.clone())),
+        HVal::Host { name, ty: Some(Type::Scalar(_)) } => Ok(LaunchArg::ScalarInput(name.clone())),
+        HVal::Host { name, .. } => Err(LowerError(format!(
+            "argument `{name}` of kernel `{kernel}` is in host memory; wrap it in ToGPU"
+        ))),
+        HVal::Unit => Err(LowerError(format!(
+            "argument {pos} of kernel `{kernel}` produced no value; \
+             wrap the producing launch in WriteTo to name its output"
+        ))),
+    }
+}
+
+impl HostCtx<'_> {
     fn fresh(&mut self, prefix: &str) -> String {
         let n = self.counter;
         self.counter += 1;
@@ -259,62 +311,77 @@ impl HostCtx {
                 Ok(d)
             }
             HostExpr::Launch { kernel, args } => {
-                if args.len() != kernel.params.len() {
+                let (name, arity) = match &**kernel {
+                    KernelDef::Lift { name, params, .. } => (name, params.len()),
+                    KernelDef::Kast { kernel, .. } => {
+                        (&kernel.name, kernel.params.iter().filter(|p| !is_size(p)).count())
+                    }
+                };
+                if args.len() != arity {
                     return Err(LowerError(format!(
-                        "kernel `{}` expects {} arguments, got {}",
-                        kernel.name,
-                        kernel.params.len(),
+                        "kernel `{name}` expects {arity} arguments, got {}",
                         args.len()
                     )));
                 }
-                let lowered = lower_kernel(&kernel.name, &kernel.params, &kernel.body, self.real)?;
-                let mut launch_args = Vec::with_capacity(lowered.args.len());
+                let vals = args.iter().map(|a| self.eval(a)).collect::<Result<Vec<_>, _>>()?;
                 let mut out_val = HVal::Unit;
-                let vals: Result<Vec<HVal>, LowerError> =
-                    args.iter().map(|a| self.eval(a)).collect();
-                let vals = vals?;
-                for spec in &lowered.args {
-                    match spec {
-                        ArgSpec::Input(pid, pname) => {
-                            let pos =
-                                kernel.params.iter().position(|p| p.id == *pid).ok_or_else(
-                                    || LowerError(format!("lost parameter `{pname}`")),
-                                )?;
-                            match &vals[pos] {
-                                HVal::Dev { slot, .. } => launch_args.push(LaunchArg::Buf(slot.clone())),
-                                HVal::Host { name, ty: Some(Type::Scalar(_)) } => {
-                                    launch_args.push(LaunchArg::ScalarInput(name.clone()))
+                let (launched, launch_args, global_size) = match &**kernel {
+                    KernelDef::Lift { name, params, body } => {
+                        let (lowered, contract) =
+                            lower_kernel_under(name, params, body, self.real, self.contract)?;
+                        let mut launch_args = Vec::with_capacity(lowered.args.len());
+                        for spec in &lowered.args {
+                            launch_args.push(match spec {
+                                ArgSpec::Input(pid, pname) => {
+                                    let pos = params.iter().position(|p| p.id == *pid).ok_or_else(
+                                        || LowerError(format!("lost parameter `{pname}`")),
+                                    )?;
+                                    launch_arg(&vals[pos], name, pos)?
                                 }
-                                HVal::Host { name, .. } => {
-                                    return Err(LowerError(format!(
-                                        "argument `{name}` of kernel `{}` is in host memory; wrap it in ToGPU",
-                                        kernel.name
-                                    )))
+                                ArgSpec::Size(n) => LaunchArg::SizeVar(n.clone()),
+                                ArgSpec::Output(_, ty) => {
+                                    let slot = self.fresh("d_out");
+                                    self.cmds
+                                        .push(HostCmd::Alloc { dev: slot.clone(), ty: ty.clone() });
+                                    out_val = HVal::Dev { slot: slot.clone(), ty: ty.clone() };
+                                    LaunchArg::Buf(slot)
                                 }
-                                HVal::Unit => {
-                                    return Err(LowerError(format!(
-                                        "argument {pos} of kernel `{}` produced no value; \
-                                         wrap the producing launch in WriteTo to name its output",
-                                        kernel.name
-                                    )))
-                                }
-                            }
+                            });
                         }
-                        ArgSpec::Size(n) => launch_args.push(LaunchArg::SizeVar(n.clone())),
-                        ArgSpec::Output(_, ty) => {
-                            let slot = self.fresh("d_out");
-                            self.cmds.push(HostCmd::Alloc { dev: slot.clone(), ty: ty.clone() });
-                            launch_args.push(LaunchArg::Buf(slot.clone()));
-                            out_val = HVal::Dev { slot, ty: ty.clone() };
-                        }
+                        let launched = HostKernel { kernel: lowered.kernel, contract };
+                        (launched, launch_args, lowered.global_size)
                     }
-                }
-                let kid = self.kernels.len();
-                self.kernels.push(lowered.clone());
+                    KernelDef::Kast { kernel, global_size, contract } => {
+                        let mut vals = vals.iter().enumerate();
+                        let mut launch_args = Vec::with_capacity(kernel.params.len());
+                        for p in &kernel.params {
+                            if is_size(p) {
+                                launch_args.push(LaunchArg::SizeVar(p.name.clone()));
+                                continue;
+                            }
+                            let (pos, v) = vals.next().expect("arity checked above");
+                            let arg = launch_arg(v, name, pos)?;
+                            if p.is_buffer != matches!(arg, LaunchArg::Buf(_)) {
+                                return Err(LowerError(format!(
+                                    "argument {pos} of kernel `{name}` does not fit parameter `{}`",
+                                    p.name
+                                )));
+                            }
+                            launch_args.push(arg);
+                        }
+                        let kernel = kernel.resolve_real(self.real);
+                        (
+                            HostKernel { kernel, contract: Assumptions::clone(contract) },
+                            launch_args,
+                            global_size.clone(),
+                        )
+                    }
+                };
+                self.kernels.push(launched);
                 self.cmds.push(HostCmd::Launch {
-                    kernel: kid,
+                    kernel: self.kernels.len() - 1,
                     args: launch_args,
-                    global_size: lowered.global_size.clone(),
+                    global_size,
                 });
                 Ok(out_val)
             }
@@ -322,10 +389,28 @@ impl HostCtx {
     }
 }
 
-/// Compiles a host expression into a flat host program.
+/// An `i32` scalar parameter of a kernel AST: bound by name to a size.
+fn is_size(p: &crate::kast::KernelParam) -> bool {
+    !p.is_buffer && p.kind == ScalarKind::I32
+}
+
+/// Compiles a host expression into a flat host program, each LIFT kernel
+/// simplified under `≥ 1` size bounds only ([`lower::size_bounds`]).
 ///
-/// `real` selects the floating-point precision of all generated kernels.
+/// `real` selects the floating-point precision of all kernels.
 pub fn compile_host(e: &HostExpr, real: ScalarKind) -> Result<HostProgram, LowerError> {
+    compile_host_under(e, real, &lower::size_bounds)
+}
+
+/// [`compile_host`] with each LIFT kernel lowered under the launch contract
+/// `contract` derives ([`lower::lower_kernel_under`]): what the program's
+/// launches satisfy, so what its kernels may be simplified and compiled
+/// under.
+pub fn compile_host_under(
+    e: &HostExpr,
+    real: ScalarKind,
+    contract: ContractFn,
+) -> Result<HostProgram, LowerError> {
     let mut ctx = HostCtx {
         kernels: Vec::new(),
         cmds: Vec::new(),
@@ -333,6 +418,7 @@ pub fn compile_host(e: &HostExpr, real: ScalarKind) -> Result<HostProgram, Lower
         copied: HashMap::new(),
         counter: 0,
         real,
+        contract,
     };
     let result = ctx.eval(e)?;
     let result = match result {
@@ -464,6 +550,54 @@ mod tests {
         let input = ParamDef::typed("a_h", Type::array(Type::real(), "N"));
         let prog = ocl_kernel(&k, vec![HostExpr::Input(input)]);
         assert!(compile_host(&prog, ScalarKind::F32).is_err());
+    }
+
+    /// `out[gid] = a[gid] * s` as a kernel AST with its size in the middle
+    /// of its parameters.
+    fn scale_kast() -> Rc<KernelDef> {
+        use crate::kast::{KExpr, KStmt, KernelParam, MemRef};
+        let gid = || KExpr::GlobalId(0);
+        let kernel = Kernel {
+            name: "scale".into(),
+            params: vec![
+                KernelParam::global_buf("out", ScalarKind::Real),
+                KernelParam::scalar("N", ScalarKind::I32),
+                KernelParam::global_buf("a", ScalarKind::Real),
+                KernelParam::scalar("s", ScalarKind::Real),
+            ],
+            body: vec![KStmt::Store {
+                mem: MemRef::Param(0),
+                idx: gid(),
+                value: KExpr::load(MemRef::Param(2), gid()) * KExpr::var("s"),
+            }],
+            work_dim: 1,
+        };
+        let contract = Assumptions { size_bounds: vec![("N".into(), 1)], ..Default::default() };
+        KernelDef::kast(kernel, vec![ArithExpr::var("N")], contract)
+    }
+
+    #[test]
+    fn a_kast_kernel_binds_sizes_by_name_and_the_rest_by_position() {
+        let k = scale_kast();
+        let out = ParamDef::typed("out_h", Type::array(Type::real(), "N"));
+        let a = ParamDef::typed("a_h", Type::array(Type::real(), "N"));
+        let s = ParamDef::typed("s_h", Type::real());
+        let args = vec![to_gpu(input(&out)), to_gpu(input(&a)), input(&s)];
+        let prog = to_host(host_write_to(to_gpu(input(&out)), ocl_kernel(&k, args)));
+        let hp = compile_host(&prog, ScalarKind::F64).unwrap();
+        let launch = hp.cmds.iter().find(|c| matches!(c, HostCmd::Launch { .. })).unwrap();
+        let want = [
+            LaunchArg::Buf("d_out_h".into()),
+            LaunchArg::SizeVar("N".into()),
+            LaunchArg::Buf("d_a_h".into()),
+            LaunchArg::ScalarInput("s_h".into()),
+        ];
+        assert!(matches!(launch, HostCmd::Launch { args, .. } if args[..] == want), "{launch:?}");
+        assert_eq!(hp.kernels[0].kernel.params[0].kind, ScalarKind::F64, "resolved");
+        assert_eq!(hp.kernels[0].contract.size_bounds, vec![("N".to_string(), 1)]);
+        // A scalar where the kernel takes a buffer is a compile error.
+        let swapped = ocl_kernel(&k, vec![to_gpu(input(&out)), input(&s), to_gpu(input(&a))]);
+        assert!(compile_host(&swapped, ScalarKind::F64).is_err());
     }
 
     #[test]

@@ -753,16 +753,25 @@ fn size_vars_of_type(t: &Type, out: &mut Vec<String>) {
 /// `real` resolves the precision-generic `Real` scalar kind.
 ///
 /// The collapsed views are simplified before the kernel is returned
-/// ([`crate::simplify`]) under `≥ 1` size bounds: every consumer — the
-/// OpenCL printer, the static verifier, the virtual device — sees the
-/// simplified form only.
+/// ([`crate::simplify`]) under `≥ 1` size bounds ([`size_bounds`]): every
+/// consumer — the OpenCL printer, the static verifier, the virtual device —
+/// sees the simplified form only.
 pub fn lower_kernel(
     name: &str,
     params: &[Rc<ParamDef>],
     body: &ExprRef,
     real: ScalarKind,
 ) -> Result<LoweredKernel, LowerError> {
-    let mut lowered = lower_kernel_raw(name, params, body, real)?;
+    lower_kernel_under(name, params, body, real, &size_bounds).map(|(lowered, _)| lowered)
+}
+
+/// Derives a kernel's launch contract from the program's inputs and its raw
+/// lowering ([`lower_kernel_under`]).
+pub type ContractFn<'a> = &'a dyn Fn(&[Rc<ParamDef>], &LoweredKernel) -> Assumptions;
+
+/// The contract of a kernel whose launch is otherwise unknown: `≥ 1` per
+/// size argument.
+pub fn size_bounds(_: &[Rc<ParamDef>], lowered: &LoweredKernel) -> Assumptions {
     let size_bounds = lowered
         .args
         .iter()
@@ -771,15 +780,27 @@ pub fn lower_kernel(
             _ => None,
         })
         .collect();
-    lowered.kernel =
-        simplify_kernel(&lowered.kernel, &Assumptions { size_bounds, ..Default::default() });
-    Ok(lowered)
+    Assumptions { size_bounds, ..Default::default() }
+}
+
+/// Lowers a program and simplifies it under the launch contract `contract`
+/// derives from the raw lowering; returns the kernel and that contract.
+pub fn lower_kernel_under(
+    name: &str,
+    params: &[Rc<ParamDef>],
+    body: &ExprRef,
+    real: ScalarKind,
+    contract: ContractFn,
+) -> Result<(LoweredKernel, Assumptions), LowerError> {
+    let mut lowered = lower_kernel_raw(name, params, body, real)?;
+    let contract = contract(params, &lowered);
+    lowered.kernel = simplify_kernel(&lowered.kernel, &contract);
+    Ok((lowered, contract))
 }
 
 /// [`lower_kernel`] without its final simplification: the collapsed views
-/// exactly as the view system emits them, for a caller that simplifies it
-/// under more of the launch contract (`lift_acoustics::Program::lower`)
-/// and for the simplifier's equivalence tests. Nothing prints this form.
+/// exactly as the view system emits them, for the simplifier's equivalence
+/// tests. Nothing prints this form.
 pub fn lower_kernel_raw(
     name: &str,
     params: &[Rc<ParamDef>],

@@ -8,14 +8,13 @@
 //!   one-kernel FI simulation, FI-MM boundary handling (the
 //!   `Concat(Skip, ArrayCons, Skip)` in-place idiom of §IV-B), and FD-MM
 //!   boundary handling (tuple-of-`WriteTo` multi-output of §V-D);
-//! * [`hostprog`] — the Listing 5 host orchestration built from `ToGPU` /
-//!   `OclKernel` / `WriteTo` / `ToHost`: one step on one GPU, launching the
-//!   kernels [`LiftBoundary::FiMm`] hands a `Simulation` (several devices
-//!   are `Simulation`'s business, not the host program's);
-//! * [`runner`] — the generated kernels as a kernel set for
-//!   [`room_acoustics::Simulation`] ([`LiftBoundary`] is a
-//!   [`room_acoustics::KernelSource`]; [`runner::step_kernel`] lowers and
-//!   binds any one program, e.g. the one-kernel FI simulation).
+//! * [`hostprog`] — each generated kernel set's step as a Listing 5 host
+//!   program built from `ToGPU` / `OclKernel` / `WriteTo` / `ToHost`, one
+//!   GPU each: what a [`room_acoustics::Simulation`] over [`LiftBoundary`]
+//!   runs (several devices are `Simulation`'s business, not the host
+//!   program's);
+//! * [`runner`] — by-name binding of one generated kernel, kept for
+//!   roombench's binding probe.
 
 #![warn(missing_docs)]
 
@@ -23,8 +22,8 @@ pub mod hostprog;
 pub mod programs;
 pub mod runner;
 
+pub use hostprog::LiftBoundary;
 pub use programs::Program;
-pub use runner::LiftBoundary;
 
 /// A one-device [`room_acoustics::Simulation`] over generated kernels:
 /// `LiftSim::new(setup, precision, LiftBoundary::FdMm, device)`.

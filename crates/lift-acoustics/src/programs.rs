@@ -119,7 +119,7 @@ fn window_sum(w: &ExprRef) -> ExprRef {
 }
 
 /// A built LIFT kernel program: inputs + body, ready for
-/// [`lift::lower::lower_kernel`] or [`lift::host::KernelDef`].
+/// [`Program::lower`] or [`lift::host::KernelDef`].
 pub struct Program {
     /// Kernel name.
     pub name: &'static str,
@@ -133,10 +133,14 @@ impl Program {
     /// Lowers at the given precision, simplified under the kernel's
     /// [`launch_assumptions`]: what every consumer runs, prints and proves.
     pub fn lower(&self, real: ScalarKind) -> Result<LoweredKernel, lift::lower::LowerError> {
-        let mut lowered = lift::lower::lower_kernel_raw(self.name, &self.params, &self.body, real)?;
-        let contract = launch_assumptions(self, &lowered);
-        lowered.kernel = lift::simplify::simplify_kernel(&lowered.kernel, &contract);
-        Ok(lowered)
+        let lowered =
+            lift::lower::lower_kernel_under(self.name, &self.params, &self.body, real, &contract);
+        lowered.map(|(lowered, _)| lowered)
+    }
+
+    /// This program as an `OclKernel` operand of a host expression.
+    pub fn def(self) -> Rc<lift::host::KernelDef> {
+        lift::host::KernelDef::new(self.name, self.params, self.body)
     }
 }
 
@@ -148,9 +152,17 @@ impl Program {
 /// [`room_acoustics::contracts::interior_mask_facts`]).
 ///
 /// The verify suite audits every generated kernel under exactly this
-/// contract, and [`crate::runner::step_kernel`] launches (and slab-places)
-/// it under the same one — one definition, both consumers.
+/// contract, and a step program ([`crate::hostprog`]) lowers, launches and
+/// slab-places it under the same one — one definition, every consumer.
 pub fn launch_assumptions(p: &Program, lowered: &LoweredKernel) -> lift::verify::Assumptions {
+    contract(&p.params, lowered)
+}
+
+/// [`launch_assumptions`] of the program with inputs `params`.
+pub(crate) fn contract(
+    params: &[Rc<ParamDef>],
+    lowered: &LoweredKernel,
+) -> lift::verify::Assumptions {
     use lift::lower::ArgSpec;
     use lift::verify::{Assumptions, BufferFacts};
     let mut asm = Assumptions {
@@ -161,7 +173,7 @@ pub fn launch_assumptions(p: &Program, lowered: &LoweredKernel) -> lift::verify:
         match spec {
             ArgSpec::Size(n) => asm.size_bounds.push((n.clone(), 1)),
             ArgSpec::Input(pid, _) if param.is_buffer => {
-                let ty = p.params.iter().find(|d| d.id == *pid).and_then(|d| d.ty.clone());
+                let ty = params.iter().find(|d| d.id == *pid).and_then(|d| d.ty.clone());
                 if let Some(ty) = ty {
                     asm.buffers.insert(param.name.clone(), BufferFacts::sized(ty.scalar_count()));
                 }
@@ -177,20 +189,16 @@ pub fn launch_assumptions(p: &Program, lowered: &LoweredKernel) -> lift::verify:
     asm
 }
 
-/// Listing 2 kernel 1 in LIFT: the volume pass.
-///
-/// `map3(m → volUpdate(m), zip3(prev, slide3(pad3(curr)), nbrs))`, output
-/// allocated by the system (the host binds it to the `next` grid).
-/// Inputs: `curr, prev, nbrs : [[[ ]]]`, `l2 : Real`.
-pub fn volume_program() -> Program {
-    let grid3 = Type::array3(Type::real(), "Nx", "Ny", "Nz");
-    let nbrs3 = Type::array3(Type::i32(), "Nx", "Ny", "Nz");
-    let curr = ParamDef::typed("curr", grid3.clone());
-    let prev = ParamDef::typed("prev", grid3);
-    let nbrs = ParamDef::typed("nbrs", nbrs3);
-    let l2 = ParamDef::typed("l2", Type::real());
-    let f = vol_update_fun();
-    let l2e = l2.to_expr();
+/// `map3(m → f(prev, centre, Σ neighbours, nbr, scalars…), zip3(prev,
+/// slide3(pad3(curr)), nbrs))` over inputs `curr, prev, nbrs : [[[ ]]]` and
+/// the real `scalars`: the shape of Listing 2's kernel 1 and of Listing 6.
+fn stencil_program(name: &'static str, scalars: &[&str], f: Rc<UserFun>) -> Program {
+    let grid3 = |elem| Type::array3(elem, "Nx", "Ny", "Nz");
+    let curr = ParamDef::typed("curr", grid3(Type::real()));
+    let prev = ParamDef::typed("prev", grid3(Type::real()));
+    let nbrs = ParamDef::typed("nbrs", grid3(Type::i32()));
+    let scalars: Vec<_> = scalars.iter().map(|&n| ParamDef::typed(n, Type::real())).collect();
+    let values: Vec<ExprRef> = scalars.iter().map(|p| p.to_expr()).collect();
     let body = ir::map3_glb(
         ir::zip3(vec![
             prev.to_expr(),
@@ -199,50 +207,27 @@ pub fn volume_program() -> Program {
         ]),
         "m",
         move |m| {
-            let w = ir::get(m.clone(), 1);
-            let s = window_sum(&w);
-            let center = ir::at(
-                ir::at(ir::at(ir::get(m.clone(), 1), ir::lit(Lit::i32(1))), ir::lit(Lit::i32(1))),
-                ir::lit(Lit::i32(1)),
-            );
-            ir::call(&f, vec![ir::get(m.clone(), 0), center, s, ir::get(m, 2), l2e])
+            let s = window_sum(&ir::get(m.clone(), 1));
+            let one = || ir::lit(Lit::i32(1));
+            let center = ir::at(ir::at(ir::at(ir::get(m.clone(), 1), one()), one()), one());
+            let args = [ir::get(m.clone(), 0), center, s, ir::get(m, 2)].into_iter().chain(values);
+            ir::call(&f, args.collect())
         },
     );
-    Program { name: "volume_handling_lift", params: vec![curr, prev, nbrs, l2], body }
+    Program { name, params: [curr, prev, nbrs].into_iter().chain(scalars).collect(), body }
+}
+
+/// Listing 2 kernel 1 in LIFT: the volume pass, `f = volUpdate`, its
+/// output allocated by the system (the host binds it to the `next` grid).
+/// Scalar input: `l2`.
+pub fn volume_program() -> Program {
+    stencil_program("volume_handling_lift", &["l2"], vol_update_fun())
 }
 
 /// Listing 6 in LIFT: the naive one-kernel FI simulation (stencil +
-/// uniform-β boundary in one kernel). Inputs: `curr, prev, nbrs` (3-D),
-/// `l, l2, beta` scalars.
+/// uniform-β boundary in one kernel). Scalar inputs: `l, l2, beta`.
 pub fn fi_single_program() -> Program {
-    let grid3 = Type::array3(Type::real(), "Nx", "Ny", "Nz");
-    let nbrs3 = Type::array3(Type::i32(), "Nx", "Ny", "Nz");
-    let curr = ParamDef::typed("curr", grid3.clone());
-    let prev = ParamDef::typed("prev", grid3);
-    let nbrs = ParamDef::typed("nbrs", nbrs3);
-    let l = ParamDef::typed("l", Type::real());
-    let l2 = ParamDef::typed("l2", Type::real());
-    let beta = ParamDef::typed("beta", Type::real());
-    let f = fi_full_update_fun();
-    let (le, l2e, be) = (l.to_expr(), l2.to_expr(), beta.to_expr());
-    let body = ir::map3_glb(
-        ir::zip3(vec![
-            prev.to_expr(),
-            ir::slide3(3, 1, ir::pad3(1, PadKind::Constant(Lit::real(0.0)), curr.to_expr())),
-            nbrs.to_expr(),
-        ]),
-        "m",
-        move |m| {
-            let w = ir::get(m.clone(), 1);
-            let s = window_sum(&w);
-            let center = ir::at(
-                ir::at(ir::at(ir::get(m.clone(), 1), ir::lit(Lit::i32(1))), ir::lit(Lit::i32(1))),
-                ir::lit(Lit::i32(1)),
-            );
-            ir::call(&f, vec![ir::get(m.clone(), 0), center, s, ir::get(m, 2), le, l2e, be])
-        },
-    );
-    Program { name: "fi_single_lift", params: vec![curr, prev, nbrs, l, l2, beta], body }
+    stencil_program("fi_single_lift", &["l", "l2", "beta"], fi_full_update_fun())
 }
 
 /// Listing 7 in LIFT: FI-MM boundary handling with the
@@ -251,46 +236,29 @@ pub fn fi_single_program() -> Program {
 /// Inputs: `boundaryIndices, bnbrs, material : [numB]`, `beta : [NM]`,
 /// `next, prev : [N]` (flat grids), `l : Real`.
 pub fn fimm_program() -> Program {
-    let bidx = ParamDef::typed("boundaryIndices", Type::array(Type::i32(), "numB"));
-    let bnbrs = ParamDef::typed("bnbrs", Type::array(Type::i32(), "numB"));
-    let material = ParamDef::typed("material", Type::array(Type::i32(), "numB"));
-    let beta = ParamDef::typed("beta", Type::array(Type::real(), "NM"));
-    let next = ParamDef::typed("next", Type::array(Type::real(), "N"));
-    let prev = ParamDef::typed("prev", Type::array(Type::real(), "N"));
+    let list = |name| ParamDef::typed(name, Type::array(Type::i32(), "numB"));
+    let table = |name, len| ParamDef::typed(name, Type::array(Type::real(), len));
+    let (bidx, bnbrs, material) = (list("boundaryIndices"), list("bnbrs"), list("material"));
+    let (beta, next, prev) = (table("beta", "NM"), table("next", "N"), table("prev", "N"));
     let l = ParamDef::typed("l", Type::real());
     let (cf_f, bh_f, id_f) = (cf_fun(), boundary_handle_fun(), funs::id_real());
-    let (betae, nexte, preve, le) = (beta.clone(), next.clone(), prev.clone(), l.to_expr());
-    let restlen = funs::restlen();
-    let body = ir::map_glb(
-        ir::zip(vec![bidx.to_expr(), bnbrs.to_expr(), material.to_expr()]),
-        "tup",
-        move |tup| {
-            ir::let_in("idx", ir::get(tup.clone(), 0), |idx| {
-                ir::let_in("nbr", ir::get(tup.clone(), 1), |nbr| {
-                    ir::let_in("m", ir::get(tup, 2), |m| {
-                        let beta_val = ir::at(betae.to_expr(), m);
-                        let next_val = ir::at(nexte.to_expr(), idx.clone());
-                        let prev_val = ir::at(preve.to_expr(), idx.clone());
-                        let cf = ir::call(&cf_f, vec![le, nbr, beta_val]);
-                        let update = ir::call(&bh_f, vec![next_val, prev_val, cf]);
-                        ir::write_to(
-                            nexte.to_expr(),
-                            ir::concat(vec![
-                                ir::skip(idx.clone(), Type::real()),
-                                ir::map_seq(ir::array_cons(update, 1usize), "x", |x| {
-                                    ir::call(&id_f, vec![x])
-                                }),
-                                ir::skip(
-                                    ir::call(&restlen, vec![ir::size_val("N"), idx]),
-                                    Type::real(),
-                                ),
-                            ]),
-                        )
-                    })
-                })
-            })
-        },
-    );
+    let (le, restlen) = (l.to_expr(), funs::restlen());
+    let input = ir::zip(vec![bidx.to_expr(), bnbrs.to_expr(), material.to_expr()]);
+    let body = ir::map_glb(input, "tup", |tup| {
+        let lets = ["idx", "nbr", "m"].map(ParamDef::untyped);
+        let [idx, nbr, m] = lets.each_ref().map(|p| p.to_expr());
+        let cf = ir::call(&cf_f, vec![le, nbr, ir::at(beta.to_expr(), m)]);
+        let (next_val, prev_val) =
+            (ir::at(next.to_expr(), idx.clone()), ir::at(prev.to_expr(), idx.clone()));
+        let update = ir::call(&bh_f, vec![next_val, prev_val, cf]);
+        let written =
+            ir::map_seq(ir::array_cons(update, 1usize), "x", |x| ir::call(&id_f, vec![x]));
+        let rest = ir::call(&restlen, vec![ir::size_val("N"), idx.clone()]);
+        let parts = vec![ir::skip(idx, Type::real()), written, ir::skip(rest, Type::real())];
+        let out = ir::write_to(next.to_expr(), ir::concat(parts));
+        let values = [ir::get(tup.clone(), 0), ir::get(tup.clone(), 1), ir::get(tup, 2)];
+        lets.iter().zip(values).rev().fold(out, |body, (p, value)| let_in(p, value, body))
+    });
     Program {
         name: "fimm_boundary_lift",
         params: vec![bidx, bnbrs, material, beta, next, prev, l],
@@ -376,261 +344,76 @@ pub fn g1_new_fun() -> Rc<UserFun> {
 /// `BI, D, DI, F : [MBM]`; `next, prev : [N]`; `g1, v1, v2 : [S]`
 /// (`S = MB·numB`); `l : Real`.
 pub fn fdmm_program() -> Program {
-    let bidx = ParamDef::typed("boundaryIndices", Type::array(Type::i32(), "numB"));
-    let bnbrs = ParamDef::typed("bnbrs", Type::array(Type::i32(), "numB"));
-    let material = ParamDef::typed("material", Type::array(Type::i32(), "numB"));
-    let beta = ParamDef::typed("beta", Type::array(Type::real(), "NM"));
-    let bi_p = ParamDef::typed("BI", Type::array(Type::real(), "MBM"));
-    let d_p = ParamDef::typed("D", Type::array(Type::real(), "MBM"));
-    let di_p = ParamDef::typed("DI", Type::array(Type::real(), "MBM"));
-    let f_p = ParamDef::typed("F", Type::array(Type::real(), "MBM"));
-    let next = ParamDef::typed("next", Type::array(Type::real(), "N"));
-    let prev = ParamDef::typed("prev", Type::array(Type::real(), "N"));
-    let g1_p = ParamDef::typed("g1", Type::array(Type::real(), "S"));
-    let v1_p = ParamDef::typed("v1", Type::array(Type::real(), "S"));
-    let v2_p = ParamDef::typed("v2", Type::array(Type::real(), "S"));
+    let list = |name| ParamDef::typed(name, Type::array(Type::i32(), "numB"));
+    let table = |name, len| ParamDef::typed(name, Type::array(Type::real(), len));
+    let (bidx, bnbrs, material) = (list("boundaryIndices"), list("bnbrs"), list("material"));
+    let beta = table("beta", "NM");
+    let [bi_p, d_p, di_p, f_p] = ["BI", "D", "DI", "F"].map(|n| table(n, "MBM"));
+    let (next, prev) = (table("next", "N"), table("prev", "N"));
+    let [g1_p, v1_p, v2_p] = ["g1", "v1", "v2"].map(|n| table(n, "S"));
     let l = ParamDef::typed("l", Type::real());
-
-    let cf1_f = cf1_fun();
-    let cf_f = cf_of_cf1_fun();
-    let bc_f = branch_correct_fun();
-    let v1_f = v1_new_fun();
-    let g1_f = g1_new_fun();
-    let bh_f = boundary_handle_fun();
-    let id_f = funs::id_real();
-    let madi = funs::mad_i32();
-
-    let caps = (
-        beta.clone(),
-        bi_p.clone(),
-        d_p.clone(),
-        di_p.clone(),
-        f_p.clone(),
-        next.clone(),
-        prev.clone(),
-        g1_p.clone(),
-        v1_p.clone(),
-        v2_p.clone(),
-        l.to_expr(),
-    );
-    let body = ir::map_glb(
-        ir::zip(vec![ir::iota("numB"), bidx.to_expr(), bnbrs.to_expr(), material.to_expr()]),
-        "tup",
-        move |tup| {
-            let (beta, bi_p, d_p, di_p, f_p, next, prev, g1_p, v1_p, v2_p, le) = caps;
-            // coefficient index mc = mi*MB + b
-            let mc = {
-                let madi = madi.clone();
-                move |mi: ExprRef, b: ExprRef| ir::call(&madi, vec![mi, ir::size_val("MB"), b])
-            };
-            ir::let_in("i", ir::get(tup.clone(), 0), move |i| {
-                ir::let_in("idx", ir::get(tup.clone(), 1), move |idx| {
-                    ir::let_in("nbr", ir::get(tup.clone(), 2), move |nbr| {
-                        ir::let_in("mi", ir::get(tup, 3), move |mi| {
-                            let next_val = ir::at(next.to_expr(), idx.clone());
-                            let prev_val = ir::at(prev.to_expr(), idx.clone());
-                            ir::let_in("_next0", next_val, move |n0| {
-                                ir::let_in("_prev", prev_val, move |pv| {
-                                    let gs_src = ir::slice(g1_p.to_expr(), i.clone(), "numB", "MB");
-                                    let vs_src = ir::slice(v2_p.to_expr(), i.clone(), "numB", "MB");
-                                    ir::let_in("gs", ir::to_private(gs_src), move |gs| {
-                                        ir::let_in("vs", ir::to_private(vs_src), move |vs| {
-                                            let cf1 =
-                                                ir::call(&cf1_f, vec![le.clone(), nbr.clone()]);
-                                            ir::let_in("cf1", cf1, move |cf1| {
-                                                let cf = ir::call(
-                                                    &cf_f,
-                                                    vec![
-                                                        cf1.clone(),
-                                                        ir::at(beta.to_expr(), mi.clone()),
-                                                    ],
-                                                );
-                                                ir::let_in("cf", cf, move |cf| {
-                                                    // first branch loop: correct _next
-                                                    let corrected = ir::reduce_seq(
-                                                        n0,
-                                                        ir::zip(vec![
-                                                            ir::iota("MB"),
-                                                            gs.clone(),
-                                                            vs.clone(),
-                                                        ]),
-                                                        {
-                                                            let (bc_f, bi_p, d_p, f_p, mi, cf1, mc) = (
-                                                                bc_f.clone(),
-                                                                bi_p.clone(),
-                                                                d_p.clone(),
-                                                                f_p.clone(),
-                                                                mi.clone(),
-                                                                cf1.clone(),
-                                                                mc.clone(),
-                                                            );
-                                                            move |acc, t| {
-                                                                let b = ir::get(t.clone(), 0);
-                                                                let g = ir::get(t.clone(), 1);
-                                                                let v = ir::get(t, 2);
-                                                                let mce = mc(mi, b);
-                                                                ir::let_in("mc", mce, move |mce| {
-                                                                    ir::call(
-                                                                        &bc_f,
-                                                                        vec![
-                                                                            acc,
-                                                                            cf1,
-                                                                            ir::at(
-                                                                                bi_p.to_expr(),
-                                                                                mce.clone(),
-                                                                            ),
-                                                                            ir::at(
-                                                                                d_p.to_expr(),
-                                                                                mce.clone(),
-                                                                            ),
-                                                                            g,
-                                                                            v,
-                                                                            ir::at(
-                                                                                f_p.to_expr(),
-                                                                                mce,
-                                                                            ),
-                                                                        ],
-                                                                    )
-                                                                })
-                                                            }
-                                                        },
-                                                    );
-                                                    let new_next = ir::call(
-                                                        &bh_f,
-                                                        vec![corrected, pv.clone(), cf],
-                                                    );
-                                                    ir::let_in("_next", new_next, move |nn| {
-                                                        // second branch loop: new velocities
-                                                        let vs_new_src = ir::map_seq(
-                                                            ir::zip(vec![
-                                                                ir::iota("MB"),
-                                                                gs.clone(),
-                                                                vs.clone(),
-                                                            ]),
-                                                            "t2",
-                                                            {
-                                                                let (
-                                                                    v1_f,
-                                                                    bi_p,
-                                                                    di_p,
-                                                                    f_p,
-                                                                    mi,
-                                                                    nn,
-                                                                    pv,
-                                                                    mc,
-                                                                ) = (
-                                                                    v1_f.clone(),
-                                                                    bi_p.clone(),
-                                                                    di_p.clone(),
-                                                                    f_p.clone(),
-                                                                    mi.clone(),
-                                                                    nn.clone(),
-                                                                    pv.clone(),
-                                                                    mc.clone(),
-                                                                );
-                                                                move |t2| {
-                                                                    let b = ir::get(t2.clone(), 0);
-                                                                    let g = ir::get(t2.clone(), 1);
-                                                                    let v = ir::get(t2, 2);
-                                                                    let mce = mc(mi, b);
-                                                                    ir::let_in(
-                                                                        "mc2",
-                                                                        mce,
-                                                                        move |mce| {
-                                                                            ir::call(
-                                                                            &v1_f,
-                                                                            vec![
-                                                                                ir::at(bi_p.to_expr(), mce.clone()),
-                                                                                nn,
-                                                                                pv,
-                                                                                ir::at(di_p.to_expr(), mce.clone()),
-                                                                                v,
-                                                                                ir::at(f_p.to_expr(), mce),
-                                                                                g,
-                                                                            ],
-                                                                        )
-                                                                        },
-                                                                    )
-                                                                }
-                                                            },
-                                                        );
-                                                        ir::let_in(
-                                                            "vsNew",
-                                                            ir::to_private(vs_new_src),
-                                                            move |vs_new| {
-                                                                let g1_out = ir::map_seq(
-                                                                    ir::zip(vec![
-                                                                        vs_new.clone(),
-                                                                        gs,
-                                                                        vs,
-                                                                    ]),
-                                                                    "t3",
-                                                                    {
-                                                                        let g1_f = g1_f.clone();
-                                                                        move |t3| {
-                                                                            ir::call(
-                                                                                &g1_f,
-                                                                                vec![
-                                                                                    ir::get(
-                                                                                        t3.clone(),
-                                                                                        0,
-                                                                                    ),
-                                                                                    ir::get(
-                                                                                        t3.clone(),
-                                                                                        1,
-                                                                                    ),
-                                                                                    ir::get(t3, 2),
-                                                                                ],
-                                                                            )
-                                                                        }
-                                                                    },
-                                                                );
-                                                                let v1_out =
-                                                                    ir::map_seq(vs_new, "x", {
-                                                                        let id_f = id_f.clone();
-                                                                        move |x| {
-                                                                            ir::call(&id_f, vec![x])
-                                                                        }
-                                                                    });
-                                                                ir::tuple(vec![
-                                                                    ir::write_to(
-                                                                        ir::at(next.to_expr(), idx),
-                                                                        nn,
-                                                                    ),
-                                                                    ir::write_to(
-                                                                        ir::slice(
-                                                                            g1_p.to_expr(),
-                                                                            i.clone(),
-                                                                            "numB",
-                                                                            "MB",
-                                                                        ),
-                                                                        g1_out,
-                                                                    ),
-                                                                    ir::write_to(
-                                                                        ir::slice(
-                                                                            v1_p.to_expr(),
-                                                                            i,
-                                                                            "numB",
-                                                                            "MB",
-                                                                        ),
-                                                                        v1_out,
-                                                                    ),
-                                                                ])
-                                                            },
-                                                        )
-                                                    })
-                                                })
-                                            })
-                                        })
-                                    })
-                                })
-                            })
-                        })
-                    })
-                })
+    let (cf1_f, cf_f, bc_f, v1_f) =
+        (cf1_fun(), cf_of_cf1_fun(), branch_correct_fun(), v1_new_fun());
+    let (g1_f, bh_f, id_f, madi) =
+        (g1_new_fun(), boundary_handle_fun(), funs::id_real(), funs::mad_i32());
+    let le = l.to_expr();
+    let input =
+        ir::zip(vec![ir::iota("numB"), bidx.to_expr(), bnbrs.to_expr(), material.to_expr()]);
+    let body = ir::map_glb(input, "tup", |tup| {
+        let names = ["i", "idx", "nbr", "mi", "_next0", "_prev", "gs", "vs", "cf1", "cf"];
+        let lets = names.map(ParamDef::untyped);
+        let [i, idx, nbr, mi, n0, pv, gs, vs, cf1, cf] = lets.each_ref().map(|p| p.to_expr());
+        // Point `i`'s state per branch, and branch `b`'s coefficient index.
+        let state = |p: &Rc<ParamDef>| ir::slice(p.to_expr(), i.clone(), "numB", "MB");
+        let mc = |b| ir::call(&madi, vec![mi.clone(), ir::size_val("MB"), b]);
+        let at_mc = |p: &Rc<ParamDef>, mc: &ExprRef| ir::at(p.to_expr(), mc.clone());
+        let values = [
+            ir::get(tup.clone(), 0),
+            ir::get(tup.clone(), 1),
+            ir::get(tup.clone(), 2),
+            ir::get(tup, 3),
+            ir::at(next.to_expr(), idx.clone()),
+            ir::at(prev.to_expr(), idx.clone()),
+            ir::to_private(state(&g1_p)),
+            ir::to_private(state(&v2_p)),
+            ir::call(&cf1_f, vec![le, nbr]),
+            ir::call(&cf_f, vec![cf1.clone(), ir::at(beta.to_expr(), mi.clone())]),
+        ];
+        // first branch loop: correct `_next`
+        let branches = ir::zip(vec![ir::iota("MB"), gs.clone(), vs.clone()]);
+        let corrected = ir::reduce_seq(n0, branches, |acc, t| {
+            ir::let_in("mc", mc(ir::get(t.clone(), 0)), |m| {
+                let (g, v) = (ir::get(t.clone(), 1), ir::get(t, 2));
+                let args = vec![acc, cf1, at_mc(&bi_p, &m), at_mc(&d_p, &m), g, v, at_mc(&f_p, &m)];
+                ir::call(&bc_f, args)
             })
-        },
-    );
+        });
+        let new_next = ir::call(&bh_f, vec![corrected, pv.clone(), cf]);
+        // second branch loop: new velocities
+        let nn_p = ParamDef::untyped("_next");
+        let nn = nn_p.to_expr();
+        let branches = ir::zip(vec![ir::iota("MB"), gs.clone(), vs.clone()]);
+        let vs_new_src = ir::map_seq(branches, "t2", |t2| {
+            ir::let_in("mc2", mc(ir::get(t2.clone(), 0)), |m| {
+                let (g, v) = (ir::get(t2.clone(), 1), ir::get(t2, 2));
+                let (bi, di, f) = (at_mc(&bi_p, &m), at_mc(&di_p, &m), at_mc(&f_p, &m));
+                ir::call(&v1_f, vec![bi, nn.clone(), pv, di, v, f, g])
+            })
+        });
+        let vs_new_p = ParamDef::untyped("vsNew");
+        let vs_new = vs_new_p.to_expr();
+        let g1_out = ir::map_seq(ir::zip(vec![vs_new.clone(), gs, vs]), "t3", |t3| {
+            ir::call(&g1_f, vec![ir::get(t3.clone(), 0), ir::get(t3.clone(), 1), ir::get(t3, 2)])
+        });
+        let v1_out = ir::map_seq(vs_new, "x", |x| ir::call(&id_f, vec![x]));
+        let outputs = ir::tuple(vec![
+            ir::write_to(ir::at(next.to_expr(), idx), nn),
+            ir::write_to(state(&g1_p), g1_out),
+            ir::write_to(state(&v1_p), v1_out),
+        ]);
+        let body = let_in(&nn_p, new_next, let_in(&vs_new_p, ir::to_private(vs_new_src), outputs));
+        lets.iter().zip(values).rev().fold(body, |body, (p, value)| let_in(p, value, body))
+    });
     Program {
         name: "fdmm_boundary_lift",
         params: vec![
@@ -638,6 +421,11 @@ pub fn fdmm_program() -> Program {
         ],
         body,
     }
+}
+
+/// `let p = value in body` over a binder made beforehand.
+fn let_in(p: &Rc<ParamDef>, value: ExprRef, body: ExprRef) -> ExprRef {
+    ir::Expr::new(ir::ExprKind::Let { param: p.clone(), value, body })
 }
 
 /// Every generated LIFT program of the repro suite — the enumeration the

@@ -1,59 +1,17 @@
-//! LIFT-generated kernels as a [`room_acoustics::Simulation`] kernel set.
+//! Stand-alone argument binding for one generated kernel.
 //!
-//! The generated counterpart of the hand-written kernels: the same
-//! front end, but the volume and boundary kernels come out of the LIFT code
-//! generator ([`crate::programs`]). A [`lift::lower::LoweredKernel`]'s
-//! parameters are bound by program-parameter name
-//! ([`room_acoustics::StepKernel::new`]), so the driver is robust to the
-//! generator adding or reordering size parameters.
+//! Simulations bind through their step program ([`crate::hostprog`],
+//! `vgpu::bind_launch`). [`bind_args`] and [`global_size`] remain only for
+//! roombench's `liftac.bind_ms` probe (`benchmark/src/adapter.rs`), which
+//! times a by-name binding of the volume and FD-MM kernels; they go with
+//! that probe.
 
-use crate::programs::{self, Program};
 use lift::lower::{ArgSpec, LoweredKernel};
-use lift::prelude::{ScalarKind, Value};
-use room_acoustics::{KernelOrigin, KernelSource, SimError, StepKernel, StepKernels};
+use lift::prelude::Value;
 use std::collections::HashMap;
-use std::sync::Arc;
 use vgpu::{Arg, BufId};
 
-/// Which boundary model a LIFT run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiftBoundary {
-    /// Listing 7 (FI-MM).
-    FiMm,
-    /// Listing 8 (FD-MM).
-    FdMm,
-}
-
-impl KernelSource for LiftBoundary {
-    fn step_kernels(&self, real: ScalarKind) -> Result<StepKernels, SimError> {
-        let boundary = match self {
-            LiftBoundary::FiMm => programs::fimm_program(),
-            LiftBoundary::FdMm => programs::fdmm_program(),
-        };
-        Ok(StepKernels {
-            volume: step_kernel(&programs::volume_program(), real)?,
-            boundary: Some(step_kernel(&boundary, real)?),
-        })
-    }
-}
-
-/// `program` lowered at precision `real` and bound to roles, once per
-/// process ([`StepKernel::shared`]): the generated kernels are size-generic,
-/// so every room of a given boundary model and precision launches the same
-/// kernel under the same contract ([`programs::launch_assumptions`], the
-/// one `lift_verify` proves it under) — and, through
-/// [`StepKernel::prepared`], the same artifact.
-pub fn step_kernel(program: &Program, real: ScalarKind) -> Result<Arc<StepKernel>, SimError> {
-    StepKernel::shared(KernelOrigin::Program(program.name), real, || {
-        let lowered = program.lower(real).unwrap_or_else(|e| panic!("{}: {e}", program.name));
-        let contract = programs::launch_assumptions(program, &lowered);
-        StepKernel::new(lowered.kernel, contract, lowered.global_size).map(Arc::new)
-    })
-}
-
-/// Binds a lowered kernel's arguments by name — the by-name binding a
-/// stand-alone launch of one generated kernel needs; [`step_kernel`] is
-/// what simulations use.
+/// Binds a lowered kernel's arguments by name.
 ///
 /// `bufs` maps program-parameter names to device buffers, `scalars` maps
 /// scalar parameter names to values, `sizes` maps size variables to values.

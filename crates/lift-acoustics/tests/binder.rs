@@ -1,10 +1,9 @@
-//! The role binder over both kernel families: every shipped generated
-//! kernel binds, a simulation uploads exactly what the front end it
-//! replaced uploaded, and generated kernels launch under their contract.
+//! The step-program binder over both kernel families: every generated
+//! set launches what it prints, a simulation uploads exactly what the
+//! front end it replaced uploaded, and generated kernels launch under their contract.
 //! Each pin reads the counters of a device on a runtime of its own.
 
-use lift::prelude::ScalarKind;
-use lift_acoustics::{programs, runner, LiftBoundary};
+use lift_acoustics::{programs, LiftBoundary};
 use room_acoustics::{
     BoundaryKernel, GridDims, KernelSource, Precision, RoomShape, SimConfig, SimSetup, Simulation,
 };
@@ -15,13 +14,28 @@ fn device() -> Device {
     Device::with_runtime(DeviceProfile::gtx780(), Runtime::new(vgpu::runtime().settings))
 }
 
+/// Each generated set's step launches the kernels [`programs::Program::lower`]
+/// prints, under the contract `lift_verify` proves them with: what ships
+/// is what prints.
 #[test]
-fn every_generated_kernel_resolves_every_parameter() {
-    for p in programs::all_programs() {
-        for real in [ScalarKind::F32, ScalarKind::F64] {
-            let bound = runner::step_kernel(&p, real)
-                .unwrap_or_else(|e| panic!("{} @ {real:?}: {e}", p.name));
-            assert_eq!(bound.global.len(), usize::from(bound.kernel.work_dim), "{}", p.name);
+fn every_generated_set_launches_the_kernels_it_prints() {
+    let setup = SimSetup::new(&SimConfig::fdmm(GridDims::cube(9), RoomShape::Box));
+    let sets = [
+        (LiftBoundary::Fi, vec![programs::fi_single_program()]),
+        (LiftBoundary::FiMm, vec![programs::volume_program(), programs::fimm_program()]),
+        (LiftBoundary::FdMm, vec![programs::volume_program(), programs::fdmm_program()]),
+    ];
+    for (set, programs) in sets {
+        for precision in [Precision::Single, Precision::Double] {
+            let sim = Simulation::new(setup.clone(), precision, set, vec![device()]);
+            assert_eq!(sim.kernels().count(), programs.len(), "{set:?}");
+            for (k, p) in sim.kernels().zip(&programs) {
+                let lowered = p.lower(precision.kind()).unwrap();
+                let contract = programs::launch_assumptions(p, &lowered);
+                assert_eq!(k.kernel, lowered.kernel, "{}", p.name);
+                assert_eq!(format!("{:?}", k.contract), format!("{contract:?}"), "{}", p.name);
+                assert_eq!(k.global, lowered.global_size, "{}", p.name);
+            }
         }
     }
 }
@@ -34,7 +48,7 @@ fn uploaded(setup: &SimSetup, precision: Precision, source: impl KernelSource) -
 }
 
 /// Pinned on the commit before `Simulation` existed, from
-/// `HandwrittenSim::new` and `LiftSim::new`: a slab uploads the roles its
+/// `HandwrittenSim::new` and `LiftSim::new`: a slab uploads the inputs its
 /// kernel set names and nothing else — `bnbrs` (one i32 per boundary point)
 /// for the generated kernels only.
 #[test]

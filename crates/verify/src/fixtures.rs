@@ -9,8 +9,7 @@
 
 use crate::SuiteEntry;
 use lift::arith::ArithExpr;
-use lift::host::{HostCmd, HostProgram, LaunchArg};
-use lift::lower::{ArgSpec, LoweredKernel};
+use lift::host::{HostCmd, HostKernel, HostProgram, LaunchArg};
 use lift::prelude::*;
 use lift::scalar::BinOp;
 use lift::verify::{Assumptions, BufferFacts};
@@ -155,18 +154,9 @@ pub fn uninit_read_kernel() -> Kernel {
 /// the launch's read of `src`.
 pub fn uninit_host_program() -> HostProgram {
     let ty = Type::array(Type::real(), "N");
-    let lowered = LoweredKernel {
-        kernel: uninit_read_kernel().resolve_real(ScalarKind::F32),
-        args: vec![
-            ArgSpec::Output("out".into(), ty.clone()),
-            ArgSpec::Input(lift::ir::ParamId(0), "src".into()),
-            ArgSpec::Size("N".into()),
-        ],
-        global_size: vec![ArithExpr::var("N")],
-        local_size: None,
-    };
+    let kernel = uninit_read_kernel().resolve_real(ScalarKind::F32);
     HostProgram {
-        kernels: vec![lowered],
+        kernels: vec![HostKernel { kernel, contract: Assumptions::default() }],
         cmds: vec![
             HostCmd::Alloc { dev: "src".into(), ty: ty.clone() },
             HostCmd::Alloc { dev: "out".into(), ty: ty.clone() },

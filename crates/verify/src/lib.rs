@@ -455,21 +455,21 @@ pub fn report_json(
     })
 }
 
-/// Read-before-write audit over the shipped host programs plus the
-/// deliberately broken [`fixtures::uninit_host_program`]. Returns
-/// `(program label, fixture?, findings)` triples; the driver fails on any
-/// finding in a non-fixture program and on a *clean* fixture.
+/// Read-before-write audit over the step program of every shipped kernel
+/// set (`lift_acoustics::hostprog::all_sets`) at both precisions, plus the
+/// deliberately broken [`fixtures::uninit_host_program`]. Returns `(program
+/// label, fixture?, findings)` triples; the driver fails on any finding in
+/// a non-fixture program and on a *clean* fixture.
 pub fn host_audit() -> Vec<(String, bool, Vec<lift::footprint::UninitRead>)> {
-    use lift_acoustics::hostprog::fimm_step_host_program;
     let mut out = Vec::new();
     for real in [ScalarKind::F32, ScalarKind::F64] {
-        let prog = fimm_step_host_program(real)
-            .unwrap_or_else(|e| panic!("fimm host program fails to lower: {e}"));
-        out.push((
-            format!("fimm_step_host_program/{}", prec(real)),
-            false,
-            lift::footprint::check_host_init(&prog),
-        ));
+        for set in lift_acoustics::hostprog::all_sets() {
+            let prog = set
+                .host_program(real)
+                .unwrap_or_else(|e| panic!("step program `{}` fails to lower: {e}", set.name()));
+            let label = format!("{}/{}", set.name(), prec(real));
+            out.push((label, false, lift::footprint::check_host_init(&prog)));
+        }
     }
     out.push((
         "fixture_uninit_read_host".to_string(),
@@ -564,6 +564,15 @@ mod tests {
         assert_eq!(r.required_halo, Ok((2, 2)), "proven reach");
         assert_eq!(r.configured_halo, Some(1), "slab placement provides one plane");
         assert!(!r.halo_ok() && !r.is_proven());
+    }
+
+    #[test]
+    fn every_shipped_step_program_initializes_what_it_reads() {
+        let audit = host_audit();
+        assert_eq!(audit.len(), 2 * lift_acoustics::hostprog::all_sets().len() + 1);
+        for (label, fixture, findings) in &audit {
+            assert_eq!(findings.is_empty(), !fixture, "{label}: {findings:?}");
+        }
     }
 
     #[test]

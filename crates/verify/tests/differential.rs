@@ -13,7 +13,7 @@
 use lift::prelude::*;
 use room_acoustics::geometry::{GridDims, RoomShape};
 use room_acoustics::sim::{SimConfig, SimSetup};
-use room_acoustics::{BoundaryKernel, HandwrittenSim, Precision, Simulation, StepKernels};
+use room_acoustics::{BoundaryKernel, HandwrittenSim, Precision, Simulation};
 use verify::fixtures;
 use vgpu::{Arg, Device, DeviceProfile, ExecMode, Runtime};
 
@@ -50,12 +50,12 @@ fn handwritten_suite_is_dynamically_race_free() {
 /// Every LIFT-generated backend under the dynamic detector.
 #[test]
 fn generated_suite_is_dynamically_race_free() {
-    use lift_acoustics::{programs, runner, LiftBoundary, LiftSim};
+    use lift_acoustics::{LiftBoundary, LiftSim};
     for shape in [RoomShape::Box, RoomShape::LShape] {
         for boundary in [LiftBoundary::FiMm, LiftBoundary::FdMm] {
             let cfg = match boundary {
                 LiftBoundary::FdMm => SimConfig::fdmm(GridDims::cube(8), shape),
-                LiftBoundary::FiMm => SimConfig::fimm(GridDims::cube(8), shape),
+                _ => SimConfig::fimm(GridDims::cube(8), shape),
             };
             let setup = SimSetup::new(&cfg);
             let mut sim = LiftSim::new(setup, Precision::Double, boundary, race_device());
@@ -64,9 +64,8 @@ fn generated_suite_is_dynamically_race_free() {
             }
         }
         let setup = SimSetup::new(&SimConfig::fimm(GridDims::cube(8), shape));
-        let fi = runner::step_kernel(&programs::fi_single_program(), ScalarKind::F32).unwrap();
-        let kernels = StepKernels::single(fi);
-        let mut sim = Simulation::new(setup, Precision::Single, kernels, vec![race_device()]);
+        let fi = LiftBoundary::Fi;
+        let mut sim = Simulation::new(setup, Precision::Single, fi, vec![race_device()]);
         for _ in 0..3 {
             sim.step(ExecMode::Fast);
         }

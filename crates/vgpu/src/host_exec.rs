@@ -91,6 +91,40 @@ fn eval_len(ty: &Type, sizes: &HashMap<String, i64>) -> Result<usize, ExecError>
     eval_arith(&ty.scalar_count(), sizes, &format!("length of buffer type {ty}"))
 }
 
+/// Binds the arguments of one [`HostCmd::Launch`]: a buffer to the device
+/// buffer in its slot, a scalar to its host input, a size to its `int`
+/// value. The one launch binder: [`run_host_program`] calls it per launch,
+/// `room_acoustics::Simulation` once per slab and buffer rotation.
+pub fn bind_launch(
+    args: &[LaunchArg],
+    slots: &HashMap<&str, BufId>,
+    env: &HostEnv,
+) -> Result<Vec<Arg>, ExecError> {
+    args.iter()
+        .map(|a| match a {
+            LaunchArg::Buf(name) => slots
+                .get(name.as_str())
+                .map(|&b| Arg::Buf(b))
+                .ok_or_else(|| ExecError(format!("unknown device slot `{name}`"))),
+            LaunchArg::ScalarInput(name) => env
+                .scalars
+                .get(name)
+                .map(|&v| Arg::Val(v))
+                .ok_or_else(|| ExecError(format!("missing host scalar `{name}`"))),
+            LaunchArg::SizeVar(name) => {
+                let v = *env
+                    .sizes
+                    .get(name)
+                    .ok_or_else(|| ExecError(format!("unbound size `{name}`")))?;
+                let v = i32::try_from(v).map_err(|_| {
+                    ExecError(format!("size `{name}` = {v} does not fit the kernel's int argument"))
+                })?;
+                Ok(Arg::Val(Value::I32(v)))
+            }
+        })
+        .collect()
+}
+
 /// Runs a host program. `real` must match the precision the program was
 /// compiled with; `mode` selects fast or modeled kernel execution.
 pub fn run_host_program(
@@ -112,9 +146,6 @@ pub fn run_host_program(
             prepared.push(device.compile(&lk.kernel)?);
         }
     }
-    let slot = |slots: &HashMap<&str, BufId>, name: &str| {
-        slots.get(name).copied().ok_or_else(|| ExecError(format!("unknown device slot `{name}`")))
-    };
     for cmd in &prog.cmds {
         match cmd {
             HostCmd::CopyIn { host, dev, ty } => {
@@ -147,35 +178,16 @@ pub fn run_host_program(
             HostCmd::Launch { kernel, args, global_size } => {
                 let _s = trace
                     .span_with(HOST_TRACK, || format!("OclKernel({})", prepared[*kernel].name));
-                let mut largs = Vec::with_capacity(args.len());
-                for a in args {
-                    largs.push(match a {
-                        LaunchArg::Buf(name) => Arg::Buf(slot(&slots, name)?),
-                        LaunchArg::ScalarInput(name) => {
-                            Arg::Val(*env.scalars.get(name).ok_or_else(|| {
-                                ExecError(format!("missing host scalar `{name}`"))
-                            })?)
-                        }
-                        LaunchArg::SizeVar(name) => {
-                            let v = *env
-                                .sizes
-                                .get(name)
-                                .ok_or_else(|| ExecError(format!("unbound size `{name}`")))?;
-                            Arg::Val(Value::I32(i32::try_from(v).map_err(|_| {
-                                ExecError(format!(
-                                    "size `{name}` = {v} does not fit the kernel's int argument"
-                                ))
-                            })?))
-                        }
-                    });
-                }
+                let largs = bind_launch(args, &slots, env)?;
                 let global: Result<Vec<usize>, ExecError> =
                     global_size.iter().map(|g| eval_arith(g, &env.sizes, "global size")).collect();
                 device.launch(&prepared[*kernel], &largs, &global?, mode)?;
             }
             HostCmd::CopyOut { dev, host, .. } => {
                 let _s = trace.span_with(HOST_TRACK, || format!("ToHost({host})"));
-                let data = device.read(slot(&slots, dev)?);
+                let buf = slots.get(dev.as_str()).copied();
+                let data = device
+                    .read(buf.ok_or_else(|| ExecError(format!("unknown device slot `{dev}`")))?);
                 transfers.to_host_bytes += (data.len() * data.elem_bytes()) as u64;
                 transfers.to_host_transfers += 1;
                 outputs.insert(host.clone(), data);

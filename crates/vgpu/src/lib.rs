@@ -82,7 +82,7 @@ pub use artifact::{compile_cached, compile_cached_under, verify_cached};
 pub use buffer::BufData;
 pub use device::{Arg, BufId, Device};
 pub use exec::{Backend, Counters, Engine, ExecError, ExecMode, LaunchStats, Prepared};
-pub use host_exec::{run_host_program, HostEnv, HostRun, TransferTotals};
+pub use host_exec::{bind_launch, run_host_program, HostEnv, HostRun, TransferTotals};
 pub use perfmodel::{modeled_sharded_step_s, modeled_time_s, updates_per_second, ModelInput};
 pub use profile::DeviceProfile;
 pub use profiler::ProfileMode;

@@ -10,12 +10,11 @@
 
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::*;
-use lift_acoustics::{programs, runner, LiftBoundary, LiftSim};
+use lift_acoustics::{programs, LiftBoundary, LiftSim};
 use proptest::prelude::*;
 use room_acoustics::{
     handwritten, BoundaryKernel, BoundaryModel, GridDims, HandwrittenSim, KernelSource,
     MaterialAssignment, Precision, ReferenceSim, RoomShape, SimConfig, SimSetup, Simulation,
-    StepKernels,
 };
 use vgpu::{Arg, Backend, BufData, Device, Engine, ExecMode};
 
@@ -75,8 +74,8 @@ fn lift_sims_run_differentially() {
     ] {
         let dims = GridDims::new(14, 14, 10);
         let cfg = match boundary {
-            LiftBoundary::FiMm => SimConfig::fimm(dims, shape),
             LiftBoundary::FdMm => SimConfig::fdmm(dims, shape),
+            _ => SimConfig::fimm(dims, shape),
         };
         let s = SimSetup::new(&cfg);
         let mut lift = LiftSim::new(s.clone(), Precision::Double, boundary, diff_device());
@@ -154,14 +153,14 @@ fn the_hot_kernels_fuse_and_keep_counters_and_transactions() {
     let sets: [&dyn KernelSource; 2] = [&BoundaryKernel::FdMm, &LiftBoundary::FdMm];
     for precision in [Precision::Single, Precision::Double] {
         for source in sets {
-            let kernels = source.step_kernels(precision.kind()).unwrap();
-            for k in [&kernels.volume, kernels.boundary.as_ref().expect("a boundary pass")] {
+            let mut sim = Simulation::new(setup.clone(), precision, source, vec![diff_device()]);
+            assert_eq!(sim.kernels().count(), 2, "a volume and a boundary pass");
+            for k in sim.kernels() {
                 // The counter only ever grows, whatever else compiles meanwhile.
                 let before = fused_ops.get();
                 vgpu::exec::prepare(&k.kernel).unwrap();
                 assert!(fused_ops.get() > before, "`{}` has nothing fused", k.kernel.name);
             }
-            let mut sim = Simulation::new(setup.clone(), precision, kernels, vec![diff_device()]);
             sim.impulse(7, 6, 4, 1.0);
             for stride in [1, 1, 4] {
                 sim.step(ExecMode::Model { sample_stride: stride });
@@ -187,8 +186,6 @@ fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
                 assignment: MaterialAssignment::Uniform,
                 boundary: BoundaryModel::Fi { beta: 0.1 },
             };
-            let kernel =
-                runner::step_kernel(&programs::fi_single_program(), precision.kind()).unwrap();
             for (race_check, mode) in [
                 (false, ExecMode::Fast),
                 (true, ExecMode::Fast),
@@ -197,8 +194,8 @@ fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
                 let mut dev = Device::gtx780();
                 dev.set_engine(Engine::Differential);
                 dev.set_race_check(race_check);
-                let kernels = StepKernels::single(kernel.clone());
-                let mut sim = Simulation::new(SimSetup::new(&cfg), precision, kernels, vec![dev]);
+                let fi = LiftBoundary::Fi;
+                let mut sim = Simulation::new(SimSetup::new(&cfg), precision, fi, vec![dev]);
                 sim.impulse(6, 6, 3, 1.0);
                 for _ in 0..3 {
                     for (step, boundary) in sim.step(mode) {

@@ -16,11 +16,11 @@
 //! now equal the `hand` rows', stores are one per work-item; every field
 //! hash is the original one.
 
-use lift_acoustics::{programs, runner, LiftBoundary};
+use lift_acoustics::LiftBoundary;
 use room_acoustics::simulation::sum_step_stats;
 use room_acoustics::{
-    handwritten, BoundaryKernel, BoundaryModel, GridDims, MaterialAssignment, Precision, RoomShape,
-    SimConfig, SimSetup, Simulation, StepKernel, StepKernels,
+    BoundaryKernel, BoundaryModel, GridDims, HandwrittenFi, KernelSource, MaterialAssignment,
+    Precision, RoomShape, SimConfig, SimSetup, Simulation,
 };
 use vgpu::{Device, ExecMode, SlabPartition};
 
@@ -85,25 +85,15 @@ fn config(scheme: &str, shape: RoomShape) -> SimConfig {
     }
 }
 
-fn kernels(family: &str, scheme: &str, precision: Precision) -> StepKernels {
-    use room_acoustics::KernelSource;
-    let real = precision.kind();
+fn kernels(family: &str, scheme: &str) -> &'static dyn KernelSource {
     match (family, scheme) {
-        ("hand", "fi") => StepKernels::single(
-            StepKernel::handwritten(handwritten::fi_single_kernel(), real).unwrap(),
-        ),
-        ("gen", "fi") => {
-            StepKernels::single(runner::step_kernel(&programs::fi_single_program(), real).unwrap())
-        }
-        ("hand", "fimm") => {
-            BoundaryKernel::FiMm { beta_constant: false }.step_kernels(real).unwrap()
-        }
-        ("hand", "fimm_const") => {
-            BoundaryKernel::FiMm { beta_constant: true }.step_kernels(real).unwrap()
-        }
-        ("hand", _) => BoundaryKernel::FdMm.step_kernels(real).unwrap(),
-        (_, "fimm") => LiftBoundary::FiMm.step_kernels(real).unwrap(),
-        _ => LiftBoundary::FdMm.step_kernels(real).unwrap(),
+        ("hand", "fi") => &HandwrittenFi,
+        ("hand", "fimm") => &BoundaryKernel::FiMm { beta_constant: false },
+        ("hand", "fimm_const") => &BoundaryKernel::FiMm { beta_constant: true },
+        ("hand", _) => &BoundaryKernel::FdMm,
+        (_, "fi") => &LiftBoundary::Fi,
+        (_, "fimm") => &LiftBoundary::FiMm,
+        _ => &LiftBoundary::FdMm,
     }
 }
 
@@ -135,8 +125,7 @@ fn run(sim: &mut Simulation, shape: RoomShape) -> (u64, [u64; 7], u64) {
 fn one_device_matches_the_front_ends_it_replaced() {
     for (family, scheme, precision, shape, field, counters, txn) in GOLDEN {
         let setup = SimSetup::new(&config(scheme, shape));
-        let mut sim =
-            Simulation::new(setup, precision, kernels(family, scheme, precision), devices(1));
+        let mut sim = Simulation::new(setup, precision, kernels(family, scheme), devices(1));
         assert_eq!(
             run(&mut sim, shape),
             (field, counters, txn),
@@ -162,7 +151,7 @@ fn hand_written_slabs_match_one_device() {
             Simulation::try_with_partition(
                 SimSetup::new(&config(scheme, shape)),
                 precision,
-                kernels(family, scheme, precision),
+                kernels(family, scheme),
                 devices(part.device_count()),
                 part,
             )
@@ -195,8 +184,7 @@ fn generated_slabs_match_one_device() {
         }
         let sim = |n| {
             let setup = SimSetup::new(&config(scheme, shape));
-            Simulation::try_new(setup, precision, kernels(family, scheme, precision), devices(n))
-                .unwrap()
+            Simulation::try_new(setup, precision, kernels(family, scheme), devices(n)).unwrap()
         };
         let mut single = sim(1);
         run(&mut single, shape);

@@ -22,8 +22,7 @@ fn modeled_step(
     precision: Precision,
     set: &dyn KernelSource,
 ) -> (LaunchStats, LaunchStats) {
-    let kernels = set.step_kernels(precision.kind()).unwrap();
-    let mut sim = Simulation::new(setup.clone(), precision, kernels, vec![Device::gtx780()]);
+    let mut sim = Simulation::new(setup.clone(), precision, set, vec![Device::gtx780()]);
     let d = setup.dims();
     sim.impulse(d.nx / 2, d.ny / 2, 2, 1.0);
     let (volume, boundary) = sim.step(ExecMode::Model { sample_stride: 1 }).remove(0);

@@ -7,10 +7,10 @@
 //! kernels (run on the virtual GPU) against the pure-Rust golden models, at
 //! both precisions, on both room shapes.
 
-use lift_acoustics::{programs, runner, LiftBoundary, LiftSim};
+use lift_acoustics::{LiftBoundary, LiftSim};
 use room_acoustics::{
     BoundaryKernel, GridDims, HandwrittenSim, MaterialAssignment, Precision, ReferenceSim,
-    RoomShape, SimConfig, SimSetup, Simulation, StepKernels,
+    RoomShape, SimConfig, SimSetup, Simulation,
 };
 use vgpu::Device;
 
@@ -153,9 +153,7 @@ fn lift_fi_single_kernel_matches_reference() {
     let s = SimSetup::new(&cfg);
     let mut dev = Device::gtx780();
     dev.set_race_check(true);
-    let fi = runner::step_kernel(&programs::fi_single_program(), Precision::Double.kind()).unwrap();
-    let mut lift =
-        Simulation::new(s.clone(), Precision::Double, StepKernels::single(fi), vec![dev]);
+    let mut lift = Simulation::new(s.clone(), Precision::Double, LiftBoundary::Fi, vec![dev]);
     let mut rf = ReferenceSim::<f64>::new(s);
     lift.impulse(8, 6, 5, 1.0);
     rf.impulse(8, 6, 5, 1.0);
@@ -166,92 +164,21 @@ fn lift_fi_single_kernel_matches_reference() {
 
 #[test]
 fn host_program_step_matches_reference_step() {
-    // Listing 5: a full ToGPU → volume kernel → in-place boundary kernel →
-    // ToHost round trip must equal one reference step.
+    // Listing 5: the step a `LiftBoundary::FiMm` simulation runs is the
+    // compiled host program — its kernels, resident — and one step of it
+    // equals one reference step.
     let s = fimm_setup(RoomShape::Dome);
-    let mut rf = ReferenceSim::<f64>::new(s.clone());
+    let real = Precision::Double.kind();
+    let prog = lift_acoustics::hostprog::fimm_step_host_program(real).unwrap();
+    let mut sim = LiftSim::new(s.clone(), Precision::Double, LiftBoundary::FiMm, Device::gtx780());
+    let launched: Vec<_> = sim.kernels().map(|k| &k.kernel).collect();
+    assert_eq!(launched, prog.kernels.iter().map(|k| &k.kernel).collect::<Vec<_>>());
+    let mut rf = ReferenceSim::<f64>::new(s);
+    sim.impulse(7, 6, 4, 1.0);
     rf.impulse(7, 6, 4, 1.0);
-    let curr = rf.curr.iter().map(|x| x.f64_of()).collect::<Vec<f64>>();
-    let prev = rf.prev.iter().map(|x| x.f64_of()).collect::<Vec<f64>>();
+    sim.run(1);
     rf.step();
-    let mut dev = Device::gtx780();
-    let out = lift_acoustics::hostprog::run_fimm_step(
-        &s,
-        Precision::Double,
-        &curr,
-        &prev,
-        &mut dev,
-        vgpu::ExecMode::Fast,
-    )
-    .expect("host program runs");
-    assert_close(&out, &rf.curr, 1e-13, "host program step");
-}
-
-#[test]
-fn host_program_is_the_step_that_ships() {
-    // Listing 5 and `Simulation` are one loop: the host program launches the
-    // programs `LiftBoundary::FiMm` hands a `Simulation`, over the same global
-    // sizes, and one run of it is one `Simulation::step`, bit for bit. The
-    // host program lowers them without the launch contract, so its volume
-    // kernel is the shipped one before the interior-mask fold; the boundary
-    // kernel has no contract fact to fold and is the shipped one as it is.
-    use lift::host::HostCmd;
-    use lift::lower::lower_kernel;
-    use room_acoustics::KernelSource;
-    for precision in [Precision::Single, Precision::Double] {
-        let real = precision.kind();
-        let prog = lift_acoustics::hostprog::fimm_step_host_program(real).unwrap();
-        let shipped = LiftBoundary::FiMm.step_kernels(real).unwrap();
-        let shipped = [shipped.volume, shipped.boundary.expect("FI-MM has a boundary kernel")];
-        let launches: Vec<_> = prog
-            .cmds
-            .iter()
-            .filter_map(|c| match c {
-                HostCmd::Launch { kernel, global_size, .. } => Some((*kernel, global_size)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(launches.len(), 2);
-        let boundary = &prog.kernels[launches[1].0].kernel;
-        assert_eq!(format!("{boundary:?}"), format!("{:?}", shipped[1].kernel));
-        let sources = [programs::volume_program(), programs::fimm_program()];
-        for (((kernel, global), step), p) in launches.into_iter().zip(&shipped).zip(sources) {
-            let name = &step.kernel.name;
-            let contract_free = lower_kernel(p.name, &p.params, &p.body, real).unwrap().kernel;
-            let host = &prog.kernels[kernel].kernel;
-            assert_eq!(format!("{host:?}"), format!("{contract_free:?}"), "{name}");
-            assert_eq!(p.name, name, "the same program");
-            assert_eq!(*global, step.global, "{name}");
-        }
-
-        let s = SimSetup::new(&SimConfig::fimm(GridDims::new(12, 10, 9), RoomShape::Dome));
-        let mut sim = LiftSim::new(s.clone(), precision, LiftBoundary::FiMm, Device::gtx780());
-        sim.impulse(6, 5, 4, 1.0);
-        // An impulse is a released displacement: `prev` starts equal to `curr`.
-        let start = sim.read_curr();
-        sim.run(1);
-        let out = lift_acoustics::hostprog::run_fimm_step(
-            &s,
-            precision,
-            &start,
-            &start,
-            &mut Device::gtx780(),
-            vgpu::ExecMode::Fast,
-        )
-        .expect("host program runs");
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&out), bits(&sim.read_curr()), "{precision:?}");
-    }
-}
-
-/// Small helper since `f64: Real` uses the method name `f64`.
-trait F64Of {
-    fn f64_of(&self) -> f64;
-}
-impl F64Of for f64 {
-    fn f64_of(&self) -> f64 {
-        *self
-    }
+    assert_close(&sim.read_curr(), &rf.curr, 1e-13, "host program step");
 }
 
 // --- L-shape boundary probes -----------------------------------------------
