@@ -37,8 +37,6 @@ use vgpu::{Device, DeviceProfile, ExecMode, Runtime};
 pub struct BatchConfig {
     /// Worker threads draining the queue.
     pub threads: usize,
-    /// Execution mode for every launch.
-    pub mode: ExecMode,
     /// Enable the per-launch write-race detector.
     pub race_check: bool,
     /// When set, write a per-job telemetry sidecar JSON into this
@@ -48,7 +46,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig { threads: 2, mode: ExecMode::Fast, race_check: false, sidecar_dir: None }
+        BatchConfig { threads: 2, race_check: false, sidecar_dir: None }
     }
 }
 
@@ -246,7 +244,7 @@ fn run_sim(cfg: &BatchConfig, rt: &Arc<Runtime>, sc: &Scenario) -> Result<JobOut
     let t0 = Instant::now();
     let mut impulse_response = Vec::with_capacity(sc.steps);
     for _ in 0..sc.steps {
-        for (volume, boundary) in sim.step(cfg.mode) {
+        for (volume, boundary) in sim.step(ExecMode::Fast) {
             for (summary, stats) in
                 kernels.iter_mut().zip(std::iter::once(&volume).chain(&boundary))
             {

@@ -22,7 +22,9 @@
 //!   `slide k s x`, `slide2 k s x`, `slide3 k s x`,
 //!   `pad l r kind x` (`kind` = `clamp` or a literal), `pad2 a kind x`,
 //!   `pad3 a kind x`, `crop3 m x`, `split n x`, `join x`,
-//!   `(reduce (acc x) body init input)`.
+//!   `(reduce (acc x) body init input)`. A digit in a pattern's name is its
+//!   rank: `map3-glb`, `zip2` and `pad3` build the one `map`, `zip` and
+//!   `pad` node with rank 3, 2 and 3.
 //! * **Data**: `(at arr idx)`, `(slice arr start stride len)`,
 //!   `(get tup i)`, `(tuple …)`, `(iota n)`, `(size-val n)`,
 //!   `(let (name value) body)`, `to-private`, `to-local`.
@@ -365,15 +367,7 @@ fn parse_expr(s: &Sexp, scope: &mut Scope) -> Result<ExprRef, ParseError> {
                         "map-wrg" => MapKind::Wrg,
                         _ => MapKind::Lcl,
                     };
-                    match head {
-                        "map3-glb" => {
-                            Ok(crate::ir::Expr::new(ExprKind::Map3 { kind, f: lam, input }))
-                        }
-                        "map2-glb" => {
-                            Ok(crate::ir::Expr::new(ExprKind::Map2 { kind, f: lam, input }))
-                        }
-                        _ => Ok(crate::ir::Expr::new(ExprKind::Map { kind, f: lam, input })),
-                    }
+                    Ok(ir::Expr::new(ExprKind::Map { rank: rank_of(head), kind, f: lam, input }))
                 }
                 "reduce" => {
                     expect_args(items, 4, head, *p)?;
@@ -398,56 +392,35 @@ fn parse_expr(s: &Sexp, scope: &mut Scope) -> Result<ExprRef, ParseError> {
                     restore(scope, xn, sx);
                     let init = parse_expr(a(3), scope)?;
                     let input = parse_expr(a(4), scope)?;
-                    Ok(crate::ir::Expr::new(ExprKind::ReduceSeq {
+                    Ok(ir::Expr::new(ExprKind::ReduceSeq {
                         f: Lambda { params: vec![pa, px], body },
                         init,
                         input,
                     }))
                 }
                 // ---- layout ----
-                "zip" => {
+                "zip" | "zip2" | "zip3" => {
                     let parts: Result<Vec<ExprRef>, ParseError> =
                         items[1..].iter().map(|x| parse_expr(x, scope)).collect();
-                    Ok(ir::zip(parts?))
+                    Ok(ir::Expr::new(ExprKind::Zip { rank: rank_of(head), parts: parts? }))
                 }
-                "zip2" => {
-                    let parts: Result<Vec<ExprRef>, ParseError> =
-                        items[1..].iter().map(|x| parse_expr(x, scope)).collect();
-                    Ok(ir::zip2(parts?))
-                }
-                "zip3" => {
-                    let parts: Result<Vec<ExprRef>, ParseError> =
-                        items[1..].iter().map(|x| parse_expr(x, scope)).collect();
-                    Ok(ir::zip3(parts?))
-                }
-                "slide" => {
+                "slide" | "slide2" | "slide3" => {
                     expect_args(items, 3, head, *p)?;
-                    Ok(ir::slide(small_int(a(1))?, small_int(a(2))?, parse_expr(a(3), scope)?))
+                    let (size, step) = (small_int(a(1))?, small_int(a(2))?);
+                    let input = parse_expr(a(3), scope)?;
+                    Ok(ir::Expr::new(ExprKind::Slide { rank: rank_of(head), size, step, input }))
                 }
-                "slide2" => {
-                    expect_args(items, 3, head, *p)?;
-                    Ok(ir::slide2(small_int(a(1))?, small_int(a(2))?, parse_expr(a(3), scope)?))
-                }
-                "slide3" => {
-                    expect_args(items, 3, head, *p)?;
-                    Ok(ir::slide3(small_int(a(1))?, small_int(a(2))?, parse_expr(a(3), scope)?))
-                }
-                "pad" => {
-                    expect_args(items, 4, head, *p)?;
-                    Ok(ir::pad(
-                        small_int(a(1))?,
-                        small_int(a(2))?,
-                        parse_pad_kind(a(3))?,
-                        parse_expr(a(4), scope)?,
-                    ))
-                }
-                "pad2" => {
-                    expect_args(items, 3, head, *p)?;
-                    Ok(ir::pad2(small_int(a(1))?, parse_pad_kind(a(2))?, parse_expr(a(3), scope)?))
-                }
-                "pad3" => {
-                    expect_args(items, 3, head, *p)?;
-                    Ok(ir::pad3(small_int(a(1))?, parse_pad_kind(a(2))?, parse_expr(a(3), scope)?))
+                // `(pad l r kind x)`, and `(pad2 a kind x)` / `(pad3 a kind x)`
+                // with `a` on both sides
+                "pad" | "pad2" | "pad3" => {
+                    let rank = rank_of(head);
+                    let sides = if rank == 1 { 2 } else { 1 };
+                    expect_args(items, sides + 2, head, *p)?;
+                    let left = small_int(a(1))?;
+                    let right = small_int(a(sides))?;
+                    let kind = parse_pad_kind(a(sides + 1))?;
+                    let input = parse_expr(a(sides + 2), scope)?;
+                    Ok(ir::Expr::new(ExprKind::Pad { rank, left, right, kind, input }))
                 }
                 "crop3" => {
                     expect_args(items, 2, head, *p)?;
@@ -508,7 +481,7 @@ fn parse_expr(s: &Sexp, scope: &mut Scope) -> Result<ExprRef, ParseError> {
                     let shadow = scope.names.insert(n.to_string(), pd.to_expr());
                     let body = parse_expr(a(2), scope)?;
                     restore(scope, n, shadow);
-                    Ok(crate::ir::Expr::new(ExprKind::Let { param: pd, value, body }))
+                    Ok(ir::Expr::new(ExprKind::Let { param: pd, value, body }))
                 }
                 "to-private" => {
                     expect_args(items, 1, head, *p)?;
@@ -642,6 +615,11 @@ fn parse_expr(s: &Sexp, scope: &mut Scope) -> Result<ExprRef, ParseError> {
             }
         }
     }
+}
+
+/// The rank a pattern's name carries: `map3-glb` → 3, `zip2` → 2, `slide` → 1.
+fn rank_of(head: &str) -> u8 {
+    head.bytes().find(u8::is_ascii_digit).map_or(1, |d| d - b'0')
 }
 
 fn op_name(sym: &str) -> &'static str {
@@ -788,5 +766,37 @@ mod tests {
         check(&k.body).unwrap();
         let lk = k.lower(ScalarKind::F32).unwrap();
         assert!(lk.local_size.is_some());
+    }
+
+    /// The lowering error of a kernel with inputs `a : [real; N]` and
+    /// `g : [[[real; N]; N]; N]` and body `body`.
+    fn lower_error(body: &str) -> String {
+        let src = format!("(kernel k (params (a (array real N)) (g (array3 real N N N))) {body})");
+        let k = parse_kernel(&src).expect("parses");
+        k.lower(ScalarKind::F32).expect_err("malformed layout is rejected").to_string()
+    }
+
+    #[test]
+    fn zip_of_one_array_is_a_type_error() {
+        let e = lower_error("(map-glb (zip a) (t) (get t 0))");
+        assert!(e.contains("type error") && e.contains("zip needs at least two arrays"), "{e}");
+        let e = lower_error("(map3-glb (zip3 g) (t) (get t 0))");
+        assert!(e.contains("zip3 needs at least two arrays"), "{e}");
+    }
+
+    #[test]
+    fn slide_by_zero_is_a_type_error() {
+        let e = lower_error("(map-glb (slide 3 0 a) (w) (at w 0))");
+        assert!(e.contains("type error") && e.contains("slide needs size ≥ 1 and step ≥ 1"), "{e}");
+        let e = lower_error("(map3-glb (slide3 0 1 g) (w) 1.0)");
+        assert!(e.contains("slide3 needs size ≥ 1"), "{e}");
+    }
+
+    #[test]
+    fn negative_pad_is_a_type_error() {
+        let e = lower_error("(map-glb (pad -2 0 clamp a) (x) x)");
+        assert!(e.contains("type error") && e.contains("pad amounts must be ≥ 0"), "{e}");
+        let e = lower_error("(map3-glb (pad3 -1 0.0 g) (x) x)");
+        assert!(e.contains("pad3 amounts must be ≥ 0"), "{e}");
     }
 }

@@ -12,6 +12,13 @@
 //! * host-side orchestration (`ToGPU`, `ToHost`, `OclKernel`) lives in
 //!   [`crate::host`].
 //!
+//! `map`, `zip`, `slide` and `pad` carry their rank (1–3, the array levels
+//! they descend) as a field, as the views they lower to do; `map3_glb`,
+//! `zip2`, `slide3`, `pad3`, … are constructors of the one variant. Walks
+//! over a node's children go through [`ExprKind::map_children`] and
+//! [`ExprKind::for_each_child`], so a pass spells out only the variants it
+//! treats specially.
+//!
 //! Each node carries a unique [`ExprId`]; analysis passes (type checking,
 //! views, memory) attach results in side tables keyed by id, mirroring how
 //! LIFT decorates its IR.
@@ -135,7 +142,7 @@ impl Expr {
 }
 
 /// Expression payloads.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum ExprKind {
     /// Reference to a bound parameter.
     Param(Rc<ParamDef>),
@@ -195,8 +202,12 @@ pub enum ExprKind {
         /// Body.
         body: ExprRef,
     },
-    /// Map over a 1-D array.
+    /// Map over the elements of a rank-`rank` (nested) array: one level is
+    /// a plain array, 2 and 3 are the `[[T; nx]; ny]` and `[[[T; nx]; ny]; nz]`
+    /// grids a 2-D or 3-D NDRange covers.
     Map {
+        /// Array levels the map descends (1–3).
+        rank: u8,
         /// Parallel or sequential.
         kind: MapKind,
         /// Element function.
@@ -204,61 +215,30 @@ pub enum ExprKind {
         /// Input array.
         input: ExprRef,
     },
-    /// Map over the elements of a 2-D (nested) array.
-    Map2 {
-        /// Parallel (2-D NDRange) execution only.
-        kind: MapKind,
-        /// Element function.
-        f: Lambda,
-        /// Input `[[T; nx]; ny]`.
-        input: ExprRef,
+    /// Element-wise zip of equal-shape rank-`rank` arrays.
+    Zip {
+        /// Array levels zipped (1–3).
+        rank: u8,
+        /// The arrays, at least two.
+        parts: Vec<ExprRef>,
     },
-    /// Map over the elements of a 3-D (nested) array.
-    Map3 {
-        /// Parallel (3-D NDRange) or sequential (triple loop).
-        kind: MapKind,
-        /// Element function.
-        f: Lambda,
-        /// Input `[[[T; nx]; ny]; nz]`.
-        input: ExprRef,
-    },
-    /// Element-wise zip of equal-length 1-D arrays.
-    Zip(Vec<ExprRef>),
-    /// Element-wise zip of equal-shape 2-D arrays.
-    Zip2(Vec<ExprRef>),
-    /// Element-wise zip of equal-shape 3-D arrays.
-    Zip3(Vec<ExprRef>),
-    /// 1-D sliding windows of `size` every `step`.
+    /// Sliding windows of `size` every `step`, in each of `rank` dimensions
+    /// (`size^rank` neighbourhoods).
     Slide {
-        /// Window size.
+        /// Dimensions slid over (1–3).
+        rank: u8,
+        /// Window size per dimension.
         size: i64,
-        /// Step between windows.
+        /// Step between windows per dimension.
         step: i64,
         /// Input array.
         input: ExprRef,
     },
-    /// 2-D sliding windows (`size²` neighbourhoods) every `step` in each
-    /// dimension.
-    Slide2 {
-        /// Window size per dimension.
-        size: i64,
-        /// Step per dimension.
-        step: i64,
-        /// Input 2-D array.
-        input: ExprRef,
-    },
-    /// 3-D sliding windows (`size³` neighbourhoods) every `step` in each
-    /// dimension.
-    Slide3 {
-        /// Window size per dimension.
-        size: i64,
-        /// Step per dimension.
-        step: i64,
-        /// Input 3-D array.
-        input: ExprRef,
-    },
-    /// Enlarges a 1-D array by `left`/`right` virtual elements.
+    /// Enlarges each of `rank` dimensions by `left`/`right` virtual
+    /// elements.
     Pad {
+        /// Dimensions padded (1–3).
+        rank: u8,
         /// Elements added before index 0.
         left: i64,
         /// Elements added after the end.
@@ -268,26 +248,8 @@ pub enum ExprKind {
         /// Input array.
         input: ExprRef,
     },
-    /// Enlarges a 2-D array by `amount` on every side of both dimensions.
-    Pad2 {
-        /// Halo width.
-        amount: i64,
-        /// Out-of-range behaviour.
-        kind: PadKind,
-        /// Input 2-D array.
-        input: ExprRef,
-    },
-    /// Enlarges a 3-D array by `amount` on every side of every dimension.
-    Pad3 {
-        /// Halo width.
-        amount: i64,
-        /// Out-of-range behaviour.
-        kind: PadKind,
-        /// Input 3-D array.
-        input: ExprRef,
-    },
     /// Shrinks a 3-D array by `margin` on every side of every dimension
-    /// (the dual of [`ExprKind::Pad3`]; selects the interior of a grid with
+    /// (the dual of a rank-3 [`ExprKind::Pad`]; selects the interior of a grid with
     /// halo).
     Crop3 {
         /// Margin width.
@@ -352,6 +314,59 @@ pub enum ExprKind {
     },
 }
 
+impl ExprKind {
+    /// Calls `f` on every child slot — operands and lambda bodies, in field
+    /// order. The one place that knows where each variant keeps its
+    /// children: every tree walk goes through [`ExprKind::map_children`] or
+    /// [`ExprKind::for_each_child`].
+    fn children_mut(&mut self, mut f: impl FnMut(&mut ExprRef)) {
+        use ExprKind::*;
+        match self {
+            Param(_) | Literal(_) | Iota { .. } | SizeVal(_) => {}
+            Call { args: xs, .. } | Tuple(xs) | Zip { parts: xs, .. } | Concat(xs) => {
+                xs.iter_mut().for_each(f)
+            }
+            Get { tuple: x, .. }
+            | Slide { input: x, .. }
+            | Pad { input: x, .. }
+            | Crop3 { input: x, .. }
+            | Split { input: x, .. }
+            | Join { input: x }
+            | ToPrivate(x)
+            | ToLocal(x)
+            | Skip { len: x, .. }
+            | ArrayCons { elem: x, .. } => f(x),
+            At { array: a, index: b }
+            | Slice { array: a, start: b, .. }
+            | Let { value: a, body: b, .. }
+            | Map { f: Lambda { body: a, .. }, input: b, .. }
+            | WriteTo { dest: a, value: b } => {
+                f(a);
+                f(b);
+            }
+            ReduceSeq { f: lambda, init, input } => {
+                f(&mut lambda.body);
+                f(init);
+                f(input);
+            }
+        }
+    }
+
+    /// A copy of this node with every child `c` replaced by `go(c)`.
+    pub fn map_children(&self, mut go: impl FnMut(&ExprRef) -> ExprRef) -> ExprKind {
+        let mut kind = self.clone();
+        kind.children_mut(|c| *c = go(c));
+        kind
+    }
+
+    /// Calls `f` on every child, in the order [`ExprKind::map_children`]
+    /// visits them. It walks a copy, so that one listing serves both walks;
+    /// the copy shares every subtree (`Rc`).
+    pub fn for_each_child(&self, mut f: impl FnMut(&ExprRef)) {
+        self.clone().children_mut(|c| f(c));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Builder functions
 // ---------------------------------------------------------------------------
@@ -408,72 +423,80 @@ pub fn let_in(name: &str, value: ExprRef, body: impl FnOnce(ExprRef) -> ExprRef)
     Expr::new(ExprKind::Let { param: p, value, body: b })
 }
 
+/// Map of kind `kind` over the elements of a rank-`rank` array.
+fn map_n(
+    rank: u8,
+    kind: MapKind,
+    input: ExprRef,
+    name: &str,
+    f: impl FnOnce(ExprRef) -> ExprRef,
+) -> ExprRef {
+    Expr::new(ExprKind::Map { rank, kind, f: Lambda::unary(name, f), input })
+}
+
 /// Parallel map over a 1-D array.
 pub fn map_glb(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Map { kind: MapKind::Glb, f: Lambda::unary(name, f), input })
+    map_n(1, MapKind::Glb, input, name, f)
 }
 
 /// Sequential map over a 1-D array.
 pub fn map_seq(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Map { kind: MapKind::Seq, f: Lambda::unary(name, f), input })
+    map_n(1, MapKind::Seq, input, name, f)
 }
 
 /// Parallel map over the elements of a 2-D array.
 pub fn map2_glb(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Map2 { kind: MapKind::Glb, f: Lambda::unary(name, f), input })
+    map_n(2, MapKind::Glb, input, name, f)
 }
 
 /// Parallel map over the elements of a 3-D array.
 pub fn map3_glb(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Map3 { kind: MapKind::Glb, f: Lambda::unary(name, f), input })
+    map_n(3, MapKind::Glb, input, name, f)
 }
 
 /// Zip of 1-D arrays.
 pub fn zip(parts: Vec<ExprRef>) -> ExprRef {
-    assert!(parts.len() >= 2, "zip needs at least two arrays");
-    Expr::new(ExprKind::Zip(parts))
+    Expr::new(ExprKind::Zip { rank: 1, parts })
 }
 
 /// Zip of 2-D arrays.
 pub fn zip2(parts: Vec<ExprRef>) -> ExprRef {
-    assert!(parts.len() >= 2, "zip2 needs at least two arrays");
-    Expr::new(ExprKind::Zip2(parts))
+    Expr::new(ExprKind::Zip { rank: 2, parts })
 }
 
 /// Zip of 3-D arrays.
 pub fn zip3(parts: Vec<ExprRef>) -> ExprRef {
-    assert!(parts.len() >= 2, "zip3 needs at least two arrays");
-    Expr::new(ExprKind::Zip3(parts))
+    Expr::new(ExprKind::Zip { rank: 3, parts })
 }
 
 /// 1-D sliding windows.
 pub fn slide(size: i64, step: i64, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Slide { size, step, input })
+    Expr::new(ExprKind::Slide { rank: 1, size, step, input })
 }
 
 /// 2-D sliding windows.
 pub fn slide2(size: i64, step: i64, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Slide2 { size, step, input })
+    Expr::new(ExprKind::Slide { rank: 2, size, step, input })
 }
 
 /// 3-D sliding windows.
 pub fn slide3(size: i64, step: i64, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Slide3 { size, step, input })
+    Expr::new(ExprKind::Slide { rank: 3, size, step, input })
 }
 
 /// 1-D pad.
 pub fn pad(left: i64, right: i64, kind: PadKind, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Pad { left, right, kind, input })
+    Expr::new(ExprKind::Pad { rank: 1, left, right, kind, input })
 }
 
-/// 2-D pad.
+/// 2-D pad by `amount` on every side.
 pub fn pad2(amount: i64, kind: PadKind, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Pad2 { amount, kind, input })
+    Expr::new(ExprKind::Pad { rank: 2, left: amount, right: amount, kind, input })
 }
 
-/// 3-D pad.
+/// 3-D pad by `amount` on every side.
 pub fn pad3(amount: i64, kind: PadKind, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Pad3 { amount, kind, input })
+    Expr::new(ExprKind::Pad { rank: 3, left: amount, right: amount, kind, input })
 }
 
 /// 3-D crop (interior view).
@@ -512,12 +535,12 @@ pub fn to_local(input: ExprRef) -> ExprRef {
 
 /// Workgroup-parallel map.
 pub fn map_wrg(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Map { kind: MapKind::Wrg, f: Lambda::unary(name, f), input })
+    map_n(1, MapKind::Wrg, input, name, f)
 }
 
 /// Local-item-parallel map (inside a workgroup map).
 pub fn map_lcl(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Map { kind: MapKind::Lcl, f: Lambda::unary(name, f), input })
+    map_n(1, MapKind::Lcl, input, name, f)
 }
 
 /// Concatenate arrays (new primitive).
@@ -575,10 +598,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn zip_rejects_single_input() {
+    fn zip_builder_of_one_array_fails_typecheck() {
         let p = ParamDef::typed("a", Type::array(Type::f32(), "N"));
-        zip(vec![p.to_expr()]);
+        let e = crate::typecheck::check(&zip(vec![p.to_expr()])).unwrap_err();
+        assert!(e.msg.contains("zip needs at least two arrays"), "{e}");
+    }
+
+    #[test]
+    fn children_are_visited_and_rebuilt_in_field_order() {
+        let a = ParamDef::typed("a", Type::array(Type::f32(), 8usize));
+        let i = lit(Lit::i32(2));
+        let e = at(a.to_expr(), i.clone());
+        let mut seen = Vec::new();
+        e.kind.for_each_child(|c| seen.push(c.id));
+        assert_eq!(seen.len(), 2);
+        assert_eq!(seen[1], i.id);
+        let rebuilt =
+            e.kind.map_children(|c| if c.id == i.id { lit(Lit::i32(3)) } else { c.clone() });
+        let ExprKind::At { array, index } = rebuilt else { panic!() };
+        assert_eq!(array.id, seen[0]);
+        assert!(matches!(index.kind, ExprKind::Literal(l) if l == Lit::i32(3)));
     }
 
     #[test]
@@ -587,6 +626,10 @@ mod tests {
         let e = map_glb(p.to_expr(), "x", |x| x);
         assert!(matches!(e.kind, ExprKind::Map { kind: MapKind::Glb, .. }));
         let s = slide(3, 1, p.to_expr());
-        assert!(matches!(s.kind, ExprKind::Slide { size: 3, step: 1, .. }));
+        assert!(matches!(s.kind, ExprKind::Slide { rank: 1, size: 3, step: 1, .. }));
+        let q = ParamDef::typed("g", Type::array3(Type::f32(), 4usize, 4usize, 4usize));
+        let s3 = slide3(3, 1, pad3(1, PadKind::Clamp, q.to_expr()));
+        let ExprKind::Slide { rank: 3, input, .. } = &s3.kind else { panic!() };
+        assert!(matches!(input.kind, ExprKind::Pad { rank: 3, left: 1, right: 1, .. }));
     }
 }

@@ -4,9 +4,10 @@
 //! are constructed for every expression and collapsed into indexed loads and
 //! stores while the pattern structure becomes loops and NDRange guards.
 //!
-//! The top level of a kernel body must be a parallel `map` (1-D) or `map3`
-//! (3-D), optionally wrapped in a `WriteTo` that re-routes the kernel output
-//! into one of its inputs. Inside the element function:
+//! The top level of a kernel body must be a parallel `map` of rank 1, 2 or 3
+//! (a 1-, 2- or 3-D NDRange) or a 1-D `mapWrg`, optionally wrapped in a
+//! `WriteTo` that re-routes the kernel output into one of its inputs. Inside
+//! the element function:
 //!
 //! * value-producing elements are stored through the output view;
 //! * `WriteTo` elements (and tuples of them — FD-MM's multi-output) emit
@@ -20,7 +21,7 @@ use crate::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use crate::memory::{self, MemError, NameGen, OutputPlan};
 use crate::scalar::{BinOp, SExpr, UserFun};
 use crate::simplify::simplify_kernel;
-use crate::typecheck::{check, TypeError, Typed};
+use crate::typecheck::{array_dims, check, TypeError, Typed};
 use crate::types::{ScalarKind, Type};
 use crate::verify::Assumptions;
 use crate::view::{View, ViewError};
@@ -307,79 +308,28 @@ impl<'a> Ctx<'a> {
                 Ok(View::Gather { base: Box::new(base), start, stride: KExpr::from_arith(stride) })
             }
             ExprKind::Iota { .. } => Ok(View::IotaV),
-            ExprKind::Zip(parts) => {
+            ExprKind::Zip { rank, parts } => {
                 let vs: Result<Vec<View>, LowerError> =
                     parts.iter().map(|p| self.view_of(p, out)).collect();
-                Ok(View::ZipV { parts: vs?, levels: 1 })
+                Ok(View::ZipV { parts: vs?, levels: *rank })
             }
-            ExprKind::Zip2(parts) => {
-                let vs: Result<Vec<View>, LowerError> =
-                    parts.iter().map(|p| self.view_of(p, out)).collect();
-                Ok(View::ZipV { parts: vs?, levels: 2 })
-            }
-            ExprKind::Zip3(parts) => {
-                let vs: Result<Vec<View>, LowerError> =
-                    parts.iter().map(|p| self.view_of(p, out)).collect();
-                Ok(View::ZipV { parts: vs?, levels: 3 })
-            }
-            ExprKind::Slide { step, input, .. } => Ok(View::SlideV {
+            ExprKind::Slide { rank, step, input, .. } => Ok(View::SlideV {
                 base: Box::new(self.view_of(input, out)?),
                 step: *step,
-                dims: 1,
+                dims: *rank,
                 ws: vec![],
                 ds: vec![],
             }),
-            ExprKind::Slide2 { step, input, .. } => Ok(View::SlideV {
-                base: Box::new(self.view_of(input, out)?),
-                step: *step,
-                dims: 2,
-                ws: vec![],
-                ds: vec![],
-            }),
-            ExprKind::Slide3 { step, input, .. } => Ok(View::SlideV {
-                base: Box::new(self.view_of(input, out)?),
-                step: *step,
-                dims: 3,
-                ws: vec![],
-                ds: vec![],
-            }),
-            ExprKind::Pad { left, right, kind, input } => {
-                let n = match self.typed.of(input) {
-                    Type::Array(_, n) => n.clone(),
-                    other => return err(format!("pad over non-array {other}")),
-                };
+            ExprKind::Pad { rank, left, right, kind, input } => {
+                let (_, mut lens) = array_dims(self.typed.of(input), *rank)
+                    .ok_or_else(|| LowerError(format!("pad over a non-rank-{rank} array")))?;
+                lens.reverse();
                 Ok(View::PadV {
                     base: Box::new(self.view_of(input, out)?),
                     left: *left,
                     right: *right,
-                    dims: 1,
-                    lens: vec![n],
-                    kind: *kind,
-                    idxs: vec![],
-                })
-            }
-            ExprKind::Pad2 { amount, kind, input } => {
-                let (nx, ny) = dims2(self.typed.of(input))
-                    .ok_or_else(|| LowerError("pad2 over non-2D array".into()))?;
-                Ok(View::PadV {
-                    base: Box::new(self.view_of(input, out)?),
-                    left: *amount,
-                    right: *amount,
-                    dims: 2,
-                    lens: vec![ny, nx],
-                    kind: *kind,
-                    idxs: vec![],
-                })
-            }
-            ExprKind::Pad3 { amount, kind, input } => {
-                let (nx, ny, nz) = dims3(self.typed.of(input))
-                    .ok_or_else(|| LowerError("pad3 over non-3D array".into()))?;
-                Ok(View::PadV {
-                    base: Box::new(self.view_of(input, out)?),
-                    left: *amount,
-                    right: *amount,
-                    dims: 3,
-                    lens: vec![nz, ny, nx],
+                    dims: *rank,
+                    lens,
                     kind: *kind,
                     idxs: vec![],
                 })
@@ -430,7 +380,7 @@ impl<'a> Ctx<'a> {
                 let v = self.gen_scalar(e, out)?;
                 Ok(View::Expr(v, kind))
             }
-            ExprKind::Map { .. } | ExprKind::Map2 { .. } | ExprKind::Map3 { .. } => {
+            ExprKind::Map { .. } => {
                 err("a map used as an input must be materialised with to_private \
                  (LIFT would fuse it; this generator requires explicit materialisation)")
             }
@@ -490,8 +440,8 @@ impl<'a> Ctx<'a> {
             }
             ExprKind::Skip { .. } => Ok(()), // generates no code (§IV-B)
             ExprKind::ArrayCons { elem, n } => {
-                let ov = out_view
-                    .ok_or_else(|| LowerError("arrayCons needs a destination".into()))?;
+                let ov =
+                    out_view.ok_or_else(|| LowerError("arrayCons needs a destination".into()))?;
                 let v = self.gen_scalar(elem, out)?;
                 match n.as_cst() {
                     Some(1) => {
@@ -519,7 +469,7 @@ impl<'a> Ctx<'a> {
                     }
                 }
             }
-            ExprKind::Map { kind: MapKind::Seq, f, input } => {
+            ExprKind::Map { rank: 1, kind: MapKind::Seq, f, input } => {
                 let iv = self.view_of(input, out)?;
                 let n = match self.typed.of(input) {
                     Type::Array(_, n) => n.clone(),
@@ -532,8 +482,9 @@ impl<'a> Ctx<'a> {
                 if memory::is_side_effecting(&f.body) {
                     self.emit_into(&f.body, None, &mut body)?;
                 } else {
-                    let ov = out_view
-                        .ok_or_else(|| LowerError("value-producing map needs a destination".into()))?;
+                    let ov = out_view.ok_or_else(|| {
+                        LowerError("value-producing map needs a destination".into())
+                    })?;
                     let slot = ov.access(KExpr::var(&var))?;
                     self.emit_into(&f.body, Some(slot), &mut body)?;
                 }
@@ -546,7 +497,7 @@ impl<'a> Ctx<'a> {
                 });
                 Ok(())
             }
-            ExprKind::Map { kind: MapKind::Lcl, f, input } => {
+            ExprKind::Map { rank: 1, kind: MapKind::Lcl, f, input } => {
                 // one element per local work-item: idx = get_local_id(0)
                 let iv = self.view_of(input, out)?;
                 let n = match self.typed.of(input) {
@@ -578,20 +529,15 @@ impl<'a> Ctx<'a> {
                 out.append(&mut inner_stmts);
                 Ok(())
             }
-            ExprKind::Map { kind: MapKind::Glb, .. }
-            | ExprKind::Map { kind: MapKind::Wrg, .. }
-            | ExprKind::Map2 { kind: MapKind::Glb, .. }
-            | ExprKind::Map3 { kind: MapKind::Glb, .. } => {
-                err("nested Glb/Wrg maps are not supported; only the kernel's top-level map is group/global parallel")
-            }
-            ExprKind::Map2 { kind: _, .. } | ExprKind::Map3 { kind: _, .. } => {
-                err("sequential or local map2/map3 inside a kernel is not supported")
-            }
+            ExprKind::Map { .. } => err(
+                "inside a kernel a map is a 1-D mapSeq or mapLcl; only the kernel's top-level map \
+                 is group/global parallel or of rank 2 or 3",
+            ),
             ExprKind::ToPrivate(inner) => self.emit_into(inner, out_view, out),
             ExprKind::ToLocal(inner) => self.emit_into(inner, out_view, out),
             _ => {
-                let ov = out_view
-                    .ok_or_else(|| LowerError("expression needs a destination".into()))?;
+                let ov =
+                    out_view.ok_or_else(|| LowerError("expression needs a destination".into()))?;
                 match self.typed.of(e).clone() {
                     // Array-valued layout expression (a slice, zip, param…):
                     // copy element-wise through its view.
@@ -644,90 +590,21 @@ fn sexpr_to_kexpr(e: &SExpr, args: &[KExpr]) -> KExpr {
     }
 }
 
-/// Extracts (nx, ny) from a 2-D array type.
-fn dims2(t: &Type) -> Option<(ArithExpr, ArithExpr)> {
-    let Type::Array(l1, ny) = t else { return None };
-    let Type::Array(_, nx) = l1.as_ref() else { return None };
-    Some((nx.clone(), ny.clone()))
-}
-
-/// Extracts (nx, ny, nz) from a 3-D array type.
-fn dims3(t: &Type) -> Option<(ArithExpr, ArithExpr, ArithExpr)> {
-    let Type::Array(l2, nz) = t else { return None };
-    let Type::Array(l1, ny) = l2.as_ref() else { return None };
-    let Type::Array(_, nx) = l1.as_ref() else { return None };
-    Some((nx.clone(), ny.clone(), nz.clone()))
-}
-
 /// Collects size variables appearing in embedded arithmetic (e.g.
 /// `SizeVal`, slice strides) that never surface in any type.
 fn size_vars_of_expr(e: &ExprRef, out: &mut Vec<String>) {
-    let mut add = |a: &ArithExpr| {
-        for v in a.free_vars() {
-            if !v.starts_with("skip") && !out.contains(&v) {
-                out.push(v);
-            }
-        }
+    let arith: &[&ArithExpr] = match &e.kind {
+        ExprKind::SizeVal(a) | ExprKind::Iota { n: a } => &[a],
+        ExprKind::Slice { stride, len, .. } => &[stride, len],
+        ExprKind::Split { chunk: a, .. } | ExprKind::ArrayCons { n: a, .. } => &[a],
+        _ => &[],
     };
-    match &e.kind {
-        ExprKind::SizeVal(a) | ExprKind::Iota { n: a } => add(a),
-        ExprKind::Slice { array, start, stride, len } => {
-            add(stride);
-            add(len);
-            size_vars_of_expr(array, out);
-            size_vars_of_expr(start, out);
-        }
-        ExprKind::Split { chunk, input } => {
-            add(chunk);
-            size_vars_of_expr(input, out);
-        }
-        ExprKind::ArrayCons { elem, n } => {
-            add(n);
-            size_vars_of_expr(elem, out);
-        }
-        ExprKind::Param(_) | ExprKind::Literal(_) => {}
-        ExprKind::Call { args, .. } => args.iter().for_each(|a| size_vars_of_expr(a, out)),
-        ExprKind::Tuple(parts)
-        | ExprKind::Zip(parts)
-        | ExprKind::Zip2(parts)
-        | ExprKind::Zip3(parts)
-        | ExprKind::Concat(parts) => parts.iter().for_each(|p| size_vars_of_expr(p, out)),
-        ExprKind::Get { tuple: x, .. }
-        | ExprKind::ToPrivate(x)
-        | ExprKind::ToLocal(x)
-        | ExprKind::Join { input: x }
-        | ExprKind::Slide { input: x, .. }
-        | ExprKind::Slide2 { input: x, .. }
-        | ExprKind::Slide3 { input: x, .. }
-        | ExprKind::Pad { input: x, .. }
-        | ExprKind::Pad2 { input: x, .. }
-        | ExprKind::Pad3 { input: x, .. }
-        | ExprKind::Crop3 { input: x, .. }
-        | ExprKind::Skip { len: x, .. } => size_vars_of_expr(x, out),
-        ExprKind::At { array, index } => {
-            size_vars_of_expr(array, out);
-            size_vars_of_expr(index, out);
-        }
-        ExprKind::Let { value, body, .. } => {
-            size_vars_of_expr(value, out);
-            size_vars_of_expr(body, out);
-        }
-        ExprKind::Map { f, input, .. }
-        | ExprKind::Map2 { f, input, .. }
-        | ExprKind::Map3 { f, input, .. } => {
-            size_vars_of_expr(input, out);
-            size_vars_of_expr(&f.body, out);
-        }
-        ExprKind::ReduceSeq { f, init, input } => {
-            size_vars_of_expr(init, out);
-            size_vars_of_expr(input, out);
-            size_vars_of_expr(&f.body, out);
-        }
-        ExprKind::WriteTo { dest, value } => {
-            size_vars_of_expr(dest, out);
-            size_vars_of_expr(value, out);
+    for v in arith.iter().flat_map(|a| a.free_vars()) {
+        if !v.starts_with("skip") && !out.contains(&v) {
+            out.push(v);
         }
     }
+    e.kind.for_each_child(|c| size_vars_of_expr(c, out));
 }
 
 /// Collects symbolic size variables mentioned in a type.
@@ -749,7 +626,8 @@ fn size_vars_of_type(t: &Type, out: &mut Vec<String>) {
 /// Lowers a LIFT program to a kernel.
 ///
 /// `params` are the program inputs (buffers and scalars); `body` must be a
-/// parallel `map`/`map3`, optionally wrapped in `WriteTo` and `let`s.
+/// parallel `map` of rank 1–3 or a `mapWrg`, optionally wrapped in `WriteTo`
+/// and `let`s.
 /// `real` resolves the precision-generic `Real` scalar kind.
 ///
 /// The collapsed views are simplified before the kernel is returned
@@ -863,16 +741,15 @@ pub fn lower_kernel_raw(
         _ => (None, body.clone()),
     };
 
-    // 3. decide output allocation. dims: 1 = 1-D global, 3 = 3-D global,
-    // 0 = workgroup mode (one group per element).
+    // 3. decide output allocation. dims: 1–3 = an NDRange of that many
+    // dimensions, 0 = workgroup mode (one group per element).
     let (f, input, dims) = match &map_expr.kind {
-        ExprKind::Map { kind: MapKind::Glb, f, input } => (f, input, 1u8),
-        ExprKind::Map2 { kind: MapKind::Glb, f, input } => (f, input, 2u8),
-        ExprKind::Map3 { kind: MapKind::Glb, f, input } => (f, input, 3u8),
-        ExprKind::Map { kind: MapKind::Wrg, f, input } => (f, input, 0u8),
-        _ => return err(
-            "kernel body must be a top-level parallel map/map3/mapWrg (optionally in a WriteTo)",
-        ),
+        ExprKind::Map { rank, kind: MapKind::Glb, f, input } => (f, input, *rank),
+        ExprKind::Map { rank: 1, kind: MapKind::Wrg, f, input } => (f, input, 0u8),
+        _ => {
+            return err("kernel body must be a top-level parallel map of rank 1–3 or a mapWrg \
+                        (optionally in a WriteTo)")
+        }
     };
     let map_ty = typed.of(&map_expr).clone();
     let plan = memory::plan_output(&f.body, &map_ty, &typed)?;
@@ -894,34 +771,10 @@ pub fn lower_kernel_raw(
 
     // 4. NDRange bounds and guards
     let input_ty = typed.of(input).clone();
-    let mut global_size: Vec<ArithExpr> = match dims {
-        1 => {
-            let n = match &input_ty {
-                Type::Array(_, n) => n.clone(),
-                other => return err(format!("map over non-array {other}")),
-            };
-            vec![n]
-        }
-        2 => {
-            let (nx, ny) =
-                dims2(&input_ty).ok_or_else(|| LowerError("map2 over non-2D array".into()))?;
-            vec![nx, ny]
-        }
-        3 => {
-            let (nx, ny, nz) =
-                dims3(&input_ty).ok_or_else(|| LowerError("map3 over non-3D array".into()))?;
-            vec![nx, ny, nz]
-        }
-        _ => {
-            // workgroup mode: one group per chunk; the launcher runs exactly
-            // G groups of the kernel's local size, so no guard is needed.
-            let g = match &input_ty {
-                Type::Array(_, n) => n.clone(),
-                other => return err(format!("mapWrg over non-array {other}")),
-            };
-            vec![g]
-        }
-    };
+    let (_, mut global_size) = array_dims(&input_ty, dims.max(1))
+        .ok_or_else(|| LowerError(format!("map over a non-rank-{} array", dims.max(1))))?;
+    // workgroup mode: one group per chunk; the launcher runs exactly G
+    // groups of the kernel's local size, so no guard is needed.
     if dims != 0 {
         for (d, n) in global_size.iter().enumerate() {
             stmts.push(KStmt::return_if(KExpr::bin(
@@ -934,44 +787,14 @@ pub fn lower_kernel_raw(
 
     // 5. bind the element and emit the body
     let input_view = ctx.view_of(input, &mut stmts)?;
-    let (elem_view, elem_out) = match dims {
-        1 => {
-            let gid = KExpr::GlobalId(0);
-            let ev = input_view.access(gid.clone())?;
-            let ov = match &out_root {
-                Some(v) => Some(v.clone().access(gid)?),
-                None => None,
-            };
-            (ev, ov)
-        }
-        2 => {
-            let (gx, gy) = (KExpr::GlobalId(0), KExpr::GlobalId(1));
-            let ev = input_view.access(gy.clone())?.access(gx.clone())?;
-            let ov = match &out_root {
-                Some(v) => Some(v.clone().access(gy)?.access(gx)?),
-                None => None,
-            };
-            (ev, ov)
-        }
-        3 => {
-            let (gx, gy, gz) = (KExpr::GlobalId(0), KExpr::GlobalId(1), KExpr::GlobalId(2));
-            let ev = input_view.access(gz.clone())?.access(gy.clone())?.access(gx.clone())?;
-            let ov = match &out_root {
-                Some(v) => Some(v.clone().access(gz)?.access(gy)?.access(gx)?),
-                None => None,
-            };
-            (ev, ov)
-        }
-        _ => {
-            let grp = KExpr::GroupId(0);
-            let ev = input_view.access(grp.clone())?;
-            let ov = match &out_root {
-                Some(v) => Some(v.clone().access(grp)?),
-                None => None,
-            };
-            (ev, ov)
-        }
+    // the element is `access(gz).access(gy).access(gx)`: outermost level first
+    let ids: Vec<KExpr> = match dims {
+        0 => vec![KExpr::GroupId(0)],
+        _ => (0..dims).rev().map(KExpr::GlobalId).collect(),
     };
+    let access_all = |v: View| ids.iter().try_fold(v, |v, id| v.access(id.clone()));
+    let elem_view = access_all(input_view)?;
+    let elem_out = out_root.map(access_all).transpose()?;
     ctx.bindings.insert(f.params[0].id, elem_view);
     if memory::is_side_effecting(&f.body) {
         ctx.emit_into(&f.body, None, &mut stmts)?;

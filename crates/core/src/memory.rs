@@ -132,54 +132,22 @@ fn validate(e: &ExprRef, typed: &Typed, under_writeto: bool) -> Result<(), MemEr
             }
             Ok(())
         }
-        ExprKind::Map { f, input, .. }
-        | ExprKind::Map2 { f, input, .. }
-        | ExprKind::Map3 { f, input, .. } => {
+        ExprKind::Map { f, input, .. } => {
             validate(input, typed, false)?;
             validate(&f.body, typed, under_writeto)
         }
-        ExprKind::ReduceSeq { f, init, input } => {
-            validate(init, typed, false)?;
-            validate(input, typed, false)?;
-            validate(&f.body, typed, false)
-        }
-        ExprKind::ToPrivate(inner) | ExprKind::ToLocal(inner) | ExprKind::Join { input: inner } => {
-            validate(inner, typed, false)
-        }
         ExprKind::ArrayCons { elem, .. } => validate(elem, typed, under_writeto),
-        ExprKind::Call { args, .. } => {
-            for a in args {
-                validate(a, typed, false)?;
-            }
-            Ok(())
+        // no other pattern passes a re-routed output down: each child is
+        // checked as outside any `WriteTo`
+        kind => {
+            let mut result = Ok(());
+            kind.for_each_child(|c| {
+                if result.is_ok() {
+                    result = validate(c, typed, false);
+                }
+            });
+            result
         }
-        ExprKind::Get { tuple, .. } => validate(tuple, typed, false),
-        ExprKind::At { array, index } => {
-            validate(array, typed, false)?;
-            validate(index, typed, false)
-        }
-        ExprKind::Slice { array, start, .. } => {
-            validate(array, typed, false)?;
-            validate(start, typed, false)
-        }
-        ExprKind::Zip(parts) | ExprKind::Zip2(parts) | ExprKind::Zip3(parts) => {
-            for p in parts {
-                validate(p, typed, false)?;
-            }
-            Ok(())
-        }
-        ExprKind::Slide { input, .. }
-        | ExprKind::Slide2 { input, .. }
-        | ExprKind::Slide3 { input, .. }
-        | ExprKind::Pad { input, .. }
-        | ExprKind::Pad2 { input, .. }
-        | ExprKind::Pad3 { input, .. }
-        | ExprKind::Crop3 { input, .. }
-        | ExprKind::Split { input, .. } => validate(input, typed, false),
-        ExprKind::Param(_)
-        | ExprKind::Literal(_)
-        | ExprKind::Iota { .. }
-        | ExprKind::SizeVal(_) => Ok(()),
     }
 }
 

@@ -5,115 +5,40 @@
 //! and tuned for different hardware. This module implements the classic
 //! structural rules on this IR:
 //!
-//! | rule | rewrite |
-//! |---|---|
-//! | map-fusion        | `map f (map g x)` → `map (f ∘ g) x` |
-//! | map-id            | `map id x` → `x` |
-//! | split-join        | `join (split n x)` → `x` |
-//! | join-split        | `split n (join x)` → `x` (when the inner length is `n`) |
-//! | pad-pad           | `pad l₁ r₁ (pad l₂ r₂ x)` → `pad (l₁+l₂) (r₁+r₂) x` (same kind) |
-//! | crop-pad          | `crop3 m (pad3 m x)` → `x` |
-//! | let-inline        | `let p = trivial in b` → `b[p := trivial]` |
+//! | rule | rewrite | ranks |
+//! |---|---|---|
+//! | map-fusion        | `map f (map g x)` → `map (f ∘ g) x` | 1 |
+//! | map-id            | `map id x` → `x` | all |
+//! | split-join        | `join (split n x)` → `x` | — |
+//! | join-split        | `split n (join x)` → `x` (when the inner length is `n`) | — |
+//! | pad-pad           | `pad l₁ r₁ (pad l₂ r₂ x)` → `pad (l₁+l₂) (r₁+r₂) x` (same kind) | equal |
+//! | crop-pad          | `crop3 m (pad3 m x)` → `x` | 3 |
+//! | let-inline        | `let p = trivial in b` → `b[p := trivial]` | — |
+//!
+//! A rule over `map`/`zip`/`slide`/`pad` matches the node's `rank` field:
+//! map-fusion stays 1-D (inside a kernel only a 1-D map lowers), pad-pad
+//! merges pads of one rank only.
 //!
 //! Rules are applied bottom-up to a fixpoint by [`optimize`]. Rewritten
 //! trees contain fresh node ids, so all analysis passes re-run cleanly.
 //! Equivalence is property-tested end-to-end in `tests/prop_rewrite.rs`
 //! (original and rewritten programs are lowered and executed and must agree
-//! exactly).
+//! exactly, on 1-D arrays and on 2-D and 3-D grids).
 
-use crate::ir::{Expr, ExprKind, ExprRef, Lambda, ParamId};
+use crate::ir::{Expr, ExprKind, ExprRef, Lambda, MapKind, ParamId};
 
 /// Substitutes every reference to parameter `pid` in `e` with `rep`
 /// (capture is impossible: parameter ids are globally unique).
 pub fn subst_param(e: &ExprRef, pid: ParamId, rep: &ExprRef) -> ExprRef {
-    let rebuild = |x: &ExprRef| subst_param(x, pid, rep);
-    let kind = match &e.kind {
-        ExprKind::Param(p) => {
-            if p.id == pid {
-                return rep.clone();
-            }
-            ExprKind::Param(p.clone())
-        }
-        ExprKind::Literal(l) => ExprKind::Literal(*l),
-        ExprKind::SizeVal(a) => ExprKind::SizeVal(a.clone()),
-        ExprKind::Iota { n } => ExprKind::Iota { n: n.clone() },
-        ExprKind::Call { f, args } => {
-            ExprKind::Call { f: f.clone(), args: args.iter().map(rebuild).collect() }
-        }
-        ExprKind::Tuple(parts) => ExprKind::Tuple(parts.iter().map(rebuild).collect()),
-        ExprKind::Get { tuple, index } => ExprKind::Get { tuple: rebuild(tuple), index: *index },
-        ExprKind::At { array, index } => {
-            ExprKind::At { array: rebuild(array), index: rebuild(index) }
-        }
-        ExprKind::Slice { array, start, stride, len } => ExprKind::Slice {
-            array: rebuild(array),
-            start: rebuild(start),
-            stride: stride.clone(),
-            len: len.clone(),
-        },
-        ExprKind::Let { param, value, body } => {
-            ExprKind::Let { param: param.clone(), value: rebuild(value), body: rebuild(body) }
-        }
-        ExprKind::Map { kind, f, input } => ExprKind::Map {
-            kind: *kind,
-            f: Lambda { params: f.params.clone(), body: rebuild(&f.body) },
-            input: rebuild(input),
-        },
-        ExprKind::Map2 { kind, f, input } => ExprKind::Map2 {
-            kind: *kind,
-            f: Lambda { params: f.params.clone(), body: rebuild(&f.body) },
-            input: rebuild(input),
-        },
-        ExprKind::Map3 { kind, f, input } => ExprKind::Map3 {
-            kind: *kind,
-            f: Lambda { params: f.params.clone(), body: rebuild(&f.body) },
-            input: rebuild(input),
-        },
-        ExprKind::Zip(parts) => ExprKind::Zip(parts.iter().map(rebuild).collect()),
-        ExprKind::Zip2(parts) => ExprKind::Zip2(parts.iter().map(rebuild).collect()),
-        ExprKind::Zip3(parts) => ExprKind::Zip3(parts.iter().map(rebuild).collect()),
-        ExprKind::Slide { size, step, input } => {
-            ExprKind::Slide { size: *size, step: *step, input: rebuild(input) }
-        }
-        ExprKind::Slide2 { size, step, input } => {
-            ExprKind::Slide2 { size: *size, step: *step, input: rebuild(input) }
-        }
-        ExprKind::Slide3 { size, step, input } => {
-            ExprKind::Slide3 { size: *size, step: *step, input: rebuild(input) }
-        }
-        ExprKind::Pad { left, right, kind, input } => {
-            ExprKind::Pad { left: *left, right: *right, kind: *kind, input: rebuild(input) }
-        }
-        ExprKind::Pad2 { amount, kind, input } => {
-            ExprKind::Pad2 { amount: *amount, kind: *kind, input: rebuild(input) }
-        }
-        ExprKind::Pad3 { amount, kind, input } => {
-            ExprKind::Pad3 { amount: *amount, kind: *kind, input: rebuild(input) }
-        }
-        ExprKind::Crop3 { margin, input } => {
-            ExprKind::Crop3 { margin: *margin, input: rebuild(input) }
-        }
-        ExprKind::Split { chunk, input } => {
-            ExprKind::Split { chunk: chunk.clone(), input: rebuild(input) }
-        }
-        ExprKind::Join { input } => ExprKind::Join { input: rebuild(input) },
-        ExprKind::ReduceSeq { f, init, input } => ExprKind::ReduceSeq {
-            f: Lambda { params: f.params.clone(), body: rebuild(&f.body) },
-            init: rebuild(init),
-            input: rebuild(input),
-        },
-        ExprKind::ToPrivate(x) => ExprKind::ToPrivate(rebuild(x)),
-        ExprKind::ToLocal(x) => ExprKind::ToLocal(rebuild(x)),
-        ExprKind::Concat(parts) => ExprKind::Concat(parts.iter().map(rebuild).collect()),
-        ExprKind::Skip { len, elem } => ExprKind::Skip { len: rebuild(len), elem: elem.clone() },
-        ExprKind::ArrayCons { elem, n } => {
-            ExprKind::ArrayCons { elem: rebuild(elem), n: n.clone() }
-        }
-        ExprKind::WriteTo { dest, value } => {
-            ExprKind::WriteTo { dest: rebuild(dest), value: rebuild(value) }
-        }
-    };
-    Expr::new(kind)
+    match &e.kind {
+        ExprKind::Param(p) if p.id == pid => rep.clone(),
+        kind => Expr::new(kind.map_children(|x| subst_param(x, pid, rep))),
+    }
+}
+
+/// True when `f` returns its parameter.
+fn is_identity(f: &Lambda) -> bool {
+    matches!(&f.body.kind, ExprKind::Param(p) if p.id == f.params[0].id)
 }
 
 /// True when `e` is safe to duplicate by let-inlining.
@@ -128,37 +53,26 @@ fn pass(e: &ExprRef) -> (ExprRef, bool) {
     let (e, mut changed) = rebuild_children(e);
     // Then try root rules.
     let rewritten = match &e.kind {
-        // map id x → x
-        ExprKind::Map { f, input, .. } | ExprKind::Map3 { f, input, .. } => {
-            let body_is_param =
-                matches!(&f.body.kind, ExprKind::Param(p) if p.id == f.params[0].id);
-            if body_is_param {
-                Some(input.clone())
-            } else if let ExprKind::Map { kind: inner_kind, f: g, input: y } = &input.kind {
-                // map f (map g y) → map (f ∘ g) y — keep the *outer*
-                // execution level; only fuse when the inner map is
-                // sequential or the levels agree (a Glb map consumed by
-                // another map must not silently lose its parallelism).
-                let outer_kind = match &e.kind {
-                    ExprKind::Map { kind, .. } => *kind,
-                    _ => unreachable!(),
-                };
-                if matches!(e.kind, ExprKind::Map { .. })
-                    && (*inner_kind == outer_kind || *inner_kind == crate::ir::MapKind::Seq)
-                {
-                    let fused_body = subst_param(&f.body, f.params[0].id, &g.body);
-                    Some(Expr::new(ExprKind::Map {
-                        kind: outer_kind,
-                        f: Lambda { params: g.params.clone(), body: fused_body },
-                        input: y.clone(),
-                    }))
-                } else {
-                    None
-                }
-            } else {
-                None
+        // map id x → x, at every rank
+        ExprKind::Map { f, input, .. } if is_identity(f) => Some(input.clone()),
+        // map f (map g y) → map (f ∘ g) y over 1-D arrays — keep the *outer*
+        // execution level; only fuse when the inner map is sequential or the
+        // levels agree (a Glb map consumed by another map must not silently
+        // lose its parallelism).
+        ExprKind::Map { rank: 1, kind, f, input } => match &input.kind {
+            ExprKind::Map { rank: 1, kind: inner_kind, f: g, input: y }
+                if inner_kind == kind || *inner_kind == MapKind::Seq =>
+            {
+                let fused_body = subst_param(&f.body, f.params[0].id, &g.body);
+                Some(Expr::new(ExprKind::Map {
+                    rank: 1,
+                    kind: *kind,
+                    f: Lambda { params: g.params.clone(), body: fused_body },
+                    input: y.clone(),
+                }))
             }
-        }
+            _ => None,
+        },
         // join (split n x) → x
         ExprKind::Join { input } => match &input.kind {
             ExprKind::Split { input: x, .. } => Some(x.clone()),
@@ -182,10 +96,13 @@ fn pass(e: &ExprRef) -> (ExprRef, bool) {
             }
             _ => None,
         },
-        // pad-pad merge
-        ExprKind::Pad { left, right, kind, input } => match &input.kind {
-            ExprKind::Pad { left: l2, right: r2, kind: k2, input: x } if kind == k2 => {
+        // pad-pad merge, between pads of one rank
+        ExprKind::Pad { rank, left, right, kind, input } => match &input.kind {
+            ExprKind::Pad { rank: rank2, left: l2, right: r2, kind: k2, input: x }
+                if rank == rank2 && kind == k2 =>
+            {
                 Some(Expr::new(ExprKind::Pad {
+                    rank: *rank,
                     left: left + l2,
                     right: right + r2,
                     kind: *kind,
@@ -196,7 +113,11 @@ fn pass(e: &ExprRef) -> (ExprRef, bool) {
         },
         // crop3 m (pad3 m x) → x
         ExprKind::Crop3 { margin, input } => match &input.kind {
-            ExprKind::Pad3 { amount, input: x, .. } if amount == margin => Some(x.clone()),
+            ExprKind::Pad { rank: 3, left, right, input: x, .. }
+                if left == margin && right == margin =>
+            {
+                Some(x.clone())
+            }
             _ => None,
         },
         // let-inline trivial bindings
@@ -214,87 +135,15 @@ fn pass(e: &ExprRef) -> (ExprRef, bool) {
     }
 }
 
-/// Rebuilds a node from rewritten children.
+/// Rebuilds a node from rewritten children; the node itself when no rule
+/// fired below it.
 fn rebuild_children(e: &ExprRef) -> (ExprRef, bool) {
     let mut changed = false;
-    let mut go = |x: &ExprRef| {
+    let kind = e.kind.map_children(|x| {
         let (r, c) = pass(x);
         changed |= c;
         r
-    };
-    let kind = match &e.kind {
-        ExprKind::Param(_)
-        | ExprKind::Literal(_)
-        | ExprKind::SizeVal(_)
-        | ExprKind::Iota { .. } => return (e.clone(), false),
-        ExprKind::Call { f, args } => {
-            ExprKind::Call { f: f.clone(), args: args.iter().map(&mut go).collect() }
-        }
-        ExprKind::Tuple(parts) => ExprKind::Tuple(parts.iter().map(&mut go).collect()),
-        ExprKind::Get { tuple, index } => ExprKind::Get { tuple: go(tuple), index: *index },
-        ExprKind::At { array, index } => ExprKind::At { array: go(array), index: go(index) },
-        ExprKind::Slice { array, start, stride, len } => ExprKind::Slice {
-            array: go(array),
-            start: go(start),
-            stride: stride.clone(),
-            len: len.clone(),
-        },
-        ExprKind::Let { param, value, body } => {
-            ExprKind::Let { param: param.clone(), value: go(value), body: go(body) }
-        }
-        ExprKind::Map { kind, f, input } => ExprKind::Map {
-            kind: *kind,
-            f: Lambda { params: f.params.clone(), body: go(&f.body) },
-            input: go(input),
-        },
-        ExprKind::Map2 { kind, f, input } => ExprKind::Map2 {
-            kind: *kind,
-            f: Lambda { params: f.params.clone(), body: go(&f.body) },
-            input: go(input),
-        },
-        ExprKind::Map3 { kind, f, input } => ExprKind::Map3 {
-            kind: *kind,
-            f: Lambda { params: f.params.clone(), body: go(&f.body) },
-            input: go(input),
-        },
-        ExprKind::Zip(parts) => ExprKind::Zip(parts.iter().map(&mut go).collect()),
-        ExprKind::Zip2(parts) => ExprKind::Zip2(parts.iter().map(&mut go).collect()),
-        ExprKind::Zip3(parts) => ExprKind::Zip3(parts.iter().map(&mut go).collect()),
-        ExprKind::Slide { size, step, input } => {
-            ExprKind::Slide { size: *size, step: *step, input: go(input) }
-        }
-        ExprKind::Slide2 { size, step, input } => {
-            ExprKind::Slide2 { size: *size, step: *step, input: go(input) }
-        }
-        ExprKind::Slide3 { size, step, input } => {
-            ExprKind::Slide3 { size: *size, step: *step, input: go(input) }
-        }
-        ExprKind::Pad { left, right, kind, input } => {
-            ExprKind::Pad { left: *left, right: *right, kind: *kind, input: go(input) }
-        }
-        ExprKind::Pad2 { amount, kind, input } => {
-            ExprKind::Pad2 { amount: *amount, kind: *kind, input: go(input) }
-        }
-        ExprKind::Pad3 { amount, kind, input } => {
-            ExprKind::Pad3 { amount: *amount, kind: *kind, input: go(input) }
-        }
-        ExprKind::Crop3 { margin, input } => ExprKind::Crop3 { margin: *margin, input: go(input) },
-        ExprKind::Split { chunk, input } => {
-            ExprKind::Split { chunk: chunk.clone(), input: go(input) }
-        }
-        ExprKind::Join { input } => ExprKind::Join { input: go(input) },
-        ExprKind::ReduceSeq { f, init, input } => ExprKind::ReduceSeq {
-            f: Lambda { params: f.params.clone(), body: go(&f.body) },
-            init: go(init),
-            input: go(input),
-        },
-        ExprKind::ToPrivate(x) => ExprKind::ToPrivate(go(x)),
-        ExprKind::ToLocal(x) => ExprKind::ToLocal(go(x)),
-        ExprKind::Concat(parts) => ExprKind::Concat(parts.iter().map(&mut go).collect()),
-        ExprKind::Skip { len, elem } => ExprKind::Skip { len: go(len), elem: elem.clone() },
-        ExprKind::ArrayCons { elem, n } => ExprKind::ArrayCons { elem: go(elem), n: n.clone() },
-        ExprKind::WriteTo { dest, value } => ExprKind::WriteTo { dest: go(dest), value: go(value) },
-    };
+    });
     if changed {
         (Expr::new(kind), true)
     } else {
@@ -322,25 +171,31 @@ fn rebuild_children(e: &ExprRef) -> (ExprRef, bool) {
 /// This is a *tuning* rewrite (it changes the execution strategy, not the
 /// semantics), so it is applied explicitly rather than by [`optimize`].
 pub fn overlapped_tile_1d(e: &ExprRef, tile: i64) -> Option<ExprRef> {
-    let ExprKind::Map { kind: crate::ir::MapKind::Glb, f, input } = &e.kind else {
+    let ExprKind::Map { rank: 1, kind: MapKind::Glb, f, input } = &e.kind else {
         return None;
     };
-    let ExprKind::Slide { size, step: 1, input: source } = &input.kind else {
+    let ExprKind::Slide { rank: 1, size, step: 1, input: source } = &input.kind else {
         return None;
     };
     let k = *size;
-    let outer =
-        Expr::new(ExprKind::Slide { size: tile + k - 1, step: tile, input: source.clone() });
+    let outer = Expr::new(ExprKind::Slide {
+        rank: 1,
+        size: tile + k - 1,
+        step: tile,
+        input: source.clone(),
+    });
     let tile_param = crate::ir::ParamDef::untyped("tileWin");
     let staged = Expr::new(ExprKind::ToLocal(tile_param.to_expr()));
-    let windows = Expr::new(ExprKind::Slide { size: k, step: 1, input: staged });
+    let windows = Expr::new(ExprKind::Slide { rank: 1, size: k, step: 1, input: staged });
     let inner = Expr::new(ExprKind::Map {
-        kind: crate::ir::MapKind::Lcl,
+        rank: 1,
+        kind: MapKind::Lcl,
         f: Lambda { params: f.params.clone(), body: f.body.clone() },
         input: windows,
     });
     Some(Expr::new(ExprKind::Map {
-        kind: crate::ir::MapKind::Wrg,
+        rank: 1,
+        kind: MapKind::Wrg,
         f: Lambda { params: vec![tile_param], body: inner },
         input: outer,
     }))

@@ -3,6 +3,13 @@
 //! Kernel inputs carry declared types; lambda parameters are inferred from
 //! the array the enclosing `map`/`reduce` traverses. Results live in side
 //! tables keyed by [`ExprId`]/[`ParamId`] so the IR itself stays immutable.
+//!
+//! `map`, `zip`, `slide` and `pad` of rank `r` peel `r` array levels off
+//! their input ([`array_dims`]) and nest their result as deep. A malformed
+//! layout is a [`TypeError`] naming the pattern, never a panic or a
+//! division by zero further down: a `zip` of fewer than two arrays, a
+//! `slide` whose size or step is below 1, a negative `pad` amount, a rank
+//! outside 1–3.
 
 use crate::arith::ArithExpr;
 use crate::ir::{Expr, ExprId, ExprKind, ExprRef, Lambda, ParamId};
@@ -67,27 +74,45 @@ fn expect_array<'t>(
     }
 }
 
-/// Peels two array levels: returns (elem, nx, ny).
-fn expect_array2<'t>(
-    e: &Expr,
-    t: &'t Type,
-    what: &str,
-) -> Result<(&'t Type, &'t ArithExpr, &'t ArithExpr), TypeError> {
-    let (l1, ny) = expect_array(e, t, what)?;
-    let (elem, nx) = expect_array(e, l1, what)?;
-    Ok((elem, nx, ny))
+/// Peels `rank` array levels off `t`: the element type and the lengths,
+/// innermost first (`[nx, ny, nz]`); `None` when `t` has fewer levels.
+pub(crate) fn array_dims(t: &Type, rank: u8) -> Option<(&Type, Vec<ArithExpr>)> {
+    let mut lens = Vec::with_capacity(rank as usize);
+    let mut elem = t;
+    for _ in 0..rank {
+        let Type::Array(inner, n) = elem else { return None };
+        lens.insert(0, n.clone());
+        elem = inner;
+    }
+    Some((elem, lens))
 }
 
-/// Peels three array levels: returns (elem, nx, ny, nz).
-fn expect_array3<'t>(
+/// [`array_dims`], or a type error naming the pattern `what`.
+fn expect_rank<'t>(
     e: &Expr,
     t: &'t Type,
+    rank: u8,
     what: &str,
-) -> Result<(&'t Type, &'t ArithExpr, &'t ArithExpr, &'t ArithExpr), TypeError> {
-    let (l2, nz) = expect_array(e, t, what)?;
-    let (l1, ny) = expect_array(e, l2, what)?;
-    let (elem, nx) = expect_array(e, l1, what)?;
-    Ok((elem, nx, ny, nz))
+) -> Result<(&'t Type, Vec<ArithExpr>), TypeError> {
+    match array_dims(t, rank) {
+        Some(dims) if (1..=3).contains(&rank) => Ok(dims),
+        Some(_) => err(e, format!("{what} has rank {rank}; patterns have rank 1, 2 or 3")),
+        None => err(e, format!("{what} expects a rank-{rank} array, got {t}")),
+    }
+}
+
+/// `elem` nested in arrays of the lengths `lens`, innermost first.
+fn nest(elem: Type, lens: impl IntoIterator<Item = ArithExpr>) -> Type {
+    lens.into_iter().fold(elem, |t, n| Type::Array(Box::new(t), n))
+}
+
+/// The DSL name of a pattern at `rank`: `zip`, `zip2`, `zip3`.
+fn ranked(pattern: &str, rank: u8) -> String {
+    if rank == 1 {
+        pattern.to_string()
+    } else {
+        format!("{pattern}{rank}")
+    }
 }
 
 fn expect_scalar(e: &Expr, t: &Type, what: &str) -> Result<(), TypeError> {
@@ -181,135 +206,62 @@ fn infer(e: &ExprRef, t: &mut Typed) -> Result<Type, TypeError> {
             t.params.insert(param.id, vt);
             infer(body, t)?
         }
-        ExprKind::Map { f, input, .. } => {
+        ExprKind::Map { rank, f, input, .. } => {
             let it = infer(input, t)?;
-            let (elem, n) = expect_array(e, &it, "map")?;
+            let (elem, lens) = expect_rank(e, &it, *rank, &ranked("map", *rank))?;
             let out = infer_lambda1(f, elem.clone(), t)?;
-            Type::Array(Box::new(out), n.clone())
+            nest(out, lens)
         }
-        ExprKind::Map2 { f, input, .. } => {
-            let it = infer(input, t)?;
-            let (elem, nx, ny) = expect_array2(e, &it, "map2")?;
-            let out = infer_lambda1(f, elem.clone(), t)?;
-            Type::array2(out, nx.clone(), ny.clone())
-        }
-        ExprKind::Map3 { f, input, .. } => {
-            let it = infer(input, t)?;
-            let (elem, nx, ny, nz) = expect_array3(e, &it, "map3")?;
-            let out = infer_lambda1(f, elem.clone(), t)?;
-            Type::array3(out, nx.clone(), ny.clone(), nz.clone())
-        }
-        ExprKind::Zip(parts) => {
+        ExprKind::Zip { rank, parts } => {
+            let what = ranked("zip", *rank);
+            if parts.len() < 2 {
+                return err(e, format!("{what} needs at least two arrays, got {}", parts.len()));
+            }
             let mut elems = Vec::with_capacity(parts.len());
-            let mut len: Option<ArithExpr> = None;
+            let mut shape: Option<Vec<ArithExpr>> = None;
             for p in parts {
                 let pt = infer(p, t)?;
-                let (elem, n) = expect_array(e, &pt, "zip")?;
-                if let Some(prev) = &len {
-                    if prev != n {
-                        return err(e, format!("zip length mismatch: {prev} vs {n}"));
-                    }
-                } else {
-                    len = Some(n.clone());
+                let (elem, lens) = expect_rank(e, &pt, *rank, &what)?;
+                let first = shape.get_or_insert_with(|| lens.clone());
+                if let Some((a, b)) = first.iter().zip(&lens).find(|(a, b)| a != b) {
+                    return err(e, format!("{what} length mismatch: {a} vs {b}"));
                 }
                 elems.push(elem.clone());
             }
-            Type::Array(Box::new(Type::Tuple(elems)), len.expect("zip is non-empty"))
+            nest(Type::Tuple(elems), shape.expect("zip has two arrays"))
         }
-        ExprKind::Zip2(parts) => {
-            let mut elems = Vec::with_capacity(parts.len());
-            let mut dims: Option<(ArithExpr, ArithExpr)> = None;
-            for p in parts {
-                let pt = infer(p, t)?;
-                let (elem, nx, ny) = expect_array2(e, &pt, "zip2")?;
-                if let Some((px, py)) = &dims {
-                    if px != nx || py != ny {
-                        return err(e, "zip2 shape mismatch");
-                    }
-                } else {
-                    dims = Some((nx.clone(), ny.clone()));
-                }
-                elems.push(elem.clone());
+        ExprKind::Slide { rank, size, step, input } => {
+            let what = ranked("slide", *rank);
+            if *size < 1 || *step < 1 {
+                return err(
+                    e,
+                    format!("{what} needs size ≥ 1 and step ≥ 1, got size {size}, step {step}"),
+                );
             }
-            let (nx, ny) = dims.expect("zip2 is non-empty");
-            Type::array2(Type::Tuple(elems), nx, ny)
+            let it = infer(input, t)?;
+            let (elem, lens) = expect_rank(e, &it, *rank, &what)?;
+            let windows = lens.into_iter().map(|n| {
+                ArithExpr::div(n - ArithExpr::cst(*size), ArithExpr::cst(*step)) + ArithExpr::one()
+            });
+            let window = nest(elem.clone(), (0..*rank).map(|_| ArithExpr::cst(*size)));
+            nest(window, windows)
         }
-        ExprKind::Zip3(parts) => {
-            let mut elems = Vec::with_capacity(parts.len());
-            let mut dims: Option<(ArithExpr, ArithExpr, ArithExpr)> = None;
-            for p in parts {
-                let pt = infer(p, t)?;
-                let (elem, nx, ny, nz) = expect_array3(e, &pt, "zip3")?;
-                if let Some((px, py, pz)) = &dims {
-                    if px != nx || py != ny || pz != nz {
-                        return err(e, "zip3 shape mismatch");
-                    }
-                } else {
-                    dims = Some((nx.clone(), ny.clone(), nz.clone()));
-                }
-                elems.push(elem.clone());
+        ExprKind::Pad { rank, left, right, kind, input } => {
+            let what = ranked("pad", *rank);
+            if *left < 0 || *right < 0 {
+                return err(e, format!("{what} amounts must be ≥ 0, got {left} and {right}"));
             }
-            let (nx, ny, nz) = dims.expect("zip3 is non-empty");
-            Type::array3(Type::Tuple(elems), nx, ny, nz)
-        }
-        ExprKind::Slide { size, step, input } => {
             let it = infer(input, t)?;
-            let (elem, n) = expect_array(e, &it, "slide")?;
-            let windows = ArithExpr::div(n.clone() - ArithExpr::cst(*size), ArithExpr::cst(*step))
-                + ArithExpr::one();
-            Type::Array(Box::new(Type::array(elem.clone(), *size)), windows)
-        }
-        ExprKind::Slide2 { size, step, input } => {
-            let it = infer(input, t)?;
-            let (elem, nx, ny) = expect_array2(e, &it, "slide2")?;
-            let w = |n: &ArithExpr| {
-                ArithExpr::div(n.clone() - ArithExpr::cst(*size), ArithExpr::cst(*step))
-                    + ArithExpr::one()
-            };
-            let window = Type::array2(elem.clone(), *size, *size);
-            Type::array2(window, w(nx), w(ny))
-        }
-        ExprKind::Slide3 { size, step, input } => {
-            let it = infer(input, t)?;
-            let (elem, nx, ny, nz) = expect_array3(e, &it, "slide3")?;
-            let w = |n: &ArithExpr| {
-                ArithExpr::div(n.clone() - ArithExpr::cst(*size), ArithExpr::cst(*step))
-                    + ArithExpr::one()
-            };
-            let window = Type::array3(elem.clone(), *size, *size, *size);
-            Type::array3(window, w(nx), w(ny), w(nz))
-        }
-        ExprKind::Pad { left, right, kind, input } => {
-            let it = infer(input, t)?;
-            let (elem, n) = expect_array(e, &it, "pad")?;
+            let (elem, lens) = expect_rank(e, &it, *rank, &what)?;
             if matches!(kind, crate::ir::PadKind::Constant(_)) {
-                expect_scalar(e, elem, "constant pad element")?;
+                expect_scalar(e, elem, &format!("constant {what} element"))?;
             }
-            Type::Array(Box::new(elem.clone()), n.clone() + ArithExpr::cst(*left + *right))
-        }
-        ExprKind::Pad2 { amount, kind, input } => {
-            let it = infer(input, t)?;
-            let (elem, nx, ny) = expect_array2(e, &it, "pad2")?;
-            if matches!(kind, crate::ir::PadKind::Constant(_)) {
-                expect_scalar(e, elem, "constant pad2 element")?;
-            }
-            let grow = |n: &ArithExpr| n.clone() + ArithExpr::cst(2 * *amount);
-            Type::array2(elem.clone(), grow(nx), grow(ny))
-        }
-        ExprKind::Pad3 { amount, kind, input } => {
-            let it = infer(input, t)?;
-            let (elem, nx, ny, nz) = expect_array3(e, &it, "pad3")?;
-            if matches!(kind, crate::ir::PadKind::Constant(_)) {
-                expect_scalar(e, elem, "constant pad3 element")?;
-            }
-            let grow = |n: &ArithExpr| n.clone() + ArithExpr::cst(2 * *amount);
-            Type::array3(elem.clone(), grow(nx), grow(ny), grow(nz))
+            nest(elem.clone(), lens.into_iter().map(|n| n + ArithExpr::cst(*left + *right)))
         }
         ExprKind::Crop3 { margin, input } => {
             let it = infer(input, t)?;
-            let (elem, nx, ny, nz) = expect_array3(e, &it, "crop3")?;
-            let shrink = |n: &ArithExpr| n.clone() - ArithExpr::cst(2 * *margin);
-            Type::array3(elem.clone(), shrink(nx), shrink(ny), shrink(nz))
+            let (elem, lens) = expect_rank(e, &it, 3, "crop3")?;
+            nest(elem.clone(), lens.into_iter().map(|n| n - ArithExpr::cst(2 * *margin)))
         }
         ExprKind::Split { chunk, input } => {
             let it = infer(input, t)?;

@@ -133,3 +133,76 @@ proptest! {
         prop_assert_eq!(got, oracle, "layouts {:?}, adds {:?}", layouts, adds);
     }
 }
+
+/// A rank-2 or rank-3 grid of reals, x innermost.
+fn grid(dims: &[usize]) -> Type {
+    dims.iter().fold(Type::real(), |t, &n| Type::array(t, n))
+}
+
+/// `map2_glb` / `map3_glb` of `f`.
+fn map_n(rank: usize, input: ExprRef, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
+    if rank == 2 {
+        ir::map2_glb(input, "x", f)
+    } else {
+        ir::map3_glb(input, "x", f)
+    }
+}
+
+/// `pad2` / `pad3` by `amount`.
+fn pad_n(rank: usize, amount: i64, kind: PadKind, input: ExprRef) -> ExprRef {
+    if rank == 2 {
+        ir::pad2(amount, kind, input)
+    } else {
+        ir::pad3(amount, kind, input)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The rules that fire above rank 1 — pad-pad between pads of one rank,
+    /// map-id — on 2-D and 3-D grids: the original program and the rewritten
+    /// one both lower, and they compute the same grid.
+    #[test]
+    fn rank_2_and_3_rewrites_preserve_semantics(
+        rank in 2usize..4,
+        dims in (2usize..6, 2usize..5, 2usize..4),
+        amounts in (1i64..3, 1i64..3),
+        clamp in proptest::bool::ANY,
+        fill in -3i32..4,
+        seed in 0usize..17,
+    ) {
+        let dims = [dims.0, dims.1, dims.2][..rank].to_vec();
+        let (l1, l2) = amounts;
+        let cells: usize = dims.iter().product();
+        let data: Vec<f32> = (0..cells).map(|i| ((i * 7 + seed) % 17) as f32 - 8.0).collect();
+        let a = ParamDef::typed("a", grid(&dims));
+        let kind = if clamp { PadKind::Clamp } else { PadKind::Constant(Lit::real(fill as f64)) };
+        let id = funs::id_real();
+
+        // pad-pad: pad l1 (pad l2 x) → pad (l1 + l2) x, at the grid's rank
+        let call_id = |x| ir::call(&id, vec![x]);
+        let inner = pad_n(rank, l2, kind, a.to_expr());
+        let prog = map_n(rank, pad_n(rank, l1, kind, inner), call_id);
+        let opt = optimize(&prog);
+        let lift::ir::ExprKind::Map { input, .. } = &opt.kind else { panic!("{:?}", opt.kind) };
+        let merged = matches!(&input.kind,
+            lift::ir::ExprKind::Pad { left, right, input: x, .. }
+                if *left == l1 + l2 && *right == l1 + l2
+                    && matches!(x.kind, lift::ir::ExprKind::Param(_)));
+        prop_assert!(merged, "pad-pad did not fire at rank {}: {:?}", rank, input.kind);
+        let padded: usize = dims.iter().map(|n| n + 2 * (l1 + l2) as usize).product();
+        let want = run(std::slice::from_ref(&a), &prog, &data, padded);
+        let got = run(std::slice::from_ref(&a), &opt, &data, padded);
+        prop_assert_eq!(got, want, "pad-pad at rank {}", rank);
+
+        // map-id: map id x → x, re-wrapped in a copying map to run it
+        let prog = map_n(rank, a.to_expr(), |x| x);
+        let opt = optimize(&prog);
+        prop_assert!(matches!(opt.kind, lift::ir::ExprKind::Param(_)), "{:?}", opt.kind);
+        let opt = map_n(rank, opt, call_id);
+        let want = run(std::slice::from_ref(&a), &prog, &data, cells);
+        prop_assert_eq!(&want, &data);
+        prop_assert_eq!(run(std::slice::from_ref(&a), &opt, &data, cells), want);
+    }
+}
