@@ -199,6 +199,18 @@ pub enum SimError {
         /// Planes in the grid.
         nz: usize,
     },
+    /// A caller-built partition whose slab count is not the number of
+    /// devices given, or whose planes are not the grid's.
+    PartitionMismatch {
+        /// Slabs in the partition.
+        slabs: usize,
+        /// Devices given.
+        devices: usize,
+        /// Planes the partition covers.
+        planes: usize,
+        /// Planes in the grid.
+        nz: usize,
+    },
     /// A grid side shorter than 3 cells: no cell is interior.
     NoInterior {
         /// Cells along x.
@@ -261,6 +273,11 @@ impl fmt::Display for SimError {
             SimError::TooManyDevices { devices, nz } => {
                 write!(f, "cannot give {devices} devices at least one of {nz} z-planes each")
             }
+            SimError::PartitionMismatch { slabs, devices, planes, nz } => write!(
+                f,
+                "a partition of {slabs} slabs over {planes} planes does not fit \
+                 {devices} devices on {nz} planes"
+            ),
             SimError::NoInterior { nx, ny, nz } => {
                 write!(f, "a {nx}×{ny}×{nz} grid has no interior: every side needs 3 cells")
             }
@@ -652,8 +669,13 @@ impl Simulation {
         mut devices: Vec<Device>,
         part: SlabPartition,
     ) -> Result<Simulation, SimError> {
-        assert_eq!(devices.len(), part.device_count(), "one device per slab");
-        assert_eq!(part.nz(), setup.dims().nz, "partition must cover the grid");
+        let (slabs, planes, nz) = (part.device_count(), part.nz(), setup.dims().nz);
+        if devices.is_empty() {
+            return Err(SimError::NoDevices);
+        }
+        if slabs != devices.len() || planes != nz {
+            return Err(SimError::PartitionMismatch { slabs, devices: devices.len(), planes, nz });
+        }
         let rt = Arc::clone(devices[0].runtime());
         let _span = rt.trace.span(HOST_TRACK, "Simulation::new");
         let real = precision.kind();
@@ -1235,5 +1257,23 @@ mod tests {
             SimError::HaloProof(why) => assert!(why.contains("`fi_single_hand`"), "{why}"),
             other => panic!("{other}"),
         }
+    }
+
+    #[test]
+    fn a_partition_that_does_not_fit_is_a_typed_error() {
+        let fimm = || setup(GridDims::cube(9), RoomShape::Box, false);
+        let build = |devs, part| {
+            Simulation::try_with_partition(fimm(), Precision::Single, FIMM, devices(devs), part)
+                .err()
+                .expect("a mismatched partition must fail")
+        };
+        let three_slabs = SlabPartition::balanced(9, 3);
+        let expect = SimError::PartitionMismatch { slabs: 3, devices: 2, planes: 9, nz: 9 };
+        assert_eq!(build(2, three_slabs), expect);
+        let short = SlabPartition::balanced(8, 2);
+        let expect = SimError::PartitionMismatch { slabs: 2, devices: 2, planes: 8, nz: 9 };
+        let err = build(2, short);
+        assert_eq!(err, expect);
+        assert!(err.to_string().contains("8 planes"), "{err}");
     }
 }

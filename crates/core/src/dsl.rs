@@ -21,10 +21,10 @@
 //!   `map3-glb` (`(map-… input (x) body)`), `zip`, `zip2`, `zip3`,
 //!   `slide k s x`, `slide2 k s x`, `slide3 k s x`,
 //!   `pad l r kind x` (`kind` = `clamp` or a literal), `pad2 a kind x`,
-//!   `pad3 a kind x`, `crop3 m x`, `split n x`, `join x`,
-//!   `(reduce (acc x) body init input)`. A digit in a pattern's name is its
-//!   rank: `map3-glb`, `zip2` and `pad3` build the one `map`, `zip` and
-//!   `pad` node with rank 3, 2 and 3.
+//!   `pad3 a kind x`, `crop3 m x`, `transpose x`, `split n x`, `join x`,
+//!   `(reduce (acc x) body init input)`. The 2-D and 3-D forms build the
+//!   nests of 1-D patterns their [`crate::ir`] builders do: `map3-glb` is
+//!   three nested `map-glb`s, `pad2` is `map pad ∘ pad`.
 //! * **Data**: `(at arr idx)`, `(slice arr start stride len)`,
 //!   `(get tup i)`, `(tuple …)`, `(iota n)`, `(size-val n)`,
 //!   `(let (name value) body)`, `to-private`, `to-local`.
@@ -361,13 +361,16 @@ fn parse_expr(s: &Sexp, scope: &mut Scope) -> Result<ExprRef, ParseError> {
                     expect_args(items, 3, head, *p)?;
                     let input = parse_expr(a(1), scope)?;
                     let lam = parse_lambda1(a(2), a(3), scope)?;
-                    let kind = match head {
-                        "map-glb" | "map2-glb" | "map3-glb" => MapKind::Glb,
-                        "map-seq" => MapKind::Seq,
-                        "map-wrg" => MapKind::Wrg,
-                        _ => MapKind::Lcl,
-                    };
-                    Ok(ir::Expr::new(ExprKind::Map { rank: rank_of(head), kind, f: lam, input }))
+                    Ok(match head {
+                        "map-seq" => ir::map(MapKind::Seq, input, lam),
+                        "map-wrg" => ir::map(MapKind::Wrg, input, lam),
+                        "map-lcl" => ir::map(MapKind::Lcl, input, lam),
+                        "map2-glb" => ir::map_glb(input, "row", |r| ir::map(MapKind::Glb, r, lam)),
+                        "map3-glb" => ir::map_glb(input, "plane", |p| {
+                            ir::map_glb(p, "row", |r| ir::map(MapKind::Glb, r, lam))
+                        }),
+                        _ => ir::map(MapKind::Glb, input, lam),
+                    })
                 }
                 "reduce" => {
                     expect_args(items, 4, head, *p)?;
@@ -402,29 +405,43 @@ fn parse_expr(s: &Sexp, scope: &mut Scope) -> Result<ExprRef, ParseError> {
                 "zip" | "zip2" | "zip3" => {
                     let parts: Result<Vec<ExprRef>, ParseError> =
                         items[1..].iter().map(|x| parse_expr(x, scope)).collect();
-                    Ok(ir::Expr::new(ExprKind::Zip { rank: rank_of(head), parts: parts? }))
+                    let build = match head {
+                        "zip2" => ir::zip2,
+                        "zip3" => ir::zip3,
+                        _ => ir::zip,
+                    };
+                    Ok(build(parts?))
                 }
                 "slide" | "slide2" | "slide3" => {
                     expect_args(items, 3, head, *p)?;
                     let (size, step) = (small_int(a(1))?, small_int(a(2))?);
-                    let input = parse_expr(a(3), scope)?;
-                    Ok(ir::Expr::new(ExprKind::Slide { rank: rank_of(head), size, step, input }))
+                    let build = match head {
+                        "slide2" => ir::slide2,
+                        "slide3" => ir::slide3,
+                        _ => ir::slide,
+                    };
+                    Ok(build(size, step, parse_expr(a(3), scope)?))
                 }
-                // `(pad l r kind x)`, and `(pad2 a kind x)` / `(pad3 a kind x)`
-                // with `a` on both sides
-                "pad" | "pad2" | "pad3" => {
-                    let rank = rank_of(head);
-                    let sides = if rank == 1 { 2 } else { 1 };
-                    expect_args(items, sides + 2, head, *p)?;
-                    let left = small_int(a(1))?;
-                    let right = small_int(a(sides))?;
-                    let kind = parse_pad_kind(a(sides + 1))?;
-                    let input = parse_expr(a(sides + 2), scope)?;
-                    Ok(ir::Expr::new(ExprKind::Pad { rank, left, right, kind, input }))
+                "pad" => {
+                    expect_args(items, 4, head, *p)?;
+                    let (left, right) = (small_int(a(1))?, small_int(a(2))?);
+                    let kind = parse_pad_kind(a(3))?;
+                    Ok(ir::pad(left, right, kind, parse_expr(a(4), scope)?))
+                }
+                // `(pad2 a kind x)` / `(pad3 a kind x)`: `a` on every side
+                "pad2" | "pad3" => {
+                    expect_args(items, 3, head, *p)?;
+                    let (amount, kind) = (small_int(a(1))?, parse_pad_kind(a(2))?);
+                    let build = if head == "pad2" { ir::pad2 } else { ir::pad3 };
+                    Ok(build(amount, kind, parse_expr(a(3), scope)?))
                 }
                 "crop3" => {
                     expect_args(items, 2, head, *p)?;
                     Ok(ir::crop3(small_int(a(1))?, parse_expr(a(2), scope)?))
+                }
+                "transpose" => {
+                    expect_args(items, 1, head, *p)?;
+                    Ok(ir::transpose(parse_expr(a(1), scope)?))
                 }
                 "split" => {
                     expect_args(items, 2, head, *p)?;
@@ -617,11 +634,6 @@ fn parse_expr(s: &Sexp, scope: &mut Scope) -> Result<ExprRef, ParseError> {
     }
 }
 
-/// The rank a pattern's name carries: `map3-glb` → 3, `zip2` → 2, `slide` → 1.
-fn rank_of(head: &str) -> u8 {
-    head.bytes().find(u8::is_ascii_digit).map_or(1, |d| d - b'0')
-}
-
 fn op_name(sym: &str) -> &'static str {
     match sym {
         "+" => "addF",
@@ -781,7 +793,7 @@ mod tests {
         let e = lower_error("(map-glb (zip a) (t) (get t 0))");
         assert!(e.contains("type error") && e.contains("zip needs at least two arrays"), "{e}");
         let e = lower_error("(map3-glb (zip3 g) (t) (get t 0))");
-        assert!(e.contains("zip3 needs at least two arrays"), "{e}");
+        assert!(e.contains("zip needs at least two arrays"), "{e}");
     }
 
     #[test]
@@ -789,7 +801,7 @@ mod tests {
         let e = lower_error("(map-glb (slide 3 0 a) (w) (at w 0))");
         assert!(e.contains("type error") && e.contains("slide needs size ≥ 1 and step ≥ 1"), "{e}");
         let e = lower_error("(map3-glb (slide3 0 1 g) (w) 1.0)");
-        assert!(e.contains("slide3 needs size ≥ 1"), "{e}");
+        assert!(e.contains("slide needs size ≥ 1"), "{e}");
     }
 
     #[test]
@@ -797,6 +809,22 @@ mod tests {
         let e = lower_error("(map-glb (pad -2 0 clamp a) (x) x)");
         assert!(e.contains("type error") && e.contains("pad amounts must be ≥ 0"), "{e}");
         let e = lower_error("(map3-glb (pad3 -1 0.0 g) (x) x)");
-        assert!(e.contains("pad3 amounts must be ≥ 0"), "{e}");
+        assert!(e.contains("pad amounts must be ≥ 0"), "{e}");
+    }
+
+    #[test]
+    fn transpose_of_a_flat_array_is_a_type_error() {
+        let e = lower_error("(map-glb (transpose a) (r) (at r 0))");
+        assert!(
+            e.contains("type error") && e.contains("transpose expects an array of arrays"),
+            "{e}"
+        );
+        // of a grid it swaps the outer two levels
+        let k = parse_kernel(
+            "(kernel t (params (g (array (array real 3) 5))) (map2-glb (transpose g) (x) x))",
+        )
+        .unwrap();
+        let lk = k.lower(ScalarKind::F32).unwrap();
+        assert_eq!(lk.global_size, vec![ArithExpr::cst(5), ArithExpr::cst(3)]);
     }
 }

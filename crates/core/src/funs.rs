@@ -13,11 +13,6 @@ pub fn id_real() -> Rc<UserFun> {
     UserFun::new("id", vec![("x", ScalarKind::Real)], ScalarKind::Real, SExpr::p(0))
 }
 
-/// `id(x) = x` over i32.
-pub fn id_i32() -> Rc<UserFun> {
-    UserFun::new("idI", vec![("x", ScalarKind::I32)], ScalarKind::I32, SExpr::p(0))
-}
-
 /// `add(a, b) = a + b` over reals.
 pub fn add() -> Rc<UserFun> {
     UserFun::new(
@@ -65,16 +60,6 @@ pub fn mad() -> Rc<UserFun> {
         vec![("a", ScalarKind::Real), ("b", ScalarKind::Real), ("c", ScalarKind::Real)],
         ScalarKind::Real,
         SExpr::p(0) * SExpr::p(1) + SExpr::p(2),
-    )
-}
-
-/// `addI(a, b) = a + b` over i32.
-pub fn add_i32() -> Rc<UserFun> {
-    UserFun::new(
-        "addI",
-        vec![("a", ScalarKind::I32), ("b", ScalarKind::I32)],
-        ScalarKind::I32,
-        SExpr::p(0) + SExpr::p(1),
     )
 }
 

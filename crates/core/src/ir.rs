@@ -12,10 +12,13 @@
 //! * host-side orchestration (`ToGPU`, `ToHost`, `OclKernel`) lives in
 //!   [`crate::host`].
 //!
-//! `map`, `zip`, `slide` and `pad` carry their rank (1–3, the array levels
-//! they descend) as a field, as the views they lower to do; `map3_glb`,
-//! `zip2`, `slide3`, `pad3`, … are constructors of the one variant. Walks
-//! over a node's children go through [`ExprKind::map_children`] and
+//! `map`, `zip`, `slide`, `pad` and `crop` descend one array level, as in
+//! LIFT; their 2-D and 3-D builders (`map3_glb`, `zip2`, `slide3`, `pad3`,
+//! `crop3`, …) build LIFT's compositions of them with [`transpose`]
+//! (`map2 f = map (map f)`, `pad2 = map pad ∘ pad`,
+//! `slide2 = map transpose ∘ slide ∘ map slide`), which lowering turns
+//! back into one n-D view and NDRange. Walks over a node's
+//! children go through [`ExprKind::map_children`] and
 //! [`ExprKind::for_each_child`], so a pass spells out only the variants it
 //! treats specially.
 //!
@@ -202,12 +205,8 @@ pub enum ExprKind {
         /// Body.
         body: ExprRef,
     },
-    /// Map over the elements of a rank-`rank` (nested) array: one level is
-    /// a plain array, 2 and 3 are the `[[T; nx]; ny]` and `[[[T; nx]; ny]; nz]`
-    /// grids a 2-D or 3-D NDRange covers.
+    /// Map over the elements of an array.
     Map {
-        /// Array levels the map descends (1–3).
-        rank: u8,
         /// Parallel or sequential.
         kind: MapKind,
         /// Element function.
@@ -215,30 +214,19 @@ pub enum ExprKind {
         /// Input array.
         input: ExprRef,
     },
-    /// Element-wise zip of equal-shape rank-`rank` arrays.
-    Zip {
-        /// Array levels zipped (1–3).
-        rank: u8,
-        /// The arrays, at least two.
-        parts: Vec<ExprRef>,
-    },
-    /// Sliding windows of `size` every `step`, in each of `rank` dimensions
-    /// (`size^rank` neighbourhoods).
+    /// Element-wise zip of equal-length arrays, at least two.
+    Zip(Vec<ExprRef>),
+    /// Sliding windows of `size` every `step`.
     Slide {
-        /// Dimensions slid over (1–3).
-        rank: u8,
-        /// Window size per dimension.
+        /// Window size.
         size: i64,
-        /// Step between windows per dimension.
+        /// Step between windows.
         step: i64,
         /// Input array.
         input: ExprRef,
     },
-    /// Enlarges each of `rank` dimensions by `left`/`right` virtual
-    /// elements.
+    /// Enlarges an array by `left`/`right` virtual elements.
     Pad {
-        /// Dimensions padded (1–3).
-        rank: u8,
         /// Elements added before index 0.
         left: i64,
         /// Elements added after the end.
@@ -248,15 +236,16 @@ pub enum ExprKind {
         /// Input array.
         input: ExprRef,
     },
-    /// Shrinks a 3-D array by `margin` on every side of every dimension
-    /// (the dual of a rank-3 [`ExprKind::Pad`]; selects the interior of a grid with
-    /// halo).
-    Crop3 {
-        /// Margin width.
+    /// Drops `margin` elements from each end of an array (the dual of a
+    /// [`ExprKind::Pad`] by `margin`; selects the interior of a grid with halo).
+    Crop {
+        /// Elements dropped at each end.
         margin: i64,
-        /// Input 3-D array.
+        /// Input array.
         input: ExprRef,
     },
+    /// Swaps the two outer levels of an array, `[[T; m]; n]` → `[[T; n]; m]`.
+    Transpose(ExprRef),
     /// Splits a 1-D array into chunks of `chunk`.
     Split {
         /// Chunk length.
@@ -305,7 +294,7 @@ pub enum ExprKind {
     },
     /// Redirects where `value` is written (new primitive, Table I): `dest`
     /// must denote existing memory (a parameter, `At(param, i)`, a `Slice`,
-    /// or `Crop3`). No output buffer is allocated for `value`.
+    /// or a `Crop`). No output buffer is allocated for `value`.
     WriteTo {
         /// Destination memory view.
         dest: ExprRef,
@@ -323,13 +312,12 @@ impl ExprKind {
         use ExprKind::*;
         match self {
             Param(_) | Literal(_) | Iota { .. } | SizeVal(_) => {}
-            Call { args: xs, .. } | Tuple(xs) | Zip { parts: xs, .. } | Concat(xs) => {
-                xs.iter_mut().for_each(f)
-            }
+            Call { args: xs, .. } | Tuple(xs) | Zip(xs) | Concat(xs) => xs.iter_mut().for_each(f),
             Get { tuple: x, .. }
             | Slide { input: x, .. }
             | Pad { input: x, .. }
-            | Crop3 { input: x, .. }
+            | Crop { input: x, .. }
+            | Transpose(x)
             | Split { input: x, .. }
             | Join { input: x }
             | ToPrivate(x)
@@ -423,85 +411,102 @@ pub fn let_in(name: &str, value: ExprRef, body: impl FnOnce(ExprRef) -> ExprRef)
     Expr::new(ExprKind::Let { param: p, value, body: b })
 }
 
-/// Map of kind `kind` over the elements of a rank-`rank` array.
-fn map_n(
-    rank: u8,
-    kind: MapKind,
-    input: ExprRef,
-    name: &str,
-    f: impl FnOnce(ExprRef) -> ExprRef,
-) -> ExprRef {
-    Expr::new(ExprKind::Map { rank, kind, f: Lambda::unary(name, f), input })
+/// Map of kind `kind` applying `f`.
+pub fn map(kind: MapKind, input: ExprRef, f: Lambda) -> ExprRef {
+    Expr::new(ExprKind::Map { kind, f, input })
 }
 
 /// Parallel map over a 1-D array.
 pub fn map_glb(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    map_n(1, MapKind::Glb, input, name, f)
+    map(MapKind::Glb, input, Lambda::unary(name, f))
 }
 
 /// Sequential map over a 1-D array.
 pub fn map_seq(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    map_n(1, MapKind::Seq, input, name, f)
+    map(MapKind::Seq, input, Lambda::unary(name, f))
 }
 
-/// Parallel map over the elements of a 2-D array.
+/// Parallel map over the elements of a 2-D array: `map_glb (map_glb f)`.
 pub fn map2_glb(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    map_n(2, MapKind::Glb, input, name, f)
+    map_glb(input, "row", |row| map_glb(row, name, f))
 }
 
 /// Parallel map over the elements of a 3-D array.
 pub fn map3_glb(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    map_n(3, MapKind::Glb, input, name, f)
+    map_glb(input, "plane", |plane| map2_glb(plane, name, f))
 }
 
 /// Zip of 1-D arrays.
 pub fn zip(parts: Vec<ExprRef>) -> ExprRef {
-    Expr::new(ExprKind::Zip { rank: 1, parts })
+    Expr::new(ExprKind::Zip(parts))
 }
 
-/// Zip of 2-D arrays.
+/// `map inner ∘ zip`: the zip of `parts` with each element's components
+/// zipped again by `inner`.
+fn zip_rows(parts: Vec<ExprRef>, inner: fn(Vec<ExprRef>) -> ExprRef) -> ExprRef {
+    let n = parts.len();
+    map_seq(zip(parts), "t", |t| inner((0..n).map(|k| get(t.clone(), k)).collect()))
+}
+
+/// Zip of 2-D arrays: `map zip ∘ zip`.
 pub fn zip2(parts: Vec<ExprRef>) -> ExprRef {
-    Expr::new(ExprKind::Zip { rank: 2, parts })
+    zip_rows(parts, zip)
 }
 
-/// Zip of 3-D arrays.
+/// Zip of 3-D arrays: `map zip2 ∘ zip`.
 pub fn zip3(parts: Vec<ExprRef>) -> ExprRef {
-    Expr::new(ExprKind::Zip { rank: 3, parts })
+    zip_rows(parts, zip2)
 }
 
 /// 1-D sliding windows.
 pub fn slide(size: i64, step: i64, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Slide { rank: 1, size, step, input })
+    Expr::new(ExprKind::Slide { size, step, input })
 }
 
-/// 2-D sliding windows.
+/// 2-D sliding windows, windows outside and neighbourhoods inside:
+/// `map transpose ∘ slide ∘ map slide`.
 pub fn slide2(size: i64, step: i64, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Slide { rank: 2, size, step, input })
+    let rows = map_seq(input, "row", |row| slide(size, step, row));
+    map_seq(slide(size, step, rows), "w", transpose)
 }
 
-/// 3-D sliding windows.
+/// 3-D sliding windows: `map (map transpose ∘ transpose) ∘ slide ∘ map slide2`.
 pub fn slide3(size: i64, step: i64, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Slide { rank: 3, size, step, input })
+    let planes = map_seq(input, "plane", |plane| slide2(size, step, plane));
+    map_seq(slide(size, step, planes), "w", |w| map_seq(transpose(w), "t", transpose))
 }
 
 /// 1-D pad.
 pub fn pad(left: i64, right: i64, kind: PadKind, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Pad { rank: 1, left, right, kind, input })
+    Expr::new(ExprKind::Pad { left, right, kind, input })
 }
 
-/// 2-D pad by `amount` on every side.
+/// 2-D pad by `amount` on every side: `map pad ∘ pad`.
 pub fn pad2(amount: i64, kind: PadKind, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Pad { rank: 2, left: amount, right: amount, kind, input })
+    let rows = pad(amount, amount, kind, input);
+    map_seq(rows, "row", |row| pad(amount, amount, kind, row))
 }
 
-/// 3-D pad by `amount` on every side.
+/// 3-D pad by `amount` on every side: `map pad2 ∘ pad`.
 pub fn pad3(amount: i64, kind: PadKind, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Pad { rank: 3, left: amount, right: amount, kind, input })
+    map_seq(pad(amount, amount, kind, input), "plane", |plane| pad2(amount, kind, plane))
 }
 
-/// 3-D crop (interior view).
+/// 1-D crop by `margin` at each end.
+pub fn crop(margin: i64, input: ExprRef) -> ExprRef {
+    Expr::new(ExprKind::Crop { margin, input })
+}
+
+/// 3-D crop (interior view): `map (map crop ∘ crop) ∘ crop`.
 pub fn crop3(margin: i64, input: ExprRef) -> ExprRef {
-    Expr::new(ExprKind::Crop3 { margin, input })
+    map_seq(crop(margin, input), "plane", |p| {
+        map_seq(crop(margin, p), "row", |row| crop(margin, row))
+    })
+}
+
+/// Swaps the two outer levels of an array.
+pub fn transpose(input: ExprRef) -> ExprRef {
+    Expr::new(ExprKind::Transpose(input))
 }
 
 /// Split into chunks.
@@ -531,16 +536,6 @@ pub fn to_private(input: ExprRef) -> ExprRef {
 /// Materialise into workgroup-local memory (cooperative load + barrier).
 pub fn to_local(input: ExprRef) -> ExprRef {
     Expr::new(ExprKind::ToLocal(input))
-}
-
-/// Workgroup-parallel map.
-pub fn map_wrg(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    map_n(1, MapKind::Wrg, input, name, f)
-}
-
-/// Local-item-parallel map (inside a workgroup map).
-pub fn map_lcl(input: ExprRef, name: &str, f: impl FnOnce(ExprRef) -> ExprRef) -> ExprRef {
-    map_n(1, MapKind::Lcl, input, name, f)
 }
 
 /// Concatenate arrays (new primitive).
@@ -626,10 +621,19 @@ mod tests {
         let e = map_glb(p.to_expr(), "x", |x| x);
         assert!(matches!(e.kind, ExprKind::Map { kind: MapKind::Glb, .. }));
         let s = slide(3, 1, p.to_expr());
-        assert!(matches!(s.kind, ExprKind::Slide { rank: 1, size: 3, step: 1, .. }));
+        assert!(matches!(s.kind, ExprKind::Slide { size: 3, step: 1, .. }));
+        // pad3 = map (map pad ∘ pad) ∘ pad
         let q = ParamDef::typed("g", Type::array3(Type::f32(), 4usize, 4usize, 4usize));
-        let s3 = slide3(3, 1, pad3(1, PadKind::Clamp, q.to_expr()));
-        let ExprKind::Slide { rank: 3, input, .. } = &s3.kind else { panic!() };
-        assert!(matches!(input.kind, ExprKind::Pad { rank: 3, left: 1, right: 1, .. }));
+        let p3 = pad3(1, PadKind::Clamp, q.to_expr());
+        let ExprKind::Map { f, input, .. } = &p3.kind else { panic!() };
+        assert!(matches!(input.kind, ExprKind::Pad { left: 1, right: 1, .. }));
+        let ExprKind::Map { input, .. } = &f.body.kind else { panic!() };
+        assert!(matches!(input.kind, ExprKind::Pad { .. }));
+        // slide2 = map transpose ∘ slide ∘ map slide
+        let s2 = slide2(3, 1, q.to_expr());
+        let ExprKind::Map { f, input, .. } = &s2.kind else { panic!() };
+        assert!(matches!(f.body.kind, ExprKind::Transpose(_)));
+        let ExprKind::Slide { input, .. } = &input.kind else { panic!() };
+        assert!(matches!(input.kind, ExprKind::Map { .. }));
     }
 }

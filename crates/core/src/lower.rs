@@ -4,10 +4,12 @@
 //! are constructed for every expression and collapsed into indexed loads and
 //! stores while the pattern structure becomes loops and NDRange guards.
 //!
-//! The top level of a kernel body must be a parallel `map` of rank 1, 2 or 3
-//! (a 1-, 2- or 3-D NDRange) or a 1-D `mapWrg`, optionally wrapped in a
-//! `WriteTo` that re-routes the kernel output into one of its inputs. Inside
-//! the element function:
+//! The top level of a kernel body must be a nest of one to three parallel
+//! `map`s, each the body of the one above (a 1-, 2- or 3-D NDRange, the
+//! outermost map on the last dimension), or a `mapWrg`, optionally wrapped
+//! in a `WriteTo` that re-routes the kernel output into one of its inputs.
+//! A `map` in input position whose body only rearranges data (its view
+//! needs no code) is a view ([`View::MapV`]). Inside the element function:
 //!
 //! * value-producing elements are stored through the output view;
 //! * `WriteTo` elements (and tuples of them — FD-MM's multi-output) emit
@@ -21,11 +23,10 @@ use crate::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use crate::memory::{self, MemError, NameGen, OutputPlan};
 use crate::scalar::{BinOp, SExpr, UserFun};
 use crate::simplify::simplify_kernel;
-use crate::typecheck::{array_dims, check, TypeError, Typed};
+use crate::typecheck::{check, IdMap, TypeError, Typed};
 use crate::types::{ScalarKind, Type};
 use crate::verify::Assumptions;
 use crate::view::{View, ViewError};
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -92,7 +93,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, LowerError> {
 
 struct Ctx<'a> {
     typed: &'a Typed,
-    bindings: HashMap<ParamId, View>,
+    bindings: IdMap<ParamId, View>,
     names: NameGen,
     /// Extent of the `Lcl` maps seen so far (the kernel's workgroup size).
     lcl_size: Option<ArithExpr>,
@@ -226,63 +227,43 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    /// Materialises an array expression into a fresh private array and
-    /// returns its memory view.
-    fn materialize_private(
+    /// Materialises an array expression into a fresh private array, or into
+    /// workgroup-local memory with a cooperative load (`for (i = lid; i <
+    /// len; i += lsize)`) followed by a barrier, and returns its memory view.
+    fn materialize(
         &mut self,
         inner: &ExprRef,
+        local: bool,
         out: &mut Vec<KStmt>,
     ) -> Result<View, LowerError> {
+        let what = if local { "toLocal" } else { "toPrivate" };
         let ty = self.typed.of(inner).clone();
-        let (elem, n) = match &ty {
-            Type::Array(e, n) => (e.as_ref().clone(), n.clone()),
-            other => return err(format!("toPrivate of non-array {other}")),
+        let (kind, len) = match &ty {
+            Type::Array(e, n) => match **e {
+                Type::Scalar(k) => (k, KExpr::from_arith(n)),
+                ref other => return err(format!("{what} supports scalar elements, got {other}")),
+            },
+            other => return err(format!("{what} of non-array {other}")),
         };
-        let kind = match &elem {
-            Type::Scalar(k) => *k,
-            other => return err(format!("toPrivate supports scalar elements, got {other}")),
-        };
-        let name = self.names.fresh("priv");
-        out.push(KStmt::DeclPrivArray { name: name.clone(), kind, len: KExpr::from_arith(&n) });
-        let view = View::mem(MemRef::Priv(name), ty);
-        self.emit_into(inner, Some(view.clone()), out)?;
-        Ok(view)
-    }
-
-    /// Materialises an array expression into workgroup-local memory with a
-    /// cooperative load (`for (i = lid; i < len; i += lsize)`) followed by a
-    /// barrier, and returns its memory view.
-    fn materialize_local(
-        &mut self,
-        inner: &ExprRef,
-        out: &mut Vec<KStmt>,
-    ) -> Result<View, LowerError> {
-        let ty = self.typed.of(inner).clone();
-        let (elem, n) = match &ty {
-            Type::Array(e, n) => (e.as_ref().clone(), n.clone()),
-            other => return err(format!("toLocal of non-array {other}")),
-        };
-        let kind = match &elem {
-            Type::Scalar(k) => *k,
-            other => return err(format!("toLocal supports scalar elements, got {other}")),
-        };
+        if !local {
+            let name = self.names.fresh("priv");
+            out.push(KStmt::DeclPrivArray { name: name.clone(), kind, len });
+            let view = View::mem(MemRef::Priv(name), ty);
+            self.emit_into(inner, Some(view.clone()), out)?;
+            return Ok(view);
+        }
         let name = self.names.fresh("tile");
-        out.push(KStmt::DeclLocalArray { name: name.clone(), kind, len: KExpr::from_arith(&n) });
+        out.push(KStmt::DeclLocalArray { name: name.clone(), kind, len: len.clone() });
         // cooperative load: each local item copies a strided share
         let src_view = self.view_of(inner, out)?;
         let var = self.names.fresh("co");
+        let tile = View::mem(MemRef::Local(name), ty);
         let src = src_view.access(KExpr::var(&var))?;
-        let dst = View::mem(MemRef::Local(name.clone()), ty.clone()).access(KExpr::var(&var))?;
-        let body = vec![dst.store(src.as_scalar()?)?];
-        out.push(KStmt::For {
-            var,
-            begin: KExpr::LocalId(0),
-            end: KExpr::from_arith(&n),
-            step: KExpr::LocalSize(0),
-            body,
-        });
+        let body = vec![tile.clone().access(KExpr::var(&var))?.store(src.as_scalar()?)?];
+        let (begin, step) = (KExpr::LocalId(0), KExpr::LocalSize(0));
+        out.push(KStmt::For { var, begin, end: len, step, body });
         out.push(KStmt::Barrier);
-        Ok(View::mem(MemRef::Local(name), ty))
+        Ok(tile)
     }
 
     /// Builds the input view of a data-layout expression, emitting any code
@@ -305,42 +286,35 @@ impl<'a> Ctx<'a> {
             ExprKind::Slice { array, start, stride, .. } => {
                 let base = self.view_of(array, out)?;
                 let start = self.gen_scalar(start, out)?;
-                Ok(View::Gather { base: Box::new(base), start, stride: KExpr::from_arith(stride) })
+                Ok(View::Gather { base: Rc::new(base), start, stride: KExpr::from_arith(stride) })
             }
             ExprKind::Iota { .. } => Ok(View::IotaV),
-            ExprKind::Zip { rank, parts } => {
+            ExprKind::Zip(parts) => {
                 let vs: Result<Vec<View>, LowerError> =
                     parts.iter().map(|p| self.view_of(p, out)).collect();
-                Ok(View::ZipV { parts: vs?, levels: *rank })
+                Ok(View::ZipV(vs?))
             }
-            ExprKind::Slide { rank, step, input, .. } => Ok(View::SlideV {
-                base: Box::new(self.view_of(input, out)?),
+            ExprKind::Slide { step, input, .. } => Ok(View::SlideV {
+                base: Rc::new(self.view_of(input, out)?),
                 step: *step,
-                dims: *rank,
-                ws: vec![],
-                ds: vec![],
+                window: None,
             }),
-            ExprKind::Pad { rank, left, right, kind, input } => {
-                let (_, mut lens) = array_dims(self.typed.of(input), *rank)
-                    .ok_or_else(|| LowerError(format!("pad over a non-rank-{rank} array")))?;
-                lens.reverse();
-                Ok(View::PadV {
-                    base: Box::new(self.view_of(input, out)?),
-                    left: *left,
-                    right: *right,
-                    dims: *rank,
-                    lens,
-                    kind: *kind,
-                    idxs: vec![],
-                })
+            ExprKind::Pad { left, kind, input, .. } => {
+                let len = self.typed.of(input).len().cloned();
+                let len = len.ok_or_else(|| LowerError("pad over a non-array".into()))?;
+                let base = Rc::new(self.view_of(input, out)?);
+                Ok(View::PadV { base, left: *left, len, kind: *kind })
             }
-            ExprKind::Crop3 { margin, input } => Ok(View::CropV {
-                base: Box::new(self.view_of(input, out)?),
-                margin: *margin,
-                remaining: 3,
+            ExprKind::Crop { margin, input } => Ok(View::Gather {
+                base: Rc::new(self.view_of(input, out)?),
+                start: KExpr::int(*margin as i32),
+                stride: KExpr::int(1),
             }),
+            ExprKind::Transpose(input) => {
+                Ok(View::TransposeV { base: Rc::new(self.view_of(input, out)?), first: None })
+            }
             ExprKind::Split { chunk, input } => {
-                Ok(View::SplitV { base: Box::new(self.view_of(input, out)?), chunk: chunk.clone() })
+                Ok(View::SplitV { base: Rc::new(self.view_of(input, out)?), chunk: chunk.clone() })
             }
             ExprKind::Join { input } => {
                 let inner = match self.typed.of(input) {
@@ -350,7 +324,7 @@ impl<'a> Ctx<'a> {
                     },
                     other => return err(format!("join over non-array {other}")),
                 };
-                Ok(View::JoinV { base: Box::new(self.view_of(input, out)?), inner })
+                Ok(View::JoinV { base: Rc::new(self.view_of(input, out)?), inner })
             }
             ExprKind::ArrayCons { elem, .. } => {
                 let kind = match self.typed.of(elem) {
@@ -361,8 +335,8 @@ impl<'a> Ctx<'a> {
                 let v = self.bind_temp(v, kind, out);
                 Ok(View::Broadcast(v, kind))
             }
-            ExprKind::ToPrivate(inner) => self.materialize_private(inner, out),
-            ExprKind::ToLocal(inner) => self.materialize_local(inner, out),
+            ExprKind::ToPrivate(inner) => self.materialize(inner, false, out),
+            ExprKind::ToLocal(inner) => self.materialize(inner, true, out),
             ExprKind::Let { param, value, body } => {
                 self.bind_let(param, value, out)?;
                 self.view_of(body, out)
@@ -380,9 +354,20 @@ impl<'a> Ctx<'a> {
                 let v = self.gen_scalar(e, out)?;
                 Ok(View::Expr(v, kind))
             }
-            ExprKind::Map { .. } => {
-                err("a map used as an input must be materialised with to_private \
-                 (LIFT would fuse it; this generator requires explicit materialisation)")
+            // a map whose body only rearranges data: its body's view needs no code
+            ExprKind::Map { f, input, .. } => {
+                let base = Rc::new(self.view_of(input, out)?);
+                let param = f.params[0].id;
+                self.bindings.insert(param, View::Hole(param));
+                let mut code = Vec::new();
+                match self.view_of(&f.body, &mut code) {
+                    Ok(body) if code.is_empty() => {
+                        Ok(View::MapV { base, param, body: Rc::new(body) })
+                    }
+                    _ => err("a map that computes, used as an input, must be materialised with \
+                         to_private (LIFT would fuse it; this generator requires explicit \
+                         materialisation)"),
+                }
             }
             ExprKind::WriteTo { .. } | ExprKind::Concat(_) | ExprKind::Skip { .. } => {
                 err("WriteTo/Concat/Skip cannot appear in input (view) position")
@@ -425,7 +410,7 @@ impl<'a> Ctx<'a> {
                         continue;
                     }
                     let pv = View::Gather {
-                        base: Box::new(ov.clone()),
+                        base: Rc::new(ov.clone()),
                         start: offset.clone(),
                         stride: KExpr::int(1),
                     };
@@ -469,69 +454,52 @@ impl<'a> Ctx<'a> {
                     }
                 }
             }
-            ExprKind::Map { rank: 1, kind: MapKind::Seq, f, input } => {
+            ExprKind::Map { kind: kind @ (MapKind::Seq | MapKind::Lcl), f, input } => {
                 let iv = self.view_of(input, out)?;
                 let n = match self.typed.of(input) {
                     Type::Array(_, n) => n.clone(),
                     other => return err(format!("map over non-array {other}")),
                 };
-                let var = self.names.fresh("i");
+                // a loop, or one element per local work-item: get_local_id(0)
+                let idx = if *kind == MapKind::Seq {
+                    KExpr::var(self.names.fresh("i"))
+                } else {
+                    match &self.lcl_size {
+                        None => self.lcl_size = Some(n.clone()),
+                        Some(prev) if *prev == n => {}
+                        Some(prev) => {
+                            return err(format!(
+                                "all Lcl maps in a kernel must share one extent: {prev} vs {n}"
+                            ))
+                        }
+                    }
+                    KExpr::LocalId(0)
+                };
                 let mut body = Vec::new();
-                let elem_view = iv.access(KExpr::var(&var))?;
-                self.bindings.insert(f.params[0].id, elem_view);
+                self.bindings.insert(f.params[0].id, iv.access(idx.clone())?);
                 if memory::is_side_effecting(&f.body) {
                     self.emit_into(&f.body, None, &mut body)?;
                 } else {
                     let ov = out_view.ok_or_else(|| {
                         LowerError("value-producing map needs a destination".into())
                     })?;
-                    let slot = ov.access(KExpr::var(&var))?;
-                    self.emit_into(&f.body, Some(slot), &mut body)?;
+                    self.emit_into(&f.body, Some(ov.access(idx.clone())?), &mut body)?;
                 }
-                out.push(KStmt::For {
-                    var,
-                    begin: KExpr::int(0),
-                    end: KExpr::from_arith(&n),
-                    step: KExpr::int(1),
-                    body,
-                });
-                Ok(())
-            }
-            ExprKind::Map { rank: 1, kind: MapKind::Lcl, f, input } => {
-                // one element per local work-item: idx = get_local_id(0)
-                let iv = self.view_of(input, out)?;
-                let n = match self.typed.of(input) {
-                    Type::Array(_, n) => n.clone(),
-                    other => return err(format!("map over non-array {other}")),
-                };
-                match &self.lcl_size {
-                    None => self.lcl_size = Some(n.clone()),
-                    Some(prev) if *prev == n => {}
-                    Some(prev) => {
-                        return err(format!(
-                            "all Lcl maps in a kernel must share one extent: {prev} vs {n}"
-                        ))
-                    }
+                match idx {
+                    KExpr::Var(var) => out.push(KStmt::For {
+                        var,
+                        begin: KExpr::int(0),
+                        end: KExpr::from_arith(&n),
+                        step: KExpr::int(1),
+                        body,
+                    }),
+                    _ => out.append(&mut body),
                 }
-                let lid = KExpr::LocalId(0);
-                let elem_view = iv.access(lid.clone())?;
-                self.bindings.insert(f.params[0].id, elem_view);
-                let mut inner_stmts = Vec::new();
-                if memory::is_side_effecting(&f.body) {
-                    self.emit_into(&f.body, None, &mut inner_stmts)?;
-                } else {
-                    let ov = out_view.ok_or_else(|| {
-                        LowerError("value-producing local map needs a destination".into())
-                    })?;
-                    let slot = ov.access(lid)?;
-                    self.emit_into(&f.body, Some(slot), &mut inner_stmts)?;
-                }
-                out.append(&mut inner_stmts);
                 Ok(())
             }
             ExprKind::Map { .. } => err(
-                "inside a kernel a map is a 1-D mapSeq or mapLcl; only the kernel's top-level map \
-                 is group/global parallel or of rank 2 or 3",
+                "inside a kernel a map is a mapSeq or mapLcl; only the kernel's top-level nest \
+                 of up to three maps is group/global parallel",
             ),
             ExprKind::ToPrivate(inner) => self.emit_into(inner, out_view, out),
             ExprKind::ToLocal(inner) => self.emit_into(inner, out_view, out),
@@ -590,13 +558,17 @@ fn sexpr_to_kexpr(e: &SExpr, args: &[KExpr]) -> KExpr {
     }
 }
 
-/// Collects size variables appearing in embedded arithmetic (e.g.
-/// `SizeVal`, slice strides) that never surface in any type.
+/// Collects size variables appearing in arithmetic embedded in the
+/// program (e.g. `SizeVal`, slice strides).
 fn size_vars_of_expr(e: &ExprRef, out: &mut Vec<String>) {
     let arith: &[&ArithExpr] = match &e.kind {
         ExprKind::SizeVal(a) | ExprKind::Iota { n: a } => &[a],
         ExprKind::Slice { stride, len, .. } => &[stride, len],
         ExprKind::Split { chunk: a, .. } | ExprKind::ArrayCons { n: a, .. } => &[a],
+        ExprKind::Skip { elem, .. } => {
+            size_vars_of_type(elem, out);
+            &[]
+        }
         _ => &[],
     };
     for v in arith.iter().flat_map(|a| a.free_vars()) {
@@ -626,7 +598,7 @@ fn size_vars_of_type(t: &Type, out: &mut Vec<String>) {
 /// Lowers a LIFT program to a kernel.
 ///
 /// `params` are the program inputs (buffers and scalars); `body` must be a
-/// parallel `map` of rank 1–3 or a `mapWrg`, optionally wrapped in `WriteTo`
+/// nest of up to three parallel `map`s or a `mapWrg`, optionally wrapped in `WriteTo`
 /// and `let`s.
 /// `real` resolves the precision-generic `Real` scalar kind.
 ///
@@ -689,7 +661,7 @@ pub fn lower_kernel_raw(
     let mut kparams: Vec<KernelParam> = Vec::new();
     let mut args: Vec<ArgSpec> = Vec::new();
     let mut ctx =
-        Ctx { typed: &typed, bindings: HashMap::new(), names: NameGen::new(), lcl_size: None };
+        Ctx { typed: &typed, bindings: IdMap::default(), names: NameGen::new(), lcl_size: None };
 
     // 1. user parameters
     let mut size_vars: Vec<String> = Vec::new();
@@ -718,12 +690,9 @@ pub fn lower_kernel_raw(
         ctx.bindings.insert(p.id, view);
     }
 
-    // also collect size vars from every inferred type (e.g. iota/slice
-    // bounds) and from arithmetic embedded in the program (`SizeVal`,
-    // slice strides) that never surfaces in a type
-    for t in typed.expr.values() {
-        size_vars_of_type(t, &mut size_vars);
-    }
+    // also collect size vars from arithmetic embedded in the program
+    // (`SizeVal`, iota and slice bounds, skip element types): every other
+    // length a type inference derives is built from these and the inputs'
     size_vars_of_expr(body, &mut size_vars);
     size_vars.sort();
     size_vars.dedup();
@@ -741,15 +710,24 @@ pub fn lower_kernel_raw(
         _ => (None, body.clone()),
     };
 
-    // 3. decide output allocation. dims: 1–3 = an NDRange of that many
-    // dimensions, 0 = workgroup mode (one group per element).
-    let (f, input, dims) = match &map_expr.kind {
-        ExprKind::Map { rank, kind: MapKind::Glb, f, input } => (f, input, *rank),
-        ExprKind::Map { rank: 1, kind: MapKind::Wrg, f, input } => (f, input, 0u8),
-        _ => {
-            return err("kernel body must be a top-level parallel map of rank 1–3 or a mapWrg \
-                        (optionally in a WriteTo)")
+    // 3. the top-level map nest, outermost first: up to three `Glb` maps,
+    // each the body of the one above, or one `Wrg` map (one group per
+    // element)
+    let mut nest: Vec<(&Lambda, &ExprRef)> = Vec::new();
+    let mut wrg = false;
+    let mut cur = &map_expr;
+    while let ExprKind::Map { kind, f, input } = &cur.kind {
+        match kind {
+            MapKind::Glb if !wrg && nest.len() < 3 => {}
+            MapKind::Wrg if nest.is_empty() => wrg = true,
+            _ => break,
         }
+        nest.push((f, input));
+        cur = &f.body;
+    }
+    let Some(&(f, _)) = nest.last() else {
+        return err("kernel body must be a top-level parallel map nest or a mapWrg \
+                    (optionally in a WriteTo)");
     };
     let map_ty = typed.of(&map_expr).clone();
     let plan = memory::plan_output(&f.body, &map_ty, &typed)?;
@@ -769,13 +747,15 @@ pub fn lower_kernel_raw(
         }
     };
 
-    // 4. NDRange bounds and guards
-    let input_ty = typed.of(input).clone();
-    let (_, mut global_size) = array_dims(&input_ty, dims.max(1))
-        .ok_or_else(|| LowerError(format!("map over a non-rank-{} array", dims.max(1))))?;
+    // 4. NDRange bounds and guards, innermost dimension first
+    let mut global_size = Vec::with_capacity(nest.len());
+    for (_, input) in nest.iter().rev() {
+        let n = typed.of(input).len().cloned();
+        global_size.push(n.ok_or_else(|| LowerError("map over a non-array".into()))?);
+    }
     // workgroup mode: one group per chunk; the launcher runs exactly G
     // groups of the kernel's local size, so no guard is needed.
-    if dims != 0 {
+    if !wrg {
         for (d, n) in global_size.iter().enumerate() {
             stmts.push(KStmt::return_if(KExpr::bin(
                 BinOp::Ge,
@@ -785,25 +765,19 @@ pub fn lower_kernel_raw(
         }
     }
 
-    // 5. bind the element and emit the body
-    let input_view = ctx.view_of(input, &mut stmts)?;
-    // the element is `access(gz).access(gy).access(gx)`: outermost level first
-    let ids: Vec<KExpr> = match dims {
-        0 => vec![KExpr::GroupId(0)],
-        _ => (0..dims).rev().map(KExpr::GlobalId).collect(),
-    };
-    let access_all = |v: View| ids.iter().try_fold(v, |v, id| v.access(id.clone()));
-    let elem_view = access_all(input_view)?;
-    let elem_out = out_root.map(access_all).transpose()?;
-    ctx.bindings.insert(f.params[0].id, elem_view);
-    if memory::is_side_effecting(&f.body) {
-        ctx.emit_into(&f.body, None, &mut stmts)?;
-    } else {
-        ctx.emit_into(&f.body, elem_out, &mut stmts)?;
+    // 5. bind each level's element, outermost first, and emit the body
+    let mut elem_out = out_root;
+    for (k, (lambda, input)) in nest.iter().enumerate() {
+        let id = if wrg { KExpr::GroupId(0) } else { KExpr::GlobalId((nest.len() - 1 - k) as u8) };
+        let elem_view = ctx.view_of(input, &mut stmts)?.access(id.clone())?;
+        elem_out = elem_out.map(|v| v.access(id)).transpose()?;
+        ctx.bindings.insert(lambda.params[0].id, elem_view);
     }
+    let dest = if memory::is_side_effecting(&f.body) { None } else { elem_out };
+    ctx.emit_into(&f.body, dest, &mut stmts)?;
 
     let mut local_size = None;
-    if dims == 0 {
+    if wrg {
         let t = ctx
             .lcl_size
             .clone()
@@ -813,7 +787,7 @@ pub fn lower_kernel_raw(
         global_size = vec![g * t.clone()];
         local_size = Some(t);
     }
-    let work_dim = if dims == 0 { 1 } else { dims };
+    let work_dim = global_size.len() as u8;
     let kernel =
         Kernel { name: name.into(), params: kparams, body: stmts, work_dim }.resolve_real(real);
     Ok(LoweredKernel { kernel, args, global_size, local_size })

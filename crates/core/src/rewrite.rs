@@ -5,19 +5,23 @@
 //! and tuned for different hardware. This module implements the classic
 //! structural rules on this IR:
 //!
-//! | rule | rewrite | ranks |
-//! |---|---|---|
-//! | map-fusion        | `map f (map g x)` → `map (f ∘ g) x` | 1 |
-//! | map-id            | `map id x` → `x` | all |
-//! | split-join        | `join (split n x)` → `x` | — |
-//! | join-split        | `split n (join x)` → `x` (when the inner length is `n`) | — |
-//! | pad-pad           | `pad l₁ r₁ (pad l₂ r₂ x)` → `pad (l₁+l₂) (r₁+r₂) x` (same kind) | equal |
-//! | crop-pad          | `crop3 m (pad3 m x)` → `x` | 3 |
-//! | let-inline        | `let p = trivial in b` → `b[p := trivial]` | — |
+//! | rule | rewrite |
+//! |---|---|
+//! | map-fusion        | `map f (map g x)` → `map (f ∘ g) x` |
+//! | map-id            | `map id x` → `x` |
+//! | split-join        | `join (split n x)` → `x` |
+//! | join-split        | `split n (join x)` → `x` (when the inner length is `n`) |
+//! | pad-pad           | `pad l₁ r₁ (pad l₂ r₂ x)` → `pad (l₁+l₂) (r₁+r₂) x` (same kind) |
+//! | pad-map           | `pad (map f x)` → `map f (pad x)` (`f` pads only, same kind) |
+//! | crop-pad          | `crop m (pad m m x)` → `x` |
+//! | crop-map          | `crop m (map f x)` → `map f (crop m x)` |
+//! | let-inline        | `let p = trivial in b` → `b[p := trivial]` |
 //!
-//! A rule over `map`/`zip`/`slide`/`pad` matches the node's `rank` field:
-//! map-fusion stays 1-D (inside a kernel only a 1-D map lowers), pad-pad
-//! merges pads of one rank only.
+//! Every pattern descends one array level and an n-D form is a nest of
+//! them (`pad2 = map pad ∘ pad`), so each rule holds at every depth: the
+//! two commutes bring the levels of two n-D pads (or a crop and a pad)
+//! together, map-fusion joins their maps, and pad-pad / crop-pad finish
+//! inside.
 //!
 //! Rules are applied bottom-up to a fixpoint by [`optimize`]. Rewritten
 //! trees contain fresh node ids, so all analysis passes re-run cleanly.
@@ -25,7 +29,7 @@
 //! (original and rewritten programs are lowered and executed and must agree
 //! exactly, on 1-D arrays and on 2-D and 3-D grids).
 
-use crate::ir::{Expr, ExprKind, ExprRef, Lambda, MapKind, ParamId};
+use crate::ir::{self, Expr, ExprKind, ExprRef, Lambda, MapKind, PadKind, ParamId};
 
 /// Substitutes every reference to parameter `pid` in `e` with `rep`
 /// (capture is impossible: parameter ids are globally unique).
@@ -41,6 +45,20 @@ fn is_identity(f: &Lambda) -> bool {
     matches!(&f.body.kind, ExprKind::Param(p) if p.id == f.params[0].id)
 }
 
+/// True when `e` is parameter `p` under pads of kind `kind` and maps of
+/// them: a function taking a `kind`-padding of its input to one of its
+/// output, so an outer pad of that kind commutes with mapping it.
+fn pads_only(e: &ExprRef, kind: PadKind, p: ParamId) -> bool {
+    match &e.kind {
+        ExprKind::Param(q) => q.id == p,
+        ExprKind::Pad { kind: k, input, .. } => *k == kind && pads_only(input, kind, p),
+        ExprKind::Map { f, input, .. } => {
+            pads_only(input, kind, p) && pads_only(&f.body, kind, f.params[0].id)
+        }
+        _ => false,
+    }
+}
+
 /// True when `e` is safe to duplicate by let-inlining.
 fn is_trivial(e: &ExprRef) -> bool {
     matches!(e.kind, ExprKind::Param(_) | ExprKind::Literal(_) | ExprKind::SizeVal(_))
@@ -53,23 +71,19 @@ fn pass(e: &ExprRef) -> (ExprRef, bool) {
     let (e, mut changed) = rebuild_children(e);
     // Then try root rules.
     let rewritten = match &e.kind {
-        // map id x → x, at every rank
+        // map id x → x
         ExprKind::Map { f, input, .. } if is_identity(f) => Some(input.clone()),
-        // map f (map g y) → map (f ∘ g) y over 1-D arrays — keep the *outer*
-        // execution level; only fuse when the inner map is sequential or the
-        // levels agree (a Glb map consumed by another map must not silently
-        // lose its parallelism).
-        ExprKind::Map { rank: 1, kind, f, input } => match &input.kind {
-            ExprKind::Map { rank: 1, kind: inner_kind, f: g, input: y }
+        // map f (map g y) → map (f ∘ g) y — keep the *outer* execution
+        // level; only fuse when the inner map is sequential or the levels
+        // agree (a Glb map consumed by another map must not silently lose
+        // its parallelism).
+        ExprKind::Map { kind, f, input } => match &input.kind {
+            ExprKind::Map { kind: inner_kind, f: g, input: y }
                 if inner_kind == kind || *inner_kind == MapKind::Seq =>
             {
                 let fused_body = subst_param(&f.body, f.params[0].id, &g.body);
-                Some(Expr::new(ExprKind::Map {
-                    rank: 1,
-                    kind: *kind,
-                    f: Lambda { params: g.params.clone(), body: fused_body },
-                    input: y.clone(),
-                }))
+                let fused = Lambda { params: g.params.clone(), body: fused_body };
+                Some(ir::map(*kind, y.clone(), fused))
             }
             _ => None,
         },
@@ -96,27 +110,27 @@ fn pass(e: &ExprRef) -> (ExprRef, bool) {
             }
             _ => None,
         },
-        // pad-pad merge, between pads of one rank
-        ExprKind::Pad { rank, left, right, kind, input } => match &input.kind {
-            ExprKind::Pad { rank: rank2, left: l2, right: r2, kind: k2, input: x }
-                if rank == rank2 && kind == k2 =>
+        ExprKind::Pad { left, right, kind, input } => match &input.kind {
+            // pad-pad merge
+            ExprKind::Pad { left: l2, right: r2, kind: k2, input: x } if kind == k2 => {
+                Some(ir::pad(left + l2, right + r2, *kind, x.clone()))
+            }
+            // pad (map f y) → map f (pad y), `f` padding with the same kind
+            ExprKind::Map { kind: mk, f, input: y }
+                if pads_only(&f.body, *kind, f.params[0].id) =>
             {
-                Some(Expr::new(ExprKind::Pad {
-                    rank: *rank,
-                    left: left + l2,
-                    right: right + r2,
-                    kind: *kind,
-                    input: x.clone(),
-                }))
+                Some(ir::map(*mk, ir::pad(*left, *right, *kind, y.clone()), f.clone()))
             }
             _ => None,
         },
-        // crop3 m (pad3 m x) → x
-        ExprKind::Crop3 { margin, input } => match &input.kind {
-            ExprKind::Pad { rank: 3, left, right, input: x, .. }
-                if left == margin && right == margin =>
-            {
+        ExprKind::Crop { margin, input } => match &input.kind {
+            // crop m (pad m m x) → x
+            ExprKind::Pad { left, right, input: x, .. } if left == margin && right == margin => {
                 Some(x.clone())
+            }
+            // crop (map f y) → map f (crop y)
+            ExprKind::Map { kind, f, input: y } => {
+                Some(ir::map(*kind, ir::crop(*margin, y.clone()), f.clone()))
             }
             _ => None,
         },
@@ -171,34 +185,17 @@ fn rebuild_children(e: &ExprRef) -> (ExprRef, bool) {
 /// This is a *tuning* rewrite (it changes the execution strategy, not the
 /// semantics), so it is applied explicitly rather than by [`optimize`].
 pub fn overlapped_tile_1d(e: &ExprRef, tile: i64) -> Option<ExprRef> {
-    let ExprKind::Map { rank: 1, kind: MapKind::Glb, f, input } = &e.kind else {
+    let ExprKind::Map { kind: MapKind::Glb, f, input } = &e.kind else {
         return None;
     };
-    let ExprKind::Slide { rank: 1, size, step: 1, input: source } = &input.kind else {
+    let ExprKind::Slide { size: k, step: 1, input: source } = &input.kind else {
         return None;
     };
-    let k = *size;
-    let outer = Expr::new(ExprKind::Slide {
-        rank: 1,
-        size: tile + k - 1,
-        step: tile,
-        input: source.clone(),
-    });
+    let outer = ir::slide(tile + k - 1, tile, source.clone());
     let tile_param = crate::ir::ParamDef::untyped("tileWin");
-    let staged = Expr::new(ExprKind::ToLocal(tile_param.to_expr()));
-    let windows = Expr::new(ExprKind::Slide { rank: 1, size: k, step: 1, input: staged });
-    let inner = Expr::new(ExprKind::Map {
-        rank: 1,
-        kind: MapKind::Lcl,
-        f: Lambda { params: f.params.clone(), body: f.body.clone() },
-        input: windows,
-    });
-    Some(Expr::new(ExprKind::Map {
-        rank: 1,
-        kind: MapKind::Wrg,
-        f: Lambda { params: vec![tile_param], body: inner },
-        input: outer,
-    }))
+    let windows = ir::slide(*k, 1, ir::to_local(tile_param.to_expr()));
+    let inner = ir::map(MapKind::Lcl, windows, f.clone());
+    Some(ir::map(MapKind::Wrg, outer, Lambda { params: vec![tile_param], body: inner }))
 }
 
 /// Applies all rules bottom-up until no rule fires (bounded at `max_passes`

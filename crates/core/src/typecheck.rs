@@ -4,26 +4,48 @@
 //! the array the enclosing `map`/`reduce` traverses. Results live in side
 //! tables keyed by [`ExprId`]/[`ParamId`] so the IR itself stays immutable.
 //!
-//! `map`, `zip`, `slide` and `pad` of rank `r` peel `r` array levels off
-//! their input ([`array_dims`]) and nest their result as deep. A malformed
-//! layout is a [`TypeError`] naming the pattern, never a panic or a
-//! division by zero further down: a `zip` of fewer than two arrays, a
-//! `slide` whose size or step is below 1, a negative `pad` amount, a rank
-//! outside 1–3.
+//! Every layout pattern descends one array level; n-D forms are nests of
+//! them. A malformed layout is a [`TypeError`] naming the pattern, never a
+//! panic or a division by zero further down: a `zip` of fewer than two
+//! arrays, a `slide` whose size or step is below 1, a negative `pad` or
+//! `crop` amount, a `transpose` of an array with fewer than two levels.
 
 use crate::arith::ArithExpr;
 use crate::ir::{Expr, ExprId, ExprKind, ExprRef, Lambda, ParamId};
 use crate::types::Type;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
+
+/// Hashes a node or parameter id, which is unique already, by one multiply.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(b as u64));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// A map keyed by [`ExprId`] or [`ParamId`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// The result of type checking: a type for every expression and parameter.
 #[derive(Debug, Default, Clone)]
 pub struct Typed {
     /// Expression types.
-    pub expr: HashMap<ExprId, Type>,
+    pub expr: IdMap<ExprId, Type>,
     /// Parameter types (declared or inferred).
-    pub params: HashMap<ParamId, Type>,
+    pub params: IdMap<ParamId, Type>,
 }
 
 impl Typed {
@@ -67,51 +89,10 @@ fn expect_array<'t>(
     e: &Expr,
     t: &'t Type,
     what: &str,
-) -> Result<(&'t Type, &'t ArithExpr), TypeError> {
+) -> Result<(&'t Rc<Type>, &'t ArithExpr), TypeError> {
     match t {
         Type::Array(elem, n) => Ok((elem, n)),
         other => err(e, format!("{what} expects an array, got {other}")),
-    }
-}
-
-/// Peels `rank` array levels off `t`: the element type and the lengths,
-/// innermost first (`[nx, ny, nz]`); `None` when `t` has fewer levels.
-pub(crate) fn array_dims(t: &Type, rank: u8) -> Option<(&Type, Vec<ArithExpr>)> {
-    let mut lens = Vec::with_capacity(rank as usize);
-    let mut elem = t;
-    for _ in 0..rank {
-        let Type::Array(inner, n) = elem else { return None };
-        lens.insert(0, n.clone());
-        elem = inner;
-    }
-    Some((elem, lens))
-}
-
-/// [`array_dims`], or a type error naming the pattern `what`.
-fn expect_rank<'t>(
-    e: &Expr,
-    t: &'t Type,
-    rank: u8,
-    what: &str,
-) -> Result<(&'t Type, Vec<ArithExpr>), TypeError> {
-    match array_dims(t, rank) {
-        Some(dims) if (1..=3).contains(&rank) => Ok(dims),
-        Some(_) => err(e, format!("{what} has rank {rank}; patterns have rank 1, 2 or 3")),
-        None => err(e, format!("{what} expects a rank-{rank} array, got {t}")),
-    }
-}
-
-/// `elem` nested in arrays of the lengths `lens`, innermost first.
-fn nest(elem: Type, lens: impl IntoIterator<Item = ArithExpr>) -> Type {
-    lens.into_iter().fold(elem, |t, n| Type::Array(Box::new(t), n))
-}
-
-/// The DSL name of a pattern at `rank`: `zip`, `zip2`, `zip3`.
-fn ranked(pattern: &str, rank: u8) -> String {
-    if rank == 1 {
-        pattern.to_string()
-    } else {
-        format!("{pattern}{rank}")
     }
 }
 
@@ -190,14 +171,14 @@ fn infer(e: &ExprRef, t: &mut Typed) -> Result<Type, TypeError> {
             let it = infer(index, t)?;
             expect_scalar(e, &it, "array index")?;
             let (elem, _) = expect_array(e, &at, "at")?;
-            elem.clone()
+            Type::clone(elem)
         }
         ExprKind::Slice { array, start, stride: _, len } => {
             let at = infer(array, t)?;
             let st = infer(start, t)?;
             expect_scalar(e, &st, "slice start")?;
             let (elem, _) = expect_array(e, &at, "slice")?;
-            Type::Array(Box::new(elem.clone()), len.clone())
+            Type::Array(elem.clone(), len.clone())
         }
         ExprKind::Iota { n } => Type::array(Type::i32(), n.clone()),
         ExprKind::SizeVal(_) => Type::i32(),
@@ -206,68 +187,77 @@ fn infer(e: &ExprRef, t: &mut Typed) -> Result<Type, TypeError> {
             t.params.insert(param.id, vt);
             infer(body, t)?
         }
-        ExprKind::Map { rank, f, input, .. } => {
+        ExprKind::Map { f, input, .. } => {
             let it = infer(input, t)?;
-            let (elem, lens) = expect_rank(e, &it, *rank, &ranked("map", *rank))?;
-            let out = infer_lambda1(f, elem.clone(), t)?;
-            nest(out, lens)
+            let (elem, n) = expect_array(e, &it, "map")?;
+            let out = infer_lambda1(f, Type::clone(elem), t)?;
+            Type::Array(Rc::new(out), n.clone())
         }
-        ExprKind::Zip { rank, parts } => {
-            let what = ranked("zip", *rank);
+        ExprKind::Zip(parts) => {
             if parts.len() < 2 {
-                return err(e, format!("{what} needs at least two arrays, got {}", parts.len()));
+                return err(e, format!("zip needs at least two arrays, got {}", parts.len()));
             }
             let mut elems = Vec::with_capacity(parts.len());
-            let mut shape: Option<Vec<ArithExpr>> = None;
+            let mut len: Option<ArithExpr> = None;
             for p in parts {
                 let pt = infer(p, t)?;
-                let (elem, lens) = expect_rank(e, &pt, *rank, &what)?;
-                let first = shape.get_or_insert_with(|| lens.clone());
-                if let Some((a, b)) = first.iter().zip(&lens).find(|(a, b)| a != b) {
-                    return err(e, format!("{what} length mismatch: {a} vs {b}"));
+                let (elem, n) = expect_array(e, &pt, "zip")?;
+                let first = len.get_or_insert_with(|| n.clone());
+                if first != n {
+                    return err(e, format!("zip length mismatch: {first} vs {n}"));
                 }
-                elems.push(elem.clone());
+                elems.push(Type::clone(elem));
             }
-            nest(Type::Tuple(elems), shape.expect("zip has two arrays"))
+            Type::Array(Rc::new(Type::Tuple(elems)), len.expect("zip has two arrays"))
         }
-        ExprKind::Slide { rank, size, step, input } => {
-            let what = ranked("slide", *rank);
+        ExprKind::Slide { size, step, input } => {
             if *size < 1 || *step < 1 {
                 return err(
                     e,
-                    format!("{what} needs size ≥ 1 and step ≥ 1, got size {size}, step {step}"),
+                    format!("slide needs size ≥ 1 and step ≥ 1, got size {size}, step {step}"),
                 );
             }
             let it = infer(input, t)?;
-            let (elem, lens) = expect_rank(e, &it, *rank, &what)?;
-            let windows = lens.into_iter().map(|n| {
-                ArithExpr::div(n - ArithExpr::cst(*size), ArithExpr::cst(*step)) + ArithExpr::one()
-            });
-            let window = nest(elem.clone(), (0..*rank).map(|_| ArithExpr::cst(*size)));
-            nest(window, windows)
+            let (elem, n) = expect_array(e, &it, "slide")?;
+            let windows = ArithExpr::div(n.clone() - ArithExpr::cst(*size), ArithExpr::cst(*step))
+                + ArithExpr::one();
+            Type::array(Type::Array(elem.clone(), ArithExpr::cst(*size)), windows)
         }
-        ExprKind::Pad { rank, left, right, kind, input } => {
-            let what = ranked("pad", *rank);
+        ExprKind::Pad { left, right, kind, input } => {
             if *left < 0 || *right < 0 {
-                return err(e, format!("{what} amounts must be ≥ 0, got {left} and {right}"));
+                return err(e, format!("pad amounts must be ≥ 0, got {left} and {right}"));
             }
             let it = infer(input, t)?;
-            let (elem, lens) = expect_rank(e, &it, *rank, &what)?;
+            let (elem, n) = expect_array(e, &it, "pad")?;
             if matches!(kind, crate::ir::PadKind::Constant(_)) {
-                expect_scalar(e, elem, &format!("constant {what} element"))?;
+                let mut cell: &Type = elem;
+                while let Type::Array(inner, _) = cell {
+                    cell = inner;
+                }
+                expect_scalar(e, cell, "constant pad element")?;
             }
-            nest(elem.clone(), lens.into_iter().map(|n| n + ArithExpr::cst(*left + *right)))
+            Type::Array(elem.clone(), n.clone() + ArithExpr::cst(*left + *right))
         }
-        ExprKind::Crop3 { margin, input } => {
+        ExprKind::Crop { margin, input } => {
+            if *margin < 0 {
+                return err(e, format!("crop margin must be ≥ 0, got {margin}"));
+            }
             let it = infer(input, t)?;
-            let (elem, lens) = expect_rank(e, &it, 3, "crop3")?;
-            nest(elem.clone(), lens.into_iter().map(|n| n - ArithExpr::cst(2 * *margin)))
+            let (elem, n) = expect_array(e, &it, "crop")?;
+            Type::Array(elem.clone(), n.clone() - ArithExpr::cst(2 * *margin))
+        }
+        ExprKind::Transpose(input) => {
+            let it = infer(input, t)?;
+            let Some((Type::Array(elem, m), n)) = it.elem().zip(it.len()) else {
+                return err(e, format!("transpose expects an array of arrays, got {it}"));
+            };
+            Type::array(Type::Array(elem.clone(), n.clone()), m.clone())
         }
         ExprKind::Split { chunk, input } => {
             let it = infer(input, t)?;
             let (elem, n) = expect_array(e, &it, "split")?;
             Type::Array(
-                Box::new(Type::Array(Box::new(elem.clone()), chunk.clone())),
+                Rc::new(Type::Array(elem.clone(), chunk.clone())),
                 ArithExpr::div(n.clone(), chunk.clone()),
             )
         }
@@ -275,7 +265,7 @@ fn infer(e: &ExprRef, t: &mut Typed) -> Result<Type, TypeError> {
             let it = infer(input, t)?;
             let (outer_elem, n) = expect_array(e, &it, "join")?;
             let (elem, m) = expect_array(e, outer_elem, "join inner")?;
-            Type::Array(Box::new(elem.clone()), m.clone() * n.clone())
+            Type::Array(elem.clone(), m.clone() * n.clone())
         }
         ExprKind::ReduceSeq { f, init, input } => {
             let acc_t = infer(init, t)?;
@@ -283,7 +273,7 @@ fn infer(e: &ExprRef, t: &mut Typed) -> Result<Type, TypeError> {
             let (elem, _) = expect_array(e, &it, "reduceSeq")?;
             assert_eq!(f.params.len(), 2, "reduce lambda must be binary");
             t.params.insert(f.params[0].id, acc_t.clone());
-            t.params.insert(f.params[1].id, elem.clone());
+            t.params.insert(f.params[1].id, Type::clone(elem));
             let out = infer(&f.body, t)?;
             if out != acc_t {
                 return err(e, format!("reduce combinator returns {out}, accumulator is {acc_t}"));
@@ -295,7 +285,7 @@ fn infer(e: &ExprRef, t: &mut Typed) -> Result<Type, TypeError> {
             if parts.is_empty() {
                 return err(e, "concat of zero arrays");
             }
-            let mut elem: Option<Type> = None;
+            let mut elem: Option<Rc<Type>> = None;
             let mut total = ArithExpr::zero();
             for p in parts {
                 let pt = infer(p, t)?;
@@ -309,7 +299,7 @@ fn infer(e: &ExprRef, t: &mut Typed) -> Result<Type, TypeError> {
                 }
                 total = total + n.clone();
             }
-            Type::Array(Box::new(elem.unwrap()), total)
+            Type::Array(elem.unwrap(), total)
         }
         ExprKind::Skip { len, elem } => {
             let lt = infer(len, t)?;
@@ -317,11 +307,11 @@ fn infer(e: &ExprRef, t: &mut Typed) -> Result<Type, TypeError> {
             // The type-level length of a Skip is an opaque fresh symbol; the
             // actual offset is the runtime `len` value (§IV-B of the paper:
             // Skip generates no code, it only shifts subsequent writes).
-            Type::Array(Box::new(elem.clone()), ArithExpr::var(format!("skip{}", e.id.0)))
+            Type::Array(Rc::new(elem.clone()), ArithExpr::var(format!("skip{}", e.id.0)))
         }
         ExprKind::ArrayCons { elem, n } => {
             let et = infer(elem, t)?;
-            Type::Array(Box::new(et), n.clone())
+            Type::Array(Rc::new(et), n.clone())
         }
         ExprKind::WriteTo { dest, value } => {
             let dt = infer(dest, t)?;
@@ -421,6 +411,16 @@ mod tests {
         };
         assert_eq!(nx, crate::arith::ArithExpr::var("Nx"));
         assert_eq!(nz, crate::arith::ArithExpr::var("Nz"));
+    }
+
+    #[test]
+    fn transpose_swaps_the_outer_levels() {
+        let a = ParamDef::typed("a", Type::array2(Type::real(), 4usize, 7usize));
+        let e = transpose(a.to_expr());
+        assert_eq!(*check(&e).unwrap().of(&e), Type::array2(Type::real(), 7usize, 4usize));
+        let flat = ParamDef::typed("v", Type::array(Type::real(), 4usize));
+        let err = check(&transpose(flat.to_expr())).unwrap_err();
+        assert!(err.msg.contains("transpose expects an array of arrays"), "{err}");
     }
 
     #[test]

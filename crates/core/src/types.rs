@@ -7,6 +7,7 @@
 
 use crate::arith::ArithExpr;
 use std::fmt;
+use std::rc::Rc;
 
 /// Primitive scalar kinds.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -70,7 +71,7 @@ pub enum Type {
     /// A tuple of heterogeneous components.
     Tuple(Vec<Type>),
     /// An array with a symbolic length.
-    Array(Box<Type>, ArithExpr),
+    Array(Rc<Type>, ArithExpr),
 }
 
 impl Type {
@@ -96,7 +97,7 @@ impl Type {
 
     /// An array of `elem` with length `n`.
     pub fn array(elem: Type, n: impl Into<ArithExpr>) -> Type {
-        Type::Array(Box::new(elem), n.into())
+        Type::Array(Rc::new(elem), n.into())
     }
 
     /// A 2-level nested array: `[[T; nx]; ny]` (row-major, x contiguous).
@@ -172,7 +173,7 @@ impl Type {
         match self {
             Type::Scalar(k) => Type::Scalar(k.resolve_real(real)),
             Type::Tuple(parts) => Type::Tuple(parts.iter().map(|p| p.resolve_real(real)).collect()),
-            Type::Array(e, n) => Type::Array(Box::new(e.resolve_real(real)), n.clone()),
+            Type::Array(e, n) => Type::Array(Rc::new(e.resolve_real(real)), n.clone()),
         }
     }
 

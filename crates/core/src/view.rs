@@ -12,14 +12,18 @@
 //!
 //! Views here are consumed functionally: [`View::access`] peels one array
 //! level, [`View::tuple_get`] projects a component, and [`View::as_scalar`] /
-//! [`View::store`] produce the final kernel-AST load or store.
+//! [`View::store`] produce the final kernel-AST load or store. Each layout
+//! view handles one array level; an n-D layout is a nest of them, joined by
+//! [`View::MapV`] (a `map` whose body only rearranges data) and
+//! [`View::TransposeV`].
 
 use crate::arith::ArithExpr;
-use crate::ir::PadKind;
+use crate::ir::{PadKind, ParamId};
 use crate::kast::{KExpr, KStmt, MemRef};
 use crate::scalar::{BinOp, Intrinsic, Lit};
 use crate::types::{ScalarKind, Type};
 use std::fmt;
+use std::rc::Rc;
 
 /// Error produced while collapsing a view.
 #[derive(Debug, Clone)]
@@ -55,60 +59,63 @@ pub enum View {
     Expr(KExpr, ScalarKind),
     /// A tuple of views (from `zip` after full access, or a `Tuple` node).
     Tuple(Vec<View>),
-    /// Zip: the next `levels` accesses distribute to every part; the
-    /// element is then a tuple.
-    ZipV {
-        /// Zipped arrays.
-        parts: Vec<View>,
-        /// Array levels remaining before the element tuple.
-        levels: u8,
-    },
-    /// Sliding windows over `dims` dimensions: the first `dims` accesses
-    /// select the window, the next `dims` select within the window.
+    /// Zip: an access distributes to every part; the element is a tuple.
+    ZipV(Vec<View>),
+    /// Sliding windows: the first access selects the window, the second
+    /// the element within it.
     SlideV {
         /// Underlying array view.
-        base: Box<View>,
+        base: Rc<View>,
         /// Window step.
         step: i64,
-        /// Dimensionality (1 or 3).
-        dims: u8,
-        /// Collected window origins (scaled by `step`).
-        ws: Vec<KExpr>,
-        /// Collected in-window offsets.
-        ds: Vec<KExpr>,
+        /// The selected window's origin (scaled by `step`).
+        window: Option<KExpr>,
     },
-    /// Padding over `dims` dimensions: collects `dims` indices, then guards.
+    /// Padding: an access reads `base` shifted by `left`, guarded (constant)
+    /// or clamped to `[0, len)`.
     PadV {
         /// Underlying array view.
-        base: Box<View>,
-        /// Pad width before index 0 (per dimension).
+        base: Rc<View>,
+        /// Pad width before index 0.
         left: i64,
-        /// Pad width after the end (per dimension).
-        right: i64,
-        /// Dimensionality (1 or 3).
-        dims: u8,
-        /// Unpadded length of each dimension, outermost first.
-        lens: Vec<ArithExpr>,
+        /// Unpadded length.
+        len: ArithExpr,
         /// Out-of-range behaviour.
         kind: PadKind,
-        /// Collected indices.
-        idxs: Vec<KExpr>,
     },
-    /// Interior view: the next `remaining` accesses are shifted by `margin`.
-    CropV {
-        /// Underlying array view.
-        base: Box<View>,
-        /// Shift per level.
-        margin: i64,
-        /// Levels still to shift.
-        remaining: u8,
+    /// The two outer levels swapped: the first access is held until the
+    /// second, then both are applied to `base` in the other order.
+    TransposeV {
+        /// Underlying view of at least two levels.
+        base: Rc<View>,
+        /// The held first index.
+        first: Option<KExpr>,
+    },
+    /// A `map` whose body only rearranges data: element `i` is `body` with
+    /// the placeholder of `param` filled by `base`'s element `i`.
+    MapV {
+        /// The mapped array.
+        base: Rc<View>,
+        /// The lambda parameter `body` stands for.
+        param: ParamId,
+        /// The body's view, built once around [`View::Hole`]`(param)`.
+        body: Rc<View>,
+    },
+    /// The placeholder of a [`View::MapV`] body's parameter.
+    Hole(ParamId),
+    /// A tuple projection of a placeholder, applied when it is filled.
+    TupleGet {
+        /// The projected view.
+        base: Rc<View>,
+        /// Component index.
+        index: usize,
     },
     /// Affine index remap over one level: element `i` reads
     /// `base[start + i*stride]`. Implements `Slice`, `Split` chunks and
     /// `Concat` offsets.
     Gather {
         /// Underlying array view.
-        base: Box<View>,
+        base: Rc<View>,
         /// Start offset.
         start: KExpr,
         /// Stride between elements.
@@ -117,14 +124,14 @@ pub enum View {
     /// Flattened nesting: element `i` reads `base[i / inner][i % inner]`.
     JoinV {
         /// Underlying `[[T; inner]; _]` view.
-        base: Box<View>,
+        base: Rc<View>,
         /// Inner length.
         inner: ArithExpr,
     },
     /// Chunked nesting: element `i` is the view of chunk `i`.
     SplitV {
         /// Underlying flat view.
-        base: Box<View>,
+        base: Rc<View>,
         /// Chunk length.
         chunk: ArithExpr,
     },
@@ -134,9 +141,9 @@ pub enum View {
         /// Out-of-range condition.
         cond: KExpr,
         /// View used when `cond` holds.
-        fallback: Box<View>,
+        fallback: Rc<View>,
         /// View used otherwise.
-        inside: Box<View>,
+        inside: Rc<View>,
     },
     /// The `iota` array: element `i` is the value `i` itself.
     IotaV,
@@ -158,7 +165,7 @@ impl View {
                 Type::Array(elem, _) => {
                     let stride = KExpr::from_arith(&elem.scalar_count());
                     let offset = offset + i * stride;
-                    Ok(View::Mem { mem, ty: *elem, offset })
+                    Ok(View::Mem { mem, ty: Rc::unwrap_or_clone(elem), offset })
                 }
                 other => {
                     Err(ViewError(format!("cannot index non-array memory view of type {other}")))
@@ -167,95 +174,55 @@ impl View {
             View::ConstLit(l) => Ok(View::ConstLit(l)),
             View::Expr(_, _) => Err(ViewError("cannot index a scalar expression view".into())),
             View::Tuple(_) => Err(ViewError("cannot index a tuple view; project first".into())),
-            View::ZipV { parts, levels } => {
-                let accessed: Result<Vec<View>, ViewError> =
-                    parts.into_iter().map(|p| p.access(i.clone())).collect();
-                let accessed = accessed?;
-                if levels <= 1 {
-                    Ok(View::Tuple(accessed))
-                } else {
-                    Ok(View::ZipV { parts: accessed, levels: levels - 1 })
-                }
+            View::ZipV(parts) => Ok(View::Tuple(
+                parts.into_iter().map(|p| p.access(i.clone())).collect::<Result<_, _>>()?,
+            )),
+            View::SlideV { base, step, window: None } => {
+                Ok(View::SlideV { base, step, window: Some(i * KExpr::int(step as i32)) })
             }
-            View::SlideV { base, step, dims, mut ws, mut ds } => {
-                if (ws.len() as u8) < dims {
-                    ws.push(i * KExpr::int(step as i32));
-                    Ok(View::SlideV { base, step, dims, ws, ds })
-                } else {
-                    ds.push(i);
-                    if (ds.len() as u8) == dims {
-                        // Fully selected: apply combined indices to the base.
-                        let mut v = *base;
-                        for k in 0..dims as usize {
-                            v = v.access(ws[k].clone() + ds[k].clone())?;
-                        }
-                        Ok(v)
-                    } else {
-                        Ok(View::SlideV { base, step, dims, ws, ds })
-                    }
-                }
-            }
-            View::PadV { base, left, right, dims, lens, kind, mut idxs } => {
-                idxs.push(i);
-                if (idxs.len() as u8) < dims {
-                    return Ok(View::PadV { base, left, right, dims, lens, kind, idxs });
-                }
+            View::SlideV { base, window: Some(w), .. } => own(base).access(w + i),
+            View::PadV { base, left, len, kind } => {
                 let l = KExpr::int(left as i32);
+                let n = KExpr::from_arith(&len);
                 match kind {
                     PadKind::Clamp => {
-                        let mut v = *base;
-                        for (k, idx) in idxs.iter().enumerate() {
-                            let n = KExpr::from_arith(&lens[k]);
-                            let shifted = idx.clone() - l.clone();
-                            let clamped = KExpr::Call(
-                                Intrinsic::Min,
-                                vec![
-                                    KExpr::Call(Intrinsic::Max, vec![shifted, KExpr::int(0)]),
-                                    n - KExpr::int(1),
-                                ],
-                            );
-                            v = v.access(clamped)?;
-                        }
-                        Ok(v)
+                        let shifted = i - l;
+                        let low = KExpr::Call(Intrinsic::Max, vec![shifted, KExpr::int(0)]);
+                        own(base).access(KExpr::Call(Intrinsic::Min, vec![low, n - KExpr::int(1)]))
                     }
                     PadKind::Constant(c) => {
-                        // cond: any index outside [left, left + n_k)
-                        let mut cond: Option<KExpr> = None;
-                        let mut v = *base;
-                        for (k, idx) in idxs.iter().enumerate() {
-                            let n = KExpr::from_arith(&lens[k]);
-                            let below = KExpr::bin(BinOp::Lt, idx.clone(), l.clone());
-                            let above = KExpr::bin(BinOp::Ge, idx.clone(), l.clone() + n);
-                            let outside = KExpr::bin(BinOp::Or, below, above);
-                            cond = Some(match cond {
-                                None => outside,
-                                Some(c0) => KExpr::bin(BinOp::Or, c0, outside),
-                            });
-                            v = v.access(idx.clone() - l.clone())?;
-                        }
-                        Ok(View::Guard {
-                            cond: cond.expect("pad has at least one dim"),
-                            fallback: Box::new(View::ConstLit(c)),
-                            inside: Box::new(v),
+                        let below = KExpr::bin(BinOp::Lt, i.clone(), l.clone());
+                        let above = KExpr::bin(BinOp::Ge, i.clone(), l.clone() + n);
+                        let outside = KExpr::bin(BinOp::Or, below, above);
+                        Ok(match own(base).access(i - l)? {
+                            // an outer level's guard of the same constant: one
+                            // `||` chain, outermost level first
+                            View::Guard { cond, fallback, inside } if matches!(*fallback, View::ConstLit(k) if k == c) =>
+                            {
+                                let cond = KExpr::bin(BinOp::Or, cond, outside);
+                                View::Guard { cond, fallback, inside }
+                            }
+                            inside => View::Guard {
+                                cond: outside,
+                                fallback: Rc::new(View::ConstLit(c)),
+                                inside: Rc::new(inside),
+                            },
                         })
                     }
                 }
             }
-            View::CropV { base, margin, remaining } => {
-                let shifted = i + KExpr::int(margin as i32);
-                let b2 = base.access(shifted)?;
-                if remaining <= 1 {
-                    Ok(b2)
-                } else {
-                    Ok(View::CropV { base: Box::new(b2), margin, remaining: remaining - 1 })
-                }
+            View::TransposeV { base, first: None } => Ok(View::TransposeV { base, first: Some(i) }),
+            View::TransposeV { base, first: Some(j) } => own(base).access(i)?.access(j),
+            View::MapV { base, param, body } => own(body).fill(param, &own(base).access(i)?),
+            View::Hole(_) | View::TupleGet { .. } => {
+                Err(ViewError("cannot index a map body's placeholder".into()))
             }
-            View::Gather { base, start, stride } => base.access(start + i * stride),
+            View::Gather { base, start, stride } => own(base).access(start + i * stride),
             View::JoinV { base, inner } => {
                 let m = KExpr::from_arith(&inner);
                 let outer = i.clone() / m.clone();
                 let inner_i = KExpr::bin(BinOp::Rem, i, m);
-                base.access(outer)?.access(inner_i)
+                own(base).access(outer)?.access(inner_i)
             }
             View::SplitV { base, chunk } => {
                 let start = i * KExpr::from_arith(&chunk);
@@ -263,8 +230,8 @@ impl View {
             }
             View::Guard { cond, fallback, inside } => Ok(View::Guard {
                 cond,
-                fallback: Box::new(fallback.access(i.clone())?),
-                inside: Box::new(inside.access(i)?),
+                fallback: Rc::new(own(fallback).access(i.clone())?),
+                inside: Rc::new(own(inside).access(i)?),
             }),
             View::IotaV => Ok(View::Expr(i, ScalarKind::I32)),
             View::Broadcast(e, k) => Ok(View::Expr(e, k)),
@@ -283,11 +250,42 @@ impl View {
             }
             View::Guard { cond, fallback, inside } => Ok(View::Guard {
                 cond,
-                fallback: Box::new(fallback.tuple_get(k)?),
-                inside: Box::new(inside.tuple_get(k)?),
+                fallback: Rc::new(own(fallback).tuple_get(k)?),
+                inside: Rc::new(own(inside).tuple_get(k)?),
             }),
+            View::Hole(_) | View::TupleGet { .. } => {
+                Ok(View::TupleGet { base: Rc::new(self), index: k })
+            }
             other => Err(ViewError(format!("tuple projection on non-tuple view {other:?}"))),
         }
+    }
+
+    /// This view with the placeholder of `param` replaced by `v` and the
+    /// projections held on it applied.
+    fn fill(self, param: ParamId, v: &View) -> Result<View, ViewError> {
+        let go = |b: Rc<View>| own(b).fill(param, v).map(Rc::new);
+        let all = |parts: Vec<View>| -> Result<Vec<View>, ViewError> {
+            parts.into_iter().map(|p| p.fill(param, v)).collect()
+        };
+        Ok(match self {
+            View::Hole(p) if p == param => v.clone(),
+            View::TupleGet { base, index } => return own(base).fill(param, v)?.tuple_get(index),
+            View::Tuple(parts) => View::Tuple(all(parts)?),
+            View::ZipV(parts) => View::ZipV(all(parts)?),
+            View::SlideV { base, step, window } => View::SlideV { base: go(base)?, step, window },
+            View::PadV { base, left, len, kind } => View::PadV { base: go(base)?, left, len, kind },
+            View::TransposeV { base, first } => View::TransposeV { base: go(base)?, first },
+            View::MapV { base, param: p, body } => {
+                View::MapV { base: go(base)?, param: p, body: go(body)? }
+            }
+            View::Gather { base, start, stride } => View::Gather { base: go(base)?, start, stride },
+            View::JoinV { base, inner } => View::JoinV { base: go(base)?, inner },
+            View::SplitV { base, chunk } => View::SplitV { base: go(base)?, chunk },
+            View::Guard { cond, fallback, inside } => {
+                View::Guard { cond, fallback: go(fallback)?, inside: go(inside)? }
+            }
+            leaf => leaf,
+        })
     }
 
     /// Collapses a scalar view into a kernel expression (a load, literal,
@@ -328,6 +326,11 @@ impl View {
             _ => None,
         }
     }
+}
+
+/// The view `v` holds, cloned only where it is shared.
+fn own(v: Rc<View>) -> View {
+    Rc::unwrap_or_clone(v)
 }
 
 #[cfg(test)]
@@ -387,7 +390,7 @@ mod tests {
     fn zip_distributes_then_tuples() {
         let a = mem1d(0, 8);
         let b = mem1d(1, 8);
-        let z = View::ZipV { parts: vec![a, b], levels: 1 };
+        let z = View::ZipV(vec![a, b]);
         let elem = z.access(gid()).unwrap();
         let first = collapsed(&elem.clone().tuple_get(0).unwrap());
         let second = collapsed(&elem.tuple_get(1).unwrap());
@@ -399,7 +402,7 @@ mod tests {
     fn slide_window_reads_shifted() {
         // slide(3,1) over [f32;10]: window w, delta d reads base[w + d]
         let base = mem1d(0, 10);
-        let s = View::SlideV { base: Box::new(base), step: 1, dims: 1, ws: vec![], ds: vec![] };
+        let s = View::SlideV { base: Rc::new(base), step: 1, window: None };
         let w = s.access(KExpr::int(4)).unwrap();
         let v = w.access(KExpr::int(2)).unwrap();
         assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(6)));
@@ -409,13 +412,10 @@ mod tests {
     fn pad_constant_guards() {
         let base = mem1d(0, 10);
         let p = View::PadV {
-            base: Box::new(base),
+            base: Rc::new(base),
             left: 1,
-            right: 1,
-            dims: 1,
-            lens: vec![ArithExpr::cst(10)],
+            len: ArithExpr::cst(10),
             kind: PadKind::Constant(Lit::f32(0.0)),
-            idxs: vec![],
         };
         let v = p.access(KExpr::var("i")).unwrap();
         match v.as_scalar().unwrap() {
@@ -428,13 +428,10 @@ mod tests {
     fn pad_clamp_clamps() {
         let base = mem1d(0, 10);
         let p = View::PadV {
-            base: Box::new(base),
+            base: Rc::new(base),
             left: 2,
-            right: 2,
-            dims: 1,
-            lens: vec![ArithExpr::cst(10)],
+            len: ArithExpr::cst(10),
             kind: PadKind::Clamp,
-            idxs: vec![],
         };
         let v = p.access(KExpr::var("i")).unwrap();
         // index i → min(max(i-2, 0), 9)
@@ -448,20 +445,42 @@ mod tests {
     }
 
     #[test]
-    fn crop_shifts_every_level() {
-        let t = Type::array(Type::array(Type::f32(), 10i64), 10i64);
-        let base = View::mem(MemRef::Param(0), t);
-        let c = View::CropV { base: Box::new(base), margin: 1, remaining: 2 };
-        let v = c.access(KExpr::int(0)).unwrap().access(KExpr::int(0)).unwrap();
-        // (0+1)*10 + (0+1) = 11
-        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(11)));
+    fn transpose_swaps_the_two_accesses() {
+        // [[f32; 4]; 3] transposed: element (1, 2) reads base[2][1] = 2*4 + 1
+        let t = Type::array(Type::array(Type::f32(), 4i64), 3i64);
+        let v = View::TransposeV { base: Rc::new(View::mem(MemRef::Param(0), t)), first: None };
+        let v = v.access(KExpr::int(1)).unwrap().access(KExpr::int(2)).unwrap();
+        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(9)));
+    }
+
+    #[test]
+    fn nested_constant_pads_share_one_guard() {
+        // map pad ∘ pad over [[f32; 4]; 3]: one select over `outer || inner`
+        let t = Type::array(Type::array(Type::f32(), 4i64), 3i64);
+        let zero = PadKind::Constant(Lit::f32(0.0));
+        let pad = |base, n| View::PadV {
+            base: Rc::new(base),
+            left: 1,
+            len: ArithExpr::cst(n),
+            kind: zero,
+        };
+        let param = ParamId(u64::MAX);
+        let rows = View::MapV {
+            base: Rc::new(pad(View::mem(MemRef::Param(0), t), 3)),
+            param,
+            body: Rc::new(pad(View::Hole(param), 4)),
+        };
+        let v = rows.access(KExpr::var("i")).unwrap().access(KExpr::var("b")).unwrap();
+        let KExpr::Select(cond, _, load) = v.as_scalar().unwrap() else { panic!() };
+        assert!(matches!(*cond, KExpr::Bin(BinOp::Or, _, _)));
+        assert!(matches!(*load, KExpr::Load { .. }), "{load:?}");
     }
 
     #[test]
     fn gather_applies_affine_map() {
         let base = mem1d(0, 100);
         let g =
-            View::Gather { base: Box::new(base), start: KExpr::var("i"), stride: KExpr::int(25) };
+            View::Gather { base: Rc::new(base), start: KExpr::var("i"), stride: KExpr::int(25) };
         let v = g.access(KExpr::int(2)).unwrap();
         // i + 2*25 = i + 50
         match collapsed(&v) {
@@ -477,7 +496,7 @@ mod tests {
     fn join_divmods() {
         let t = Type::array(Type::array(Type::f32(), 4i64), 3i64);
         let base = View::mem(MemRef::Param(0), t);
-        let j = View::JoinV { base: Box::new(base), inner: ArithExpr::cst(4) };
+        let j = View::JoinV { base: Rc::new(base), inner: ArithExpr::cst(4) };
         let v = j.access(KExpr::int(6)).unwrap();
         // 6/4=1, 6%4=2 → offset 1*4+2 = 6
         assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(6)));
@@ -486,7 +505,7 @@ mod tests {
     #[test]
     fn split_chunks() {
         let base = mem1d(0, 12);
-        let s = View::SplitV { base: Box::new(base), chunk: ArithExpr::cst(4) };
+        let s = View::SplitV { base: Rc::new(base), chunk: ArithExpr::cst(4) };
         let v = s.access(KExpr::int(2)).unwrap().access(KExpr::int(1)).unwrap();
         assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(9)));
     }
@@ -514,25 +533,19 @@ mod tests {
     }
 
     #[test]
-    fn slide3_reads_3d_neighbourhood() {
-        // grid [[[f32;5];5];5], slide3(3,1): window (1,1,1), delta (0,1,2)
-        // reads grid[1+0][1+1][1+2] = offset 1*25 + 2*5 + 3 = 38
-        let t = Type::array3(Type::f32(), 5i64, 5i64, 5i64);
-        let base = View::mem(MemRef::Param(0), t);
-        let s = View::SlideV { base: Box::new(base), step: 1, dims: 3, ws: vec![], ds: vec![] };
-        let v = s
-            .access(KExpr::int(1))
-            .unwrap()
-            .access(KExpr::int(1))
-            .unwrap()
-            .access(KExpr::int(1))
-            .unwrap()
-            .access(KExpr::int(0))
-            .unwrap()
-            .access(KExpr::int(1))
-            .unwrap()
-            .access(KExpr::int(2))
-            .unwrap();
-        assert_eq!(collapsed(&v), KExpr::load(MemRef::Param(0), KExpr::int(38)));
+    fn map_view_fills_its_placeholder_per_access() {
+        // map (t → (get t 1, get t 0)) (zip a b): element i's part 0 is b[i]
+        let param = ParamId(u64::MAX);
+        let body = View::Tuple(vec![
+            View::Hole(param).tuple_get(1).unwrap(),
+            View::Hole(param).tuple_get(0).unwrap(),
+        ]);
+        let swapped = View::MapV {
+            base: Rc::new(View::ZipV(vec![mem1d(0, 8), mem1d(1, 8)])),
+            param,
+            body: Rc::new(body),
+        };
+        let first = swapped.access(gid()).unwrap().tuple_get(0).unwrap();
+        assert_eq!(collapsed(&first), KExpr::load(MemRef::Param(1), gid()));
     }
 }

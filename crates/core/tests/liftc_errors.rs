@@ -24,6 +24,7 @@ fn malformed_layouts_exit_with_a_type_error() {
         ("(map-glb (zip a) (t) (get t 0))", "zip needs at least two arrays"),
         ("(map-glb (slide 3 0 a) (w) (at w 0))", "slide needs size ≥ 1 and step ≥ 1"),
         ("(map-glb (pad -2 0 clamp a) (x) x)", "pad amounts must be ≥ 0"),
+        ("(map-glb (transpose a) (r) (at r 0))", "transpose expects an array of arrays"),
     ] {
         let (code, stderr) = liftc(&format!("(kernel k (params (a (array real N))) {body})"));
         assert_eq!(code, Some(1), "{body}: {stderr}");
