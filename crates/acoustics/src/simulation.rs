@@ -1046,10 +1046,9 @@ mod tests {
         (0..n).map(|_| Device::gtx780()).collect()
     }
 
-    fn race_checked() -> Device {
-        let mut dev = Device::gtx780();
-        dev.set_race_check(true);
-        dev
+    /// A device on a sanitizing runtime: a write race fails its launch.
+    fn sanitizing_device() -> Device {
+        Device::with_runtime(vgpu::DeviceProfile::gtx780(), vgpu::Runtime::sanitizing())
     }
 
     const FIMM: BoundaryKernel = BoundaryKernel::FiMm { beta_constant: false };
@@ -1057,7 +1056,7 @@ mod tests {
     #[test]
     fn handwritten_fimm_matches_reference_f64() {
         let s = setup(GridDims::cube(12), RoomShape::Box, false);
-        let mut hw = SingleSim::new(s.clone(), Precision::Double, FIMM, race_checked());
+        let mut hw = SingleSim::new(s.clone(), Precision::Double, FIMM, sanitizing_device());
         let mut rf = ReferenceSim::<f64>::new(s);
         hw.impulse(6, 6, 6, 1.0);
         rf.impulse(6, 6, 6, 1.0);
@@ -1072,7 +1071,7 @@ mod tests {
     fn handwritten_fdmm_matches_reference_f64() {
         let s = setup(GridDims::cube(12), RoomShape::Dome, true);
         let mut hw =
-            SingleSim::new(s.clone(), Precision::Double, BoundaryKernel::FdMm, race_checked());
+            SingleSim::new(s.clone(), Precision::Double, BoundaryKernel::FdMm, sanitizing_device());
         let mut rf = ReferenceSim::<f64>::new(s);
         hw.impulse(6, 6, 3, 1.0);
         rf.impulse(6, 6, 3, 1.0);

@@ -37,8 +37,6 @@ use vgpu::{Device, DeviceProfile, ExecMode, Runtime};
 pub struct BatchConfig {
     /// Worker threads draining the queue.
     pub threads: usize,
-    /// Enable the per-launch write-race detector.
-    pub race_check: bool,
     /// When set, write a per-job telemetry sidecar JSON into this
     /// directory (`job_<id>.telemetry.json`).
     pub sidecar_dir: Option<PathBuf>,
@@ -46,7 +44,7 @@ pub struct BatchConfig {
 
 impl Default for BatchConfig {
     fn default() -> Self {
-        BatchConfig { threads: 2, race_check: false, sidecar_dir: None }
+        BatchConfig { threads: 2, sidecar_dir: None }
     }
 }
 
@@ -216,11 +214,7 @@ fn run_sim(cfg: &BatchConfig, rt: &Arc<Runtime>, sc: &Scenario) -> Result<JobOut
     // Several devices (`VGPU_DEVICES > 1`) spread the job over as many
     // Z-slabs (bit-identical to one device; see DESIGN.md §12).
     let devices = (0..rt.settings.devices)
-        .map(|_| {
-            let mut d = Device::with_runtime(DeviceProfile::gtx780(), rt.clone());
-            d.set_race_check(cfg.race_check);
-            d
-        })
+        .map(|_| Device::with_runtime(DeviceProfile::gtx780(), rt.clone()))
         .collect();
     let setup = SimSetup::try_new(&sc.config()).map_err(|e| e.to_string())?;
     let mut sim = Simulation::try_new(setup, sc.precision, sc.boundary_kernel(), devices)

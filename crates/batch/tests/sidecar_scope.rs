@@ -22,8 +22,7 @@ use vgpu::{Device, ExecMode, Runtime, Settings};
 /// An executor of two workers writing sidecars into `dir`, on a runtime
 /// that traces in `trace` mode.
 fn executor(trace: TraceMode, dir: &std::path::Path) -> BatchExecutor {
-    let cfg =
-        BatchConfig { threads: 2, sidecar_dir: Some(dir.to_path_buf()), ..Default::default() };
+    let cfg = BatchConfig { threads: 2, sidecar_dir: Some(dir.to_path_buf()) };
     let rt = Runtime::new(Settings { trace, ..vgpu::runtime().settings });
     BatchExecutor::with_runtime(cfg, rt)
 }

@@ -1,8 +1,8 @@
 //! Threaded stress: parallel jobs sharing the process-wide artifact cache
 //! and one runtime must be bit-identical to a serial run of the same
 //! scenarios, with every launch under the differential engine (the tree
-//! and tape legs asserted bit-equal inside each launch) and race-checked
-//! (a write race fails its job).
+//! and tape legs asserted bit-equal inside each launch) on a sanitizing
+//! runtime (a write race, uninit or stale read fails its job).
 
 use batch::{BatchConfig, BatchExecutor, ScenarioGen};
 use std::sync::Mutex;
@@ -12,10 +12,11 @@ use vgpu::{telemetry, Engine, Runtime, Settings};
 /// test here compiles shipped kernel classes through the artifact map.
 static COUNTERS: Mutex<()> = Mutex::new(());
 
-/// A race-checked executor of `threads` workers on a differential runtime.
+/// An executor of `threads` workers on a differential, sanitizing runtime.
 fn diff_executor(threads: usize) -> BatchExecutor {
-    let cfg = BatchConfig { threads, race_check: true, ..Default::default() };
-    let settings = Settings { engine: Engine::Differential, ..vgpu::runtime().settings };
+    let cfg = BatchConfig { threads, ..Default::default() };
+    let settings =
+        Settings { engine: Engine::Differential, shadow: true, ..vgpu::runtime().settings };
     BatchExecutor::with_runtime(cfg, Runtime::new(settings))
 }
 

@@ -90,7 +90,7 @@ fn main() {
     ];
     let baseline_step = || {
         let (mode, engine) = (ExecMode::Fast, Engine::Fast);
-        exec::launch(&prep, &base_binds, &global, None, mode, false, 128, engine, &rt).unwrap();
+        exec::launch(&prep, &base_binds, &global, None, mode, 128, engine, &rt).unwrap();
     };
 
     // Warm both paths (first-touch, lazy tape state, allocator warm-up).

@@ -8,8 +8,8 @@
 //!    `boundaryIndices` vs a full-grid kernel that tests `0 < nbr < 6`
 //!    everywhere;
 //! 3. **FD-MM branch count** — traffic per update as `MB` sweeps 1–5;
-//! 4. **race-check overhead** — interpreter wall time with the write-race
-//!    detector on/off.
+//! 4. **sanitizer overhead** — interpreter wall time with the shadow
+//!    sanitizer (uninit and stale-halo reads, write races) on/off.
 //!
 //! `REPRO_QUICK=1` shrinks the rooms.
 
@@ -24,7 +24,7 @@ use room_acoustics::{
     MaterialAssignment, Precision, RoomShape, SimConfig, SimSetup, Simulation,
 };
 use serde::Serialize;
-use vgpu::{Device, DeviceProfile, ExecMode, ModelInput};
+use vgpu::{Device, DeviceProfile, ExecMode, ModelInput, Runtime};
 
 fn modeled_ms(txn: u64, flops: u64, double: bool) -> f64 {
     vgpu::modeled_time_s(
@@ -240,9 +240,9 @@ fn main() {
         }
     }
 
-    // ---------------- 4. race-check overhead -----------------------------
+    // ---------------- 4. sanitizer overhead ------------------------------
     {
-        eprintln!("ablation 4: race-check overhead…");
+        eprintln!("ablation 4: sanitizer overhead…");
         let small = GridDims::new(64, 48, 40);
         let setup = SimSetup::new(&SimConfig::fdmm(small, RoomShape::Box));
         let mut sim = HandwrittenSim::new(
@@ -256,8 +256,7 @@ fn main() {
             sim.boundary_step_only(ExecMode::Fast);
         }
         let off = t0.elapsed().as_secs_f64() / 5.0;
-        let mut dev = Device::gtx780();
-        dev.set_race_check(true);
+        let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
         let mut sim2 = HandwrittenSim::new(setup, Precision::Double, BoundaryKernel::FdMm, dev);
         let t0 = std::time::Instant::now();
         for _ in 0..5 {
@@ -265,12 +264,12 @@ fn main() {
         }
         let on = t0.elapsed().as_secs_f64() / 5.0;
         trows.push(vec![
-            "race-check".into(),
+            "sanitizer".into(),
             "overhead".into(),
             format!("{:.2}× ({:.1} ms → {:.1} ms interpreter wall)", on / off, off * 1e3, on * 1e3),
         ]);
         out.push(AblationRow {
-            study: "race_check",
+            study: "sanitizer",
             variant: "ratio".into(),
             metric: "x".into(),
             value: on / off,

@@ -317,38 +317,6 @@ impl SExpr {
         SExpr::Bin(op, Rc::new(a), Rc::new(b))
     }
 
-    /// Static count of floating-point operations executed per evaluation
-    /// (selects count both sides' maximum? No: counts the *taken* cost is
-    /// data-dependent, so we statically count the worst case of the two
-    /// branches, which matches GPU lock-step execution of divergent code).
-    pub fn flop_count(&self) -> u64 {
-        match self {
-            SExpr::Param(_) | SExpr::Lit(_) => 0,
-            SExpr::Bin(op, a, b) => {
-                let inner = a.flop_count() + b.flop_count();
-                inner + if op.is_flop() { 1 } else { 0 }
-            }
-            SExpr::Un(_, a) => a.flop_count(),
-            SExpr::Select(c, t, f) => c.flop_count() + t.flop_count().max(f.flop_count()),
-            SExpr::Call(i, args) => {
-                let inner: u64 = args.iter().map(SExpr::flop_count).sum();
-                // Transcendental intrinsics modelled as a handful of flops.
-                let own = match i {
-                    Intrinsic::Sqrt
-                    | Intrinsic::Exp
-                    | Intrinsic::Log
-                    | Intrinsic::Sin
-                    | Intrinsic::Cos => 4,
-                    Intrinsic::Fma => 2,
-                    Intrinsic::Min | Intrinsic::Max => 1,
-                    Intrinsic::Fabs => 0,
-                };
-                inner + own
-            }
-            SExpr::Cast(_, a) => a.flop_count(),
-        }
-    }
-
     /// Evaluates with the given arguments. `real` resolves precision-generic
     /// literals. Mixed float/int operands promote to the float operand's
     /// kind, mirroring C's usual arithmetic conversions (restricted to the
@@ -553,11 +521,6 @@ impl UserFun {
         let out = self.body.eval(args, real);
         out.cast(self.ret.resolve_real(real))
     }
-
-    /// Static flop count per invocation.
-    pub fn flop_count(&self) -> u64 {
-        self.body.flop_count()
-    }
 }
 
 impl fmt::Display for UserFun {
@@ -646,19 +609,6 @@ mod tests {
     fn userfun_casts_result() {
         let f = UserFun::new("trunc", vec![("x", ScalarKind::F64)], ScalarKind::I32, SExpr::p(0));
         assert_eq!(f.eval(&[Value::F64(3.9)], ScalarKind::F64), Value::I32(3));
-    }
-
-    #[test]
-    fn flop_count_counts_float_ops() {
-        // (a + b) * c - d  → 3 flops
-        let e = (SExpr::p(0) + SExpr::p(1)) * SExpr::p(2) - SExpr::p(3);
-        assert_eq!(e.flop_count(), 3);
-    }
-
-    #[test]
-    fn flop_count_select_takes_max() {
-        let e = SExpr::select(SExpr::p(0), SExpr::p(1) + SExpr::p(2), SExpr::p(1));
-        assert_eq!(e.flop_count(), 1);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! content facts ([`BufferFacts::value_range`], [`BufferFacts::distinct`],
 //! [`BufferFacts::interior_mask`], [`Assumptions::interior_guards`]) are
 //! assumed data invariants — the differential harness cross-checks them
-//! against the dynamic race-check oracle. Index arithmetic is treated as
+//! against the shadow sanitizer's dynamic write-race check. Index arithmetic is treated as
 //! exact integers (no `i32` wrap-around), and `for` steps are taken to be
 //! ≥ 1, matching the interpreter's clamp. A
 //! [`RaceVerdict::Definite`] verdict assumes the launch spans at least

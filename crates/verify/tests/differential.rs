@@ -1,11 +1,11 @@
-//! Differential cross-check: static race verdicts vs the dynamic
-//! race-check oracle.
+//! Differential cross-check: static race verdicts vs the shadow
+//! sanitizer's dynamic write-race check.
 //!
 //! The static write-race detector proves every shipped kernel's store
 //! maps disjoint across work-items (see `verify::suite`). Those proofs
 //! rest on assumed data invariants (`boundaryIndices` distinct, interior
 //! masks); this harness checks the other side of the bargain by running
-//! every simulation backend with `Device::set_race_check(true)` — a
+//! every simulation backend on a sanitizing runtime — a
 //! statically-proven kernel must never produce a dynamic race report,
 //! and the deliberately racy fixture must be flagged by *both* levels
 //! with matching element and site provenance.
@@ -17,10 +17,10 @@ use room_acoustics::{BoundaryKernel, HandwrittenSim, Precision, Simulation};
 use verify::fixtures;
 use vgpu::{Arg, Device, DeviceProfile, ExecMode, Runtime};
 
+/// A device on a sanitizing runtime of its own: a write race fails its
+/// launch.
 fn race_device() -> Device {
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
-    dev
+    Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing())
 }
 
 /// Every hand-written backend, both room shapes, stepped under the
@@ -94,8 +94,8 @@ fn racy_fixture_flagged_statically_and_dynamically() {
         .launch(&prep, &[Arg::Buf(out), Arg::Val(Value::I32(32))], &[32], ExecMode::Fast)
         .expect_err("dynamic detector reports the race");
     let msg = err.to_string();
-    assert!(msg.contains("element 3"), "dynamic report names the element: {msg}");
-    assert!(msg.contains("site(s) [0]"), "dynamic report names the site: {msg}");
+    let names = "write-race in `fixture_racy` site 0: buffer `out` element 3";
+    assert!(msg.contains(names), "dynamic report names site, buffer and element: {msg}");
 }
 
 /// The tape executor must *refuse* proof-licensed elision for the OOB
@@ -133,10 +133,9 @@ fn oob_fixture_refuses_proof_licensed_elision() {
     assert_eq!(proven, 0, "nothing about this launch is provable without a contract");
 }
 
-/// The OOB fixture is a *static-only* catch: the release-mode tree
-/// oracle trusts the bounds contract (its checks are debug assertions),
-/// which is exactly why the bounds checker must flag the site rather than
-/// rely on the dynamic oracle.
+/// The OOB fixture is caught statically too: the bounds checker flags the
+/// site before anything runs, rather than leaving it to a launch that
+/// happens to reach the last work-item.
 #[test]
 fn oob_fixture_is_flagged_statically() {
     let entries = fixtures::entries();

@@ -7,29 +7,27 @@
 //!
 //! * every *dynamic* finding on the uninit fixture is contained in the
 //!   *static* prediction set (dynamic ⊆ static — the analysis is sound
-//!   for the shapes we ship);
+//!   for the shapes we ship), and so is the racy fixture's write race:
+//!   its site is among those of the static `Definite` race verdict;
 //! * both deliberately broken fixtures are flagged by the static layer
 //!   (`fixture_uninit_read` by the host audit, `fixture_stale_halo` by
 //!   the halo-width proof), and the shipped kernels stay PROVEN;
 //! * the full differential suite over the sharded simulator runs
 //!   bit-identical to a single device with the sanitizer on — zero
-//!   findings on any shipped kernel.
+//!   findings, write races included, on any shipped kernel.
 //!
 //! Each test that needs shadow mode runs on a runtime of its own with the
 //! sanitizer on, whose findings are that test's alone.
 
-use lift::prelude::ScalarKind;
+use lift::prelude::{ScalarKind, Value};
+use lift::verify::RaceVerdict;
 use room_acoustics::{
     BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, ShardedSim, SimConfig, SimSetup,
 };
 use std::sync::Arc;
-use vgpu::{run_host_program, Device, DeviceProfile, Engine, ExecMode, HostEnv, Runtime, Settings};
-
-/// A runtime with the shadow sanitizer on and the environment's other
-/// settings.
-fn shadow_runtime() -> Arc<Runtime> {
-    Runtime::new(Settings { shadow: true, ..vgpu::runtime().settings })
-}
+use vgpu::{
+    run_host_program, Arg, Device, DeviceProfile, Engine, ExecMode, FaultKind, HostEnv, Runtime,
+};
 
 /// A device of `rt` on `engine`.
 fn device(rt: &Arc<Runtime>, engine: Engine) -> Device {
@@ -43,7 +41,7 @@ fn device(rt: &Arc<Runtime>, engine: Engine) -> Device {
 /// reading kernel, same buffer slot.
 #[test]
 fn dynamic_uninit_findings_are_contained_in_static_predictions() {
-    let rt = shadow_runtime();
+    let rt = Runtime::sanitizing();
     // Static side: the host audit predicts the launch of
     // `fixture_uninit_read` reads the never-written `src` allocation.
     let audit = verify::host_audit();
@@ -80,6 +78,32 @@ fn dynamic_uninit_findings_are_contained_in_static_predictions() {
     }
 }
 
+/// The racy fixture, launched on a sanitizing runtime under the oracle and
+/// the tape: each launch fails and records one write race, on `out`
+/// element 3, at a site of the static `Definite` race report for `out`.
+#[test]
+fn dynamic_write_races_are_contained_in_static_race_verdicts() {
+    let entries = verify::fixtures::entries();
+    let racy = entries.iter().find(|e| e.kernel.name == "fixture_racy").unwrap();
+    let report = lift::verify::verify_kernel(&racy.kernel, &racy.assumptions);
+    let definite = report
+        .races
+        .iter()
+        .find(|r| r.buffer == "out" && matches!(r.verdict, RaceVerdict::Definite { .. }))
+        .expect("the static detector proves the collision on `out`");
+    for engine in [Engine::Tree, Engine::Fast] {
+        let rt = Runtime::sanitizing();
+        let mut dev = device(&rt, engine);
+        let prep = dev.compile(&racy.kernel).unwrap();
+        let out = dev.create_buffer(ScalarKind::F32, 32);
+        let args = [Arg::Buf(out), Arg::Val(Value::I32(32))];
+        let err = dev.launch(&prep, &args, &[32], ExecMode::Fast).expect_err("a write race");
+        let [f] = &rt.findings.all()[..] else { panic!("{engine:?}: one finding, {err}") };
+        assert_eq!((f.kind, f.buffer.as_str(), f.element), (FaultKind::WriteRace, "out", 3), "{f}");
+        assert!(definite.sites.contains(&f.site), "{f}: not among sites {:?}", definite.sites);
+    }
+}
+
 /// The stale-halo fixture is flagged by the static halo-width proof
 /// (its dynamic twin — a skipped halo exchange — is pinned in the vgpu
 /// crate's `sanitize_shadow` tests), and every shipped kernel in the
@@ -107,7 +131,7 @@ fn stale_halo_fixture_fails_static_proof_and_shipped_kernels_stay_proven() {
 /// every shipped kernel (halo exchanges keep the seams fresh).
 #[test]
 fn differential_sharded_run_is_bit_identical_and_clean_under_shadow() {
-    let rt = shadow_runtime();
+    let rt = Runtime::sanitizing();
     let diff_devices =
         |n: usize| -> Vec<Device> { (0..n).map(|_| device(&rt, Engine::Differential)).collect() };
     let s = SimSetup::new(&SimConfig::fimm(GridDims::cube(12), RoomShape::Box));
@@ -136,7 +160,8 @@ fn differential_sharded_run_is_bit_identical_and_clean_under_shadow() {
         a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
         "sharded field diverges from single device under shadow sanitizer"
     );
-    // No shipped kernel tripped the sanitizer.
+    // No shipped kernel tripped the sanitizer: no write race, no read.
     let stray = rt.findings.all();
+    assert!(stray.iter().all(|f| f.kind != FaultKind::WriteRace), "{stray:?}");
     assert!(stray.is_empty(), "shadow sanitizer flagged shipped kernels: {stray:?}");
 }

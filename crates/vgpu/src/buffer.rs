@@ -12,9 +12,9 @@
 //! acoustics kernels satisfy it because boundary indices are unique.
 //! `SharedBuf` exposes `unsafe` element accessors whose contract is exactly
 //! that disjointness; the safe wrapper in [`crate::device`] upholds it by
-//! construction, and [`crate::device::Device::set_race_check`] turns on a
-//! dynamic detector that records per-work-item write sets and fails the
-//! launch if two work-items ever wrote the same element.
+//! construction, and on a sanitizing runtime the shadow memory
+//! ([`crate::sanitize`]) tags each element with its last writer and fails
+//! the launch if two work-items ever wrote the same element.
 
 use lift::prelude::{ScalarKind, Value};
 use std::cell::UnsafeCell;
@@ -177,7 +177,7 @@ pub struct SharedBuf {
 
 // SAFETY: concurrent access is restricted by the launch contract — work-items
 // write disjoint elements and never read an element another work-item writes
-// in the same launch. The race-check mode verifies write disjointness.
+// in the same launch. A sanitizing runtime's shadow checks write disjointness.
 unsafe impl Sync for SharedBuf {}
 unsafe impl Send for SharedBuf {}
 

@@ -20,7 +20,7 @@
 //!   kernel) bit for bit.
 //! * **Static load/store sites** — `LdG`/`StG` ops carry the same site ids
 //!   the tree-walker assigns, feeding the identical warp transaction model,
-//!   counters, and race-check bookkeeping.
+//!   counters, and sanitizer findings.
 //! * **Static flop accounting** — flop counts are summed per basic block and
 //!   materialised as single `Flops` ops, preserving the tree-walker's
 //!   data-dependent totals (branches carry their own counts).
@@ -33,7 +33,7 @@
 
 use crate::buffer::{BufPtr, SharedBuf};
 use crate::exec::{array_index, array_len, Counters, PExpr, PMem, PStmt, Prepared};
-use crate::exec::{TraceRec, WriteRec, WARP};
+use crate::exec::{TraceRec, WARP};
 use crate::profiler::OpProf;
 use lift::kast::MemSpace;
 use lift::prelude::{BinOp, Intrinsic, ScalarKind, UnOp, Value};
@@ -838,7 +838,7 @@ impl<'a> Cc<'a> {
                 }
                 self.slots[*slot] = Sk::Known(k);
             }
-            PStmt::Assign { slot, value, .. } => {
+            PStmt::Assign { slot, value } => {
                 let k = match self.slots[*slot] {
                     Sk::Known(k) => k,
                     _ => return Err(format!("assignment to slot {slot} of unknown kind")),
@@ -1197,7 +1197,7 @@ fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
 
 // ---- peephole optimizer ----
 //
-// Five passes over the compiled tape, run once at compile time:
+// Four passes over the compiled tape, run once at compile time:
 //
 // 0. **If-conversion** — branch diamonds whose arms are pure straight-line
 //    code are flattened: both arms execute unconditionally into renamed
@@ -1209,15 +1209,16 @@ fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
 // 2. **Hoisting** — pure ops in a phase's entry block (before any control
 //    flow) whose operands are item-invariant move to `Compiled::pre` and
 //    execute once per register file instead of once per work-item.
-// 3. **Dead-register elimination** — pure ops whose destination is never
-//    read are removed and jump targets/phase entries are remapped.
-// 4. **Copy coalescing** — a `Mov` out of a single-use temporary folds into
+//    Context reads (`Gid`, `Lid`, …) are deduplicated into
+//    `Compiled::item_pre`, run once per work-item; jump targets and phase
+//    entries are remapped around what moved.
+// 3. **Copy coalescing** — a `Mov` out of a single-use temporary folds into
 //    the temporary's producer; a `Mov` that is its destination's only
 //    definition gives way to its source ([`coalesce_copies`]).
 //
 // The passes never touch loads, stores, `Flops`, declarations, or control
 // flow with observable effects, so the observable semantics — buffer bits,
-// all counters, the transaction trace, and race records — are identical to
+// all counters, the transaction trace, and sanitizer findings — are identical to
 // the unoptimized tape. `Engine::Differential` enforces this against the
 // tree-walker.
 
@@ -1459,12 +1460,10 @@ fn hoistable(op: &Op) -> bool {
     }
 }
 
-/// True for pure ops that may be deleted when their destination is never
-/// read: no side effects, no counters, and cannot trap. The same criteria
-/// make an op safe for the if-converter to *speculate* (execute on a path
-/// the program would have branched around), so pass 0 reuses this
-/// predicate for arm bodies.
-fn removable(op: &Op) -> bool {
+/// True for pure ops with no side effects and no counters that cannot
+/// trap: safe for the if-converter (pass 0) to *speculate* — execute on a
+/// path the program would have branched around.
+fn speculable(op: &Op) -> bool {
     hoistable(op) || matches!(op, Op::Gid { .. } | Op::Lid { .. } | Op::Lsz { .. } | Op::Grp { .. })
 }
 
@@ -1480,7 +1479,7 @@ fn removable(op: &Op) -> bool {
 /// ```
 ///
 /// — and flattens it when both arms are pure straight-line code
-/// ([`removable`] ops: no memory, no `Flops`, no traps, no control flow).
+/// ([`speculable`] ops: no memory, no `Flops`, no traps, no control flow).
 /// Both arms then execute unconditionally, each live-out register's arm
 /// write is redirected to a fresh temporary, and one [`Op::Sel`] per
 /// live-out picks the taken side's bits. The freed `Jz`/`Jmp` slots become
@@ -1529,7 +1528,7 @@ fn try_if_convert_at(c: &mut Compiled, joins: &[u32], pc: usize) -> bool {
     }
     let then_arm = pc + 1..target - 1;
     let else_arm = target..j;
-    if !c.ops[then_arm.clone()].iter().chain(&c.ops[else_arm.clone()]).all(removable) {
+    if !c.ops[then_arm.clone()].iter().chain(&c.ops[else_arm.clone()]).all(speculable) {
         return false;
     }
     // Single entry: nothing outside the diamond may jump into it (`pc`
@@ -1788,55 +1787,9 @@ fn optimize(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>]) {
         }
     }
 
-    // Pass 3: dead-register elimination to fixpoint. Reads from the prelude
-    // count (they keep earlier prelude producers alive; main-tape producers
-    // feeding a hoisted op were necessarily hoisted too).
-    loop {
-        let mut reads = vec![0u32; c.nregs];
-        for (i, op) in c.ops.iter().enumerate() {
-            if !removed[i] {
-                visit_srcs(op, &mut |r| reads[r as usize] += 1);
-            }
-        }
-        for op in &c.pre {
-            visit_srcs(op, &mut |r| reads[r as usize] += 1);
-        }
-        let mut changed = false;
-        for i in 0..c.ops.len() {
-            if removed[i] || !removable(&c.ops[i]) {
-                continue;
-            }
-            if let Some(d) = op_dst(&c.ops[i]) {
-                if reads[d as usize] == 0 {
-                    removed[i] = true;
-                    c.optimized_ops += 1;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // DCE may have erased the last reader of a canonical context register;
-    // drop prelude entries nothing reads so items don't pay for them.
-    {
-        let mut reads = vec![0u32; c.nregs];
-        for (i, op) in c.ops.iter().enumerate() {
-            if !removed[i] {
-                visit_srcs(op, &mut |r| reads[r as usize] += 1);
-            }
-        }
-        for op in &c.pre {
-            visit_srcs(op, &mut |r| reads[r as usize] += 1);
-        }
-        c.item_pre.retain(|op| op_dst(op).is_some_and(|d| reads[d as usize] > 0));
-    }
-
     compact(c, &removed);
 
-    // Pass 4: copy coalescing, on the compacted tape.
+    // Pass 3: copy coalescing, on the compacted tape.
     let copies = coalesce_copies(c, nslots, arg_slots);
     c.optimized_ops += copies.iter().filter(|&&r| r).count() as u32;
     compact(c, &copies);
@@ -1874,7 +1827,7 @@ pub(crate) fn compact(c: &mut Compiled, removed: &[bool]) {
     }
 }
 
-/// Pass 4: copy coalescing. Codegen materialises every declaration,
+/// Pass 3: copy coalescing. Codegen materialises every declaration,
 /// assignment and select arm as `producer → temporary; Mov slot ← temporary`,
 /// and no earlier pass removes a copy. Returns the `Mov`s to drop, after
 /// rewriting the tape around each by one of two rules:
@@ -1890,7 +1843,7 @@ pub(crate) fn compact(c: &mut Compiled, removed: &[bool]) {
 ///    `Mov`, by write-before-read — finds the same bits in `src`.
 ///
 /// Register contents at every remaining read are unchanged lane for lane, so
-/// buffers, counters, traces and race records are too.
+/// buffers, counters, traces and sanitizer findings are too.
 fn coalesce_copies(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>]) -> Vec<bool> {
     let n = c.ops.len();
     let mut removed = vec![false; n];
@@ -2513,8 +2466,8 @@ fn one_index(mask: u32, uniform: bool) -> impl Iterator<Item = u32> {
     })
 }
 
-/// Per-warp launch state threaded through [`exec_phase_warp`]. Counters and
-/// race records are shared across lanes (bulk-added per op); transaction
+/// Per-warp launch state threaded through [`exec_phase_warp`]. Counters are
+/// shared across lanes (bulk-added per op); transaction
 /// traces stay per-lane so the warp coalescing model
 /// (`warp_transaction_bytes`) sees the same per-item access sequences the
 /// tree-walker produces.
@@ -2526,11 +2479,7 @@ pub(crate) struct WarpCtx<'a> {
     /// Per-lane transaction traces (`traces[l]` belongs to lane `l`).
     pub traces: &'a mut [Vec<TraceRec>],
     /// Record load/store addresses into `traces`.
-    pub trace_on: bool,
-    /// Shared global-store records for the race detector.
-    pub writes: &'a mut Vec<WriteRec>,
-    /// Record stores into `writes`.
-    pub race_on: bool,
+    pub modeled: bool,
     /// The warp's work-items.
     pub ids: WarpIds,
     /// The workgroup's local-memory arena, shared by every warp of the
@@ -2539,7 +2488,7 @@ pub(crate) struct WarpCtx<'a> {
     /// Per-opcode time tally (`VGPU_PROFILE=op` only); `None` selects the
     /// unprofiled instantiation of the executor.
     pub prof: Option<&'a mut OpProf>,
-    /// Kernel identity and runtime for shadow-sanitizer findings.
+    /// The launch leg's shadow-sanitizer context.
     pub san: crate::sanitize::SanCtx<'a>,
 }
 
@@ -2719,19 +2668,27 @@ fn shadow_gather(
     if let Some(sh) = b.shadow() {
         for_mask!(mask, l, {
             if let Some(kind) = sh.classify_load(idx[l] as usize) {
-                san.report(kind, buf, site, idx[l] as u64, "tape");
+                san.report(kind, buf, site, idx[l] as u64);
             }
         });
     }
 }
 
 /// Shadow-sanitizer update for a warp scatter: marks every active lane's
-/// element initialized.
+/// element initialized and written by the lane's work-item, reporting
+/// write races with the warp's kernel context.
 #[inline(always)]
-fn shadow_scatter(b: &SharedBuf, idx: &[i64; WARP], mask: u32) {
+fn shadow_scatter(
+    b: &SharedBuf,
+    idx: &[i64; WARP],
+    mask: u32,
+    w: &WarpCtx<'_>,
+    buf: u16,
+    site: u32,
+) {
     if let Some(sh) = b.shadow() {
         for_mask!(mask, l, {
-            sh.note_store(idx[l] as usize);
+            w.san.note_store(sh, buf as usize, site, idx[l] as usize, w.ids.begin + l as u64);
         });
     }
 }
@@ -2825,7 +2782,7 @@ fn load_global<'b>(
         w.counters.loads_global += n;
         w.counters.bytes_loaded += eb * n;
     }
-    let traced = w.trace_on && !constant;
+    let traced = w.modeled && !constant;
     let run = unit_run(b, unit && !traced, mask, &idx_of);
     if run.is_none() {
         checked_indices(lic, (buf, site, b.len()), mask, idx_of, "load", idx);
@@ -2893,8 +2850,7 @@ fn load_lanes(
 }
 
 /// One warp-op's global store of register `val` (kind `vk`) at
-/// `(buf, site)`: the store-side twin of [`load_global`], which also keeps
-/// the race detector's write records.
+/// `(buf, site)`: the store-side twin of [`load_global`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn store_global(
@@ -2911,23 +2867,17 @@ fn store_global(
     let (n, eb) = (mask.count_ones() as u64, b.elem_bytes() as u64);
     w.counters.stores_global += n;
     w.counters.bytes_stored += eb * n;
-    let recorded = w.trace_on || w.race_on;
-    if let Some((lo, start)) = unit_run(b, unit && !recorded, mask, &idx_of) {
+    if let Some((lo, start)) = unit_run(b, unit && !w.modeled, mask, &idx_of) {
         scatter_lanes(b, |l| start + l - lo, mask, vregs, val);
     } else {
         let mut idx = [0i64; WARP];
         checked_indices(lic, (buf, site, b.len()), mask, idx_of, "store", &mut idx);
-        if w.trace_on {
+        if w.modeled {
             for_mask!(mask, l, {
                 w.traces[l].push(trace_rec(buf, site, idx[l], eb));
             });
         }
-        if w.race_on {
-            for_mask!(mask, l, {
-                w.writes.push((buf as u32, idx[l] as u64, w.ids.begin + l as u64, site));
-            });
-        }
-        shadow_scatter(b, &idx, mask);
+        shadow_scatter(b, &idx, mask, w, buf, site);
         scatter_lanes(b, |l| idx[l] as usize, mask, vregs, val);
     }
 }
@@ -3460,6 +3410,7 @@ mod tests {
     use super::*;
     use crate::buffer::BufData;
     use crate::buffer::SharedBuf;
+    use crate::exec::tests::shadowed;
     use crate::exec::{launch, prepare, ArgBind, Engine, ExecMode};
     use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
     use lift::prelude::Lit;
@@ -3489,18 +3440,17 @@ mod tests {
     /// returns the output buffer.
     fn run_diff(k: &Kernel, n: usize, a: f32) -> Vec<f64> {
         let prep = prepare(k).unwrap();
-        let x = SharedBuf::new(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
-        let out = SharedBuf::new(BufData::from(vec![0.0f32; n]));
+        let x = shadowed((0..n).map(|i| i as f32).collect::<Vec<_>>());
+        let out = shadowed(vec![0.0f32; n]);
         launch(
             &prep,
             &[ArgBind::Buf(&x), ArgBind::Buf(&out), ArgBind::Val(Value::F32(a))],
             &[n],
             None,
             ExecMode::Model { sample_stride: 1 },
-            true,
             128,
             Engine::Differential,
-            crate::runtime(),
+            &crate::Runtime::sanitizing(),
         )
         .unwrap();
         out.data().to_f64_vec()
@@ -3650,18 +3600,17 @@ mod tests {
         assert_eq!(out[9], 9.0 * 3.0);
         // ...and the lane-dependent condition no longer diverges warps.
         let prep = prepare(&k).unwrap();
-        let x = SharedBuf::new(BufData::from(vec![1.0f32; 64]));
-        let out = SharedBuf::new(BufData::from(vec![0.0f32; 64]));
+        let x = shadowed(vec![1.0f32; 64]);
+        let out = shadowed(vec![0.0f32; 64]);
         let stats = launch(
             &prep,
             &[ArgBind::Buf(&x), ArgBind::Buf(&out), ArgBind::Val(Value::F32(0.0))],
             &[64],
             None,
             ExecMode::Fast,
-            true,
             128,
             Engine::Fast,
-            crate::runtime(),
+            &crate::Runtime::sanitizing(),
         )
         .unwrap();
         assert_eq!(stats.divergent_warps, 0, "selects execute fully converged");
@@ -3994,8 +3943,8 @@ mod tests {
                 }
                 _ => BufData::from(v),
             };
-            let xs = SharedBuf::new(data((0..n as i32 + 1).map(|i| i * 7 - 90).collect()));
-            let o = SharedBuf::new(data(vec![0; 4 * n]));
+            let xs = shadowed(data((0..n as i32 + 1).map(|i| i * 7 - 90).collect()));
+            let o = shadowed(data(vec![0; 4 * n]));
             for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
                 let binds = [ArgBind::Buf(&xs), ArgBind::Buf(&o)];
                 launch(
@@ -4004,10 +3953,9 @@ mod tests {
                     &[n],
                     None,
                     mode,
-                    true,
                     128,
                     Engine::Differential,
-                    crate::runtime(),
+                    &crate::Runtime::sanitizing(),
                 )
                 .unwrap();
             }
@@ -4148,6 +4096,93 @@ mod tests {
         assert!(seen >= 24, "{seen} tapes");
         assert!(private_accesses >= 8, "{private_accesses}: the FD-MM kernels stage branch state");
     }
+
+    /// Each shipped tape as (kernel/form/precision, main-tape ops, `pre`
+    /// ops, `item_pre` ops, FNV-1a of its opcode histogram over all three):
+    /// every kernel of every kernel set's host program and every
+    /// hand-written kernel, at f32 and f64, whole-grid and — the 3-D ones
+    /// not already placed — slab-placed. A row that appears twice (a kernel several sets share)
+    /// is kept once.
+    fn shipped_tape_rows() -> Vec<(String, usize, usize, usize, u64)> {
+        use room_acoustics::contracts::slab_placed;
+        let fnv = |text: &str| {
+            text.bytes()
+                .fold(0xcbf29ce484222325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+        };
+        let mut rows = Vec::new();
+        for (real, r) in [(ScalarKind::F32, "f32"), (ScalarKind::F64, "f64")] {
+            let mut kernels: Vec<Kernel> = room_acoustics::handwritten::all_kernels()
+                .iter()
+                .map(|k| k.resolve_real(real))
+                .collect();
+            for set in lift_acoustics::hostprog::all_sets() {
+                let prog = set.host_program(real).unwrap();
+                kernels.extend(prog.kernels.into_iter().map(|k| k.kernel));
+            }
+            for k in &kernels {
+                let placed = k.work_dim == 3 && !k.name.ends_with("_slab");
+                let slab = placed.then(|| slab_placed(k, &Default::default()).0);
+                for (form, k) in [("whole", Some(k)), ("slab", slab.as_ref())] {
+                    let Some(k) = k else { continue };
+                    let t = prepare(k).unwrap_or_else(|e| panic!("{}: {e}", k.name)).tape;
+                    let mut hist = std::collections::BTreeMap::new();
+                    for op in all_ops(&t) {
+                        *hist.entry(op_name(op_index(op))).or_insert(0) += 1;
+                    }
+                    let text: String = hist.iter().map(|(n, c)| format!("{n}:{c} ")).collect();
+                    let name = format!("{}/{form}/{r}", k.name);
+                    let row = (name, t.ops.len(), t.pre.len(), t.item_pre.len(), fnv(&text));
+                    if !rows.contains(&row) {
+                        rows.push(row);
+                    }
+                }
+            }
+        }
+        rows
+    }
+
+    /// The shipped tapes as recorded (see [`shipped_tape_rows`]): a moved
+    /// row means the tape compiler or optimizer changed what ships.
+    #[test]
+    fn shipped_tapes_match_the_recorded_pins() {
+        let got = shipped_tape_rows();
+        let table: String = got
+            .iter()
+            .map(|(n, o, p, i, h)| format!("        (\"{n}\", {o}, {p}, {i}, {h:#018x}),\n"))
+            .collect();
+        let want: Vec<(String, usize, usize, usize, u64)> =
+            TAPE_PINS.iter().map(|&(n, o, p, i, h)| (n.to_string(), o, p, i, h)).collect();
+        assert_eq!(got, want, "the shipped tapes changed; now:\n{table}");
+    }
+
+    const TAPE_PINS: &[(&str, usize, usize, usize, u64)] = &[
+        ("volume_handling_hand/whole/f32", 31, 7, 3, 0xdcbbfaf9c4311342),
+        ("volume_handling_hand_slab/slab/f32", 33, 9, 3, 0x416e17f2f41053de),
+        ("volume_handling_hand_slab/whole/f32", 33, 9, 3, 0x416e17f2f41053de),
+        ("fi_single_hand/whole/f32", 80, 58, 3, 0x3d7c408f8f249b13),
+        ("fi_single_hand_slab/slab/f32", 86, 64, 3, 0xe4f0b90bd63f516c),
+        ("fimm_boundary_hand/whole/f32", 20, 4, 1, 0x76ea36d340d37292),
+        ("fdmm_boundary_hand/whole/f32", 88, 16, 1, 0x4ba7989415ebf49f),
+        ("fi_single_lift/whole/f32", 52, 16, 3, 0xe70773e3e2665a97),
+        ("fi_single_lift_slab/slab/f32", 54, 18, 3, 0xb359dc81a510f7e7),
+        ("volume_handling_lift/whole/f32", 34, 6, 3, 0xfba515c9dab14ffd),
+        ("volume_handling_lift_slab/slab/f32", 36, 8, 3, 0x0b55c166950d4b61),
+        ("fimm_boundary_lift/whole/f32", 27, 9, 1, 0xe3e0ba2787c6aa9e),
+        ("fdmm_boundary_lift/whole/f32", 121, 33, 1, 0xb88bb35b251b118c),
+        ("volume_handling_hand/whole/f64", 31, 7, 3, 0xdcbbfaf9c4311342),
+        ("volume_handling_hand_slab/slab/f64", 33, 9, 3, 0x416e17f2f41053de),
+        ("volume_handling_hand_slab/whole/f64", 33, 9, 3, 0x416e17f2f41053de),
+        ("fi_single_hand/whole/f64", 80, 58, 3, 0x3d7c408f8f249b13),
+        ("fi_single_hand_slab/slab/f64", 86, 64, 3, 0xe4f0b90bd63f516c),
+        ("fimm_boundary_hand/whole/f64", 20, 4, 1, 0x76ea36d340d37292),
+        ("fdmm_boundary_hand/whole/f64", 88, 16, 1, 0x4ba7989415ebf49f),
+        ("fi_single_lift/whole/f64", 52, 16, 3, 0xe70773e3e2665a97),
+        ("fi_single_lift_slab/slab/f64", 54, 18, 3, 0xb359dc81a510f7e7),
+        ("volume_handling_lift/whole/f64", 34, 6, 3, 0xfba515c9dab14ffd),
+        ("volume_handling_lift_slab/slab/f64", 36, 8, 3, 0x0b55c166950d4b61),
+        ("fimm_boundary_lift/whole/f64", 27, 9, 1, 0xe3e0ba2787c6aa9e),
+        ("fdmm_boundary_lift/whole/f64", 121, 33, 1, 0xb88bb35b251b118c),
+    ];
 
     #[test]
     fn a_register_used_at_two_widths_fails_validation() {
@@ -4416,10 +4451,9 @@ mod tests {
                         global,
                         lsize,
                         mode,
-                        true,
                         128,
                         Engine::Differential,
-                        crate::runtime(),
+                        &crate::Runtime::sanitizing(),
                     )
                     .unwrap_or_else(|e| panic!("{global:?} shadow {shadow} {mode:?}: {e}"));
                 }
@@ -4508,10 +4542,8 @@ mod tests {
         assert!(!superinstructions(t).is_empty(), "{:?}", t.ops);
         assert_consistent(&prep);
 
-        let input = SharedBuf::new(BufData::from(
-            (0..N).map(|i| ((i * 37) % 17) as f32 - 8.0).collect::<Vec<_>>(),
-        ));
-        let out = SharedBuf::new(BufData::from(vec![0.0f32; N]));
+        let input = shadowed((0..N).map(|i| ((i * 37) % 17) as f32 - 8.0).collect::<Vec<_>>());
+        let out = shadowed(vec![0.0f32; N]);
         let binds: Vec<ArgBind<'_>> = lk
             .args
             .iter()
@@ -4527,10 +4559,9 @@ mod tests {
                 &[N],
                 Some(32),
                 mode,
-                true,
                 128,
                 Engine::Differential,
-                crate::runtime(),
+                &crate::Runtime::sanitizing(),
             )
             .unwrap();
         }

@@ -65,7 +65,6 @@ impl DevTele {
 pub struct Device {
     profile: DeviceProfile,
     buffers: Vec<SharedBuf>,
-    race_check: bool,
     engine: Engine,
     /// Where this device's settings come from and its accounting goes.
     rt: Arc<Runtime>,
@@ -91,14 +90,7 @@ impl Device {
     /// sanitizer findings land in the runtime.
     pub fn with_runtime(profile: DeviceProfile, rt: Arc<Runtime>) -> Self {
         let engine = rt.settings.engine;
-        Device {
-            profile,
-            buffers: Vec::new(),
-            race_check: false,
-            engine,
-            rt,
-            tele: OnceLock::new(),
-        }
+        Device { profile, buffers: Vec::new(), engine, rt, tele: OnceLock::new() }
     }
 
     /// The runtime this device accounts to.
@@ -192,12 +184,6 @@ impl Device {
     /// The device profile.
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
-    }
-
-    /// Enables/disables the dynamic write-race detector (see
-    /// [`crate::buffer`]). Expensive; intended for tests.
-    pub fn set_race_check(&mut self, on: bool) {
-        self.race_check = on;
     }
 
     /// Selects the execution engine for subsequent launches.
@@ -390,7 +376,6 @@ impl Device {
             global,
             local,
             mode,
-            self.race_check,
             self.profile.transaction_bytes,
             self.engine,
             &self.rt,

@@ -17,14 +17,15 @@
 //!   of the GPUs in Table III. Scattered boundary gathers therefore cost
 //!   more transactions than streaming volume reads — reproducing the paper's
 //!   box-vs-dome and room-size effects from first principles.
-//! * **Race detection** — optionally records write sets per work-item and
-//!   fails if two work-items wrote the same element, validating the safety
-//!   contract of the in-place primitives.
+//! * **Sanitizer hooks** — on a sanitizing runtime every global load and
+//!   store goes through the buffer's shadow ([`crate::sanitize`]), and a
+//!   launch fails if two work-items wrote the same element, validating the
+//!   safety contract of the in-place primitives.
 
 use crate::buffer::{BufData, SharedBuf};
 use crate::bytecode::{self, Compiled};
 use crate::runtime::Runtime;
-use crate::sanitize::SanCtx;
+use crate::sanitize::{FaultKind, Findings, SanCtx};
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef, MemSpace};
 use lift::prelude::{BinOp, Intrinsic, ScalarKind, UnOp, Value};
 use lift::verify::Assumptions;
@@ -33,9 +34,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock, RwLock};
-
-/// One recorded global store: (buffer param, element, work-item, site).
-pub(crate) type WriteRec = (u32, u64, u64, u32);
 
 /// One traced global access of a work-item: (site, byte address tagged with
 /// the buffer param in bits 40 and up).
@@ -135,12 +133,10 @@ pub enum PStmt {
         /// Length expression.
         len: PExpr,
     },
-    /// Scalar assignment.
+    /// Scalar assignment (cast to the slot's declared kind).
     Assign {
         /// Slot.
         slot: usize,
-        /// Declared kind.
-        kind: ScalarKind,
         /// Value.
         value: PExpr,
     },
@@ -325,7 +321,7 @@ pub fn prepare(kernel: &Kernel) -> Result<Prepared, ExecError> {
 /// what stays *trusted* is content facts (value ranges, distinctness,
 /// interior masks) and lengths over a size variable no argument binds (`N`,
 /// `NM` of the hand-written boundary kernels). Shipped contracts are
-/// cross-checked by the `verify` CI gate and the differential/race
+/// cross-checked by the `verify` CI gate and the differential/sanitizer
 /// harnesses. The contract is part of the artifact: another kernel of the
 /// same name, or the same kernel compiled without it, never sees it.
 pub fn prepare_under(kernel: &Kernel, contract: &Assumptions) -> Result<Prepared, ExecError> {
@@ -354,7 +350,7 @@ pub fn prepare_under(kernel: &Kernel, contract: &Assumptions) -> Result<Prepared
     }
     // split at top-level barriers
     let mut phases: Vec<Vec<PStmt>> = vec![Vec::new()];
-    for st in prep_stmts(&kernel.body, kernel, &mut ctx)? {
+    for st in prep_stmts(&kernel.body, kernel, &mut ctx, false)? {
         if matches!(st, PStmt::Barrier) {
             phases.push(Vec::new());
         } else {
@@ -390,20 +386,15 @@ pub fn prepare_under(kernel: &Kernel, contract: &Assumptions) -> Result<Prepared
     Ok(prep)
 }
 
-fn prep_stmts(stmts: &[KStmt], k: &Kernel, ctx: &mut PrepCtx) -> Result<Vec<PStmt>, ExecError> {
-    stmts.iter().map(|s| prep_stmt(s, k, ctx, false)).collect()
-}
-
-fn prep_stmts_nested(
+/// Prepares a block, `nested` in a loop or branch; comments are dropped.
+fn prep_stmts(
     stmts: &[KStmt],
     k: &Kernel,
     ctx: &mut PrepCtx,
+    nested: bool,
 ) -> Result<Vec<PStmt>, ExecError> {
-    stmts.iter().map(|s| prep_stmt(s, k, ctx, true)).collect()
-}
-
-fn scalar_kind_of_var(_name: &str) -> ScalarKind {
-    ScalarKind::I32 // only used for loop variables
+    let code = stmts.iter().filter(|s| !matches!(s, KStmt::Comment(_)));
+    code.map(|s| prep_stmt(s, k, ctx, nested)).collect()
 }
 
 fn prep_stmt(s: &KStmt, k: &Kernel, ctx: &mut PrepCtx, nested: bool) -> Result<PStmt, ExecError> {
@@ -444,7 +435,7 @@ fn prep_stmt(s: &KStmt, k: &Kernel, ctx: &mut PrepCtx, nested: bool) -> Result<P
             if !ctx.slots.contains_key(name) {
                 return err(format!("assignment to undeclared variable `{name}`"));
             }
-            PStmt::Assign { slot: ctx.slot(name), kind: ScalarKind::Bool, value }
+            PStmt::Assign { slot: ctx.slot(name), value }
         }
         KStmt::Store { mem, idx, value } => {
             let (pm, space) = prep_mem(mem, k, ctx)?;
@@ -461,19 +452,16 @@ fn prep_stmt(s: &KStmt, k: &Kernel, ctx: &mut PrepCtx, nested: bool) -> Result<P
             let end = prep_expr(end, k, ctx)?;
             let step = prep_expr(step, k, ctx)?;
             let slot = ctx.slot(var);
-            let _ = scalar_kind_of_var(var);
-            let body = prep_stmts_nested(body, k, ctx)?;
+            let body = prep_stmts(body, k, ctx, true)?;
             PStmt::For { slot, begin, end, step, body }
         }
         KStmt::If { cond, then_, else_ } => PStmt::If {
             cond: prep_expr(cond, k, ctx)?,
-            then_: prep_stmts_nested(then_, k, ctx)?,
-            else_: prep_stmts_nested(else_, k, ctx)?,
+            then_: prep_stmts(then_, k, ctx, true)?,
+            else_: prep_stmts(else_, k, ctx, true)?,
         },
         KStmt::Return => PStmt::Return,
-        KStmt::Comment(_) => {
-            PStmt::If { cond: PExpr::Lit(Value::Bool(false)), then_: vec![], else_: vec![] }
-        }
+        KStmt::Comment(_) => unreachable!("`prep_stmts` drops comments"),
     })
 }
 
@@ -629,7 +617,7 @@ pub enum Engine {
     /// superinstructions over fixed-width lane loops, divergent branches
     /// executed under complementary lane masks and reconverged at the
     /// branch's join (`vgpu.warp.divergent`). One loop runs every launch,
-    /// modeled and race-checked ones alike, over groups of consecutive
+    /// modeled and sanitized ones alike, over groups of consecutive
     /// work-items: the launch's workgroups (barrier phases over a shared
     /// local arena), or one warp each for a kernel without workgroup
     /// features. Only such a flat launch has a bounds proof — a local id is
@@ -647,7 +635,7 @@ pub enum Engine {
     /// The oracle, then the tape: the tree-walker's outputs are
     /// snapshotted, the inputs restored, and the warp executor must
     /// reproduce bit-identical buffers and equal counters and transaction
-    /// bytes. Any new shadow-sanitizer finding on the kernel is a launch
+    /// bytes. Any shadow-sanitizer finding either leg raised is a launch
     /// error too.
     Differential,
 }
@@ -741,9 +729,7 @@ struct ItemState {
     privs: Vec<Vec<Value>>,
     counters: Counters,
     trace: Vec<TraceRec>, // loads + stores
-    writes: Vec<WriteRec>,
-    trace_on: bool,
-    race_on: bool,
+    modeled: bool,
     item: u64,
 }
 
@@ -766,7 +752,7 @@ struct Exec<'a> {
     bufs: &'a [Option<&'a SharedBuf>],
     gsize: [usize; 3],
     /// Where sanitizer findings land.
-    rt: &'a Runtime,
+    san: SanCtx<'a>,
 }
 
 impl<'a> Exec<'a> {
@@ -790,27 +776,21 @@ impl<'a> Exec<'a> {
                 match mem {
                     PMem::Param(p) => {
                         let buf = self.bufs[*p].expect("buffer bound");
-                        debug_assert!(
-                            i >= 0 && (i as usize) < buf.len(),
-                            "load out of bounds: {}[{i}] (len {})",
-                            self.prep.params[*p].name,
-                            buf.len()
-                        );
+                        in_bounds("load", *p, i, buf.len());
                         let eb = buf.elem_bytes() as u64;
                         match space {
                             MemSpace::Constant => st.counters.loads_constant += 1,
                             _ => {
                                 st.counters.loads_global += 1;
                                 st.counters.bytes_loaded += eb;
-                                if st.trace_on {
+                                if st.modeled {
                                     st.trace.push((*site, ((*p as u64) << 40) | ((i as u64) * eb)));
                                 }
                             }
                         }
                         if let Some(sh) = buf.shadow() {
                             if let Some(kind) = sh.classify_load(i as usize) {
-                                let san = SanCtx { prep: self.prep, rt: self.rt };
-                                san.report(kind, *p, *site, i as u64, "tree");
+                                self.san.report(kind, *p, *site, i as u64);
                             }
                         }
                         // SAFETY: launch contract — no concurrent writer of
@@ -906,7 +886,7 @@ impl<'a> Exec<'a> {
                 PStmt::Barrier => {
                     unreachable!("barriers are phase boundaries, never executed directly")
                 }
-                PStmt::Assign { slot, value, .. } => {
+                PStmt::Assign { slot, value } => {
                     let kind = st.slots[*slot].kind();
                     let v = self.eval(value, st, locals, ic).cast(kind);
                     st.slots[*slot] = v;
@@ -917,28 +897,21 @@ impl<'a> Exec<'a> {
                     match mem {
                         PMem::Param(p) => {
                             let buf = self.bufs[*p].expect("buffer bound");
-                            debug_assert!(
-                                i >= 0 && (i as usize) < buf.len(),
-                                "store out of bounds: {}[{i}] (len {})",
-                                self.prep.params[*p].name,
-                                buf.len()
-                            );
+                            in_bounds("store", *p, i, buf.len());
                             let eb = buf.elem_bytes() as u64;
                             if !matches!(space, MemSpace::Private) {
                                 st.counters.stores_global += 1;
                                 st.counters.bytes_stored += eb;
-                                if st.trace_on {
+                                if st.modeled {
                                     st.trace.push((*site, ((*p as u64) << 40) | ((i as u64) * eb)));
-                                }
-                                if st.race_on {
-                                    st.writes.push((*p as u32, i as u64, st.item, *site));
                                 }
                             }
                             if let Some(sh) = buf.shadow() {
-                                sh.note_store(i as usize);
+                                self.san.note_store(sh, *p, *site, i as usize, st.item);
                             }
                             // SAFETY: launch contract — element disjointness
-                            // across work-items (verified by race-check mode).
+                            // across work-items (a write race on a sanitizing
+                            // runtime).
                             unsafe { buf.set(i as usize, v) };
                         }
                         PMem::Priv(a) => {
@@ -1035,6 +1008,20 @@ pub(crate) fn array_len(space: &str, arr: usize, len: i64) -> usize {
         "{space} array #{arr}: length {len} outside 0..={ARRAY_MAX_LEN}"
     );
     len as usize
+}
+
+/// Checks element `i` of kernel parameter `param` against its buffer's
+/// `len` for a `what` (`"load"` or `"store"`) of the oracle: out of range it
+/// fails the launch with the tape's panic text, in every build.
+fn in_bounds(what: &str, param: usize, i: i64, len: usize) {
+    #[cold]
+    #[inline(never)]
+    fn fail(what: &str, param: usize, i: i64, len: usize) -> ! {
+        panic!("{what} out of bounds: param {param}[{i}] (len {len})")
+    }
+    if i as u64 >= len as u64 {
+        fail(what, param, i, len)
+    }
 }
 
 /// Element `i` of `space` array `arr` of `len` elements; out of range it
@@ -1202,11 +1189,12 @@ struct Launch<'a> {
     /// Execute every `stride`-th group and scale the counts.
     stride: usize,
     /// Run the warp transaction model ([`ExecMode::Model`]).
-    trace_on: bool,
-    race_check: bool,
+    modeled: bool,
     transaction_size: u64,
     /// Where the launch's counters, profile and findings land.
     rt: &'a Runtime,
+    /// The sanitizer findings the launch's own legs raised.
+    found: Findings,
 }
 
 impl Launch<'_> {
@@ -1227,9 +1215,10 @@ impl Launch<'_> {
 /// pass checks before anything runs; the error names kernel and parameter
 /// and is the same whatever the engine. Kernels that use barriers, local
 /// memory or local/group ids *require* `local`, and the global size must be
-/// a multiple of it; barrier-free kernels ignore it. `race_check`
-/// additionally verifies write disjointness across work-items. The launch
-/// accounts to `rt` (counters, op profile, sanitizer findings).
+/// a multiple of it; barrier-free kernels ignore it. The launch accounts to
+/// `rt` (counters, op profile, sanitizer findings); on a sanitizing runtime
+/// it fails on a write race, and under [`Engine::Differential`] on any
+/// finding of its own.
 #[allow(clippy::too_many_arguments)]
 pub fn launch(
     prep: &Prepared,
@@ -1237,7 +1226,6 @@ pub fn launch(
     global: &[usize],
     local: Option<usize>,
     mode: ExecMode,
-    race_check: bool,
     transaction_size: u64,
     engine: Engine,
     rt: &Runtime,
@@ -1326,10 +1314,10 @@ pub fn launch(
             ExecMode::Fast => 1,
             ExecMode::Model { sample_stride } => sample_stride.max(1),
         },
-        trace_on: matches!(mode, ExecMode::Model { .. }),
-        race_check,
+        modeled: matches!(mode, ExecMode::Model { .. }),
         transaction_size,
         rt,
+        found: Findings::default(),
     };
     match engine {
         Engine::Fast => run_launch(&l, Backend::Tape),
@@ -1338,35 +1326,49 @@ pub fn launch(
     }
 }
 
-/// Runs a validated launch on one executor.
+/// Runs a validated launch on one executor, as one leg of the sanitizer's
+/// writer tags; fails when the leg raced.
 fn run_launch(l: &Launch<'_>, backend: Backend) -> Result<LaunchStats, ExecError> {
-    let result = match backend {
-        Backend::Tree => run_tree(l),
-        Backend::Tape => run_warps(l),
+    let (leg, found) = (l.rt.next_leg(), &l.found);
+    let san = SanCtx { prep: l.prep, rt: l.rt, leg, found, engine: backend.label() };
+    let mut stats = match backend {
+        Backend::Tree => run_tree(l, san),
+        Backend::Tape => run_warps(l, san),
     };
-    result.map(|mut stats| {
-        stats.backend = backend;
-        // The single accounting site of `vgpu.warp.divergent`; per launch
-        // the figure rides `LaunchStats` into the launch's kernel event.
-        if stats.divergent_warps > 0 {
-            l.rt.counters.divergent.add(stats.divergent_warps);
-        }
-        stats
-    })
+    fail_on_findings(l, |kind| kind == FaultKind::WriteRace)?;
+    stats.backend = backend;
+    // The single accounting site of `vgpu.warp.divergent`; per launch
+    // the figure rides `LaunchStats` into the launch's kernel event.
+    if stats.divergent_warps > 0 {
+        l.rt.counters.divergent.add(stats.divergent_warps);
+    }
+    Ok(stats)
+}
+
+/// Fails the launch on the findings of its own legs that `fails` selects,
+/// naming each (kernel, site, buffer, element).
+fn fail_on_findings(l: &Launch<'_>, fails: impl Fn(FaultKind) -> bool) -> Result<(), ExecError> {
+    let bad: Vec<String> =
+        l.found.all().iter().filter(|f| fails(f.kind)).map(|f| f.to_string()).collect();
+    if bad.is_empty() {
+        return Ok(());
+    }
+    err(format!(
+        "shadow sanitizer flagged {} finding(s) in the launch of `{}`: {}",
+        bad.len(),
+        l.prep.name,
+        bad.join("; ")
+    ))
 }
 
 /// [`Engine::Differential`]: runs the tree-walker, snapshots its output,
 /// restores the inputs, re-runs the launch on the tape and fails unless that
 /// produced bit-identical buffers and identical counters and transaction
 /// bytes; returns the tape leg's stats, tagged with the oracle's wall time.
-/// Then the sanitizer gate — under `VGPU_SANITIZE=shadow` any *new* shadow
-/// finding on this kernel (the count is per-kernel, so concurrent launches
-/// of other kernels cannot trip it) turns the launch into a hard error, so
-/// the CI `diff`+`shadow` leg fails on the first stale or uninit read.
+/// Then the sanitizer gate — under `VGPU_SANITIZE=shadow` any finding
+/// either leg raised turns the launch into a hard error, so the CI
+/// `diff`+`shadow` leg fails on the first stale or uninit read.
 fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
-    let name = &l.prep.name;
-    let findings = &l.rt.findings;
-    let findings_before = findings.count_for(name);
     let snapshot =
         || -> Vec<Option<BufData>> { l.bufs.iter().map(|b| b.map(|b| b.data().clone())).collect() };
     let inputs = snapshot();
@@ -1380,19 +1382,7 @@ fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
     let mut stats = run_launch(l, Backend::Tape)?;
     stats.oracle_wall = Some(tree.wall);
     diff_check(l, &expect, &tree, &stats)?;
-    let new = findings.count_for(name) - findings_before;
-    if new > 0 {
-        let detail: Vec<String> = findings
-            .all()
-            .into_iter()
-            .filter(|f| &f.kernel == name)
-            .map(|f| f.to_string())
-            .collect();
-        return err(format!(
-            "shadow sanitizer flagged {new} finding(s) during differential launch of `{name}`: {}",
-            detail.join("; ")
-        ));
-    }
+    fail_on_findings(l, |_| true)?;
     Ok(stats)
 }
 
@@ -1468,10 +1458,7 @@ struct ChunkAcc {
     counters: Counters,
     /// Transaction-model bytes ([`warp_transaction_bytes`]).
     tbytes: u64,
-    /// Race-check store records.
-    writes: Vec<WriteRec>,
-    /// Warps that diverged (tape executor only). 32 bits so that the struct
-    /// keeps its size (asserted below).
+    /// Warps that diverged (tape executor only).
     divergent: u32,
     /// Per-op time tally (tape executor under `VGPU_PROFILE=op` only):
     /// one per chunk, merged after the parallel section — no shared state
@@ -1480,29 +1467,27 @@ struct ChunkAcc {
 }
 
 // One step's collected `Vec<ChunkAcc>` of the benchmark room fits the block a
-// task's register file just freed; eight bytes more and glibc grows the heap
-// by ~17 KB a step instead (EXPERIMENTS.md, "Lane shapes").
-const _: () = assert!(std::mem::size_of::<ChunkAcc>() == 104);
+// task's register file just freed; at 112 bytes glibc grew the heap by ~17 KB
+// a step instead (EXPERIMENTS.md, "Lane shapes"). A new field stays below that.
+const _: () = assert!(std::mem::size_of::<ChunkAcc>() == 80);
 
-/// Per-launch aggregation shared by every runner: sums the chunk results,
-/// runs the race check, and applies the sampling scale.
+/// Per-launch aggregation shared by every runner: sums the chunk results
+/// and applies the sampling scale.
 fn finish(
     l: &Launch<'_>,
     chunks: Vec<ChunkAcc>,
     scale: f64,
     wall: std::time::Duration,
-) -> Result<LaunchStats, ExecError> {
+) -> LaunchStats {
     let mut counters = Counters::default();
     let mut tbytes = 0u64;
     let mut divergent_warps = 0u64;
-    let mut all_writes: Vec<WriteRec> = Vec::new();
     let mut op_profile: Option<Box<crate::profiler::OpProf>> = None;
     let tasks = chunks.len();
-    for mut c in chunks {
+    for c in chunks {
         counters.add(&c.counters);
         tbytes += c.tbytes;
         divergent_warps += c.divergent as u64;
-        all_writes.append(&mut c.writes);
         if let Some(p) = c.prof {
             match op_profile.as_deref_mut() {
                 Some(m) => m.merge(&p),
@@ -1510,12 +1495,9 @@ fn finish(
             }
         }
     }
-    if l.race_check {
-        check_write_races(&l.prep.name, all_writes)?;
-    }
-    Ok(LaunchStats {
+    LaunchStats {
         counters: counters.scaled(scale),
-        transaction_bytes: l.trace_on.then(|| (tbytes as f64 * scale).round() as u64),
+        transaction_bytes: l.modeled.then(|| (tbytes as f64 * scale).round() as u64),
         // Set by `Device::launch_wg`, which knows the device profile.
         modeled_s: None,
         wall,
@@ -1527,48 +1509,7 @@ fn finish(
         // Set by `run_differential` when an oracle leg also ran.
         oracle_wall: None,
         op_profile,
-    })
-}
-
-/// Race detection over the recorded write set. A work-item may rewrite its
-/// own element; two *different* items writing the same element is a data
-/// race under the launch contract. Reports every distinct conflicting
-/// element together with the static store sites involved.
-fn check_write_races(name: &str, mut all: Vec<WriteRec>) -> Result<(), ExecError> {
-    all.sort_unstable();
-    let mut conflicts: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < all.len() {
-        let (b, e, ..) = all[i];
-        let mut j = i;
-        while j < all.len() && all[j].0 == b && all[j].1 == e {
-            j += 1;
-        }
-        let run = &all[i..j];
-        // items are sorted within the run (lexicographic tuple order)
-        let mut items: Vec<u64> = run.iter().map(|r| r.2).collect();
-        items.dedup();
-        if items.len() > 1 {
-            let mut sites: Vec<u32> = run.iter().map(|r| r.3).collect();
-            sites.sort_unstable();
-            sites.dedup();
-            conflicts.push(format!(
-                "buffer {b} element {e}: {} work-items via site(s) {sites:?}",
-                items.len()
-            ));
-        }
-        i = j;
     }
-    if conflicts.is_empty() {
-        return Ok(());
-    }
-    let shown = conflicts.iter().take(4).cloned().collect::<Vec<_>>().join("; ");
-    let extra = conflicts.len().saturating_sub(4);
-    let more = if extra > 0 { format!("; … {extra} more") } else { String::new() };
-    err(format!(
-        "race check failed for kernel `{name}`: {} conflicting element(s): {shown}{more}",
-        conflicts.len()
-    ))
 }
 
 /// The tree-walker over a launch's groups, parallel over groups: within one
@@ -1576,9 +1517,9 @@ fn check_write_races(name: &str, mut all: Vec<WriteRec>) -> Result<(), ExecError
 /// local memory — the standard sequential-consistency model for
 /// barrier-synchronised OpenCL kernels. Every item starts from zeroed slots
 /// and empty private arrays.
-fn run_tree(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
+fn run_tree(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
     let prep = l.prep;
-    let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize, rt: l.rt };
+    let exec = Exec { prep, bufs: l.bufs, gsize: l.gsize, san };
     let (group, ids) = l.groups();
     let [gx, gy, _] = l.gsize.map(|g| g as u64);
     let (results, wall) = dispatch(l.rt, &ids, group, |gs| {
@@ -1590,9 +1531,7 @@ fn run_tree(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
                 privs: vec![Vec::new(); prep.npriv],
                 counters: Counters::default(),
                 trace: Vec::new(),
-                writes: Vec::new(),
-                trace_on: l.trace_on,
-                race_on: l.race_check,
+                modeled: l.modeled,
                 item: 0,
             })
             .collect();
@@ -1628,7 +1567,7 @@ fn run_tree(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
                     }
                 }
             }
-            if l.trace_on {
+            if l.modeled {
                 // The tape's warp partition: runs of WARP items, last one partial.
                 for warp in states.chunks_mut(WARP) {
                     let traces = warp.iter_mut().map(|st| &mut st.trace);
@@ -1636,9 +1575,8 @@ fn run_tree(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
                 }
             }
         }
-        for st in states.iter_mut() {
+        for st in states.iter() {
             acc.counters.add(&st.counters);
-            acc.writes.append(&mut st.writes);
         }
         acc
     });
@@ -1723,6 +1661,7 @@ impl WarpState {
     fn ctx<'a>(
         &'a mut self,
         l: &'a Launch<'_>,
+        san: SanCtx<'a>,
         acc: &'a mut ChunkAcc,
         locals: &'a mut [Vec<u64>],
     ) -> (&'a mut [u64], &'a mut [bytecode::PrivRows], bytecode::WarpCtx<'a>) {
@@ -1730,13 +1669,11 @@ impl WarpState {
             bufs: l.bufs,
             counters: &mut acc.counters,
             traces: &mut self.traces,
-            trace_on: l.trace_on,
-            writes: &mut acc.writes,
-            race_on: l.race_check,
+            modeled: l.modeled,
             ids: self.ids,
             locals,
             prof: acc.prof.as_deref_mut(),
-            san: SanCtx { prep: l.prep, rt: l.rt },
+            san,
         };
         (&mut self.vregs, &mut self.privs, wc)
     }
@@ -1752,9 +1689,9 @@ impl WarpState {
 /// verifier proved in bounds for its shape ([`checked_sites`]), and its
 /// row-coherent warps run under the tape's lane shapes. No proof bounds a
 /// local id, so a grouped launch keeps every check and every register
-/// varying. Arithmetic, counters, traces and race records reproduce the
-/// tree-walker bit for bit.
-fn run_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
+/// varying. Arithmetic, counters, traces and sanitizer findings reproduce
+/// the tree-walker's.
+fn run_warps(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
     let tape = &l.prep.tape;
     let flat = l.lsize.is_none();
     let proof = flat.then(|| checked_sites(l));
@@ -1784,7 +1721,7 @@ fn run_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
                 for warp in warps.iter_mut().filter(|w| w.alive != 0) {
                     let shapes = if flat && warp.ids.coherent { &tape.shapes[..] } else { &[] };
                     let (lic, alive) = (bytecode::Licence { checked, shapes }, warp.alive);
-                    let (vregs, privs, mut wc) = warp.ctx(l, &mut acc, &mut locals);
+                    let (vregs, privs, mut wc) = warp.ctx(l, san, &mut acc, &mut locals);
                     let run =
                         bytecode::exec_phase_warp(tape, phase, alive, vregs, privs, &mut wc, lic);
                     warp.alive &= !run.returned;
@@ -1793,7 +1730,7 @@ fn run_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
             }
             for warp in warps.iter_mut() {
                 acc.divergent += warp.diverged as u32;
-                if l.trace_on {
+                if l.modeled {
                     acc.tbytes += warp_transaction_bytes(&mut warp.traces, l.transaction_size);
                 }
             }
@@ -1804,24 +1741,28 @@ fn run_warps(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::buffer::BufData;
     use lift::kast::{Kernel, KernelParam};
     use lift::prelude::*;
 
-    /// A flat launch on the default runtime's engine.
+    /// `data` with shadow memory, as a sanitizing device allocates it.
+    pub(crate) fn shadowed(data: impl Into<BufData>) -> SharedBuf {
+        SharedBuf::with_shadow(data.into(), true, true)
+    }
+
+    /// A flat launch on a sanitizing runtime with the default one's engine:
+    /// over [`shadowed`] buffers it fails on a write race.
     fn launch_flat(
         prep: &Prepared,
         bindings: &[ArgBind<'_>],
         global: &[usize],
         mode: ExecMode,
-        race_check: bool,
         transaction_size: u64,
     ) -> Result<LaunchStats, ExecError> {
-        let rt = crate::runtime();
-        let engine = rt.settings.engine;
-        launch(prep, bindings, global, None, mode, race_check, transaction_size, engine, rt)
+        let rt = Runtime::sanitizing();
+        launch(prep, bindings, global, None, mode, transaction_size, rt.settings.engine, &rt)
     }
 
     /// For warps and for groups of several sizes: the chunk is never 0, the
@@ -1876,8 +1817,8 @@ mod tests {
     #[test]
     fn saxpy_executes_correctly() {
         let prep = prepare(&saxpy_kernel()).unwrap();
-        let x = SharedBuf::new(BufData::from((0..100).map(|i| i as f32).collect::<Vec<_>>()));
-        let y = SharedBuf::new(BufData::from(vec![1.0f32; 100]));
+        let x = shadowed((0..100).map(|i| i as f32).collect::<Vec<_>>());
+        let y = shadowed(vec![1.0f32; 100]);
         let stats = launch_flat(
             &prep,
             &[
@@ -1888,7 +1829,6 @@ mod tests {
             ],
             &[128],
             ExecMode::Fast,
-            true,
             128,
         )
         .unwrap();
@@ -1919,7 +1859,6 @@ mod tests {
             ],
             &[n],
             ExecMode::Model { sample_stride: 1 },
-            false,
             128,
         )
         .unwrap();
@@ -1929,8 +1868,8 @@ mod tests {
     }
 
     #[test]
-    fn race_check_detects_conflicting_writes() {
-        // Every work-item stores to element 0.
+    fn a_write_race_fails_the_launch_on_every_engine() {
+        // Work-item 0 stores to element 0; so does every other one.
         let k = Kernel {
             name: "clash".into(),
             params: vec![KernelParam::global_buf("y", ScalarKind::F32)],
@@ -1942,9 +1881,51 @@ mod tests {
             work_dim: 1,
         };
         let prep = prepare(&k).unwrap();
+        for engine in [Engine::Tree, Engine::Fast, Engine::Differential] {
+            let rt = Runtime::sanitizing();
+            let y = shadowed(vec![0.0f32; 4]);
+            let bind = [ArgBind::Buf(&y)];
+            let r = launch(&prep, &bind, &[8], None, ExecMode::Fast, 128, engine, &rt);
+            let msg = r.expect_err("a write race fails the launch").0;
+            assert!(msg.contains("write-race in `clash` site 0: buffer `y` element 0"), "{msg}");
+            let [race] = &rt.findings.all()[..] else { panic!("one finding: {msg}") };
+            assert_eq!(race.kind, crate::sanitize::FaultKind::WriteRace);
+            assert_eq!(rt.registry.counter("vgpu.sanitize.write_races").get(), 7, "{engine:?}");
+        }
+        // The same launch over a buffer without shadow memory runs.
         let y = SharedBuf::new(BufData::from(vec![0.0f32; 4]));
-        let r = launch_flat(&prep, &[ArgBind::Buf(&y)], &[8], ExecMode::Fast, true, 128);
-        assert!(r.is_err(), "expected race detection");
+        launch_flat(&prep, &[ArgBind::Buf(&y)], &[8], ExecMode::Fast, 128).unwrap();
+    }
+
+    /// One work-item storing the same element twice is no race; two
+    /// parameters bound to one buffer are one buffer.
+    #[test]
+    fn races_are_between_work_items_on_a_buffer() {
+        let store = |p: usize, at: KExpr| KStmt::Store {
+            mem: MemRef::Param(p),
+            idx: at,
+            value: KExpr::Lit(Lit::f32(1.0)),
+        };
+        let params = vec![
+            KernelParam::global_buf("a", ScalarKind::F32),
+            KernelParam::global_buf("b", ScalarKind::F32),
+        ];
+        // Item i stores a[i] twice, then b[(i + 1) % 4].
+        let next = KExpr::bin(BinOp::Rem, KExpr::GlobalId(0) + KExpr::int(1), KExpr::int(4));
+        let body = vec![store(0, KExpr::GlobalId(0)), store(0, KExpr::GlobalId(0)), store(1, next)];
+        let prep = prepare(&Kernel { name: "twice".into(), params, body, work_dim: 1 }).unwrap();
+        for engine in [Engine::Tree, Engine::Fast, Engine::Differential] {
+            let (a, b) = (shadowed(vec![0.0f32; 4]), shadowed(vec![0.0f32; 4]));
+            let rt = Runtime::sanitizing();
+            let bind = [ArgBind::Buf(&a), ArgBind::Buf(&b)];
+            launch(&prep, &bind, &[4], None, ExecMode::Fast, 128, engine, &rt).unwrap();
+            assert!(rt.findings.all().is_empty(), "{engine:?}");
+            // `a` and `b` one buffer: item 3 stores element 0 after item 0.
+            let bind = [ArgBind::Buf(&a), ArgBind::Buf(&a)];
+            let r = launch(&prep, &bind, &[4], None, ExecMode::Fast, 128, engine, &rt);
+            let msg = r.expect_err("a race through two parameters").0;
+            assert!(msg.contains("write-race in `twice` site 2: buffer `b`"), "{engine:?}: {msg}");
+        }
     }
 
     #[test]
@@ -2003,13 +1984,12 @@ mod tests {
         }
         .resolve_real(ScalarKind::F32);
         let prep = prepare(&k).unwrap();
-        let out = SharedBuf::new(BufData::from(vec![0.0f32; 16]));
+        let out = shadowed(vec![0.0f32; 16]);
         launch_flat(
             &prep,
             &[ArgBind::Buf(&out), ArgBind::Val(Value::I32(16))],
             &[16],
             ExecMode::Fast,
-            true,
             128,
         )
         .unwrap();
@@ -2042,7 +2022,6 @@ mod tests {
             &[ArgBind::Buf(&x), ArgBind::Buf(&y)],
             &[32],
             ExecMode::Model { sample_stride: 1 },
-            false,
             128,
         )
         .unwrap();
@@ -2073,7 +2052,6 @@ mod tests {
             &[ArgBind::Buf(&beta), ArgBind::Buf(&y)],
             &[64],
             ExecMode::Fast,
-            false,
             128,
         )
         .unwrap();
@@ -2094,11 +2072,9 @@ mod tests {
             ArgBind::Val(Value::I32(n as i32)),
         ];
         let full =
-            launch_flat(&prep, &args, &[n], ExecMode::Model { sample_stride: 1 }, false, 128)
-                .unwrap();
+            launch_flat(&prep, &args, &[n], ExecMode::Model { sample_stride: 1 }, 128).unwrap();
         let sampled =
-            launch_flat(&prep, &args, &[n], ExecMode::Model { sample_stride: 4 }, false, 128)
-                .unwrap();
+            launch_flat(&prep, &args, &[n], ExecMode::Model { sample_stride: 4 }, 128).unwrap();
         let f = full.transaction_bytes.unwrap() as f64;
         let s = sampled.transaction_bytes.unwrap() as f64;
         assert!((f - s).abs() / f < 0.05, "full {f}, sampled {s}");
@@ -2111,8 +2087,8 @@ mod tests {
         engine: Engine,
     ) -> (LaunchStats, Vec<f64>) {
         let prep = prepare(&saxpy_kernel()).unwrap();
-        let x = SharedBuf::new(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
-        let y = SharedBuf::new(BufData::from(vec![1.0f32; n]));
+        let x = shadowed((0..n).map(|i| i as f32).collect::<Vec<_>>());
+        let y = shadowed(vec![1.0f32; n]);
         let stats = launch(
             &prep,
             &[
@@ -2124,10 +2100,9 @@ mod tests {
             &[global],
             None,
             mode,
-            true,
             128,
             engine,
-            crate::runtime(),
+            &Runtime::sanitizing(),
         )
         .unwrap();
         (stats, y.data().to_f64_vec())
@@ -2208,25 +2183,16 @@ mod tests {
             work_dim: 1,
         };
         let prep = prepare(&k).unwrap();
-        for engine in [Engine::Tree, Engine::Fast] {
-            let y = SharedBuf::new(BufData::from(vec![0.0f32; 4]));
-            let msg = launch(
-                &prep,
-                &[ArgBind::Buf(&y)],
-                &[8],
-                None,
-                ExecMode::Fast,
-                true,
-                128,
-                engine,
-                crate::runtime(),
-            )
-            .unwrap_err()
-            .to_string();
-            assert!(msg.contains("2 conflicting element(s)"), "{engine:?}: {msg}");
-            assert!(msg.contains("element 0"), "{engine:?}: {msg}");
-            assert!(msg.contains("element 1"), "{engine:?}: {msg}");
-            assert!(msg.contains("site(s) [0]"), "{engine:?}: {msg}");
+        for engine in [Engine::Tree, Engine::Fast, Engine::Differential] {
+            let (y, rt) = (shadowed(vec![0.0f32; 4]), Runtime::sanitizing());
+            let bind = [ArgBind::Buf(&y)];
+            let msg = launch(&prep, &bind, &[8], None, ExecMode::Fast, 128, engine, &rt)
+                .unwrap_err()
+                .to_string();
+            // Items 2..8 each store an element an earlier item stored.
+            assert_eq!(rt.registry.counter("vgpu.sanitize.write_races").get(), 6);
+            assert!(msg.contains("1 finding(s) in the launch of `clash2`"), "{engine:?}: {msg}");
+            assert!(msg.contains("site 0: buffer `y` element 0"), "{engine:?}: {msg}");
         }
     }
 
@@ -2248,8 +2214,8 @@ mod tests {
             work_dim: 3,
         };
         let prep = prepare(&k).unwrap();
-        let out = SharedBuf::new(BufData::from(vec![0i32; 64]));
-        launch_flat(&prep, &[ArgBind::Buf(&out)], &[4, 4, 4], ExecMode::Fast, true, 128).unwrap();
+        let out = shadowed(vec![0i32; 64]);
+        launch_flat(&prep, &[ArgBind::Buf(&out)], &[4, 4, 4], ExecMode::Fast, 128).unwrap();
         let o = out.data().to_f64_vec();
         assert_eq!(o[1 + 2 * 4 + 3 * 16], 1.0 + 20.0 + 300.0);
     }
@@ -2292,7 +2258,6 @@ mod tests {
                 &[256],
                 Some(32),
                 ExecMode::Model { sample_stride: stride },
-                false,
                 128,
                 engine,
                 crate::runtime(),
@@ -2325,7 +2290,6 @@ mod tests {
             &[64],
             None,
             ExecMode::Fast,
-            false,
             128,
             Engine::Fast,
             crate::runtime(),
@@ -2341,7 +2305,6 @@ mod tests {
             &[64],
             Some(24),
             ExecMode::Fast,
-            false,
             128,
             Engine::Fast,
             crate::runtime(),
@@ -2410,18 +2373,17 @@ mod tests {
         };
         let prep = prepare(&k).unwrap();
         let run = |engine: Engine| {
-            let x = SharedBuf::new(BufData::from((0..64).map(|i| i as f32).collect::<Vec<_>>()));
-            let y = SharedBuf::new(BufData::from(vec![0.0f32; 64]));
+            let x = shadowed((0..64).map(|i| i as f32).collect::<Vec<_>>());
+            let y = shadowed(vec![0.0f32; 64]);
             let stats = launch(
                 &prep,
                 &[ArgBind::Buf(&x), ArgBind::Buf(&y)],
                 &[64],
                 None,
                 ExecMode::Model { sample_stride: 1 },
-                true,
                 128,
                 engine,
-                crate::runtime(),
+                &Runtime::sanitizing(),
             )
             .unwrap();
             (stats, y.data().to_f64_vec())
@@ -2471,17 +2433,16 @@ mod tests {
         };
         let prep = prepare(&k).unwrap();
         let run = |engine: Engine| {
-            let out = SharedBuf::new(BufData::from(vec![0.0f32; 48]));
+            let out = shadowed(vec![0.0f32; 48]);
             let stats = launch(
                 &prep,
                 &[ArgBind::Buf(&out)],
                 &[48],
                 None,
                 ExecMode::Fast,
-                true,
                 128,
                 engine,
-                crate::runtime(),
+                &Runtime::sanitizing(),
             )
             .unwrap();
             (stats, out.data().to_f64_vec())
@@ -2505,7 +2466,6 @@ mod tests {
             &[64],
             Some(32),
             ExecMode::Fast,
-            false,
             128,
             Engine::Fast,
             crate::runtime(),
@@ -2606,14 +2566,15 @@ mod tests {
                 }
             }
             assert!(stripped >= strip_loops as u32 + strip_rest as u32, "{:?}", tape.ops);
-            for (mode, race) in [
+            for (mode, shadow) in [
                 (ExecMode::Fast, false),
                 (ExecMode::Fast, true),
                 (ExecMode::Model { sample_stride: 1 }, true),
             ] {
                 let n = 80; // two full warps and a 16-lane one
-                let x = SharedBuf::new(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
-                let out = SharedBuf::new(BufData::from(vec![0.0f32; n]));
+                let buf = |data: BufData| SharedBuf::with_shadow(data, shadow, true);
+                let x = buf(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
+                let out = buf(BufData::from(vec![0.0f32; n]));
                 // Differential: buffers, counters and transaction bytes
                 // bit-identical to the tree oracle, or the launch errors.
                 let stats = launch(
@@ -2622,10 +2583,9 @@ mod tests {
                     &[n],
                     None,
                     mode,
-                    race,
                     128,
                     Engine::Differential,
-                    crate::runtime(),
+                    &Runtime::sanitizing(),
                 )
                 .unwrap();
                 assert_eq!(stats.backend, Backend::Tape);

@@ -246,8 +246,8 @@ mod tests {
             .array("idx_h", vec![1i32, 3])
             .size("N", 4)
             .size("numB", 2);
-        let mut dev = Device::gtx780();
-        dev.set_race_check(true);
+        let mut dev =
+            Device::with_runtime(crate::DeviceProfile::gtx780(), crate::Runtime::sanitizing());
         let run = run_host_program(&prog, &env, &mut dev, ScalarKind::F32, ExecMode::Fast).unwrap();
         let out = run.outputs.get(&run.result).expect("result on host");
         // a+2 = [3,4,5,6]; ×3 at idx 1 and 3 → [3,12,5,18]

@@ -10,7 +10,7 @@ use crate::profiler::{ProfileMode, Profiles};
 use crate::sanitize::Findings;
 use crate::settings::{env, positive, setting};
 use crate::telemetry::{Counter, Registry, Trace, TraceMode};
-use std::sync::atomic::AtomicU32;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// What a runtime's devices run under: the `VGPU_*` settings but
@@ -79,6 +79,8 @@ pub struct Runtime {
     pub findings: Findings,
     /// Numbers its traced devices, for distinct track names.
     pub(crate) device_seq: AtomicU32,
+    /// Numbers its launch legs, for the sanitizer's writer tags.
+    legs: AtomicU32,
     /// The counters its launches, transfers and allocations bump.
     pub(crate) counters: HotCounters,
 }
@@ -100,8 +102,8 @@ pub(crate) struct HotCounters {
     pub(crate) sites: [Counter; 2],
     /// `vgpu.tape.{optimized,fused}_ops` (compilations count into the default).
     pub(crate) tape_ops: [Counter; 2],
-    /// `vgpu.sanitize.{shadowed_buffers,uninit_reads,stale_halo_reads}`.
-    pub(crate) sanitize: [Counter; 3],
+    /// `vgpu.sanitize.{shadowed_buffers,uninit_reads,stale_halo_reads,write_races}`.
+    pub(crate) sanitize: [Counter; 4],
 }
 
 impl HotCounters {
@@ -121,7 +123,7 @@ impl HotCounters {
             transfers,
             sites: ["proven", "checked"].map(|n| c(format!("vgpu.tape.sites_{n}"))),
             tape_ops: ["optimized", "fused"].map(|n| c(format!("vgpu.tape.{n}_ops"))),
-            sanitize: ["shadowed_buffers", "uninit_reads", "stale_halo_reads"]
+            sanitize: ["shadowed_buffers", "uninit_reads", "stale_halo_reads", "write_races"]
                 .map(|n| c(format!("vgpu.sanitize.{n}"))),
         }
     }
@@ -135,6 +137,12 @@ impl Runtime {
         Arc::new(Runtime::build(settings))
     }
 
+    /// A runtime that sanitizes ([`Settings::shadow`]) with the default
+    /// runtime's other settings: its devices' launches fail on a write race.
+    pub fn sanitizing() -> Arc<Runtime> {
+        Runtime::new(Settings { shadow: true, ..runtime().settings })
+    }
+
     fn build(settings: Settings) -> Runtime {
         let registry = Registry::new();
         Runtime {
@@ -142,10 +150,17 @@ impl Runtime {
             profiles: Profiles::new(settings.profile),
             findings: Findings::default(),
             device_seq: AtomicU32::new(0),
+            legs: AtomicU32::new(0),
             counters: HotCounters::register(&registry),
             registry,
             settings,
         }
+    }
+
+    /// A fresh launch-leg number (from 1): each executor run of a launch —
+    /// the oracle and the tape of a differential one apart — is one leg.
+    pub(crate) fn next_leg(&self) -> u32 {
+        self.legs.fetch_add(1, Ordering::Relaxed).wrapping_add(1)
     }
 }
 

@@ -11,15 +11,7 @@ use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, ScalarKind, Value};
 use std::sync::Arc;
 use vgpu::sanitize::FaultKind;
-use vgpu::{
-    Arg, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime, Settings, SlabPartition,
-};
-
-/// A runtime with the shadow sanitizer on and the environment's other
-/// settings.
-fn shadow_runtime() -> Arc<Runtime> {
-    Runtime::new(Settings { shadow: true, ..vgpu::runtime().settings })
-}
+use vgpu::{Arg, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime, SlabPartition};
 
 /// A device of `rt` on `engine`.
 fn device(rt: &Arc<Runtime>, engine: Engine) -> Device {
@@ -51,16 +43,11 @@ fn copy_kernel(name: &str) -> Kernel {
 
 #[test]
 fn uninit_read_is_flagged_with_provenance_on_every_executor() {
-    let rt = shadow_runtime();
-    // The tape takes its unit-stride runs on a plain launch and its
-    // per-lane path on a race-checked one; a shadowed buffer keeps both
-    // per element.
-    for (engine, race_check, label) in
-        [(Engine::Tree, false, "tree"), (Engine::Fast, true, "tape"), (Engine::Fast, false, "tape")]
-    {
-        let name = format!("san_uninit_{label}_{race_check}");
+    let rt = Runtime::sanitizing();
+    // A shadowed buffer keeps the tape's unit-stride accesses per element.
+    for (engine, label) in [(Engine::Tree, "tree"), (Engine::Fast, "tape")] {
+        let name = format!("san_uninit_{label}");
         let mut dev = device(&rt, engine);
-        dev.set_race_check(race_check);
         let prep = dev.compile(&copy_kernel(&name)).unwrap();
         // `create_buffer` contents are not promised — reading them is the bug.
         let src = dev.create_buffer(ScalarKind::F32, 32);
@@ -84,7 +71,7 @@ fn uninit_read_is_flagged_with_provenance_on_every_executor() {
 
 #[test]
 fn zeroed_allocation_and_upload_are_clean() {
-    let rt = shadow_runtime();
+    let rt = Runtime::sanitizing();
     let name = "san_clean_copy";
     let mut dev = device(&rt, Engine::Differential); // diff engine errors on any finding
     let prep = dev.compile(&copy_kernel(name)).unwrap();
@@ -112,7 +99,7 @@ fn zeroed_allocation_and_upload_are_clean() {
 #[test]
 fn differential_gate_turns_finding_into_launch_error() {
     let name = "san_uninit_diffgate";
-    let mut dev = device(&shadow_runtime(), Engine::Differential);
+    let mut dev = device(&Runtime::sanitizing(), Engine::Differential);
     let prep = dev.compile(&copy_kernel(name)).unwrap();
     let src = dev.create_buffer(ScalarKind::F32, 16);
     let out = dev.create_buffer(ScalarKind::F32, 16);
@@ -129,6 +116,28 @@ fn differential_gate_turns_finding_into_launch_error() {
     assert!(msg.contains("src"), "error names the buffer: {msg}");
 }
 
+/// A launch answers for its own findings: the runtime keeps one finding
+/// per site, yet the second faulty launch of the kernel fails like the
+/// first, and a clean launch between them passes.
+#[test]
+fn every_differential_launch_fails_on_its_own_findings() {
+    let rt = Runtime::sanitizing();
+    let mut dev = device(&rt, Engine::Differential);
+    let prep = dev.compile(&copy_kernel("san_uninit_twice")).unwrap();
+    let out = dev.create_buffer(ScalarKind::F32, 16);
+    let args = |src| [Arg::Buf(src), Arg::Buf(out), Arg::Val(Value::I32(16))];
+    let (uninit, clean) =
+        (dev.create_buffer(ScalarKind::F32, 16), dev.create_buffer_zeroed(ScalarKind::F32, 16));
+    for launch in ["first", "second"] {
+        let err = dev.launch(&prep, &args(uninit), &[16], ExecMode::Fast);
+        let msg = err.expect_err(launch).to_string();
+        assert!(msg.contains("uninit-read in `san_uninit_twice`"), "{launch}: {msg}");
+        assert!(msg.contains("buffer `src` element 0"), "{launch}: {msg}");
+        dev.launch(&prep, &args(clean), &[16], ExecMode::Fast).expect("a clean launch");
+    }
+    assert_eq!(rt.findings.all().len(), 1, "the runtime dedupes per site");
+}
+
 /// A two-device mini-schedule over a 2-plane-per-slab field: each device
 /// owns `owned` planes of `plane` elements with one halo plane on each
 /// side. `exchange` controls whether the seam is refreshed before the
@@ -136,7 +145,7 @@ fn differential_gate_turns_finding_into_launch_error() {
 fn stale_halo_schedule(exchange_each_step: bool, kname: &str) -> Vec<vgpu::Finding> {
     let plane = 4usize;
     let part = SlabPartition::balanced(4, 2);
-    let rt = shadow_runtime();
+    let rt = Runtime::sanitizing();
     // A single-leg engine: under the differential one the stale seam would
     // (correctly) fail the launch instead of recording findings, and this
     // helper wants to inspect them afterwards.
@@ -249,7 +258,7 @@ fn per_step_halo_exchange_is_clean() {
 
 #[test]
 fn sanitize_counters_tally_findings() {
-    let rt = shadow_runtime();
+    let rt = Runtime::sanitizing();
     let name = "san_counter_probe";
     let mut dev = device(&rt, Engine::Tree);
     let prep = dev.compile(&copy_kernel(name)).unwrap();
@@ -266,6 +275,6 @@ fn sanitize_counters_tally_findings() {
     // the findings dedupe to one row. Nothing reaches the default runtime.
     assert_eq!(rt.registry.counter("vgpu.sanitize.uninit_reads").get(), 8);
     assert_eq!(rt.registry.counter("vgpu.sanitize.shadowed_buffers").get(), 2);
-    assert_eq!(rt.findings.count_for(name), 1);
+    assert_eq!(rt.findings.all().iter().filter(|f| f.kernel == name).count(), 1);
     assert!(vgpu::runtime().findings.all().is_empty());
 }

@@ -1,5 +1,5 @@
 //! The tape executor against the tree oracle, over every kind of launch:
-//! plain, race-checked and modeled (unsampled and sampled), flat and
+//! plain, sanitized and modeled (unsampled and sampled), flat and
 //! grouped — what decides which of its paths a warp-op takes. One table of
 //! kernel shapes — partial final warps, divergent early-return guards,
 //! if-converted and storing diamonds, arms of several blocks,
@@ -25,7 +25,7 @@
 
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, Lit, ScalarKind, Value};
-use vgpu::{Arg, Backend, BufData, Device, Engine, ExecMode, LaunchStats};
+use vgpu::{Arg, Backend, BufData, Device, DeviceProfile, Engine, ExecMode, LaunchStats, Runtime};
 
 fn gid() -> KExpr {
     KExpr::GlobalId(0)
@@ -34,20 +34,32 @@ fn gid() -> KExpr {
 // ---- the oracle-equality table ----
 
 /// The kind of launch: what the executor records per lane, and so which of
-/// its shortcuts a warp-op may take.
+/// its shortcuts a warp-op may take. `sanitize` launches on a sanitizing
+/// runtime, whose shadow checks every element and fails a write race.
 #[derive(Clone, Copy, Debug)]
 struct Input {
-    race_check: bool,
+    sanitize: bool,
     mode: ExecMode,
 }
 
 const MODEL: ExecMode = ExecMode::Model { sample_stride: 2 };
 const INPUTS: [Input; 4] = [
-    Input { race_check: false, mode: ExecMode::Fast },
-    Input { race_check: true, mode: ExecMode::Fast },
-    Input { race_check: true, mode: ExecMode::Model { sample_stride: 1 } },
-    Input { race_check: false, mode: MODEL },
+    Input { sanitize: false, mode: ExecMode::Fast },
+    Input { sanitize: true, mode: ExecMode::Fast },
+    Input { sanitize: true, mode: ExecMode::Model { sample_stride: 1 } },
+    Input { sanitize: false, mode: MODEL },
 ];
+
+/// A device on `engine`, on a fresh sanitizing runtime when `sanitize` (with
+/// the default runtime's other settings), else on the default runtime.
+fn device(engine: Engine, sanitize: bool) -> Device {
+    let mut dev = match sanitize {
+        true => Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing()),
+        false => Device::gtx780(),
+    };
+    dev.set_engine(engine);
+    dev
+}
 
 /// One kernel with its arguments: the buffers in parameter order (the
 /// output last), then the scalars.
@@ -63,9 +75,7 @@ struct Case {
 
 /// Launches the case on a fresh device; returns every buffer and the stats.
 fn launch(case: &Case, engine: Engine, input: Input) -> (Vec<BufData>, LaunchStats) {
-    let mut dev = Device::gtx780();
-    dev.set_engine(engine);
-    dev.set_race_check(input.race_check);
+    let mut dev = device(engine, input.sanitize);
     let prep = dev.compile(&case.kernel).unwrap();
     let ids: Vec<_> = case.bufs.iter().map(|b| dev.upload(b.clone())).collect();
     let args: Vec<Arg> =
@@ -496,7 +506,7 @@ fn flat_and_grouped_launches_report_what_the_four_runners_did() {
     let modes = [ExecMode::Fast, model(1), model(3)];
     for (case, pins) in cases.iter().zip(PARENT_PINS) {
         for (mode, want) in modes.into_iter().zip(pins) {
-            let input = Input { race_check: true, mode };
+            let input = Input { sanitize: true, mode };
             for (engine, want) in [Engine::Tree, Engine::Fast].into_iter().zip(want) {
                 let got = pin_of(&launch(case, engine, input).1);
                 assert_eq!(got, want, "{}, {mode:?}, {engine:?}", case.what);
@@ -1214,9 +1224,7 @@ fn out_of_bounds_panic(kernel: &Kernel, input: Input, local: Option<usize>) -> S
 }
 
 fn out_of_bounds_panic_of(prep: &vgpu::Prepared, input: Input, local: Option<usize>) -> String {
-    let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Fast);
-    dev.set_race_check(input.race_check);
+    let mut dev = device(Engine::Fast, input.sanitize);
     let x = dev.upload(BufData::from(vec![1.0f32; 64]));
     let out = dev.upload(BufData::from(vec![0.0f32; 64]));
     let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1229,7 +1237,7 @@ fn out_of_bounds_panic_of(prep: &vgpu::Prepared, input: Input, local: Option<usi
 /// One element past the end through a unit-stride load site, through a
 /// store site, and one before the start: a run that fails its one range
 /// check falls back to the per-lane path, and every launch — plain,
-/// race-checked, modeled, grouped; debug or release build — reports the
+/// sanitized, modeled, grouped; debug or release build — reports the
 /// out-of-bounds lane in the same words.
 #[test]
 fn a_unit_stride_site_one_past_the_end_keeps_its_panic_text() {
@@ -1275,7 +1283,7 @@ fn a_proven_unit_stride_site_one_past_the_end_trips_the_debug_audit() {
 //
 // It must never be observable: launches of one warp, exactly one grain, one
 // grain plus a warp, and several grains — flat and grouped, plain, modeled
-// and race-checked — produce the tree oracle's buffers, counters,
+// and sanitized — produce the tree oracle's buffers, counters,
 // transaction bytes and race reports, whether they ran as one inline task
 // or fanned out over the pool. Task counts are read from each launch's own
 // `LaunchStats::tasks`.
@@ -1327,8 +1335,8 @@ fn launches_around_the_grain_match_the_oracle_on_every_input() {
 
 /// `out[gid % H] = gid` with `H` half the launch: items `g` and `g + H`
 /// collide on every element, from different tasks once the launch fans out.
-/// The report (conflict count, the first conflicts in element order, their
-/// sites) must not depend on which engine ran or how the launch was cut.
+/// The report (kernel, site, buffer, the lowest racing element, the races
+/// counted) must not depend on which engine ran or how the launch was cut.
 #[test]
 fn race_reports_do_not_depend_on_the_cut() {
     let k = Kernel {
@@ -1347,20 +1355,64 @@ fn race_reports_do_not_depend_on_the_cut() {
     for (warps, tasks) in [(2, 1), (3 * GRAIN_WARPS, 3)] {
         let total = warps * WARP;
         let report = |engine: Engine| {
-            let mut dev = Device::gtx780();
-            dev.set_engine(engine);
-            dev.set_race_check(true);
+            let mut dev = device(engine, true);
             let prep = dev.compile(&k).unwrap();
             let out = dev.upload(BufData::from(vec![0i32; total]));
             let args = [Arg::Buf(out), Arg::Val(Value::I32(total as i32 / 2))];
-            dev.launch(&prep, &args, &[total], ExecMode::Fast)
+            let msg = dev
+                .launch(&prep, &args, &[total], ExecMode::Fast)
                 .expect_err("every element is written twice")
-                .to_string()
+                .to_string();
+            let races = dev.runtime().registry.counter("vgpu.sanitize.write_races").get();
+            (msg.replace(engine_label(engine), "…"), races)
         };
         let tree = report(Engine::Tree);
-        assert!(tree.contains("race check failed"), "{tree}");
-        assert!(tree.contains(&format!("{} conflicting element(s)", total / 2)), "{tree}");
+        let first = "1 finding(s) in the launch of `dg_race`: write-race in `dg_race` site 0: \
+                     buffer `out` element 0";
+        assert!(tree.0.contains(first), "{}", tree.0);
+        assert_eq!(tree.1, total as u64 / 2, "one of each element's two stores races");
         assert_eq!(report(Engine::Fast), tree, "{warps} warps ({tasks} tasks)");
+        assert_eq!(report(Engine::Differential), tree, "{warps} warps ({tasks} tasks)");
+    }
+}
+
+/// The engine label a finding of the first leg `engine` runs carries.
+fn engine_label(engine: Engine) -> &'static str {
+    match engine {
+        Engine::Fast => "(tape engine)",
+        _ => "(tree engine)",
+    }
+}
+
+/// An out-of-bounds gather panics with the tape's text on the oracle too —
+/// under `Engine::Tree`, and in the oracle leg of `Engine::Differential`,
+/// which runs first — in every build.
+#[test]
+fn an_out_of_bounds_gather_reads_alike_on_every_engine() {
+    let k = Kernel {
+        name: "dg_gather_oob".into(),
+        params: vec![
+            KernelParam::global_buf("out", ScalarKind::F32),
+            KernelParam::global_buf("src", ScalarKind::F32),
+        ],
+        body: vec![KStmt::Store {
+            mem: MemRef::Param(0),
+            idx: gid(),
+            value: KExpr::load(MemRef::Param(1), gid()),
+        }],
+        work_dim: 1,
+    };
+    for engine in [Engine::Tree, Engine::Differential, Engine::Fast] {
+        let mut dev = device(engine, false);
+        let prep = dev.compile(&k).unwrap();
+        let out = dev.upload(BufData::from(vec![0.0f32; 4]));
+        let src = dev.upload(BufData::from(vec![1.0f32; 3]));
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = dev.launch(&prep, &[Arg::Buf(out), Arg::Buf(src)], &[4], ExecMode::Fast);
+        }))
+        .expect_err("the out-of-bounds gather must panic");
+        let msg = payload.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("load out of bounds: param 1[3] (len 3)"), "{engine:?}: {msg:?}");
     }
 }
 

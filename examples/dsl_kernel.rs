@@ -13,7 +13,7 @@ use room_acoustics_lift::lift::dsl::parse_kernel;
 use room_acoustics_lift::lift::lower::ArgSpec;
 use room_acoustics_lift::lift::opencl;
 use room_acoustics_lift::lift::prelude::*;
-use room_acoustics_lift::vgpu::{Arg, BufData, Device, ExecMode};
+use room_acoustics_lift::vgpu::{Arg, BufData, Device, DeviceProfile, ExecMode, Runtime};
 
 const KERNEL_SRC: &str = "
 ;; Frequency-independent boundary relaxation, written as text.
@@ -48,8 +48,7 @@ fn main() {
 
     // run it: an 8-point 1-D "room" with two boundary cells
     let lk = kernel.lower(ScalarKind::F64).unwrap();
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let prep = dev.compile(&lk.kernel).unwrap();
     let bidx = dev.upload(BufData::from(vec![0i32, 7]));
     let bnbrs = dev.upload(BufData::from(vec![5i32, 5]));

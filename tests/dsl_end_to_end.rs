@@ -5,7 +5,7 @@
 use lift::dsl::parse_kernel;
 use lift::lower::ArgSpec;
 use lift::prelude::*;
-use vgpu::{Arg, BufData, Device, ExecMode};
+use vgpu::{Arg, BufData, Device, DeviceProfile, ExecMode, Runtime};
 
 fn bind_and_run(
     lk: &lift::lower::LoweredKernel,
@@ -73,8 +73,7 @@ fn dsl_in_place_scatter_matches_semantics() {
     )
     .unwrap();
     let lk = k.lower(ScalarKind::F64).unwrap();
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let idx = dev.upload(BufData::from(vec![1i32, 4]));
     let data = dev.upload(BufData::from(vec![0.0f64, 1.0, 2.0, 3.0, 4.0, 5.0]));
     bind_and_run(
@@ -132,8 +131,7 @@ fn dsl_and_builder_programs_generate_identical_code() {
     assert!(src.contains("__kernel void bh"), "{src}");
     assert!(src.contains("next["), "{src}");
     // run it against the reference formula
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let bidx = dev.upload(BufData::from(vec![2i32, 5]));
     let bnbrs = dev.upload(BufData::from(vec![5i32, 3]));
     let next = dev.upload(BufData::from(vec![1.0f64; 8]));

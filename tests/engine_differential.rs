@@ -16,7 +16,7 @@ use room_acoustics::{
     handwritten, BoundaryKernel, BoundaryModel, GridDims, HandwrittenSim, KernelSource,
     MaterialAssignment, Precision, ReferenceSim, RoomShape, SimConfig, SimSetup, Simulation,
 };
-use vgpu::{Arg, Backend, BufData, Device, Engine, ExecMode};
+use vgpu::{Arg, Backend, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime};
 
 /// Every generated program and hand-written kernel, at both precisions,
 /// must actually compile to a tape — a silent fall-back to the tree-walker
@@ -49,9 +49,8 @@ fn all_acoustics_kernels_compile_to_tapes() {
 }
 
 fn diff_device() -> Device {
-    let mut dev = Device::gtx780();
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     dev.set_engine(Engine::Differential);
-    dev.set_race_check(true);
     dev
 }
 
@@ -173,7 +172,7 @@ fn the_hot_kernels_fuse_and_keep_counters_and_transactions() {
 /// 46 (box) and 32 (dome) split at the boundary-loss arm, which spans
 /// several blocks, and reconverge at the arm's join; the others are all
 /// exterior — the eight inside the box's two outer z planes, say — and skip
-/// the `nbrs > 0` arm whole. Plain, race-checked and modeled launches alike,
+/// the `nbrs > 0` arm whole. Plain, sanitized and modeled launches alike,
 /// each held to the oracle inside the launch.
 #[test]
 fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
@@ -186,20 +185,20 @@ fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
                 assignment: MaterialAssignment::Uniform,
                 boundary: BoundaryModel::Fi { beta: 0.1 },
             };
-            for (race_check, mode) in [
+            for (sanitize, mode) in [
                 (false, ExecMode::Fast),
                 (true, ExecMode::Fast),
                 (true, ExecMode::Model { sample_stride: 1 }),
             ] {
-                let mut dev = Device::gtx780();
+                let rt = if sanitize { Runtime::sanitizing() } else { vgpu::runtime().clone() };
+                let mut dev = Device::with_runtime(DeviceProfile::gtx780(), rt);
                 dev.set_engine(Engine::Differential);
-                dev.set_race_check(race_check);
                 let fi = LiftBoundary::Fi;
                 let mut sim = Simulation::new(SimSetup::new(&cfg), precision, fi, vec![dev]);
                 sim.impulse(6, 6, 3, 1.0);
                 for _ in 0..3 {
                     for (step, boundary) in sim.step(mode) {
-                        let what = format!("{shape:?} {precision:?} {mode:?} race {race_check}");
+                        let what = format!("{shape:?} {precision:?} {mode:?} sanitize {sanitize}");
                         assert!(boundary.is_none(), "{what}: one kernel a step");
                         assert_eq!(step.backend, Backend::Tape, "{what}");
                         assert_eq!(step.divergent_warps, divergent, "{what}");

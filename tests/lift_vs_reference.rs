@@ -12,7 +12,7 @@ use room_acoustics::{
     BoundaryKernel, GridDims, HandwrittenSim, MaterialAssignment, Precision, ReferenceSim,
     RoomShape, SimConfig, SimSetup, Simulation,
 };
-use vgpu::Device;
+use vgpu::{Device, DeviceProfile, Runtime};
 
 fn assert_close(a: &[f64], b: &[f64], tol: f64, what: &str) {
     assert_eq!(a.len(), b.len());
@@ -35,8 +35,7 @@ fn fdmm_setup(shape: RoomShape) -> SimSetup {
 #[test]
 fn lift_fimm_matches_reference_f64_box() {
     let s = fimm_setup(RoomShape::Box);
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let mut lift = LiftSim::new(s.clone(), Precision::Double, LiftBoundary::FiMm, dev);
     let mut rf = ReferenceSim::<f64>::new(s);
     lift.impulse(7, 6, 5, 1.0);
@@ -49,8 +48,7 @@ fn lift_fimm_matches_reference_f64_box() {
 #[test]
 fn lift_fimm_matches_reference_f64_dome() {
     let s = fimm_setup(RoomShape::Dome);
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let mut lift = LiftSim::new(s.clone(), Precision::Double, LiftBoundary::FiMm, dev);
     let mut rf = ReferenceSim::<f64>::new(s);
     lift.impulse(7, 6, 4, 1.0);
@@ -76,8 +74,7 @@ fn lift_fimm_matches_reference_f32() {
 #[test]
 fn lift_fdmm_matches_reference_f64_box() {
     let s = fdmm_setup(RoomShape::Box);
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let mut lift = LiftSim::new(s.clone(), Precision::Double, LiftBoundary::FdMm, dev);
     let mut rf = ReferenceSim::<f64>::new(s);
     lift.impulse(7, 6, 5, 1.0);
@@ -90,8 +87,7 @@ fn lift_fdmm_matches_reference_f64_box() {
 #[test]
 fn lift_fdmm_matches_reference_f64_dome() {
     let s = fdmm_setup(RoomShape::Dome);
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let mut lift = LiftSim::new(s.clone(), Precision::Double, LiftBoundary::FdMm, dev);
     let mut rf = ReferenceSim::<f64>::new(s);
     lift.impulse(7, 6, 4, 1.0);
@@ -104,8 +100,7 @@ fn lift_fdmm_matches_reference_f64_dome() {
 #[test]
 fn lift_fdmm_matches_reference_f64_lshape() {
     let s = SimSetup::new(&SimConfig::fdmm(GridDims::new(14, 14, 10), RoomShape::LShape));
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let mut lift = LiftSim::new(s.clone(), Precision::Double, LiftBoundary::FdMm, dev);
     let mut rf = ReferenceSim::<f64>::new(s);
     lift.impulse(4, 4, 4, 1.0);
@@ -151,8 +146,7 @@ fn lift_fi_single_kernel_matches_reference() {
         boundary: room_acoustics::BoundaryModel::Fi { beta: 0.25 },
     };
     let s = SimSetup::new(&cfg);
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let mut lift = Simulation::new(s.clone(), Precision::Double, LiftBoundary::Fi, vec![dev]);
     let mut rf = ReferenceSim::<f64>::new(s);
     lift.impulse(8, 6, 5, 1.0);
@@ -194,8 +188,7 @@ fn host_program_step_matches_reference_step() {
 #[test]
 fn lift_fimm_matches_reference_f64_lshape() {
     let s = SimSetup::new(&SimConfig::fimm(GridDims::new(14, 14, 10), RoomShape::LShape));
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let mut lift = LiftSim::new(s.clone(), Precision::Double, LiftBoundary::FiMm, dev);
     let mut rf = ReferenceSim::<f64>::new(s);
     lift.impulse(4, 4, 4, 1.0);
@@ -208,8 +201,7 @@ fn lift_fimm_matches_reference_f64_lshape() {
 #[test]
 fn hw_fimm_matches_reference_f64_lshape() {
     let s = SimSetup::new(&SimConfig::fimm(GridDims::new(14, 14, 10), RoomShape::LShape));
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let mut hw = HandwrittenSim::new(
         s.clone(),
         Precision::Double,
@@ -227,8 +219,7 @@ fn hw_fimm_matches_reference_f64_lshape() {
 #[test]
 fn hw_fdmm_matches_reference_f64_lshape() {
     let s = SimSetup::new(&SimConfig::fdmm(GridDims::new(14, 14, 10), RoomShape::LShape));
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let mut hw = HandwrittenSim::new(s.clone(), Precision::Double, BoundaryKernel::FdMm, dev);
     let mut rf = ReferenceSim::<f64>::new(s);
     hw.impulse(4, 4, 4, 1.0);

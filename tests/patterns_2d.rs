@@ -8,14 +8,13 @@ use lift::funs;
 use lift::ir::{self, ParamDef};
 use lift::lower::{lower_kernel, ArgSpec};
 use lift::prelude::*;
-use vgpu::{Arg, BufData, Device, ExecMode};
+use vgpu::{Arg, BufData, Device, DeviceProfile, ExecMode, Runtime};
 
 const NX: usize = 20;
 const NY: usize = 14;
 
 fn run2d(lk: &lift::lower::LoweredKernel, inputs: &[(&str, Vec<f32>)]) -> Vec<f32> {
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let prep = dev.compile(&lk.kernel).unwrap();
     let bufs: Vec<(String, vgpu::BufId)> =
         inputs.iter().map(|(n, d)| (n.to_string(), dev.upload(BufData::from(d.clone())))).collect();

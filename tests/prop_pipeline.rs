@@ -11,7 +11,7 @@ use lift::ir::{self, ExprRef, ParamDef};
 use lift::lower::lower_kernel;
 use lift::prelude::*;
 use proptest::prelude::*;
-use vgpu::{Arg, BufData, Device, ExecMode};
+use vgpu::{Arg, BufData, Device, DeviceProfile, ExecMode, Runtime};
 
 /// One random 1-D layout stage applied between the input and the map.
 #[derive(Debug, Clone)]
@@ -146,8 +146,7 @@ type Rc = std::rc::Rc<ParamDef>;
 
 fn run_program(prog: &ExprRef, params: &[Rc], data: &[f32], out_len: usize) -> Vec<f32> {
     let lk = lower_kernel("prop", params, prog, ScalarKind::F32).expect("lowers");
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let prep = dev.compile(&lk.kernel).expect("prepares");
     let input = dev.upload(BufData::from(data.to_vec()));
     let out = dev.create_buffer(ScalarKind::F32, out_len);
@@ -213,8 +212,7 @@ proptest! {
             )
         });
         let lk = lower_kernel("scatter", &[indices, data], &prog, ScalarKind::F32).unwrap();
-        let mut dev = Device::gtx780();
-        dev.set_race_check(true);
+        let mut dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
         let prep = dev.compile(&lk.kernel).unwrap();
         let idx_buf = dev.upload(BufData::from(picks.clone()));
         let base: Vec<f32> = (0..n).map(|i| i as f32).collect();

@@ -10,7 +10,7 @@ use lift::ir::{self, ParamDef};
 use lift::lower::{lower_kernel, ArgSpec};
 use lift::prelude::*;
 use lift::rewrite::overlapped_tile_1d;
-use vgpu::{Arg, BufData, Device, ExecMode};
+use vgpu::{Arg, BufData, Device, DeviceProfile, ExecMode, Runtime};
 
 const N: usize = 256; // output length
 const K: i64 = 5; // stencil size
@@ -29,8 +29,7 @@ fn stencil_program() -> (std::rc::Rc<ParamDef>, ExprRef) {
 }
 
 fn run(lowered: &lift::lower::LoweredKernel, data: &[f32]) -> (Vec<f32>, vgpu::LaunchStats) {
-    let mut dev = Device::gtx780();
-    dev.set_race_check(true);
+    let mut dev = Device::with_runtime(DeviceProfile::gtx780(), Runtime::sanitizing());
     let prep = dev.compile(&lowered.kernel).expect("prepares");
     let input = dev.upload(BufData::from(data.to_vec()));
     let out = dev.create_buffer(ScalarKind::F32, N);
