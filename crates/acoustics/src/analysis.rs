@@ -47,12 +47,6 @@ pub fn rt60_steps(edc_db: &[f64], span_db: f64) -> Option<f64> {
     Some(steps_per_db * 60.0)
 }
 
-/// Sound-propagation time step at the 3-D Courant limit for a grid spacing
-/// `h` metres and speed of sound `c` m/s.
-pub fn step_period_s(h: f64, c: f64) -> f64 {
-    h / c / 3.0f64.sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,13 +89,6 @@ mod tests {
         let ir = vec![1.0; 100];
         let edc = schroeder_edc_db(&ir);
         assert!(rt60_steps(&edc, 20.0).is_none());
-    }
-
-    #[test]
-    fn step_period_sane() {
-        // 5 cm cells at 343 m/s: ≈ 84 µs
-        let dt = step_period_s(0.05, 343.0);
-        assert!((dt - 8.4e-5).abs() < 1e-6);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl RoomModel {
         self.boundary_indices.len()
     }
 
-    /// Number of inside points (volume).
-    pub fn num_inside_points(&self) -> usize {
-        self.nbrs.iter().filter(|&&n| n > 0).count()
-    }
-
     /// The `nbrs` values gathered at the boundary points (a convenience for
     /// kernels that take them as a compact array).
     pub fn boundary_nbrs(&self) -> Vec<i32> {
@@ -147,7 +142,7 @@ mod tests {
         let m = RoomModel::build(dims, RoomShape::Box, MaterialAssignment::Uniform);
         // shell of a 6³ interior: 6³ − 4³ = 216 − 64 = 152
         assert_eq!(m.num_boundary_points(), 152);
-        assert_eq!(m.num_inside_points(), 216);
+        assert_eq!(m.nbrs.iter().filter(|&&n| n > 0).count(), 216, "inside points");
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub fn launch_contract(k: &Kernel) -> Assumptions {
                 asm.size_bounds.push((d.into(), 1));
             }
         }
-        "fimm_boundary_hand" | "fdmm_boundary_hand" => {
+        "fimm_boundary_hand" | "fimm_boundary_hand_cbeta" | "fdmm_boundary_hand" => {
             let n = || ArithExpr::var("N");
             let num_b = || ArithExpr::var("numB");
             asm.buffers.insert("boundaryIndices".into(), BufferFacts::sized(num_b()));

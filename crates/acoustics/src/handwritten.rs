@@ -224,7 +224,9 @@ pub fn fi_single_kernel() -> Kernel {
 ///
 /// Parameters: `boundaryIndices, nbrs, material, beta, next, prev, l, numB`.
 /// With `beta_in_constant_memory` the β table lives in `__constant` space
-/// (the hand-tuned private-memory trick of §VII-B1).
+/// (the hand-tuned private-memory trick of §VII-B1), and the kernel is
+/// `fimm_boundary_hand_cbeta` — a kernel of its own, so its accounts and
+/// verifier rows are too.
 pub fn fimm_kernel(beta_in_constant_memory: bool) -> Kernel {
     let (bidx, nbrs, material, beta, next, prev) = (0usize, 1, 2, 3, 4, 5);
     let body = vec![
@@ -258,13 +260,13 @@ pub fn fimm_kernel(beta_in_constant_memory: bool) -> Kernel {
                 / (KExpr::real(1.0) + v("cf")),
         },
     ];
-    let beta_param = if beta_in_constant_memory {
-        KernelParam::constant_buf("beta", ScalarKind::Real)
+    let (name, beta_param) = if beta_in_constant_memory {
+        ("fimm_boundary_hand_cbeta", KernelParam::constant_buf("beta", ScalarKind::Real))
     } else {
-        KernelParam::global_buf("beta", ScalarKind::Real)
+        ("fimm_boundary_hand", KernelParam::global_buf("beta", ScalarKind::Real))
     };
     Kernel {
-        name: "fimm_boundary_hand".into(),
+        name: name.into(),
         params: vec![
             KernelParam::global_buf("boundaryIndices", ScalarKind::I32),
             KernelParam::global_buf("nbrs", ScalarKind::I32),
@@ -447,6 +449,14 @@ mod tests {
             src.contains("next[idx] = ((next[idx] + (cf * prev[idx])) / (1.0 + cf));"),
             "{src}"
         );
+    }
+
+    #[test]
+    fn every_kernel_has_a_name_of_its_own() {
+        let names: Vec<String> = all_kernels().into_iter().map(|k| k.name).collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "two hand-written kernels are named `{name}`");
+        }
     }
 
     #[test]

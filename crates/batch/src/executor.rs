@@ -28,8 +28,8 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use vgpu::telemetry::sink::KernelSummary;
-use vgpu::telemetry::{KernelMetrics, Registry};
+use vgpu::telemetry::sink::{self, KernelSummary};
+use vgpu::telemetry::Registry;
 use vgpu::{Device, DeviceProfile, ExecMode, Runtime};
 
 /// Executor configuration.
@@ -230,19 +230,16 @@ fn run_sim(cfg: &BatchConfig, rt: &Arc<Runtime>, sc: &Scenario) -> Result<JobOut
     let (sx, sy, sz) = sc.source;
     sim.impulse(sx, sy, sz, sc.amp);
 
-    // One summary per kernel of the step, volume first, folded from what
+    // One account per kernel of the step, volume first, folded from what
     // each step returns — with tracing off exactly as with tracing on.
-    let mut kernels: Vec<KernelSummary> =
-        sim.kernels().map(|k| KernelSummary::new(&k.kernel.name)).collect();
+    let mut kernels: Vec<KernelSummary> = Vec::new();
     let (mx, my, mz) = sc.mic;
     let t0 = Instant::now();
     let mut impulse_response = Vec::with_capacity(sc.steps);
     for _ in 0..sc.steps {
         for (volume, boundary) in sim.step(ExecMode::Fast) {
-            for (summary, stats) in
-                kernels.iter_mut().zip(std::iter::once(&volume).chain(&boundary))
-            {
-                summary.add(&KernelMetrics::from(stats), stats.wall.as_secs_f64() * 1e6);
+            for (k, stats) in sim.kernels().zip(std::iter::once(&volume).chain(&boundary)) {
+                sink::fold_launch(&mut kernels, k.prepared(), stats);
             }
         }
         impulse_response.push(sim.sample(mx, my, mz));

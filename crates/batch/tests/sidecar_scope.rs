@@ -15,8 +15,8 @@ use batch::{BatchConfig, BatchExecutor, Scenario, ScenarioGen};
 use room_acoustics::{SimSetup, Simulation};
 use serde_json::Value;
 use std::collections::BTreeSet;
-use vgpu::telemetry::sink::KernelSummary;
-use vgpu::telemetry::{KernelMetrics, TraceMode};
+use vgpu::telemetry::sink::{self, KernelSummary};
+use vgpu::telemetry::TraceMode;
 use vgpu::{Device, ExecMode, Runtime, Settings};
 
 /// An executor of two workers writing sidecars into `dir`, on a runtime
@@ -28,19 +28,21 @@ fn executor(trace: TraceMode, dir: &std::path::Path) -> BatchExecutor {
 }
 
 /// One [`KernelSummary`] per kernel of the scenario stepped directly, on as
-/// many devices as a batch job uses, wall time left out.
+/// many devices as a batch job uses, wall time zeroed.
 fn stepped_directly(sc: &Scenario) -> Vec<KernelSummary> {
     let devices = (0..vgpu::runtime().settings.devices).map(|_| Device::gtx780()).collect();
     let setup = SimSetup::new(&sc.config());
     let mut sim = Simulation::new(setup, sc.precision, sc.boundary_kernel(), devices);
     sim.impulse(sc.source.0, sc.source.1, sc.source.2, sc.amp);
-    let mut kernels: Vec<KernelSummary> =
-        sim.kernels().map(|k| KernelSummary::new(&k.kernel.name)).collect();
-    for (volume, boundary) in (0..sc.steps).flat_map(|_| sim.step(ExecMode::Fast)) {
-        for (k, stats) in kernels.iter_mut().zip(std::iter::once(&volume).chain(&boundary)) {
-            k.add(&KernelMetrics::from(stats), 0.0);
+    let mut kernels: Vec<KernelSummary> = Vec::new();
+    for _ in 0..sc.steps {
+        for (volume, boundary) in sim.step(ExecMode::Fast) {
+            for (k, stats) in sim.kernels().zip(std::iter::once(&volume).chain(&boundary)) {
+                sink::fold_launch(&mut kernels, k.prepared(), stats);
+            }
         }
     }
+    kernels.iter_mut().for_each(|k| k.wall_ms = 0.0);
     kernels
 }
 
@@ -85,10 +87,11 @@ fn untraced_sidecars_carry_the_fold_of_what_the_steps_returned() {
 
 #[test]
 fn two_thread_sidecars_carry_only_their_own_jobs_events() {
-    // Event recording without a sink (events stay in the buffer).
+    // Event recording with nothing draining the buffer (the summary sink
+    // renders only when asked).
     let dir = std::env::temp_dir().join(format!("vgpu_sidecar_scope_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let results = executor(TraceMode::Json, &dir).run_all(ScenarioGen::new(99).take(6));
+    let results = executor(TraceMode::Summary, &dir).run_all(ScenarioGen::new(99).take(6));
 
     let mut all_tracks: BTreeSet<u64> = BTreeSet::new();
     for r in &results {
@@ -130,13 +133,13 @@ fn two_thread_sidecars_carry_only_their_own_jobs_events() {
             assert!(tracks.contains(&track), "{label}: foreign event leaked into sidecar");
             if ev.get("ev").and_then(Value::as_str) == Some("kernel") {
                 divergent_warps += ev
-                    .pointer("/metrics/divergent_warps")
+                    .pointer("/account/divergent_warps")
                     .and_then(Value::as_u64)
                     .unwrap_or_else(|| panic!("{label}: kernel event without divergent_warps"));
                 // Under VGPU_ENGINE=diff every launch additionally traces
                 // its tree-walker oracle leg as its own kernel span; only
                 // the logical launches count against the job's tally.
-                if ev.get("engine").and_then(Value::as_str) == Some("tree(oracle)") {
+                if ev.pointer("/account/engine").and_then(Value::as_str) == Some("tree(oracle)") {
                     oracle_events += 1;
                 } else {
                     kernel_events += 1;

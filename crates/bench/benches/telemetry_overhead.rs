@@ -6,8 +6,10 @@
 //! read per gate) plus the unconditional launch counters. The baseline is a
 //! raw [`vgpu::exec::launch`] loop over the same prepared kernel
 //! and buffers, which contains no telemetry instrumentation at all. Both run
-//! on one runtime with tracing, profiling and the sanitizer off, whatever
-//! the `VGPU_*` environment says.
+//! on one runtime with tracing and the sanitizer off, whatever the `VGPU_*`
+//! environment says, and launch in `ExecMode::Fast` — the instantiation of
+//! the tape executor without per-op timing (`ExecMode::Profile` is a
+//! launch's choice, never a process setting).
 //!
 //! Trials are interleaved and the minimum per-iteration time of each side is
 //! compared, so one-off scheduler noise cannot fail the guard. Run under
@@ -43,9 +45,8 @@ fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--test");
-    // The guard compares against a no-telemetry baseline, so tracing,
-    // profiling and the sanitizer are off (the defaults) whatever the
-    // environment says.
+    // The guard compares against a no-telemetry baseline, so tracing and
+    // the sanitizer are off (the defaults) whatever the environment says.
     let off = Settings::default();
     let rt = Runtime::new(off);
 

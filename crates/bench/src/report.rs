@@ -123,8 +123,9 @@ pub fn print_report(title: &str, rows: &[ReportRow]) {
     }
 }
 
-/// Renders the per-kernel launch/flop/byte totals the default runtime
-/// traced, or `None` when tracing is off or no kernel event was recorded.
+/// Renders the per-kernel accounts the default runtime traced, one row per
+/// (kernel, engine, precision), or `None` when tracing is off or no kernel
+/// event was recorded.
 pub fn kernel_summary_section() -> Option<String> {
     let trace = &vgpu::runtime().trace;
     if !trace.enabled() {
@@ -140,6 +141,8 @@ pub fn kernel_summary_section() -> Option<String> {
         .map(|k| {
             vec![
                 k.name.clone(),
+                k.engine.clone(),
+                k.precision.clone(),
                 k.launches.to_string(),
                 k.work_items.to_string(),
                 k.flops.to_string(),
@@ -151,7 +154,16 @@ pub fn kernel_summary_section() -> Option<String> {
     Some(format!(
         "-- per-kernel telemetry --\n{}",
         table::render(
-            &["kernel", "launches", "work-items", "flops", "txn bytes", "model ms"],
+            &[
+                "kernel",
+                "engine",
+                "prec",
+                "launches",
+                "work-items",
+                "flops",
+                "txn bytes",
+                "model ms"
+            ],
             &rows
         )
     ))

@@ -1,13 +1,13 @@
 //! Trace artifact emission for the `repro_*` binaries.
 //!
 //! Each binary calls [`finish`] once, after its measurements, with the
-//! runtime its devices ran on: depending on its `VGPU_TRACE` mode this prints the telemetry summary table (`summary`), writes
-//! a JSONL event stream to `results/<name>.trace.jsonl` (`json`), or writes
-//! a Perfetto-loadable Chrome trace to `results/<name>.trace.json`
-//! (`chrome`). In the two file modes a machine-readable
-//! `results/<name>.telemetry.json` with per-kernel and transfer summaries is
-//! written alongside, so traces land next to the `results/*.json` report the
-//! run produced.
+//! runtime its devices ran on: depending on its `VGPU_TRACE` mode this
+//! prints the telemetry summary table (`summary`) or writes a
+//! Perfetto-loadable Chrome trace to `results/<name>.trace.json` (`chrome`),
+//! with a machine-readable `results/<name>.telemetry.json` alongside — the
+//! per-kernel accounts, transfer totals and the metric snapshot, histograms
+//! included — so traces land next to the `results/*.json` report the run
+//! produced.
 
 use serde::Serialize;
 use std::fs;
@@ -18,7 +18,7 @@ use vgpu::Runtime;
 /// The sidecar summary written next to a trace artifact.
 #[derive(Debug, Serialize)]
 pub struct TelemetryReport {
-    /// Per-kernel launch/flop/byte totals.
+    /// Per-kernel accounts, keyed by (kernel, engine, precision).
     pub kernels: Vec<sink::KernelSummary>,
     /// Transfer totals by direction.
     pub transfers: Vec<sink::TransferSummary>,
@@ -31,7 +31,7 @@ fn results_dir() -> PathBuf {
 }
 
 /// Drains `rt`'s trace and emits the artifact its trace mode selects (see
-/// module docs). Returns the trace file path in the file modes, `None` for
+/// module docs). Returns the trace file path in `chrome` mode, `None` for
 /// `off`/`summary`. Emission failures are reported to stderr, never fatal —
 /// a repro run's exit code reflects its shape checks, not its tracing.
 pub fn finish(rt: &Runtime, name: &str) -> Option<String> {
@@ -51,17 +51,8 @@ pub fn finish(rt: &Runtime, name: &str) -> Option<String> {
         return None;
     }
     let mut buf: Vec<u8> = Vec::new();
-    let (path, res) = match mode {
-        TraceMode::Json => (
-            dir.join(format!("{name}.trace.jsonl")),
-            sink::write_jsonl(&mut buf, &events, &metrics),
-        ),
-        _ => (
-            dir.join(format!("{name}.trace.json")),
-            sink::write_chrome(&mut buf, &events, &metrics),
-        ),
-    };
-    if let Err(e) = res {
+    let path = dir.join(format!("{name}.trace.json"));
+    if let Err(e) = sink::write_chrome(&mut buf, &events, &metrics) {
         eprintln!("cannot render trace: {e}");
         return None;
     }

@@ -11,7 +11,8 @@ use bench::measure::{fi_setup, fi_single_kernels, Impl};
 use lift_acoustics::LiftBoundary;
 use room_acoustics::{GridDims, Precision, RoomShape, SimConfig, SimSetup, Simulation};
 use std::collections::BTreeMap;
-use vgpu::telemetry::{sink, TraceMode};
+use vgpu::telemetry::sink::{self, KernelSummary};
+use vgpu::telemetry::TraceMode;
 use vgpu::{Device, DeviceProfile, ExecMode, Runtime, Settings};
 
 /// Launches, flops and transaction bytes per kernel name.
@@ -83,8 +84,13 @@ fn cube16_fi_and_fimm_traces_are_golden_at_both_precisions() {
     for (name, &(launches, flops, txn)) in &expected {
         assert_eq!(stats.kernel_flops.get(name), Some(&flops), "{name}: flops in {path}");
         assert_eq!(stats.kernel_txn_bytes.get(name), Some(&txn), "{name}: txn bytes in {path}");
-        let k = summaries.iter().find(|k| &k.name == name).expect("summary row");
-        assert_eq!((k.launches, k.flops, k.transaction_bytes), (launches, flops, txn), "{name}");
-        assert!(k.modeled_ms > 0.0, "{name}: model mode must produce a modeled time");
+        // One account per precision, which sum to the kernel's totals.
+        let accounts: Vec<&KernelSummary> = summaries.iter().filter(|k| &k.name == name).collect();
+        let precisions: Vec<&str> = accounts.iter().map(|k| k.precision.as_str()).collect();
+        assert_eq!(precisions, ["f32", "f64"], "{name}");
+        let sum = |f: fn(&KernelSummary) -> u64| accounts.iter().map(|k| f(k)).sum::<u64>();
+        let summed = (sum(|k| k.launches), sum(|k| k.flops), sum(|k| k.transaction_bytes));
+        assert_eq!(summed, (launches, flops, txn), "{name}");
+        assert!(accounts.iter().all(|k| k.modeled_ms > 0.0), "{name}: model mode is modeled");
     }
 }

@@ -151,15 +151,6 @@ impl KernelFootprints {
         }
         Ok((below, above))
     }
-
-    /// True when every site on the named buffers has a per-axis footprint
-    /// (stencil or gather) — the precondition for halo reasoning.
-    pub fn proven_on(&self, buffers: &[&str]) -> bool {
-        self.sites
-            .iter()
-            .filter(|s| buffers.contains(&s.buffer.as_str()))
-            .all(|s| s.shape.offsets().is_some())
-    }
 }
 
 /// One raw access record the bounds checker hands over for
@@ -556,7 +547,7 @@ mod tests {
         assert!(shapes.contains(&&Shape::Stencil { offsets: vec![1] }));
         assert_eq!(fp.required_halo(&["a"], 0), Ok((1, 1)));
         assert_eq!(fp.required_halo(&["out"], 0), Ok((0, 0)));
-        assert!(fp.proven_on(&["a", "out"]));
+        assert!(fp.required_halo(&["a", "out"], 0).is_ok());
     }
 
     #[test]
@@ -644,8 +635,9 @@ mod tests {
             ..Default::default()
         };
         let rep = verify_kernel(&k.resolve_real(ScalarKind::F32), &asm);
-        let err = rep.footprints.required_halo(&["out"], 0).unwrap_err();
+        let halo = rep.footprints.required_halo(&["out"], 0);
+        assert!(halo.is_err());
+        let err = halo.unwrap_err();
         assert!(err.contains("`q`") && err.contains("`out`"), "{err}");
-        assert!(!rep.footprints.proven_on(&["out"]));
     }
 }

@@ -2485,7 +2485,7 @@ pub(crate) struct WarpCtx<'a> {
     /// The workgroup's local-memory arena, shared by every warp of the
     /// group (empty for flat dispatch, whose tapes carry no local ops).
     pub locals: &'a mut [Vec<u64>],
-    /// Per-opcode time tally (`VGPU_PROFILE=op` only); `None` selects the
+    /// Per-opcode time tally ([`crate::ExecMode::Profile`] only); `None` selects the
     /// unprofiled instantiation of the executor.
     pub prof: Option<&'a mut OpProf>,
     /// The launch leg's shadow-sanitizer context.
@@ -4162,6 +4162,7 @@ mod tests {
         ("fi_single_hand/whole/f32", 80, 58, 3, 0x3d7c408f8f249b13),
         ("fi_single_hand_slab/slab/f32", 86, 64, 3, 0xe4f0b90bd63f516c),
         ("fimm_boundary_hand/whole/f32", 20, 4, 1, 0x76ea36d340d37292),
+        ("fimm_boundary_hand_cbeta/whole/f32", 20, 4, 1, 0x76ea36d340d37292),
         ("fdmm_boundary_hand/whole/f32", 88, 16, 1, 0x4ba7989415ebf49f),
         ("fi_single_lift/whole/f32", 52, 16, 3, 0xe70773e3e2665a97),
         ("fi_single_lift_slab/slab/f32", 54, 18, 3, 0xb359dc81a510f7e7),
@@ -4175,6 +4176,7 @@ mod tests {
         ("fi_single_hand/whole/f64", 80, 58, 3, 0x3d7c408f8f249b13),
         ("fi_single_hand_slab/slab/f64", 86, 64, 3, 0xe4f0b90bd63f516c),
         ("fimm_boundary_hand/whole/f64", 20, 4, 1, 0x76ea36d340d37292),
+        ("fimm_boundary_hand_cbeta/whole/f64", 20, 4, 1, 0x76ea36d340d37292),
         ("fdmm_boundary_hand/whole/f64", 88, 16, 1, 0x4ba7989415ebf49f),
         ("fi_single_lift/whole/f64", 52, 16, 3, 0xe70773e3e2665a97),
         ("fi_single_lift_slab/slab/f64", 54, 18, 3, 0xb359dc81a510f7e7),

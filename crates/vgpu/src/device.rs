@@ -12,7 +12,8 @@ use crate::exec::{self, ArgBind, Engine, ExecError, ExecMode, LaunchStats, Prepa
 use crate::perfmodel::{modeled_time_s, ModelInput};
 use crate::profile::DeviceProfile;
 use crate::runtime::Runtime;
-use crate::telemetry::{Event, KernelMetrics, TrackId, TransferDir};
+use crate::telemetry::sink::KernelSummary;
+use crate::telemetry::{Event, TrackId, TransferDir};
 use lift::kast::Kernel;
 use lift::prelude::{ScalarKind, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,7 +87,7 @@ impl Device {
 
     /// A device on `rt`: it launches on the runtime's engine (until
     /// [`Device::set_engine`]), its buffers carry shadow memory when the
-    /// runtime sanitizes, and its counters, trace events, profiles and
+    /// runtime sanitizes, and its counters, trace events and
     /// sanitizer findings land in the runtime.
     pub fn with_runtime(profile: DeviceProfile, rt: Arc<Runtime>) -> Self {
         let engine = rt.settings.engine;
@@ -381,7 +382,7 @@ impl Device {
             &self.rt,
         )?;
         let [tape, tree, oracle] = &self.rt.counters.launches;
-        let double = prep.params.iter().any(|p| p.is_buffer && p.kind == ScalarKind::F64);
+        let double = prep.precision() == "f64";
         stats.modeled_s = stats.transaction_bytes.map(|tb| {
             modeled_time_s(
                 &ModelInput {
@@ -397,52 +398,36 @@ impl Device {
             exec::Backend::Tape => tape.inc(),
             exec::Backend::Tree => tree.inc(),
         }
-        // Op profiling: one map update per launch under `VGPU_PROFILE=op`,
-        // one field read when off. The per-op tally was merged across
-        // interpreter chunks by the backend and rides along on `stats`.
-        let profiles = &self.rt.profiles;
-        if profiles.op_enabled() {
-            profiles.record_launch(
-                &prep.name,
-                stats.backend.label(),
-                if double { "f64" } else { "f32" },
-                stats.op_profile.as_deref(),
-            );
-        }
         // Differential launches also ran the tree-walker as an oracle.
         // Count that leg separately (the logical launch above is counted
-        // once) and trace it as its own span under a distinct name, so
-        // kernel summaries aggregated by name stay truthful about what
-        // each engine executed.
-        let oracle_us = stats.oracle_wall.map(|w| {
+        // once) and trace it as its own span under a distinct name and
+        // engine, so the accounts stay truthful about what each engine
+        // executed.
+        if stats.oracle_wall.is_some() {
             oracle.inc();
-            w.as_secs_f64() * 1e6
-        });
+        }
         if let Some(ts_us) = t0 {
             let (tele, trace) = (self.tele(), &self.rt.trace);
-            let metrics = KernelMetrics::from(&stats);
-            if let Some(dur_us) = oracle_us {
-                trace.record(Event::Kernel {
-                    track: tele.kernel_track,
-                    name: format!("{} (oracle)", prep.name),
-                    engine: "tree(oracle)".to_string(),
-                    ts_us,
-                    dur_us,
-                    // The tree-walker has no warps and is not modeled.
-                    metrics: KernelMetrics { modeled_us: None, divergent_warps: 0, ..metrics },
-                });
+            let oracle_us = stats.oracle_wall.map_or(0.0, |w| w.as_secs_f64() * 1e6);
+            if let Some(wall) = stats.oracle_wall {
+                // The tree-walker has no warps, is not modeled and runs no tape.
+                let (modeled_s, divergent_warps, op_profile) = (None, 0, None);
+                let leg =
+                    LaunchStats { wall, modeled_s, divergent_warps, op_profile, ..stats.clone() };
+                let name = format!("{} (oracle)", prep.name);
+                let mut account = KernelSummary::new(&name, "tree(oracle)", prep.precision());
+                account.add(&leg);
+                trace.record(Event::Kernel { track: tele.kernel_track, ts_us, account });
             }
+            // The oracle leg ran first; the reported launch's span starts
+            // where the oracle's ended.
+            let account = KernelSummary::of(prep, &stats);
             trace.record(Event::Kernel {
                 track: tele.kernel_track,
-                name: prep.name.clone(),
-                engine: stats.backend.label().to_string(),
-                // The oracle leg ran first; the reported launch's span
-                // starts where the oracle's ended.
-                ts_us: ts_us + oracle_us.unwrap_or(0.0),
-                dur_us: stats.wall.as_secs_f64() * 1e6,
-                metrics,
+                ts_us: ts_us + oracle_us,
+                account,
             });
-            if let Some(dur_us) = metrics.modeled_us {
+            if let Some(dur_us) = stats.modeled_s.map(|s| s * 1e6) {
                 let start = tele.advance_model_clock(dur_us);
                 trace.record(Event::ModeledKernel {
                     track: tele.modeled_track,

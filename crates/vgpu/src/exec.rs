@@ -270,6 +270,18 @@ impl Prepared {
         self.tape.ops.len()
     }
 
+    /// The precision of the kernel's float traffic: `"f64"` when a buffer
+    /// parameter is `F64`, else `"f32"` — what the roofline model and the
+    /// per-kernel accounts key on.
+    pub fn precision(&self) -> &'static str {
+        let double = self.params.iter().any(|p| p.is_buffer && p.kind == ScalarKind::F64);
+        if double {
+            "f64"
+        } else {
+            "f32"
+        }
+    }
+
     /// Check tables currently held (at most [`CHECK_TABLE_CAP`]).
     pub fn check_tables(&self) -> usize {
         self.derived.tables.read().expect("no panic under this lock").len()
@@ -606,6 +618,9 @@ pub enum ExecMode {
         /// Execute every k-th warp.
         sample_stride: usize,
     },
+    /// Run every work-item like `Fast` and time every tape op it
+    /// dispatches: the launch's [`LaunchStats::op_profile`].
+    Profile,
 }
 
 /// How a launch is executed — the one user-facing execution knob
@@ -710,9 +725,10 @@ pub struct LaunchStats {
     /// traces attribute the oracle's extra execution instead of silently
     /// folding it into the reported launch.
     pub oracle_wall: Option<std::time::Duration>,
-    /// Per-opcode time attribution merged across the launch's tasks.
-    /// Populated by the tape executor under `VGPU_PROFILE=op` only;
-    /// never part of differential comparison (timing is not a result).
+    /// Per-opcode time attribution merged across the launch's tasks:
+    /// `Some` exactly under [`ExecMode::Profile`] (empty on
+    /// [`Backend::Tree`], which runs no tape); never part of differential
+    /// comparison (timing is not a result).
     pub op_profile: Option<Box<crate::profiler::OpProf>>,
 }
 
@@ -1190,8 +1206,10 @@ struct Launch<'a> {
     stride: usize,
     /// Run the warp transaction model ([`ExecMode::Model`]).
     modeled: bool,
+    /// Time every tape op ([`ExecMode::Profile`]).
+    profiled: bool,
     transaction_size: u64,
-    /// Where the launch's counters, profile and findings land.
+    /// Where the launch's counters and findings land.
     rt: &'a Runtime,
     /// The sanitizer findings the launch's own legs raised.
     found: Findings,
@@ -1216,7 +1234,7 @@ impl Launch<'_> {
 /// and is the same whatever the engine. Kernels that use barriers, local
 /// memory or local/group ids *require* `local`, and the global size must be
 /// a multiple of it; barrier-free kernels ignore it. The launch accounts to
-/// `rt` (counters, op profile, sanitizer findings); on a sanitizing runtime
+/// `rt` (counters, sanitizer findings); on a sanitizing runtime
 /// it fails on a write race, and under [`Engine::Differential`] on any
 /// finding of its own.
 #[allow(clippy::too_many_arguments)]
@@ -1311,10 +1329,11 @@ pub fn launch(
         total,
         lsize,
         stride: match mode {
-            ExecMode::Fast => 1,
             ExecMode::Model { sample_stride } => sample_stride.max(1),
+            ExecMode::Fast | ExecMode::Profile => 1,
         },
         modeled: matches!(mode, ExecMode::Model { .. }),
+        profiled: mode == ExecMode::Profile,
         transaction_size,
         rt,
         found: Findings::default(),
@@ -1460,7 +1479,7 @@ struct ChunkAcc {
     tbytes: u64,
     /// Warps that diverged (tape executor only).
     divergent: u32,
-    /// Per-op time tally (tape executor under `VGPU_PROFILE=op` only):
+    /// Per-op time tally (tape executor under [`ExecMode::Profile`] only):
     /// one per chunk, merged after the parallel section — no shared state
     /// inside the hot loop.
     prof: Option<Box<crate::profiler::OpProf>>,
@@ -1482,17 +1501,14 @@ fn finish(
     let mut counters = Counters::default();
     let mut tbytes = 0u64;
     let mut divergent_warps = 0u64;
-    let mut op_profile: Option<Box<crate::profiler::OpProf>> = None;
+    let mut op_profile = l.profiled.then(Box::<crate::profiler::OpProf>::default);
     let tasks = chunks.len();
     for c in chunks {
         counters.add(&c.counters);
         tbytes += c.tbytes;
         divergent_warps += c.divergent as u64;
-        if let Some(p) = c.prof {
-            match op_profile.as_deref_mut() {
-                Some(m) => m.merge(&p),
-                None => op_profile = Some(p),
-            }
+        if let (Some(m), Some(p)) = (op_profile.as_deref_mut(), c.prof) {
+            m.merge(&p);
         }
     }
     LaunchStats {
@@ -1698,10 +1714,8 @@ fn run_warps(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
     let checked = proof.as_ref().map_or(&[][..], |c| &c[..]);
     let init = WarpInit::new(l, tape);
     let (group, ids) = l.groups();
-    let prof_on = l.rt.profiles.op_enabled();
     let (results, wall) = dispatch(l.rt, &ids, group, |gs| {
-        // A per-op tally only under `VGPU_PROFILE=op`.
-        let mut acc = ChunkAcc { prof: prof_on.then(Box::default), ..ChunkAcc::default() };
+        let mut acc = ChunkAcc { prof: l.profiled.then(Box::default), ..ChunkAcc::default() };
         let mut warps: Vec<WarpState> =
             (0..group.div_ceil(WARP)).map(|_| WarpState::new(l, tape, &init)).collect();
         let mut locals: Vec<Vec<u64>> = vec![Vec::new(); l.prep.local_kinds.len()];

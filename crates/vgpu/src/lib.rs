@@ -85,7 +85,6 @@ pub use exec::{Backend, Counters, Engine, ExecError, ExecMode, LaunchStats, Prep
 pub use host_exec::{bind_launch, run_host_program, HostEnv, HostRun, TransferTotals};
 pub use perfmodel::{modeled_sharded_step_s, modeled_time_s, updates_per_second, ModelInput};
 pub use profile::DeviceProfile;
-pub use profiler::ProfileMode;
 pub use runtime::{runtime, Runtime, Settings};
 pub use sanitize::{FaultKind, Finding, HaloProvenance};
 pub use shard::{halo_exchange, SlabPartition};

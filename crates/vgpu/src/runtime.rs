@@ -1,12 +1,11 @@
 //! Process state as a value: a [`Runtime`] owns the settings, registry,
-//! trace, op profiles and sanitizer findings of the devices made with it
+//! trace and sanitizer findings of the devices made with it
 //! (`Device::new`: the default, [`runtime()`]), so runtimes with different
 //! settings run side by side in one process. The artifact map (whose
 //! compilations count into the default registry) and rayon's pool hold no
 //! accounts and stay process-wide.
 
 use crate::exec::Engine;
-use crate::profiler::{ProfileMode, Profiles};
 use crate::sanitize::Findings;
 use crate::settings::{env, positive, setting};
 use crate::telemetry::{Counter, Registry, Trace, TraceMode};
@@ -21,8 +20,6 @@ pub struct Settings {
     pub engine: Engine,
     /// What the trace records, for which sink (`VGPU_TRACE`).
     pub trace: TraceMode,
-    /// Whether the tape executor attributes time per opcode (`VGPU_PROFILE`).
-    pub profile: ProfileMode,
     /// Whether device buffers carry shadow memory (`VGPU_SANITIZE=shadow`).
     pub shadow: bool,
     /// Devices a batch job spreads over (`VGPU_DEVICES`).
@@ -31,8 +28,7 @@ pub struct Settings {
 
 impl Default for Settings {
     fn default() -> Settings {
-        let (engine, trace, profile) = (Engine::Fast, TraceMode::Off, ProfileMode::Off);
-        Settings { engine, trace, profile, shadow: false, devices: 1 }
+        Settings { engine: Engine::Fast, trace: TraceMode::Off, shadow: false, devices: 1 }
     }
 }
 
@@ -50,13 +46,11 @@ impl Settings {
             "shadow" | "SHADOW" => Some(true),
             _ => None,
         };
-        let traces = "off, summary|table, json|jsonl, chrome|perfetto|trace";
+        let traces = "off, summary|table, chrome|perfetto|trace";
         Settings {
             engine: setting(var, "VGPU_ENGINE", "fast, tree, diff, differential", Engine::parse)
                 .unwrap_or(d.engine),
             trace: setting(var, "VGPU_TRACE", traces, TraceMode::parse).unwrap_or(d.trace),
-            profile: setting(var, "VGPU_PROFILE", "off, op|ops|opcode", ProfileMode::parse)
-                .unwrap_or(d.profile),
             shadow: setting(var, "VGPU_SANITIZE", "off, shadow", shadow).unwrap_or(d.shadow),
             devices: setting(var, "VGPU_DEVICES", "a positive integer", positive)
                 .unwrap_or(d.devices),
@@ -73,8 +67,6 @@ pub struct Runtime {
     pub registry: Registry,
     /// Its trace buffer and tracks.
     pub trace: Trace,
-    /// Its per-opcode profiles.
-    pub profiles: Profiles,
     /// Its shadow-sanitizer findings.
     pub findings: Findings,
     /// Numbers its traced devices, for distinct track names.
@@ -147,7 +139,6 @@ impl Runtime {
         let registry = Registry::new();
         Runtime {
             trace: Trace::new(settings.trace),
-            profiles: Profiles::new(settings.profile),
             findings: Findings::default(),
             device_seq: AtomicU32::new(0),
             legs: AtomicU32::new(0),

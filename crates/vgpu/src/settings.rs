@@ -38,7 +38,7 @@ pub(crate) fn positive(v: &str) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use crate::runtime::Settings;
-    use crate::{Engine, ProfileMode, TraceMode};
+    use crate::{Engine, TraceMode};
 
     fn parse(vars: &[(&str, &str)]) -> Settings {
         let var = |name: &str| vars.iter().find(|(n, _)| *n == name).map(|(_, v)| v.to_string());
@@ -51,14 +51,12 @@ mod tests {
         let all = parse(&[
             ("VGPU_ENGINE", "diff"),
             ("VGPU_TRACE", " Chrome "),
-            ("VGPU_PROFILE", "op"),
             ("VGPU_SANITIZE", "SHADOW"),
             ("VGPU_DEVICES", "3"),
         ]);
         let want = Settings {
             engine: Engine::Differential,
             trace: TraceMode::Chrome,
-            profile: ProfileMode::Op,
             shadow: true,
             devices: 3,
         };
@@ -66,10 +64,12 @@ mod tests {
         let typos = parse(&[
             ("VGPU_ENGINE", "fastt"),
             ("VGPU_TRACE", "chrom"),
-            ("VGPU_PROFILE", "opp"),
             ("VGPU_SANITIZE", "shadwo"),
             ("VGPU_DEVICES", "0"),
         ]);
         assert_eq!(typos, Settings::default(), "a rejected value runs the default");
+        for retired in ["json", "jsonl"] {
+            assert_eq!(parse(&[("VGPU_TRACE", retired)]), Settings::default(), "{retired}");
+        }
     }
 }

@@ -2,14 +2,18 @@
 //!
 //! Every observable fact the runtime emits is one [`Event`] value. The schema
 //! is the contract between the instrumented code and the sinks in
-//! [`crate::telemetry::sink`]: events serialise to JSON (the JSONL stream is
-//! one event per line), which the schema tests re-parse variant by variant.
+//! [`crate::telemetry::sink`]: events serialise to JSON (the batch service's
+//! per-job sidecars embed them as such), which the schema tests re-parse
+//! variant by variant. A launch is an [`Event::Kernel`] holding the launch's
+//! own account ([`KernelSummary`], one launch folded), so a trace's
+//! per-kernel table is those accounts merged.
 //!
 //! Timestamps are microseconds since the trace's epoch
 //! ([`crate::telemetry::Trace::now_us`]). Spans on device *modeled* tracks instead
 //! use the device's cumulative modeled-time clock, so a Perfetto view of the
 //! modeled track reads as "GPU time the roofline model charged".
 
+use super::sink::KernelSummary;
 use serde::Serialize;
 
 /// Identifies one timeline ("track" in Perfetto, "thread" in the Chrome
@@ -51,55 +55,6 @@ impl TransferDir {
     }
 }
 
-/// Per-launch metric payload attached to every [`Event::Kernel`]: the
-/// interpreter's operation counters plus the transaction model's outputs.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
-pub struct KernelMetrics {
-    /// Work-items executed (scaled to the full NDRange when sampled).
-    pub work_items: u64,
-    /// Global-memory loads executed.
-    pub loads_global: u64,
-    /// Global-memory stores executed.
-    pub stores_global: u64,
-    /// `__constant`-space loads (cached/broadcast).
-    pub loads_constant: u64,
-    /// Bytes requested by global loads (pre-coalescing).
-    pub bytes_loaded: u64,
-    /// Bytes written by global stores.
-    pub bytes_stored: u64,
-    /// Floating-point operations executed.
-    pub flops: u64,
-    /// Coalesced DRAM traffic (128-byte transactions); `None` in fast mode.
-    pub transaction_bytes: Option<u64>,
-    /// Modeled device time in microseconds (model mode only).
-    pub modeled_us: Option<f64>,
-    /// Warps of this launch whose active lanes disagreed at a branch and ran
-    /// it under divergence masks ([`crate::LaunchStats::divergent_warps`]);
-    /// the `vgpu.warp.divergent` counter is the process-wide sum.
-    pub divergent_warps: u64,
-    /// Tasks the launch was dispatched as ([`crate::LaunchStats::tasks`]); at
-    /// most 1 means it ran on the launching thread alone.
-    pub tasks: u64,
-}
-
-impl From<&crate::LaunchStats> for KernelMetrics {
-    fn from(s: &crate::LaunchStats) -> Self {
-        KernelMetrics {
-            work_items: s.counters.work_items,
-            loads_global: s.counters.loads_global,
-            stores_global: s.counters.stores_global,
-            loads_constant: s.counters.loads_constant,
-            bytes_loaded: s.counters.bytes_loaded,
-            bytes_stored: s.counters.bytes_stored,
-            flops: s.counters.flops,
-            transaction_bytes: s.transaction_bytes,
-            modeled_us: s.modeled_s.map(|s| s * 1e6),
-            divergent_warps: s.divergent_warps,
-            tasks: s.tasks as u64,
-        }
-    }
-}
-
 /// One telemetry event. See the module docs for the timestamp convention.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 #[serde(tag = "ev", rename_all = "snake_case")]
@@ -123,20 +78,15 @@ pub enum Event {
         /// Duration in µs.
         dur_us: f64,
     },
-    /// One kernel launch, with its full metric payload.
+    /// One kernel launch: its span runs `account.wall_ms` from `ts_us`.
     Kernel {
         /// Track the launch span is drawn on (the device's kernel track).
         track: TrackId,
-        /// Kernel name.
-        name: String,
-        /// Backend that executed the launch (`"tape"` or `"tree"`).
-        engine: String,
         /// Start of the interpreter run, µs since the epoch.
         ts_us: f64,
-        /// Host-side interpreter wall time in µs.
-        dur_us: f64,
-        /// Counters and model outputs for this launch.
-        metrics: KernelMetrics,
+        /// The launch's account: kernel, engine and precision, and the
+        /// [`crate::LaunchStats`] it returned, folded once.
+        account: KernelSummary,
     },
     /// A span on a device's *modeled-time* track: where the roofline model
     /// places this launch on the virtual GPU's own clock.

@@ -1,22 +1,29 @@
-//! Structured telemetry for the vgpu runtime: span tracing, per-launch
-//! metric events, and counter registries, with pluggable sinks (summary
-//! table, JSONL, Chrome trace-event/Perfetto JSON).
+//! Structured telemetry for the vgpu runtime: span tracing, per-kernel
+//! accounts, and counter registries, with two sinks (summary table, Chrome
+//! trace-event/Perfetto JSON).
 //!
 //! # Architecture
 //!
+//! - [`sink::KernelSummary`] is the one per-kernel account, keyed by
+//!   (kernel, engine, precision): it folds the [`crate::LaunchStats`] a
+//!   launch returns ([`sink::KernelSummary::add`]), per-opcode tally
+//!   included when the launch ran in [`crate::ExecMode::Profile`]. A caller
+//!   with no trace folds what its launches returned
+//!   ([`sink::fold_launch`]); a trace holds one one-launch account per
+//!   launch.
 //! - [`event`] defines the schema: every observable fact is one [`Event`].
 //! - [`registry`] holds typed [`Counter`]s/[`Gauge`]s/[`Histogram`]s that
 //!   instrumented code registers by name. Each [`crate::runtime::Runtime`]
 //!   owns one; [`registry()`] is the default runtime's.
 //! - [`Trace`] is a runtime's event buffer with its tracks and epoch.
-//! - [`sink`] renders an event stream + metric snapshot to a summary table,
-//!   a JSONL stream, or Chrome trace JSON, and can validate a Chrome trace
-//!   back ([`sink::validate_chrome`]).
+//! - [`sink`] renders an event stream + metric snapshot to a summary table
+//!   or Chrome trace JSON, and can validate a Chrome trace back
+//!   ([`sink::validate_chrome`]).
 //!
 //! # Enabling
 //!
 //! Tracing is off unless the runtime's settings select a sink (`VGPU_TRACE`
-//! for the default runtime): `off`, `summary`, `json` (JSONL), or `chrome`
+//! for the default runtime): `off`, `summary`, or `chrome`
 //! (Perfetto-loadable). When tracing is off, every instrumentation site
 //! reduces to one field read and a branch — no allocation, no locking. A
 //! small set of audit counters (launch counts, divergent warps, transfer
@@ -37,7 +44,7 @@ pub mod event;
 pub mod registry;
 pub mod sink;
 
-pub use event::{Event, KernelMetrics, TrackId, TransferDir};
+pub use event::{Event, TrackId, TransferDir};
 pub use registry::{Counter, Gauge, Histogram, MetricSnapshot, MetricValue, Registry};
 
 use parking_lot::Mutex;
@@ -51,8 +58,6 @@ pub enum TraceMode {
     Off,
     /// Human-readable end-of-run summary table.
     Summary,
-    /// Machine-readable JSONL event stream.
-    Json,
     /// Chrome trace-event / Perfetto-loadable JSON.
     Chrome,
 }
@@ -64,7 +69,6 @@ impl TraceMode {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" => Some(TraceMode::Off),
             "summary" | "table" => Some(TraceMode::Summary),
-            "json" | "jsonl" => Some(TraceMode::Json),
             "chrome" | "perfetto" | "trace" => Some(TraceMode::Chrome),
             _ => None,
         }
@@ -187,14 +191,14 @@ mod tests {
     fn parse_modes() {
         assert_eq!(TraceMode::parse("off"), Some(TraceMode::Off));
         assert_eq!(TraceMode::parse("SUMMARY"), Some(TraceMode::Summary));
-        assert_eq!(TraceMode::parse("jsonl"), Some(TraceMode::Json));
+        assert_eq!(TraceMode::parse("json"), None);
         assert_eq!(TraceMode::parse("perfetto"), Some(TraceMode::Chrome));
         assert_eq!(TraceMode::parse("chrom"), None);
     }
 
     #[test]
     fn span_guard_records_on_drop() {
-        let trace = Trace::new(TraceMode::Json);
+        let trace = Trace::new(TraceMode::Summary);
         {
             let _s = trace.span(HOST_TRACK, "test-span");
         }

@@ -1,36 +1,25 @@
-//! Telemetry sinks: summary tables, JSONL streams, and Chrome
-//! trace-event/Perfetto JSON.
+//! Telemetry sinks: summary tables and Chrome trace-event/Perfetto JSON,
+//! and the per-kernel account both print.
 //!
 //! Sinks are pure functions from an event slice (plus a metric snapshot) to
-//! an `io::Write`, so tests can render into memory and the repro binaries
-//! into `results/*.trace.json(l)` artifacts. [`validate_chrome`] parses a
-//! Chrome trace back and checks the structural invariants the schema tests
-//! and the CI smoke job rely on.
+//! an `io::Write` or a `String`, so tests can render into memory and the
+//! repro binaries into `results/*.trace.json` artifacts. [`validate_chrome`]
+//! parses a Chrome trace back and checks the structural invariants the
+//! schema tests and the CI smoke job rely on. [`KernelSummary`] is the one
+//! per-kernel record: a launch's [`LaunchStats`] folded
+//! ([`KernelSummary::add`]) under its (kernel, engine, precision) key; a
+//! trace's kernel events carry one-launch accounts ([`kernel_summaries`]
+//! merges them), a caller without a trace folds what its launches returned
+//! ([`fold_launch`]).
 
-use super::event::{Event, KernelMetrics, TransferDir};
+use super::event::{Event, TransferDir};
 use super::registry::{MetricSnapshot, MetricValue};
+use crate::exec::{LaunchStats, Prepared};
+use crate::profiler::OpProf;
 use serde::Serialize;
 use serde_json::json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
-
-/// Writes one JSON object per line (JSONL): every event, then every metric
-/// snapshot (tagged with `"ev": "metric"` by its own schema).
-pub fn write_jsonl<W: Write>(
-    mut w: W,
-    events: &[Event],
-    metrics: &[MetricSnapshot],
-) -> io::Result<()> {
-    for ev in events {
-        serde_json::to_writer(&mut w, ev)?;
-        writeln!(w)?;
-    }
-    for m in metrics {
-        serde_json::to_writer(&mut w, &json!({ "ev": "metric", "metric": m }))?;
-        writeln!(w)?;
-    }
-    Ok(())
-}
 
 /// Writes a Chrome trace-event JSON document (loadable by Perfetto and
 /// `chrome://tracing`): one thread per telemetry track under a single
@@ -57,23 +46,10 @@ pub fn write_chrome<W: Write>(
                 "name": name, "cat": "span", "ph": "X", "pid": 1, "tid": track.0,
                 "ts": ts_us, "dur": dur_us,
             }),
-            Event::Kernel { track, name, engine, ts_us, dur_us, metrics } => json!({
-                "name": name, "cat": "kernel", "ph": "X", "pid": 1, "tid": track.0,
-                "ts": ts_us, "dur": dur_us,
-                "args": {
-                    "engine": engine,
-                    "work_items": metrics.work_items,
-                    "loads_global": metrics.loads_global,
-                    "stores_global": metrics.stores_global,
-                    "loads_constant": metrics.loads_constant,
-                    "bytes_loaded": metrics.bytes_loaded,
-                    "bytes_stored": metrics.bytes_stored,
-                    "flops": metrics.flops,
-                    "transaction_bytes": metrics.transaction_bytes,
-                    "modeled_us": metrics.modeled_us,
-                    "divergent_warps": metrics.divergent_warps,
-                    "tasks": metrics.tasks,
-                },
+            Event::Kernel { track, ts_us, account } => json!({
+                "name": account.name, "cat": "kernel", "ph": "X", "pid": 1, "tid": track.0,
+                "ts": ts_us, "dur": account.wall_ms * 1e3,
+                "args": account,
             }),
             Event::ModeledKernel { track, name, ts_us, dur_us } => json!({
                 "name": name, "cat": "modeled", "ph": "X", "pid": 1, "tid": track.0,
@@ -202,13 +178,17 @@ pub fn validate_chrome(text: &str) -> Result<ChromeStats, String> {
     Ok(stats)
 }
 
-/// Per-kernel aggregate of launches — the one per-kernel table: the trace
-/// summary folds [`Event::Kernel`]s into it ([`kernel_summaries`]), a caller
-/// without a trace folds what its launches returned ([`KernelSummary::add`]).
+/// The one per-kernel account: the launches of one kernel on one engine at
+/// one precision, their [`LaunchStats`] summed by [`KernelSummary::add`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct KernelSummary {
     /// Kernel name.
     pub name: String,
+    /// Backend that executed the launches (`tape` / `tree`, or
+    /// `tree(oracle)` for a differential launch's oracle leg).
+    pub engine: String,
+    /// Float precision of the kernel's buffer traffic ([`Prepared::precision`]).
+    pub precision: String,
     /// Number of launches.
     pub launches: u64,
     /// Launches that ran as at most one task, on the launching thread.
@@ -217,6 +197,12 @@ pub struct KernelSummary {
     pub tasks: u64,
     /// Total work-items executed.
     pub work_items: u64,
+    /// Total global-memory loads.
+    pub loads_global: u64,
+    /// Total global-memory stores.
+    pub stores_global: u64,
+    /// Total `__constant`-space loads.
+    pub loads_constant: u64,
     /// Total flops.
     pub flops: u64,
     /// Total bytes requested by global loads.
@@ -231,37 +217,95 @@ pub struct KernelSummary {
     pub wall_ms: f64,
     /// Total divergent warps.
     pub divergent_warps: u64,
+    /// Per-opcode tally of the launches that ran in
+    /// [`crate::ExecMode::Profile`]; `None` when none did.
+    pub ops: Option<Box<OpProf>>,
 }
 
 impl KernelSummary {
-    /// The empty aggregate of kernel `name`.
-    pub fn new(name: &str) -> KernelSummary {
-        KernelSummary { name: name.to_string(), ..Default::default() }
+    /// The empty account of kernel `name` run by `engine` at `precision`.
+    pub fn new(name: &str, engine: &str, precision: &str) -> KernelSummary {
+        let (name, engine, precision) = (name.into(), engine.into(), precision.into());
+        KernelSummary { name, engine, precision, ..Default::default() }
     }
 
-    /// Folds in one launch that took `wall_us` of host time.
-    pub fn add(&mut self, m: &KernelMetrics, wall_us: f64) {
+    /// The account of one launch of `prep` that returned `stats`.
+    pub fn of(prep: &Prepared, stats: &LaunchStats) -> KernelSummary {
+        let mut account = KernelSummary::new(&prep.name, stats.backend.label(), prep.precision());
+        account.add(stats);
+        account
+    }
+
+    /// The account's key: (kernel, engine, precision).
+    pub fn key(&self) -> (&str, &str, &str) {
+        (&self.name, &self.engine, &self.precision)
+    }
+
+    /// Folds in one launch — the one place a launch's figures enter an
+    /// account.
+    pub fn add(&mut self, s: &LaunchStats) {
+        let c = &s.counters;
         self.launches += 1;
-        self.inline_launches += u64::from(m.tasks <= 1);
-        self.tasks += m.tasks;
-        self.work_items += m.work_items;
-        self.flops += m.flops;
-        self.bytes_loaded += m.bytes_loaded;
-        self.bytes_stored += m.bytes_stored;
-        self.transaction_bytes += m.transaction_bytes.unwrap_or(0);
-        self.modeled_ms += m.modeled_us.unwrap_or(0.0) * 1e-3;
-        self.wall_ms += wall_us * 1e-3;
-        self.divergent_warps += m.divergent_warps;
+        self.inline_launches += u64::from(s.tasks <= 1);
+        self.tasks += s.tasks as u64;
+        self.work_items += c.work_items;
+        self.loads_global += c.loads_global;
+        self.stores_global += c.stores_global;
+        self.loads_constant += c.loads_constant;
+        self.flops += c.flops;
+        self.bytes_loaded += c.bytes_loaded;
+        self.bytes_stored += c.bytes_stored;
+        self.transaction_bytes += s.transaction_bytes.unwrap_or(0);
+        self.modeled_ms += s.modeled_s.unwrap_or(0.0) * 1e3;
+        self.wall_ms += s.wall.as_secs_f64() * 1e3;
+        self.divergent_warps += s.divergent_warps;
+        if let Some(ops) = &s.op_profile {
+            self.ops.get_or_insert_with(Box::default).merge(ops);
+        }
+    }
+
+    /// Merges another account of the same key into this one.
+    fn merge(&mut self, o: &KernelSummary) {
+        debug_assert_eq!(self.key(), o.key());
+        self.launches += o.launches;
+        self.inline_launches += o.inline_launches;
+        self.tasks += o.tasks;
+        self.work_items += o.work_items;
+        self.loads_global += o.loads_global;
+        self.stores_global += o.stores_global;
+        self.loads_constant += o.loads_constant;
+        self.flops += o.flops;
+        self.bytes_loaded += o.bytes_loaded;
+        self.bytes_stored += o.bytes_stored;
+        self.transaction_bytes += o.transaction_bytes;
+        self.modeled_ms += o.modeled_ms;
+        self.wall_ms += o.wall_ms;
+        self.divergent_warps += o.divergent_warps;
+        if let Some(ops) = &o.ops {
+            self.ops.get_or_insert_with(Box::default).merge(ops);
+        }
     }
 }
 
-/// Aggregates [`Event::Kernel`] events per kernel name, sorted by name for
-/// determinism.
+/// Folds one launch of `prep` that returned `stats` into its account in
+/// `accounts`, opening it (at the end) on the first launch of its key.
+pub fn fold_launch(accounts: &mut Vec<KernelSummary>, prep: &Prepared, stats: &LaunchStats) {
+    let key = (prep.name.as_str(), stats.backend.label(), prep.precision());
+    match accounts.iter_mut().find(|a| a.key() == key) {
+        Some(account) => account.add(stats),
+        None => accounts.push(KernelSummary::of(prep, stats)),
+    }
+}
+
+/// Merges the accounts of the [`Event::Kernel`]s per (kernel, engine,
+/// precision), sorted by that key for determinism.
 pub fn kernel_summaries(events: &[Event]) -> Vec<KernelSummary> {
-    let mut map: BTreeMap<&str, KernelSummary> = BTreeMap::new();
+    let mut map: BTreeMap<(&str, &str, &str), KernelSummary> = BTreeMap::new();
     for ev in events {
-        if let Event::Kernel { name, dur_us, metrics, .. } = ev {
-            map.entry(name).or_insert_with(|| KernelSummary::new(name)).add(metrics, *dur_us);
+        if let Event::Kernel { account, .. } = ev {
+            map.entry(account.key())
+                .and_modify(|merged| merged.merge(account))
+                .or_insert_with(|| account.clone());
         }
     }
     map.into_values().collect()
@@ -299,39 +343,91 @@ pub fn transfer_summaries(events: &[Event]) -> Vec<TransferSummary> {
     vec![to_gpu, to_host, halo, replica]
 }
 
-/// Renders the human-readable end-of-run summary: per-kernel totals,
-/// transfer totals, and the metric registry dump.
-pub fn render_summary(events: &[Event], metrics: &[MetricSnapshot]) -> String {
-    let mut out = String::from("== vgpu telemetry summary ==\n");
-    let kernels = kernel_summaries(events);
-    if !kernels.is_empty() {
+/// Opcode rows shown per kernel in a hotspot table.
+const HOTSPOT_ROWS: usize = 12;
+
+/// Renders `accounts` as a table, one row per (kernel, engine, precision),
+/// then the per-opcode hotspot table of every account that carries ops.
+pub fn render_accounts(accounts: &[KernelSummary]) -> String {
+    let mut out = String::new();
+    if accounts.is_empty() {
+        return out;
+    }
+    out.push_str(&format!(
+        "{:<28} {:<6} {:<4} {:>8} {:>12} {:>14} {:>14} {:>10} {:>10} {:>10} {:>8}\n",
+        "kernel",
+        "engine",
+        "prec",
+        "launches",
+        "work-items",
+        "flops",
+        "txn bytes",
+        "model ms",
+        "wall ms",
+        "div warps",
+        "tasks"
+    ));
+    for k in accounts {
         out.push_str(&format!(
-            "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10} {:>10} {:>10} {:>8}\n",
-            "kernel",
-            "launches",
-            "work-items",
-            "flops",
-            "txn bytes",
-            "model ms",
-            "wall ms",
-            "div warps",
-            "tasks"
+            "{:<28} {:<6} {:<4} {:>8} {:>12} {:>14} {:>14} {:>10.3} {:>10.3} {:>10} {:>8}\n",
+            k.name,
+            k.engine,
+            k.precision,
+            k.launches,
+            k.work_items,
+            k.flops,
+            k.transaction_bytes,
+            k.modeled_ms,
+            k.wall_ms,
+            k.divergent_warps,
+            k.tasks
         ));
-        for k in &kernels {
+    }
+    for k in accounts {
+        let Some(ops) = k.ops.as_deref().map(OpProf::entries).filter(|e| !e.is_empty()) else {
+            continue;
+        };
+        let total_ns: u64 = ops.iter().map(|o| o.2).sum();
+        out.push_str(&format!(
+            "-- op hotspots: {} [{} {}] ({} launches, {:.3} ms attributed) --\n",
+            k.name,
+            k.engine,
+            k.precision,
+            k.launches,
+            total_ns as f64 * 1e-6
+        ));
+        out.push_str(&format!(
+            "{:<10} {:>14} {:>12} {:>9} {:>7}\n",
+            "op", "dispatches", "total ms", "ns/op", "share"
+        ));
+        for (op, count, ns) in ops.iter().take(HOTSPOT_ROWS) {
             out.push_str(&format!(
-                "{:<28} {:>8} {:>12} {:>14} {:>14} {:>10.3} {:>10.3} {:>10} {:>8}\n",
-                k.name,
-                k.launches,
-                k.work_items,
-                k.flops,
-                k.transaction_bytes,
-                k.modeled_ms,
-                k.wall_ms,
-                k.divergent_warps,
-                k.tasks
+                "{:<10} {:>14} {:>12.3} {:>9.1} {:>6.1}%\n",
+                op,
+                count,
+                *ns as f64 * 1e-6,
+                *ns as f64 / (*count).max(1) as f64,
+                100.0 * *ns as f64 / total_ns.max(1) as f64
+            ));
+        }
+        if ops.len() > HOTSPOT_ROWS {
+            let rest: u64 = ops[HOTSPOT_ROWS..].iter().map(|o| o.2).sum();
+            out.push_str(&format!(
+                "{:<10} {:>14} {:>12.3}\n",
+                format!("(+{} more)", ops.len() - HOTSPOT_ROWS),
+                "",
+                rest as f64 * 1e-6
             ));
         }
     }
+    out
+}
+
+/// Renders the human-readable end-of-run summary: the per-kernel accounts
+/// ([`render_accounts`]), transfer totals, and the metric registry dump.
+pub fn render_summary(events: &[Event], metrics: &[MetricSnapshot]) -> String {
+    let mut out = String::from("== vgpu telemetry summary ==\n");
+    out.push_str(&render_accounts(&kernel_summaries(events)));
     for t in transfer_summaries(events) {
         if t.transfers > 0 {
             out.push_str(&format!(

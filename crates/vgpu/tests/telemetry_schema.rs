@@ -1,10 +1,62 @@
-//! Schema tests for the telemetry layer: every [`Event`] variant's JSON text
-//! must parse back to the tree it was printed from, the JSONL sink must emit one
-//! well-formed JSON object per line, and the Chrome sink's output must pass
-//! its own validator with the expected structural facts.
+//! Schema tests for the telemetry layer: every [`Event`] variant's JSON tree
+//! (`serde_json::to_value`) must parse back from the text it prints, and the
+//! Chrome sink's output must pass its own validator with the expected
+//! structural facts.
 
-use vgpu::telemetry::sink;
-use vgpu::telemetry::{Event, KernelMetrics, MetricSnapshot, Registry, TrackId, TransferDir};
+use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
+use lift::prelude::{Lit, ScalarKind};
+use vgpu::profiler::OpProf;
+use vgpu::telemetry::sink::{self, KernelSummary};
+use vgpu::telemetry::{Event, MetricSnapshot, Registry, TrackId, TransferDir};
+use vgpu::{Arg, BufData, Device, ExecMode};
+
+/// The op tally of one profiled launch of `out[i] = x[i] * 2` over 64 items.
+fn profiled_ops() -> Box<OpProf> {
+    let kernel = Kernel {
+        name: "double".into(),
+        params: vec![
+            KernelParam::global_buf("x", ScalarKind::F32),
+            KernelParam::global_buf("out", ScalarKind::F32),
+        ],
+        body: vec![KStmt::Store {
+            mem: MemRef::Param(1),
+            idx: KExpr::GlobalId(0),
+            value: KExpr::load(MemRef::Param(0), KExpr::GlobalId(0)) * KExpr::Lit(Lit::f32(2.0)),
+        }],
+        work_dim: 1,
+    };
+    let mut dev = Device::gtx780();
+    let prep = dev.compile(&kernel).unwrap();
+    let x = dev.upload(BufData::from(vec![1.0f32; 64]));
+    let out = dev.create_buffer(ScalarKind::F32, 64);
+    let args = [Arg::Buf(x), Arg::Buf(out)];
+    let stats = dev.launch(&prep, &args, &[64], ExecMode::Profile).unwrap();
+    stats.op_profile.expect("a profiled launch carries its op tally")
+}
+
+/// The account of one launch of `fimm_boundary_lift`, every field set.
+fn one_launch() -> KernelSummary {
+    KernelSummary {
+        name: "fimm_boundary_lift".into(),
+        engine: "tape".into(),
+        precision: "f64".into(),
+        launches: 1,
+        inline_launches: 0,
+        tasks: 3,
+        work_items: 4096,
+        loads_global: 7,
+        stores_global: 1,
+        loads_constant: 2,
+        flops: 65_536,
+        bytes_loaded: 28_672,
+        bytes_stored: 4096,
+        transaction_bytes: 131_072,
+        modeled_ms: 0.00325,
+        wall_ms: 0.042,
+        divergent_warps: 5,
+        ops: Some(profiled_ops()),
+    }
+}
 
 /// One instance of every `Event` variant, with non-default field values so a
 /// lossy printer cannot pass by accident.
@@ -12,26 +64,7 @@ fn all_variants() -> Vec<Event> {
     vec![
         Event::TrackName { track: TrackId(3), name: "GTX780 #1 kernels".into() },
         Event::Span { track: TrackId(0), name: "LiftSim::step".into(), ts_us: 12.5, dur_us: 800.0 },
-        Event::Kernel {
-            track: TrackId(3),
-            name: "fimm_boundary_lift".into(),
-            engine: "tape".into(),
-            ts_us: 100.0,
-            dur_us: 42.0,
-            metrics: KernelMetrics {
-                work_items: 4096,
-                loads_global: 7,
-                stores_global: 1,
-                loads_constant: 2,
-                bytes_loaded: 28_672,
-                bytes_stored: 4096,
-                flops: 65_536,
-                transaction_bytes: Some(131_072),
-                modeled_us: Some(3.25),
-                divergent_warps: 5,
-                tasks: 3,
-            },
-        },
+        Event::Kernel { track: TrackId(3), ts_us: 100.0, account: one_launch() },
         Event::ModeledKernel {
             track: TrackId(4),
             name: "volume_handling_lift".into(),
@@ -54,43 +87,33 @@ fn all_variants() -> Vec<Event> {
 #[test]
 fn every_variant_roundtrips() {
     for ev in all_variants() {
-        let json = serde_json::to_string(&ev).expect("serialises");
-        let doc: serde_json::Value = serde_json::from_str(&json).expect("parses");
-        assert_eq!(doc, serde_json::to_value(&ev), "lossy round-trip via {json}");
+        let tree = serde_json::to_value(&ev);
+        let text = tree.to_string();
+        let doc: serde_json::Value = serde_json::from_str(&text).expect("parses");
+        assert_eq!(doc, tree, "lossy round-trip via {text}");
         // The externally-visible discriminant is the `ev` tag.
-        assert!(doc.get("ev").and_then(|v| v.as_str()).is_some(), "missing `ev` tag in {json}");
+        assert!(doc.get("ev").and_then(|v| v.as_str()).is_some(), "missing `ev` tag in {text}");
     }
+    // A kernel event holds its account whole, op rows included.
+    let kernel = serde_json::to_value(&all_variants()[2]);
+    assert_eq!(kernel.pointer("/account/precision").and_then(|v| v.as_str()), Some("f64"));
+    let rows = kernel.pointer("/account/ops").and_then(|v| v.as_array()).expect("op rows");
+    assert!(!rows.is_empty() && rows.iter().all(|r| r.as_array().is_some_and(|r| r.len() == 3)));
 }
 
 #[test]
-fn jsonl_is_one_well_formed_object_per_line() {
-    let events = all_variants();
+fn metric_snapshots_roundtrip() {
     let reg = Registry::new();
     reg.counter("vgpu.launches.tape").add(5);
     reg.gauge("vgpu.mem.allocated_bytes").add(1024);
     reg.histogram("xfer.bytes").record(4096);
     let metrics: Vec<MetricSnapshot> = reg.snapshot();
-
-    let mut buf: Vec<u8> = Vec::new();
-    sink::write_jsonl(&mut buf, &events, &metrics).unwrap();
-    let text = String::from_utf8(buf).expect("utf-8");
-    assert!(text.ends_with('\n'), "stream must end with a newline");
-
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), events.len() + metrics.len());
-    for (i, line) in lines.iter().enumerate() {
-        let doc: serde_json::Value =
-            serde_json::from_str(line).unwrap_or_else(|e| panic!("line {i} not JSON: {e}"));
-        assert!(doc.is_object(), "line {i} is not an object");
-        assert!(doc.get("ev").is_some(), "line {i} missing `ev` tag");
+    assert_eq!(metrics.len(), 3);
+    for m in &metrics {
+        let tree = serde_json::to_value(m);
+        let doc: serde_json::Value = serde_json::from_str(&tree.to_string()).expect("parses");
+        assert_eq!(doc, tree);
     }
-    // Event lines parse back to the original events' trees.
-    for (line, ev) in lines.iter().zip(&events) {
-        let back: serde_json::Value = serde_json::from_str(line).unwrap();
-        assert_eq!(back, serde_json::to_value(ev));
-    }
-    // Metric lines carry the snapshot under `metric`.
-    assert!(lines[events.len()..].iter().all(|l| l.contains("\"metric\"")));
 }
 
 #[test]
@@ -135,23 +158,29 @@ fn validator_rejects_malformed_traces() {
 }
 
 #[test]
-fn summaries_aggregate_per_kernel_and_direction() {
+fn summaries_aggregate_per_key_and_direction() {
     let mut events = all_variants();
-    // A second launch of the same kernel and a ToHost transfer.
-    events.push(Event::Kernel {
-        track: TrackId(3),
-        name: "fimm_boundary_lift".into(),
-        engine: "tree".into(),
-        ts_us: 200.0,
-        dur_us: 40.0,
-        metrics: KernelMetrics {
-            flops: 4,
-            work_items: 10,
-            divergent_warps: 2,
-            tasks: 1,
-            ..Default::default()
-        },
-    });
+    let Event::Kernel { account, .. } = &events[2] else { unreachable!() };
+    let ops = account.ops.clone();
+    // A second launch of the same kernel, engine and precision; one on the
+    // tree-walker and one at the other precision, each an account of its
+    // own; and a ToHost transfer.
+    let second = KernelSummary {
+        launches: 1,
+        inline_launches: 1,
+        tasks: 1,
+        work_items: 10,
+        flops: 4,
+        wall_ms: 0.040,
+        divergent_warps: 2,
+        ops: ops.clone(),
+        ..KernelSummary::new("fimm_boundary_lift", "tape", "f64")
+    };
+    let tree = KernelSummary { engine: "tree".into(), ops: None, ..second.clone() };
+    let single = KernelSummary { precision: "f32".into(), ..second.clone() };
+    for account in [second, tree, single] {
+        events.push(Event::Kernel { track: TrackId(3), ts_us: 200.0, account });
+    }
     events.push(Event::Transfer {
         track: TrackId(5),
         dir: TransferDir::ToHost,
@@ -162,7 +191,10 @@ fn summaries_aggregate_per_kernel_and_direction() {
     });
 
     let kernels = sink::kernel_summaries(&events);
-    let fimm = kernels.iter().find(|k| k.name == "fimm_boundary_lift").expect("fimm summary");
+    let keys: Vec<_> = kernels.iter().map(KernelSummary::key).collect();
+    let name = "fimm_boundary_lift";
+    assert_eq!(keys, [(name, "tape", "f32"), (name, "tape", "f64"), (name, "tree", "f64")]);
+    let fimm = &kernels[1];
     assert_eq!(fimm.launches, 2);
     assert_eq!(fimm.flops, 65_540);
     assert_eq!(fimm.work_items, 4106);
@@ -170,6 +202,17 @@ fn summaries_aggregate_per_kernel_and_direction() {
     assert_eq!(fimm.divergent_warps, 7);
     assert_eq!((fimm.tasks, fimm.inline_launches), (4, 1));
     assert!((fimm.wall_ms - 0.082).abs() < 1e-12, "42 µs + 40 µs, got {} ms", fimm.wall_ms);
+    let mut twice = ops.clone().unwrap();
+    twice.merge(ops.as_deref().unwrap());
+    assert_eq!(fimm.ops, Some(twice));
+    assert_eq!((kernels[0].launches, kernels[2].launches), (1, 1));
+    assert_eq!(kernels[2].ops, None);
+
+    // Only accounts that carry ops get a hotspot table.
+    let text = sink::render_summary(&events, &[]);
+    assert!(text.contains("-- op hotspots: fimm_boundary_lift [tape f64] (2 launches"), "{text}");
+    assert!(text.contains("-- op hotspots: fimm_boundary_lift [tape f32] (1 launches"), "{text}");
+    assert!(!text.contains("[tree f64]"), "{text}");
 
     let transfers = sink::transfer_summaries(&events);
     assert_eq!(transfers[0].dir, TransferDir::ToGpu);

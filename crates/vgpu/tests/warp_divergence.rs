@@ -73,7 +73,7 @@ fn every_launch_counts_its_divergent_warps_and_carries_them_on_its_event() {
     let per_launch: Vec<u64> = events
         .iter()
         .filter_map(|e| match e {
-            Event::Kernel { name, metrics, .. } if name == "div" => Some(metrics.divergent_warps),
+            Event::Kernel { account, .. } if account.name == "div" => Some(account.divergent_warps),
             _ => None,
         })
         .collect();

@@ -209,6 +209,51 @@ fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
     }
 }
 
+/// Every shipped kernel set steps a 12³ room in `ExecMode::Profile` on the
+/// differential engine, which holds the profiled warp executor to the
+/// oracle launch by launch: buffers bit-identical to `Fast`, equal counters,
+/// and every launch carries a non-empty op tally (a `Fast` one none).
+#[test]
+fn every_set_profiles_bit_identically_to_fast() {
+    let dims = GridDims::cube(12);
+    for set in lift_acoustics::hostprog::all_sets() {
+        let cfg = match set.name() {
+            "fi_hand" | "fi_lift" => SimConfig {
+                dims,
+                shape: RoomShape::Box,
+                assignment: MaterialAssignment::Uniform,
+                boundary: BoundaryModel::Fi { beta: 0.1 },
+            },
+            "fdmm_hand" | "fdmm_lift" => SimConfig::fdmm(dims, RoomShape::Box),
+            _ => SimConfig::fimm(dims, RoomShape::Box),
+        };
+        for precision in [Precision::Single, Precision::Double] {
+            let run = |mode| {
+                let setup = SimSetup::new(&cfg);
+                let mut sim = Simulation::new(setup, precision, set, vec![diff_device()]);
+                sim.impulse(6, 6, 4, 1.0);
+                let launches: Vec<vgpu::LaunchStats> = (0..3)
+                    .flat_map(|_| sim.step(mode))
+                    .flat_map(|(volume, boundary)| std::iter::once(volume).chain(boundary))
+                    .collect();
+                let field: Vec<u64> = sim.read_curr().iter().map(|p| p.to_bits()).collect();
+                (field, sim.energy().to_bits(), launches)
+            };
+            let what = format!("{} {precision:?}", set.name());
+            let (fast, fast_energy, fast_launches) = run(ExecMode::Fast);
+            let (profiled, energy, launches) = run(ExecMode::Profile);
+            assert_eq!((profiled, energy), (fast, fast_energy), "{what}: profiled field");
+            assert_eq!(launches.len(), fast_launches.len(), "{what}");
+            for (p, f) in launches.iter().zip(&fast_launches) {
+                assert_eq!(p.counters, f.counters, "{what}: counters");
+                assert!(f.op_profile.is_none(), "{what}: a fast launch is not profiled");
+                let ops = p.op_profile.as_ref().map(|o| o.entries());
+                assert!(ops.is_some_and(|o| !o.is_empty()), "{what}: no op tally");
+            }
+        }
+    }
+}
+
 // --- random-kernel proptest -------------------------------------------------
 
 /// A random scalar expression over `x[gid]` (real-typed), `gid` (i32) and
