@@ -225,11 +225,6 @@ pub(crate) enum Op {
     MinMax { dst: R, a: R, b: R, k: K, max: bool },
     /// Unary float intrinsic at fixed precision.
     Intr1 { dst: R, src: R, intr: Intrinsic, k: K },
-    /// dst = truthy(ck, cond) ? t : f, raw bits. Materialised by the
-    /// if-conversion pass for branch diamonds whose arms are pure: both
-    /// operand chains have already executed unconditionally, so no branch —
-    /// and no warp divergence — remains.
-    Sel { dst: R, cond: R, ck: K, t: R, f: R },
     /// Global/constant-space load. `idx` is an i64 register.
     LdG { dst: R, buf: u16, idx: R, site: u32, constant: bool },
     /// Global-space store; `vk` is the value register's kind (the buffer
@@ -262,9 +257,6 @@ pub(crate) enum Op {
     /// `dst = (a*b) ⊕ c` (or `c ⊕ (a*b)` when `rev`). The multiply and the
     /// add/sub stay two distinct roundings — never contracted to an FMA.
     MulAdd { dst: R, a: R, b: R, c: R, k: K, sub: bool, rev: bool },
-    /// `Bin{t,a,b,cmp,k}; Sel{dst,t,Bool,tr,fl}` with `t` single-use:
-    /// `dst = if a cmp b { tr } else { fl }` (lane-wise register pick).
-    CmpSel { dst: R, a: R, b: R, op: BinOp, k: K, tr: R, fl: R },
     /// Fused global load: `[Bin{t,base,off,±,I32};] AsI64{t2,t|base,I32};
     /// LdG{v,buf,t2,site} [; Bin acc]` with every intermediate single-use.
     /// `dst` receives the loaded value, or `acc` applied to it. The i32
@@ -297,7 +289,7 @@ pub(crate) struct Acc {
 
 /// Number of [`Op`] variants — sizes the profiler's per-opcode tally arrays
 /// ([`crate::profiler::OpProf`]).
-pub(crate) const NOPCODES: usize = 38;
+pub(crate) const NOPCODES: usize = 36;
 
 /// Opcode display names, parallel to [`op_index`].
 const OP_NAMES: [&str; NOPCODES] = [
@@ -320,7 +312,6 @@ const OP_NAMES: [&str; NOPCODES] = [
     "Logic",
     "MinMax",
     "Intr1",
-    "Sel",
     "LdG",
     "StG",
     "LdP",
@@ -335,7 +326,6 @@ const OP_NAMES: [&str; NOPCODES] = [
     "Ret",
     "Halt",
     "MulAdd",
-    "CmpSel",
     "LdGFused",
     "StGAt",
     "CmpJz",
@@ -370,25 +360,23 @@ pub(crate) fn op_index(op: &Op) -> usize {
         Op::Logic { .. } => 16,
         Op::MinMax { .. } => 17,
         Op::Intr1 { .. } => 18,
-        Op::Sel { .. } => 19,
-        Op::LdG { .. } => 20,
-        Op::StG { .. } => 21,
-        Op::LdP { .. } => 22,
-        Op::StP { .. } => 23,
-        Op::LdL { .. } => 24,
-        Op::StL { .. } => 25,
-        Op::DeclPriv { .. } => 26,
-        Op::DeclLocal { .. } => 27,
-        Op::Flops { .. } => 28,
-        Op::Jmp { .. } => 29,
-        Op::Jz { .. } => 30,
-        Op::Ret => 31,
-        Op::Halt => 32,
-        Op::MulAdd { .. } => 33,
-        Op::CmpSel { .. } => 34,
-        Op::LdGFused { .. } => 35,
-        Op::StGAt { .. } => 36,
-        Op::CmpJz { .. } => 37,
+        Op::LdG { .. } => 19,
+        Op::StG { .. } => 20,
+        Op::LdP { .. } => 21,
+        Op::StP { .. } => 22,
+        Op::LdL { .. } => 23,
+        Op::StL { .. } => 24,
+        Op::DeclPriv { .. } => 25,
+        Op::DeclLocal { .. } => 26,
+        Op::Flops { .. } => 27,
+        Op::Jmp { .. } => 28,
+        Op::Jz { .. } => 29,
+        Op::Ret => 30,
+        Op::Halt => 31,
+        Op::MulAdd { .. } => 32,
+        Op::LdGFused { .. } => 33,
+        Op::StGAt { .. } => 34,
+        Op::CmpJz { .. } => 35,
     }
 }
 
@@ -471,8 +459,9 @@ pub struct Compiled {
     /// distinct (op, dim): executed once per work-item by [`exec_item_pre_warp`]
     /// instead of at every use site. Pure register writes only.
     pub(crate) item_pre: Vec<Op>,
-    /// Ops eliminated by the peephole optimizer: constant folds, dead ops
-    /// removed, and ops hoisted into `pre`. Feeds `vgpu.tape.optimized_ops`.
+    /// Ops the peephole optimizer rewrote or moved: constant folds, ops
+    /// hoisted into `pre`, deduplicated context reads and coalesced copies.
+    /// Feeds `vgpu.tape.optimized_ops`.
     pub(crate) optimized_ops: u32,
     /// Reconvergence metadata for the warp interpreter, parallel to `ops`:
     /// `joins[pc]` is the immediate postdominator of the conditional branch
@@ -1139,8 +1128,8 @@ fn validate(c: &Compiled, prep: &Prepared) -> bool {
 /// The one-width rule for one op, its registers being inside `wide`: an
 /// operand of kind `k` is a register of `k`'s width, an i64 operand (load,
 /// store and private indices, lengths, loop counters) a wide one, a loaded
-/// value has its memory's element width, and the untyped ops (`Mov`, `Sel`,
-/// `CmpSel`) move bits between registers of one width.
+/// value has its memory's element width, and the untyped `Mov` moves bits
+/// between registers of one width.
 fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
     let w = |r: R| wide[r as usize];
     let is = |r: R, k: K| w(r) == k.wide();
@@ -1169,7 +1158,6 @@ fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
         }
         Op::Logic { dst, a, b, ka, kb, .. } => is(a, ka) && is(b, kb) && !w(dst),
         Op::MinMax { dst, a, b, k, .. } => is(a, k) && is(b, k) && is(dst, k),
-        Op::Sel { dst, cond, ck, t, f } => is(cond, ck) && w(t) == w(dst) && w(f) == w(dst),
         Op::LdG { dst, buf, idx, .. } => load(dst, idx, param(buf)),
         Op::LdP { dst, arr, idx } => load(dst, idx, elem(&prep.priv_kinds, arr)),
         Op::LdL { dst, arr, idx } => load(dst, idx, elem(&prep.local_kinds, arr)),
@@ -1178,9 +1166,6 @@ fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
         Op::DeclPriv { len, .. } | Op::DeclLocal { len, .. } => w(len),
         Op::Jz { cond, k, .. } => is(cond, k),
         Op::MulAdd { dst, a, b, c, k, .. } => is(a, k) && is(b, k) && is(c, k) && is(dst, k),
-        Op::CmpSel { dst, a, b, k, tr, fl, .. } => {
-            is(a, k) && is(b, k) && w(tr) == w(dst) && w(fl) == w(dst)
-        }
         // The accumulate runs at the buffer's element kind.
         Op::LdGFused { dst, buf, base, off, acc, .. } => {
             !w(base)
@@ -1197,27 +1182,24 @@ fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
 
 // ---- peephole optimizer ----
 //
-// Four passes over the compiled tape, run once at compile time:
+// Four passes over the compiled tape, run once at compile time, in this
+// order:
 //
-// 0. **If-conversion** — branch diamonds whose arms are pure straight-line
-//    code are flattened: both arms execute unconditionally into renamed
-//    temporaries and a predicated `Sel` picks the taken side's bits for
-//    each live-out register. This is what keeps the warp interpreter
-//    convergent on stencil boundary logic.
 // 1. **Constant folding** — pure register ops whose operands are all
 //    compile-time constants are rewritten to `Const`.
-// 2. **Hoisting** — pure ops in a phase's entry block (before any control
-//    flow) whose operands are item-invariant move to `Compiled::pre` and
-//    execute once per register file instead of once per work-item.
-//    Context reads (`Gid`, `Lid`, …) are deduplicated into
-//    `Compiled::item_pre`, run once per work-item; jump targets and phase
-//    entries are remapped around what moved.
-// 3. **Copy coalescing** — a `Mov` out of a single-use temporary folds into
+// 2. **Hoisting** — pure ops whose operands are item-invariant move to
+//    `Compiled::pre` and execute once per register file instead of once per
+//    work-item.
+// 3. **Context CSE** — context reads (`Gid`, `Lid`, …) are deduplicated
+//    into `Compiled::item_pre`, run once per work-item; jump targets and
+//    phase entries are remapped around what moved.
+// 4. **Copy coalescing** — a `Mov` out of a single-use temporary folds into
 //    the temporary's producer; a `Mov` that is its destination's only
 //    definition gives way to its source ([`coalesce_copies`]).
 //
-// The passes never touch loads, stores, `Flops`, declarations, or control
-// flow with observable effects, so the observable semantics — buffer bits,
+// Branches stay branches: a pure `if` keeps its `Jz`, and the warp executor
+// runs its arms under complementary masks and reconverges at the join. The
+// passes never touch loads, stores, `Flops`, declarations, or control flow, so the observable semantics — buffer bits,
 // all counters, the transaction trace, and sanitizer findings — are identical to
 // the unoptimized tape. `Engine::Differential` enforces this against the
 // tree-walker.
@@ -1270,9 +1252,8 @@ pub(crate) fn op_dst(op: &Op) -> Option<R> {
     op_dst_mut(&mut op).copied()
 }
 
-/// The destination field itself: the if-conversion pass redirects an arm's
-/// live-out write into a fresh temporary before predicating it with `Sel`,
-/// copy coalescing retargets a producer.
+/// The destination field itself, which copy coalescing retargets to fold a
+/// `Mov` into its producer.
 #[inline(always)]
 fn op_dst_mut(op: &mut Op) -> Option<&mut R> {
     match op {
@@ -1294,12 +1275,10 @@ fn op_dst_mut(op: &mut Op) -> Option<&mut R> {
         | Op::Logic { dst, .. }
         | Op::MinMax { dst, .. }
         | Op::Intr1 { dst, .. }
-        | Op::Sel { dst, .. }
         | Op::LdG { dst, .. }
         | Op::LdP { dst, .. }
         | Op::LdL { dst, .. }
         | Op::MulAdd { dst, .. }
-        | Op::CmpSel { dst, .. }
         | Op::LdGFused { dst, .. } => Some(dst),
         Op::StG { .. }
         | Op::StP { .. }
@@ -1352,21 +1331,10 @@ fn visit_srcs_mut(op: &mut Op, f: &mut impl FnMut(&mut R)) {
         }
         Op::DeclPriv { len, .. } | Op::DeclLocal { len, .. } => f(len),
         Op::Jz { cond, .. } => f(cond),
-        Op::Sel { cond, t, f: fv, .. } => {
-            f(cond);
-            f(t);
-            f(fv);
-        }
         Op::MulAdd { a, b, c, .. } => {
             f(a);
             f(b);
             f(c);
-        }
-        Op::CmpSel { a, b, tr, fl, .. } => {
-            f(a);
-            f(b);
-            f(tr);
-            f(fl);
         }
         Op::LdGFused { base, off, acc, .. } => {
             f(base);
@@ -1454,199 +1422,9 @@ fn hoistable(op: &Op) -> bool {
         | Op::Not { .. }
         | Op::Logic { .. }
         | Op::MinMax { .. }
-        | Op::Intr1 { .. }
-        | Op::Sel { .. } => true,
+        | Op::Intr1 { .. } => true,
         _ => false,
     }
-}
-
-/// True for pure ops with no side effects and no counters that cannot
-/// trap: safe for the if-converter (pass 0) to *speculate* — execute on a
-/// path the program would have branched around.
-fn speculable(op: &Op) -> bool {
-    hoistable(op) || matches!(op, Op::Gid { .. } | Op::Lid { .. } | Op::Lsz { .. } | Op::Grp { .. })
-}
-
-/// Pass 0: if-conversion. Looks for the canonical diamond the compiler
-/// emits for `If`/`Select` —
-///
-/// ```text
-/// pc:         Jz cond → target
-/// pc+1..m:    then-arm
-/// m:          Jmp join            (m = target - 1)
-/// target..j:  else-arm (possibly empty)
-/// j:          join (the branch's immediate postdominator)
-/// ```
-///
-/// — and flattens it when both arms are pure straight-line code
-/// ([`speculable`] ops: no memory, no `Flops`, no traps, no control flow).
-/// Both arms then execute unconditionally, each live-out register's arm
-/// write is redirected to a fresh temporary, and one [`Op::Sel`] per
-/// live-out picks the taken side's bits. The freed `Jz`/`Jmp` slots become
-/// `Jmp join` fillers, so the tape keeps its length and no other targets
-/// move.
-///
-/// Bit-exactness: the speculated ops touch no counters, traces, or memory;
-/// a register whose reads and writes all sit inside one arm is scratch
-/// nothing else observes; every other written register gets exactly the
-/// taken path's bits from its `Sel`. Diamonds where that argument does not
-/// hold — an arm that traps, counts flops, re-reads a live-out, or writes
-/// one twice — are skipped and stay real branches.
-fn if_convert(c: &mut Compiled) {
-    'fixpoint: loop {
-        // Joins are recomputed after every conversion: a rewrite edits the
-        // CFG (and can turn a nested-diamond arm pure, enabling its
-        // parent), and tapes are small enough to re-scan.
-        let joins = compute_joins(&c.ops);
-        for pc in 0..c.ops.len() {
-            if try_if_convert_at(c, &joins, pc) {
-                c.optimized_ops += 2; // the deleted Jz and arm-ending Jmp
-                continue 'fixpoint;
-            }
-        }
-        return;
-    }
-}
-
-/// Attempts the rewrite described on [`if_convert`] at `pc`; returns `true`
-/// after mutating the tape in place.
-fn try_if_convert_at(c: &mut Compiled, joins: &[u32], pc: usize) -> bool {
-    let Op::Jz { cond, k: ck, target } = c.ops[pc] else { return false };
-    if joins[pc] == NO_JOIN {
-        return false;
-    }
-    let (j, target) = (joins[pc] as usize, target as usize);
-    // Canonical shape: forward branch, then-arm ending in `Jmp j` right
-    // before the else entry, whole diamond in [pc, j). The join is a real
-    // op (`j < len`): a diamond converging at the tape end would have a
-    // terminator inside an arm, which the purity check rejects anyway.
-    if !(pc + 1 < target && target <= j && j < c.ops.len()) {
-        return false;
-    }
-    if !matches!(c.ops[target - 1], Op::Jmp { target: t } if t as usize == j) {
-        return false;
-    }
-    let then_arm = pc + 1..target - 1;
-    let else_arm = target..j;
-    if !c.ops[then_arm.clone()].iter().chain(&c.ops[else_arm.clone()]).all(speculable) {
-        return false;
-    }
-    // Single entry: nothing outside the diamond may jump into it (`pc`
-    // itself is a fine target — it becomes the first rewritten op), and no
-    // phase may start inside it.
-    let inside = |t: usize| t > pc && t < j;
-    for (i, op) in c.ops.iter().enumerate() {
-        if (pc..j).contains(&i) {
-            continue; // the Jz/Jmp being deleted; arms have no control flow
-        }
-        if jump_target(op).is_some_and(|t| inside(t as usize)) {
-            return false;
-        }
-    }
-    if c.phase_starts.iter().any(|&s| inside(s as usize)) {
-        return false;
-    }
-
-    // Classify every register the arms write. Pass 0 runs before hoisting,
-    // so `pre`/`item_pre` are empty and the whole program is `c.ops`.
-    let n = c.nregs;
-    let (mut w_then, mut w_else) = (vec![0u32; n], vec![0u32; n]);
-    let (mut r_then, mut r_else) = (vec![false; n], vec![false; n]);
-    let (mut r_out, mut w_out) = (vec![false; n], vec![false; n]);
-    for (i, op) in c.ops.iter().enumerate() {
-        if then_arm.contains(&i) {
-            if let Some(d) = op_dst(op) {
-                w_then[d as usize] += 1;
-            }
-            visit_srcs(op, &mut |r| r_then[r as usize] = true);
-        } else if else_arm.contains(&i) {
-            if let Some(d) = op_dst(op) {
-                w_else[d as usize] += 1;
-            }
-            visit_srcs(op, &mut |r| r_else[r as usize] = true);
-        } else if i != pc {
-            if let Some(d) = op_dst(op) {
-                w_out[d as usize] = true;
-            }
-            visit_srcs(op, &mut |r| r_out[r as usize] = true);
-        }
-    }
-    // The Sels read `cond` after both arms ran, so it must survive them.
-    if w_then[cond as usize] + w_else[cond as usize] > 0 {
-        return false;
-    }
-    // Live-outs to predicate: (register, written-by-then, written-by-else).
-    let mut outs: Vec<(R, bool, bool)> = Vec::new();
-    for r in 0..n {
-        let (wt, we) = (w_then[r], w_else[r]);
-        if wt == 0 && we == 0 {
-            continue;
-        }
-        let one_arm_scratch = !r_out[r]
-            && !w_out[r]
-            && ((wt > 0 && we == 0 && !r_else[r]) || (we > 0 && wt == 0 && !r_then[r]));
-        if one_arm_scratch {
-            continue; // observed nowhere outside its arm: leave unrenamed
-        }
-        // Needs a `Sel`; keep the rewrite simple — exactly one write per
-        // arm and no reads of the register anywhere inside the diamond.
-        if wt > 1 || we > 1 || r_then[r] || r_else[r] {
-            return false;
-        }
-        outs.push((r as R, wt == 1, we == 1));
-    }
-    // The deleted Jz + Jmp leave room for exactly two Sels.
-    if outs.len() > 2 {
-        return false;
-    }
-
-    // Allocate the fresh per-arm temporaries and build the Sels.
-    let mut sels: Vec<Op> = Vec::with_capacity(outs.len());
-    let mut ren_then: Vec<(R, R)> = Vec::new();
-    let mut ren_else: Vec<(R, R)> = Vec::new();
-    for &(r, wt, we) in &outs {
-        // A renamed temporary has the width of the register it stands for.
-        let mut fresh = || {
-            c.wide.push(c.wide[r as usize]);
-            c.nregs += 1;
-            (c.nregs - 1) as R
-        };
-        let tv = if wt {
-            let f = fresh();
-            ren_then.push((r, f));
-            f
-        } else {
-            r
-        };
-        let fv = if we {
-            let f = fresh();
-            ren_else.push((r, f));
-            f
-        } else {
-            r
-        };
-        sels.push(Op::Sel { dst: r, cond, ck, t: tv, f: fv });
-    }
-
-    // Rewrite in place: renamed then-arm, renamed else-arm, Sels, fillers.
-    let mut repl: Vec<Op> = Vec::with_capacity(j - pc);
-    for (arm, renames) in [(then_arm, ren_then), (else_arm, ren_else)] {
-        for i in arm {
-            let mut op = c.ops[i];
-            if let Some(d) = op_dst_mut(&mut op) {
-                if let Some(&(_, f)) = renames.iter().find(|&&(orig, _)| orig == *d) {
-                    *d = f;
-                }
-            }
-            repl.push(op);
-        }
-    }
-    repl.extend(sels);
-    while repl.len() < j - pc {
-        repl.push(Op::Jmp { target: j as u32 });
-    }
-    c.ops[pc..j].copy_from_slice(&repl);
-    true
 }
 
 /// Runs the peephole passes on a freshly compiled tape. `nslots` is
@@ -1659,10 +1437,6 @@ fn try_if_convert_at(c: &mut Compiled, joins: &[u32], pc: usize) -> bool {
 // second borrow of `c`.
 #[allow(clippy::needless_range_loop)]
 fn optimize(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>]) {
-    // Pass 0 first: it relies on codegen's fresh-temporary discipline
-    // (before any other pass moves ops around) and the branches it deletes
-    // unlock hoisting of the former arm bodies.
-    if_convert(c);
     let writers = count_writers(&c.ops, c.nregs);
     let single_temp = |r: R| (r as usize) >= nslots && writers[r as usize] == 1;
 
@@ -1737,7 +1511,7 @@ fn optimize(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>]) {
         }
     }
 
-    // Pass 2b: context-op CSE. `Gid`/`Lid`/`Lsz`/`Grp` read launch context
+    // Pass 3: context-op CSE. `Gid`/`Lid`/`Lsz`/`Grp` read launch context
     // that is fixed for the duration of one work-item, so every occurrence
     // of the same (op, dim) writes identical bits wherever it sits — even
     // behind branches or inside loops. Codegen re-emits them at each use
@@ -1789,7 +1563,7 @@ fn optimize(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>]) {
 
     compact(c, &removed);
 
-    // Pass 3: copy coalescing, on the compacted tape.
+    // Pass 4: copy coalescing, on the compacted tape.
     let copies = coalesce_copies(c, nslots, arg_slots);
     c.optimized_ops += copies.iter().filter(|&&r| r).count() as u32;
     compact(c, &copies);
@@ -1827,7 +1601,7 @@ pub(crate) fn compact(c: &mut Compiled, removed: &[bool]) {
     }
 }
 
-/// Pass 3: copy coalescing. Codegen materialises every declaration,
+/// Pass 4: copy coalescing. Codegen materialises every declaration,
 /// assignment and select arm as `producer → temporary; Mov slot ← temporary`,
 /// and no earlier pass removes a copy. Returns the `Mov`s to drop, after
 /// rewriting the tape around each by one of two rules:
@@ -1971,9 +1745,6 @@ fn eval_pure(op: &Op, regs: &mut [u64], gsize: [usize; 3]) {
                 K::F32 => b32(intr1_f32(intr, f32v(s))),
                 _ => b64(intr1_f64(intr, f64v(s))),
             };
-        }
-        Op::Sel { dst, cond, ck, t, f } => {
-            regs[dst as usize] = regs[if truthy(ck, regs[cond as usize]) { t } else { f } as usize];
         }
         _ => unreachable!("not a pure register op"),
     }
@@ -2252,22 +2023,6 @@ fn vmap3<A: Lane>(
 ) {
     for_mask!(mask, l, {
         f(A::get(vregs, a, l), A::get(vregs, b, l), A::get(vregs, c, l)).put(vregs, dst, l);
-    });
-}
-
-/// `dst = if cond(lane) { t } else { f }` over the active mask: a lane-wise
-/// pick between two registers of `dst`'s width, `T` its raw lane type.
-#[inline(always)]
-fn select<T: Lane>(
-    vregs: &mut [u64],
-    dst: R,
-    (t, f): (R, R),
-    mask: u32,
-    cond: impl Fn(&[u64], usize) -> bool,
-) {
-    for_mask!(mask, l, {
-        let pick = if cond(vregs, l) { t } else { f };
-        T::get(vregs, pick, l).put(vregs, dst, l);
     });
 }
 
@@ -2913,25 +2668,6 @@ fn mul_add(
     }
 }
 
-/// [`Op::CmpSel`] over the active lanes: `dst = if a op b { tr } else { fl }`,
-/// `dst`, `tr` and `fl` being registers of one width (`wide`).
-fn cmp_sel(
-    vregs: &mut [u64],
-    (dst, wide): (R, bool),
-    (a, b, op, k): (R, R, BinOp, K),
-    (tr, fl): (R, R),
-    mask: u32,
-) {
-    macro_rules! cmpsel {
-        ($t:ty, $cmp:tt) => {
-            at_width!(wide, T => select::<T>(vregs, dst, (tr, fl), mask, |v, l| {
-                <$t>::get(v, a, l) $cmp <$t>::get(v, b, l)
-            }))
-        };
-    }
-    with_cmp!(k, op, cmpsel)
-}
-
 /// Outcome of resolving a conditional branch for the active mask.
 enum Branch {
     /// Continue vectorized execution at this pc with this mask.
@@ -3122,14 +2858,6 @@ impl WarpExec<'_, '_> {
                     K::F32 => vmap1(vregs, dst, src, mask, |x: f32| intr1_f32(intr, x)),
                     _ => vmap1(vregs, dst, src, mask, |x: f64| intr1_f64(intr, x)),
                 },
-                Op::Sel { dst, cond, ck, t, f } => match ck {
-                    K::Bool => at_width!(wide(dst), T => {
-                        select::<T>(vregs, dst, (t, f), mask, |v, l| bool::get(v, cond, l))
-                    }),
-                    _ => at_width!(wide(dst), T => select::<T>(vregs, dst, (t, f), mask, |v, l| {
-                        truthy(ck, vgw(v, cond, ck.wide(), l))
-                    })),
-                },
                 Op::LdG { dst, buf, idx, site, constant } => {
                     let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
                     let (at, mut ix) = ((buf, site, constant), [0i64; WARP]);
@@ -3227,9 +2955,6 @@ impl WarpExec<'_, '_> {
                 Op::Halt => return 0,
                 Op::MulAdd { dst, a, b, c, k, sub, rev } => {
                     mul_add(vregs, (dst, a, b, c), k, (sub, rev), mask)
-                }
-                Op::CmpSel { dst, a, b, op, k, tr, fl } => {
-                    cmp_sel(vregs, (dst, wide(dst)), (a, b, op, k), (tr, fl), mask)
                 }
                 Op::LdGFused { dst, buf, base, off, acc, site, constant } => {
                     let (at, regs, mut ix) = ((buf, site, constant), &*vregs, [0i64; WARP]);
@@ -3585,20 +3310,16 @@ mod tests {
         .resolve_real(ScalarKind::F32)
     }
 
+    /// A pure diamond stays a branch: the lane-dependent condition splits
+    /// both warps, each runs the two arms under complementary masks, and the
+    /// merged `s` matches the tree oracle bit for bit.
     #[test]
-    fn pure_branch_arms_if_convert_to_selects() {
-        let k = select_kernel("ifconv");
+    fn a_lane_dependent_pure_select_stays_a_branch() {
+        let k = select_kernel("pure_diamond");
         let t = tape_of(&k);
-        let jumps = t.ops.iter().filter(|op| is_branch(op)).count();
-        let sels =
-            t.ops.iter().filter(|op| matches!(op, Op::Sel { .. } | Op::CmpSel { .. })).count();
-        assert_eq!(jumps, 0, "pure diamond must lose its branch: {:?}", t.ops);
-        assert!(sels >= 1, "live-out must be selected: {:?}", t.ops);
-        // The converted tape stays bit-identical to the tree oracle...
+        assert!(t.ops.iter().any(is_branch), "the diamond keeps its branch: {:?}", t.ops);
         let out = run_diff(&k, 64, 0.0);
-        assert_eq!(out[8], 8.0 * 2.0);
-        assert_eq!(out[9], 9.0 * 3.0);
-        // ...and the lane-dependent condition no longer diverges warps.
+        assert_eq!((out[8], out[9]), (8.0 * 2.0, 9.0 * 3.0));
         let prep = prepare(&k).unwrap();
         let x = shadowed(vec![1.0f32; 64]);
         let out = shadowed(vec![0.0f32; 64]);
@@ -3613,13 +3334,12 @@ mod tests {
             &crate::Runtime::sanitizing(),
         )
         .unwrap();
-        assert_eq!(stats.divergent_warps, 0, "selects execute fully converged");
+        assert_eq!(stats.divergent_warps, 2, "both warps split at the diamond");
     }
 
     #[test]
     fn store_bearing_branch_arms_keep_their_jumps() {
-        // Same diamond shape, but the arms store to global memory: stores
-        // are not speculatable, so the branch must survive if-conversion.
+        // Same diamond shape, but the arms store to global memory.
         let k = Kernel {
             name: "ifkeep".into(),
             params: vec![
@@ -3817,11 +3537,7 @@ mod tests {
         let fused = |op: &&Op| {
             matches!(
                 op,
-                Op::MulAdd { .. }
-                    | Op::CmpSel { .. }
-                    | Op::LdGFused { .. }
-                    | Op::StGAt { .. }
-                    | Op::CmpJz { .. }
+                Op::MulAdd { .. } | Op::LdGFused { .. } | Op::StGAt { .. } | Op::CmpJz { .. }
             )
         };
         t.ops.iter().filter(fused).map(|op| op_name(op_index(op))).collect()
@@ -3856,9 +3572,9 @@ mod tests {
     /// q = r + t;
     /// out[gid] = q;
     /// ```
-    /// One window of each kind: compare-branch, offset load, compare-select,
-    /// multiply-add, load with an accumulate tail, compare-branch behind the
-    /// flushed flop count of `r`, store.
+    /// One window of each kind: compare-branch (the guard and both selects),
+    /// offset load, multiply-add, load with an accumulate tail,
+    /// compare-branch behind the flushed flop count of `r`, store.
     #[test]
     fn every_fusion_window_keeps_values_counters_and_transactions() {
         let g = || KExpr::GlobalId(0);
@@ -3889,7 +3605,7 @@ mod tests {
         };
         let prep = prepare(&k).unwrap();
         let t = &prep.tape;
-        let want = ["CmpJz", "CmpSel", "LdGFused", "MulAdd", "StGAt"];
+        let want = ["CmpJz", "LdGFused", "MulAdd", "StGAt"];
         assert_eq!(superinstructions(t).into_iter().collect::<Vec<_>>(), want, "{:?}", t.ops);
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdGFused { off: Some(_), .. })));
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdGFused { acc: Some(_), .. })));
@@ -4159,8 +3875,8 @@ mod tests {
         ("volume_handling_hand/whole/f32", 31, 7, 3, 0xdcbbfaf9c4311342),
         ("volume_handling_hand_slab/slab/f32", 33, 9, 3, 0x416e17f2f41053de),
         ("volume_handling_hand_slab/whole/f32", 33, 9, 3, 0x416e17f2f41053de),
-        ("fi_single_hand/whole/f32", 80, 58, 3, 0x3d7c408f8f249b13),
-        ("fi_single_hand_slab/slab/f32", 86, 64, 3, 0xe4f0b90bd63f516c),
+        ("fi_single_hand/whole/f32", 93, 45, 3, 0xc0395f429fb70e08),
+        ("fi_single_hand_slab/slab/f32", 99, 51, 3, 0x9d370a69f3ad351d),
         ("fimm_boundary_hand/whole/f32", 20, 4, 1, 0x76ea36d340d37292),
         ("fimm_boundary_hand_cbeta/whole/f32", 20, 4, 1, 0x76ea36d340d37292),
         ("fdmm_boundary_hand/whole/f32", 88, 16, 1, 0x4ba7989415ebf49f),
@@ -4173,8 +3889,8 @@ mod tests {
         ("volume_handling_hand/whole/f64", 31, 7, 3, 0xdcbbfaf9c4311342),
         ("volume_handling_hand_slab/slab/f64", 33, 9, 3, 0x416e17f2f41053de),
         ("volume_handling_hand_slab/whole/f64", 33, 9, 3, 0x416e17f2f41053de),
-        ("fi_single_hand/whole/f64", 80, 58, 3, 0x3d7c408f8f249b13),
-        ("fi_single_hand_slab/slab/f64", 86, 64, 3, 0xe4f0b90bd63f516c),
+        ("fi_single_hand/whole/f64", 93, 45, 3, 0xc0395f429fb70e08),
+        ("fi_single_hand_slab/slab/f64", 99, 51, 3, 0x9d370a69f3ad351d),
         ("fimm_boundary_hand/whole/f64", 20, 4, 1, 0x76ea36d340d37292),
         ("fimm_boundary_hand_cbeta/whole/f64", 20, 4, 1, 0x76ea36d340d37292),
         ("fdmm_boundary_hand/whole/f64", 88, 16, 1, 0x4ba7989415ebf49f),
@@ -4209,13 +3925,12 @@ mod tests {
         for w1 in [false, true] {
             assert!(!validate(&hand(both(), vec![false, w1, false]), &prep), "r1 wide: {w1}");
         }
-        // The untyped ops move bits between registers of one width, and a
+        // The untyped `Mov` moves bits between registers of one width, and a
         // load lands at its buffer's element width (`x` is an f32 buffer).
         let copy = |op: Op, wide: [bool; 3]| hand(vec![op, Op::Halt], wide.to_vec());
-        let sel = Op::Sel { dst: 2, cond: 0, ck: K::Bool, t: 1, f: 2 };
-        assert!(validate(&copy(sel, [false, true, true]), &prep));
-        assert!(!validate(&copy(sel, [false, false, true]), &prep));
-        assert!(!validate(&copy(Op::Mov { dst: 0, src: 1 }, [false, true, false]), &prep));
+        let mov = Op::Mov { dst: 2, src: 1 };
+        assert!(validate(&copy(mov, [false, true, true]), &prep));
+        assert!(!validate(&copy(mov, [false, true, false]), &prep));
         let ld = Op::LdG { dst: 0, buf: 0, idx: 1, site: 0, constant: false };
         assert!(validate(&copy(ld, [false, true, false]), &prep));
         assert!(!validate(&copy(ld, [true, true, false]), &prep));
@@ -4396,11 +4111,21 @@ mod tests {
     fn mixed_width_registers_match_the_oracle_under_every_mask() {
         let flat = prepare(&mixed_width_kernel(false)).unwrap();
         let grouped = prepare(&mixed_width_kernel(true)).unwrap();
-        let wide_dst = |op: &&Op| op_dst(op).is_some_and(|d| flat.tape.wide[d as usize]);
-        let has = |f: fn(&Op) -> bool| flat.tape.ops.iter().filter(wide_dst).any(f);
-        assert!(has(|op| matches!(op, Op::Sel { .. })), "{:?}", flat.tape.ops);
-        assert!(has(|op| matches!(op, Op::CmpSel { k: K::F64, .. })), "{:?}", flat.tape.ops);
+        let (ops, wide) = (&flat.tape.ops, &flat.tape.wide);
+        let wide_dst = |op: &&Op| op_dst(op).is_some_and(|d| wide[d as usize]);
+        let has = |f: fn(&Op) -> bool| ops.iter().filter(wide_dst).any(f);
         assert!(has(|op| matches!(op, Op::LdP { .. })) && has(|op| matches!(op, Op::Intr1 { .. })));
+        // An f64 select stays a branch whose two arms write one wide
+        // register, merged at the join under the diverged masks.
+        let merged = (0..ops.len()).filter(|&pc| is_branch(&ops[pc])).any(|pc| {
+            let (target, join) = (jump_target(&ops[pc]).unwrap() as usize, flat.tape.joins[pc]);
+            let arm = |r: std::ops::Range<usize>| -> Vec<R> {
+                ops[r].iter().filter(wide_dst).filter_map(op_dst).collect()
+            };
+            let (then, other) = (arm(pc + 1..target), arm(target..join as usize));
+            then.iter().any(|d| other.contains(d))
+        });
+        assert!(merged, "{ops:?}");
         assert!(grouped
             .tape
             .ops
@@ -4447,7 +4172,7 @@ mod tests {
                     ArgBind::Val(Value::I32(n as i32)),
                 ];
                 for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
-                    launch(
+                    let stats = launch(
                         prep,
                         &binds,
                         global,
@@ -4458,6 +4183,7 @@ mod tests {
                         &crate::Runtime::sanitizing(),
                     )
                     .unwrap_or_else(|e| panic!("{global:?} shadow {shadow} {mode:?}: {e}"));
+                    assert!(stats.divergent_warps > 0, "{global:?}: no warp diverged");
                 }
                 let (f, d, o) =
                     (xf.data().to_f64_vec(), xd.data().to_f64_vec(), od.data().to_f64_vec());

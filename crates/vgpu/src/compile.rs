@@ -3,9 +3,9 @@
 //!
 //! [`fuse`] rewrites the op sequences the acoustics kernels actually emit —
 //! index-arithmetic → `AsI64` → `LdG` stencil gathers with a trailing
-//! accumulate, `Bin`·`Bin` multiply-add chains, and the compare → `Sel` /
-//! compare → `Jz` pairs if-conversion leaves — into one *superinstruction*
-//! each, in place:
+//! accumulate, `Bin`·`Bin` multiply-add chains, and the compare → `Jz`
+//! pairs every `if` compiles to — into one *superinstruction* each, in
+//! place:
 //!
 //! 1. **Leaders** — phase entries, jump targets and every op after a jump or
 //!    terminator. A fusion window never crosses one, so every jump still
@@ -18,10 +18,9 @@
 //!    intermediate saves a 32-lane column round-trip.
 //! 3. **Peephole fusion** — longest match first at each pc: fused global
 //!    loads (`Bin`·`AsI64`·`LdG`[·`Bin` accumulate]), fused stores
-//!    (`AsI64`·`StG`), multiply-add (`Bin`·`Bin`), compare-select
-//!    (`Bin`·`Sel`) and compare-branch (`Bin`·`Jz`, also across a `Flops`
-//!    in between). The window's first op becomes the superinstruction, the
-//!    rest are dropped by `compact`.
+//!    (`AsI64`·`StG`), multiply-add (`Bin`·`Bin`) and compare-branch
+//!    (`Bin`·`Jz`, also across a `Flops` in between). The window's first op
+//!    becomes the superinstruction, the rest are dropped by `compact`.
 //!
 //! Fusion is total: an op no window matches stays as it is, on every tape —
 //! multi-phase and local-memory ones included.
@@ -34,7 +33,7 @@
 //! Bit-identity contract: a superinstruction performs the exact same
 //! arithmetic in the exact same operand order as the sequence it replaced —
 //! multiply-add stays two roundings (never an FMA), i32 index math wraps
-//! like `bin_bits`, compare-select picks the same register.
+//! like `bin_bits`, compare-branch takes the same side.
 //! `Engine::Differential` (tree oracle, then the tape) enforces this.
 
 use crate::bytecode::{
@@ -325,8 +324,8 @@ fn try_muladd(
     Some((Op::MulAdd { dst, a, b, c: cc, k, sub: op2 == BinOp::Sub, rev }, 2))
 }
 
-/// `Bin{t,a,b,cmp,k}` with `t` single-use, feeding the `Sel{dst,t,Bool,tr,fl}`
-/// or the `Jz{t,Bool,target}` that follows it.
+/// `Bin{t,a,b,cmp,k}` with `t` single-use, feeding the `Jz{t,Bool,target}`
+/// that follows it.
 fn try_cmp(
     c: &Compiled,
     pc: usize,
@@ -340,13 +339,6 @@ fn try_cmp(
     if !is_cmp(op) || !single(t) {
         return None;
     }
-    match c.ops[pc + 1] {
-        Op::Sel { dst, cond, ck: K::Bool, t: tr, f: fl } if cond == t => {
-            Some((Op::CmpSel { dst, a, b, op, k, tr, fl }, 2))
-        }
-        Op::Jz { cond, k: K::Bool, target } if cond == t => {
-            Some((Op::CmpJz { a, b, op, k, target }, 2))
-        }
-        _ => None,
-    }
+    let Op::Jz { cond, k: K::Bool, target } = c.ops[pc + 1] else { return None };
+    (cond == t).then_some((Op::CmpJz { a, b, op, k, target }, 2))
 }

@@ -2356,8 +2356,8 @@ pub(crate) mod tests {
 
     #[test]
     fn divergent_store_branch_counts_warps_and_matches_tree() {
-        // Even lanes double, odd lanes negate — both arms store, so
-        // if-conversion cannot remove the branch and every warp diverges.
+        // Even lanes double, odd lanes negate: every warp diverges at the
+        // branch and runs both arms under complementary masks.
         let k = Kernel {
             name: "divstore".into(),
             params: vec![

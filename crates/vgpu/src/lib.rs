@@ -11,8 +11,9 @@
 //!   profiling record;
 //! * [`runtime::Runtime`] — the settings and accounts of devices;
 //!   [`runtime()`] is the default, built from the `VGPU_*` environment;
-//! * [`exec`] — kernel preparation and the interpreter (counters, traces,
-//!   race detection);
+//! * [`exec`] — kernel preparation and the interpreter (counters, traces);
+//! * [`sanitize`] — the shadow sanitizer: uninitialised and stale-halo
+//!   reads, and write races;
 //! * [`bytecode`] — flat register-based tapes that kernels compile to
 //!   (optimized, then [`compile`]'s superinstruction fusion), and the one
 //!   executor that runs them a 32-lane warp at a time over a

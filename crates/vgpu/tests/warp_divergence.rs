@@ -19,8 +19,8 @@ fn device(trace: TraceMode) -> Device {
     dev
 }
 
-/// Even lanes double, odd lanes copy — both arms store, so the branch is
-/// not if-convertible and every mixed warp genuinely diverges.
+/// Even lanes double, odd lanes copy — every mixed warp diverges at the
+/// branch and runs both arms under complementary masks.
 fn div_kernel() -> Kernel {
     let even = KExpr::bin(
         BinOp::Eq,

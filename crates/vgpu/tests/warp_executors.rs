@@ -2,8 +2,8 @@
 //! plain, sanitized and modeled (unsampled and sampled), flat and
 //! grouped — what decides which of its paths a warp-op takes. One table of
 //! kernel shapes — partial final warps, divergent early-return guards,
-//! if-converted and storing diamonds, arms of several blocks,
-//! lane-dependent loops and private indexing, row-coherent and
+//! storing diamonds and selects (each stays a branch), arms of several
+//! blocks, lane-dependent loops and private indexing, row-coherent and
 //! row-straddling stencils, strided and reversed indices, barrier phases
 //! over a shared local arena — each held to the oracle's buffers, counters
 //! and transaction bytes, to its own divergent warp count, and to
@@ -236,7 +236,7 @@ fn lane_dependent_private_indexing_matches_the_oracle() {
 /// if (gid % 2 == 0) out[gid] = gid < 40 ? x[gid] : 0; else out[gid] = 1;
 /// ```
 ///
-/// (the select keeps its branch — an arm that loads is not speculated) and
+/// (the select is a branch nested in the even arm) and
 ///
 /// ```text
 /// for (i = 0; i < gid % 5; i++) acc += x[gid];

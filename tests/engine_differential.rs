@@ -13,8 +13,9 @@ use lift::prelude::*;
 use lift_acoustics::{programs, LiftBoundary, LiftSim};
 use proptest::prelude::*;
 use room_acoustics::{
-    handwritten, BoundaryKernel, BoundaryModel, GridDims, HandwrittenSim, KernelSource,
-    MaterialAssignment, Precision, ReferenceSim, RoomShape, SimConfig, SimSetup, Simulation,
+    handwritten, BoundaryKernel, BoundaryModel, GridDims, HandwrittenFi, HandwrittenSim,
+    KernelSource, MaterialAssignment, Precision, ReferenceSim, RoomShape, SimConfig, SimSetup,
+    Simulation,
 };
 use vgpu::{Arg, Backend, BufData, Device, DeviceProfile, Engine, ExecMode, Runtime};
 
@@ -168,16 +169,31 @@ fn the_hot_kernels_fuse_and_keep_counters_and_transactions() {
     }
 }
 
-/// The generated one-kernel FI step on a 12³ box and dome: of its 54 warps,
-/// 46 (box) and 32 (dome) split at the boundary-loss arm, which spans
-/// several blocks, and reconverge at the arm's join; the others are all
-/// exterior — the eight inside the box's two outer z planes, say — and skip
-/// the `nbrs > 0` arm whole. Plain, sanitized and modeled launches alike,
-/// each held to the oracle inside the launch.
+/// The one-kernel FI steps, generated and hand-written (Listing 1), split
+/// their warps at the wall arms and reconverge at the arms' joins: every
+/// branch stays a branch. On a 12³ box the generated kernel splits 46 of
+/// its 54 warps at the boundary-loss arm, which spans several blocks (32 on
+/// the dome); the others are all exterior — the eight inside the box's two
+/// outer z planes, say — and skip the `nbrs > 0` arm whole. Listing 1 finds
+/// its walls from coordinates, so it runs on boxes only, and all 54 of its
+/// warps split. The 40×12×10 box has rows wider than a warp, so a warp
+/// that starts a row is row-coherent and takes the executor's lane-shape
+/// shortcuts — audited lane by lane in debug builds — through Listing 1's
+/// wall branches (`gid == 1`, …), which the other FI tests, on rows of at
+/// most 16 cells, run only in warps that straddle rows.
+/// Plain, sanitized and modeled launches alike, each held to the oracle
+/// inside the launch.
 #[test]
 fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
-    let dims = GridDims::cube(12);
-    for (shape, divergent) in [(RoomShape::Box, 46), (RoomShape::Dome, 32)] {
+    let (cube, rows) = (GridDims::cube(12), GridDims::new(40, 12, 10));
+    let (hand, lift): (&dyn KernelSource, &dyn KernelSource) = (&HandwrittenFi, &LiftBoundary::Fi);
+    for (source, dims, shape, divergent) in [
+        (lift, cube, RoomShape::Box, 46),
+        (lift, cube, RoomShape::Dome, 32),
+        (lift, rows, RoomShape::Box, 104),
+        (hand, cube, RoomShape::Box, 54),
+        (hand, rows, RoomShape::Box, 150),
+    ] {
         for precision in [Precision::Single, Precision::Double] {
             let cfg = SimConfig {
                 dims,
@@ -193,12 +209,14 @@ fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
                 let rt = if sanitize { Runtime::sanitizing() } else { vgpu::runtime().clone() };
                 let mut dev = Device::with_runtime(DeviceProfile::gtx780(), rt);
                 dev.set_engine(Engine::Differential);
-                let fi = LiftBoundary::Fi;
-                let mut sim = Simulation::new(SimSetup::new(&cfg), precision, fi, vec![dev]);
+                let mut sim = Simulation::new(SimSetup::new(&cfg), precision, source, vec![dev]);
                 sim.impulse(6, 6, 3, 1.0);
                 for _ in 0..3 {
                     for (step, boundary) in sim.step(mode) {
-                        let what = format!("{shape:?} {precision:?} {mode:?} sanitize {sanitize}");
+                        let what = format!(
+                            "{} {dims:?} {shape:?} {precision:?} {mode:?} sanitize {sanitize}",
+                            source.name()
+                        );
                         assert!(boundary.is_none(), "{what}: one kernel a step");
                         assert_eq!(step.backend, Backend::Tape, "{what}");
                         assert_eq!(step.divergent_warps, divergent, "{what}");
