@@ -5,7 +5,9 @@
 //! the scalar size arguments, interior-guard facts, and the data invariants
 //! of the boundary gather tables. The contracts live here — next to the
 //! front end that owns the allocations they describe — and serve two
-//! consumers:
+//! consumers (three for the facts the simplifier rewrites generated code
+//! under, [`BufferFacts::exterior_zero`] and
+//! [`Assumptions::distinct_buffers`]):
 //!
 //! * the `verify` crate's audit suite pairs each kernel with its contract
 //!   and requires the static bounds/race passes to return PROVEN-SAFE
@@ -69,6 +71,21 @@ pub fn interior_mask_facts(asm: &mut Assumptions) {
     asm.interior_dims = dims.map(ArithExpr::var).to_vec();
 }
 
+/// The grid output `output` holds `+0` wherever the interior mask is not
+/// positive when a launch starts ([`BufferFacts::exterior_zero`]):
+/// [`crate::Simulation`] allocates its pressure grids zeroed, refuses an
+/// impulse outside the room, and no kernel it runs stores to an exterior
+/// cell — which it checks before every grid launch on a sanitizing runtime.
+/// For contracts with the interior-mask fact ([`interior_mask_facts`]).
+pub fn exterior_zero_facts(asm: &mut Assumptions, output: &str) {
+    if !asm.buffers.get("nbrs").is_some_and(|b| b.interior_mask) {
+        return;
+    }
+    if let Some(out) = asm.buffers.get_mut(output) {
+        out.exterior_zero = true;
+    }
+}
+
 /// The contract a hand-written reference kernel is launched under (see
 /// [`crate::Simulation`]): global sizes are left unbounded (`None`) because
 /// every kernel guards with an in-kernel `return_if`, and buffer lengths
@@ -78,8 +95,12 @@ pub fn interior_mask_facts(asm: &mut Assumptions) {
 /// reference kernel without writing its contract is a bug the audit suite
 /// should fail loudly on.
 pub fn launch_contract(k: &Kernel) -> Assumptions {
-    let mut asm =
-        Assumptions { global_size: vec![None; usize::from(k.work_dim)], ..Assumptions::default() };
+    let mut asm = Assumptions {
+        global_size: vec![None; usize::from(k.work_dim)],
+        // `Simulation` binds every buffer role to a buffer of its own.
+        distinct_buffers: true,
+        ..Assumptions::default()
+    };
     let n3 = || ArithExpr::var("Nx") * ArithExpr::var("Ny") * ArithExpr::var("Nz");
     match k.name.as_str() {
         "volume_handling_hand" | "volume_handling_hand_slab" => {
@@ -90,6 +111,7 @@ pub fn launch_contract(k: &Kernel) -> Assumptions {
                 asm.size_bounds.push((d.into(), 1));
             }
             interior_mask_facts(&mut asm);
+            exterior_zero_facts(&mut asm, "next");
             if k.name.ends_with("_slab") {
                 // As [`slab_placed`] restates the whole-grid contract.
                 asm.gid_offsets = vec![0, 0, 1];

@@ -264,6 +264,12 @@ pub enum SimError {
         /// The cell.
         z: usize,
     },
+    /// A launch binds one buffer to two parameters of a kernel compiled
+    /// under distinct buffers ([`Assumptions::distinct_buffers`]).
+    AliasedBuffers {
+        /// Kernel name.
+        kernel: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -296,6 +302,9 @@ impl fmt::Display for SimError {
             SimError::NoBranches => write!(f, "FD-MM needs at least one branch per material"),
             SimError::NonPassive(e) => write!(f, "not passive: {e}"),
             SimError::MaskOnHalo { x, y, z } => write!(f, "`nbrs` > 0 on halo cell {x}, {y}, {z}"),
+            SimError::AliasedBuffers { kernel } => {
+                write!(f, "kernel `{kernel}` is compiled for distinct buffers but binds one twice")
+            }
         }
     }
 }
@@ -601,6 +610,38 @@ impl Slab {
         buf.unwrap_or_else(|| panic!("no kernel of this simulation names {role:?}"))
     }
 
+    /// The exterior-zero fact of grid launch `k`, checked before it runs on
+    /// a sanitizing runtime: every output its contract marks
+    /// ([`contracts::exterior_zero_facts`]) holds `+0` on the slab's owned
+    /// cells whose `nbrs` is not positive — the cells its work-items index.
+    /// The interior-mask fact beside it is checked once, when the
+    /// simulation is built (`SimError::MaskOnHalo`). Panics naming the first
+    /// cell that breaks it.
+    fn check_exterior_zero(&self, dev: &Device, k: &StepKernel, phase: usize, setup: &SimSetup) {
+        let Some((_, args)) = &self.launches[0] else { return };
+        let dims = setup.dims();
+        let plane = dims.nx * dims.ny;
+        let (start, owned) = (self.planes.start * plane, self.planes.len() * plane);
+        for (p, arg) in k.kernel.params.iter().zip(&args[phase]) {
+            let marked = k.contract.buffers.get(&p.name).is_some_and(|f| f.exterior_zero);
+            let Arg::Buf(buf) = arg else { continue };
+            if !marked {
+                continue;
+            }
+            let data = dev.peek_region(*buf, self.halo * plane, owned).to_f64_vec();
+            let nbrs = &setup.room.nbrs[start..start + owned];
+            let bad = data.iter().zip(nbrs).position(|(v, &n)| n <= 0 && v.to_bits() != 0);
+            if let Some(i) = bad {
+                let (x, y, z) = dims.coords(start + i);
+                panic!(
+                    "exterior-zero fact broken: `{}` of `{}` holds {} at exterior cell \
+                     ({x}, {y}, {z}) before the launch",
+                    p.name, k.kernel.name, data[i]
+                );
+            }
+        }
+    }
+
     /// Launch `i` of the step at rotation `phase`, unless this slab skips it.
     fn launch(
         &self,
@@ -850,7 +891,20 @@ impl Simulation {
                     vgpu::bind_launch(args, slots, &env)
                         .expect("the slab binds what a launch names")
                 };
-                launches.push(Some((global, slots.iter().map(bind).collect())));
+                let bound: Vec<Vec<Arg>> = slots.iter().map(bind).collect();
+                // The contract's distinct-buffers fact, checked once per
+                // binding rather than per launch.
+                let aliased = |args: &Vec<Arg>| {
+                    let bufs: Vec<BufId> = args
+                        .iter()
+                        .filter_map(|a| if let Arg::Buf(b) = a { Some(*b) } else { None })
+                        .collect();
+                    bufs.iter().enumerate().any(|(i, b)| bufs[..i].contains(b))
+                };
+                if k.contract.distinct_buffers && bound.iter().any(aliased) {
+                    return Err(SimError::AliasedBuffers { kernel: k.kernel.name.clone() });
+                }
+                launches.push(Some((global, bound)));
             }
             slabs.push(Slab { halo, planes: first..first + owned, bufs, launches });
         }
@@ -871,8 +925,18 @@ impl Simulation {
     /// Injects an impulse as a released initial displacement (applied to
     /// both `curr` and `prev`, matching [`crate::sim::ReferenceSim::impulse`]),
     /// moving every slab's owned planes through accounted region transfers.
+    ///
+    /// Panics when the cell is outside the room (`nbrs` not positive there):
+    /// the generated grid kernels are compiled under the fact that no
+    /// exterior cell ever holds a non-zero pressure
+    /// ([`contracts::exterior_zero_facts`]).
     pub fn impulse(&mut self, x: usize, y: usize, z: usize, amp: f64) {
         let idx = self.setup.dims().idx(x, y, z);
+        assert!(
+            self.setup.room.nbrs[idx] > 0,
+            "impulse at cell ({x}, {y}, {z}), outside the room: its `nbrs` is {}",
+            self.setup.room.nbrs[idx]
+        );
         for role in [Role::Curr, Role::Prev] {
             for (slab, dev) in self.slabs.iter().zip(&mut self.devices) {
                 let (buf, lo, len) = (
@@ -907,6 +971,9 @@ impl Simulation {
         }
         let mut stats = Vec::with_capacity(self.slabs.len());
         for (slab, dev) in self.slabs.iter().zip(&mut self.devices) {
+            if dev.runtime().settings.shadow {
+                slab.check_exterior_zero(dev, &self.kernels[0], phase, &self.setup);
+            }
             let grid = slab.launch(dev, &self.kernels[0], 0, phase, mode);
             let boundary = self.kernels.get(1).and_then(|k| slab.launch(dev, k, 1, phase, mode));
             stats.push((grid.expect("every slab runs the grid launch"), boundary));
@@ -1216,6 +1283,61 @@ mod tests {
             );
             host::compile_host(&step, real)
         }
+    }
+
+    /// Listing 2's volume pass with `curr_h` bound as both `curr` and
+    /// `prev`: one buffer under two parameters of a kernel compiled for
+    /// distinct buffers.
+    struct Aliased;
+
+    impl KernelSource for Aliased {
+        fn name(&self) -> &'static str {
+            "aliased_buffers"
+        }
+
+        fn host_program(&self, real: ScalarKind) -> Result<HostProgram, LowerError> {
+            let volume =
+                hand_launch(handwritten::volume_kernel(), "next_h curr_h curr_h nbrs_h l2");
+            host::compile_host(
+                &host::to_host(host::host_write_to(step_input("next_h"), volume)),
+                real,
+            )
+        }
+    }
+
+    #[test]
+    fn one_buffer_under_two_distinct_parameters_is_refused() {
+        let s = setup(GridDims::cube(9), RoomShape::Box, false);
+        let err = Simulation::try_new(s, Precision::Single, Aliased, devices(1)).err();
+        let kernel = "volume_handling_hand".to_string();
+        assert_eq!(err, Some(SimError::AliasedBuffers { kernel }));
+    }
+
+    /// The generated grid kernels take exterior cells to hold `0`: an
+    /// impulse there is refused, naming the cell.
+    #[test]
+    #[should_panic(expected = "impulse at cell (1, 1, 1), outside the room")]
+    fn an_impulse_outside_the_room_is_refused() {
+        let s = setup(GridDims::new(34, 14, 10), RoomShape::Dome, true);
+        let mut sim = Simulation::new(s, Precision::Double, BoundaryKernel::FdMm, devices(1));
+        sim.impulse(1, 1, 1, 1.0);
+    }
+
+    /// On a sanitizing runtime the exterior-zero fact is checked before
+    /// every grid launch: one exterior cell of the output, corrupted through
+    /// a device write, fails the step, naming buffer, kernel and cell.
+    #[test]
+    #[should_panic(expected = "exterior-zero fact broken: `next` of `volume_handling_hand` \
+                               holds 1 at exterior cell (1, 1, 1)")]
+    fn a_corrupted_exterior_cell_fails_a_sanitized_step() {
+        let s = setup(GridDims::new(16, 12, 10), RoomShape::Dome, false);
+        let mut sim = Simulation::new(s, Precision::Single, FIMM, vec![sanitizing_device()]);
+        sim.impulse(8, 6, 3, 1.0);
+        sim.step(ExecMode::Fast);
+        let (next, cell) = (sim.slabs[0].buf(Role::Next, sim.phase), sim.setup.dims().idx(1, 1, 1));
+        assert_eq!(sim.setup.room.nbrs[cell], 0, "an exterior cell");
+        sim.devices[0].write_region(next, cell, BufData::from(vec![1.0f32]));
+        sim.step(ExecMode::Fast);
     }
 
     #[test]

@@ -81,7 +81,10 @@ fn lockstep(
         )
         .unwrap();
         let dims = setup.dims();
+        // The centre, or its neighbour in x when the L-shape's cut-out
+        // takes the centre: an impulse goes inside the room.
         let (x, y, z) = (dims.nx / 2, dims.ny / 2, dims.nz / 2);
+        let x = if setup.room.nbrs[dims.idx(x, y, z)] > 0 { x } else { x - 1 };
         single.impulse(x, y, z, 1.0);
         sharded.impulse(x, y, z, 1.0);
         let mode =

@@ -427,8 +427,8 @@ fn param_access(kernel: &Kernel) -> (Vec<bool>, Vec<bool>) {
 }
 
 /// Walks a host program's command list in queue order, tracking per slot
-/// whether the buffer has received an initializing write (an upload, or a
-/// launch whose kernel stores to it), and flags every read of a
+/// whether the buffer has received an initializing write (an upload, a zero
+/// fill, or a launch whose kernel stores to it), and flags every read of a
 /// still-uninitialized buffer. The tracking is region-insensitive and
 /// deliberately conservative *against false positives*: any partial write
 /// counts as initialization — the element-precise complement is the
@@ -440,7 +440,11 @@ pub fn check_host_init(prog: &HostProgram) -> Vec<UninitRead> {
     let mut findings = Vec::new();
     for (ci, cmd) in prog.cmds.iter().enumerate() {
         match cmd {
-            HostCmd::Alloc { .. } => {}
+            HostCmd::Alloc { dev, zeroed, .. } => {
+                if *zeroed {
+                    init.push(dev);
+                }
+            }
             HostCmd::CopyIn { dev, .. } => init.push(dev),
             HostCmd::Launch { kernel, args, .. } => {
                 let k = &prog.kernels[*kernel];

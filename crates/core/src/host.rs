@@ -157,6 +157,11 @@ pub enum HostCmd {
         dev: String,
         /// Buffer type (symbolic length).
         ty: Type,
+        /// Filled with zeros (`clEnqueueFillBuffer`): the kernel writing it
+        /// is compiled under an exterior-zero fact about it
+        /// ([`crate::verify::BufferFacts::exterior_zero`]) and stores only
+        /// the cells the fact leaves open.
+        zeroed: bool,
     },
     /// `enqueueWriteBuffer`: copy a host input to a device slot.
     CopyIn {
@@ -330,7 +335,7 @@ impl HostCtx<'_> {
                         let (lowered, contract) =
                             lower_kernel_under(name, params, body, self.real, self.contract)?;
                         let mut launch_args = Vec::with_capacity(lowered.args.len());
-                        for spec in &lowered.args {
+                        for (param, spec) in lowered.kernel.params.iter().zip(&lowered.args) {
                             launch_args.push(match spec {
                                 ArgSpec::Input(pid, pname) => {
                                     let pos = params.iter().position(|p| p.id == *pid).ok_or_else(
@@ -341,8 +346,14 @@ impl HostCtx<'_> {
                                 ArgSpec::Size(n) => LaunchArg::SizeVar(n.clone()),
                                 ArgSpec::Output(_, ty) => {
                                     let slot = self.fresh("d_out");
-                                    self.cmds
-                                        .push(HostCmd::Alloc { dev: slot.clone(), ty: ty.clone() });
+                                    let facts = contract.buffers.get(&param.name);
+                                    let zeroed = facts.is_some_and(|f| f.exterior_zero);
+                                    let alloc = HostCmd::Alloc {
+                                        dev: slot.clone(),
+                                        ty: ty.clone(),
+                                        zeroed,
+                                    };
+                                    self.cmds.push(alloc);
                                     out_val = HVal::Dev { slot: slot.clone(), ty: ty.clone() };
                                     LaunchArg::Buf(slot)
                                 }
@@ -447,12 +458,20 @@ pub fn emit_host_c(p: &HostProgram) -> String {
     out.push_str("// ---- host code ----\n");
     for cmd in &p.cmds {
         match cmd {
-            HostCmd::Alloc { dev, ty } => {
+            HostCmd::Alloc { dev, ty, zeroed } => {
+                let sz = bytes_expr(ty);
                 let _ = writeln!(
                     out,
-                    "cl_mem {dev} = clCreateBuffer(ctx, CL_MEM_READ_WRITE, {}, NULL, &err);",
-                    bytes_expr(ty)
+                    "cl_mem {dev} = clCreateBuffer(ctx, CL_MEM_READ_WRITE, {sz}, NULL, &err);",
                 );
+                if *zeroed {
+                    let kind = ty.scalar_kind().map(|k| k.c_name()).unwrap_or("char");
+                    let _ = writeln!(
+                        out,
+                        "{{ const {kind} zero = 0; clEnqueueFillBuffer(queue, {dev}, &zero, \
+                         sizeof(zero), 0, {sz}, 0, NULL, NULL); }}",
+                    );
+                }
             }
             HostCmd::CopyIn { host, dev, ty } => {
                 let sz = bytes_expr(ty);
@@ -530,6 +549,33 @@ mod tests {
         assert!(matches!(hp.cmds[1], HostCmd::Alloc { .. }));
         assert!(matches!(hp.cmds[2], HostCmd::Launch { .. }));
         assert!(matches!(hp.cmds[3], HostCmd::CopyOut { .. }));
+    }
+
+    /// An output whose contract says its exterior already holds zero is
+    /// allocated zero-filled, in the printed C and for the host audit; any
+    /// other output is not.
+    #[test]
+    fn an_exterior_zero_output_is_zero_filled() {
+        use crate::lower::LoweredKernel;
+        use crate::verify::BufferFacts;
+        let input = ParamDef::typed("a_h", Type::array(Type::real(), "N"));
+        let prog = to_host(ocl_kernel(&add2_kernel(), vec![to_gpu(HostExpr::Input(input))]));
+        let contract = |exterior_zero: bool| {
+            move |_: &[Rc<ParamDef>], lk: &LoweredKernel| {
+                let mut asm = Assumptions::default();
+                for p in lk.kernel.params.iter().filter(|p| p.is_buffer) {
+                    let mut facts = BufferFacts::sized(ArithExpr::var("N"));
+                    facts.exterior_zero = exterior_zero && p.name != "a";
+                    asm.buffers.insert(p.name.clone(), facts);
+                }
+                asm
+            }
+        };
+        for zero in [false, true] {
+            let hp = compile_host_under(&prog, ScalarKind::F32, &contract(zero)).unwrap();
+            assert!(matches!(hp.cmds[1], HostCmd::Alloc { zeroed, .. } if zeroed == zero));
+            assert_eq!(emit_host_c(&hp).contains("clEnqueueFillBuffer"), zero);
+        }
     }
 
     #[test]

@@ -20,16 +20,30 @@
 //!    a store of a select becoming an `if` for them (`sink`): the loads
 //!    of `out[i] = nbrs[i] > 0 ? stencil : 0` run where `nbrs[i] > 0`;
 //! 5. an arm the launch contract ties to the grid interior is decided
-//!    again with the ids narrowed to it (`arms`): the pad guards fold.
+//!    again with the ids narrowed to it (`arms`): the pad guards fold;
+//! 6. in the same walk, the exterior arm goes when it only stores `+0` to
+//!    an output the contract says holds `+0` there
+//!    ([`BufferFacts::exterior_zero`](crate::verify::BufferFacts));
+//! 7. adjacent loops over one range fuse when neither can see the other's
+//!    writes, and a private array then read only at the index its loop just
+//!    wrote becomes a scalar (`fuse`): `fdmm_boundary_lift` gets Listing
+//!    4's two loops;
+//! 8. a declaration of one load, read once, later in its block with only
+//!    declarations between, is inlined at its use (`forward`): the load
+//!    runs where its value is consumed, Listing 2's form.
 //!
 //! # Facts
 //!
 //! What the kernel text licenses: `get_global_id(d) ≥ 0`, and the negation
 //! of every early-return guard (`if (gid(d) >= N) return;`) for the rest of
 //! its block. What the contract states: its size bounds (array extents —
-//! no work-item runs over an empty one), and its interior facts, only in
-//! the arm they guard. Index arithmetic is treated as exact integers, the
-//! assumption [`crate::verify`] documents.
+//! no work-item runs over an empty one), its interior facts, only in the
+//! arm they guard, an output's exterior-zero fact, only in the arm the
+//! interior fact leaves out, and whether distinct buffer parameters are
+//! distinct allocations ([`Assumptions::distinct_buffers`]), which loop
+//! fusion needs to interleave a store with another buffer's accesses.
+//! Index arithmetic is treated as exact integers, the assumption
+//! [`crate::verify`] documents.
 //!
 //! Every other fact about `get_global_id(d)` holds for all ids in `[0, N)`,
 //! so a simplified kernel stays correct under the uniform substitution
@@ -39,8 +53,10 @@
 //! off the halo — so after the shift it holds of the cell `gid + o`, as the
 //! contract restated with `gid_offsets = o` says.
 //!
-//! Sinking consults no fact at all — only which names a statement reads —
-//! so it commutes with that substitution.
+//! The exterior-zero fact is about the same cell, so it shifts alike.
+//! Sinking, fusion and forwarding consult no fact about ids — only which
+//! names and buffers a statement reads and writes — so they commute with
+//! that substitution.
 //!
 //! # What never changes
 //!
@@ -49,8 +65,11 @@
 //! Sinking runs a load on a subset of the work-items (those that read its
 //! value), keeps the order of the loads of an arm, and turns a split store
 //! into two sites, one per arm — each work-item still stores once, at an
-//! index evaluated once. Floating-point expressions are not touched.
-//! Hoisted names come from a counter.
+//! index evaluated once. The exterior arm's store goes only where it would
+//! store the value already there. Fusion interleaves two loops' accesses
+//! only where no iteration can see the other loop's writes; forwarding runs
+//! a load later, past other loads only. Floating-point expressions are
+//! neither reassociated nor re-evaluated. Hoisted names come from a counter.
 
 use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
 use crate::kast::{KExpr, KStmt, Kernel, MemRef};
@@ -62,8 +81,8 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// Simplifies `kernel` under the launch `contract` it ships with: its size
-/// bounds and, inside the arms they guard, its interior facts. See the
-/// module docs.
+/// bounds, inside the arms they guard its interior facts, and its
+/// exterior-zero and distinct-buffers facts. See the module docs.
 pub fn simplify_kernel(kernel: &Kernel, contract: &Assumptions) -> Kernel {
     let int_params: BTreeSet<String> = kernel
         .params
@@ -75,11 +94,13 @@ pub fn simplify_kernel(kernel: &Kernel, contract: &Assumptions) -> Kernel {
     let mut body = cx.block(&kernel.body);
     hoist(kernel, &int_params, &mut body);
     let sunk = sink(body, &cx.assigned);
+    // Sinking moved the loads into the arms: one walk over those.
+    let body = if contract.interior_dims.is_empty() { sunk } else { cx.arms(&sunk) };
+    let body = fuse(body, contract.distinct_buffers);
     Kernel {
         name: kernel.name.clone(),
         params: kernel.params.clone(),
-        // Sinking moved the loads into the arms: one walk over those.
-        body: if contract.interior_dims.is_empty() { sunk } else { cx.arms(&sunk) },
+        body: forward_loads(kernel, body),
         work_dim: kernel.work_dim,
     }
 }
@@ -159,6 +180,9 @@ struct Cx<'k> {
     /// Never-assigned `int`s loaded from a parameter at an index over ids
     /// and sizes: the parameter and the index ([`Cx::note_load`]).
     loaded: HashMap<String, (String, ArithExpr)>,
+    /// The index expression, as sinking left it, of every `int` declared
+    /// by a load that [`Cx::arms`] has passed.
+    mask_sites: HashMap<String, &'k KExpr>,
 }
 
 impl<'k> Cx<'k> {
@@ -173,9 +197,10 @@ impl<'k> Cx<'k> {
             let gid = KExpr::GlobalId(d).builtin_atom().expect("builtin");
             env.set_range(gid, SymRange::at_least(ArithExpr::zero()));
         }
-        let (int_arrays, compared, mut assigned, loaded) = Default::default();
+        let (int_arrays, compared, mut assigned, loaded, mask_sites) = Default::default();
         assigned_names(&kernel.body, &mut assigned);
-        Cx { kernel, contract, env, ints: ints.clone(), int_arrays, compared, assigned, loaded }
+        let ints = ints.clone();
+        Cx { kernel, contract, env, ints, int_arrays, compared, assigned, loaded, mask_sites }
     }
 
     fn is_int(&self, e: &KExpr) -> bool {
@@ -452,14 +477,19 @@ impl<'k> Cx<'k> {
 
     /// One walk over the sunk body: the arm of each `if` that ties the
     /// work-item to the grid interior ([`interior_trigger`]) is decided again
-    /// with the ids narrowed ([`interior_refine`]); the rest stays as it is.
+    /// with the ids narrowed ([`interior_refine`]), and an exterior arm that
+    /// only stores a zero the output already holds goes
+    /// ([`Cx::redundant_exterior_store`]); the rest stays as it is.
     fn arms(&mut self, stmts: &'k [KStmt]) -> Vec<KStmt> {
         let outer = self.env.clone();
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             let KStmt::If { cond, then_, else_ } = s else {
-                if let KStmt::DeclScalar { name, kind: ScalarKind::I32, .. } = s {
+                if let KStmt::DeclScalar { name, kind: ScalarKind::I32, init } = s {
                     self.ints.insert(name.clone()); // a hoisted name
+                    if let Some(KExpr::Load { idx, .. }) = init {
+                        self.mask_sites.insert(name.clone(), idx);
+                    }
                 }
                 out.push(s.clone());
                 continue;
@@ -468,9 +498,11 @@ impl<'k> Cx<'k> {
                 KExpr::Bin(_, x, _) => x.as_ref(),
                 _ => cond,
             };
-            let load = if let KExpr::Var(x) = x { self.loaded.get(x) } else { None };
+            let x = if let KExpr::Var(x) = x { Some(x.as_str()) } else { None };
+            let load = x.and_then(|x| self.loaded.get(x));
             let load = load.map(|(buffer, idx)| (buffer.as_str(), idx));
-            let then_ = if interior_trigger(self.contract, &self.env, cond, load) {
+            let interior = interior_trigger(self.contract, &self.env, cond, load);
+            let then_ = if interior {
                 let outside = self.env.clone();
                 interior_refine(&mut self.env, self.contract);
                 self.compared.clear();
@@ -480,13 +512,41 @@ impl<'k> Cx<'k> {
             } else {
                 self.arms(then_)
             };
-            out.push(KStmt::If { cond: cond.clone(), then_, else_: self.arms(else_) });
+            // The trigger read an interior mask, not a declared guard.
+            let guard = x.is_some_and(|x| self.contract.interior_guards.iter().any(|g| g == x));
+            let mask_site = x.and_then(|x| self.mask_sites.get(x)).copied();
+            let else_ = match mask_site {
+                Some(site) if interior && !guard && self.redundant_exterior_store(site, else_) => {
+                    Vec::new()
+                }
+                _ => self.arms(else_),
+            };
+            out.push(KStmt::If { cond: cond.clone(), then_, else_ });
             if s.is_return_guard() {
                 self.assume_not(cond);
             }
         }
         self.env = outer;
         out
+    }
+
+    /// True when `else_`, the arm an interior-mask trigger leaves to cells
+    /// whose mask entry is not positive, is one store of `+0` to such a cell
+    /// — at the mask read's own index `site`, over names nothing assigns —
+    /// of an output the contract says already holds `+0` there
+    /// ([`BufferFacts::exterior_zero`](crate::verify::BufferFacts)).
+    fn redundant_exterior_store(&self, site: &KExpr, else_: &[KStmt]) -> bool {
+        let [KStmt::Store { mem: MemRef::Param(p), idx, value: KExpr::Lit(zero) }] = else_ else {
+            return false;
+        };
+        let facts = self.contract.buffers.get(&self.kernel.params[*p].name);
+        let mut names = BTreeSet::new();
+        reads(idx, &mut names);
+        facts.is_some_and(|f| f.exterior_zero)
+            && zero.value == 0.0
+            && zero.value.is_sign_positive()
+            && idx == site
+            && names.iter().all(|n| !self.assigned.contains(*n))
     }
 }
 
@@ -737,6 +797,512 @@ fn sink(block: Vec<KStmt>, assigned: &BTreeSet<String>) -> Vec<KStmt> {
     out
 }
 
+// ---- loop fusion and scalar replacement ----
+
+/// What a run of statements touches, nested blocks included. The sets are
+/// short vectors: a kernel names a handful of each.
+#[derive(Default)]
+struct Effects<'e> {
+    /// The statements, for the rarer question of which scalars they read.
+    stmts: &'e [KStmt],
+    /// Scalars assigned.
+    assigns: Vec<&'e str>,
+    /// Buffer parameters loaded from and stored to.
+    loads: Vec<usize>,
+    stores: Vec<usize>,
+    /// Private-array loads and stores: the array and the index.
+    priv_loads: Vec<(&'e str, &'e KExpr)>,
+    priv_stores: Vec<(&'e str, &'e KExpr)>,
+    /// A barrier, a return or local memory: nothing moves across it.
+    fixed: bool,
+}
+
+impl<'e> Effects<'e> {
+    fn of(stmts: &'e [KStmt]) -> Self {
+        let mut fx = Effects { stmts, ..Effects::default() };
+        stmts.iter().for_each(|s| fx.stmt(s));
+        fx
+    }
+
+    fn expr(&mut self, e: &'e KExpr) {
+        e.visit(&mut |n| match n {
+            KExpr::Load { mem: MemRef::Param(p), .. } if !self.loads.contains(p) => {
+                self.loads.push(*p)
+            }
+            KExpr::Load { mem: MemRef::Priv(a), idx } => self.priv_loads.push((a, idx)),
+            KExpr::Load { mem: MemRef::Local(_), .. } => self.fixed = true,
+            _ => {}
+        });
+    }
+
+    fn stmt(&mut self, s: &'e KStmt) {
+        match s {
+            KStmt::For { begin, end, step, body, .. } => {
+                [begin, end, step].into_iter().for_each(|e| self.expr(e));
+                body.iter().for_each(|s| self.stmt(s));
+            }
+            KStmt::If { cond, then_, else_ } => {
+                self.expr(cond);
+                then_.iter().chain(else_).for_each(|s| self.stmt(s));
+            }
+            _ => s.for_each_expr(&mut |e| self.expr(e)),
+        }
+        match s {
+            KStmt::Assign { name, .. } => self.assigns.push(name),
+            KStmt::Store { mem: MemRef::Param(p), .. } if !self.stores.contains(p) => {
+                self.stores.push(*p)
+            }
+            KStmt::Store { mem: MemRef::Priv(a), idx, .. } => self.priv_stores.push((a, idx)),
+            KStmt::Store { mem: MemRef::Local(_), .. }
+            | KStmt::DeclLocalArray { .. }
+            | KStmt::Barrier
+            | KStmt::Return => self.fixed = true,
+            _ => {}
+        }
+    }
+
+    /// Whether the statements read any of `names`.
+    fn reads_any(&self, names: &[&str]) -> bool {
+        let mut found = false;
+        for s in self.stmts {
+            s.for_each_expr(&mut |e| {
+                e.visit(&mut |n| found |= matches!(n, KExpr::Var(v) if names.contains(&v.as_str())))
+            });
+        }
+        found
+    }
+
+    fn stores_array(&self, a: &str) -> bool {
+        self.priv_stores.iter().any(|(b, _)| *b == a)
+    }
+
+    fn touches_buffer(&self, p: usize) -> bool {
+        self.loads.contains(&p) || self.stores.contains(&p)
+    }
+
+    /// True when running `self` and then `other` may give a different
+    /// result than interleaving them — `other` before the rest of `self`
+    /// — as far as scalars and buffers go: one writes what the other reads
+    /// or writes, or, unless distinct buffer parameters are distinct
+    /// allocations, either stores to a buffer while the other touches one.
+    fn conflicts(&self, other: &Effects, distinct_buffers: bool) -> bool {
+        let any_buffer = |fx: &Effects| !fx.loads.is_empty() || !fx.stores.is_empty();
+        !self.assigns.is_empty() && other.reads_any(&self.assigns)
+            || self.assigns.iter().any(|x| other.assigns.contains(x))
+            || !other.assigns.is_empty() && self.reads_any(&other.assigns)
+            || self.stores.iter().any(|&p| other.touches_buffer(p))
+            || other.stores.iter().any(|&p| self.touches_buffer(p))
+            || !distinct_buffers
+                && (!self.stores.is_empty() && any_buffer(other)
+                    || !other.stores.is_empty() && any_buffer(self))
+    }
+}
+
+/// True when `s` can move from just after a loop with effects `first` to
+/// just before it: a declaration or a buffer store that neither reads nor
+/// writes what the loop writes, and whose buffer accesses the loop's stores
+/// leave alone.
+fn hoistable(s: &KStmt, first: &Effects, distinct_buffers: bool) -> bool {
+    if !matches!(
+        s,
+        KStmt::DeclScalar { .. }
+            | KStmt::DeclPrivArray { .. }
+            | KStmt::Comment(_)
+            | KStmt::Store { mem: MemRef::Param(_), .. }
+    ) {
+        return false;
+    }
+    let fx = Effects::of(std::slice::from_ref(s));
+    !fx.fixed
+        && fx.priv_loads.iter().all(|(a, _)| !first.stores_array(a))
+        && !first.conflicts(&fx, distinct_buffers)
+}
+
+/// True when running `second`'s body after `first`'s (effects `one`), one
+/// iteration pair at a time, computes what running the loops one after the
+/// other does: same `begin`, `end` and `step`, over names neither loop
+/// assigns and without loads; no barrier, return or local memory; `second`
+/// reads a private array `first` writes only at its own index, where
+/// `first` wrote it; otherwise neither writes what the other reads or
+/// writes.
+fn fusable(first: &KStmt, one: &Effects, second: &KStmt, distinct_buffers: bool) -> bool {
+    let (
+        KStmt::For { var, begin, end, step, .. },
+        KStmt::For { var: var2, begin: b2, end: e2, step: s2, body: body2 },
+    ) = (first, second)
+    else {
+        return false;
+    };
+    let two = Effects::of(body2);
+    let mut bounds = BTreeSet::new();
+    [begin, end, step].into_iter().for_each(|e| reads(e, &mut bounds));
+    let varies = |fx: &Effects| {
+        fx.assigns.iter().any(|n| bounds.contains(n) || *n == var.as_str() || *n == var2.as_str())
+    };
+    if (begin, end, step) != (b2, e2, s2)
+        || [begin, end, step].into_iter().any(has_load)
+        || varies(one)
+        || varies(&two)
+        || one.fixed
+        || two.fixed
+    {
+        return false;
+    }
+    let at = |v: &str, idx: &KExpr| matches!(idx, KExpr::Var(i) if i == v);
+    let own_index = two.priv_loads.iter().all(|(a, idx)| !one.stores_array(a) || at(var2, idx))
+        && one
+            .priv_stores
+            .iter()
+            .all(|(a, idx)| at(var, idx) || !two.priv_loads.iter().any(|(b, _)| b == a));
+    let untouched =
+        one.priv_loads.iter().chain(&one.priv_stores).all(|(a, _)| !two.stores_array(a));
+    own_index && untouched && !one.conflicts(&two, distinct_buffers)
+}
+
+/// Fuses adjacent loops of every block ([`fusable`]), moving the statements
+/// between them ahead of the first ([`hoistable`]), then turns each private
+/// array only its loop reads, at the index it was just written at, into a
+/// scalar ([`scalar_replaced`]).
+fn fuse(block: Vec<KStmt>, distinct_buffers: bool) -> Vec<KStmt> {
+    let mut b: Vec<KStmt> = block
+        .into_iter()
+        .map(|s| match s {
+            KStmt::For { var, begin, end, step, body } => {
+                KStmt::For { var, begin, end, step, body: fuse(body, distinct_buffers) }
+            }
+            KStmt::If { cond, then_, else_ } => KStmt::If {
+                cond,
+                then_: fuse(then_, distinct_buffers),
+                else_: fuse(else_, distinct_buffers),
+            },
+            other => other,
+        })
+        .collect();
+    let mut i = 0;
+    while i < b.len() {
+        while let KStmt::For { body, .. } = &b[i] {
+            let Some(j) = (i + 1..b.len()).find(|&j| matches!(b[j], KStmt::For { .. })) else {
+                break;
+            };
+            let one = Effects::of(body);
+            let between = b[i + 1..j].iter().all(|s| hoistable(s, &one, distinct_buffers));
+            if !between || !fusable(&b[i], &one, &b[j], distinct_buffers) {
+                break;
+            }
+            let KStmt::For { var: var2, body: mut body2, .. } = b.remove(j) else { unreachable!() };
+            let KStmt::For { var, body, .. } = &mut b[i] else { unreachable!() };
+            for s in &mut body2 {
+                nodes_mut(s, &mut |n| match n {
+                    KExpr::Var(v) if *v == var2 => v.clone_from(var),
+                    _ => {}
+                });
+            }
+            body.append(&mut body2);
+            // The statements between go ahead of the fused loop.
+            b[i..j].rotate_left(1);
+            i = j - 1;
+        }
+        i += 1;
+    }
+    scalar_replaced(b)
+}
+
+/// Calls `f` on every expression node of `s`, nested blocks included,
+/// parents before their operands; `f` may replace the node.
+fn nodes_mut(s: &mut KStmt, f: &mut dyn FnMut(&mut KExpr)) {
+    fn walk(e: &mut KExpr, f: &mut dyn FnMut(&mut KExpr)) {
+        f(e);
+        match e {
+            KExpr::Load { idx: a, .. } | KExpr::Un(_, a) | KExpr::Cast(_, a) => walk(a, f),
+            KExpr::Bin(_, a, b) => {
+                walk(a, f);
+                walk(b, f);
+            }
+            KExpr::Select(c, t, e) => [c, t, e].into_iter().for_each(|x| walk(x, f)),
+            KExpr::Call(_, args) => args.iter_mut().for_each(|a| walk(a, f)),
+            _ => {}
+        }
+    }
+    match s {
+        KStmt::DeclScalar { init: Some(e), .. } | KStmt::Assign { value: e, .. } => walk(e, f),
+        KStmt::DeclPrivArray { len, .. } | KStmt::DeclLocalArray { len, .. } => walk(len, f),
+        KStmt::Store { idx, value, .. } => {
+            walk(idx, f);
+            walk(value, f);
+        }
+        KStmt::For { begin, end, step, body, .. } => {
+            [begin, end, step].into_iter().for_each(|e| walk(e, f));
+            body.iter_mut().for_each(|s| nodes_mut(s, f));
+        }
+        KStmt::If { cond, then_, else_ } => {
+            walk(cond, f);
+            then_.iter_mut().chain(else_).for_each(|s| nodes_mut(s, f));
+        }
+        _ => {}
+    }
+}
+
+/// Whether `s` loads or stores private array `a`, nested blocks included.
+fn mentions(s: &KStmt, a: &str) -> bool {
+    let loads = |e: &KExpr| {
+        let mut found = false;
+        e.visit(&mut |n| found |= matches!(n, KExpr::Load { mem: MemRef::Priv(b), .. } if b == a));
+        found
+    };
+    match s {
+        KStmt::Store { mem, idx, value } => {
+            matches!(mem, MemRef::Priv(b) if b == a) || loads(idx) || loads(value)
+        }
+        KStmt::For { begin, end, step, body, .. } => {
+            [begin, end, step].into_iter().any(loads) || body.iter().any(|s| mentions(s, a))
+        }
+        KStmt::If { cond, then_, else_ } => {
+            loads(cond) || then_.iter().chain(else_).any(|s| mentions(s, a))
+        }
+        _ => {
+            let mut found = false;
+            s.for_each_expr(&mut |e| found |= loads(e));
+            found
+        }
+    }
+}
+
+/// Replaces each private array of `block` that only one loop of the block
+/// touches — one top-level store at the loop's index, every load after it
+/// at that index — by a scalar of the array's name declared by that store.
+fn scalar_replaced(mut block: Vec<KStmt>) -> Vec<KStmt> {
+    let mut gone = Vec::new();
+    for d in 0..block.len() {
+        let KStmt::DeclPrivArray { name: array, kind, .. } = &block[d] else { continue };
+        let (array, kind) = (array.clone(), *kind);
+        let mut users = block.iter().enumerate().filter(|(_, s)| mentions(s, &array));
+        let (Some((l, _)), None) = (users.next(), users.next()) else { continue };
+        let KStmt::For { var, begin, end, step, body } = &block[l] else { continue };
+        let in_bounds = [begin, end, step].into_iter().any(|e| {
+            let mut fx = Effects::default();
+            fx.expr(e);
+            fx.priv_loads.iter().any(|(a, _)| *a == array)
+        });
+        let at = |idx: &KExpr| matches!(idx, KExpr::Var(i) if i == var);
+        let mut store = None;
+        let mut ok = !in_bounds;
+        for (k, s) in body.iter().enumerate() {
+            let fx = Effects::of(std::slice::from_ref(s));
+            let stores = fx.priv_stores.iter().filter(|(a, _)| *a == array).count();
+            let mut loads = fx.priv_loads.iter().filter(|(a, _)| *a == array).peekable();
+            match (s, store) {
+                (KStmt::Store { mem: MemRef::Priv(a), idx, .. }, None) if *a == array => {
+                    ok &= at(idx) && loads.peek().is_none();
+                    store = Some(k);
+                }
+                _ => {
+                    ok &= stores == 0
+                        && (store.is_some() || loads.peek().is_none())
+                        && loads.all(|(_, idx)| at(idx));
+                }
+            }
+        }
+        let Some(k) = store.filter(|_| ok) else { continue };
+        let KStmt::For { body, .. } = &mut block[l] else { unreachable!() };
+        let KStmt::Store { value, .. } = std::mem::replace(&mut body[k], KStmt::Return) else {
+            unreachable!()
+        };
+        body[k] = KStmt::DeclScalar { name: array.clone(), kind, init: Some(value) };
+        // Every load of the array left is at the loop index.
+        for s in &mut body[k + 1..] {
+            nodes_mut(s, &mut |n| {
+                if matches!(n, KExpr::Load { mem: MemRef::Priv(a), .. } if *a == array) {
+                    *n = KExpr::var(array.as_str());
+                }
+            });
+        }
+        gone.push(d);
+    }
+    for d in gone.into_iter().rev() {
+        block.remove(d);
+    }
+    block
+}
+
+// ---- load forwarding ----
+
+/// Replaces the variables `take` hands an expression for, in place, at the
+/// places every evaluation of `e` reaches: not in the arms of a select or
+/// the right operand of `&&`/`||`, where a moved load would run
+/// conditionally.
+fn inline(e: &mut KExpr, take: &mut dyn FnMut(&str) -> Option<KExpr>) {
+    match e {
+        KExpr::Var(v) => {
+            if let Some(init) = take(v) {
+                *e = init;
+            }
+        }
+        KExpr::Bin(BinOp::And | BinOp::Or, a, _)
+        | KExpr::Select(a, ..)
+        | KExpr::Load { idx: a, .. }
+        | KExpr::Un(_, a)
+        | KExpr::Cast(_, a) => inline(a, take),
+        KExpr::Bin(_, a, b) => {
+            inline(a, take);
+            inline(b, take);
+        }
+        KExpr::Call(_, args) => args.iter_mut().for_each(|a| inline(a, take)),
+        _ => {}
+    }
+}
+
+/// What [`forward`] needs of the kernel: the never-assigned declarations
+/// of one load (over an index without loads) or of a variable that are read
+/// exactly once, sorted; the element kinds of private and local arrays and
+/// of buffer parameters.
+struct Forwarding {
+    once: Vec<String>,
+    arrays: Vec<(String, ScalarKind)>,
+    buffers: Vec<Option<ScalarKind>>,
+}
+
+/// A declaration's initialiser [`forward`] may move: one load over an index
+/// without loads, or a variable.
+fn movable(init: &KExpr) -> bool {
+    match init {
+        KExpr::Var(_) => true,
+        KExpr::Load { idx, .. } => !has_load(idx),
+        _ => false,
+    }
+}
+
+impl Forwarding {
+    fn new(kernel: &Kernel, body: &[KStmt]) -> Forwarding {
+        fn walk(
+            block: &[KStmt],
+            cands: &mut Vec<(String, usize)>,
+            arrays: &mut Vec<(String, ScalarKind)>,
+        ) {
+            for s in block {
+                match s {
+                    KStmt::DeclScalar { name, init: Some(init), .. } if movable(init) => {
+                        cands.push((name.clone(), 0));
+                    }
+                    KStmt::DeclPrivArray { name, kind, .. }
+                    | KStmt::DeclLocalArray { name, kind, .. } => {
+                        arrays.push((name.clone(), *kind));
+                    }
+                    KStmt::For { body, .. } => walk(body, cands, arrays),
+                    KStmt::If { then_, else_, .. } => {
+                        walk(then_, cands, arrays);
+                        walk(else_, cands, arrays);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let (mut cands, mut arrays) = (Vec::new(), Vec::new());
+        walk(body, &mut cands, &mut arrays);
+        cands.sort_unstable();
+        let mut count = |v: &str, by: usize| {
+            if let Ok(i) = cands.binary_search_by(|(n, _)| n.as_str().cmp(v)) {
+                cands[i].1 += by;
+            }
+        };
+        for s in body {
+            s.for_each_expr(&mut |e| {
+                e.visit(&mut |n| {
+                    if let KExpr::Var(v) = n {
+                        count(v, 1);
+                    }
+                })
+            });
+        }
+        let mut assigned = BTreeSet::new();
+        assigned_names(body, &mut assigned);
+        assigned.iter().for_each(|v| count(v, 2));
+        let once = cands.into_iter().filter(|&(_, c)| c == 1).map(|(n, _)| n).collect();
+        let buffers = kernel.params.iter().map(|p| p.is_buffer.then_some(p.kind)).collect();
+        Forwarding { once, arrays, buffers }
+    }
+
+    /// Whether `name`, declared of `kind` by `init`, is forwarded: read
+    /// once, never assigned, and `init` of the same kind — a load's element
+    /// kind, or the kind of a variable declared earlier in `block`.
+    fn takes(&self, name: &str, kind: ScalarKind, init: &KExpr, block: &[Option<KStmt>]) -> bool {
+        let of = match init {
+            KExpr::Var(v) => block.iter().rev().flatten().find_map(|s| match s {
+                KStmt::DeclScalar { name, kind, .. } if name == v => Some(*kind),
+                _ => None,
+            }),
+            KExpr::Load { mem: MemRef::Param(p), .. } => self.buffers.get(*p).copied().flatten(),
+            KExpr::Load { mem: MemRef::Priv(a) | MemRef::Local(a), .. } => {
+                self.arrays.iter().find(|(n, _)| n == a).map(|&(_, k)| k)
+            }
+            _ => None,
+        };
+        of == Some(kind) && self.once.binary_search_by(|n| n.as_str().cmp(name)).is_ok()
+    }
+}
+
+/// Inlines each declaration initialised by one load (or a variable), read
+/// exactly once, later in its block, at the use — when only declarations
+/// and comments stand between them (no store, assignment, loop, branch or
+/// barrier) and the use runs unconditionally in its statement. The load
+/// then runs where its value is consumed, Listing 2's form, and the tape
+/// fuses it with its consumer.
+fn forward(block: Vec<KStmt>, fw: &Forwarding) -> Vec<KStmt> {
+    let mut out: Vec<Option<KStmt>> = Vec::with_capacity(block.len());
+    // Forwardable declarations since the last statement that stops
+    // forwarding: their places in `out`.
+    let mut pending: Vec<usize> = Vec::new();
+    for mut s in block {
+        let mut take = |v: &str| {
+            let named =
+                |at: &usize| matches!(&out[*at], Some(KStmt::DeclScalar { name, .. }) if name == v);
+            let k = pending.iter().position(named)?;
+            match out[pending.remove(k)].take() {
+                Some(KStmt::DeclScalar { init, .. }) => init,
+                _ => unreachable!("a pending slot holds its declaration"),
+            }
+        };
+        match &mut s {
+            KStmt::DeclScalar { name, kind, init } => {
+                if let Some(e) = init.as_mut() {
+                    inline(e, &mut take);
+                }
+                if init.as_ref().is_some_and(|e| movable(e) && fw.takes(name, *kind, e, &out)) {
+                    pending.push(out.len());
+                }
+            }
+            KStmt::DeclPrivArray { .. } | KStmt::Comment(_) => {}
+            KStmt::Store { idx, value, .. } => {
+                inline(idx, &mut take);
+                inline(value, &mut take);
+                pending.clear();
+            }
+            KStmt::Assign { value, .. } => {
+                inline(value, &mut take);
+                pending.clear();
+            }
+            KStmt::If { cond, then_, else_ } => {
+                inline(cond, &mut take);
+                pending.clear();
+                *then_ = forward(std::mem::take(then_), fw);
+                *else_ = forward(std::mem::take(else_), fw);
+            }
+            KStmt::For { body, .. } => {
+                pending.clear();
+                *body = forward(std::mem::take(body), fw);
+            }
+            _ => pending.clear(),
+        }
+        out.push(Some(s));
+    }
+    out.into_iter().flatten().collect()
+}
+
+/// [`forward`] over a kernel body.
+fn forward_loads(kernel: &Kernel, body: Vec<KStmt>) -> Vec<KStmt> {
+    let fw = Forwarding::new(kernel, &body);
+    forward(body, &fw)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -945,5 +1511,270 @@ mod tests {
             vec![store(var("k"), KExpr::real(0.0))],
         )])];
         assert_eq!(sunk(body), want);
+    }
+    // ---- load forwarding ----
+
+    /// `nbrs, a, b, out`: an `int` mask and three `float` buffers.
+    fn four_buffers(body: Vec<KStmt>) -> Kernel {
+        use crate::kast::KernelParam;
+        let params = [("nbrs", ScalarKind::I32), ("a", ScalarKind::F32), ("b", ScalarKind::F32)]
+            .into_iter()
+            .chain([("out", ScalarKind::F32)])
+            .map(|(n, k)| KernelParam::global_buf(n, k))
+            .chain([KernelParam::scalar("N", ScalarKind::I32)])
+            .collect();
+        Kernel { name: "k".into(), params, body, work_dim: 1 }
+    }
+    fn forwarded(body: Vec<KStmt>) -> Vec<KStmt> {
+        forward_loads(&four_buffers(body.clone()), body)
+    }
+
+    #[test]
+    fn a_load_read_once_is_forwarded_to_its_use_across_declarations() {
+        let body = vec![
+            decl("x", at(1)),
+            decl("y", at(2)),
+            decl("s", var("y") * var("y")),
+            decl("c", var("s")),
+            store(g(), var("x") - var("c")),
+        ];
+        // `y` is read twice and stays; `x` and the copy `c` go into the store.
+        let want =
+            vec![decl("y", at(2)), decl("s", var("y") * var("y")), store(g(), at(1) - var("s"))];
+        assert_eq!(forwarded(body), want);
+    }
+
+    /// A store, an assignment, a loop, a branch or a barrier between the
+    /// load and its use keeps the load where it is; so does a second read,
+    /// a read only some evaluations reach, a read in a loop body, and a
+    /// declaration of another kind than the load.
+    #[test]
+    fn forwarding_stops_at_a_store_assignment_loop_or_barrier() {
+        let between = [
+            store(g() + KExpr::int(1), KExpr::real(1.0)),
+            KStmt::Assign { name: "acc".into(), value: KExpr::real(1.0) },
+            KStmt::For {
+                var: "k".into(),
+                begin: KExpr::int(0),
+                end: KExpr::int(2),
+                step: KExpr::int(1),
+                body: vec![],
+            },
+            branch(positive(at(0)), vec![], vec![]),
+            KStmt::Barrier,
+        ];
+        for s in between {
+            let body = vec![decl("acc", at(2)), decl("x", at(1)), s, store(g(), var("x"))];
+            assert_eq!(forwarded(body.clone()), body);
+        }
+        let kept = [
+            vec![decl("x", at(1)), store(g(), var("x") * var("x"))],
+            vec![decl("x", at(1)), store(g(), KExpr::select(positive(at(0)), var("x"), var("x")))],
+            vec![
+                decl("x", at(1)),
+                store(g(), KExpr::select(positive(at(0)), var("x"), KExpr::real(0.0))),
+            ],
+            vec![
+                decl("x", at(1)),
+                KStmt::For {
+                    var: "k".into(),
+                    begin: KExpr::int(0),
+                    end: KExpr::int(2),
+                    step: KExpr::int(1),
+                    body: vec![store(var("k"), var("x"))],
+                },
+            ],
+            vec![
+                KStmt::DeclScalar { name: "x".into(), kind: ScalarKind::F64, init: Some(at(1)) },
+                store(g(), var("x")),
+            ],
+        ];
+        for body in kept {
+            assert_eq!(forwarded(body.clone()), body);
+        }
+        // A comment is not code, and a branch's condition runs before it.
+        let note = KStmt::Comment("note".into());
+        let body = vec![
+            decl("x", at(1)),
+            note.clone(),
+            KStmt::DeclScalar { name: "n".into(), kind: ScalarKind::I32, init: Some(at(0)) },
+            branch(positive(var("n")), vec![store(g(), var("x"))], vec![]),
+        ];
+        let want = vec![
+            decl("x", at(1)),
+            note,
+            branch(positive(at(0)), vec![store(g(), var("x"))], vec![]),
+        ];
+        assert_eq!(forwarded(body), want);
+    }
+
+    // ---- loop fusion and scalar replacement ----
+
+    fn looped(k: &str, end: KExpr, body: Vec<KStmt>) -> KStmt {
+        KStmt::For { var: k.into(), begin: KExpr::int(0), end, step: KExpr::int(1), body }
+    }
+    fn mb() -> KExpr {
+        var("MB")
+    }
+    fn priv_array(name: &str) -> KStmt {
+        KStmt::DeclPrivArray { name: name.into(), kind: ScalarKind::F32, len: mb() }
+    }
+    fn priv_at(name: &str, idx: KExpr) -> KExpr {
+        KExpr::load(MemRef::Priv(name.into()), idx)
+    }
+    fn priv_store(name: &str, idx: KExpr, value: KExpr) -> KStmt {
+        KStmt::Store { mem: MemRef::Priv(name.into()), idx, value }
+    }
+    /// `buffer[k]` of buffer parameter `p`.
+    fn at_k(p: usize, k: &str) -> KExpr {
+        KExpr::load(MemRef::Param(p), var(k))
+    }
+    fn add_to_acc(value: KExpr) -> KStmt {
+        KStmt::Assign { name: "acc".into(), value: var("acc") + value }
+    }
+
+    /// A copy loop into a private array, a declaration, a reduction over the
+    /// copy: the declaration moves ahead, the loops fuse, and the array —
+    /// read only at the index it was just written at — becomes a scalar.
+    #[test]
+    fn a_copy_loop_fuses_into_its_reduction_and_the_copy_becomes_a_scalar() {
+        let body = vec![
+            priv_array("p"),
+            looped("k", mb(), vec![priv_store("p", var("k"), at_k(1, "k"))]),
+            decl("acc", KExpr::real(0.0)),
+            looped("r", mb(), vec![add_to_acc(priv_at("p", var("r")) * at_k(2, "r"))]),
+        ];
+        let want = vec![
+            decl("acc", KExpr::real(0.0)),
+            looped("k", mb(), vec![decl("p", at_k(1, "k")), add_to_acc(var("p") * at_k(2, "k"))]),
+        ];
+        assert_eq!(fuse(body, false), want);
+    }
+
+    /// Read again after the fused loop, the array stays an array.
+    #[test]
+    fn scalar_replacement_is_refused_for_an_array_read_after_its_loop() {
+        let body = vec![
+            priv_array("p"),
+            looped("k", mb(), vec![priv_store("p", var("k"), at_k(1, "k"))]),
+            looped("r", mb(), vec![add_to_acc(priv_at("p", var("r")))]),
+            store(g(), priv_at("p", KExpr::int(0))),
+        ];
+        let want = vec![
+            priv_array("p"),
+            looped(
+                "k",
+                mb(),
+                vec![priv_store("p", var("k"), at_k(1, "k")), add_to_acc(priv_at("p", var("k")))],
+            ),
+            store(g(), priv_at("p", KExpr::int(0))),
+        ];
+        assert_eq!(fuse(body, false), want);
+    }
+
+    /// No fusion for a read at another index, a loop-carried scalar, other
+    /// bounds, or a store to one buffer crossing accesses to another without
+    /// the distinct-buffers fact.
+    #[test]
+    fn fusion_is_refused_when_it_could_change_what_a_loop_sees() {
+        let copy = || looped("k", mb(), vec![priv_store("p", var("k"), at_k(1, "k"))]);
+        let mirrored = mb() - KExpr::int(1) - var("r");
+        let refused = [
+            vec![
+                priv_array("p"),
+                copy(),
+                looped("r", mb(), vec![add_to_acc(priv_at("p", mirrored))]),
+            ],
+            vec![
+                decl("acc", KExpr::real(0.0)),
+                looped("k", mb(), vec![add_to_acc(at_k(1, "k"))]),
+                looped(
+                    "r",
+                    mb(),
+                    vec![KStmt::Store { mem: MemRef::Param(3), idx: var("r"), value: var("acc") }],
+                ),
+            ],
+            vec![
+                priv_array("p"),
+                copy(),
+                looped("r", mb() - KExpr::int(1), vec![add_to_acc(priv_at("p", var("r")))]),
+            ],
+            vec![
+                looped(
+                    "k",
+                    mb(),
+                    vec![KStmt::Store {
+                        mem: MemRef::Param(3),
+                        idx: var("k"),
+                        value: at_k(1, "k"),
+                    }],
+                ),
+                looped("r", mb(), vec![add_to_acc(at_k(2, "r"))]),
+            ],
+        ];
+        for body in refused {
+            assert_eq!(fuse(body.clone(), false), body);
+        }
+        // The same stores and loads fuse once buffers are distinct.
+        let stores = vec![
+            decl("acc", KExpr::real(0.0)),
+            looped(
+                "k",
+                mb(),
+                vec![KStmt::Store { mem: MemRef::Param(3), idx: var("k"), value: at_k(1, "k") }],
+            ),
+            looped("r", mb(), vec![add_to_acc(at_k(2, "r"))]),
+        ];
+        assert_eq!(fuse(stores.clone(), false), stores);
+        let fused = fuse(stores, true);
+        assert!(
+            matches!(fused.as_slice(), [_, KStmt::For { body, .. }] if body.len() == 2),
+            "{fused:?}"
+        );
+    }
+
+    // ---- exterior-store elision ----
+
+    /// `if (gid ≥ N) return; int n = nbrs[gid]; float v = a[gid]; out[idx] =
+    /// n > 0 ? v : zero` simplified under the interior-mask fact, with `out`
+    /// exterior-zero or not: sinking splits the store.
+    fn interior_store(zero: KExpr, idx: KExpr, exterior_zero: bool) -> Vec<KStmt> {
+        use crate::verify::BufferFacts;
+        let n = || ArithExpr::var("N");
+        let mut contract = Assumptions {
+            global_size: vec![None],
+            size_bounds: vec![("N".into(), 1)],
+            interior_dims: vec![n()],
+            ..Default::default()
+        };
+        let mut nbrs = BufferFacts::sized(n());
+        nbrs.interior_mask = true;
+        let mut out = BufferFacts::sized(n());
+        out.exterior_zero = exterior_zero;
+        contract.buffers.insert("nbrs".into(), nbrs);
+        contract.buffers.insert("a".into(), BufferFacts::sized(n()));
+        contract.buffers.insert("out".into(), out);
+        let kernel = four_buffers(vec![
+            KStmt::return_if(KExpr::bin(BinOp::Ge, g(), var("N"))),
+            KStmt::DeclScalar { name: "n".into(), kind: ScalarKind::I32, init: Some(at(0)) },
+            decl("v", at(1)),
+            store(idx, KExpr::select(positive(var("n")), var("v"), zero)),
+        ]);
+        simplify_kernel(&kernel, &contract).body
+    }
+
+    #[test]
+    fn the_exterior_arm_goes_only_when_it_stores_the_zero_the_output_holds() {
+        let arms = |body: &[KStmt]| match body.last() {
+            Some(KStmt::If { then_, else_, .. }) => (then_.len(), else_.len()),
+            other => panic!("{other:?}"),
+        };
+        let zero = || KExpr::real(0.0);
+        assert_eq!(arms(&interior_store(zero(), g(), true)), (1, 0));
+        assert_eq!(arms(&interior_store(zero(), g(), false)), (1, 1), "no fact");
+        assert_eq!(arms(&interior_store(KExpr::real(1.0), g(), true)), (1, 1), "not zero");
+        assert_eq!(arms(&interior_store(KExpr::real(-0.0), g(), true)), (1, 1), "−0");
+        let other = KExpr::int(0);
+        assert_eq!(arms(&interior_store(zero(), other, true)), (1, 1), "another cell");
     }
 }

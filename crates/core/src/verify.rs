@@ -59,12 +59,24 @@ pub struct BufferFacts {
     /// `buf[lin(gid)] > 0` implies every `gid` is at least 1 away from
     /// each face (see [`Assumptions::interior_dims`]). Assumed.
     pub interior_mask: bool,
+    /// On entry the buffer holds `+0` at every cell a work-item indexes
+    /// (`buf[lin(gid)]`) whose interior-mask entry is not positive — an
+    /// output whose exterior no launch writes. Licenses dropping a store of
+    /// `0` to such a cell ([`crate::simplify`]). Assumed, checked
+    /// dynamically under a sanitizing runtime.
+    pub exterior_zero: bool,
 }
 
 impl BufferFacts {
     /// Facts carrying only a length.
     pub fn sized(len: ArithExpr) -> Self {
-        BufferFacts { len, value_range: None, distinct: false, interior_mask: false }
+        BufferFacts {
+            len,
+            value_range: None,
+            distinct: false,
+            interior_mask: false,
+            exterior_zero: false,
+        }
     }
 
     /// Adds a content value range.
@@ -106,6 +118,12 @@ pub struct Assumptions {
     /// interior refinement shift with it: the interior fact becomes
     /// `gid_d + offset_d ∈ [1, dim_d−2]`. Missing entries are 0.
     pub gid_offsets: Vec<i64>,
+    /// Distinct buffer parameters name distinct allocations (C's
+    /// `restrict`): a store through one never changes what another reads.
+    /// Licenses moving a global access across a store to another buffer
+    /// ([`crate::simplify`]'s loop fusion). Assumed; the host that binds the
+    /// buffers checks it once.
+    pub distinct_buffers: bool,
 }
 
 impl Assumptions {

@@ -33,10 +33,9 @@ fn writeto_row() {
     // in-place: a single buffer parameter, stores back into `in`
     assert!(src.contains("__global float* in"), "{src}");
     assert!(!src.contains("* out"), "{src}");
-    // the load is staged through a temporary, then stored back in place
-    assert!(src.contains("= in[get_global_id(0)];"), "{src}");
-    assert!(src.contains("in[get_global_id(0)] = "), "{src}");
-    assert!(src.contains("+ 2.0f"), "{src}");
+    // the load is forwarded into the store back in place: the table's
+    // `in[i] = add2(in[i])`
+    assert!(src.contains("in[get_global_id(0)] = (in[get_global_id(0)] + 2.0f);"), "{src}");
 }
 
 /// Table I row `Concat`: `Concat(Map(add2, A), Map(mul3, B))` → two loops

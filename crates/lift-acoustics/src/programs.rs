@@ -149,7 +149,9 @@ impl Program {
 /// buffer lengths from the source program's parameter types (inputs) and
 /// the lowered output type, and the facts the hand-written contracts share
 /// layered on top ([`room_acoustics::contracts::boundary_table_facts`],
-/// [`room_acoustics::contracts::interior_mask_facts`]).
+/// [`room_acoustics::contracts::interior_mask_facts`],
+/// [`room_acoustics::contracts::exterior_zero_facts`] on the output, and
+/// distinct buffers).
 ///
 /// The verify suite audits every generated kernel under exactly this
 /// contract, and a step program ([`crate::hostprog`]) lowers, launches and
@@ -167,8 +169,11 @@ pub(crate) fn contract(
     use lift::verify::{Assumptions, BufferFacts};
     let mut asm = Assumptions {
         global_size: lowered.global_size.iter().cloned().map(Some).collect(),
+        // `Simulation` binds every buffer role to a buffer of its own.
+        distinct_buffers: true,
         ..Assumptions::default()
     };
+    let mut outputs = Vec::new();
     for (param, spec) in lowered.kernel.params.iter().zip(&lowered.args) {
         match spec {
             ArgSpec::Size(n) => asm.size_bounds.push((n.clone(), 1)),
@@ -180,12 +185,16 @@ pub(crate) fn contract(
             }
             ArgSpec::Output(_, ty) => {
                 asm.buffers.insert(param.name.clone(), BufferFacts::sized(ty.scalar_count()));
+                outputs.push(param.name.as_str());
             }
             _ => {}
         }
     }
     room_acoustics::contracts::boundary_table_facts(&mut asm);
     room_acoustics::contracts::interior_mask_facts(&mut asm);
+    for out in outputs {
+        room_acoustics::contracts::exterior_zero_facts(&mut asm, out);
+    }
     asm
 }
 
@@ -480,9 +489,22 @@ mod tests {
 
     #[test]
     fn emitted_fimm_contains_single_offset_store() {
+        use lift::kast::{KStmt, MemRef};
+        fn stores(block: &[KStmt], buf: usize) -> usize {
+            block
+                .iter()
+                .map(|s| match s {
+                    KStmt::Store { mem: MemRef::Param(p), .. } => usize::from(*p == buf),
+                    KStmt::For { body, .. } => stores(body, buf),
+                    KStmt::If { then_, else_, .. } => stores(then_, buf) + stores(else_, buf),
+                    _ => 0,
+                })
+                .sum()
+        }
         let lk = fimm_program().lower(ScalarKind::F32).unwrap();
-        let src = lift::opencl::emit_kernel(&lk.kernel);
+        let next = lk.kernel.param_index("next").unwrap();
         // exactly one store into the in-place buffer
-        assert_eq!(src.matches("next[").count() - src.matches("= next[").count(), 1, "{src}");
+        let src = lift::opencl::emit_kernel(&lk.kernel);
+        assert_eq!(stores(&lk.kernel.body, next), 1, "{src}");
     }
 }

@@ -67,8 +67,10 @@ fn a_simulation_uploads_what_the_front_end_it_replaced_uploaded() {
 /// hand-written ones were ever registered), so the tape executor kept a
 /// bounds check on every data-dependent gather of `fdmm_boundary_lift`: 28
 /// sites proven, 10 checked. Under the contract `lift_verify` proves them
-/// with, all 11 + 28 sites of the volume and boundary kernels are proven
-/// (the volume kernel's store is two sites, one per arm of `nbrs > 0`).
+/// with, all 10 + 25 sites of the volume and boundary kernels are proven —
+/// the hand-written kernels' counts: the volume kernel stores under
+/// `nbrs > 0` only, and the boundary kernel's `vsNew` is a scalar, not a
+/// private array written and read back.
 #[test]
 fn generated_kernels_launch_under_their_contract() {
     // A room no other test of this binary launches: proofs are memoized per
@@ -80,5 +82,5 @@ fn generated_kernels_launch_under_their_contract() {
     sim.step(ExecMode::Fast);
     let reg = &sim.devices[0].runtime().registry;
     let (proven, checked) = ("vgpu.tape.sites_proven", "vgpu.tape.sites_checked");
-    assert_eq!((reg.counter(proven).get(), reg.counter(checked).get()), (39, 0));
+    assert_eq!((reg.counter(proven).get(), reg.counter(checked).get()), (35, 0));
 }

@@ -158,8 +158,8 @@ pub fn uninit_host_program() -> HostProgram {
     HostProgram {
         kernels: vec![HostKernel { kernel, contract: Assumptions::default() }],
         cmds: vec![
-            HostCmd::Alloc { dev: "src".into(), ty: ty.clone() },
-            HostCmd::Alloc { dev: "out".into(), ty: ty.clone() },
+            HostCmd::Alloc { dev: "src".into(), ty: ty.clone(), zeroed: false },
+            HostCmd::Alloc { dev: "out".into(), ty: ty.clone(), zeroed: false },
             HostCmd::Launch {
                 kernel: 0,
                 args: vec![

@@ -165,15 +165,22 @@ pub fn run_host_program(
                 transfers.to_gpu_transfers += 1;
                 slots.insert(dev, device.upload(data.clone()));
             }
-            HostCmd::Alloc { dev, ty } => {
+            HostCmd::Alloc { dev, ty, zeroed } => {
                 let _s = trace.span_with(HOST_TRACK, || format!("Alloc({dev})"));
                 let rty = ty.resolve_real(real);
                 let kind = rty
                     .scalar_kind()
                     .ok_or_else(|| ExecError(format!("cannot allocate non-uniform type {ty}")))?;
-                // Unpromised contents: reading the slot before a kernel has
-                // stored to it is the bug `check_host_init` predicts.
-                slots.insert(dev, device.create_buffer(kind, eval_len(&rty, &env.sizes)?));
+                // Unpromised contents, unless filled: reading the slot before
+                // a kernel has stored to it is the bug `check_host_init`
+                // predicts.
+                let len = eval_len(&rty, &env.sizes)?;
+                let buf = if *zeroed {
+                    device.create_buffer_zeroed(kind, len)
+                } else {
+                    device.create_buffer(kind, len)
+                };
+                slots.insert(dev, buf);
             }
             HostCmd::Launch { kernel, args, global_size } => {
                 let _s = trace
@@ -307,7 +314,11 @@ mod tests {
         // not an `as usize` cast into a `capacity overflow` abort.
         let alloc_only = HostProgram {
             kernels: Vec::new(),
-            cmds: vec![HostCmd::Alloc { dev: "x".into(), ty: Type::array(Type::real(), "N") }],
+            cmds: vec![HostCmd::Alloc {
+                dev: "x".into(),
+                ty: Type::array(Type::real(), "N"),
+                zeroed: false,
+            }],
             result: "x".into(),
         };
         let e = err(&alloc_only, HostEnv::new().size("N", -4));
