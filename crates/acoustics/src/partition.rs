@@ -7,12 +7,8 @@
 //! exactly when each slice offset is a multiple of the warp width (see
 //! [`boundary_cut_planes`]).
 
+use vgpu::exec::WARP;
 use vgpu::SlabPartition;
-
-/// The warp width the transaction model groups work-items by (see
-/// [`vgpu::exec`]); boundary-slice offsets congruent to 0 modulo this keep
-/// sharded transaction totals identical to unsharded ones.
-pub const WARP: usize = 32;
 
 /// Splits the sorted boundary-index list at the partition's cut planes:
 /// returns `device_count + 1` offsets `c` with slab `d` owning list range

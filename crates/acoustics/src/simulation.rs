@@ -25,7 +25,7 @@
 use crate::contracts;
 use crate::geometry::GridDims;
 use crate::handwritten;
-use crate::partition::{checked_boundary_cuts, WARP};
+use crate::partition::checked_boundary_cuts;
 use crate::reference::FdArrays;
 use crate::sim::{field_energy, SimSetup};
 use lift::arith::ArithExpr;
@@ -40,6 +40,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, DerefMut, RangeInclusive};
 use std::sync::{Arc, Mutex, OnceLock};
+use vgpu::exec::WARP;
 use vgpu::telemetry::HOST_TRACK;
 use vgpu::{Arg, BufData, BufId, Device, ExecMode, HostEnv, LaunchStats, Prepared, SlabPartition};
 

@@ -59,8 +59,11 @@ pub struct JobOutput {
     pub wall_ms: f64,
     /// Kernel launches issued (volume + boundary, all steps).
     pub launches: usize,
-    /// True when the static verifier proved both kernels clean (memoized
-    /// process-wide per kernel artifact).
+    /// True when the tape verifier (`vgpu::verify_cached`: def-before-use,
+    /// barrier uniformity, reachability) found nothing in any kernel the
+    /// job launched; memoized process-wide per kernel artifact. The bounds
+    /// and race proofs are not run per job: CI's `lift_verify` gate checks
+    /// them for every shipped kernel.
     pub verifier_clean: bool,
     /// Path of the telemetry sidecar, when one was written.
     pub sidecar: Option<PathBuf>,
@@ -183,7 +186,7 @@ fn record_job_latency(reg: &Registry, sc: &Scenario, elapsed: std::time::Duratio
     reg.histogram("batch.job.latency_us").record(us);
     reg.histogram(&format!(
         "batch.job.latency_us.{}.{}",
-        sc.boundary.label(),
+        sc.boundary_label(),
         sc.precision.label()
     ))
     .record(us);
@@ -220,7 +223,7 @@ fn run_sim(cfg: &BatchConfig, rt: &Arc<Runtime>, sc: &Scenario) -> Result<JobOut
     let mut sim = Simulation::try_new(setup, sc.precision, sc.boundary_kernel(), devices)
         .map_err(|e| e.to_string())?;
 
-    // Static-verification gate, on the very artifacts the simulation
+    // Tape-verifier gate, on the very artifacts the simulation
     // launches (the slab volume kernel when sharded); each keeps its report,
     // so a whole batch pays the verifier once per distinct kernel.
     let verifier_clean = sim
@@ -291,7 +294,7 @@ fn write_sidecar(
         "scenario": {
             "dims": [sc.dims.nx, sc.dims.ny, sc.dims.nz],
             "shape": format!("{:?}", sc.shape),
-            "boundary": sc.boundary.label(),
+            "boundary": sc.boundary_label(),
             "precision": sc.precision.label(),
             "steps": sc.steps,
             "source": [sc.source.0, sc.source.1, sc.source.2],

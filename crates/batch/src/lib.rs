@@ -31,4 +31,4 @@ pub mod executor;
 pub mod scenario;
 
 pub use executor::{BatchConfig, BatchExecutor, JobHandle, JobOutput, JobResult};
-pub use scenario::{Boundary, Scenario, ScenarioGen};
+pub use scenario::{Scenario, ScenarioGen};

@@ -13,31 +13,6 @@ use room_acoustics::{
     BoundaryKernel, GridDims, MaterialAssignment, Precision, RoomShape, SimConfig,
 };
 
-/// Boundary model flavour of a scenario (the two multi-material kernels the
-/// virtual-GPU backend implements).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Boundary {
-    /// Frequency-independent multi-material (Listing 3). `beta_constant`
-    /// selects the hand-tuned constant-memory β variant.
-    FiMm {
-        /// β table in `__constant` space.
-        beta_constant: bool,
-    },
-    /// Frequency-dependent multi-material (Listing 4).
-    FdMm,
-}
-
-impl Boundary {
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Boundary::FiMm { beta_constant: false } => "fimm",
-            Boundary::FiMm { beta_constant: true } => "fimm-const",
-            Boundary::FdMm => "fdmm",
-        }
-    }
-}
-
 /// One room simulation job, fully specified.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -49,8 +24,9 @@ pub struct Scenario {
     pub shape: RoomShape,
     /// Material assignment strategy.
     pub assignment: MaterialAssignment,
-    /// Boundary model.
-    pub boundary: Boundary,
+    /// Boundary kernel: FI-MM (plain or constant-β) or FD-MM, the
+    /// multi-material kernels the virtual-GPU backend implements.
+    pub boundary: BoundaryKernel,
     /// Run precision.
     pub precision: Precision,
     /// Leap-frog steps to run.
@@ -67,8 +43,8 @@ impl Scenario {
     /// The reference-simulation configuration this scenario describes.
     pub fn config(&self) -> SimConfig {
         let mut cfg = match self.boundary {
-            Boundary::FiMm { .. } => SimConfig::fimm(self.dims, self.shape),
-            Boundary::FdMm => SimConfig::fdmm(self.dims, self.shape),
+            BoundaryKernel::FiMm { .. } => SimConfig::fimm(self.dims, self.shape),
+            BoundaryKernel::FdMm => SimConfig::fdmm(self.dims, self.shape),
         };
         cfg.assignment = self.assignment;
         cfg
@@ -76,9 +52,16 @@ impl Scenario {
 
     /// The virtual-GPU boundary kernel to run it with.
     pub fn boundary_kernel(&self) -> BoundaryKernel {
+        self.boundary
+    }
+
+    /// Short label of the boundary kernel for reports: `fimm`,
+    /// `fimm-const` or `fdmm`.
+    pub fn boundary_label(&self) -> &'static str {
         match self.boundary {
-            Boundary::FiMm { beta_constant } => BoundaryKernel::FiMm { beta_constant },
-            Boundary::FdMm => BoundaryKernel::FdMm,
+            BoundaryKernel::FiMm { beta_constant: false } => "fimm",
+            BoundaryKernel::FiMm { beta_constant: true } => "fimm-const",
+            BoundaryKernel::FdMm => "fdmm",
         }
     }
 
@@ -88,7 +71,7 @@ impl Scenario {
             "job{} {:?} {} {} {}x{}x{}",
             self.id,
             self.shape,
-            self.boundary.label(),
+            self.boundary_label(),
             match self.precision {
                 Precision::Single => "f32",
                 Precision::Double => "f64",
@@ -133,9 +116,9 @@ impl ScenarioGen {
             _ => MaterialAssignment::Striped { num_materials: 3 },
         };
         let boundary = match rng.gen_range(0usize..3) {
-            0 => Boundary::FiMm { beta_constant: false },
-            1 => Boundary::FiMm { beta_constant: true },
-            _ => Boundary::FdMm,
+            0 => BoundaryKernel::FiMm { beta_constant: false },
+            1 => BoundaryKernel::FiMm { beta_constant: true },
+            _ => BoundaryKernel::FdMm,
         };
         let precision = if rng.gen_bool(0.5) { Precision::Single } else { Precision::Double };
         let steps = rng.gen_range(16usize..33);
@@ -204,8 +187,8 @@ mod tests {
         let batch = ScenarioGen::new(1).take(64);
         assert!(batch.iter().any(|s| s.shape == RoomShape::Dome));
         assert!(batch.iter().any(|s| s.shape == RoomShape::LShape));
-        assert!(batch.iter().any(|s| s.boundary == Boundary::FdMm));
-        assert!(batch.iter().any(|s| matches!(s.boundary, Boundary::FiMm { .. })));
+        assert!(batch.iter().any(|s| s.boundary == BoundaryKernel::FdMm));
+        assert!(batch.iter().any(|s| matches!(s.boundary, BoundaryKernel::FiMm { .. })));
         assert!(batch.iter().any(|s| s.precision == Precision::Single));
         assert!(batch.iter().any(|s| s.precision == Precision::Double));
     }

@@ -24,7 +24,7 @@
 
 use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
 use crate::host::{HostCmd, HostProgram, LaunchArg};
-use crate::kast::{KExpr, KStmt, Kernel, MemRef};
+use crate::kast::Effects;
 use crate::verify::{affine_split, is_gid_atom, is_load_atom, AccessKind, Assumptions};
 use std::fmt;
 
@@ -356,76 +356,6 @@ impl fmt::Display for UninitRead {
     }
 }
 
-/// Whether a kernel parameter is loaded from / stored to anywhere in the
-/// kernel body (syntactic; `reads[i]`/`writes[i]` per parameter index).
-fn param_access(kernel: &Kernel) -> (Vec<bool>, Vec<bool>) {
-    let n = kernel.params.len();
-    let mut reads = vec![false; n];
-    let mut writes = vec![false; n];
-    fn expr(e: &KExpr, reads: &mut [bool]) {
-        match e {
-            KExpr::Load { mem, idx } => {
-                if let MemRef::Param(i) = mem {
-                    if let Some(r) = reads.get_mut(*i) {
-                        *r = true;
-                    }
-                }
-                expr(idx, reads);
-            }
-            KExpr::Bin(_, a, b) => {
-                expr(a, reads);
-                expr(b, reads);
-            }
-            KExpr::Un(_, a) | KExpr::Cast(_, a) => expr(a, reads),
-            KExpr::Select(c, t, f) => {
-                expr(c, reads);
-                expr(t, reads);
-                expr(f, reads);
-            }
-            KExpr::Call(_, args) => args.iter().for_each(|a| expr(a, reads)),
-            _ => {}
-        }
-    }
-    fn stmts(body: &[KStmt], reads: &mut [bool], writes: &mut [bool]) {
-        for s in body {
-            match s {
-                KStmt::DeclScalar { init, .. } => {
-                    if let Some(e) = init {
-                        expr(e, reads);
-                    }
-                }
-                KStmt::DeclPrivArray { len, .. } | KStmt::DeclLocalArray { len, .. } => {
-                    expr(len, reads)
-                }
-                KStmt::Assign { value, .. } => expr(value, reads),
-                KStmt::Store { mem, idx, value } => {
-                    if let MemRef::Param(i) = mem {
-                        if let Some(w) = writes.get_mut(*i) {
-                            *w = true;
-                        }
-                    }
-                    expr(idx, reads);
-                    expr(value, reads);
-                }
-                KStmt::For { begin, end, step, body, .. } => {
-                    expr(begin, reads);
-                    expr(end, reads);
-                    expr(step, reads);
-                    stmts(body, reads, writes);
-                }
-                KStmt::If { cond, then_, else_ } => {
-                    expr(cond, reads);
-                    stmts(then_, reads, writes);
-                    stmts(else_, reads, writes);
-                }
-                KStmt::Barrier | KStmt::Return | KStmt::Comment(_) => {}
-            }
-        }
-    }
-    stmts(&kernel.body, &mut reads, &mut writes);
-    (reads, writes)
-}
-
 /// Walks a host program's command list in queue order, tracking per slot
 /// whether the buffer has received an initializing write (an upload, a zero
 /// fill, or a launch whose kernel stores to it), and flags every read of a
@@ -434,8 +364,7 @@ fn param_access(kernel: &Kernel) -> (Vec<bool>, Vec<bool>) {
 /// counts as initialization — the element-precise complement is the
 /// runtime shadow sanitizer.
 pub fn check_host_init(prog: &HostProgram) -> Vec<UninitRead> {
-    let access: Vec<(Vec<bool>, Vec<bool>)> =
-        prog.kernels.iter().map(|k| param_access(&k.kernel)).collect();
+    let access: Vec<Effects> = prog.kernels.iter().map(|k| Effects::of(&k.kernel.body)).collect();
     let mut init: Vec<&str> = Vec::new();
     let mut findings = Vec::new();
     for (ci, cmd) in prog.cmds.iter().enumerate() {
@@ -448,7 +377,7 @@ pub fn check_host_init(prog: &HostProgram) -> Vec<UninitRead> {
             HostCmd::CopyIn { dev, .. } => init.push(dev),
             HostCmd::Launch { kernel, args, .. } => {
                 let k = &prog.kernels[*kernel];
-                let (reads, writes) = &access[*kernel];
+                let fx = &access[*kernel];
                 // Parameter order and argument order coincide; first pass
                 // flags reads, second marks writes (a kernel that both
                 // reads and writes an uninit buffer is still a finding).
@@ -459,7 +388,7 @@ pub fn check_host_init(prog: &HostProgram) -> Vec<UninitRead> {
                     })
                 };
                 for (pi, slot) in bufs() {
-                    if reads.get(pi).copied().unwrap_or(false) && !init.contains(&slot) {
+                    if fx.loads.contains(&pi) && !init.contains(&slot) {
                         findings.push(UninitRead {
                             cmd: ci,
                             buffer: slot.to_string(),
@@ -467,11 +396,7 @@ pub fn check_host_init(prog: &HostProgram) -> Vec<UninitRead> {
                         });
                     }
                 }
-                init.extend(
-                    bufs()
-                        .filter(|(pi, _)| writes.get(*pi).copied().unwrap_or(false))
-                        .map(|(_, s)| s),
-                );
+                init.extend(bufs().filter(|(pi, _)| fx.stores.contains(pi)).map(|(_, s)| s));
             }
             HostCmd::CopyOut { dev, .. } => {
                 if !init.contains(&dev.as_str()) {
@@ -490,7 +415,7 @@ pub fn check_host_init(prog: &HostProgram) -> Vec<UninitRead> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kast::{KStmt, Kernel, KernelParam};
+    use crate::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
     use crate::scalar::BinOp;
     use crate::types::ScalarKind;
     use crate::verify::{verify_kernel, BufferFacts};

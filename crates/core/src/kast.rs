@@ -118,6 +118,37 @@ const BUILTIN_ATOMS: [[&str; 3]; 5] = [
     ["%grp0", "%grp1", "%grp2"],
 ];
 
+/// The children of a [`KExpr`], for [`KExpr::children`] and
+/// [`KExpr::children_mut`]: `$f` is called on each, left to right.
+macro_rules! expr_children {
+    ($e:expr, $f:ident) => {
+        match $e {
+            KExpr::Lit(_)
+            | KExpr::Var(_)
+            | KExpr::GlobalId(_)
+            | KExpr::GlobalSize(_)
+            | KExpr::LocalId(_)
+            | KExpr::LocalSize(_)
+            | KExpr::GroupId(_) => {}
+            KExpr::Load { idx: a, .. } | KExpr::Un(_, a) | KExpr::Cast(_, a) => $f(a),
+            KExpr::Bin(_, a, b) => {
+                $f(a);
+                $f(b);
+            }
+            KExpr::Select(c, t, e) => {
+                $f(c);
+                $f(t);
+                $f(e);
+            }
+            KExpr::Call(_, args) => {
+                for a in args {
+                    $f(a)
+                }
+            }
+        }
+    };
+}
+
 impl KExpr {
     /// i32 literal.
     pub fn int(v: i32) -> KExpr {
@@ -263,50 +294,41 @@ impl KExpr {
         }
     }
 
+    /// Calls `f` on each child of this node, left to right. With
+    /// [`KExpr::children_mut`], the one listing of the expression shape:
+    /// every generic walk goes through it.
+    pub fn children<'a>(&'a self, mut f: impl FnMut(&'a KExpr)) {
+        expr_children!(self, f)
+    }
+
+    /// [`KExpr::children`] of a node that may be changed in place.
+    pub fn children_mut(&mut self, mut f: impl FnMut(&mut KExpr)) {
+        expr_children!(self, f)
+    }
+
     /// Rebuilds the expression bottom-up: `f` sees every node after its
     /// children were rebuilt, left to right.
     pub fn rewrite(&self, f: &mut dyn FnMut(KExpr) -> KExpr) -> KExpr {
-        let node = match self {
-            KExpr::Lit(_)
-            | KExpr::Var(_)
-            | KExpr::GlobalId(_)
-            | KExpr::GlobalSize(_)
-            | KExpr::LocalId(_)
-            | KExpr::LocalSize(_)
-            | KExpr::GroupId(_) => self.clone(),
-            KExpr::Load { mem, idx } => KExpr::load(mem.clone(), idx.rewrite(f)),
-            KExpr::Bin(op, a, b) => KExpr::bin(*op, a.rewrite(f), b.rewrite(f)),
-            KExpr::Un(op, a) => KExpr::Un(*op, Box::new(a.rewrite(f))),
-            KExpr::Select(c, t, e) => KExpr::select(c.rewrite(f), t.rewrite(f), e.rewrite(f)),
-            KExpr::Call(i, args) => KExpr::Call(*i, args.iter().map(|a| a.rewrite(f)).collect()),
-            KExpr::Cast(k, a) => KExpr::cast(*k, a.rewrite(f)),
-        };
-        f(node)
+        fn go(e: &mut KExpr, f: &mut dyn FnMut(KExpr) -> KExpr) {
+            e.children_mut(|c| go(c, f));
+            *e = f(std::mem::replace(e, KExpr::GlobalId(0)));
+        }
+        let mut out = self.clone();
+        go(&mut out, f);
+        out
     }
 
     /// Calls `f` on this node and every sub-expression, parents first.
     pub fn visit<'a>(&'a self, f: &mut dyn FnMut(&'a KExpr)) {
         f(self);
-        match self {
-            KExpr::Lit(_)
-            | KExpr::Var(_)
-            | KExpr::GlobalId(_)
-            | KExpr::GlobalSize(_)
-            | KExpr::LocalId(_)
-            | KExpr::LocalSize(_)
-            | KExpr::GroupId(_) => {}
-            KExpr::Load { idx: a, .. } | KExpr::Un(_, a) | KExpr::Cast(_, a) => a.visit(f),
-            KExpr::Bin(_, a, b) => {
-                a.visit(f);
-                b.visit(f);
-            }
-            KExpr::Select(c, t, e) => {
-                c.visit(f);
-                t.visit(f);
-                e.visit(f);
-            }
-            KExpr::Call(_, args) => args.iter().for_each(|a| a.visit(f)),
-        }
+        self.children(|c| c.visit(f));
+    }
+
+    /// [`KExpr::visit`] in place: `f` may replace a node, and the walk goes
+    /// on into the children of what `f` left there.
+    pub fn visit_mut(&mut self, f: &mut dyn FnMut(&mut KExpr)) {
+        f(self);
+        self.children_mut(|c| c.visit_mut(f));
     }
 }
 
@@ -421,6 +443,48 @@ pub enum KStmt {
     Comment(String),
 }
 
+/// A child of a [`KStmt`]: an expression it evaluates or a block it runs.
+pub enum Child<E, B> {
+    /// An expression.
+    Expr(E),
+    /// A nested block.
+    Block(B),
+}
+
+/// The children of a [`KStmt`], for [`KStmt::children`] and
+/// [`KStmt::children_mut`]: `$f` is called on each, expressions first, in
+/// evaluation order.
+macro_rules! stmt_children {
+    ($s:expr, $f:ident) => {
+        match $s {
+            KStmt::DeclScalar { init, .. } => {
+                if let Some(e) = init {
+                    $f(Child::Expr(e));
+                }
+            }
+            KStmt::DeclPrivArray { len: e, .. }
+            | KStmt::DeclLocalArray { len: e, .. }
+            | KStmt::Assign { value: e, .. } => $f(Child::Expr(e)),
+            KStmt::Store { idx, value, .. } => {
+                $f(Child::Expr(idx));
+                $f(Child::Expr(value));
+            }
+            KStmt::For { begin, end, step, body, .. } => {
+                $f(Child::Expr(begin));
+                $f(Child::Expr(end));
+                $f(Child::Expr(step));
+                $f(Child::Block(body));
+            }
+            KStmt::If { cond, then_, else_ } => {
+                $f(Child::Expr(cond));
+                $f(Child::Block(then_));
+                $f(Child::Block(else_));
+            }
+            KStmt::Barrier | KStmt::Return | KStmt::Comment(_) => {}
+        }
+    };
+}
+
 impl KStmt {
     /// Guard idiom: `if (cond) return;`
     pub fn return_if(cond: KExpr) -> KStmt {
@@ -433,63 +497,190 @@ impl KStmt {
             if else_.is_empty() && matches!(then_.as_slice(), [KStmt::Return]))
     }
 
-    /// Rebuilds the statement, nested blocks included, with `f` applied to
-    /// every expression it holds (in evaluation order).
-    pub fn map_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a KExpr) -> KExpr) -> KStmt {
-        let block = |b: &'a [KStmt], f: &mut dyn FnMut(&'a KExpr) -> KExpr| -> Vec<KStmt> {
-            b.iter().map(|s| s.map_exprs(f)).collect()
-        };
-        match self {
-            KStmt::DeclScalar { name, kind, init } => {
-                KStmt::DeclScalar { name: name.clone(), kind: *kind, init: init.as_ref().map(f) }
+    /// Calls `f` on each child of this statement in evaluation order: the
+    /// expressions it evaluates, then the blocks it runs. With
+    /// [`KStmt::children_mut`], the one listing of the statement shape:
+    /// every generic walk goes through it.
+    pub fn children<'a>(&'a self, mut f: impl FnMut(Child<&'a KExpr, &'a Vec<KStmt>>)) {
+        stmt_children!(self, f)
+    }
+
+    /// [`KStmt::children`] of a statement that may be changed in place.
+    pub fn children_mut(&mut self, mut f: impl FnMut(Child<&mut KExpr, &mut Vec<KStmt>>)) {
+        stmt_children!(self, f)
+    }
+
+    /// Calls `f` on this statement and every statement nested in it,
+    /// parents first, in source order.
+    pub fn for_each_stmt<'a>(&'a self, f: &mut dyn FnMut(&'a KStmt)) {
+        f(self);
+        self.children(|c| {
+            if let Child::Block(b) = c {
+                b.iter().for_each(|s| s.for_each_stmt(f));
             }
-            KStmt::DeclPrivArray { name, kind, len } => {
-                KStmt::DeclPrivArray { name: name.clone(), kind: *kind, len: f(len) }
+        });
+    }
+
+    /// [`KStmt::for_each_stmt`] in place: `f` may change a statement, and
+    /// the walk goes on into the blocks of what `f` left there.
+    pub fn for_each_stmt_mut(&mut self, f: &mut dyn FnMut(&mut KStmt)) {
+        f(self);
+        self.children_mut(|c| {
+            if let Child::Block(b) = c {
+                b.iter_mut().for_each(|s| s.for_each_stmt_mut(f));
             }
-            KStmt::DeclLocalArray { name, kind, len } => {
-                KStmt::DeclLocalArray { name: name.clone(), kind: *kind, len: f(len) }
-            }
-            KStmt::Assign { name, value } => KStmt::Assign { name: name.clone(), value: f(value) },
-            KStmt::Store { mem, idx, value } => {
-                let idx = f(idx);
-                KStmt::Store { mem: mem.clone(), idx, value: f(value) }
-            }
-            KStmt::For { var, begin, end, step, body } => {
-                let (begin, end, step) = (f(begin), f(end), f(step));
-                KStmt::For { var: var.clone(), begin, end, step, body: block(body, f) }
-            }
-            KStmt::If { cond, then_, else_ } => {
-                let cond = f(cond);
-                let then_ = block(then_, f);
-                KStmt::If { cond, then_, else_: block(else_, f) }
-            }
-            KStmt::Barrier | KStmt::Return | KStmt::Comment(_) => self.clone(),
-        }
+        });
     }
 
     /// Calls `f` on every expression the statement holds, nested blocks
     /// included (in evaluation order).
     pub fn for_each_expr<'a>(&'a self, f: &mut dyn FnMut(&'a KExpr)) {
-        match self {
-            KStmt::DeclScalar { init, .. } => init.iter().for_each(f),
-            KStmt::DeclPrivArray { len, .. } | KStmt::DeclLocalArray { len, .. } => f(len),
-            KStmt::Assign { value, .. } => f(value),
-            KStmt::Store { idx, value, .. } => {
-                f(idx);
-                f(value);
-            }
-            KStmt::For { begin, end, step, body, .. } => {
-                f(begin);
-                f(end);
-                f(step);
-                body.iter().for_each(|s| s.for_each_expr(f));
-            }
-            KStmt::If { cond, then_, else_ } => {
-                f(cond);
-                then_.iter().chain(else_).for_each(|s| s.for_each_expr(f));
-            }
-            KStmt::Barrier | KStmt::Return | KStmt::Comment(_) => {}
+        self.children(|c| match c {
+            Child::Expr(e) => f(e),
+            Child::Block(b) => b.iter().for_each(|s| s.for_each_expr(f)),
+        });
+    }
+
+    /// [`KStmt::for_each_expr`] in place.
+    pub fn for_each_expr_mut(&mut self, f: &mut dyn FnMut(&mut KExpr)) {
+        self.children_mut(|c| match c {
+            Child::Expr(e) => f(e),
+            Child::Block(b) => b.iter_mut().for_each(|s| s.for_each_expr_mut(f)),
+        });
+    }
+
+    /// Rebuilds the statement, nested blocks included, with `f` applied to
+    /// every expression it holds (in evaluation order). It clones the
+    /// statement and then overwrites each expression, so a pass that
+    /// rebuilds every statement of a kernel (`simplify`'s decide walk)
+    /// builds them itself.
+    pub fn map_exprs<'a>(&'a self, f: &mut dyn FnMut(&'a KExpr) -> KExpr) -> KStmt {
+        let mut old = Vec::new();
+        self.for_each_expr(&mut |e| old.push(e));
+        let mut old = old.into_iter();
+        let mut out = self.clone();
+        out.for_each_expr_mut(&mut |e| *e = f(old.next().expect("a clone has the same shape")));
+        out
+    }
+}
+
+/// What a run of statements touches, nested blocks included: the one
+/// answer to "what does this block read and write" that simplification,
+/// the static verifier and the host-init audit share. Short vectors: a
+/// kernel names a handful of each. Assigned scalars and buffer parameters
+/// are listed once; declarations and private-array accesses once per site.
+#[derive(Default)]
+pub(crate) struct Effects<'e> {
+    /// The statements, for the rarer question of which scalars they read.
+    pub stmts: &'e [KStmt],
+    /// Scalars assigned.
+    pub assigns: Vec<&'e str>,
+    /// Names declared: scalars, arrays and loop variables.
+    pub decls: Vec<&'e str>,
+    /// Buffer parameters loaded from.
+    pub loads: Vec<usize>,
+    /// Buffer parameters stored to.
+    pub stores: Vec<usize>,
+    /// Private-array loads: the array and the index, one entry per site.
+    pub priv_loads: Vec<(&'e str, &'e KExpr)>,
+    /// Private-array stores: the array and the index, one entry per site.
+    pub priv_stores: Vec<(&'e str, &'e KExpr)>,
+    /// A barrier, a return or local memory: nothing moves across it.
+    pub fixed: bool,
+}
+
+impl<'e> Effects<'e> {
+    /// What `stmts` touch.
+    pub fn of(stmts: &'e [KStmt]) -> Self {
+        let mut fx = Effects { stmts, ..Effects::default() };
+        for s in stmts {
+            s.for_each_stmt(&mut |s| fx.stmt(s));
         }
+        fx
+    }
+
+    /// Adds what evaluating `e` touches.
+    pub fn expr(&mut self, e: &'e KExpr) {
+        e.visit(&mut |n| match n {
+            KExpr::Load { mem: MemRef::Param(p), .. } if !self.loads.contains(p) => {
+                self.loads.push(*p)
+            }
+            KExpr::Load { mem: MemRef::Priv(a), idx } => self.priv_loads.push((a, idx)),
+            KExpr::Load { mem: MemRef::Local(_), .. } => self.fixed = true,
+            _ => {}
+        });
+    }
+
+    /// Adds what `s` touches itself, its nested blocks left out.
+    fn stmt(&mut self, s: &'e KStmt) {
+        s.children(|c| {
+            if let Child::Expr(e) = c {
+                self.expr(e);
+            }
+        });
+        match s {
+            KStmt::Assign { name, .. } if !self.assigns.contains(&name.as_str()) => {
+                self.assigns.push(name)
+            }
+            KStmt::DeclScalar { name, .. }
+            | KStmt::DeclPrivArray { name, .. }
+            | KStmt::For { var: name, .. } => self.decls.push(name),
+            KStmt::Store { mem: MemRef::Param(p), .. } if !self.stores.contains(p) => {
+                self.stores.push(*p)
+            }
+            KStmt::Store { mem: MemRef::Priv(a), idx, .. } => self.priv_stores.push((a, idx)),
+            KStmt::DeclLocalArray { name, .. } => {
+                self.decls.push(name);
+                self.fixed = true;
+            }
+            KStmt::Store { mem: MemRef::Local(_), .. } | KStmt::Barrier | KStmt::Return => {
+                self.fixed = true
+            }
+            _ => {}
+        }
+    }
+
+    /// Whether the statements read any of `names`.
+    pub fn reads_any(&self, names: &[&str]) -> bool {
+        let mut found = false;
+        for s in self.stmts {
+            s.for_each_expr(&mut |e| {
+                e.visit(&mut |n| found |= matches!(n, KExpr::Var(v) if names.contains(&v.as_str())))
+            });
+        }
+        found
+    }
+
+    /// Whether the statements store to private array `a`.
+    pub fn stores_array(&self, a: &str) -> bool {
+        self.priv_stores.iter().any(|(b, _)| *b == a)
+    }
+
+    /// Whether the statements load from or store to private array `a`.
+    pub fn touches_array(&self, a: &str) -> bool {
+        self.stores_array(a) || self.priv_loads.iter().any(|(b, _)| *b == a)
+    }
+
+    /// Whether the statements load from or store to buffer parameter `p`.
+    pub fn touches_buffer(&self, p: usize) -> bool {
+        self.loads.contains(&p) || self.stores.contains(&p)
+    }
+
+    /// True when running `self` and then `other` may give a different
+    /// result than interleaving them — `other` before the rest of `self`
+    /// — as far as scalars and buffers go: one writes what the other reads
+    /// or writes, or, unless distinct buffer parameters are distinct
+    /// allocations, either stores to a buffer while the other touches one.
+    pub fn conflicts(&self, other: &Effects, distinct_buffers: bool) -> bool {
+        let any_buffer = |fx: &Effects| !fx.loads.is_empty() || !fx.stores.is_empty();
+        !self.assigns.is_empty() && other.reads_any(&self.assigns)
+            || self.assigns.iter().any(|x| other.assigns.contains(x))
+            || !other.assigns.is_empty() && self.reads_any(&other.assigns)
+            || self.stores.iter().any(|&p| other.touches_buffer(p))
+            || other.stores.iter().any(|&p| self.touches_buffer(p))
+            || !distinct_buffers
+                && (!self.stores.is_empty() && any_buffer(other)
+                    || !other.stores.is_empty() && any_buffer(self))
     }
 }
 
@@ -514,32 +705,22 @@ impl Kernel {
 
     /// Returns a copy with all `Real` scalar kinds resolved to `real`.
     pub fn resolve_real(&self, real: ScalarKind) -> Kernel {
-        fn resolve_decls(body: &mut [KStmt], real: ScalarKind) {
-            for s in body {
-                match s {
-                    KStmt::DeclScalar { kind, .. }
-                    | KStmt::DeclPrivArray { kind, .. }
-                    | KStmt::DeclLocalArray { kind, .. } => *kind = kind.resolve_real(real),
-                    KStmt::For { body, .. } => resolve_decls(body, real),
-                    KStmt::If { then_, else_, .. } => {
-                        resolve_decls(then_, real);
-                        resolve_decls(else_, real);
-                    }
+        let mut body = self.body.clone();
+        for s in &mut body {
+            s.for_each_stmt_mut(&mut |s| match s {
+                KStmt::DeclScalar { kind, .. }
+                | KStmt::DeclPrivArray { kind, .. }
+                | KStmt::DeclLocalArray { kind, .. } => *kind = kind.resolve_real(real),
+                _ => {}
+            });
+            s.for_each_expr_mut(&mut |e| {
+                e.visit_mut(&mut |n| match n {
+                    KExpr::Lit(l) => l.kind = l.kind.resolve_real(real),
+                    KExpr::Cast(k, _) => *k = k.resolve_real(real),
                     _ => {}
-                }
-            }
+                })
+            });
         }
-        let mut rx = |e: &KExpr| {
-            e.rewrite(&mut |n| match n {
-                KExpr::Lit(l) => {
-                    KExpr::Lit(Lit { value: l.value, kind: l.kind.resolve_real(real) })
-                }
-                KExpr::Cast(k, a) => KExpr::Cast(k.resolve_real(real), a),
-                other => other,
-            })
-        };
-        let mut body: Vec<KStmt> = self.body.iter().map(|s| s.map_exprs(&mut rx)).collect();
-        resolve_decls(&mut body, real);
         Kernel {
             name: self.name.clone(),
             params: self
@@ -663,6 +844,133 @@ mod tests {
         let shifted = KExpr::bin(BinOp::Add, KExpr::GlobalId(2), KExpr::int(1)) * KExpr::int(4)
             + KExpr::GlobalId(0);
         assert_eq!(*idx, shifted);
+    }
+
+    /// `var(i)` for the loop variable the walk tests rename.
+    fn i() -> KExpr {
+        KExpr::var("i")
+    }
+
+    /// A body with every kind of statement and expression: a `For` nested
+    /// in an `If`, loads in loop bounds and in both arms.
+    fn nested_body() -> Vec<KStmt> {
+        let buf = |p: usize, idx: KExpr| KExpr::load(MemRef::Param(p), idx);
+        vec![
+            KStmt::DeclScalar { name: "n".into(), kind: ScalarKind::I32, init: Some(buf(2, i())) },
+            KStmt::DeclPrivArray { name: "t".into(), kind: ScalarKind::F32, len: i() + i() },
+            KStmt::If {
+                cond: KExpr::bin(BinOp::Lt, i(), KExpr::var("n")),
+                then_: vec![
+                    KStmt::For {
+                        var: "k".into(),
+                        begin: KExpr::int(0),
+                        end: buf(3, -i()),
+                        step: KExpr::cast(ScalarKind::I32, i()),
+                        body: vec![
+                            KStmt::Store {
+                                mem: MemRef::Priv("t".into()),
+                                idx: KExpr::var("k"),
+                                value: KExpr::Call(Intrinsic::Min, vec![i(), buf(1, i())]),
+                            },
+                            KStmt::Assign {
+                                name: "n".into(),
+                                value: KExpr::load(MemRef::Priv("t".into()), i()),
+                            },
+                        ],
+                    },
+                    KStmt::Comment("then".into()),
+                ],
+                else_: vec![KStmt::Store {
+                    mem: MemRef::Param(0),
+                    idx: i(),
+                    value: KExpr::select(i(), i(), KExpr::real(0.0)),
+                }],
+            },
+            KStmt::Return,
+        ]
+    }
+
+    #[test]
+    fn statement_walk_visits_each_statement_once_parents_first() {
+        fn tag(s: &KStmt) -> &'static str {
+            match s {
+                KStmt::DeclScalar { .. } => "decl",
+                KStmt::DeclPrivArray { .. } => "priv",
+                KStmt::DeclLocalArray { .. } => "local",
+                KStmt::Barrier => "barrier",
+                KStmt::Assign { .. } => "assign",
+                KStmt::Store { .. } => "store",
+                KStmt::For { .. } => "for",
+                KStmt::If { .. } => "if",
+                KStmt::Return => "return",
+                KStmt::Comment(_) => "comment",
+            }
+        }
+        let want = ["decl", "priv", "if", "for", "store", "assign", "comment", "store", "return"];
+        let mut body = nested_body();
+        let mut seen = Vec::new();
+        body.iter().for_each(|s| s.for_each_stmt(&mut |s| seen.push(tag(s))));
+        assert_eq!(seen, want);
+        let mut seen_mut = Vec::new();
+        body.iter_mut().for_each(|s| s.for_each_stmt_mut(&mut |s| seen_mut.push(tag(s))));
+        assert_eq!(seen_mut, want);
+    }
+
+    #[test]
+    fn mutable_expression_walk_renames_like_map_exprs_and_rewrite() {
+        let body = nested_body();
+        let mut nodes = Vec::new();
+        for s in &body {
+            s.for_each_expr(&mut |e| e.visit(&mut |n| nodes.push(n.clone())));
+        }
+        let mut renamed = body.clone();
+        let mut nodes_mut = Vec::new();
+        for s in &mut renamed {
+            s.for_each_expr_mut(&mut |e| {
+                e.visit_mut(&mut |n| {
+                    nodes_mut.push(n.clone());
+                    if *n == i() {
+                        *n = KExpr::var("j");
+                    }
+                })
+            });
+        }
+        assert_eq!(nodes_mut, nodes, "both walks reach the same nodes in the same order");
+        let mapped: Vec<KStmt> = body
+            .iter()
+            .map(|s| {
+                s.map_exprs(&mut |e| e.rewrite(&mut |n| if n == i() { KExpr::var("j") } else { n }))
+            })
+            .collect();
+        assert_eq!(renamed, mapped);
+        assert_ne!(renamed, body);
+    }
+
+    #[test]
+    fn effects_see_loop_bounds_nested_arms_and_fixed_statements() {
+        let body = nested_body();
+        let fx = Effects::of(&body[..3]);
+        // Parameter 3 is loaded in a loop bound only, 1 inside the loop
+        // in the then-arm; 0 is stored in the else-arm.
+        assert_eq!(fx.loads, [2, 3, 1]);
+        assert_eq!(fx.stores, [0]);
+        assert_eq!(fx.assigns, ["n"]);
+        assert_eq!(fx.decls, ["n", "t", "k"]);
+        assert_eq!(fx.priv_stores, [("t", &KExpr::var("k"))]);
+        assert_eq!(fx.priv_loads, [("t", &i())]);
+        assert!(fx.touches_array("t") && fx.touches_buffer(3) && !fx.touches_buffer(4));
+        assert!(fx.reads_any(&["n"]) && !fx.reads_any(&["j"]));
+        assert!(!fx.fixed);
+
+        let local = MemRef::Local("l".into());
+        let decl_local =
+            KStmt::DeclLocalArray { name: "l".into(), kind: ScalarKind::F32, len: KExpr::int(4) };
+        let store_local = KStmt::Store { mem: local.clone(), idx: i(), value: KExpr::real(0.0) };
+        let load_local = KStmt::Assign { name: "n".into(), value: KExpr::load(local, i()) };
+        for s in [KStmt::Barrier, KStmt::Return, decl_local, store_local, load_local] {
+            let nested = [KStmt::If { cond: i(), then_: vec![], else_: vec![s.clone()] }];
+            assert!(Effects::of(&nested).fixed, "{s:?} holds everything in place");
+        }
     }
 
     #[test]

@@ -849,22 +849,14 @@ mod tests {
         // No out param was allocated: params are indices, data, N, numB
         assert!(lk.args.iter().all(|a| !matches!(a, ArgSpec::Output(_, _))));
         // There is exactly one global store, into `data` (param index 1).
-        fn count_stores(b: &[KStmt], n: &mut usize) {
-            for s in b {
-                match s {
-                    KStmt::Store { mem: MemRef::Param(1), .. } => *n += 1,
-                    KStmt::Store { .. } => panic!("store to unexpected buffer"),
-                    KStmt::For { body, .. } => count_stores(body, n),
-                    KStmt::If { then_, else_, .. } => {
-                        count_stores(then_, n);
-                        count_stores(else_, n);
-                    }
-                    _ => {}
-                }
-            }
-        }
         let mut n = 0;
-        count_stores(&lk.kernel.body, &mut n);
+        for s in &lk.kernel.body {
+            s.for_each_stmt(&mut |s| match s {
+                KStmt::Store { mem: MemRef::Param(1), .. } => n += 1,
+                KStmt::Store { .. } => panic!("store to unexpected buffer"),
+                _ => {}
+            });
+        }
         assert_eq!(n, 1);
     }
 

@@ -168,20 +168,18 @@ fn stmt_c(kernel: &Kernel, s: &KStmt, out: &mut String, depth: usize) {
 }
 
 fn kernel_uses_f64(kernel: &Kernel) -> bool {
-    // Conservative: any f64 parameter or declaration.
-    fn stmt_has(s: &KStmt) -> bool {
-        match s {
-            KStmt::DeclScalar { kind, .. } | KStmt::DeclPrivArray { kind, .. } => {
-                *kind == ScalarKind::F64
-            }
-            KStmt::For { body, .. } => body.iter().any(stmt_has),
-            KStmt::If { then_, else_, .. } => {
-                then_.iter().any(stmt_has) || else_.iter().any(stmt_has)
-            }
-            _ => false,
-        }
+    // Conservative: any f64 parameter, scalar or private array.
+    let mut f64 = kernel.params.iter().any(|p| p.kind == ScalarKind::F64);
+    for s in &kernel.body {
+        s.for_each_stmt(&mut |s| {
+            f64 |= matches!(
+                s,
+                KStmt::DeclScalar { kind: ScalarKind::F64, .. }
+                    | KStmt::DeclPrivArray { kind: ScalarKind::F64, .. }
+            )
+        });
     }
-    kernel.params.iter().any(|p| p.kind == ScalarKind::F64) || kernel.body.iter().any(stmt_has)
+    f64
 }
 
 /// Emits a complete OpenCL C kernel definition.

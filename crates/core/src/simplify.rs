@@ -72,7 +72,7 @@
 //! neither reassociated nor re-evaluated. Hoisted names come from a counter.
 
 use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
-use crate::kast::{KExpr, KStmt, Kernel, MemRef};
+use crate::kast::{Child, Effects, KExpr, KStmt, Kernel, MemRef};
 use crate::scalar::{BinOp, Intrinsic, Lit, UnOp};
 use crate::types::ScalarKind;
 use crate::verify::{interior_refine, interior_trigger, is_gid_atom, Assumptions};
@@ -176,7 +176,7 @@ struct Cx<'k> {
     /// pad guard repeats the same few for every load).
     compared: Vec<(&'k KExpr, KExpr)>,
     /// Names the kernel assigns to.
-    assigned: BTreeSet<String>,
+    assigned: Vec<&'k str>,
     /// Never-assigned `int`s loaded from a parameter at an index over ids
     /// and sizes: the parameter and the index ([`Cx::note_load`]).
     loaded: HashMap<String, (String, ArithExpr)>,
@@ -197,8 +197,8 @@ impl<'k> Cx<'k> {
             let gid = KExpr::GlobalId(d).builtin_atom().expect("builtin");
             env.set_range(gid, SymRange::at_least(ArithExpr::zero()));
         }
-        let (int_arrays, compared, mut assigned, loaded, mask_sites) = Default::default();
-        assigned_names(&kernel.body, &mut assigned);
+        let (int_arrays, compared, loaded, mask_sites) = Default::default();
+        let assigned = Effects::of(&kernel.body).assigns;
         let ints = ints.clone();
         Cx { kernel, contract, env, ints, int_arrays, compared, assigned, loaded, mask_sites }
     }
@@ -417,8 +417,41 @@ impl<'k> Cx<'k> {
         out
     }
 
+    /// Each statement is rebuilt here rather than through
+    /// [`KStmt::map_exprs`], which clones a statement before it overwrites
+    /// the expressions: that clone costs lowering a tenth of its time.
     fn stmt(&mut self, s: &'k KStmt) -> KStmt {
+        // Lowered names are unique, so a declaration may enter the scope
+        // before its own initialiser is simplified.
         match s {
+            KStmt::DeclScalar { name, kind: ScalarKind::I32, .. } => {
+                self.ints.insert(name.clone());
+                self.note_load(s);
+            }
+            KStmt::DeclPrivArray { name, kind: ScalarKind::I32, .. }
+            | KStmt::DeclLocalArray { name, kind: ScalarKind::I32, .. } => {
+                self.int_arrays.insert(name.clone());
+            }
+            _ => {}
+        }
+        match s {
+            KStmt::DeclScalar { name, kind, init } => {
+                let init = init.as_ref().map(|e| self.expr(e));
+                KStmt::DeclScalar { name: name.clone(), kind: *kind, init }
+            }
+            KStmt::DeclPrivArray { name, kind, len } => {
+                KStmt::DeclPrivArray { name: name.clone(), kind: *kind, len: self.expr(len) }
+            }
+            KStmt::DeclLocalArray { name, kind, len } => {
+                KStmt::DeclLocalArray { name: name.clone(), kind: *kind, len: self.expr(len) }
+            }
+            KStmt::Assign { name, value } => {
+                KStmt::Assign { name: name.clone(), value: self.expr(value) }
+            }
+            KStmt::Store { mem, idx, value } => {
+                let idx = self.expr(idx);
+                KStmt::Store { mem: mem.clone(), idx, value: self.expr(value) }
+            }
             KStmt::For { var, begin, end, step, body } => {
                 let (begin, end, step) = (self.expr(begin), self.expr(end), self.expr(step));
                 self.ints.insert(var.clone());
@@ -435,22 +468,7 @@ impl<'k> Cx<'k> {
                 }
                 out
             }
-            _ => {
-                // Lowered names are unique, so a declaration may enter the
-                // scope before its own initialiser is simplified.
-                match s {
-                    KStmt::DeclScalar { name, kind: ScalarKind::I32, .. } => {
-                        self.ints.insert(name.clone());
-                        self.note_load(s);
-                    }
-                    KStmt::DeclPrivArray { name, kind: ScalarKind::I32, .. }
-                    | KStmt::DeclLocalArray { name, kind: ScalarKind::I32, .. } => {
-                        self.int_arrays.insert(name.clone());
-                    }
-                    _ => {}
-                }
-                s.map_exprs(&mut |e| self.expr(e))
-            }
+            KStmt::Barrier | KStmt::Return | KStmt::Comment(_) => s.clone(),
         }
     }
 }
@@ -465,7 +483,7 @@ impl<'k> Cx<'k> {
             return;
         };
         let MemRef::Param(p) = mem else { return };
-        if self.contract.interior_dims.is_empty() || self.assigned.contains(name) {
+        if self.contract.interior_dims.is_empty() || self.assigned.contains(&name.as_str()) {
             return;
         }
         let mut opaque = Vec::new();
@@ -546,7 +564,7 @@ impl<'k> Cx<'k> {
             && zero.value == 0.0
             && zero.value.is_sign_positive()
             && idx == site
-            && names.iter().all(|n| !self.assigned.contains(*n))
+            && names.iter().all(|n| !self.assigned.contains(n))
     }
 }
 
@@ -628,6 +646,9 @@ fn hoist(kernel: &Kernel, uniform: &BTreeSet<String>, body: &mut Vec<KStmt>) {
     // one, never the other way round, so they are emitted reversed.
     let mut decls: Vec<KStmt> = Vec::new();
     let mut next = 0;
+    // Hoisting replaces expressions only: the body declares the same names
+    // throughout.
+    let declared: Vec<String> = Effects::of(body).decls.into_iter().map(str::to_string).collect();
     loop {
         let mut found = HashMap::new();
         for s in body[at..].iter().chain(&decls) {
@@ -645,50 +666,25 @@ fn hoist(kernel: &Kernel, uniform: &BTreeSet<String>, body: &mut Vec<KStmt>) {
         let name = loop {
             let n = format!("ix_{next}");
             next += 1;
-            if kernel.params.iter().all(|p| p.name != n) && !declares(body, &n) {
+            if kernel.params.iter().all(|p| p.name != n) && !declared.contains(&n) {
                 break n;
             }
         };
-        let mut replace =
-            |e: &KExpr| e.rewrite(&mut |n| if n == best { KExpr::var(name.as_str()) } else { n });
         for s in body[at..].iter_mut().chain(&mut decls) {
-            *s = s.map_exprs(&mut replace);
+            s.for_each_expr_mut(&mut |e| {
+                e.visit_mut(&mut |n| {
+                    if *n == best {
+                        *n = KExpr::var(name.as_str());
+                    }
+                })
+            });
         }
         decls.push(KStmt::DeclScalar { name, kind: ScalarKind::I32, init: Some(best) });
     }
     body.splice(at..at, decls.into_iter().rev());
 }
 
-/// True when `body` declares `name` (scalar, array or loop variable).
-fn declares(body: &[KStmt], name: &str) -> bool {
-    body.iter().any(|s| match s {
-        KStmt::DeclScalar { name: n, .. }
-        | KStmt::DeclPrivArray { name: n, .. }
-        | KStmt::DeclLocalArray { name: n, .. } => n == name,
-        KStmt::For { var, body, .. } => var == name || declares(body, name),
-        KStmt::If { then_, else_, .. } => declares(then_, name) || declares(else_, name),
-        _ => false,
-    })
-}
-
 // ---- sinking ----
-
-/// Collects the targets of every `Assign` in `block`, nested blocks included.
-fn assigned_names(block: &[KStmt], out: &mut BTreeSet<String>) {
-    for s in block {
-        match s {
-            KStmt::Assign { name, .. } => {
-                out.insert(name.clone());
-            }
-            KStmt::For { body, .. } => assigned_names(body, out),
-            KStmt::If { then_, else_, .. } => {
-                assigned_names(then_, out);
-                assigned_names(else_, out);
-            }
-            _ => {}
-        }
-    }
-}
 
 /// Adds every variable `e` reads to `out`.
 fn reads<'e>(e: &'e KExpr, out: &mut BTreeSet<&'e str>) {
@@ -710,7 +706,7 @@ fn destinations<'e>(
     before: &'e [KStmt],
     branch: &'e KStmt,
     rest: &'e [KStmt],
-    assigned: &BTreeSet<String>,
+    assigned: &[&str],
 ) -> Vec<Option<usize>> {
     // Names read by the condition, the store index or a later statement.
     let mut outside = BTreeSet::new();
@@ -742,7 +738,7 @@ fn destinations<'e>(
         let KStmt::DeclScalar { name, init, .. } = s else { continue };
         let name = name.as_str();
         let read = [arms[0].contains(name), arms[1].contains(name)];
-        let fixed = read[0] == read[1] || outside.contains(name) || assigned.contains(name);
+        let fixed = read[0] == read[1] || outside.contains(name) || assigned.contains(&name);
         let readers = if fixed {
             &mut outside
         } else {
@@ -763,7 +759,7 @@ fn destinations<'e>(
 /// run of declarations before the branch is considered, so a load crosses
 /// other loads, never a store, loop, branch or barrier; moved and remaining
 /// declarations each keep their order.
-fn sink(block: Vec<KStmt>, assigned: &BTreeSet<String>) -> Vec<KStmt> {
+fn sink(block: Vec<KStmt>, assigned: &[&str]) -> Vec<KStmt> {
     let mut out: Vec<KStmt> = Vec::with_capacity(block.len());
     let mut rest = block.into_iter();
     while let Some(s) = rest.next() {
@@ -798,105 +794,6 @@ fn sink(block: Vec<KStmt>, assigned: &BTreeSet<String>) -> Vec<KStmt> {
 }
 
 // ---- loop fusion and scalar replacement ----
-
-/// What a run of statements touches, nested blocks included. The sets are
-/// short vectors: a kernel names a handful of each.
-#[derive(Default)]
-struct Effects<'e> {
-    /// The statements, for the rarer question of which scalars they read.
-    stmts: &'e [KStmt],
-    /// Scalars assigned.
-    assigns: Vec<&'e str>,
-    /// Buffer parameters loaded from and stored to.
-    loads: Vec<usize>,
-    stores: Vec<usize>,
-    /// Private-array loads and stores: the array and the index.
-    priv_loads: Vec<(&'e str, &'e KExpr)>,
-    priv_stores: Vec<(&'e str, &'e KExpr)>,
-    /// A barrier, a return or local memory: nothing moves across it.
-    fixed: bool,
-}
-
-impl<'e> Effects<'e> {
-    fn of(stmts: &'e [KStmt]) -> Self {
-        let mut fx = Effects { stmts, ..Effects::default() };
-        stmts.iter().for_each(|s| fx.stmt(s));
-        fx
-    }
-
-    fn expr(&mut self, e: &'e KExpr) {
-        e.visit(&mut |n| match n {
-            KExpr::Load { mem: MemRef::Param(p), .. } if !self.loads.contains(p) => {
-                self.loads.push(*p)
-            }
-            KExpr::Load { mem: MemRef::Priv(a), idx } => self.priv_loads.push((a, idx)),
-            KExpr::Load { mem: MemRef::Local(_), .. } => self.fixed = true,
-            _ => {}
-        });
-    }
-
-    fn stmt(&mut self, s: &'e KStmt) {
-        match s {
-            KStmt::For { begin, end, step, body, .. } => {
-                [begin, end, step].into_iter().for_each(|e| self.expr(e));
-                body.iter().for_each(|s| self.stmt(s));
-            }
-            KStmt::If { cond, then_, else_ } => {
-                self.expr(cond);
-                then_.iter().chain(else_).for_each(|s| self.stmt(s));
-            }
-            _ => s.for_each_expr(&mut |e| self.expr(e)),
-        }
-        match s {
-            KStmt::Assign { name, .. } => self.assigns.push(name),
-            KStmt::Store { mem: MemRef::Param(p), .. } if !self.stores.contains(p) => {
-                self.stores.push(*p)
-            }
-            KStmt::Store { mem: MemRef::Priv(a), idx, .. } => self.priv_stores.push((a, idx)),
-            KStmt::Store { mem: MemRef::Local(_), .. }
-            | KStmt::DeclLocalArray { .. }
-            | KStmt::Barrier
-            | KStmt::Return => self.fixed = true,
-            _ => {}
-        }
-    }
-
-    /// Whether the statements read any of `names`.
-    fn reads_any(&self, names: &[&str]) -> bool {
-        let mut found = false;
-        for s in self.stmts {
-            s.for_each_expr(&mut |e| {
-                e.visit(&mut |n| found |= matches!(n, KExpr::Var(v) if names.contains(&v.as_str())))
-            });
-        }
-        found
-    }
-
-    fn stores_array(&self, a: &str) -> bool {
-        self.priv_stores.iter().any(|(b, _)| *b == a)
-    }
-
-    fn touches_buffer(&self, p: usize) -> bool {
-        self.loads.contains(&p) || self.stores.contains(&p)
-    }
-
-    /// True when running `self` and then `other` may give a different
-    /// result than interleaving them — `other` before the rest of `self`
-    /// — as far as scalars and buffers go: one writes what the other reads
-    /// or writes, or, unless distinct buffer parameters are distinct
-    /// allocations, either stores to a buffer while the other touches one.
-    fn conflicts(&self, other: &Effects, distinct_buffers: bool) -> bool {
-        let any_buffer = |fx: &Effects| !fx.loads.is_empty() || !fx.stores.is_empty();
-        !self.assigns.is_empty() && other.reads_any(&self.assigns)
-            || self.assigns.iter().any(|x| other.assigns.contains(x))
-            || !other.assigns.is_empty() && self.reads_any(&other.assigns)
-            || self.stores.iter().any(|&p| other.touches_buffer(p))
-            || other.stores.iter().any(|&p| self.touches_buffer(p))
-            || !distinct_buffers
-                && (!self.stores.is_empty() && any_buffer(other)
-                    || !other.stores.is_empty() && any_buffer(self))
-    }
-}
 
 /// True when `s` can move from just after a loop with effects `first` to
 /// just before it: a declaration or a buffer store that neither reads nor
@@ -963,21 +860,14 @@ fn fusable(first: &KStmt, one: &Effects, second: &KStmt, distinct_buffers: bool)
 /// between them ahead of the first ([`hoistable`]), then turns each private
 /// array only its loop reads, at the index it was just written at, into a
 /// scalar ([`scalar_replaced`]).
-fn fuse(block: Vec<KStmt>, distinct_buffers: bool) -> Vec<KStmt> {
-    let mut b: Vec<KStmt> = block
-        .into_iter()
-        .map(|s| match s {
-            KStmt::For { var, begin, end, step, body } => {
-                KStmt::For { var, begin, end, step, body: fuse(body, distinct_buffers) }
+fn fuse(mut b: Vec<KStmt>, distinct_buffers: bool) -> Vec<KStmt> {
+    for s in &mut b {
+        s.children_mut(|c| {
+            if let Child::Block(block) = c {
+                *block = fuse(std::mem::take(block), distinct_buffers);
             }
-            KStmt::If { cond, then_, else_ } => KStmt::If {
-                cond,
-                then_: fuse(then_, distinct_buffers),
-                else_: fuse(else_, distinct_buffers),
-            },
-            other => other,
-        })
-        .collect();
+        });
+    }
     let mut i = 0;
     while i < b.len() {
         while let KStmt::For { body, .. } = &b[i] {
@@ -992,9 +882,11 @@ fn fuse(block: Vec<KStmt>, distinct_buffers: bool) -> Vec<KStmt> {
             let KStmt::For { var: var2, body: mut body2, .. } = b.remove(j) else { unreachable!() };
             let KStmt::For { var, body, .. } = &mut b[i] else { unreachable!() };
             for s in &mut body2 {
-                nodes_mut(s, &mut |n| match n {
-                    KExpr::Var(v) if *v == var2 => v.clone_from(var),
-                    _ => {}
+                s.for_each_expr_mut(&mut |e| {
+                    e.visit_mut(&mut |n| match n {
+                        KExpr::Var(v) if *v == var2 => v.clone_from(var),
+                        _ => {}
+                    })
                 });
             }
             body.append(&mut body2);
@@ -1007,66 +899,6 @@ fn fuse(block: Vec<KStmt>, distinct_buffers: bool) -> Vec<KStmt> {
     scalar_replaced(b)
 }
 
-/// Calls `f` on every expression node of `s`, nested blocks included,
-/// parents before their operands; `f` may replace the node.
-fn nodes_mut(s: &mut KStmt, f: &mut dyn FnMut(&mut KExpr)) {
-    fn walk(e: &mut KExpr, f: &mut dyn FnMut(&mut KExpr)) {
-        f(e);
-        match e {
-            KExpr::Load { idx: a, .. } | KExpr::Un(_, a) | KExpr::Cast(_, a) => walk(a, f),
-            KExpr::Bin(_, a, b) => {
-                walk(a, f);
-                walk(b, f);
-            }
-            KExpr::Select(c, t, e) => [c, t, e].into_iter().for_each(|x| walk(x, f)),
-            KExpr::Call(_, args) => args.iter_mut().for_each(|a| walk(a, f)),
-            _ => {}
-        }
-    }
-    match s {
-        KStmt::DeclScalar { init: Some(e), .. } | KStmt::Assign { value: e, .. } => walk(e, f),
-        KStmt::DeclPrivArray { len, .. } | KStmt::DeclLocalArray { len, .. } => walk(len, f),
-        KStmt::Store { idx, value, .. } => {
-            walk(idx, f);
-            walk(value, f);
-        }
-        KStmt::For { begin, end, step, body, .. } => {
-            [begin, end, step].into_iter().for_each(|e| walk(e, f));
-            body.iter_mut().for_each(|s| nodes_mut(s, f));
-        }
-        KStmt::If { cond, then_, else_ } => {
-            walk(cond, f);
-            then_.iter_mut().chain(else_).for_each(|s| nodes_mut(s, f));
-        }
-        _ => {}
-    }
-}
-
-/// Whether `s` loads or stores private array `a`, nested blocks included.
-fn mentions(s: &KStmt, a: &str) -> bool {
-    let loads = |e: &KExpr| {
-        let mut found = false;
-        e.visit(&mut |n| found |= matches!(n, KExpr::Load { mem: MemRef::Priv(b), .. } if b == a));
-        found
-    };
-    match s {
-        KStmt::Store { mem, idx, value } => {
-            matches!(mem, MemRef::Priv(b) if b == a) || loads(idx) || loads(value)
-        }
-        KStmt::For { begin, end, step, body, .. } => {
-            [begin, end, step].into_iter().any(loads) || body.iter().any(|s| mentions(s, a))
-        }
-        KStmt::If { cond, then_, else_ } => {
-            loads(cond) || then_.iter().chain(else_).any(|s| mentions(s, a))
-        }
-        _ => {
-            let mut found = false;
-            s.for_each_expr(&mut |e| found |= loads(e));
-            found
-        }
-    }
-}
-
 /// Replaces each private array of `block` that only one loop of the block
 /// touches — one top-level store at the loop's index, every load after it
 /// at that index — by a scalar of the array's name declared by that store.
@@ -1075,7 +907,10 @@ fn scalar_replaced(mut block: Vec<KStmt>) -> Vec<KStmt> {
     for d in 0..block.len() {
         let KStmt::DeclPrivArray { name: array, kind, .. } = &block[d] else { continue };
         let (array, kind) = (array.clone(), *kind);
-        let mut users = block.iter().enumerate().filter(|(_, s)| mentions(s, &array));
+        let mut users = block
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| Effects::of(std::slice::from_ref(s)).touches_array(&array));
         let (Some((l, _)), None) = (users.next(), users.next()) else { continue };
         let KStmt::For { var, begin, end, step, body } = &block[l] else { continue };
         let in_bounds = [begin, end, step].into_iter().any(|e| {
@@ -1110,10 +945,12 @@ fn scalar_replaced(mut block: Vec<KStmt>) -> Vec<KStmt> {
         body[k] = KStmt::DeclScalar { name: array.clone(), kind, init: Some(value) };
         // Every load of the array left is at the loop index.
         for s in &mut body[k + 1..] {
-            nodes_mut(s, &mut |n| {
-                if matches!(n, KExpr::Load { mem: MemRef::Priv(a), .. } if *a == array) {
-                    *n = KExpr::var(array.as_str());
-                }
+            s.for_each_expr_mut(&mut |e| {
+                e.visit_mut(&mut |n| {
+                    if matches!(n, KExpr::Load { mem: MemRef::Priv(a), .. } if *a == array) {
+                        *n = KExpr::var(array.as_str());
+                    }
+                })
             });
         }
         gone.push(d);
@@ -1173,31 +1010,19 @@ fn movable(init: &KExpr) -> bool {
 
 impl Forwarding {
     fn new(kernel: &Kernel, body: &[KStmt]) -> Forwarding {
-        fn walk(
-            block: &[KStmt],
-            cands: &mut Vec<(String, usize)>,
-            arrays: &mut Vec<(String, ScalarKind)>,
-        ) {
-            for s in block {
-                match s {
-                    KStmt::DeclScalar { name, init: Some(init), .. } if movable(init) => {
-                        cands.push((name.clone(), 0));
-                    }
-                    KStmt::DeclPrivArray { name, kind, .. }
-                    | KStmt::DeclLocalArray { name, kind, .. } => {
-                        arrays.push((name.clone(), *kind));
-                    }
-                    KStmt::For { body, .. } => walk(body, cands, arrays),
-                    KStmt::If { then_, else_, .. } => {
-                        walk(then_, cands, arrays);
-                        walk(else_, cands, arrays);
-                    }
-                    _ => {}
-                }
-            }
-        }
         let (mut cands, mut arrays) = (Vec::new(), Vec::new());
-        walk(body, &mut cands, &mut arrays);
+        for s in body {
+            s.for_each_stmt(&mut |s| match s {
+                KStmt::DeclScalar { name, init: Some(init), .. } if movable(init) => {
+                    cands.push((name.clone(), 0));
+                }
+                KStmt::DeclPrivArray { name, kind, .. }
+                | KStmt::DeclLocalArray { name, kind, .. } => {
+                    arrays.push((name.clone(), *kind));
+                }
+                _ => {}
+            });
+        }
         cands.sort_unstable();
         let mut count = |v: &str, by: usize| {
             if let Ok(i) = cands.binary_search_by(|(n, _)| n.as_str().cmp(v)) {
@@ -1213,9 +1038,7 @@ impl Forwarding {
                 })
             });
         }
-        let mut assigned = BTreeSet::new();
-        assigned_names(body, &mut assigned);
-        assigned.iter().for_each(|v| count(v, 2));
+        Effects::of(body).assigns.iter().for_each(|v| count(v, 2));
         let once = cands.into_iter().filter(|&(_, c)| c == 1).map(|(n, _)| n).collect();
         let buffers = kernel.params.iter().map(|p| p.is_buffer.then_some(p.kind)).collect();
         Forwarding { once, arrays, buffers }
@@ -1331,9 +1154,7 @@ mod tests {
         KStmt::If { cond, then_, else_ }
     }
     fn sunk(body: Vec<KStmt>) -> Vec<KStmt> {
-        let mut assigned = BTreeSet::new();
-        assigned_names(&body, &mut assigned);
-        sink(body, &assigned)
+        sink(body.clone(), &Effects::of(&body).assigns)
     }
 
     #[test]

@@ -36,7 +36,7 @@
 
 use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
 use crate::footprint::{classify_kernel, AccessRecord, KernelFootprints};
-use crate::kast::{KExpr, KStmt, Kernel, MemRef, MemSpace};
+use crate::kast::{Effects, KExpr, KStmt, Kernel, MemRef, MemSpace};
 use crate::scalar::{BinOp, Intrinsic, Lit, UnOp};
 use crate::types::ScalarKind;
 use std::collections::BTreeMap;
@@ -744,22 +744,6 @@ fn refine(cond: &KExpr, truth: bool, st: &mut St, out: &mut Out) {
 
 // ---- statement traversal ----
 
-fn collect_assigned(stmts: &[KStmt], into: &mut Vec<String>) {
-    for s in stmts {
-        match s {
-            KStmt::Assign { name, .. } if !into.contains(name) => {
-                into.push(name.clone());
-            }
-            KStmt::For { body, .. } => collect_assigned(body, into),
-            KStmt::If { then_, else_, .. } => {
-                collect_assigned(then_, into);
-                collect_assigned(else_, into);
-            }
-            _ => {}
-        }
-    }
-}
-
 fn run_stmts(stmts: &[KStmt], st: &mut St, out: &mut Out) {
     for s in stmts {
         run_stmt(s, st, out);
@@ -810,11 +794,10 @@ fn run_stmt(s: &KStmt, st: &mut St, out: &mut Out) {
             // Loop-carried scalars are widened to unknown before the
             // single body pass (site numbering matches the interpreter's
             // one syntactic numbering pass).
-            let mut assigned = Vec::new();
-            collect_assigned(body, &mut assigned);
+            let assigned = Effects::of(body).assigns;
             for a in &assigned {
-                if st.scalars.contains_key(a) {
-                    st.scalars.insert(a.clone(), None);
+                if st.scalars.contains_key(*a) {
+                    st.scalars.insert(a.to_string(), None);
                 }
             }
             let single = match (&b, &e) {
@@ -838,8 +821,8 @@ fn run_stmt(s: &KStmt, st: &mut St, out: &mut Out) {
             run_stmts(body, st, out);
             st.scalars.remove(var);
             for a in &assigned {
-                if st.scalars.contains_key(a) {
-                    st.scalars.insert(a.clone(), None);
+                if st.scalars.contains_key(*a) {
+                    st.scalars.insert(a.to_string(), None);
                 }
             }
         }
