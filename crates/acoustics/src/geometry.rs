@@ -45,6 +45,15 @@ impl GridDims {
         z * self.nx * self.ny + y * self.nx + x
     }
 
+    /// [`GridDims::idx`] of a cell that must lie on the grid. Panics naming
+    /// the cell and the grid when it does not: `idx` alone would land on
+    /// another cell.
+    pub fn cell(&self, x: usize, y: usize, z: usize) -> usize {
+        let GridDims { nx, ny, nz } = *self;
+        assert!(x < nx && y < ny && z < nz, "cell ({x}, {y}, {z}) is off the {nx}×{ny}×{nz} grid");
+        self.idx(x, y, z)
+    }
+
     /// Inverse of [`GridDims::idx`].
     #[inline]
     pub fn coords(&self, idx: usize) -> (usize, usize, usize) {

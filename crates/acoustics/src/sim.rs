@@ -226,7 +226,7 @@ impl<T: Real> ReferenceSim<T> {
     /// grows linearly under rigid walls — physical for Neumann boundaries
     /// but useless for energy-decay measurements.)
     pub fn impulse(&mut self, x: usize, y: usize, z: usize, amp: f64) {
-        let idx = self.setup.dims().idx(x, y, z);
+        let idx = self.setup.dims().cell(x, y, z);
         assert!(self.setup.room.nbrs[idx] > 0, "source must be inside the room");
         self.curr[idx] = T::of(amp);
         self.prev[idx] = T::of(amp);
@@ -234,7 +234,7 @@ impl<T: Real> ReferenceSim<T> {
 
     /// Pressure at a grid point.
     pub fn sample(&self, x: usize, y: usize, z: usize) -> f64 {
-        self.curr[self.setup.dims().idx(x, y, z)].f64()
+        self.curr[self.setup.dims().cell(x, y, z)].f64()
     }
 
     /// Advances one time step (volume pass + boundary pass + rotation).
@@ -388,6 +388,24 @@ mod tests {
         cfg.boundary = BoundaryModel::FiMm { materials: vec![Material::fi("foam", f64::NAN)] };
         cfg.assignment = MaterialAssignment::Uniform;
         assert!(matches!(rejected(&cfg), SimError::NonPassive(e) if e.contains("`foam`")));
+    }
+
+    /// `impulse(21, 5, 5, …)` on a 16³ grid would excite interior cell
+    /// (5, 6, 5): `impulse` and `sample` refuse a cell off the grid.
+    #[test]
+    fn a_cell_off_the_grid_is_refused() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let message = |r: std::thread::Result<()>| *r.unwrap_err().downcast::<String>().unwrap();
+        let cfg = SimConfig { dims: GridDims::cube(16), ..cfg_fi(0.1) };
+        let mut sim = ReferenceSim::<f64>::new(SimSetup::new(&cfg));
+        let want = "cell (21, 5, 5) is off the 16×16×16 grid";
+        let impulse = catch_unwind(AssertUnwindSafe(|| sim.impulse(21, 5, 5, 1.0)));
+        assert_eq!(message(impulse), want);
+        assert_eq!(sim.sample(5, 6, 5), 0.0, "the wrapped cell was not excited");
+        let sample = catch_unwind(AssertUnwindSafe(|| {
+            sim.sample(21, 5, 5);
+        }));
+        assert_eq!(message(sample), want);
     }
 
     #[test]

@@ -932,7 +932,7 @@ impl Simulation {
     /// exterior cell ever holds a non-zero pressure
     /// ([`contracts::exterior_zero_facts`]).
     pub fn impulse(&mut self, x: usize, y: usize, z: usize, amp: f64) {
-        let idx = self.setup.dims().idx(x, y, z);
+        let idx = self.setup.dims().cell(x, y, z);
         assert!(
             self.setup.room.nbrs[idx] > 0,
             "impulse at cell ({x}, {y}, {z}), outside the room: its `nbrs` is {}",
@@ -1021,10 +1021,10 @@ impl Simulation {
 
     /// Pressure at a point (a one-element transfer).
     pub fn sample(&self, x: usize, y: usize, z: usize) -> f64 {
+        let idx = self.setup.dims().cell(x, y, z);
         let d = self.slabs.iter().position(|s| s.planes.contains(&z)).expect("plane inside grid");
         let slab = &self.slabs[d];
-        let local = self.setup.dims().idx(x, y, z) - slab.planes.start * self.plane
-            + slab.halo * self.plane;
+        let local = idx - slab.planes.start * self.plane + slab.halo * self.plane;
         let buf = slab.buf(Role::Curr, self.phase);
         self.devices[d].read_region(buf, local, 1).get(0).as_f64()
     }
@@ -1322,6 +1322,27 @@ mod tests {
         let s = setup(GridDims::new(34, 14, 10), RoomShape::Dome, true);
         let mut sim = Simulation::new(s, Precision::Double, BoundaryKernel::FdMm, devices(1));
         sim.impulse(1, 1, 1, 1.0);
+    }
+
+    /// `impulse(21, 5, 5, …)` on a 16³ grid would excite interior cell
+    /// (5, 6, 5): `impulse` and `sample` refuse a cell off the grid, naming
+    /// it and the grid, on one device and on two.
+    #[test]
+    fn a_cell_off_the_grid_is_refused() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let message = |r: std::thread::Result<()>| *r.unwrap_err().downcast::<String>().unwrap();
+        for n in [1, 2] {
+            let s = setup(GridDims::cube(16), RoomShape::Box, false);
+            let mut sim = Simulation::new(s, Precision::Single, FIMM, devices(n));
+            let want = "cell (21, 5, 5) is off the 16×16×16 grid";
+            let impulse = catch_unwind(AssertUnwindSafe(|| sim.impulse(21, 5, 5, 1.0)));
+            assert_eq!(message(impulse), want, "{n} devices");
+            let sample = catch_unwind(AssertUnwindSafe(|| {
+                sim.sample(21, 5, 5);
+            }));
+            assert_eq!(message(sample), want, "{n} devices");
+            assert!(sim.read_curr().iter().all(|&p| p == 0.0), "nothing was excited");
+        }
     }
 
     /// On a sanitizing runtime the exterior-zero fact is checked before

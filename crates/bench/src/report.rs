@@ -5,6 +5,7 @@ use crate::paper::{self, TimeRow};
 use crate::table;
 use room_acoustics::{Precision, RoomShape};
 use serde::Serialize;
+use vgpu::telemetry::sink;
 use vgpu::DeviceProfile;
 
 /// One rendered result row (also dumped as JSON).
@@ -118,55 +119,10 @@ pub fn print_report(title: &str, rows: &[ReportRow]) {
             )
         );
     }
-    if let Some(summary) = kernel_summary_section() {
-        println!("{summary}");
+    let accounts = sink::kernel_summaries(&vgpu::runtime().trace.events_snapshot());
+    if !accounts.is_empty() {
+        println!("-- per-kernel telemetry --\n{}", sink::render_accounts(&accounts));
     }
-}
-
-/// Renders the per-kernel accounts the default runtime traced, one row per
-/// (kernel, engine, precision), or `None` when tracing is off or no kernel
-/// event was recorded.
-pub fn kernel_summary_section() -> Option<String> {
-    let trace = &vgpu::runtime().trace;
-    if !trace.enabled() {
-        return None;
-    }
-    let events = trace.events_snapshot();
-    let kernels = vgpu::telemetry::sink::kernel_summaries(&events);
-    if kernels.is_empty() {
-        return None;
-    }
-    let rows: Vec<Vec<String>> = kernels
-        .iter()
-        .map(|k| {
-            vec![
-                k.name.clone(),
-                k.engine.clone(),
-                k.precision.clone(),
-                k.launches.to_string(),
-                k.work_items.to_string(),
-                k.flops.to_string(),
-                k.transaction_bytes.to_string(),
-                format!("{:.3}", k.modeled_ms),
-            ]
-        })
-        .collect();
-    Some(format!(
-        "-- per-kernel telemetry --\n{}",
-        table::render(
-            &[
-                "kernel",
-                "engine",
-                "prec",
-                "launches",
-                "work-items",
-                "flops",
-                "txn bytes",
-                "model ms"
-            ],
-            &rows
-        )
-    ))
 }
 
 /// Checks the reproduction's qualitative claims over a set of rows and

@@ -468,7 +468,8 @@ pub struct Compiled {
     /// at `pc` — the first instruction every lane reaches again no matter
     /// which side of the branch it took — `ops.len()` when the branch's
     /// paths only meet again at `Ret`/`Halt`, and [`NO_JOIN`] on non-branch
-    /// ops. Computed by [`compute_joins`] on the final optimized tape.
+    /// ops. Computed by [`compute_joins`] on the final optimized tape and
+    /// held to the join rule by [`validate`].
     pub(crate) joins: Vec<u32>,
     /// Ops absorbed into superinstructions by [`crate::compile::fuse`]
     /// (beyond the first of each window). Feeds `vgpu.tape.fused_ops`.
@@ -984,22 +985,24 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
         .max()
         .unwrap_or(0);
     crate::compile::fuse(&mut c);
+    // Branch reconvergence points for the warp executor, computed on the
+    // final op stream (every pass has already remapped its targets), then
+    // checked with everything else the executor trusts; the lane shapes
+    // read them.
+    c.joins = compute_joins(&c.ops);
     if !validate(&c, prep) {
-        // Never expected: the compiler allocated every operand itself.
-        // Failing the compilation beats trusting a tape the check rejected.
+        // Never expected: the compiler allocated every operand itself and
+        // emits structured control flow only. Failing the compilation beats
+        // trusting a tape the check rejected.
         return Err("tape validation failed".into());
     }
-    // Branch reconvergence points for the warp executor, computed on the
-    // final op stream (every pass has already remapped its targets); the
-    // lane shapes read them.
-    c.joins = compute_joins(&c.ops);
     c.shapes = crate::compile::lane_shapes(&c, &prep.scalar_slots);
     Ok(c)
 }
 
-/// `joins[pc]` value for ops that are not conditional branches (or whose
-/// join could not be established): the warp interpreter must finish the
-/// affected lanes one at a time instead of reconverging.
+/// `joins[pc]` of an op that is not a conditional branch. [`compute_joins`]
+/// also leaves it on a branch that cannot reach the end of the tape, and
+/// [`validate`] rejects such a tape.
 pub(crate) const NO_JOIN: u32 = u32::MAX;
 
 /// Immediate postdominators of the tape's conditional branches — the warp
@@ -1012,23 +1015,18 @@ pub(crate) const NO_JOIN: u32 = u32::MAX;
 /// structured `If`/`Select` diamonds and `For` loops the compiler emits —
 /// including branches whose only meeting point is the virtual exit (a `Ret`
 /// inside one arm), which map to `ops.len()`.
-fn compute_joins(ops: &[Op]) -> Vec<u32> {
+pub(crate) fn compute_joins(ops: &[Op]) -> Vec<u32> {
     let n = ops.len();
     let exit = n; // virtual exit node shared by every `Ret`/`Halt`
-    let succs = |pc: usize| -> ([usize; 2], usize) {
-        match (&ops[pc], jump_target(&ops[pc])) {
-            (Op::Jmp { .. }, Some(target)) => ([target as usize, 0], 1),
-            (_, Some(target)) => ([pc + 1, target as usize], 2),
-            (Op::Ret | Op::Halt, None) => ([exit, 0], 1),
-            _ => ([pc + 1, 0], 1),
-        }
+    let succs = |pc: usize| {
+        let end = matches!(ops[pc], Op::Ret | Op::Halt).then_some(exit);
+        successors(&ops[pc], pc).chain(end)
     };
     // Predecessor lists of the original graph double as successor lists of
     // the reversed graph, whose dominator tree is the postdominator tree.
     let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n + 1];
     for pc in 0..n {
-        let (ss, k) = succs(pc);
-        for &s in &ss[..k] {
+        for s in succs(pc) {
             preds[s].push(pc as u32);
         }
     }
@@ -1077,9 +1075,8 @@ fn compute_joins(ops: &[Op]) -> Vec<u32> {
             if v == exit {
                 continue;
             }
-            let (ss, k) = succs(v);
             let mut new = usize::MAX;
-            for &s in &ss[..k] {
+            for s in succs(v) {
                 if ipdom[s] != usize::MAX {
                     new = if new == usize::MAX { s } else { intersect(&ipdom, new, s) };
                 }
@@ -1101,10 +1098,12 @@ fn compute_joins(ops: &[Op]) -> Vec<u32> {
 
 /// One-time structural check run at compile time: every register operand in
 /// the main tape and the prelude is below `nregs`, every jump target and
-/// phase entry is inside the tape, the tape is non-empty, and every op uses
-/// every register at the one width [`Compiled::wide`] records for it
+/// phase entry is inside the tape, the tape is non-empty, every conditional
+/// branch jumps forward to at most its join, and every op uses every
+/// register at the one width [`Compiled::wide`] records for it
 /// ([`widths_ok`]). The warp executor relies on this to elide per-access
-/// register bounds checks and to read a row at the width it was written.
+/// register bounds checks and the fetch bounds check, and to read a row at
+/// the width it was written.
 fn validate(c: &Compiled, prep: &Prepared) -> bool {
     // The tape must end in a terminator: `pc` only moves past non-final ops
     // (a fall-through at the final op would run off the end) or to a
@@ -1121,6 +1120,17 @@ fn validate(c: &Compiled, prep: &Prepared) -> bool {
     }
     for &s in &c.phase_starts {
         ok &= (s as usize) < c.ops.len();
+    }
+    // The join rule: a conditional branch at `pc` has `pc < target ≤
+    // joins[pc] ≤ ops.len()` (`ops.len()`: its paths meet only at
+    // `Ret`/`Halt`), every other op `NO_JOIN`. `WarpExec::branch` runs a
+    // divergent branch's sides up to the join and continues there.
+    ok &= c.joins.len() == c.ops.len();
+    for (pc, (op, &join)) in c.ops.iter().zip(&c.joins).enumerate() {
+        ok &= match jump_target(op).filter(|_| is_branch(op)) {
+            Some(target) => pc < target as usize && target <= join && join as usize <= c.ops.len(),
+            None => join == NO_JOIN,
+        };
     }
     ok
 }
@@ -1225,6 +1235,13 @@ fn jump_target_mut(op: &mut Op) -> Option<&mut u32> {
 /// and a join in [`Compiled::joins`].
 pub(crate) fn is_branch(op: &Op) -> bool {
     matches!(op, Op::Jz { .. } | Op::CmpJz { .. } | Op::JgeI64 { .. })
+}
+
+/// The pcs control may pass to from the op at `pc` within its phase: the
+/// fall-through, then the jump target. `Ret` and `Halt` have none.
+pub(crate) fn successors(op: &Op, pc: usize) -> impl Iterator<Item = usize> {
+    let falls = !matches!(op, Op::Jmp { .. } | Op::Ret | Op::Halt);
+    falls.then_some(pc + 1).into_iter().chain(jump_target(op).map(|t| t as usize))
 }
 
 /// `leader[pc]`: a basic block starts at `pc` — a phase entry, a jump
@@ -1363,7 +1380,7 @@ fn visit_srcs_mut(op: &mut Op, f: &mut impl FnMut(&mut R)) {
 }
 
 /// Number of writers of each register across the whole tape.
-fn count_writers(ops: &[Op], nregs: usize) -> Vec<u32> {
+pub(crate) fn count_writers(ops: &[Op], nregs: usize) -> Vec<u32> {
     let mut w = vec![0u32; nregs];
     for op in ops {
         if let Some(d) = op_dst(op) {
@@ -1371,6 +1388,15 @@ fn count_writers(ops: &[Op], nregs: usize) -> Vec<u32> {
         }
     }
     w
+}
+
+/// Number of reads of each register across the tape and both preludes.
+pub(crate) fn count_readers(c: &Compiled) -> Vec<u32> {
+    let mut r = vec![0u32; c.nregs];
+    for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
+        visit_srcs(op, &mut |s| r[s as usize] += 1);
+    }
+    r
 }
 
 /// Folds one op whose operands are all known constants into its result
@@ -1623,10 +1649,7 @@ fn coalesce_copies(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>])
     let mut removed = vec![false; n];
     let leader = block_leaders(c);
     let mut writers = count_writers(&c.ops, c.nregs);
-    let mut reads = vec![0u32; c.nregs];
-    for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
-        visit_srcs(op, &mut |r| reads[r as usize] += 1);
-    }
+    let mut reads = count_readers(c);
     let reads_reg = |op: &Op, r: R| {
         let mut hit = false;
         visit_srcs(op, &mut |s| hit |= s == r);
@@ -1780,11 +1803,10 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 // compile time) — exactly the stack-based reconvergence real SIMT hardware
 // performs, which keeps warps vectorized across the per-lane boundary
 // conditions that dominate the acoustics kernels. Lanes that `Ret` inside a
-// masked region simply drop out of the mask. Only when a branch has no join
-// (`NO_JOIN`) do its lanes continue one at a time — a warp with a one-bit
-// mask never diverges, so it *is* a scalar interpreter — and still only
-// *until the enclosing join*, so even that path rejoins vector execution.
-// Divergence is therefore a performance event, never a correctness one, and
+// masked region simply drop out of the mask. Every branch has a join:
+// `validate` proves `pc < target ≤ join ≤ ops.len()` for each, so the
+// executor has no other way to run a divergent branch. Divergence is
+// therefore a performance event, never a correctness one, and
 // `vgpu.warp.divergent` counts the warps that actually paid for it.
 //
 // Work-items are a formula ([`WarpIds`]): lane `l` is item `begin + l`, and a
@@ -2044,15 +2066,10 @@ fn vmap3<A: Lane>(
 /// within one item — the same single-writer/write-before-read property the
 /// optimizer's hoisting pass relies on — so its lanes may start as garbage.
 pub(crate) fn warp_init_regs(c: &Compiled, nslots: usize) -> (Vec<R>, Vec<R>) {
-    let mut written = vec![false; c.nregs];
-    for op in &c.ops {
-        if let Some(d) = op_dst(op) {
-            written[d as usize] = true;
-        }
-    }
+    let writers = count_writers(&c.ops, c.nregs);
     let (mut once, mut per_warp): (Vec<R>, Vec<R>) = (Vec::new(), Vec::new());
     for s in 0..nslots as R {
-        if written[s as usize] {
+        if writers[s as usize] > 0 {
             per_warp.push(s);
         } else {
             once.push(s);
@@ -2282,7 +2299,6 @@ pub(crate) fn exec_phase_warp(
     assert!(w.traces.len() >= lanes);
     let pc = c.phase_starts[phase] as usize;
     assert!(pc < c.ops.len(), "entry pc outside the tape");
-    assert_eq!(c.joins.len(), c.ops.len(), "tape compiled without join metadata");
     let prof_on = w.prof.is_some();
     let mut ex = WarpExec { c, vregs, privs, w, lic, diverged: false, returned: 0, pending: None };
     let end = c.ops.len();
@@ -2672,9 +2688,8 @@ fn mul_add(
 enum Branch {
     /// Continue vectorized execution at this pc with this mask.
     Goto(usize, u32),
-    /// The enclosing region is finished: this mask of lanes (possibly
-    /// empty) is parked at its `until` pc; the rest returned.
-    Reached(u32),
+    /// Every lane of the region returned inside the branch's sides.
+    Done,
 }
 
 /// One warp's execution state: the pieces [`WarpExec::run`] threads through
@@ -2726,13 +2741,13 @@ impl WarpExec<'_, '_> {
         macro_rules! branch {
             ($jmask:expr, $target:expr) => {{
                 let jmask = $jmask;
-                match self.branch::<PROF>(pc, $target as usize, jmask, mask, until) {
+                match self.branch::<PROF>(pc, $target as usize, jmask, mask) {
                     Branch::Goto(p, m) => {
                         pc = p;
                         mask = m;
                         continue;
                     }
-                    Branch::Reached(m) => return m,
+                    Branch::Done => return 0,
                 }
             }};
         }
@@ -2757,7 +2772,11 @@ impl WarpExec<'_, '_> {
             // entry is too and that the tape ends in `Ret`/`Halt`; by
             // induction `pc` stays in bounds (a non-terminator is never
             // final, hence `pc + 1` lands on an op; jumps land on validated
-            // targets), and `until` is checked before the fetch.
+            // targets), and `until` is checked before the fetch. The
+            // `Goto(join, …)` of a divergent branch lands on a join that
+            // `validate`'s join rule puts at `≤ ops.len()`, with lanes only
+            // when a side's run parked them there, i.e. when that side
+            // reached `join` by one of the moves above — inside the tape.
             match *unsafe { ops.get_unchecked(pc) } {
                 Op::Const { dst, bits } => {
                     at_width!(wide(dst), T => vfill(vregs, dst, mask, bits as T))
@@ -3000,18 +3019,16 @@ impl WarpExec<'_, '_> {
     /// Resolves the conditional branch at `pc`: `jmask` (⊆ `mask`) holds the
     /// lanes that take the jump to `target`. Uniform masks are a single
     /// jump. Divergent masks execute both sides under complementary masks
-    /// and reconverge at the branch's join (its immediate postdominator);
-    /// when the branch has no join the lanes continue one at a time
-    /// instead, parked at the enclosing region's `until`. Each side of a
-    /// divergent branch holds strictly fewer lanes than `mask`, so the
-    /// reconvergence recursion is at most `WARP - 1` frames deep.
+    /// and reconverge at the branch's join (its immediate postdominator,
+    /// which `validate` proved to exist). Each side of a divergent branch
+    /// holds strictly fewer lanes than `mask`, so the reconvergence
+    /// recursion is at most `WARP - 1` frames deep.
     fn branch<const PROF: bool>(
         &mut self,
         pc: usize,
         target: usize,
         jmask: u32,
         mask: u32,
-        until: usize,
     ) -> Branch {
         if jmask == 0 {
             return Branch::Goto(pc + 1, mask);
@@ -3020,31 +3037,15 @@ impl WarpExec<'_, '_> {
             return Branch::Goto(target, mask);
         }
         self.diverged = true;
-        let join = self.c.joins[pc];
-        if join != NO_JOIN {
-            let j = join as usize;
-            let fell = self.run::<PROF>(pc + 1, j, mask & !jmask);
-            let jumped = self.run::<PROF>(target, j, jmask);
-            let m = fell | jumped;
-            // The join may lie past `until` when one arm returns early (the
-            // sides then ran to `Ret` inside the recursion): no lane is left
-            // to park.
-            if m == 0 {
-                return Branch::Reached(0);
-            }
-            return Branch::Goto(j, m);
+        let j = self.c.joins[pc] as usize;
+        let fell = self.run::<PROF>(pc + 1, j, mask & !jmask);
+        let jumped = self.run::<PROF>(target, j, jmask);
+        match fell | jumped {
+            // Every lane returned on its side; the join may then lie past
+            // the enclosing region's end (an arm that ends in `Ret`).
+            0 => Branch::Done,
+            m => Branch::Goto(j, m),
         }
-        // Performance valve for branches without a usable join: each lane
-        // continues on its own, resumed *at* the divergent branch (whose
-        // condition re-reads lane registers — a pure operation, so nothing
-        // is skipped or doubled) and parked at `until`. A one-bit mask
-        // never diverges, so each run is a plain scalar interpretation of
-        // the tape over the lane's register column.
-        let mut reached = 0u32;
-        for_lanes!(mask, l, {
-            reached |= self.run::<PROF>(pc, until, 1 << l);
-        });
-        Branch::Reached(reached)
     }
 }
 
@@ -3270,7 +3271,35 @@ mod tests {
         assert!(validate(&prep.tape, &prep), "fresh tapes must pass validation");
         let mut broken = prep.tape.clone();
         broken.ops.push(Op::Mov { dst: broken.nregs as R, src: 0 });
+        broken.joins.push(NO_JOIN);
         assert!(!validate(&broken, &prep), "out-of-range register must be rejected");
+    }
+
+    /// `validate` holds every branch to `pc < target ≤ join ≤ ops.len()` and
+    /// every other op to `NO_JOIN`: four hand edits of a compiled diamond,
+    /// each breaking one side of the rule, are rejected.
+    #[test]
+    fn validate_rejects_a_branch_without_a_proper_join() {
+        let prep = prepare(&select_kernel("joins")).unwrap();
+        let t = &prep.tape;
+        assert!(validate(t, &prep));
+        let pc = t.ops.iter().position(is_branch).expect("the select is a branch");
+        let target = jump_target(&t.ops[pc]).unwrap();
+        assert!(target < t.joins[pc], "a diamond's else arm starts before its join");
+        let other = t.ops.iter().position(|op| !is_branch(op)).unwrap();
+        let edit = |at: usize, join: u32| {
+            let mut bad = t.clone();
+            bad.joins[at] = join;
+            bad
+        };
+        for (bad, why) in [
+            (edit(pc, NO_JOIN), "a branch without a join"),
+            (edit(pc, pc as u32), "a join at its branch"),
+            (edit(pc, target - 1), "a target past its join"),
+            (edit(other, t.joins[pc]), "a join on a non-branch op"),
+        ] {
+            assert!(!validate(&bad, &prep), "{why}: {:?}", bad.joins);
+        }
     }
 
     /// `s = 0.5; if (gid % 2 == 0) s = 2 else s = 3; out[gid] = x[gid] * s`
@@ -3544,16 +3573,13 @@ mod tests {
     }
 
     /// What the executor takes for granted of a compiled tape, fused ops
-    /// included: it validates, its joins are those of its final op stream,
-    /// every branch has one, and no op writes a register that is broadcast
-    /// once per register file.
+    /// included: it validates (every branch has a join), its joins are
+    /// those of its final op stream, and no op writes a register that is
+    /// broadcast once per register file.
     fn assert_consistent(prep: &Prepared) {
         let (t, nslots) = (&prep.tape, prep.nslots);
         assert!(validate(t, prep), "{:?}", t.ops);
         assert_eq!(t.joins, compute_joins(&t.ops));
-        for (pc, op) in t.ops.iter().enumerate() {
-            assert_eq!(is_branch(op), t.joins[pc] != NO_JOIN, "op {pc} {op:?}");
-        }
         let (once, per_warp) = warp_init_regs(t, nslots);
         for op in &t.ops {
             let d = op_dst(op);
@@ -3930,8 +3956,8 @@ mod tests {
     fn a_register_used_at_two_widths_fails_validation() {
         let prep = prepare(&select_kernel("widths")).unwrap();
         let hand = |ops: Vec<Op>, wide: Vec<bool>| {
-            let nregs = wide.len();
-            Compiled { ops, phase_starts: vec![0], nregs, wide, ..Compiled::default() }
+            let (nregs, joins) = (wide.len(), compute_joins(&ops));
+            Compiled { ops, phase_starts: vec![0], nregs, wide, joins, ..Compiled::default() }
         };
         let widen = || vec![Op::AsI64 { dst: 1, src: 0, from: K::I32 }, Op::Halt];
         assert!(validate(&hand(widen(), vec![false, true]), &prep));

@@ -37,8 +37,8 @@
 //! `Engine::Differential` (tree oracle, then the tape) enforces this.
 
 use crate::bytecode::{
-    block_leaders, compact, is_branch, jump_target, op_dst, visit_srcs, Acc, Compiled, Op, Shape,
-    K, NO_JOIN, R,
+    block_leaders, compact, count_readers, count_writers, is_branch, op_dst, visit_srcs, Acc,
+    Compiled, Op, Shape, K, R,
 };
 use lift::prelude::BinOp;
 
@@ -57,10 +57,7 @@ fn is_addsub(op: BinOp) -> bool {
 pub(crate) fn fuse(c: &mut Compiled) {
     let n = c.ops.len();
     let leader = block_leaders(c);
-    let mut uses = vec![0u32; c.nregs];
-    for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
-        visit_srcs(op, &mut |r| uses[r as usize] += 1);
-    }
+    let uses = count_readers(c);
     let single = |r: R| uses[r as usize] == 1;
 
     let mut removed = vec![false; n];
@@ -114,12 +111,9 @@ pub(crate) fn fuse(c: &mut Compiled) {
 /// count — and varying otherwise. Such registers start uniform and only ever
 /// fall to varying, which bounds the iteration.
 pub(crate) fn lane_shapes(c: &Compiled, arg_slots: &[Option<usize>]) -> Vec<Shape> {
-    let mut defs = vec![0u32; c.nregs];
+    let mut defs = count_writers(&c.ops, c.nregs);
     for &slot in arg_slots.iter().flatten() {
         defs[slot] += 1;
-    }
-    for d in c.ops.iter().filter_map(op_dst) {
-        defs[d as usize] += 1;
     }
     let mut shapes = vec![Shape::Uniform; c.nregs];
     loop {
@@ -192,10 +186,11 @@ fn result_shape(op: &Op, shapes: &[Shape]) -> Shape {
 
 /// `split[pc]`: the op at `pc` may run with the warp split — it lies
 /// between a conditional branch whose operands are not all uniform and the
-/// branch's join (the structured compiler emits forward branches only, so
-/// that is the span of ops in between). A branch whose sides only meet at
-/// the exit (an early-return guard, a `Ret` in a loop) splits the warp for
-/// good: each part runs on alone with one shared history — no region.
+/// branch's join (`validate`'s join rule: the branch jumps forward to at
+/// most its join, so that is the span of ops in between). A branch whose
+/// sides only meet at the exit (an early-return guard, a `Ret` in a loop)
+/// splits the warp for good: each part runs on alone with one shared
+/// history — no region.
 fn split_regions(c: &Compiled, shapes: &[Shape]) -> Vec<bool> {
     let n = c.ops.len();
     let uniform = |r: R| shapes[r as usize] == Shape::Uniform;
@@ -210,12 +205,7 @@ fn split_regions(c: &Compiled, shapes: &[Shape]) -> Vec<bool> {
         if uniform_cond {
             continue;
         }
-        let target = jump_target(op).expect("a branch jumps");
         let join = c.joins[pc] as usize;
-        if c.joins[pc] == NO_JOIN || join <= pc || (target as usize) > join.min(n) {
-            // Not a shape the compiler emits: assume nothing.
-            return vec![true; n];
-        }
         if join < n {
             split[pc + 1..join].fill(true);
         }

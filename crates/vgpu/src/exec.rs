@@ -1285,10 +1285,17 @@ pub fn launch(
             }
         }
     }
-    let mut gsize = [1usize; 3];
-    for (d, g) in global.iter().enumerate() {
-        gsize[d] = *g;
+    // OpenCL's `CL_INVALID_WORK_DIMENSION`: an NDRange has one to three
+    // dimensions.
+    if global.len() > 3 {
+        return err(format!(
+            "kernel `{}`: global size {global:?} has {} dimensions, at most 3 are supported",
+            prep.name,
+            global.len()
+        ));
     }
+    let mut gsize = [1usize; 3];
+    gsize[..global.len()].copy_from_slice(global);
     let total: u64 = (gsize[0] as u64) * (gsize[1] as u64) * (gsize[2] as u64);
 
     let lsize = if prep.uses_groups {
@@ -2328,6 +2335,21 @@ pub(crate) mod tests {
         assert!(msg.contains("lid2p"), "{msg}");
         assert!(msg.contains("64"), "{msg}");
         assert!(msg.contains("24"), "{msg}");
+        // A global size of more than three dimensions.
+        let msg = launch(
+            &prep,
+            &[ArgBind::Buf(&out)],
+            &[4, 4, 2, 2],
+            Some(4),
+            ExecMode::Fast,
+            128,
+            Engine::Fast,
+            crate::runtime(),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(msg.contains("lid2p"), "{msg}");
+        assert!(msg.contains("[4, 4, 2, 2]"), "{msg}");
     }
 
     #[test]
@@ -2557,57 +2579,37 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_diamond_around_a_lane_dependent_loop_matches_the_oracle_with_and_without_joins() {
-        // First as compiled: both levels reconverge at their joins. No
-        // compiled tape has a reachable branch without a join (only a
-        // branch that cannot reach the exit lacks one), so then strip the
-        // joins by hand: from the loop branches only — the single-lane runs
-        // then park at the outer diamond's join and the tail runs converged
-        // again — then from every branch, so lanes run to the end alone.
-        for (strip_loops, strip_rest) in [(false, false), (true, false), (true, true)] {
-            let mut prep = prepare(&diamond_around_lane_dependent_loop()).unwrap();
-            let tape = &mut prep.tape;
-            let mut stripped = 0;
-            for (pc, op) in tape.ops.iter().enumerate() {
-                let strip = match op {
-                    bytecode::Op::JgeI64 { .. } => strip_loops,
-                    bytecode::Op::Jz { .. } | bytecode::Op::CmpJz { .. } => strip_rest,
-                    _ => false,
-                };
-                if strip {
-                    tape.joins[pc] = bytecode::NO_JOIN;
-                    stripped += 1;
-                }
-            }
-            assert!(stripped >= strip_loops as u32 + strip_rest as u32, "{:?}", tape.ops);
-            for (mode, shadow) in [
-                (ExecMode::Fast, false),
-                (ExecMode::Fast, true),
-                (ExecMode::Model { sample_stride: 1 }, true),
-            ] {
-                let n = 80; // two full warps and a 16-lane one
-                let buf = |data: BufData| SharedBuf::with_shadow(data, shadow, true);
-                let x = buf(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
-                let out = buf(BufData::from(vec![0.0f32; n]));
-                // Differential: buffers, counters and transaction bytes
-                // bit-identical to the tree oracle, or the launch errors.
-                let stats = launch(
-                    &prep,
-                    &[ArgBind::Buf(&x), ArgBind::Buf(&out)],
-                    &[n],
-                    None,
-                    mode,
-                    128,
-                    Engine::Differential,
-                    &Runtime::sanitizing(),
-                )
-                .unwrap();
-                assert_eq!(stats.backend, Backend::Tape);
-                assert_eq!(stats.divergent_warps, 3, "each warp diverges, and counts once");
-                let o = out.data().to_f64_vec();
-                assert_eq!(o[8], 3.0 * 8.0 + 1.0, "8 % 5 = 3 trips");
-                assert_eq!(o[9], -9.0 + 1.0);
-            }
+    fn a_diamond_around_a_lane_dependent_loop_reconverges_at_both_joins() {
+        // The loop's trip count and the diamond's side differ lane by lane:
+        // both levels diverge and reconverge at their joins.
+        let prep = prepare(&diamond_around_lane_dependent_loop()).unwrap();
+        for (mode, shadow) in [
+            (ExecMode::Fast, false),
+            (ExecMode::Fast, true),
+            (ExecMode::Model { sample_stride: 1 }, true),
+        ] {
+            let n = 80; // two full warps and a 16-lane one
+            let buf = |data: BufData| SharedBuf::with_shadow(data, shadow, true);
+            let x = buf(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
+            let out = buf(BufData::from(vec![0.0f32; n]));
+            // Differential: buffers, counters and transaction bytes
+            // bit-identical to the tree oracle, or the launch errors.
+            let stats = launch(
+                &prep,
+                &[ArgBind::Buf(&x), ArgBind::Buf(&out)],
+                &[n],
+                None,
+                mode,
+                128,
+                Engine::Differential,
+                &Runtime::sanitizing(),
+            )
+            .unwrap();
+            assert_eq!(stats.backend, Backend::Tape);
+            assert_eq!(stats.divergent_warps, 3, "each warp diverges, and counts once");
+            let o = out.data().to_f64_vec();
+            assert_eq!(o[8], 3.0 * 8.0 + 1.0, "8 % 5 = 3 trips");
+            assert_eq!(o[9], -9.0 + 1.0);
         }
     }
 }

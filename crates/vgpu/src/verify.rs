@@ -1,8 +1,8 @@
 //! Static verification passes over compiled bytecode tapes.
 //!
 //! The tape compiler's structural `validate` (register/target bounds,
-//! terminator presence) guarantees the interpreter cannot fault; the
-//! passes here check *semantic* hygiene on top of it:
+//! terminator presence, every branch's join) guarantees the interpreter
+//! cannot fault; the passes here check *semantic* hygiene on top of it:
 //!
 //! * **def-before-use** — a forward definitely-assigned dataflow analysis
 //!   over the tape CFG (meet = intersection) that flags any register read
@@ -24,7 +24,7 @@
 //! Findings feed the `vgpu.verify.*` counters and the `lift_verify`
 //! driver's diagnostics table.
 
-use crate::bytecode::{is_branch, jump_target, op_dst, visit_srcs, Compiled, Op, NO_JOIN};
+use crate::bytecode::{is_branch, op_dst, successors, visit_srcs, Compiled, Op};
 use crate::exec::Prepared;
 use crate::telemetry;
 use std::collections::BTreeSet;
@@ -153,32 +153,6 @@ fn phase_of(c: &Compiled, pc: usize) -> usize {
     c.phase_starts.iter().take_while(|&&s| s as usize <= pc).count().saturating_sub(1)
 }
 
-/// Dataflow successors: `Ret` leaves the launch for this item; `Halt` of a
-/// non-final phase continues (through the barrier) at the next phase
-/// entry, with the register file preserved.
-fn flow_succs(c: &Compiled, pc: usize) -> Vec<usize> {
-    match c.ops[pc] {
-        Op::Halt => {
-            let phase = phase_of(c, pc);
-            match c.phase_starts.get(phase + 1) {
-                Some(&next) => vec![next as usize],
-                None => vec![],
-            }
-        }
-        _ => tape_succs(c, pc),
-    }
-}
-
-/// Successors within a phase: `Ret` and `Halt` have none.
-fn tape_succs(c: &Compiled, pc: usize) -> Vec<usize> {
-    match (&c.ops[pc], jump_target(&c.ops[pc])) {
-        (Op::Ret | Op::Halt, _) => vec![],
-        (Op::Jmp { .. }, Some(target)) => vec![target as usize],
-        (_, Some(target)) => vec![pc + 1, target as usize],
-        (_, None) => vec![pc + 1],
-    }
-}
-
 fn def_before_use(prep: &Prepared, c: &Compiled, findings: &mut Vec<TapeFinding>) {
     let mut init = BitSet::new(c.nregs);
     for slot in prep.scalar_slots.iter().flatten() {
@@ -218,7 +192,14 @@ fn def_before_use(prep: &Prepared, c: &Compiled, findings: &mut Vec<TapeFinding>
         if let Some(d) = op_dst(&c.ops[pc]) {
             st.set(d);
         }
-        for s in flow_succs(c, pc) {
+        // `Ret` leaves the launch for this item; `Halt` of a non-final phase
+        // continues (through the barrier) at the next phase entry, with the
+        // register file preserved.
+        let next_phase = match c.ops[pc] {
+            Op::Halt => c.phase_starts.get(phase_of(c, pc) + 1).map(|&s| s as usize),
+            _ => None,
+        };
+        for s in successors(&c.ops[pc], pc).chain(next_phase) {
             let changed = match &mut instate[s] {
                 Some(prev) => prev.and_with(&st),
                 slot @ None => {
@@ -276,9 +257,9 @@ fn barrier_uniformity(c: &Compiled, findings: &mut Vec<TapeFinding>) {
         }
     }
     // A conditional branch on tainted data opens a divergent region that
-    // closes at its reconvergence point (`joins`, computed by the warp
-    // executor's postdominator analysis) — or, when no join exists,
-    // runs to the end of the branch's phase.
+    // closes at its reconvergence point (`joins`, the warp executor's
+    // postdominators, which `validate` put after the branch and at most at
+    // the end of the tape).
     let mut divergent = vec![false; c.ops.len()];
     for pc in 0..c.ops.len() {
         if !is_branch(&c.ops[pc]) {
@@ -290,16 +271,7 @@ fn barrier_uniformity(c: &Compiled, findings: &mut Vec<TapeFinding>) {
         if !tainted {
             continue;
         }
-        let end = match c.joins.get(pc) {
-            Some(&j) if j != NO_JOIN => j as usize,
-            _ => {
-                let phase = phase_of(c, pc);
-                c.phase_starts.get(phase + 1).map_or(c.ops.len(), |&s| s as usize)
-            }
-        };
-        for d in divergent.iter_mut().take(end.min(c.ops.len())).skip(pc + 1) {
-            *d = true;
-        }
+        divergent[pc + 1..c.joins[pc] as usize].fill(true);
     }
     let last_phase = c.phase_starts.len() - 1;
     for (pc, op) in c.ops.iter().enumerate() {
@@ -328,8 +300,8 @@ fn unreachable_ops(c: &Compiled, findings: &mut Vec<TapeFinding>) {
         }
     }
     while let Some(pc) = stack.pop() {
-        for s in tape_succs(c, pc) {
-            if s < n && !seen[s] {
+        for s in successors(&c.ops[pc], pc) {
+            if !seen[s] {
                 seen[s] = true;
                 stack.push(s);
             }
@@ -353,13 +325,15 @@ fn unreachable_ops(c: &Compiled, findings: &mut Vec<TapeFinding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::compute_joins;
     use crate::exec::prepare;
     use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
     use lift::scalar::BinOp;
     use lift::types::ScalarKind;
 
     fn hand_tape(ops: Vec<Op>, phase_starts: Vec<u32>, nregs: usize) -> Compiled {
-        Compiled { ops, phase_starts, nregs, ..Compiled::default() }
+        let joins = compute_joins(&ops);
+        Compiled { ops, phase_starts, nregs, joins, ..Compiled::default() }
     }
 
     fn hand_prep(c: Compiled) -> Prepared {
