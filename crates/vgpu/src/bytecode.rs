@@ -184,7 +184,7 @@ fn bits_value(k: K, b: u64) -> Value {
 
 /// One tape instruction. Loop counters and load/store indices are internal
 /// i64 registers (`AsI64` truncates like `Value::as_i64`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Op {
     /// dst = bits.
     Const { dst: R, bits: u64 },
@@ -279,7 +279,7 @@ pub(crate) enum Op {
 
 /// The accumulate tail of [`Op::LdGFused`]: the op writes `src ⊕ loaded`
 /// (or `loaded ⊕ src` when `rev`), with `⊕` ∈ {Add, Sub} at kind `k`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Acc {
     pub(crate) src: R,
     pub(crate) k: K,
@@ -921,15 +921,20 @@ impl<'a> Cc<'a> {
                 let saved = self.slots.clone();
                 self.stmts(then_)?;
                 self.flush();
-                let jmp = self.here();
-                self.ops.push(Op::Jmp { target: 0 });
+                // Without an `else` the arm falls through to the join: no jump.
+                let jmp = (!else_.is_empty()).then(|| self.here());
+                if jmp.is_some() {
+                    self.ops.push(Op::Jmp { target: 0 });
+                }
                 let else_at = self.here();
                 self.patch(jz, else_at);
                 let after_then = std::mem::replace(&mut self.slots, saved);
                 self.stmts(else_)?;
                 self.flush();
-                let end = self.here();
-                self.patch(jmp, end);
+                if let Some(jmp) = jmp {
+                    let end = self.here();
+                    self.patch(jmp, end);
+                }
                 for (slot, &then_sk) in self.slots.iter_mut().zip(&after_then) {
                     *slot = merge_sk(then_sk, *slot);
                 }
@@ -985,6 +990,7 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
         .max()
         .unwrap_or(0);
     crate::compile::fuse(&mut c);
+    number_values(&mut c, prep.nslots);
     // Branch reconvergence points for the warp executor, computed on the
     // final op stream (every pass has already remapped its targets), then
     // checked with everything else the executor trusts; the lane shapes
@@ -1207,6 +1213,7 @@ fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
 //    the temporary's producer; a `Mov` that is its destination's only
 //    definition gives way to its source ([`coalesce_copies`]).
 //
+// Value numbering ([`number_values`]) runs later, on the fused tape.
 // Branches stay branches: a pure `if` keeps its `Jz`, and the warp executor
 // runs its arms under complementary masks and reconverges at the join. The
 // passes never touch loads, stores, `Flops`, declarations, or control flow, so the observable semantics — buffer bits,
@@ -1317,6 +1324,13 @@ fn op_dst_mut(op: &mut Op) -> Option<&mut R> {
 pub(crate) fn visit_srcs(op: &Op, f: &mut impl FnMut(R)) {
     let mut op = *op;
     visit_srcs_mut(&mut op, &mut |r| f(*r));
+}
+
+/// True when `op` reads register `r`.
+pub(crate) fn reads_reg(op: &Op, r: R) -> bool {
+    let mut hit = false;
+    visit_srcs(op, &mut |s| hit |= s == r);
+    hit
 }
 
 /// Offers every source-register field for in-place rewriting (the
@@ -1650,11 +1664,6 @@ fn coalesce_copies(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>])
     let leader = block_leaders(c);
     let mut writers = count_writers(&c.ops, c.nregs);
     let mut reads = count_readers(c);
-    let reads_reg = |op: &Op, r: R| {
-        let mut hit = false;
-        visit_srcs(op, &mut |s| hit |= s == r);
-        hit
-    };
     for m in 0..n {
         let Op::Mov { dst, src } = c.ops[m] else { continue };
         if dst == src {
@@ -1699,6 +1708,48 @@ fn coalesce_copies(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>])
         }
     }
     removed
+}
+
+/// Block-local value numbering, run on the fused tape: a pure register op
+/// ([`hoistable`], or a `MulAdd`) that repeats an earlier op of its basic
+/// block — same opcode and operands, none of them written in between — is
+/// dropped when both write single-writer temporaries, and its readers read
+/// the earlier register instead. A block runs whole, so whenever the earlier
+/// op runs the dropped one would have run right after it on the same operand
+/// bits, and no later read can tell the two registers apart — unless it sits
+/// before the dropped op in tape order (a loop's next trip), which keeps it.
+/// Running after fusion keeps the fused windows' single-use intermediates.
+fn number_values(c: &mut Compiled, nslots: usize) {
+    let leader = block_leaders(c);
+    let writers = count_writers(&c.ops, c.nregs);
+    let temp = |r: R| r as usize >= nslots && writers[r as usize] == 1;
+    let mut same: Vec<R> = (0..c.nregs as R).collect();
+    let (mut read, mut removed) = (vec![false; c.nregs], vec![false; c.ops.len()]);
+    let mut start = 0;
+    for pc in 0..c.ops.len() {
+        start = if leader[pc] { pc } else { start };
+        visit_srcs_mut(&mut c.ops[pc], &mut |r| *r = same[*r as usize]);
+        let op = c.ops[pc];
+        visit_srcs(&op, &mut |r| read[r as usize] = true);
+        let pure = hoistable(&op) || matches!(op, Op::MulAdd { .. });
+        let Some(d) = op_dst(&op).filter(|&d| pure && temp(d) && !read[d as usize]) else {
+            continue;
+        };
+        for p in (start..pc).rev().filter(|&p| !removed[p]) {
+            // The earlier op, writing `d`: equal to `op` when it computes the same.
+            let mut prev = c.ops[p];
+            let w = op_dst_mut(&mut prev).map(|w| std::mem::replace(w, d));
+            if let Some(e) = w.filter(|&e| temp(e) && prev == op) {
+                (same[d as usize], removed[pc]) = (e, true);
+                break;
+            }
+            if w.is_some_and(|w| reads_reg(&op, w)) {
+                break;
+            }
+        }
+    }
+    c.optimized_ops += removed.iter().filter(|&&r| r).count() as u32;
+    compact(c, &removed);
 }
 
 /// Executes the hoisted prelude once into a freshly initialised register
@@ -1815,8 +1866,8 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 //
 // Lane shapes: for a row-coherent warp the executor also receives the tape's
 // lane-shape table ([`Shape`], [`Licence`]), which licenses three shortcuts —
-// unit-stride loads and stores as runs ([`unit_run`]), branch conditions
-// read off one or two lanes ([`decided`], [`affine_cmp`]), and private
+// unit-stride loads and stores as runs ([`unit_run`]), uniform branch
+// conditions read off one lane ([`decided`]), and private
 // accesses as rows — each audited lane by lane in debug builds. Private
 // arrays are lane-minor like the registers ([`PrivRows`]): an `LdP`/`StP`
 // whose index is [`Shape::Uniform`] (a loop counter, a constant) reads it off
@@ -2274,6 +2325,45 @@ pub(crate) struct PhaseRun {
     pub returned: u32,
 }
 
+/// Where phase 0 starts on a launch of `gsize` whose launch-invariant
+/// registers [`exec_pre`] left in `regs0`: past the guards the launch
+/// decides. From the phase's entry, an ordered i32 `CmpJz` whose operands
+/// are each a context `Gid{dim}` register (values `0..gsize[dim]`) or a
+/// register no tape op writes (its value in `regs0`) is followed to its one
+/// outcome when the two ranges settle it for every work-item — the
+/// `if (gid >= N) return;` of a launch of exactly `N` items. A `CmpJz`
+/// writes no register and counts nothing, so a warp entering where the
+/// walk ends holds what running the guards would have left.
+pub(crate) fn launch_entry(c: &Compiled, regs0: &[u64], gsize: [usize; 3]) -> usize {
+    let writers = count_writers(&c.ops, c.nregs);
+    // The values `lo..=hi` register `r` holds across the launch's items.
+    let range = |r: R| match c.item_pre.iter().find(|op| op_dst(op) == Some(r)) {
+        Some(&Op::Gid { dim, .. }) => Some(gsize[dim as usize] as i64 - 1)
+            .filter(|hi| (0..=i32::MAX as i64).contains(hi))
+            .map(|hi| [0, hi]),
+        Some(_) => None,
+        None => (writers[r as usize] == 0).then(|| [i32v(regs0[r as usize]) as i64; 2]),
+    };
+    let mut pc = c.phase_starts[0] as usize;
+    while let Op::CmpJz { a, b, op, k: K::I32, target } = c.ops[pc] {
+        // As `x < y + d`: `a <= b` is `a < b + 1`, `a > b` is `b < a`.
+        let (x, y, d) = match op {
+            BinOp::Lt => (a, b, 0),
+            BinOp::Le => (a, b, 1),
+            BinOp::Gt => (b, a, 0),
+            BinOp::Ge => (b, a, 1),
+            _ => break,
+        };
+        let (Some([xlo, xhi]), Some([ylo, yhi])) = (range(x), range(y)) else { break };
+        pc = match (xhi < ylo + d, xlo >= yhi + d) {
+            (true, _) => pc + 1,
+            (_, true) => target as usize,
+            _ => break,
+        };
+    }
+    pc
+}
+
 /// Executes one phase of a compiled tape for a whole warp at once: the
 /// lanes of `mask` advance through the tape in lockstep over the SoA
 /// register file `vregs`, diverging and reconverging per the SIMT mask
@@ -2281,12 +2371,13 @@ pub(crate) struct PhaseRun {
 /// of bit-level helpers ([`bin_bits`], [`cast_bits`],
 /// [`intr1_f32`]/[`intr1_f64`]) that reproduce the tree-walker's `Value`
 /// semantics — superinstructions in the exact operand order of the ops they
-/// replaced — so results are bit-identical lane for lane. `lic.shapes` is
+/// replaced — so results are bit-identical lane for lane. The run starts at
+/// `pc`: a phase entry, or phase 0's [`launch_entry`]. `lic.shapes` is
 /// the tape's lane-shape table when the caller saw that the warp is
 /// row-coherent, empty otherwise.
 pub(crate) fn exec_phase_warp(
     c: &Compiled,
-    phase: usize,
+    pc: usize,
     mask: u32,
     vregs: &mut [u64],
     privs: &mut [PrivRows],
@@ -2297,7 +2388,6 @@ pub(crate) fn exec_phase_warp(
     assert!(mask != 0, "no active lane");
     let lanes = WARP - mask.leading_zeros() as usize;
     assert!(w.traces.len() >= lanes);
-    let pc = c.phase_starts[phase] as usize;
     assert!(pc < c.ops.len(), "entry pc outside the tape");
     let prof_on = w.prof.is_some();
     let mut ex = WarpExec { c, vregs, privs, w, lic, diverged: false, returned: 0, pending: None };
@@ -2362,35 +2452,6 @@ fn cmp_zmask(vregs: &[u64], (a, b, op, k): (R, R, BinOp, K), mask: u32) -> u32 {
     }
     with_cmp!(k, op, lanes);
     zm
-}
-
-/// An ordered i32 compare of an affine register with a uniform one, settled
-/// from the two end lanes: between them the affine side is monotone — unless
-/// the i32 wrapped on the way, which the end lanes' distance shows — so a
-/// verdict the ends share holds for every lane between. `None` when the
-/// shapes are otherwise or the ends disagree (the warp diverges).
-#[inline(always)]
-fn affine_cmp(vregs: &[u64], cmp: (R, R, BinOp, K), mask: u32, lic: Licence<'_>) -> Option<bool> {
-    let (a, b, op, k) = cmp;
-    if k != K::I32 || !matches!(op, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge) {
-        return None;
-    }
-    let (r, stride) = match (lic.shape(a), lic.shape(b)) {
-        (Shape::Affine(s), Shape::Uniform) => (a, s),
-        (Shape::Uniform, Shape::Affine(s)) => (b, s),
-        _ => return None,
-    };
-    let (l0, l1) = (mask.trailing_zeros() as usize, 31 - mask.leading_zeros() as usize);
-    let (v0, v1) = (i32::get(vregs, r, l0) as i64, i32::get(vregs, r, l1) as i64);
-    if v1 != v0 + stride as i64 * (l1 - l0) as i64 {
-        return None;
-    }
-    let ends = 1 << l0 | 1 << l1;
-    match cmp_zmask(vregs, cmp, ends) {
-        0 => Some(true),
-        z if z == ends => Some(false),
-        _ => None,
-    }
 }
 
 /// Scatters register `val` (kind `vk`) to `b[at(l)]` for the active lanes.
@@ -2734,10 +2795,9 @@ impl WarpExec<'_, '_> {
         let wide = |r: R| self.c.wide[r as usize];
         // Resolves the conditional branch at `pc`, `$jmask` ⊆ `mask` being
         // the lanes that jump. The condition arms collect those lanes: one
-        // over uniform registers is read off the first active lane, an
-        // ordered compare of an affine register with a uniform one off the
-        // two end lanes ([`affine_cmp`]); the lane loop settles the rest —
-        // and, in debug builds, audits both shortcuts ([`decided`]).
+        // over uniform registers is read off the first active lane; the lane
+        // loop settles the rest — and, in debug builds, audits the shortcut
+        // ([`decided`]).
         macro_rules! branch {
             ($jmask:expr, $target:expr) => {{
                 let jmask = $jmask;
@@ -3004,11 +3064,7 @@ impl WarpExec<'_, '_> {
                 }
                 Op::CmpJz { a, b, op, k, target } => {
                     let lanes = |m: u32| cmp_zmask(vregs, (a, b, op, k), m);
-                    let known = if uniform(a) && uniform(b) {
-                        Some(lanes(first) == 0)
-                    } else {
-                        affine_cmp(vregs, (a, b, op, k), mask, lic)
-                    };
+                    let known = (uniform(a) && uniform(b)).then(|| lanes(first) == 0);
                     branch!(decided(known, mask, lanes), target)
                 }
             }
@@ -3922,35 +3978,184 @@ mod tests {
     }
 
     const TAPE_PINS: &[(&str, usize, usize, usize, u64)] = &[
-        ("volume_handling_hand/whole/f32", 31, 7, 3, 0xdcbbfaf9c4311342),
-        ("volume_handling_hand_slab/slab/f32", 33, 9, 3, 0x416e17f2f41053de),
-        ("volume_handling_hand_slab/whole/f32", 33, 9, 3, 0x416e17f2f41053de),
-        ("fi_single_hand/whole/f32", 93, 45, 3, 0xc0395f429fb70e08),
-        ("fi_single_hand_slab/slab/f32", 99, 51, 3, 0x9d370a69f3ad351d),
-        ("fimm_boundary_hand/whole/f32", 20, 4, 1, 0x76ea36d340d37292),
-        ("fimm_boundary_hand_cbeta/whole/f32", 20, 4, 1, 0x76ea36d340d37292),
-        ("fdmm_boundary_hand/whole/f32", 88, 16, 1, 0x4ba7989415ebf49f),
-        ("fi_single_lift/whole/f32", 50, 15, 3, 0x74c4f4c6f328aea5),
-        ("fi_single_lift_slab/slab/f32", 52, 17, 3, 0xfc436561293bffd9),
-        ("volume_handling_lift/whole/f32", 31, 5, 3, 0xc8b7b30081e795b8),
-        ("volume_handling_lift_slab/slab/f32", 33, 7, 3, 0x6889a5746cc75808),
-        ("fimm_boundary_lift/whole/f32", 26, 9, 1, 0x0df91766a464b043),
-        ("fdmm_boundary_lift/whole/f32", 83, 16, 1, 0x859e3b458b86d824),
-        ("volume_handling_hand/whole/f64", 31, 7, 3, 0xdcbbfaf9c4311342),
-        ("volume_handling_hand_slab/slab/f64", 33, 9, 3, 0x416e17f2f41053de),
-        ("volume_handling_hand_slab/whole/f64", 33, 9, 3, 0x416e17f2f41053de),
-        ("fi_single_hand/whole/f64", 93, 45, 3, 0xc0395f429fb70e08),
-        ("fi_single_hand_slab/slab/f64", 99, 51, 3, 0x9d370a69f3ad351d),
-        ("fimm_boundary_hand/whole/f64", 20, 4, 1, 0x76ea36d340d37292),
-        ("fimm_boundary_hand_cbeta/whole/f64", 20, 4, 1, 0x76ea36d340d37292),
-        ("fdmm_boundary_hand/whole/f64", 88, 16, 1, 0x4ba7989415ebf49f),
-        ("fi_single_lift/whole/f64", 50, 15, 3, 0x74c4f4c6f328aea5),
-        ("fi_single_lift_slab/slab/f64", 52, 17, 3, 0xfc436561293bffd9),
-        ("volume_handling_lift/whole/f64", 31, 5, 3, 0xc8b7b30081e795b8),
-        ("volume_handling_lift_slab/slab/f64", 33, 7, 3, 0x6889a5746cc75808),
-        ("fimm_boundary_lift/whole/f64", 26, 9, 1, 0x0df91766a464b043),
-        ("fdmm_boundary_lift/whole/f64", 83, 16, 1, 0x859e3b458b86d824),
+        ("volume_handling_hand/whole/f32", 26, 7, 3, 0x537b6605ae074cce),
+        ("volume_handling_hand_slab/slab/f32", 28, 9, 3, 0x8eec915e0242ed22),
+        ("volume_handling_hand_slab/whole/f32", 28, 9, 3, 0x8eec915e0242ed22),
+        ("fi_single_hand/whole/f32", 86, 45, 3, 0xb15ee64253de507a),
+        ("fi_single_hand_slab/slab/f32", 92, 51, 3, 0x9c81c66f9d768b99),
+        ("fimm_boundary_hand/whole/f32", 18, 4, 1, 0x12750ab11679ac27),
+        ("fimm_boundary_hand_cbeta/whole/f32", 18, 4, 1, 0x12750ab11679ac27),
+        ("fdmm_boundary_hand/whole/f32", 74, 16, 1, 0x8524be43442b02da),
+        ("fi_single_lift/whole/f32", 46, 15, 3, 0x330522d964b05b19),
+        ("fi_single_lift_slab/slab/f32", 48, 17, 3, 0x88d3ca769da40e65),
+        ("volume_handling_lift/whole/f32", 26, 5, 3, 0xacee51bad610f584),
+        ("volume_handling_lift_slab/slab/f32", 28, 7, 3, 0xdeaf9af06ee800d4),
+        ("fimm_boundary_lift/whole/f32", 25, 9, 1, 0xa565cabf4eb1ead6),
+        ("fdmm_boundary_lift/whole/f32", 73, 16, 1, 0xca377bca63a7680d),
+        ("volume_handling_hand/whole/f64", 26, 7, 3, 0x537b6605ae074cce),
+        ("volume_handling_hand_slab/slab/f64", 28, 9, 3, 0x8eec915e0242ed22),
+        ("volume_handling_hand_slab/whole/f64", 28, 9, 3, 0x8eec915e0242ed22),
+        ("fi_single_hand/whole/f64", 86, 45, 3, 0xb15ee64253de507a),
+        ("fi_single_hand_slab/slab/f64", 92, 51, 3, 0x9c81c66f9d768b99),
+        ("fimm_boundary_hand/whole/f64", 18, 4, 1, 0x12750ab11679ac27),
+        ("fimm_boundary_hand_cbeta/whole/f64", 18, 4, 1, 0x12750ab11679ac27),
+        ("fdmm_boundary_hand/whole/f64", 74, 16, 1, 0x8524be43442b02da),
+        ("fi_single_lift/whole/f64", 46, 15, 3, 0x330522d964b05b19),
+        ("fi_single_lift_slab/slab/f64", 48, 17, 3, 0x88d3ca769da40e65),
+        ("volume_handling_lift/whole/f64", 26, 5, 3, 0xacee51bad610f584),
+        ("volume_handling_lift_slab/slab/f64", 28, 7, 3, 0xdeaf9af06ee800d4),
+        ("fimm_boundary_lift/whole/f64", 25, 9, 1, 0xa565cabf4eb1ead6),
+        ("fdmm_boundary_lift/whole/f64", 73, 16, 1, 0xca377bca63a7680d),
     ];
+
+    /// `(x, out, a)`, all i32, 1-D, with `body`.
+    fn i32_kernel(name: &str, body: Vec<KStmt>) -> Kernel {
+        Kernel {
+            name: name.into(),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::I32),
+                KernelParam::global_buf("out", ScalarKind::I32),
+                KernelParam::scalar("a", ScalarKind::I32),
+            ],
+            body,
+            work_dim: 1,
+        }
+    }
+
+    /// Runs an [`i32_kernel`] over 70 items (two full warps and a partial
+    /// one) with `a = 5` on the differential engine — the tree oracle never
+    /// sees a tape pass, so equal buffers, counters and transaction bytes
+    /// (asserted inside) say the pass changed none of them — and returns
+    /// the tape and the output.
+    fn numbered(k: &Kernel) -> (Compiled, Vec<f64>) {
+        let prep = prepare(k).unwrap();
+        assert_consistent(&prep);
+        let n = 70;
+        let x = shadowed((0..n as i32).map(|i| i * 7 - 90).collect::<Vec<_>>());
+        let out = shadowed(vec![0i32; 5 * n]);
+        let binds = [ArgBind::Buf(&x), ArgBind::Buf(&out), ArgBind::Val(Value::I32(5))];
+        for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
+            let rt = crate::Runtime::sanitizing();
+            launch(&prep, &binds, &[n], None, mode, 128, Engine::Differential, &rt).unwrap();
+        }
+        (prep.tape, out.data().to_f64_vec())
+    }
+
+    /// How many ops of `t`'s main tape `hit` selects.
+    fn count(t: &Compiled, hit: impl Fn(&Op) -> bool) -> usize {
+        t.ops.iter().filter(|op| hit(op)).count()
+    }
+
+    fn is_muladd(op: &Op) -> bool {
+        matches!(op, Op::MulAdd { .. })
+    }
+
+    /// `a·g + b`, which compiles to one multiply-add. (Two literals are two
+    /// registers: the scalar `a` keeps the operands equal.)
+    fn ag(b: KExpr) -> KExpr {
+        KExpr::GlobalId(0) * KExpr::var("a") + b
+    }
+
+    fn store_at(idx: KExpr, value: KExpr) -> KStmt {
+        KStmt::Store { mem: MemRef::Param(1), idx, value }
+    }
+
+    /// `out[g] = (ag + a) · (ag + a)`: the second multiply-add of the block
+    /// repeats the first and is dropped; the product reads the first twice.
+    #[test]
+    fn a_duplicate_in_one_block_is_merged() {
+        let v = ag(KExpr::var("a"));
+        let (t, out) =
+            numbered(&i32_kernel("vn_merge", vec![store_at(KExpr::GlobalId(0), v.clone() * v)]));
+        assert_eq!(count(&t, is_muladd), 1, "{:?}", t.ops);
+        assert_eq!(out[9], 50.0 * 50.0);
+    }
+
+    /// `out[g] = ag + a; if (g > 5) out[g] = (ag + a) · 2`: the arm is a
+    /// block of its own, so its multiply-add stays.
+    #[test]
+    fn no_merge_across_a_block_leader() {
+        let body = vec![
+            store_at(KExpr::GlobalId(0), ag(KExpr::var("a"))),
+            KStmt::If {
+                cond: KExpr::bin(BinOp::Gt, KExpr::GlobalId(0), KExpr::int(5)),
+                then_: vec![store_at(KExpr::GlobalId(0), ag(KExpr::var("a")) * KExpr::int(2))],
+                else_: vec![],
+            },
+        ];
+        let (t, out) = numbered(&i32_kernel("vn_leader", body));
+        assert_eq!(count(&t, is_muladd), 2, "{:?}", t.ops);
+        assert_eq!(
+            count(&t, |op| matches!(op, Op::Jmp { .. })),
+            0,
+            "an else-less `if`: {:?}",
+            t.ops
+        );
+        assert_eq!((out[5], out[6]), (30.0, 70.0));
+    }
+
+    /// `s = a; out[g] = ag + s; s = s + 1; out[g + 70] = ag + s`: the two
+    /// multiply-adds read the same registers, but `s` changes in between.
+    #[test]
+    fn no_merge_when_an_operand_is_rewritten_in_between() {
+        let s = || KExpr::var("s");
+        let body = vec![
+            KStmt::DeclScalar {
+                name: "s".into(),
+                kind: ScalarKind::I32,
+                init: Some(KExpr::var("a")),
+            },
+            store_at(KExpr::GlobalId(0), ag(s())),
+            KStmt::Assign { name: "s".into(), value: s() + KExpr::int(1) },
+            store_at(KExpr::GlobalId(0) + KExpr::int(70), ag(s())),
+        ];
+        let (t, out) = numbered(&i32_kernel("vn_rewritten", body));
+        assert_eq!(count(&t, is_muladd), 2, "{:?}", t.ops);
+        assert_eq!((out[9], out[79]), (50.0, 51.0));
+    }
+
+    /// Two equal stores of `x[g] + g / a + g % a`: their loads and stores
+    /// stay, and so do the second `Div` and `Rem`, though they repeat the
+    /// first two on the same registers in the same block; so do the equal
+    /// `Flops` and loads of a block made by hand.
+    #[test]
+    fn loads_stores_flops_and_i32_division_are_never_merged() {
+        let (g, a) = (|| KExpr::GlobalId(0), || KExpr::var("a"));
+        let value =
+            KExpr::load(MemRef::Param(0), g()) + g() / a() + KExpr::bin(BinOp::Rem, g(), a());
+        let store = store_at(g(), value);
+        let (t, out) = numbered(&i32_kernel("vn_impure", vec![store.clone(), store]));
+        let loads = count(&t, |op| matches!(op, Op::LdG { .. } | Op::LdGFused { .. }));
+        let stores = count(&t, |op| matches!(op, Op::StG { .. } | Op::StGAt { .. }));
+        let divisions = count(&t, |op| matches!(op, Op::Bin { op: BinOp::Div | BinOp::Rem, .. }));
+        assert_eq!((loads, stores, divisions), (2, 2, 4), "{:?}", t.ops);
+        assert_eq!(out[21], (57 + 21 / 5 + 21 % 5) as f64);
+        let ld = |dst| Op::LdG { dst, buf: 0, idx: 1, site: 0, constant: false };
+        let ops = vec![Op::Flops { n: 1 }, Op::Flops { n: 1 }, ld(2), ld(3), Op::Halt];
+        let mut c =
+            Compiled { ops: ops.clone(), phase_starts: vec![0], nregs: 4, ..Compiled::default() };
+        number_values(&mut c, 0);
+        assert_eq!(c.ops, ops);
+    }
+
+    /// `for (i = 0; i < 5; i++) out[ag + i] = (ag + i) · (ag + i)`: the
+    /// loop body is one block, whose three equal multiply-adds (the index
+    /// and both factors) run as one.
+    #[test]
+    fn a_duplicate_inside_a_loop_body_is_merged() {
+        let v = || ag(KExpr::var("i"));
+        let body = vec![KStmt::For {
+            var: "i".into(),
+            begin: KExpr::int(0),
+            end: KExpr::int(5),
+            step: KExpr::int(1),
+            body: vec![store_at(v(), v() * v())],
+        }];
+        let (t, out) = numbered(&i32_kernel("vn_loop", body));
+        assert_eq!(count(&t, is_muladd), 1, "{:?}", t.ops);
+        assert_eq!(count(&t, |op| matches!(op, Op::JgeI64 { .. })), 1, "{:?}", t.ops);
+        assert_eq!(out[39], 39.0 * 39.0);
+    }
 
     #[test]
     fn a_register_used_at_two_widths_fails_validation() {

@@ -18,9 +18,9 @@
 //!    intermediate saves a 32-lane column round-trip.
 //! 3. **Peephole fusion** — longest match first at each pc: fused global
 //!    loads (`Bin`·`AsI64`·`LdG`[·`Bin` accumulate]), fused stores
-//!    (`AsI64`·`StG`), multiply-add (`Bin`·`Bin`) and compare-branch
-//!    (`Bin`·`Jz`, also across a `Flops` in between). The window's first op
-//!    becomes the superinstruction, the rest are dropped by `compact`.
+//!    (`AsI64`·`StG`, the widening first sunk to its store), multiply-add
+//!    (`Bin`·`Bin`) and compare-branch (`Bin`·`Jz`, also across a `Flops`
+//!    in between). The window's first op becomes the superinstruction.
 //!
 //! Fusion is total: an op no window matches stays as it is, on every tape —
 //! multi-phase and local-memory ones included.
@@ -37,8 +37,8 @@
 //! `Engine::Differential` (tree oracle, then the tape) enforces this.
 
 use crate::bytecode::{
-    block_leaders, compact, count_readers, count_writers, is_branch, op_dst, visit_srcs, Acc,
-    Compiled, Op, Shape, K, R,
+    block_leaders, compact, count_readers, count_writers, is_branch, op_dst, reads_reg, visit_srcs,
+    Acc, Compiled, Op, Shape, K, R,
 };
 use lift::prelude::BinOp;
 
@@ -60,6 +60,20 @@ pub(crate) fn fuse(c: &mut Compiled) {
     let uses = count_readers(c);
     let single = |r: R| uses[r as usize] == 1;
 
+    // Codegen widens a store's index before it compiles the value: the
+    // widening moves down to its store — nothing in between reads it or
+    // writes its source — so the pair fuses below. Walking up keeps every
+    // widening already moved next to its store.
+    for pc in (0..n).rev() {
+        let Op::AsI64 { dst, src, from: K::I32 } = c.ops[pc] else { continue };
+        let end = (pc + 1..n).find(|&i| leader[i]).unwrap_or(n);
+        let st =
+            (pc + 1..end).find(|&i| op_dst(&c.ops[i]) == Some(src) || reads_reg(&c.ops[i], dst));
+        let store = |st: &usize| matches!(c.ops[*st], Op::StG { idx, .. } if idx == dst);
+        if let Some(st) = st.filter(|st| single(dst) && store(st)) {
+            c.ops[pc..st].rotate_left(1);
+        }
+    }
     let mut removed = vec![false; n];
     let (mut pc, mut end) = (0, 0);
     while pc < n {

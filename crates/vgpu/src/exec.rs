@@ -1287,9 +1287,9 @@ pub fn launch(
     }
     // OpenCL's `CL_INVALID_WORK_DIMENSION`: an NDRange has one to three
     // dimensions.
-    if global.len() > 3 {
+    if !(1..=3).contains(&global.len()) {
         return err(format!(
-            "kernel `{}`: global size {global:?} has {} dimensions, at most 3 are supported",
+            "kernel `{}`: global size {global:?} has {} dimensions, 1 to 3 are supported",
             prep.name,
             global.len()
         ));
@@ -1609,9 +1609,12 @@ fn run_tree(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
 /// The launch-invariant register state of the warp runners: the zeroed
 /// file + scalar arguments + the optimizer's hoisted prelude, computed once
 /// per *launch* and broadcast into each warp's SoA file (see
-/// [`bytecode::warp_init_regs`] for which registers need it when).
+/// [`bytecode::warp_init_regs`] for which registers need it when), and the
+/// pc phase 0 starts at: past the guards the launch decides
+/// ([`bytecode::launch_entry`]).
 struct WarpInit {
     regs0: Vec<u64>,
+    entry: usize,
     /// Registers broadcast once per register-file allocation.
     once: Vec<bytecode::R>,
     /// Registers re-broadcast for every fresh warp.
@@ -1625,8 +1628,12 @@ impl WarpInit {
             regs0[*slot] = bytecode::bits_of_value(*v);
         }
         bytecode::exec_pre(tape, &mut regs0, l.gsize);
+        let entry = match l.total {
+            0 => tape.phase_starts[0] as usize,
+            _ => bytecode::launch_entry(tape, &regs0, l.gsize),
+        };
         let (once, per_warp) = bytecode::warp_init_regs(tape, l.prep.nslots);
-        WarpInit { regs0, once, per_warp }
+        WarpInit { regs0, entry, once, per_warp }
     }
 }
 
@@ -1739,12 +1746,13 @@ fn run_warps(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
                 warp.load(l, tape, &init, begin, end.min(begin + WARP as u64));
             }
             for phase in 0..tape.phases() {
+                let pc = if phase == 0 { init.entry } else { tape.phase_starts[phase] as usize };
                 for warp in warps.iter_mut().filter(|w| w.alive != 0) {
                     let shapes = if flat && warp.ids.coherent { &tape.shapes[..] } else { &[] };
                     let (lic, alive) = (bytecode::Licence { checked, shapes }, warp.alive);
                     let (vregs, privs, mut wc) = warp.ctx(l, san, &mut acc, &mut locals);
                     let run =
-                        bytecode::exec_phase_warp(tape, phase, alive, vregs, privs, &mut wc, lic);
+                        bytecode::exec_phase_warp(tape, pc, alive, vregs, privs, &mut wc, lic);
                     warp.alive &= !run.returned;
                     warp.diverged |= run.diverged;
                 }
@@ -2350,6 +2358,126 @@ pub(crate) mod tests {
         .to_string();
         assert!(msg.contains("lid2p"), "{msg}");
         assert!(msg.contains("[4, 4, 2, 2]"), "{msg}");
+        // A global size of no dimension: not one work-item, but an error.
+        let msg = launch(
+            &prep,
+            &[ArgBind::Buf(&out)],
+            &[],
+            Some(1),
+            ExecMode::Fast,
+            128,
+            Engine::Fast,
+            crate::runtime(),
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(msg.contains("lid2p"), "{msg}");
+        assert!(msg.contains("global size []"), "{msg}");
+    }
+
+    /// `if (gid(d) >= N_d) return;` for each of `work_dim` dimensions — the
+    /// guards LIFT's `mapGlb` emits — then `out[i] = x[i] + 1` at the
+    /// linear id `i`; with `barrier`, a second phase adds the local id.
+    fn guarded_kernel(work_dim: u8, barrier: bool) -> Kernel {
+        let g = KExpr::GlobalId;
+        let at = || if work_dim == 1 { g(0) } else { g(1) * KExpr::GlobalSize(0) + g(0) };
+        let mut body: Vec<KStmt> = (0..work_dim)
+            .map(|d| {
+                KStmt::return_if(KExpr::bin(BinOp::Ge, g(d), KExpr::var(["N", "M"][d as usize])))
+            })
+            .collect();
+        let load = |p| KExpr::load(MemRef::Param(p), at());
+        body.push(KStmt::Store {
+            mem: MemRef::Param(1),
+            idx: at(),
+            value: load(0) + KExpr::int(1),
+        });
+        if barrier {
+            body.push(KStmt::Barrier);
+            let value = load(1) + KExpr::LocalId(0);
+            body.push(KStmt::Store { mem: MemRef::Param(1), idx: at(), value });
+        }
+        Kernel {
+            name: "guarded".into(),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::I32),
+                KernelParam::global_buf("out", ScalarKind::I32),
+                KernelParam::scalar("N", ScalarKind::I32),
+                KernelParam::scalar("M", ScalarKind::I32),
+            ],
+            body,
+            work_dim,
+        }
+    }
+
+    /// Launches [`guarded_kernel`] with `x[i] = 3i` on the differential
+    /// engine, profiled: the output — bit-identical to the tree oracle's,
+    /// counters and findings too (asserted inside) — and how many `CmpJz`
+    /// and `Ret` the tape dispatched.
+    fn run_guarded(
+        (work_dim, barrier): (u8, bool),
+        (n, m): (i32, i32),
+        global: &[usize],
+        local: Option<usize>,
+    ) -> (Vec<i32>, u64, u64) {
+        let prep = prepare(&guarded_kernel(work_dim, barrier)).unwrap();
+        let total = global.iter().product::<usize>();
+        let x = shadowed((0..total as i32).map(|i| 3 * i).collect::<Vec<_>>());
+        let out = shadowed(vec![0i32; total]);
+        let binds = [
+            ArgBind::Buf(&x),
+            ArgBind::Buf(&out),
+            ArgBind::Val(Value::I32(n)),
+            ArgBind::Val(Value::I32(m)),
+        ];
+        let rt = Runtime::sanitizing();
+        let mode = ExecMode::Profile;
+        let stats =
+            launch(&prep, &binds, global, local, mode, 128, Engine::Differential, &rt).unwrap();
+        let prof = stats.op_profile.expect("a profiled launch");
+        let dispatched = |name| prof.entries().iter().find(|e| e.0 == name).map_or(0, |e| e.1);
+        let BufData::I32(out) = out.data().clone() else { unreachable!() };
+        (out, dispatched("CmpJz"), dispatched("Ret"))
+    }
+
+    /// A launch of exactly `(N, M)` items decides both guards: no warp
+    /// dispatches one.
+    #[test]
+    fn a_flat_launch_of_exactly_its_sizes_skips_every_guard() {
+        let (out, cmps, rets) = run_guarded((2, false), (48, 3), &[48, 3], None);
+        assert_eq!(out, (0..144).map(|i| 3 * i + 1).collect::<Vec<_>>());
+        assert_eq!((cmps, rets), (0, 0));
+    }
+
+    /// `N = 50` on 64 items: the guard decides per item, in both warps.
+    #[test]
+    fn a_padded_launch_keeps_its_guard() {
+        let (out, cmps, rets) = run_guarded((1, false), (50, 1), &[64], None);
+        let want: Vec<i32> = (0..64).map(|i| if i < 50 { 3 * i + 1 } else { 0 }).collect();
+        assert_eq!(out, want);
+        assert_eq!((cmps, rets), (2, 1));
+    }
+
+    /// `N = 0`: every item returns — each warp enters at the `Ret`.
+    #[test]
+    fn a_launch_of_no_valid_item_returns_every_item() {
+        let (out, cmps, rets) = run_guarded((2, false), (0, 0), &[40, 2], None);
+        assert_eq!(out, vec![0; 80]);
+        assert_eq!((cmps, rets), (0, 3));
+    }
+
+    /// A grouped launch with a barrier: phase 0 enters past the guard that
+    /// its size decides, and keeps the one it does not; the lanes that
+    /// returned sit out the second phase.
+    #[test]
+    fn a_grouped_launch_with_barriers_enters_past_its_decided_guard() {
+        let (out, cmps, _) = run_guarded((1, true), (64, 1), &[64], Some(32));
+        assert_eq!(out, (0..64).map(|i| 3 * i + 1 + i % 32).collect::<Vec<_>>());
+        assert_eq!(cmps, 0);
+        let (out, cmps, _) = run_guarded((1, true), (40, 1), &[64], Some(32));
+        let want: Vec<i32> = (0..64).map(|i| if i < 40 { 3 * i + 1 + i % 32 } else { 0 }).collect();
+        assert_eq!(out, want);
+        assert_eq!(cmps, 2);
     }
 
     #[test]

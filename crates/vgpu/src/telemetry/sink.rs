@@ -343,8 +343,9 @@ pub fn transfer_summaries(events: &[Event]) -> Vec<TransferSummary> {
     vec![to_gpu, to_host, halo, replica]
 }
 
-/// Opcode rows shown per kernel in a hotspot table.
-const HOTSPOT_ROWS: usize = 12;
+/// Opcode rows shown per kernel in a hotspot table: every opcode a shipped
+/// tape runs, so a row missing from one reads 0 dispatches.
+const HOTSPOT_ROWS: usize = 20;
 
 /// Renders `accounts` as a table, one row per (kernel, engine, precision),
 /// then the per-opcode hotspot table of every account that carries ops.

@@ -1013,7 +1013,7 @@ fn a_local_array_fault_reads_the_same_on_every_engine_and_op() {
     }
 }
 
-// ---- lane shapes: slice loads/stores, branches decided from end lanes ----
+// ---- lane shapes: slice loads/stores, guards decided by the launch ----
 
 /// Element `i` of [`ramp`].
 fn ramp_at(i: usize) -> i32 {
@@ -1082,8 +1082,9 @@ fn stencil7_kernel(kind: ScalarKind) -> Kernel {
 /// The stencil over `w × 5 × 3` with the last two columns of every row
 /// guarded off, so rows end inside warps wherever they can. Rows of 13, 31
 /// and 33 make every warp straddle rows (the per-lane path), 32 and 96 make
-/// every warp row-coherent (slice loads and stores, guards decided from the
-/// end lanes) — unless the launch records per-lane accesses; 13·5·3 and
+/// every warp row-coherent (slice loads and stores) — unless the launch
+/// records per-lane accesses. The launch decides the `H` and `D` guards
+/// before any warp runs; the lane loop decides `N = W − 2`'s. 13·5·3 and
 /// 31·5·3 end in a partial warp. Every row loses its last two columns
 /// inside some warp.
 #[test]
