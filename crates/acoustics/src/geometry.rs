@@ -215,8 +215,8 @@ mod tests {
     }
 
     /// Along x the inside set of every row is one interval, so `nbrs > 0`
-    /// cuts a row-coherent warp into a contiguous lane mask: the executor
-    /// serves its unit-stride loads as one run, never lane by lane.
+    /// cuts a row-coherent warp into a contiguous lane mask: the executor's
+    /// runs over it are dense lane loops.
     #[test]
     fn every_shipped_shape_is_row_convex() {
         let sizes = [

@@ -380,22 +380,19 @@ pub(crate) fn op_index(op: &Op) -> usize {
     }
 }
 
-/// How a register's value varies across the active lanes of a
-/// *row-coherent* warp — a flat launch's warp whose lanes share `gid[1]` and
-/// `gid[2]`, so that `gid[0]` counts up by one per lane. Classified once per
-/// tape by [`crate::compile::lane_shapes`]; licenses the warp executor's
-/// shortcuts, which audit it lane by lane in debug builds.
+/// How a register's value varies across the active lanes of a flat launch's
+/// warp — one table per launch shape and warp kind (row-coherent or
+/// straddling rows), by [`crate::compile::launch_shapes`]; licenses the warp
+/// executor's shortcuts, which audit it lane by lane in debug builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Shape {
     /// The same bits in every active lane.
     Uniform,
     /// An i32 register whose lane `l` holds lane `l0`'s value plus
-    /// `stride × (l − l0)`, wrapping.
+    /// `stride × (l − l0)`, wrapping — or the i64 sign extension of one (what
+    /// `AsI64` makes of it, the index `LdG`/`StG` take), affine as an i64
+    /// only while the i32 does not wrap ([`unit_run`]).
     Affine(i32),
-    /// An i64 register holding the sign extension of an [`Shape::Affine`]
-    /// i32 (what `AsI64` makes of one) — the index `LdG`/`StG` consume;
-    /// affine as an i64 only while the i32 does not wrap ([`unit_run`]).
-    Index(i32),
     Varying,
 }
 
@@ -421,8 +418,8 @@ impl Shape {
 /// What the warp executor may take for granted about one warp: the
 /// per-site bounds verdicts of the launch shape (`checked[site]` keeps the
 /// dynamic check; empty — every site checked — without a proof) and the lane
-/// shapes of the tape's registers — empty, every register
-/// [`Shape::Varying`], for a warp that is not row-coherent.
+/// shapes of the tape's registers for the warp's kind — empty, every
+/// register [`Shape::Varying`], for a warp of a grouped launch.
 #[derive(Clone, Copy)]
 pub(crate) struct Licence<'a> {
     pub(crate) checked: &'a [bool],
@@ -477,9 +474,6 @@ pub struct Compiled {
     /// Number of global access sites (`max site + 1`) — sizes the per-site
     /// bounds-check table of [`Licence`].
     pub(crate) nsites: u32,
-    /// Lane shape of every register in a row-coherent warp
-    /// ([`crate::compile::lane_shapes`]).
-    pub(crate) shapes: Vec<Shape>,
     /// Width of every register, fixed where it is allocated: the warp
     /// register file keeps `r` as a `[u64; WARP]` row when `wide[r]` (`F64`,
     /// the internal i64 registers), otherwise as a packed `[u32; WARP]` row.
@@ -993,8 +987,8 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
     number_values(&mut c, prep.nslots);
     // Branch reconvergence points for the warp executor, computed on the
     // final op stream (every pass has already remapped its targets), then
-    // checked with everything else the executor trusts; the lane shapes
-    // read them.
+    // checked with everything else the executor trusts; the lane shapes of
+    // each launch shape read them.
     c.joins = compute_joins(&c.ops);
     if !validate(&c, prep) {
         // Never expected: the compiler allocated every operand itself and
@@ -1002,7 +996,6 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
         // trusting a tape the check rejected.
         return Err("tape validation failed".into());
     }
-    c.shapes = crate::compile::lane_shapes(&c, &prep.scalar_slots);
     Ok(c)
 }
 
@@ -1710,45 +1703,54 @@ fn coalesce_copies(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>])
     removed
 }
 
-/// Block-local value numbering, run on the fused tape: a pure register op
-/// ([`hoistable`], or a `MulAdd`) that repeats an earlier op of its basic
-/// block — same opcode and operands, none of them written in between — is
-/// dropped when both write single-writer temporaries, and its readers read
-/// the earlier register instead. A block runs whole, so whenever the earlier
-/// op runs the dropped one would have run right after it on the same operand
-/// bits, and no later read can tell the two registers apart — unless it sits
-/// before the dropped op in tape order (a loop's next trip), which keeps it.
-/// Running after fusion keeps the fused windows' single-use intermediates.
+/// Block-local value numbering of the fused tape, then of its prelude (one
+/// block): a pure register op ([`hoistable`], or a `MulAdd`) that repeats an
+/// earlier op of its block — same opcode and operands, none of them written
+/// in between — is dropped when both write single-writer temporaries of one
+/// width, and its readers read the earlier register instead. A block runs
+/// whole, so whenever the earlier op runs the dropped one would have run
+/// right after it on the same operand bits, and no later read can tell the
+/// two registers apart — unless it sits before the dropped op in tape order
+/// (a loop's next trip), which keeps it. Running after fusion keeps the
+/// fused windows' single-use intermediates.
 fn number_values(c: &mut Compiled, nslots: usize) {
-    let leader = block_leaders(c);
-    let writers = count_writers(&c.ops, c.nregs);
-    let temp = |r: R| r as usize >= nslots && writers[r as usize] == 1;
-    let mut same: Vec<R> = (0..c.nregs as R).collect();
-    let (mut read, mut removed) = (vec![false; c.nregs], vec![false; c.ops.len()]);
-    let mut start = 0;
-    for pc in 0..c.ops.len() {
-        start = if leader[pc] { pc } else { start };
-        visit_srcs_mut(&mut c.ops[pc], &mut |r| *r = same[*r as usize]);
-        let op = c.ops[pc];
-        visit_srcs(&op, &mut |r| read[r as usize] = true);
-        let pure = hoistable(&op) || matches!(op, Op::MulAdd { .. });
-        let Some(d) = op_dst(&op).filter(|&d| pure && temp(d) && !read[d as usize]) else {
-            continue;
-        };
-        for p in (start..pc).rev().filter(|&p| !removed[p]) {
-            // The earlier op, writing `d`: equal to `op` when it computes the same.
-            let mut prev = c.ops[p];
-            let w = op_dst_mut(&mut prev).map(|w| std::mem::replace(w, d));
-            if let Some(e) = w.filter(|&e| temp(e) && prev == op) {
-                (same[d as usize], removed[pc]) = (e, true);
-                break;
-            }
-            if w.is_some_and(|w| reads_reg(&op, w)) {
-                break;
+    let (leader, wide, mut same) =
+        (block_leaders(c), &c.wide, (0..c.nregs as R).collect::<Vec<_>>());
+    // The ops of `ops` to drop; `same[r]` is what a dropped op's `r` now is.
+    let mut number = |ops: &mut [Op], leader: &[bool]| {
+        let writers = count_writers(ops, same.len());
+        let temp = |r: R| r as usize >= nslots && writers[r as usize] == 1;
+        let (mut read, mut removed) = (vec![false; same.len()], vec![false; ops.len()]);
+        let mut start = 0;
+        for pc in 0..ops.len() {
+            start = if leader.get(pc) == Some(&true) { pc } else { start };
+            visit_srcs_mut(&mut ops[pc], &mut |r| *r = same[*r as usize]);
+            let op = ops[pc];
+            visit_srcs(&op, &mut |r| read[r as usize] = true);
+            let pure = hoistable(&op) || matches!(op, Op::MulAdd { .. });
+            let Some(d) = op_dst(&op).filter(|&d| pure && temp(d) && !read[d as usize]) else {
+                continue;
+            };
+            for p in (start..pc).rev().filter(|&p| !removed[p]) {
+                // The earlier op, writing `d`: equal to `op` when it computes the same.
+                let mut prev = ops[p];
+                let w = op_dst_mut(&mut prev).map(|w| std::mem::replace(w, d));
+                let one_width = |e: R| wide[e as usize] == wide[d as usize];
+                if let Some(e) = w.filter(|&e| temp(e) && one_width(e) && prev == op) {
+                    (same[d as usize], removed[pc]) = (e, true);
+                    break;
+                }
+                if w.is_some_and(|w| reads_reg(&op, w)) {
+                    break;
+                }
             }
         }
-    }
-    c.optimized_ops += removed.iter().filter(|&&r| r).count() as u32;
+        removed
+    };
+    let (removed, dropped) = (number(&mut c.ops, &leader), number(&mut c.pre, &[]));
+    c.pre = c.pre.iter().zip(&dropped).filter(|p| !p.1).map(|p| *p.0).collect();
+    c.ops.iter_mut().for_each(|op| visit_srcs_mut(op, &mut |r| *r = same[*r as usize]));
+    c.optimized_ops += removed.iter().chain(&dropped).filter(|&&r| r).count() as u32;
     compact(c, &removed);
 }
 
@@ -1864,8 +1866,9 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 // `Gid` row is an iota or a broadcast when the warp is *row-coherent*, a
 // carry walk from lane 0's id when it straddles rows.
 //
-// Lane shapes: for a row-coherent warp the executor also receives the tape's
-// lane-shape table ([`Shape`], [`Licence`]), which licenses three shortcuts —
+// Lane shapes: a warp of a flat launch also receives its launch shape's
+// lane-shape table for its kind ([`Shape`], [`Licence`]), which licenses
+// three shortcuts —
 // unit-stride loads and stores as runs ([`unit_run`]), uniform branch
 // conditions read off one lane ([`decided`]), and private
 // accesses as rows — each audited lane by lane in debug builds. Private
@@ -2159,8 +2162,8 @@ pub(crate) struct WarpIds {
     /// grouped launch's tape reads local or group ids.
     pub lsize: usize,
     /// The warp stays in one row of the NDRange, so its `Gid` rows are an
-    /// iota and broadcasts; whether its lane shapes ([`Shape`]) apply is the
-    /// caller's to say.
+    /// iota and broadcasts; which lane-shape table ([`Shape`]) it runs under
+    /// is the caller's to say.
     pub coherent: bool,
 }
 
@@ -2325,24 +2328,23 @@ pub(crate) struct PhaseRun {
     pub returned: u32,
 }
 
-/// Where phase 0 starts on a launch of `gsize` whose launch-invariant
-/// registers [`exec_pre`] left in `regs0`: past the guards the launch
-/// decides. From the phase's entry, an ordered i32 `CmpJz` whose operands
-/// are each a context `Gid{dim}` register (values `0..gsize[dim]`) or a
-/// register no tape op writes (its value in `regs0`) is followed to its one
-/// outcome when the two ranges settle it for every work-item — the
-/// `if (gid >= N) return;` of a launch of exactly `N` items. A `CmpJz`
-/// writes no register and counts nothing, so a warp entering where the
-/// walk ends holds what running the guards would have left.
-pub(crate) fn launch_entry(c: &Compiled, regs0: &[u64], gsize: [usize; 3]) -> usize {
-    let writers = count_writers(&c.ops, c.nregs);
+/// Where phase 0 starts on a launch of `gsize` whose registers hold `vals`
+/// ([`crate::compile::launch_shapes`]): past the guards the launch decides.
+/// From the phase's entry, an ordered i32 `CmpJz` whose operands are each a
+/// context `Gid{dim}` (values `0..gsize[dim]`) or of known launch value is
+/// followed to its one outcome when the two ranges settle it for every
+/// work-item — the `if (gid >= N) return;` of a launch of exactly `N` items.
+/// A `CmpJz` writes no register and counts nothing, so a warp entering where
+/// the walk ends holds what running the guards would have left.
+pub(crate) fn launch_entry(c: &Compiled, vals: &[crate::compile::Val], gsize: [usize; 3]) -> usize {
     // The values `lo..=hi` register `r` holds across the launch's items.
-    let range = |r: R| match c.item_pre.iter().find(|op| op_dst(op) == Some(r)) {
-        Some(&Op::Gid { dim, .. }) => Some(gsize[dim as usize] as i64 - 1)
-            .filter(|hi| (0..=i32::MAX as i64).contains(hi))
-            .map(|hi| [0, hi]),
-        Some(_) => None,
-        None => (writers[r as usize] == 0).then(|| [i32v(regs0[r as usize]) as i64; 2]),
+    let range = |r: R| match vals[r as usize] {
+        Some(([0, 0, 0], Some(u))) => Some([u as i64; 2]),
+        Some((c, Some(0))) => (0..3)
+            .find(|&d| c == [0, 1, 2].map(|e| (e == d) as i32))
+            .and_then(|d| i32::try_from(gsize[d].checked_sub(1)?).ok())
+            .map(|hi| [0, hi as i64]),
+        _ => None,
     };
     let mut pc = c.phase_starts[0] as usize;
     while let Op::CmpJz { a, b, op, k: K::I32, target } = c.ops[pc] {
@@ -2373,8 +2375,8 @@ pub(crate) fn launch_entry(c: &Compiled, regs0: &[u64], gsize: [usize; 3]) -> us
 /// semantics — superinstructions in the exact operand order of the ops they
 /// replaced — so results are bit-identical lane for lane. The run starts at
 /// `pc`: a phase entry, or phase 0's [`launch_entry`]. `lic.shapes` is
-/// the tape's lane-shape table when the caller saw that the warp is
-/// row-coherent, empty otherwise.
+/// the launch shape's lane-shape table for the warp's kind, empty on a
+/// grouped launch.
 pub(crate) fn exec_phase_warp(
     c: &Compiled,
     pc: usize,
@@ -2527,14 +2529,14 @@ fn shadow_scatter(
 
 /// The run of `b` a unit-stride access covers, as (first active lane, its
 /// element): `unit` says the lane shapes make `idx_of` count up by one per
-/// lane, which under a contiguous mask makes the access one run. **One**
-/// range check per warp-op licenses it — kept at PROVEN sites too, where it
-/// is what rules out an i32 index wrapping inside the run. `None` sends the
-/// op down the per-lane path: a run that fails the check (so the
-/// out-of-bounds panic reads as ever), a non-contiguous mask, and a buffer
-/// with a sanitizer shadow, whose findings are per element (callers clear
-/// `unit` on launches that record per-lane accesses). Debug builds audit the
-/// shape claim lane by lane.
+/// lane, which makes the span from the first to the last active lane one
+/// run whatever holes the mask has. **One** range check per warp-op
+/// licenses it — kept at PROVEN sites too, where it is what rules out an
+/// i32 index wrapping inside the run. `None` sends the op down the per-lane
+/// path: a run that fails the check (so the out-of-bounds panic reads as
+/// ever) and a buffer with a sanitizer shadow, whose findings are per
+/// element (callers clear `unit` on launches that record per-lane
+/// accesses). Debug builds audit the shape claim on every active lane.
 #[inline(always)]
 fn unit_run(
     b: &SharedBuf,
@@ -2545,15 +2547,15 @@ fn unit_run(
     if !unit || b.shadow().is_some() {
         return None;
     }
-    let (lo, hi) = contiguous(mask)?;
+    let (lo, hi) = (mask.trailing_zeros() as usize, WARP - mask.leading_zeros() as usize);
     let start = idx_of(lo);
     if start < 0 || start as u64 + (hi - lo) as u64 > (b.len() as u64).min(1 << 31) {
         return None;
     }
     if cfg!(debug_assertions) {
-        for l in lo..hi {
+        for_lanes!(mask, l, {
             assert_eq!(idx_of(l), start + (l - lo) as i64, "lane-shape audit: index of lane {l}");
-        }
+        });
     }
     Some((lo, start as usize))
 }
@@ -2938,14 +2940,14 @@ impl WarpExec<'_, '_> {
                     _ => vmap1(vregs, dst, src, mask, |x: f64| intr1_f64(intr, x)),
                 },
                 Op::LdG { dst, buf, idx, site, constant } => {
-                    let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
+                    let (unit, regs) = (lic.shape(idx) == Shape::Affine(1), &*vregs);
                     let (at, mut ix) = ((buf, site, constant), [0i64; WARP]);
                     let idx = |l| i64::get(regs, idx, l);
                     let (b, run) = load_global(self.w, lic, at, mask, unit, idx, &mut ix);
                     load_lanes(vregs, dst, b, (run, &ix), None, mask);
                 }
                 Op::StG { buf, idx, val, vk, site } => {
-                    let (unit, regs) = (lic.shape(idx) == Shape::Index(1), &*vregs);
+                    let (unit, regs) = (lic.shape(idx) == Shape::Affine(1), &*vregs);
                     let ix = |l| i64::get(regs, idx, l);
                     store_global(self.w, lic, (buf, site), mask, unit, ix, regs, (val, vk));
                 }
@@ -3132,7 +3134,7 @@ fn intr1_f64(i: Intrinsic, x: f64) -> f64 {
 }
 
 #[inline(always)]
-fn bin_bits(op: BinOp, k: K, x: u64, y: u64) -> u64 {
+pub(crate) fn bin_bits(op: BinOp, k: K, x: u64, y: u64) -> u64 {
     match k {
         K::F32 => {
             let (a, b) = (f32v(x), f32v(y));
@@ -3460,11 +3462,24 @@ mod tests {
         assert_eq!(out[7], 7.0);
     }
 
-    /// `(x, out, Nx)` over a 2-D NDRange with `body`, then
-    /// `out[gid0] = Σ named`, so every named scalar stays live. Returns the
-    /// lane shape of each scalar the body declares, in declaration order
-    /// (slot 0 is `Nx`; loop variables count as declarations).
-    fn shapes_of(body: Vec<KStmt>, named: &[&str]) -> Vec<Shape> {
+    /// The lane shapes of `prep`'s registers on a flat launch of `gsize`
+    /// whose i32 arguments are `args` (by name; a scalar not named is taken
+    /// for a float, of unknown value): `[row-coherent, straddling]`.
+    fn shapes_at(prep: &Prepared, gsize: [usize; 3], args: &[(&str, i32)]) -> [Vec<Shape>; 2] {
+        let value = |name: &str| args.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
+        let slots = prep.params.iter().zip(&prep.scalar_slots);
+        let i32_or_float = |n| value(n).map_or(Value::F32(0.0), Value::I32);
+        let args: Vec<_> =
+            slots.filter_map(|(p, s)| Some(((*s)?, i32_or_float(&p.name)))).collect();
+        crate::compile::launch_shapes(&prep.tape, &args, gsize).0
+    }
+
+    /// `(x, out, Nx)` with `body`, then `out[gid0] = Σ named`, so every named
+    /// scalar stays live, launched over an 11 × 4 NDRange with `Nx = 11`.
+    /// Returns, per warp kind (row-coherent, straddling), the lane shape of
+    /// each scalar the body declares, in declaration order (slot 0 is `Nx`;
+    /// loop variables count as declarations).
+    fn shapes_of(body: Vec<KStmt>, named: &[&str]) -> [Vec<Shape>; 2] {
         let sum = named.iter().map(|n| KExpr::var(*n)).reduce(|a, b| a + b).expect("a name");
         let mut body = body;
         body.push(KStmt::Store { mem: MemRef::Param(1), idx: KExpr::GlobalId(0), value: sum });
@@ -3479,7 +3494,7 @@ mod tests {
             work_dim: 2,
         };
         let prep = prepare(&k).unwrap();
-        prep.tape.shapes[1..prep.nslots].to_vec()
+        shapes_at(&prep, [11, 4, 1], &[("Nx", 11)]).map(|t| t[1..prep.nslots].to_vec())
     }
 
     fn decl(name: &str, init: KExpr) -> KStmt {
@@ -3494,29 +3509,43 @@ mod tests {
         KStmt::Store { mem: MemRef::Param(1), idx: KExpr::GlobalId(0), value: KExpr::int(value) }
     }
 
+    /// On an 11-wide NDRange with `Nx = 11`: a row-coherent warp sees the
+    /// `gid0` coefficient, a straddling one sees a stride only in a multiple
+    /// of the linear item id `gid0 + 11·gid1`.
     #[test]
-    fn lane_shapes_follow_the_index_expression() {
+    fn launch_shapes_follow_the_index_expression() {
+        use Shape::{Affine, Uniform, Varying};
         let (g0, g1, nx) = (|| KExpr::GlobalId(0), || KExpr::GlobalId(1), || KExpr::var("Nx"));
         let rows = [
-            ("gid0 + 3", g0() + KExpr::int(3), Shape::Affine(1)),
-            ("gid0 + Nx*gid1", g0() + nx() * g1(), Shape::Affine(1)),
-            ("Nx*gid1 - gid0", nx() * g1() - g0(), Shape::Affine(-1)),
-            ("(gid0 + 1) + (gid0 - Nx)", (g0() + KExpr::int(1)) + (g0() - nx()), Shape::Affine(2)),
-            ("gid1 + Nx", g1() + nx(), Shape::Uniform),
-            ("gid0 * gid1", g0() * g1(), Shape::Varying),
-            ("x[gid0]", KExpr::load(MemRef::Param(0), g0()), Shape::Varying),
-            ("x[gid1] + gid0", KExpr::load(MemRef::Param(0), g1()) + g0(), Shape::Varying),
+            ("gid0 + 3", g0() + KExpr::int(3), [Affine(1), Varying]),
+            ("gid0 + Nx*gid1", g0() + nx() * g1(), [Affine(1), Affine(1)]),
+            (
+                "(gid1 + 2)*Nx - Nx + gid0",
+                (g1() + KExpr::int(2)) * nx() - nx() + g0(),
+                [Affine(1); 2],
+            ),
+            ("2*(gid0 + Nx*gid1)", KExpr::int(2) * (g0() + nx() * g1()), [Affine(2), Affine(2)]),
+            ("gid0 + (Nx+1)*gid1", g0() + (nx() + KExpr::int(1)) * g1(), [Affine(1), Varying]),
+            ("Nx*gid1 - gid0", nx() * g1() - g0(), [Affine(-1), Varying]),
+            (
+                "(gid0 + 1) + (gid0 - Nx)",
+                (g0() + KExpr::int(1)) + (g0() - nx()),
+                [Affine(2), Varying],
+            ),
+            ("gid1 + Nx", g1() + nx(), [Uniform, Varying]),
+            ("Nx*Nx - 3", nx() * nx() - KExpr::int(3), [Uniform, Uniform]),
+            ("gid0 * gid1", g0() * g1(), [Varying, Varying]),
+            ("x[gid0]", KExpr::load(MemRef::Param(0), g0()), [Varying, Varying]),
+            ("x[gid1] + gid0", KExpr::load(MemRef::Param(0), g1()) + g0(), [Varying, Varying]),
         ];
         for (what, expr, want) in rows {
-            assert_eq!(shapes_of(vec![decl("v", expr)], &["v"]), [want], "{what}");
+            assert_eq!(shapes_of(vec![decl("v", expr)], &["v"]), want.map(|s| vec![s]), "{what}");
         }
-        // A multiple of gid0 may be affine(2) or varying, never unit-stride.
-        let twice = shapes_of(vec![decl("v", KExpr::int(2) * g0())], &["v"])[0];
-        assert!(matches!(twice, Shape::Affine(2) | Shape::Varying), "2*gid0: {twice:?}");
     }
 
     #[test]
-    fn lane_shapes_follow_control_flow() {
+    fn launch_shapes_follow_control_flow() {
+        use Shape::{Affine, Uniform, Varying};
         let (g0, g1, nx) = (|| KExpr::GlobalId(0), || KExpr::GlobalId(1), || KExpr::var("Nx"));
         let lt = |a, b| KExpr::bin(BinOp::Lt, a, b);
         // Arms that store keep their jumps; `w` is written in both.
@@ -3530,16 +3559,20 @@ mod tests {
                 },
             ]
         };
-        assert_eq!(shapes_of(branch_on(lt(g0(), KExpr::int(7))), &["w"]), [Shape::Varying]);
-        assert_eq!(shapes_of(branch_on(lt(g1(), KExpr::int(7))), &["w"]), [Shape::Uniform]);
+        let w = |s: Shape| vec![s];
+        assert_eq!(shapes_of(branch_on(lt(g0(), KExpr::int(7))), &["w"]), [w(Varying), w(Varying)]);
+        // A `gid[1]` guard splits only a warp that straddles rows.
+        assert_eq!(shapes_of(branch_on(lt(g1(), KExpr::int(7))), &["w"]), [w(Uniform), w(Varying)]);
+        assert_eq!(shapes_of(branch_on(lt(nx(), KExpr::int(7))), &["w"]), [w(Uniform), w(Uniform)]);
         // An early-return guard splits the warp for good: what the
         // survivors write afterwards they all write.
         let mut guarded = vec![KStmt::return_if(KExpr::bin(BinOp::Ge, g0(), nx()))];
         guarded.extend(branch_on(lt(g1(), KExpr::int(7))));
-        assert_eq!(shapes_of(guarded, &["w"]), [Shape::Uniform]);
+        assert_eq!(shapes_of(guarded, &["w"]), [w(Uniform), w(Varying)]);
 
         // acc += x[gid0 + k*Nx] for k in 0..end: the counter is uniform
-        // exactly when the trip count is, and the index then unit-stride.
+        // exactly when the trip count is, and the index then unit-stride in
+        // a row (in a straddling warp `k·Nx` is of unknown value).
         let sum_to = |end| {
             vec![
                 decl("acc", KExpr::int(0)),
@@ -3560,17 +3593,59 @@ mod tests {
         };
         assert_eq!(
             shapes_of(sum_to(nx()), &["acc"]),
-            [Shape::Varying, Shape::Uniform, Shape::Affine(1)],
+            [vec![Varying, Uniform, Affine(1)], vec![Varying, Uniform, Varying]],
             "acc, k, i under a uniform bound"
         );
         assert_eq!(
             shapes_of(sum_to(g0()), &["acc"]),
-            [Shape::Varying, Shape::Varying, Shape::Varying],
+            [vec![Varying; 3], vec![Varying; 3]],
             "acc, k, i under a per-lane bound"
         );
         // A scalar argument the kernel overwrites has two definitions.
         let clobber = vec![assign("Nx", g0()), decl("v", nx() + KExpr::int(1))];
-        assert_eq!(shapes_of(clobber, &["v"]), [Shape::Varying]);
+        assert_eq!(shapes_of(clobber, &["v"]), [w(Varying), w(Varying)]);
+    }
+
+    /// Whether each global access of `t` runs unit-stride under `shapes`, as
+    /// the executor decides it.
+    fn unit_sites(t: &Compiled, shapes: &[Shape]) -> Vec<bool> {
+        let sh = |r: R| shapes[r as usize];
+        let unit = |op: &Op| match *op {
+            Op::LdG { idx, .. } | Op::StG { idx, .. } => Some(sh(idx) == Shape::Affine(1)),
+            Op::LdGFused { base, off, .. } => {
+                Some(off.map_or(sh(base), |(o, sub)| sh(base).add(sh(o), sub)) == Shape::Affine(1))
+            }
+            Op::StGAt { base, .. } => Some(sh(base) == Shape::Affine(1)),
+            _ => None,
+        };
+        t.ops.iter().filter_map(unit).collect()
+    }
+
+    /// The volume kernel's `idx = z·Nx·Ny + y·Nx + x` is the linear item id
+    /// of a launch of exactly `Nx × Ny × ·` items — every access of a
+    /// straddling warp is unit-stride, the slab-placed form's too — and not
+    /// of a padded one, where only row-coherent warps keep their runs.
+    #[test]
+    fn the_volume_index_is_unit_stride_in_straddling_warps_of_an_exact_launch() {
+        let real = ScalarKind::F64;
+        let whole = room_acoustics::handwritten::volume_kernel().resolve_real(real);
+        let slab = room_acoustics::handwritten::volume_slab_kernel().resolve_real(real);
+        let dims = [("Nx", 11), ("Ny", 11), ("Nz", 11)];
+        for (k, gsize, want) in [
+            (&whole, [11, 11, 9], [true, true]),
+            (&slab, [11, 11, 9], [true, true]),
+            (&whole, [12, 11, 9], [true, false]),
+        ] {
+            let prep = prepare(k).unwrap();
+            let shapes = shapes_at(&prep, gsize, &dims);
+            for (kind, (shapes, want)) in
+                ["coherent", "straddling"].iter().zip(shapes.iter().zip(want))
+            {
+                let units = unit_sites(&prep.tape, shapes);
+                assert!(units.len() >= 8, "{}: {units:?}", k.name);
+                assert!(units.iter().all(|&u| u == want), "{} {gsize:?} {kind}: {units:?}", k.name);
+            }
+        }
     }
 
     /// `i = gid; v = x[i]; s = gid < 5 ? v + a : v * a; out[i] = s`: a
@@ -3642,7 +3717,6 @@ mod tests {
             assert!(d.is_none_or(|d| !once.contains(&d)), "{op:?} writes a once-register");
             assert!(d.is_none_or(|d| d as usize >= nslots || per_warp.contains(&d)), "{op:?}");
         }
-        assert_eq!(t.shapes.len(), t.nregs);
     }
 
     /// ```text
@@ -3882,10 +3956,12 @@ mod tests {
                 } else {
                     assert!(all_ops(t).filter(wide_writer).any(|op| !i64_op(op)), "{}", k.name);
                 }
-                for op in all_ops(t) {
-                    if let Op::LdP { idx, .. } | Op::StP { idx, .. } = *op {
-                        assert_eq!(t.shapes[idx as usize], Shape::Uniform, "{}: {op:?}", k.name);
-                        private_accesses += 1;
+                for shapes in shapes_at(&prep, [100, 1, 1], &[]) {
+                    for op in all_ops(t) {
+                        if let Op::LdP { idx, .. } | Op::StP { idx, .. } = *op {
+                            assert_eq!(shapes[idx as usize], Shape::Uniform, "{}: {op:?}", k.name);
+                            private_accesses += 1;
+                        }
                     }
                 }
                 seen += 1;
@@ -3939,10 +4015,11 @@ mod tests {
         rows
     }
 
-    /// The generated volume kernel runs the hand-written one's per-item
-    /// tape: the same opcodes as often, main tape and id reads alike. Only
-    /// the once-per-register-file `pre` tape differs, by the two `Nx·Ny`
-    /// products the generated kernel hoists into one name.
+    /// The generated volume kernel runs the hand-written one's tape: the same
+    /// opcodes as often, main tape, id reads and the once-per-register-file
+    /// `pre` tape alike — value numbering keeps one of the hand-written
+    /// kernel's three `Nx·Ny` products, the one the generated kernel hoists
+    /// into a name.
     #[test]
     fn the_generated_volume_tape_runs_the_hand_written_opcodes() {
         let histogram = |ops: &[Op]| {
@@ -3959,7 +4036,13 @@ mod tests {
             let g = prepare(&gen.lower(real).unwrap().kernel).unwrap().tape;
             assert_eq!(histogram(&g.ops), histogram(&h.ops), "{real:?}: main tape");
             assert_eq!(histogram(&g.item_pre), histogram(&h.item_pre), "{real:?}: id reads");
-            assert_eq!(g.pre.len() + 2, h.pre.len(), "{real:?}: pre {:?} vs {:?}", g.pre, h.pre);
+            assert_eq!(
+                histogram(&g.pre),
+                histogram(&h.pre),
+                "{real:?}: {:?} vs {:?}",
+                g.pre,
+                h.pre
+            );
         }
     }
 
@@ -3978,34 +4061,34 @@ mod tests {
     }
 
     const TAPE_PINS: &[(&str, usize, usize, usize, u64)] = &[
-        ("volume_handling_hand/whole/f32", 26, 7, 3, 0x537b6605ae074cce),
-        ("volume_handling_hand_slab/slab/f32", 28, 9, 3, 0x8eec915e0242ed22),
-        ("volume_handling_hand_slab/whole/f32", 28, 9, 3, 0x8eec915e0242ed22),
-        ("fi_single_hand/whole/f32", 86, 45, 3, 0xb15ee64253de507a),
-        ("fi_single_hand_slab/slab/f32", 92, 51, 3, 0x9c81c66f9d768b99),
+        ("volume_handling_hand/whole/f32", 26, 4, 3, 0x9d1293e46c17bbed),
+        ("volume_handling_hand_slab/slab/f32", 28, 4, 3, 0x0c5f0b8bc26c11a3),
+        ("volume_handling_hand_slab/whole/f32", 28, 4, 3, 0x0c5f0b8bc26c11a3),
+        ("fi_single_hand/whole/f32", 86, 15, 3, 0xb403550a323b163b),
+        ("fi_single_hand_slab/slab/f32", 92, 15, 3, 0xd54e389ed1a6fb30),
         ("fimm_boundary_hand/whole/f32", 18, 4, 1, 0x12750ab11679ac27),
         ("fimm_boundary_hand_cbeta/whole/f32", 18, 4, 1, 0x12750ab11679ac27),
-        ("fdmm_boundary_hand/whole/f32", 74, 16, 1, 0x8524be43442b02da),
-        ("fi_single_lift/whole/f32", 46, 15, 3, 0x330522d964b05b19),
-        ("fi_single_lift_slab/slab/f32", 48, 17, 3, 0x88d3ca769da40e65),
-        ("volume_handling_lift/whole/f32", 26, 5, 3, 0xacee51bad610f584),
-        ("volume_handling_lift_slab/slab/f32", 28, 7, 3, 0xdeaf9af06ee800d4),
-        ("fimm_boundary_lift/whole/f32", 25, 9, 1, 0xa565cabf4eb1ead6),
-        ("fdmm_boundary_lift/whole/f32", 73, 16, 1, 0xca377bca63a7680d),
-        ("volume_handling_hand/whole/f64", 26, 7, 3, 0x537b6605ae074cce),
-        ("volume_handling_hand_slab/slab/f64", 28, 9, 3, 0x8eec915e0242ed22),
-        ("volume_handling_hand_slab/whole/f64", 28, 9, 3, 0x8eec915e0242ed22),
-        ("fi_single_hand/whole/f64", 86, 45, 3, 0xb15ee64253de507a),
-        ("fi_single_hand_slab/slab/f64", 92, 51, 3, 0x9c81c66f9d768b99),
+        ("fdmm_boundary_hand/whole/f32", 74, 8, 1, 0x7e1ad46702e382ba),
+        ("fi_single_lift/whole/f32", 46, 8, 3, 0xa17c850d4622426f),
+        ("fi_single_lift_slab/slab/f32", 48, 8, 3, 0xe72da144b6942181),
+        ("volume_handling_lift/whole/f32", 26, 4, 3, 0x9d1293e46c17bbed),
+        ("volume_handling_lift_slab/slab/f32", 28, 4, 3, 0x0c5f0b8bc26c11a3),
+        ("fimm_boundary_lift/whole/f32", 25, 8, 1, 0x543b0fc75468fef2),
+        ("fdmm_boundary_lift/whole/f32", 73, 8, 1, 0xdfc8400a2daca245),
+        ("volume_handling_hand/whole/f64", 26, 4, 3, 0x9d1293e46c17bbed),
+        ("volume_handling_hand_slab/slab/f64", 28, 4, 3, 0x0c5f0b8bc26c11a3),
+        ("volume_handling_hand_slab/whole/f64", 28, 4, 3, 0x0c5f0b8bc26c11a3),
+        ("fi_single_hand/whole/f64", 86, 15, 3, 0xb403550a323b163b),
+        ("fi_single_hand_slab/slab/f64", 92, 15, 3, 0xd54e389ed1a6fb30),
         ("fimm_boundary_hand/whole/f64", 18, 4, 1, 0x12750ab11679ac27),
         ("fimm_boundary_hand_cbeta/whole/f64", 18, 4, 1, 0x12750ab11679ac27),
-        ("fdmm_boundary_hand/whole/f64", 74, 16, 1, 0x8524be43442b02da),
-        ("fi_single_lift/whole/f64", 46, 15, 3, 0x330522d964b05b19),
-        ("fi_single_lift_slab/slab/f64", 48, 17, 3, 0x88d3ca769da40e65),
-        ("volume_handling_lift/whole/f64", 26, 5, 3, 0xacee51bad610f584),
-        ("volume_handling_lift_slab/slab/f64", 28, 7, 3, 0xdeaf9af06ee800d4),
-        ("fimm_boundary_lift/whole/f64", 25, 9, 1, 0xa565cabf4eb1ead6),
-        ("fdmm_boundary_lift/whole/f64", 73, 16, 1, 0xca377bca63a7680d),
+        ("fdmm_boundary_hand/whole/f64", 74, 8, 1, 0x7e1ad46702e382ba),
+        ("fi_single_lift/whole/f64", 46, 8, 3, 0xa17c850d4622426f),
+        ("fi_single_lift_slab/slab/f64", 48, 8, 3, 0xe72da144b6942181),
+        ("volume_handling_lift/whole/f64", 26, 4, 3, 0x9d1293e46c17bbed),
+        ("volume_handling_lift_slab/slab/f64", 28, 4, 3, 0x0c5f0b8bc26c11a3),
+        ("fimm_boundary_lift/whole/f64", 25, 8, 1, 0x543b0fc75468fef2),
+        ("fdmm_boundary_lift/whole/f64", 73, 8, 1, 0xdfc8400a2daca245),
     ];
 
     /// `(x, out, a)`, all i32, 1-D, with `body`.

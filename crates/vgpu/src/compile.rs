@@ -1,5 +1,5 @@
-//! Two analyses over a compiled tape ([`Compiled`]), run last in
-//! `bytecode::compile`.
+//! Two passes over a compiled tape ([`Compiled`]): [`fuse`], run last in
+//! `bytecode::compile`, and [`launch_shapes`], run once per launch shape.
 //!
 //! [`fuse`] rewrites the op sequences the acoustics kernels actually emit —
 //! index-arithmetic → `AsI64` → `LdG` stencil gathers with a trailing
@@ -25,10 +25,10 @@
 //! Fusion is total: an op no window matches stays as it is, on every tape —
 //! multi-phase and local-memory ones included.
 //!
-//! [`lane_shapes`] classifies every register of the fused tape as uniform,
-//! affine or varying across the lanes of a row-coherent warp — what lets the
-//! executor treat a unit-stride access as one run of its buffer and read a
-//! uniform branch condition off one lane.
+//! [`launch_shapes`] classifies every register of the fused tape, per launch
+//! shape and warp kind, as uniform, affine or varying across a warp's lanes —
+//! what lets the executor treat a unit-stride access as one run of its
+//! buffer and read a uniform branch condition off one lane.
 //!
 //! Bit-identity contract: a superinstruction performs the exact same
 //! arithmetic in the exact same operand order as the sequence it replaced —
@@ -37,10 +37,10 @@
 //! `Engine::Differential` (tree oracle, then the tape) enforces this.
 
 use crate::bytecode::{
-    block_leaders, compact, count_readers, count_writers, is_branch, op_dst, reads_reg, visit_srcs,
-    Acc, Compiled, Op, Shape, K, R,
+    bin_bits, block_leaders, compact, count_readers, count_writers, is_branch, op_dst, reads_reg,
+    visit_srcs, Acc, Compiled, Op, Shape, K, R,
 };
-use lift::prelude::BinOp;
+use lift::prelude::{BinOp, Value};
 
 /// True for the comparison operators (result kind `Bool`).
 fn is_cmp(op: BinOp) -> bool {
@@ -111,90 +111,124 @@ pub(crate) fn fuse(c: &mut Compiled) {
     compact(c, &removed);
 }
 
-/// Classifies every tape register by how its value varies across the active
-/// lanes of a row-coherent warp (see [`Shape`]): a forward pass over `pre` →
-/// `item_pre` → `ops`, repeated to a fixpoint.
-///
-/// A register with one definition takes the shape of that definition's
-/// result ([`result_shape`]); write-before-read (the discipline hoisting
-/// relies on) makes it hold at every read, under any mask. A register with
-/// several (tape writers, plus the launch value of a scalar argument's
-/// slot) is uniform when every writer's result is and no writer sits where
-/// the warp may be split ([`split_regions`]) — the active lanes then share
-/// one history of writes, as with the counter of a loop of uniform trip
-/// count — and varying otherwise. Such registers start uniform and only ever
-/// fall to varying, which bounds the iteration.
-pub(crate) fn lane_shapes(c: &Compiled, arg_slots: &[Option<usize>]) -> Vec<Shape> {
+/// A register's value across one launch's work-items when it is linear:
+/// `(c, u)` is the i32 `c·gid + u` (wrapping) or its i64 sign extension, `u`
+/// the same in every work-item and known when `Some` — when built from
+/// `Const`, `Gsz`, `Gid` and i32 arguments by i32 add, sub, mul and `MulAdd`.
+/// [`UNIFORM`] is any value the active lanes of a warp agree on.
+pub(crate) type Val = Option<([i32; 3], Option<i32>)>;
+
+const UNIFORM: Val = Some(([0; 3], None));
+
+/// The lane shapes per warp kind (`[row-coherent, straddling]`) of a flat
+/// launch of `gsize` with scalar arguments `args`, and where phase 0 starts
+/// ([`crate::bytecode::launch_entry`]) — from the tape, `gsize` and the i32
+/// arguments alone, what keys a launch shape. A row-coherent warp's lanes
+/// share `gid[1]` and `gid[2]`: `(c, u)` is `Affine(c₀)` there, `Uniform` when
+/// `c₀ = 0`. A straddling warp's lanes are consecutive items
+/// `x + gx·y + gx·gy·z`: `Affine(s)` exactly when `c = s·(1, gx, gx·gy)` (a
+/// dimension of size 1 has no `gid` term), `Uniform` when `c = 0`. Per kind,
+/// a pass over `pre` → `item_pre` → `ops` runs to a fixpoint: a register
+/// with one definition takes its value (write-before-read makes it hold at
+/// every read, under any mask); one with several (tape writers, an argument
+/// slot's launch value) stays [`UNIFORM`] while every writer's result is
+/// uniform and none sits where the warp may be split ([`split_regions`]).
+pub(crate) fn launch_shapes(
+    c: &Compiled,
+    args: &[(usize, Value)],
+    gsize: [usize; 3],
+) -> ([Vec<Shape>; 2], usize) {
     let mut defs = count_writers(&c.ops, c.nregs);
-    for &slot in arg_slots.iter().flatten() {
+    let mut seed = vec![UNIFORM; c.nregs];
+    for &(slot, v) in args {
         defs[slot] += 1;
+        let known = if let Value::I32(x) = v { Some(x) } else { None };
+        seed[slot] = if defs[slot] == 1 { Some(([0; 3], known)) } else { UNIFORM };
     }
-    let mut shapes = vec![Shape::Uniform; c.nregs];
-    loop {
-        let prev = shapes.clone();
-        let split = split_regions(c, &prev);
-        for op in c.pre.iter().chain(&c.item_pre) {
-            if let Some(d) = op_dst(op) {
-                shapes[d as usize] = result_shape(op, &shapes);
+    let [gx, gy, gz] = gsize.map(|g| g as u64);
+    let linear = [(1, gx), (gx, gy), (gx * gy, gz)].map(|(e, g)| if g > 1 { e as i32 } else { 0 });
+    let (kinds, preludes) = ([None, Some(linear)], c.pre.len() + c.item_pre.len());
+    let vals = kinds.map(|kind| {
+        let mut vals = seed.clone();
+        loop {
+            let prev = vals.clone();
+            let split = split_regions(c, &prev.iter().map(|&v| shape(v, kind)).collect::<Vec<_>>());
+            for (i, op) in c.pre.iter().chain(&c.item_pre).chain(&c.ops).enumerate() {
+                let Some(d) = op_dst(op) else { continue };
+                let v = value(op, &vals, gsize, kind);
+                if defs[d as usize] <= 1 {
+                    vals[d as usize] = v;
+                } else if shape(v, kind) != Shape::Uniform || split[i - preludes] {
+                    vals[d as usize] = None;
+                }
+            }
+            if vals == prev {
+                return vals;
             }
         }
-        for (pc, op) in c.ops.iter().enumerate() {
-            let Some(d) = op_dst(op) else { continue };
-            let s = result_shape(op, &shapes);
-            if defs[d as usize] <= 1 {
-                shapes[d as usize] = s;
-            } else if s != Shape::Uniform || split[pc] {
-                shapes[d as usize] = Shape::Varying;
-            }
-        }
-        if shapes == prev {
-            return shapes;
-        }
+    });
+    let table = |k: usize| vals[k].iter().map(|&v| shape(v, kinds[k])).collect();
+    ([table(0), table(1)], crate::bytecode::launch_entry(c, &vals[0], gsize))
+}
+
+/// The shape of `v` on a row-coherent warp (`straddle` is `None`) or on a
+/// straddling one, whose linear item id has `gid` coefficients `straddle`.
+fn shape(v: Val, straddle: Option<[i32; 3]>) -> Shape {
+    let Some((c, _)) = v else { return Shape::Varying };
+    match straddle.is_none_or(|e| c == e.map(|e| e.wrapping_mul(c[0]))) {
+        false => Shape::Varying,
+        true if c[0] == 0 => Shape::Uniform,
+        true => Shape::Affine(c[0]),
     }
 }
 
-/// Shape of the value `op` writes, given its operands' shapes: the seeds
-/// (`Gid{0}` counts up along a row; constants, sizes and the other ids of a
-/// flat launch are uniform), shape-preserving copies, i32 add/sub of
-/// strides, and "all operands uniform ⇒ uniform" for every other pure op.
-/// Loaded values are varying.
-fn result_shape(op: &Op, shapes: &[Shape]) -> Shape {
-    let sh = |r: R| shapes[r as usize];
-    match *op {
-        Op::Gid { dim: 0, .. } => Shape::Affine(1),
-        Op::Lid { .. }
-        | Op::Grp { .. }
-        | Op::LdG { .. }
-        | Op::LdGFused { .. }
-        | Op::LdP { .. }
-        | Op::LdL { .. } => Shape::Varying,
-        Op::Mov { src, .. } => sh(src),
-        Op::AsI64 { src, from: K::I32, .. } => match sh(src) {
-            Shape::Affine(s) => Shape::Index(s),
-            Shape::Uniform => Shape::Uniform,
-            _ => Shape::Varying,
-        },
-        Op::Bin { a, b, op, k: K::I32, .. } if is_addsub(op) => sh(a).add(sh(b), op == BinOp::Sub),
-        // The product as any other pure op below, then the i32 add/sub.
+/// The value `op` writes, given its operands': loads and local or group ids
+/// vary, `Gid{d}` is `gid[d]` (0 on a dimension of size 1), the other seeds
+/// and i32 add/sub/mul/`MulAdd` are linear ([`lin`]), `Mov` and `AsI64` carry
+/// their operand, and any other pure op — or a linear one that is not — is
+/// uniform when all its operands are.
+fn value(op: &Op, v: &[Val], gsize: [usize; 3], straddle: Option<[i32; 3]>) -> Val {
+    use BinOp::{Add, Mul, Sub};
+    let at = |r: R| v[r as usize];
+    let lin = match *op {
+        Op::Lid { .. } | Op::Grp { .. } | Op::LdG { .. } | Op::LdGFused { .. } => return None,
+        Op::LdP { .. } | Op::LdL { .. } => return None,
+        Op::Gid { dim, .. } => {
+            return Some(([0, 1, 2].map(|d| (d == dim && gsize[d as usize] > 1) as i32), Some(0)))
+        }
+        Op::Const { bits, .. } => Some(([0; 3], Some(bits as i32))),
+        Op::Gsz { dim, .. } => Some(([0; 3], Some(gsize[dim as usize] as i32))),
+        Op::Mov { src, .. } | Op::AsI64 { src, from: K::I32, .. } => at(src),
+        Op::Bin { a, b, op, k: K::I32, .. } if matches!(op, Add | Sub | Mul) => {
+            lin(at(a), at(b), op)
+        }
         Op::MulAdd { a, b, c, k: K::I32, sub, rev, .. } => {
-            let product = match (sh(a), sh(b)) {
-                (Shape::Uniform, Shape::Uniform) => Shape::Uniform,
-                _ => Shape::Varying,
-            };
-            if rev {
-                sh(c).add(product, sub)
-            } else {
-                product.add(sh(c), sub)
-            }
+            let (p, op) = (lin(at(a), at(b), Mul), if sub { Sub } else { Add });
+            let (x, y) = if rev { (at(c), p) } else { (p, at(c)) };
+            lin(x, y, op)
         }
-        _ => {
-            let mut uniform = true;
-            visit_srcs(op, &mut |r| uniform &= sh(r) == Shape::Uniform);
-            match uniform {
-                true => Shape::Uniform,
-                false => Shape::Varying,
-            }
-        }
+        _ => None,
+    };
+    let mut uniform = true;
+    visit_srcs(op, &mut |r| uniform &= shape(at(r), straddle) == Shape::Uniform);
+    match shape(lin, straddle) {
+        Shape::Varying if uniform => UNIFORM,
+        _ => lin,
+    }
+}
+
+/// `x op y` over i32 values (`Add`, `Sub` or `Mul`), wrapping: linear unless
+/// a product has no factor of known value free of `gid`.
+fn lin(x: Val, y: Val, op: BinOp) -> Val {
+    let ((a, u), (b, w)) = (x?, y?);
+    let f = |p: i32, q: i32| bin_bits(op, K::I32, p as u32 as u64, q as u32 as u64) as i32;
+    let uw = u.zip(w).map(|(u, w)| f(u, w));
+    let scale = |c: [i32; 3], k: Option<i32>| Some((c.map(|c| c.wrapping_mul(k.unwrap_or(0))), uw));
+    match op {
+        BinOp::Mul if a == [0; 3] && (b == [0; 3] || u.is_some()) => scale(b, u),
+        BinOp::Mul if b == [0; 3] && w.is_some() => scale(a, w),
+        BinOp::Mul => None,
+        _ => Some(([0, 1, 2].map(|d| f(a[d], b[d])), uw)),
     }
 }
 

@@ -239,28 +239,31 @@ pub struct Prepared {
 
 /// Most check tables one artifact keeps. A table is recomputable (one
 /// verifier run), so reaching the cap drops them all rather than tracking
-/// ages; at a few hundred bytes a table the cap bounds an artifact's
-/// derived state near 150 KB however many room shapes a batch service sees.
+/// ages; at a few hundred bytes a table (lane shapes are shared) the cap
+/// bounds an artifact's derived state near 150 KB however many room shapes.
 pub const CHECK_TABLE_CAP: usize = 512;
 
 /// What is derived from a [`Prepared`] on demand.
 #[derive(Debug, Default)]
 pub(crate) struct Derived {
     /// The check table of each flat launch shape seen, under the hash of
-    /// the shape ([`checked_sites`]); at most [`CHECK_TABLE_CAP`] entries.
-    tables: RwLock<HashMap<u64, CheckTable>>,
+    /// the shape ([`launch_record`]); at most [`CHECK_TABLE_CAP`] entries.
+    tables: RwLock<HashMap<u64, Arc<CheckTable>>>,
     /// The tape verifier's report ([`crate::artifact::verify_cached`]).
     pub(crate) tape_report: OnceLock<Arc<crate::verify::TapeReport>>,
 }
 
-/// One launch shape's check table: `checked[site]` keeps the dynamic
-/// bounds check. `gsize` and `args` are the shape in full — a table is
-/// used only when they equal the launch's, never on the hash alone.
-#[derive(Debug)]
+/// One launch shape's check table: `checked[site]` keeps the dynamic bounds
+/// check; `shapes` and `entry` are [`crate::compile::launch_shapes`]'. `gsize`
+/// and `args` are the shape in full — a table is used only when they equal
+/// the launch's, never on the hash alone.
+#[derive(Debug, Default)]
 struct CheckTable {
     gsize: [usize; 3],
     args: Box<[u64]>,
-    checked: Arc<Vec<bool>>,
+    checked: Vec<bool>,
+    shapes: [Arc<[bytecode::Shape]>; 2],
+    entry: usize,
 }
 
 impl Prepared {
@@ -638,7 +641,7 @@ pub enum Engine {
     /// features. Only such a flat launch has a bounds proof — a local id is
     /// bounded by nothing the static verifier sees — so only it elides
     /// checks at the sites proven safe for its concrete shape, and only its
-    /// row-coherent warps take the tape's lane shapes. Every [`Prepared`] has
+    /// warps take its shape's lane shapes. Every [`Prepared`] has
     /// a tape and every launch is checked against its parameter kinds first,
     /// so `Fast` never runs anything else.
     #[default]
@@ -1090,17 +1093,21 @@ fn dispatch<T: Sync>(
     (results, start.elapsed())
 }
 
-// ---- proof-licensed bounds elision (a flat launch's check table) ----
+// ---- a launch shape's record: bounds proof, lane shapes, entry pc ----
 
-/// The per-site check table of one flat launch shape: `checked[site]`
-/// keeps the dynamic bounds check, `!checked[site]` means the static
-/// verifier proved the access in bounds for every work-item of *this*
-/// shape. The shape is what [`build_checked_sites`] reads of a launch: the
-/// global size and, per parameter, the bound buffer's length or the i32
-/// scalar's bits. Tables are kept on the artifact ([`Derived`]); a hit takes
-/// a read lock and allocates nothing, a miss runs the verifier outside any
-/// lock and bumps `vgpu.tape.sites_{proven,checked}`.
-fn checked_sites(l: &Launch<'_>) -> Arc<Vec<bool>> {
+/// The check table of a flat launch's shape — `!checked[site]`: the static
+/// verifier proved the access in bounds for every work-item of *this* shape
+/// — with its lane shapes and entry pc; a grouped launch's holds its entry pc
+/// alone. The shape is what [`build_checked_sites`] and the lane-shape
+/// analysis read of a launch: the global size and, per parameter, the bound
+/// buffer's length or the i32 scalar's bits. Flat tables are kept on the
+/// artifact ([`Derived`]); a hit takes a read lock and allocates nothing, a
+/// miss runs both outside any lock and bumps `vgpu.tape.sites_{proven,checked}`.
+fn launch_record(l: &Launch<'_>) -> Arc<CheckTable> {
+    let analyse = || crate::compile::launch_shapes(&l.prep.tape, l.init_slots, l.gsize);
+    if l.lsize.is_some() {
+        return Arc::new(CheckTable { entry: analyse().1, ..CheckTable::default() });
+    }
     let arg = |i: usize| match (l.bufs[i], scalar_arg_value(l.prep, l.init_slots, i)) {
         (Some(b), _) => b.len() as u64,
         (None, Some(v @ Value::I32(_))) => bytecode::bits_of_value(v),
@@ -1115,21 +1122,26 @@ fn checked_sites(l: &Launch<'_>) -> Arc<Vec<bool>> {
     let tables = &l.prep.derived.tables;
     if let Some(t) = tables.read().expect("no panic under this lock").get(&key) {
         if t.gsize == l.gsize && t.args.iter().copied().eq(args()) {
-            return t.checked.clone();
+            return t.clone();
         }
     }
-    let checked = Arc::new(build_checked_sites(l));
+    let checked = build_checked_sites(l);
     let kept = checked.iter().filter(|&&c| c).count() as u64;
     let [proven, checked_sites] = &l.rt.counters.sites;
     proven.add(checked.len() as u64 - kept);
     checked_sites.add(kept);
+    let (shapes, entry) = analyse();
     let mut tables = tables.write().expect("no panic under this lock");
     if tables.len() >= CHECK_TABLE_CAP {
         tables.clear();
     }
-    let table = CheckTable { gsize: l.gsize, args: args().collect(), checked: checked.clone() };
-    tables.insert(key, table);
-    checked
+    // Most launch shapes share their lane shapes: one copy of each.
+    let seen = |t: &[_]| tables.values().flat_map(|c| &c.shapes).find(|s| s[..] == *t).cloned();
+    let shapes = shapes.map(|t| seen(&t).unwrap_or_else(|| t.into()));
+    let (gsize, args) = (l.gsize, args().collect());
+    let table = Arc::new(CheckTable { gsize, args, checked, shapes, entry });
+    tables.insert(key, table.clone());
+    table
 }
 
 /// The value bound to scalar parameter `i`, recovered from the initial
@@ -1609,12 +1621,9 @@ fn run_tree(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
 /// The launch-invariant register state of the warp runners: the zeroed
 /// file + scalar arguments + the optimizer's hoisted prelude, computed once
 /// per *launch* and broadcast into each warp's SoA file (see
-/// [`bytecode::warp_init_regs`] for which registers need it when), and the
-/// pc phase 0 starts at: past the guards the launch decides
-/// ([`bytecode::launch_entry`]).
+/// [`bytecode::warp_init_regs`] for which registers need it when).
 struct WarpInit {
     regs0: Vec<u64>,
-    entry: usize,
     /// Registers broadcast once per register-file allocation.
     once: Vec<bytecode::R>,
     /// Registers re-broadcast for every fresh warp.
@@ -1628,12 +1637,8 @@ impl WarpInit {
             regs0[*slot] = bytecode::bits_of_value(*v);
         }
         bytecode::exec_pre(tape, &mut regs0, l.gsize);
-        let entry = match l.total {
-            0 => tape.phase_starts[0] as usize,
-            _ => bytecode::launch_entry(tape, &regs0, l.gsize),
-        };
         let (once, per_warp) = bytecode::warp_init_regs(tape, l.prep.nslots);
-        WarpInit { regs0, entry, once, per_warp }
+        WarpInit { regs0, once, per_warp }
     }
 }
 
@@ -1714,18 +1719,16 @@ impl WarpState {
 /// ⌈group/32⌉ warps of consecutive work-items (the last one partial) sharing
 /// one local-memory arena; each barrier phase runs warp by warp over the
 /// lanes still alive — a lane that returned is masked off for the remaining
-/// phases — with register files persisting across phases. Only a flat launch
-/// has a proof: its bounds checks are elided at the sites the static
-/// verifier proved in bounds for its shape ([`checked_sites`]), and its
-/// row-coherent warps run under the tape's lane shapes. No proof bounds a
-/// local id, so a grouped launch keeps every check and every register
-/// varying. Arithmetic, counters, traces and sanitizer findings reproduce
-/// the tree-walker's.
+/// phases — with register files persisting across phases, phase 0 from the
+/// launch's entry pc ([`launch_record`]). Only a flat launch has a proof:
+/// its bounds checks are elided at the sites the static verifier proved in
+/// bounds for its shape, and each warp runs under its shape's lane shapes
+/// for its kind, row-coherent or straddling. No proof bounds a local id, so
+/// a grouped launch keeps every check and every register varying.
+/// Arithmetic, counters, traces and sanitizer findings reproduce the tree-walker's.
 fn run_warps(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
     let tape = &l.prep.tape;
-    let flat = l.lsize.is_none();
-    let proof = flat.then(|| checked_sites(l));
-    let checked = proof.as_ref().map_or(&[][..], |c| &c[..]);
+    let rec = launch_record(l);
     let init = WarpInit::new(l, tape);
     let (group, ids) = l.groups();
     let (results, wall) = dispatch(l.rt, &ids, group, |gs| {
@@ -1746,10 +1749,11 @@ fn run_warps(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
                 warp.load(l, tape, &init, begin, end.min(begin + WARP as u64));
             }
             for phase in 0..tape.phases() {
-                let pc = if phase == 0 { init.entry } else { tape.phase_starts[phase] as usize };
+                let pc = if phase == 0 { rec.entry } else { tape.phase_starts[phase] as usize };
                 for warp in warps.iter_mut().filter(|w| w.alive != 0) {
-                    let shapes = if flat && warp.ids.coherent { &tape.shapes[..] } else { &[] };
-                    let (lic, alive) = (bytecode::Licence { checked, shapes }, warp.alive);
+                    let shapes = &rec.shapes[!warp.ids.coherent as usize];
+                    let lic = bytecode::Licence { checked: &rec.checked, shapes };
+                    let alive = warp.alive;
                     let (vregs, privs, mut wc) = warp.ctx(l, san, &mut acc, &mut locals);
                     let run =
                         bytecode::exec_phase_warp(tape, pc, alive, vregs, privs, &mut wc, lic);
@@ -2478,6 +2482,43 @@ pub(crate) mod tests {
         let want: Vec<i32> = (0..64).map(|i| if i < 40 { 3 * i + 1 + i % 32 } else { 0 }).collect();
         assert_eq!(out, want);
         assert_eq!(cmps, 2);
+    }
+
+    /// Two launches of one shape but for an i32 argument get two check
+    /// tables: `gid0 + a·gid1` is the straddling warps' linear item id at
+    /// `a = 11` and not at `a = 12`, where the first launch's lane shapes
+    /// would claim runs the debug audit and the differential engine refuse.
+    #[test]
+    fn a_check_table_never_serves_a_launch_whose_i32_arguments_differ() {
+        let idx = || KExpr::GlobalId(0) + KExpr::var("a") * KExpr::GlobalId(1);
+        let k = Kernel {
+            name: "rows_of_a".into(),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::I32),
+                KernelParam::global_buf("out", ScalarKind::I32),
+                KernelParam::scalar("a", ScalarKind::I32),
+            ],
+            body: vec![KStmt::Store {
+                mem: MemRef::Param(1),
+                idx: idx(),
+                value: KExpr::load(MemRef::Param(0), idx()) + KExpr::int(1),
+            }],
+            work_dim: 2,
+        };
+        let prep = prepare(&k).unwrap();
+        let rt = Runtime::new(crate::Settings { shadow: false, ..crate::runtime().settings });
+        for (a, tables) in [(11, 1), (12, 2), (11, 2)] {
+            let x = SharedBuf::new((0..40).collect::<Vec<i32>>().into());
+            let out = SharedBuf::new(vec![0i32; 40].into());
+            let binds = [ArgBind::Buf(&x), ArgBind::Buf(&out), ArgBind::Val(Value::I32(a))];
+            launch(&prep, &binds, &[11, 3], None, ExecMode::Fast, 128, Engine::Differential, &rt)
+                .unwrap();
+            let BufData::I32(out) = out.data().clone() else { unreachable!() };
+            for i in (0..3).flat_map(|y| (0..11).map(move |x| x + a * y)) {
+                assert_eq!(out[i as usize], i + 1, "a = {a}");
+            }
+            assert_eq!(prep.check_tables(), tables, "a = {a}");
+        }
     }
 
     #[test]

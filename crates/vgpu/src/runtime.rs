@@ -156,15 +156,15 @@ impl Runtime {
 }
 
 /// The process default runtime, built from the environment on first use
-/// ([`Settings::from_env`]). Building it sizes rayon's global pool from
-/// `VGPU_THREADS` (best-effort): `n` threads run a launch's tasks, the
-/// launching thread and `n − 1` workers; unset leaves rayon's default.
+/// ([`Settings::from_env`]). `VGPU_THREADS=n` sizes the process's one thread
+/// pool: `n` threads run a launch's tasks, the launching thread and `n − 1`
+/// workers. The pool reads it on the process's first parallel call, whoever
+/// makes it (`shims/rayon`); building the runtime reports a value it does
+/// not accept.
 pub fn runtime() -> &'static Arc<Runtime> {
     static DEFAULT: OnceLock<Arc<Runtime>> = OnceLock::new();
     DEFAULT.get_or_init(|| {
-        if let Some(n) = setting(&env, "VGPU_THREADS", "a positive integer", positive) {
-            let _ = rayon::ThreadPoolBuilder::new().num_threads(n).build_global();
-        }
+        setting(&env, "VGPU_THREADS", "a positive integer", positive);
         Arc::new(Runtime::build(Settings::from_env()))
     })
 }

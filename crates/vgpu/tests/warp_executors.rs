@@ -518,9 +518,9 @@ fn flat_and_grouped_launches_report_what_the_four_runners_did() {
 // ---- private arrays: lane-minor rows, one row per uniform index ----
 //
 // Every case runs 75 items (two full warps and a partial one of 11 lanes)
-// on a 1-D NDRange, where warps are row-coherent and a uniform index moves
-// one row, and — `id` being the linear work-item — 13 × 6 items in 2-D,
-// where every warp straddles rows and each lane goes alone.
+// on a 1-D NDRange, where warps are row-coherent, and — `id` being the
+// linear work-item — 13 × 6 items in 2-D, where every warp straddles rows.
+// Either way a uniform index moves one row and any other goes lane by lane.
 
 /// The linear work-item id, whatever the NDRange's shape.
 fn id() -> KExpr {
@@ -1081,9 +1081,10 @@ fn stencil7_kernel(kind: ScalarKind) -> Kernel {
 
 /// The stencil over `w × 5 × 3` with the last two columns of every row
 /// guarded off, so rows end inside warps wherever they can. Rows of 13, 31
-/// and 33 make every warp straddle rows (the per-lane path), 32 and 96 make
-/// every warp row-coherent (slice loads and stores) — unless the launch
-/// records per-lane accesses. The launch decides the `H` and `D` guards
+/// and 33 make every warp straddle rows, 32 and 96 make every warp
+/// row-coherent; either way the stencil's index is the launch's linear item
+/// id, so loads and stores run as spans over the guarded masks — unless the
+/// launch records per-lane accesses. The launch decides the `H` and `D` guards
 /// before any warp runs; the lane loop decides `N = W − 2`'s. 13·5·3 and
 /// 31·5·3 end in a partial warp. Every row loses its last two columns
 /// inside some warp.
@@ -1108,8 +1109,8 @@ fn stencil_rows_coherent_straddling_and_partial_match_the_oracle() {
 
 /// Unit stride down (`x[M − gid]`), stride 2 (`x[2·gid]`), a negative
 /// offset (`x[gid + 64 − 3]`) and a store through `out[gid]` after a guard
-/// that retires every third lane — a non-contiguous mask, so the affine
-/// sites run lane by lane there:
+/// that retires every third lane — a mask with holes, which the unit-stride
+/// sites span and the others run lane by lane:
 ///
 /// ```text
 /// if (gid % 3 == 1) return;

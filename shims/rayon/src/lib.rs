@@ -8,7 +8,8 @@
 //! - closures run concurrently on up to [`current_num_threads`] threads, so
 //!   they must be `Sync` and items `Send` (same bounds rayon demands);
 //! - `ThreadPoolBuilder::num_threads(n).build_global()` pins the thread
-//!   count once per process (first call wins, like rayon's global pool);
+//!   count once per process (first call wins, like rayon's global pool;
+//!   without one, `VGPU_THREADS` does, see [`current_num_threads`]);
 //! - a panicking closure unwinds the calling thread with its own payload.
 //!
 //! A parallel call becomes a job of ordered tasks: one per chunk for the
@@ -39,11 +40,18 @@ fn pin_threads(n: usize) -> usize {
 }
 
 /// Number of threads a parallel operation can run on: the caller plus the
-/// pool's `n − 1` workers. Like rayon's, the first call fixes the count (at
-/// the machine's available parallelism unless `build_global` chose it).
+/// pool's `n − 1` workers. Like rayon's, the first call fixes the count:
+/// what `build_global` chose, else `VGPU_THREADS` — the workspace's thread
+/// setting, read here (as rayon reads `RAYON_NUM_THREADS`) so that it holds
+/// whichever parallel call comes first — else the machine's available
+/// parallelism.
 pub fn current_num_threads() -> usize {
     match GLOBAL_THREADS.load(Ordering::Relaxed) {
-        0 => pin_threads(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)),
+        0 => {
+            let set = std::env::var("VGPU_THREADS").ok().and_then(|v| v.trim().parse().ok());
+            let all = || std::thread::available_parallelism().map_or(1, |n| n.get());
+            pin_threads(set.filter(|&n| n > 0).unwrap_or_else(all))
+        }
         n => n,
     }
 }

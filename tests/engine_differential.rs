@@ -227,6 +227,49 @@ fn the_generated_fi_step_reconverges_on_every_kind_of_launch() {
     }
 }
 
+/// Rooms whose rows are narrower than a warp: every volume warp straddles
+/// rows and, on a launch of exactly the grid, runs its stencil loads and
+/// stores as spans over masks with a hole at each row's halo cells. Each
+/// launch is held to the oracle (values, counters, divergent warps, modeled
+/// transaction bytes), plain and modeled, with the debug lane audits on in
+/// a debug build. A sanitizing runtime declines the spans — its findings are
+/// per element — and must find nothing and agree bit for bit.
+#[test]
+fn rooms_narrower_than_a_warp_match_the_oracle_in_straddling_warps() {
+    for set in lift_acoustics::hostprog::all_sets() {
+        let cfg = match set.name() {
+            "fi_hand" | "fi_lift" => continue,
+            "fdmm_hand" | "fdmm_lift" => SimConfig::fdmm(GridDims::new(9, 9, 10), RoomShape::Dome),
+            _ => SimConfig::fimm(GridDims::new(11, 11, 9), RoomShape::Box),
+        };
+        for precision in [Precision::Single, Precision::Double] {
+            let run = |sanitize: bool, mode| {
+                let settings = vgpu::Settings { shadow: sanitize, ..vgpu::runtime().settings };
+                let rt = Runtime::new(settings);
+                let mut dev = Device::with_runtime(DeviceProfile::gtx780(), rt.clone());
+                dev.set_engine(Engine::Differential);
+                let mut sim = Simulation::new(SimSetup::new(&cfg), precision, set, vec![dev]);
+                sim.impulse(4, 4, 4, 1.0);
+                let divergent: u64 = (0..4)
+                    .flat_map(|_| sim.step(mode))
+                    .flat_map(|(volume, boundary)| std::iter::once(volume).chain(boundary))
+                    .map(|stats| stats.divergent_warps)
+                    .sum();
+                assert!(rt.findings.all().is_empty(), "{} {precision:?}", set.name());
+                let field: Vec<u64> = sim.read_curr().iter().map(|p| p.to_bits()).collect();
+                (field, divergent)
+            };
+            let plain = run(false, ExecMode::Fast);
+            assert!(plain.1 > 0, "{} {precision:?}: the halo cells split warps", set.name());
+            for (sanitize, mode) in
+                [(true, ExecMode::Fast), (false, ExecMode::Model { sample_stride: 1 })]
+            {
+                assert_eq!(run(sanitize, mode), plain, "{} {precision:?} {mode:?}", set.name());
+            }
+        }
+    }
+}
+
 /// Every shipped kernel set steps a 12³ room in `ExecMode::Profile` on the
 /// differential engine, which holds the profiled warp executor to the
 /// oracle launch by launch: buffers bit-identical to `Fast`, equal counters,
