@@ -287,97 +287,38 @@ pub(crate) struct Acc {
     pub(crate) rev: bool,
 }
 
-/// Number of [`Op`] variants — sizes the profiler's per-opcode tally arrays
-/// ([`crate::profiler::OpProf`]).
-pub(crate) const NOPCODES: usize = 36;
+/// The opcode table, one entry per [`Op`] variant in declaration order:
+/// `NOPCODES` (sizes the profiler's per-opcode tally arrays,
+/// [`crate::profiler::OpProf`]), the display names and [`op_index`].
+macro_rules! opcodes {
+    ($($v:ident),* $(,)?) => {
+        pub(crate) const NOPCODES: usize = [$(stringify!($v)),*].len();
+        const OP_NAMES: [&str; NOPCODES] = [$(stringify!($v)),*];
 
-/// Opcode display names, parallel to [`op_index`].
-const OP_NAMES: [&str; NOPCODES] = [
-    "Const",
-    "Gid",
-    "Gsz",
-    "Lid",
-    "Lsz",
-    "Grp",
-    "Mov",
-    "Cast",
-    "AsI64",
-    "MaxOne",
-    "I64ToI32",
-    "AddI64",
-    "JgeI64",
-    "Neg",
-    "Not",
-    "Bin",
-    "Logic",
-    "MinMax",
-    "Intr1",
-    "LdG",
-    "StG",
-    "LdP",
-    "StP",
-    "LdL",
-    "StL",
-    "DeclPriv",
-    "DeclLocal",
-    "Flops",
-    "Jmp",
-    "Jz",
-    "Ret",
-    "Halt",
-    "MulAdd",
-    "LdGFused",
-    "StGAt",
-    "CmpJz",
-];
+        enum Opcode {
+            $($v),*
+        }
+
+        /// Dense index of an op's variant (declaration order), used by the
+        /// per-op profiler to tally counts/time in fixed arrays without hashing.
+        #[inline(always)]
+        pub(crate) fn op_index(op: &Op) -> usize {
+            match op {
+                $(Op::$v { .. } => Opcode::$v as usize),*
+            }
+        }
+    };
+}
+
+opcodes!(
+    Const, Gid, Gsz, Lid, Lsz, Grp, Mov, Cast, AsI64, MaxOne, I64ToI32, AddI64, JgeI64, Neg, Not,
+    Bin, Logic, MinMax, Intr1, LdG, StG, LdP, StP, LdL, StL, DeclPriv, DeclLocal, Flops, Jmp, Jz,
+    Ret, Halt, MulAdd, LdGFused, StGAt, CmpJz,
+);
 
 /// Display name of the opcode with dense index `i` (see [`op_index`]).
 pub(crate) fn op_name(i: usize) -> &'static str {
     OP_NAMES[i]
-}
-
-/// Dense index of an op's variant (declaration order), used by the per-op
-/// profiler to tally counts/time in fixed arrays without hashing.
-#[inline(always)]
-pub(crate) fn op_index(op: &Op) -> usize {
-    match op {
-        Op::Const { .. } => 0,
-        Op::Gid { .. } => 1,
-        Op::Gsz { .. } => 2,
-        Op::Lid { .. } => 3,
-        Op::Lsz { .. } => 4,
-        Op::Grp { .. } => 5,
-        Op::Mov { .. } => 6,
-        Op::Cast { .. } => 7,
-        Op::AsI64 { .. } => 8,
-        Op::MaxOne { .. } => 9,
-        Op::I64ToI32 { .. } => 10,
-        Op::AddI64 { .. } => 11,
-        Op::JgeI64 { .. } => 12,
-        Op::Neg { .. } => 13,
-        Op::Not { .. } => 14,
-        Op::Bin { .. } => 15,
-        Op::Logic { .. } => 16,
-        Op::MinMax { .. } => 17,
-        Op::Intr1 { .. } => 18,
-        Op::LdG { .. } => 19,
-        Op::StG { .. } => 20,
-        Op::LdP { .. } => 21,
-        Op::StP { .. } => 22,
-        Op::LdL { .. } => 23,
-        Op::StL { .. } => 24,
-        Op::DeclPriv { .. } => 25,
-        Op::DeclLocal { .. } => 26,
-        Op::Flops { .. } => 27,
-        Op::Jmp { .. } => 28,
-        Op::Jz { .. } => 29,
-        Op::Ret => 30,
-        Op::Halt => 31,
-        Op::MulAdd { .. } => 32,
-        Op::LdGFused { .. } => 33,
-        Op::StGAt { .. } => 34,
-        Op::CmpJz { .. } => 35,
-    }
 }
 
 /// How a register's value varies across the active lanes of a flat launch's
@@ -514,6 +455,23 @@ struct Cc<'a> {
     /// register, and the register that holds it at the other width, if any.
     twins: Vec<(bool, Option<R>)>,
     flops: u32,
+    /// Specialising ([`compile_under`]): each slot's launch-constant i32
+    /// value (an argument, or an unrolled loop's counter in one copy) and one
+    /// `Const` register per value; the slots local to the copy being compiled
+    /// and their registers in it, per width.
+    spec: bool,
+    subst: Vec<Option<i32>>,
+    consts: Vec<(i32, R)>,
+    fresh: Vec<Option<[Option<R>; 2]>>,
+    /// With `regs`, each private array's element registers once declared,
+    /// and the ops zeroing them ([`finish`] drops the ones overwritten).
+    regs: bool,
+    elems: Vec<Option<Vec<R>>>,
+    zeroes: Vec<usize>,
+    /// Branch arms and rolled loop bodies entered (a declaration inside one
+    /// may not reach every read), and whether anything was specialised.
+    depth: u32,
+    specialised: bool,
 }
 
 impl<'a> Cc<'a> {
@@ -527,6 +485,13 @@ impl<'a> Cc<'a> {
     /// re-declared at the other width lives on in a twin temporary, so no
     /// register is ever used at two widths.
     fn slot_reg(&mut self, slot: usize, k: K) -> R {
+        // A variable local to an unrolled loop's copy: registers of its own
+        // per copy and width, temporaries to value numbering.
+        if let Some(mut regs) = self.fresh[slot] {
+            let r = *regs[k.wide() as usize].get_or_insert_with(|| self.temp(k.wide()));
+            self.fresh[slot] = Some(regs);
+            return r;
+        }
         if !std::mem::replace(&mut self.twins[slot].0, true) {
             self.wide[slot] = k.wide();
         }
@@ -580,8 +545,40 @@ impl<'a> Cc<'a> {
         }
     }
 
+    /// `e`'s value when it is a literal or a substituted slot.
+    fn konst(&self, e: &PExpr) -> Option<i64> {
+        match e {
+            PExpr::Lit(v) => Some(v.as_i64()),
+            PExpr::Var(s) => self.subst[*s].map(i64::from),
+            _ => None,
+        }
+    }
+
+    /// The register of element `idx` of private array `arr`, when `idx` is
+    /// a constant in range of a declared array.
+    fn elem(&self, arr: usize, idx: &PExpr) -> Result<(R, K), String> {
+        let i = self.konst(idx).and_then(|i| usize::try_from(i).ok());
+        match self.elems[arr].as_ref().zip(i).and_then(|(e, i)| e.get(i)) {
+            Some(&r) => Ok((r, kk(self.prep.priv_kinds[arr])?)),
+            None => Err(format!("private array {arr} is indexed at run time")),
+        }
+    }
+
     fn expr(&mut self, e: &PExpr) -> Result<(R, K), String> {
         Ok(match e {
+            // One register per value, which value numbering sees repeat (a
+            // `Const` always moves to the prelude).
+            PExpr::Var(s) if self.subst[*s].is_some() => {
+                let x = self.subst[*s].unwrap_or(0);
+                if let Some(&(_, r)) = self.consts.iter().find(|c| c.0 == x) {
+                    return Ok((r, K::I32));
+                }
+                let dst = self.temp(false);
+                self.ops.push(Op::Const { dst, bits: bi32(x) });
+                self.consts.push((x, dst));
+                (dst, K::I32)
+            }
+            PExpr::Load { mem: PMem::Priv(a), idx, .. } if self.regs => self.elem(*a, idx)?,
             PExpr::Lit(v) => {
                 let (k, bits) = value_bits(*v);
                 let dst = self.temp(k.wide());
@@ -832,6 +829,24 @@ impl<'a> Cc<'a> {
                 let dst = self.slot_reg(*slot, k);
                 self.ops.push(Op::Mov { dst, src: r });
             }
+            PStmt::DeclPriv { arr, kind, len } if self.regs => {
+                let n = self.konst(len).filter(|n| (0..=UNROLL).contains(n) && self.depth == 0);
+                let wide = kk(*kind)?.wide();
+                let regs = match (n, &self.elems[*arr]) {
+                    (Some(n), None) => (0..n).map(|_| self.temp(wide)).collect(),
+                    (Some(n), Some(e)) if e.len() as i64 == n => e.clone(),
+                    _ => return Err(format!("private array {arr} stays an array")),
+                };
+                self.zeroes.extend(self.here() as usize..self.here() as usize + regs.len());
+                self.ops.extend(regs.iter().map(|&dst| Op::Const { dst, bits: 0 }));
+                (self.elems[*arr], self.specialised) = (Some(regs), true);
+            }
+            PStmt::Store { mem: PMem::Priv(a), idx, value, .. } if self.regs => {
+                let (dst, k) = self.elem(*a, idx)?;
+                let (rv, kv) = self.expr(value)?;
+                let src = self.cast(rv, kv, k);
+                self.ops.push(Op::Mov { dst, src });
+            }
             PStmt::DeclPriv { arr, len, .. } => {
                 let (rl, kl) = self.expr(len)?;
                 let rl = self.as_i64(rl, kl);
@@ -867,6 +882,9 @@ impl<'a> Cc<'a> {
                 }
             }
             PStmt::For { slot, begin, end, step, body } => {
+                if self.unroll(*slot, [begin, end, step], body)? {
+                    return Ok(());
+                }
                 let (rb, kb) = self.expr(begin)?;
                 let rb = self.as_i64(rb, kb);
                 let (re, ke) = self.expr(end)?;
@@ -884,7 +902,9 @@ impl<'a> Cc<'a> {
                 let pre = self.slots.clone();
                 self.slots[*slot] = Sk::Known(K::I32);
                 let entry = self.slots.clone();
+                self.depth += 1;
                 self.stmts(body)?;
+                self.depth -= 1;
                 self.flush();
                 self.ops.push(Op::AddI64 { dst: ri, a: ri, b: rs });
                 self.ops.push(Op::Jmp { target: head });
@@ -913,6 +933,7 @@ impl<'a> Cc<'a> {
                 let jz = self.here();
                 self.ops.push(Op::Jz { cond: rc, k: kc, target: 0 });
                 let saved = self.slots.clone();
+                self.depth += 1;
                 self.stmts(then_)?;
                 self.flush();
                 // Without an `else` the arm falls through to the join: no jump.
@@ -924,6 +945,7 @@ impl<'a> Cc<'a> {
                 self.patch(jz, else_at);
                 let after_then = std::mem::replace(&mut self.slots, saved);
                 self.stmts(else_)?;
+                self.depth -= 1;
                 self.flush();
                 if let Some(jmp) = jmp {
                     let end = self.here();
@@ -941,19 +963,132 @@ impl<'a> Cc<'a> {
         }
         Ok(())
     }
+
+    /// Specialising, emits a loop of constant bounds and at most [`UNROLL`]
+    /// trips once per trip, its counter a constant in each copy; false when
+    /// the loop stays rolled.
+    fn unroll(&mut self, slot: usize, bounds: [&PExpr; 3], body: &[PStmt]) -> Result<bool, String> {
+        let [b, e, s] = bounds.map(|x| self.konst(x));
+        let (Some(b), Some(e), Some(s)) = (b, e, s.map(|s| s.max(1))) else { return Ok(false) };
+        let trips = if b < e { (e.saturating_sub(b) - 1) / s + 1 } else { 0 };
+        // The counter stays unreadable after the loop, as after a rolled one.
+        let mut hidden = !matches!(self.slots[slot], Sk::Known(_));
+        each_stmt(body, &mut |s| hidden &= written(s) != Some(slot));
+        if !self.spec || trips > UNROLL || !hidden {
+            return Ok(false);
+        }
+        let pre = self.slots.clone();
+        let new: Vec<usize> = (0..pre.len()).filter(|&s| !matches!(pre[s], Sk::Known(_))).collect();
+        let outer = self.fresh.clone();
+        self.slots[slot] = Sk::Known(K::I32);
+        for t in 0..trips {
+            new.iter().for_each(|&s| self.fresh[s] = Some([None; 2]));
+            self.subst[slot] = Some((b + t * s) as i32);
+            self.stmts(body)?;
+        }
+        self.fresh = outer;
+        (self.subst[slot], self.specialised) = (None, true);
+        for (now, pre) in self.slots.iter_mut().zip(pre) {
+            *now = merge_sk(pre, *now);
+        }
+        Ok(true)
+    }
+}
+
+/// Most trips a specialised loop unrolls, and most elements a private array
+/// keeps in registers.
+const UNROLL: i64 = 8;
+
+/// Launch-constant i32 arguments, as (slot, bits).
+pub(crate) type Known = [(usize, u64)];
+
+/// Calls `f` on every statement of `stmts`, a nested one after its parent.
+fn each_stmt<'p>(stmts: &'p [PStmt], f: &mut impl FnMut(&'p PStmt)) {
+    for s in stmts {
+        f(s);
+        match s {
+            PStmt::For { body, .. } => each_stmt(body, f),
+            PStmt::If { then_, else_, .. } => [then_, else_].iter().for_each(|b| each_stmt(b, f)),
+            _ => {}
+        }
+    }
+}
+
+/// The slot a statement declares, assigns or counts a loop with.
+fn written(s: &PStmt) -> Option<usize> {
+    let (PStmt::DeclScalar { slot, .. } | PStmt::Assign { slot, .. } | PStmt::For { slot, .. }) = s
+    else {
+        return None;
+    };
+    Some(*slot)
+}
+
+/// The slots [`compile_under`] substitutes: the i32 scalar arguments the
+/// kernel never writes that a loop bound or a private array's length is.
+pub(crate) fn launch_constant_slots(prep: &Prepared) -> Vec<usize> {
+    let (mut bounds, mut writes) = (Vec::new(), Vec::new());
+    for phase in &prep.phases {
+        each_stmt(phase, &mut |s| {
+            match s {
+                PStmt::For { begin, end, step, .. } => bounds.extend([begin, end, step]),
+                PStmt::DeclPriv { len, .. } => bounds.push(len),
+                _ => {}
+            }
+            writes.extend(written(s));
+        });
+    }
+    let bound = |s: &usize| bounds.iter().any(|e| matches!(e, PExpr::Var(v) if v == s));
+    let args = prep.params.iter().zip(&prep.scalar_slots).filter(|a| a.0.kind == ScalarKind::I32);
+    args.filter_map(|a| *a.1).filter(|s| bound(s) && !writes.contains(s)).collect()
 }
 
 /// Compiles a prepared kernel into a tape, or explains why it cannot be
 /// compiled ([`crate::exec::prepare`] fails with that reason).
 pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
-    let mut cc = Cc {
-        prep,
-        ops: Vec::new(),
-        wide: vec![false; prep.nslots],
-        slots: vec![Sk::Unset; prep.nslots],
-        twins: vec![(false, None); prep.nslots],
-        flops: 0,
-    };
+    finish(&mut Cc::new(prep, None, false))
+}
+
+/// `prep`'s tape specialised on the launch-constant i32 arguments `known`
+/// ([`launch_constant_slots`]): their reads are constants,
+/// loops [`Cc::unroll`]s, and a private array declared outside branches and
+/// rolled loops with a constant length of at most [`UNROLL`] is one register
+/// per element — unless an access has a run-time index, which keeps every
+/// array an array. `None` when nothing is specialised (the generic tape
+/// serves) or the tape fails to compile or validate.
+pub(crate) fn compile_under(prep: &Prepared, known: &Known) -> Option<Compiled> {
+    [true, false].into_iter().find_map(|regs| {
+        let mut cc = Cc::new(prep, Some(known), regs);
+        finish(&mut cc).ok().filter(|_| cc.specialised)
+    })
+}
+
+impl<'a> Cc<'a> {
+    fn new(prep: &'a Prepared, known: Option<&Known>, regs: bool) -> Self {
+        let n = prep.nslots;
+        let mut subst = vec![None; n];
+        known.unwrap_or_default().iter().for_each(|&(s, bits)| subst[s] = Some(i32v(bits)));
+        Cc {
+            prep,
+            ops: Vec::new(),
+            wide: vec![false; n],
+            slots: vec![Sk::Unset; n],
+            twins: vec![(false, None); n],
+            flops: 0,
+            spec: known.is_some(),
+            subst,
+            consts: Vec::new(),
+            fresh: vec![None; n],
+            regs,
+            elems: vec![None; prep.npriv],
+            zeroes: Vec::new(),
+            depth: 0,
+            specialised: false,
+        }
+    }
+}
+
+fn finish(cc: &mut Cc<'_>) -> Result<Compiled, String> {
+    let prep = cc.prep;
     for (p, s) in prep.params.iter().zip(&prep.scalar_slots) {
         if let Some(slot) = s {
             let k = kk(p.kind)?;
@@ -972,7 +1107,16 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
         return Err("register file overflow".into());
     }
     let nregs = cc.wide.len();
-    let mut c = Compiled { ops: cc.ops, phase_starts, nregs, wide: cc.wide, ..Compiled::default() };
+    let (ops, wide) = (std::mem::take(&mut cc.ops), std::mem::take(&mut cc.wide));
+    let mut c = Compiled { ops, phase_starts, nregs, wide, ..Compiled::default() };
+    let (leader, mut dead) = (block_leaders(&c), vec![false; c.ops.len()]);
+    for &z in &cc.zeroes {
+        let r = op_dst(&c.ops[z]).expect("a zero writes its element");
+        let next = (z + 1..c.ops.len())
+            .find(|&q| leader[q] || reads_reg(&c.ops[q], r) || op_dst(&c.ops[q]) == Some(r));
+        dead[z] = next.is_some_and(|q| !leader[q] && !reads_reg(&c.ops[q], r));
+    }
+    compact(&mut c, &dead);
     optimize(&mut c, prep.nslots, &prep.scalar_slots);
     c.nsites = c
         .ops

@@ -249,12 +249,21 @@ pub(crate) struct Derived {
     /// The check table of each flat launch shape seen, under the hash of
     /// the shape ([`launch_record`]); at most [`CHECK_TABLE_CAP`] entries.
     tables: RwLock<HashMap<u64, Arc<CheckTable>>>,
+    /// The specialised tape ([`launch_tape`]) under each (slot, bits) key of
+    /// the slots `launch_slots` lists; at most [`CHECK_TABLE_CAP`] entries.
+    tapes: RwLock<Vec<KeyedTape>>,
+    launch_slots: OnceLock<Vec<usize>>,
     /// The tape verifier's report ([`crate::artifact::verify_cached`]).
     pub(crate) tape_report: OnceLock<Arc<crate::verify::TapeReport>>,
 }
 
+/// A launch-constant key and its specialised tape (`None`: the generic one).
+type KeyedTape = (Box<bytecode::Known>, Option<Arc<Compiled>>);
+
 /// One launch shape's check table: `checked[site]` keeps the dynamic bounds
-/// check; `shapes` and `entry` are [`crate::compile::launch_shapes`]'. `gsize`
+/// check; `tape` is the specialised tape the launch runs (`None`: the
+/// kernel's), `shapes` and `entry` are [`crate::compile::launch_shapes`]' of
+/// it. `gsize`
 /// and `args` are the shape in full — a table is used only when they equal
 /// the launch's, never on the hash alone.
 #[derive(Debug, Default)]
@@ -264,6 +273,7 @@ struct CheckTable {
     checked: Vec<bool>,
     shapes: [Arc<[bytecode::Shape]>; 2],
     entry: usize,
+    tape: Option<Arc<Compiled>>,
 }
 
 impl Prepared {
@@ -1104,9 +1114,13 @@ fn dispatch<T: Sync>(
 /// artifact ([`Derived`]); a hit takes a read lock and allocates nothing, a
 /// miss runs both outside any lock and bumps `vgpu.tape.sites_{proven,checked}`.
 fn launch_record(l: &Launch<'_>) -> Arc<CheckTable> {
-    let analyse = || crate::compile::launch_shapes(&l.prep.tape, l.init_slots, l.gsize);
+    let analyse = |tape: &Option<Arc<Compiled>>| {
+        let tape = tape.as_deref().unwrap_or(&l.prep.tape);
+        crate::compile::launch_shapes(tape, l.init_slots, l.gsize)
+    };
     if l.lsize.is_some() {
-        return Arc::new(CheckTable { entry: analyse().1, ..CheckTable::default() });
+        let tape = launch_tape(l);
+        return Arc::new(CheckTable { entry: analyse(&tape).1, tape, ..CheckTable::default() });
     }
     let arg = |i: usize| match (l.bufs[i], scalar_arg_value(l.prep, l.init_slots, i)) {
         (Some(b), _) => b.len() as u64,
@@ -1130,7 +1144,8 @@ fn launch_record(l: &Launch<'_>) -> Arc<CheckTable> {
     let [proven, checked_sites] = &l.rt.counters.sites;
     proven.add(checked.len() as u64 - kept);
     checked_sites.add(kept);
-    let (shapes, entry) = analyse();
+    let tape = launch_tape(l);
+    let (shapes, entry) = analyse(&tape);
     let mut tables = tables.write().expect("no panic under this lock");
     if tables.len() >= CHECK_TABLE_CAP {
         tables.clear();
@@ -1139,9 +1154,35 @@ fn launch_record(l: &Launch<'_>) -> Arc<CheckTable> {
     let seen = |t: &[_]| tables.values().flat_map(|c| &c.shapes).find(|s| s[..] == *t).cloned();
     let shapes = shapes.map(|t| seen(&t).unwrap_or_else(|| t.into()));
     let (gsize, args) = (l.gsize, args().collect());
-    let table = Arc::new(CheckTable { gsize, args, checked, shapes, entry });
+    let table = Arc::new(CheckTable { gsize, args, checked, shapes, entry, tape });
     tables.insert(key, table.clone());
     table
+}
+
+/// The tape specialised on the launch's values of the kernel's
+/// launch-constant slots ([`bytecode::compile_under`]): compiled on the
+/// first launch of those values and kept on the artifact; `None` runs the
+/// kernel's own tape.
+fn launch_tape(l: &Launch<'_>) -> Option<Arc<Compiled>> {
+    let d = &l.prep.derived;
+    let slots = d.launch_slots.get_or_init(|| bytecode::launch_constant_slots(l.prep));
+    let known = l.init_slots.iter().filter(|a| slots.contains(&a.0));
+    let key: Box<[_]> = known.map(|&(s, v)| (s, bytecode::bits_of_value(v))).collect();
+    if key.is_empty() {
+        return None;
+    }
+    let tapes = d.tapes.read().expect("no panic under this lock");
+    if let Some((_, tape)) = tapes.iter().find(|t| t.0 == key) {
+        return tape.clone();
+    }
+    drop(tapes);
+    let tape = bytecode::compile_under(l.prep, &key).map(Arc::new);
+    let mut tapes = d.tapes.write().expect("no panic under this lock");
+    if tapes.len() >= CHECK_TABLE_CAP {
+        tapes.clear();
+    }
+    tapes.push((key, tape.clone()));
+    tape
 }
 
 /// The value bound to scalar parameter `i`, recovered from the initial
@@ -1727,8 +1768,8 @@ impl WarpState {
 /// a grouped launch keeps every check and every register varying.
 /// Arithmetic, counters, traces and sanitizer findings reproduce the tree-walker's.
 fn run_warps(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
-    let tape = &l.prep.tape;
     let rec = launch_record(l);
+    let tape = rec.tape.as_deref().unwrap_or(&l.prep.tape);
     let init = WarpInit::new(l, tape);
     let (group, ids) = l.groups();
     let (results, wall) = dispatch(l.rt, &ids, group, |gs| {
@@ -2779,6 +2820,414 @@ pub(crate) mod tests {
             let o = out.data().to_f64_vec();
             assert_eq!(o[8], 3.0 * 8.0 + 1.0, "8 % 5 = 3 trips");
             assert_eq!(o[9], -9.0 + 1.0);
+        }
+    }
+
+    /// Launch-constant specialisation ([`launch_tape`]): the tape a launch
+    /// runs is its kernel's, specialised on the i32 arguments that bound its
+    /// loops and size its private arrays.
+    mod specialise {
+        use super::*;
+        use crate::bytecode::Op;
+        use lift_acoustics::LiftBoundary;
+        use room_acoustics::{GridDims, KernelSource, RoomShape, SimConfig, SimSetup};
+
+        /// The FD-MM boundary kernel as it ships: Listing 4 or the generated one.
+        fn fdmm(generated: bool, real: ScalarKind) -> Kernel {
+            if !generated {
+                return room_acoustics::handwritten::fdmm_kernel().resolve_real(real);
+            }
+            let prog = LiftBoundary::FdMm.host_program(real).unwrap();
+            let k = prog.kernels.into_iter().find(|k| k.kernel.name == "fdmm_boundary_lift");
+            k.expect("the generated set launches its FD-MM kernel").kernel
+        }
+
+        enum Arg {
+            Buf(SharedBuf),
+            Val(Value),
+        }
+
+        /// Arguments of either FD-MM kernel, by parameter name: `numb`
+        /// boundary points of a grid of `4·numb` cells, two materials of `mb`
+        /// branches, deterministic data.
+        fn fdmm_args(k: &Kernel, mb: usize, numb: usize) -> Vec<Arg> {
+            let (nm, n) = (2, 4 * numb);
+            let real = k.params.iter().find(|p| p.name == "next").expect("a `next` grid").kind;
+            let reals = |len: usize, f: &dyn Fn(f64) -> f64| {
+                let v: Vec<f64> = (0..len).map(|i| f(i as f64)).collect();
+                Arg::Buf(shadowed(match real {
+                    ScalarKind::F32 => BufData::F32(v.iter().map(|&x| x as f32).collect()),
+                    _ => BufData::F64(v),
+                }))
+            };
+            let ints = |len: usize, f: &dyn Fn(usize) -> usize| {
+                Arg::Buf(shadowed((0..len).map(|i| f(i) as i32).collect::<Vec<_>>()))
+            };
+            let int = |x: usize| Arg::Val(Value::I32(x as i32));
+            let params = k.params.iter();
+            params
+                .map(|p| match p.name.as_str() {
+                    "boundaryIndices" => ints(numb, &|i| 4 * i + 1),
+                    "nbrs" => ints(n, &|j| j % 6),
+                    "bnbrs" => ints(numb, &|i| (4 * i + 1) % 6),
+                    "material" => ints(numb, &|i| i % nm),
+                    "beta" => reals(nm, &|m| 0.1 + 0.05 * m),
+                    "BI" | "D" | "DI" | "F" => reals(nm * mb, &|j| 0.3 + 0.01 * j),
+                    "next" | "prev" => reals(n, &|j| (0.37 * j).sin()),
+                    "g1" | "v1" | "v2" => reals(mb * numb, &|j| 0.01 * (0.11 * j).cos()),
+                    "l" => Arg::Val(Value::F64(0.57).cast(real)),
+                    "numB" => int(numb),
+                    "MB" => int(mb),
+                    "MBM" => int(nm * mb),
+                    "N" => int(n),
+                    "NM" => int(nm),
+                    "S" => int(mb * numb),
+                    other => panic!("{}: no data for `{other}`", k.name),
+                })
+                .collect()
+        }
+
+        /// One 1-D launch over `n` items; the stats and every buffer after it.
+        fn run(
+            prep: &Prepared,
+            args: &[Arg],
+            n: usize,
+            mode: ExecMode,
+            engine: Engine,
+        ) -> Result<(LaunchStats, Vec<BufData>), ExecError> {
+            let binds: Vec<ArgBind<'_>> = args
+                .iter()
+                .map(|a| match a {
+                    Arg::Buf(b) => ArgBind::Buf(b),
+                    Arg::Val(v) => ArgBind::Val(*v),
+                })
+                .collect();
+            let stats =
+                launch(prep, &binds, &[n], None, mode, 128, engine, &Runtime::sanitizing())?;
+            let bufs = args.iter().filter_map(|a| match a {
+                Arg::Buf(b) => Some(b.data().clone()),
+                Arg::Val(_) => None,
+            });
+            Ok((stats, bufs.collect()))
+        }
+
+        /// `k` prepared to run its generic tape on every launch.
+        fn generic(k: &Kernel) -> Prepared {
+            let prep = prepare(k).unwrap();
+            prep.derived.launch_slots.set(Vec::new()).unwrap();
+            prep
+        }
+
+        fn same_bits(got: &[BufData], want: &[BufData], what: &str) {
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!(bits_eq(g, w), "{what}: buffer {i} differs from the generic tape's");
+            }
+        }
+
+        /// The specialised tapes an artifact keeps, by key.
+        fn tapes(prep: &Prepared) -> Vec<KeyedTape> {
+            prep.derived.tapes.read().unwrap().clone()
+        }
+
+        fn has(t: &Compiled, hit: impl Fn(&Op) -> bool) -> bool {
+            t.ops.iter().chain(&t.pre).chain(&t.item_pre).any(hit)
+        }
+
+        /// A loop's or a private array's op.
+        fn rolled(op: &Op) -> bool {
+            use Op::*;
+            matches!(
+                op,
+                JgeI64 { .. }
+                    | MaxOne { .. }
+                    | I64ToI32 { .. }
+                    | DeclPriv { .. }
+                    | LdP { .. }
+                    | StP { .. }
+            )
+        }
+
+        /// Both FD-MM kernels at both precisions run specialised at up to
+        /// eight branches and generic at nine, bit-identical to the tree
+        /// oracle (the differential engine, on a sanitizing runtime) and to
+        /// the generic tape, with its counters, transaction bytes and
+        /// divergent warps.
+        #[test]
+        fn fdmm_runs_specialised_up_to_eight_branches_as_the_generic_tape_does() {
+            for (generated, real) in [(false, ScalarKind::F32), (false, ScalarKind::F64)]
+                .into_iter()
+                .chain([(true, ScalarKind::F32), (true, ScalarKind::F64)])
+            {
+                let k = fdmm(generated, real);
+                for mb in [1, 2, 3, 8, 9] {
+                    let (prep, reference) = (prepare(&k).unwrap(), generic(&k));
+                    let what = format!("{} {real:?} MB={mb}", k.name);
+                    for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
+                        let args = || fdmm_args(&k, mb, 70);
+                        let (s, got) = run(&prep, &args(), 70, mode, Engine::Differential).unwrap();
+                        let (g, want) = run(&reference, &args(), 70, mode, Engine::Fast).unwrap();
+                        same_bits(&got, &want, &what);
+                        assert_eq!(s.counters, g.counters, "{what}");
+                        assert_eq!(s.transaction_bytes, g.transaction_bytes, "{what}");
+                        assert_eq!(s.divergent_warps, g.divergent_warps, "{what}");
+                    }
+                    let tapes = tapes(&prep);
+                    assert_eq!(tapes.len(), 1, "{what}: one key, MB");
+                    match &tapes[0].1 {
+                        Some(t) => assert!(mb <= 8 && !has(t, rolled), "{what}: {:?}", t.ops),
+                        None => assert_eq!(mb, 9, "{what} runs the generic tape"),
+                    }
+                }
+            }
+        }
+
+        /// A launch of another branch count compiles its own tape: served
+        /// the first one's, it would run two branches where it has three.
+        #[test]
+        fn a_launch_of_another_branch_count_never_runs_the_first_ones_tape() {
+            let k = fdmm(false, ScalarKind::F64);
+            let (prep, reference) = (prepare(&k).unwrap(), generic(&k));
+            for mb in [2, 3, 2] {
+                let args = || fdmm_args(&k, mb, 40);
+                let (_, got) = run(&prep, &args(), 40, ExecMode::Fast, Engine::Fast).unwrap();
+                let (_, want) = run(&reference, &args(), 40, ExecMode::Fast, Engine::Fast).unwrap();
+                same_bits(&got, &want, &format!("MB={mb}"));
+            }
+            let keys: Vec<_> = tapes(&prep).into_iter().map(|t| t.0).collect();
+            let mb = prep.scalar_slots[15].unwrap();
+            assert_eq!(keys, [[(mb, 2u64)].into(), [(mb, 3u64)].into()] as [Box<[_]>; 2]);
+        }
+
+        /// `(x, sel, out, n)`, f32 data, 1-D, with `body`.
+        fn array_kernel(body: Vec<KStmt>) -> Kernel {
+            Kernel {
+                name: "priv".into(),
+                params: vec![
+                    KernelParam::global_buf("x", ScalarKind::F32),
+                    KernelParam::global_buf("sel", ScalarKind::I32),
+                    KernelParam::global_buf("out", ScalarKind::F32),
+                    KernelParam::scalar("n", ScalarKind::I32),
+                ],
+                body,
+                work_dim: 1,
+            }
+        }
+
+        fn arr(i: KExpr) -> KExpr {
+            KExpr::load(MemRef::Priv("a".into()), i)
+        }
+
+        fn out(i: KExpr, value: KExpr) -> KStmt {
+            KStmt::Store { mem: MemRef::Param(2), idx: i, value }
+        }
+
+        /// Runs `k` at `n` over 40 items on the differential engine and
+        /// on the generic tape; both must agree. Returns `out`, and the
+        /// specialised tape if any.
+        fn run_array_kernel(k: &Kernel, n: i32) -> (Vec<f64>, Option<Arc<Compiled>>) {
+            let args = || {
+                vec![
+                    Arg::Buf(shadowed((0..80).map(|i| 1.0 + i as f32).collect::<Vec<_>>())),
+                    Arg::Buf(shadowed((0..40).map(|i| i % 3).collect::<Vec<i32>>())),
+                    Arg::Buf(shadowed(vec![-1.0f32; 80])),
+                    Arg::Val(Value::I32(n)),
+                ]
+            };
+            let prep = prepare(k).unwrap();
+            let model = ExecMode::Model { sample_stride: 1 };
+            let (s, got) = run(&prep, &args(), 40, model, Engine::Differential).unwrap();
+            let (g, want) = run(&generic(k), &args(), 40, model, Engine::Fast).unwrap();
+            same_bits(&got, &want, &format!("n={n}"));
+            assert_eq!((s.counters, s.transaction_bytes), (g.counters, g.transaction_bytes));
+            let tape = tapes(&prep)[0].1.clone();
+            if let Some(t) = &tape {
+                let p = Prepared { tape: (**t).clone(), ..prep.clone() };
+                let report = crate::verify::tape_report(&p);
+                assert!(report.is_clean(), "n={n}: {:?}", report.findings);
+            }
+            (got[2].to_f64_vec(), tape)
+        }
+
+        fn decl(len: KExpr) -> KStmt {
+            KStmt::DeclPrivArray { name: "a".into(), kind: ScalarKind::F32, len }
+        }
+
+        /// `for (b = 0; b < n; b += 1) body`.
+        fn upto_n(body: Vec<KStmt>) -> KStmt {
+            KStmt::For {
+                var: "b".into(),
+                begin: KExpr::int(0),
+                end: KExpr::var("n"),
+                step: KExpr::int(1),
+                body,
+            }
+        }
+
+        /// Filled in an unrolled loop, then read at an index loaded per
+        /// item: the loop unrolls, the array stays an array.
+        #[test]
+        fn a_private_array_indexed_at_run_time_stays_an_array() {
+            let gid = || KExpr::GlobalId(0);
+            let k = array_kernel(vec![
+                decl(KExpr::var("n")),
+                upto_n(vec![KStmt::Store {
+                    mem: MemRef::Priv("a".into()),
+                    idx: KExpr::var("b"),
+                    value: KExpr::load(MemRef::Param(0), gid() + KExpr::var("b")),
+                }]),
+                out(gid(), arr(KExpr::load(MemRef::Param(1), gid()))),
+            ]);
+            let (got, tape) = run_array_kernel(&k, 3);
+            assert_eq!(got[5], 1.0 + 5.0 + 2.0, "a[sel[5]] = x[5 + 2]");
+            let t = tape.expect("the loop unrolls");
+            assert!(!has(&t, |op| matches!(op, Op::JgeI64 { .. })), "{:?}", t.ops);
+            assert!(has(&t, |op| matches!(op, Op::LdP { .. })), "{:?}", t.ops);
+            assert!(has(&t, |op| matches!(op, Op::StP { .. })), "{:?}", t.ops);
+        }
+
+        /// An element read before any write reads 0, and one written in a
+        /// branch keeps its zero on the other path — in every warp, whatever
+        /// the warp before it left in the register: registers all, no
+        /// private-array op.
+        #[test]
+        fn private_elements_in_registers_read_zero_until_written() {
+            let gid = || KExpr::GlobalId(0);
+            // `sel[gid] == 1`: a lane writes in one warp and not in the next.
+            let picked = KExpr::bin(BinOp::Eq, KExpr::load(MemRef::Param(1), gid()), KExpr::int(1));
+            let k = array_kernel(vec![
+                decl(KExpr::var("n")),
+                out(gid() + gid(), arr(KExpr::int(1))),
+                KStmt::If {
+                    cond: picked,
+                    then_: vec![KStmt::Store {
+                        mem: MemRef::Priv("a".into()),
+                        idx: KExpr::int(0),
+                        value: KExpr::load(MemRef::Param(0), gid()),
+                    }],
+                    else_: vec![],
+                },
+                out(gid() + gid() + KExpr::int(1), arr(KExpr::int(0))),
+            ]);
+            let (got, tape) = run_array_kernel(&k, 2);
+            for g in 0..40 {
+                assert_eq!(got[2 * g], 0.0, "read before any write");
+                assert_eq!(got[2 * g + 1], if g % 3 == 1 { 1.0 + g as f64 } else { 0.0 });
+            }
+            let t = tape.expect("the array moves to registers");
+            assert!(!has(&t, rolled), "{:?}", t.ops);
+        }
+
+        /// `acc` sums `n` elements staged through `a[n]`.
+        fn sum_kernel() -> Kernel {
+            let b = || KExpr::var("b");
+            array_kernel(vec![
+                decl(KExpr::var("n")),
+                KStmt::DeclScalar {
+                    name: "acc".into(),
+                    kind: ScalarKind::F32,
+                    init: Some(KExpr::real(0.5)),
+                },
+                upto_n(vec![
+                    KStmt::Store {
+                        mem: MemRef::Priv("a".into()),
+                        idx: b(),
+                        value: KExpr::load(MemRef::Param(0), b()),
+                    },
+                    KStmt::Assign { name: "acc".into(), value: KExpr::var("acc") + arr(b()) },
+                ]),
+                out(KExpr::GlobalId(0), KExpr::var("acc")),
+            ])
+            .resolve_real(ScalarKind::F32)
+        }
+
+        /// A loop of no trips runs no body, and a negative length fails the
+        /// launch with the generic tape's panic.
+        #[test]
+        fn zero_trips_and_negative_lengths_behave_as_on_the_generic_tape() {
+            let k = sum_kernel();
+            let (got, tape) = run_array_kernel(&k, 0);
+            assert!(got[..40].iter().all(|&v| v == 0.5), "{got:?}");
+            assert!(!has(&tape.expect("specialised"), rolled));
+            let (got, _) = run_array_kernel(&k, 4);
+            assert_eq!(got[0], 0.5 + 1.0 + 2.0 + 3.0 + 4.0);
+            let panic_text = |prep: &Prepared| {
+                let args = [
+                    Arg::Buf(shadowed(vec![1.0f32; 80])),
+                    Arg::Buf(shadowed(vec![0i32; 40])),
+                    Arg::Buf(shadowed(vec![0.0f32; 80])),
+                    Arg::Val(Value::I32(-1)),
+                ];
+                let run = || run(prep, &args, 40, ExecMode::Fast, Engine::Fast);
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+                err.downcast_ref::<String>().cloned().unwrap_or_default()
+            };
+            let prep = prepare(&k).unwrap();
+            let want = panic_text(&generic(&k));
+            assert!(want.contains("length -1"), "{want}");
+            assert_eq!(panic_text(&prep), want);
+            assert!(tapes(&prep)[0].1.is_some(), "the zero-trip loop unrolled");
+        }
+
+        /// Every shipped kernel at both precisions: the FD-MM kernels' one
+        /// launch constant is `MB`, the others have none, and the tape
+        /// specialised on the shipped `MB` is clean under the tape verifier.
+        #[test]
+        fn every_shipped_kernel_specialises_clean_at_its_shipped_arguments() {
+            let cfg = SimConfig::fdmm(GridDims::new(12, 12, 12), RoomShape::Dome);
+            let mb = SimSetup::new(&cfg).mb as u64;
+            let mut specialised = 0;
+            for real in [ScalarKind::F32, ScalarKind::F64] {
+                let mut kernels: Vec<Kernel> = room_acoustics::handwritten::all_kernels()
+                    .iter()
+                    .map(|k| k.resolve_real(real))
+                    .collect();
+                for set in lift_acoustics::hostprog::all_sets() {
+                    let prog = set.host_program(real).unwrap();
+                    kernels.extend(prog.kernels.into_iter().map(|k| k.kernel));
+                }
+                for k in &kernels {
+                    let prep = prepare(k).unwrap();
+                    let slots = bytecode::launch_constant_slots(&prep);
+                    let name = |s: &usize| {
+                        let i = prep.scalar_slots.iter().position(|x| *x == Some(*s)).unwrap();
+                        prep.params[i].name.as_str()
+                    };
+                    let names: Vec<&str> = slots.iter().map(name).collect();
+                    let want: &[&str] = if k.name.starts_with("fdmm") { &["MB"] } else { &[] };
+                    assert_eq!(names, want, "{}", k.name);
+                    if let [mb_slot] = slots[..] {
+                        let mut p = prep.clone();
+                        p.tape = bytecode::compile_under(&prep, &[(mb_slot, mb)]).unwrap();
+                        let report = crate::verify::tape_report(&p);
+                        assert!(report.is_clean(), "{} {real:?}: {:?}", k.name, report.findings);
+                        specialised += 1;
+                    }
+                }
+            }
+            assert!(specialised >= 4, "{specialised}: both FD-MM kernels at both precisions");
+        }
+
+        /// The FD-MM tapes specialised on three branches, as recorded: no
+        /// loop and no private array is left, and (main tape, `pre`,
+        /// `item_pre`) ops stay as they were pinned. The generic tapes are
+        /// `bytecode::tests::TAPE_PINS`' rows.
+        #[test]
+        fn the_specialised_fdmm_tapes_match_the_recorded_pins() {
+            let pins = [
+                (false, ScalarKind::F32, (92, 11, 1)),
+                (false, ScalarKind::F64, (92, 11, 1)),
+                (true, ScalarKind::F32, (91, 11, 1)),
+                (true, ScalarKind::F64, (91, 11, 1)),
+            ];
+            let got = pins.map(|(generated, real, _)| {
+                let prep = prepare(&fdmm(generated, real)).unwrap();
+                let mb = bytecode::launch_constant_slots(&prep)[0];
+                let t = bytecode::compile_under(&prep, &[(mb, 3)]).unwrap();
+                assert!(!has(&t, rolled), "{:?}", t.ops);
+                (generated, real, (t.ops.len(), t.pre.len(), t.item_pre.len()))
+            });
+            assert_eq!(got, pins, "the specialised FD-MM tapes changed");
         }
     }
 }

@@ -4,7 +4,8 @@
 //! [ops]`, by default the benchmark room (96×64×48, single precision).
 //! Without `ops` the steps run in `ExecMode::Fast`; with it, in
 //! `ExecMode::Profile`. The per-kernel accounts the steps returned follow
-//! the timing line, with a hotspot table per kernel when profiled.
+//! the timing line and a count of the boundary kernel's warps that read one
+//! material's coefficients, with a hotspot table per kernel when profiled.
 //!
 //! ```sh
 //! cargo run --release --example op_profile -- hand 100 ops
@@ -39,6 +40,11 @@ fn main() {
         Some(other) => panic!("precision: f32 or f64 (got `{other}`)"),
     };
     let setup = SimSetup::new(&SimConfig::fdmm(dims, RoomShape::Dome));
+    // Warps of the boundary kernel (32 consecutive boundary points) whose
+    // points all read one material's coefficient row.
+    let warps = setup.room.material.chunks(32);
+    let one_material = warps.clone().filter(|w| w.iter().all(|&m| m == w[0])).count();
+    let share = format!("{one_material} of {}", warps.len());
     let dev = Device::gtx780();
     let mut sim = match side.as_str() {
         "hand" => SingleSim::new(setup, p, BoundaryKernel::FdMm, dev),
@@ -60,5 +66,6 @@ fn main() {
         }
     }
     println!("{side}: {steps} steps, best ms/step: volume {volume:.4}, boundary {boundary:.4}");
+    println!("boundary warps whose points share one material index `mi`: {share}");
     print!("{}", sink::render_accounts(&accounts));
 }
