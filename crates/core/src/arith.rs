@@ -543,7 +543,8 @@ impl RangeEnv {
     /// `≤` both ways).
     pub fn prove_eq(&self, a: &ArithExpr, b: &ArithExpr) -> bool {
         let d = self.resolve(a) - self.resolve(b);
-        d == ArithExpr::Cst(0) || (self.prove_le(a, b) && self.prove_le(b, a))
+        let zero = ArithExpr::Cst(0);
+        d == zero || expand(&d) == zero || (self.prove_le(a, b) && self.prove_le(b, a))
     }
 
     fn le(&self, a: &ArithExpr, b: &ArithExpr, fuel: u32) -> bool {

@@ -23,9 +23,10 @@
 //! upload or kernel store (uninit reads).
 
 use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
+use crate::eval::{is_gid_atom, is_load_atom, Atoms};
 use crate::host::{HostCmd, HostProgram, LaunchArg};
 use crate::kast::Effects;
-use crate::verify::{affine_split, is_gid_atom, is_load_atom, AccessKind, Assumptions};
+use crate::verify::{affine_split, AccessKind, Assumptions};
 use std::fmt;
 
 /// Footprint shape of one access site. Offsets are per grid axis
@@ -180,10 +181,12 @@ fn grid_dims(asm: &Assumptions) -> Vec<ArithExpr> {
 }
 
 /// Classifies every captured access record under the kernel's contract.
+/// `atoms` holds the load atoms the records' indices mention.
 pub(crate) fn classify_kernel(
     kernel: &str,
     asm: &Assumptions,
     records: &[AccessRecord],
+    atoms: &Atoms,
 ) -> KernelFootprints {
     let dims = grid_dims(asm);
     // Row-major strides: stride_d = Π_{e<d} dims_e, expanded to canonical
@@ -201,7 +204,7 @@ pub(crate) fn classify_kernel(
             site: r.site,
             kind: r.kind,
             buffer: r.buffer.clone(),
-            shape: classify(r, asm, &strides, &monos),
+            shape: classify(r, asm, atoms, &strides, &monos),
         })
         .collect();
     KernelFootprints { kernel: kernel.to_string(), rank: dims.len(), sites }
@@ -210,6 +213,7 @@ pub(crate) fn classify_kernel(
 fn classify(
     r: &AccessRecord,
     asm: &Assumptions,
+    atoms: &Atoms,
     strides: &[ArithExpr],
     monos: &[ArithExpr],
 ) -> Shape {
@@ -252,7 +256,7 @@ fn classify(
     // into per-axis offsets (trivially so when it is zero).
     if let [(name, c)] = pairs.as_slice() {
         if is_load_atom(name) && matches!(c, ArithExpr::Cst(1)) {
-            if let Some(table) = gather_table(name) {
+            if let Some(table) = atoms.get(name).map(|info| info.buffer.clone()) {
                 let res = expand(&base);
                 let offsets = if res == ArithExpr::zero() {
                     Some(Vec::new())
@@ -271,12 +275,6 @@ fn classify(
 /// The axis of a `%gidD` atom.
 fn axis_of(atom: &str) -> Option<usize> {
     atom.strip_prefix("%gid").and_then(|d| d.parse().ok())
-}
-
-/// The buffer name inside a `%ld:buf[idx]` gather atom.
-fn gather_table(atom: &str) -> Option<String> {
-    let rest = atom.strip_prefix("%ld:")?;
-    Some(rest[..rest.find('[')?].to_string())
 }
 
 /// Interval fallback: the site's range facts bound the raw index map.

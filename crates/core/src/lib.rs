@@ -47,6 +47,7 @@
 
 pub mod arith;
 pub mod dsl;
+mod eval;
 pub mod footprint;
 pub mod funs;
 pub mod host;

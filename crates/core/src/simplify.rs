@@ -5,8 +5,8 @@
 //! `(gid2+1) < 1 || (gid2+1) >= 1+Nz || …`. LIFT proper makes views
 //! zero-cost by simplifying that arithmetic with range information
 //! (Steuwer et al., *Patterns and Rewrite Rules for Systematic Code
-//! Generation*); this pass does the same over the kernel AST with the
-//! prover the static verifier already uses ([`RangeEnv`]):
+//! Generation*); this pass does the same over the kernel AST, on the path
+//! facts of the symbolic evaluator the static verifier walks with:
 //!
 //! 1. every integer sub-expression is canonicalised through [`ArithExpr`]
 //!    and printed back in one shape ([`KExpr::from_arith`]);
@@ -34,19 +34,21 @@
 //!
 //! # Facts
 //!
-//! What the kernel text licenses: `get_global_id(d) ≥ 0`, and the negation
-//! of every early-return guard (`if (gid(d) >= N) return;`) for the rest of
-//! its block. What the contract states: its size bounds (array extents —
-//! no work-item runs over an empty one), its interior facts, only in the
-//! arm they guard, an output's exterior-zero fact, only in the arm the
-//! interior fact leaves out, and whether distinct buffer parameters are
-//! distinct allocations ([`Assumptions::distinct_buffers`]), which loop
-//! fusion needs to interleave a store with another buffer's accesses.
-//! Index arithmetic is treated as exact integers, the assumption
-//! [`crate::verify`] documents.
+//! The evaluator starts from the contract without what fails for some id
+//! in `[0, N)`, its global size and defines: `get_global_id(d) ≥ 0` and the
+//! size bounds. A guard narrows work-item ids only — an early return for
+//! the rest of its block, the interior facts only in the arm they guard. A
+//! guard reads a never-assigned `int` as its value and any other as
+//! unknown; a comparison is decided on its canonical form (rewrite 1), in
+//! which every name stands for itself.
+//! Two more contract facts license rewrites: an output's exterior-zero
+//! fact, only in the arm the interior fact leaves out, and distinct buffer
+//! parameters ([`Assumptions::distinct_buffers`]), which loop fusion needs
+//! to interleave a store with another buffer's accesses. Index arithmetic
+//! is exact-integer, the assumption [`crate::verify`] documents.
 //!
-//! Every other fact about `get_global_id(d)` holds for all ids in `[0, N)`,
-//! so a simplified kernel stays correct under the uniform substitution
+//! So every fact about `get_global_id(d)` holds for all ids in `[0, N)`,
+//! and a simplified kernel stays correct under the uniform substitution
 //! `gid(d) → gid(d) + o`, `o ≥ 0` ([`Kernel::shift_gid`]): past the
 //! shifted guard the shifted id lies in that same interval. An arm fact is
 //! about the cell a work-item indexes — a positive mask entry marks a cell
@@ -71,11 +73,12 @@
 //! a load later, past other loads only. Floating-point expressions are
 //! neither reassociated nor re-evaluated. Hoisted names come from a counter.
 
-use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
+use crate::arith::{expand, ArithExpr};
+use crate::eval::{is_gid_atom, Eval};
 use crate::kast::{Child, Effects, KExpr, KStmt, Kernel, MemRef};
 use crate::scalar::{BinOp, Intrinsic, Lit, UnOp};
 use crate::types::ScalarKind;
-use crate::verify::{interior_refine, interior_trigger, is_gid_atom, Assumptions};
+use crate::verify::Assumptions;
 use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
@@ -84,6 +87,9 @@ use std::hash::{Hash, Hasher};
 /// bounds, inside the arms they guard its interior facts, and its
 /// exterior-zero and distinct-buffers facts. See the module docs.
 pub fn simplify_kernel(kernel: &Kernel, contract: &Assumptions) -> Kernel {
+    // Facts for every id in `[0, N)` only: no global size, no defines.
+    let contract =
+        &Assumptions { global_size: Vec::new(), defines: Vec::new(), ..contract.clone() };
     let int_params: BTreeSet<String> = kernel
         .params
         .iter()
@@ -166,7 +172,10 @@ fn restore(rendered: KExpr, opaque: &[KExpr]) -> Option<KExpr> {
 struct Cx<'k> {
     kernel: &'k Kernel,
     contract: &'k Assumptions,
-    env: RangeEnv,
+    /// The path facts: the contract's, and each early-return guard's for
+    /// the rest of its block. A guard reads never-assigned `int`s as their
+    /// values, other `int`s as unknown, and narrows ids only.
+    ev: Eval<'k>,
     /// `int` scalars in scope: parameters, declarations, loop variables
     /// (lowered names are unique, so scopes never need popping).
     ints: BTreeSet<String>,
@@ -177,30 +186,34 @@ struct Cx<'k> {
     compared: Vec<(&'k KExpr, KExpr)>,
     /// Names the kernel assigns to.
     assigned: Vec<&'k str>,
-    /// Never-assigned `int`s loaded from a parameter at an index over ids
-    /// and sizes: the parameter and the index ([`Cx::note_load`]).
-    loaded: HashMap<String, (String, ArithExpr)>,
-    /// The index expression, as sinking left it, of every `int` declared
-    /// by a load that [`Cx::arms`] has passed.
-    mask_sites: HashMap<String, &'k KExpr>,
 }
 
 impl<'k> Cx<'k> {
     /// A walk of `kernel` under the facts that hold at its first line:
     /// `get_global_id(d) ≥ 0` and the contract's size bounds.
     fn new(kernel: &'k Kernel, contract: &'k Assumptions, ints: &BTreeSet<String>) -> Self {
-        let mut env = RangeEnv::new();
-        for (v, lo) in &contract.size_bounds {
-            env.set_range(v.clone(), SymRange::at_least(ArithExpr::Cst(*lo)));
-        }
-        for d in 0..kernel.work_dim {
-            let gid = KExpr::GlobalId(d).builtin_atom().expect("builtin");
-            env.set_range(gid, SymRange::at_least(ArithExpr::zero()));
-        }
-        let (int_arrays, compared, loaded, mask_sites) = Default::default();
+        let ev = Eval::new(kernel, contract, is_gid_atom);
+        let (int_arrays, compared) = Default::default();
         let assigned = Effects::of(&kernel.body).assigns;
         let ints = ints.clone();
-        Cx { kernel, contract, env, ints, int_arrays, compared, assigned, loaded, mask_sites }
+        Cx { kernel, contract, ev, ints, int_arrays, compared, assigned }
+    }
+
+    /// Declares `int name = init`: bound to the value of `init` when nothing
+    /// assigns `name`, else unknown.
+    fn declare(&mut self, name: &str, init: &'k Option<KExpr>) {
+        self.ints.insert(name.to_string());
+        match init {
+            Some(e) if !self.assigned.contains(&name) => self.ev.define(name, e),
+            _ => self.ev.bind(name, None),
+        }
+    }
+
+    /// Records `!cond` for the rest of the current block: `cond` guarded
+    /// an early return.
+    fn assume_returned(&mut self, cond: &KExpr) {
+        self.ev.assume(cond, false);
+        self.compared.clear();
     }
 
     fn is_int(&self, e: &KExpr) -> bool {
@@ -250,7 +263,7 @@ impl<'k> Cx<'k> {
                 let (x, y) = (self.arith(a, opaque), self.arith(b, opaque));
                 // The folds of `ArithExpr::div`/`rem` (`x / x`, `x % x`)
                 // need a non-zero divisor.
-                if self.env.prove_pos(&y) {
+                if self.ev.path.renv.prove_pos(&y) {
                     return if *op == BinOp::Div { x / y } else { x % y };
                 }
                 opaque.truncate(mark);
@@ -345,7 +358,7 @@ impl<'k> Cx<'k> {
         let mut opaque = Vec::new();
         let d = expand(&(self.arith(a, &mut opaque) - self.arith(b, &mut opaque)));
         if opaque.is_empty() {
-            if let Some(v) = self.decide(op, &d) {
+            if let Some(v) = self.ev.decide(op, &d) {
                 return bool_lit(v);
             }
         }
@@ -359,60 +372,12 @@ impl<'k> Cx<'k> {
         restore(out, &opaque).unwrap_or_else(|| KExpr::bin(op, self.expr(a), self.expr(b)))
     }
 
-    /// Decides `d op 0` under the current facts. Guards are mostly false
-    /// (that is why they can go), so refutation is tried first.
-    fn decide(&self, op: BinOp, d: &ArithExpr) -> Option<bool> {
-        let env = &self.env;
-        let nonneg = || env.prove_nonneg(d);
-        let nonpos = || env.prove_nonneg(&(ArithExpr::zero() - d.clone()));
-        let pos = || env.prove_nonneg(&(d.clone() - ArithExpr::one()));
-        let neg = || env.prove_nonneg(&(ArithExpr::zero() - d.clone() - ArithExpr::one()));
-        let zero = || *d == ArithExpr::zero();
-        let nonzero = || pos() || neg();
-        let verdict = |no: &dyn Fn() -> bool, yes: &dyn Fn() -> bool| {
-            if no() {
-                Some(false)
-            } else {
-                yes().then_some(true)
-            }
-        };
-        match op {
-            BinOp::Lt => verdict(&nonneg, &neg),
-            BinOp::Le => verdict(&pos, &nonpos),
-            BinOp::Gt => verdict(&nonpos, &pos),
-            BinOp::Ge => verdict(&neg, &nonneg),
-            BinOp::Eq => verdict(&nonzero, &zero),
-            BinOp::Ne => verdict(&zero, &nonzero),
-            _ => None,
-        }
-    }
-
-    /// Records `!cond` for the rest of the current block: `cond` guarded
-    /// an early return. Only work-item ids take facts — they cannot be
-    /// reassigned.
-    fn assume_not(&mut self, cond: &'k KExpr) {
-        match cond {
-            KExpr::Bin(BinOp::Or, a, b) => {
-                self.assume_not(a);
-                self.assume_not(b);
-            }
-            KExpr::Bin(op, a, b) if is_cmp(*op) && self.is_int(a) && self.is_int(b) => {
-                let mut opaque = Vec::new();
-                let (x, y) = (self.arith(a, &mut opaque), self.arith(b, &mut opaque));
-                if opaque.is_empty() {
-                    self.env.assume(*op, false, &x, &y, &is_gid_atom);
-                    self.compared.clear();
-                }
-            }
-            _ => {}
-        }
-    }
-
     fn block(&mut self, stmts: &'k [KStmt]) -> Vec<KStmt> {
-        // Early-return facts hold to the end of the block they are in.
-        let outer = self.env.clone();
+        // Early-return facts hold to the end of the block they are in; the
+        // bindings, of unique names, to the end of the walk.
+        let outer = self.ev.path.renv.clone();
         let out = stmts.iter().map(|s| self.stmt(s)).collect();
-        self.env = outer;
+        self.ev.path.renv = outer;
         self.compared.clear();
         out
     }
@@ -424,26 +389,23 @@ impl<'k> Cx<'k> {
         // Lowered names are unique, so a declaration may enter the scope
         // before its own initialiser is simplified.
         match s {
-            KStmt::DeclScalar { name, kind: ScalarKind::I32, .. } => {
-                self.ints.insert(name.clone());
-                self.note_load(s);
-            }
-            KStmt::DeclPrivArray { name, kind: ScalarKind::I32, .. }
-            | KStmt::DeclLocalArray { name, kind: ScalarKind::I32, .. } => {
-                self.int_arrays.insert(name.clone());
-            }
-            _ => {}
-        }
-        match s {
             KStmt::DeclScalar { name, kind, init } => {
+                if *kind == ScalarKind::I32 {
+                    self.declare(name, init);
+                }
                 let init = init.as_ref().map(|e| self.expr(e));
                 KStmt::DeclScalar { name: name.clone(), kind: *kind, init }
             }
-            KStmt::DeclPrivArray { name, kind, len } => {
-                KStmt::DeclPrivArray { name: name.clone(), kind: *kind, len: self.expr(len) }
-            }
-            KStmt::DeclLocalArray { name, kind, len } => {
-                KStmt::DeclLocalArray { name: name.clone(), kind: *kind, len: self.expr(len) }
+            KStmt::DeclPrivArray { name, kind, len }
+            | KStmt::DeclLocalArray { name, kind, len } => {
+                if *kind == ScalarKind::I32 {
+                    self.int_arrays.insert(name.clone());
+                }
+                let (name, kind, len) = (name.clone(), *kind, self.expr(len));
+                match s {
+                    KStmt::DeclPrivArray { .. } => KStmt::DeclPrivArray { name, kind, len },
+                    _ => KStmt::DeclLocalArray { name, kind, len },
+                }
             }
             KStmt::Assign { name, value } => {
                 KStmt::Assign { name: name.clone(), value: self.expr(value) }
@@ -454,7 +416,7 @@ impl<'k> Cx<'k> {
             }
             KStmt::For { var, begin, end, step, body } => {
                 let (begin, end, step) = (self.expr(begin), self.expr(end), self.expr(step));
-                self.ints.insert(var.clone());
+                self.declare(var, &None);
                 KStmt::For { var: var.clone(), begin, end, step, body: self.block(body) }
             }
             KStmt::If { cond, then_, else_ } => {
@@ -464,7 +426,7 @@ impl<'k> Cx<'k> {
                     else_: self.block(else_),
                 };
                 if out.is_return_guard() {
-                    self.assume_not(cond);
+                    self.assume_returned(cond);
                 }
                 out
             }
@@ -476,95 +438,60 @@ impl<'k> Cx<'k> {
 // ---- interior arms ----
 
 impl<'k> Cx<'k> {
-    /// Notes `int x = p[idx];` for [`Cx::arms`], which sees only `x > 0`
-    /// once sinking has made it a branch: is `p` a mask read at `lin(gid)`?
-    fn note_load(&mut self, s: &'k KStmt) {
-        let KStmt::DeclScalar { name, init: Some(KExpr::Load { mem, idx }), .. } = s else {
-            return;
-        };
-        let MemRef::Param(p) = mem else { return };
-        if self.contract.interior_dims.is_empty() || self.assigned.contains(&name.as_str()) {
-            return;
-        }
-        let mut opaque = Vec::new();
-        let idx = self.arith(idx, &mut opaque);
-        if opaque.is_empty() {
-            self.loaded.insert(name.clone(), (self.kernel.params[*p].name.clone(), idx));
-        }
-    }
-
     /// One walk over the sunk body: the arm of each `if` that ties the
-    /// work-item to the grid interior ([`interior_trigger`]) is decided again
-    /// with the ids narrowed ([`interior_refine`]), and an exterior arm that
-    /// only stores a zero the output already holds goes
+    /// work-item to the grid interior ([`Eval::reads_mask`],
+    /// [`Eval::guards`]) is decided again with the ids narrowed, and an
+    /// exterior arm that only stores a zero the output already holds goes
     /// ([`Cx::redundant_exterior_store`]); the rest stays as it is.
     fn arms(&mut self, stmts: &'k [KStmt]) -> Vec<KStmt> {
-        let outer = self.env.clone();
+        let outer = self.ev.path.renv.clone();
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
             let KStmt::If { cond, then_, else_ } = s else {
                 if let KStmt::DeclScalar { name, kind: ScalarKind::I32, init } = s {
-                    self.ints.insert(name.clone()); // a hoisted name
-                    if let Some(KExpr::Load { idx, .. }) = init {
-                        self.mask_sites.insert(name.clone(), idx);
-                    }
+                    self.declare(name, init); // hoisted names too
                 }
                 out.push(s.clone());
                 continue;
             };
-            let x = match cond {
-                KExpr::Bin(_, x, _) => x.as_ref(),
-                _ => cond,
-            };
-            let x = if let KExpr::Var(x) = x { Some(x.as_str()) } else { None };
-            let load = x.and_then(|x| self.loaded.get(x));
-            let load = load.map(|(buffer, idx)| (buffer.as_str(), idx));
-            let interior = interior_trigger(self.contract, &self.env, cond, load);
-            let then_ = if interior {
-                let outside = self.env.clone();
-                interior_refine(&mut self.env, self.contract);
+            let mask = self.ev.reads_mask(cond);
+            let then_ = if mask.is_some() || self.ev.guards(cond) {
+                let outside = self.ev.path.renv.clone();
+                self.ev.interior_refine();
                 self.compared.clear();
                 let arm = self.block(then_);
-                self.env = outside;
+                self.ev.path.renv = outside;
                 arm
             } else {
                 self.arms(then_)
             };
-            // The trigger read an interior mask, not a declared guard.
-            let guard = x.is_some_and(|x| self.contract.interior_guards.iter().any(|g| g == x));
-            let mask_site = x.and_then(|x| self.mask_sites.get(x)).copied();
-            let else_ = match mask_site {
-                Some(site) if interior && !guard && self.redundant_exterior_store(site, else_) => {
-                    Vec::new()
-                }
+            let else_ = match mask {
+                Some(cell) if self.redundant_exterior_store(&cell, else_) => Vec::new(),
                 _ => self.arms(else_),
             };
             out.push(KStmt::If { cond: cond.clone(), then_, else_ });
             if s.is_return_guard() {
-                self.assume_not(cond);
+                self.assume_returned(cond);
             }
         }
-        self.env = outer;
+        self.ev.path.renv = outer;
         out
     }
 
-    /// True when `else_`, the arm an interior-mask trigger leaves to cells
-    /// whose mask entry is not positive, is one store of `+0` to such a cell
-    /// — at the mask read's own index `site`, over names nothing assigns —
-    /// of an output the contract says already holds `+0` there
+    /// True when `else_`, the arm an interior-mask read at `cell` leaves to
+    /// cells whose mask entry is not positive, is one store of `+0` to such a
+    /// cell — the work-item's own, at `cell` — of an output the contract says
+    /// already holds `+0` there
     /// ([`BufferFacts::exterior_zero`](crate::verify::BufferFacts)).
-    fn redundant_exterior_store(&self, site: &KExpr, else_: &[KStmt]) -> bool {
+    fn redundant_exterior_store(&mut self, cell: &ArithExpr, else_: &[KStmt]) -> bool {
         let [KStmt::Store { mem: MemRef::Param(p), idx, value: KExpr::Lit(zero) }] = else_ else {
             return false;
         };
         let facts = self.contract.buffers.get(&self.kernel.params[*p].name);
-        let mut names = BTreeSet::new();
-        reads(idx, &mut names);
         facts.is_some_and(|f| f.exterior_zero)
             && zero.value == 0.0
             && zero.value.is_sign_positive()
-            && idx == site
-            && names.iter().all(|n| !self.assigned.contains(n))
+            && self.ev.is(idx, cell)
     }
 }
 
@@ -1556,10 +1483,9 @@ mod tests {
 
     // ---- exterior-store elision ----
 
-    /// `if (gid ≥ N) return; int n = nbrs[gid]; float v = a[gid]; out[idx] =
-    /// n > 0 ? v : zero` simplified under the interior-mask fact, with `out`
-    /// exterior-zero or not: sinking splits the store.
-    fn interior_store(zero: KExpr, idx: KExpr, exterior_zero: bool) -> Vec<KStmt> {
+    /// The contract of [`interior_store`]: `nbrs` an interior mask over
+    /// `[N]`, `out` exterior-zero or not.
+    fn interior_contract(exterior_zero: bool) -> Assumptions {
         use crate::verify::BufferFacts;
         let n = || ArithExpr::var("N");
         let mut contract = Assumptions {
@@ -1575,27 +1501,87 @@ mod tests {
         contract.buffers.insert("nbrs".into(), nbrs);
         contract.buffers.insert("a".into(), BufferFacts::sized(n()));
         contract.buffers.insert("out".into(), out);
+        contract
+    }
+
+    /// `if (gid ≥ N) return; int n = nbrs[gid]; float v = a[gid]; out[idx] =
+    /// n > 0 ? inside : outside` simplified under [`interior_contract`]:
+    /// `inside` reads `v`, so sinking splits the store.
+    fn interior_store(inside: KExpr, outside: KExpr, idx: KExpr, zero: bool) -> Vec<KStmt> {
         let kernel = four_buffers(vec![
             KStmt::return_if(KExpr::bin(BinOp::Ge, g(), var("N"))),
             KStmt::DeclScalar { name: "n".into(), kind: ScalarKind::I32, init: Some(at(0)) },
             decl("v", at(1)),
-            store(idx, KExpr::select(positive(var("n")), var("v"), zero)),
+            store(idx, KExpr::select(positive(var("n")), inside, outside)),
         ]);
-        simplify_kernel(&kernel, &contract).body
+        simplify_kernel(&kernel, &interior_contract(zero)).body
+    }
+
+    fn arms_of(body: &[KStmt]) -> (&[KStmt], &[KStmt]) {
+        match body.last() {
+            Some(KStmt::If { then_, else_, .. }) => (then_, else_),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn the_exterior_arm_goes_only_when_it_stores_the_zero_the_output_holds() {
-        let arms = |body: &[KStmt]| match body.last() {
-            Some(KStmt::If { then_, else_, .. }) => (then_.len(), else_.len()),
-            other => panic!("{other:?}"),
+        let arms = |body: Vec<KStmt>| {
+            let (then_, else_) = arms_of(&body);
+            (then_.len(), else_.len())
         };
-        let zero = || KExpr::real(0.0);
-        assert_eq!(arms(&interior_store(zero(), g(), true)), (1, 0));
-        assert_eq!(arms(&interior_store(zero(), g(), false)), (1, 1), "no fact");
-        assert_eq!(arms(&interior_store(KExpr::real(1.0), g(), true)), (1, 1), "not zero");
-        assert_eq!(arms(&interior_store(KExpr::real(-0.0), g(), true)), (1, 1), "−0");
+        let (v, zero) = (|| var("v"), || KExpr::real(0.0));
+        assert_eq!(arms(interior_store(v(), zero(), g(), true)), (1, 0));
+        assert_eq!(arms(interior_store(v(), zero(), g(), false)), (1, 1), "no fact");
+        assert_eq!(arms(interior_store(v(), KExpr::real(1.0), g(), true)), (1, 1), "not zero");
+        assert_eq!(arms(interior_store(v(), KExpr::real(-0.0), g(), true)), (1, 1), "−0");
         let other = KExpr::int(0);
-        assert_eq!(arms(&interior_store(zero(), other, true)), (1, 1), "another cell");
+        assert_eq!(arms(interior_store(v(), zero(), other, true)), (1, 1), "another cell");
+    }
+
+    /// The interior mask read narrows the ids in its then-arm only: there
+    /// `gid < 1` is decided, in the else-arm it stays.
+    #[test]
+    fn an_interior_mask_read_narrows_the_then_arm_only() {
+        let edge = || KExpr::bin(BinOp::Lt, g(), KExpr::int(1));
+        let inside = KExpr::select(edge(), KExpr::real(1.0), var("v"));
+        let outside = KExpr::select(edge(), KExpr::real(2.0), KExpr::real(0.0));
+        let body = interior_store(inside, outside, g(), false);
+        let compares = |arm: &[KStmt]| {
+            let mut found = false;
+            arm.iter().for_each(|s| {
+                s.for_each_stmt(&mut |s| {
+                    s.for_each_expr(&mut |e| e.visit(&mut |n| found |= *n == edge()))
+                })
+            });
+            found
+        };
+        let (then_, else_) = arms_of(&body);
+        assert_eq!((compares(then_), compares(else_)), (false, true), "{body:?}");
+    }
+
+    /// What simplification may know of ids holds for every id in `[0, N)`:
+    /// a launch's global size does not decide its own return guard, and a
+    /// return guard over an assigned `int` decides no later comparison.
+    #[test]
+    fn return_guards_stay_and_tell_only_of_ids() {
+        let beyond = || KExpr::bin(BinOp::Ge, g(), var("N"));
+        let contract = Assumptions {
+            global_size: vec![Some(ArithExpr::var("N"))],
+            size_bounds: vec![("N".into(), 1)],
+            ..Default::default()
+        };
+        let simplified = |body| simplify_kernel(&four_buffers(body), &contract).body;
+        let guarded = simplified(vec![KStmt::return_if(beyond()), store(g(), KExpr::real(0.0))]);
+        assert_eq!(guarded[0], KStmt::return_if(beyond()));
+        let x = KStmt::DeclScalar { name: "x".into(), kind: ScalarKind::I32, init: Some(g()) };
+        let later = || store(g(), KExpr::select(beyond(), KExpr::real(1.0), KExpr::real(2.0)));
+        let body = vec![
+            x,
+            KStmt::Assign { name: "x".into(), value: g() },
+            KStmt::return_if(KExpr::bin(BinOp::Ge, var("x"), var("N"))),
+            later(),
+        ];
+        assert_eq!(simplified(body).last(), Some(&later()));
     }
 }

@@ -35,10 +35,9 @@
 //! two work-items.
 
 use crate::arith::{expand, ArithExpr, RangeEnv, SymRange};
+use crate::eval::{gid_atom, is_atom, is_gid_atom, is_load_atom, Atoms, Eval, OnLoad};
 use crate::footprint::{classify_kernel, AccessRecord, KernelFootprints};
-use crate::kast::{Effects, KExpr, KStmt, Kernel, MemRef, MemSpace};
-use crate::scalar::{BinOp, Intrinsic, Lit, UnOp};
-use crate::types::ScalarKind;
+use crate::kast::{KStmt, Kernel, MemRef, MemSpace};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -128,7 +127,7 @@ pub struct Assumptions {
 
 impl Assumptions {
     /// The constant gid offset for dimension `d` (0 when unset).
-    fn gid_offset(&self, d: usize) -> i64 {
+    pub(crate) fn gid_offset(&self, d: usize) -> i64 {
         self.gid_offsets.get(d).copied().unwrap_or(0)
     }
 }
@@ -279,189 +278,53 @@ impl ProofTable {
 /// per-precision variants of one kernel doesn't multiply identical
 /// diagnostics.
 pub fn dedupe_sites(sites: Vec<SiteReport>) -> Vec<SiteReport> {
-    let mut seen: Vec<(String, u32, String)> = Vec::new();
-    let mut out = Vec::with_capacity(sites.len());
-    for s in sites {
-        let key = (s.kernel.clone(), s.site, s.reason.clone());
-        if !seen.contains(&key) {
-            seen.push(key);
-            out.push(s);
-        }
-    }
-    out
+    dedupe(sites, |s| (s.kernel.clone(), s.site, s.reason.clone()))
 }
 
 /// Drops duplicate race records, keeping one per
 /// `(kernel, buffer, reason)`.
 pub fn dedupe_races(races: Vec<RaceReport>) -> Vec<RaceReport> {
-    let mut seen: Vec<(String, String, String)> = Vec::new();
-    let mut out = Vec::with_capacity(races.len());
-    for r in races {
-        let key = (r.kernel.clone(), r.buffer.clone(), r.reason.clone());
-        if !seen.contains(&key) {
-            seen.push(key);
-            out.push(r);
+    dedupe(races, |r| (r.kernel.clone(), r.buffer.clone(), r.reason.clone()))
+}
+
+/// The first item of each `key`, in order.
+fn dedupe<T, K: PartialEq>(items: Vec<T>, key: impl Fn(&T) -> K) -> Vec<T> {
+    let (mut seen, mut out) = (Vec::new(), Vec::with_capacity(items.len()));
+    for x in items {
+        let k = key(&x);
+        if !seen.contains(&k) {
+            seen.push(k);
+            out.push(x);
         }
     }
     out
 }
 
-// ---- atoms ----
-//
-// The analysis works over "atoms": symbolic variables that vary per
-// work-item or per loop iteration, distinguished from size variables by a
-// leading '%' (which can never collide with kernel identifiers).
-// Work-item ids are `%gid0..2`, loop variables get a fresh `%loop:` atom
-// per loop, and loads from buffers with content facts become opaque
-// `%ld:buf[idx]` atoms, cached by buffer and index so repeated loads
-// unify.
-
-fn gid_atom(d: u8) -> String {
-    KExpr::GlobalId(d).builtin_atom().expect("NDRange dimension").to_string()
-}
-
-fn is_atom(name: &str) -> bool {
-    name.starts_with('%')
-}
-
-pub(crate) fn is_gid_atom(name: &str) -> bool {
-    name.starts_with("%gid")
-}
-
-pub(crate) fn is_load_atom(name: &str) -> bool {
-    name.starts_with("%ld:")
-}
-
-/// Metadata for one opaque load atom.
-#[derive(Clone, Debug)]
-struct AtomInfo {
-    /// The symbolic index the atom was loaded at.
-    arg: ArithExpr,
-    /// Contents of the source buffer are pairwise distinct.
-    distinct: bool,
-    /// The source buffer's parameter name.
-    buffer: String,
-}
-
-/// One recorded store, input to the race pass.
-struct StoreDesc {
-    buffer: String,
-    site: u32,
-    sym: Option<ArithExpr>,
-    /// Range facts in force at the store (includes guard/interior/loop
-    /// refinements).
-    renv: RangeEnv,
-    /// Opaque-atom registry snapshot.
-    atoms: BTreeMap<String, AtomInfo>,
-}
-
-struct Out<'k> {
-    kernel: &'k Kernel,
-    asm: &'k Assumptions,
+/// The verifier's walk: what it records on the paths [`Eval`] follows.
+#[derive(Default)]
+struct Out {
     next_site: u32,
     sites: Vec<SiteReport>,
-    stores: Vec<StoreDesc>,
-    atoms: BTreeMap<String, AtomInfo>,
     /// Lengths of private/local arrays, recorded at their declaration.
     decl_lens: BTreeMap<String, ArithExpr>,
-    loop_counter: u32,
-    /// Raw access records on buffer parameters, handed to the footprint
-    /// classifier after traversal.
+    /// Raw access records on buffer parameters, with the range facts in
+    /// force at each, handed to the race pass and the footprint classifier
+    /// after traversal.
     records: Vec<AccessRecord>,
-}
-
-#[derive(Clone)]
-struct St {
-    renv: RangeEnv,
-    scalars: BTreeMap<String, Option<ArithExpr>>,
-    dead: bool,
-}
-
-impl St {
-    /// Joins two branch exit states.
-    fn merge(self, other: St) -> St {
-        if self.dead {
-            return other;
-        }
-        if other.dead {
-            return self;
-        }
-        let mut scalars = BTreeMap::new();
-        for (k, v) in &self.scalars {
-            let merged = match (v, other.scalars.get(k)) {
-                (Some(a), Some(Some(b))) if a == b => Some(a.clone()),
-                _ => None,
-            };
-            scalars.insert(k.clone(), merged);
-        }
-        for k in other.scalars.keys() {
-            scalars.entry(k.clone()).or_insert(None);
-        }
-        let mut renv = self.renv.clone();
-        let mut vars = self.renv.bounded_vars();
-        for v in other.renv.bounded_vars() {
-            if !vars.contains(&v) {
-                vars.push(v);
-            }
-        }
-        for v in vars {
-            let u = self.renv.union_of(&self.renv.var_range(&v), &other.renv.var_range(&v));
-            renv.set_range(v, u);
-        }
-        St { renv, scalars, dead: false }
-    }
 }
 
 /// Runs both static passes over `kernel` under `asm`.
 pub fn verify_kernel(kernel: &Kernel, asm: &Assumptions) -> KernelReport {
-    let mut renv = RangeEnv::new();
-    for (name, lo) in &asm.size_bounds {
-        renv.set_range(name.clone(), SymRange::at_least(ArithExpr::Cst(*lo)));
-    }
-    for (name, value) in &asm.defines {
-        renv.define(name.clone(), value.clone());
-    }
-    for d in 0..kernel.work_dim {
-        let hi = asm.global_size.get(d as usize).cloned().flatten().map(|g| g - ArithExpr::one());
-        renv.set_range(gid_atom(d), SymRange { lo: Some(ArithExpr::Cst(0)), hi });
-    }
-    let mut scalars = BTreeMap::new();
-    for p in &kernel.params {
-        if !p.is_buffer {
-            let sym = matches!(p.kind, ScalarKind::I32).then(|| ArithExpr::var(p.name.as_str()));
-            scalars.insert(p.name.clone(), sym);
-        }
-    }
-    let mut out = Out {
-        kernel,
-        asm,
-        next_site: 0,
-        sites: Vec::new(),
-        stores: Vec::new(),
-        atoms: BTreeMap::new(),
-        decl_lens: BTreeMap::new(),
-        loop_counter: 0,
-        records: Vec::new(),
-    };
-    let mut st = St { renv, scalars, dead: false };
-    run_stmts(&kernel.body, &mut st, &mut out);
+    let (mut ev, mut out) = (Eval::new(kernel, asm, is_atom), Out::default());
+    out.stmts(&kernel.body, &mut ev);
 
-    let races = race_pass(kernel, &out.stores);
-    let footprints = classify_kernel(&kernel.name, asm, &out.records);
+    let races = race_pass(kernel, &out.records, &ev.atoms);
+    let footprints = classify_kernel(&kernel.name, asm, &out.records, &ev.atoms);
     KernelReport {
         kernel: kernel.name.clone(),
         sites: dedupe_sites(out.sites),
         races: dedupe_races(races),
         footprints,
-    }
-}
-
-// ---- expression evaluation ----
-
-fn lit_int(l: &Lit) -> Option<i64> {
-    match l.kind {
-        ScalarKind::I32 | ScalarKind::Bool => Some(l.value as i64),
-        _ => None,
     }
 }
 
@@ -474,374 +337,115 @@ fn buf_name(kernel: &Kernel, mem: &MemRef) -> String {
     }
 }
 
-fn buf_len(out: &Out, mem: &MemRef) -> Option<ArithExpr> {
-    match mem {
-        MemRef::Param(i) => {
-            let p = out.kernel.params.get(*i)?;
-            out.asm.buffers.get(&p.name).map(|f| f.len.clone())
-        }
-        MemRef::Priv(n) | MemRef::Local(n) => out.decl_lens.get(n).cloned(),
+/// A load's site comes after its index sub-expression, as the
+/// interpreter numbers it.
+impl OnLoad for Out {
+    fn load(&mut self, ev: &Eval, mem: &MemRef, idx: &Option<ArithExpr>) {
+        let site = self.site();
+        self.check_bounds(AccessKind::Load, mem, idx, site, ev);
     }
 }
 
-/// Evaluates `e` to an optional exact symbolic integer value. When
-/// `record` is set this is the single main traversal: access sites are
-/// numbered (mirroring the interpreter) and bounds-checked. Refinement
-/// re-evaluation passes `record = false` and must not allocate sites.
-fn eval(e: &KExpr, st: &mut St, out: &mut Out, record: bool) -> Option<ArithExpr> {
-    match e {
-        KExpr::Lit(l) => lit_int(l).map(ArithExpr::Cst),
-        KExpr::Var(n) => st.scalars.get(n).cloned().flatten(),
-        KExpr::GlobalId(d) => Some(ArithExpr::var(gid_atom(*d))),
-        KExpr::GlobalSize(d) => out.asm.global_size.get(*d as usize).cloned().flatten(),
-        KExpr::LocalId(_) | KExpr::LocalSize(_) | KExpr::GroupId(_) => None,
-        KExpr::Load { mem, idx } => {
-            let idx_sym = eval(idx, st, out, record);
-            if record {
-                let site = out.next_site;
-                out.next_site += 1;
-                check_bounds(AccessKind::Load, mem, &idx_sym, site, st, out);
+impl Out {
+    fn site(&mut self) -> u32 {
+        self.next_site += 1;
+        self.next_site - 1
+    }
+
+    fn buf_len(&self, mem: &MemRef, ev: &Eval) -> Option<ArithExpr> {
+        match mem {
+            MemRef::Param(i) => {
+                let p = ev.kernel.params.get(*i)?;
+                ev.asm.buffers.get(&p.name).map(|f| f.len.clone())
             }
-            load_atom(mem, &idx_sym, st, out)
+            MemRef::Priv(n) | MemRef::Local(n) => self.decl_lens.get(n).cloned(),
         }
-        KExpr::Bin(op, a, b) => {
-            let sa = eval(a, st, out, record);
-            let sb = eval(b, st, out, record);
-            match (op, sa, sb) {
-                (BinOp::Add, Some(x), Some(y)) => Some(x + y),
-                (BinOp::Sub, Some(x), Some(y)) => Some(x - y),
-                (BinOp::Mul, Some(x), Some(y)) => Some(x * y),
-                (BinOp::Div, Some(x), Some(y)) => Some(ArithExpr::div(x, y)),
-                (BinOp::Rem, Some(x), Some(y)) => Some(ArithExpr::rem(x, y)),
-                _ => None,
+    }
+
+    fn check_bounds(
+        &mut self,
+        kind: AccessKind,
+        mem: &MemRef,
+        idx: &Option<ArithExpr>,
+        site: u32,
+        ev: &Eval,
+    ) {
+        if ev.path.dead {
+            return;
+        }
+        let (renv, buffer) = (&ev.path.renv, buf_name(ev.kernel, mem));
+        if matches!(mem, MemRef::Param(_)) {
+            let (buffer, sym, renv) = (buffer.clone(), idx.clone(), renv.clone());
+            self.records.push(AccessRecord { site, kind, buffer, sym, renv });
+        }
+        let index = idx.as_ref().map_or_else(|| "<non-affine>".to_string(), |i| format!("{i}"));
+        let (proven, range, reason) = match (idx, self.buf_len(mem, ev)) {
+            (None, _) => (false, String::new(), "index is not an affine/tracked expression".into()),
+            (Some(_), None) => {
+                (false, String::new(), format!("no length fact for buffer `{buffer}`"))
             }
-        }
-        KExpr::Un(op, a) => {
-            let sa = eval(a, st, out, record);
-            match (op, sa) {
-                (UnOp::Neg, Some(x)) => Some(ArithExpr::Cst(0) - x),
-                _ => None,
+            (Some(idx), Some(len)) => {
+                let r = renv.range_of(idx);
+                let lo_ok = r.lo.as_ref().is_some_and(|lo| renv.prove_nonneg(lo));
+                let last = len.clone() - ArithExpr::one();
+                let hi_ok = r.hi.as_ref().is_some_and(|hi| renv.prove_le(hi, &last));
+                let reason = match (lo_ok, hi_ok) {
+                    (true, true) => String::new(),
+                    (false, _) => format!("lower bound unproven: index range {r} vs 0"),
+                    (true, false) => format!("upper bound unproven: index range {r} vs len {len}"),
+                };
+                (lo_ok && hi_ok, format!("{r}"), reason)
             }
+        };
+        let verdict = if proven { Verdict::Proven } else { Verdict::Potential };
+        let kernel = ev.kernel.name.clone();
+        self.sites.push(SiteReport { kernel, site, kind, buffer, index, range, verdict, reason });
+    }
+
+    fn stmts(&mut self, stmts: &[KStmt], ev: &mut Eval) {
+        for s in stmts {
+            self.stmt(s, ev);
         }
-        KExpr::Select(c, t, f) => {
-            // The interpreter numbers sites across all three operands, so
-            // both arms are traversed; each arm's value is derived under
-            // the refinement its path implies (pad-clamp loads sit in the
-            // false arm of a halo check).
-            eval(c, st, out, record);
-            let mut st_t = st.clone();
-            refine(c, true, &mut st_t, out);
-            let vt = eval(t, &mut st_t, out, record);
-            let mut st_f = st.clone();
-            refine(c, false, &mut st_f, out);
-            let vf = eval(f, &mut st_f, out, record);
-            match (vt, vf) {
-                (Some(x), Some(y)) if x == y => Some(x),
-                _ => None,
+    }
+
+    fn stmt(&mut self, s: &KStmt, ev: &mut Eval) {
+        match s {
+            KStmt::DeclScalar { name, init, .. } => {
+                let value = init.as_ref().and_then(|e| ev.value(e, self));
+                ev.bind(name, value);
             }
-        }
-        KExpr::Call(i, args) => {
-            let syms: Vec<Option<ArithExpr>> =
-                args.iter().map(|a| eval(a, st, out, record)).collect();
-            match (i, syms.as_slice()) {
-                (Intrinsic::Min, [Some(x), Some(y)]) => Some(ArithExpr::min(x.clone(), y.clone())),
-                (Intrinsic::Max, [Some(x), Some(y)]) => Some(ArithExpr::max(x.clone(), y.clone())),
-                _ => None,
-            }
-        }
-        KExpr::Cast(kind, a) => {
-            let sa = eval(a, st, out, record);
-            if matches!(kind, ScalarKind::I32) {
-                sa
-            } else {
-                None
-            }
-        }
-    }
-}
-
-/// Returns the opaque atom for a load from a fact-carrying buffer (cached
-/// per buffer and index), or `None` when the value is untracked. The
-/// atom's content value range is (re-)seeded into the *current* range
-/// environment: content facts hold on every path.
-fn load_atom(
-    mem: &MemRef,
-    idx_sym: &Option<ArithExpr>,
-    st: &mut St,
-    out: &mut Out,
-) -> Option<ArithExpr> {
-    let MemRef::Param(i) = mem else { return None };
-    let p = out.kernel.params.get(*i)?;
-    let facts = out.asm.buffers.get(&p.name)?;
-    if facts.value_range.is_none() && !facts.distinct && !facts.interior_mask {
-        return None;
-    }
-    let idx = idx_sym.clone()?;
-    let name = format!("%ld:{}[{}]", p.name, idx);
-    if !out.atoms.contains_key(&name) {
-        out.atoms.insert(
-            name.clone(),
-            AtomInfo { arg: idx, distinct: facts.distinct, buffer: p.name.clone() },
-        );
-    }
-    if let Some(r) = &facts.value_range {
-        let cur = st.renv.var_range(&name);
-        if cur.lo.is_none() && cur.hi.is_none() {
-            st.renv.set_range(name.clone(), r.clone());
-        }
-    }
-    Some(ArithExpr::var(name.as_str()))
-}
-
-fn check_bounds(
-    kind: AccessKind,
-    mem: &MemRef,
-    idx_sym: &Option<ArithExpr>,
-    site: u32,
-    st: &St,
-    out: &mut Out,
-) {
-    if st.dead {
-        return;
-    }
-    let buffer = buf_name(out.kernel, mem);
-    if matches!(mem, MemRef::Param(_)) {
-        out.records.push(AccessRecord {
-            site,
-            kind,
-            buffer: buffer.clone(),
-            sym: idx_sym.clone(),
-            renv: st.renv.clone(),
-        });
-    }
-    let len = buf_len(out, mem);
-    let (verdict, index, range, reason) = match (idx_sym, len) {
-        (None, _) => (
-            Verdict::Potential,
-            "<non-affine>".to_string(),
-            String::new(),
-            "index is not an affine/tracked expression".to_string(),
-        ),
-        (Some(idx), None) => (
-            Verdict::Potential,
-            format!("{idx}"),
-            String::new(),
-            format!("no length fact for buffer `{buffer}`"),
-        ),
-        (Some(idx), Some(len)) => {
-            let r = st.renv.range_of(idx);
-            let lo_ok = r.lo.as_ref().is_some_and(|lo| st.renv.prove_nonneg(lo));
-            let hi_ok =
-                r.hi.as_ref()
-                    .is_some_and(|hi| st.renv.prove_le(hi, &(len.clone() - ArithExpr::one())));
-            let verdict = if lo_ok && hi_ok { Verdict::Proven } else { Verdict::Potential };
-            let reason = if verdict == Verdict::Proven {
-                String::new()
-            } else if !lo_ok {
-                format!("lower bound unproven: index range {r} vs 0")
-            } else {
-                format!("upper bound unproven: index range {r} vs len {len}")
-            };
-            (verdict, format!("{idx}"), format!("{r}"), reason)
-        }
-    };
-    out.sites.push(SiteReport {
-        kernel: out.kernel.name.clone(),
-        site,
-        kind,
-        buffer,
-        index,
-        range,
-        verdict,
-        reason,
-    });
-}
-
-// ---- path refinement ----
-
-/// Canonical row-major linearization the interior mask is indexed with:
-/// `(gid0+o0) + (gid1+o1)·d0 + (gid2+o2)·d0·d1`, where `o_d` is the
-/// per-dimension gid offset of a slab-placed kernel (0 by default).
-fn canonical_lin(dims: &[ArithExpr], asm: &Assumptions) -> ArithExpr {
-    let mut stride = ArithExpr::one();
-    let mut terms = Vec::new();
-    for (d, ext) in dims.iter().enumerate() {
-        let gid = ArithExpr::var(gid_atom(d as u8)) + ArithExpr::Cst(asm.gid_offset(d));
-        terms.push(gid * stride.clone());
-        stride = stride * ext.clone();
-    }
-    ArithExpr::add(terms)
-}
-
-/// Narrows every work-item id in `renv` so the *offset* id lies in the
-/// grid interior: `gid_d + o_d ∈ [1, dim−2]`, i.e. `gid_d ∈ [1−o, dim−2−o]`.
-/// Shared with [`crate::simplify`], which folds guards under it.
-pub(crate) fn interior_refine(renv: &mut RangeEnv, asm: &Assumptions) {
-    for (d, ext) in asm.interior_dims.iter().enumerate() {
-        let atom = gid_atom(d as u8);
-        let off = asm.gid_offset(d);
-        let tight = SymRange::new(ArithExpr::Cst(1 - off), ext.clone() - ArithExpr::Cst(2 + off));
-        let refined = renv.intersect(&renv.var_range(&atom), &tight);
-        renv.set_range(atom, refined);
-    }
-}
-
-/// True when `cond`, `x > 0`, establishes the interior fact under `asm`:
-/// `x` is a declared interior guard, or `mask_load` — the buffer and
-/// symbolic index `x`'s value was loaded from — reads an interior mask at
-/// the canonical linearized index. Shared with [`crate::simplify`].
-pub(crate) fn interior_trigger(
-    asm: &Assumptions,
-    renv: &RangeEnv,
-    cond: &KExpr,
-    mask_load: Option<(&str, &ArithExpr)>,
-) -> bool {
-    let KExpr::Bin(BinOp::Gt, x, zero) = cond else { return false };
-    if asm.interior_dims.is_empty() || !matches!(&**zero, KExpr::Lit(l) if lit_int(l) == Some(0)) {
-        return false;
-    }
-    if matches!(&**x, KExpr::Var(n) if asm.interior_guards.contains(n)) {
-        return true;
-    }
-    let Some((buffer, idx)) = mask_load else { return false };
-    asm.buffers.get(buffer).is_some_and(|f| f.interior_mask)
-        && renv.prove_eq(idx, &canonical_lin(&asm.interior_dims, asm))
-}
-
-/// Updates `st` with what `cond == truth` implies. Conservative: facts
-/// that can't be turned into single-atom interval updates are dropped.
-fn refine(cond: &KExpr, truth: bool, st: &mut St, out: &mut Out) {
-    match cond {
-        KExpr::Un(UnOp::Not, a) => refine(a, !truth, st, out),
-        KExpr::Bin(BinOp::And, a, b) if truth => {
-            refine(a, true, st, out);
-            refine(b, true, st, out);
-        }
-        KExpr::Bin(BinOp::Or, a, b) if !truth => {
-            refine(a, false, st, out);
-            refine(b, false, st, out);
-        }
-        KExpr::Bin(op @ (BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq), a, b) => {
-            let sa = eval(a, st, out, false);
-            // Interior trigger: `x > 0` for an interior guard or an
-            // interior-mask load (possibly through a tracked scalar).
-            let load = match &sa {
-                Some(ArithExpr::Var(atom)) => out.atoms.get(&**atom),
-                _ => None,
-            };
-            let load = load.map(|i| (i.buffer.as_str(), &i.arg));
-            if truth && interior_trigger(out.asm, &st.renv, cond, load) {
-                interior_refine(&mut st.renv, out.asm);
-            }
-            let sb = eval(b, st, out, false);
-            if let (Some(sa), Some(sb)) = (sa, sb) {
-                st.renv.assume(*op, truth, &sa, &sb, &is_atom);
-            }
-        }
-        _ => {}
-    }
-}
-
-// ---- statement traversal ----
-
-fn run_stmts(stmts: &[KStmt], st: &mut St, out: &mut Out) {
-    for s in stmts {
-        run_stmt(s, st, out);
-    }
-}
-
-fn run_stmt(s: &KStmt, st: &mut St, out: &mut Out) {
-    match s {
-        KStmt::DeclScalar { name, init, .. } => {
-            let sym = init.as_ref().and_then(|e| eval(e, st, out, true));
-            st.scalars.insert(name.clone(), sym);
-        }
-        KStmt::DeclPrivArray { name, len, .. } | KStmt::DeclLocalArray { name, len, .. } => {
-            if let Some(l) = eval(len, st, out, true) {
-                out.decl_lens.insert(name.clone(), l);
-            }
-        }
-        KStmt::Barrier => {}
-        KStmt::Assign { name, value } => {
-            let sym = eval(value, st, out, true);
-            st.scalars.insert(name.clone(), sym);
-        }
-        KStmt::Store { mem, idx, value } => {
-            let idx_sym = eval(idx, st, out, true);
-            eval(value, st, out, true);
-            let site = out.next_site;
-            out.next_site += 1;
-            check_bounds(AccessKind::Store, mem, &idx_sym, site, st, out);
-            if !st.dead {
-                if let MemRef::Param(i) = mem {
-                    let p = &out.kernel.params[*i];
-                    if p.space != MemSpace::Private {
-                        out.stores.push(StoreDesc {
-                            buffer: p.name.clone(),
-                            site,
-                            sym: idx_sym,
-                            renv: st.renv.clone(),
-                            atoms: out.atoms.clone(),
-                        });
-                    }
+            KStmt::DeclPrivArray { name, len, .. } | KStmt::DeclLocalArray { name, len, .. } => {
+                if let Some(l) = ev.value(len, self) {
+                    self.decl_lens.insert(name.clone(), l);
                 }
             }
-        }
-        KStmt::For { var, begin, end, step, body } => {
-            let b = eval(begin, st, out, true);
-            let e = eval(end, st, out, true);
-            eval(step, st, out, true);
-            // Loop-carried scalars are widened to unknown before the
-            // single body pass (site numbering matches the interpreter's
-            // one syntactic numbering pass).
-            let assigned = Effects::of(body).assigns;
-            for a in &assigned {
-                if st.scalars.contains_key(*a) {
-                    st.scalars.insert(a.to_string(), None);
-                }
+            KStmt::Assign { name, value } => {
+                let value = ev.value(value, self);
+                ev.bind(name, value);
             }
-            let single = match (&b, &e) {
-                (Some(b), Some(e)) => st.renv.prove_eq(&(e.clone() - b.clone()), &ArithExpr::one()),
-                _ => false,
-            };
-            if single {
-                // Exactly one iteration: the loop variable is the begin
-                // value itself (kills `idx + i` offsets from degenerate
-                // copy loops).
-                st.scalars.insert(var.clone(), b);
-            } else {
-                out.loop_counter += 1;
-                let atom = format!("%loop:{var}:{}", out.loop_counter);
-                // Sound for the interpreter's step ≥ 1 clamp: every value
-                // taken lies in [begin, end−1].
-                let r = SymRange { lo: b, hi: e.map(|e| e - ArithExpr::one()) };
-                st.renv.set_range(atom.clone(), r);
-                st.scalars.insert(var.clone(), Some(ArithExpr::var(atom.as_str())));
+            KStmt::Store { mem, idx, value } => {
+                // A store's site comes after its index and value.
+                let idx = ev.value(idx, self);
+                ev.value(value, self);
+                let site = self.site();
+                self.check_bounds(AccessKind::Store, mem, &idx, site, ev);
             }
-            run_stmts(body, st, out);
-            st.scalars.remove(var);
-            for a in &assigned {
-                if st.scalars.contains_key(*a) {
-                    st.scalars.insert(a.to_string(), None);
-                }
+            KStmt::For { var, begin, end, step, body } => {
+                let (b, e) = (ev.value(begin, self), ev.value(end, self));
+                ev.value(step, self);
+                ev.for_loop(var, b, e, body, |ev| self.stmts(body, ev));
             }
+            KStmt::If { cond, then_, else_ } => {
+                ev.value(cond, self);
+                let other = ev.branch(cond);
+                self.stmts(then_, ev);
+                let then = std::mem::replace(&mut ev.path, other);
+                self.stmts(else_, ev);
+                ev.join(then);
+            }
+            KStmt::Return => ev.path.dead = true,
+            KStmt::Barrier | KStmt::Comment(_) => {}
         }
-        KStmt::If { cond, then_, else_ } => {
-            eval(cond, st, out, true);
-            let mut st_t = st.clone();
-            refine(cond, true, &mut st_t, out);
-            let mut st_f = st.clone();
-            refine(cond, false, &mut st_f, out);
-            run_stmts(then_, &mut st_t, out);
-            run_stmts(else_, &mut st_f, out);
-            let dead_before = st.dead;
-            *st = st_t.merge(st_f);
-            st.dead |= dead_before;
-        }
-        KStmt::Return => {
-            st.dead = true;
-        }
-        KStmt::Comment(_) => {}
     }
 }
 
@@ -851,9 +455,16 @@ fn run_stmt(s: &KStmt, st: &mut St, out: &mut Out) {
 /// tried (4! = 24 orders).
 const MAX_RADIX_ATOMS: usize = 4;
 
-fn race_pass(kernel: &Kernel, stores: &[StoreDesc]) -> Vec<RaceReport> {
+/// The race verdict of every global or local buffer parameter stored to;
+/// `atoms` holds every load atom the walk met.
+fn race_pass(kernel: &Kernel, records: &[AccessRecord], atoms: &Atoms) -> Vec<RaceReport> {
+    let shared = |r: &&AccessRecord| {
+        let p = kernel.params.iter().find(|p| p.name == r.buffer);
+        r.kind == AccessKind::Store && p.is_some_and(|p| p.space != MemSpace::Private)
+    };
+    let stores: Vec<&AccessRecord> = records.iter().filter(shared).collect();
     let mut buffers: Vec<String> = Vec::new();
-    for s in stores {
+    for s in &stores {
         if !buffers.contains(&s.buffer) {
             buffers.push(s.buffer.clone());
         }
@@ -861,22 +472,23 @@ fn race_pass(kernel: &Kernel, stores: &[StoreDesc]) -> Vec<RaceReport> {
     buffers
         .into_iter()
         .map(|buf| {
-            let group: Vec<&StoreDesc> = stores.iter().filter(|s| s.buffer == buf).collect();
+            let group: Vec<&AccessRecord> =
+                stores.iter().copied().filter(|s| s.buffer == buf).collect();
             let sites: Vec<u32> = group.iter().map(|s| s.site).collect();
-            let (verdict, reason) = race_verdict(&group, kernel.work_dim);
+            let (verdict, reason) = race_verdict(&group, atoms, kernel.work_dim);
             RaceReport { kernel: kernel.name.clone(), buffer: buf, sites, verdict, reason }
         })
         .collect()
 }
 
-fn race_verdict(group: &[&StoreDesc], work_dim: u8) -> (RaceVerdict, String) {
+fn race_verdict(group: &[&AccessRecord], atoms: &Atoms, work_dim: u8) -> (RaceVerdict, String) {
     if group.iter().any(|s| s.sym.is_none()) {
         return (RaceVerdict::Potential, "store index is not an affine/tracked expression".into());
     }
     // Distinct maps only: several syntactic stores through one map are
     // same-element writes by the *same* work-item, which the dynamic
     // checker (counting distinct items per element) also permits.
-    let mut maps: Vec<(&StoreDesc, ArithExpr)> = Vec::new();
+    let mut maps: Vec<(&AccessRecord, ArithExpr)> = Vec::new();
     for s in group {
         let sym = expand(s.sym.as_ref().expect("checked above"));
         if !maps.iter().any(|(_, m)| *m == sym) {
@@ -884,7 +496,7 @@ fn race_verdict(group: &[&StoreDesc], work_dim: u8) -> (RaceVerdict, String) {
         }
     }
     for (s, m) in &maps {
-        let (v, reason) = single_map_verdict(s, m, work_dim);
+        let (v, reason) = single_map_verdict(s, m, atoms, work_dim);
         if v != RaceVerdict::ProvenDisjoint {
             return (v, reason);
         }
@@ -935,7 +547,12 @@ pub(crate) fn affine_split(m: &ArithExpr) -> Option<(Vec<(String, ArithExpr)>, A
     Some((pairs, expand(&rest)))
 }
 
-fn single_map_verdict(s: &StoreDesc, m: &ArithExpr, work_dim: u8) -> (RaceVerdict, String) {
+fn single_map_verdict(
+    s: &AccessRecord,
+    m: &ArithExpr,
+    atoms: &Atoms,
+    work_dim: u8,
+) -> (RaceVerdict, String) {
     let Some((pairs, base)) = affine_split(m) else {
         return (
             RaceVerdict::Potential,
@@ -945,7 +562,7 @@ fn single_map_verdict(s: &StoreDesc, m: &ArithExpr, work_dim: u8) -> (RaceVerdic
     let gid_dependent = pairs.iter().any(|(n, _)| is_gid_atom(n))
         || pairs.iter().any(|(n, _)| {
             is_load_atom(n)
-                && s.atoms.get(n).is_some_and(|i| i.arg.free_vars().iter().any(|w| is_atom(w)))
+                && atoms.get(n).is_some_and(|i| i.arg.free_vars().iter().any(|w| is_atom(w)))
         });
     if !gid_dependent {
         // The map does not vary with the work-item id: every work-item
@@ -960,7 +577,7 @@ fn single_map_verdict(s: &StoreDesc, m: &ArithExpr, work_dim: u8) -> (RaceVerdic
     // Opaque distinct-gather map: ±A + const where A reads a
     // pairwise-distinct table at an index that is itself injective over
     // the full work-item space.
-    if distinct_gather_injective(&pairs, s, work_dim) {
+    if distinct_gather_injective(&pairs, s, atoms, work_dim) {
         return (RaceVerdict::ProvenDisjoint, String::new());
     }
     if covers_all_gids(&pairs, work_dim) && injective_mixed_radix(&pairs, &s.renv) {
@@ -979,12 +596,17 @@ fn covers_all_gids(pairs: &[(String, ArithExpr)], work_dim: u8) -> bool {
 /// distinct work-items read different table slots (the gather index is
 /// injective), distinct slots hold distinct values, hence distinct store
 /// elements.
-fn distinct_gather_injective(pairs: &[(String, ArithExpr)], s: &StoreDesc, work_dim: u8) -> bool {
+fn distinct_gather_injective(
+    pairs: &[(String, ArithExpr)],
+    s: &AccessRecord,
+    atoms: &Atoms,
+    work_dim: u8,
+) -> bool {
     let [(name, c)] = pairs else { return false };
     if !is_load_atom(name) || !matches!(c, ArithExpr::Cst(1) | ArithExpr::Cst(-1)) {
         return false;
     }
-    let Some(info) = s.atoms.get(name) else { return false };
+    let Some(info) = atoms.get(name) else { return false };
     if !info.distinct {
         return false;
     }
@@ -1054,7 +676,7 @@ fn permutations(
 /// Tries to refute any overlap between two different store maps: either
 /// their value ranges are disjoint, or their difference is a nonzero
 /// constant.
-fn maps_disjoint(s1: &StoreDesc, m1: &ArithExpr, m2: &ArithExpr) -> bool {
+fn maps_disjoint(s1: &AccessRecord, m1: &ArithExpr, m2: &ArithExpr) -> bool {
     let r1 = s1.renv.range_of(m1);
     let r2 = s1.renv.range_of(m2);
     if let (Some(h1), Some(l2)) = (&r1.hi, &r2.lo) {
@@ -1074,7 +696,9 @@ fn maps_disjoint(s1: &StoreDesc, m1: &ArithExpr, m2: &ArithExpr) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kast::KernelParam;
+    use crate::kast::{KExpr, KernelParam};
+    use crate::scalar::BinOp;
+    use crate::types::ScalarKind;
 
     fn asm_1d(n: &str, len: ArithExpr) -> Assumptions {
         Assumptions {
@@ -1140,6 +764,97 @@ mod tests {
         asm.global_size = vec![None];
         let rep = verify_kernel(&k.resolve_real(ScalarKind::F32), &asm);
         assert!(rep.is_proven(), "{rep:?}");
+    }
+
+    /// `out[idx] = 0`.
+    fn store(idx: KExpr) -> KStmt {
+        KStmt::Store { mem: MemRef::Param(0), idx, value: KExpr::real(0.0) }
+    }
+
+    fn verdicts(body: Vec<KStmt>, asm: &Assumptions) -> Vec<Verdict> {
+        let mut k = store_kernel(KExpr::GlobalId(0));
+        k.params.push(KernelParam::global_buf("nbrs", ScalarKind::I32));
+        k.body = body;
+        let rep = verify_kernel(&k.resolve_real(ScalarKind::F32), asm);
+        rep.sites.iter().map(|s| s.verdict).collect()
+    }
+
+    /// A fact one arm of an `if` or a `select` implies ends at the join: the
+    /// arm's access is proven, the same access after the join is not.
+    #[test]
+    fn an_arm_fact_does_not_hold_after_the_join() {
+        use Verdict::{Potential, Proven};
+        let mut asm = asm_1d("N", ArithExpr::var("N"));
+        asm.global_size = vec![None];
+        let inside = || KExpr::bin(BinOp::Lt, KExpr::GlobalId(0), KExpr::var("N"));
+        let branch =
+            KStmt::If { cond: inside(), then_: vec![store(KExpr::GlobalId(0))], else_: vec![] };
+        let body = vec![branch, store(KExpr::GlobalId(0))];
+        assert_eq!(verdicts(body, &asm), [Proven, Potential]);
+        let load = KExpr::load(MemRef::Param(0), KExpr::GlobalId(0));
+        let picked = KExpr::select(inside(), load, KExpr::real(0.0));
+        let decl =
+            KStmt::DeclScalar { name: "x".into(), kind: ScalarKind::F32, init: Some(picked) };
+        assert_eq!(verdicts(vec![decl, store(KExpr::GlobalId(0))], &asm), [Proven, Potential]);
+    }
+
+    /// A scalar a loop body assigns is unknown after the loop; the variable
+    /// of a loop of one trip is its begin value, so the store map is the
+    /// work-item's own cell and no race.
+    #[test]
+    fn a_loop_forgets_what_it_assigns_and_a_one_trip_loop_is_its_begin() {
+        let asm = asm_1d("N", ArithExpr::var("N"));
+        let looped = |begin: KExpr, end: KExpr, body| KStmt::For {
+            var: "i".into(),
+            begin,
+            end,
+            step: KExpr::int(1),
+            body,
+        };
+        let assign = KStmt::Assign { name: "j".into(), value: KExpr::GlobalId(0) };
+        let body = vec![
+            KStmt::DeclScalar {
+                name: "j".into(),
+                kind: ScalarKind::I32,
+                init: Some(KExpr::int(0)),
+            },
+            looped(KExpr::int(0), KExpr::var("N"), vec![assign]),
+            store(KExpr::var("j")),
+        ];
+        assert_eq!(verdicts(body, &asm), [Verdict::Potential]);
+        let one = looped(
+            KExpr::GlobalId(0),
+            KExpr::GlobalId(0) + KExpr::int(1),
+            vec![store(KExpr::var("i"))],
+        );
+        let k = Kernel { body: vec![one], ..store_kernel(KExpr::GlobalId(0)) };
+        let rep = verify_kernel(&k.resolve_real(ScalarKind::F32), &asm);
+        assert!(rep.is_proven(), "{rep:?}");
+    }
+
+    /// `int t = nbrs[gid]; if (t > 0) …` under an interior mask narrows the
+    /// id to the interior in the then-arm only: `out[gid − 1]` is proven
+    /// there, and neither in the else-arm nor after the join.
+    #[test]
+    fn an_interior_mask_read_narrows_the_then_arm_only() {
+        use Verdict::{Potential, Proven};
+        let mut asm = asm_1d("N", ArithExpr::var("N"));
+        let mut mask = BufferFacts::sized(ArithExpr::var("N"));
+        mask.interior_mask = true;
+        asm.buffers.insert("nbrs".into(), mask);
+        asm.interior_dims = vec![ArithExpr::var("N")];
+        let left = || store(KExpr::GlobalId(0) - KExpr::int(1));
+        let t = KExpr::load(MemRef::Param(2), KExpr::GlobalId(0));
+        let body = vec![
+            KStmt::DeclScalar { name: "t".into(), kind: ScalarKind::I32, init: Some(t) },
+            KStmt::If {
+                cond: KExpr::bin(BinOp::Gt, KExpr::var("t"), KExpr::int(0)),
+                then_: vec![left()],
+                else_: vec![left()],
+            },
+            left(),
+        ];
+        assert_eq!(verdicts(body, &asm), [Proven, Proven, Potential, Potential]);
     }
 
     #[test]

@@ -169,6 +169,10 @@ pub(crate) enum BufPtr {
 /// launch. See the module docs for the safety contract.
 pub struct SharedBuf {
     data: UnsafeCell<BufData>,
+    /// Fixed with the data, so a launch reads them without a reference to it.
+    ptr: BufPtr,
+    len: usize,
+    kind: ScalarKind,
     /// Shadow memory, present only under `VGPU_SANITIZE=shadow`. `Shadow`
     /// is internally synchronized (atomics + mutex), so it sits outside the
     /// `UnsafeCell` contract.
@@ -184,16 +188,21 @@ unsafe impl Send for SharedBuf {}
 impl SharedBuf {
     /// Wraps buffer data, with no shadow memory.
     pub fn new(data: BufData) -> Self {
-        SharedBuf { data: UnsafeCell::new(data), shadow: None }
+        Self::with_shadow(data, false, true)
     }
 
     /// Wraps buffer data with a shadow when `sanitize` (the owning device's
     /// sanitizer setting) is on. `initialized` states whether the data
     /// already holds meaningful values (uploads, zero-initialized
     /// allocations) or is raw device memory whose reads should be flagged.
-    pub(crate) fn with_shadow(data: BufData, sanitize: bool, initialized: bool) -> Self {
+    pub(crate) fn with_shadow(mut data: BufData, sanitize: bool, initialized: bool) -> Self {
         let shadow = sanitize.then(|| crate::sanitize::Shadow::new(data.len(), initialized));
-        SharedBuf { data: UnsafeCell::new(data), shadow }
+        let ptr = match &mut data {
+            BufData::F32(v) => BufPtr::F32(v.as_mut_ptr()),
+            BufData::F64(v) => BufPtr::F64(v.as_mut_ptr()),
+            BufData::I32(v) => BufPtr::I32(v.as_mut_ptr()),
+        };
+        SharedBuf { ptr, len: data.len(), kind: data.kind(), data: UnsafeCell::new(data), shadow }
     }
 
     /// The buffer's shadow memory, when the sanitizer allocated one.
@@ -201,9 +210,9 @@ impl SharedBuf {
         self.shadow.as_ref()
     }
 
-    /// Element count (safe: the length never changes during a launch).
+    /// Element count.
     pub fn len(&self) -> usize {
-        unsafe { (*self.data.get()).len() }
+        self.len
     }
 
     /// True when empty.
@@ -213,12 +222,15 @@ impl SharedBuf {
 
     /// Element kind.
     pub fn kind(&self) -> ScalarKind {
-        unsafe { (*self.data.get()).kind() }
+        self.kind
     }
 
     /// Element bytes.
     pub fn elem_bytes(&self) -> usize {
-        unsafe { (*self.data.get()).elem_bytes() }
+        match self.ptr {
+            BufPtr::F64(_) => 8,
+            _ => 4,
+        }
     }
 
     /// Reads one element.
@@ -245,34 +257,38 @@ impl SharedBuf {
         (*self.data.get()).set(i, val)
     }
 
-    /// The raw typed base pointer of the storage (see [`BufPtr`]). The
-    /// pointer stays valid for the whole launch — buffer storage is never
-    /// reallocated while kernels run — and reads/writes through it carry
-    /// the same per-element contract as [`Self::get_bits`]/[`Self::set`].
+    /// The raw typed base pointer of the storage (see [`BufPtr`]), which never
+    /// moves while the buffer lives; reads/writes through it carry the
+    /// per-element contract of [`Self::get_bits`]/[`Self::set`].
     pub(crate) fn ptr(&self) -> BufPtr {
-        // SAFETY: momentary exclusive view only to take the base pointer,
-        // exactly like the per-element accessors above.
-        match unsafe { &mut *self.data.get() } {
-            BufData::F32(v) => BufPtr::F32(v.as_mut_ptr()),
-            BufData::F64(v) => BufPtr::F64(v.as_mut_ptr()),
-            BufData::I32(v) => BufPtr::I32(v.as_mut_ptr()),
+        self.ptr
+    }
+
+    /// Writes `src` at `off`, in place; `src` as long as the buffer becomes
+    /// its storage instead, whatever its kind.
+    pub fn write(&mut self, off: usize, src: BufData) {
+        if off == 0 && src.len() == self.len {
+            *self = SharedBuf { shadow: self.shadow.take(), ..Self::new(src) };
+        } else {
+            self.data.get_mut().copy_from(off, &src)
         }
     }
 
-    /// Exclusive access (requires `&mut`, hence no concurrent kernels).
-    pub fn data_mut(&mut self) -> &mut BufData {
-        self.data.get_mut()
+    /// The contents.
+    ///
+    /// # Safety
+    /// Only outside a launch: no thread may write the buffer while the
+    /// reference lives.
+    pub(crate) unsafe fn data(&self) -> &BufData {
+        &*self.data.get()
     }
 
-    /// Shared snapshot access. Only sound outside a launch.
-    pub(crate) fn data(&self) -> &BufData {
-        unsafe { &*self.data.get() }
-    }
-
-    /// Replaces the contents (differential-mode rollback). Only sound
-    /// outside a launch.
-    pub(crate) fn restore(&self, data: BufData) {
-        unsafe { *self.data.get() = data }
+    /// Overwrites the contents in place (differential-mode rollback).
+    ///
+    /// # Safety
+    /// Only outside a launch: no other thread may access the buffer.
+    pub(crate) unsafe fn restore(&self, data: &BufData) {
+        (*self.data.get()).copy_from(0, data)
     }
 }
 
@@ -322,9 +338,29 @@ mod tests {
         (0..1000usize).into_par_iter().for_each(|i| unsafe {
             s.set(i, Value::I32(i as i32));
         });
-        let data = s.data();
+        let data = unsafe { s.data() };
         for i in (0..1000).step_by(97) {
             assert_eq!(data.get(i), Value::I32(i as i32));
         }
+    }
+
+    /// The length, kind and base pointer a launch reads are the data's:
+    /// a partial `write` and `restore` write in place, a whole one replaces.
+    #[test]
+    fn fixed_values_are_the_data_s() {
+        let base = |s: &SharedBuf| match s.ptr() {
+            BufPtr::F32(p) => p as usize,
+            BufPtr::F64(p) => p as usize,
+            BufPtr::I32(p) => p as usize,
+        };
+        let mut s = SharedBuf::new(BufData::zeros(ScalarKind::F32, 4));
+        let at = base(&s);
+        s.write(1, BufData::from(vec![5.0f32, 6.0]));
+        unsafe { s.restore(&BufData::from(vec![1.0f32, 2.0, 3.0, 4.0])) };
+        assert_eq!((base(&s), unsafe { s.get(2) }), (at, Value::F32(3.0)));
+        s.write(0, BufData::zeros(ScalarKind::F64, 4));
+        assert_eq!((s.len(), s.kind(), s.elem_bytes()), (4, ScalarKind::F64, 8));
+        let (BufPtr::F64(p), BufData::F64(v)) = (s.ptr(), unsafe { s.data() }) else { panic!() };
+        assert_eq!(p.cast_const(), v.as_ptr());
     }
 }

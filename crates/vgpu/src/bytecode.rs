@@ -3381,7 +3381,7 @@ mod tests {
             &crate::Runtime::sanitizing(),
         )
         .unwrap();
-        out.data().to_f64_vec()
+        unsafe { out.data() }.to_f64_vec()
     }
 
     fn tape_of(k: &Kernel) -> Compiled {
@@ -3975,7 +3975,7 @@ mod tests {
                 )
                 .unwrap();
             }
-            let (xv, ov) = (xs.data().to_f64_vec(), o.data().to_f64_vec());
+            let (xv, ov) = (unsafe { xs.data() }.to_f64_vec(), unsafe { o.data() }.to_f64_vec());
             let (sq, nb) = (xv[9] * xv[9], xv[10]);
             assert_eq!(ov[36..40], [sq + nb, nb + sq, sq - nb, nb - sq], "{kind:?}");
         }
@@ -4265,7 +4265,7 @@ mod tests {
             let rt = crate::Runtime::sanitizing();
             launch(&prep, &binds, &[n], None, mode, 128, Engine::Differential, &rt).unwrap();
         }
-        (prep.tape, out.data().to_f64_vec())
+        (prep.tape, unsafe { out.data() }.to_f64_vec())
     }
 
     /// How many ops of `t`'s main tape `hit` selects.
@@ -4667,19 +4667,25 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{global:?} shadow {shadow} {mode:?}: {e}"));
                     assert!(stats.divergent_warps > 0, "{global:?}: no warp diverged");
                 }
-                let (f, d, o) =
-                    (xf.data().to_f64_vec(), xd.data().to_f64_vec(), od.data().to_f64_vec());
+                let (f, d, o) = (
+                    unsafe { xf.data() }.to_f64_vec(),
+                    unsafe { xd.data() }.to_f64_vec(),
+                    unsafe { od.data() }.to_f64_vec(),
+                );
                 if lsize.is_none() {
                     // 30 % 3 == 0, 30 % 5 == 0: an empty sum plus the load.
                     assert_eq!(o[30], d[30], "{global:?}");
-                    let k = xi.data().to_f64_vec();
+                    let k = unsafe { xi.data() }.to_f64_vec();
                     assert_eq!(o[31], d[31].min(k[31]) - d[31], "{global:?}");
                     assert!(o[n - 1 + n] != 0.0 && (n == total || o[n + n] == 0.0), "guard at n");
                     if n > 37 {
-                        assert_eq!(of.data().to_f64_vec()[37], (1000.0 + f[37] as f32) as f64);
+                        assert_eq!(
+                            unsafe { of.data() }.to_f64_vec()[37],
+                            (1000.0 + f[37] as f32) as f64
+                        );
                     }
                 } else {
-                    let k = xi.data().to_f64_vec();
+                    let k = unsafe { xi.data() }.to_f64_vec();
                     assert_eq!(o[40], d[41] * k[41] + (d[43] + f[43]) as f32 as f64, "{global:?}");
                 }
             }
@@ -4775,8 +4781,8 @@ mod tests {
             )
             .unwrap();
         }
-        let x = input.data().to_f64_vec();
-        let o = out.data().to_f64_vec();
+        let x = unsafe { input.data() }.to_f64_vec();
+        let o = unsafe { out.data() }.to_f64_vec();
         assert_eq!(o[100], x[98..103].iter().sum::<f64>());
         assert_eq!(o[0], 3.0 * x[0] + x[1] + x[2], "clamped at the edge");
     }

@@ -228,23 +228,13 @@ impl Device {
     /// as one `ToGPU` transfer.
     pub fn write(&mut self, id: BufId, data: BufData) {
         assert_eq!(data.len(), self.buffers[id.0].len(), "buffer size mismatch");
-        let t0 = self.trace_start();
-        let bytes = byte_len(data.len(), data.elem_bytes());
-        let len = data.len();
-        *self.buffers[id.0].data_mut() = data;
-        if let Some(sh) = self.buffers[id.0].shadow() {
-            sh.mark_init(0, len);
-        }
-        self.note_transfer(TransferDir::ToGpu, id, bytes, t0);
+        self.write_region(id, 0, data);
     }
 
     /// Reads a buffer back to the host (`enqueueReadBuffer`). Accounted as
     /// one `ToHost` transfer.
     pub fn read(&self, id: BufId) -> BufData {
-        let t0 = self.trace_start();
-        let data = self.buffers[id.0].data().clone();
-        self.note_transfer(TransferDir::ToHost, id, byte_len(data.len(), data.elem_bytes()), t0);
-        data
+        self.read_region(id, 0, self.len(id))
     }
 
     /// Overwrites the element range `[off, off+data.len())` of a buffer
@@ -255,10 +245,10 @@ impl Device {
     pub fn write_region(&mut self, id: BufId, off: usize, data: BufData) {
         assert!(off + data.len() <= self.buffers[id.0].len(), "region write out of range");
         let t0 = self.trace_start();
-        let bytes = byte_len(data.len(), data.elem_bytes());
-        self.buffers[id.0].data_mut().copy_from(off, &data);
+        let (len, bytes) = (data.len(), byte_len(data.len(), data.elem_bytes()));
+        self.buffers[id.0].write(off, data);
         if let Some(sh) = self.buffers[id.0].shadow() {
-            sh.mark_init(off, data.len());
+            sh.mark_init(off, len);
         }
         self.note_transfer(TransferDir::ToGpu, id, bytes, t0);
     }
@@ -268,7 +258,7 @@ impl Device {
     /// transfer of exactly the region's bytes.
     pub fn read_region(&self, id: BufId, off: usize, len: usize) -> BufData {
         let t0 = self.trace_start();
-        let data = self.buffers[id.0].data().slice(off, len);
+        let data = self.peek_region(id, off, len);
         self.note_transfer(TransferDir::ToHost, id, byte_len(len, data.elem_bytes()), t0);
         data
     }
@@ -291,10 +281,10 @@ impl Device {
     ) {
         assert!(off + data.len() <= self.buffers[id.0].len(), "halo write out of range");
         let t0 = self.trace_start();
-        let bytes = byte_len(data.len(), data.elem_bytes());
-        self.buffers[id.0].data_mut().copy_from(off, &data);
+        let (len, bytes) = (data.len(), byte_len(data.len(), data.elem_bytes()));
+        self.buffers[id.0].write(off, data);
         if let Some(sh) = self.buffers[id.0].shadow() {
-            sh.mark_halo(off, data.len(), prov);
+            sh.mark_halo(off, len, prov);
         }
         self.note_transfer(TransferDir::DevToDev, id, bytes, t0);
     }
@@ -323,7 +313,8 @@ impl Device {
     /// side of a halo exchange (the receive side accounts the copy once,
     /// see [`Device::write_halo_region_tagged`]).
     pub fn peek_region(&self, id: BufId, off: usize, len: usize) -> BufData {
-        self.buffers[id.0].data().slice(off, len)
+        // SAFETY: a launch borrows the device mutably, so none runs now.
+        unsafe { self.buffers[id.0].data() }.slice(off, len)
     }
 
     /// Buffer length in elements.

@@ -1448,15 +1448,13 @@ fn fail_on_findings(l: &Launch<'_>, fails: impl Fn(FaultKind) -> bool) -> Result
 /// either leg raised turns the launch into a hard error, so the CI
 /// `diff`+`shadow` leg fails on the first stale or uninit read.
 fn run_differential(l: &Launch<'_>) -> Result<LaunchStats, ExecError> {
-    let snapshot =
-        || -> Vec<Option<BufData>> { l.bufs.iter().map(|b| b.map(|b| b.data().clone())).collect() };
-    let inputs = snapshot();
+    // SAFETY: snapshots, rollback and comparison run between the legs.
+    let snapshot = || l.bufs.iter().map(|b| b.map(|b| unsafe { b.data() }.clone())).collect();
+    let inputs: Vec<_> = snapshot();
     let tree = run_launch(l, Backend::Tree)?;
-    let expect = snapshot();
-    for (b, s) in l.bufs.iter().zip(inputs) {
-        if let (Some(b), Some(s)) = (b, s) {
-            b.restore(s);
-        }
+    let expect: Vec<_> = snapshot();
+    for (b, s) in l.bufs.iter().zip(&inputs).filter_map(|(b, s)| b.zip(s.as_ref())) {
+        unsafe { b.restore(s) };
     }
     let mut stats = run_launch(l, Backend::Tape)?;
     stats.oracle_wall = Some(tree.wall);
@@ -1477,7 +1475,8 @@ fn diff_check(
     let prep = l.prep;
     for (i, (b, e)) in l.bufs.iter().zip(expect).enumerate() {
         if let (Some(b), Some(e)) = (b, e) {
-            if !bits_eq(b.data(), e) {
+            // SAFETY: see `run_differential`.
+            if !bits_eq(unsafe { b.data() }, e) {
                 return err(format!(
                     "differential check failed for kernel `{}`: buffer `{}` differs between tree-walker and {label}",
                     prep.name, prep.params[i].name
@@ -1503,16 +1502,8 @@ fn diff_check(
 /// Bitwise buffer equality (distinguishes NaN payloads and signed zeros,
 /// which `PartialEq` on floats would not).
 fn bits_eq(a: &BufData, b: &BufData) -> bool {
-    match (a, b) {
-        (BufData::F32(x), BufData::F32(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
-        }
-        (BufData::F64(x), BufData::F64(y)) => {
-            x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
-        }
-        (BufData::I32(x), BufData::I32(y)) => x == y,
-        _ => false,
-    }
+    let same = a.kind() == b.kind() && a.len() == b.len();
+    same && (0..a.len()).all(|i| a.get_bits(i) == b.get_bits(i))
 }
 
 /// Sampled-launch scale factor: the full NDRange over the work-items the
@@ -1906,7 +1897,7 @@ pub(crate) mod tests {
             128,
         )
         .unwrap();
-        let out = y.data().to_f64_vec();
+        let out = unsafe { y.data() }.to_f64_vec();
         assert_eq!(out[3], 2.0 * 3.0 + 1.0);
         assert_eq!(out[99], 2.0 * 99.0 + 1.0);
         // 100 active items × 2 loads, 1 store
@@ -2067,7 +2058,7 @@ pub(crate) mod tests {
             128,
         )
         .unwrap();
-        let o = out.data().to_f64_vec();
+        let o = unsafe { out.data() }.to_f64_vec();
         assert_eq!(o[0], 0.0 + 1.0 + 2.0 + 3.0);
         assert_eq!(o[5], 5.0 * 4.0 + 6.0);
     }
@@ -2179,7 +2170,7 @@ pub(crate) mod tests {
             &Runtime::sanitizing(),
         )
         .unwrap();
-        (stats, y.data().to_f64_vec())
+        (stats, unsafe { y.data() }.to_f64_vec())
     }
 
     #[test]
@@ -2290,7 +2281,7 @@ pub(crate) mod tests {
         let prep = prepare(&k).unwrap();
         let out = shadowed(vec![0i32; 64]);
         launch_flat(&prep, &[ArgBind::Buf(&out)], &[4, 4, 4], ExecMode::Fast, 128).unwrap();
-        let o = out.data().to_f64_vec();
+        let o = unsafe { out.data() }.to_f64_vec();
         assert_eq!(o[1 + 2 * 4 + 3 * 16], 1.0 + 20.0 + 300.0);
     }
 
@@ -2481,7 +2472,7 @@ pub(crate) mod tests {
             launch(&prep, &binds, global, local, mode, 128, Engine::Differential, &rt).unwrap();
         let prof = stats.op_profile.expect("a profiled launch");
         let dispatched = |name| prof.entries().iter().find(|e| e.0 == name).map_or(0, |e| e.1);
-        let BufData::I32(out) = out.data().clone() else { unreachable!() };
+        let BufData::I32(out) = unsafe { out.data() }.clone() else { unreachable!() };
         (out, dispatched("CmpJz"), dispatched("Ret"))
     }
 
@@ -2554,7 +2545,7 @@ pub(crate) mod tests {
             let binds = [ArgBind::Buf(&x), ArgBind::Buf(&out), ArgBind::Val(Value::I32(a))];
             launch(&prep, &binds, &[11, 3], None, ExecMode::Fast, 128, Engine::Differential, &rt)
                 .unwrap();
-            let BufData::I32(out) = out.data().clone() else { unreachable!() };
+            let BufData::I32(out) = unsafe { out.data() }.clone() else { unreachable!() };
             for i in (0..3).flat_map(|y| (0..11).map(move |x| x + a * y)) {
                 assert_eq!(out[i as usize], i + 1, "a = {a}");
             }
@@ -2632,7 +2623,7 @@ pub(crate) mod tests {
                 &Runtime::sanitizing(),
             )
             .unwrap();
-            (stats, y.data().to_f64_vec())
+            (stats, unsafe { y.data() }.to_f64_vec())
         };
         let (ts, to) = run(Engine::Tree);
         let (vs, vo) = run(Engine::Fast);
@@ -2691,7 +2682,7 @@ pub(crate) mod tests {
                 &Runtime::sanitizing(),
             )
             .unwrap();
-            (stats, out.data().to_f64_vec())
+            (stats, unsafe { out.data() }.to_f64_vec())
         };
         let (_, to) = run(Engine::Tree);
         let (vs, vo) = run(Engine::Fast);
@@ -2719,7 +2710,7 @@ pub(crate) mod tests {
         .unwrap();
         assert_eq!(stats.backend, Backend::Tape);
         assert_eq!(stats.divergent_warps, 0);
-        let o = out.data().to_f64_vec();
+        let o = unsafe { out.data() }.to_f64_vec();
         assert_eq!(o[5], 6.0);
         assert_eq!(o[37], 6.0);
     }
@@ -2817,7 +2808,7 @@ pub(crate) mod tests {
             .unwrap();
             assert_eq!(stats.backend, Backend::Tape);
             assert_eq!(stats.divergent_warps, 3, "each warp diverges, and counts once");
-            let o = out.data().to_f64_vec();
+            let o = unsafe { out.data() }.to_f64_vec();
             assert_eq!(o[8], 3.0 * 8.0 + 1.0, "8 % 5 = 3 trips");
             assert_eq!(o[9], -9.0 + 1.0);
         }
@@ -2905,7 +2896,7 @@ pub(crate) mod tests {
             let stats =
                 launch(prep, &binds, &[n], None, mode, 128, engine, &Runtime::sanitizing())?;
             let bufs = args.iter().filter_map(|a| match a {
-                Arg::Buf(b) => Some(b.data().clone()),
+                Arg::Buf(b) => Some(unsafe { b.data() }.clone()),
                 Arg::Val(_) => None,
             });
             Ok((stats, bufs.collect()))
