@@ -455,11 +455,10 @@ struct Cc<'a> {
     /// register, and the register that holds it at the other width, if any.
     twins: Vec<(bool, Option<R>)>,
     flops: u32,
-    /// Specialising ([`compile_under`]): each slot's launch-constant i32
-    /// value (an argument, or an unrolled loop's counter in one copy) and one
-    /// `Const` register per value; the slots local to the copy being compiled
-    /// and their registers in it, per width.
-    spec: bool,
+    /// Each slot's constant i32 value (a launch-constant argument
+    /// [`compile_under`] substitutes, or an unrolled loop's counter in one
+    /// copy) and one `Const` register per value; the slots local to the copy
+    /// being compiled and their registers in it, per width.
     subst: Vec<Option<i32>>,
     consts: Vec<(i32, R)>,
     fresh: Vec<Option<[Option<R>; 2]>>,
@@ -469,7 +468,7 @@ struct Cc<'a> {
     elems: Vec<Option<Vec<R>>>,
     zeroes: Vec<usize>,
     /// Branch arms and rolled loop bodies entered (a declaration inside one
-    /// may not reach every read), and whether anything was specialised.
+    /// may not reach every read), and whether a substituted value mattered.
     depth: u32,
     specialised: bool,
 }
@@ -839,7 +838,8 @@ impl<'a> Cc<'a> {
                 };
                 self.zeroes.extend(self.here() as usize..self.here() as usize + regs.len());
                 self.ops.extend(regs.iter().map(|&dst| Op::Const { dst, bits: 0 }));
-                (self.elems[*arr], self.specialised) = (Some(regs), true);
+                self.elems[*arr] = Some(regs);
+                self.specialised |= !matches!(len, PExpr::Lit(_));
             }
             PStmt::Store { mem: PMem::Priv(a), idx, value, .. } if self.regs => {
                 let (dst, k) = self.elem(*a, idx)?;
@@ -964,9 +964,9 @@ impl<'a> Cc<'a> {
         Ok(())
     }
 
-    /// Specialising, emits a loop of constant bounds and at most [`UNROLL`]
-    /// trips once per trip, its counter a constant in each copy; false when
-    /// the loop stays rolled.
+    /// Emits a loop of constant bounds and at most [`UNROLL`] trips once per
+    /// trip, its counter a constant in each copy; false when the loop stays
+    /// rolled.
     fn unroll(&mut self, slot: usize, bounds: [&PExpr; 3], body: &[PStmt]) -> Result<bool, String> {
         let [b, e, s] = bounds.map(|x| self.konst(x));
         let (Some(b), Some(e), Some(s)) = (b, e, s.map(|s| s.max(1))) else { return Ok(false) };
@@ -974,7 +974,7 @@ impl<'a> Cc<'a> {
         // The counter stays unreadable after the loop, as after a rolled one.
         let mut hidden = !matches!(self.slots[slot], Sk::Known(_));
         each_stmt(body, &mut |s| hidden &= written(s) != Some(slot));
-        if !self.spec || trips > UNROLL || !hidden {
+        if trips > UNROLL || !hidden {
             return Ok(false);
         }
         let pre = self.slots.clone();
@@ -987,7 +987,8 @@ impl<'a> Cc<'a> {
             self.stmts(body)?;
         }
         self.fresh = outer;
-        (self.subst[slot], self.specialised) = (None, true);
+        self.subst[slot] = None;
+        self.specialised |= bounds.iter().any(|x| !matches!(x, PExpr::Lit(_)));
         for (now, pre) in self.slots.iter_mut().zip(pre) {
             *now = merge_sk(pre, *now);
         }
@@ -995,8 +996,8 @@ impl<'a> Cc<'a> {
     }
 }
 
-/// Most trips a specialised loop unrolls, and most elements a private array
-/// keeps in registers.
+/// Most trips a loop unrolls, and most elements a private array keeps in
+/// registers.
 const UNROLL: i64 = 8;
 
 /// Launch-constant i32 arguments, as (slot, bits).
@@ -1042,31 +1043,34 @@ pub(crate) fn launch_constant_slots(prep: &Prepared) -> Vec<usize> {
     args.filter_map(|a| *a.1).filter(|s| bound(s) && !writes.contains(s)).collect()
 }
 
-/// Compiles a prepared kernel into a tape, or explains why it cannot be
-/// compiled ([`crate::exec::prepare`] fails with that reason).
-pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
-    finish(&mut Cc::new(prep, None, false))
+/// Compiles a prepared kernel into a tape with the i32 slots `known`
+/// substituted, or explains why it cannot be compiled ([`crate::exec::prepare`]
+/// substitutes none and fails with that reason). A loop of constant bounds
+/// and at most [`UNROLL`] trips [`Cc::unroll`]s, and a private array declared
+/// outside branches and rolled loops with a constant length of at most
+/// [`UNROLL`] is one register per element — unless an access has a run-time
+/// index, which keeps every array an array. Also says whether a substituted
+/// value decided an unroll or a register array.
+pub(crate) fn compile(prep: &Prepared, known: &Known) -> Result<(Compiled, bool), String> {
+    let run = |regs| {
+        let mut cc = Cc::new(prep, known, regs);
+        finish(&mut cc).map(|c| (c, cc.specialised))
+    };
+    run(true).or_else(|_| run(false))
 }
 
 /// `prep`'s tape specialised on the launch-constant i32 arguments `known`
-/// ([`launch_constant_slots`]): their reads are constants,
-/// loops [`Cc::unroll`]s, and a private array declared outside branches and
-/// rolled loops with a constant length of at most [`UNROLL`] is one register
-/// per element — unless an access has a run-time index, which keeps every
-/// array an array. `None` when nothing is specialised (the generic tape
-/// serves) or the tape fails to compile or validate.
+/// ([`launch_constant_slots`]); `None` when no loop unrolls and no array
+/// moves to registers on them (the generic tape serves) or it fails.
 pub(crate) fn compile_under(prep: &Prepared, known: &Known) -> Option<Compiled> {
-    [true, false].into_iter().find_map(|regs| {
-        let mut cc = Cc::new(prep, Some(known), regs);
-        finish(&mut cc).ok().filter(|_| cc.specialised)
-    })
+    compile(prep, known).ok().filter(|c| c.1).map(|c| c.0)
 }
 
 impl<'a> Cc<'a> {
-    fn new(prep: &'a Prepared, known: Option<&Known>, regs: bool) -> Self {
+    fn new(prep: &'a Prepared, known: &Known, regs: bool) -> Self {
         let n = prep.nslots;
         let mut subst = vec![None; n];
-        known.unwrap_or_default().iter().for_each(|&(s, bits)| subst[s] = Some(i32v(bits)));
+        known.iter().for_each(|&(s, bits)| subst[s] = Some(i32v(bits)));
         Cc {
             prep,
             ops: Vec::new(),
@@ -1074,7 +1078,6 @@ impl<'a> Cc<'a> {
             slots: vec![Sk::Unset; n],
             twins: vec![(false, None); n],
             flops: 0,
-            spec: known.is_some(),
             subst,
             consts: Vec::new(),
             fresh: vec![None; n],
@@ -4217,7 +4220,7 @@ mod tests {
         ("fi_single_lift_slab/slab/f32", 48, 8, 3, 0xe72da144b6942181),
         ("volume_handling_lift/whole/f32", 26, 4, 3, 0x9d1293e46c17bbed),
         ("volume_handling_lift_slab/slab/f32", 28, 4, 3, 0x0c5f0b8bc26c11a3),
-        ("fimm_boundary_lift/whole/f32", 25, 8, 1, 0x543b0fc75468fef2),
+        ("fimm_boundary_lift/whole/f32", 18, 5, 1, 0xdc8c9798d495d50a),
         ("fdmm_boundary_lift/whole/f32", 73, 8, 1, 0xdfc8400a2daca245),
         ("volume_handling_hand/whole/f64", 26, 4, 3, 0x9d1293e46c17bbed),
         ("volume_handling_hand_slab/slab/f64", 28, 4, 3, 0x0c5f0b8bc26c11a3),
@@ -4231,7 +4234,7 @@ mod tests {
         ("fi_single_lift_slab/slab/f64", 48, 8, 3, 0xe72da144b6942181),
         ("volume_handling_lift/whole/f64", 26, 4, 3, 0x9d1293e46c17bbed),
         ("volume_handling_lift_slab/slab/f64", 28, 4, 3, 0x0c5f0b8bc26c11a3),
-        ("fimm_boundary_lift/whole/f64", 25, 8, 1, 0x543b0fc75468fef2),
+        ("fimm_boundary_lift/whole/f64", 18, 5, 1, 0xdc8c9798d495d50a),
         ("fdmm_boundary_lift/whole/f64", 73, 8, 1, 0xdfc8400a2daca245),
     ];
 
@@ -4365,16 +4368,17 @@ mod tests {
         assert_eq!(c.ops, ops);
     }
 
-    /// `for (i = 0; i < 5; i++) out[ag + i] = (ag + i) · (ag + i)`: the
+    /// `for (i = 0; i < a; i++) out[ag + i] = (ag + i) · (ag + i)`: the
     /// loop body is one block, whose three equal multiply-adds (the index
-    /// and both factors) run as one.
+    /// and both factors) run as one. The run-time bound keeps the generic
+    /// tape's loop rolled.
     #[test]
     fn a_duplicate_inside_a_loop_body_is_merged() {
         let v = || ag(KExpr::var("i"));
         let body = vec![KStmt::For {
             var: "i".into(),
             begin: KExpr::int(0),
-            end: KExpr::int(5),
+            end: KExpr::var("a"),
             step: KExpr::int(1),
             body: vec![store_at(v(), v() * v())],
         }];

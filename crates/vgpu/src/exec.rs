@@ -233,6 +233,8 @@ pub struct Prepared {
     /// ([`prepare_under`]); empty for a plain [`prepare`], whose proofs
     /// then rest on launch-concrete facts alone.
     contract: Assumptions,
+    /// Launch-constant arguments ([`bytecode::launch_constant_slots`]): (parameter, slot).
+    launch_consts: Vec<(usize, usize)>,
     /// What launches and the verifier gate have derived so far.
     pub(crate) derived: Arc<Derived>,
 }
@@ -246,26 +248,20 @@ pub const CHECK_TABLE_CAP: usize = 512;
 /// What is derived from a [`Prepared`] on demand.
 #[derive(Debug, Default)]
 pub(crate) struct Derived {
-    /// The check table of each flat launch shape seen, under the hash of
-    /// the shape ([`launch_record`]); at most [`CHECK_TABLE_CAP`] entries.
+    /// The record of each launch shape seen, flat or grouped, under the hash
+    /// of the shape ([`launch_record`]); at most [`CHECK_TABLE_CAP`] entries.
     tables: RwLock<HashMap<u64, Arc<CheckTable>>>,
-    /// The specialised tape ([`launch_tape`]) under each (slot, bits) key of
-    /// the slots `launch_slots` lists; at most [`CHECK_TABLE_CAP`] entries.
-    tapes: RwLock<Vec<KeyedTape>>,
-    launch_slots: OnceLock<Vec<usize>>,
     /// The tape verifier's report ([`crate::artifact::verify_cached`]).
     pub(crate) tape_report: OnceLock<Arc<crate::verify::TapeReport>>,
 }
 
-/// A launch-constant key and its specialised tape (`None`: the generic one).
-type KeyedTape = (Box<bytecode::Known>, Option<Arc<Compiled>>);
-
-/// One launch shape's check table: `checked[site]` keeps the dynamic bounds
+/// One launch shape's record: `checked[site]` keeps the dynamic bounds
 /// check; `tape` is the specialised tape the launch runs (`None`: the
-/// kernel's), `shapes` and `entry` are [`crate::compile::launch_shapes`]' of
-/// it. `gsize`
-/// and `args` are the shape in full — a table is used only when they equal
-/// the launch's, never on the hash alone.
+/// kernel's), shared by every record of the same launch-constant values;
+/// `shapes` and `entry` are [`crate::compile::launch_shapes`]' of it. A
+/// grouped launch's record has no proof and no lane shapes. `gsize` and
+/// `args` are the shape in full — a record is used only when they equal the
+/// launch's, never on the hash alone.
 #[derive(Debug, Default)]
 struct CheckTable {
     gsize: [usize; 3],
@@ -295,7 +291,8 @@ impl Prepared {
         }
     }
 
-    /// Check tables currently held (at most [`CHECK_TABLE_CAP`]).
+    /// Launch records currently held, flat or grouped (at most
+    /// [`CHECK_TABLE_CAP`]).
     pub fn check_tables(&self) -> usize {
         self.derived.tables.read().expect("no panic under this lock").len()
     }
@@ -396,9 +393,13 @@ pub fn prepare_under(kernel: &Kernel, contract: &Assumptions) -> Result<Prepared
         tape: Compiled::default(),
         source: Arc::new(kernel.clone()),
         contract: contract.clone(),
+        launch_consts: Vec::new(),
         derived: Arc::default(),
     };
-    prep.tape = bytecode::compile(&prep).map_err(|e| {
+    let slots = bytecode::launch_constant_slots(&prep);
+    let consts = prep.scalar_slots.iter().enumerate().filter_map(|(i, s)| Some((i, (*s)?)));
+    prep.launch_consts = consts.filter(|c| slots.contains(&c.1)).collect();
+    prep.tape = bytecode::compile(&prep, &[]).map(|c| c.0).map_err(|e| {
         ExecError(format!("kernel `{}` does not compile to a tape: {e}", kernel.name))
     })?;
     let [optimized, fused] = &crate::runtime().counters.tape_ops;
@@ -1105,47 +1106,53 @@ fn dispatch<T: Sync>(
 
 // ---- a launch shape's record: bounds proof, lane shapes, entry pc ----
 
-/// The check table of a flat launch's shape — `!checked[site]`: the static
-/// verifier proved the access in bounds for every work-item of *this* shape
-/// — with its lane shapes and entry pc; a grouped launch's holds its entry pc
-/// alone. The shape is what [`build_checked_sites`] and the lane-shape
-/// analysis read of a launch: the global size and, per parameter, the bound
-/// buffer's length or the i32 scalar's bits. Flat tables are kept on the
-/// artifact ([`Derived`]); a hit takes a read lock and allocates nothing, a
-/// miss runs both outside any lock and bumps `vgpu.tape.sites_{proven,checked}`.
+/// The record of a launch's shape — for a flat launch, its check table
+/// (`!checked[site]`: the static verifier proved the access in bounds for
+/// every work-item of *this* shape) and lane shapes; for every launch, its
+/// entry pc and tape. The shape is what [`build_checked_sites`] and the
+/// lane-shape analysis read of a launch: the global size and, per
+/// parameter, the bound buffer's length or the i32 scalar's bits. Records
+/// are kept on the artifact ([`Derived`]); a hit takes a read lock and
+/// allocates nothing, a miss runs the analyses outside any lock and, flat,
+/// bumps `vgpu.tape.sites_{proven,checked}`. The tape specialised on the
+/// launch's values of the kernel's launch-constant slots
+/// ([`bytecode::compile_under`]) comes from any record of the same values,
+/// or is compiled on the first launch of them.
 fn launch_record(l: &Launch<'_>) -> Arc<CheckTable> {
-    let analyse = |tape: &Option<Arc<Compiled>>| {
-        let tape = tape.as_deref().unwrap_or(&l.prep.tape);
-        crate::compile::launch_shapes(tape, l.init_slots, l.gsize)
-    };
-    if l.lsize.is_some() {
-        let tape = launch_tape(l);
-        return Arc::new(CheckTable { entry: analyse(&tape).1, tape, ..CheckTable::default() });
-    }
-    let arg = |i: usize| match (l.bufs[i], scalar_arg_value(l.prep, l.init_slots, i)) {
+    let prep = l.prep;
+    let arg = |i: usize| match (l.bufs[i], scalar_arg_value(prep, l.init_slots, i)) {
         (Some(b), _) => b.len() as u64,
         (None, Some(v @ Value::I32(_))) => bytecode::bits_of_value(v),
         // Float scalars never reach the verifier.
         (None, _) => 0,
     };
-    let args = || (0..l.prep.params.len()).map(arg);
+    let args = || (0..prep.params.len()).map(arg);
     let mut h = std::collections::hash_map::DefaultHasher::new();
     l.gsize.hash(&mut h);
     args().for_each(|a| a.hash(&mut h));
     let key = h.finish();
-    let tables = &l.prep.derived.tables;
+    let tables = &prep.derived.tables;
     if let Some(t) = tables.read().expect("no panic under this lock").get(&key) {
         if t.gsize == l.gsize && t.args.iter().copied().eq(args()) {
             return t.clone();
         }
     }
-    let checked = build_checked_sites(l);
+    let checked = if l.lsize.is_none() { build_checked_sites(l) } else { Vec::new() };
     let kept = checked.iter().filter(|&&c| c).count() as u64;
     let [proven, checked_sites] = &l.rt.counters.sites;
     proven.add(checked.len() as u64 - kept);
     checked_sites.add(kept);
-    let tape = launch_tape(l);
-    let (shapes, entry) = analyse(&tape);
+    let same = |t: &&Arc<CheckTable>| prep.launch_consts.iter().all(|&(i, _)| t.args[i] == arg(i));
+    let tape = if prep.launch_consts.is_empty() {
+        None
+    } else {
+        let held = tables.read().expect("no panic under this lock").values().find(same).cloned();
+        let known: Vec<_> = prep.launch_consts.iter().map(|&(i, s)| (s, arg(i))).collect();
+        held.map_or_else(|| bytecode::compile_under(prep, &known).map(Arc::new), |t| t.tape.clone())
+    };
+    let (shapes, entry) =
+        crate::compile::launch_shapes(tape.as_deref().unwrap_or(&prep.tape), l.init_slots, l.gsize);
+    let shapes = if l.lsize.is_none() { shapes } else { Default::default() };
     let mut tables = tables.write().expect("no panic under this lock");
     if tables.len() >= CHECK_TABLE_CAP {
         tables.clear();
@@ -1157,32 +1164,6 @@ fn launch_record(l: &Launch<'_>) -> Arc<CheckTable> {
     let table = Arc::new(CheckTable { gsize, args, checked, shapes, entry, tape });
     tables.insert(key, table.clone());
     table
-}
-
-/// The tape specialised on the launch's values of the kernel's
-/// launch-constant slots ([`bytecode::compile_under`]): compiled on the
-/// first launch of those values and kept on the artifact; `None` runs the
-/// kernel's own tape.
-fn launch_tape(l: &Launch<'_>) -> Option<Arc<Compiled>> {
-    let d = &l.prep.derived;
-    let slots = d.launch_slots.get_or_init(|| bytecode::launch_constant_slots(l.prep));
-    let known = l.init_slots.iter().filter(|a| slots.contains(&a.0));
-    let key: Box<[_]> = known.map(|&(s, v)| (s, bytecode::bits_of_value(v))).collect();
-    if key.is_empty() {
-        return None;
-    }
-    let tapes = d.tapes.read().expect("no panic under this lock");
-    if let Some((_, tape)) = tapes.iter().find(|t| t.0 == key) {
-        return tape.clone();
-    }
-    drop(tapes);
-    let tape = bytecode::compile_under(l.prep, &key).map(Arc::new);
-    let mut tapes = d.tapes.write().expect("no panic under this lock");
-    if tapes.len() >= CHECK_TABLE_CAP {
-        tapes.clear();
-    }
-    tapes.push((key, tape.clone()));
-    tape
 }
 
 /// The value bound to scalar parameter `i`, recovered from the initial
@@ -2344,6 +2325,23 @@ pub(crate) mod tests {
         run(2, Engine::Differential);
     }
 
+    /// A grouped launch shape keeps one record, as a flat one does, with no
+    /// proof and no lane shapes: a second launch of it finds the first's.
+    #[test]
+    fn a_grouped_launch_shape_keeps_one_record() {
+        let prep = prepare(&two_phase_lid_kernel()).unwrap();
+        let out = SharedBuf::new(BufData::from(vec![0i32; 256]));
+        for _ in 0..2 {
+            let rt = crate::runtime();
+            let binds = [ArgBind::Buf(&out)];
+            launch(&prep, &binds, &[256], Some(32), ExecMode::Fast, 128, Engine::Fast, rt).unwrap();
+        }
+        assert_eq!(prep.check_tables(), 1);
+        let tables = prep.derived.tables.read().unwrap();
+        let rec = tables.values().next().unwrap();
+        assert!(rec.checked.is_empty() && rec.shapes.iter().all(|s| s.is_empty()));
+    }
+
     #[test]
     fn launch_validation_errors_name_kernel_and_sizes() {
         let prep = prepare(&two_phase_lid_kernel()).unwrap();
@@ -2814,7 +2812,7 @@ pub(crate) mod tests {
         }
     }
 
-    /// Launch-constant specialisation ([`launch_tape`]): the tape a launch
+    /// Launch-constant specialisation ([`launch_record`]): the tape a launch
     /// runs is its kernel's, specialised on the i32 arguments that bound its
     /// loops and size its private arrays.
     mod specialise {
@@ -2904,9 +2902,7 @@ pub(crate) mod tests {
 
         /// `k` prepared to run its generic tape on every launch.
         fn generic(k: &Kernel) -> Prepared {
-            let prep = prepare(k).unwrap();
-            prep.derived.launch_slots.set(Vec::new()).unwrap();
-            prep
+            Prepared { launch_consts: Vec::new(), ..prepare(k).unwrap() }
         }
 
         fn same_bits(got: &[BufData], want: &[BufData], what: &str) {
@@ -2916,9 +2912,17 @@ pub(crate) mod tests {
             }
         }
 
-        /// The specialised tapes an artifact keeps, by key.
-        fn tapes(prep: &Prepared) -> Vec<KeyedTape> {
-            prep.derived.tapes.read().unwrap().clone()
+        /// The tapes an artifact's launch records hold, once per
+        /// launch-constant key, in key order.
+        fn tapes(prep: &Prepared) -> Vec<(Box<bytecode::Known>, Option<Arc<Compiled>>)> {
+            let key = |t: &CheckTable| -> Box<[_]> {
+                prep.launch_consts.iter().map(|&(i, s)| (s, t.args[i])).collect()
+            };
+            let tables = prep.derived.tables.read().unwrap();
+            let mut tapes: Vec<_> = tables.values().map(|t| (key(t), t.tape.clone())).collect();
+            tapes.sort_by(|a, b| a.0.cmp(&b.0));
+            tapes.dedup_by(|a, b| a.0 == b.0);
+            tapes
         }
 
         fn has(t: &Compiled, hit: impl Fn(&Op) -> bool) -> bool {
@@ -2988,6 +2992,21 @@ pub(crate) mod tests {
             let keys: Vec<_> = tapes(&prep).into_iter().map(|t| t.0).collect();
             let mb = prep.scalar_slots[15].unwrap();
             assert_eq!(keys, [[(mb, 2u64)].into(), [(mb, 3u64)].into()] as [Box<[_]>; 2]);
+        }
+
+        /// Two flat shapes of one branch count run one tape: the second
+        /// shape's record takes the first one's.
+        #[test]
+        fn two_shapes_of_one_branch_count_share_one_tape() {
+            let k = fdmm(false, ScalarKind::F64);
+            let prep = prepare(&k).unwrap();
+            for numb in [70, 40] {
+                run(&prep, &fdmm_args(&k, 3, numb), numb, ExecMode::Fast, Engine::Fast).unwrap();
+            }
+            let tables = prep.derived.tables.read().unwrap();
+            let tapes: Vec<_> = tables.values().map(|t| t.tape.clone().expect("on MB")).collect();
+            assert_eq!(tapes.len(), 2, "two shapes");
+            assert!(Arc::ptr_eq(&tapes[0], &tapes[1]));
         }
 
         /// `(x, sel, out, n)`, f32 data, 1-D, with `body`.

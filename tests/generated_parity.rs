@@ -10,8 +10,9 @@
 //! holds `0`. The generated boundary kernel moves no more bytes than the
 //! hand-written one, and the FD-MM one has Listing 4's shape — two loops,
 //! the state copies fused into the `reduceSeq` and `vsNew` a scalar of the
-//! update loop — with a tape within 10 % of the hand-written one's. No time
-//! is compared, so there is no tolerance on one.
+//! update loop — with a tape within 10 % of the hand-written one's; the
+//! FI-MM one's tape is no longer than the hand-written one's. No time is
+//! compared, so there is no tolerance on one.
 
 use lift::kast::{KStmt, Kernel};
 use lift::types::ScalarKind;
@@ -106,5 +107,24 @@ fn the_generated_fdmm_boundary_kernel_has_listing_4s_shape() {
         let tape = |k: &Kernel| vgpu::exec::prepare(k).expect("compiles to a tape").tape_len();
         let (gen, hand) = (tape(k), tape(&hand.resolve_real(real)));
         assert!(10 * gen <= 11 * hand, "{real:?}: generated tape {gen} ops vs hand-written {hand}");
+    }
+}
+
+/// The generated FI-MM boundary kernel's tape is no longer than the
+/// hand-written kernel's, in either precision: its one-trip copy loop
+/// unrolls away.
+#[test]
+fn the_generated_fimm_boundary_tape_is_no_longer_than_the_hand_written_one() {
+    let hand = room_acoustics::handwritten::all_kernels()
+        .into_iter()
+        .find(|k| k.name == "fimm_boundary_hand")
+        .expect("a hand-written FI-MM kernel");
+    for real in [ScalarKind::F32, ScalarKind::F64] {
+        let prog = LiftBoundary::FiMm.host_program(real).unwrap();
+        let k = &prog.kernels.last().expect("a boundary launch").kernel;
+        assert_eq!(k.name, "fimm_boundary_lift");
+        let tape = |k: &Kernel| vgpu::exec::prepare(k).expect("compiles to a tape").tape_len();
+        let (gen, hand) = (tape(k), tape(&hand.resolve_real(real)));
+        assert!(gen <= hand, "{real:?}: generated tape {gen} ops vs hand-written {hand}");
     }
 }

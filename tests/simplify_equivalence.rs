@@ -342,8 +342,8 @@ proptest! {
 /// the six one-sided pad guards — no exterior arm — the exterior-zero fact
 /// drops its store of `0` — and, its loads forwarded into their consumers,
 /// a tape as long as the hand-written kernel's in either precision: the
-/// tapes as they run, after superinstruction fusion (31 ops each; the
-/// contract-free lowering is 62, the unsimplified one 252).
+/// tapes as they run, after superinstruction fusion (26 ops each; the
+/// contract-free lowering is 58, the unsimplified one 249).
 #[test]
 fn generated_volume_kernel_has_hand_written_shape() {
     for real in [ScalarKind::F32, ScalarKind::F64] {
