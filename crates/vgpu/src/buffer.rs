@@ -233,12 +233,28 @@ impl SharedBuf {
         }
     }
 
+    /// The pointer to element `i`, bounds-checked. The element accessors go
+    /// through it, not through a reference to the whole storage, which
+    /// other work-items of a launch write at the same time.
+    fn at(&self, i: usize) -> BufPtr {
+        assert!(i < self.len, "index out of bounds: the len is {} but the index is {i}", self.len);
+        match self.ptr {
+            BufPtr::F32(p) => BufPtr::F32(p.wrapping_add(i)),
+            BufPtr::F64(p) => BufPtr::F64(p.wrapping_add(i)),
+            BufPtr::I32(p) => BufPtr::I32(p.wrapping_add(i)),
+        }
+    }
+
     /// Reads one element.
     ///
     /// # Safety
     /// No other thread may be writing element `i` concurrently.
     pub unsafe fn get(&self, i: usize) -> Value {
-        (*self.data.get()).get(i)
+        match self.at(i) {
+            BufPtr::F32(p) => Value::F32(*p),
+            BufPtr::F64(p) => Value::F64(*p),
+            BufPtr::I32(p) => Value::I32(*p),
+        }
     }
 
     /// Reads one element as raw register bits (see [`BufData::get_bits`]).
@@ -246,15 +262,19 @@ impl SharedBuf {
     /// # Safety
     /// No other thread may be writing element `i` concurrently.
     pub unsafe fn get_bits(&self, i: usize) -> u64 {
-        (*self.data.get()).get_bits(i)
+        crate::bytecode::bits_of_value(self.get(i))
     }
 
-    /// Writes one element.
+    /// Writes one element, cast to the buffer's kind as [`BufData::set`] does.
     ///
     /// # Safety
     /// No other thread may be reading or writing element `i` concurrently.
     pub unsafe fn set(&self, i: usize, val: Value) {
-        (*self.data.get()).set(i, val)
+        match self.at(i) {
+            BufPtr::F32(p) => *p = val.cast(ScalarKind::F32).as_f64() as f32,
+            BufPtr::F64(p) => *p = val.as_f64(),
+            BufPtr::I32(p) => *p = val.as_i64() as i32,
+        }
     }
 
     /// The raw typed base pointer of the storage (see [`BufPtr`]), which never

@@ -275,6 +275,23 @@ pub(crate) enum Op {
     /// `Bin{t,a,b,cmp,k}; Jz{t,Bool,target}` with `t` single-use: jump when
     /// `a cmp b` is false.
     CmpJz { a: R, b: R, op: BinOp, k: K, target: u32 },
+    /// `LdGFused`s of one buffer, each after the first accumulating the one
+    /// before: `dst` = `src` (if any) folded with the links' loads in order.
+    /// The links, [`Compiled::links`]`[at..at + n]`, stay beside the tape.
+    LdGSum { dst: R, buf: u16, src: Option<R>, at: u32, n: u32 },
+}
+
+const _: () = assert!(std::mem::size_of::<Op>() == 32);
+
+/// One load of an [`Op::LdGSum`] at `base [± off]`, folded into the sum so
+/// far `s` as `s ⊕ loaded` (`loaded ⊕ s` when `rev`, `⊕` = `-` when `sub`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Link {
+    pub(crate) base: R,
+    pub(crate) off: Option<(R, bool)>,
+    pub(crate) site: u32,
+    pub(crate) sub: bool,
+    pub(crate) rev: bool,
 }
 
 /// The accumulate tail of [`Op::LdGFused`]: the op writes `src ⊕ loaded`
@@ -313,7 +330,7 @@ macro_rules! opcodes {
 opcodes!(
     Const, Gid, Gsz, Lid, Lsz, Grp, Mov, Cast, AsI64, MaxOne, I64ToI32, AddI64, JgeI64, Neg, Not,
     Bin, Logic, MinMax, Intr1, LdG, StG, LdP, StP, LdL, StL, DeclPriv, DeclLocal, Flops, Jmp, Jz,
-    Ret, Halt, MulAdd, LdGFused, StGAt, CmpJz,
+    Ret, Halt, MulAdd, LdGFused, StGAt, CmpJz, LdGSum,
 );
 
 /// Display name of the opcode with dense index `i` (see [`op_index`]).
@@ -377,6 +394,13 @@ impl Licence<'_> {
     fn shape(&self, r: R) -> Shape {
         self.shapes.get(r as usize).copied().unwrap_or(Shape::Varying)
     }
+
+    /// Whether `link`'s index counts up by one per lane.
+    #[inline(always)]
+    fn unit(&self, link: &Link) -> bool {
+        let base = self.shape(link.base);
+        link.off.map_or(base, |(o, sub)| base.add(self.shape(o), sub)) == Shape::Affine(1)
+    }
 }
 
 /// A compiled kernel tape: one instruction stream with an entry point per
@@ -420,12 +444,29 @@ pub struct Compiled {
     /// the internal i64 registers), otherwise as a packed `[u32; WARP]` row.
     /// [`validate`] holds every op to it.
     pub(crate) wide: Vec<bool>,
+    /// The links of every [`Op::LdGSum`].
+    pub(crate) links: Vec<Link>,
 }
 
 impl Compiled {
     /// Number of barrier-delimited phases.
     pub(crate) fn phases(&self) -> usize {
         self.phase_starts.len()
+    }
+
+    /// The links of an [`Op::LdGSum`] (none out of range: [`validate`]).
+    pub(crate) fn chain(&self, op: &Op) -> &[Link] {
+        let Op::LdGSum { at, n, .. } = *op else { return &[] };
+        self.links.get(at as usize..(at + n) as usize).unwrap_or_default()
+    }
+
+    /// Visits every register `op` reads, an [`Op::LdGSum`]'s links included.
+    pub(crate) fn srcs(&self, op: &Op, f: &mut impl FnMut(R)) {
+        visit_srcs(op, f);
+        for link in self.chain(op) {
+            f(link.base);
+            link.off.iter().for_each(|&(o, _)| f(o));
+        }
     }
 }
 
@@ -1132,6 +1173,7 @@ fn finish(cc: &mut Cc<'_>) -> Result<Compiled, String> {
         .unwrap_or(0);
     crate::compile::fuse(&mut c);
     number_values(&mut c, prep.nslots);
+    crate::compile::fuse_sums(&mut c);
     // Branch reconvergence points for the warp executor, computed on the
     // final op stream (every pass has already remapped its targets), then
     // checked with everything else the executor trusts; the lane shapes of
@@ -1258,8 +1300,8 @@ fn validate(c: &Compiled, prep: &Prepared) -> bool {
     let mut ok = matches!(c.ops.last(), Some(Op::Ret | Op::Halt)) && c.wide.len() == c.nregs;
     for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
         let mut in_file = op_dst(op).is_none_or(|d| (d as usize) < c.nregs);
-        visit_srcs(op, &mut |r| in_file &= (r as usize) < c.nregs);
-        ok &= in_file && widths_ok(op, &c.wide, prep);
+        c.srcs(op, &mut |r| in_file &= (r as usize) < c.nregs);
+        ok &= in_file && widths_ok(op, c, prep);
         if let Some(target) = jump_target(op) {
             ok &= (target as usize) < c.ops.len();
         }
@@ -1285,9 +1327,10 @@ fn validate(c: &Compiled, prep: &Prepared) -> bool {
 /// operand of kind `k` is a register of `k`'s width, an i64 operand (load,
 /// store and private indices, lengths, loop counters) a wide one, a loaded
 /// value has its memory's element width, and the untyped `Mov` moves bits
-/// between registers of one width.
-fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
-    let w = |r: R| wide[r as usize];
+/// between registers of one width. An `LdGSum`'s links lie inside
+/// [`Compiled::links`].
+fn widths_ok(op: &Op, c: &Compiled, prep: &Prepared) -> bool {
+    let w = |r: R| c.wide[r as usize];
     let is = |r: R, k: K| w(r) == k.wide();
     let param = |buf: u16| kk(prep.params.get(buf as usize)?.kind).ok();
     let load = |dst: R, idx: R, kind: Option<K>| w(idx) && kind.is_some_and(|k| is(dst, k));
@@ -1329,6 +1372,12 @@ fn widths_ok(op: &Op, wide: &[bool], prep: &Prepared) -> bool {
                 && param(buf).is_some_and(|k| {
                     is(dst, k) && acc.is_none_or(|acc| acc.k == k && is(acc.src, k))
                 })
+        }
+        Op::LdGSum { dst, buf, src, n, .. } => {
+            let index = |l: &Link| !w(l.base) && l.off.is_none_or(|(o, _)| !w(o));
+            let links = c.chain(op);
+            let sum = |k| is(dst, k) && src.is_none_or(|s| is(s, k));
+            links.len() == n as usize && links.iter().all(index) && param(buf).is_some_and(sum)
         }
         Op::StGAt { base, val, vk, .. } => !w(base) && is(val, vk),
         Op::CmpJz { a, b, k, .. } => is(a, k) && is(b, k),
@@ -1443,7 +1492,8 @@ fn op_dst_mut(op: &mut Op) -> Option<&mut R> {
         | Op::LdP { dst, .. }
         | Op::LdL { dst, .. }
         | Op::MulAdd { dst, .. }
-        | Op::LdGFused { dst, .. } => Some(dst),
+        | Op::LdGFused { dst, .. }
+        | Op::LdGSum { dst, .. } => Some(dst),
         Op::StG { .. }
         | Op::StP { .. }
         | Op::StL { .. }
@@ -1460,7 +1510,8 @@ fn op_dst_mut(op: &mut Op) -> Option<&mut R> {
     }
 }
 
-/// Visits every register an op reads.
+/// Visits every register an op reads but an [`Op::LdGSum`]'s links, which
+/// [`Compiled::srcs`] adds.
 pub(crate) fn visit_srcs(op: &Op, f: &mut impl FnMut(R)) {
     let mut op = *op;
     visit_srcs_mut(&mut op, &mut |r| f(*r));
@@ -1520,6 +1571,7 @@ fn visit_srcs_mut(op: &mut Op, f: &mut impl FnMut(&mut R)) {
             f(base);
             f(val);
         }
+        Op::LdGSum { src, .. } => src.iter_mut().for_each(f),
         Op::Const { .. }
         | Op::Gid { .. }
         | Op::Gsz { .. }
@@ -1548,7 +1600,7 @@ pub(crate) fn count_writers(ops: &[Op], nregs: usize) -> Vec<u32> {
 pub(crate) fn count_readers(c: &Compiled) -> Vec<u32> {
     let mut r = vec![0u32; c.nregs];
     for op in c.ops.iter().chain(&c.pre).chain(&c.item_pre) {
-        visit_srcs(op, &mut |s| r[s as usize] += 1);
+        c.srcs(op, &mut |s| r[s as usize] += 1);
     }
     r
 }
@@ -2830,6 +2882,100 @@ fn load_lanes(
     }
 }
 
+/// The index of `link` in lane `l`: `base ± off`, i32 wrapping.
+#[inline(always)]
+fn link_index(vregs: &[u64], link: &Link, l: usize) -> i64 {
+    let (base, at) = (i32::get(vregs, link.base, l), |o| i32::get(vregs, o, l));
+    let off = |(o, sub)| if sub { base.wrapping_sub(at(o)) } else { base.wrapping_add(at(o)) };
+    link.off.map_or(base, off) as i64
+}
+
+/// [`Op::LdGSum`] over the active lanes. Unless the launch records per-lane
+/// accesses, the leading links that each read one run of the buffer sum in
+/// a local accumulator ([`sum_runs`]); the rest run as the [`Op::LdGFused`]
+/// they were, accumulating in `dst`. Either way each lane adds in chain
+/// order, and every link counts, traces and panics as that op.
+#[inline(never)]
+fn load_sum(
+    w: &mut WarpCtx<'_>,
+    lic: Licence<'_>,
+    vregs: &mut [u64],
+    (dst, buf, src, links): (R, u16, Option<R>, &[Link]),
+    mask: u32,
+) {
+    let b = w.bufs[buf as usize].expect("buffer bound");
+    let sum = (&mut *vregs, dst, src, links, mask);
+    let done = match b.ptr() {
+        _ if w.modeled => 0,
+        BufPtr::F32(p) => sum_runs(lic, b, p, sum),
+        BufPtr::F64(p) => sum_runs(lic, b, p, sum),
+        // `Wrapping` is `repr(transparent)`.
+        BufPtr::I32(p) => sum_runs(lic, b, p.cast::<Wrapping<i32>>(), sum),
+    };
+    let n = (done as u32 * mask.count_ones()) as u64;
+    w.counters.loads_global += n;
+    w.counters.bytes_loaded += b.elem_bytes() as u64 * n;
+    for (i, link) in links.iter().enumerate().skip(done) {
+        let (k, src) = (kk(b.kind()).expect("a buffer kind"), if i > 0 { Some(dst) } else { src });
+        let acc = src.map(|src| Acc { src, k, sub: link.sub, rev: link.rev });
+        let (regs, mut ix) = (&*vregs, [0i64; WARP]);
+        let (at, idx) = ((buf, link.site, false), |l| link_index(regs, link, l));
+        let (b, run) = load_global(w, lic, at, mask, lic.unit(link), idx, &mut ix);
+        load_lanes(vregs, dst, b, (run, &ix), acc, mask);
+    }
+}
+
+/// Sums the leading links of an [`Op::LdGSum`] that each read one run of
+/// `b` ([`unit_run`]; base pointer `p`) into `dst` through a local
+/// accumulator, one lane loop per link: how many there were. A local array
+/// is what lets the loops vectorise; the register file's rows may alias.
+#[inline(never)]
+fn sum_runs<T>(
+    lic: Licence<'_>,
+    b: &SharedBuf,
+    p: *const T,
+    (vregs, dst, src, links, mask): (&mut [u64], R, Option<R>, &[Link], u32),
+) -> usize
+where
+    T: Lane + Default + std::ops::Add<Output = T> + std::ops::Sub<Output = T>,
+{
+    let (mut sum, mut done) = ([T::default(); WARP], 0);
+    for link in links {
+        let idx = |l| link_index(vregs, link, l);
+        let Some((lo, start)) = unit_run(b, lic.unit(link), mask, &idx) else { break };
+        if let (0, Some(src)) = (done, src) {
+            each_lane(&mut sum, mask, |s, l| *s = T::get(vregs, src, l));
+        }
+        // SAFETY: `unit_run` checked the run in bounds; reads race only with
+        // disjoint writes per the launch contract.
+        let x = |l: usize| unsafe { *p.add(start + l - lo) };
+        match (done == 0 && src.is_none(), link.sub, link.rev) {
+            (true, ..) => each_lane(&mut sum, mask, |s, l| *s = x(l)),
+            (_, false, false) => each_lane(&mut sum, mask, |s, l| *s = *s + x(l)),
+            (_, false, true) => each_lane(&mut sum, mask, |s, l| *s = x(l) + *s),
+            (_, true, false) => each_lane(&mut sum, mask, |s, l| *s = *s - x(l)),
+            (_, true, true) => each_lane(&mut sum, mask, |s, l| *s = x(l) - *s),
+        }
+        done += 1;
+    }
+    if done > 0 {
+        each_lane(&mut sum, mask, |s, l| s.put(vregs, dst, l));
+    }
+    done
+}
+
+/// `f(&mut sum[l], l)` for the active lanes of `mask`, over a dense slice of
+/// the accumulator when they are contiguous (no per-lane index check).
+#[inline(always)]
+fn each_lane<T>(sum: &mut [T; WARP], mask: u32, mut f: impl FnMut(&mut T, usize)) {
+    match contiguous(mask) {
+        Some((lo, hi)) => sum[lo..hi].iter_mut().zip(lo..).for_each(|(s, l)| f(s, l)),
+        None => for_lanes!(mask, l, {
+            f(&mut sum[l], l);
+        }),
+    }
+}
+
 /// One warp-op's global store of register `val` (kind `vk`) at
 /// `(buf, site)`: the store-side twin of [`load_global`].
 #[inline(always)]
@@ -3215,6 +3361,10 @@ impl WarpExec<'_, '_> {
                     let lanes = |m: u32| cmp_zmask(vregs, (a, b, op, k), m);
                     let known = (uniform(a) && uniform(b)).then(|| lanes(first) == 0);
                     branch!(decided(known, mask, lanes), target)
+                }
+                Op::LdGSum { dst, buf, src, at, n } => {
+                    let links = &self.c.links[at as usize..][..n as usize];
+                    load_sum(self.w, lic, vregs, (dst, buf, src, links), mask);
                 }
             }
             pc += 1;
@@ -3757,15 +3907,17 @@ mod tests {
     /// the executor decides it.
     fn unit_sites(t: &Compiled, shapes: &[Shape]) -> Vec<bool> {
         let sh = |r: R| shapes[r as usize];
-        let unit = |op: &Op| match *op {
-            Op::LdG { idx, .. } | Op::StG { idx, .. } => Some(sh(idx) == Shape::Affine(1)),
-            Op::LdGFused { base, off, .. } => {
-                Some(off.map_or(sh(base), |(o, sub)| sh(base).add(sh(o), sub)) == Shape::Affine(1))
-            }
-            Op::StGAt { base, .. } => Some(sh(base) == Shape::Affine(1)),
-            _ => None,
+        let at = |base, off: Option<(R, bool)>| {
+            off.map_or(sh(base), |(o, sub)| sh(base).add(sh(o), sub)) == Shape::Affine(1)
         };
-        t.ops.iter().filter_map(unit).collect()
+        let unit = |op: &Op| match *op {
+            Op::LdG { idx, .. } | Op::StG { idx, .. } => vec![sh(idx) == Shape::Affine(1)],
+            Op::LdGFused { base, off, .. } => vec![at(base, off)],
+            Op::LdGSum { .. } => t.chain(op).iter().map(|l| at(l.base, l.off)).collect(),
+            Op::StGAt { base, .. } => vec![sh(base) == Shape::Affine(1)],
+            _ => vec![],
+        };
+        t.ops.iter().flat_map(unit).collect()
     }
 
     /// The volume kernel's `idx = z·Nx·Ny + y·Nx + x` is the linear item id
@@ -3981,6 +4133,198 @@ mod tests {
             let (xv, ov) = (unsafe { xs.data() }.to_f64_vec(), unsafe { o.data() }.to_f64_vec());
             let (sq, nb) = (xv[9] * xv[9], xv[10]);
             assert_eq!(ov[36..40], [sq + nb, nb + sq, sq - nb, nb - sq], "{kind:?}");
+        }
+    }
+
+    /// `out[idx]` = `x[idx]²` plus a seven-link sum of `x` where `m[idx] > 0`,
+    /// on an `Nx × Ny × ·` launch: links folded as `s + x`, `s - x`, `x + s`
+    /// and `x - s`, and a gather `x[j]` (`j = 3·idx mod N`, no run) late in
+    /// the chain.
+    fn sum_chain_kernel(kind: ScalarKind) -> Kernel {
+        let (v, x) = (KExpr::var, |i| KExpr::load(MemRef::Param(0), i));
+        let (idx, plane) = (|| KExpr::var("idx"), || KExpr::var("Nx") * KExpr::var("Ny"));
+        let (g, real) = (KExpr::GlobalId, |n: &str, e| KStmt::DeclScalar {
+            name: n.into(),
+            kind,
+            init: Some(e),
+        });
+        let first = x(idx() - KExpr::int(1));
+        let then_ = vec![
+            real("w", x(idx()) * x(idx())),
+            real("a", v("w") + first + x(idx() + KExpr::int(1)) - x(idx() - v("Nx"))),
+            real("b", x(idx() + v("Nx")) + v("a")),
+            real("c", x(idx() + plane()) - v("b")),
+            KStmt::Store {
+                mem: MemRef::Param(2),
+                idx: idx(),
+                value: v("c") + x(v("j")) + x(idx() - plane()),
+            },
+        ];
+        let body = vec![
+            decl("idx", g(2) * plane() + g(1) * v("Nx") + g(0)),
+            decl("j", KExpr::bin(BinOp::Rem, idx() * KExpr::int(3), v("N"))),
+            KStmt::If {
+                cond: KExpr::bin(BinOp::Gt, KExpr::load(MemRef::Param(1), idx()), KExpr::int(0)),
+                then_,
+                else_: vec![],
+            },
+        ];
+        let params = vec![
+            KernelParam::global_buf("x", kind),
+            KernelParam::global_buf("m", ScalarKind::I32),
+            KernelParam::global_buf("out", kind),
+            KernelParam::scalar("Nx", ScalarKind::I32),
+            KernelParam::scalar("Ny", ScalarKind::I32),
+            KernelParam::scalar("N", ScalarKind::I32),
+        ];
+        Kernel { name: "sum_chain".into(), params, body, work_dim: 3 }
+    }
+
+    /// One `LdGSum` runs the chain in straddling warps (rows of 11) under
+    /// holed masks: on a plain runtime's fast launch its unit-stride links
+    /// sum in the accumulator and the gather and the links after it run one
+    /// by one; a sanitized or modeled launch runs every link one by one.
+    /// Each is held by `Engine::Differential` to the tree oracle — buffers
+    /// bit for bit, counters and transaction bytes — at every element kind.
+    #[test]
+    fn a_sum_chain_matches_the_oracle_on_every_path() {
+        let [nx, ny, nz] = [11usize, 11, 9];
+        let n = nx * ny * nz;
+        let interior = |i: usize| {
+            let (x, y, z) = (i % nx, i / nx % ny, i / (nx * ny));
+            [x, y, z].iter().zip([nx, ny, nz]).all(|(&c, len)| c > 0 && c + 1 < len)
+        };
+        let m: Vec<i32> =
+            (0..n).map(|i| (interior(i) && i % 7 != 3 && i % 5 != 1) as i32).collect();
+        for kind in [ScalarKind::F32, ScalarKind::F64, ScalarKind::I32] {
+            let prep = prepare(&sum_chain_kernel(kind)).unwrap();
+            let t = &prep.tape;
+            let sums: Vec<&[Link]> =
+                t.ops.iter().map(|op| t.chain(op)).filter(|c| !c.is_empty()).collect();
+            assert_eq!(
+                sums.iter().map(|c| c.len()).collect::<Vec<_>>(),
+                [7],
+                "{kind:?}: {:?}",
+                t.ops
+            );
+            let folds: std::collections::BTreeSet<_> =
+                sums[0].iter().map(|l| (l.sub, l.rev)).collect();
+            assert_eq!(folds.len(), 4, "{kind:?}: every fold");
+            assert!(t.ops.iter().any(|op| matches!(op, Op::LdGSum { src: Some(_), .. })));
+            assert_consistent(&prep);
+            let xs: Vec<i32> = (0..n as i32).map(|i| (i * 37 % 101) - 50).collect();
+            let data = |v: &[i32]| match kind {
+                ScalarKind::F32 => {
+                    BufData::from(v.iter().map(|&i| i as f32 * 0.37).collect::<Vec<_>>())
+                }
+                ScalarKind::F64 => {
+                    BufData::from(v.iter().map(|&i| i as f64 * 0.37).collect::<Vec<_>>())
+                }
+                _ => BufData::from(v.to_vec()),
+            };
+            for (rt, buf) in [
+                (
+                    crate::Runtime::new(crate::runtime().settings),
+                    SharedBuf::new as fn(BufData) -> _,
+                ),
+                (crate::Runtime::sanitizing(), |d| shadowed(d)),
+            ] {
+                for mode in [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }] {
+                    let (x, mb, out) =
+                        (buf(data(&xs)), buf(BufData::from(m.clone())), buf(data(&vec![0; n])));
+                    let dims = [nx, ny, n].map(|d| ArgBind::Val(Value::I32(d as i32)));
+                    let binds = [ArgBind::Buf(&x), ArgBind::Buf(&mb), ArgBind::Buf(&out)];
+                    let binds: Vec<_> = binds.into_iter().chain(dims).collect();
+                    launch(
+                        &prep,
+                        &binds,
+                        &[nx, ny, nz],
+                        None,
+                        mode,
+                        128,
+                        Engine::Differential,
+                        &rt,
+                    )
+                    .unwrap_or_else(|e| panic!("{kind:?} {mode:?}: {e}"));
+                    let out = unsafe { out.data() }.to_f64_vec();
+                    let stored = out.iter().zip(&m).filter(|(o, &m)| m > 0 && **o != 0.0).count();
+                    assert!(stored > 200, "{kind:?} {mode:?}: {stored} sums stored");
+                }
+            }
+        }
+    }
+
+    /// `x[g] + x[g + k] + x[g + 1]` with `k` reaching past the end in the
+    /// last warp: the middle link fails its run's range check and panics
+    /// as the `LdGFused` it was, on every kind of launch.
+    #[test]
+    fn a_sum_chain_whose_middle_link_overruns_panics_as_the_unfused_load() {
+        let (g, x) = (|| KExpr::GlobalId(0), |i| KExpr::load(MemRef::Param(0), i));
+        let sum = x(g()) + x(g() + KExpr::var("k")) + x(g() + KExpr::int(1));
+        let k = Kernel {
+            name: "sum_overrun".into(),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::F32),
+                KernelParam::global_buf("out", ScalarKind::F32),
+                KernelParam::scalar("k", ScalarKind::I32),
+            ],
+            body: vec![KStmt::Store { mem: MemRef::Param(1), idx: g(), value: sum }],
+            work_dim: 1,
+        };
+        let prep = prepare(&k).unwrap();
+        assert!(
+            prep.tape.ops.iter().any(|op| prep.tape.chain(op).len() == 3),
+            "{:?}",
+            prep.tape.ops
+        );
+        for (sanitize, mode) in [
+            (false, ExecMode::Fast),
+            (true, ExecMode::Fast),
+            (false, ExecMode::Model { sample_stride: 1 }),
+        ] {
+            let buf = |d: BufData| SharedBuf::with_shadow(d, sanitize, true);
+            let (xs, out) =
+                (buf(BufData::from(vec![1.0f32; 65])), buf(BufData::zeros(ScalarKind::F32, 64)));
+            let rt = if sanitize {
+                crate::Runtime::sanitizing()
+            } else {
+                crate::Runtime::new(crate::runtime().settings)
+            };
+            let binds = [ArgBind::Buf(&xs), ArgBind::Buf(&out), ArgBind::Val(Value::I32(2))];
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                launch(&prep, &binds, &[64], None, mode, 128, Engine::Fast, &rt)
+            }))
+            .expect_err("the overrun must panic");
+            let msg = panicked.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("load out of bounds: param 0[65] (len 65)"), "{mode:?}: {msg:?}");
+        }
+    }
+
+    /// A chain stops before an intermediate that something else reads: with
+    /// `a = x[g]` read twice no sum forms, and with `s = x[g] + x[g + 1]`
+    /// read twice the chain ends at `s`.
+    #[test]
+    fn a_sum_chain_stops_at_an_intermediate_with_a_second_reader() {
+        let (g, x) = (|| KExpr::GlobalId(0), |i| KExpr::load(MemRef::Param(0), i));
+        let real = |name: &str, init| KStmt::DeclScalar {
+            name: name.into(),
+            kind: ScalarKind::F32,
+            init: Some(init),
+        };
+        let twice = |v: &str, k| (KExpr::var(v) + x(g() + KExpr::int(k))) * KExpr::var(v);
+        for (decl, value, links, want) in [
+            (real("a", x(g())), twice("a", 1), None, (3.0 + 4.0) * 3.0),
+            (real("s", x(g()) + x(g() + KExpr::int(1))), twice("s", 2), Some(2), 12.0 * 7.0),
+        ] {
+            let mut k = unary_kernel("sum_readers", KExpr::int(0));
+            let store = KStmt::Store { mem: MemRef::Param(1), idx: g(), value };
+            k.body =
+                vec![KStmt::return_if(KExpr::bin(BinOp::Ge, g(), KExpr::int(64))), decl, store];
+            let t = tape_of(&k);
+            let sums: Vec<_> =
+                t.ops.iter().map(|op| t.chain(op).len()).filter(|&n| n > 0).collect();
+            assert_eq!(sums, Vec::from_iter(links), "{:?}", t.ops);
+            assert_eq!(run_diff(&k, 70, 0.0)[3], want);
         }
     }
 
@@ -4208,32 +4552,32 @@ mod tests {
     }
 
     const TAPE_PINS: &[(&str, usize, usize, usize, u64)] = &[
-        ("volume_handling_hand/whole/f32", 26, 4, 3, 0x9d1293e46c17bbed),
-        ("volume_handling_hand_slab/slab/f32", 28, 4, 3, 0x0c5f0b8bc26c11a3),
-        ("volume_handling_hand_slab/whole/f32", 28, 4, 3, 0x0c5f0b8bc26c11a3),
-        ("fi_single_hand/whole/f32", 86, 15, 3, 0xb403550a323b163b),
-        ("fi_single_hand_slab/slab/f32", 92, 15, 3, 0xd54e389ed1a6fb30),
+        ("volume_handling_hand/whole/f32", 21, 4, 3, 0x6623947818f810f4),
+        ("volume_handling_hand_slab/slab/f32", 23, 4, 3, 0x63c7dfadbf1e7626),
+        ("volume_handling_hand_slab/whole/f32", 23, 4, 3, 0x63c7dfadbf1e7626),
+        ("fi_single_hand/whole/f32", 81, 15, 3, 0xe08dce9ff11ac413),
+        ("fi_single_hand_slab/slab/f32", 87, 15, 3, 0xa7615f16ee134d84),
         ("fimm_boundary_hand/whole/f32", 18, 4, 1, 0x12750ab11679ac27),
         ("fimm_boundary_hand_cbeta/whole/f32", 18, 4, 1, 0x12750ab11679ac27),
         ("fdmm_boundary_hand/whole/f32", 74, 8, 1, 0x7e1ad46702e382ba),
-        ("fi_single_lift/whole/f32", 46, 8, 3, 0xa17c850d4622426f),
-        ("fi_single_lift_slab/slab/f32", 48, 8, 3, 0xe72da144b6942181),
-        ("volume_handling_lift/whole/f32", 26, 4, 3, 0x9d1293e46c17bbed),
-        ("volume_handling_lift_slab/slab/f32", 28, 4, 3, 0x0c5f0b8bc26c11a3),
+        ("fi_single_lift/whole/f32", 42, 8, 3, 0x6f7116e27ea96841),
+        ("fi_single_lift_slab/slab/f32", 44, 8, 3, 0x56562475dbfdd95b),
+        ("volume_handling_lift/whole/f32", 21, 4, 3, 0x6623947818f810f4),
+        ("volume_handling_lift_slab/slab/f32", 23, 4, 3, 0x63c7dfadbf1e7626),
         ("fimm_boundary_lift/whole/f32", 18, 5, 1, 0xdc8c9798d495d50a),
         ("fdmm_boundary_lift/whole/f32", 73, 8, 1, 0xdfc8400a2daca245),
-        ("volume_handling_hand/whole/f64", 26, 4, 3, 0x9d1293e46c17bbed),
-        ("volume_handling_hand_slab/slab/f64", 28, 4, 3, 0x0c5f0b8bc26c11a3),
-        ("volume_handling_hand_slab/whole/f64", 28, 4, 3, 0x0c5f0b8bc26c11a3),
-        ("fi_single_hand/whole/f64", 86, 15, 3, 0xb403550a323b163b),
-        ("fi_single_hand_slab/slab/f64", 92, 15, 3, 0xd54e389ed1a6fb30),
+        ("volume_handling_hand/whole/f64", 21, 4, 3, 0x6623947818f810f4),
+        ("volume_handling_hand_slab/slab/f64", 23, 4, 3, 0x63c7dfadbf1e7626),
+        ("volume_handling_hand_slab/whole/f64", 23, 4, 3, 0x63c7dfadbf1e7626),
+        ("fi_single_hand/whole/f64", 81, 15, 3, 0xe08dce9ff11ac413),
+        ("fi_single_hand_slab/slab/f64", 87, 15, 3, 0xa7615f16ee134d84),
         ("fimm_boundary_hand/whole/f64", 18, 4, 1, 0x12750ab11679ac27),
         ("fimm_boundary_hand_cbeta/whole/f64", 18, 4, 1, 0x12750ab11679ac27),
         ("fdmm_boundary_hand/whole/f64", 74, 8, 1, 0x7e1ad46702e382ba),
-        ("fi_single_lift/whole/f64", 46, 8, 3, 0xa17c850d4622426f),
-        ("fi_single_lift_slab/slab/f64", 48, 8, 3, 0xe72da144b6942181),
-        ("volume_handling_lift/whole/f64", 26, 4, 3, 0x9d1293e46c17bbed),
-        ("volume_handling_lift_slab/slab/f64", 28, 4, 3, 0x0c5f0b8bc26c11a3),
+        ("fi_single_lift/whole/f64", 42, 8, 3, 0x6f7116e27ea96841),
+        ("fi_single_lift_slab/slab/f64", 44, 8, 3, 0x56562475dbfdd95b),
+        ("volume_handling_lift/whole/f64", 21, 4, 3, 0x6623947818f810f4),
+        ("volume_handling_lift_slab/slab/f64", 23, 4, 3, 0x63c7dfadbf1e7626),
         ("fimm_boundary_lift/whole/f64", 18, 5, 1, 0xdc8c9798d495d50a),
         ("fdmm_boundary_lift/whole/f64", 73, 8, 1, 0xdfc8400a2daca245),
     ];

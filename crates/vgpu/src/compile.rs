@@ -1,5 +1,6 @@
-//! Two passes over a compiled tape ([`Compiled`]): [`fuse`], run last in
-//! `bytecode::compile`, and [`launch_shapes`], run once per launch shape.
+//! Three passes over a compiled tape ([`Compiled`]): [`fuse`] and
+//! [`fuse_sums`], which close `bytecode::compile` around its value
+//! numbering, and [`launch_shapes`], run once per launch shape.
 //!
 //! [`fuse`] rewrites the op sequences the acoustics kernels actually emit —
 //! index-arithmetic → `AsI64` → `LdG` stencil gathers with a trailing
@@ -22,6 +23,10 @@
 //!    (`Bin`·`Bin`) and compare-branch (`Bin`·`Jz`, also across a `Flops`
 //!    in between). The window's first op becomes the superinstruction.
 //!
+//! 4. **Sum chains** ([`fuse_sums`], after value numbering, so no later
+//!    pass rewrites a link) — fused loads of one buffer, each accumulating
+//!    the one before, become one `LdGSum`: the volume kernel's stencil sum.
+//!
 //! Fusion is total: an op no window matches stays as it is, on every tape —
 //! multi-phase and local-memory ones included.
 //!
@@ -38,7 +43,7 @@
 
 use crate::bytecode::{
     bin_bits, block_leaders, compact, count_readers, count_writers, is_branch, op_dst, reads_reg,
-    visit_srcs, Acc, Compiled, Op, Shape, K, R,
+    visit_srcs, Acc, Compiled, Link, Op, Shape, K, R,
 };
 use lift::prelude::{BinOp, Value};
 
@@ -107,6 +112,46 @@ pub(crate) fn fuse(c: &mut Compiled) {
             None => 1,
         };
         pc += width;
+    }
+    compact(c, &removed);
+}
+
+/// Rewrites every run of two or more `LdGFused` of one buffer in one basic
+/// block into one `LdGSum` when each later load accumulates the register
+/// the one before wrote, which nothing else reads (the use-count rule of
+/// [`fuse`]), none reads constant memory, and no index reads the last
+/// `dst`, which every link then writes in turn. The links keep their index,
+/// site and fold, so the op adds as the chain did.
+pub(crate) fn fuse_sums(c: &mut Compiled) {
+    let (leader, uses) = (block_leaders(c), count_readers(c));
+    let mut removed = vec![false; c.ops.len()];
+    let mut pc = 0;
+    while pc < c.ops.len() {
+        let (mut chain, head) = (Vec::<(Link, R)>::new(), c.ops[pc]);
+        while let Some(&Op::LdGFused { dst, buf, base, off, acc, site, constant: false }) =
+            c.ops.get(pc + chain.len())
+        {
+            let (sub, rev) = acc.map_or((false, false), |a| (a.sub, a.rev));
+            let link = Link { base, off, site, sub, rev };
+            let reads = |l: &Link| l.base == dst || l.off.is_some_and(|o| o.0 == dst);
+            let follows = |&(_, prev): &(Link, R)| {
+                acc.is_some_and(|a| a.src == prev) && uses[prev as usize] == 1
+            };
+            let ok = matches!(head, Op::LdGFused { buf: b, .. } if b == buf)
+                && chain.last().is_none_or(|l| follows(l) && !leader[pc + chain.len()]);
+            if !ok || chain.iter().map(|l| &l.0).chain([&link]).any(reads) {
+                break;
+            }
+            chain.push((link, dst));
+        }
+        if let (Op::LdGFused { buf, acc, .. }, [_, .., (_, dst)]) = (head, &chain[..]) {
+            let (at, n) = (c.links.len() as u32, chain.len() as u32);
+            c.ops[pc] = Op::LdGSum { dst: *dst, buf, src: acc.map(|a| a.src), at, n };
+            c.links.extend(chain.iter().map(|l| l.0));
+            removed[pc + 1..pc + chain.len()].fill(true);
+            c.fused_ops += n - 1;
+        }
+        pc += chain.len().max(1);
     }
     compact(c, &removed);
 }
@@ -191,7 +236,8 @@ fn value(op: &Op, v: &[Val], gsize: [usize; 3], straddle: Option<[i32; 3]>) -> V
     use BinOp::{Add, Mul, Sub};
     let at = |r: R| v[r as usize];
     let lin = match *op {
-        Op::Lid { .. } | Op::Grp { .. } | Op::LdG { .. } | Op::LdGFused { .. } => return None,
+        Op::Lid { .. } | Op::Grp { .. } | Op::LdG { .. } => return None,
+        Op::LdGFused { .. } | Op::LdGSum { .. } => return None,
         Op::LdP { .. } | Op::LdL { .. } => return None,
         Op::Gid { dim, .. } => {
             return Some(([0, 1, 2].map(|d| (d == dim && gsize[d as usize] > 1) as i32), Some(0)))

@@ -1016,8 +1016,9 @@ fn warp_transaction_bytes<'a>(
     bytes
 }
 
-/// Fewest work-items in one task of a launch: 64 warps. At the 17–34 ns a
-/// work-item costs on the tape executors that is 35–70 µs of lane work,
+/// Fewest work-items in one task of a launch: 64 warps. At the ≈ 8 ns a
+/// work-item costs on the tape executor (traced `vgpu.lane_ns_per_item` @
+/// `room_hand` on 2 vCPUs: 8.0–8.9 ns) that is 16–18 µs of lane work,
 /// several times the futex wake that hands a task to a pool worker.
 /// EXPERIMENTS.md ("Lane pool and task grain") records the 32/64/128/256-warp
 /// sweep it was chosen from: coarser tasks split mid-sized launches

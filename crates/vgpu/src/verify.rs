@@ -215,7 +215,7 @@ fn def_before_use(prep: &Prepared, c: &Compiled, findings: &mut Vec<TapeFinding>
     let mut seen: BTreeSet<(usize, u32)> = BTreeSet::new();
     for (pc, slot) in instate.iter().enumerate().take(n) {
         let Some(st) = slot else { continue };
-        visit_srcs(&c.ops[pc], &mut |r| {
+        c.srcs(&c.ops[pc], &mut |r| {
             if !st.get(r) && seen.insert((pc, r)) {
                 findings.push(TapeFinding {
                     pass: TapePass::DefBeforeUse,
@@ -246,6 +246,7 @@ fn barrier_uniformity(c: &Compiled, findings: &mut Vec<TapeFinding>) {
                     | Op::Lid { .. }
                     | Op::LdG { .. }
                     | Op::LdGFused { .. }
+                    | Op::LdGSum { .. }
                     | Op::LdP { .. }
                     | Op::LdL { .. }
             );
