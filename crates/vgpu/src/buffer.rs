@@ -257,14 +257,6 @@ impl SharedBuf {
         }
     }
 
-    /// Reads one element as raw register bits (see [`BufData::get_bits`]).
-    ///
-    /// # Safety
-    /// No other thread may be writing element `i` concurrently.
-    pub unsafe fn get_bits(&self, i: usize) -> u64 {
-        crate::bytecode::bits_of_value(self.get(i))
-    }
-
     /// Writes one element, cast to the buffer's kind as [`BufData::set`] does.
     ///
     /// # Safety
@@ -279,7 +271,7 @@ impl SharedBuf {
 
     /// The raw typed base pointer of the storage (see [`BufPtr`]), which never
     /// moves while the buffer lives; reads/writes through it carry the
-    /// per-element contract of [`Self::get_bits`]/[`Self::set`].
+    /// per-element contract of [`Self::get`]/[`Self::set`].
     pub(crate) fn ptr(&self) -> BufPtr {
         self.ptr
     }
