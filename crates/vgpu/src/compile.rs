@@ -3,10 +3,9 @@
 //! numbering, and [`launch_shapes`], run once per launch shape.
 //!
 //! [`fuse`] rewrites the op sequences the acoustics kernels actually emit —
-//! index-arithmetic → `AsI64` → `LdG` stencil gathers with a trailing
-//! accumulate, `Bin`·`Bin` multiply-add chains, and the compare → `Jz`
-//! pairs every `if` compiles to — into one *superinstruction* each, in
-//! place:
+//! index-arithmetic → `AsI64` → `LdG` stencil gathers, `Bin`·`Bin`
+//! multiply-add chains, and the compare → `Jz` pairs every `if` compiles
+//! to — into one *superinstruction* each, in place:
 //!
 //! 1. **Leaders** — phase entries, jump targets and every op after a jump or
 //!    terminator. A fusion window never crosses one, so every jump still
@@ -18,14 +17,16 @@
 //!    That skipped write is the gain: on the SoA register file every elided
 //!    intermediate saves a 32-lane column round-trip.
 //! 3. **Peephole fusion** — longest match first at each pc: fused global
-//!    loads (`Bin`·`AsI64`·`LdG`[·`Bin` accumulate]), fused stores
-//!    (`AsI64`·`StG`, the widening first sunk to its store), multiply-add
-//!    (`Bin`·`Bin`) and compare-branch (`Bin`·`Jz`, also across a `Flops`
-//!    in between). The window's first op becomes the superinstruction.
+//!    loads (`[Bin·]AsI64·LdG`), fused stores (`AsI64`·`StG`, the widening
+//!    first sunk to its store), multiply-add (`Bin`·`Bin`) and
+//!    compare-branch (`Bin`·`Jz`, also across a `Flops` in between). The
+//!    window's first op becomes the superinstruction.
 //!
-//! 4. **Sum chains** ([`fuse_sums`], after value numbering, so no later
-//!    pass rewrites a link) — fused loads of one buffer, each accumulating
-//!    the one before, become one `LdGSum`: the volume kernel's stencil sum.
+//! 4. **Accumulating loads** ([`fuse_sums`], after value numbering, so no
+//!    later pass rewrites a link) — every `Add`/`Sub` that accumulates a
+//!    fused load folds into an `LdGSum`, the one accumulating load; a chain
+//!    of them over one buffer is one op: the volume kernel's stencil sum,
+//!    its `… − prev[idx]`.
 //!
 //! Fusion is total: an op no window matches stays as it is, on every tape —
 //! multi-phase and local-memory ones included.
@@ -43,7 +44,7 @@
 
 use crate::bytecode::{
     bin_bits, block_leaders, compact, count_readers, count_writers, is_branch, op_dst, reads_reg,
-    visit_srcs, Acc, Compiled, Link, Op, Shape, K, R,
+    visit_srcs, Compiled, Link, Op, Shape, K, R,
 };
 use lift::prelude::{BinOp, Value};
 
@@ -116,42 +117,74 @@ pub(crate) fn fuse(c: &mut Compiled) {
     compact(c, &removed);
 }
 
-/// Rewrites every run of two or more `LdGFused` of one buffer in one basic
-/// block into one `LdGSum` when each later load accumulates the register
-/// the one before wrote, which nothing else reads (the use-count rule of
-/// [`fuse`]), none reads constant memory, and no index reads the last
-/// `dst`, which every link then writes in turn. The links keep their index,
-/// site and fold, so the op adds as the chain did.
-pub(crate) fn fuse_sums(c: &mut Compiled) {
+/// Folds every `Add`/`Sub` that accumulates a single-use `LdGFused` of
+/// global memory right before it, at the buffer's element kind
+/// (`kind(buf)`), into an `LdGSum`: the one accumulating load. Such folds of
+/// one buffer in one basic block, each accumulating the sum the one before
+/// wrote (which nothing else reads — the use-count rule of [`fuse`]), make
+/// one op, headed by a plain load of the buffer when the first fold
+/// accumulates that. The links keep their index, site and fold, so the op
+/// adds as the chain did; it writes `dst` once, after every link has read
+/// its index, so a link may read `dst` or `src` too.
+pub(crate) fn fuse_sums(c: &mut Compiled, kind: impl Fn(u16) -> Option<K>) {
     let (leader, uses) = (block_leaders(c), count_readers(c));
-    let mut removed = vec![false; c.ops.len()];
+    // The load at `q`: its buffer, `dst` and plain link, and the fold right
+    // after it, if one accumulates it: (its link, accumulated register, sum).
+    let load = |q: usize| {
+        let Op::LdGFused { dst, buf, base, off, site, constant: false } = *c.ops.get(q)? else {
+            return None;
+        };
+        let link = |sub, rev| Link { base, off, site, sub, rev };
+        let fold = match c.ops.get(q + 1) {
+            Some(&Op::Bin { dst: sum, a, b, op, k })
+                if is_addsub(op)
+                    && (a == dst) != (b == dst)
+                    && kind(buf) == Some(k)
+                    && uses[dst as usize] == 1
+                    && !leader[q + 1] =>
+            {
+                let rev = a == dst;
+                Some((link(op == BinOp::Sub, rev), if rev { b } else { a }, sum))
+            }
+            _ => None,
+        };
+        Some((buf, dst, link(false, false), fold))
+    };
+    let (mut sums, mut links, base) = (Vec::new(), Vec::new(), c.links.len());
     let mut pc = 0;
     while pc < c.ops.len() {
-        let (mut chain, head) = (Vec::<(Link, R)>::new(), c.ops[pc]);
-        while let Some(&Op::LdGFused { dst, buf, base, off, acc, site, constant: false }) =
-            c.ops.get(pc + chain.len())
-        {
-            let (sub, rev) = acc.map_or((false, false), |a| (a.sub, a.rev));
-            let link = Link { base, off, site, sub, rev };
-            let reads = |l: &Link| l.base == dst || l.off.is_some_and(|o| o.0 == dst);
-            let follows = |&(_, prev): &(Link, R)| {
-                acc.is_some_and(|a| a.src == prev) && uses[prev as usize] == 1
-            };
-            let ok = matches!(head, Op::LdGFused { buf: b, .. } if b == buf)
-                && chain.last().is_none_or(|l| follows(l) && !leader[pc + chain.len()]);
-            if !ok || chain.iter().map(|l| &l.0).chain([&link]).any(reads) {
+        let Some((buf, dst, plain, fold)) = load(pc) else {
+            pc += 1;
+            continue;
+        };
+        // A folded head accumulates `src`; a plain one starts the sum.
+        let (head, src, mut sum, mut q) = match fold {
+            Some((link, acc, s)) => (link, Some(acc), s, pc + 2),
+            None => (plain, None, dst, pc + 1),
+        };
+        let at = links.len();
+        links.push(head);
+        while let Some((b, _, _, Some((link, acc, s)))) = load(q) {
+            if b != buf || leader[q] || acc != sum || uses[sum as usize] != 1 {
                 break;
             }
-            chain.push((link, dst));
+            links.push(link);
+            (sum, q) = (s, q + 2);
         }
-        if let (Op::LdGFused { buf, acc, .. }, [_, .., (_, dst)]) = (head, &chain[..]) {
-            let (at, n) = (c.links.len() as u32, chain.len() as u32);
-            c.ops[pc] = Op::LdGSum { dst: *dst, buf, src: acc.map(|a| a.src), at, n };
-            c.links.extend(chain.iter().map(|l| l.0));
-            removed[pc + 1..pc + chain.len()].fill(true);
-            c.fused_ops += n - 1;
+        if q > pc + 1 {
+            let (at, n) = ((base + at) as u32, (links.len() - at) as u32);
+            sums.push((pc..q, Op::LdGSum { dst: sum, buf, src, at, n }));
+        } else {
+            links.truncate(at);
         }
-        pc += chain.len().max(1);
+        pc = q;
+    }
+    c.links.extend(links);
+    let mut removed = vec![false; c.ops.len()];
+    for (ops, op) in sums {
+        c.ops[ops.start] = op;
+        c.fused_ops += (ops.len() - 1) as u32;
+        removed[ops.start + 1..ops.end].fill(true);
     }
     compact(c, &removed);
 }
@@ -307,10 +340,9 @@ fn split_regions(c: &Compiled, shapes: &[Shape]) -> Vec<bool> {
     split
 }
 
-/// `[Bin{t1,base,off,±,I32};] AsI64{t2,·,I32}; LdG{dst,…,t2} [; Bin acc]`
-/// with every intermediate single-use. Neither `base` nor `off` may alias
-/// the fused op's own register writes (`dst`, or the accumulator's
-/// destination/source): the op may interleave its index reads with them.
+/// `[Bin{t1,base,off,±,I32};] AsI64{t2,·,I32}; LdG{dst,…,t2}` with every
+/// intermediate single-use. Neither `base` nor `off` may alias `dst`: the op
+/// may interleave its index reads with its writes.
 fn try_ldg(
     c: &Compiled,
     pc: usize,
@@ -343,25 +375,7 @@ fn try_ldg(
     if dst == base || off.is_some_and(|(o, _)| dst == o) {
         return None;
     }
-    // Optional accumulate tail.
-    if ld_pc + 1 < end && single(dst) {
-        if let Op::Bin { dst: ad, a, b, op, k } = ops[ld_pc + 1] {
-            if is_addsub(op) && (a == dst) != (b == dst) {
-                let (src, rev) = if a == dst { (b, true) } else { (a, false) };
-                let hazard = ad == base || ad == src || off.is_some_and(|(o, _)| ad == o);
-                if !hazard {
-                    let acc = Some(Acc { src, k, sub: op == BinOp::Sub, rev });
-                    let w = ld_pc + 2 - pc;
-                    return Some((
-                        Op::LdGFused { dst: ad, buf, base, off, acc, site, constant },
-                        w,
-                    ));
-                }
-            }
-        }
-    }
-    let w = ld_pc + 1 - pc;
-    Some((Op::LdGFused { dst, buf, base, off, acc: None, site, constant }, w))
+    Some((Op::LdGFused { dst, buf, base, off, site, constant }, ld_pc + 1 - pc))
 }
 
 /// `AsI64{t2,base,I32}; StG{buf,t2,val,vk,site}` with `t2` single-use.
