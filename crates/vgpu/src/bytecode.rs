@@ -360,11 +360,11 @@ impl Shape {
     }
 }
 
-/// What the warp executor may take for granted about one warp: the
+/// What the warp executor may take for granted about one bundle: the
 /// per-site bounds verdicts of the launch shape (`checked[site]` keeps the
 /// dynamic check; empty — every site checked — without a proof) and the lane
-/// shapes of the tape's registers for the warp's kind — empty, every
-/// register [`Shape::Varying`], for a warp of a grouped launch.
+/// shapes of the tape's registers for the bundle's kind — empty, every
+/// register [`Shape::Varying`], for a bundle of a grouped launch.
 #[derive(Clone, Copy)]
 pub(crate) struct Licence<'a> {
     pub(crate) checked: &'a [bool],
@@ -2018,13 +2018,13 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 // ---- warp execution ----
 //
 // The warp executor decodes each op *once* per **bundle** — up to four
-// consecutive warps ([`BUNDLE`] lanes) of one NDRange row, or one warp — and
+// consecutive warps ([`BUNDLE`] lanes) of a launch or of a workgroup — and
 // applies it to the active lanes through a structure-of-arrays register
 // file ([`File`]), the software analogue of SIMT instruction issue on the
-// paper's GPUs. The active set is a lane bitmask ([`Lanes`]) — the prefix
-// `0..nact` of a fresh bundle (only the final warp of an NDRange or
-// workgroup is partial), minus the lanes that returned in an earlier
-// barrier phase of a grouped launch. All lane loops go through `for_mask!`.
+// paper's GPUs. Every launch runs this one lane width. The active set is a
+// lane bitmask ([`Mask`]) — the prefix `0..nact` of a fresh bundle, minus
+// the lanes that returned in an earlier barrier phase of a grouped launch.
+// All lane loops go through `for_mask!`.
 //
 // Branches follow the hardware's reconvergence discipline. A branch whose
 // active lanes agree takes a single jump. When lanes *diverge*, the
@@ -2045,7 +2045,8 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 //
 // Lane shapes: a bundle of a flat launch also receives its launch shape's
 // lane-shape table for its kind ([`Shape`], [`Licence`]; the row-coherent
-// table holds for any lanes of one row), which licenses three shortcuts —
+// table holds for any lanes of one row, the straddling one for any run of
+// consecutive items), which licenses three shortcuts —
 // unit-stride loads and stores as runs ([`unit_run`]), uniform branch
 // conditions read off one lane ([`decided`]), and private
 // accesses as rows — each audited lane by lane in debug builds. Private
@@ -2066,119 +2067,77 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
 /// Lanes in a bundle: four warps.
 pub(crate) const BUNDLE: usize = 4 * WARP;
 
-/// A bundle's active lanes, bit `l` for lane `l`: a `u32` for a launch of
-/// one-warp bundles (its masks in machine words, its [`File`] one warp
-/// wide), a `u128` for one of bundles up to four warps wide.
-pub(crate) trait Lanes:
-    Copy
-    + Eq
-    + Send
-    + std::fmt::Debug
-    + std::ops::BitAnd<Output = Self>
-    + std::ops::BitOr<Output = Self>
-    + std::ops::BitAndAssign
-    + std::ops::BitOrAssign
-    + std::ops::Not<Output = Self>
-    + std::ops::Shl<usize, Output = Self>
-    + std::ops::Shr<usize, Output = Self>
-    + From<u32>
-    + Into<u128>
-{
-    /// Lanes per register row.
-    const N: usize;
-    const NONE: Self;
-    /// Lanes `0..n`: the active mask of a fresh bundle of `n` work-items.
-    fn prefix(n: usize) -> Self {
-        if n == Self::N {
-            !Self::NONE
-        } else {
-            !(!Self::NONE << n)
-        }
-    }
-    fn tz(self) -> usize {
-        Into::<u128>::into(self).trailing_zeros() as usize
-    }
-    fn lz(self) -> usize {
-        Into::<u128>::into(self).leading_zeros() as usize + Self::N - 128
-    }
-    fn ones(self) -> u64 {
-        Into::<u128>::into(self).count_ones() as u64
-    }
-    fn low64(self) -> u64 {
-        Into::<u128>::into(self) as u64
-    }
-    /// `N` of a value's type, for code that has only the value.
-    fn n(self) -> usize {
-        Self::N
+/// A bundle's active lanes, bit `l` for lane `l`.
+pub(crate) type Mask = u128;
+
+/// Lanes `0..n`: the active mask of a fresh bundle of `n` work-items.
+pub(crate) fn prefix(n: usize) -> Mask {
+    if n == BUNDLE {
+        !0
+    } else {
+        !(!0 << n)
     }
 }
 
-macro_rules! lanes {
-    ($($t:ty)*) => {$(impl Lanes for $t { const N: usize = <$t>::BITS as usize; const NONE: $t = 0; })*};
+/// The lowest lane of `mask`.
+#[inline(always)]
+fn first(mask: Mask) -> usize {
+    mask.trailing_zeros() as usize
 }
 
-lanes!(u32 u128);
-
-/// A bundle's SoA register file, a slice of rows of `M::N` lanes: register
-/// `r` owns a 64-bit row, or a packed 32-bit row in its first half.
-#[repr(transparent)]
-pub(crate) struct File<M> {
-    lanes: std::marker::PhantomData<M>,
-    words: [u64],
+/// One past the highest lane of `mask`.
+#[inline(always)]
+fn end(mask: Mask) -> usize {
+    BUNDLE - mask.leading_zeros() as usize
 }
 
-impl<M: Lanes> File<M> {
-    pub(crate) fn new(words: &mut [u64]) -> &mut File<M> {
-        // SAFETY: `File` is `repr(transparent)` over `[u64]` (the marker is
-        // a zero-sized type), so the pointer casts keep address, length and
-        // provenance.
-        unsafe { &mut *(words as *mut [u64] as *mut File<M>) }
-    }
-}
+/// A bundle's SoA register file, rows of [`BUNDLE`] lanes: register `r`
+/// owns a 64-bit row, or a packed 32-bit row in its first half.
+pub(crate) type File = [u64];
 
 /// Unchecked SoA register read: lane `l` of the 64-bit row of register `r`.
 /// The tape passed [`validate`] at compile time (every operand `< nregs`),
-/// and [`exec_phase_warp`] asserts the file holds `nregs` rows and that the
-/// bundle's warps fit a row, so `l < N`.
+/// [`exec_phase_warp`] asserts the file holds `nregs` rows, and a lane of a
+/// [`Mask`] is below [`BUNDLE`].
 #[inline(always)]
-fn vg<M: Lanes>(vregs: &File<M>, r: R, l: usize) -> u64 {
-    debug_assert!(l < M::N && r as usize * M::N + l < vregs.words.len());
+fn vg(vregs: &File, r: R, l: usize) -> u64 {
+    debug_assert!(l < BUNDLE && r as usize * BUNDLE + l < vregs.len());
     // SAFETY: see doc comment.
-    unsafe { *vregs.words.get_unchecked(r as usize * M::N + l) }
+    unsafe { *vregs.get_unchecked(r as usize * BUNDLE + l) }
 }
 
 /// Unchecked SoA register write; same justification as [`vg`].
 #[inline(always)]
-fn vs<M: Lanes>(vregs: &mut File<M>, r: R, l: usize, v: u64) {
-    debug_assert!(l < M::N && r as usize * M::N + l < vregs.words.len());
+fn vs(vregs: &mut File, r: R, l: usize, v: u64) {
+    debug_assert!(l < BUNDLE && r as usize * BUNDLE + l < vregs.len());
     // SAFETY: see doc comment on `vg`.
-    unsafe { *vregs.words.get_unchecked_mut(r as usize * M::N + l) = v }
+    unsafe { *vregs.get_unchecked_mut(r as usize * BUNDLE + l) = v }
 }
 
 /// Packed read: lane `l` of the `u32` row of a 32-bit register — the first
 /// half of the words the file gives every register.
 #[inline(always)]
-fn vg32<M: Lanes>(vregs: &File<M>, r: R, l: usize) -> u32 {
-    debug_assert!(l < M::N && (r as usize + 1) * M::N <= vregs.words.len());
+fn vg32(vregs: &File, r: R, l: usize) -> u32 {
+    debug_assert!(l < BUNDLE && (r as usize + 1) * BUNDLE <= vregs.len());
     // SAFETY: in bounds as for `vg` (lane `l` of the packed row lies inside
     // the register's own words, and `u32` needs no more alignment than
     // `u64`); it holds what `vs32` put there because `validate`'s width rule
     // lets no op use a register at two widths.
-    unsafe { *vregs.words.as_ptr().add(r as usize * M::N).cast::<u32>().add(l) }
+    unsafe { *vregs.as_ptr().add(r as usize * BUNDLE).cast::<u32>().add(l) }
 }
 
 /// Packed write; the twin of [`vg32`].
 #[inline(always)]
-fn vs32<M: Lanes>(vregs: &mut File<M>, r: R, l: usize, v: u32) {
-    debug_assert!(l < M::N && (r as usize + 1) * M::N <= vregs.words.len());
+fn vs32(vregs: &mut File, r: R, l: usize, v: u32) {
+    debug_assert!(l < BUNDLE && (r as usize + 1) * BUNDLE <= vregs.len());
     // SAFETY: in bounds and aligned as for `vg32`; `validate`'s width rule
     // says every reader of this register reads the packed row.
-    unsafe { *vregs.words.as_mut_ptr().add(r as usize * M::N).cast::<u32>().add(l) = v }
+    unsafe { *vregs.as_mut_ptr().add(r as usize * BUNDLE).cast::<u32>().add(l) = v }
 }
 
 /// Raw bits of lane `l` of a register of the given width, zero-extended.
 #[inline(always)]
-fn vgw<M: Lanes>(vregs: &File<M>, r: R, wide: bool, l: usize) -> u64 {
+fn vgw(vregs: &File, r: R, wide: bool, l: usize) -> u64 {
     match wide {
         true => vg(vregs, r, l),
         false => vg32(vregs, r, l) as u64,
@@ -2187,7 +2146,7 @@ fn vgw<M: Lanes>(vregs: &File<M>, r: R, wide: bool, l: usize) -> u64 {
 
 /// Writes the low bits of `v` to lane `l` of a register of the given width.
 #[inline(always)]
-fn vsw<M: Lanes>(vregs: &mut File<M>, r: R, wide: bool, l: usize, v: u64) {
+fn vsw(vregs: &mut File, r: R, wide: bool, l: usize, v: u64) {
     match wide {
         true => vs(vregs, r, l, v),
         false => vs32(vregs, r, l, v as u32),
@@ -2197,19 +2156,19 @@ fn vsw<M: Lanes>(vregs: &mut File<M>, r: R, wide: bool, l: usize, v: u64) {
 /// A lane's value as the typed arms see it: read from and written to the row
 /// of its width. `u32`/`u64` are raw rows, for the ops that only move bits.
 trait Lane: Copy {
-    fn get<M: Lanes>(vregs: &File<M>, r: R, l: usize) -> Self;
-    fn put<M: Lanes>(self, vregs: &mut File<M>, r: R, l: usize);
+    fn get(vregs: &File, r: R, l: usize) -> Self;
+    fn put(self, vregs: &mut File, r: R, l: usize);
 }
 
 macro_rules! lane {
     ($($t:ty: $get:ident $from:expr, $set:ident $to:expr;)*) => {$(
         impl Lane for $t {
             #[inline(always)]
-            fn get<M: Lanes>(vregs: &File<M>, r: R, l: usize) -> $t {
+            fn get(vregs: &File, r: R, l: usize) -> $t {
                 ($from)($get(vregs, r, l))
             }
             #[inline(always)]
-            fn put<M: Lanes>(self, vregs: &mut File<M>, r: R, l: usize) {
+            fn put(self, vregs: &mut File, r: R, l: usize) {
                 $set(vregs, r, l, ($to)(self))
             }
         }
@@ -2242,10 +2201,8 @@ macro_rules! at_width {
 
 /// The warps (bit `w`: lanes `32w..32w + 32`) with a lane in `mask`.
 #[inline(always)]
-fn warps<M: Lanes>(mask: M) -> u32 {
-    (0..M::N)
-        .step_by(WARP)
-        .fold(0, |ws, w| ws | u32::from((mask >> w).low64() as u32 != 0) << (w / WARP))
+fn warps(mask: Mask) -> u32 {
+    (0..BUNDLE).step_by(WARP).fold(0, |ws, w| ws | u32::from((mask >> w) as u32 != 0) << (w / WARP))
 }
 
 /// Runs `$body` with `$l` bound to each set lane of `$mask`, low to high:
@@ -2253,8 +2210,8 @@ fn warps<M: Lanes>(mask: M) -> u32 {
 macro_rules! for_lanes {
     ($mask:expr, $l:ident, $body:block) => {{
         let m = $mask;
-        for word in (0..m.n()).step_by(64) {
-            let mut h = (m >> word).low64();
+        for word in (0..BUNDLE).step_by(64) {
+            let mut h = (m >> word) as u64;
             while h != 0 {
                 let $l = word + h.trailing_zeros() as usize;
                 h &= h - 1;
@@ -2269,21 +2226,21 @@ macro_rules! for_lanes {
 /// divergence masks of boundary-condition branches (interior vs. edge lanes
 /// of a stencil row) are, so lane loops stay dense even while diverged.
 #[inline(always)]
-fn contiguous<M: Lanes>(mask: M) -> Option<(usize, usize)> {
-    let (lo, hi) = (mask.tz(), M::N - mask.lz());
-    (mask == M::prefix(hi) & !M::prefix(lo)).then_some((lo, hi))
+fn contiguous(mask: Mask) -> Option<(usize, usize)> {
+    let (lo, hi) = (first(mask), end(mask));
+    (mask == prefix(hi) & !prefix(lo)).then_some((lo, hi))
 }
 
 /// Runs `$body` with `$l` bound to each active lane of `$mask`: a fixed
-/// `N`-trip loop when every lane of the file is active, a dense range for
+/// [`BUNDLE`]-trip loop when every lane of the file is active, a dense range for
 /// contiguous masks, a bit-scan otherwise. The executor's lane loops all
 /// come through here so the hot (uniform / contiguous) paths present LLVM
 /// with plain counted loops over monomorphic bodies.
 macro_rules! for_mask {
     ($mask:expr, $l:ident, $body:block) => {{
         let m = $mask;
-        if m == Lanes::prefix(m.n()) {
-            for $l in 0..m.n() {
+        if m == !0 {
+            for $l in 0..BUNDLE {
                 $body
             }
         } else if let Some((lo, hi)) = contiguous(m) {
@@ -2298,7 +2255,7 @@ macro_rules! for_mask {
 
 /// `dst = v` in every active lane.
 #[inline(always)]
-fn vfill<M: Lanes, D: Lane>(vregs: &mut File<M>, dst: R, mask: M, v: D) {
+fn vfill<D: Lane>(vregs: &mut File, dst: R, mask: Mask, v: D) {
     for_mask!(mask, l, {
         v.put(vregs, dst, l);
     });
@@ -2309,13 +2266,7 @@ fn vfill<M: Lanes, D: Lane>(vregs: &mut File<M>, dst: R, mask: M, v: D) {
 /// autovectorizable — for the overwhelmingly common full and contiguous
 /// masks (see [`contiguous`]).
 #[inline(always)]
-fn vmap1<M: Lanes, A: Lane, D: Lane>(
-    vregs: &mut File<M>,
-    dst: R,
-    src: R,
-    mask: M,
-    f: impl Fn(A) -> D,
-) {
+fn vmap1<A: Lane, D: Lane>(vregs: &mut File, dst: R, src: R, mask: Mask, f: impl Fn(A) -> D) {
     for_mask!(mask, l, {
         f(A::get(vregs, src, l)).put(vregs, dst, l);
     });
@@ -2323,12 +2274,12 @@ fn vmap1<M: Lanes, A: Lane, D: Lane>(
 
 /// Lane-wise binary register op over the active mask; see [`vmap1`].
 #[inline(always)]
-fn vmap2<M: Lanes, A: Lane, D: Lane>(
-    vregs: &mut File<M>,
+fn vmap2<A: Lane, D: Lane>(
+    vregs: &mut File,
     dst: R,
     a: R,
     b: R,
-    mask: M,
+    mask: Mask,
     f: impl Fn(A, A) -> D,
 ) {
     for_mask!(mask, l, {
@@ -2338,11 +2289,11 @@ fn vmap2<M: Lanes, A: Lane, D: Lane>(
 
 /// Lane-wise ternary register op over the active mask; see [`vmap1`].
 #[inline(always)]
-fn vmap3<M: Lanes, A: Lane>(
-    vregs: &mut File<M>,
+fn vmap3<A: Lane>(
+    vregs: &mut File,
     dst: R,
     (a, b, c): (R, R, R),
-    mask: M,
+    mask: Mask,
     f: impl Fn(A, A, A) -> A,
 ) {
     for_mask!(mask, l, {
@@ -2389,12 +2340,11 @@ pub(crate) fn warp_init_regs(c: &Compiled, nslots: usize) -> (Vec<R>, Vec<R>) {
 
 /// Broadcasts the launch values `regs0` (the scalar file [`exec_pre`] left) of
 /// registers `regs` into every lane of their rows, each at its width.
-pub(crate) fn broadcast<M: Lanes>(c: &Compiled, vregs: &mut File<M>, regs0: &[u64], regs: &[R]) {
-    assert!(vregs.words.len() >= c.nregs * M::N && regs0.len() >= c.nregs);
-    let every = !M::NONE;
+pub(crate) fn broadcast(c: &Compiled, vregs: &mut File, regs0: &[u64], regs: &[R]) {
+    assert!(vregs.len() >= c.nregs * BUNDLE && regs0.len() >= c.nregs);
     for &r in regs {
         assert!((r as usize) < c.nregs);
-        at_width!(c.wide[r as usize], T => vfill(vregs, r, every, regs0[r as usize] as T));
+        at_width!(c.wide[r as usize], T => vfill(vregs, r, !0, regs0[r as usize] as T));
     }
 }
 
@@ -2432,7 +2382,7 @@ impl WarpIds {
 /// of each NDRange row: one in a row-coherent bundle, three in a warp of a
 /// row 11 wide, lane 0's id carried from row to row — no division and no
 /// carry test per lane.
-fn write_context<M: Lanes>(op: &Op, vregs: &mut File<M>, mask: M, ids: &WarpIds) {
+fn write_context(op: &Op, vregs: &mut File, mask: Mask, ids: &WarpIds) {
     let dst = op_dst(op).expect("context reads write a register");
     match *op {
         Op::Gid { dim, .. } if ids.coherent => {
@@ -2443,12 +2393,12 @@ fn write_context<M: Lanes>(op: &Op, vregs: &mut File<M>, mask: M, ids: &WarpIds)
         }
         Op::Gid { dim, .. } => {
             let (mut g, [gx, gy, _], d) = (ids.gid0, ids.gsize, dim as usize);
-            let (mut lo, end) = (0, M::N - mask.lz());
+            let (mut lo, end) = (0, end(mask));
             while lo < end {
                 let hi = end.min(lo + gx - g[0]);
-                let row = mask & M::prefix(hi) & !M::prefix(lo);
+                let row = mask & prefix(hi) & !prefix(lo);
                 let (v, step) = (g[d] as i32 - if d == 0 { lo as i32 } else { 0 }, (d == 0) as i32);
-                if row != M::NONE {
+                if row != 0 {
                     for_mask!(row, l, {
                         v.wrapping_add(step * l as i32).put(vregs, dst, l);
                     });
@@ -2476,14 +2426,9 @@ fn write_context<M: Lanes>(op: &Op, vregs: &mut File<M>, mask: M, ids: &WarpIds)
 /// deduplicated `Gid`/`Lid`/`Lsz`/`Grp` read per distinct (op, dim), written
 /// to lanes `0..nact`. Run once per bundle, after slot initialisation and
 /// before any phase.
-pub(crate) fn exec_item_pre_warp<M: Lanes>(
-    c: &Compiled,
-    vregs: &mut File<M>,
-    nact: usize,
-    ids: &WarpIds,
-) {
+pub(crate) fn exec_item_pre_warp(c: &Compiled, vregs: &mut File, nact: usize, ids: &WarpIds) {
     for op in &c.item_pre {
-        write_context(op, vregs, M::prefix(nact), ids);
+        write_context(op, vregs, prefix(nact), ids);
     }
 }
 
@@ -2506,7 +2451,7 @@ impl PrivRows {
 
     /// `DeclPriv`: each lane of `mask` declares `len(l)` zeroed elements (and
     /// zeroes, up to the longest, cells past its own length: out of its reach).
-    fn declare<M: Lanes>(&mut self, arr: u16, mask: M, len: impl Fn(usize) -> i64) {
+    fn declare(&mut self, arr: u16, mask: Mask, len: impl Fn(usize) -> i64) {
         let mut rows = 0;
         for_mask!(mask, l, {
             let n = array_len("private", arr as usize, len(l));
@@ -2526,8 +2471,8 @@ impl PrivRows {
     /// **one** pass over their lengths finds it in range — an index no `u32`
     /// holds is past them all — or the first lane it is not for panics.
     #[inline(always)]
-    fn row<M: Lanes>(&mut self, arr: u16, vregs: &File<M>, idx: R, mask: M) -> &mut [u64] {
-        let i = i64::get(vregs, idx, mask.tz());
+    fn row(&mut self, arr: u16, vregs: &File, idx: R, mask: Mask) -> &mut [u64] {
+        let i = i64::get(vregs, idx, first(mask));
         let at = u32::try_from(i).unwrap_or(u32::MAX);
         if cfg!(debug_assertions) {
             for_lanes!(mask, l, {
@@ -2535,8 +2480,8 @@ impl PrivRows {
             });
         }
         let short = lanes_where(mask, |l| at >= self.lens[l]);
-        if short != M::NONE {
-            let len = self.lens[short.tz()] as usize;
+        if short != 0 {
+            let len = self.lens[first(short)] as usize;
             array_index("private", arr as usize, i, len);
         }
         &mut self.cells[at as usize * BUNDLE..][..BUNDLE]
@@ -2546,11 +2491,10 @@ impl PrivRows {
 /// `mask` in parts whose lanes hold one private index: all of it when the
 /// index register's lane shape is uniform (a loop counter, a constant),
 /// otherwise lane by lane — one lane is uniform.
-fn one_index<M: Lanes>(mask: M, uniform: bool) -> impl Iterator<Item = M> {
+fn one_index(mask: Mask, uniform: bool) -> impl Iterator<Item = Mask> {
     let mut rest = mask;
     std::iter::from_fn(move || {
-        let part =
-            (rest != M::NONE).then(|| if uniform { rest } else { M::from(1) << rest.tz() })?;
+        let part = (rest != 0).then(|| if uniform { rest } else { 1 << first(rest) })?;
         rest &= !part;
         Some(part)
     })
@@ -2573,7 +2517,7 @@ pub(crate) struct WarpCtx<'a> {
     pub idx: &'a mut [i64; BUNDLE],
     /// The bundle's work-items.
     pub ids: WarpIds,
-    /// The workgroup's local-memory arena, shared by every warp of the
+    /// The workgroup's local-memory arena, shared by every bundle of the
     /// group (empty for flat dispatch, whose tapes carry no local ops).
     pub locals: &'a mut [Vec<u64>],
     /// Per-opcode time tally ([`crate::ExecMode::Profile`] only); `None` selects the
@@ -2584,13 +2528,13 @@ pub(crate) struct WarpCtx<'a> {
 }
 
 /// How one bundle's run of a phase ended.
-pub(crate) struct PhaseRun<M> {
+pub(crate) struct PhaseRun {
     /// The warps (bit `w`: lanes `32w..32w + 32`) whose own active lanes
     /// disagreed at some branch; each feeds `vgpu.warp.divergent`.
     pub diverged: u32,
     /// Lanes that executed `Ret`: a grouped launch masks them off for the
     /// remaining barrier phases.
-    pub returned: M,
+    pub returned: Mask,
 }
 
 /// Where phase 0 starts on a launch of `gsize` whose registers hold `vals`
@@ -2642,21 +2586,21 @@ pub(crate) fn launch_entry(c: &Compiled, vals: &[crate::compile::Val], gsize: [u
 /// `pc`: a phase entry, or phase 0's [`launch_entry`]. `lic.shapes` is
 /// the launch shape's lane-shape table for the bundle's kind, empty on a
 /// grouped launch.
-pub(crate) fn exec_phase_warp<M: Lanes>(
+pub(crate) fn exec_phase_warp(
     c: &Compiled,
     pc: usize,
-    mask: M,
-    vregs: &mut File<M>,
+    mask: Mask,
+    vregs: &mut File,
     privs: &mut [PrivRows],
     w: &mut WarpCtx<'_>,
     lic: Licence<'_>,
-) -> PhaseRun<M> {
-    assert!(vregs.words.len() >= c.nregs * M::N, "SoA register file smaller than tape nregs");
-    assert!(mask != M::NONE, "no active lane");
-    assert!(!w.modeled || w.traces.len() >= M::N - mask.lz());
+) -> PhaseRun {
+    assert!(vregs.len() >= c.nregs * BUNDLE, "SoA register file smaller than tape nregs");
+    assert!(mask != 0, "no active lane");
+    assert!(!w.modeled || w.traces.len() >= end(mask));
     assert!(pc < c.ops.len(), "entry pc outside the tape");
     let prof_on = w.prof.is_some();
-    let returned = M::NONE;
+    let returned = 0;
     let mut ex = WarpExec { c, vregs, privs, w, lic, diverged: 0, returned, pending: None };
     let end = c.ops.len();
     if prof_on {
@@ -2672,14 +2616,14 @@ pub(crate) fn exec_phase_warp<M: Lanes>(
 /// The lanes of `mask` where `f` holds: a fixed 32-trip loop per warp with an
 /// active lane, reading its inactive lanes too (held, never in the result).
 #[inline(always)]
-fn lanes_where<M: Lanes>(mask: M, f: impl Fn(usize) -> bool) -> M {
-    let mut out = M::NONE;
-    for w in (0..M::N).step_by(WARP).filter(|&w| (mask >> w).low64() as u32 != 0) {
+fn lanes_where(mask: Mask, f: impl Fn(usize) -> bool) -> Mask {
+    let mut out = 0;
+    for w in (0..BUNDLE).step_by(WARP).filter(|&w| (mask >> w) as u32 != 0) {
         let mut bits = 0u32;
         for l in 0..WARP {
             bits |= u32::from(f(w + l)) << l;
         }
-        out |= M::from(bits) << w;
+        out |= Mask::from(bits) << w;
     }
     out & mask
 }
@@ -2688,10 +2632,10 @@ fn lanes_where<M: Lanes>(mask: M, f: impl Fn(usize) -> bool) -> M {
 /// first active lane when the lane shapes make the condition uniform, else
 /// [`lanes_where`]'s, which debug builds hold the shortcut to.
 #[inline(always)]
-fn decided<M: Lanes>(uniform: bool, mask: M, jumps: impl Fn(usize) -> bool) -> M {
+fn decided(uniform: bool, mask: Mask, jumps: impl Fn(usize) -> bool) -> Mask {
     let jm = match uniform {
-        true if jumps(mask.tz()) => mask,
-        true => M::NONE,
+        true if jumps(first(mask)) => mask,
+        true => 0,
         false => lanes_where(mask, &jumps),
     };
     let audit = || lanes_where(mask, &jumps);
@@ -2727,12 +2671,7 @@ macro_rules! with_cmp {
 /// The lanes of `mask` where `a op b` (a comparison at kind `k`) is false:
 /// those that take a `CmpJz`'s jump ([`decided`]).
 #[inline(always)]
-fn cmp_jumps<M: Lanes>(
-    vregs: &File<M>,
-    (a, b, op, k): (R, R, BinOp, K),
-    mask: M,
-    uniform: bool,
-) -> M {
+fn cmp_jumps(vregs: &File, (a, b, op, k): (R, R, BinOp, K), mask: Mask, uniform: bool) -> Mask {
     macro_rules! jumps {
         ($t:ty, $cmp:tt) => {
             decided(uniform, mask, |l| {
@@ -2750,11 +2689,11 @@ fn cmp_jumps<M: Lanes>(
 /// acoustics kernels never emit — keep the generic per-element path. Same
 /// bounds contract as [`load_lanes`], plus write disjointness.
 #[inline(always)]
-fn scatter_lanes<M: Lanes>(
+fn scatter_lanes(
     b: &SharedBuf,
     at: impl Fn(usize) -> usize,
-    mask: M,
-    vregs: &File<M>,
+    mask: Mask,
+    vregs: &File,
     (val, vk): (R, K),
 ) {
     // SAFETY (all arms): index in bounds per the function contract; the
@@ -2779,10 +2718,10 @@ fn scatter_lanes<M: Lanes>(
 /// lane's element and reports findings with the kernel context. One shadow
 /// test and branch when the sanitizer is off.
 #[inline(always)]
-fn shadow_gather<M: Lanes>(
+fn shadow_gather(
     b: &SharedBuf,
     idx: &[i64; BUNDLE],
-    mask: M,
+    mask: Mask,
     san: &crate::sanitize::SanCtx<'_>,
     buf: usize,
     site: u32,
@@ -2800,7 +2739,7 @@ fn shadow_gather<M: Lanes>(
 /// element initialized and written by the lane's work-item, reporting
 /// write races with the kernel context.
 #[inline(always)]
-fn shadow_scatter<M: Lanes>(b: &SharedBuf, w: &WarpCtx<'_>, mask: M, buf: u16, site: u32) {
+fn shadow_scatter(b: &SharedBuf, w: &WarpCtx<'_>, mask: Mask, buf: u16, site: u32) {
     if let Some(sh) = b.shadow() {
         for_mask!(mask, l, {
             w.san.note_store(sh, buf as usize, site, w.idx[l] as usize, w.ids.begin + l as u64);
@@ -2819,16 +2758,16 @@ fn shadow_scatter<M: Lanes>(b: &SharedBuf, w: &WarpCtx<'_>, mask: M, buf: u16, s
 /// element (callers clear `unit` on launches that record per-lane
 /// accesses). Debug builds audit the shape claim on every active lane.
 #[inline(always)]
-fn unit_run<M: Lanes>(
+fn unit_run(
     b: &SharedBuf,
     unit: bool,
-    mask: M,
+    mask: Mask,
     idx_of: &impl Fn(usize) -> i64,
 ) -> Option<(usize, usize)> {
     if !unit || b.shadow().is_some() {
         return None;
     }
-    let (lo, hi) = (mask.tz(), M::N - mask.lz());
+    let (lo, hi) = (first(mask), end(mask));
     let start = idx_of(lo);
     if start < 0 || start as u64 + (hi - lo) as u64 > (b.len() as u64).min(1 << 31) {
         return None;
@@ -2844,10 +2783,10 @@ fn unit_run<M: Lanes>(
 /// The per-lane indices of a bundle-op at `(buf, site)`, bounds-checked
 /// unless the static verifier PROVED the site (debug builds check anyway).
 #[inline(always)]
-fn checked_indices<M: Lanes>(
+fn checked_indices(
     lic: Licence<'_>,
     (buf, site, len): (u16, u32, usize),
-    mask: M,
+    mask: Mask,
     idx_of: impl Fn(usize) -> i64,
     what: &str,
     idx: &mut [i64; BUNDLE],
@@ -2880,16 +2819,16 @@ fn trace_rec(buf: u16, site: u32, i: i64, elem_bytes: u64) -> TraceRec {
 /// launch (which therefore declines the run, as a shadowed buffer does) and
 /// the shadow-sanitizer check. [`load_lanes`] does the reading.
 #[inline(always)]
-fn load_global<'b, M: Lanes>(
+fn load_global<'b>(
     w: &mut WarpCtx<'b>,
     lic: Licence<'_>,
     (buf, site, constant): (u16, u32, bool),
-    mask: M,
+    mask: Mask,
     unit: bool,
     idx_of: impl Fn(usize) -> i64,
 ) -> (&'b SharedBuf, Option<(usize, usize)>) {
     let b = w.bufs[buf as usize].expect("buffer bound");
-    let (n, eb) = (mask.ones(), b.elem_bytes() as u64);
+    let (n, eb) = (mask.count_ones() as u64, b.elem_bytes() as u64);
     if constant {
         w.counters.loads_constant += n;
     } else {
@@ -2943,12 +2882,12 @@ macro_rules! with_elements {
 /// into the row of `dst`, in one lane loop at the buffer's element type,
 /// which [`validate`] made the kind of `dst`: a slice copy over a run.
 #[inline(always)]
-fn load_lanes<M: Lanes>(
-    vregs: &mut File<M>,
+fn load_lanes(
+    vregs: &mut File,
     dst: R,
     b: &SharedBuf,
     at: (Option<(usize, usize)>, &[i64; BUNDLE]),
-    mask: M,
+    mask: Mask,
 ) {
     macro_rules! load {
         ($p:expr) => {
@@ -2966,7 +2905,7 @@ fn load_lanes<M: Lanes>(
 
 /// The index of `link` in lane `l`: `base ± off`, i32 wrapping.
 #[inline(always)]
-fn link_index<M: Lanes>(vregs: &File<M>, link: &Link, l: usize) -> i64 {
+fn link_index(vregs: &File, link: &Link, l: usize) -> i64 {
     let (base, at) = (i32::get(vregs, link.base, l), |o| i32::get(vregs, o, l));
     let off = |(o, sub)| if sub { base.wrapping_sub(at(o)) } else { base.wrapping_add(at(o)) };
     link.off.map_or(base, off) as i64
@@ -2982,13 +2921,13 @@ fn link_index<M: Lanes>(vregs: &File<M>, link: &Link, l: usize) -> i64 {
 /// file's rows may alias); it starts uninitialised: no per-dispatch fill.
 /// i32 wraps like [`bin_bits`].
 #[inline(never)]
-fn load_sum<M: Lanes, T>(
+fn load_sum<T>(
     w: &mut WarpCtx<'_>,
     lic: Licence<'_>,
-    vregs: &mut File<M>,
+    vregs: &mut File,
     p: *const T,
     (dst, buf, src, links): (R, u16, Option<R>, &[Link]),
-    mask: M,
+    mask: Mask,
 ) where
     T: Lane + std::ops::Add<Output = T> + std::ops::Sub<Output = T>,
 {
@@ -3046,7 +2985,7 @@ fn load_sum<M: Lanes, T>(
 /// `f(&mut sum[l], l)` for the active lanes of `mask`, over a dense slice of
 /// the accumulator when they are contiguous (no per-lane index check).
 #[inline(always)]
-fn each_lane<M: Lanes, S>(sum: &mut [S; BUNDLE], mask: M, mut f: impl FnMut(&mut S, usize)) {
+fn each_lane<S>(sum: &mut [S; BUNDLE], mask: Mask, mut f: impl FnMut(&mut S, usize)) {
     match contiguous(mask) {
         Some((lo, hi)) => sum[lo..hi].iter_mut().zip(lo..).for_each(|(s, l)| f(s, l)),
         None => for_lanes!(mask, l, {
@@ -3059,18 +2998,18 @@ fn each_lane<M: Lanes, S>(sum: &mut [S; BUNDLE], mask: M, mut f: impl FnMut(&mut
 /// `(buf, site)`: the store-side twin of [`load_global`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn store_global<M: Lanes>(
+fn store_global(
     w: &mut WarpCtx<'_>,
     lic: Licence<'_>,
     (buf, site): (u16, u32),
-    mask: M,
+    mask: Mask,
     unit: bool,
     idx_of: impl Fn(usize) -> i64,
-    vregs: &File<M>,
+    vregs: &File,
     val: (R, K),
 ) {
     let b = w.bufs[buf as usize].expect("buffer bound");
-    let (n, eb) = (mask.ones(), b.elem_bytes() as u64);
+    let (n, eb) = (mask.count_ones() as u64, b.elem_bytes() as u64);
     w.counters.stores_global += n;
     w.counters.bytes_stored += eb * n;
     if let Some((lo, start)) = unit_run(b, unit && !w.modeled, mask, &idx_of) {
@@ -3093,12 +3032,12 @@ fn store_global<M: Lanes>(
 // bitwise-commutative around NaN payloads).
 
 /// [`Op::MulAdd`] over the active lanes: `dst = (a*b) ⊕ c`, two roundings.
-fn mul_add<M: Lanes>(
-    vregs: &mut File<M>,
+fn mul_add(
+    vregs: &mut File,
     (dst, a, b, c): (R, R, R, R),
     k: K,
     (sub, rev): (bool, bool),
-    mask: M,
+    mask: Mask,
 ) {
     macro_rules! fma {
         ($t:ty) => {
@@ -3119,25 +3058,25 @@ fn mul_add<M: Lanes>(
 }
 
 /// Outcome of resolving a conditional branch for the active mask.
-enum Branch<M> {
+enum Branch {
     /// Continue vectorized execution at this pc with this mask.
-    Goto(usize, M),
+    Goto(usize, Mask),
     /// Every lane of the region returned inside the branch's sides.
     Done,
 }
 
 /// One bundle's execution state: the pieces [`WarpExec::run`] threads
 /// through its reconvergence recursion.
-struct WarpExec<'e, 'w, M: Lanes> {
+struct WarpExec<'e, 'w> {
     c: &'e Compiled,
-    vregs: &'e mut File<M>,
+    vregs: &'e mut File,
     privs: &'e mut [PrivRows],
     w: &'e mut WarpCtx<'w>,
     lic: Licence<'e>,
     /// See [`PhaseRun::diverged`].
     diverged: u32,
     /// Lanes that executed `Ret` (see [`PhaseRun::returned`]).
-    returned: M,
+    returned: Mask,
     /// Profiled runs only: the opcode whose bundle-wide dispatch is open and
     /// its start time. A *field* (not a `run` local) so reconvergence
     /// recursion attributes seamlessly: a child region's first iteration
@@ -3145,7 +3084,7 @@ struct WarpExec<'e, 'w, M: Lanes> {
     pending: Option<(usize, Instant)>,
 }
 
-impl<M: Lanes> WarpExec<'_, '_, M> {
+impl WarpExec<'_, '_> {
     /// Closes the open per-op attribution span, if any (profiled runs).
     #[inline]
     fn flush_pending(&mut self) {
@@ -3163,7 +3102,7 @@ impl<M: Lanes> WarpExec<'_, '_, M> {
     /// all: one timer read per op both closes the previous op's span and
     /// opens the next, and control-flow ops are charged until their target's
     /// first dispatch — their interpretation cost.
-    fn run<const PROF: bool>(&mut self, mut pc: usize, until: usize, mut mask: M) -> M {
+    fn run<const PROF: bool>(&mut self, mut pc: usize, until: usize, mut mask: Mask) -> Mask {
         let (ops, lic) = (&self.c.ops[..], self.lic);
         let uniform = |r: R| lic.shape(r) == Shape::Uniform;
         let wide = |r: R| self.c.wide[r as usize];
@@ -3181,7 +3120,7 @@ impl<M: Lanes> WarpExec<'_, '_, M> {
                         mask = m;
                         continue;
                     }
-                    Branch::Done => return M::NONE,
+                    Branch::Done => return 0,
                 }
             }};
         }
@@ -3359,10 +3298,10 @@ impl<M: Lanes> WarpExec<'_, '_, M> {
                     let len = |l| i64::get(vregs, len, l);
                     self.privs[arr as usize].declare(arr, mask, len);
                 }
-                // Allocated (zeroed) by the first warp of the group to get
+                // Allocated (zeroed) by the first bundle of the group to get
                 // here; the length is uniform across the group.
                 Op::DeclLocal { arr, len } => {
-                    let n = i64::get(vregs, len, mask.tz());
+                    let n = i64::get(vregs, len, first(mask));
                     let n = array_len("local", arr as usize, n);
                     let a = &mut self.w.locals[arr as usize];
                     if a.len() != n {
@@ -3371,7 +3310,7 @@ impl<M: Lanes> WarpExec<'_, '_, M> {
                     }
                 }
                 Op::Flops { n } => {
-                    self.w.counters.flops += n as u64 * mask.ones();
+                    self.w.counters.flops += n as u64 * mask.count_ones() as u64;
                 }
                 Op::Jmp { target } => {
                     pc = target as usize;
@@ -3383,9 +3322,9 @@ impl<M: Lanes> WarpExec<'_, '_, M> {
                 }
                 Op::Ret => {
                     self.returned |= mask;
-                    return M::NONE;
+                    return 0;
                 }
-                Op::Halt => return M::NONE,
+                Op::Halt => return 0,
                 Op::MulAdd { dst, a, b, c, k, sub, rev } => {
                     mul_add(vregs, (dst, a, b, c), k, (sub, rev), mask)
                 }
@@ -3449,10 +3388,10 @@ impl<M: Lanes> WarpExec<'_, '_, M> {
         &mut self,
         pc: usize,
         target: usize,
-        jmask: M,
-        mask: M,
-    ) -> Branch<M> {
-        if jmask == M::NONE {
+        jmask: Mask,
+        mask: Mask,
+    ) -> Branch {
+        if jmask == 0 {
             return Branch::Goto(pc + 1, mask);
         }
         if jmask == mask {
@@ -3465,7 +3404,7 @@ impl<M: Lanes> WarpExec<'_, '_, M> {
         match fell | jumped {
             // Every lane returned on its side; the join may then lie past
             // the enclosing region's end (an arm that ends in `Ret`).
-            m if m == M::NONE => Branch::Done,
+            0 => Branch::Done,
             m => Branch::Goto(j, m),
         }
     }
@@ -4443,26 +4382,16 @@ mod tests {
         t.ops.iter().chain(&t.pre).chain(&t.item_pre)
     }
 
-    /// The ids of every unit a launch runs — row-coherent bundles (up to
-    /// four warps of a row, on the `u128` instance), straddling warps, the
-    /// partial last one, the warps of a grouped launch — as the prelude
-    /// writes them and as an in-tape read under a scattered mask does,
-    /// against the definition: item `i` has
-    /// `gid = (i % gx, (i / gx) % gy, i / (gx·gy))`, local and group ids
-    /// `i % lsize` and `i / lsize` (a flat launch's groups are one warp).
-    /// Both register-file instances run it: a launch too small to bundle,
-    /// straddling warps included, runs on `File<u32>`.
+    /// The ids of every bundle a launch runs — row-coherent ones (up to four
+    /// warps of a row), straddling ones (of rows narrower than two warps, or
+    /// a warp that crosses a row end), the partial last one, the bundles of
+    /// a grouped launch's groups — as the prelude writes them and as an
+    /// in-tape read under a scattered mask does, against the definition:
+    /// item `i` has `gid = (i % gx, (i / gx) % gy, i / (gx·gy))`, local and
+    /// group ids `i % lsize` and `i / lsize` (a flat launch's groups are one
+    /// warp).
     #[test]
     fn warp_ids_in_closed_form_match_the_definition_in_every_warp() {
-        let (bundles, straddling) = context_ids_match::<u128>();
-        assert!(bundles > 3000 && straddling > 50, "{bundles} bundles, {straddling} straddling");
-        let (warps, straddling) = context_ids_match::<u32>();
-        assert!(warps > 9000 && straddling > 50, "{warps} warps, {straddling} straddling");
-    }
-
-    /// [`warp_ids_in_closed_form_match_the_definition_in_every_warp`] on the
-    /// `M` instance: the number of units checked and of straddling ones.
-    fn context_ids_match<M: Lanes>() -> (usize, usize) {
         let context = [
             Op::Gid { dst: 0, dim: 0 },
             Op::Gid { dst: 1, dim: 1 },
@@ -4477,9 +4406,7 @@ mod tests {
             ..Compiled::default()
         };
         const UNSET: i32 = -7;
-        let scattered = (0..M::N)
-            .filter(|l| 0x5A5A_A5A5_0FF0_F00F_A5A5_5A5A_1234_5678u128 >> l & 1 != 0)
-            .fold(M::NONE, |m, l| m | M::from(1) << l);
+        let scattered: Mask = 0x5A5A_A5A5_0FF0_F00F_A5A5_5A5A_1234_5678;
         let (mut units_seen, mut straddling) = (0, 0);
         for (gsize, lsize) in [
             ([5, 3, 4], WARP),
@@ -4489,23 +4416,35 @@ mod tests {
             ([96, 64, 48], WARP),
             ([12_904, 1, 1], WARP),
             ([96, 1, 1], 48),
+            ([384, 1, 1], 192),
+            ([24, 6, 2], 144),
         ] {
             let [gx, gy, gz] = gsize;
-            let total = gx * gy * gz;
-            let units: Vec<_> = match lsize == WARP && M::N == BUNDLE {
-                true => crate::exec::bundles(gsize, 0..total.div_ceil(WARP) as u64).collect(),
-                false => (0..total as u64)
-                    .step_by(WARP)
-                    .map(|b| b..(b + WARP as u64).min(total as u64))
+            let (total, group) = (gx * gy * gz, lsize as u64);
+            let units: Vec<_> = match lsize {
+                WARP => crate::exec::bundles(gsize, 0..total.div_ceil(WARP) as u64).collect(),
+                // A group cut into bundles, as `exec::run_warps` runs it.
+                _ => (0..total as u64)
+                    .step_by(lsize)
+                    .flat_map(|g| {
+                        let end = g + group;
+                        (g..end).step_by(BUNDLE).map(move |b| b..end.min(b + BUNDLE as u64))
+                    })
                     .collect(),
             };
             assert_eq!(units.iter().map(|u| u.end - u.start).sum::<u64>(), total as u64);
+            // A bundle's place depends on its warps' alone: a launch cut into
+            // tasks anywhere runs the same bundles.
+            let warps = total.div_ceil(WARP) as u64;
+            for cut in (1..warps).step_by(97).filter(|_| lsize == WARP) {
+                let tasks = [0..cut, cut..warps].map(|ws| crate::exec::bundles(gsize, ws));
+                assert_eq!(tasks.into_iter().flatten().collect::<Vec<_>>(), units, "{gsize:?}");
+            }
             for items in units {
                 let (begin, nact) = (items.start as usize, (items.end - items.start) as usize);
                 let ids = WarpIds::new(begin as u64, nact, gsize, lsize);
                 let one_row = begin / gx == (begin + nact - 1) / gx;
                 assert_eq!(ids.coherent, one_row, "{gsize:?}: unit at {begin}");
-                assert!(one_row || nact <= WARP, "{gsize:?}: only a warp straddles rows");
                 units_seen += 1;
                 straddling += !ids.coherent as usize;
                 let want = |i: usize| [i % gx, (i / gx) % gy, i / (gx * gy), i % lsize, i / lsize];
@@ -4513,23 +4452,21 @@ mod tests {
                 // scattered mask write its lanes and no other. A coherent
                 // unit must read the same when walked as a straddling one.
                 let walked = WarpIds { coherent: false, ..ids };
-                let (prefix, holed) = (M::prefix(nact), scattered & M::prefix(nact));
+                let (prefix, holed) = (prefix(nact), scattered & prefix(nact));
                 for (ids, mask) in [(ids, prefix), (walked, prefix), (ids, holed), (walked, holed)]
                 {
-                    let mut words = vec![0; c.nregs * M::N];
-                    let vregs = File::<M>::new(&mut words);
+                    let vregs = &mut vec![0; c.nregs * BUNDLE][..];
                     for r in 0..c.nregs as R {
-                        vfill(vregs, r, !M::NONE, UNSET);
+                        vfill(vregs, r, !0, UNSET);
                     }
                     if mask == prefix {
                         exec_item_pre_warp(&c, vregs, nact, &ids);
                     } else {
                         context.iter().for_each(|op| write_context(op, vregs, mask, &ids));
                     }
-                    for l in 0..M::N {
+                    for l in 0..BUNDLE {
                         for (r, w) in want(begin + l).into_iter().enumerate() {
-                            let w =
-                                if mask >> l & M::from(1) != M::NONE { w as i32 } else { UNSET };
+                            let w = if mask >> l & 1 != 0 { w as i32 } else { UNSET };
                             let got = i32::get(vregs, r as R, l);
                             assert_eq!(got, w, "{gsize:?} {lsize:?}: item {begin}+{l}, r{r}");
                         }
@@ -4537,7 +4474,10 @@ mod tests {
                 }
             }
         }
-        (units_seen, straddling)
+        assert!(
+            units_seen > 3000 && straddling > 20,
+            "{units_seen} bundles, {straddling} straddling"
+        );
     }
 
     /// Every shipped kernel — hand-written, generated, and the slab

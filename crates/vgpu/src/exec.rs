@@ -23,7 +23,7 @@
 //!   safety contract of the in-place primitives.
 
 use crate::buffer::{BufData, SharedBuf};
-use crate::bytecode::{self, Compiled, File, Lanes, BUNDLE};
+use crate::bytecode::{self, Compiled, BUNDLE};
 use crate::runtime::Runtime;
 use crate::sanitize::{FaultKind, Findings, SanCtx};
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef, MemSpace};
@@ -1026,11 +1026,6 @@ fn warp_transaction_bytes<'a>(
 /// unevenly over the threads, finer ones gain nothing further.
 const GRAIN_ITEMS: usize = 64 * WARP;
 
-/// Fewest work-items of a launch that bundles: a thread zeroes `nregs` KB of
-/// 128-lane file per launch. Bundled, one-thread FD-MM launches lose ≤ 13 %
-/// at 208 items, gain 9–10 % at 402, 15–25 % at 628–2 460 (EXPERIMENTS.md).
-const BUNDLE_MIN_ITEMS: u64 = 16 * WARP as u64;
-
 /// Most elements a work-item's private array or a group's local array may
 /// declare (every shipped configuration declares `MB = 3` private elements):
 /// the length is a kernel expression, and an allocation that fails aborts
@@ -1113,26 +1108,35 @@ fn dispatch(
 }
 
 /// The bundles of a flat launch of `gsize` that start at a warp of `warps`,
-/// as item ranges: the coherent warps of a row four at a time from its first
-/// whole warp (a row 96 wide is one bundle, a 1-D launch one per 128 items),
-/// each warp that straddles rows alone. Consecutive warp ranges tile the
-/// launch. One division per call, none per bundle.
+/// as item ranges. Where a bundle lies depends on its warps' positions
+/// alone. In rows at least two warps wide it is a row's coherent warps four
+/// at a time from its first whole warp (a row 96 wide is one bundle, a 1-D
+/// launch one per 128 items), or a warp that straddles rows, alone; in
+/// narrower rows it is the launch's warps `4k..4k + 4`, whatever rows they
+/// span. Consecutive warp ranges tile the launch. One division per call,
+/// none per bundle.
 pub(crate) fn bundles(gsize: [usize; 3], warps: Range<u64>) -> impl Iterator<Item = Range<u64>> {
     let (gx, total, w) = (gsize[0] as u64, gsize.iter().product::<usize>() as u64, WARP as u64);
-    let (end, mut b) = (total.min(warps.end * w), warps.start * w);
-    let mut x = if b < end { b % gx } else { 0 };
+    let (end, mut b, narrow) = (total.min(warps.end * w), warps.start * w, gx < 2 * w);
+    let mut x = if b < end && !narrow { b % gx } else { 0 };
     std::iter::from_fn(move || loop {
-        // The bundle at item `b`, `x` into its row, if one starts there.
-        let (rest, left, row) = ((b < end).then(|| total - b)?, gx - x, b - x);
-        let first = row.next_multiple_of(w) - row;
-        let n = match rest.min(w) > left {
-            true => Some(w.min(rest)),
-            false => ((x - first) / w % 4 == 0)
-                .then(|| (if rest <= left { rest } else { left / w * w }).min(BUNDLE as u64)),
+        // The bundle at item `b` (`x` into its row, kept for wide rows), if
+        // one starts there.
+        let rest = (b < end).then(|| total - b)?;
+        let n = if narrow {
+            b.is_multiple_of(BUNDLE as u64).then(|| rest.min(BUNDLE as u64))
+        } else {
+            let (left, row) = (gx - x, b - x);
+            let first = row.next_multiple_of(w) - row;
+            match rest.min(w) > left {
+                true => Some(w.min(rest)),
+                false => ((x - first) / w % 4 == 0)
+                    .then(|| (if rest <= left { rest } else { left / w * w }).min(BUNDLE as u64)),
+            }
         };
         let step = n.unwrap_or(w);
         (b, x) = (b + step, x + step);
-        while x >= gx {
+        while x >= gx && !narrow {
             x -= gx;
         }
         if let Some(n) = n {
@@ -1694,9 +1698,9 @@ impl WarpInit {
     }
 }
 
-/// One bundle's execution state at mask type `M` ([`bytecode::Lanes`]),
-/// re-aimed at each bundle it runs ([`WarpState::load`]).
-struct WarpState<M> {
+/// One bundle's execution state, re-aimed at each bundle it runs
+/// ([`WarpState::load`]).
+struct WarpState {
     /// The register file ([`bytecode::File`]).
     vregs: Vec<u64>,
     /// The kernel's private arrays, one set of lane-minor rows each.
@@ -1708,39 +1712,38 @@ struct WarpState<M> {
     /// The work-items of the loaded bundle.
     ids: bytecode::WarpIds,
     /// Lanes that have not returned: a barrier phase runs these.
-    alive: M,
+    alive: bytecode::Mask,
     /// Warps that diverged in some phase ([`bytecode::PhaseRun::diverged`]).
     diverged: u32,
 }
 
-impl<M: Lanes> WarpState<M> {
-    fn new(l: &Launch<'_>, tape: &Compiled, init: &WarpInit) -> WarpState<M> {
-        let mut vregs = vec![0; tape.nregs * M::N];
-        bytecode::broadcast(tape, File::<M>::new(&mut vregs), &init.regs0, &init.once);
+impl WarpState {
+    fn new(l: &Launch<'_>, tape: &Compiled, init: &WarpInit) -> WarpState {
+        let mut vregs = vec![0; tape.nregs * BUNDLE];
+        bytecode::broadcast(tape, &mut vregs, &init.regs0, &init.once);
         WarpState {
             vregs,
             privs: vec![Default::default(); l.prep.npriv],
-            traces: vec![Vec::new(); if l.modeled { M::N } else { 0 }],
+            traces: vec![Vec::new(); if l.modeled { BUNDLE } else { 0 }],
             idx: [0; BUNDLE],
             ids: Default::default(),
-            alive: M::NONE,
+            alive: 0,
             diverged: 0,
         }
     }
 
     /// Aims the state at the fresh bundle of work-items `items` (consecutive,
-    /// one row or one warp): launch-initial registers, empty private arrays,
+    /// at most [`BUNDLE`]): launch-initial registers, empty private arrays,
     /// every lane alive, and the per-item context prelude.
     fn load(&mut self, l: &Launch<'_>, tape: &Compiled, init: &WarpInit, items: Range<u64>) {
         let nact = (items.end - items.start) as usize;
         self.ids = bytecode::WarpIds::new(items.start, nact, l.gsize, l.lsize.unwrap_or(WARP));
-        let file = File::<M>::new(&mut self.vregs);
-        bytecode::broadcast(tape, file, &init.regs0, &init.per_warp);
-        bytecode::exec_item_pre_warp(tape, file, nact, &self.ids);
+        bytecode::broadcast(tape, &mut self.vregs, &init.regs0, &init.per_warp);
+        bytecode::exec_item_pre_warp(tape, &mut self.vregs, nact, &self.ids);
         for p in self.privs.iter_mut() {
             p.reset();
         }
-        self.alive = M::prefix(nact);
+        self.alive = bytecode::prefix(nact);
         self.diverged = 0;
     }
 
@@ -1766,7 +1769,7 @@ impl<M: Lanes> WarpState<M> {
             prof: acc.prof.as_deref_mut(),
             san,
         };
-        let (file, privs) = (File::<M>::new(&mut self.vregs), &mut self.privs[..]);
+        let (file, privs) = (&mut self.vregs[..], &mut self.privs[..]);
         let run = bytecode::exec_phase_warp(tape, pc, self.alive, file, privs, &mut wc, lic);
         self.alive &= !run.returned;
         self.diverged |= run.diverged;
@@ -1774,27 +1777,17 @@ impl<M: Lanes> WarpState<M> {
 }
 
 /// The tape executor over a launch's groups ([`bytecode::exec_phase_warp`]),
-/// parallel over groups; mirrors [`run_tree`] phase for phase. Each warp is
-/// a one-warp bundle — of a flat launch (every `stride`-th when sampled), or
-/// of a group, ⌈group/32⌉ warps sharing one local-memory arena — except
-/// that a flat launch of every warp, of [`BUNDLE_MIN_ITEMS`] or more, whose
-/// rows hold two warps runs its [`bundles`]. Each barrier phase runs bundle
+/// parallel over groups; mirrors [`run_tree`] phase for phase. Every launch
+/// runs bundles of up to [`BUNDLE`] lanes: a flat launch its [`bundles`], a
+/// sampled one each sampled warp alone, a grouped one each group cut into
+/// bundles that share one local-memory arena. Each barrier phase runs bundle
 /// by bundle over the lanes still alive, phase 0 from the launch's entry pc
 /// ([`launch_record`]). Only a flat launch has a proof (its unchecked sites)
 /// and lane shapes, of its bundle's kind, row-coherent or straddling.
 /// Arithmetic, counters, traces and sanitizer findings reproduce the
-/// tree-walker's.
+/// tree-walker's. A thread's first task allocates its bundle states; each
+/// task hands them on to the next.
 fn run_warps(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
-    let (flat, big) = (l.lsize.is_none() && l.stride == 1, l.total >= BUNDLE_MIN_ITEMS);
-    match flat && big && l.gsize[0] >= 2 * WARP {
-        true => run_lanes::<u128>(l, san),
-        false => run_lanes::<u32>(l, san),
-    }
-}
-
-/// [`run_warps`] on bundles of up to `M::N` lanes. A thread's first task
-/// allocates its bundle states; each task hands them on to the next.
-fn run_lanes<M: Lanes>(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
     let rec = launch_record(l);
     let tape = rec.tape.as_deref().unwrap_or(&l.prep.tape);
     let init = WarpInit::new(l, tape);
@@ -1803,25 +1796,25 @@ fn run_lanes<M: Lanes>(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
     let (results, wall) = dispatch(l.rt, nids, group, |ids| {
         let mut acc = ChunkAcc { prof: l.profiled.then(Box::default), ..ChunkAcc::default() };
         let pooled = pool.lock().expect("no panic under this lock").pop();
-        let mut warps: Vec<WarpState<M>> = pooled.unwrap_or_else(|| {
-            (0..group.div_ceil(WARP)).map(|_| WarpState::new(l, tape, &init)).collect()
+        let mut warps: Vec<WarpState> = pooled.unwrap_or_else(|| {
+            (0..group.div_ceil(BUNDLE)).map(|_| WarpState::new(l, tape, &init)).collect()
         });
         let mut locals: Vec<Vec<u64>> = vec![Vec::new(); l.prep.local_kinds.len()];
-        // A unit of `step`-item bundles: a bundle, or a group cut into warps.
-        let mut run = |items: Range<u64>, step: usize| {
+        // A unit of bundles: a bundle, or a group cut into bundles.
+        let mut run = |items: Range<u64>| {
             for a in locals.iter_mut() {
                 // Emptied so the group's first DeclLocal re-zeros it.
                 a.clear();
             }
             acc.counters.work_items += items.end - items.start;
             let mut n = 0;
-            for (warp, b) in warps.iter_mut().zip(items.clone().step_by(step)) {
-                warp.load(l, tape, &init, b..items.end.min(b + step as u64));
+            for (warp, b) in warps.iter_mut().zip(items.clone().step_by(BUNDLE)) {
+                warp.load(l, tape, &init, b..items.end.min(b + BUNDLE as u64));
                 n += 1;
             }
             for phase in 0..tape.phases() {
                 let pc = if phase == 0 { rec.entry } else { tape.phase_starts[phase] as usize };
-                for warp in warps[..n].iter_mut().filter(|w| w.alive != M::NONE) {
+                for warp in warps[..n].iter_mut().filter(|w| w.alive != 0) {
                     warp.run((l, tape, &rec), pc, (san, &mut acc, &mut locals));
                 }
             }
@@ -1832,11 +1825,11 @@ fn run_lanes<M: Lanes>(l: &Launch<'_>, san: SanCtx<'_>) -> LaunchStats {
                 }
             }
         };
-        if M::N == BUNDLE {
-            bundles(l.gsize, ids).for_each(|items| run(items, BUNDLE));
+        if l.lsize.is_none() && l.stride == 1 {
+            bundles(l.gsize, ids).for_each(run);
         } else {
             for g in ids.map(|k| k * l.stride as u64 * group as u64) {
-                run(g..l.total.min(g + group as u64), WARP);
+                run(g..l.total.min(g + group as u64));
             }
         }
         pool.lock().expect("no panic under this lock").push(warps);
@@ -2543,21 +2536,22 @@ pub(crate) mod tests {
         assert_eq!((cmps, rets), (0, 0));
     }
 
-    /// `N = 50` on 64 items: the guard decides per item, in both warps.
+    /// `N = 50` on 64 items: the guard decides per item, in their one bundle.
     #[test]
     fn a_padded_launch_keeps_its_guard() {
         let (out, cmps, rets) = run_guarded((1, false), (50, 1), &[64], None);
         let want: Vec<i32> = (0..64).map(|i| if i < 50 { 3 * i + 1 } else { 0 }).collect();
         assert_eq!(out, want);
-        assert_eq!((cmps, rets), (2, 1));
+        assert_eq!((cmps, rets), (1, 1));
     }
 
-    /// `N = 0`: every item returns — each warp enters at the `Ret`.
+    /// `N = 0`: every item returns — the one bundle of 80 items enters at
+    /// the `Ret`.
     #[test]
     fn a_launch_of_no_valid_item_returns_every_item() {
         let (out, cmps, rets) = run_guarded((2, false), (0, 0), &[40, 2], None);
         assert_eq!(out, vec![0; 80]);
-        assert_eq!((cmps, rets), (0, 3));
+        assert_eq!((cmps, rets), (0, 1));
     }
 
     /// A grouped launch with a barrier: phase 0 enters past the guard that
@@ -3312,9 +3306,13 @@ pub(crate) mod tests {
         /// loaded and stored, flops, work-items).
         type Account = (u64, u64, [u64; 7]);
 
-        /// Launches `prep` over `global` in `mode` on the fast engine: the
-        /// account, with 0 transaction bytes outside the model.
-        fn account(prep: &Prepared, args: &[Arg], global: &[usize], mode: ExecMode) -> Account {
+        /// Launches `prep` over `global` in `mode` on the fast engine.
+        fn run_fast(
+            prep: &Prepared,
+            args: &[Arg],
+            global: &[usize],
+            mode: ExecMode,
+        ) -> LaunchStats {
             let binds: Vec<ArgBind<'_>> = args
                 .iter()
                 .map(|a| match a {
@@ -3323,7 +3321,12 @@ pub(crate) mod tests {
                 })
                 .collect();
             let rt = Runtime::new(crate::Settings::default());
-            let s = launch(prep, &binds, global, None, mode, 128, Engine::Fast, &rt).unwrap();
+            launch(prep, &binds, global, None, mode, 128, Engine::Fast, &rt).unwrap()
+        }
+
+        /// [`run_fast`]'s account, with 0 transaction bytes outside the model.
+        fn account(prep: &Prepared, args: &[Arg], global: &[usize], mode: ExecMode) -> Account {
+            let s = run_fast(prep, args, global, mode);
             let c = &s.counters;
             let counters = [
                 c.loads_global,
@@ -3374,8 +3377,10 @@ pub(crate) mod tests {
         /// warp), 40, 33 and 11 wide (three rows in each warp), and the
         /// hand-written FD-MM kernel over 1-D launches of as many items and
         /// of the benchmark room's 12 904: the modeled accounts recorded
-        /// before warps ran in bundles, at both precisions. A fast launch
-        /// keeps the model's counters and divergent warps.
+        /// before warps ran in bundles, at both precisions; and the volume
+        /// kernel over 9³, 12³ and 15³ dome rooms (`batch_small`'s sizes),
+        /// recorded before rows narrower than two warps bundled. A fast
+        /// launch keeps the model's counters and divergent warps.
         #[test]
         fn accounts_match_the_pins_recorded_before_bundling() {
             let (mut got, model) = (Vec::new(), ExecMode::Model { sample_stride: 1 });
@@ -3387,7 +3392,8 @@ pub(crate) mod tests {
                     got.push((prec, what, global[0], model));
                 };
                 let prep = volume_prep(real);
-                for dims in [[96, 64, 48], [100, 6, 5], [40, 8, 6], [33, 8, 6], [11, 11, 9]] {
+                let rooms = [[96, 64, 48], [100, 6, 5], [40, 8, 6], [33, 8, 6], [11, 11, 9]];
+                for dims in rooms.into_iter().chain([[9; 3], [12; 3], [15; 3]]) {
                     check("volume", &prep, &|| volume_args(dims, real), &dims);
                 }
                 let k = fdmm(false, real);
@@ -3458,17 +3464,25 @@ pub(crate) mod tests {
 
         const MODES: [ExecMode; 2] = [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }];
 
-        /// A flat 1-D launch runs wide bundles from [`BUNDLE_MIN_ITEMS`]
-        /// items on — one `Halt` dispatched per 128 items — and one-warp
-        /// bundles a work-item short of it, one `Halt` per warp.
+        /// Every flat launch runs bundles, whatever its size and its rows'
+        /// width: one `Halt` dispatched per 128 items of a 1-D launch of 40 to
+        /// 1 280 items, and of the volume kernel over dome rooms whose rows
+        /// (9, 12 and 15 cells wide) are narrower than two warps.
         #[test]
-        fn launches_bundle_from_the_threshold_on() {
-            let k = holed_kernel(ScalarKind::F32, in_bundle(BinOp::Lt, 0));
-            for (n, halts) in [(BUNDLE_MIN_ITEMS, 4), (BUNDLE_MIN_ITEMS - 1, 16), (1280, 10)] {
-                let stats = run_diff(&k, n as usize, ExecMode::Profile, false);
+        fn launches_of_any_size_and_width_dispatch_one_halt_per_bundle() {
+            let halts = |stats: LaunchStats| {
                 let prof = stats.op_profile.expect("a profiled launch");
-                let halt = prof.entries().iter().find(|e| e.0 == "Halt").map_or(0, |e| e.1);
-                assert_eq!(halt, halts, "{n} items");
+                prof.entries().iter().find(|e| e.0 == "Halt").map_or(0, |e| e.1)
+            };
+            let k = holed_kernel(ScalarKind::F32, in_bundle(BinOp::Lt, 0));
+            for (n, want) in [(40, 1), (511, 4), (512, 4), (1280, 10)] {
+                assert_eq!(halts(run_diff(&k, n, ExecMode::Profile, false)), want, "{n} items");
+            }
+            let prep = volume_prep(ScalarKind::F64);
+            for (n, want) in [(9, 6), (12, 14), (15, 27)] {
+                let (dims, mode) = ([n; 3], ExecMode::Profile);
+                let stats = run_fast(&prep, &volume_args(dims, ScalarKind::F64), &dims, mode);
+                assert_eq!(halts(stats), want, "{n}³ room");
             }
         }
 
@@ -3518,6 +3532,9 @@ pub(crate) mod tests {
             ("f32", "volume", 40, (18, 35072, [4608, 336, 0, 18432, 1344, 3696, 1920])),
             ("f32", "volume", 33, (15, 30336, [3776, 274, 0, 15104, 1096, 3014, 1584])),
             ("f32", "volume", 11, (20, 34816, [2809, 215, 0, 11236, 860, 2365, 1089])),
+            ("f32", "volume", 9, (13, 22528, [1777, 131, 0, 7108, 524, 1441, 729])),
+            ("f32", "volume", 12, (32, 58368, [4896, 396, 0, 19584, 1584, 4356, 1728])),
+            ("f32", "volume", 15, (65, 114048, [11063, 961, 0, 44252, 3844, 10571, 3375])),
             ("f32", "fdmm", 96, (0, 18816, [2880, 672, 0, 11520, 2688, 5568, 96])),
             ("f32", "fdmm", 100, (0, 26624, [3000, 700, 0, 12000, 2800, 5800, 100])),
             ("f32", "fdmm", 40, (0, 12032, [1200, 280, 0, 4800, 1120, 2320, 40])),
@@ -3529,6 +3546,9 @@ pub(crate) mod tests {
             ("f64", "volume", 40, (18, 49152, [4608, 336, 0, 29184, 2688, 3696, 1920])),
             ("f64", "volume", 33, (15, 43648, [3776, 274, 0, 23872, 2192, 3014, 1584])),
             ("f64", "volume", 11, (20, 48640, [2809, 215, 0, 18116, 1720, 2365, 1089])),
+            ("f64", "volume", 9, (13, 29952, [1777, 131, 0, 11300, 1048, 1441, 729])),
+            ("f64", "volume", 12, (32, 77696, [4896, 396, 0, 32256, 3168, 4356, 1728])),
+            ("f64", "volume", 15, (65, 166016, [11063, 961, 0, 75004, 7688, 10571, 3375])),
             ("f64", "fdmm", 96, (0, 28032, [2880, 672, 0, 21888, 5376, 5568, 96])),
             ("f64", "fdmm", 100, (0, 35840, [3000, 700, 0, 22800, 5600, 5800, 100])),
             ("f64", "fdmm", 40, (0, 14976, [1200, 280, 0, 9120, 2240, 2320, 40])),
