@@ -184,8 +184,11 @@ fn bits_value(k: K, b: u64) -> Value {
     }
 }
 
-/// One tape instruction. Loop counters and load/store indices are internal
-/// i64 registers (`AsI64` truncates like `Value::as_i64`).
+/// One tape instruction. Loop counters, lengths and private or local
+/// indices are internal i64 registers (`AsI64` truncates like
+/// `Value::as_i64`); a global access reads its index at the index
+/// register's own width ([`Compiled::wide`]): an i32 as it is, an i64 as the
+/// `AsI64` of any other kind made it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum Op {
     /// dst = bits.
@@ -227,10 +230,14 @@ pub(crate) enum Op {
     MinMax { dst: R, a: R, b: R, k: K, max: bool },
     /// Unary float intrinsic at fixed precision.
     Intr1 { dst: R, src: R, intr: Intrinsic, k: K },
-    /// Global/constant-space load. `idx` is an i64 register.
-    LdG { dst: R, buf: u16, idx: R, site: u32, constant: bool },
-    /// Global-space store; `vk` is the value register's kind (the buffer
-    /// casts on write, as the tree-walker does).
+    /// Global/constant-space load of `buf[base ± off]`. An i32 `base`
+    /// may carry the single-use i32 `Add`/`Sub` that computed it as `off`
+    /// ([`crate::compile::fuse`]), wrapping exactly like [`bin_bits`]; an
+    /// i64 `base` has no `off`. A load some `Add`/`Sub` folds into is an
+    /// [`Op::LdGSum`] link instead.
+    LdG { dst: R, buf: u16, base: R, off: Option<(R, bool)>, site: u32, constant: bool },
+    /// Global-space store at `idx` (i32 or i64); `vk` is the value
+    /// register's kind (the buffer casts on write, as the tree-walker does).
     StG { buf: u16, idx: R, val: R, vk: K, site: u32 },
     /// Private-array load.
     LdP { dst: R, arr: u16, idx: R },
@@ -259,19 +266,12 @@ pub(crate) enum Op {
     /// `dst = (a*b) ⊕ c` (or `c ⊕ (a*b)` when `rev`). The multiply and the
     /// add/sub stay two distinct roundings — never contracted to an FMA.
     MulAdd { dst: R, a: R, b: R, c: R, k: K, sub: bool, rev: bool },
-    /// Fused global load: `[Bin{t,base,off,±,I32};] AsI64{t2,t|base,I32};
-    /// LdG{dst,buf,t2,site}` with every intermediate single-use. The i32
-    /// index math wraps exactly like [`bin_bits`]. A load some `Add`/`Sub`
-    /// folds into is an [`Op::LdGSum`] link instead.
-    LdGFused { dst: R, buf: u16, base: R, off: Option<(R, bool)>, site: u32, constant: bool },
-    /// `AsI64{t2,base,I32}; StG{buf,t2,val,vk,site}` with `t2` single-use.
-    StGAt { buf: u16, base: R, val: R, vk: K, site: u32 },
     /// `Bin{t,a,b,cmp,k}; Jz{t,Bool,target}` with `t` single-use: jump when
     /// `a cmp b` is false.
     CmpJz { a: R, b: R, op: BinOp, k: K, target: u32 },
     /// The one accumulating load: `n ≥ 1` global loads of one buffer, each
-    /// an `LdGFused` whose value an `Add`/`Sub` folds into the sum so far
-    /// (the first load starts the sum when there is no `src`). `dst` =
+    /// an i32-indexed `LdG` whose value an `Add`/`Sub` folds into the sum so
+    /// far (the first load starts the sum when there is no `src`). `dst` =
     /// `src` (if any) folded with the links' loads in order, written once
     /// after every link has read its index. The links,
     /// [`Compiled::links`]`[at..at + n]`, stay beside the tape.
@@ -317,7 +317,7 @@ macro_rules! opcodes {
 opcodes!(
     Const, Gid, Gsz, Lid, Lsz, Grp, Mov, Cast, AsI64, MaxOne, I64ToI32, AddI64, JgeI64, Neg, Not,
     Bin, Logic, MinMax, Intr1, LdG, StG, LdP, StP, LdL, StL, DeclPriv, DeclLocal, Flops, Jmp, Jz,
-    Ret, Halt, MulAdd, LdGFused, StGAt, CmpJz, LdGSum,
+    Ret, Halt, MulAdd, CmpJz, LdGSum,
 );
 
 /// Display name of the opcode with dense index `i` (see [`op_index`]).
@@ -335,8 +335,8 @@ pub(crate) enum Shape {
     Uniform,
     /// An i32 register whose lane `l` holds lane `l0`'s value plus
     /// `stride × (l − l0)`, wrapping — or the i64 sign extension of one (what
-    /// `AsI64` makes of it, the index `LdG`/`StG` take), affine as an i64
-    /// only while the i32 does not wrap ([`unit_run`]).
+    /// `AsI64` makes of it), affine as an i64 only while the i32 does not
+    /// wrap ([`unit_run`]).
     Affine(i32),
     Varying,
 }
@@ -382,11 +382,11 @@ impl Licence<'_> {
         self.shapes.get(r as usize).copied().unwrap_or(Shape::Varying)
     }
 
-    /// Whether `link`'s index counts up by one per lane.
+    /// Whether the index `base [± off]` counts up by one per lane.
     #[inline(always)]
-    fn unit(&self, link: &Link) -> bool {
-        let base = self.shape(link.base);
-        link.off.map_or(base, |(o, sub)| base.add(self.shape(o), sub)) == Shape::Affine(1)
+    fn unit(&self, base: R, off: Option<(R, bool)>) -> bool {
+        let base = self.shape(base);
+        off.map_or(base, |(o, sub)| base.add(self.shape(o), sub)) == Shape::Affine(1)
     }
 }
 
@@ -561,6 +561,15 @@ impl<'a> Cc<'a> {
         dst
     }
 
+    /// The index register of an access to `mem`: a global access reads an
+    /// i32 index as it is, every other index is widened.
+    fn index(&mut self, mem: &PMem, r: R, k: K) -> R {
+        match (mem, k) {
+            (PMem::Param(_), K::I32) => r,
+            _ => self.as_i64(r, k),
+        }
+    }
+
     /// Promoted kind under C's usual arithmetic conversions.
     fn promote_k(ka: K, kb: K) -> K {
         if ka == K::F64 || kb == K::F64 {
@@ -646,7 +655,7 @@ impl<'a> Cc<'a> {
             }
             PExpr::Load { mem, idx, site, space } => {
                 let (ri, ki) = self.expr(idx)?;
-                let ri = self.as_i64(ri, ki);
+                let ri = self.index(mem, ri, ki);
                 let k = kk(match mem {
                     PMem::Param(p) => self.prep.params[*p].kind,
                     PMem::Priv(a) => self.prep.priv_kinds[*a],
@@ -659,7 +668,8 @@ impl<'a> Cc<'a> {
                         self.ops.push(Op::LdG {
                             dst,
                             buf: *p as u16,
-                            idx: ri,
+                            base: ri,
+                            off: None,
                             site: *site,
                             constant,
                         });
@@ -887,7 +897,7 @@ impl<'a> Cc<'a> {
             }
             PStmt::Store { mem, idx, value, site, space: _ } => {
                 let (ri, ki) = self.expr(idx)?;
-                let ri = self.as_i64(ri, ki);
+                let ri = self.index(mem, ri, ki);
                 let (rv, kv) = self.expr(value)?;
                 match mem {
                     PMem::Param(p) => {
@@ -1311,12 +1321,13 @@ fn validate(c: &Compiled, prep: &Prepared) -> bool {
 }
 
 /// The one-width rule for one op, its registers being inside `wide`: an
-/// operand of kind `k` is a register of `k`'s width, an i64 operand (load,
-/// store and private indices, lengths, loop counters) a wide one, a loaded
-/// value has its memory's element width, and the untyped `Mov` moves bits
-/// between registers of one width. An `LdGSum`'s links lie inside
-/// [`Compiled::links`], and its `dst` and `src` have its buffer's element
-/// width.
+/// operand of kind `k` is a register of `k`'s width, an i64 operand (private
+/// and local indices, lengths, loop counters) a wide one, a global index
+/// either (an i32 or an i64, and only an i32 `base` has an `off`, itself an
+/// i32), a loaded value has its memory's element width, and the untyped
+/// `Mov` moves bits between registers of one width. An `LdGSum`'s links lie
+/// inside [`Compiled::links`], their indices i32, and its `dst` and `src`
+/// have its buffer's element width.
 fn widths_ok(op: &Op, c: &Compiled, prep: &Prepared) -> bool {
     let w = |r: R| c.wide[r as usize];
     let is = |r: R, k: K| w(r) == k.wide();
@@ -1345,24 +1356,22 @@ fn widths_ok(op: &Op, c: &Compiled, prep: &Prepared) -> bool {
         }
         Op::Logic { dst, a, b, ka, kb, .. } => is(a, ka) && is(b, kb) && !w(dst),
         Op::MinMax { dst, a, b, k, .. } => is(a, k) && is(b, k) && is(dst, k),
-        Op::LdG { dst, buf, idx, .. } => load(dst, idx, param(buf)),
+        Op::LdG { dst, buf, base, off, .. } => {
+            off.is_none_or(|(o, _)| !w(base) && !w(o)) && param(buf).is_some_and(|k| is(dst, k))
+        }
         Op::LdP { dst, arr, idx } => load(dst, idx, elem(&prep.priv_kinds, arr)),
         Op::LdL { dst, arr, idx } => load(dst, idx, elem(&prep.local_kinds, arr)),
-        Op::StG { idx, val, vk, .. } => w(idx) && is(val, vk),
+        Op::StG { val, vk, .. } => is(val, vk),
         Op::StP { idx, val, vk, .. } | Op::StL { idx, val, vk, .. } => w(idx) && is(val, vk),
         Op::DeclPriv { len, .. } | Op::DeclLocal { len, .. } => w(len),
         Op::Jz { cond, k, .. } => is(cond, k),
         Op::MulAdd { dst, a, b, c, k, .. } => is(a, k) && is(b, k) && is(c, k) && is(dst, k),
-        Op::LdGFused { dst, buf, base, off, .. } => {
-            !w(base) && off.is_none_or(|(o, _)| !w(o)) && param(buf).is_some_and(|k| is(dst, k))
-        }
         Op::LdGSum { dst, buf, src, n, .. } => {
             let index = |l: &Link| !w(l.base) && l.off.is_none_or(|(o, _)| !w(o));
             let links = c.chain(op);
             let sum = |k| is(dst, k) && src.is_none_or(|s| is(s, k));
             links.len() == n as usize && links.iter().all(index) && param(buf).is_some_and(sum)
         }
-        Op::StGAt { base, val, vk, .. } => !w(base) && is(val, vk),
         Op::CmpJz { a, b, k, .. } => is(a, k) && is(b, k),
         Op::Flops { .. } | Op::Jmp { .. } | Op::Ret | Op::Halt => true,
     }
@@ -1475,12 +1484,10 @@ fn op_dst_mut(op: &mut Op) -> Option<&mut R> {
         | Op::LdP { dst, .. }
         | Op::LdL { dst, .. }
         | Op::MulAdd { dst, .. }
-        | Op::LdGFused { dst, .. }
         | Op::LdGSum { dst, .. } => Some(dst),
         Op::StG { .. }
         | Op::StP { .. }
         | Op::StL { .. }
-        | Op::StGAt { .. }
         | Op::DeclPriv { .. }
         | Op::DeclLocal { .. }
         | Op::Flops { .. }
@@ -1529,7 +1536,13 @@ fn visit_srcs_mut(op: &mut Op, f: &mut impl FnMut(&mut R)) {
             f(a);
             f(b);
         }
-        Op::LdG { idx, .. } | Op::LdP { idx, .. } | Op::LdL { idx, .. } => f(idx),
+        Op::LdG { base, off, .. } => {
+            f(base);
+            if let Some((o, _)) = off {
+                f(o);
+            }
+        }
+        Op::LdP { idx, .. } | Op::LdL { idx, .. } => f(idx),
         Op::StG { idx, val, .. } | Op::StP { idx, val, .. } | Op::StL { idx, val, .. } => {
             f(idx);
             f(val);
@@ -1540,16 +1553,6 @@ fn visit_srcs_mut(op: &mut Op, f: &mut impl FnMut(&mut R)) {
             f(a);
             f(b);
             f(c);
-        }
-        Op::LdGFused { base, off, .. } => {
-            f(base);
-            if let Some((o, _)) = off {
-                f(o);
-            }
-        }
-        Op::StGAt { base, val, .. } => {
-            f(base);
-            f(val);
         }
         Op::LdGSum { src, .. } => src.iter_mut().for_each(f),
         Op::Const { .. }
@@ -1882,16 +1885,19 @@ fn coalesce_copies(c: &mut Compiled, nslots: usize, arg_slots: &[Option<usize>])
     removed
 }
 
-/// Block-local value numbering of the fused tape, then of its prelude (one
-/// block): a pure register op ([`hoistable`], or a `MulAdd`) that repeats an
-/// earlier op of its block — same opcode and operands, none of them written
-/// in between — is dropped when both write single-writer temporaries of one
-/// width, and its readers read the earlier register instead. A block runs
+/// Block-local value numbering of the fused tape's prelude (one block), then
+/// of its main tape: a pure register op ([`hoistable`], or a `MulAdd`) that
+/// repeats an earlier op of its block — same opcode and operands, none of
+/// them written in between — is dropped when both write single-writer
+/// temporaries of one width, and its readers read the earlier register
+/// instead. A block runs
 /// whole, so whenever the earlier op runs the dropped one would have run
 /// right after it on the same operand bits, and no later read can tell the
 /// two registers apart — unless it sits before the dropped op in tape order
-/// (a loop's next trip), which keeps it. Running after fusion keeps the
-/// fused windows' single-use intermediates.
+/// (a loop's next trip), which keeps it. The walk renames every read as it
+/// reaches it, so with the prelude numbered first two main-tape ops that
+/// read duplicate prelude registers read one and merge. Running after fusion
+/// keeps the fused windows' single-use intermediates.
 fn number_values(c: &mut Compiled, nslots: usize) {
     let (leader, wide, mut same) =
         (block_leaders(c), &c.wide, (0..c.nregs as R).collect::<Vec<_>>());
@@ -1926,9 +1932,9 @@ fn number_values(c: &mut Compiled, nslots: usize) {
         }
         removed
     };
-    let (removed, dropped) = (number(&mut c.ops, &leader), number(&mut c.pre, &[]));
+    let dropped = number(&mut c.pre, &[]);
+    let removed = number(&mut c.ops, &leader);
     c.pre = c.pre.iter().zip(&dropped).filter(|p| !p.1).map(|p| *p.0).collect();
-    c.ops.iter_mut().for_each(|op| visit_srcs_mut(op, &mut |r| *r = same[*r as usize]));
     c.optimized_ops += removed.iter().chain(&dropped).filter(|&&r| r).count() as u32;
     compact(c, &removed);
 }
@@ -2696,19 +2702,27 @@ fn scatter_lanes(
     vregs: &File,
     (val, vk): (R, K),
 ) {
-    // SAFETY (all arms): index in bounds per the function contract; the
-    // launch contract gives element disjointness across work-items.
     match (b.ptr(), vk) {
         (BufPtr::F32(p), K::F32) => for_mask!(mask, l, {
+            // SAFETY: `at(l)` is in bounds — inside the run `unit_run` checked,
+            // or an index `checked_indices` checked or a PROVEN site's — and
+            // no other work-item of the launch touches it (the launch
+            // contract's disjointness).
             unsafe { *p.add(at(l)) = f32::get(vregs, val, l) };
         }),
         (BufPtr::F64(p), K::F64) => for_mask!(mask, l, {
+            // SAFETY: in bounds by `unit_run`'s span check, `checked_indices`
+            // or a PROVEN site; disjoint by the launch contract.
             unsafe { *p.add(at(l)) = f64::get(vregs, val, l) };
         }),
         (BufPtr::I32(p), K::I32) => for_mask!(mask, l, {
+            // SAFETY: in bounds by `unit_run`'s span check, `checked_indices`
+            // or a PROVEN site; disjoint by the launch contract.
             unsafe { *p.add(at(l)) = i32::get(vregs, val, l) };
         }),
         _ => for_mask!(mask, l, {
+            // SAFETY: `set` checks the bounds itself; the element is this
+            // work-item's alone by the launch contract's disjointness.
             unsafe { b.set(at(l), bits_value(vk, vgw(vregs, val, vk.wide(), l))) };
         }),
     }
@@ -2862,8 +2876,9 @@ macro_rules! with_elements {
     ($p:expr, $at:expr, |$x:ident| $e:expr) => {
         match $at {
             (Some((lo, start)), _) => {
-                // SAFETY: `unit_run` checked the run in bounds; reads race
-                // only with disjoint writes per the launch contract.
+                // SAFETY: `unit_run`'s span check put the run in bounds;
+                // reads race only with disjoint writes per the launch
+                // contract.
                 let $x = |l: usize| unsafe { *$p.add(start + l - lo) };
                 $e
             }
@@ -2916,7 +2931,7 @@ fn link_index(vregs: &File, link: &Link, l: usize) -> i64 {
 /// folds lane by lane into a local accumulator, and the last link's pass
 /// writes `dst`, once, after every link has read its index. Each link takes
 /// its run or its checked indices from [`load_global`], so it counts,
-/// traces, reports and panics as the `LdGFused` it was; a run sums as a
+/// traces, reports and panics as the `LdG` it was; a run sums as a
 /// vector add. A local array is what lets the loops vectorise (the register
 /// file's rows may alias); it starts uninitialised: no per-dispatch fill.
 /// i32 wraps like [`bin_bits`].
@@ -2958,8 +2973,8 @@ fn load_sum<T>(
         };
     }
     for (i, link) in links.iter().enumerate() {
-        let (regs, at) = (&*vregs, (buf, link.site, false));
-        let (_, run) = load_global(w, lic, at, mask, lic.unit(link), |l| link_index(regs, link, l));
+        let (regs, at, unit) = (&*vregs, (buf, link.site, false), lic.unit(link.base, link.off));
+        let (_, run) = load_global(w, lic, at, mask, unit, |l| link_index(regs, link, l));
         // The first link starts from `src` or from nothing, the last writes
         // `dst`, and every other pass reads and writes `sum`.
         let (f, last) = ((link.sub, link.rev), i + 1 == links.len());
@@ -3240,16 +3255,41 @@ impl WarpExec<'_, '_> {
                     K::F32 => vmap1(vregs, dst, src, mask, |x: f32| intr1_f32(intr, x)),
                     _ => vmap1(vregs, dst, src, mask, |x: f64| intr1_f64(intr, x)),
                 },
-                Op::LdG { dst, buf, idx, site, constant } => {
-                    let (unit, regs) = (lic.shape(idx) == Shape::Affine(1), &*vregs);
-                    let idx = |l| i64::get(regs, idx, l);
-                    let (b, run) = load_global(self.w, lic, (buf, site, constant), mask, unit, idx);
+                // The index at its register's width: an i64 (no `off`, by
+                // `validate`), or an i32 `base ± off` wrapping like `bin_bits`.
+                Op::LdG { dst, buf, base, off, site, constant } => {
+                    let (at, unit, regs) = ((buf, site, constant), lic.unit(base, off), &*vregs);
+                    let (b, run) = match off {
+                        _ if wide(base) => {
+                            let idx = |l| i64::get(regs, base, l);
+                            load_global(self.w, lic, at, mask, unit, idx)
+                        }
+                        Some((o, sub)) => {
+                            let (x, y) = (|l| i32::get(regs, base, l), |l| i32::get(regs, o, l));
+                            if sub {
+                                let idx = |l| x(l).wrapping_sub(y(l)) as i64;
+                                load_global(self.w, lic, at, mask, unit, idx)
+                            } else {
+                                let idx = |l| x(l).wrapping_add(y(l)) as i64;
+                                load_global(self.w, lic, at, mask, unit, idx)
+                            }
+                        }
+                        None => {
+                            let idx = |l| i32::get(regs, base, l) as i64;
+                            load_global(self.w, lic, at, mask, unit, idx)
+                        }
+                    };
                     load_lanes(vregs, dst, b, (run, self.w.idx), mask);
                 }
                 Op::StG { buf, idx, val, vk, site } => {
-                    let (unit, regs) = (lic.shape(idx) == Shape::Affine(1), &*vregs);
-                    let ix = |l| i64::get(regs, idx, l);
-                    store_global(self.w, lic, (buf, site), mask, unit, ix, regs, (val, vk));
+                    let (at, unit, regs) = ((buf, site), lic.unit(idx, None), &*vregs);
+                    if wide(idx) {
+                        let ix = |l| i64::get(regs, idx, l);
+                        store_global(self.w, lic, at, mask, unit, ix, regs, (val, vk));
+                    } else {
+                        let ix = |l| i32::get(regs, idx, l) as i64;
+                        store_global(self.w, lic, at, mask, unit, ix, regs, (val, vk));
+                    }
                 }
                 Op::LdP { dst, arr, idx } => {
                     let p = &mut self.privs[arr as usize];
@@ -3327,33 +3367,6 @@ impl WarpExec<'_, '_> {
                 Op::Halt => return 0,
                 Op::MulAdd { dst, a, b, c, k, sub, rev } => {
                     mul_add(vregs, (dst, a, b, c), k, (sub, rev), mask)
-                }
-                Op::LdGFused { dst, buf, base, off, site, constant } => {
-                    let (at, regs) = ((buf, site, constant), &*vregs);
-                    let (b, run) = match off {
-                        Some((o, sub)) => {
-                            let unit = lic.shape(base).add(lic.shape(o), sub) == Shape::Affine(1);
-                            let (x, y) = (|l| i32::get(regs, base, l), |l| i32::get(regs, o, l));
-                            if sub {
-                                let idx = |l| x(l).wrapping_sub(y(l)) as i64;
-                                load_global(self.w, lic, at, mask, unit, idx)
-                            } else {
-                                let idx = |l| x(l).wrapping_add(y(l)) as i64;
-                                load_global(self.w, lic, at, mask, unit, idx)
-                            }
-                        }
-                        None => {
-                            let unit = lic.shape(base) == Shape::Affine(1);
-                            let idx = |l| i32::get(regs, base, l) as i64;
-                            load_global(self.w, lic, at, mask, unit, idx)
-                        }
-                    };
-                    load_lanes(vregs, dst, b, (run, self.w.idx), mask);
-                }
-                Op::StGAt { buf, base, val, vk, site } => {
-                    let (unit, regs) = (lic.shape(base) == Shape::Affine(1), &*vregs);
-                    let idx = |l| i32::get(regs, base, l) as i64;
-                    store_global(self.w, lic, (buf, site), mask, unit, idx, regs, (val, vk));
                 }
                 Op::CmpJz { a, b, op, k, target } => {
                     let jumps = cmp_jumps(vregs, (a, b, op, k), mask, uniform(a) && uniform(b));
@@ -3917,10 +3930,9 @@ mod tests {
             off.map_or(sh(base), |(o, sub)| sh(base).add(sh(o), sub)) == Shape::Affine(1)
         };
         let unit = |op: &Op| match *op {
-            Op::LdG { idx, .. } | Op::StG { idx, .. } => vec![sh(idx) == Shape::Affine(1)],
-            Op::LdGFused { base, off, .. } => vec![at(base, off)],
+            Op::LdG { base, off, .. } => vec![at(base, off)],
+            Op::StG { idx, .. } => vec![at(idx, None)],
             Op::LdGSum { .. } => t.chain(op).iter().map(|l| at(l.base, l.off)).collect(),
-            Op::StGAt { base, .. } => vec![sh(base) == Shape::Affine(1)],
             _ => vec![],
         };
         t.ops.iter().flat_map(unit).collect()
@@ -3997,14 +4009,14 @@ mod tests {
         assert_eq!((out[4], out[5], out[69]), (7.0, 15.0, 207.0));
     }
 
-    /// The names of the superinstructions `t` holds.
+    /// The names of the superinstructions `t` holds, a load with an offset
+    /// step among them.
     fn superinstructions(t: &Compiled) -> std::collections::BTreeSet<&'static str> {
         let fused = |op: &&Op| {
             matches!(
                 op,
                 Op::MulAdd { .. }
-                    | Op::LdGFused { .. }
-                    | Op::StGAt { .. }
+                    | Op::LdG { off: Some(_), .. }
                     | Op::CmpJz { .. }
                     | Op::LdGSum { .. }
             )
@@ -4039,7 +4051,7 @@ mod tests {
     /// ```
     /// One window of each kind: compare-branch (the guard and both selects),
     /// offset load, multiply-add, a load `r` accumulates (a one-link
-    /// `LdGSum`), compare-branch behind the flushed flop count of `r`, store.
+    /// `LdGSum`), compare-branch behind the flushed flop count of `r`.
     #[test]
     fn every_fusion_window_keeps_values_counters_and_transactions() {
         let g = || KExpr::GlobalId(0);
@@ -4070,13 +4082,12 @@ mod tests {
         };
         let prep = prepare(&k).unwrap();
         let t = &prep.tape;
-        let want = ["CmpJz", "LdGFused", "LdGSum", "MulAdd", "StGAt"];
+        let want = ["CmpJz", "LdG", "LdGSum", "MulAdd"];
         assert_eq!(superinstructions(t).into_iter().collect::<Vec<_>>(), want, "{:?}", t.ops);
-        assert!(t.ops.iter().any(|op| matches!(op, Op::LdGFused { off: Some(_), .. })));
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdGSum { src: Some(_), n: 1, .. })));
         assert!(t.ops.windows(2).any(|w| matches!(w, [Op::Flops { .. }, Op::CmpJz { .. }])));
         assert!(!t.ops.iter().any(|op| matches!(op, Op::Jz { .. })), "{:?}", t.ops);
-        assert!(t.fused_ops >= 8, "{} ops absorbed: {:?}", t.fused_ops, t.ops);
+        assert!(t.fused_ops >= 6, "{} ops absorbed: {:?}", t.fused_ops, t.ops);
         assert_consistent(&prep);
         // The oracle never saw the pass: equal buffers, counters and
         // transaction bytes (asserted inside) say it changed none of them.
@@ -4302,7 +4313,7 @@ mod tests {
 
     /// `x[g] + x[g + k] + x[g + 1]` with `k` reaching past the end in the
     /// last warp: the middle link fails its run's range check and panics
-    /// as the `LdGFused` it was, on every kind of launch.
+    /// as the `LdG` it was, on every kind of launch.
     #[test]
     fn a_sum_chain_whose_middle_link_overruns_panics_as_the_unfused_load() {
         let (g, x) = (|| KExpr::GlobalId(0), |i| KExpr::load(MemRef::Param(0), i));
@@ -4537,19 +4548,12 @@ mod tests {
         assert!(private_accesses >= 8, "{private_accesses}: the FD-MM kernels stage branch state");
     }
 
-    /// Each shipped tape as (kernel/form/precision, main-tape ops, `pre`
-    /// ops, `item_pre` ops, FNV-1a of its opcode histogram over all three):
-    /// every kernel of every kernel set's host program and every
+    /// Every kernel of every kernel set's host program and every
     /// hand-written kernel, at f32 and f64, whole-grid and — the 3-D ones
-    /// not already placed — slab-placed. A row that appears twice (a kernel several sets share)
-    /// is kept once.
-    fn shipped_tape_rows() -> Vec<(String, usize, usize, usize, u64)> {
+    /// not already placed — slab-placed, as (kernel/form/precision, kernel).
+    fn shipped_kernels() -> Vec<(String, Kernel)> {
         use room_acoustics::contracts::slab_placed;
-        let fnv = |text: &str| {
-            text.bytes()
-                .fold(0xcbf29ce484222325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
-        };
-        let mut rows = Vec::new();
+        let mut shipped = Vec::new();
         for (real, r) in [(ScalarKind::F32, "f32"), (ScalarKind::F64, "f64")] {
             let mut kernels: Vec<Kernel> = room_acoustics::handwritten::all_kernels()
                 .iter()
@@ -4559,26 +4563,80 @@ mod tests {
                 let prog = set.host_program(real).unwrap();
                 kernels.extend(prog.kernels.into_iter().map(|k| k.kernel));
             }
-            for k in &kernels {
+            for k in kernels {
                 let placed = k.work_dim == 3 && !k.name.ends_with("_slab");
-                let slab = placed.then(|| slab_placed(k, &Default::default()).0);
-                for (form, k) in [("whole", Some(k)), ("slab", slab.as_ref())] {
-                    let Some(k) = k else { continue };
-                    let t = prepare(k).unwrap_or_else(|e| panic!("{}: {e}", k.name)).tape;
-                    let mut hist = std::collections::BTreeMap::new();
-                    for op in all_ops(&t) {
-                        *hist.entry(op_name(op_index(op))).or_insert(0) += 1;
-                    }
-                    let text: String = hist.iter().map(|(n, c)| format!("{n}:{c} ")).collect();
-                    let name = format!("{}/{form}/{r}", k.name);
-                    let row = (name, t.ops.len(), t.pre.len(), t.item_pre.len(), fnv(&text));
-                    if !rows.contains(&row) {
-                        rows.push(row);
-                    }
-                }
+                let slab = placed.then(|| slab_placed(&k, &Default::default()).0);
+                shipped.push((format!("{}/whole/{r}", k.name), k));
+                shipped.extend(slab.map(|k| (format!("{}/slab/{r}", k.name), k)));
+            }
+        }
+        shipped
+    }
+
+    /// Each shipped tape ([`shipped_kernels`]) as (kernel/form/precision,
+    /// main-tape ops, `pre` ops, `item_pre` ops, FNV-1a of its opcode
+    /// histogram over all three). A row that appears twice (a kernel several
+    /// sets share) is kept once.
+    fn shipped_tape_rows() -> Vec<(String, usize, usize, usize, u64)> {
+        let fnv = |text: &str| {
+            text.bytes()
+                .fold(0xcbf29ce484222325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+        };
+        let mut rows = Vec::new();
+        for (name, k) in shipped_kernels() {
+            let t = prepare(&k).unwrap_or_else(|e| panic!("{}: {e}", k.name)).tape;
+            let mut hist = std::collections::BTreeMap::new();
+            for op in all_ops(&t) {
+                *hist.entry(op_name(op_index(op))).or_insert(0) += 1;
+            }
+            let text: String = hist.iter().map(|(n, c)| format!("{n}:{c} ")).collect();
+            let row = (name, t.ops.len(), t.pre.len(), t.item_pre.len(), fnv(&text));
+            if !rows.contains(&row) {
+                rows.push(row);
             }
         }
         rows
+    }
+
+    /// No shipped tape, generic or specialised on `MB = 3`, widens an index
+    /// for a global access: every `AsI64` left feeds a private or local
+    /// access, an array declaration or a loop.
+    #[test]
+    fn no_shipped_tape_widens_a_global_index() {
+        let mut tapes = 0;
+        for (name, k) in shipped_kernels() {
+            let prep = prepare(&k).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let known: Vec<_> = launch_constant_slots(&prep).into_iter().map(|s| (s, 3)).collect();
+            let specialised = compile_under(&prep, &known);
+            for t in std::iter::once(&prep.tape).chain(&specialised) {
+                let widened: Vec<R> = all_ops(t)
+                    .filter_map(|op| match *op {
+                        Op::AsI64 { dst, .. } => Some(dst),
+                        _ => None,
+                    })
+                    .collect();
+                for op in all_ops(t) {
+                    let mut reads = false;
+                    t.srcs(op, &mut |r| reads |= widened.contains(&r));
+                    let allowed = matches!(
+                        op,
+                        Op::LdP { .. }
+                            | Op::StP { .. }
+                            | Op::LdL { .. }
+                            | Op::StL { .. }
+                            | Op::DeclPriv { .. }
+                            | Op::DeclLocal { .. }
+                            | Op::MaxOne { .. }
+                            | Op::AddI64 { .. }
+                            | Op::JgeI64 { .. }
+                            | Op::I64ToI32 { .. }
+                    );
+                    assert!(!reads || allowed, "{name}: {op:?} reads a widened index");
+                }
+                tapes += 1;
+            }
+        }
+        assert!(tapes >= 60, "{tapes} tapes");
     }
 
     /// The generated volume kernel runs the hand-written one's tape: the same
@@ -4626,35 +4684,42 @@ mod tests {
         assert_eq!(got, want, "the shipped tapes changed; now:\n{table}");
     }
 
+    /// Every hash moved when the fused global load and store became the one
+    /// `LdG` and `StG`, the opcode counts being otherwise equal; the op
+    /// counts moved only where an op went: `fi_single_lift` (whole and slab)
+    /// lost its store's index widening and three ops that repeat another
+    /// once both read one prelude register (two `Bin`, one `Cast`),
+    /// `fi_single_hand_slab` one such `Bin`, when value numbering took the
+    /// prelude first.
     const TAPE_PINS: &[(&str, usize, usize, usize, u64)] = &[
-        ("volume_handling_hand/whole/f32", 21, 4, 3, 0x9f0c9829adc259f8),
-        ("volume_handling_hand_slab/slab/f32", 23, 4, 3, 0x8b0609015140dcd6),
-        ("volume_handling_hand_slab/whole/f32", 23, 4, 3, 0x8b0609015140dcd6),
-        ("fi_single_hand/whole/f32", 81, 15, 3, 0x1361b0bc5920a3f5),
-        ("fi_single_hand_slab/slab/f32", 87, 15, 3, 0x177db3ec04432f9e),
-        ("fimm_boundary_hand/whole/f32", 18, 4, 1, 0x12750ab11679ac27),
-        ("fimm_boundary_hand_cbeta/whole/f32", 18, 4, 1, 0x12750ab11679ac27),
-        ("fdmm_boundary_hand/whole/f32", 74, 8, 1, 0x7e1ad46702e382ba),
-        ("fi_single_lift/whole/f32", 42, 8, 3, 0xc2c8bf034e68ed6b),
-        ("fi_single_lift_slab/slab/f32", 44, 8, 3, 0x34306a0f2f094485),
-        ("volume_handling_lift/whole/f32", 21, 4, 3, 0x9f0c9829adc259f8),
-        ("volume_handling_lift_slab/slab/f32", 23, 4, 3, 0x8b0609015140dcd6),
-        ("fimm_boundary_lift/whole/f32", 18, 5, 1, 0x656570e876e99fc4),
-        ("fdmm_boundary_lift/whole/f32", 73, 8, 1, 0xe57cf033b37b5f3b),
-        ("volume_handling_hand/whole/f64", 21, 4, 3, 0x9f0c9829adc259f8),
-        ("volume_handling_hand_slab/slab/f64", 23, 4, 3, 0x8b0609015140dcd6),
-        ("volume_handling_hand_slab/whole/f64", 23, 4, 3, 0x8b0609015140dcd6),
-        ("fi_single_hand/whole/f64", 81, 15, 3, 0x1361b0bc5920a3f5),
-        ("fi_single_hand_slab/slab/f64", 87, 15, 3, 0x177db3ec04432f9e),
-        ("fimm_boundary_hand/whole/f64", 18, 4, 1, 0x12750ab11679ac27),
-        ("fimm_boundary_hand_cbeta/whole/f64", 18, 4, 1, 0x12750ab11679ac27),
-        ("fdmm_boundary_hand/whole/f64", 74, 8, 1, 0x7e1ad46702e382ba),
-        ("fi_single_lift/whole/f64", 42, 8, 3, 0xc2c8bf034e68ed6b),
-        ("fi_single_lift_slab/slab/f64", 44, 8, 3, 0x34306a0f2f094485),
-        ("volume_handling_lift/whole/f64", 21, 4, 3, 0x9f0c9829adc259f8),
-        ("volume_handling_lift_slab/slab/f64", 23, 4, 3, 0x8b0609015140dcd6),
-        ("fimm_boundary_lift/whole/f64", 18, 5, 1, 0x656570e876e99fc4),
-        ("fdmm_boundary_lift/whole/f64", 73, 8, 1, 0xe57cf033b37b5f3b),
+        ("volume_handling_hand/whole/f32", 21, 4, 3, 0xe9a5471eba396e60),
+        ("volume_handling_hand_slab/slab/f32", 23, 4, 3, 0xd90a85da9bfa46ca),
+        ("volume_handling_hand_slab/whole/f32", 23, 4, 3, 0xd90a85da9bfa46ca),
+        ("fi_single_hand/whole/f32", 81, 15, 3, 0x226fa92216e37adb),
+        ("fi_single_hand_slab/slab/f32", 86, 15, 3, 0xb99d7660986605f9),
+        ("fimm_boundary_hand/whole/f32", 18, 4, 1, 0x09cdb9fe05896fd7),
+        ("fimm_boundary_hand_cbeta/whole/f32", 18, 4, 1, 0x09cdb9fe05896fd7),
+        ("fdmm_boundary_hand/whole/f32", 74, 8, 1, 0xf16b154a9367de22),
+        ("fi_single_lift/whole/f32", 38, 8, 3, 0xd1a254fca9d1aa63),
+        ("fi_single_lift_slab/slab/f32", 40, 8, 3, 0x185bfce6b35a983d),
+        ("volume_handling_lift/whole/f32", 21, 4, 3, 0xe9a5471eba396e60),
+        ("volume_handling_lift_slab/slab/f32", 23, 4, 3, 0xd90a85da9bfa46ca),
+        ("fimm_boundary_lift/whole/f32", 18, 5, 1, 0x534f8979cfff09c0),
+        ("fdmm_boundary_lift/whole/f32", 73, 8, 1, 0xa5eb1f6fec20700f),
+        ("volume_handling_hand/whole/f64", 21, 4, 3, 0xe9a5471eba396e60),
+        ("volume_handling_hand_slab/slab/f64", 23, 4, 3, 0xd90a85da9bfa46ca),
+        ("volume_handling_hand_slab/whole/f64", 23, 4, 3, 0xd90a85da9bfa46ca),
+        ("fi_single_hand/whole/f64", 81, 15, 3, 0x226fa92216e37adb),
+        ("fi_single_hand_slab/slab/f64", 86, 15, 3, 0xb99d7660986605f9),
+        ("fimm_boundary_hand/whole/f64", 18, 4, 1, 0x09cdb9fe05896fd7),
+        ("fimm_boundary_hand_cbeta/whole/f64", 18, 4, 1, 0x09cdb9fe05896fd7),
+        ("fdmm_boundary_hand/whole/f64", 74, 8, 1, 0xf16b154a9367de22),
+        ("fi_single_lift/whole/f64", 38, 8, 3, 0xd1a254fca9d1aa63),
+        ("fi_single_lift_slab/slab/f64", 40, 8, 3, 0x185bfce6b35a983d),
+        ("volume_handling_lift/whole/f64", 21, 4, 3, 0xe9a5471eba396e60),
+        ("volume_handling_lift_slab/slab/f64", 23, 4, 3, 0xd90a85da9bfa46ca),
+        ("fimm_boundary_lift/whole/f64", 18, 5, 1, 0x534f8979cfff09c0),
+        ("fdmm_boundary_lift/whole/f64", 73, 8, 1, 0xa5eb1f6fec20700f),
     ];
 
     /// `(x, out, a)`, all i32, 1-D, with `body`.
@@ -4774,12 +4839,12 @@ mod tests {
             KExpr::load(MemRef::Param(0), g()) + g() / a() + KExpr::bin(BinOp::Rem, g(), a());
         let store = store_at(g(), value);
         let (t, out) = numbered(&i32_kernel("vn_impure", vec![store.clone(), store]));
-        let loads = count(&t, |op| matches!(op, Op::LdG { .. } | Op::LdGFused { .. }));
-        let stores = count(&t, |op| matches!(op, Op::StG { .. } | Op::StGAt { .. }));
+        let loads = count(&t, |op| matches!(op, Op::LdG { .. }));
+        let stores = count(&t, |op| matches!(op, Op::StG { .. }));
         let divisions = count(&t, |op| matches!(op, Op::Bin { op: BinOp::Div | BinOp::Rem, .. }));
         assert_eq!((loads, stores, divisions), (2, 2, 4), "{:?}", t.ops);
         assert_eq!(out[21], (57 + 21 / 5 + 21 % 5) as f64);
-        let ld = |dst| Op::LdG { dst, buf: 0, idx: 1, site: 0, constant: false };
+        let ld = |dst| Op::LdG { dst, buf: 0, base: 1, off: None, site: 0, constant: false };
         let ops = vec![Op::Flops { n: 1 }, Op::Flops { n: 1 }, ld(2), ld(3), Op::Halt];
         let mut c =
             Compiled { ops: ops.clone(), phase_starts: vec![0], nregs: 4, ..Compiled::default() };
@@ -4836,9 +4901,16 @@ mod tests {
         let mov = Op::Mov { dst: 2, src: 1 };
         assert!(validate(&copy(mov, [false, true, true]), &prep));
         assert!(!validate(&copy(mov, [false, true, false]), &prep));
-        let ld = Op::LdG { dst: 0, buf: 0, idx: 1, site: 0, constant: false };
+        let ld = Op::LdG { dst: 0, buf: 0, base: 1, off: None, site: 0, constant: false };
         assert!(validate(&copy(ld, [false, true, false]), &prep));
+        assert!(validate(&copy(ld, [false, false, false]), &prep), "an i32 index");
         assert!(!validate(&copy(ld, [true, true, false]), &prep));
+        // Only an i32 base has an offset, itself an i32.
+        let ld =
+            Op::LdG { dst: 0, buf: 0, base: 1, off: Some((2, false)), site: 0, constant: false };
+        assert!(validate(&copy(ld, [false, false, false]), &prep));
+        assert!(!validate(&copy(ld, [false, true, false]), &prep), "an i64 base with an offset");
+        assert!(!validate(&copy(ld, [false, false, true]), &prep), "an i64 offset");
         assert!(!validate(&copy(Op::Const { dst: 0, bits: 1 << 32 }, [false; 3]), &prep));
     }
 
@@ -5140,25 +5212,117 @@ mod tests {
         assert!(matches!(whole.ops[..], [Op::Jz { target: 2, .. }, _, Op::Halt]));
         assert_eq!(whole.fused_ops, 1);
 
-        // out[r1] = r0 — with the store a phase entry or not.
-        let store = || {
+        // r4 = x[r1 - r2] — with the load a phase entry or not.
+        let load = || {
             vec![
-                Op::AsI64 { dst: 2, src: 1, from: K::I32 },
-                Op::StG { buf: 0, idx: 2, val: 0, vk: K::F32, site: 0 },
+                Op::Bin { dst: 3, a: 1, b: 2, op: BinOp::Sub, k: K::I32 },
+                Op::LdG { dst: 4, buf: 0, base: 3, off: None, site: 0, constant: false },
                 Op::Halt,
             ]
         };
-        let split = hand(store(), vec![0, 1]);
+        let split = hand(load(), vec![0, 1]);
         assert!(superinstructions(&split).is_empty(), "{:?}", split.ops);
-        let whole = hand(store(), vec![0]);
-        assert!(matches!(whole.ops[..], [Op::StGAt { base: 1, val: 0, .. }, Op::Halt]));
+        let whole = hand(load(), vec![0]);
+        let fused =
+            Op::LdG { dst: 4, buf: 0, base: 1, off: Some((2, true)), site: 0, constant: false };
+        assert_eq!(whole.ops[..], [fused, Op::Halt]);
+    }
+
+    /// `out[g] = x[ix]`, or (`store`) `out[ix] = x[g]` for `g ≥ 38` (bool)
+    /// or every `g`, its index `ix` of `kind`: `(float)g + 0.25f`,
+    /// `(double)g + 0.5` — `g` once truncated — or the bool `g == 39`. No
+    /// shipped kernel indexes global memory at these kinds.
+    fn indexed_at(kind: ScalarKind, store: bool) -> Kernel {
+        let (g, at) = (|| KExpr::GlobalId(0), |i| KExpr::load(MemRef::Param(0), i));
+        let ix = match kind {
+            ScalarKind::F32 => KExpr::cast(kind, g()) + KExpr::Lit(Lit::f32(0.25)),
+            ScalarKind::F64 => KExpr::cast(kind, g()) + KExpr::Lit(Lit::f64(0.5)),
+            _ => KExpr::bin(BinOp::Eq, g(), KExpr::int(39)),
+        };
+        let lo = if store && kind == ScalarKind::Bool { 38 } else { 0 };
+        let (idx, value) = if store { (ix, at(g())) } else { (g(), at(ix)) };
+        let body = KStmt::If {
+            cond: KExpr::bin(BinOp::Ge, g(), KExpr::int(lo)),
+            then_: vec![KStmt::Store { mem: MemRef::Param(1), idx, value }],
+            else_: vec![],
+        };
+        Kernel {
+            name: format!("index_{kind:?}_{store}"),
+            params: vec![
+                KernelParam::global_buf("x", ScalarKind::F32),
+                KernelParam::global_buf("out", ScalarKind::F32),
+            ],
+            body: vec![body],
+            work_dim: 1,
+        }
+    }
+
+    /// Global loads and stores at an f32, f64 or bool index read the i64
+    /// its `AsI64` makes, as the tree-walker reads the index: over 40 items
+    /// in range they agree with the oracle under `Engine::Differential`, and
+    /// with the indexed buffer one element short the tape and the oracle
+    /// panic with one text.
+    #[test]
+    fn global_accesses_at_a_float_or_bool_index_match_the_oracle() {
+        let n = 40;
+        let bufs = |xlen: usize, olen: usize| {
+            let x = shadowed((0..xlen).map(|i| 1.0 + i as f32).collect::<Vec<_>>());
+            (x, shadowed(vec![-1.0f32; olen]))
+        };
+        let modes = [ExecMode::Fast, ExecMode::Model { sample_stride: 1 }];
+        for kind in [ScalarKind::F32, ScalarKind::F64, ScalarKind::Bool] {
+            for store in [false, true] {
+                let k = indexed_at(kind, store);
+                let prep = prepare(&k).unwrap();
+                let t = &prep.tape;
+                let widened = |op: &Op| match *op {
+                    Op::LdG { base: i, .. } => !store && t.wide[i as usize],
+                    Op::StG { idx: i, .. } => store && t.wide[i as usize],
+                    _ => false,
+                };
+                assert!(t.ops.iter().any(widened), "{}: {:?}", k.name, t.ops);
+                for mode in modes {
+                    let (x, out) = bufs(n, n);
+                    let binds = [ArgBind::Buf(&x), ArgBind::Buf(&out)];
+                    let rt = crate::Runtime::sanitizing();
+                    launch(&prep, &binds, &[n], None, mode, 128, Engine::Differential, &rt)
+                        .unwrap();
+                    let o = unsafe { out.data() }.to_f64_vec();
+                    let want = match (kind, store) {
+                        (ScalarKind::Bool, false) => [1.0, 1.0, 2.0],
+                        (ScalarKind::Bool, true) => [39.0, 40.0, -1.0],
+                        _ => [1.0, 2.0, 40.0],
+                    };
+                    assert_eq!([o[0], o[1], o[39]], want, "{}", k.name);
+                }
+                // One past the end of the shortened buffer: item 39's index.
+                let short = if kind == ScalarKind::Bool { 1 } else { n - 1 };
+                let mut texts = Vec::new();
+                for (engine, mode) in
+                    [Engine::Tree, Engine::Fast].iter().flat_map(|&e| modes.map(|m| (e, m)))
+                {
+                    let (x, out) = if store { bufs(n, short) } else { bufs(short, n) };
+                    let binds = [ArgBind::Buf(&x), ArgBind::Buf(&out)];
+                    let rt = crate::Runtime::new(crate::runtime().settings);
+                    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        launch(&prep, &binds, &[n], None, mode, 128, engine, &rt)
+                    }))
+                    .expect_err("the access past the end must panic");
+                    texts.push(panicked.downcast_ref::<String>().cloned().unwrap_or_default());
+                }
+                let (what, param) = if store { ("store", 1) } else { ("load", 0) };
+                let want = format!("{what} out of bounds: param {param}[{short}] (len {short})");
+                assert!(texts.iter().all(|t| t.contains(&want) && *t == texts[0]), "{texts:?}");
+            }
+        }
     }
 
     /// The tiled stencil of `tests/workgroup_tiling.rs`: a cooperative
     /// staging load into local memory, a barrier, then the window sum out
-    /// of the tile. Grouped tapes fuse like any other.
+    /// of the tile. A grouped tape reads its global indices as any other
+    /// does: an i32 as it is; its local indices are widened.
     #[test]
-    fn a_two_phase_local_memory_tape_fuses_and_matches_the_oracle() {
+    fn a_two_phase_local_memory_tape_matches_the_oracle() {
         use lift::ir::{self, ParamDef};
         use lift::prelude::{Lit, PadKind, Type};
         const N: usize = 256;
@@ -5178,7 +5342,13 @@ mod tests {
         assert_eq!(t.phases(), 2);
         assert!(t.ops.iter().any(|op| matches!(op, Op::StL { .. })), "{:?}", t.ops);
         assert!(t.ops.iter().any(|op| matches!(op, Op::LdL { .. })), "{:?}", t.ops);
-        assert!(!superinstructions(t).is_empty(), "{:?}", t.ops);
+        for op in &t.ops {
+            match *op {
+                Op::LdG { base: i, .. } | Op::StG { idx: i, .. } => assert!(!t.wide[i as usize]),
+                Op::LdL { idx, .. } | Op::StL { idx, .. } => assert!(t.wide[idx as usize]),
+                _ => {}
+            }
+        }
         assert_consistent(&prep);
 
         let input = shadowed((0..N).map(|i| ((i * 37) % 17) as f32 - 8.0).collect::<Vec<_>>());

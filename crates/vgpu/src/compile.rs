@@ -3,9 +3,11 @@
 //! numbering, and [`launch_shapes`], run once per launch shape.
 //!
 //! [`fuse`] rewrites the op sequences the acoustics kernels actually emit —
-//! index-arithmetic → `AsI64` → `LdG` stencil gathers, `Bin`·`Bin`
-//! multiply-add chains, and the compare → `Jz` pairs every `if` compiles
-//! to — into one *superinstruction* each, in place:
+//! the i32 offset step of a stencil gather's index, `Bin`·`Bin` multiply-add
+//! chains, and the compare → `Jz` pairs every `if` compiles to — into one
+//! *superinstruction* each, in place. A global access needs no window of its
+//! own: codegen emits the form that ships, an `LdG`/`StG` reading its i32
+//! index as it is.
 //!
 //! 1. **Leaders** — phase entries, jump targets and every op after a jump or
 //!    terminator. A fusion window never crosses one, so every jump still
@@ -16,17 +18,17 @@
 //!    on the other side of a divergent branch nor across loop iterations.
 //!    That skipped write is the gain: on the SoA register file every elided
 //!    intermediate saves a 32-lane column round-trip.
-//! 3. **Peephole fusion** — longest match first at each pc: fused global
-//!    loads (`[Bin·]AsI64·LdG`), fused stores (`AsI64`·`StG`, the widening
-//!    first sunk to its store), multiply-add (`Bin`·`Bin`) and
-//!    compare-branch (`Bin`·`Jz`, also across a `Flops` in between). The
-//!    window's first op becomes the superinstruction.
+//! 3. **Peephole fusion** — at each pc: a load's offset step (`Bin`·`LdG`,
+//!    the i32 `Add`/`Sub` computing the index becomes the load's `off`),
+//!    multiply-add (`Bin`·`Bin`) and compare-branch (`Bin`·`Jz`, also
+//!    across a `Flops` in between). The window's first op becomes the
+//!    superinstruction.
 //!
 //! 4. **Accumulating loads** ([`fuse_sums`], after value numbering, so no
-//!    later pass rewrites a link) — every `Add`/`Sub` that accumulates a
-//!    fused load folds into an `LdGSum`, the one accumulating load; a chain
-//!    of them over one buffer is one op: the volume kernel's stencil sum,
-//!    its `… − prev[idx]`.
+//!    later pass rewrites a link) — every `Add`/`Sub` that accumulates an
+//!    i32-indexed load folds into an `LdGSum`, the one accumulating load; a
+//!    chain of them over one buffer is one op: the volume kernel's stencil
+//!    sum, its `… − prev[idx]`.
 //!
 //! Fusion is total: an op no window matches stays as it is, on every tape —
 //! multi-phase and local-memory ones included.
@@ -43,8 +45,8 @@
 //! `Engine::Differential` (tree oracle, then the tape) enforces this.
 
 use crate::bytecode::{
-    bin_bits, block_leaders, compact, count_readers, count_writers, is_branch, op_dst, reads_reg,
-    visit_srcs, Compiled, Link, Op, Shape, K, R,
+    bin_bits, block_leaders, compact, count_readers, count_writers, is_branch, op_dst, visit_srcs,
+    Compiled, Link, Op, Shape, K, R,
 };
 use lift::prelude::{BinOp, Value};
 
@@ -65,21 +67,6 @@ pub(crate) fn fuse(c: &mut Compiled) {
     let leader = block_leaders(c);
     let uses = count_readers(c);
     let single = |r: R| uses[r as usize] == 1;
-
-    // Codegen widens a store's index before it compiles the value: the
-    // widening moves down to its store — nothing in between reads it or
-    // writes its source — so the pair fuses below. Walking up keeps every
-    // widening already moved next to its store.
-    for pc in (0..n).rev() {
-        let Op::AsI64 { dst, src, from: K::I32 } = c.ops[pc] else { continue };
-        let end = (pc + 1..n).find(|&i| leader[i]).unwrap_or(n);
-        let st =
-            (pc + 1..end).find(|&i| op_dst(&c.ops[i]) == Some(src) || reads_reg(&c.ops[i], dst));
-        let store = |st: &usize| matches!(c.ops[*st], Op::StG { idx, .. } if idx == dst);
-        if let Some(st) = st.filter(|st| single(dst) && store(st)) {
-            c.ops[pc..st].rotate_left(1);
-        }
-    }
     let mut removed = vec![false; n];
     let (mut pc, mut end) = (0, 0);
     while pc < n {
@@ -100,7 +87,6 @@ pub(crate) fn fuse(c: &mut Compiled) {
             }
         }
         let window = try_ldg(c, pc, end, &single)
-            .or_else(|| try_stg(c, pc, end, &single))
             .or_else(|| try_muladd(c, pc, end, &single))
             .or_else(|| try_cmp(c, pc, end, &single));
         let width = match window {
@@ -117,8 +103,8 @@ pub(crate) fn fuse(c: &mut Compiled) {
     compact(c, &removed);
 }
 
-/// Folds every `Add`/`Sub` that accumulates a single-use `LdGFused` of
-/// global memory right before it, at the buffer's element kind
+/// Folds every `Add`/`Sub` that accumulates a single-use `LdG` of global
+/// memory at an i32 index right before it, at the buffer's element kind
 /// (`kind(buf)`), into an `LdGSum`: the one accumulating load. Such folds of
 /// one buffer in one basic block, each accumulating the sum the one before
 /// wrote (which nothing else reads — the use-count rule of [`fuse`]), make
@@ -131,9 +117,12 @@ pub(crate) fn fuse_sums(c: &mut Compiled, kind: impl Fn(u16) -> Option<K>) {
     // The load at `q`: its buffer, `dst` and plain link, and the fold right
     // after it, if one accumulates it: (its link, accumulated register, sum).
     let load = |q: usize| {
-        let Op::LdGFused { dst, buf, base, off, site, constant: false } = *c.ops.get(q)? else {
+        let Op::LdG { dst, buf, base, off, site, constant: false } = *c.ops.get(q)? else {
             return None;
         };
+        if c.wide[base as usize] {
+            return None;
+        }
         let link = |sub, rev| Link { base, off, site, sub, rev };
         let fold = match c.ops.get(q + 1) {
             Some(&Op::Bin { dst: sum, a, b, op, k })
@@ -269,8 +258,7 @@ fn value(op: &Op, v: &[Val], gsize: [usize; 3], straddle: Option<[i32; 3]>) -> V
     use BinOp::{Add, Mul, Sub};
     let at = |r: R| v[r as usize];
     let lin = match *op {
-        Op::Lid { .. } | Op::Grp { .. } | Op::LdG { .. } => return None,
-        Op::LdGFused { .. } | Op::LdGSum { .. } => return None,
+        Op::Lid { .. } | Op::Grp { .. } | Op::LdG { .. } | Op::LdGSum { .. } => return None,
         Op::LdP { .. } | Op::LdL { .. } => return None,
         Op::Gid { dim, .. } => {
             return Some(([0, 1, 2].map(|d| (d == dim && gsize[d as usize] > 1) as i32), Some(0)))
@@ -340,46 +328,10 @@ fn split_regions(c: &Compiled, shapes: &[Shape]) -> Vec<bool> {
     split
 }
 
-/// `[Bin{t1,base,off,±,I32};] AsI64{t2,·,I32}; LdG{dst,…,t2}` with every
-/// intermediate single-use. Neither `base` nor `off` may alias `dst`: the op
-/// may interleave its index reads with its writes.
+/// `Bin{t,base,off,±,I32}; LdG{dst,…,t}` with `t` single-use: the load
+/// takes the step as its `off`. Neither `base` nor `off` may alias `dst`:
+/// the op may interleave its index reads with its writes.
 fn try_ldg(
-    c: &Compiled,
-    pc: usize,
-    end: usize,
-    single: &impl Fn(R) -> bool,
-) -> Option<(Op, usize)> {
-    let ops = &c.ops;
-    // Optional i32 offset step.
-    let (base, off, as_pc) = match ops[pc] {
-        Op::Bin { dst, a, b, op, k: K::I32 } if is_addsub(op) && single(dst) && pc + 1 < end => {
-            match ops[pc + 1] {
-                Op::AsI64 { dst: t2, src, from: K::I32 } if src == dst && single(t2) => {
-                    (a, Some((b, op == BinOp::Sub)), pc + 1)
-                }
-                _ => return None,
-            }
-        }
-        Op::AsI64 { dst: t2, src, from: K::I32 } if single(t2) => (src, None, pc),
-        _ => return None,
-    };
-    let Op::AsI64 { dst: t2, .. } = ops[as_pc] else { return None };
-    let ld_pc = as_pc + 1;
-    if ld_pc >= end {
-        return None;
-    }
-    let Op::LdG { dst, buf, idx, site, constant } = ops[ld_pc] else { return None };
-    if idx != t2 {
-        return None;
-    }
-    if dst == base || off.is_some_and(|(o, _)| dst == o) {
-        return None;
-    }
-    Some((Op::LdGFused { dst, buf, base, off, site, constant }, ld_pc + 1 - pc))
-}
-
-/// `AsI64{t2,base,I32}; StG{buf,t2,val,vk,site}` with `t2` single-use.
-fn try_stg(
     c: &Compiled,
     pc: usize,
     end: usize,
@@ -388,15 +340,13 @@ fn try_stg(
     if pc + 1 >= end {
         return None;
     }
-    let Op::AsI64 { dst: t2, src, from: K::I32 } = c.ops[pc] else { return None };
-    if !single(t2) {
+    let Op::Bin { dst: t, a, b, op, k: K::I32 } = c.ops[pc] else { return None };
+    let Op::LdG { dst, buf, base, off: None, site, constant } = c.ops[pc + 1] else { return None };
+    if !is_addsub(op) || !single(t) || base != t || dst == a || dst == b {
         return None;
     }
-    let Op::StG { buf, idx, val, vk, site } = c.ops[pc + 1] else { return None };
-    if idx != t2 {
-        return None;
-    }
-    Some((Op::StGAt { buf, base: src, val, vk, site }, 2))
+    let off = Some((b, op == BinOp::Sub));
+    Some((Op::LdG { dst, buf, base: a, off, site, constant }, 2))
 }
 
 /// `Bin{t,a,b,Mul,k}; Bin{dst,·,·,Add|Sub,k}` with `t` single-use and used

@@ -245,7 +245,6 @@ fn barrier_uniformity(c: &Compiled, findings: &mut Vec<TapeFinding>) {
                 Op::Gid { .. }
                     | Op::Lid { .. }
                     | Op::LdG { .. }
-                    | Op::LdGFused { .. }
                     | Op::LdGSum { .. }
                     | Op::LdP { .. }
                     | Op::LdL { .. }
